@@ -225,7 +225,10 @@ func BenchmarkAblations(b *testing.B) {
 func benchModels(b *testing.B) (*lm.SyntheticLM, *lm.DraftLM) {
 	b.Helper()
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	return target, lm.MustDraftLM("d", target, 0.88, 2)
+	draft := lm.MustDraftLM("d", target, 0.88, 2)
+	// Allocate both caches' slabs outside the timed loops.
+	_ = draft.Dist(lm.Context{})
+	return target, draft
 }
 
 // BenchmarkLMDist measures one synthetic next-token distribution lookup.
@@ -235,6 +238,27 @@ func BenchmarkLMDist(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = target.Dist(ctx)
+	}
+}
+
+// BenchmarkLMDistMiss measures a warm cache miss: every op asks for a fresh
+// context, as most draft-step and verify lookups of a simulation do. The
+// draft sub-benchmark's misses also miss in the target.
+func BenchmarkLMDistMiss(b *testing.B) {
+	target, draft := benchModels(b)
+	// One counter across every run of every sub-benchmark, so no context
+	// ever repeats.
+	seed := uint64(0)
+	for _, c := range []struct {
+		name  string
+		model lm.Model
+	}{{"target", target}, {"draft", draft}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				seed++
+				_ = c.model.Dist(lm.Context{ReqSeed: seed})
+			}
+		})
 	}
 }
 

@@ -136,18 +136,91 @@ func TestUniformWeightsUseSortPath(t *testing.T) {
 	}
 }
 
-// TestIndexedProbMatchesScan checks the binary-search Prob against the
-// linear-scan fallback for every candidate and a band of tail tokens.
-func TestIndexedProbMatchesScan(t *testing.T) {
-	m := MustSyntheticLM("m", 13, 512, 16, 3.2, 0.02)
-	d := m.Dist(Context{ReqSeed: 4})
-	if d.byTok == nil {
-		t.Fatal("model dist should carry the token index")
+// TestWarmMissAllocatesNothing pins the slab design: once a cache has taken
+// its first miss, further misses over fresh contexts build their entries in
+// the slab and allocate nothing, for the target and for the draft (whose
+// miss also misses in the target).
+func TestWarmMissAllocatesNothing(t *testing.T) {
+	target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+	draft := MustDraftLM("d", target, 0.5, 9)
+	seed := uint64(0)
+	for _, c := range []struct {
+		name  string
+		model Model
+	}{{"target", target}, {"draft", draft}} {
+		_, missesBefore := target.CacheStats()
+		allocs := testing.AllocsPerRun(500, func() {
+			seed++
+			_ = c.model.Dist(Context{ReqSeed: seed})
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm cache miss allocated %.1f times per call", c.name, allocs)
+		}
+		if _, misses := target.CacheStats(); misses-missesBefore < 500 {
+			t.Errorf("%s: only %d target misses — test exercised the hit path", c.name, misses-missesBefore)
+		}
 	}
-	plain := Dist{Entries: d.Entries, Tail: d.Tail, Vocab: d.Vocab}
-	for tok := Token(0); tok < 512; tok++ {
-		if got, want := d.Prob(tok), plain.Prob(tok); got != want {
-			t.Fatalf("Prob(%d): indexed %g, scan %g", tok, got, want)
+}
+
+// TestCachesAllocateLazily checks that constructing a model allocates no
+// slots or slab: a model that is never queried holds no cache memory.
+func TestCachesAllocateLazily(t *testing.T) {
+	target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+	draft := MustDraftLM("d", target, 0.5, 9)
+	if target.cache.slots != nil || target.cache.slab != nil ||
+		draft.cache.slots != nil || draft.cache.slab != nil {
+		t.Fatal("cache storage allocated at construction")
+	}
+	_ = target.Dist(Context{ReqSeed: 1})
+	if target.cache.slab == nil {
+		t.Fatal("target slab not allocated by its first miss")
+	}
+	if draft.cache.slab != nil {
+		t.Fatal("draft slab allocated by a target-only query")
+	}
+}
+
+// TestDraftEntriesSurviveTargetEviction covers the slab's aliasing hazard: a
+// draft entry built from the target's distribution must own its entries, so
+// that evicting the target's slot (a 1-slot target cache evicts on every new
+// context) cannot rewrite a cached draft distribution — whether the draft
+// agreed with the target or swapped it.
+func TestDraftEntriesSurviveTargetEviction(t *testing.T) {
+	target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+	target.SetDistCacheSize(1)
+	draft := MustDraftLM("d", target, 0.5, 9)
+	refTarget := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
+	refTarget.SetDistCacheSize(0)
+	ref := MustDraftLM("d", refTarget, 0.5, 9)
+	ref.SetDistCacheSize(0)
+
+	// Find one agreeing and one mistaken context.
+	var agree, mistaken Context
+	found := 0
+	for seed := uint64(1); found != 3; seed++ {
+		ctx := Context{ReqSeed: seed}
+		same := distsEqual(ref.Dist(ctx), refTarget.Dist(ctx))
+		switch {
+		case same && found&1 == 0:
+			agree, found = ctx, found|1
+		case !same && found&2 == 0:
+			mistaken, found = ctx, found|2
+		}
+	}
+	for _, ctx := range []Context{agree, mistaken} {
+		_ = draft.Dist(ctx)
+		// Evict the target's only slot with fresh contexts.
+		for s := uint64(0); s < 8; s++ {
+			_ = target.Dist(NewContext(1<<40, []Token{Token(s)}))
+		}
+		hits, _ := draft.CacheStats()
+		got := draft.Dist(ctx)
+		if h, _ := draft.CacheStats(); h != hits+1 {
+			t.Fatal("draft lookup missed — test exercised nothing")
+		}
+		if !distsEqual(got, ref.Dist(ctx)) {
+			t.Fatalf("cached draft dist at %+v rewritten by target eviction:\n got %v\nwant %v",
+				ctx, got.Entries, ref.Dist(ctx).Entries)
 		}
 	}
 }

@@ -21,11 +21,16 @@
 // Hot-path design: the next-token distribution is a pure function of the
 // 64-bit context hash, so both models memoize distributions behind a
 // fixed-size direct-mapped cache keyed on that hash (exact — entries are
-// validated by full key comparison, never by slot alone). Context itself is
-// a small value type carrying only the HistoryWindow-sized suffix that
-// conditions the distribution, so extending a context allocates nothing.
-// Models are NOT safe for concurrent use: give each goroutine its own
-// engine/models, as the parallel experiment runner does.
+// validated by full key comparison, never by slot alone). Each cache owns a
+// slab of entries, one fixed region per slot, allocated on its first miss;
+// a miss builds the distribution straight into its slot's region, so once
+// warm neither a hit nor a miss allocates. The price is a lifetime contract:
+// a Dist returned by a model is valid until that model's next Dist call
+// (see Dist). Context itself is a small value type carrying only the
+// HistoryWindow-sized suffix that conditions the distribution, so extending
+// a context allocates nothing. Models are NOT safe for concurrent use: give
+// each goroutine its own engine/models, as the parallel experiment runner
+// does.
 package lm
 
 import (
@@ -48,36 +53,17 @@ type TokenProb struct {
 // small candidate set plus Tail mass smeared uniformly over the rest of the
 // vocabulary. Entries are sorted by descending probability.
 //
-// Distributions returned by the models may be shared (cached); callers must
-// treat Entries as read-only.
+// Lifetime: the Entries of a Dist returned by a model live in the model's
+// cache and are read-only. They are valid until that model's next Dist
+// call, which may evict the slot and rebuild its entries in place; a
+// DraftLM's Dist call consults its target, so it counts as a call on the
+// target too. Callers that keep entries longer must copy them (TopK does).
 type Dist struct {
 	Entries []TokenProb
 	// Tail is the probability mass not covered by Entries.
 	Tail float64
 	// Vocab is the vocabulary size (for tail token sampling).
 	Vocab int
-
-	// byTok, when non-nil, holds Entries sorted by ascending token: the
-	// index that turns Prob into a binary search. Model-produced
-	// distributions always carry it; hand-built literals fall back to a
-	// linear scan.
-	byTok []TokenProb
-}
-
-// Indexed returns a copy of d carrying the sorted-by-token lookup index used
-// by Prob. Model-produced distributions are already indexed. The sort is an
-// insertion sort: candidate sets are small and this is the only allocation
-// site on a cache miss, so it must not drag reflection scaffolding along.
-func (d Dist) Indexed() Dist {
-	bt := make([]TokenProb, len(d.Entries))
-	copy(bt, d.Entries)
-	for i := 1; i < len(bt); i++ {
-		for j := i; j > 0 && bt[j].Token < bt[j-1].Token; j-- {
-			bt[j], bt[j-1] = bt[j-1], bt[j]
-		}
-	}
-	d.byTok = bt
-	return d
 }
 
 // Validate checks that the distribution is normalized and sorted.
@@ -101,27 +87,12 @@ func (d Dist) Validate() error {
 	return nil
 }
 
-// Prob returns the probability of tok under d: a binary search over the
-// token-sorted index when present, else a linear scan of the candidate set.
+// Prob returns the probability of tok under d: a linear scan of the small
+// candidate set, else tok's uniform share of the tail.
 func (d Dist) Prob(tok Token) float64 {
-	if d.byTok != nil {
-		lo, hi := 0, len(d.byTok)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if d.byTok[mid].Token < tok {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(d.byTok) && d.byTok[lo].Token == tok {
-			return d.byTok[lo].Prob
-		}
-	} else {
-		for _, e := range d.Entries {
-			if e.Token == tok {
-				return e.Prob
-			}
+	for _, e := range d.Entries {
+		if e.Token == tok {
+			return e.Prob
 		}
 	}
 	if d.Vocab <= len(d.Entries) {
@@ -175,14 +146,18 @@ func (d Dist) sampleTail(rng *mathutil.RNG) Token {
 		}
 		return 0
 	}
-	r := Token(rng.Intn(free))
-	// The result is the r-th smallest non-candidate v, the least fixpoint of
-	// v = r + #(candidates <= v); iterate from r (converges in at most
-	// len(Entries)+1 rounds, no sorted order needed).
+	return nthFree(Token(rng.Intn(free)), d.Entries)
+}
+
+// nthFree returns the r-th smallest (0-based) token not among the distinct
+// tokens of taken: the least fixpoint of v = r + #(taken tokens <= v).
+// Iterating from r converges in at most len(taken)+1 rounds and needs no
+// sorted order.
+func nthFree(r Token, taken []TokenProb) Token {
 	v := r
 	for {
 		cnt := Token(0)
-		for _, e := range d.Entries {
+		for _, e := range taken {
 			if e.Token <= v {
 				cnt++
 			}
@@ -340,8 +315,8 @@ func (m *SyntheticLM) Vocab() int { return m.vocab }
 
 // SetDistCacheSize resizes (and clears) the model's distribution cache. The
 // size is rounded up to a power of two; size <= 0 disables caching (every
-// Dist call recomputes — the reference path cached runs must match
-// byte-for-byte).
+// Dist call recomputes into freshly allocated entries — the independent
+// reference path cached runs must match byte-for-byte).
 func (m *SyntheticLM) SetDistCacheSize(size int) { m.cache = newDistCache(size) }
 
 // CacheStats returns cumulative (hits, misses) of the distribution cache.
@@ -350,7 +325,8 @@ func (m *SyntheticLM) CacheStats() (hits, misses uint64) { return m.cache.stats(
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
 // deterministic function of (model seed, request seed, history window).
-// Results are memoized by context hash; a cache hit allocates nothing.
+// Results are memoized by context hash; once the cache is warm, neither a
+// hit nor a miss allocates.
 func (m *SyntheticLM) Dist(ctx Context) Dist {
 	return m.distForHash(ctx.hash(m.seed))
 }
@@ -360,16 +336,15 @@ func (m *SyntheticLM) distForHash(h uint64) Dist {
 	if d, ok := m.cache.get(h, 0); ok {
 		return d
 	}
-	d := m.computeDist(h)
+	d := m.computeDist(h, m.cache.region(h, 0, m.branch))
 	m.cache.put(h, 0, d)
 	return d
 }
 
-// computeDist materializes the distribution for a context hash. Candidate
-// dedup uses a linear scan (branch is small), not a map, so the only
-// allocations are the entry slices that outlive the call in the cache.
-func (m *SyntheticLM) computeDist(h uint64) Dist {
-	entries := make([]TokenProb, 0, m.branch)
+// computeDist materializes the distribution for a context hash into entries,
+// an empty buffer of capacity branch. Candidate dedup uses a linear scan
+// (branch is small), not a map, so nothing is allocated.
+func (m *SyntheticLM) computeDist(h uint64, entries []TokenProb) Dist {
 	x := h
 	for len(entries) < m.branch {
 		x = mathutil.SplitMix64(x)
@@ -386,7 +361,7 @@ func (m *SyntheticLM) computeDist(h uint64) Dist {
 		}
 		entries = append(entries, TokenProb{Token: tok, Prob: m.weights[len(entries)]})
 	}
-	return Dist{Entries: entries, Tail: m.tail, Vocab: m.vocab}.Indexed()
+	return Dist{Entries: entries, Tail: m.tail, Vocab: m.vocab}
 }
 
 // DraftLM approximates a target model with tunable alignment, mimicking a
@@ -455,32 +430,36 @@ func (d *DraftLM) SetDistCacheSize(size int) { d.cache = newDistCache(size) }
 func (d *DraftLM) CacheStats() (hits, misses uint64) { return d.cache.stats() }
 
 // Dist implements Model. Results are memoized by the (draft, target) context
-// hash pair; a cache hit allocates nothing.
+// hash pair; once the draft's and target's caches are warm, neither a hit
+// nor a miss allocates.
 func (d *DraftLM) Dist(ctx Context) Dist {
 	hd := ctx.hash(d.seed)
 	ht := ctx.hash(d.target.seed)
 	if dist, ok := d.cache.get(hd, ht); ok {
 		return dist
 	}
-	dist := d.computeDist(hd, ht)
+	dist := d.computeDist(hd, ht, d.cache.region(hd, ht, d.target.branch))
 	d.cache.put(hd, ht, dist)
 	return dist
 }
 
-// computeDist materializes the draft distribution from the context hash pair.
-func (d *DraftLM) computeDist(hd, ht uint64) Dist {
+// computeDist materializes the draft distribution for the context hash pair
+// into entries, an empty buffer of capacity branch.
+func (d *DraftLM) computeDist(hd, ht uint64, entries []TokenProb) Dist {
 	p := d.target.distForHash(ht)
+	// Copy even when the draft agrees: p lives in the target's cache, where
+	// a later target miss on the same slot would rebuild it underneath this
+	// draft's cached entry.
+	entries = append(entries, p.Entries...)
 	u := float64(hd>>11) / (1 << 53)
-	if u < d.alpha || len(p.Entries) < 2 {
-		return p
+	if u < d.alpha || len(entries) < 2 {
+		return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}
 	}
 	// Mistaken context: swap the top token's probability with that of a
 	// lower-ranked candidate (rank drawn from the context hash, biased
 	// toward nearby ranks — distilled drafts are near-misses far more often
 	// than wildly wrong, which is what makes width-w tree speculation able
 	// to recover where sequence speculation stalls).
-	entries := make([]TokenProb, len(p.Entries))
-	copy(entries, p.Entries)
 	j := disagreeRank(mathutil.SplitMix64(hd), len(entries)-1)
 	if d.target.strictOrder {
 		// With strictly decreasing weights, swapping the probabilities at
@@ -496,7 +475,7 @@ func (d *DraftLM) computeDist(hd, ht uint64) Dist {
 			return entries[a].Token < entries[b].Token
 		})
 	}
-	return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}.Indexed()
+	return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}
 }
 
 // disagreeRank draws the target rank a mistaken draft confuses with the top:

@@ -2,7 +2,6 @@ package lm
 
 import (
 	"fmt"
-	"sort"
 
 	"adaserve/internal/mathutil"
 )
@@ -105,12 +104,14 @@ func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
 
 // acceptRejection runs multi-round rejection sampling across the branches.
 func (v *Verifier) acceptRejection(ctx Context, p Dist, branches []Branch) (int, Token) {
+	// p stays valid across the draft's Dist call: a draft miss consults its
+	// target only at this same context, which re-hits p's cache slot.
 	q := v.Draft.Dist(ctx)
 	// residual starts as the target distribution over the union support.
 	res := newResidual(p)
 	for i, b := range branches {
 		qx := q.Prob(b.Token)
-		px := res.prob(b.Token, p)
+		px := res.prob(b.Token)
 		var acceptProb float64
 		if qx <= 0 {
 			// The draft claims zero mass yet proposed the token (can happen
@@ -125,91 +126,99 @@ func (v *Verifier) acceptRejection(ctx Context, p Dist, branches []Branch) (int,
 		if v.RNG.Float64() < acceptProb {
 			return i, 0
 		}
-		res.subtract(b.Token, q, p)
+		res.subtract(b.Token, qx)
 	}
-	return -1, res.sample(v.RNG, p)
+	return -1, res.sample(v.RNG, p.Argmax())
 }
 
 // residual tracks the adjusted target distribution max(p − Σq, 0),
-// renormalized lazily, over the union of explicit supports.
+// renormalized lazily. probs holds the explicit residual mass of p's
+// candidates and of every rejected tail token; tail is the mass of the
+// tokens not in probs, spread uniformly over them.
 type residual struct {
-	probs map[Token]float64
+	probs []TokenProb
 	tail  float64
+	vocab int
 	total float64
 }
 
 func newResidual(p Dist) *residual {
-	r := &residual{probs: make(map[Token]float64, len(p.Entries)), tail: p.Tail}
-	for _, e := range p.Entries {
-		r.probs[e.Token] = e.Prob
-	}
-	r.total = mathutilSumMap(r.probs) + r.tail
+	r := &residual{probs: append([]TokenProb(nil), p.Entries...), tail: p.Tail, vocab: p.Vocab}
+	r.sum()
 	return r
 }
 
-func (r *residual) prob(tok Token, p Dist) float64 {
+// sum recomputes the total residual mass.
+func (r *residual) sum() {
+	r.total = r.tail
+	for _, e := range r.probs {
+		r.total += e.Prob
+	}
+}
+
+// find returns tok's index in probs, or -1 when tok is in the tail.
+func (r *residual) find(tok Token) int {
+	for i, e := range r.probs {
+		if e.Token == tok {
+			return i
+		}
+	}
+	return -1
+}
+
+// tailShare is the residual mass of one token outside probs.
+func (r *residual) tailShare() float64 {
+	if free := r.vocab - len(r.probs); free > 0 {
+		return r.tail / float64(free)
+	}
+	return 0
+}
+
+// prob returns tok's normalized residual probability.
+func (r *residual) prob(tok Token) float64 {
 	if r.total <= 0 {
 		return 0
 	}
-	pr, ok := r.probs[tok]
-	if !ok {
-		// Token only in tail region; approximate its residual share.
-		if p.Vocab > len(r.probs) {
-			pr = r.tail / float64(p.Vocab-len(r.probs))
-		}
+	if i := r.find(tok); i >= 0 {
+		return r.probs[i].Prob / r.total
 	}
-	return pr / r.total
+	return r.tailShare() / r.total
 }
 
-// subtract removes the draft distribution's mass at tok (standard
-// speculative-sampling residual update, applied pointwise at the rejected
-// token: res(x) ← max(res(x) − q(x), 0)).
-func (r *residual) subtract(tok Token, q, p Dist) {
-	qx := q.Prob(tok)
-	cur, ok := r.probs[tok]
-	if !ok {
-		cur = 0
-		if p.Vocab > len(r.probs) {
-			cur = r.tail / float64(p.Vocab-len(r.probs))
-		}
+// subtract removes the draft's mass qx at the rejected token tok (standard
+// speculative-sampling residual update, applied pointwise:
+// res(x) ← max(res(x) − q(x), 0)). A tail token first moves its share out of
+// the tail into an explicit entry, so its mass is never counted twice.
+func (r *residual) subtract(tok Token, qx float64) {
+	i := r.find(tok)
+	if i < 0 {
+		share := r.tailShare()
+		r.tail -= share
+		r.probs = append(r.probs, TokenProb{Token: tok, Prob: share})
+		i = len(r.probs) - 1
 	}
-	next := cur - qx
-	if next < 0 {
-		next = 0
-	}
-	r.probs[tok] = next
-	r.total = mathutilSumMap(r.probs) + r.tail
+	r.probs[i].Prob = max(r.probs[i].Prob-qx, 0)
+	r.sum()
 }
 
-// sample draws from the normalized residual.
-func (r *residual) sample(rng *mathutil.RNG, p Dist) Token {
+// sample draws from the normalized residual; fallback is returned when the
+// residual is empty.
+func (r *residual) sample(rng *mathutil.RNG, fallback Token) Token {
 	if r.total <= 0 {
-		return p.Argmax()
+		return fallback
 	}
-	toks := make([]Token, 0, len(r.probs))
-	for t := range r.probs {
-		toks = append(toks, t)
-	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
 	u := rng.Float64() * r.total
 	var acc float64
-	for _, t := range toks {
-		acc += r.probs[t]
+	for _, e := range r.probs {
+		acc += e.Prob
 		if u < acc {
-			return t
+			return e.Token
 		}
 	}
-	// Tail region.
-	if p.Vocab > 0 {
-		return Token(rng.Intn(p.Vocab))
+	// Tail region: uniform over the tokens outside probs, which carry no
+	// explicit entry (rank-remapped as in Dist.sampleTail).
+	if free := r.vocab - len(r.probs); free > 0 {
+		return nthFree(Token(rng.Intn(free)), r.probs)
 	}
-	return p.Argmax()
-}
-
-func mathutilSumMap(m map[Token]float64) float64 {
-	var s float64
-	for _, v := range m {
-		s += v
-	}
-	return s
+	return fallback
 }

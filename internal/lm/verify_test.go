@@ -143,6 +143,97 @@ func TestRejectionRuleRejectsOverconfidentDraft(t *testing.T) {
 	}
 }
 
+// TestRejectionRuleCachedMatchesUncached pins the Dist lifetime contract
+// where it is tightest: acceptRejection holds the target's distribution
+// across the draft's Dist call, and with 1-slot caches every new context
+// evicts. Cached and uncached verifiers must decide identically.
+func TestRejectionRuleCachedMatchesUncached(t *testing.T) {
+	run := func(cacheSize int) []int {
+		target := MustSyntheticLM("target", 1, 4096, 16, 3.2, 0.02)
+		draft := MustDraftLM("draft", target, 0.6, 2)
+		target.SetDistCacheSize(cacheSize)
+		draft.SetDistCacheSize(cacheSize)
+		v := NewVerifier(target, draft, RuleRejection, mathutil.NewRNG(31))
+		out := make([]int, 0, 1200)
+		walkContexts(200, func(ctx Context) {
+			top := draft.Dist(ctx).TopK(3)
+			branches := make([]Branch, len(top))
+			for i, e := range top {
+				branches[i] = Branch{Token: e.Token}
+			}
+			// Evict both caches' only slot, so that inside AcceptAmong the
+			// target misses and then the draft misses while p is held.
+			_ = draft.Dist(ctx.Extend(4095))
+			idx, corr := v.AcceptAmong(ctx, branches)
+			out = append(out, idx, int(corr))
+		})
+		return out
+	}
+	cached, plain := run(1), run(0)
+	if len(cached) != len(plain) {
+		t.Fatalf("decision counts differ: %d vs %d", len(cached), len(plain))
+	}
+	for i := range cached {
+		if cached[i] != plain[i] {
+			t.Fatalf("cached and uncached rejection verification diverge at %d", i)
+		}
+	}
+}
+
+// TestResidualSampleAvoidsDoubleCounting checks the rejection rule's
+// residual after one candidate and one tail token are rejected: the rejected
+// tail token's share leaves the tail (total mass = 1 − rejected mass), a
+// tail draw never lands on an explicit token, and every token is sampled at
+// its normalized residual probability.
+func TestResidualSampleAvoidsDoubleCounting(t *testing.T) {
+	// Large tail and tiny vocab make tail hits and collisions frequent.
+	m := MustSyntheticLM("m", 1, 32, 8, 1.0, 0.4)
+	d := m.Dist(Context{ReqSeed: 2})
+	cand := make(map[Token]bool, len(d.Entries))
+	for _, e := range d.Entries {
+		cand[e.Token] = true
+	}
+	var tailTok Token
+	for cand[tailTok] {
+		tailTok++
+	}
+	share := d.Tail / float64(d.Vocab-len(d.Entries))
+	c := d.Entries[1]
+
+	r := newResidual(d)
+	r.subtract(c.Token, c.Prob)  // candidate fully rejected: residual 0
+	r.subtract(tailTok, share/2) // tail token half rejected
+	wantTotal := 1 - c.Prob - share/2
+	if math.Abs(r.total-wantTotal) > 1e-12 {
+		t.Fatalf("residual total %.6f, want %.6f (tail share counted twice?)", r.total, wantTotal)
+	}
+
+	want := make(map[Token]float64, d.Vocab)
+	for tok := Token(0); tok < Token(d.Vocab); tok++ {
+		want[tok] = share / wantTotal
+	}
+	for _, e := range d.Entries {
+		want[e.Token] = e.Prob / wantTotal
+	}
+	want[c.Token] = 0
+	want[tailTok] = share / 2 / wantTotal
+
+	rng := mathutil.NewRNG(77)
+	counts := make(map[Token]int)
+	const n = 200000
+	for i := 0; i < n; i++ {
+		counts[r.sample(rng, d.Argmax())]++
+	}
+	if counts[c.Token] != 0 {
+		t.Fatalf("fully rejected token %d sampled %d times", c.Token, counts[c.Token])
+	}
+	for tok, p := range want {
+		if got := float64(counts[tok]) / n; math.Abs(got-p) > 0.01 {
+			t.Fatalf("token %d sampled %.4f, want %.4f", tok, got, p)
+		}
+	}
+}
+
 func TestVerifierDeterministicGivenSeed(t *testing.T) {
 	target, draft := newPair(t, 0.8)
 	run := func() []int {

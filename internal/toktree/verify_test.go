@@ -28,7 +28,7 @@ func (m chainLM) Dist(ctx lm.Context) lm.Dist {
 		Entries: []lm.TokenProb{{Token: next, Prob: 0.9}, {Token: other, Prob: 0.1}},
 		Tail:    0,
 		Vocab:   m.vocab,
-	}.Indexed()
+	}
 }
 
 // greedyVerifier builds a verifier over chainLM with the deterministic rule.

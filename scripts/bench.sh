@@ -20,7 +20,7 @@ date_stamp=${BENCH_DATE:-$(date +%F)}
 out="bench/BENCH_${date_stamp}.json"
 mkdir -p bench
 
-micro='BenchmarkLMDist$|BenchmarkBeamSearch$|BenchmarkSelect$|BenchmarkVerifyTree$|BenchmarkCostModel$|BenchmarkEngineIteration$'
+micro='BenchmarkLMDist$|BenchmarkLMDistMiss$|BenchmarkBeamSearch$|BenchmarkSelect$|BenchmarkVerifyTree$|BenchmarkCostModel$|BenchmarkEngineIteration$'
 macro='BenchmarkFigure8and9Llama$|BenchmarkFigureGrid$|BenchmarkAutoscaleGrid$|BenchmarkFaultGrid$|BenchmarkPrefixGrid$|BenchmarkTraceGrid$|BenchmarkObsOverhead$'
 
 {

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"adaserve/internal/cluster"
 	"adaserve/internal/core"
 	"adaserve/internal/engine"
 	"adaserve/internal/experiments"
@@ -46,7 +47,7 @@ func runCell(b *testing.B, kind experiments.SystemKind, setup experiments.ModelS
 		for j, r := range reqs {
 			cp[j] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
 		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := sim.Run(sys, cp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,10 +409,15 @@ func BenchmarkAutoscaleGrid(b *testing.B) {
 // the experiment runner at different worker counts: the macro benchmark for
 // both the token hot path (sub-benchmark parallel=1) and the parallel
 // runner's scaling (compare parallel=N against it; on multi-core hosts the
-// grid speeds up near-linearly for N ≤ cores).
+// grid speeds up near-linearly for N ≤ cores). On a one-CPU host there is
+// no N > 1 to compare, so only parallel=1 runs.
 func BenchmarkFigureGrid(b *testing.B) {
 	setup := experiments.Llama70B()
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+	pars := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		pars = append(pars, n)
+	}
+	for _, par := range pars {
 		b.Run(fmt.Sprintf("parallel=%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := experiments.RunOptions{
@@ -536,8 +542,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, 2, "slo-aware",
-				experiments.BuildOptions{Seed: 1})
+			cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware",
+				nil, experiments.BuildOptions{Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

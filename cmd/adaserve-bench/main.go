@@ -22,7 +22,8 @@
 // TTFT attainment across caching off/on × router, including the
 // prefix-affinity policy), trace (committed adversarial workload specs —
 // correlated bursts, heavy-tail prompts — compiled per seed and replayed
-// through static, admission-gated and autoscaled fleets).
+// through static, admission-gated and autoscaled fleets), hardware (the
+// profiled verification budget of each model on every GPU platform it fits).
 package main
 
 import (
@@ -39,8 +40,8 @@ import (
 	"adaserve/internal/workload"
 )
 
-// knownExps is the one list the validation map and the error message both
-// derive from; keep it in sync with the dispatch in main.
+// knownExps is the one list the validation map, the error message and the
+// -exp help text all derive from; keep it in sync with the dispatch in main.
 func knownExps() []string {
 	return []string{"all", "fig1", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "ablations", "cluster", "disagg",
@@ -65,8 +66,13 @@ func parseExps(expFlag string) (map[string]bool, error) {
 	return want, nil
 }
 
+// expUsage is the -exp flag's help text.
+func expUsage() string {
+	return "comma-separated experiments: " + strings.Join(knownExps(), ", ")
+}
+
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiments (fig1,fig7..fig15,ablations,cluster,disagg,autoscale,adaptive,faults,prefix,all)")
+	expFlag := flag.String("exp", "all", expUsage())
 	modelFlag := flag.String("model", "both", "model setup: llama, qwen, or both")
 	duration := flag.Float64("duration", 120, "trace duration in seconds")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -129,26 +135,10 @@ func main() {
 		if all || want["ablations"] {
 			runAblations(setup, opts)
 		}
-		if all || want["cluster"] {
-			runClusterScaling(setup, opts)
-		}
-		if all || want["disagg"] {
-			runDisagg(setup, opts)
-		}
-		if all || want["autoscale"] {
-			runAutoscale(setup, opts)
-		}
-		if all || want["adaptive"] {
-			runAdaptive(setup, opts)
-		}
-		if all || want["faults"] {
-			runFaults(setup, opts, customFaults)
-		}
-		if all || want["prefix"] {
-			runPrefix(setup, opts)
-		}
-		if all || want["trace"] {
-			runTrace(setup, opts)
+		for _, sw := range sweeps(customFaults) {
+			if all || want[sw.name] {
+				runSweepTable(sw, setup, opts)
+			}
 		}
 		if all || want["hardware"] {
 			runHardware(setup)
@@ -156,86 +146,67 @@ func main() {
 	}
 }
 
-func runClusterScaling(setup experiments.ModelSetup, opts experiments.RunOptions) {
-	fmt.Printf("\n--- Replica scaling: attainment vs replica count x router (%.1f rps per replica) ---\n",
-		experiments.ClusterPerReplicaRPS(setup))
-	pts, err := experiments.ClusterScaling(setup, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(experiments.RenderClusterScaling(pts))
+// sweep is one cluster experiment: its title line, its grid and the table
+// that prints it. gap adds a blank line after the table.
+type sweep struct {
+	name  string
+	title func(experiments.ModelSetup, experiments.RunOptions) string
+	run   func(experiments.ModelSetup, experiments.RunOptions) ([]experiments.Cell, error)
+	table experiments.Table[experiments.Cell]
+	gap   bool
 }
 
-func runDisagg(setup experiments.ModelSetup, opts experiments.RunOptions) {
-	fmt.Printf("\n--- Disaggregated prefill/decode: 4-replica fleet splits x router x mix (%.1f rps aggregate, %s) ---\n",
-		experiments.DisaggAggregateRPS(setup), experiments.DisaggLink.Name)
-	pts, err := experiments.Disaggregation(setup, opts)
-	if err != nil {
-		log.Fatal(err)
+// sweeps lists the cluster experiments in print order; a non-empty custom
+// schedule replaces the built-in fault scenarios.
+func sweeps(custom faults.Spec) []sweep {
+	faultRun := experiments.Faults
+	if !custom.Empty() {
+		faultRun = func(setup experiments.ModelSetup, opts experiments.RunOptions) ([]experiments.Cell, error) {
+			return experiments.FaultsWithSpec(setup, custom, opts)
+		}
 	}
-	fmt.Print(experiments.RenderDisagg(pts))
-	fmt.Println()
+	return []sweep{
+		{"cluster", func(setup experiments.ModelSetup, _ experiments.RunOptions) string {
+			return fmt.Sprintf("Replica scaling: attainment vs replica count x router (%.1f rps per replica)",
+				experiments.ClusterPerReplicaRPS(setup))
+		}, experiments.ClusterScaling, experiments.ClusterTable, false},
+		{"disagg", func(setup experiments.ModelSetup, _ experiments.RunOptions) string {
+			return fmt.Sprintf("Disaggregated prefill/decode: 4-replica fleet splits x router x mix (%.1f rps aggregate, %s)",
+				experiments.DisaggAggregateRPS(setup), experiments.DisaggLink.Name)
+		}, experiments.Disaggregation, experiments.DisaggTable, true},
+		{"autoscale", func(_ experiments.ModelSetup, opts experiments.RunOptions) string {
+			return fmt.Sprintf("Autoscaling: equal-peak static fleet vs scaling policies x profile x router (capacity %d, cold start %.1fs)",
+				experiments.AutoscaleFleet, experiments.AutoscaleColdStart(opts.Duration))
+		}, experiments.Autoscaling, experiments.AutoscaleTable, true},
+		{"adaptive", func(setup experiments.ModelSetup, _ experiments.RunOptions) string {
+			return fmt.Sprintf("Adaptive control: static vs closed-loop speculation tuning and overload admission (fleet %d, mean %.1f rps)",
+				experiments.AdaptiveFleet, experiments.AdaptiveMeanRPS(setup))
+		}, experiments.AdaptiveControl, experiments.AdaptiveTable, true},
+		{"faults", func(setup experiments.ModelSetup, _ experiments.RunOptions) string {
+			return fmt.Sprintf("Faults: failure scenarios x recovery modes (fleet %d elastic, link on 2P2D, mean %.1f rps; %.1f with hedge headroom)",
+				experiments.FaultFleet, experiments.FaultMeanRPS(setup, "crash"), experiments.FaultMeanRPS(setup, "straggler"))
+		}, faultRun, experiments.FaultsTable, true},
+		{"prefix", func(experiments.ModelSetup, experiments.RunOptions) string {
+			return fmt.Sprintf("Prefix caching: hit rate x TTFT attainment, caching off/on x router (fleet %d, %d tenants, host tier %d blocks)",
+				experiments.PrefixFleet, experiments.PrefixTenants, experiments.PrefixHostTier)
+		}, experiments.PrefixCaching, experiments.PrefixTable, true},
+		{"trace", func(experiments.ModelSetup, experiments.RunOptions) string {
+			return fmt.Sprintf("Trace replay: committed adversarial specs x control configuration (fleet %d static, %d elastic, %s router)",
+				experiments.TraceFleet, experiments.TraceCapacity, experiments.TraceRouter)
+		}, experiments.TraceReplay, experiments.TraceTable, true},
+	}
 }
 
-func runAutoscale(setup experiments.ModelSetup, opts experiments.RunOptions) {
-	fmt.Printf("\n--- Autoscaling: equal-peak static fleet vs scaling policies x profile x router (capacity %d, cold start %.1fs) ---\n",
-		experiments.AutoscaleFleet, experiments.AutoscaleColdStart(opts.Duration))
-	pts, err := experiments.Autoscaling(setup, opts)
+func runSweepTable(sw sweep, setup experiments.ModelSetup, opts experiments.RunOptions) {
+	fmt.Printf("\n--- %s ---\n", sw.title(setup, opts))
+	cells, err := sw.run(setup, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(experiments.RenderAutoscale(pts))
-	fmt.Println()
-}
-
-func runAdaptive(setup experiments.ModelSetup, opts experiments.RunOptions) {
-	fmt.Printf("\n--- Adaptive control: static vs closed-loop speculation tuning and overload admission (fleet %d, mean %.1f rps) ---\n",
-		experiments.AdaptiveFleet, experiments.AdaptiveMeanRPS(setup))
-	pts, err := experiments.AdaptiveControl(setup, opts)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Print(sw.table.Render(cells))
+	if sw.gap {
+		fmt.Println()
 	}
-	fmt.Print(experiments.RenderAdaptive(pts))
-	fmt.Println()
-}
-
-func runFaults(setup experiments.ModelSetup, opts experiments.RunOptions, custom faults.Spec) {
-	fmt.Printf("\n--- Faults: failure scenarios x recovery modes (fleet %d elastic, link on 2P2D, mean %.1f rps; %.1f with hedge headroom) ---\n",
-		experiments.FaultFleet, experiments.FaultMeanRPS(setup, "crash"), experiments.FaultMeanRPS(setup, "straggler"))
-	var pts []experiments.FaultPoint
-	var err error
-	if custom.Empty() {
-		pts, err = experiments.Faults(setup, opts)
-	} else {
-		pts, err = experiments.FaultsWithSpec(setup, custom, opts)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(experiments.RenderFaults(pts))
-	fmt.Println()
-}
-
-func runPrefix(setup experiments.ModelSetup, opts experiments.RunOptions) {
-	fmt.Printf("\n--- Prefix caching: hit rate x TTFT attainment, caching off/on x router (fleet %d, %d tenants, host tier %d blocks) ---\n",
-		experiments.PrefixFleet, experiments.PrefixTenants, experiments.PrefixHostTier)
-	pts, err := experiments.PrefixCaching(setup, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(experiments.RenderPrefix(pts))
-	fmt.Println()
-}
-
-func runTrace(setup experiments.ModelSetup, opts experiments.RunOptions) {
-	fmt.Printf("\n--- Trace replay: committed adversarial specs x control configuration (fleet %d static, %d elastic, %s router) ---\n",
-		experiments.TraceFleet, experiments.TraceCapacity, experiments.TraceRouter)
-	pts, err := experiments.TraceReplay(setup, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(experiments.RenderTrace(pts))
-	fmt.Println()
 }
 
 func runHardware(setup experiments.ModelSetup) {
@@ -303,13 +274,13 @@ func runFig8912(setup experiments.ModelSetup, opts experiments.RunOptions, f8, f
 	}
 	if f8 {
 		fmt.Println("\n--- Figure 8: SLO attainment (%) vs RPS ---")
-		fmt.Print(experiments.RenderSeries(pts, "rps", "attainment %",
-			func(s *metrics.Summary) float64 { return 100 * s.Attainment() }))
+		fmt.Print(experiments.SeriesTable("rps", "attainment %",
+			func(s *metrics.Summary) float64 { return 100 * s.Attainment() }).Render(pts))
 	}
 	if f9 {
 		fmt.Println("\n--- Figure 9: goodput (tokens/s) vs RPS ---")
-		fmt.Print(experiments.RenderSeries(pts, "rps", "goodput tok/s",
-			func(s *metrics.Summary) float64 { return s.Goodput }))
+		fmt.Print(experiments.SeriesTable("rps", "goodput tok/s",
+			func(s *metrics.Summary) float64 { return s.Goodput }).Render(pts))
 	}
 	if f12 {
 		fmt.Println("\n--- Figure 12: mean accepted tokens per verification step vs RPS ---")
@@ -323,8 +294,8 @@ func runFig8912(setup experiments.ModelSetup, opts experiments.RunOptions, f8, f
 				specPts = append(specPts, p)
 			}
 		}
-		fmt.Print(experiments.RenderSeries(specPts, "rps", "mean acc",
-			func(s *metrics.Summary) float64 { return s.MeanAcceptedPerStep }))
+		fmt.Print(experiments.SeriesTable("rps", "mean acc",
+			func(s *metrics.Summary) float64 { return s.MeanAcceptedPerStep }).Render(specPts))
 	}
 }
 
@@ -336,11 +307,11 @@ func runSweep(title string, setup experiments.ModelSetup, opts experiments.RunOp
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(experiments.RenderSeries(pts, xName, "attainment %",
-		func(s *metrics.Summary) float64 { return 100 * s.Attainment() }))
+	fmt.Print(experiments.SeriesTable(xName, "attainment %",
+		func(s *metrics.Summary) float64 { return 100 * s.Attainment() }).Render(pts))
 	fmt.Println()
-	fmt.Print(experiments.RenderSeries(pts, xName, "goodput tok/s",
-		func(s *metrics.Summary) float64 { return s.Goodput }))
+	fmt.Print(experiments.SeriesTable(xName, "goodput tok/s",
+		func(s *metrics.Summary) float64 { return s.Goodput }).Render(pts))
 }
 
 func runFig14(setup experiments.ModelSetup, opts experiments.RunOptions) {

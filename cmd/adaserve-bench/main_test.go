@@ -84,3 +84,18 @@ func TestBenchFaultsFlag(t *testing.T) {
 		t.Errorf("-exp faults rejected: %v", err)
 	}
 }
+
+// TestExpUsageListsEveryExperiment: the -exp help text is built from
+// knownExps, so every experiment the flag accepts is named in it.
+func TestExpUsageListsEveryExperiment(t *testing.T) {
+	usage := expUsage()
+	listed := map[string]bool{}
+	for _, f := range strings.FieldsFunc(usage, func(r rune) bool { return r == ' ' || r == ',' }) {
+		listed[f] = true
+	}
+	for _, name := range knownExps() {
+		if !listed[name] {
+			t.Errorf("-exp help %q omits %q", usage, name)
+		}
+	}
+}

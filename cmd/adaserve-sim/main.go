@@ -211,20 +211,22 @@ func loadReplayTrace(tracePath, specPath string, setup experiments.ModelSetup,
 	})
 }
 
-// resolveAdaptive maps the -adaptive/-admission pair to a controller config:
-// nil when both are off, tuning-only or admission-only when one is set, the
-// full closed loop when both are. Timing follows the adaptive experiment's
-// duration-proportional cadence.
+// resolveAdaptive maps the -adaptive/-admission pair to the experiments'
+// control configuration of the same shape — nil when both are off,
+// tuning-only or admission-only when one is set, the full closed loop when
+// both are — so the CLI runs exactly the controllers the sweeps pin.
 func resolveAdaptive(tuning, admission bool, duration float64) *adaptive.Config {
-	if !tuning && !admission {
-		return nil
+	config := "static"
+	switch {
+	case tuning && admission:
+		config = "adaptive+admission"
+	case tuning:
+		config = "adaptive"
+	case admission:
+		config = "admission"
 	}
-	return &adaptive.Config{
-		Interval:         experiments.AdaptiveInterval(duration),
-		Window:           experiments.AutoscaleWindow(duration),
-		DisableTuning:    !tuning,
-		DisableAdmission: !admission,
-	}
+	cfg, _ := experiments.AdaptiveConfig(config, duration) // every name above is known
+	return cfg
 }
 
 func main() {
@@ -404,32 +406,20 @@ func main() {
 		buildOpts.Prefix = true
 		buildOpts.PrefixHostBlocks = *prefixTier
 	}
-	switch {
-	case policy != nil:
-		eopts := cluster.ElasticOptions{
-			ColdStart:     experiments.AutoscaleColdStart(*duration),
-			InitialActive: 1,
+	if *replicas > 1 || len(roles) > 0 {
+		if roles == nil {
+			roles = make([]cluster.Role, *replicas)
 		}
-		if len(roles) > 0 {
-			cl, err = experiments.BuildElasticDisagg(kind, setup, roles, *router, eopts, buildOpts)
-		} else {
-			cl, err = experiments.BuildElasticCluster(kind, setup, *replicas, *router, eopts, buildOpts)
+		var elastic *cluster.ElasticOptions
+		if policy != nil {
+			elastic = &cluster.ElasticOptions{ColdStart: experiments.AutoscaleColdStart(*duration), InitialActive: 1}
 		}
+		cl, err = experiments.BuildCluster(kind, setup, roles, *router, elastic, buildOpts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		backend = cl
-	case *replicas > 1 || len(roles) > 0:
-		if len(roles) > 0 {
-			cl, err = experiments.BuildDisagg(kind, setup, roles, *router, buildOpts)
-		} else {
-			cl, err = experiments.BuildCluster(kind, setup, *replicas, *router, buildOpts)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = cl
-	default:
+	} else {
 		sys, err = experiments.Build(kind, setup, buildOpts)
 		if err != nil {
 			log.Fatal(err)
@@ -437,40 +427,31 @@ func main() {
 		backend = serve.SingleSystem(sys)
 	}
 
+	ctl := experiments.Controls{
+		Adaptive: resolveAdaptive(*adaptiveFlag, *admissionFlag, *duration),
+		Faults:   faultSpec,
+		Recovery: faultRec,
+	}
+	if policy != nil {
+		ctl.Policy = policy.Name()
+	}
 	opts := serve.Options{}
 	if *live || *metricsOut != "" {
 		// The metrics exporter's series is the same snapshot grid -live tails.
 		opts.SnapshotEvery = *snapEvery
 	}
-	var inj *faults.Injector
+	srv, err := ctl.Arm(backend, *seed, *duration, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !faultSpec.Empty() {
-		inj, err = faults.New(cl, faultSpec, faults.Options{
-			Seed: *seed, Horizon: *duration, Recovery: faultRec,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Faults = inj
 		fmt.Printf("faults: %s [recovery %s]\n", faultSpec, faultRec)
 	}
 	if policy != nil {
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: experiments.AutoscaleInterval(*duration),
-			Window:   experiments.AutoscaleWindow(*duration),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Autoscaler = ctrl
 		fmt.Printf("autoscale: %s policy over a %d-replica capacity fleet (cold start %.1fs, decisions every %.1fs)\n",
 			policy.Name(), *replicas, experiments.AutoscaleColdStart(*duration), experiments.AutoscaleInterval(*duration))
 	}
-	var actrl *adaptive.Controller
-	if cfg := resolveAdaptive(*adaptiveFlag, *admissionFlag, *duration); cfg != nil {
-		actrl, err = adaptive.New(backend, *cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if cfg := ctl.Adaptive; cfg != nil {
 		parts := ""
 		if *adaptiveFlag {
 			parts = "speculation tuning"
@@ -483,11 +464,6 @@ func main() {
 		}
 		fmt.Printf("adaptive: %s (retune every %.1fs, %.1fs windows)\n",
 			parts, cfg.Interval, cfg.Window)
-		opts.Adaptive = actrl
-	}
-	srv, err := serve.NewServer(backend, opts)
-	if err != nil {
-		log.Fatal(err)
 	}
 	var exporter *trace.Exporter
 	if *exportFlag != "" {
@@ -545,18 +521,7 @@ func main() {
 		// Closed replay aggregates over the trace in trace order (matching
 		// cluster.Run byte-for-byte); open-loop runs aggregate over every
 		// dispatched request.
-		res := cl.Results(rr, traceReqs)
-		if policy != nil {
-			res.Summary.Autoscale.Policy = policy.Name()
-		}
-		if actrl != nil {
-			asum := actrl.Summary()
-			res.Summary.Admission = &asum
-		}
-		if inj != nil {
-			fsum := inj.Summary(rr.EndTime)
-			res.Summary.Faults = &fsum
-		}
+		res := srv.Results(rr, traceReqs)
 		printCluster(res, *replicas)
 		finishObs(spans, *spanOut, mexp, *metricsOut, *percentiles, res.Summary.Aggregate)
 		return
@@ -567,8 +532,8 @@ func main() {
 	}
 	sum := metrics.Summarize(sys.Name(), reqs, rr.Breakdown)
 	printSingle(sum, rr)
-	if actrl != nil {
-		fmt.Println(actrl.Summary().String())
+	if adm := srv.Admission(); adm != nil {
+		fmt.Println(adm.String())
 	}
 	if pfx := prefixStatsFn(*prefixFlag, nil, sys); pfx != nil {
 		fmt.Println(pfx().String())

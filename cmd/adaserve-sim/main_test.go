@@ -196,8 +196,8 @@ func TestResolveAdaptive(t *testing.T) {
 
 // TestFleetString covers the -live fleet renderer across lifecycle states.
 func TestFleetString(t *testing.T) {
-	cl, err := experiments.BuildElasticCluster(experiments.SysAdaServe, experiments.Llama70B(),
-		3, "round-robin", cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, experiments.Llama70B(),
+		make([]cluster.Role, 3), "round-robin", &cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
 		experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -358,8 +358,8 @@ func TestLiveEventRendersEveryKind(t *testing.T) {
 // TestFleetStringStates checks the elastic-fleet occupancy tag across
 // lifecycle states, including the failed count a faulted run surfaces.
 func TestFleetStringStates(t *testing.T) {
-	cl, err := experiments.BuildElasticCluster(experiments.SysAdaServe, experiments.Llama70B(),
-		3, "round-robin", cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, experiments.Llama70B(),
+		make([]cluster.Role, 3), "round-robin", &cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
 		experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestPrefixStatsFn(t *testing.T) {
 	}
 
 	bopts := experiments.BuildOptions{Seed: 1, Prefix: true, PrefixHostBlocks: 64}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, 2, "least-loaded", bopts)
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, 2), "least-loaded", nil, bopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestPrintSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := experiments.BuildDisagg(experiments.SysAdaServe, setup, roles, "slo-aware",
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles, "slo-aware", nil,
 		experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func main() {
 		for i, r := range reqs {
 			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
 		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := sim.Run(sys, cp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,8 +106,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup,
-			experiments.AdaptiveFleet, experiments.AdaptiveRouter, experiments.BuildOptions{Seed: 1})
+		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, experiments.AdaptiveFleet),
+			experiments.AdaptiveRouter, nil, experiments.BuildOptions{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
@@ -56,37 +55,18 @@ func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.C
 	if err != nil {
 		return nil, err
 	}
-	var cl *cluster.Cluster
-	opts := serve.Options{}
-	if config == "static" {
-		cl, err = experiments.BuildCluster(experiments.SysAdaServe, setup, capacity,
-			"least-loaded", experiments.BuildOptions{Seed: 1})
-	} else {
-		cl, err = experiments.BuildElasticCluster(experiments.SysAdaServe, setup, capacity,
-			"least-loaded", cluster.ElasticOptions{
-				ColdStart:     experiments.AutoscaleColdStart(duration),
-				InitialActive: 1,
-			}, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy(config)
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: experiments.AutoscaleInterval(duration),
-			Window:   experiments.AutoscaleWindow(duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		opts.Autoscaler = ctrl
+	// A static fleet is the full capacity from t=0; an elastic one starts at
+	// one replica and the policy scales it within the capacity.
+	var elastic *cluster.ElasticOptions
+	if config != "static" {
+		elastic = &cluster.ElasticOptions{ColdStart: experiments.AutoscaleColdStart(duration), InitialActive: 1}
 	}
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, capacity),
+		"least-loaded", elastic, experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.NewServer(cl, opts)
+	srv, err := experiments.Controls{Policy: config}.Arm(cl, 1, duration, serve.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -106,9 +86,7 @@ func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.C
 	if err != nil {
 		return nil, err
 	}
-	res := cl.Results(rr, nil)
-	res.Summary.Autoscale.Policy = config
-	return res.Summary, nil
+	return srv.Results(rr, nil).Summary, nil
 }
 
 func main() {

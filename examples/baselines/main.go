@@ -58,7 +58,7 @@ func main() {
 		for i, r := range reqs {
 			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
 		}
-		res, err := sim.Run(sys, cp, sim.Options{})
+		res, err := sim.Run(sys, cp)
 		if err != nil {
 			log.Fatal(err)
 		}

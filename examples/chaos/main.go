@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log"
 
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/faults"
@@ -62,22 +61,11 @@ func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Re
 	if err != nil {
 		return nil, err
 	}
-	cl, err := experiments.BuildElasticCluster(experiments.SysAdaServe, setup, capacity,
-		experiments.FaultRouter, cluster.ElasticOptions{
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, capacity),
+		experiments.FaultRouter, &cluster.ElasticOptions{
 			ColdStart:     experiments.AutoscaleColdStart(duration),
 			InitialActive: active,
 		}, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	policy, err := autoscale.NewPolicy("rate-prop")
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-		Interval: experiments.AutoscaleInterval(duration),
-		Window:   experiments.AutoscaleWindow(duration),
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -85,11 +73,10 @@ func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Re
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.New(cl, parsed, faults.Options{Seed: 1, Horizon: duration, Recovery: recovery})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(cl, serve.Options{Autoscaler: ctrl, Faults: inj})
+	// The controls arm the fault injector and the rate-prop autoscaler on
+	// the fleet and build the server that drives them.
+	ctl := experiments.Controls{Policy: "rate-prop", Faults: parsed, Recovery: recovery}
+	srv, err := ctl.Arm(cl, 1, duration, serve.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -123,10 +110,7 @@ func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Re
 	if err != nil {
 		return nil, err
 	}
-	res := cl.Results(rr, nil)
-	sum := inj.Summary(rr.EndTime)
-	res.Summary.Faults = &sum
-	return res.Summary, nil
+	return srv.Results(rr, nil).Summary, nil
 }
 
 // compare prints the recovery-mode table for one fault schedule.

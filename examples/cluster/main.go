@@ -38,12 +38,12 @@ func main() {
 	// 3. Replay the identical trace through each router policy. Every run
 	//    builds a fresh cluster (replicas and requests are single-use).
 	for _, routerName := range cluster.RouterNames() {
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, replicas,
-			routerName, experiments.BuildOptions{Seed: 1})
+		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, replicas),
+			routerName, nil, experiments.BuildOptions{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := cl.Run(request.CloneAll(reqs), cluster.Options{})
+		res, err := cl.Run(request.CloneAll(reqs))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,12 +54,12 @@ func main() {
 
 	// 4. Rerun the winner and show its per-replica breakdown.
 	fmt.Println("\nper-replica detail (slo-aware):")
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, replicas,
-		"slo-aware", experiments.BuildOptions{Seed: 1})
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, replicas),
+		"slo-aware", nil, experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cl.Run(reqs, cluster.Options{})
+	res, err := cl.Run(reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

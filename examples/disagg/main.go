@@ -42,22 +42,18 @@ func main() {
 	//    slo-aware router (which balances prompt backlog across prefill
 	//    replicas and per-class residency across decode replicas).
 	for _, split := range experiments.DisaggSplits() {
-		var cl *cluster.Cluster
-		if split == "colocated" {
-			cl, err = experiments.BuildCluster(experiments.SysAdaServe, setup, 4,
-				"slo-aware", experiments.BuildOptions{Seed: 1})
-		} else {
-			var roles []cluster.Role
-			roles, err = cluster.ParseSplit(split)
-			if err == nil {
-				cl, err = experiments.BuildDisagg(experiments.SysAdaServe, setup, roles,
-					"slo-aware", experiments.BuildOptions{Seed: 1})
+		roles := make([]cluster.Role, 4) // colocated: four mixed replicas
+		if split != "colocated" {
+			if roles, err = cluster.ParseSplit(split); err != nil {
+				log.Fatal(err)
 			}
 		}
+		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles,
+			"slo-aware", nil, experiments.BuildOptions{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := cl.Run(request.CloneAll(reqs), cluster.Options{})
+		res, err := cl.Run(request.CloneAll(reqs))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,12 +73,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := experiments.BuildDisagg(experiments.SysAdaServe, setup, roles,
-		"slo-aware", experiments.BuildOptions{Seed: 1})
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles,
+		"slo-aware", nil, experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cl.Run(reqs, cluster.Options{})
+	res, err := cl.Run(reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,8 +45,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := experiments.BuildDisagg(experiments.SysAdaServe, setup, roles, "slo-aware",
-		experiments.BuildOptions{Seed: 1})
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles, "slo-aware",
+		nil, experiments.BuildOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"log"
 
+	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/serve"
 )
@@ -41,7 +42,7 @@ func runRouter(routerName string) {
 	// 2. A three-replica cluster with prefix caching and a host tier enabled
 	// on every replica's KV allocator.
 	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup,
-		experiments.PrefixFleet, routerName, experiments.BuildOptions{
+		make([]cluster.Role, experiments.PrefixFleet), routerName, nil, experiments.BuildOptions{
 			Seed:             1,
 			Prefix:           true,
 			PrefixHostBlocks: experiments.PrefixHostTier,

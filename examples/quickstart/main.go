@@ -39,7 +39,7 @@ func main() {
 		st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
 
 	// 4. Replay the trace to completion and report.
-	res, err := sim.Run(sys, reqs, sim.Options{})
+	res, err := sim.Run(sys, reqs)
 	if err != nil {
 		log.Fatal(err)
 	}

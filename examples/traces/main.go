@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/serve"
 	"adaserve/internal/trace"
@@ -49,8 +50,8 @@ func main() {
 	//    admitted arrival with an export observer. runOnce is reused for the
 	//    replay leg below: same build, same seed, different source.
 	runOnce := func(src serve.Source) *trace.Trace {
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, 2, "slo-aware",
-			experiments.BuildOptions{Seed: 1})
+		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware",
+			nil, experiments.BuildOptions{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

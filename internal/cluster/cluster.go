@@ -525,16 +525,6 @@ func (c *Cluster) deliverRouted(r *request.Request, target *Replica, ready float
 	target.routed = append(target.routed, r)
 }
 
-// Options bounds a cluster run. Zero values resolve to the shared driver
-// defaults (serve.DefaultMaxSimTime, serve.DefaultMaxIterations).
-type Options struct {
-	// MaxSimTime aborts runs when any replica's clock exceeds this (0: 24h).
-	MaxSimTime float64
-	// MaxIterations aborts runaway runs; it counts iterations summed across
-	// replicas (0: 50 million).
-	MaxIterations int
-}
-
 // ReplicaResult reports one replica's share of a completed run.
 type ReplicaResult struct {
 	// Summary covers the requests this replica served: arrivals routed to
@@ -567,16 +557,14 @@ type Result struct {
 // migrations are delivered interleaved with arrivals in event-time order
 // (migrations before arrivals only when strictly earlier). Each routed
 // request stays on its replica except for the single prefill-to-decode
-// migration of a disaggregated cluster.
-func (c *Cluster) Run(reqs []*request.Request, opts Options) (*Result, error) {
+// migration of a disaggregated cluster. The run is bounded by the driver's
+// defaults; callers needing other bounds drive a serve.Server directly.
+func (c *Cluster) Run(reqs []*request.Request) (*Result, error) {
 	src, err := serve.NewTraceSource(reqs)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.NewServer(c, serve.Options{
-		MaxSimTime:    opts.MaxSimTime,
-		MaxIterations: opts.MaxIterations,
-	})
+	srv, err := serve.NewServer(c, serve.Options{})
 	if err != nil {
 		return nil, err
 	}

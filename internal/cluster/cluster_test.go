@@ -7,6 +7,7 @@ import (
 	"adaserve/internal/lm"
 	"adaserve/internal/request"
 	"adaserve/internal/sched"
+	"adaserve/internal/serve"
 )
 
 // fakeSystem is a minimal sched.System for driver tests: it admits every
@@ -82,7 +83,7 @@ func mkReqs(n int, gap float64, output int) []*request.Request {
 func TestRunRoutesEveryRequestOnce(t *testing.T) {
 	c := fakeCluster(t, 3, NewRoundRobin())
 	reqs := mkReqs(30, 0.01, 4)
-	res, err := c.Run(reqs, Options{})
+	res, err := c.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRunPerReplicaClocksAdvanceIndependently(t *testing.T) {
 	// Every request goes to replica 0: replica 1 must stay at clock 0.
 	c := fakeCluster(t, 2, routeTo(0))
 	reqs := mkReqs(5, 0.001, 8)
-	res, err := c.Run(reqs, Options{})
+	res, err := c.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func (rt routeTo) RouteDecode(*request.Request, []*Replica) int { return int(rt)
 func TestRunHandlesArrivalGaps(t *testing.T) {
 	c := fakeCluster(t, 2, LeastLoaded{})
 	reqs := mkReqs(4, 50, 4) // arrivals far apart: clocks must jump
-	res, err := c.Run(reqs, Options{})
+	res, err := c.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestRunDeterminism(t *testing.T) {
 	run := func() (float64, int, []int) {
 		c := fakeCluster(t, 4, &SLOAware{})
 		reqs := mkReqs(40, 0.007, 6)
-		res, err := c.Run(reqs, Options{})
+		res, err := c.Run(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +184,7 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestRunRejectsBadRouterPick(t *testing.T) {
 	c := fakeCluster(t, 2, routeTo(5))
-	_, err := c.Run(mkReqs(1, 0, 2), Options{})
+	_, err := c.Run(mkReqs(1, 0, 2))
 	if err == nil || !strings.Contains(err.Error(), "picked replica") {
 		t.Fatalf("want router range error, got %v", err)
 	}
@@ -192,14 +193,31 @@ func TestRunRejectsBadRouterPick(t *testing.T) {
 func TestRunValidatesRequests(t *testing.T) {
 	c := fakeCluster(t, 2, NewRoundRobin())
 	bad := request.New(1, request.Chat, 0, 0, 16, 4, 1)
-	if _, err := c.Run([]*request.Request{bad}, Options{}); err == nil {
+	if _, err := c.Run([]*request.Request{bad}); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 }
 
+// runBounded drives the cluster through a server with explicit run bounds.
+func runBounded(t *testing.T, c *Cluster, reqs []*request.Request, opts serve.Options) error {
+	t.Helper()
+	srv, err := serve.NewServer(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := serve.NewTraceSource(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = srv.Run(src)
+	return err
+}
+
+// TestRunRespectsMaxIterations: the iteration budget counts iterations
+// summed across replicas (3 is below what either replica alone needs).
 func TestRunRespectsMaxIterations(t *testing.T) {
 	c := fakeCluster(t, 2, NewRoundRobin())
-	_, err := c.Run(mkReqs(10, 0.001, 50), Options{MaxIterations: 3})
+	err := runBounded(t, c, mkReqs(10, 0.001, 50), serve.Options{MaxIterations: 3})
 	if err == nil || !strings.Contains(err.Error(), "max iterations") {
 		t.Fatalf("want max-iterations error, got %v", err)
 	}
@@ -208,7 +226,7 @@ func TestRunRespectsMaxIterations(t *testing.T) {
 func TestRunRespectsMaxSimTime(t *testing.T) {
 	c := fakeCluster(t, 2, NewRoundRobin())
 	reqs := mkReqs(4, 100, 4) // arrivals span 300s
-	_, err := c.Run(reqs, Options{MaxSimTime: 10})
+	err := runBounded(t, c, reqs, serve.Options{MaxSimTime: 10})
 	if err == nil || !strings.Contains(err.Error(), "max simulated time") {
 		t.Fatalf("want max-sim-time error, got %v", err)
 	}

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"adaserve/internal/adaptive"
-	"adaserve/internal/mathutil"
+	"adaserve/internal/cluster"
 	"adaserve/internal/metrics"
-	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 // AdaptiveFleet is the flash-crowd experiment's fixed fleet: small enough
@@ -43,71 +41,46 @@ func AdaptiveMeanRPS(setup ModelSetup) float64 {
 // compared to provisioning a replica.
 func AdaptiveInterval(duration float64) float64 { return duration / 60 }
 
-// AdaptivePoint is one (config, profile) cell of the flash-crowd sweep.
-type AdaptivePoint struct {
-	Config  string
-	Profile string
-	Sum     *metrics.ClusterSummary
-}
-
 // AdaptiveControl runs the flash-crowd experiment: static AdaServe against
 // the closed-loop controller (with and without admission) on an identical
 // open-loop arrival stream per profile. The headline is goodput under
 // overload with a bounded worst-case TTFT: tuning narrows the speculation
 // envelope when acceptance drops, and the gate sheds load the fleet provably
 // cannot serve instead of letting it poison every queued request behind it.
-func AdaptiveControl(setup ModelSetup, opts RunOptions) ([]AdaptivePoint, error) {
+func AdaptiveControl(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	type adaptiveCell struct {
-		config  string
-		profile string
-	}
-	var cells []adaptiveCell
+	var cells []Cell
 	for _, profile := range AdaptiveProfiles() {
 		for _, config := range AdaptiveConfigs() {
-			cells = append(cells, adaptiveCell{config: config, profile: profile})
+			cells = append(cells, Cell{Config: config, Profile: profile})
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		sum, err := AdaptiveCell(setup, c.config, c.profile, opts)
-		if err != nil {
-			return nil, fmt.Errorf("adaptive %s profile=%s: %w", c.config, c.profile, err)
-		}
-		return sum, nil
+	return runGrid("adaptive", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return AdaptiveCell(setup, c.Config, c.Profile, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]AdaptivePoint, len(cells))
-	for i, c := range cells {
-		pts[i] = AdaptivePoint{Config: c.config, Profile: c.profile, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
-// AdaptiveConfig resolves one sweep configuration to a controller config
-// (nil for the static baseline). Shared with adaserve-sim's flag wiring so
-// the CLI's -adaptive/-admission run the exact cells the sweep pins.
+// AdaptiveConfig resolves a control configuration to a controller config
+// (nil for the static baseline): the three sweep configurations, plus
+// "admission" — the overload gate with speculation tuning off, which the
+// trace sweep and adaserve-sim's -admission run. The one place
+// adaptive.Config is built, so the CLI and every sweep run identical
+// controllers.
 func AdaptiveConfig(config string, duration float64) (*adaptive.Config, error) {
+	cfg := &adaptive.Config{Interval: AdaptiveInterval(duration), Window: AutoscaleWindow(duration)}
 	switch config {
 	case "static":
 		return nil, nil
 	case "adaptive":
-		return &adaptive.Config{
-			Interval:         AdaptiveInterval(duration),
-			Window:           AutoscaleWindow(duration),
-			DisableAdmission: true,
-		}, nil
+		cfg.DisableAdmission = true
+	case "admission":
+		cfg.DisableTuning = true
 	case "adaptive+admission":
-		return &adaptive.Config{
-			Interval: AdaptiveInterval(duration),
-			Window:   AutoscaleWindow(duration),
-		}, nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown adaptive config %q (want one of %s)",
+		return nil, fmt.Errorf("experiments: unknown adaptive config %q (want one of %s, admission)",
 			config, strings.Join(AdaptiveConfigs(), ", "))
 	}
+	return cfg, nil
 }
 
 // AdaptiveCell replays one configuration over the profile's open-loop
@@ -115,19 +88,11 @@ func AdaptiveConfig(config string, duration float64) (*adaptive.Config, error) {
 // profile's cells, so every configuration faces the same requests at the
 // same instants; what differs is only what the controller does about them.
 func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (*metrics.ClusterSummary, error) {
-	rate, maxRate, err := workload.RateProfile(profile, AdaptiveMeanRPS(setup), opts.Duration)
+	src, err := openLoop(setup, profile, AdaptiveMeanRPS(setup), 0xada, opts)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0xada))
-	if err != nil {
-		return nil, err
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := BuildCluster(SysAdaServe, setup, AdaptiveFleet, AdaptiveRouter, BuildOptions{Seed: opts.Seed})
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, AdaptiveFleet), AdaptiveRouter, nil, BuildOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -135,95 +100,15 @@ func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (*m
 	if err != nil {
 		return nil, err
 	}
-	srvOpts := serve.Options{}
-	var ctrl *adaptive.Controller
-	if cfg != nil {
-		ctrl, err = adaptive.New(cl, *cfg)
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Adaptive = ctrl
-	}
-	srv, err := serve.NewServer(cl, srvOpts)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	if ctrl != nil {
-		sum := ctrl.Summary()
-		res.Summary.Admission = &sum
-	}
-	return res.Summary, nil
+	return Controls{Adaptive: cfg}.run(cl, src, opts)
 }
 
-// RenderAdaptive formats the flash-crowd sweep as one aligned table per
-// profile: a row per configuration, a column per headline metric. Goodput
-// counts only admitted requests (rejected ones never produce tokens), so the
-// admission row trades a visible rejected count for goodput and tail bounds.
-func RenderAdaptive(pts []AdaptivePoint) string {
-	profiles := make([]string, 0)
-	seenP := map[string]bool{}
-	configs := make([]string, 0)
-	seenC := map[string]bool{}
-	for _, p := range pts {
-		if !seenP[p.Profile] {
-			seenP[p.Profile] = true
-			profiles = append(profiles, p.Profile)
-		}
-		if !seenC[p.Config] {
-			seenC[p.Config] = true
-			configs = append(configs, p.Config)
-		}
-	}
-	metricsCols := []struct {
-		name string
-		f    func(*metrics.ClusterSummary) float64
-	}{
-		{"goodput", func(s *metrics.ClusterSummary) float64 { return s.Goodput() }},
-		{"attain%", func(s *metrics.ClusterSummary) float64 { return 100 * s.Attainment() }},
-		{"maxTTFT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.MaxTTFT }},
-		{"p50TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P50TPOT() }},
-		{"p99TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P99TPOT() }},
-		{"p999TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P999TPOT() }},
-		{"maxTPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.MaxTPOT() }},
-		{"degraded", func(s *metrics.ClusterSummary) float64 {
-			if s.Admission == nil {
-				return 0
-			}
-			return float64(s.Admission.Degraded)
-		}},
-		{"rejected", func(s *metrics.ClusterSummary) float64 {
-			if s.Admission == nil {
-				return 0
-			}
-			return float64(s.Admission.Rejected)
-		}},
-	}
-	var b strings.Builder
-	for _, profile := range profiles {
-		fmt.Fprintf(&b, "== profile %s ==\n", profile)
-		fmt.Fprintf(&b, "%-20s", "config")
-		for _, m := range metricsCols {
-			fmt.Fprintf(&b, "%12s", m.name)
-		}
-		b.WriteString("\n")
-		for _, cfg := range configs {
-			for _, p := range pts {
-				if p.Profile != profile || p.Config != cfg {
-					continue
-				}
-				fmt.Fprintf(&b, "%-20s", cfg)
-				for _, m := range metricsCols {
-					fmt.Fprintf(&b, "%12.2f", m.f(p.Sum))
-				}
-				b.WriteString("\n")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+// AdaptiveTable prints the flash-crowd sweep as one table per profile: a
+// row per configuration, a column per headline metric. Goodput counts only
+// admitted requests (rejected ones never produce tokens), so the admission
+// row trades a visible rejected count for goodput and tail bounds.
+var AdaptiveTable = Table[Cell]{
+	Section: func(c Cell) string { return "== profile " + c.Profile + " ==" },
+	Row:     Axis[Cell]{Name: "config", Width: -20, Label: func(c Cell) string { return c.Config }},
+	Columns: sumCols(12, "%.2f", "goodput", "attain%", "maxTTFT", "p50TPOT", "p99TPOT", "p999TPOT", "maxTPOT", "degraded", "rejected"),
 }

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaserve/internal/adaptive"
+	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/serve"
 	"adaserve/internal/workload"
@@ -43,9 +45,9 @@ func TestAdaptiveControlDeterministic(t *testing.T) {
 				i, seq[i].Config, seq[i].Profile)
 		}
 	}
-	t.Logf("\n%s", RenderAdaptive(seq))
+	t.Logf("\n%s", AdaptiveTable.Render(seq))
 
-	byConfig := map[string]*AdaptivePoint{}
+	byConfig := map[string]*Cell{}
 	for i := range seq {
 		if seq[i].Profile == "spike" {
 			byConfig[seq[i].Config] = &seq[i]
@@ -96,7 +98,7 @@ func TestAdmissionEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, AdaptiveFleet, AdaptiveRouter, BuildOptions{Seed: opts.Seed})
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, AdaptiveFleet), AdaptiveRouter, nil, BuildOptions{Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +193,51 @@ func TestAdmissionEventStream(t *testing.T) {
 	if len(rejected) == 0 || len(degraded) == 0 {
 		t.Fatalf("spike tripped neither gate action (%d rejected, %d degraded) — the test exercised nothing",
 			len(rejected), len(degraded))
+	}
+}
+
+// TestAdaptiveConfigNames is the control-configuration table: every name
+// resolves to the controller halves it says, on the duration-proportional
+// cadence, and an unknown name fails with an error listing the valid ones.
+func TestAdaptiveConfigNames(t *testing.T) {
+	const duration = 120
+	cases := []struct {
+		name                  string
+		wantNil               bool
+		noTuning, noAdmission bool
+	}{
+		{name: "static", wantNil: true},
+		{name: "adaptive", noAdmission: true},
+		{name: "admission", noTuning: true},
+		{name: "adaptive+admission"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, err := AdaptiveConfig(c.name, duration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (cfg == nil) != c.wantNil {
+				t.Fatalf("cfg = %+v, wantNil = %v", cfg, c.wantNil)
+			}
+			if cfg == nil {
+				return
+			}
+			if cfg.DisableTuning != c.noTuning || cfg.DisableAdmission != c.noAdmission {
+				t.Fatalf("cfg = %+v, want DisableTuning=%v DisableAdmission=%v", cfg, c.noTuning, c.noAdmission)
+			}
+			if cfg.Interval != AdaptiveInterval(duration) || cfg.Window != AutoscaleWindow(duration) {
+				t.Fatalf("cfg timing %+v does not follow the experiment cadence", cfg)
+			}
+		})
+	}
+	_, err := AdaptiveConfig("chaos", duration)
+	if err == nil {
+		t.Fatal("unknown config accepted")
+	}
+	for _, name := range []string{`"chaos"`, "static", "adaptive+admission", "admission"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not mention %s", err, name)
+		}
 	}
 }

@@ -1,16 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
-	"adaserve/internal/gpu"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/sched"
-	"adaserve/internal/serve"
 	"adaserve/internal/workload"
 )
 
@@ -50,94 +43,25 @@ func AutoscaleInterval(duration float64) float64  { return duration / 30 }
 func AutoscaleColdStart(duration float64) float64 { return duration / 20 }
 func AutoscaleWindow(duration float64) float64    { return duration / 8 }
 
-// elasticTransfer is the KV-handoff model elastic clusters price drain
-// migrations (and disaggregated prefill-to-decode handoffs) over.
-func elasticTransfer(setup ModelSetup) gpu.KVTransfer {
-	return gpu.KVTransfer{Model: setup.Target, Link: DisaggLink}
-}
-
-// BuildElasticCluster assembles an n-replica colocated capacity fleet whose
-// replica lifecycle an autoscale controller drives. Per-replica engine
-// seeding matches BuildCluster exactly, so replica i behaves identically
-// whether the fleet around it is static or elastic.
-func BuildElasticCluster(kind SystemKind, setup ModelSetup, n int, routerName string,
-	eopts cluster.ElasticOptions, opts BuildOptions) (*cluster.Cluster, error) {
-	return BuildElasticDisagg(kind, setup, make([]cluster.Role, n), routerName, eopts, opts)
-}
-
-// BuildElasticDisagg assembles an elastic role-split capacity fleet: each
-// replica's admission mode matches its role, and the autoscale controller
-// scales the prefill and decode pools independently under a shared budget.
-func BuildElasticDisagg(kind SystemKind, setup ModelSetup, roles []cluster.Role, routerName string,
-	eopts cluster.ElasticOptions, opts BuildOptions) (*cluster.Cluster, error) {
-	if len(roles) == 0 {
-		return nil, fmt.Errorf("experiments: no roles")
-	}
-	router, err := cluster.NewRouter(routerName)
-	if err != nil {
-		return nil, err
-	}
-	systems := make([]sched.System, len(roles))
-	for i, role := range roles {
-		o := opts
-		o.Seed = mathutil.Hash2(opts.Seed, 0xc1a0+uint64(i))
-		o.Mode = role.Mode()
-		sys, err := Build(kind, setup, o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replica %d: %w", i, err)
-		}
-		systems[i] = sys
-	}
-	return cluster.NewElastic(systems, roles, router, elasticTransfer(setup), eopts)
-}
-
-// AutoscalePoint is one (config, profile, router) cell of the autoscaling
-// experiment. Sum.Autoscale carries the cost-efficiency headline
-// (goodput per replica-second) every configuration is compared on.
-type AutoscalePoint struct {
-	Config  string // "static" or a policy name
-	Profile string
-	Router  string
-	Sum     *metrics.ClusterSummary
-}
-
 // Autoscaling runs the elastic-fleet experiment: the equal-peak static
 // cluster against every scaling policy, under the spike and diurnal arrival
 // profiles and each router, at identical offered load (every cell of one
 // profile consumes the identical open-loop arrival stream). The comparison
 // metric is goodput per replica-second: a static fleet holds peak capacity
 // through the troughs, an autoscaled fleet gives it back.
-func Autoscaling(setup ModelSetup, opts RunOptions) ([]AutoscalePoint, error) {
+func Autoscaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	type autoscaleCell struct {
-		config  string
-		profile string
-		router  string
-	}
-	var cells []autoscaleCell
+	var cells []Cell
 	for _, profile := range AutoscaleProfiles() {
 		for _, config := range AutoscaleConfigs() {
 			for _, routerName := range cluster.RouterNames() {
-				cells = append(cells, autoscaleCell{config: config, profile: profile, router: routerName})
+				cells = append(cells, Cell{Config: config, Profile: profile, Router: routerName})
 			}
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		sum, err := AutoscaleCell(setup, c.config, c.profile, c.router, opts)
-		if err != nil {
-			return nil, fmt.Errorf("autoscale %s profile=%s router=%s: %w", c.config, c.profile, c.router, err)
-		}
-		return sum, nil
+	return runGrid("autoscale", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return AutoscaleCell(setup, c.Config, c.Profile, c.Router, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]AutoscalePoint, len(cells))
-	for i, c := range cells {
-		pts[i] = AutoscalePoint{Config: c.config, Profile: c.profile, Router: c.router, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
 // AutoscaleCell replays one configuration over the profile's open-loop
@@ -149,120 +73,27 @@ func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts Ru
 	if err != nil {
 		return nil, err
 	}
-	rate, maxRate, err := workload.RateProfile(profile, mean, opts.Duration)
+	src, err := openLoop(setup, profile, mean, 0x51e, opts)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0x51e))
+	var elastic *cluster.ElasticOptions
+	if config != "static" {
+		elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: 1}
+	}
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, AutoscaleFleet), routerName, elastic, BuildOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-
-	var cl *cluster.Cluster
-	srvOpts := serve.Options{}
-	if config == "static" {
-		cl, err = BuildCluster(SysAdaServe, setup, AutoscaleFleet, routerName, BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		cl, err = BuildElasticCluster(SysAdaServe, setup, AutoscaleFleet, routerName,
-			cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: 1},
-			BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy(config)
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: AutoscaleInterval(opts.Duration),
-			Window:   AutoscaleWindow(opts.Duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Autoscaler = ctrl
-	}
-	srv, err := serve.NewServer(cl, srvOpts)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	res.Summary.Autoscale.Policy = config
-	return res.Summary, nil
+	return Controls{Policy: config}.run(cl, src, opts)
 }
 
-// RenderAutoscale formats the autoscaling experiment as aligned tables per
-// profile — goodput per replica-second (the headline), attainment,
-// replica-seconds consumed, and scale events — one row per configuration
-// and one column per router.
-func RenderAutoscale(pts []AutoscalePoint) string {
-	profiles := make([]string, 0)
-	seenP := map[string]bool{}
-	routers := make([]string, 0)
-	seenR := map[string]bool{}
-	configs := make([]string, 0)
-	seenC := map[string]bool{}
-	for _, p := range pts {
-		if !seenP[p.Profile] {
-			seenP[p.Profile] = true
-			profiles = append(profiles, p.Profile)
-		}
-		if !seenR[p.Router] {
-			seenR[p.Router] = true
-			routers = append(routers, p.Router)
-		}
-		if !seenC[p.Config] {
-			seenC[p.Config] = true
-			configs = append(configs, p.Config)
-		}
-	}
-	cell := func(profile, config, router string, f func(*metrics.ClusterSummary) float64) string {
-		for _, p := range pts {
-			if p.Profile == profile && p.Config == config && p.Router == router {
-				return fmt.Sprintf("%.2f", f(p.Sum))
-			}
-		}
-		return ""
-	}
-	var b strings.Builder
-	for _, profile := range profiles {
-		fmt.Fprintf(&b, "== profile %s ==\n", profile)
-		for _, m := range []struct {
-			name string
-			f    func(*metrics.ClusterSummary) float64
-		}{
-			{"goodput / replica-second", func(s *metrics.ClusterSummary) float64 { return s.Autoscale.GoodputPerReplicaSecond() }},
-			{"attainment %", func(s *metrics.ClusterSummary) float64 { return 100 * s.Attainment() }},
-			{"replica-seconds", func(s *metrics.ClusterSummary) float64 { return s.Autoscale.ReplicaSeconds }},
-			{"scale events (up+down)", func(s *metrics.ClusterSummary) float64 {
-				return float64(s.Autoscale.ScaleUps + s.Autoscale.ScaleDowns)
-			}},
-		} {
-			fmt.Fprintf(&b, "%-14s", "config")
-			for _, r := range routers {
-				fmt.Fprintf(&b, "%16s", r)
-			}
-			fmt.Fprintf(&b, "   [%s]\n", m.name)
-			for _, cfg := range configs {
-				fmt.Fprintf(&b, "%-14s", cfg)
-				for _, r := range routers {
-					fmt.Fprintf(&b, "%16s", cell(profile, cfg, r, m.f))
-				}
-				b.WriteString("\n")
-			}
-			b.WriteString("\n")
-		}
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+// AutoscaleTable prints the autoscaling experiment per profile — goodput
+// per replica-second (the headline), attainment, replica-seconds consumed,
+// and scale events — one row per configuration and one column per router.
+var AutoscaleTable = Table[Cell]{
+	Section: func(c Cell) string { return "== profile " + c.Profile + " ==" },
+	Row:     Axis[Cell]{Name: "config", Width: -14, Label: func(c Cell) string { return c.Config }},
+	Cols:    routerCols,
+	Columns: sumCols(0, "%.2f", "goodput / replica-second", "attainment %", "replica-seconds", "scale events (up+down)"),
 }

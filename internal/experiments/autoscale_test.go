@@ -107,15 +107,15 @@ func TestAutoscalingCellShape(t *testing.T) {
 }
 
 // TestBuildElasticDisagg wires role-aware elastic construction end to end:
-// per-role pools with spares, admission modes matching roles.
+// per-role pools with spares.
 func TestBuildElasticDisagg(t *testing.T) {
 	setup := Llama70B()
 	roles, err := cluster.ParseSplit("2P2D")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildElasticDisagg(SysAdaServe, setup, roles, "least-loaded",
-		cluster.ElasticOptions{ColdStart: 1.0, InitialActive: 1}, BuildOptions{Seed: 1})
+	cl, err := BuildCluster(SysAdaServe, setup, roles, "least-loaded",
+		&cluster.ElasticOptions{ColdStart: 1.0, InitialActive: 1}, BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,51 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"adaserve/internal/cluster"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sched"
 	"adaserve/internal/workload"
 )
-
-// BuildCluster assembles an n-replica cluster of the given system kind
-// behind the named router policy. Each replica gets its own engine, KV
-// cache and pool, with per-replica engine randomness derived from the base
-// seed — so a replica's verification outcomes do not depend on which router
-// fronts the cluster.
-func BuildCluster(kind SystemKind, setup ModelSetup, n int, routerName string, opts BuildOptions) (*cluster.Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("experiments: cluster size %d <= 0", n)
-	}
-	router, err := cluster.NewRouter(routerName)
-	if err != nil {
-		return nil, err
-	}
-	systems := make([]sched.System, n)
-	for i := range systems {
-		o := opts
-		o.Seed = mathutil.Hash2(opts.Seed, 0xc1a0+uint64(i))
-		sys, err := Build(kind, setup, o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replica %d: %w", i, err)
-		}
-		systems[i] = sys
-	}
-	return cluster.New(systems, router)
-}
-
-// ClusterPoint is one (replica count, router) cell of the replica-scaling
-// experiment.
-type ClusterPoint struct {
-	Replicas int
-	Router   string
-	Sum      *metrics.ClusterSummary
-}
 
 // ClusterReplicaCounts are the cluster sizes the scaling experiment sweeps.
 func ClusterReplicaCounts() []int { return []int{1, 2, 3, 4, 8} }
@@ -67,95 +29,36 @@ func ClusterPerReplicaRPS(setup ModelSetup) float64 {
 // and two-replica clusters are where routing matters least (the SLO-aware
 // island needs n >= 3, so at n = 2 it degrades to per-class balancing,
 // statistically equivalent to round-robin on homogeneous replicas).
-func ClusterScaling(setup ModelSetup, opts RunOptions) ([]ClusterPoint, error) {
+func ClusterScaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	perReplica := ClusterPerReplicaRPS(setup)
-	type clusterCell struct {
-		n      int
-		router string
-		reqs   []*request.Request
-	}
-	var cells []clusterCell
+	traces := map[int][]*request.Request{}
+	var cells []Cell
 	for _, n := range ClusterReplicaCounts() {
 		reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, perReplica*float64(n), opts.Duration, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
+		traces[n] = reqs
 		for _, routerName := range cluster.RouterNames() {
-			cells = append(cells, clusterCell{n: n, router: routerName, reqs: reqs})
+			cells = append(cells, Cell{Replicas: n, Router: routerName})
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		cl, err := BuildCluster(SysAdaServe, setup, c.n, c.router, BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		res, err := cl.Run(request.CloneAll(c.reqs), cluster.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("cluster n=%d router=%s: %w", c.n, c.router, err)
-		}
-		return res.Summary, nil
+	return runGrid("cluster", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return replay(setup, make([]cluster.Role, c.Replicas), c.Router, traces[c.Replicas], opts.Seed)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]ClusterPoint, len(cells))
-	for i, c := range cells {
-		pts[i] = ClusterPoint{Replicas: c.n, Router: c.router, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
-// RenderClusterScaling formats the replica-scaling experiment as aligned
-// tables: attainment, goodput and request imbalance, one row per replica
-// count and one column per router.
-func RenderClusterScaling(pts []ClusterPoint) string {
-	routers := make([]string, 0)
-	seenR := map[string]bool{}
-	counts := make([]int, 0)
-	seenN := map[int]bool{}
-	for _, p := range pts {
-		if !seenR[p.Router] {
-			seenR[p.Router] = true
-			routers = append(routers, p.Router)
-		}
-		if !seenN[p.Replicas] {
-			seenN[p.Replicas] = true
-			counts = append(counts, p.Replicas)
-		}
-	}
-	sort.Ints(counts)
-	cell := func(n int, router string, f func(*metrics.ClusterSummary) float64) string {
-		for _, p := range pts {
-			if p.Replicas == n && p.Router == router {
-				return fmt.Sprintf("%.2f", f(p.Sum))
-			}
-		}
-		return ""
-	}
-	var b strings.Builder
-	for _, m := range []struct {
-		name string
-		f    func(*metrics.ClusterSummary) float64
-	}{
-		{"attainment %", func(s *metrics.ClusterSummary) float64 { return 100 * s.Attainment() }},
-		{"goodput tok/s", func(s *metrics.ClusterSummary) float64 { return s.Goodput() }},
-		{"request imbalance (max/mean)", (*metrics.ClusterSummary).RequestImbalance},
-	} {
-		fmt.Fprintf(&b, "%-10s", "replicas")
-		for _, r := range routers {
-			fmt.Fprintf(&b, "%16s", r)
-		}
-		fmt.Fprintf(&b, "   [%s]\n", m.name)
-		for _, n := range counts {
-			fmt.Fprintf(&b, "%-10d", n)
-			for _, r := range routers {
-				fmt.Fprintf(&b, "%16s", cell(n, r, m.f))
-			}
-			b.WriteString("\n")
-		}
-		b.WriteString("\n")
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+// ClusterTable prints the replica-scaling experiment: attainment, goodput
+// and request imbalance, one row per replica count and one column per
+// router.
+var ClusterTable = Table[Cell]{
+	Row: Axis[Cell]{Name: "replicas", Width: -10,
+		Label: func(c Cell) string { return strconv.Itoa(c.Replicas) },
+		Order: func(c Cell) float64 { return float64(c.Replicas) }},
+	Cols:    routerCols,
+	Columns: sumCols(0, "%.2f", "attainment %", "goodput tok/s", "request imbalance (max/mean)"),
 }
+
+// routerCols is the column axis of the router-comparison grids.
+var routerCols = &Axis[Cell]{Width: 16, Label: func(c Cell) string { return c.Router }}

@@ -10,13 +10,13 @@ import (
 
 func TestBuildClusterValidates(t *testing.T) {
 	setup := Llama70B()
-	if _, err := BuildCluster(SysAdaServe, setup, 0, "round-robin", BuildOptions{Seed: 1}); err == nil {
+	if _, err := BuildCluster(SysAdaServe, setup, nil, "round-robin", nil, BuildOptions{Seed: 1}); err == nil {
 		t.Fatal("zero-replica cluster accepted")
 	}
-	if _, err := BuildCluster(SysAdaServe, setup, 2, "random", BuildOptions{Seed: 1}); err == nil {
+	if _, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "random", nil, BuildOptions{Seed: 1}); err == nil {
 		t.Fatal("unknown router accepted")
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, 3, "slo-aware", BuildOptions{Seed: 1})
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 3), "slo-aware", nil, BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	}
 	ts := workload.PoissonTrace(mathutil.NewRNG(11), 6.0, 10)
 	reqs := gen.FromTimestamps(ts)
-	cl, err := BuildCluster(SysAdaServe, setup, 2, "slo-aware", BuildOptions{Seed: 1})
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware", nil, BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run(reqs, cluster.Options{})
+	res, err := cl.Run(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterScalingSLOAwareBeatsRoundRobin(t *testing.T) {
 		t.Skip("full replica-scaling experiment in -short mode")
 	}
 	setup := Llama70B()
-	run := func() []ClusterPoint {
+	run := func() []Cell {
 		pts, err := ClusterScaling(setup, RunOptions{Seed: 1, Duration: 120})
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func TestClusterScalingSLOAwareBeatsRoundRobin(t *testing.T) {
 		return pts
 	}
 	pts := run()
-	att := func(pts []ClusterPoint, n int, router string) float64 {
+	att := func(pts []Cell, n int, router string) float64 {
 		for _, p := range pts {
 			if p.Replicas == n && p.Router == router {
 				return p.Sum.Attainment()

@@ -1,22 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"adaserve/internal/cluster"
-	"adaserve/internal/gpu"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sched"
 	"adaserve/internal/workload"
 )
-
-// DisaggLink is the interconnect pricing the prefill-to-decode KV handoff in
-// the disaggregation experiment: a cross-node RDMA fabric, the link real
-// disaggregated deployments migrate KV over.
-var DisaggLink = gpu.RDMA400
 
 // DisaggSplits are the four-replica fleet layouts the disaggregation
 // experiment compares at equal aggregate load: the colocated baseline
@@ -39,43 +28,6 @@ func DisaggMixes() []DisaggMix {
 	}
 }
 
-// BuildDisagg assembles a role-split cluster of the given system kind: one
-// replica per role, each with its own engine, KV cache and pool, admission
-// mode matching its role, and per-replica engine randomness derived from the
-// base seed exactly as BuildCluster derives it — so replica i's verification
-// outcomes do not depend on the fleet layout around it.
-func BuildDisagg(kind SystemKind, setup ModelSetup, roles []cluster.Role, routerName string, opts BuildOptions) (*cluster.Cluster, error) {
-	if len(roles) == 0 {
-		return nil, fmt.Errorf("experiments: no roles")
-	}
-	router, err := cluster.NewRouter(routerName)
-	if err != nil {
-		return nil, err
-	}
-	systems := make([]sched.System, len(roles))
-	for i, role := range roles {
-		o := opts
-		o.Seed = mathutil.Hash2(opts.Seed, 0xc1a0+uint64(i))
-		o.Mode = role.Mode()
-		sys, err := Build(kind, setup, o)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: replica %d: %w", i, err)
-		}
-		systems[i] = sys
-	}
-	transfer := gpu.KVTransfer{Model: setup.Target, Link: DisaggLink}
-	return cluster.NewWithRoles(systems, roles, router, transfer)
-}
-
-// DisaggPoint is one (split, router, mix) cell of the disaggregation
-// experiment.
-type DisaggPoint struct {
-	Split  string
-	Router string
-	Mix    string
-	Sum    *metrics.ClusterSummary
-}
-
 // DisaggAggregateRPS returns the experiment's fixed aggregate offered load:
 // four replicas' worth of the replica-scaling experiment's per-replica rate,
 // so every split — colocated or partitioned — faces the identical trace.
@@ -88,117 +40,41 @@ func DisaggAggregateRPS(setup ModelSetup) float64 {
 // each router policy and SLO mix, at equal aggregate load. All cells of one
 // mix replay the identical trace, so differences are pure fleet-layout and
 // routing effects.
-func Disaggregation(setup ModelSetup, opts RunOptions) ([]DisaggPoint, error) {
+func Disaggregation(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	rps := DisaggAggregateRPS(setup)
-	type disaggCell struct {
-		split  string
-		router string
-		mix    string
-		reqs   []*request.Request
-	}
-	var cells []disaggCell
+	traces := map[string][]*request.Request{}
+	var cells []Cell
 	for _, mix := range DisaggMixes() {
 		reqs, err := mixedTrace(setup, mix.Mix, 1.0, rps, opts.Duration, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
+		traces[mix.Name] = reqs
 		for _, split := range DisaggSplits() {
 			for _, routerName := range cluster.RouterNames() {
-				cells = append(cells, disaggCell{split: split, router: routerName, mix: mix.Name, reqs: reqs})
+				cells = append(cells, Cell{Split: split, Router: routerName, Mix: mix.Name})
 			}
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		var cl *cluster.Cluster
-		var err error
-		if c.split == "colocated" {
-			cl, err = BuildCluster(SysAdaServe, setup, 4, c.router, BuildOptions{Seed: opts.Seed})
-		} else {
-			var roles []cluster.Role
-			roles, err = cluster.ParseSplit(c.split)
-			if err == nil {
-				cl, err = BuildDisagg(SysAdaServe, setup, roles, c.router, BuildOptions{Seed: opts.Seed})
+	return runGrid("disagg", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		roles := make([]cluster.Role, 4)
+		if c.Split != "colocated" {
+			var err error
+			if roles, err = cluster.ParseSplit(c.Split); err != nil {
+				return nil, err
 			}
 		}
-		if err != nil {
-			return nil, err
-		}
-		res, err := cl.Run(request.CloneAll(c.reqs), cluster.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("disagg %s router=%s mix=%s: %w", c.split, c.router, c.mix, err)
-		}
-		return res.Summary, nil
+		return replay(setup, roles, c.Router, traces[c.Mix], opts.Seed)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]DisaggPoint, len(cells))
-	for i, c := range cells {
-		pts[i] = DisaggPoint{Split: c.split, Router: c.router, Mix: c.mix, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
-// RenderDisagg formats the disaggregation experiment as aligned tables per
-// mix: TTFT attainment, TPOT attainment, goodput and mean KV-transfer
-// latency, one row per fleet split and one column per router.
-func RenderDisagg(pts []DisaggPoint) string {
-	mixes := make([]string, 0)
-	seenM := map[string]bool{}
-	routers := make([]string, 0)
-	seenR := map[string]bool{}
-	splits := make([]string, 0)
-	seenS := map[string]bool{}
-	for _, p := range pts {
-		if !seenM[p.Mix] {
-			seenM[p.Mix] = true
-			mixes = append(mixes, p.Mix)
-		}
-		if !seenR[p.Router] {
-			seenR[p.Router] = true
-			routers = append(routers, p.Router)
-		}
-		if !seenS[p.Split] {
-			seenS[p.Split] = true
-			splits = append(splits, p.Split)
-		}
-	}
-	cell := func(mix, split, router string, f func(*metrics.ClusterSummary) float64) string {
-		for _, p := range pts {
-			if p.Mix == mix && p.Split == split && p.Router == router {
-				return fmt.Sprintf("%.2f", f(p.Sum))
-			}
-		}
-		return ""
-	}
-	var b strings.Builder
-	for _, mix := range mixes {
-		fmt.Fprintf(&b, "== mix %s ==\n", mix)
-		for _, m := range []struct {
-			name string
-			f    func(*metrics.ClusterSummary) float64
-		}{
-			{"TTFT attainment %", func(s *metrics.ClusterSummary) float64 { return 100 * s.TTFTAttainment() }},
-			{"TPOT attainment %", func(s *metrics.ClusterSummary) float64 { return 100 * s.Attainment() }},
-			{"goodput tok/s", func(s *metrics.ClusterSummary) float64 { return s.Goodput() }},
-			{"KV transfer mean ms", func(s *metrics.ClusterSummary) float64 { return 1e3 * s.Transfer.MeanLatency() }},
-		} {
-			fmt.Fprintf(&b, "%-10s", "split")
-			for _, r := range routers {
-				fmt.Fprintf(&b, "%16s", r)
-			}
-			fmt.Fprintf(&b, "   [%s]\n", m.name)
-			for _, s := range splits {
-				fmt.Fprintf(&b, "%-10s", s)
-				for _, r := range routers {
-					fmt.Fprintf(&b, "%16s", cell(mix, s, r, m.f))
-				}
-				b.WriteString("\n")
-			}
-			b.WriteString("\n")
-		}
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+// DisaggTable prints the disaggregation experiment per mix: TTFT
+// attainment, TPOT attainment, goodput and mean KV-transfer latency, one
+// row per fleet split and one column per router.
+var DisaggTable = Table[Cell]{
+	Section: func(c Cell) string { return "== mix " + c.Mix + " ==" },
+	Row:     Axis[Cell]{Name: "split", Width: -10, Label: func(c Cell) string { return c.Split }},
+	Cols:    routerCols,
+	Columns: sumCols(0, "%.2f", "TTFT attainment %", "TPOT attainment %", "goodput tok/s", "KV transfer mean ms"),
 }

@@ -23,12 +23,12 @@ func TestDisaggEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildDisagg(SysAdaServe, setup, roles, "least-loaded", BuildOptions{Seed: 1})
+	cl, err := BuildCluster(SysAdaServe, setup, roles, "least-loaded", nil, BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := request.CloneAll(reqs)
-	res, err := cl.Run(run, cluster.Options{})
+	res, err := cl.Run(run)
 	if err != nil {
 		t.Fatal(err)
 	}

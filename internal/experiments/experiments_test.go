@@ -166,9 +166,9 @@ func TestRenderSeries(t *testing.T) {
 		{System: SysVLLM, X: 1, Sum: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 5}},
 		{System: SysVLLM, X: 2, Sum: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 8}},
 	}
-	out := RenderSeries(pts, "rps", "attainment", func(s *metrics.Summary) float64 {
+	out := SeriesTable("rps", "attainment", func(s *metrics.Summary) float64 {
 		return s.Attainment()
-	})
+	}).Render(pts)
 	if !strings.Contains(out, "vLLM") || !strings.Contains(out, "0.50") || !strings.Contains(out, "0.80") {
 		t.Fatalf("rendered:\n%s", out)
 	}
@@ -196,7 +196,7 @@ func TestFigure8SingleCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sys, request.CloneAll(reqs), sim.Options{})
+	res, err := sim.Run(sys, request.CloneAll(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

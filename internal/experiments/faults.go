@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/faults"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 // FaultFleet is the chaos experiment's capacity fleet for the crash and
@@ -60,13 +56,6 @@ func FaultSpec(scenario string, duration float64) (faults.Spec, error) {
 	return faults.ParseSpec(raw)
 }
 
-// FaultPoint is one (scenario, recovery) cell of the chaos sweep.
-type FaultPoint struct {
-	Scenario string
-	Recovery string
-	Sum      *metrics.ClusterSummary
-}
-
 // FaultLoadFactor scales each scenario's offered load against the steady
 // fleet's capacity, because the two recovery mechanisms are meaningful in
 // different operating regimes. Failover is judged at the contended
@@ -96,58 +85,32 @@ func FaultMeanRPS(setup ModelSetup, scenario string) float64 {
 // attainment that no-recovery forfeits to lost requests; under a straggler,
 // hedged re-dispatch bounds the worst-case TTFT that retry alone (which never
 // triggers — the replica is alive) cannot touch.
-func Faults(setup ModelSetup, opts RunOptions) ([]FaultPoint, error) {
+func Faults(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	type faultCell struct {
-		scenario string
-		recovery string
-	}
-	var cells []faultCell
+	var cells []Cell
 	for _, scenario := range FaultScenarios() {
 		for _, recovery := range FaultRecoveries() {
-			cells = append(cells, faultCell{scenario: scenario, recovery: recovery})
+			cells = append(cells, Cell{Scenario: scenario, Recovery: recovery})
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		sum, err := FaultCell(setup, c.scenario, c.recovery, opts)
-		if err != nil {
-			return nil, fmt.Errorf("faults %s recovery=%s: %w", c.scenario, c.recovery, err)
-		}
-		return sum, nil
+	return runGrid("faults", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return FaultCell(setup, c.Scenario, c.Recovery, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]FaultPoint, len(cells))
-	for i, c := range cells {
-		pts[i] = FaultPoint{Scenario: c.scenario, Recovery: c.recovery, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
 // FaultsWithSpec runs the recovery-mode comparison on a caller-supplied
 // schedule (adaserve-bench's -faults override): every recovery mode replays
 // the custom spec as one "custom" scenario on the chaos sweep's elastic
 // fleet.
-func FaultsWithSpec(setup ModelSetup, spec faults.Spec, opts RunOptions) ([]FaultPoint, error) {
+func FaultsWithSpec(setup ModelSetup, spec faults.Spec, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	recoveries := FaultRecoveries()
-	sums, err := runJobs(opts.Parallel, len(recoveries), func(i int) (*metrics.ClusterSummary, error) {
-		sum, err := faultRun(setup, spec, "custom", recoveries[i], opts)
-		if err != nil {
-			return nil, fmt.Errorf("faults custom recovery=%s: %w", recoveries[i], err)
-		}
-		return sum, nil
+	var cells []Cell
+	for _, recovery := range FaultRecoveries() {
+		cells = append(cells, Cell{Scenario: "custom", Recovery: recovery})
+	}
+	return runGrid("faults", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return faultRun(setup, spec, c.Scenario, c.Recovery, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]FaultPoint, len(recoveries))
-	for i, recovery := range recoveries {
-		pts[i] = FaultPoint{Scenario: "custom", Recovery: recovery, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
 // FaultCell replays one (scenario, recovery) chaos cell. Crash and straggler
@@ -164,147 +127,44 @@ func FaultCell(setup ModelSetup, scenario, recovery string, opts RunOptions) (*m
 	return faultRun(setup, spec, scenario, recovery, opts)
 }
 
-// faultRun is the shared cell body: build the fleet (elastic colocated, or
-// static 2P2D disagg for the link scenario), arm the injector, replay the
-// scenario-independent arrival stream at the scenario's operating point.
+// faultRun is the shared cell body: build the fleet (elastic colocated
+// under the rate-prop autoscaler, or static 2P2D disagg for the link
+// scenario), arm the injector, replay the scenario-independent arrival
+// stream at the scenario's operating point.
 func faultRun(setup ModelSetup, spec faults.Spec, scenario, recovery string, opts RunOptions) (*metrics.ClusterSummary, error) {
 	rec, err := faults.ParseRecovery(recovery)
 	if err != nil {
 		return nil, err
 	}
-
-	var cl *cluster.Cluster
-	srvOpts := serve.Options{}
+	ctl := Controls{Faults: spec, Recovery: rec}
+	roles := make([]cluster.Role, FaultFleet)
+	var elastic *cluster.ElasticOptions
 	if scenario == "link" {
-		roles, err := cluster.ParseSplit("2P2D")
-		if err != nil {
-			return nil, err
-		}
-		cl, err = BuildDisagg(SysAdaServe, setup, roles, FaultRouter, BuildOptions{Seed: opts.Seed})
-		if err != nil {
+		if roles, err = cluster.ParseSplit("2P2D"); err != nil {
 			return nil, err
 		}
 	} else {
-		cl, err = BuildElasticCluster(SysAdaServe, setup, FaultFleet, FaultRouter,
-			cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: FaultInitialActive},
-			BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy("rate-prop")
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: AutoscaleInterval(opts.Duration),
-			Window:   AutoscaleWindow(opts.Duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Autoscaler = ctrl
+		ctl.Policy = "rate-prop"
+		elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: FaultInitialActive}
 	}
-
-	inj, err := faults.New(cl, spec, faults.Options{
-		Seed:     opts.Seed,
-		Horizon:  opts.Duration,
-		Recovery: rec,
-	})
+	cl, err := BuildCluster(SysAdaServe, setup, roles, FaultRouter, elastic, BuildOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
-	srvOpts.Faults = inj
-
-	rate, maxRate, err := workload.RateProfile("constant", FaultMeanRPS(setup, scenario), opts.Duration)
+	src, err := openLoop(setup, "constant", FaultMeanRPS(setup, scenario), 0xfa, opts)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0xfa))
-	if err != nil {
-		return nil, err
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x7a)), rate, maxRate, opts.Duration)
-	if err != nil {
-		return nil, err
-	}
-
-	srv, err := serve.NewServer(cl, srvOpts)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	sum := inj.Summary(rr.EndTime)
-	res.Summary.Faults = &sum
-	return res.Summary, nil
+	return ctl.run(cl, src, opts)
 }
 
-// RenderFaults formats the chaos sweep as one aligned table per scenario: a
-// row per recovery mode, a column per headline metric. Goodput and attainment
-// count lost-and-never-recovered requests as violations, so the recovery rows
+// FaultsTable prints the chaos sweep as one table per scenario: a row per
+// recovery mode, a column per headline metric. Goodput and attainment count
+// lost-and-never-recovered requests as violations, so the recovery rows
 // show directly what re-dispatch buys back; maxTTFT is the tail hedging
 // exists to bound.
-func RenderFaults(pts []FaultPoint) string {
-	scenarios := make([]string, 0)
-	seenS := map[string]bool{}
-	recoveries := make([]string, 0)
-	seenR := map[string]bool{}
-	for _, p := range pts {
-		if !seenS[p.Scenario] {
-			seenS[p.Scenario] = true
-			scenarios = append(scenarios, p.Scenario)
-		}
-		if !seenR[p.Recovery] {
-			seenR[p.Recovery] = true
-			recoveries = append(recoveries, p.Recovery)
-		}
-	}
-	cols := []struct {
-		name string
-		f    func(*metrics.ClusterSummary) float64
-	}{
-		{"goodput", func(s *metrics.ClusterSummary) float64 { return s.Goodput() }},
-		{"attain%", func(s *metrics.ClusterSummary) float64 { return 100 * s.Attainment() }},
-		{"maxTTFT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.MaxTTFT }},
-		{"p99TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P99TPOT() }},
-		{"lost", func(s *metrics.ClusterSummary) float64 { return float64(s.Faults.LostRequests) }},
-		{"retried", func(s *metrics.ClusterSummary) float64 { return float64(s.Faults.Retried) }},
-		{"dropped", func(s *metrics.ClusterSummary) float64 { return float64(s.Faults.Dropped) }},
-		{"hedged", func(s *metrics.ClusterSummary) float64 { return float64(s.Faults.Hedged) }},
-		{"fallback", func(s *metrics.ClusterSummary) float64 { return float64(s.Faults.TransferFallbacks) }},
-		{"MTTR", func(s *metrics.ClusterSummary) float64 { return s.Faults.MTTR }},
-	}
-	var b strings.Builder
-	for _, scenario := range scenarios {
-		spec := ""
-		for _, p := range pts {
-			if p.Scenario == scenario && p.Sum.Faults != nil {
-				spec = p.Sum.Faults.Spec
-				break
-			}
-		}
-		fmt.Fprintf(&b, "== scenario %s (%s) ==\n", scenario, spec)
-		fmt.Fprintf(&b, "%-14s", "recovery")
-		for _, m := range cols {
-			fmt.Fprintf(&b, "%10s", m.name)
-		}
-		b.WriteString("\n")
-		for _, recovery := range recoveries {
-			for _, p := range pts {
-				if p.Scenario != scenario || p.Recovery != recovery {
-					continue
-				}
-				fmt.Fprintf(&b, "%-14s", recovery)
-				for _, m := range cols {
-					fmt.Fprintf(&b, "%10.2f", m.f(p.Sum))
-				}
-				b.WriteString("\n")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+var FaultsTable = Table[Cell]{
+	Section: func(c Cell) string { return fmt.Sprintf("== scenario %s (%s) ==", c.Scenario, c.Sum.Faults.Spec) },
+	Row:     Axis[Cell]{Name: "recovery", Width: -14, Label: func(c Cell) string { return c.Recovery }},
+	Columns: sumCols(10, "%.2f", "goodput", "attain%", "maxTTFT", "p99TPOT", "lost", "retried", "dropped", "hedged", "fallback", "MTTR"),
 }

@@ -15,7 +15,7 @@ func faultOpts(parallel int) RunOptions {
 	return RunOptions{Seed: 1, Duration: 24, Parallel: parallel}
 }
 
-func faultPoint(t *testing.T, pts []FaultPoint, scenario, recovery string) *metrics.ClusterSummary {
+func faultPoint(t *testing.T, pts []Cell, scenario, recovery string) *metrics.ClusterSummary {
 	t.Helper()
 	for _, p := range pts {
 		if p.Scenario == scenario && p.Recovery == recovery {
@@ -37,7 +37,7 @@ func TestFaultRecoveryHeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log("\n" + RenderFaults(pts))
+	t.Log("\n" + FaultsTable.Render(pts))
 
 	none := faultPoint(t, pts, "crash", "none")
 	retry := faultPoint(t, pts, "crash", "retry")

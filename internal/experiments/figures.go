@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"adaserve/internal/mathutil"
@@ -58,7 +57,7 @@ func runOne(kind SystemKind, setup ModelSetup, reqs []*request.Request, seed uin
 		return nil, err
 	}
 	// Each system gets private request copies: runs must not share state.
-	res, err := sim.Run(sys, request.CloneAll(reqs), sim.Options{})
+	res, err := sim.Run(sys, request.CloneAll(reqs))
 	if err != nil {
 		return nil, err
 	}
@@ -217,45 +216,4 @@ func Figure15(setup ModelSetup, opts RunOptions) (*metrics.Summary, error) {
 		return nil, err
 	}
 	return runOne(SysAdaServe, setup, reqs, opts.Seed, BuildOptions{})
-}
-
-// RenderSeries formats sweep points as an aligned text table with one row
-// per x value and one column per system, using the given metric extractor.
-func RenderSeries(pts []Point, xName, metric string, f func(*metrics.Summary) float64) string {
-	systems := make([]SystemKind, 0)
-	seen := map[SystemKind]bool{}
-	xs := make([]float64, 0)
-	seenX := map[float64]bool{}
-	for _, p := range pts {
-		if !seen[p.System] {
-			seen[p.System] = true
-			systems = append(systems, p.System)
-		}
-		if !seenX[p.X] {
-			seenX[p.X] = true
-			xs = append(xs, p.X)
-		}
-	}
-	sort.Float64s(xs)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", xName)
-	for _, s := range systems {
-		fmt.Fprintf(&b, "%18s", s)
-	}
-	fmt.Fprintf(&b, "   [%s]\n", metric)
-	for _, x := range xs {
-		fmt.Fprintf(&b, "%-10.2f", x)
-		for _, s := range systems {
-			val := ""
-			for _, p := range pts {
-				if p.System == s && p.X == x {
-					val = fmt.Sprintf("%.2f", f(p.Sum))
-					break
-				}
-			}
-			fmt.Fprintf(&b, "%18s", val)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -27,7 +27,7 @@ func spanCell(setup ModelSetup) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := BuildDisagg(SysAdaServe, setup, roles, "slo-aware", BuildOptions{Seed: 1})
+	cl, err := BuildCluster(SysAdaServe, setup, roles, "slo-aware", nil, BuildOptions{Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func TestSpanReplayIdentity(t *testing.T) {
 	const duration = 8
 	runOnce := func(src serve.Source) (*trace.Trace, []byte) {
 		t.Helper()
-		cl, err := BuildCluster(SysAdaServe, setup, 2, "slo-aware", BuildOptions{Seed: 1})
+		cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware", nil, BuildOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

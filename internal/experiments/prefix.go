@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 
+	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
@@ -39,14 +39,6 @@ const (
 // degrades to least-loaded).
 func PrefixRouters() []string { return []string{"round-robin", "least-loaded", "prefix-affinity"} }
 
-// PrefixPoint is one (router, caching) cell of the prefix experiment.
-type PrefixPoint struct {
-	Router string
-	// Cached is false for the prefix-disabled baseline rows.
-	Cached bool
-	Sum    *metrics.ClusterSummary
-}
-
 // NewSessions builds the experiment's session workload for a setup: the
 // multi-tenant, multi-turn conversations every cell of the sweep replays
 // (shared with adaserve-sim's -prefix wiring).
@@ -79,11 +71,7 @@ func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOption
 		bopts.Prefix = true
 		bopts.PrefixHostBlocks = PrefixHostTier
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, PrefixFleet, routerName, bopts)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(cl, serve.Options{})
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, PrefixFleet), routerName, nil, bopts)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +82,7 @@ func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOption
 		}
 	}
 	var submitErr error
-	srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+	sum, err := Controls{}.run(cl, src, opts, serve.ObserverFunc(func(ev serve.Event) {
 		e, ok := ev.(serve.RequestFinished)
 		if !ok {
 			return
@@ -105,14 +93,13 @@ func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOption
 			}
 		}
 	}))
-	rr, err := srv.Run(src)
 	if err != nil {
 		return nil, err
 	}
 	if submitErr != nil {
 		return nil, submitErr
 	}
-	return cl.Results(rr, nil).Summary, nil
+	return sum, nil
 }
 
 // PrefixCaching runs the prefix experiment: the session workload over every
@@ -122,58 +109,34 @@ func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOption
 // affinity router serves follow-up prompts from cache and skips their
 // prefill, which neither load-signal baseline can do once a tenant's blocks
 // are fragmented across the fleet.
-func PrefixCaching(setup ModelSetup, opts RunOptions) ([]PrefixPoint, error) {
+func PrefixCaching(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	type prefixCell struct {
-		router string
-		cached bool
-	}
-	var cells []prefixCell
+	var cells []Cell
 	for _, cached := range []bool{false, true} {
 		for _, routerName := range PrefixRouters() {
-			cells = append(cells, prefixCell{router: routerName, cached: cached})
+			cells = append(cells, Cell{Router: routerName, Cached: cached})
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		sum, err := PrefixCell(setup, c.router, c.cached, opts)
-		if err != nil {
-			return nil, fmt.Errorf("prefix router=%s cached=%v: %w", c.router, c.cached, err)
-		}
-		return sum, nil
+	return runGrid("prefix", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return PrefixCell(setup, c.Router, c.Cached, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]PrefixPoint, len(cells))
-	for i, c := range cells {
-		pts[i] = PrefixPoint{Router: c.router, Cached: c.cached, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
-// RenderPrefix formats the prefix experiment: one row per (caching, router)
+// PrefixTable prints the prefix experiment: one row per (router, caching)
 // cell with the TTFT/TPOT attainment headline and the cache economics.
-func RenderPrefix(pts []PrefixPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s%-10s%10s%10s%12s%10s%12s%10s%10s\n",
-		"router", "prefix", "ttft%", "attain%", "goodput", "hit%", "savedTok", "evict", "reloads")
-	for _, p := range pts {
-		mode := "off"
-		if p.Cached {
-			mode = "on"
-		}
-		hitRate, saved, evict, reloads := 0.0, 0, 0, 0
-		if p.Sum.Prefix != nil {
-			hitRate = 100 * p.Sum.Prefix.HitRate()
-			saved = p.Sum.Prefix.HitTokens
-			evict = p.Sum.Prefix.Evictions
-			reloads = p.Sum.Prefix.Reloads
-		}
-		fmt.Fprintf(&b, "%-18s%-10s%10.1f%10.1f%12.1f%10.1f%12d%10d%10d\n",
-			p.Router, mode,
-			100*p.Sum.TTFTAttainment(), 100*p.Sum.Attainment(), p.Sum.Goodput(),
-			hitRate, saved, evict, reloads)
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+var PrefixTable = Table[Cell]{
+	Row: Axis[Cell]{Name: "router", Width: -18, Label: func(c Cell) string { return c.Router }},
+	Columns: slices.Concat(
+		[]Column[Cell]{{Name: "prefix", Width: -10, Text: func(c Cell) string {
+			if c.Cached {
+				return "on"
+			}
+			return "off"
+		}}},
+		sumCols(10, "%.1f", "ttft%", "attain%"),
+		sumCols(12, "%.1f", "goodput"),
+		sumCols(10, "%.1f", "hit%"),
+		sumCols(12, "%.0f", "savedTok"),
+		sumCols(10, "%.0f", "evict", "reloads"),
+	),
 }

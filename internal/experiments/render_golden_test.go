@@ -64,57 +64,57 @@ func renderGoldenTables() string {
 			}})
 		}
 	}
-	block("series attainment", RenderSeries(series, "rps", "attainment %",
-		func(s *metrics.Summary) float64 { return 100 * s.Attainment() }))
-	block("series goodput", RenderSeries(series, "urgent", "goodput tok/s",
-		func(s *metrics.Summary) float64 { return s.Goodput }))
-	block("series mean acc", RenderSeries(series, "slo-scale", "mean acc",
-		func(s *metrics.Summary) float64 { return s.MeanAcceptedPerStep }))
+	block("series attainment", SeriesTable("rps", "attainment %",
+		func(s *metrics.Summary) float64 { return 100 * s.Attainment() }).Render(series))
+	block("series goodput", SeriesTable("urgent", "goodput tok/s",
+		func(s *metrics.Summary) float64 { return s.Goodput }).Render(series))
+	block("series mean acc", SeriesTable("slo-scale", "mean acc",
+		func(s *metrics.Summary) float64 { return s.MeanAcceptedPerStep }).Render(series))
 
-	var cluster []ClusterPoint
+	var cluster []Cell
 	for i, n := range []int{4, 1, 8, 2} {
 		for j, r := range []string{"round-robin", "least-loaded", "slo-aware"} {
 			if i == 1 && j == 1 {
 				continue
 			}
-			cluster = append(cluster, ClusterPoint{Replicas: n, Router: r, Sum: tableSum(3*i + j)})
+			cluster = append(cluster, Cell{Replicas: n, Router: r, Sum: tableSum(3*i + j)})
 		}
 	}
-	block("cluster", RenderClusterScaling(cluster))
+	block("cluster", ClusterTable.Render(cluster))
 
-	var disagg []DisaggPoint
+	var disagg []Cell
 	for i, mix := range []string{"default", "summ-heavy"} {
 		for j, split := range []string{"colocated", "1P3D", "2P2D"} {
 			for k, r := range []string{"round-robin", "slo-aware"} {
-				disagg = append(disagg, DisaggPoint{Split: split, Router: r, Mix: mix, Sum: tableSum(6*i + 2*j + k)})
+				disagg = append(disagg, Cell{Split: split, Router: r, Mix: mix, Sum: tableSum(6*i + 2*j + k)})
 			}
 		}
 	}
-	block("disagg", RenderDisagg(disagg))
+	block("disagg", DisaggTable.Render(disagg))
 
-	var auto []AutoscalePoint
+	var auto []Cell
 	for i, profile := range []string{"spike", "diurnal"} {
 		for j, cfg := range []string{"static", "target-queue", "rate-prop"} {
 			for k, r := range []string{"least-loaded", "slo-aware"} {
-				auto = append(auto, AutoscalePoint{Config: cfg, Profile: profile, Router: r, Sum: tableSum(6*i + 2*j + k)})
+				auto = append(auto, Cell{Config: cfg, Profile: profile, Router: r, Sum: tableSum(6*i + 2*j + k)})
 			}
 		}
 	}
-	block("autoscale", RenderAutoscale(auto))
+	block("autoscale", AutoscaleTable.Render(auto))
 
-	var adapt []AdaptivePoint
+	var adapt []Cell
 	for i, profile := range []string{"spike", "ramp"} {
 		for j, cfg := range AdaptiveConfigs() {
 			s := tableSum(3*i + j)
 			if cfg != "static" {
 				s = withAdmission(s, 3*i+j)
 			}
-			adapt = append(adapt, AdaptivePoint{Config: cfg, Profile: profile, Sum: s})
+			adapt = append(adapt, Cell{Config: cfg, Profile: profile, Sum: s})
 		}
 	}
-	block("adaptive", RenderAdaptive(adapt))
+	block("adaptive", AdaptiveTable.Render(adapt))
 
-	var fault []FaultPoint
+	var fault []Cell
 	for i, scenario := range []string{"crash", "straggler", "custom"} {
 		for j, rec := range FaultRecoveries() {
 			n := 3*i + j
@@ -124,24 +124,24 @@ func renderGoldenTables() string {
 				LostRequests: n % 5, Retried: n % 4, Dropped: n % 2, Hedged: n % 3,
 				TransferFallbacks: n % 6, MTTR: 0.5 * float64(n),
 			}
-			fault = append(fault, FaultPoint{Scenario: scenario, Recovery: rec, Sum: s})
+			fault = append(fault, Cell{Scenario: scenario, Recovery: rec, Sum: s})
 		}
 	}
-	block("faults", RenderFaults(fault))
+	block("faults", FaultsTable.Render(fault))
 
-	var tr []TracePoint
+	var tr []Cell
 	for i, scenario := range TraceScenarios() {
 		for j, cfg := range TraceConfigs() {
 			s := tableSum(3*i + j)
 			if cfg == "admission" {
 				s = withAdmission(s, 3*i+j)
 			}
-			tr = append(tr, TracePoint{Scenario: scenario, Config: cfg, Sum: s})
+			tr = append(tr, Cell{Scenario: scenario, Config: cfg, Sum: s})
 		}
 	}
-	block("trace", RenderTrace(tr))
+	block("trace", TraceTable.Render(tr))
 
-	var pfx []PrefixPoint
+	var pfx []Cell
 	for i, cached := range []bool{false, true} {
 		for j, r := range PrefixRouters() {
 			n := 3*i + j
@@ -152,10 +152,10 @@ func renderGoldenTables() string {
 					Evictions: n, Reloads: n % 3,
 				}
 			}
-			pfx = append(pfx, PrefixPoint{Router: r, Cached: cached, Sum: s})
+			pfx = append(pfx, Cell{Router: r, Cached: cached, Sum: s})
 		}
 	}
-	block("prefix", RenderPrefix(pfx))
+	block("prefix", PrefixTable.Render(pfx))
 
 	block("ablations", RenderAblations([]AblationRow{
 		{Name: "AdaServe (full)", Sum: tableSum(1).Aggregate},

@@ -29,12 +29,12 @@ func renderSum(requests, attained int, goodput float64) *metrics.ClusterSummary 
 }
 
 func TestRenderAutoscale(t *testing.T) {
-	pts := []AutoscalePoint{
+	pts := []Cell{
 		{Config: "static", Profile: "spike", Router: "round-robin", Sum: renderSum(90, 60, 500)},
 		{Config: "target-queue", Profile: "spike", Router: "round-robin", Sum: renderSum(90, 80, 620)},
 		{Config: "static", Profile: "diurnal", Router: "least-loaded", Sum: renderSum(120, 100, 550)},
 	}
-	out := RenderAutoscale(pts)
+	out := AutoscaleTable.Render(pts)
 	for _, want := range []string{
 		"== profile spike ==", "== profile diurnal ==",
 		"round-robin", "least-loaded", "static", "target-queue",
@@ -51,12 +51,12 @@ func TestRenderAutoscale(t *testing.T) {
 }
 
 func TestRenderClusterScaling(t *testing.T) {
-	pts := []ClusterPoint{
+	pts := []Cell{
 		{Replicas: 4, Router: "slo-aware", Sum: renderSum(100, 75, 400)},
 		{Replicas: 1, Router: "slo-aware", Sum: renderSum(25, 20, 110)},
 		{Replicas: 1, Router: "round-robin", Sum: renderSum(25, 15, 90)},
 	}
-	out := RenderClusterScaling(pts)
+	out := ClusterTable.Render(pts)
 	for _, want := range []string{"replicas", "slo-aware", "round-robin", "attainment %", "goodput tok/s", "request imbalance", "75.00"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered table missing %q:\n%s", want, out)
@@ -69,12 +69,12 @@ func TestRenderClusterScaling(t *testing.T) {
 }
 
 func TestRenderDisagg(t *testing.T) {
-	pts := []DisaggPoint{
+	pts := []Cell{
 		{Split: "3p1d", Router: "slo-aware", Mix: "default", Sum: renderSum(80, 70, 480)},
 		{Split: "2p2d", Router: "slo-aware", Mix: "default", Sum: renderSum(80, 64, 510)},
 		{Split: "3p1d", Router: "least-loaded", Mix: "prefill-heavy", Sum: renderSum(60, 40, 300)},
 	}
-	out := RenderDisagg(pts)
+	out := DisaggTable.Render(pts)
 	for _, want := range []string{
 		"== mix default ==", "== mix prefill-heavy ==",
 		"3p1d", "2p2d", "TTFT attainment %", "TPOT attainment %",
@@ -104,11 +104,11 @@ func TestRenderPrefix(t *testing.T) {
 		Lookups: 72, Hits: 60, HitTokens: 87008,
 		Evictions: 4, Reloads: 2, ReloadedTokens: 32,
 	}
-	pts := []PrefixPoint{
+	pts := []Cell{
 		{Router: "least-loaded", Cached: false, Sum: renderSum(72, 44, 310)},
 		{Router: "prefix-affinity", Cached: true, Sum: on},
 	}
-	out := RenderPrefix(pts)
+	out := PrefixTable.Render(pts)
 	for _, want := range []string{
 		"router", "prefix", "hit%", "savedTok",
 		"least-loaded", "off", "prefix-affinity", "on",

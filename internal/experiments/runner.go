@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -103,4 +104,60 @@ func runCells(setup ModelSetup, opts RunOptions, cells []cell) ([]Point, error) 
 		pts[i] = Point{System: c.kind, X: c.x, Label: c.label, Sum: sums[i]}
 	}
 	return pts, nil
+}
+
+// Cell is one grid point of a cluster sweep: the axis values that set it
+// apart from the sweep's other cells (each sweep sets the axes it varies)
+// and, once run, its summary.
+type Cell struct {
+	Replicas int
+	Split    string
+	Router   string
+	Mix      string
+	Config   string
+	Profile  string
+	Scenario string
+	Recovery string
+	Cached   bool
+	Sum      *metrics.ClusterSummary
+}
+
+// String lists the cell's set axes, e.g. "split=2P2D router=slo-aware".
+func (c Cell) String() string {
+	var parts []string
+	if c.Replicas > 0 {
+		parts = append(parts, fmt.Sprintf("n=%d", c.Replicas))
+	}
+	for _, kv := range [][2]string{
+		{"split", c.Split}, {"router", c.Router}, {"mix", c.Mix}, {"config", c.Config},
+		{"profile", c.Profile}, {"scenario", c.Scenario}, {"recovery", c.Recovery},
+	} {
+		if kv[1] != "" {
+			parts = append(parts, kv[0]+"="+kv[1])
+		}
+	}
+	if c.Cached {
+		parts = append(parts, "cached")
+	}
+	return strings.Join(parts, " ")
+}
+
+// runGrid runs every cell of a cluster sweep across opts.Parallel workers
+// and fills in each cell's summary, keeping cell order. Errors name the
+// sweep and the failing cell's axes.
+func runGrid(sweep string, opts RunOptions, cells []Cell, run func(Cell) (*metrics.ClusterSummary, error)) ([]Cell, error) {
+	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
+		sum, err := run(cells[i])
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", sweep, cells[i], err)
+		}
+		return sum, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range cells {
+		cells[i].Sum = sums[i]
+	}
+	return cells, nil
 }

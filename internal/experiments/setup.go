@@ -1,6 +1,15 @@
 // Package experiments assembles full serving configurations (Table 1) and
 // provides one driver per table/figure of the paper's evaluation, each
 // returning the rows/series the paper reports.
+//
+// The cluster sweeps (cluster, disagg, autoscale, adaptive, faults, prefix,
+// trace) are experiments as data. Each enumerates its grid as Cells — the
+// axis values that set a cell apart — and runGrid runs one cell function
+// over them in parallel, filling in each cell's summary. A cell function
+// builds its fleet with BuildCluster (one builder for colocated,
+// role-split, static and elastic fleets), arms its mid-run controllers
+// through a Controls value, and runs. Each sweep's Table is a column spec
+// the one renderer prints.
 package experiments
 
 import (
@@ -129,9 +138,6 @@ type BuildOptions struct {
 	Rule lm.VerifyRule
 	// MaxBatch overrides the running-sequence cap (default 256).
 	MaxBatch int
-	// Mode restricts admission for role-restricted replicas in a
-	// disaggregated cluster (default sched.ModeMixed).
-	Mode sched.Mode
 	// AdaServe overrides AdaServe's options.
 	AdaServe sched.AdaServeOptions
 	// StaticController forces AdaServe to fixed (d,w) (ablation) when both
@@ -156,6 +162,12 @@ type BuildOptions struct {
 // Build assembles a ready-to-run serving system of the given kind on the
 // given model setup.
 func Build(kind SystemKind, setup ModelSetup, opts BuildOptions) (sched.System, error) {
+	return build(kind, setup, opts, sched.ModeMixed)
+}
+
+// build is Build for a replica whose fleet role restricts its admission
+// mode.
+func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode) (sched.System, error) {
 	target := lm.MustSyntheticLM(setup.Target.Name, mathutil.Hash2(opts.Seed, 0x7a26e7), setup.Vocab, setup.Branch, setup.Sharpness, setup.Tail)
 	draft := lm.MustDraftLM(setup.Draft.Name, target, setup.Alpha, mathutil.Hash2(opts.Seed, 0xd12af7))
 	if opts.DisableDistCache {
@@ -206,7 +218,7 @@ func Build(kind SystemKind, setup ModelSetup, opts BuildOptions) (sched.System, 
 		MaxBatch:         maxBatch,
 		MaxPrefillTokens: 2048,
 		SchedOverhead:    30e-6,
-		Mode:             opts.Mode,
+		Mode:             mode,
 	}
 
 	switch kind {

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"adaserve/internal/adaptive"
-	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
-	"adaserve/internal/serve"
 	"adaserve/internal/trace"
 )
 
@@ -80,47 +77,23 @@ func CompileTraceSpec(spec *trace.Spec, setup ModelSetup, opts RunOptions) (*tra
 	})
 }
 
-// TracePoint is one (scenario, config) cell of the trace-replay sweep.
-type TracePoint struct {
-	Scenario string
-	Config   string
-	Sum      *metrics.ClusterSummary
-}
-
 // TraceReplay runs the trace experiment: each committed adversarial
 // scenario compiles once per seed and replays identically through the
 // static fleet, the admission gate, and the autoscaled fleet. The sweep
 // shows what each control mechanism buys against workload compositions —
 // correlated bursts, heavy-tail prompts — that the synthetic open-loop
 // profiles cannot express.
-func TraceReplay(setup ModelSetup, opts RunOptions) ([]TracePoint, error) {
+func TraceReplay(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	type traceCell struct {
-		scenario string
-		config   string
-	}
-	var cells []traceCell
+	var cells []Cell
 	for _, scenario := range TraceScenarios() {
 		for _, config := range TraceConfigs() {
-			cells = append(cells, traceCell{scenario: scenario, config: config})
+			cells = append(cells, Cell{Scenario: scenario, Config: config})
 		}
 	}
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		c := cells[i]
-		sum, err := TraceCell(setup, c.scenario, c.config, opts)
-		if err != nil {
-			return nil, fmt.Errorf("trace %s config=%s: %w", c.scenario, c.config, err)
-		}
-		return sum, nil
+	return runGrid("trace", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+		return TraceCell(setup, c.Scenario, c.Config, opts)
 	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]TracePoint, len(cells))
-	for i, c := range cells {
-		pts[i] = TracePoint{Scenario: c.scenario, Config: c.config, Sum: sums[i]}
-	}
-	return pts, nil
 }
 
 // TraceCell compiles one scenario and replays it under one configuration.
@@ -141,128 +114,34 @@ func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (*met
 		return nil, err
 	}
 
-	var cl *cluster.Cluster
-	srvOpts := serve.Options{}
-	var ctrl *adaptive.Controller
+	var ctl Controls
+	fleet := TraceFleet
+	var elastic *cluster.ElasticOptions
 	switch config {
-	case "static", "admission":
-		cl, err = BuildCluster(SysAdaServe, setup, TraceFleet, TraceRouter, BuildOptions{Seed: opts.Seed})
-		if err != nil {
+	case "static":
+	case "admission":
+		if ctl.Adaptive, err = AdaptiveConfig("admission", opts.Duration); err != nil {
 			return nil, err
-		}
-		if config == "admission" {
-			ctrl, err = adaptive.New(cl, adaptive.Config{
-				Interval:      AdaptiveInterval(opts.Duration),
-				Window:        AutoscaleWindow(opts.Duration),
-				DisableTuning: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			srvOpts.Adaptive = ctrl
 		}
 	case "autoscale":
-		cl, err = BuildElasticCluster(SysAdaServe, setup, TraceCapacity, TraceRouter,
-			cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: TraceFleet},
-			BuildOptions{Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		policy, err := autoscale.NewPolicy(TracePolicy)
-		if err != nil {
-			return nil, err
-		}
-		scaler, err := autoscale.New(cl, policy, autoscale.Options{
-			Interval: AutoscaleInterval(opts.Duration),
-			Window:   AutoscaleWindow(opts.Duration),
-		})
-		if err != nil {
-			return nil, err
-		}
-		srvOpts.Autoscaler = scaler
+		ctl.Policy = TracePolicy
+		fleet = TraceCapacity
+		elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: TraceFleet}
 	default:
 		return nil, fmt.Errorf("experiments: unknown trace config %q (want one of %s)",
 			config, strings.Join(TraceConfigs(), ", "))
 	}
-
-	srv, err := serve.NewServer(cl, srvOpts)
+	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, fleet), TraceRouter, elastic, BuildOptions{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	res := cl.Results(rr, nil)
-	if ctrl != nil {
-		sum := ctrl.Summary()
-		res.Summary.Admission = &sum
-	}
-	return res.Summary, nil
+	return ctl.run(cl, src, opts)
 }
 
-// RenderTrace formats the trace-replay sweep as one aligned table per
-// scenario: a row per control configuration, a column per headline metric.
-func RenderTrace(pts []TracePoint) string {
-	scenarios := make([]string, 0)
-	seenS := map[string]bool{}
-	configs := make([]string, 0)
-	seenC := map[string]bool{}
-	for _, p := range pts {
-		if !seenS[p.Scenario] {
-			seenS[p.Scenario] = true
-			scenarios = append(scenarios, p.Scenario)
-		}
-		if !seenC[p.Config] {
-			seenC[p.Config] = true
-			configs = append(configs, p.Config)
-		}
-	}
-	metricsCols := []struct {
-		name string
-		f    func(*metrics.ClusterSummary) float64
-	}{
-		{"goodput", func(s *metrics.ClusterSummary) float64 { return s.Goodput() }},
-		{"attain%", func(s *metrics.ClusterSummary) float64 { return 100 * s.Attainment() }},
-		{"ttftAtt%", func(s *metrics.ClusterSummary) float64 { return 100 * s.TTFTAttainment() }},
-		{"maxTTFT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.MaxTTFT }},
-		{"p50TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P50TPOT() }},
-		{"p99TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P99TPOT() }},
-		{"p999TPOT", func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P999TPOT() }},
-		{"degraded", func(s *metrics.ClusterSummary) float64 {
-			if s.Admission == nil {
-				return 0
-			}
-			return float64(s.Admission.Degraded)
-		}},
-		{"rejected", func(s *metrics.ClusterSummary) float64 {
-			if s.Admission == nil {
-				return 0
-			}
-			return float64(s.Admission.Rejected)
-		}},
-	}
-	var b strings.Builder
-	for _, scenario := range scenarios {
-		fmt.Fprintf(&b, "== scenario %s ==\n", scenario)
-		fmt.Fprintf(&b, "%-20s", "config")
-		for _, m := range metricsCols {
-			fmt.Fprintf(&b, "%12s", m.name)
-		}
-		b.WriteString("\n")
-		for _, cfg := range configs {
-			for _, p := range pts {
-				if p.Scenario != scenario || p.Config != cfg {
-					continue
-				}
-				fmt.Fprintf(&b, "%-20s", cfg)
-				for _, m := range metricsCols {
-					fmt.Fprintf(&b, "%12.2f", m.f(p.Sum))
-				}
-				b.WriteString("\n")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return strings.TrimSuffix(b.String(), "\n")
+// TraceTable prints the trace-replay sweep as one table per scenario: a
+// row per control configuration, a column per headline metric.
+var TraceTable = Table[Cell]{
+	Section: func(c Cell) string { return "== scenario " + c.Scenario + " ==" },
+	Row:     Axis[Cell]{Name: "config", Width: -20, Label: func(c Cell) string { return c.Config }},
+	Columns: sumCols(12, "%.2f", "goodput", "attain%", "ttftAtt%", "maxTTFT", "p50TPOT", "p99TPOT", "p999TPOT", "degraded", "rejected"),
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/serve"
 	"adaserve/internal/trace"
@@ -74,7 +75,7 @@ func TestGoldenTraceGrid(t *testing.T) {
 	// The rendered table covers every (scenario, config) cell of the same
 	// sweep: one section per scenario, one row per config, every headline
 	// column present.
-	table := RenderTrace(pts)
+	table := TraceTable.Render(pts)
 	for _, scenario := range TraceScenarios() {
 		if !strings.Contains(table, "== scenario "+scenario+" ==") {
 			t.Errorf("rendered table missing scenario %s:\n%s", scenario, table)
@@ -92,7 +93,7 @@ func TestGoldenTraceGrid(t *testing.T) {
 	}
 }
 
-func traceRows(pts []TracePoint) []goldenRow {
+func traceRows(pts []Cell) []goldenRow {
 	var rows []goldenRow
 	for _, p := range pts {
 		s := p.Sum
@@ -148,7 +149,7 @@ func TestExportReplayLoop(t *testing.T) {
 	const duration = 8
 	runOnce := func(src serve.Source) *trace.Trace {
 		t.Helper()
-		cl, err := BuildCluster(SysAdaServe, setup, 2, "slo-aware", BuildOptions{Seed: 1})
+		cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware", nil, BuildOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,8 @@ import "testing"
 
 // TestSharedRunBoundDefaults is the single home of the run-bound defaults
 // shared by every driver entry point: serve.Options resolves zero values
-// here, and sim.Options / cluster.Options forward their zero values to this
-// fill — so the 24h / 50M numbers live in exactly one place.
+// here, and sim.Run / cluster.Run pass zero Options through this fill — so
+// the 24h / 50M numbers live in exactly one place.
 func TestSharedRunBoundDefaults(t *testing.T) {
 	var o Options
 	o.fill()

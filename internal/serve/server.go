@@ -24,9 +24,9 @@ import (
 	"adaserve/internal/request"
 )
 
-// Run-bound defaults shared by every driver entry point (serve.Options,
-// sim.Options and cluster.Options all resolve zero values to these — the
-// one place the numbers live).
+// Run-bound defaults shared by every driver entry point (serve.Options
+// resolves zero values to these, and sim.Run / cluster.Run always run under
+// them — the one place the numbers live).
 const (
 	// DefaultMaxSimTime aborts runs whose simulated clock exceeds 24 hours.
 	DefaultMaxSimTime = 24 * 3600.0

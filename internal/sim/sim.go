@@ -20,15 +20,6 @@ import (
 	"adaserve/internal/serve"
 )
 
-// Options bounds a run. Zero values resolve to the shared driver defaults
-// (serve.DefaultMaxSimTime, serve.DefaultMaxIterations).
-type Options struct {
-	// MaxSimTime aborts runs whose simulated clock exceeds this (0: 24h).
-	MaxSimTime float64
-	// MaxIterations aborts runaway runs (0: 50 million).
-	MaxIterations int
-}
-
 // Result reports a completed run.
 type Result struct {
 	Summary *metrics.Summary
@@ -40,16 +31,15 @@ type Result struct {
 	Breakdown metrics.Breakdown
 }
 
-// Run drives the system over the request trace until every request is done.
-func Run(sys sched.System, reqs []*request.Request, opts Options) (*Result, error) {
+// Run drives the system over the request trace until every request is done,
+// under the driver's default run bounds (serve.DefaultMaxSimTime,
+// serve.DefaultMaxIterations).
+func Run(sys sched.System, reqs []*request.Request) (*Result, error) {
 	src, err := serve.NewTraceSource(reqs)
 	if err != nil {
 		return nil, err
 	}
-	srv, err := serve.NewServer(serve.SingleSystem(sys), serve.Options{
-		MaxSimTime:    opts.MaxSimTime,
-		MaxIterations: opts.MaxIterations,
-	})
+	srv, err := serve.NewServer(serve.SingleSystem(sys), serve.Options{})
 	if err != nil {
 		return nil, err
 	}

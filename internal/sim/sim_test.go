@@ -44,7 +44,7 @@ func mkReqs(n int, gap float64) []*request.Request {
 func TestRunCompletesAllRequests(t *testing.T) {
 	sys := testSystem(t, 100000)
 	reqs := mkReqs(10, 0.1)
-	res, err := Run(sys, reqs, Options{})
+	res, err := Run(sys, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRunHandlesIdleGaps(t *testing.T) {
 	// Arrivals separated by long gaps: the simulator must jump the clock.
 	sys := testSystem(t, 100000)
 	reqs := mkReqs(3, 100.0)
-	res, err := Run(sys, reqs, Options{})
+	res, err := Run(sys, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRunHandlesIdleGaps(t *testing.T) {
 func TestRunValidatesRequests(t *testing.T) {
 	sys := testSystem(t, 100000)
 	bad := request.New(1, request.Chat, 0, 0, 64, 8, 1)
-	if _, err := Run(sys, []*request.Request{bad}, Options{}); err == nil {
+	if _, err := Run(sys, []*request.Request{bad}); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 }
@@ -90,34 +90,16 @@ func TestRunDetectsDeadlock(t *testing.T) {
 	// KV too small for the request: admission can never succeed.
 	sys := testSystem(t, 32)
 	reqs := []*request.Request{request.New(1, request.Chat, 0.05, 0, 64, 8, 1)}
-	_, err := Run(sys, reqs, Options{})
+	_, err := Run(sys, reqs)
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
 	}
 }
 
-func TestRunRespectsMaxSimTime(t *testing.T) {
-	sys := testSystem(t, 100000)
-	reqs := mkReqs(5, 1000.0) // arrivals span 5000s
-	_, err := Run(sys, reqs, Options{MaxSimTime: 10})
-	if err == nil || !strings.Contains(err.Error(), "max simulated time") {
-		t.Fatalf("want max-sim-time error, got %v", err)
-	}
-}
-
-func TestRunRespectsMaxIterations(t *testing.T) {
-	sys := testSystem(t, 100000)
-	reqs := mkReqs(5, 0.05)
-	_, err := Run(sys, reqs, Options{MaxIterations: 2})
-	if err == nil || !strings.Contains(err.Error(), "max iterations") {
-		t.Fatalf("want max-iterations error, got %v", err)
-	}
-}
-
 func TestRunDefaultBoundsPermitNormalRuns(t *testing.T) {
-	// Zero-valued Options mean the generous defaults, not zero budgets.
+	// Run uses the generous driver defaults, not zero budgets.
 	sys := testSystem(t, 100000)
-	if _, err := Run(sys, mkReqs(3, 0.05), Options{}); err != nil {
+	if _, err := Run(sys, mkReqs(3, 0.05)); err != nil {
 		t.Fatalf("default bounds aborted a normal run: %v", err)
 	}
 }
@@ -126,7 +108,7 @@ func TestRunDeterminism(t *testing.T) {
 	run := func() (float64, int) {
 		sys := testSystem(t, 100000)
 		reqs := mkReqs(20, 0.05)
-		res, err := Run(sys, reqs, Options{})
+		res, err := Run(sys, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +124,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestRunBreakdownAccumulates(t *testing.T) {
 	sys := testSystem(t, 100000)
 	reqs := mkReqs(5, 0.05)
-	res, err := Run(sys, reqs, Options{})
+	res, err := Run(sys, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +147,7 @@ func TestRunArrivalsVisibleAtBoundaries(t *testing.T) {
 	// iteration after its arrival: its AdmitTime >= its ArrivalTime.
 	sys := testSystem(t, 100000)
 	reqs := mkReqs(10, 0.013)
-	if _, err := Run(sys, reqs, Options{}); err != nil {
+	if _, err := Run(sys, reqs); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reqs {

@@ -377,6 +377,59 @@ func BenchmarkEngineIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkPrefixProbe prices one prefix-affinity routing decision — a
+// cached-prefix probe of every replica plus the pick — on a warm 8-replica
+// prefix-caching fleet where each replica has served one tenant's first
+// turn. The hit sub-benchmark routes a follow-up whose 2,048-token system
+// prompt one replica holds (that replica's probe walks the whole cached
+// prefix, the other seven stop at their first block); cold routes a prompt
+// no replica holds, so every probe costs one block hash. Both report
+// 0 allocs/op.
+func BenchmarkPrefixProbe(b *testing.B) {
+	const fleet, systemPrompt = 8, 2048
+	cl, err := experiments.BuildCluster(experiments.SysAdaServe, experiments.Llama70B(),
+		make([]cluster.Role, fleet), "prefix-affinity", nil,
+		experiments.BuildOptions{Seed: 1, Prefix: true, PrefixHostBlocks: experiments.PrefixHostTier})
+	if err != nil {
+		b.Fatal(err)
+	}
+	turn := func(id int, tenant uint64, tail int) *request.Request {
+		r := request.New(id, request.Chat, 0.05, 0, systemPrompt+tail, 8, uint64(id)+1)
+		r.PromptSegs = []request.PromptSegment{
+			{Seed: tenant, Len: systemPrompt},
+			{Seed: mathutil.Hash2(tenant, uint64(id)), Len: tail},
+		}
+		return r
+	}
+	replicas := cl.Replicas()
+	for i, rep := range replicas {
+		sys := rep.System()
+		sys.Pool().Enqueue(turn(i, uint64(i)+1, 256))
+		for now := 0.0; sys.Pool().NumWaiting()+sys.Pool().NumRunning() > 0; {
+			now += sys.Iterate(now).Elapsed
+		}
+	}
+	for _, c := range []struct {
+		name string
+		r    *request.Request
+		want int
+	}{
+		{"hit", turn(fleet, 3, 512), 2},
+		{"cold", turn(fleet+1, 0xc01d, 512), -1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var router cluster.PrefixAffinity
+			if got := router.Route(c.r, replicas); c.want >= 0 && got != c.want {
+				b.Fatalf("routed to replica %d, want %d (the one holding the prefix)", got, c.want)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				router.Route(c.r, replicas)
+			}
+		})
+	}
+}
+
 // BenchmarkAutoscaleGrid runs a reduced autoscaling grid end to end — the
 // equal-peak static fleet against the rate-prop elastic policy under both
 // time-varying profiles at one router — reporting the cost-efficiency

@@ -336,36 +336,31 @@ type PrefixAffinity struct{}
 // Name implements Router.
 func (PrefixAffinity) Name() string { return "prefix-affinity" }
 
-// Route implements Router.
+// Route implements Router. One allocation-free pass keeps the best replica
+// so far: the longest cached prefix, then the least load — affinity must not
+// dog-pile one replica once the hot prefix is resident on several — then
+// the lowest index.
 func (PrefixAffinity) Route(r *request.Request, replicas []*Replica) int {
-	cached := make([]int, len(replicas))
-	maxCached := 0
-	for i, rep := range replicas {
-		if p, ok := rep.System().(PrefixProber); ok {
-			cached[i] = p.PrefixCachedTokens(r)
-			if cached[i] > maxCached {
-				maxCached = cached[i]
-			}
-		}
-	}
-	if maxCached == 0 {
-		return LeastLoaded{}.Route(r, replicas)
-	}
-	// Among the replicas holding the longest cached prefix, take the least
-	// loaded (lowest index on ties) — affinity must not dog-pile one replica
-	// once the hot prefix is resident on several.
 	load := (*Replica).QueuedTokens
 	if prefillDispatch(replicas) {
 		load = (*Replica).QueuedPrefillTokens
 	}
-	best, bestTokens := -1, 0
+	best, bestCached, bestLoad := -1, 0, 0
 	for i, rep := range replicas {
-		if cached[i] != maxCached {
+		p, ok := rep.System().(PrefixProber)
+		if !ok {
 			continue
 		}
-		if t := load(rep); best < 0 || t < bestTokens {
-			best, bestTokens = i, t
+		c := p.PrefixCachedTokens(r)
+		if c == 0 || c < bestCached {
+			continue
 		}
+		if t := load(rep); c > bestCached || t < bestLoad {
+			best, bestCached, bestLoad = i, c, t
+		}
+	}
+	if best < 0 {
+		return LeastLoaded{}.Route(r, replicas)
 	}
 	return best
 }

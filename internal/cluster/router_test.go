@@ -290,6 +290,24 @@ func TestPrefixAffinityTieBreaksLeastLoaded(t *testing.T) {
 	}
 }
 
+// TestPrefixAffinityPickOrderAllocatesNothing pins the single pass's full
+// order — longest cached prefix, then least load, then lowest index, with
+// unprobeable replicas skipped — and that a routing decision allocates
+// nothing.
+func TestPrefixAffinityPickOrderAllocatesNothing(t *testing.T) {
+	c := proberCluster(t, []int{128, 512, -1, 512, 512})
+	reps := c.Replicas()
+	loadReplica(reps[1], 100, 300, 0.05)
+	r := tightReq(1)
+	var router PrefixAffinity
+	if got := router.Route(r, reps); got != 3 {
+		t.Fatalf("routed to replica %d, want 3 (cached tie with 4 on load, lower index)", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { router.Route(r, reps) }); allocs != 0 {
+		t.Fatalf("Route allocates %.1f times per decision, want 0", allocs)
+	}
+}
+
 func TestPrefixAffinityColdFleetFallsBackToLeastLoaded(t *testing.T) {
 	// Nothing cached anywhere (including a replica that cannot even be
 	// probed): the policy must behave exactly like least-loaded.

@@ -46,11 +46,13 @@ func ConfigForTokens(capacityTokens, blockSize int) Config {
 // runs parallel to blocks over the prompt's full blocks: a non-zero entry is
 // the fingerprint of a registry-backed (shared or shareable) block, 0 marks a
 // private block. hashes is always at most as long as blocks and empty when
-// prefix caching is off.
+// prefix caching is off. published is MarkComputed's watermark: the leading
+// hashes it has already passed (at most len(hashes)).
 type seq struct {
-	blocks []int
-	tokens int
-	hashes []uint64
+	blocks    []int
+	tokens    int
+	hashes    []uint64
+	published int
 }
 
 // Allocator manages the block pool. It is not safe for concurrent use; the
@@ -204,6 +206,7 @@ func (a *Allocator) Shrink(seqID, n int) error {
 			a.free = append(a.free, last)
 		}
 	}
+	s.published = min(s.published, len(s.hashes))
 	return nil
 }
 

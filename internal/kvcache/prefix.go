@@ -131,6 +131,19 @@ type prefixState struct {
 	cold  lruList // refs == 0, GPU-resident, LRU reclaim order
 	host  lruList // offloaded entries, LRU drop order
 	stats PrefixStats
+	// scratch is one block of token seeds: every walk over a prompt fills
+	// it block by block, so matching and registration never materialize a
+	// prompt's seeds.
+	scratch []uint64
+}
+
+// Prompt is a prompt as prefix caching reads it: its length in tokens and
+// the content seeds of any window of its positions, filled into a
+// caller-owned buffer. The allocator walks it one block at a time and hashes
+// only the blocks it visits. *request.Request implements it.
+type Prompt interface {
+	PromptTokens() int
+	FillPromptSeeds(start int, dst []uint64)
 }
 
 // prefixChainSeed anchors the block fingerprint chain.
@@ -150,6 +163,40 @@ func blockChainHash(prev uint64, tokens []uint64) uint64 {
 	return h
 }
 
+// blockHash extends the fingerprint chain over block b of prompt, read
+// through the allocator's scratch buffer.
+func (a *Allocator) blockHash(prev uint64, prompt Prompt, b int) uint64 {
+	buf := a.prefix.scratch
+	prompt.FillPromptSeeds(b*len(buf), buf)
+	return blockChainHash(prev, buf)
+}
+
+// walkPrefix matches prompt's full blocks within its first limit tokens
+// against the fingerprint table, hashing one block at a time and stopping at
+// the first block without a computed entry — on a cold cache the walk costs a
+// single block hash. visit, when non-nil, sees each matched entry in position
+// order. It returns the matched block count and the fingerprint of the last
+// matched block (prefixChainSeed when none matched), from which a caller
+// continues the chain.
+func (a *Allocator) walkPrefix(prompt Prompt, limit int, visit func(*shared)) (int, uint64) {
+	bs := a.cfg.BlockSize
+	limit = min(limit, prompt.PromptTokens())
+	h := prefixChainSeed
+	b := 0
+	for ; (b+1)*bs <= limit; b++ {
+		next := a.blockHash(h, prompt, b)
+		e := a.prefix.table[next]
+		if e == nil || !e.computed {
+			break
+		}
+		if visit != nil {
+			visit(e)
+		}
+		h = next
+	}
+	return b, h
+}
+
 // EnablePrefix turns on shared-prefix reuse. It must be called on an empty
 // allocator (no sequences registered), before any allocation.
 func (a *Allocator) EnablePrefix(cfg PrefixConfig) error {
@@ -162,7 +209,7 @@ func (a *Allocator) EnablePrefix(cfg PrefixConfig) error {
 	if cfg.HostBlocks < 0 {
 		return fmt.Errorf("kvcache: negative host tier size %d", cfg.HostBlocks)
 	}
-	a.prefix = &prefixState{cfg: cfg, table: make(map[uint64]*shared)}
+	a.prefix = &prefixState{cfg: cfg, table: make(map[uint64]*shared), scratch: make([]uint64, a.cfg.BlockSize)}
 	return nil
 }
 
@@ -265,52 +312,35 @@ func (a *Allocator) release(h uint64) {
 	p.cold.pushBack(e)
 }
 
-// MatchPrefix returns the longest computed cached prefix of the given prompt
-// token seeds: the cached length in tokens (a multiple of the block size)
+// MatchPrefix returns the longest computed cached prefix of prompt's first
+// limit tokens: the cached length in tokens (a multiple of the block size)
 // and the matched block IDs in position order, -1 marking blocks resident on
 // the host tier (matchable, but an allocation against them pays a reload).
 // Read-only: no reference counts, LRU positions or stats change.
-func (a *Allocator) MatchPrefix(tokens []uint64) (int, []int) {
+func (a *Allocator) MatchPrefix(prompt Prompt, limit int) (int, []int) {
 	if a.prefix == nil {
 		return 0, nil
 	}
-	bs := a.cfg.BlockSize
 	var blocks []int
-	h := prefixChainSeed
-	for b := 0; (b+1)*bs <= len(tokens); b++ {
-		h = blockChainHash(h, tokens[b*bs:(b+1)*bs])
-		e := a.prefix.table[h]
-		if e == nil || !e.computed {
-			break
-		}
+	n, _ := a.walkPrefix(prompt, limit, func(e *shared) {
 		id := e.id
 		if e.onHost {
 			id = -1
 		}
 		blocks = append(blocks, id)
-	}
-	return len(blocks) * bs, blocks
+	})
+	return n * a.cfg.BlockSize, blocks
 }
 
-// MatchPrefixTokens is the allocation-free probe routers use: the cached
-// prefix length MatchPrefix would report, without materializing the block
-// list.
-func (a *Allocator) MatchPrefixTokens(tokens []uint64) int {
+// MatchPrefixTokens is the probe routers use: the cached prefix length
+// MatchPrefix would report, without materializing the block list. It
+// allocates nothing and hashes only up to the first missing block.
+func (a *Allocator) MatchPrefixTokens(prompt Prompt, limit int) int {
 	if a.prefix == nil {
 		return 0
 	}
-	bs := a.cfg.BlockSize
-	matched := 0
-	h := prefixChainSeed
-	for b := 0; (b+1)*bs <= len(tokens); b++ {
-		h = blockChainHash(h, tokens[b*bs:(b+1)*bs])
-		e := a.prefix.table[h]
-		if e == nil || !e.computed {
-			break
-		}
-		matched += bs
-	}
-	return matched
+	n, _ := a.walkPrefix(prompt, limit, nil)
+	return n * a.cfg.BlockSize
 }
 
 // AllocateWithPrefix registers a new sequence reserving tokens tokens, like
@@ -320,9 +350,10 @@ func (a *Allocator) MatchPrefixTokens(tokens []uint64) int {
 // free list, and the sequence's own remaining full prompt blocks are
 // registered as shareable for later arrivals. Capacity is only needed for
 // the unmatched remainder (plus one GPU slot per host-resident match), which
-// is how prefix reuse stretches KV capacity. With prefix caching disabled it
-// degrades to plain Allocate.
-func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, matchLimit int) (PrefixHit, error) {
+// is how prefix reuse stretches KV capacity. Both the match and the
+// registration read the prompt one block at a time. With prefix caching
+// disabled it degrades to plain Allocate.
+func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLimit int) (PrefixHit, error) {
 	var hit PrefixHit
 	if a.prefix == nil {
 		return hit, a.Allocate(seqID, tokens)
@@ -335,29 +366,13 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 	}
 	p := a.prefix
 	bs := a.cfg.BlockSize
-	if matchLimit > tokens {
-		matchLimit = tokens
-	}
-	if matchLimit > len(prompt) {
-		matchLimit = len(prompt)
-	}
+	promptLen := prompt.PromptTokens()
+	matchLimit = min(matchLimit, tokens, promptLen)
 
 	// Match: walk the fingerprint chain over full blocks while computed
 	// entries exist.
 	var matched []*shared
-	var chain []uint64
-	h := prefixChainSeed
-	b := 0
-	for ; (b+1)*bs <= matchLimit; b++ {
-		h2 := blockChainHash(h, prompt[b*bs:(b+1)*bs])
-		e := p.table[h2]
-		if e == nil || !e.computed {
-			break
-		}
-		matched = append(matched, e)
-		chain = append(chain, h2)
-		h = h2
-	}
+	b, h := a.walkPrefix(prompt, matchLimit, func(e *shared) { matched = append(matched, e) })
 	if matchLimit > 0 {
 		p.stats.Lookups++
 	}
@@ -390,8 +405,9 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 	// off the reclaim list before popAvailable can evict them.
 	s := &seq{tokens: tokens}
 	s.blocks = make([]int, 0, totalBlocks)
-	s.hashes = append(s.hashes, chain...)
+	s.hashes = make([]uint64, 0, min(promptLen, tokens)/bs)
 	for _, e := range matched {
+		s.hashes = append(s.hashes, e.hash)
 		if e.onHost {
 			s.blocks = append(s.blocks, -1) // reload slot, filled below
 			continue
@@ -436,8 +452,8 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 	// Register the sequence's remaining full prompt blocks as shareable.
 	// The fingerprint chain continues across blocks whose hash is already
 	// claimed (content is content); such blocks simply stay private here.
-	for ; (b+1)*bs <= len(prompt) && (b+1)*bs <= tokens; b++ {
-		h = blockChainHash(h, prompt[b*bs:(b+1)*bs])
+	for ; (b+1)*bs <= promptLen && (b+1)*bs <= tokens; b++ {
+		h = a.blockHash(h, prompt, b)
 		if p.table[h] == nil {
 			p.table[h] = &shared{hash: h, id: s.blocks[b], refs: 1}
 			s.hashes = append(s.hashes, h)
@@ -458,8 +474,11 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt []uint64, match
 // MarkComputed records that a sequence's prompt KV is materialized up to
 // doneTokens: its registry-backed blocks fully covered by that length become
 // matchable by later allocations. Schedulers call this as prefill
-// progresses; blocks acquired from the cache were computed already, so
-// re-marking them is a no-op.
+// progresses, typically every iteration for every running sequence, so each
+// block is visited once: the sequence's published watermark records how many
+// leading blocks earlier calls already passed, and the walk resumes there.
+// Blocks acquired from the cache were computed already; passing them is a
+// no-op.
 func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	if a.prefix == nil {
 		return
@@ -469,17 +488,15 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 		return
 	}
 	bs := a.cfg.BlockSize
-	for i, h := range s.hashes {
-		if (i+1)*bs > doneTokens {
-			break
-		}
-		if h == 0 {
-			continue
-		}
-		if e := a.prefix.table[h]; e != nil {
-			e.computed = true
+	i := s.published
+	for ; i < len(s.hashes) && (i+1)*bs <= doneTokens; i++ {
+		if h := s.hashes[i]; h != 0 {
+			if e := a.prefix.table[h]; e != nil {
+				e.computed = true
+			}
 		}
 	}
+	s.published = i
 }
 
 // CheckInvariants verifies the allocator's full accounting: every block is
@@ -513,6 +530,14 @@ func (a *Allocator) CheckInvariants() error {
 		}
 		if len(s.hashes) > len(s.blocks) {
 			return fmt.Errorf("kvcache: seq %d has %d hashes for %d blocks", seqID, len(s.hashes), len(s.blocks))
+		}
+		if s.published > len(s.hashes) {
+			return fmt.Errorf("kvcache: seq %d published watermark %d past its %d hashes", seqID, s.published, len(s.hashes))
+		}
+		for i := 0; i < s.published; i++ {
+			if e := a.prefix.table[s.hashes[i]]; e != nil && !e.computed {
+				return fmt.Errorf("kvcache: seq %d block %d below the published watermark is uncomputed", seqID, i)
+			}
 		}
 		for i, id := range s.blocks {
 			if i < len(s.hashes) && s.hashes[i] != 0 {

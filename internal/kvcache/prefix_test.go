@@ -17,9 +17,16 @@ func newPrefixAlloc(t *testing.T, blockSize, numBlocks int, cfg PrefixConfig) *A
 	return a
 }
 
+// seeds adapts a materialized token-seed slice to the Prompt interface.
+type seeds []uint64
+
+func (s seeds) PromptTokens() int { return len(s) }
+
+func (s seeds) FillPromptSeeds(start int, dst []uint64) { copy(dst, s[start:start+len(dst)]) }
+
 // prompt fabricates deterministic token seeds for n tokens of "document" doc.
-func prompt(doc uint64, n int) []uint64 {
-	out := make([]uint64, n)
+func prompt(doc uint64, n int) seeds {
+	out := make(seeds, n)
 	for i := range out {
 		out[i] = mathutil.Hash2(doc, uint64(i))
 	}
@@ -108,14 +115,14 @@ func TestPrefixMatchSkipsSharedBlocks(t *testing.T) {
 	check(t, a)
 
 	// Until prefill completes the registered blocks are not matchable.
-	if n := a.MatchPrefixTokens(doc); n != 0 {
+	if n := a.MatchPrefixTokens(doc, len(doc)); n != 0 {
 		t.Fatalf("uncomputed blocks matched %d tokens", n)
 	}
 	a.MarkComputed(1, 12)
-	if n := a.MatchPrefixTokens(doc); n != 12 {
+	if n := a.MatchPrefixTokens(doc, len(doc)); n != 12 {
 		t.Fatalf("computed prefix matches %d tokens, want 12", n)
 	}
-	n, blocks := a.MatchPrefix(doc)
+	n, blocks := a.MatchPrefix(doc, len(doc))
 	if n != 12 || len(blocks) != 3 {
 		t.Fatalf("MatchPrefix = %d tokens, %v", n, blocks)
 	}
@@ -187,7 +194,7 @@ func TestPrefixCopyOnWriteDiverges(t *testing.T) {
 		t.Fatalf("shared block written without copy: %v vs %v", bt1, bt2)
 	}
 	// Sequence 1's copy is untouched and still matchable in full.
-	if n := a.MatchPrefixTokens(doc); n != 8 {
+	if n := a.MatchPrefixTokens(doc, len(doc)); n != 8 {
 		t.Fatalf("donor prefix matches %d tokens after COW, want 8", n)
 	}
 	if err := a.Free(1); err != nil {
@@ -219,8 +226,8 @@ func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, a)
-	if a.ColdBlocks() != 2 || a.MatchPrefixTokens(docA) != 8 {
-		t.Fatalf("cold=%d match=%d after free", a.ColdBlocks(), a.MatchPrefixTokens(docA))
+	if a.ColdBlocks() != 2 || a.MatchPrefixTokens(docA, len(docA)) != 8 {
+		t.Fatalf("cold=%d match=%d after free", a.ColdBlocks(), a.MatchPrefixTokens(docA, len(docA)))
 	}
 
 	// B needs the whole pool: both cold blocks are reclaimed and demote to
@@ -233,10 +240,10 @@ func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 	if st.Evictions != 2 || st.HostEvictions != 0 || a.HostBlocksResident() != 2 {
 		t.Fatalf("after pressure: %+v, host %d", st, a.HostBlocksResident())
 	}
-	if a.MatchPrefixTokens(docA) != 8 {
+	if a.MatchPrefixTokens(docA, len(docA)) != 8 {
 		t.Fatal("host-resident prefix no longer matchable")
 	}
-	n, blocks := a.MatchPrefix(docA)
+	n, blocks := a.MatchPrefix(docA, len(docA))
 	if n != 8 || blocks[0] != -1 || blocks[1] != -1 {
 		t.Fatalf("MatchPrefix on host tier = %d, %v (want -1 markers)", n, blocks)
 	}
@@ -290,7 +297,7 @@ func TestPrefixHostTierOverflowDrops(t *testing.T) {
 	// the host LRU); the surviving second block is unreachable without its
 	// predecessor, because a chained fingerprint match must be contiguous
 	// from the prompt start.
-	if n := a.MatchPrefixTokens(prompt(1, 8)); n != 0 {
+	if n := a.MatchPrefixTokens(prompt(1, 8), 8); n != 0 {
 		t.Fatalf("broken chain still matches %d tokens", n)
 	}
 }
@@ -312,7 +319,7 @@ func TestPrefixNoTierDropsOnEviction(t *testing.T) {
 	if st.Evictions != 2 || a.HostBlocksResident() != 0 {
 		t.Fatalf("tier-less eviction: %+v, host %d", st, a.HostBlocksResident())
 	}
-	if a.MatchPrefixTokens(prompt(1, 8)) != 0 {
+	if a.MatchPrefixTokens(prompt(1, 8), 8) != 0 {
 		t.Fatal("dropped blocks still match")
 	}
 }
@@ -478,7 +485,108 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 		t.Fatalf("hit %+v, want 4 cached tokens, all reloaded", hit)
 	}
 	a.MarkComputed(4, 8)
-	if got := a.MatchPrefixTokens(prompt(1, 8)); got != 8 {
+	if got := a.MatchPrefixTokens(prompt(1, 8), 8); got != 8 {
 		t.Fatalf("donor prefix matches %d tokens after reload, want 8", got)
+	}
+}
+
+// countingPrompt counts the blocks a walk reads from its prompt.
+type countingPrompt struct {
+	seeds
+	fills int
+}
+
+func (c *countingPrompt) FillPromptSeeds(start int, dst []uint64) {
+	c.fills++
+	c.seeds.FillPromptSeeds(start, dst)
+}
+
+// TestMatchStopsAtFirstMiss pins the streamed walk's cost: a probe reads one
+// block per matched block plus the first miss, and a cold cache costs one.
+func TestMatchStopsAtFirstMiss(t *testing.T) {
+	a := newPrefixAlloc(t, 4, 16, PrefixConfig{})
+	probe := &countingPrompt{seeds: prompt(5, 24)}
+	if n := a.MatchPrefixTokens(probe, 24); n != 0 || probe.fills != 1 {
+		t.Fatalf("cold probe matched %d tokens reading %d blocks, want 0 reading 1", n, probe.fills)
+	}
+	if _, err := a.AllocateWithPrefix(1, 8, prompt(5, 8), 0); err != nil {
+		t.Fatal(err)
+	}
+	a.MarkComputed(1, 8)
+	probe.fills = 0
+	if n := a.MatchPrefixTokens(probe, 24); n != 8 || probe.fills != 3 {
+		t.Fatalf("warm probe matched %d tokens reading %d blocks, want 8 reading 3", n, probe.fills)
+	}
+	// The limit bounds the walk: blocks past it are never read.
+	probe.fills = 0
+	if n := a.MatchPrefixTokens(probe, 7); n != 4 || probe.fills != 1 {
+		t.Fatalf("limited probe matched %d tokens reading %d blocks, want 4 reading 1", n, probe.fills)
+	}
+}
+
+// TestMarkComputedWatermark drives chunked prefill in steps that are not
+// block multiples and checks that each registry-backed block becomes
+// matchable exactly when the done length covers it, that the watermark
+// tracks the passed blocks (so later calls resume instead of rescanning),
+// and that Shrink clamps the watermark to the surviving hashes.
+func TestMarkComputedWatermark(t *testing.T) {
+	const bs = 4
+	a := newPrefixAlloc(t, bs, 16, PrefixConfig{})
+	doc := prompt(3, 14) // three full, shareable blocks plus a partial one
+	if _, err := a.AllocateWithPrefix(1, 20, doc, 0); err != nil {
+		t.Fatal(err)
+	}
+	check(t, a)
+	want := func(done int) {
+		t.Helper()
+		check(t, a)
+		blocks := min(done/bs, 3)
+		if got := a.MatchPrefixTokens(doc, len(doc)); got != blocks*bs {
+			t.Fatalf("after MarkComputed(%d): %d tokens matchable, want %d", done, got, blocks*bs)
+		}
+		if got := a.seqs[1].published; got != blocks {
+			t.Fatalf("after MarkComputed(%d): watermark %d, want %d", done, got, blocks)
+		}
+	}
+	high := 0
+	for _, done := range []int{3, 6, 5, 7, 9, 13, 14, 20} {
+		a.MarkComputed(1, done)
+		high = max(high, done) // a smaller done never unpublishes
+		want(high)
+	}
+
+	// Shrinking below the watermark releases the tail block (cold, still
+	// matchable) and clamps the watermark; publishing again is a no-op.
+	if err := a.Shrink(1, 15); err != nil {
+		t.Fatal(err)
+	}
+	check(t, a)
+	if got := a.seqs[1].published; got != 2 {
+		t.Fatalf("watermark %d after shrinking to 2 blocks, want 2", got)
+	}
+	a.MarkComputed(1, 20)
+	check(t, a)
+	if got := a.seqs[1].published; got != 2 {
+		t.Fatalf("watermark %d after re-publishing a shrunk sequence, want 2", got)
+	}
+	if got := a.MatchPrefixTokens(doc, len(doc)); got != 12 {
+		t.Fatalf("%d tokens matchable after shrink, want 12", got)
+	}
+
+	// A sequence that takes the blocks by reference starts its own watermark
+	// at zero and passes the already-computed blocks as prefill covers them.
+	hit, err := a.AllocateWithPrefix(2, 16, doc, 12)
+	if err != nil || hit.Tokens != 12 {
+		t.Fatalf("hit %+v, err %v; want the 12 published tokens", hit, err)
+	}
+	check(t, a)
+	a.MarkComputed(2, 1)
+	if got := a.seqs[2].published; got != 0 {
+		t.Fatalf("seq 2 watermark %d after 1 token, want 0", got)
+	}
+	a.MarkComputed(2, 12)
+	check(t, a)
+	if got := a.seqs[2].published; got != 3 {
+		t.Fatalf("seq 2 watermark %d after 12 tokens, want 3", got)
 	}
 }

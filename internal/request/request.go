@@ -108,7 +108,10 @@ type Request struct {
 	// where their segment decompositions agree position by position. Segment
 	// lengths must sum to PromptLen. nil means the whole prompt is one
 	// request-private segment derived from Seed, so requests without session
-	// structure never alias each other's cache entries.
+	// structure never alias each other's cache entries. The segments are the
+	// whole per-request record of prompt content: FillPromptSeeds derives any
+	// window's seeds from them on demand, so no per-token seed slice is ever
+	// stored or materialized.
 	PromptSegs []PromptSegment
 
 	// Phase is the current lifecycle stage.
@@ -175,36 +178,37 @@ type PromptSegment struct {
 	Len  int
 }
 
-// PromptSeeds returns the content seeds of the first n prompt tokens
-// (clipped to PromptLen): the position-stable token identities prefix
-// caching hashes into block fingerprints. Two requests agree on a position's
-// seed iff their segment decompositions agree up to that position.
-func (r *Request) PromptSeeds(n int) []uint64 {
-	if n > r.PromptLen {
-		n = r.PromptLen
+// PromptTokens returns the prompt length in tokens. Together with
+// FillPromptSeeds it is the prompt view prefix caching walks block by block.
+func (r *Request) PromptTokens() int { return r.PromptLen }
+
+// FillPromptSeeds writes the content seeds of prompt positions
+// [start, start+len(dst)) into dst without allocating: the position-stable
+// token identities prefix caching hashes into block fingerprints. Position p
+// inside segment s (at offset o from the segment's start) has seed
+// Hash2(s.Seed, o); with no segments, and past the end of segments that sum
+// short of PromptLen, it has the request-private seed Hash2(Seed, p). Two
+// requests agree on a position's seed iff their segment decompositions agree
+// up to that position. The window must lie within [0, PromptLen).
+func (r *Request) FillPromptSeeds(start int, dst []uint64) {
+	if start < 0 || start+len(dst) > r.PromptLen {
+		panic(fmt.Sprintf("request: prompt window [%d, %d) outside [0, %d)", start, start+len(dst), r.PromptLen))
 	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	segs := r.PromptSegs
-	if segs == nil {
-		segs = []PromptSegment{{Seed: r.Seed, Len: r.PromptLen}}
-	}
-	for _, seg := range segs {
-		for i := 0; i < seg.Len && len(out) < n; i++ {
-			out = append(out, mathutil.Hash2(seg.Seed, uint64(i)))
+	pos, segStart := start, 0
+	for _, seg := range r.PromptSegs {
+		if len(dst) == 0 {
+			return
 		}
-		if len(out) == n {
-			break
+		segEnd := segStart + max(seg.Len, 0)
+		for ; pos < segEnd && len(dst) > 0; pos++ {
+			dst[0] = mathutil.Hash2(seg.Seed, uint64(pos-segStart))
+			dst = dst[1:]
 		}
+		segStart = segEnd
 	}
-	for len(out) < n {
-		// Defensive: segments shorter than PromptLen pad with request-private
-		// content rather than aliasing another request's.
-		out = append(out, mathutil.Hash2(r.Seed, uint64(len(out))))
+	for i := range dst {
+		dst[i] = mathutil.Hash2(r.Seed, uint64(pos+i))
 	}
-	return out
 }
 
 // New constructs a queued request with the mandatory fields set and

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaserve/internal/lm"
+	"adaserve/internal/mathutil"
 )
 
 func newReq(t *testing.T) *Request {
@@ -224,23 +225,39 @@ func TestContextAndPrefillAccounting(t *testing.T) {
 	}
 }
 
+// seedsOf reads the seeds of prompt positions [start, start+n).
+func seedsOf(r *Request, start, n int) []uint64 {
+	out := make([]uint64, n)
+	r.FillPromptSeeds(start, out)
+	return out
+}
+
 // TestPromptSeedsSegments covers the seg-aware prompt content derivation the
-// prefix cache hashes: segment boundaries, clamping, the no-segment fallback
-// to request-private content, and the short-segment padding guard.
+// prefix cache hashes: segment boundaries, windows that start mid-prompt,
+// the no-segment fallback to request-private content, and the short-segment
+// padding guard.
 func TestPromptSeedsSegments(t *testing.T) {
 	r := New(1, Chat, 0.05, 0, 8, 4, 99)
-	plain := r.PromptSeeds(8)
-	if len(plain) != 8 {
-		t.Fatalf("got %d seeds, want 8", len(plain))
+	if r.PromptTokens() != 8 {
+		t.Fatalf("PromptTokens = %d, want 8", r.PromptTokens())
 	}
-	if again := r.PromptSeeds(8); !reflect.DeepEqual(plain, again) {
-		t.Fatal("PromptSeeds not deterministic")
+	plain := seedsOf(r, 0, 8)
+	if again := seedsOf(r, 0, 8); !reflect.DeepEqual(plain, again) {
+		t.Fatal("FillPromptSeeds not deterministic")
 	}
-	if r.PromptSeeds(0) != nil || r.PromptSeeds(-1) != nil {
-		t.Fatal("non-positive n must return nil")
+	if got := seedsOf(r, 3, 4); !reflect.DeepEqual(got, plain[3:7]) {
+		t.Fatal("mid-prompt window diverged from the full read")
 	}
-	if got := r.PromptSeeds(100); len(got) != 8 {
-		t.Fatalf("n beyond PromptLen returned %d seeds, want clamp to 8", len(got))
+	r.FillPromptSeeds(8, nil) // an empty window at the end is in range
+	for _, w := range [][2]int{{-1, 1}, {0, 9}, {7, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("window [%d, %d) outside the prompt did not panic", w[0], w[0]+w[1])
+				}
+			}()
+			r.FillPromptSeeds(w[0], make([]uint64, w[1]))
+		}()
 	}
 
 	// Two requests sharing a segment agree exactly over it and nowhere else.
@@ -249,7 +266,7 @@ func TestPromptSeedsSegments(t *testing.T) {
 	a.PromptSegs = []PromptSegment{shared, {Seed: 1, Len: 3}}
 	b := New(3, Chat, 0.05, 0, 8, 4, 8)
 	b.PromptSegs = []PromptSegment{shared, {Seed: 2, Len: 3}}
-	sa, sb := a.PromptSeeds(8), b.PromptSeeds(8)
+	sa, sb := seedsOf(a, 0, 8), seedsOf(b, 0, 8)
 	if !reflect.DeepEqual(sa[:5], sb[:5]) {
 		t.Fatal("shared segment produced different content")
 	}
@@ -257,21 +274,83 @@ func TestPromptSeedsSegments(t *testing.T) {
 		t.Fatal("private tails collided")
 	}
 
-	// A truncated read stops mid-segment.
-	if got := a.PromptSeeds(6); !reflect.DeepEqual(got, sa[:6]) {
+	// Windows stop mid-segment and cross segment boundaries.
+	if got := seedsOf(a, 0, 6); !reflect.DeepEqual(got, sa[:6]) {
 		t.Fatal("mid-segment truncation diverged from the full read")
+	}
+	if got := seedsOf(a, 4, 3); !reflect.DeepEqual(got, sa[4:7]) {
+		t.Fatal("boundary-crossing window diverged from the full read")
 	}
 
 	// Segments shorter than PromptLen pad with request-private content.
 	c := New(4, Chat, 0.05, 0, 8, 4, 11)
 	c.PromptSegs = []PromptSegment{{Seed: 0xabc, Len: 5}}
-	sc := c.PromptSeeds(8)
-	if len(sc) != 8 {
-		t.Fatalf("padded read returned %d seeds, want 8", len(sc))
-	}
+	sc := seedsOf(c, 0, 8)
 	d := New(5, Chat, 0.05, 0, 8, 4, 12)
 	d.PromptSegs = []PromptSegment{{Seed: 0xabc, Len: 5}}
-	if reflect.DeepEqual(sc[5:], d.PromptSeeds(8)[5:]) {
+	if reflect.DeepEqual(sc[5:], seedsOf(d, 0, 8)[5:]) {
 		t.Fatal("padding aliased across requests")
 	}
+}
+
+// referenceSeeds is the per-position definition of prompt content that
+// FillPromptSeeds streams: position p lies in the first segment whose
+// cumulative span covers it and takes Hash2(seg.Seed, offset); positions no
+// segment covers (no segments at all, or segments summing short of the
+// prompt) take the request-private Hash2(Seed, p).
+func referenceSeeds(r *Request) []uint64 {
+	out := make([]uint64, r.PromptLen)
+	for p := range out {
+		out[p] = mathutil.Hash2(r.Seed, uint64(p))
+		off := p
+		for _, seg := range r.PromptSegs {
+			if seg.Len <= 0 {
+				continue
+			}
+			if off < seg.Len {
+				out[p] = mathutil.Hash2(seg.Seed, uint64(off))
+				break
+			}
+			off -= seg.Len
+		}
+	}
+	return out
+}
+
+// FuzzPromptSeeds checks every streamed window — across segment boundaries,
+// past the segments into padding, over empty and negative-length segments —
+// against the per-position reference.
+func FuzzPromptSeeds(f *testing.F) {
+	f.Add(uint64(1), []byte{5, 3}, uint16(8), uint16(0), uint16(8))
+	f.Add(uint64(2), []byte{4}, uint16(10), uint16(3), uint16(5))
+	f.Add(uint64(3), []byte{}, uint16(6), uint16(2), uint16(3))
+	f.Add(uint64(4), []byte{0, 7, 0xff, 2}, uint16(12), uint16(6), uint16(6))
+	f.Add(uint64(5), []byte{16, 16, 16}, uint16(40), uint16(14), uint16(20))
+	f.Fuzz(func(t *testing.T, seed uint64, lens []byte, promptLen, start, n uint16) {
+		r := New(1, Chat, 0.05, 0, int(promptLen%512), 1, seed)
+		for i, l := range lens {
+			if i == 16 {
+				break
+			}
+			// Bytes ≥ 0xf0 encode the negative lengths a malformed
+			// decomposition could carry; they contribute no tokens.
+			segLen := int(l)
+			if l >= 0xf0 {
+				segLen = -int(l & 0x0f)
+			}
+			r.PromptSegs = append(r.PromptSegs, PromptSegment{Seed: mathutil.Hash2(seed, uint64(i)), Len: segLen})
+		}
+		if r.PromptLen == 0 {
+			r.FillPromptSeeds(0, nil)
+			return
+		}
+		s := int(start) % r.PromptLen
+		w := int(n) % (r.PromptLen - s + 1)
+		got := make([]uint64, w)
+		r.FillPromptSeeds(s, got)
+		want := referenceSeeds(r)[s : s+w]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("window [%d, %d) of %d over %v:\n got %v\nwant %v", s, s+w, r.PromptLen, r.PromptSegs, got, want)
+		}
+	})
 }

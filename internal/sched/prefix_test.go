@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"sort"
 	"testing"
 
 	"adaserve/internal/kvcache"
 	"adaserve/internal/request"
+	"adaserve/internal/workload"
 )
 
 // prefixSystem builds an AdaServe system whose KV allocator has shared-prefix
@@ -95,5 +97,104 @@ func TestSchedPrefixDisabledStatsOff(t *testing.T) {
 	}
 	if got := sys.PrefixCachedTokens(sharedPromptReq(1, 64)); got != 0 {
 		t.Fatalf("disabled probe reports %d cached tokens", got)
+	}
+}
+
+// TestPrefixProbeAllocatesNothing pins the router-facing probe as
+// allocation-free, both on a warm replica whose cache holds the prompt's
+// shared prefix and on a cold one that misses on the first block.
+func TestPrefixProbeAllocatesNothing(t *testing.T) {
+	warm := prefixSystem(t).(*AdaServe)
+	warm.Pool().Enqueue(sharedPromptReq(1, 64))
+	drain(t, warm, 10000)
+	cold := prefixSystem(t).(*AdaServe)
+
+	r := sharedPromptReq(2, 1500)
+	for _, c := range []struct {
+		name   string
+		sys    *AdaServe
+		cached bool
+	}{{"warm", warm, true}, {"cold", cold, false}} {
+		if got := c.sys.PrefixCachedTokens(r); (got > 0) != c.cached {
+			t.Fatalf("%s replica probes %d cached tokens", c.name, got)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { c.sys.PrefixCachedTokens(r) }); allocs != 0 {
+			t.Errorf("%s probe allocates %.1f times per call, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestPrefixProbePredictsAdmissionHit checks the probe's contract across a
+// closed-loop session run: probed against the cache state admission sees,
+// PrefixCachedTokens equals the hit admission then grants — cold first
+// turns, warm follow-ups, and a block-aligned prompt re-sent verbatim,
+// where both stop one block short under the PromptLen-1 cap.
+func TestPrefixProbePredictsAdmissionHit(t *testing.T) {
+	sys := prefixSystem(t).(*AdaServe)
+	cold, warm := 0, 0
+	// arrive admits r in the next iteration and checks that iteration's
+	// hit against the probe. finish() first publishes the previous
+	// iteration's prefill progress (Iterate's own finish() then has nothing
+	// left to do), so r's admission is the next change to the cache and the
+	// probe sees exactly what admission will.
+	arrive := func(r *request.Request, now float64) (IterationStats, int) {
+		t.Helper()
+		sys.finish()
+		probe := sys.PrefixCachedTokens(r)
+		before, _ := sys.KVPrefixStats()
+		sys.Pool().Enqueue(r)
+		st := sys.Iterate(now)
+		after, _ := sys.KVPrefixStats()
+		if r.AdmitTime < 0 {
+			t.Fatalf("request %d not admitted on arrival", r.ID)
+		}
+		if got := after.HitTokens - before.HitTokens; got != probe {
+			t.Fatalf("request %d: probe predicted %d cached tokens, admission granted %d", r.ID, probe, got)
+		}
+		if probe == 0 {
+			cold++
+		} else {
+			warm++
+		}
+		return st, probe
+	}
+
+	sessions := workload.MustSessions(workload.SessionsConfig{
+		Seed: 11, Tenants: 3, SystemPromptLen: 200, Turns: 4, Category: request.Chat,
+		BaselineLatency: 0.03, ArrivalSpacing: 0.05, ThinkTime: 0.1,
+	})
+	pending := sessions.InitialRequests()
+	now, handled := 0.0, 0
+	for iter := 0; len(pending) > 0 || sys.Pool().NumRunning() > 0; iter++ {
+		if iter > 100000 {
+			t.Fatal("session run did not finish")
+		}
+		var st IterationStats
+		if len(pending) > 0 && pending[0].ArrivalTime <= now {
+			st, _ = arrive(pending[0], now)
+			pending = pending[1:]
+		} else {
+			st = sys.Iterate(now)
+		}
+		now += st.Elapsed
+		if st.Idle && len(pending) > 0 && sys.Pool().NumRunning() == 0 {
+			now = max(now, pending[0].ArrivalTime)
+		}
+		for done := sys.Pool().Done(); handled < len(done); handled++ {
+			if next := sessions.FollowUp(done[handled], now); next != nil {
+				pending = append(pending, next)
+				sort.SliceStable(pending, func(i, j int) bool { return pending[i].ArrivalTime < pending[j].ArrivalTime })
+			}
+		}
+	}
+	if cold < 3 || warm < 3 {
+		t.Fatalf("%d cold and %d warm admissions, want first turns cold and follow-ups warm", cold, warm)
+	}
+
+	// A 512-token prompt (32 full blocks) served once, then re-sent.
+	arrive(sharedPromptReq(1000, 0), now)
+	drain(t, sys, 10000)
+	if _, probe := arrive(sharedPromptReq(1001, 0), now); probe != 512-16 {
+		t.Fatalf("re-sent block-aligned prompt probes %d cached tokens, want %d (capped one block short)", probe, 512-16)
 	}
 }

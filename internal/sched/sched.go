@@ -213,12 +213,12 @@ func (b *base) admitOrdered(now float64, less func(a, c *request.Request) bool) 
 }
 
 // allocateKV reserves KV for a not-yet-admitted request. With prefix caching
-// enabled the prompt's token seeds are matched against the cache first: the
-// matched prefix is taken by reference instead of allocated, the request's
-// PrefillDone jumps past it (the engine then charges only the uncached
-// suffix, while still attending over the full cached context), and any
-// host-tier reload latency is queued on the request for its first prefill
-// pass. The match is capped one token short of the full prompt so every
+// enabled the prompt is matched against the cache first (the allocator reads
+// r's content seeds block by block): the matched prefix is taken by
+// reference instead of allocated, the request's PrefillDone jumps past it
+// (the engine then charges only the uncached suffix, while still attending
+// over the full cached context), and any host-tier reload latency is queued
+// on the request for its first prefill pass. The match is capped one token short of the full prompt so every
 // request keeps at least one prefill token — admission modes and engine
 // phase transitions stay exactly as without caching.
 func (b *base) allocateKV(r *request.Request) error {
@@ -229,7 +229,7 @@ func (b *base) allocateKV(r *request.Request) error {
 	if r.PrefillDone == 0 && r.PromptLen > 1 {
 		limit = r.PromptLen - 1
 	}
-	hit, err := b.cfg.KV.AllocateWithPrefix(r.ID, b.reserveTokens(r), r.PromptSeeds(r.PromptLen), limit)
+	hit, err := b.cfg.KV.AllocateWithPrefix(r.ID, b.reserveTokens(r), r, limit)
 	if err != nil {
 		return err
 	}
@@ -251,14 +251,17 @@ func (b *base) KVPrefixStats() (kvcache.PrefixStats, bool) {
 
 // PrefixCachedTokens probes how many of r's prompt tokens this system's KV
 // cache already holds computed — the signal the cluster's prefix-affinity
-// router steers on. Read-only; 0 when prefix caching is off. The probe uses
-// the same PromptLen-1 cap as allocation, so it predicts the admission-time
-// hit exactly.
+// router steers on, once per replica per arrival. Read-only and
+// allocation-free; 0 when prefix caching is off. The probe hashes r's prompt
+// one block at a time and stops at the first uncached block, so a replica
+// that holds none of the prompt costs one block hash. It uses the same
+// PromptLen-1 cap as allocation, so against an unchanged cache it predicts
+// the admission-time hit exactly.
 func (b *base) PrefixCachedTokens(r *request.Request) int {
 	if !b.cfg.KV.PrefixEnabled() || r.PromptLen <= 1 {
 		return 0
 	}
-	return b.cfg.KV.MatchPrefixTokens(r.PromptSeeds(r.PromptLen - 1))
+	return b.cfg.KV.MatchPrefixTokens(r, r.PromptLen-1)
 }
 
 // finish retires done requests and releases their KV. Prefill progress is

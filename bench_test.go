@@ -227,25 +227,14 @@ func benchModels(b *testing.B) (*lm.SyntheticLM, *lm.DraftLM) {
 	b.Helper()
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.88, 2)
-	// Allocate both caches' slabs outside the timed loops.
-	_ = draft.Dist(lm.Context{})
 	return target, draft
 }
 
-// BenchmarkLMDist measures one synthetic next-token distribution lookup.
+// BenchmarkLMDist measures one synthetic next-token distribution: every op
+// asks for a fresh context, as the draft-step and verify calls of a
+// simulation almost always do. A draft call also builds the target's
+// distribution.
 func BenchmarkLMDist(b *testing.B) {
-	target, _ := benchModels(b)
-	ctx := lm.NewContext(7, []lm.Token{1, 2, 3, 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = target.Dist(ctx)
-	}
-}
-
-// BenchmarkLMDistMiss measures a warm cache miss: every op asks for a fresh
-// context, as most draft-step and verify lookups of a simulation do. The
-// draft sub-benchmark's misses also miss in the target.
-func BenchmarkLMDistMiss(b *testing.B) {
 	target, draft := benchModels(b)
 	// One counter across every run of every sub-benchmark, so no context
 	// ever repeats.

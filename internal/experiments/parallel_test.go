@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"adaserve/internal/workload"
 )
 
 // shortOpts keeps the determinism tests fast: a brief trace and a reduced
@@ -75,33 +73,6 @@ func TestParallelAblationsDeterministic(t *testing.T) {
 		if seq[i].Name != par[i].Name || !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
 			t.Fatalf("ablation %q differs between -parallel 1 and 8", seq[i].Name)
 		}
-	}
-}
-
-// TestCachedRunMatchesUncached is the hot-path determinism guarantee: the
-// distribution caches (and the pooled scratch the default path always uses)
-// must leave metrics byte-identical to the uncached reference, seed for
-// seed, across systems.
-func TestCachedRunMatchesUncached(t *testing.T) {
-	setup := Llama70B()
-	reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, 3.4, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []SystemKind{SysAdaServe, SysVLLMSpec6, SysVLLM, SysSarathi} {
-		t.Run(string(kind), func(t *testing.T) {
-			cached, err := runOne(kind, setup, reqs, 1, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := runOne(kind, setup, reqs, 1, BuildOptions{DisableDistCache: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cached, plain) {
-				t.Fatalf("cached run diverged from uncached reference:\n%+v\nvs\n%+v", cached, plain)
-			}
-		})
 	}
 }
 

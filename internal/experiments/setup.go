@@ -147,10 +147,6 @@ type BuildOptions struct {
 	DisableNMax bool
 	// DisableCUDAGraphs turns off graph-replay amortization (ablation).
 	DisableCUDAGraphs bool
-	// DisableDistCache turns off the synthetic models' distribution caches:
-	// the reference path the byte-identical determinism tests compare
-	// cached runs against.
-	DisableDistCache bool
 	// Prefix enables shared-prefix KV reuse on the system's allocator.
 	Prefix bool
 	// PrefixHostBlocks sizes the host offload tier in KV blocks (0: no
@@ -170,10 +166,6 @@ func Build(kind SystemKind, setup ModelSetup, opts BuildOptions) (sched.System, 
 func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode) (sched.System, error) {
 	target := lm.MustSyntheticLM(setup.Target.Name, mathutil.Hash2(opts.Seed, 0x7a26e7), setup.Vocab, setup.Branch, setup.Sharpness, setup.Tail)
 	draft := lm.MustDraftLM(setup.Draft.Name, target, setup.Alpha, mathutil.Hash2(opts.Seed, 0xd12af7))
-	if opts.DisableDistCache {
-		target.SetDistCacheSize(0)
-		draft.SetDistCacheSize(0)
-	}
 
 	targetCost, err := gpu.NewCostModel(setup.HW, setup.Target, setup.TargetTP)
 	if err != nil {

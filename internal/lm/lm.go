@@ -19,14 +19,13 @@
 // experiments replay exactly.
 //
 // Hot-path design: the next-token distribution is a pure function of the
-// 64-bit context hash, so both models memoize distributions behind a
-// fixed-size direct-mapped cache keyed on that hash (exact — entries are
-// validated by full key comparison, never by slot alone). Each cache owns a
-// slab of entries, one fixed region per slot, allocated on its first miss;
-// a miss builds the distribution straight into its slot's region, so once
-// warm neither a hit nor a miss allocates. The price is a lifetime contract:
-// a Dist returned by a model is valid until that model's next Dist call
-// (see Dist). Context itself is a small value type carrying only the
+// 64-bit context hash, and almost every Dist call asks about a context the
+// model has not seen recently (decoding keeps moving on), so nothing is
+// memoized. Each model owns one branch-sized entry buffer, allocated in its
+// constructor, and every Dist call builds its distribution straight into
+// that buffer, so no call allocates. The price is a lifetime contract: a
+// Dist returned by a model is valid until that model's next Dist call (see
+// Dist). Context itself is a small value type carrying only the
 // HistoryWindow-sized suffix that conditions the distribution, so extending
 // a context allocates nothing. Models are NOT safe for concurrent use: give
 // each goroutine its own engine/models, as the parallel experiment runner
@@ -54,10 +53,10 @@ type TokenProb struct {
 // vocabulary. Entries are sorted by descending probability.
 //
 // Lifetime: the Entries of a Dist returned by a model live in the model's
-// cache and are read-only. They are valid until that model's next Dist
-// call, which may evict the slot and rebuild its entries in place; a
-// DraftLM's Dist call consults its target, so it counts as a call on the
-// target too. Callers that keep entries longer must copy them (TopK does).
+// own entry buffer and are read-only. They are valid until that model's
+// next Dist call, which rebuilds the buffer in place; a DraftLM's Dist call
+// consults its target, so it counts as a call on the target too. Callers
+// that keep entries longer must copy them (TopK does).
 type Dist struct {
 	Entries []TokenProb
 	// Tail is the probability mass not covered by Entries.
@@ -261,8 +260,8 @@ type SyntheticLM struct {
 	// DraftLM rebuild mistaken distributions by swapping token positions
 	// instead of sorting.
 	strictOrder bool
-	// cache memoizes hash -> distribution (nil when disabled).
-	cache *distCache
+	// buf is the branch-capacity entry buffer every Dist call builds into.
+	buf []TokenProb
 }
 
 // NewSyntheticLM constructs a target model.
@@ -294,7 +293,7 @@ func NewSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail
 	return &SyntheticLM{
 		name: name, seed: seed, vocab: vocab, branch: branch,
 		weights: w, tail: tail, strictOrder: strict,
-		cache: newDistCache(DefaultDistCacheSize),
+		buf: make([]TokenProb, 0, branch),
 	}, nil
 }
 
@@ -313,38 +312,19 @@ func (m *SyntheticLM) Name() string { return m.name }
 // Vocab implements Model.
 func (m *SyntheticLM) Vocab() int { return m.vocab }
 
-// SetDistCacheSize resizes (and clears) the model's distribution cache. The
-// size is rounded up to a power of two; size <= 0 disables caching (every
-// Dist call recomputes into freshly allocated entries — the independent
-// reference path cached runs must match byte-for-byte).
-func (m *SyntheticLM) SetDistCacheSize(size int) { m.cache = newDistCache(size) }
-
-// CacheStats returns cumulative (hits, misses) of the distribution cache.
-func (m *SyntheticLM) CacheStats() (hits, misses uint64) { return m.cache.stats() }
-
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
 // deterministic function of (model seed, request seed, history window).
-// Results are memoized by context hash; once the cache is warm, neither a
-// hit nor a miss allocates.
+// The result is built in the model's entry buffer, so no call allocates.
 func (m *SyntheticLM) Dist(ctx Context) Dist {
-	return m.distForHash(ctx.hash(m.seed))
+	return m.computeDist(ctx.hash(m.seed))
 }
 
-// distForHash returns the (possibly cached) distribution for a context hash.
-func (m *SyntheticLM) distForHash(h uint64) Dist {
-	if d, ok := m.cache.get(h, 0); ok {
-		return d
-	}
-	d := m.computeDist(h, m.cache.region(h, 0, m.branch))
-	m.cache.put(h, 0, d)
-	return d
-}
-
-// computeDist materializes the distribution for a context hash into entries,
-// an empty buffer of capacity branch. Candidate dedup uses a linear scan
-// (branch is small), not a map, so nothing is allocated.
-func (m *SyntheticLM) computeDist(h uint64, entries []TokenProb) Dist {
+// computeDist materializes the distribution for a context hash into the
+// model's entry buffer. Candidate dedup uses a linear scan (branch is
+// small), not a map, so nothing is allocated.
+func (m *SyntheticLM) computeDist(h uint64) Dist {
+	entries := m.buf[:0]
 	x := h
 	for len(entries) < m.branch {
 		x = mathutil.SplitMix64(x)
@@ -387,9 +367,8 @@ type DraftLM struct {
 	target *SyntheticLM
 	alpha  float64
 	seed   uint64
-	// cache memoizes (draft hash, target hash) -> distribution. The pair
-	// fully determines the output, so caching is exact.
-	cache *distCache
+	// buf is the branch-capacity entry buffer every Dist call builds into.
+	buf []TokenProb
 }
 
 // NewDraftLM builds a draft for target with the given per-context agreement
@@ -400,7 +379,7 @@ func NewDraftLM(name string, target *SyntheticLM, alpha float64, seed uint64) (*
 	}
 	return &DraftLM{
 		name: name, target: target, alpha: alpha, seed: seed,
-		cache: newDistCache(DefaultDistCacheSize),
+		buf: make([]TokenProb, 0, target.branch),
 	}, nil
 }
 
@@ -422,35 +401,20 @@ func (d *DraftLM) Vocab() int { return d.target.vocab }
 // Alpha returns the draft/target per-context agreement rate.
 func (d *DraftLM) Alpha() float64 { return d.alpha }
 
-// SetDistCacheSize resizes (and clears) the draft's distribution cache;
-// size <= 0 disables caching (see SyntheticLM.SetDistCacheSize).
-func (d *DraftLM) SetDistCacheSize(size int) { d.cache = newDistCache(size) }
-
-// CacheStats returns cumulative (hits, misses) of the draft's cache.
-func (d *DraftLM) CacheStats() (hits, misses uint64) { return d.cache.stats() }
-
-// Dist implements Model. Results are memoized by the (draft, target) context
-// hash pair; once the draft's and target's caches are warm, neither a hit
-// nor a miss allocates.
+// Dist implements Model. The result is built in the draft's entry buffer,
+// so no call allocates.
 func (d *DraftLM) Dist(ctx Context) Dist {
-	hd := ctx.hash(d.seed)
-	ht := ctx.hash(d.target.seed)
-	if dist, ok := d.cache.get(hd, ht); ok {
-		return dist
-	}
-	dist := d.computeDist(hd, ht, d.cache.region(hd, ht, d.target.branch))
-	d.cache.put(hd, ht, dist)
-	return dist
+	return d.computeDist(ctx.hash(d.seed), ctx.hash(d.target.seed))
 }
 
 // computeDist materializes the draft distribution for the context hash pair
-// into entries, an empty buffer of capacity branch.
-func (d *DraftLM) computeDist(hd, ht uint64, entries []TokenProb) Dist {
-	p := d.target.distForHash(ht)
-	// Copy even when the draft agrees: p lives in the target's cache, where
-	// a later target miss on the same slot would rebuild it underneath this
-	// draft's cached entry.
-	entries = append(entries, p.Entries...)
+// into the draft's entry buffer.
+func (d *DraftLM) computeDist(hd, ht uint64) Dist {
+	p := d.target.computeDist(ht)
+	// Copy even when the draft agrees: p lives in the target's buffer, which
+	// the target's next Dist call rebuilds, while this result must stay
+	// valid until the draft's own next call.
+	entries := append(d.buf[:0], p.Entries...)
 	u := float64(hd>>11) / (1 << 53)
 	if u < d.alpha || len(entries) < 2 {
 		return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}

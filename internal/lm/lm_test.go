@@ -47,7 +47,7 @@ func TestDistNormalized(t *testing.T) {
 func TestDistDeterministic(t *testing.T) {
 	m := newTarget(t)
 	ctx := NewContext(7, []Token{1, 2, 3})
-	a := m.Dist(ctx)
+	a := cloneDist(m.Dist(ctx))
 	b := m.Dist(ctx)
 	if len(a.Entries) != len(b.Entries) {
 		t.Fatal("lengths differ")
@@ -61,7 +61,7 @@ func TestDistDeterministic(t *testing.T) {
 
 func TestDistDependsOnContext(t *testing.T) {
 	m := newTarget(t)
-	a := m.Dist(NewContext(7, []Token{1, 2, 3}))
+	a := cloneDist(m.Dist(NewContext(7, []Token{1, 2, 3})))
 	b := m.Dist(NewContext(7, []Token{1, 2, 4}))
 	if a.Argmax() == b.Argmax() {
 		// Possible by chance; require at least the candidate sets differ.
@@ -80,7 +80,7 @@ func TestDistDependsOnContext(t *testing.T) {
 
 func TestDistDependsOnSeed(t *testing.T) {
 	m := newTarget(t)
-	a := m.Dist(Context{ReqSeed: 1})
+	a := cloneDist(m.Dist(Context{ReqSeed: 1}))
 	b := m.Dist(Context{ReqSeed: 2})
 	if a.Argmax() == b.Argmax() && a.Entries[1].Token == b.Entries[1].Token {
 		t.Fatal("different request seeds produced identical top entries")
@@ -93,7 +93,7 @@ func TestHistoryWindowLimits(t *testing.T) {
 	for i := range long {
 		long[i] = Token(i)
 	}
-	a := m.Dist(NewContext(5, long))
+	a := cloneDist(m.Dist(NewContext(5, long)))
 	// Changing a token OUTSIDE the window must not change the distribution.
 	long2 := append([]Token(nil), long...)
 	long2[0] = 999
@@ -238,7 +238,7 @@ func TestDraftPerfectAlignment(t *testing.T) {
 	draft := MustDraftLM("d", target, 1.0, 2)
 	for i := uint64(0); i < 20; i++ {
 		ctx := Context{ReqSeed: i}
-		p := target.Dist(ctx)
+		p := cloneDist(target.Dist(ctx))
 		q := draft.Dist(ctx)
 		for j := range p.Entries {
 			if p.Entries[j] != q.Entries[j] {
@@ -274,7 +274,7 @@ func TestDraftMistakesAreNearMisses(t *testing.T) {
 	const n = 2000
 	for i := uint64(0); i < n; i++ {
 		ctx := Context{ReqSeed: i}
-		p := target.Dist(ctx)
+		p := cloneDist(target.Dist(ctx))
 		q := draft.Dist(ctx)
 		// The target's argmax should usually be within the draft's top 3.
 		for _, e := range q.TopK(3) {

@@ -104,8 +104,9 @@ func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
 
 // acceptRejection runs multi-round rejection sampling across the branches.
 func (v *Verifier) acceptRejection(ctx Context, p Dist, branches []Branch) (int, Token) {
-	// p stays valid across the draft's Dist call: a draft miss consults its
-	// target only at this same context, which re-hits p's cache slot.
+	// p stays valid across the draft's Dist call: the draft consults its
+	// target only at this same context, which recomputes identical bytes
+	// into the target's buffer that p's entries live in.
 	q := v.Draft.Dist(ctx)
 	// residual starts as the target distribution over the union support.
 	res := newResidual(p)

@@ -92,7 +92,7 @@ func TestSampleMatchCorrectionDistribution(t *testing.T) {
 	target, draft := newPair(t, 1.0)
 	v := NewVerifier(target, draft, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 17}
-	p := target.Dist(ctx)
+	p := cloneDist(target.Dist(ctx))
 	counts := make(map[Token]int)
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -143,40 +143,48 @@ func TestRejectionRuleRejectsOverconfidentDraft(t *testing.T) {
 	}
 }
 
-// TestRejectionRuleCachedMatchesUncached pins the Dist lifetime contract
-// where it is tightest: acceptRejection holds the target's distribution
-// across the draft's Dist call, and with 1-slot caches every new context
-// evicts. Cached and uncached verifiers must decide identically.
-func TestRejectionRuleCachedMatchesUncached(t *testing.T) {
-	run := func(cacheSize int) []int {
-		target := MustSyntheticLM("target", 1, 4096, 16, 3.2, 0.02)
-		draft := MustDraftLM("draft", target, 0.6, 2)
-		target.SetDistCacheSize(cacheSize)
-		draft.SetDistCacheSize(cacheSize)
-		v := NewVerifier(target, draft, RuleRejection, mathutil.NewRNG(31))
+// TestVerifierMatchesFreshReference pins the Dist lifetime contract against
+// a reference whose every Dist is freshly allocated. Under each rule, the
+// verifier must decide identically over the raw models and over freshModel
+// wrappers, although between decisions the raw models' buffers are rebuilt
+// by calls on other contexts: the branches come from a draft Dist held
+// across a target call, and a draft call on another context precedes each
+// decision. The tightest case is the rejection rule, which holds the
+// target's p across the draft's Dist call on the same context.
+func TestVerifierMatchesFreshReference(t *testing.T) {
+	run := func(rule VerifyRule, fresh bool) []int {
+		var target, draft Model = newPair(t, 0.6)
+		if fresh {
+			target, draft = freshModel{target}, freshModel{draft}
+		}
+		v := NewVerifier(target, draft, rule, mathutil.NewRNG(31))
 		out := make([]int, 0, 1200)
 		walkContexts(200, func(ctx Context) {
-			top := draft.Dist(ctx).TopK(3)
+			q := draft.Dist(ctx)
+			_ = target.Dist(ctx.Extend(4094))
+			top := q.TopK(3)
 			branches := make([]Branch, len(top))
 			for i, e := range top {
 				branches[i] = Branch{Token: e.Token}
 			}
-			// Evict both caches' only slot, so that inside AcceptAmong the
-			// target misses and then the draft misses while p is held.
 			_ = draft.Dist(ctx.Extend(4095))
 			idx, corr := v.AcceptAmong(ctx, branches)
 			out = append(out, idx, int(corr))
 		})
 		return out
 	}
-	cached, plain := run(1), run(0)
-	if len(cached) != len(plain) {
-		t.Fatalf("decision counts differ: %d vs %d", len(cached), len(plain))
-	}
-	for i := range cached {
-		if cached[i] != plain[i] {
-			t.Fatalf("cached and uncached rejection verification diverge at %d", i)
-		}
+	for _, rule := range []VerifyRule{RuleSampleMatch, RuleGreedy, RuleRejection} {
+		t.Run(rule.String(), func(t *testing.T) {
+			raw, ref := run(rule, false), run(rule, true)
+			if len(raw) != len(ref) {
+				t.Fatalf("decision counts differ: %d vs %d", len(raw), len(ref))
+			}
+			for i := range raw {
+				if raw[i] != ref[i] {
+					t.Fatalf("raw and fresh-reference verification diverge at %d", i)
+				}
+			}
+		})
 	}
 }
 

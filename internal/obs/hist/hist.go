@@ -7,10 +7,9 @@
 // Bucketing is integer-exact: the bucket index is derived from math.Frexp
 // (the value's binary exponent and mantissa), never from math.Log, so the
 // same value maps to the same bucket on every platform and the structure is
-// byte-for-byte deterministic. Merging adds bucket counts, which makes
-// quantile results independent of merge grouping or order: a histogram
-// filled by one worker and one filled by eight workers over the same
-// multiset of values produce identical Digests.
+// byte-for-byte deterministic. Buckets hold integer counts, which makes
+// quantile results independent of observation order: two histograms fed
+// the same multiset of values in any order produce identical Digests.
 package hist
 
 import "math"
@@ -103,28 +102,6 @@ func (h *Histogram) Remove(v float64) {
 	h.sum -= v
 }
 
-// Merge folds o into h: bucket counts add, min/max combine. Because counts
-// are integers and min/max combination is order-independent, any merge
-// grouping of the same histograms yields identical quantiles.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.count == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	for i, c := range o.counts {
-		if c != 0 {
-			h.counts[i] += c
-		}
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
 // Count returns the number of live observations.
 func (h *Histogram) Count() int64 { return h.count }
 
@@ -214,7 +191,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 
 // Digest is a histogram's fixed-size percentile summary. Every field is
 // derived from bucket counts and the exact min/max only, so digests are
-// identical across any merge order of the same observations.
+// identical across any observation order of the same values.
 type Digest struct {
 	// Count is the number of live observations.
 	Count int64

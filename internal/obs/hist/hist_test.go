@@ -144,68 +144,6 @@ func TestRemoveWindow(t *testing.T) {
 	}
 }
 
-func TestMergeOrderIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	parts := make([]*Histogram, 8)
-	all := New()
-	for i := range parts {
-		parts[i] = New()
-		for j := 0; j < 200; j++ {
-			v := 0.02 * math.Exp(rng.NormFloat64())
-			parts[i].Observe(v)
-			all.Observe(v)
-		}
-	}
-	// Sequential merge vs pairwise-tree merge vs reverse order.
-	seq := New()
-	for _, p := range parts {
-		seq.Merge(p)
-	}
-	rev := New()
-	for i := len(parts) - 1; i >= 0; i-- {
-		rev.Merge(parts[i])
-	}
-	tree := make([]*Histogram, len(parts))
-	for i, p := range parts {
-		tree[i] = New()
-		tree[i].Merge(p)
-	}
-	for len(tree) > 1 {
-		var next []*Histogram
-		for i := 0; i < len(tree); i += 2 {
-			if i+1 < len(tree) {
-				tree[i].Merge(tree[i+1])
-			}
-			next = append(next, tree[i])
-		}
-		tree = next
-	}
-	want := all.Digest()
-	for name, h := range map[string]*Histogram{"seq": seq, "rev": rev, "tree": tree[0]} {
-		if d := h.Digest(); d != want {
-			t.Errorf("%s merge digest %+v != direct %+v", name, d, want)
-		}
-		if h.counts != all.counts {
-			t.Errorf("%s merge bucket counts differ from direct observation", name)
-		}
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	h := New()
-	h.Observe(0.1)
-	h.Merge(nil)
-	h.Merge(New())
-	if h.Count() != 1 || h.Min() != 0.1 || h.Max() != 0.1 {
-		t.Fatalf("merge with empty changed state: %+v", h.Digest())
-	}
-	e := New()
-	e.Merge(h)
-	if e.Digest() != h.Digest() {
-		t.Fatalf("empty.Merge(h) digest %+v != %+v", e.Digest(), h.Digest())
-	}
-}
-
 func TestBucketsCumulative(t *testing.T) {
 	h := New()
 	vals := []float64{0.001, 0.01, 0.01, 0.1, 1.5}

@@ -6,7 +6,8 @@
 // cell and reports the paper's metrics (attainment %, goodput tokens/s,
 // mean accepted tokens) via b.ReportMetric, so the full series can be read
 // straight from the benchmark output. Trace durations are kept short (the
-// paper replays 20-minute traces; EXPERIMENTS.md documents the rescaling).
+// paper replays 20-minute traces; the README's "Reproducing the paper's
+// experiments" section describes the rescaling).
 package adaserve_test
 
 import (
@@ -25,7 +26,6 @@ import (
 	"adaserve/internal/obs"
 	"adaserve/internal/request"
 	"adaserve/internal/serve"
-	"adaserve/internal/sim"
 	"adaserve/internal/toktree"
 	"adaserve/internal/workload"
 )
@@ -33,29 +33,33 @@ import (
 // benchDuration is the trace length used by the figure benchmarks.
 const benchDuration = 20.0
 
-// runCell replays one (system, workload) cell and reports its metrics.
+// runCell replays one (system, workload) cell on a single system and
+// reports its metrics.
 func runCell(b *testing.B, kind experiments.SystemKind, setup experiments.ModelSetup,
 	reqs []*request.Request, build experiments.BuildOptions) {
 	b.Helper()
+	spec := experiments.RunSpec{Kind: kind, Setup: setup, Seed: build.Seed, Duration: benchDuration, Build: build, Requests: reqs}
 	var sum *metrics.Summary
 	for i := 0; i < b.N; i++ {
-		sys, err := experiments.Build(kind, setup, build)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cp := make([]*request.Request, len(reqs))
-		for j, r := range reqs {
-			cp[j] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sum = res.Summary
+		sum = runSpec(b, spec, nil).Summary.Aggregate
 	}
 	b.ReportMetric(100*sum.Attainment(), "attain%")
 	b.ReportMetric(sum.Goodput, "goodput_tok/s")
 	b.ReportMetric(sum.MeanAcceptedPerStep, "mean_acc")
+}
+
+// runSpec runs a described run (failing on err, the describing call's
+// error) and returns its outcome.
+func runSpec(b *testing.B, spec experiments.RunSpec, err error) *experiments.Outcome {
+	b.Helper()
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := spec.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // trace synthesizes the standard real-shape trace for a cell.
@@ -433,11 +437,8 @@ func BenchmarkAutoscaleGrid(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", profile, config), func(b *testing.B) {
 				var sum *metrics.ClusterSummary
 				for i := 0; i < b.N; i++ {
-					s, err := experiments.AutoscaleCell(setup, config, profile, "least-loaded", opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum = s
+					spec, err := experiments.AutoscaleCell(setup, config, profile, "least-loaded", opts)
+					sum = runSpec(b, spec, err).Summary
 				}
 				b.ReportMetric(sum.Autoscale.GoodputPerReplicaSecond(), "good_tok/replica_s")
 				b.ReportMetric(100*sum.Attainment(), "attain%")
@@ -490,11 +491,8 @@ func BenchmarkFaultGrid(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", scenario, recovery), func(b *testing.B) {
 				var sum *metrics.ClusterSummary
 				for i := 0; i < b.N; i++ {
-					s, err := experiments.FaultCell(setup, scenario, recovery, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum = s
+					spec, err := experiments.FaultCell(setup, scenario, recovery, opts)
+					sum = runSpec(b, spec, err).Summary
 				}
 				b.ReportMetric(sum.Goodput(), "good_tok/s")
 				b.ReportMetric(100*sum.Attainment(), "attain%")
@@ -523,11 +521,8 @@ func BenchmarkPrefixGrid(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var sum *metrics.ClusterSummary
 				for i := 0; i < b.N; i++ {
-					s, err := experiments.PrefixCell(setup, router, cached, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum = s
+					spec, err := experiments.PrefixCell(setup, router, cached, opts)
+					sum = runSpec(b, spec, err).Summary
 				}
 				if sum.Prefix != nil {
 					b.ReportMetric(100*sum.Prefix.HitRate(), "hit%")
@@ -554,11 +549,8 @@ func BenchmarkTraceGrid(b *testing.B) {
 			b.Run(scenario+"/"+config, func(b *testing.B) {
 				var sum *metrics.ClusterSummary
 				for i := 0; i < b.N; i++ {
-					s, err := experiments.TraceCell(setup, scenario, config, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sum = s
+					spec, err := experiments.TraceCell(setup, scenario, config, opts)
+					sum = runSpec(b, spec, err).Summary
 				}
 				b.ReportMetric(100*sum.Attainment(), "attain%")
 				b.ReportMetric(sum.Goodput(), "goodput")
@@ -584,38 +576,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware",
-				nil, experiments.BuildOptions{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sopts := serve.Options{}
+			spec := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: obsDuration,
+				Roles: make([]cluster.Role, 2), Router: "slo-aware",
+				Open: &experiments.OpenLoad{Profile: "spike", RPS: experiments.AdaptiveMeanRPS(setup), Salt: 0xada}}
 			if observe {
-				sopts.SnapshotEvery = 1
+				spec.SnapshotEvery = 1
+				spec.Observers = []serve.Observer{obs.NewSpanRecorder(), obs.NewMetricsExporter()}
 			}
-			srv, err := serve.NewServer(cl, sopts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if observe {
-				srv.Subscribe(obs.NewSpanRecorder())
-				srv.Subscribe(obs.NewMetricsExporter())
-			}
-			gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rate, maxRate, err := workload.RateProfile("spike", experiments.AdaptiveMeanRPS(setup), obsDuration)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, obsDuration)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := srv.Run(src); err != nil {
-				b.Fatal(err)
-			}
+			runSpec(b, spec, nil)
 		}
 	}
 	b.Run("bare", func(b *testing.B) { run(b, false) })

@@ -82,6 +82,9 @@ func main() {
 		`custom fault schedule for -exp faults, e.g. "crash@30+10:r0; slow@60+20:x4" (empty: built-in scenarios)`)
 	flag.Parse()
 
+	if err := experiments.CheckPositive("duration", "duration", *duration); err != nil {
+		log.Fatal(err)
+	}
 	var setups []experiments.ModelSetup
 	switch *modelFlag {
 	case "llama":
@@ -259,8 +262,8 @@ func runFig1(setup experiments.ModelSetup, opts experiments.RunOptions) {
 	fmt.Printf("%-18s %14s %14s %12s %12s\n",
 		"system", "cat1 TPOT ms", "cat2 TPOT ms", "cat1 viol%", "cat2 viol%")
 	for _, p := range pts {
-		c1 := p.Sum.PerCategory[0]
-		c2 := p.Sum.PerCategory[1]
+		c1 := p.Sum.Aggregate.PerCategory[0]
+		c2 := p.Sum.Aggregate.PerCategory[1]
 		fmt.Printf("%-18s %14.1f %14.1f %12.0f %12.0f\n", p.System,
 			1e3*c1.MeanTPOT, 1e3*c2.MeanTPOT,
 			100*(1-c1.Attainment()), 100*(1-c2.Attainment()))
@@ -288,7 +291,7 @@ func runFig8912(setup experiments.ModelSetup, opts experiments.RunOptions, f8, f
 		for _, k := range experiments.Figure12Systems() {
 			spec[k] = true
 		}
-		var specPts []experiments.Point
+		var specPts []experiments.Cell
 		for _, p := range pts {
 			if spec[p.System] {
 				specPts = append(specPts, p)
@@ -299,7 +302,7 @@ func runFig8912(setup experiments.ModelSetup, opts experiments.RunOptions, f8, f
 	}
 }
 
-type sweepFn func(experiments.ModelSetup, experiments.RunOptions) ([]experiments.Point, error)
+type sweepFn func(experiments.ModelSetup, experiments.RunOptions) ([]experiments.Cell, error)
 
 func runSweep(title string, setup experiments.ModelSetup, opts experiments.RunOptions, fn sweepFn, xName string) {
 	fmt.Println("\n--- " + title + " ---")
@@ -343,5 +346,5 @@ func runAblations(setup experiments.ModelSetup, opts experiments.RunOptions) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(experiments.RenderAblations(rows))
+	fmt.Println(experiments.AblationsTable.Render(rows))
 }

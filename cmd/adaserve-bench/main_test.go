@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"os/exec"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"adaserve/internal/faults"
 )
@@ -97,5 +103,33 @@ func TestExpUsageListsEveryExperiment(t *testing.T) {
 		if !listed[name] {
 			t.Errorf("-exp help %q omits %q", usage, name)
 		}
+	}
+}
+
+// TestBadDurationExits: a -duration that is not positive and finite exits
+// non-zero with a one-line error before any experiment starts, instead of
+// hanging (NaN) or printing NaN tables.
+func TestBadDurationExits(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "adaserve-bench")
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if out, err := exec.Command(goBin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, d := range []string{"NaN", "-5", "0", "Inf"} {
+		t.Run(d, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, bin, "-exp", "fig15", "-duration", d)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if ctx.Err() != nil {
+				t.Fatalf("-duration %s did not exit within 10s", d)
+			}
+			msg := strings.TrimSpace(stderr.String())
+			if err == nil || strings.Contains(msg, "\n") || !strings.Contains(msg, "-duration") {
+				t.Fatalf("-duration %s: err %v, stderr %q; want a one-line -duration error", d, err, msg)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"os/exec"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt instead of comparing")
@@ -88,5 +90,51 @@ func TestGoldenCLIOutput(t *testing.T) {
 	}
 	if len(gl) != len(wl) {
 		t.Fatalf("%s: output has %d lines, fixture %d", path, len(gl), len(wl))
+	}
+}
+
+// TestBadNumericFlagsExit is the numeric-flag table: a rate, duration,
+// scale or interval that is not positive and finite, or an urgent share
+// outside [0, 1], exits non-zero with a one-line error naming the flag
+// instead of hanging, printing NaN reports or running a default.
+func TestBadNumericFlagsExit(t *testing.T) {
+	bin := buildSim(t)
+	for _, args := range [][]string{
+		{"-rps", "NaN"},
+		{"-rps", "0"},
+		{"-rps", "-1"},
+		{"-replicas", "2", "-rps", "Inf"},
+		{"-duration", "NaN"},
+		{"-duration", "-5"},
+		{"-urgent", "-0.2"},
+		{"-urgent", "1.5"},
+		{"-slo-scale", "NaN"},
+		{"-snapshot-every", "NaN"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			assertOneLineFailure(t, bin, args, args[len(args)-2])
+		})
+	}
+}
+
+// assertOneLineFailure runs bin with args and requires a prompt non-zero
+// exit whose stderr is one line mentioning want.
+func assertOneLineFailure(t *testing.T, bin string, args []string, want string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("%q did not exit within 10s", args)
+	}
+	if err == nil {
+		t.Fatalf("%q exited 0", args)
+	}
+	msg := strings.TrimSpace(stderr.String())
+	if strings.Count(msg, "\n") != 0 || !strings.Contains(msg, want) {
+		t.Fatalf("%q: stderr %q, want one line mentioning %q", args, msg, want)
 	}
 }

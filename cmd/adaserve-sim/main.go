@@ -1,8 +1,8 @@
 // adaserve-sim runs one serving configuration over one synthesized workload
 // and dumps the full metric summary — the single-run counterpart of
-// adaserve-bench's sweeps. Every run goes through the unified event-driven
-// driver (internal/serve); unknown flag values fail fast with a one-line
-// error.
+// adaserve-bench's sweeps. The flags map onto one experiments.RunSpec, run
+// through the unified event-driven driver (internal/serve); unknown or
+// out-of-range flag values fail fast with a one-line error.
 //
 // By default the workload is a closed trace replay (the paper's bursty
 // real-world shape). With -rate-profile the run is open-loop instead:
@@ -258,14 +258,25 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
 
-	// Validate every enumerated flag up front: a typo exits non-zero with
-	// one line, never a panic deep in setup.
+	// Validate every flag up front: a typo or an out-of-range number exits
+	// non-zero with one line, never a panic deep in setup or a NaN report.
 	kind, err := experiments.ParseSystem(*system)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if _, err := cluster.NewRouter(*router); err != nil {
 		log.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, noun string
+		v          float64
+	}{{"rps", "rate", *rps}, {"duration", "duration", *duration}, {"slo-scale", "scale", *sloScale}, {"snapshot-every", "interval", *snapEvery}} {
+		if err := experiments.CheckPositive(c.name, c.noun, c.v); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if !(*urgent >= 0 && *urgent <= 1) {
+		log.Fatalf("-urgent %g: need a proportion in [0, 1]", *urgent)
 	}
 	replicasSet, prefixTierSet, durationSet := false, false, false
 	flag.Visit(func(f *flag.Flag) {
@@ -312,146 +323,105 @@ func main() {
 	default:
 		log.Fatalf("unknown model %q (llama, qwen)", *model)
 	}
-	if *snapEvery <= 0 {
-		log.Fatalf("-snapshot-every %g: need a positive interval", *snapEvery)
-	}
-	totalRPS := *rps * float64(*replicas)
-	var rate workload.RateFn
-	var maxRate float64
-	if *profile != "" {
-		rate, maxRate, err = workload.RateProfile(*profile, totalRPS, *duration)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 
-	mix := workload.DefaultMix
-	if *urgent > 0 {
-		mix = workload.UrgentMix(*urgent)
-	}
-	gen, err := experiments.NewGenerator(setup, mix, *sloScale, mathutil.Hash2(*seed, 0x51e))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("model: %s (baseline %.1f ms/token)\n", setup.Name, 1e3*setup.BaselineLatency())
-
-	// Build the source: closed trace replay by default, trace-file replay
-	// under -trace (or -spec, which compiles one first), open-loop with the
-	// chosen rate shape when -rate-profile is set, closed-loop sessions under
-	// -prefix (follow-up turns submitted from the finish observer below).
-	var src serve.Source
-	var traceReqs []*request.Request
-	var sessions *workload.Sessions
-	var submitSrc *serve.SubmitSource
-	if *traceFlag != "" || *specFlag != "" {
-		tr, err := loadReplayTrace(*traceFlag, *specFlag, setup, *duration, durationSet, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		src, err = trace.NewSource(tr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Downstream cadences (autoscale, adaptive, fault horizon) follow the
-		// replayed trace's span, not the synthetic default.
-		*duration = tr.Duration()
-		st := tr.Stats()
-		what := "replaying " + *traceFlag
-		if *specFlag != "" {
-			what = fmt.Sprintf("compiled %s (seed %d)", *specFlag, tr.Header.Seed)
-		}
-		fmt.Printf("trace: %s: %d arrivals over %.1fs (mean %.2f rps, %d classes; -rps ignored)\n",
-			what, st.Arrivals, tr.Duration(), st.MeanRPS, len(tr.Header.Classes))
-	} else if *prefixFlag {
-		sessions, err = experiments.NewSessions(setup, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		submitSrc = serve.NewSubmitSource()
-		init := sessions.InitialRequests()
-		for _, r := range init {
-			if err := submitSrc.Submit(r); err != nil {
-				log.Fatal(err)
-			}
-		}
-		src = submitSrc
-		fmt.Printf("workload: %d multi-turn sessions, closed-loop follow-ups (host tier %d blocks; -duration and -rps ignored)\n",
-			len(init), *prefixTier)
-	} else if rate != nil {
-		src, err = serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), rate, maxRate, *duration)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("workload: open-loop %s profile, mean %.2f rps over %.0fs\n", *profile, totalRPS, *duration)
-	} else {
-		ts := workload.RealTrace(mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), totalRPS, *duration)
-		traceReqs = gen.FromTimestamps(ts)
-		st := workload.StreamStats(traceReqs)
-		fmt.Printf("trace: %d requests, %.2f rps, mean prompt %.0f, mean output %.0f\n",
-			st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
-		ts2, err := serve.NewTraceSource(traceReqs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		src = ts2
-	}
-
-	// Build the backend: one system, or a (possibly disaggregated, possibly
-	// elastic) cluster.
-	var backend serve.Backend
-	var cl *cluster.Cluster
-	var sys sched.System
-	buildOpts := experiments.BuildOptions{Seed: *seed}
-	if *prefixFlag {
-		buildOpts.Prefix = true
-		buildOpts.PrefixHostBlocks = *prefixTier
+	// Map the flags onto one run description. The workload is a closed
+	// trace replay by default, trace-file replay under -trace (or -spec,
+	// which compiles one first), open-loop with the chosen rate shape under
+	// -rate-profile, or closed-loop sessions under -prefix.
+	spec := experiments.RunSpec{
+		Kind: kind, Setup: setup, Seed: *seed, Duration: *duration,
+		Build:  experiments.BuildOptions{Prefix: *prefixFlag, PrefixHostBlocks: *prefixTier},
+		Router: *router,
 	}
 	if *replicas > 1 || len(roles) > 0 {
 		if roles == nil {
 			roles = make([]cluster.Role, *replicas)
 		}
-		var elastic *cluster.ElasticOptions
-		if policy != nil {
-			elastic = &cluster.ElasticOptions{ColdStart: experiments.AutoscaleColdStart(*duration), InitialActive: 1}
-		}
-		cl, err = experiments.BuildCluster(kind, setup, roles, *router, elastic, buildOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = cl
-	} else {
-		sys, err = experiments.Build(kind, setup, buildOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		backend = serve.SingleSystem(sys)
-	}
-
-	ctl := experiments.Controls{
-		Adaptive: resolveAdaptive(*adaptiveFlag, *admissionFlag, *duration),
-		Faults:   faultSpec,
-		Recovery: faultRec,
+		spec.Roles = roles
 	}
 	if policy != nil {
-		ctl.Policy = policy.Name()
+		spec.InitialActive = 1
+		spec.Controls.Policy = policy.Name()
 	}
-	opts := serve.Options{}
+	mix := workload.DefaultMix
+	if *urgent > 0 {
+		mix = workload.UrgentMix(*urgent)
+	}
+	totalRPS := *rps * float64(*replicas)
+	var banner string
+	switch {
+	case *traceFlag != "" || *specFlag != "":
+		tr, err := loadReplayTrace(*traceFlag, *specFlag, setup, *duration, durationSet, *seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// Downstream cadences (autoscale, adaptive, fault horizon) follow the
+		// replayed trace's span, not the synthetic default.
+		spec.Trace, spec.Duration = tr, tr.Duration()
+		st := tr.Stats()
+		what := "replaying " + *traceFlag
+		if *specFlag != "" {
+			what = fmt.Sprintf("compiled %s (seed %d)", *specFlag, tr.Header.Seed)
+		}
+		banner = fmt.Sprintf("trace: %s: %d arrivals over %.1fs (mean %.2f rps, %d classes; -rps ignored)",
+			what, st.Arrivals, tr.Duration(), st.MeanRPS, len(tr.Header.Classes))
+	case *prefixFlag:
+		if spec.Sessions, err = experiments.NewSessions(setup, *seed); err != nil {
+			log.Fatal(err)
+		}
+		banner = fmt.Sprintf("workload: %d multi-turn sessions, closed-loop follow-ups (host tier %d blocks; -duration and -rps ignored)",
+			experiments.PrefixTenants, *prefixTier)
+	case *profile != "":
+		spec.Open = &experiments.OpenLoad{Profile: *profile, RPS: totalRPS, Mix: mix, SLOScale: *sloScale, Salt: 0x51e}
+		banner = fmt.Sprintf("workload: open-loop %s profile, mean %.2f rps over %.0fs", *profile, totalRPS, *duration)
+	default:
+		gen, err := experiments.NewGenerator(setup, mix, *sloScale, mathutil.Hash2(*seed, 0x51e))
+		if err != nil {
+			log.Fatal(err)
+		}
+		spec.Requests = gen.FromTimestamps(workload.RealTrace(mathutil.NewRNG(mathutil.Hash2(*seed, 0x7a)), totalRPS, *duration))
+		st := workload.StreamStats(spec.Requests)
+		banner = fmt.Sprintf("trace: %d requests, %.2f rps, mean prompt %.0f, mean output %.0f",
+			st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
+	}
+	spec.Controls.Adaptive = resolveAdaptive(*adaptiveFlag, *admissionFlag, spec.Duration)
+	spec.Controls.Faults, spec.Controls.Recovery = faultSpec, faultRec
 	if *live || *metricsOut != "" {
 		// The metrics exporter's series is the same snapshot grid -live tails.
-		opts.SnapshotEvery = *snapEvery
+		spec.SnapshotEvery = *snapEvery
 	}
-	srv, err := ctl.Arm(backend, *seed, *duration, opts)
+	var exporter *trace.Exporter
+	if *exportFlag != "" {
+		exporter = trace.NewExporter(trace.ExportOptions{Seed: *seed, Source: "export:adaserve-sim"})
+		spec.Observers = append(spec.Observers, exporter)
+	}
+	var spans *obs.SpanRecorder
+	if *spanOut != "" {
+		spans = obs.NewSpanRecorder()
+		spec.Observers = append(spec.Observers, spans)
+	}
+	var mexp *obs.MetricsExporter
+	if *metricsOut != "" {
+		mexp = obs.NewMetricsExporter()
+		spec.Observers = append(spec.Observers, mexp)
+	}
+	run, err := spec.Lower()
 	if err != nil {
 		log.Fatal(err)
 	}
+	cl, _ := run.Backend().(*cluster.Cluster)
+	sys := run.Backend().Instances()[0].System()
+
+	fmt.Printf("model: %s (baseline %.1f ms/token)\n", setup.Name, 1e3*setup.BaselineLatency())
+	fmt.Println(banner)
 	if !faultSpec.Empty() {
 		fmt.Printf("faults: %s [recovery %s]\n", faultSpec, faultRec)
 	}
 	if policy != nil {
 		fmt.Printf("autoscale: %s policy over a %d-replica capacity fleet (cold start %.1fs, decisions every %.1fs)\n",
-			policy.Name(), *replicas, experiments.AutoscaleColdStart(*duration), experiments.AutoscaleInterval(*duration))
+			policy.Name(), *replicas, experiments.AutoscaleColdStart(spec.Duration), experiments.AutoscaleInterval(spec.Duration))
 	}
-	if cfg := ctl.Adaptive; cfg != nil {
+	if cfg := spec.Controls.Adaptive; cfg != nil {
 		parts := ""
 		if *adaptiveFlag {
 			parts = "speculation tuning"
@@ -465,46 +435,14 @@ func main() {
 		fmt.Printf("adaptive: %s (retune every %.1fs, %.1fs windows)\n",
 			parts, cfg.Interval, cfg.Window)
 	}
-	var exporter *trace.Exporter
-	if *exportFlag != "" {
-		exporter = trace.NewExporter(trace.ExportOptions{Seed: *seed, Source: "export:adaserve-sim"})
-		srv.Subscribe(exporter)
-	}
-	var spans *obs.SpanRecorder
-	if *spanOut != "" {
-		spans = obs.NewSpanRecorder()
-		srv.Subscribe(spans)
-	}
-	var mexp *obs.MetricsExporter
-	if *metricsOut != "" {
-		mexp = obs.NewMetricsExporter()
-		srv.Subscribe(mexp)
-	}
 	if *live {
 		fmt.Println()
 		pfx := prefixStatsFn(*prefixFlag, cl, sys)
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) { liveEvent(ev, cl, pfx) }))
+		run.Subscribe(serve.ObserverFunc(func(ev serve.Event) { liveEvent(ev, cl, pfx) }))
 	}
-	var submitErr error
-	if sessions != nil {
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
-			e, ok := ev.(serve.RequestFinished)
-			if !ok {
-				return
-			}
-			if next := sessions.FollowUp(e.Req, e.Time); next != nil {
-				if err := submitSrc.Submit(next); err != nil && submitErr == nil {
-					submitErr = err
-				}
-			}
-		}))
-	}
-	rr, err := srv.Run(src)
+	out, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if submitErr != nil {
-		log.Fatal(submitErr)
 	}
 	if exporter != nil {
 		tr, err := exporter.Trace()
@@ -517,26 +455,17 @@ func main() {
 		fmt.Printf("exported %d admitted arrivals to %s\n", len(tr.Arrivals), *exportFlag)
 	}
 
+	sum := out.Summary.Aggregate
 	if cl != nil {
-		// Closed replay aggregates over the trace in trace order (matching
-		// cluster.Run byte-for-byte); open-loop runs aggregate over every
-		// dispatched request.
-		res := srv.Results(rr, traceReqs)
-		printCluster(res, *replicas)
-		finishObs(spans, *spanOut, mexp, *metricsOut, *percentiles, res.Summary.Aggregate)
-		return
-	}
-	reqs := traceReqs
-	if reqs == nil {
-		reqs = sys.Pool().Done()
-	}
-	sum := metrics.Summarize(sys.Name(), reqs, rr.Breakdown)
-	printSingle(sum, rr)
-	if adm := srv.Admission(); adm != nil {
-		fmt.Println(adm.String())
-	}
-	if pfx := prefixStatsFn(*prefixFlag, nil, sys); pfx != nil {
-		fmt.Println(pfx().String())
+		printCluster(out.Fleet, *replicas)
+	} else {
+		printSingle(sum, out.Result)
+		if adm := out.Summary.Admission; adm != nil {
+			fmt.Println(adm.String())
+		}
+		if pfx := prefixStatsFn(*prefixFlag, nil, sys); pfx != nil {
+			fmt.Println(pfx().String())
+		}
 	}
 	finishObs(spans, *spanOut, mexp, *metricsOut, *percentiles, sum)
 }

@@ -13,7 +13,8 @@
 // synthesis: per-bin arrival counts of the Figure 7 real-world shape or
 // the Figure 13 synthetic per-category trace, as CSV for plotting. Invalid
 // invocations — an unknown subcommand, a malformed spec or trace file, a
-// format-version mismatch, or a non-positive rate, duration or bin width —
+// format-version mismatch, or a rate, duration or bin width that is not
+// positive and finite —
 // exit non-zero with a one-line error.
 //
 // Usage:
@@ -170,13 +171,13 @@ func run(w io.Writer, kind string, rps, duration, bin float64, seed uint64, args
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected argument %q (adaserve-trace takes only flags: -kind, -rps, -duration, -bin, -seed)", args[0])
 	}
-	if rps <= 0 {
-		return fmt.Errorf("-rps %g: need a positive rate", rps)
+	if err := experiments.CheckPositive("rps", "rate", rps); err != nil {
+		return err
 	}
-	if duration <= 0 {
-		return fmt.Errorf("-duration %g: need a positive duration", duration)
+	if err := experiments.CheckPositive("duration", "duration", duration); err != nil {
+		return err
 	}
-	if bin <= 0 || bin > duration {
+	if !(bin > 0 && bin <= duration) {
 		return fmt.Errorf("-bin %g: need a bin width in (0, duration]", bin)
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,6 +32,11 @@ func TestRunValidation(t *testing.T) {
 		{name: "negative duration", kind: "real", rps: 4, duration: -1, bin: 30, wantErr: "positive duration"},
 		{name: "zero bin", kind: "real", rps: 4, duration: 120, bin: 0, wantErr: "bin width"},
 		{name: "bin wider than trace", kind: "real", rps: 4, duration: 120, bin: 600, wantErr: "bin width"},
+		{name: "NaN rps", kind: "real", rps: math.NaN(), duration: 120, bin: 30, wantErr: "positive rate"},
+		{name: "infinite rps", kind: "synthetic", rps: math.Inf(1), duration: 120, bin: 30, wantErr: "positive rate"},
+		{name: "NaN duration", kind: "real", rps: 4, duration: math.NaN(), bin: 30, wantErr: "positive duration"},
+		{name: "infinite duration", kind: "real", rps: 4, duration: math.Inf(1), bin: 30, wantErr: "positive duration"},
+		{name: "NaN bin", kind: "real", rps: 4, duration: 120, bin: math.NaN(), wantErr: "bin width"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -22,11 +22,7 @@ import (
 	"adaserve/internal/experiments"
 	"adaserve/internal/gpu"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/metrics"
-	"adaserve/internal/request"
 	"adaserve/internal/sched"
-	"adaserve/internal/serve"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -59,21 +55,18 @@ func main() {
 	reqs := gen.FromTimestamps(ts)
 
 	run := func(name string, opts experiments.BuildOptions) {
-		sys, err := experiments.Build(experiments.SysAdaServe, setup, opts)
+		armed, err := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 75,
+			Build: opts, Requests: reqs}.Lower()
 		if err != nil {
 			log.Fatal(err)
 		}
-		cp := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp)
+		res, err := armed.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		s := res.Summary
+		s := res.Summary.Aggregate
 		extra := ""
-		if a, ok := sys.(*sched.AdaServe); ok && a.Debug.DecodeIters > 0 {
+		if a, ok := armed.Backend().Instances()[0].System().(*sched.AdaServe); ok && a.Debug.DecodeIters > 0 {
 			extra = fmt.Sprintf("  (avg depth %.1f)",
 				float64(a.Debug.SumDepth)/float64(a.Debug.DecodeIters))
 		}
@@ -82,9 +75,9 @@ func main() {
 	}
 
 	fmt.Println("\nadaptive vs static speculation at 4.2 req/s:")
-	run("adaptive (Eq. 8-9)", experiments.BuildOptions{Seed: 1})
-	run("static d=2 w=1", experiments.BuildOptions{Seed: 1, StaticD: 2, StaticW: 1})
-	run("static d=8 w=4", experiments.BuildOptions{Seed: 1, StaticD: 8, StaticW: 4})
+	run("adaptive (Eq. 8-9)", experiments.BuildOptions{})
+	run("static d=2 w=1", experiments.BuildOptions{StaticD: 2, StaticW: 1})
+	run("static d=8 w=4", experiments.BuildOptions{StaticD: 8, StaticW: 4})
 
 	// 3. The closed loop at runtime: a two-replica fleet under a flash crowd
 	//    (spike profile, burst ~5.6x the mean), with and without the
@@ -94,45 +87,23 @@ func main() {
 	fmt.Printf("\nflash crowd on a %d-replica fleet (mean %.1f rps, spike burst):\n",
 		experiments.AdaptiveFleet, mean)
 	closed := func(name string, cfg *adaptive.Config) {
-		rate, maxRate, err := workload.RateProfile("spike", mean, duration)
+		armed, err := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+			Roles: make([]cluster.Role, experiments.AdaptiveFleet), Router: experiments.AdaptiveRouter,
+			Controls: experiments.Controls{Adaptive: cfg},
+			Open:     &experiments.OpenLoad{Profile: "spike", RPS: mean, Salt: 0xada}}.Lower()
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen2, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
+		res, err := armed.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		src, err := serve.NewOpenLoop(gen2, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, experiments.AdaptiveFleet),
-			experiments.AdaptiveRouter, nil, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts := serve.Options{}
-		var actrl *adaptive.Controller
-		if cfg != nil {
-			if actrl, err = adaptive.New(cl, *cfg); err != nil {
-				log.Fatal(err)
-			}
-			opts.Adaptive = actrl
-		}
-		srv, err := serve.NewServer(cl, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rr, err := srv.Run(src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res2sum(cl, rr)
+		s := res.Summary
 		fmt.Printf("%-22s attainment %5.1f%%, goodput %5.0f tok/s, max TTFT %.2fs",
 			name, 100*s.Attainment(), s.Goodput(), s.Aggregate.MaxTTFT)
-		if actrl != nil {
-			a := actrl.Summary()
-			d, w := actrl.Envelope()
+		if a := s.Admission; a != nil {
+			// The controller actuates its envelope onto every replica.
+			d, w := armed.Backend().Instances()[0].System().(adaptive.SpecTunable).SpecEnvelope()
 			fmt.Printf("  (%d degraded, %d rejected; envelope d<=%d w<=%d)", a.Degraded, a.Rejected, d, w)
 		}
 		fmt.Println()
@@ -143,9 +114,4 @@ func main() {
 		log.Fatal(err)
 	}
 	closed("closed loop + gate", cfg)
-}
-
-// res2sum aggregates a cluster run over its admitted requests.
-func res2sum(cl *cluster.Cluster, rr *serve.Result) *metrics.ClusterSummary {
-	return cl.Results(rr, nil).Summary
 }

@@ -18,10 +18,8 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 const (
@@ -29,49 +27,27 @@ const (
 	capacity = experiments.AutoscaleFleet
 )
 
-// source builds the diurnal open-loop arrival stream. Every run gets a
-// fresh source seeded identically, so all configurations face the same
-// requests at the same instants.
-func source(setup experiments.ModelSetup) (*serve.OpenLoop, error) {
+// run serves the diurnal open-loop arrival stream with the named
+// configuration ("static" or a policy name) and returns the cluster
+// summary, optionally logging scale events. Every run generates the stream
+// from the same seed, so all configurations face the same requests at the
+// same instants.
+func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.ClusterSummary, error) {
 	mean, err := experiments.AutoscaleMeanRPS(setup, "diurnal")
 	if err != nil {
 		return nil, err
 	}
-	rate, maxRate, err := workload.RateProfile("diurnal", mean, duration)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0x51e))
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-}
-
-// run serves the stream with the named configuration ("static" or a policy
-// name) and returns the cluster summary, optionally logging scale events.
-func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.ClusterSummary, error) {
-	src, err := source(setup)
-	if err != nil {
-		return nil, err
-	}
+	spec := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+		Roles: make([]cluster.Role, capacity), Router: "least-loaded",
+		Controls: experiments.Controls{Policy: config},
+		Open:     &experiments.OpenLoad{Profile: "diurnal", RPS: mean, Salt: 0x51e}}
 	// A static fleet is the full capacity from t=0; an elastic one starts at
 	// one replica and the policy scales it within the capacity.
-	var elastic *cluster.ElasticOptions
 	if config != "static" {
-		elastic = &cluster.ElasticOptions{ColdStart: experiments.AutoscaleColdStart(duration), InitialActive: 1}
-	}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, capacity),
-		"least-loaded", elastic, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := experiments.Controls{Policy: config}.Arm(cl, 1, duration, serve.Options{})
-	if err != nil {
-		return nil, err
+		spec.InitialActive = 1
 	}
 	if logScale {
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+		spec.Observers = append(spec.Observers, serve.ObserverFunc(func(ev serve.Event) {
 			switch e := ev.(type) {
 			case serve.ScaleUp:
 				fmt.Printf("  t=%6.1fs  +replica %d -> fleet %d  (%s)\n",
@@ -82,11 +58,11 @@ func run(setup experiments.ModelSetup, config string, logScale bool) (*metrics.C
 			}
 		}))
 	}
-	rr, err := srv.Run(src)
+	res, err := spec.Run()
 	if err != nil {
 		return nil, err
 	}
-	return srv.Results(rr, nil).Summary, nil
+	return res.Summary, nil
 }
 
 func main() {

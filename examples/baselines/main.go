@@ -13,8 +13,6 @@ import (
 
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -50,19 +48,12 @@ func main() {
 	}
 	var rows []row
 	for _, kind := range systems {
-		sys, err := experiments.Build(kind, setup, experiments.BuildOptions{Seed: 1})
+		// Each run replays its own copy of the trace.
+		res, err := experiments.RunSpec{Kind: kind, Setup: setup, Seed: 1, Duration: 75, Requests: reqs}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		cp := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res.Summary
+		s := res.Summary.Aggregate
 		rows = append(rows, row{
 			name: s.System, attain: s.Attainment(),
 			goodput: s.Goodput, acc: s.MeanAcceptedPerStep,

@@ -27,10 +27,8 @@ import (
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/faults"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 const (
@@ -39,50 +37,25 @@ const (
 	active   = experiments.FaultInitialActive
 )
 
-// source builds the steady open-loop arrival stream at the scenario's
-// operating point. Every run gets a fresh source seeded identically, so all
-// recovery modes face the same requests at the same instants.
-func source(setup experiments.ModelSetup, scenario string) (*serve.OpenLoop, error) {
-	rate, maxRate, err := workload.RateProfile("constant", experiments.FaultMeanRPS(setup, scenario), duration)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xfa))
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, duration)
-}
-
-// run serves the stream against the given fault schedule under one recovery
-// mode, optionally narrating the failure lifecycle.
+// run serves the steady open-loop arrival stream at the scenario's
+// operating point against the given fault schedule under one recovery
+// mode, optionally narrating the failure lifecycle. Every run generates the
+// stream from the same seed, so all recovery modes face the same requests
+// at the same instants.
 func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Recovery, narrate bool) (*metrics.ClusterSummary, error) {
-	src, err := source(setup, scenario)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, capacity),
-		experiments.FaultRouter, &cluster.ElasticOptions{
-			ColdStart:     experiments.AutoscaleColdStart(duration),
-			InitialActive: active,
-		}, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
 	parsed, err := faults.ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
 	// The controls arm the fault injector and the rate-prop autoscaler on
-	// the fleet and build the server that drives them.
-	ctl := experiments.Controls{Policy: "rate-prop", Faults: parsed, Recovery: recovery}
-	srv, err := ctl.Arm(cl, 1, duration, serve.Options{})
-	if err != nil {
-		return nil, err
-	}
+	// the elastic fleet.
+	cell := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: duration,
+		Roles: make([]cluster.Role, capacity), Router: experiments.FaultRouter, InitialActive: active,
+		Controls: experiments.Controls{Policy: "rate-prop", Faults: parsed, Recovery: recovery},
+		Open:     &experiments.OpenLoad{Profile: "constant", RPS: experiments.FaultMeanRPS(setup, scenario), Salt: 0xfa}}
 	if narrate {
 		hedges := 0
-		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+		cell.Observers = append(cell.Observers, serve.ObserverFunc(func(ev serve.Event) {
 			switch e := ev.(type) {
 			case serve.ReplicaFailed:
 				fmt.Printf("  t=%6.1fs  replica %d crashed (%s): %d resident requests frozen\n",
@@ -106,11 +79,11 @@ func run(setup experiments.ModelSetup, scenario, spec string, recovery faults.Re
 			}
 		}))
 	}
-	rr, err := srv.Run(src)
+	res, err := cell.Run()
 	if err != nil {
 		return nil, err
 	}
-	return srv.Results(rr, nil).Summary, nil
+	return res.Summary, nil
 }
 
 // compare prints the recovery-mode table for one fault schedule.

@@ -12,7 +12,6 @@ import (
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
 
@@ -36,14 +35,12 @@ func main() {
 	fmt.Printf("trace: %d requests over 120s\n\n", len(reqs))
 
 	// 3. Replay the identical trace through each router policy. Every run
-	//    builds a fresh cluster (replicas and requests are single-use).
+	//    builds a fresh cluster and replays its own copy of the trace.
+	run := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 120,
+		Roles: make([]cluster.Role, replicas), Requests: reqs}
 	for _, routerName := range cluster.RouterNames() {
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, replicas),
-			routerName, nil, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := cl.Run(request.CloneAll(reqs))
+		run.Router = routerName
+		res, err := run.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,16 +51,12 @@ func main() {
 
 	// 4. Rerun the winner and show its per-replica breakdown.
 	fmt.Println("\nper-replica detail (slo-aware):")
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, replicas),
-		"slo-aware", nil, experiments.BuildOptions{Seed: 1})
+	run.Router = "slo-aware"
+	res, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cl.Run(reqs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, rr := range res.PerReplica {
+	for _, rr := range res.Fleet.PerReplica {
 		s := rr.Summary
 		fmt.Printf("  %s: %3d reqs, attain %5.1f%%, %4d iterations, local end %.1fs\n",
 			s.System, s.Requests, 100*s.Attainment(), rr.Iterations, rr.EndTime)

@@ -13,7 +13,6 @@ import (
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
 
@@ -41,19 +40,16 @@ func main() {
 	// 3. Replay the identical trace through each fleet layout behind the
 	//    slo-aware router (which balances prompt backlog across prefill
 	//    replicas and per-class residency across decode replicas).
+	run := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 120,
+		Router: "slo-aware", Requests: reqs}
 	for _, split := range experiments.DisaggSplits() {
-		roles := make([]cluster.Role, 4) // colocated: four mixed replicas
+		run.Roles = make([]cluster.Role, 4) // colocated: four mixed replicas
 		if split != "colocated" {
-			if roles, err = cluster.ParseSplit(split); err != nil {
+			if run.Roles, err = cluster.ParseSplit(split); err != nil {
 				log.Fatal(err)
 			}
 		}
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles,
-			"slo-aware", nil, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := cl.Run(request.CloneAll(reqs))
+		res, err := run.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -69,16 +65,10 @@ func main() {
 	// 4. Rerun the balanced split and show the per-role view: who served
 	//    which stage, and how attainment splits across the fleet.
 	fmt.Println("\nper-role detail (2P2D, slo-aware):")
-	roles, err := cluster.ParseSplit("2P2D")
-	if err != nil {
+	if run.Roles, err = cluster.ParseSplit("2P2D"); err != nil {
 		log.Fatal(err)
 	}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles,
-		"slo-aware", nil, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := cl.Run(reqs)
+	res, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +83,7 @@ func main() {
 			stage(rs.PrefillRequests, "prefills", "TTFT attain", rs.TTFTAttainment()),
 			stage(rs.DecodeRequests, "decodes", "TPOT attain", rs.TPOTAttainment()))
 	}
-	for _, rr := range res.PerReplica {
+	for _, rr := range res.Fleet.PerReplica {
 		s := rr.Summary
 		fmt.Printf("  %s: %3d reqs, %4d iterations, local end %.1fs\n",
 			s.System, s.Requests, rr.Iterations, rr.EndTime)

@@ -14,7 +14,6 @@ import (
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -33,19 +32,11 @@ func main() {
 	reqs := gen.FromTimestamps(ts)
 
 	for _, kind := range []experiments.SystemKind{experiments.SysAdaServe, experiments.SysVLLM} {
-		sys, err := experiments.Build(kind, setup, experiments.BuildOptions{Seed: 1})
+		res, err := experiments.RunSpec{Kind: kind, Setup: setup, Seed: 1, Duration: 90, Requests: reqs}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		cp := make([]*request.Request, len(reqs))
-		for i, r := range reqs {
-			cp[i] = request.New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
-		}
-		res, err := sim.Run(sys, cp)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s := res.Summary
+		s := res.Summary.Aggregate
 		fmt.Printf("%s: attainment %.1f%%, goodput %.0f tok/s\n",
 			s.System, 100*s.Attainment(), s.Goodput)
 		for cat := request.Category(0); cat < request.Category(request.NumCategories); cat++ {

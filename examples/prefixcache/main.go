@@ -25,7 +25,6 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
-	"adaserve/internal/serve"
 )
 
 func runRouter(routerName string) {
@@ -40,48 +39,21 @@ func runRouter(routerName string) {
 	}
 
 	// 2. A three-replica cluster with prefix caching and a host tier enabled
-	// on every replica's KV allocator.
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup,
-		make([]cluster.Role, experiments.PrefixFleet), routerName, nil, experiments.BuildOptions{
-			Seed:             1,
-			Prefix:           true,
-			PrefixHostBlocks: experiments.PrefixHostTier,
-		})
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := serve.NewServer(cl, serve.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Closed-loop submission: seed the opening turns, then submit each
-	// tenant's next turn from the finish callback of the previous one.
-	src := serve.NewSubmitSource()
-	for _, r := range sessions.InitialRequests() {
-		if err := src.Submit(r); err != nil {
-			log.Fatal(err)
-		}
-	}
-	srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
-		e, ok := ev.(serve.RequestFinished)
-		if !ok {
-			return
-		}
-		if next := sessions.FollowUp(e.Req, e.Time); next != nil {
-			if err := src.Submit(next); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}))
-	rr, err := srv.Run(src)
+	// on every replica's KV allocator. The run is closed-loop: the opening
+	// turns are submitted up front, and each tenant's next turn when the
+	// previous one finishes.
+	res, err := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1,
+		Build:    experiments.BuildOptions{Prefix: true, PrefixHostBlocks: experiments.PrefixHostTier},
+		Roles:    make([]cluster.Role, experiments.PrefixFleet),
+		Router:   routerName,
+		Sessions: sessions}.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 4. Report: cluster attainment plus the cache's own accounting — hit
+	// 3. Report: cluster attainment plus the cache's own accounting — hit
 	// rate, prefill tokens skipped, evictions and host-tier reloads.
-	s := cl.Results(rr, nil).Summary
+	s := res.Summary
 	fmt.Printf("\n%-16s TTFT attainment %5.1f%% | goodput %6.1f tok/s | %d turns\n",
 		routerName, 100*s.TTFTAttainment(), s.Goodput(), s.Aggregate.Finished)
 	fmt.Printf("%-16s %s\n", "", s.Prefix)

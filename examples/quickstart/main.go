@@ -10,7 +10,6 @@ import (
 
 	"adaserve/internal/experiments"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -20,13 +19,7 @@ func main() {
 	fmt.Printf("model: %s, baseline decode latency: %.1f ms/token\n",
 		setup.Name, 1e3*setup.BaselineLatency())
 
-	// 2. Build the AdaServe serving system on the simulated substrate.
-	sys, err := experiments.Build(experiments.SysAdaServe, setup, experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. Synthesize a 60-second three-category trace at 3.5 req/s
+	// 2. Synthesize a 60-second three-category trace at 3.5 req/s
 	//    (60% coding copilot, 20% chatbot, 20% summarization — Table 2).
 	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, 42)
 	if err != nil {
@@ -38,17 +31,20 @@ func main() {
 	fmt.Printf("trace: %d requests, %.1f req/s, mean prompt %.0f tok, mean output %.0f tok\n",
 		st.Requests, st.MeanRPS, st.MeanPrompt, st.MeanOutput)
 
-	// 4. Replay the trace to completion and report.
-	res, err := sim.Run(sys, reqs)
+	// 3. Describe the run — AdaServe on one simulated replica, replaying
+	//    the trace — then replay it to completion and report.
+	run := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 60, Requests: reqs}
+	res, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
+	s := res.Summary.Aggregate
 	fmt.Println()
-	fmt.Println(res.Summary)
+	fmt.Println(s)
 	fmt.Printf("\niterations: %d, simulated end: %.1fs\n", res.Iterations, res.EndTime)
 	fmt.Printf("breakdown: scheduling %.2f%%, speculation %.1f%%, verification %.1f%%, prefill %.1f%%\n",
-		100*res.Summary.Breakdown.SchedulingShare(),
-		100*res.Summary.Breakdown.Speculation/res.Summary.Breakdown.Total(),
-		100*res.Summary.Breakdown.Verification/res.Summary.Breakdown.Total(),
-		100*res.Summary.Breakdown.Prefill/res.Summary.Breakdown.Total())
+		100*s.Breakdown.SchedulingShare(),
+		100*s.Breakdown.Speculation/s.Breakdown.Total(),
+		100*s.Breakdown.Verification/s.Breakdown.Total(),
+		100*s.Breakdown.Prefill/s.Breakdown.Total())
 }

@@ -48,24 +48,15 @@ func main() {
 
 	// 2. Replay it through a 2-replica AdaServe cluster, recording every
 	//    admitted arrival with an export observer. runOnce is reused for the
-	//    replay leg below: same build, same seed, different source.
-	runOnce := func(src serve.Source) *trace.Trace {
-		cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware",
-			nil, experiments.BuildOptions{Seed: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv, err := serve.NewServer(cl, serve.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
+	//    replay leg below: same build, same seed, different trace.
+	runOnce := func(replay *trace.Trace) *trace.Trace {
 		exp := trace.NewExporter(trace.ExportOptions{Seed: tr.Header.Seed, Source: "export:example"})
-		srv.Subscribe(exp)
-		rr, err := srv.Run(src)
+		res, err := experiments.RunSpec{Kind: experiments.SysAdaServe, Setup: setup, Seed: 1,
+			Roles: make([]cluster.Role, 2), Router: "slo-aware",
+			Trace: replay, Observers: []serve.Observer{exp}}.Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := cl.Results(rr, nil)
 		fmt.Printf("  served %d requests: attainment %.1f%%, goodput %.1f tok/s\n",
 			res.Summary.Aggregate.Requests, 100*res.Summary.Attainment(), res.Summary.Goodput())
 		out, err := exp.Trace()
@@ -74,12 +65,8 @@ func main() {
 		}
 		return out
 	}
-	src, err := trace.NewSource(tr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nreplaying the compiled trace:")
-	exported := runOnce(src)
+	exported := runOnce(tr)
 
 	// 3. Round-trip the export through its file form — Format is canonical,
 	//    so parse(format(t)) is t — and replay it through a fresh cluster.
@@ -87,12 +74,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	replaySrc, err := trace.NewSource(parsed)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nreplaying the exported trace:")
-	replayed := runOnce(replaySrc)
+	replayed := runOnce(parsed)
 
 	// 4. The loop closes: the replayed run admitted exactly the arrivals the
 	//    original exported, so its own export is byte-identical.

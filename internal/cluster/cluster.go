@@ -11,9 +11,9 @@
 // the single-replica driver uses, and the (slightly stale) load signal a
 // production router in front of independently batching replicas would have.
 // All tie-breaking is by lowest replica index, so runs are deterministic
-// under a fixed seed. Run replays a closed trace through the driver in one
-// call; streaming callers (observers, open-loop sources) hand the Cluster to
-// serve.NewServer directly and assemble metrics with Results.
+// under a fixed seed. A run hands the Cluster to serve.NewServer (every
+// experiments.RunSpec with a fleet does) and assembles metrics with
+// Results.
 //
 // Replicas optionally carry a role. A colocated cluster (every replica
 // RoleMixed) serves each request start-to-finish where it was routed. A
@@ -551,46 +551,16 @@ type Result struct {
 	EndTime float64
 }
 
-// Run drives the cluster over the request trace until every request is done:
-// a serve.Server over a TraceSource with the cluster as backend. Arrivals
-// are routed in (arrival time, ID) order among prefill-capable replicas;
-// migrations are delivered interleaved with arrivals in event-time order
-// (migrations before arrivals only when strictly earlier). Each routed
-// request stays on its replica except for the single prefill-to-decode
-// migration of a disaggregated cluster. The run is bounded by the driver's
-// defaults; callers needing other bounds drive a serve.Server directly.
-func (c *Cluster) Run(reqs []*request.Request) (*Result, error) {
-	src, err := serve.NewTraceSource(reqs)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(c, serve.Options{})
-	if err != nil {
-		return nil, err
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		return nil, err
-	}
-	return c.results(reqs, rr), nil
-}
-
-// Results assembles the cluster result of a completed serve run driven
-// directly through serve.Server (rather than Run). reqs is the request
-// population the aggregate summarizes over — pass the trace for closed
-// replay so ordering (and therefore order-dependent float sums) matches
-// Run exactly; pass nil when the population is not known up front
-// (open-loop or programmatic sources) to aggregate over every request
-// dispatched into the cluster, in admission order.
+// Results assembles the cluster result of a completed serve.Server run
+// with the cluster as backend. reqs is the request population the
+// aggregate summarizes over — pass the trace for closed replay, so the
+// aggregate covers it in trace order; pass nil when the population is not
+// known up front (open-loop or programmatic sources) to aggregate over
+// every request dispatched into the cluster, in admission order.
 func (c *Cluster) Results(rr *serve.Result, reqs []*request.Request) *Result {
 	if reqs == nil {
 		reqs = c.admitted
 	}
-	return c.results(reqs, rr)
-}
-
-// results builds the Result over the given request population.
-func (c *Cluster) results(reqs []*request.Request, rr *serve.Result) *Result {
 	res := &Result{Iterations: rr.Iterations, EndTime: rr.EndTime}
 	var total metrics.Breakdown
 	var perReplica []*metrics.Summary

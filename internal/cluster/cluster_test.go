@@ -83,7 +83,7 @@ func mkReqs(n int, gap float64, output int) []*request.Request {
 func TestRunRoutesEveryRequestOnce(t *testing.T) {
 	c := fakeCluster(t, 3, NewRoundRobin())
 	reqs := mkReqs(30, 0.01, 4)
-	res, err := c.Run(reqs)
+	res, err := replayTrace(c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunPerReplicaClocksAdvanceIndependently(t *testing.T) {
 	// Every request goes to replica 0: replica 1 must stay at clock 0.
 	c := fakeCluster(t, 2, routeTo(0))
 	reqs := mkReqs(5, 0.001, 8)
-	res, err := c.Run(reqs)
+	res, err := replayTrace(c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func (rt routeTo) RouteDecode(*request.Request, []*Replica) int { return int(rt)
 func TestRunHandlesArrivalGaps(t *testing.T) {
 	c := fakeCluster(t, 2, LeastLoaded{})
 	reqs := mkReqs(4, 50, 4) // arrivals far apart: clocks must jump
-	res, err := c.Run(reqs)
+	res, err := replayTrace(c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunDeterminism(t *testing.T) {
 	run := func() (float64, int, []int) {
 		c := fakeCluster(t, 4, &SLOAware{})
 		reqs := mkReqs(40, 0.007, 6)
-		res, err := c.Run(reqs)
+		res, err := replayTrace(c, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestRunDeterminism(t *testing.T) {
 
 func TestRunRejectsBadRouterPick(t *testing.T) {
 	c := fakeCluster(t, 2, routeTo(5))
-	_, err := c.Run(mkReqs(1, 0, 2))
+	_, err := replayTrace(c, mkReqs(1, 0, 2))
 	if err == nil || !strings.Contains(err.Error(), "picked replica") {
 		t.Fatalf("want router range error, got %v", err)
 	}
@@ -193,9 +193,27 @@ func TestRunRejectsBadRouterPick(t *testing.T) {
 func TestRunValidatesRequests(t *testing.T) {
 	c := fakeCluster(t, 2, NewRoundRobin())
 	bad := request.New(1, request.Chat, 0, 0, 16, 4, 1)
-	if _, err := c.Run([]*request.Request{bad}); err == nil {
+	if _, err := replayTrace(c, []*request.Request{bad}); err == nil {
 		t.Fatal("invalid request accepted")
 	}
+}
+
+// replayTrace replays reqs through c until every request is done: a
+// serve.Server over a TraceSource, summarized over the trace.
+func replayTrace(c *Cluster, reqs []*request.Request) (*Result, error) {
+	src, err := serve.NewTraceSource(reqs)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := serve.NewServer(c, serve.Options{})
+	if err != nil {
+		return nil, err
+	}
+	rr, err := srv.Run(src)
+	if err != nil {
+		return nil, err
+	}
+	return c.Results(rr, reqs), nil
 }
 
 // runBounded drives the cluster through a server with explicit run bounds.

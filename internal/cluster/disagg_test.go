@@ -140,7 +140,7 @@ func TestNewWithRolesValidates(t *testing.T) {
 func TestDisaggMigratesEveryRequest(t *testing.T) {
 	c, fakes := disaggFakes(t, []Role{RolePrefill, RoleDecode, RoleDecode}, NewRoundRobin(), testTransfer(0.001))
 	reqs := mkReqs(12, 0.005, 4)
-	res, err := c.Run(reqs)
+	res, err := replayTrace(c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestDisaggTransferLatencyDelaysFirstDecode(t *testing.T) {
 	c, _ := disaggFakes(t, []Role{RolePrefill, RoleDecode}, NewRoundRobin(), testTransfer(lat))
 	r := request.New(1, request.Chat, 0.05, 0, 16, 4, 1)
 	r.TTFTSLO = 1.0
-	if _, err := c.Run([]*request.Request{r}); err != nil {
+	if _, err := replayTrace(c, []*request.Request{r}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Phase != request.Done {
@@ -209,7 +209,7 @@ func TestDisaggRoleStats(t *testing.T) {
 	for _, r := range reqs {
 		r.TTFTSLO = 10 // generous: all attain
 	}
-	res, err := c.Run(reqs)
+	res, err := replayTrace(c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDisaggDeterminism(t *testing.T) {
 		c, _ := disaggFakes(t, []Role{RolePrefill, RolePrefill, RoleDecode, RoleDecode},
 			&SLOAware{}, testTransfer(0.002))
 		reqs := mkReqs(40, 0.007, 6)
-		res, err := c.Run(reqs)
+		res, err := replayTrace(c, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestHybridMixedReplicaAccountsMigrations(t *testing.T) {
 	// decode accounting.
 	c, _ := disaggFakes(t, []Role{RolePrefill, RoleMixed}, NewRoundRobin(), testTransfer(0.001))
 	reqs := mkReqs(10, 0.005, 3)
-	res, err := c.Run(reqs)
+	res, err := replayTrace(c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestHybridMixedReplicaAccountsMigrations(t *testing.T) {
 func TestRoundRobinDecodeCursorIndependent(t *testing.T) {
 	c, _ := disaggFakes(t, []Role{RolePrefill, RoleDecode, RoleDecode}, NewRoundRobin(), testTransfer(0))
 	reqs := mkReqs(10, 0.005, 2)
-	if _, err := c.Run(reqs); err != nil {
+	if _, err := replayTrace(c, reqs); err != nil {
 		t.Fatal(err)
 	}
 	reps := c.Replicas()

@@ -387,7 +387,7 @@ func TestElasticRunDeterminism(t *testing.T) {
 
 func TestStaticClusterLifecycleStats(t *testing.T) {
 	cl := fakeCluster(t, 3, nil)
-	res, err := cl.Run(mkReqs(12, 0.05, 4))
+	res, err := replayTrace(cl, mkReqs(12, 0.05, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,74 +1,61 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
+	"slices"
 
 	"adaserve/internal/lm"
-	"adaserve/internal/metrics"
 	"adaserve/internal/workload"
 )
 
-// AblationRow is one configuration's outcome in an ablation study.
-type AblationRow struct {
-	Name string
-	Sum  *metrics.Summary
+// ablationConfigs are the ablation study's configurations, by row label:
+// the system each runs and the design choice it switches.
+var ablationConfigs = []struct {
+	name  string
+	kind  SystemKind
+	build BuildOptions
+}{
+	{"AdaServe (full)", SysAdaServe, BuildOptions{}},
+	{"interleaved Algorithm 1", SysAdaServeInterleaved, BuildOptions{}},
+	{"static d=4 w=1 (chains)", SysAdaServe, BuildOptions{StaticD: 4, StaticW: 1}},
+	{"static d=8 w=4 (max trees)", SysAdaServe, BuildOptions{StaticD: 8, StaticW: 4}},
+	{"no n_max cap", SysAdaServe, BuildOptions{DisableNMax: true}},
+	{"no CUDA graphs", SysAdaServe, BuildOptions{DisableCUDAGraphs: true}},
+	{"greedy verification", SysAdaServe, BuildOptions{Rule: lm.RuleGreedy}},
 }
 
-// Ablations runs the design-choice studies DESIGN.md calls out, all at one
-// fixed moderate-high load (RPS 3.8, default mix):
+// Ablations runs the design-choice studies, all at one fixed
+// moderate-high load (RPS 3.8, default mix), one cell per configuration
+// (Config labels it):
 //
 //  1. decoupled speculate-select (AdaServe) vs interleaved Algorithm 1;
 //  2. adaptive (d, w) control vs static settings;
 //  3. per-request cap n_max on vs off;
 //  4. CUDA-graph launch amortization on vs off;
 //  5. sample-match vs greedy verification rule.
-func Ablations(setup ModelSetup, opts RunOptions) ([]AblationRow, error) {
+func Ablations(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, 3.8, opts.Duration, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		name  string
-		kind  SystemKind
-		build BuildOptions
-	}{
-		{"AdaServe (full)", SysAdaServe, BuildOptions{}},
-		{"interleaved Algorithm 1", SysAdaServeInterleaved, BuildOptions{}},
-		{"static d=4 w=1 (chains)", SysAdaServe, BuildOptions{StaticD: 4, StaticW: 1}},
-		{"static d=8 w=4 (max trees)", SysAdaServe, BuildOptions{StaticD: 8, StaticW: 4}},
-		{"no n_max cap", SysAdaServe, BuildOptions{DisableNMax: true}},
-		{"no CUDA graphs", SysAdaServe, BuildOptions{DisableCUDAGraphs: true}},
-		{"greedy verification", SysAdaServe, BuildOptions{Rule: lm.RuleGreedy}},
+	cells := make([]Cell, len(ablationConfigs))
+	builds := map[string]BuildOptions{}
+	for i, c := range ablationConfigs {
+		cells[i] = Cell{System: c.kind, Config: c.name}
+		builds[c.name] = c.build
 	}
-	sums, err := runJobs(opts.Parallel, len(configs), func(i int) (*metrics.Summary, error) {
-		c := configs[i]
-		sum, err := runOne(c.kind, setup, reqs, opts.Seed, c.build)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", c.name, err)
-		}
-		return sum, nil
+	return runGrid("ablation", opts, cells, func(c Cell) (RunSpec, error) {
+		return RunSpec{Kind: c.System, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+			Build: builds[c.Config], Requests: reqs}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]AblationRow, len(configs))
-	for i, c := range configs {
-		rows[i] = AblationRow{Name: c.name, Sum: sums[i]}
-	}
-	return rows, nil
 }
 
-// RenderAblations formats ablation rows as an aligned table.
-func RenderAblations(rows []AblationRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %12s %12s %10s %14s\n",
-		"configuration", "attain %", "goodput", "mean acc", "sched share %")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-28s %12.1f %12.1f %10.2f %14.3f\n",
-			r.Name, 100*r.Sum.Attainment(), r.Sum.Goodput,
-			r.Sum.MeanAcceptedPerStep, 100*r.Sum.Breakdown.SchedulingShare())
-	}
-	return b.String()
+// AblationsTable prints the ablation study: one row per configuration.
+var AblationsTable = Table[Cell]{
+	Row: Axis[Cell]{Name: "configuration", Width: -28, Label: func(c Cell) string { return c.Config }},
+	Columns: slices.Concat(
+		sumCols(13, "%.1f", "attain %", "goodput"),
+		sumCols(11, "%.2f", "mean acc"),
+		sumCols(15, "%.3f", "sched share %"),
+	),
 }

@@ -16,12 +16,12 @@ func TestAblationsRun(t *testing.T) {
 	if len(rows) != 7 {
 		t.Fatalf("%d ablation rows", len(rows))
 	}
-	byName := map[string]*AblationRow{}
+	byName := map[string]*Cell{}
 	for i := range rows {
-		byName[rows[i].Name] = &rows[i]
+		byName[rows[i].Config] = &rows[i]
 	}
 	full := byName["AdaServe (full)"]
-	if full == nil || full.Sum.Requests == 0 {
+	if full == nil || full.Sum.Aggregate.Requests == 0 {
 		t.Fatal("full configuration missing")
 	}
 
@@ -42,7 +42,7 @@ func TestAblationsRun(t *testing.T) {
 			deep.Sum.Attainment(), full.Sum.Attainment())
 	}
 
-	out := RenderAblations(rows)
+	out := AblationsTable.Render(rows)
 	if !strings.Contains(out, "configuration") || !strings.Contains(out, "AdaServe (full)") {
 		t.Fatalf("render:\n%s", out)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"adaserve/internal/adaptive"
 	"adaserve/internal/cluster"
-	"adaserve/internal/metrics"
 )
 
 // AdaptiveFleet is the flash-crowd experiment's fixed fleet: small enough
@@ -55,7 +54,7 @@ func AdaptiveControl(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			cells = append(cells, Cell{Config: config, Profile: profile})
 		}
 	}
-	return runGrid("adaptive", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("adaptive", opts, cells, func(c Cell) (RunSpec, error) {
 		return AdaptiveCell(setup, c.Config, c.Profile, opts)
 	})
 }
@@ -83,24 +82,19 @@ func AdaptiveConfig(config string, duration float64) (*adaptive.Config, error) {
 	return cfg, nil
 }
 
-// AdaptiveCell replays one configuration over the profile's open-loop
-// arrival stream. Workload and thinning seeding are shared across the
-// profile's cells, so every configuration faces the same requests at the
-// same instants; what differs is only what the controller does about them.
-func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (*metrics.ClusterSummary, error) {
-	src, err := openLoop(setup, profile, AdaptiveMeanRPS(setup), 0xada, opts)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, AdaptiveFleet), AdaptiveRouter, nil, BuildOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
+// AdaptiveCell describes one configuration over the profile's open-loop
+// arrival stream. Workload seeding is shared across the profile's cells,
+// so every configuration faces the same requests at the same instants;
+// what differs is only what the controller does about them.
+func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (RunSpec, error) {
 	cfg, err := AdaptiveConfig(config, opts.Duration)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
-	return Controls{Adaptive: cfg}.run(cl, src, opts)
+	return RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Roles: make([]cluster.Role, AdaptiveFleet), Router: AdaptiveRouter,
+		Controls: Controls{Adaptive: cfg},
+		Open:     &OpenLoad{Profile: profile, RPS: AdaptiveMeanRPS(setup), Salt: 0xada}}, nil
 }
 
 // AdaptiveTable prints the flash-crowd sweep as one table per profile: a

@@ -3,7 +3,6 @@ package experiments
 import (
 	"adaserve/internal/autoscale"
 	"adaserve/internal/cluster"
-	"adaserve/internal/metrics"
 	"adaserve/internal/workload"
 )
 
@@ -59,33 +58,29 @@ func Autoscaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			}
 		}
 	}
-	return runGrid("autoscale", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("autoscale", opts, cells, func(c Cell) (RunSpec, error) {
 		return AutoscaleCell(setup, c.Config, c.Profile, c.Router, opts)
 	})
 }
 
-// AutoscaleCell replays one configuration over the profile's open-loop
-// arrival stream. The workload generator and thinning RNG are seeded
+// AutoscaleCell describes one configuration over the profile's open-loop
+// arrival stream: a static capacity fleet, or (under a scaling policy) an
+// elastic one starting from a single replica. The workload is seeded
 // identically across cells (matching adaserve-sim's open-loop seeding), so
 // every cell of one profile faces the same requests at the same instants.
-func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts RunOptions) (*metrics.ClusterSummary, error) {
+func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts RunOptions) (RunSpec, error) {
 	mean, err := AutoscaleMeanRPS(setup, profile)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
-	src, err := openLoop(setup, profile, mean, 0x51e, opts)
-	if err != nil {
-		return nil, err
-	}
-	var elastic *cluster.ElasticOptions
+	spec := RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Roles: make([]cluster.Role, AutoscaleFleet), Router: routerName,
+		Controls: Controls{Policy: config},
+		Open:     &OpenLoad{Profile: profile, RPS: mean, Salt: 0x51e}}
 	if config != "static" {
-		elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: 1}
+		spec.InitialActive = 1
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, AutoscaleFleet), routerName, elastic, BuildOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return Controls{Policy: config}.run(cl, src, opts)
+	return spec, nil
 }
 
 // AutoscaleTable prints the autoscaling experiment per profile — goodput

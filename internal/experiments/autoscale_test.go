@@ -73,14 +73,10 @@ func TestAutoscalingCellShape(t *testing.T) {
 	setup := Llama70B()
 	opts := autoscaleOpts(4)
 	opts.fill()
-	static, err := AutoscaleCell(setup, "static", "diurnal", "least-loaded", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elastic, err := AutoscaleCell(setup, "rate-prop", "diurnal", "least-loaded", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec, err := AutoscaleCell(setup, "static", "diurnal", "least-loaded", opts)
+	static := runSpec(t, spec, err).Summary
+	spec, err = AutoscaleCell(setup, "rate-prop", "diurnal", "least-loaded", opts)
+	elastic := runSpec(t, spec, err).Summary
 	sa, ea := static.Autoscale, elastic.Autoscale
 	if sa == nil || ea == nil {
 		t.Fatal("cluster summaries must carry autoscale economics")

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"adaserve/internal/cluster"
-	"adaserve/internal/metrics"
 	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
@@ -44,8 +43,9 @@ func ClusterScaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			cells = append(cells, Cell{Replicas: n, Router: routerName})
 		}
 	}
-	return runGrid("cluster", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
-		return replay(setup, make([]cluster.Role, c.Replicas), c.Router, traces[c.Replicas], opts.Seed)
+	return runGrid("cluster", opts, cells, func(c Cell) (RunSpec, error) {
+		return RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+			Roles: make([]cluster.Role, c.Replicas), Router: c.Router, Requests: traces[c.Replicas]}, nil
 	})
 }
 

@@ -33,14 +33,8 @@ func TestClusterRunEndToEnd(t *testing.T) {
 	}
 	ts := workload.PoissonTrace(mathutil.NewRNG(11), 6.0, 10)
 	reqs := gen.FromTimestamps(ts)
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware", nil, BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, RunSpec{Kind: SysAdaServe, Setup: setup, Seed: 1,
+		Roles: make([]cluster.Role, 2), Router: "slo-aware", Requests: reqs}, nil).Fleet
 	if res.Summary.Aggregate.Finished != len(reqs) {
 		t.Fatalf("finished %d of %d", res.Summary.Aggregate.Finished, len(reqs))
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"adaserve/internal/cluster"
-	"adaserve/internal/metrics"
 	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
@@ -57,15 +56,16 @@ func Disaggregation(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			}
 		}
 	}
-	return runGrid("disagg", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("disagg", opts, cells, func(c Cell) (RunSpec, error) {
 		roles := make([]cluster.Role, 4)
 		if c.Split != "colocated" {
 			var err error
 			if roles, err = cluster.ParseSplit(c.Split); err != nil {
-				return nil, err
+				return RunSpec{}, err
 			}
 		}
-		return replay(setup, roles, c.Router, traces[c.Mix], opts.Seed)
+		return RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+			Roles: roles, Router: c.Router, Requests: traces[c.Mix]}, nil
 	})
 }
 

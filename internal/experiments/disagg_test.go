@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adaserve/internal/cluster"
-	"adaserve/internal/request"
 	"adaserve/internal/workload"
 )
 
@@ -23,23 +22,24 @@ func TestDisaggEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, roles, "least-loaded", nil, BuildOptions{Seed: 1})
+	a, err := RunSpec{Kind: SysAdaServe, Setup: setup, Seed: 1,
+		Roles: roles, Router: "least-loaded", Requests: reqs}.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := request.CloneAll(reqs)
-	res, err := cl.Run(run)
+	out, err := a.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Summary.Aggregate.Finished != len(run) {
-		t.Fatalf("finished %d of %d", res.Summary.Aggregate.Finished, len(run))
+	res, cl := out.Fleet, a.Backend().(*cluster.Cluster)
+	if res.Summary.Aggregate.Finished != len(reqs) {
+		t.Fatalf("finished %d of %d", res.Summary.Aggregate.Finished, len(reqs))
 	}
-	if res.Summary.Transfer.Count != len(run) {
-		t.Fatalf("%d transfers for %d requests", res.Summary.Transfer.Count, len(run))
+	if res.Summary.Transfer.Count != len(reqs) {
+		t.Fatalf("%d transfers for %d requests", res.Summary.Transfer.Count, len(reqs))
 	}
 	var promptBytes float64
-	for _, r := range run {
+	for _, r := range reqs {
 		promptBytes += setup.Target.KVBytesPerToken() * float64(r.PromptLen)
 	}
 	if res.Summary.Transfer.Bytes != promptBytes {

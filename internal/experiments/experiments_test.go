@@ -8,7 +8,6 @@ import (
 
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -76,10 +75,7 @@ func TestBuildSystemsRunEndToEnd(t *testing.T) {
 		t.Fatal("empty trace")
 	}
 	for _, kind := range []SystemKind{SysAdaServe, SysVLLM, SysVLLMSpec4} {
-		sum, err := runOne(kind, setup, reqs, 1, BuildOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
+		sum := runSpec(t, RunSpec{Kind: kind, Setup: setup, Seed: 1, Requests: reqs}, nil).Summary.Aggregate
 		if sum.Finished != len(reqs) {
 			t.Fatalf("%s finished %d of %d", kind, sum.Finished, len(reqs))
 		}
@@ -90,13 +86,11 @@ func TestRunOneIsolatesRequestState(t *testing.T) {
 	setup := Llama70B()
 	gen, _ := NewGenerator(setup, workload.DefaultMix, 1.0, 7)
 	reqs := gen.FromTimestamps([]float64{0, 0.1, 0.2})
-	if _, err := runOne(SysVLLM, setup, reqs, 1, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	runSpec(t, RunSpec{Kind: SysVLLM, Setup: setup, Seed: 1, Requests: reqs}, nil)
 	// The caller's requests must be untouched (copies were served).
 	for _, r := range reqs {
 		if r.Phase != request.Queued || r.OutputLen() != 0 {
-			t.Fatal("runOne mutated shared requests")
+			t.Fatal("a run mutated its spec's requests")
 		}
 	}
 }
@@ -124,11 +118,11 @@ func TestFigure1RunsBaselines(t *testing.T) {
 		t.Fatalf("%d points", len(pts))
 	}
 	for _, p := range pts {
-		if p.Sum.Requests == 0 {
+		if p.Sum.Aggregate.Requests == 0 {
 			t.Fatalf("%s served nothing", p.System)
 		}
 		// Figure 1's workload holds only categories 1 and 2.
-		if cs, ok := p.Sum.PerCategory[request.Summarization]; ok && cs.Requests > 0 {
+		if cs, ok := p.Sum.Aggregate.PerCategory[request.Summarization]; ok && cs.Requests > 0 {
 			t.Fatalf("%s served summarization requests in a 2-category workload", p.System)
 		}
 	}
@@ -149,9 +143,9 @@ func TestFigure13and14TraceShape(t *testing.T) {
 	for _, p := range pts {
 		switch p.System {
 		case SysAdaServe:
-			ada = p.Sum
+			ada = p.Sum.Aggregate
 		case SysVLLM:
-			vllm = p.Sum
+			vllm = p.Sum.Aggregate
 		}
 	}
 	// Figure 14's headline: AdaServe tops vLLM under the bursty trace.
@@ -162,9 +156,9 @@ func TestFigure13and14TraceShape(t *testing.T) {
 }
 
 func TestRenderSeries(t *testing.T) {
-	pts := []Point{
-		{System: SysVLLM, X: 1, Sum: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 5}},
-		{System: SysVLLM, X: 2, Sum: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 8}},
+	pts := []Cell{
+		{System: SysVLLM, X: 1, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 5}}},
+		{System: SysVLLM, X: 2, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 8}}},
 	}
 	out := SeriesTable("rps", "attainment", func(s *metrics.Summary) float64 {
 		return s.Attainment()
@@ -185,22 +179,26 @@ func TestRPSSweeps(t *testing.T) {
 	}
 }
 
-// smoke-check one tiny Figure 8 cell end to end through the sim package.
+// smoke-check one tiny Figure 8 cell end to end on a single system.
 func TestFigure8SingleCell(t *testing.T) {
 	setup := Llama70B()
 	reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, 3.0, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := Build(SysAdaServe, setup, BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(sys, request.CloneAll(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, RunSpec{Kind: SysAdaServe, Setup: setup, Seed: 1, Requests: reqs}, err)
 	if res.Summary.Attainment() < 0.5 {
 		t.Fatalf("attainment %.2f at light load", res.Summary.Attainment())
 	}
+}
+
+// runSpec runs a described run (failing on err, the describing call's
+// error) and returns its outcome.
+func runSpec(t *testing.T, spec RunSpec, err error) *Outcome {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := spec.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -6,7 +6,6 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/faults"
-	"adaserve/internal/metrics"
 )
 
 // FaultFleet is the chaos experiment's capacity fleet for the crash and
@@ -93,7 +92,7 @@ func Faults(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			cells = append(cells, Cell{Scenario: scenario, Recovery: recovery})
 		}
 	}
-	return runGrid("faults", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("faults", opts, cells, func(c Cell) (RunSpec, error) {
 		return FaultCell(setup, c.Scenario, c.Recovery, opts)
 	})
 }
@@ -108,54 +107,47 @@ func FaultsWithSpec(setup ModelSetup, spec faults.Spec, opts RunOptions) ([]Cell
 	for _, recovery := range FaultRecoveries() {
 		cells = append(cells, Cell{Scenario: "custom", Recovery: recovery})
 	}
-	return runGrid("faults", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("faults", opts, cells, func(c Cell) (RunSpec, error) {
 		return faultRun(setup, spec, c.Scenario, c.Recovery, opts)
 	})
 }
 
-// FaultCell replays one (scenario, recovery) chaos cell. Crash and straggler
+// FaultCell describes one (scenario, recovery) chaos cell. Crash and straggler
 // run on the elastic colocated fleet (so a crash also exercises
 // autoscale-driven replacement); the link scenario runs on a static 2P2D
 // disaggregated fleet where every finished request crossed the faulted
 // fabric. Workload seeding is shared across a scenario's cells, so every
 // recovery mode faces the same requests at the same instants.
-func FaultCell(setup ModelSetup, scenario, recovery string, opts RunOptions) (*metrics.ClusterSummary, error) {
+func FaultCell(setup ModelSetup, scenario, recovery string, opts RunOptions) (RunSpec, error) {
 	spec, err := FaultSpec(scenario, opts.Duration)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
 	return faultRun(setup, spec, scenario, recovery, opts)
 }
 
-// faultRun is the shared cell body: build the fleet (elastic colocated
+// faultRun is the shared cell description: the fleet (elastic colocated
 // under the rate-prop autoscaler, or static 2P2D disagg for the link
-// scenario), arm the injector, replay the scenario-independent arrival
-// stream at the scenario's operating point.
-func faultRun(setup ModelSetup, spec faults.Spec, scenario, recovery string, opts RunOptions) (*metrics.ClusterSummary, error) {
+// scenario), the injector, and the scenario-independent arrival stream at
+// the scenario's operating point.
+func faultRun(setup ModelSetup, spec faults.Spec, scenario, recovery string, opts RunOptions) (RunSpec, error) {
 	rec, err := faults.ParseRecovery(recovery)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
-	ctl := Controls{Faults: spec, Recovery: rec}
-	roles := make([]cluster.Role, FaultFleet)
-	var elastic *cluster.ElasticOptions
+	run := RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Roles: make([]cluster.Role, FaultFleet), Router: FaultRouter,
+		Controls: Controls{Faults: spec, Recovery: rec},
+		Open:     &OpenLoad{Profile: "constant", RPS: FaultMeanRPS(setup, scenario), Salt: 0xfa}}
 	if scenario == "link" {
-		if roles, err = cluster.ParseSplit("2P2D"); err != nil {
-			return nil, err
+		if run.Roles, err = cluster.ParseSplit("2P2D"); err != nil {
+			return RunSpec{}, err
 		}
 	} else {
-		ctl.Policy = "rate-prop"
-		elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: FaultInitialActive}
+		run.Controls.Policy = "rate-prop"
+		run.InitialActive = FaultInitialActive
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, roles, FaultRouter, elastic, BuildOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	src, err := openLoop(setup, "constant", FaultMeanRPS(setup, scenario), 0xfa, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctl.run(cl, src, opts)
+	return run, nil
 }
 
 // FaultsTable prints the chaos sweep as one table per scenario: a row per

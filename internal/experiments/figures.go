@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/sim"
 	"adaserve/internal/workload"
 )
 
@@ -17,7 +15,7 @@ type RunOptions struct {
 	Seed uint64
 	// Duration is the trace length in seconds. The paper replays a 20-min
 	// trace; the default here (180 s) keeps the full suite tractable while
-	// preserving the load dynamics (documented in EXPERIMENTS.md).
+	// preserving the load dynamics.
 	Duration float64
 	// Systems defaults to EndToEndSystems.
 	Systems []SystemKind
@@ -40,30 +38,6 @@ func (o *RunOptions) fill() {
 	}
 }
 
-// Point is one (x, system) cell of a figure: the full metric summary for one
-// run, tagged with the sweep coordinate.
-type Point struct {
-	System SystemKind
-	X      float64
-	Label  string
-	Sum    *metrics.Summary
-}
-
-// runOne builds the system, replays the trace, and returns its summary.
-func runOne(kind SystemKind, setup ModelSetup, reqs []*request.Request, seed uint64, build BuildOptions) (*metrics.Summary, error) {
-	build.Seed = seed
-	sys, err := Build(kind, setup, build)
-	if err != nil {
-		return nil, err
-	}
-	// Each system gets private request copies: runs must not share state.
-	res, err := sim.Run(sys, request.CloneAll(reqs))
-	if err != nil {
-		return nil, err
-	}
-	return res.Summary, nil
-}
-
 // mixedTrace synthesizes the default real-shape trace at meanRPS with the
 // given mix and SLO scale.
 func mixedTrace(setup ModelSetup, mix workload.Mix, sloScale, meanRPS, duration float64, seed uint64) ([]*request.Request, error) {
@@ -84,68 +58,54 @@ func RPSSweepsForSetup(setup ModelSetup) []float64 {
 	return []float64{2.6, 3.0, 3.4, 3.8, 4.2, 4.6, 4.8}
 }
 
-// Figure8and9 sweeps request rate and reports SLO attainment (Fig. 8) and
-// goodput (Fig. 9) for every system; Figure 12's mean-accepted-tokens series
-// comes from the same runs.
-func Figure8and9(setup ModelSetup, opts RunOptions) ([]Point, error) {
-	opts.fill()
-	var cells []cell
-	for _, rps := range RPSSweepsForSetup(setup) {
-		reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, rps, opts.Duration, opts.Seed)
+// figureGrid runs a figure sweep: each system on the closed trace
+// synthesized for each sweep coordinate x. Every system at one x replays
+// the identical trace.
+func figureGrid(sweep string, setup ModelSetup, opts RunOptions, systems []SystemKind, xs []float64,
+	trace func(x float64) ([]*request.Request, error)) ([]Cell, error) {
+	traces := map[float64][]*request.Request{}
+	var cells []Cell
+	for _, x := range xs {
+		reqs, err := trace(x)
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range opts.Systems {
-			cells = append(cells, cell{kind: kind, reqs: reqs, x: rps, label: "rps"})
+		traces[x] = reqs
+		for _, kind := range systems {
+			cells = append(cells, Cell{System: kind, X: x})
 		}
 	}
-	pts, err := runCells(setup, opts, cells)
-	if err != nil {
-		return nil, fmt.Errorf("fig8/9: %w", err)
-	}
-	return pts, nil
+	return runGrid(sweep, opts, cells, func(c Cell) (RunSpec, error) {
+		return RunSpec{Kind: c.System, Setup: setup, Seed: opts.Seed, Duration: opts.Duration, Requests: traces[c.X]}, nil
+	})
+}
+
+// Figure8and9 sweeps request rate and reports SLO attainment (Fig. 8) and
+// goodput (Fig. 9) for every system; Figure 12's mean-accepted-tokens series
+// comes from the same runs.
+func Figure8and9(setup ModelSetup, opts RunOptions) ([]Cell, error) {
+	opts.fill()
+	return figureGrid("fig8/9", setup, opts, opts.Systems, RPSSweepsForSetup(setup), func(rps float64) ([]*request.Request, error) {
+		return mixedTrace(setup, workload.DefaultMix, 1.0, rps, opts.Duration, opts.Seed)
+	})
 }
 
 // Figure10 fixes RPS at 4.0 and sweeps the urgent-request proportion
 // (30–90%), reporting attainment and goodput.
-func Figure10(setup ModelSetup, opts RunOptions) ([]Point, error) {
+func Figure10(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	var cells []cell
-	for _, urgent := range []float64{0.3, 0.5, 0.7, 0.9} {
-		reqs, err := mixedTrace(setup, workload.UrgentMix(urgent), 1.0, 4.0, opts.Duration, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, kind := range opts.Systems {
-			cells = append(cells, cell{kind: kind, reqs: reqs, x: urgent, label: "urgent"})
-		}
-	}
-	pts, err := runCells(setup, opts, cells)
-	if err != nil {
-		return nil, fmt.Errorf("fig10: %w", err)
-	}
-	return pts, nil
+	return figureGrid("fig10", setup, opts, opts.Systems, []float64{0.3, 0.5, 0.7, 0.9}, func(urgent float64) ([]*request.Request, error) {
+		return mixedTrace(setup, workload.UrgentMix(urgent), 1.0, 4.0, opts.Duration, opts.Seed)
+	})
 }
 
 // Figure11 fixes RPS at 4.0 with 60% urgent requests and sweeps the SLO
 // scale of the most urgent category from 1.6 down to 0.6.
-func Figure11(setup ModelSetup, opts RunOptions) ([]Point, error) {
+func Figure11(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	var cells []cell
-	for _, scale := range []float64{1.6, 1.4, 1.2, 1.0, 0.8, 0.6} {
-		reqs, err := mixedTrace(setup, workload.UrgentMix(0.6), scale, 4.0, opts.Duration, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, kind := range opts.Systems {
-			cells = append(cells, cell{kind: kind, reqs: reqs, x: scale, label: "slo-scale"})
-		}
-	}
-	pts, err := runCells(setup, opts, cells)
-	if err != nil {
-		return nil, fmt.Errorf("fig11: %w", err)
-	}
-	return pts, nil
+	return figureGrid("fig11", setup, opts, opts.Systems, []float64{1.6, 1.4, 1.2, 1.0, 0.8, 0.6}, func(scale float64) ([]*request.Request, error) {
+		return mixedTrace(setup, workload.UrgentMix(0.6), scale, 4.0, opts.Duration, opts.Seed)
+	})
 }
 
 // Figure12Systems are the speculation systems whose acceptance Figure 12
@@ -157,7 +117,7 @@ func Figure12Systems() []SystemKind {
 // Figure12 reports mean accepted tokens per request per verification step
 // across the RPS sweep (reuses Figure 8's configuration, speculative
 // systems only).
-func Figure12(setup ModelSetup, opts RunOptions) ([]Point, error) {
+func Figure12(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	opts.Systems = Figure12Systems()
 	return Figure8and9(setup, opts)
@@ -166,54 +126,38 @@ func Figure12(setup ModelSetup, opts RunOptions) ([]Point, error) {
 // Figure1 reproduces the motivating study: per-token latency of five
 // baseline systems on a two-SLO workload (categories 1 and 2 only), with the
 // SLO-violation percentage annotated per system and category.
-func Figure1(setup ModelSetup, opts RunOptions) ([]Point, error) {
+func Figure1(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	mix := workload.Mix{0.5, 0.5, 0}
-	reqs, err := mixedTrace(setup, mix, 1.0, 3.0, opts.Duration, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var cells []cell
-	for _, kind := range Figure1Systems() {
-		cells = append(cells, cell{kind: kind, reqs: reqs, x: 0, label: "fig1"})
-	}
-	pts, err := runCells(setup, opts, cells)
-	if err != nil {
-		return nil, fmt.Errorf("fig1: %w", err)
-	}
-	return pts, nil
+	return figureGrid("fig1", setup, opts, Figure1Systems(), []float64{0}, func(float64) ([]*request.Request, error) {
+		return mixedTrace(setup, workload.Mix{0.5, 0.5, 0}, 1.0, 3.0, opts.Duration, opts.Seed)
+	})
 }
 
 // Figure13and14 replays the synthetic trace whose categories peak at
 // different times (Fig. 13) and reports each system's SLO attainment under
 // it (Fig. 14).
-func Figure13and14(setup ModelSetup, opts RunOptions) ([]Point, error) {
+func Figure13and14(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0x1314))
-	if err != nil {
-		return nil, err
-	}
-	perCat := workload.SyntheticCategoryTrace(
-		mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x13)), 4.0, opts.Duration)
-	reqs := gen.FromCategoryTimestamps(perCat)
-	var cells []cell
-	for _, kind := range opts.Systems {
-		cells = append(cells, cell{kind: kind, reqs: reqs, x: 0, label: "synthetic"})
-	}
-	pts, err := runCells(setup, opts, cells)
-	if err != nil {
-		return nil, fmt.Errorf("fig14: %w", err)
-	}
-	return pts, nil
+	return figureGrid("fig14", setup, opts, opts.Systems, []float64{0}, func(float64) ([]*request.Request, error) {
+		gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0x1314))
+		if err != nil {
+			return nil, err
+		}
+		perCat := workload.SyntheticCategoryTrace(
+			mathutil.NewRNG(mathutil.Hash2(opts.Seed, 0x13)), 4.0, opts.Duration)
+		return gen.FromCategoryTimestamps(perCat), nil
+	})
 }
 
 // Figure15 reports AdaServe's serving-time breakdown (scheduling vs
 // speculation vs verification) at a fixed moderate load.
 func Figure15(setup ModelSetup, opts RunOptions) (*metrics.Summary, error) {
 	opts.fill()
-	reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, 3.4, opts.Duration, opts.Seed)
+	cells, err := figureGrid("fig15", setup, opts, []SystemKind{SysAdaServe}, []float64{3.4}, func(rps float64) ([]*request.Request, error) {
+		return mixedTrace(setup, workload.DefaultMix, 1.0, rps, opts.Duration, opts.Seed)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return runOne(SysAdaServe, setup, reqs, opts.Seed, BuildOptions{})
+	return cells[0].Sum.Aggregate, nil
 }

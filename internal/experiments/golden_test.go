@@ -95,7 +95,7 @@ func goldenGrid(t *testing.T) []goldenRow {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
-		s := p.Sum
+		s := p.Sum.Aggregate
 		rows = append(rows, goldenRow{
 			Experiment: "fig8-9", System: string(p.System), X: p.X,
 			Requests: s.Requests, Finished: s.Finished,

@@ -18,14 +18,14 @@ func shortOpts(parallel int) RunOptions {
 	}
 }
 
-// pointsEqual compares sweep points including their full summaries.
-func pointsEqual(t *testing.T, a, b []Point) {
+// pointsEqual compares sweep cells including their full summaries.
+func pointsEqual(t *testing.T, a, b []Cell) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("point count differs: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].System != b[i].System || a[i].X != b[i].X || a[i].Label != b[i].Label {
+		if a[i].System != b[i].System || a[i].X != b[i].X {
 			t.Fatalf("point %d coordinates differ: %+v vs %+v", i, a[i], b[i])
 		}
 		if !reflect.DeepEqual(a[i].Sum, b[i].Sum) {
@@ -70,8 +70,8 @@ func TestParallelAblationsDeterministic(t *testing.T) {
 		t.Fatalf("row count differs: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Name != par[i].Name || !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
-			t.Fatalf("ablation %q differs between -parallel 1 and 8", seq[i].Name)
+		if seq[i].Config != par[i].Config || !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
+			t.Fatalf("ablation %q differs between -parallel 1 and 8", seq[i].Config)
 		}
 	}
 }

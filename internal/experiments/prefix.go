@@ -5,9 +5,7 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/metrics"
 	"adaserve/internal/request"
-	"adaserve/internal/serve"
 	"adaserve/internal/workload"
 )
 
@@ -55,51 +53,23 @@ func NewSessions(setup ModelSetup, seed uint64) (*workload.Sessions, error) {
 	})
 }
 
-// PrefixCell runs the session workload on one cluster configuration: a
-// PrefixFleet-replica AdaServe cluster behind the named router, with
+// PrefixCell describes the session workload on one cluster configuration:
+// a PrefixFleet-replica AdaServe cluster behind the named router, with
 // shared-prefix caching (and the host tier) enabled unless cached is false.
-// The run is closed-loop: each tenant's follow-up turn is submitted from the
-// finish callback of the previous one, so arrivals react to serving speed
-// exactly as a session-bound client would.
-func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOptions) (*metrics.ClusterSummary, error) {
+// The run is closed-loop: each tenant's follow-up turn is submitted when
+// the previous one finishes, so arrivals react to serving speed exactly as
+// a session-bound client would.
+func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOptions) (RunSpec, error) {
 	sessions, err := NewSessions(setup, opts.Seed)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
-	bopts := BuildOptions{Seed: opts.Seed}
+	spec := RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Roles: make([]cluster.Role, PrefixFleet), Router: routerName, Sessions: sessions}
 	if cached {
-		bopts.Prefix = true
-		bopts.PrefixHostBlocks = PrefixHostTier
+		spec.Build = BuildOptions{Prefix: true, PrefixHostBlocks: PrefixHostTier}
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, PrefixFleet), routerName, nil, bopts)
-	if err != nil {
-		return nil, err
-	}
-	src := serve.NewSubmitSource()
-	for _, r := range sessions.InitialRequests() {
-		if err := src.Submit(r); err != nil {
-			return nil, err
-		}
-	}
-	var submitErr error
-	sum, err := Controls{}.run(cl, src, opts, serve.ObserverFunc(func(ev serve.Event) {
-		e, ok := ev.(serve.RequestFinished)
-		if !ok {
-			return
-		}
-		if next := sessions.FollowUp(e.Req, e.Time); next != nil {
-			if err := src.Submit(next); err != nil && submitErr == nil {
-				submitErr = err
-			}
-		}
-	}))
-	if err != nil {
-		return nil, err
-	}
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	return sum, nil
+	return spec, nil
 }
 
 // PrefixCaching runs the prefix experiment: the session workload over every
@@ -117,7 +87,7 @@ func PrefixCaching(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			cells = append(cells, Cell{Router: routerName, Cached: cached})
 		}
 	}
-	return runGrid("prefix", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("prefix", opts, cells, func(c Cell) (RunSpec, error) {
 		return PrefixCell(setup, c.Router, c.Cached, opts)
 	})
 }

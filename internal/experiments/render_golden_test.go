@@ -51,17 +51,17 @@ func renderGoldenTables() string {
 		fmt.Fprintf(&b, "=== %s ===\n%s\n", name, out)
 	}
 
-	var series []Point
+	var series []Cell
 	for i, x := range []float64{3.4, 2.6, 4.2} {
 		for j, kind := range []SystemKind{SysAdaServe, SysVLLMSpec6, SysVLLM} {
 			if i == 2 && j == 2 {
 				continue // missing cell
 			}
 			n := 3*i + j
-			series = append(series, Point{System: kind, X: x, Label: "rps", Sum: &metrics.Summary{
+			series = append(series, Cell{System: kind, X: x, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{
 				Requests: 30 + n, Attained: 25 + n%4, Goodput: 100.5 + 9.25*float64(n),
 				MeanAcceptedPerStep: 2 + 0.07*float64(n),
-			}})
+			}}})
 		}
 	}
 	block("series attainment", SeriesTable("rps", "attainment %",
@@ -157,10 +157,10 @@ func renderGoldenTables() string {
 	}
 	block("prefix", PrefixTable.Render(pfx))
 
-	block("ablations", RenderAblations([]AblationRow{
-		{Name: "AdaServe (full)", Sum: tableSum(1).Aggregate},
-		{Name: "no CUDA graphs", Sum: tableSum(2).Aggregate},
-	}))
+	block("ablations", AblationsTable.Render([]Cell{
+		{Config: "AdaServe (full)", Sum: tableSum(1)},
+		{Config: "no CUDA graphs", Sum: tableSum(2)},
+	})+"\n")
 	block("hardware", RenderHardware(Llama70B(), []HardwareRow{
 		{Hardware: "A100", Baseline: 0.0319, Knee: 160, Budget: 212, DraftStep: 0.0041},
 		{Hardware: "H100", Baseline: 0.0187, Knee: 295, Budget: 390, DraftStep: 0.0023},

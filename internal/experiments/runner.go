@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"adaserve/internal/metrics"
-	"adaserve/internal/request"
 )
 
 // runJobs executes n independent jobs on a pool of `parallel` worker
@@ -16,10 +15,10 @@ import (
 // completion order or worker count.
 //
 // Determinism contract: every job must be self-contained (build its own
-// engines, RNGs and request copies — share-nothing, as runOne does), so the
-// only cross-job data are read-only inputs. Workers pull job indices from a
-// channel; results land in a slice indexed by job, and the first error (by
-// job index, not completion time) is returned.
+// engines, RNGs and request copies — share-nothing, as a lowered RunSpec
+// does), so the only cross-job data are read-only inputs. Workers pull job
+// indices from a channel; results land in a slice indexed by job, and the
+// first error (by job index, not completion time) is returned.
 func runJobs[R any](parallel, n int, run func(int) (R, error)) ([]R, error) {
 	results := make([]R, n)
 	if parallel > n {
@@ -71,45 +70,14 @@ func runJobs[R any](parallel, n int, run func(int) (R, error)) ([]R, error) {
 	return results, nil
 }
 
-// cell is one grid point of a figure sweep: a system on a workload trace,
-// tagged with its sweep coordinate. Cells are enumerated up front (trace
-// synthesis is cheap and sequential); the simulations — the expensive part
-// — fan out across workers. The trace is a shared read-only template; each
-// run clones it (runOne).
-type cell struct {
-	kind  SystemKind
-	reqs  []*request.Request
-	x     float64
-	label string
-}
-
-// runCells fans the cells out across opts.Parallel workers and reassembles
-// the Points in cell order. Errors carry the failing cell's coordinates.
-// Sweeps needing per-cell BuildOptions (the ablation grid) use runJobs
-// directly.
-func runCells(setup ModelSetup, opts RunOptions, cells []cell) ([]Point, error) {
-	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.Summary, error) {
-		c := cells[i]
-		sum, err := runOne(c.kind, setup, c.reqs, opts.Seed, BuildOptions{})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s=%g: %w", c.kind, c.label, c.x, err)
-		}
-		return sum, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]Point, len(cells))
-	for i, c := range cells {
-		pts[i] = Point{System: c.kind, X: c.x, Label: c.label, Sum: sums[i]}
-	}
-	return pts, nil
-}
-
-// Cell is one grid point of a cluster sweep: the axis values that set it
-// apart from the sweep's other cells (each sweep sets the axes it varies)
-// and, once run, its summary.
+// Cell is one grid point of a sweep: the axis values that set it apart
+// from the sweep's other cells (each sweep sets the axes it varies) and,
+// once run, its summary.
 type Cell struct {
+	// System and X are a figure sweep's axes: the serving system and the
+	// sweep coordinate (request rate, urgent share, SLO scale).
+	System   SystemKind
+	X        float64
 	Replicas int
 	Split    string
 	Router   string
@@ -125,6 +93,9 @@ type Cell struct {
 // String lists the cell's set axes, e.g. "split=2P2D router=slo-aware".
 func (c Cell) String() string {
 	var parts []string
+	if c.System != "" {
+		parts = append(parts, fmt.Sprintf("system=%s x=%g", c.System, c.X))
+	}
 	if c.Replicas > 0 {
 		parts = append(parts, fmt.Sprintf("n=%d", c.Replicas))
 	}
@@ -142,16 +113,21 @@ func (c Cell) String() string {
 	return strings.Join(parts, " ")
 }
 
-// runGrid runs every cell of a cluster sweep across opts.Parallel workers
-// and fills in each cell's summary, keeping cell order. Errors name the
-// sweep and the failing cell's axes.
-func runGrid(sweep string, opts RunOptions, cells []Cell, run func(Cell) (*metrics.ClusterSummary, error)) ([]Cell, error) {
+// runGrid runs every cell of a sweep across opts.Parallel workers — the
+// run each cell describes is spec(cell) — and fills in each cell's
+// summary, keeping cell order. Errors name the sweep and the failing
+// cell's axes.
+func runGrid(sweep string, opts RunOptions, cells []Cell, spec func(Cell) (RunSpec, error)) ([]Cell, error) {
 	sums, err := runJobs(opts.Parallel, len(cells), func(i int) (*metrics.ClusterSummary, error) {
-		sum, err := run(cells[i])
+		s, err := spec(cells[i])
+		var out *Outcome
+		if err == nil {
+			out, err = s.Run()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", sweep, cells[i], err)
 		}
-		return sum, nil
+		return out.Summary, nil
 	})
 	if err != nil {
 		return nil, err

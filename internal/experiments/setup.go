@@ -2,14 +2,15 @@
 // provides one driver per table/figure of the paper's evaluation, each
 // returning the rows/series the paper reports.
 //
-// The cluster sweeps (cluster, disagg, autoscale, adaptive, faults, prefix,
-// trace) are experiments as data. Each enumerates its grid as Cells — the
-// axis values that set a cell apart — and runGrid runs one cell function
-// over them in parallel, filling in each cell's summary. A cell function
-// builds its fleet with BuildCluster (one builder for colocated,
-// role-split, static and elastic fleets), arms its mid-run controllers
-// through a Controls value, and runs. Each sweep's Table is a column spec
-// the one renderer prints.
+// Every run is a RunSpec: the system, an optional fleet (built by
+// BuildCluster, one builder for colocated, role-split, static and elastic
+// fleets), the mid-run Controls, one workload and the observers. The
+// sweeps — the figures, the ablations and the cluster sweeps (cluster,
+// disagg, autoscale, adaptive, faults, prefix, trace) — are experiments as
+// data. Each enumerates its grid as Cells, the axis values that set a cell
+// apart; a cell function maps each cell to its RunSpec, and runGrid runs
+// them in parallel, filling in each cell's summary. Each sweep's Table is
+// a column spec the one renderer prints.
 package experiments
 
 import (

@@ -149,6 +149,7 @@ var readouts = map[string]func(*metrics.ClusterSummary) float64{
 	"goodput":                      (*metrics.ClusterSummary).Goodput,
 	"goodput tok/s":                (*metrics.ClusterSummary).Goodput,
 	"attain%":                      attainPct,
+	"attain %":                     attainPct,
 	"attainment %":                 attainPct,
 	"TPOT attainment %":            attainPct,
 	"ttft%":                        ttftPct,
@@ -162,6 +163,10 @@ var readouts = map[string]func(*metrics.ClusterSummary) float64{
 	"replica-seconds": func(s *metrics.ClusterSummary) float64 { return s.Autoscale.ReplicaSeconds },
 	"scale events (up+down)": func(s *metrics.ClusterSummary) float64 {
 		return float64(s.Autoscale.ScaleUps + s.Autoscale.ScaleDowns)
+	},
+	"mean acc": func(s *metrics.ClusterSummary) float64 { return s.Aggregate.MeanAcceptedPerStep },
+	"sched share %": func(s *metrics.ClusterSummary) float64 {
+		return 100 * s.Aggregate.Breakdown.SchedulingShare()
 	},
 	"maxTTFT":  func(s *metrics.ClusterSummary) float64 { return s.Aggregate.MaxTTFT },
 	"p50TPOT":  func(s *metrics.ClusterSummary) float64 { return s.Aggregate.P50TPOT() },
@@ -221,12 +226,12 @@ func sumCols(width int, format string, names ...string) []Column[Cell] {
 
 // SeriesTable prints a figure sweep: one row per x value (ascending), one
 // column per system, the metric as the sub-table title.
-func SeriesTable(xName, metric string, f func(*metrics.Summary) float64) Table[Point] {
-	return Table[Point]{
-		Row: Axis[Point]{Name: xName, Width: -10,
-			Label: func(p Point) string { return fmt.Sprintf("%.2f", p.X) },
-			Order: func(p Point) float64 { return p.X }},
-		Cols:    &Axis[Point]{Width: 18, Label: func(p Point) string { return string(p.System) }},
-		Columns: []Column[Point]{num(metric, 0, "%.2f", func(p Point) float64 { return f(p.Sum) })},
+func SeriesTable(xName, metric string, f func(*metrics.Summary) float64) Table[Cell] {
+	return Table[Cell]{
+		Row: Axis[Cell]{Name: xName, Width: -10,
+			Label: func(c Cell) string { return fmt.Sprintf("%.2f", c.X) },
+			Order: func(c Cell) float64 { return c.X }},
+		Cols:    &Axis[Cell]{Width: 18, Label: func(c Cell) string { return string(c.System) }},
+		Columns: []Column[Cell]{num(metric, 0, "%.2f", func(c Cell) float64 { return f(c.Sum.Aggregate) })},
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/mathutil"
-	"adaserve/internal/metrics"
 	"adaserve/internal/trace"
 )
 
@@ -91,51 +90,42 @@ func TraceReplay(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 			cells = append(cells, Cell{Scenario: scenario, Config: config})
 		}
 	}
-	return runGrid("trace", opts, cells, func(c Cell) (*metrics.ClusterSummary, error) {
+	return runGrid("trace", opts, cells, func(c Cell) (RunSpec, error) {
 		return TraceCell(setup, c.Scenario, c.Config, opts)
 	})
 }
 
-// TraceCell compiles one scenario and replays it under one configuration.
+// TraceCell compiles one scenario and describes its replay under one
+// configuration.
 // Compilation seeding depends only on (opts.Seed, scenario), so every
 // configuration of a scenario faces the same requests at the same
 // instants; what differs is only how the fleet responds.
-func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (*metrics.ClusterSummary, error) {
+func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (RunSpec, error) {
 	spec, err := TraceSpec(scenario)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
 	tr, err := CompileTraceSpec(spec, setup, opts)
 	if err != nil {
-		return nil, err
+		return RunSpec{}, err
 	}
-	src, err := trace.NewSource(tr)
-	if err != nil {
-		return nil, err
-	}
-
-	var ctl Controls
-	fleet := TraceFleet
-	var elastic *cluster.ElasticOptions
+	run := RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
+		Roles: make([]cluster.Role, TraceFleet), Router: TraceRouter, Trace: tr}
 	switch config {
 	case "static":
 	case "admission":
-		if ctl.Adaptive, err = AdaptiveConfig("admission", opts.Duration); err != nil {
-			return nil, err
+		if run.Controls.Adaptive, err = AdaptiveConfig("admission", opts.Duration); err != nil {
+			return RunSpec{}, err
 		}
 	case "autoscale":
-		ctl.Policy = TracePolicy
-		fleet = TraceCapacity
-		elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(opts.Duration), InitialActive: TraceFleet}
+		run.Controls.Policy = TracePolicy
+		run.Roles = make([]cluster.Role, TraceCapacity)
+		run.InitialActive = TraceFleet
 	default:
-		return nil, fmt.Errorf("experiments: unknown trace config %q (want one of %s)",
+		return RunSpec{}, fmt.Errorf("experiments: unknown trace config %q (want one of %s)",
 			config, strings.Join(TraceConfigs(), ", "))
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, fleet), TraceRouter, elastic, BuildOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return ctl.run(cl, src, opts)
+	return run, nil
 }
 
 // TraceTable prints the trace-replay sweep as one table per scenario: a

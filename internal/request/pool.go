@@ -19,8 +19,8 @@ func NewPool() *Pool { return &Pool{} }
 
 // OrderForReplay validates a trace and returns a sorted copy in the
 // deterministic replay order shared by every driver: FIFO by (arrival
-// time, ID). Both internal/sim and internal/cluster replay traces in this
-// order, so single-replica results stay comparable to one-replica clusters.
+// time, ID). Single systems and clusters replay traces in this order, so
+// single-replica results stay comparable to one-replica clusters.
 func OrderForReplay(reqs []*Request) ([]*Request, error) {
 	for _, r := range reqs {
 		if err := r.Validate(); err != nil {

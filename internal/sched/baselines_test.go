@@ -9,9 +9,9 @@ import (
 	"adaserve/internal/workload"
 )
 
-// replay is a minimal in-package trace driver (the real drivers live in
-// internal/sim and internal/cluster, which import sched and therefore cannot
-// be used from these white-box tests): it delivers arrivals at iteration
+// replay is a minimal in-package trace driver (the real driver lives in
+// internal/serve, which imports sched and therefore cannot be used from
+// these white-box tests): it delivers arrivals at iteration
 // boundaries and advances the clock by each iteration's reported duration,
 // optionally invoking check after every iteration.
 func replay(t *testing.T, sys System, reqs []*request.Request, maxIters int, check func(now float64)) float64 {

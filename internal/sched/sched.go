@@ -7,8 +7,8 @@
 // allocator, and a request pool — and exposes one operation: Iterate, which
 // performs one scheduling-plus-execution iteration starting at a given
 // simulated time and reports how long it took. The unified event-driven
-// driver in internal/serve advances the clock and delivers arrivals
-// (internal/sim and internal/cluster replay closed traces through it).
+// driver in internal/serve advances the clock and delivers arrivals, to a
+// single system or to every replica of an internal/cluster fleet.
 package sched
 
 import (

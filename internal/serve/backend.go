@@ -107,7 +107,7 @@ type single struct {
 }
 
 // SingleSystem wraps one serving system as a Backend: the single-replica
-// deployment every internal/sim run uses.
+// deployment of a run without a fleet.
 func SingleSystem(sys sched.System) Backend {
 	return &single{insts: []*Instance{NewInstance(0, sys)}}
 }

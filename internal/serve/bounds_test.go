@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -19,9 +20,9 @@ func mustGen(t *testing.T) *workload.Generator {
 
 func mustRNG() *mathutil.RNG { return mathutil.NewRNG(1) }
 
-// The abort paths — deadlock detection and the shared run bounds — now live
-// in the unified driver, so they are tested here once for every entry point
-// (sim.Run and cluster.Run forward to these code paths).
+// The abort paths — deadlock detection and the shared run bounds — live in
+// the unified driver, so they are tested here once for every run, single
+// system or fleet.
 
 func TestRunDetectsDeadlock(t *testing.T) {
 	// KV too small for the request: admission can never succeed.
@@ -132,6 +133,10 @@ func TestNewOpenLoopValidates(t *testing.T) {
 		{"nil rate", func() error { _, err := serve.NewOpenLoop(gen, rng, nil, 1, 10); return err }},
 		{"zero max", func() error { _, err := serve.NewOpenLoop(gen, rng, rate, 0, 10); return err }},
 		{"zero duration", func() error { _, err := serve.NewOpenLoop(gen, rng, rate, 1, 0); return err }},
+		{"NaN max", func() error { _, err := serve.NewOpenLoop(gen, rng, rate, math.NaN(), 10); return err }},
+		{"infinite max", func() error { _, err := serve.NewOpenLoop(gen, rng, rate, math.Inf(1), 10); return err }},
+		{"NaN duration", func() error { _, err := serve.NewOpenLoop(gen, rng, rate, 1, math.NaN()); return err }},
+		{"infinite duration", func() error { _, err := serve.NewOpenLoop(gen, rng, rate, 1, math.Inf(1)); return err }},
 	}
 	for _, c := range cases {
 		if c.err() == nil {

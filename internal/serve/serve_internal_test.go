@@ -3,9 +3,9 @@ package serve
 import "testing"
 
 // TestSharedRunBoundDefaults is the single home of the run-bound defaults
-// shared by every driver entry point: serve.Options resolves zero values
-// here, and sim.Run / cluster.Run pass zero Options through this fill — so
-// the 24h / 50M numbers live in exactly one place.
+// shared by every run: serve.Options resolves zero values here, and every
+// experiments.RunSpec passes zero bounds through this fill — so the 24h /
+// 50M numbers live in exactly one place.
 func TestSharedRunBoundDefaults(t *testing.T) {
 	var o Options
 	o.fill()

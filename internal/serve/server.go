@@ -7,14 +7,13 @@
 // registered observers, with rolling windowed metrics computed
 // incrementally instead of only at end of run.
 //
-// internal/sim.Run and internal/cluster.Run are thin compatibility wrappers
-// over this driver: closed trace replay is a Server over a TraceSource with
-// no observers, and runs byte-identically to the loops it replaced. Online
-// scenarios — open-loop arrival processes with time-varying rate,
-// programmatic submission, live dashboards — use the same loop, so replayed
-// and streamed runs share identical clock and visibility semantics:
-// arrivals become visible at iteration boundaries, events are processed in
-// global (time, ID) order, and all tie-breaking is deterministic.
+// experiments.RunSpec describes every run and builds its Server: closed
+// trace replay is a Server over a TraceSource. Online scenarios — open-loop
+// arrival processes with time-varying rate, closed-loop sessions, live
+// dashboards — use the same loop, so replayed and streamed runs share
+// identical clock and visibility semantics: arrivals become visible at
+// iteration boundaries, events are processed in global (time, ID) order,
+// and all tie-breaking is deterministic.
 package serve
 
 import (
@@ -24,9 +23,9 @@ import (
 	"adaserve/internal/request"
 )
 
-// Run-bound defaults shared by every driver entry point (serve.Options
-// resolves zero values to these, and sim.Run / cluster.Run always run under
-// them — the one place the numbers live).
+// Run-bound defaults shared by every run (serve.Options resolves zero values
+// to these, and every experiments.RunSpec runs under them — the one place
+// the numbers live).
 const (
 	// DefaultMaxSimTime aborts runs whose simulated clock exceeds 24 hours.
 	DefaultMaxSimTime = 24 * 3600.0

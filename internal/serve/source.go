@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"adaserve/internal/mathutil"
@@ -26,8 +27,8 @@ type Source interface {
 }
 
 // TraceSource replays a fixed request trace in the canonical replay order
-// (request.OrderForReplay: FIFO by arrival time, then ID) — the closed-loop
-// Source behind sim.Run and cluster.Run.
+// (request.OrderForReplay: FIFO by arrival time, then ID) — the Source of
+// every closed-trace run.
 type TraceSource struct {
 	ordered []*request.Request
 	next    int
@@ -167,11 +168,11 @@ func NewOpenLoop(gen *workload.Generator, rng *mathutil.RNG, rate workload.RateF
 	if rate == nil {
 		return nil, fmt.Errorf("serve: open-loop source needs a rate function")
 	}
-	if maxRate <= 0 {
-		return nil, fmt.Errorf("serve: open-loop max rate %g must be positive", maxRate)
+	if !(maxRate > 0) || math.IsInf(maxRate, 1) {
+		return nil, fmt.Errorf("serve: open-loop max rate %g must be positive and finite", maxRate)
 	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("serve: open-loop duration %g must be positive", duration)
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return nil, fmt.Errorf("serve: open-loop duration %g must be positive and finite", duration)
 	}
 	return &OpenLoop{gen: gen, rng: rng, rate: rate, maxRate: maxRate, duration: duration}, nil
 }

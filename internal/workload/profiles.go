@@ -63,11 +63,11 @@ func shapeMeanPeak(raw func(x float64) float64) (mean, peak float64) {
 //	diurnal  — one sinusoidal day compressed onto the window, 0.4x to 1.6x:
 //	           the daily traffic swell capacity planning sizes against.
 func RateProfile(name string, meanRPS, duration float64) (RateFn, float64, error) {
-	if meanRPS <= 0 {
-		return nil, 0, fmt.Errorf("workload: rate profile mean %g must be positive", meanRPS)
+	if !positiveFinite(meanRPS) {
+		return nil, 0, fmt.Errorf("workload: rate profile mean %g must be positive and finite", meanRPS)
 	}
-	if duration <= 0 {
-		return nil, 0, fmt.Errorf("workload: rate profile duration %g must be positive", duration)
+	if !positiveFinite(duration) {
+		return nil, 0, fmt.Errorf("workload: rate profile duration %g must be positive and finite", duration)
 	}
 	raw, err := profileShape(name)
 	if err != nil {

@@ -13,9 +13,10 @@ type RateFn func(t float64) float64
 
 // NonHomogeneousPoisson samples arrival timestamps on [0, duration) from a
 // time-varying rate via Lewis thinning. maxRate must upper-bound rate over
-// the window.
+// the window. A maxRate or duration that is not positive and finite yields
+// no arrivals.
 func NonHomogeneousPoisson(rng *mathutil.RNG, rate RateFn, maxRate, duration float64) []float64 {
-	if maxRate <= 0 || duration <= 0 {
+	if !positiveFinite(maxRate) || !positiveFinite(duration) {
 		return nil
 	}
 	var out []float64
@@ -31,6 +32,9 @@ func NonHomogeneousPoisson(rng *mathutil.RNG, rate RateFn, maxRate, duration flo
 	}
 	return out
 }
+
+// positiveFinite reports whether v is positive and finite (false for NaN).
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // PoissonTrace samples a homogeneous Poisson arrival process.
 func PoissonTrace(rng *mathutil.RNG, rps, duration float64) []float64 {

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
+	"time"
 
 	"adaserve/internal/mathutil"
 )
@@ -195,5 +196,45 @@ func TestValidateSorted(t *testing.T) {
 	}
 	if ValidateSorted([]float64{2, 1}) == nil {
 		t.Fatal("unsorted slice accepted")
+	}
+}
+
+// TestNonFiniteRatesReturnPromptly pins the guards against NaN and ±Inf
+// rates and durations, which would spin the thinning loop forever (NaN
+// fails every comparison, and an infinite rate never advances the clock):
+// every sampler returns no arrivals and RateProfile errors, within the
+// deadline.
+func TestNonFiniteRatesReturnPromptly(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := mathutil.NewRNG(1)
+		flat := func(float64) float64 { return 1 }
+		for _, v := range bad {
+			if ts := NonHomogeneousPoisson(rng, flat, v, 10); ts != nil {
+				t.Errorf("maxRate %g: %d arrivals, want none", v, len(ts))
+			}
+			if ts := NonHomogeneousPoisson(rng, flat, 1, v); ts != nil {
+				t.Errorf("duration %g: %d arrivals, want none", v, len(ts))
+			}
+			if ts := RealTrace(rng, v, 10); len(ts) != 0 {
+				t.Errorf("RealTrace rps %g: %d arrivals, want none", v, len(ts))
+			}
+			if ts := RealTrace(rng, 1, v); len(ts) != 0 {
+				t.Errorf("RealTrace duration %g: %d arrivals, want none", v, len(ts))
+			}
+			if _, _, err := RateProfile("spike", v, 10); err == nil {
+				t.Errorf("RateProfile mean %g accepted", v)
+			}
+			if _, _, err := RateProfile("spike", 1, v); err == nil {
+				t.Errorf("RateProfile duration %g accepted", v)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a sampler did not return within 5s on a non-finite input")
 	}
 }

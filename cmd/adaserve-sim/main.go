@@ -270,7 +270,12 @@ func main() {
 	for _, c := range []struct {
 		name, noun string
 		v          float64
-	}{{"rps", "rate", *rps}, {"duration", "duration", *duration}, {"slo-scale", "scale", *sloScale}, {"snapshot-every", "interval", *snapEvery}} {
+	}{
+		{"rps", "rate", *rps},
+		{"duration", "duration", *duration},
+		{"slo-scale", "scale", *sloScale},
+		{"snapshot-every", "interval", *snapEvery},
+	} {
 		if err := experiments.CheckPositive(c.name, c.noun, c.v); err != nil {
 			log.Fatal(err)
 		}

@@ -35,7 +35,7 @@ import (
 const duration = 20 // simulated seconds of arrivals
 
 func main() {
-	// 1. Build a 1P1D disaggregated pair: every request prefills on replica 0,
+	// 1. Lay out a 1P1D disaggregated pair: every request prefills on replica 0,
 	//    migrates its KV over the interconnect, and decodes on replica 1 — so
 	//    each timeline shows all four phase kinds.
 	setup := experiments.Llama70B()

@@ -91,6 +91,7 @@ func TestDispatchErrors(t *testing.T) {
 	v2Spec := writeFile(t, dir, "v2.spec", "#adaserve-spec v2\n")
 	v2Trace := writeFile(t, dir, "v2.trace", "#adaserve-trace v2\n")
 	notTrace := writeFile(t, dir, "not.trace", "time_s,requests\n0,3\n")
+	burstSpec := writeFile(t, dir, "b.spec", "#adaserve-spec v1\n#meta duration 30\ncohort b class=chat arrival=bursts:6,30,1 prompt=fixed:60 output=fixed:16\n")
 	cases := []struct {
 		name    string
 		cmd     string
@@ -104,6 +105,8 @@ func TestDispatchErrors(t *testing.T) {
 		{"gen spec version mismatch", "gen", []string{"-spec", v2Spec}, "unsupported spec format version 2"},
 		{"gen unknown model", "gen", []string{"-spec", v2Spec, "-model", "gpt"}, "unknown model"},
 		{"gen stray argument", "gen", []string{"-spec", v2Spec, "extra"}, "unexpected argument"},
+		{"gen negative duration", "gen", []string{"-spec", burstSpec, "-duration", "-5"}, "must be positive and finite"},
+		{"gen infinite duration", "gen", []string{"-spec", burstSpec, "-duration", "Inf"}, "must be positive and finite"},
 		{"stats without file", "stats", nil, "exactly one trace file"},
 		{"stats missing file", "stats", []string{filepath.Join(dir, "nope.trace")}, "no such file"},
 		{"stats version mismatch", "stats", []string{v2Trace}, "unsupported trace format version 2"},

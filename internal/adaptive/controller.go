@@ -27,36 +27,6 @@ type Fleet interface {
 	CommittedFleet() int
 }
 
-// classRec is one finished request's contribution to the per-class
-// windows, kept until it ages out.
-type classRec struct {
-	time     float64
-	cat      request.Category
-	steps    int
-	accepted int
-	attained bool
-}
-
-// classWin accumulates one class's windowed signals.
-type classWin struct {
-	finished int
-	attained int
-	steps    int
-	accepted int
-}
-
-// signals materializes the class's windowed view.
-func (w classWin) signals() ClassSignals {
-	sig := ClassSignals{Finished: w.finished}
-	if w.steps > 0 {
-		sig.Acceptance = float64(w.accepted) / float64(w.steps)
-	}
-	if w.finished > 0 {
-		sig.Attainment = float64(w.attained) / float64(w.finished)
-	}
-	return sig
-}
-
 // Controller implements serve.AdmissionController: wire it into a run via
 // serve.Options.Adaptive. It observes the event stream through per-class
 // rolling windows, retunes every tunable system's speculation envelope at
@@ -73,25 +43,15 @@ type Controller struct {
 
 	next float64
 
-	// Per-class finish windows (recs sorted by finish time; wins maintained
-	// on insert and evict).
-	recs []classRec
-	wins [request.NumCategories]classWin
+	// window holds the per-class finish windows and the offered-load window
+	// over every gated arrival.
+	window *metrics.Rolling
 
-	// Offered-load window: every gated arrival's timestamp, head-indexed.
-	arrivals []float64
-	head     int
-
-	// Capacity calibration: finishes and prompt tokens are counted between
-	// ticks; the peak observed per-replica rate estimates sustainable
-	// capacity (underestimating capacity only over-gates, so the peak is
-	// the safe side for the unmeetable-TTFT proof: a HIGHER assumed rate
+	// Capacity calibration: peak per-replica finish and prompt-token rates
+	// between ticks (underestimating capacity only over-gates, so the peak
+	// is the safe side for the unmeetable-TTFT proof: a HIGHER assumed rate
 	// condemns FEWER requests).
-	finishedSinceTick int
-	promptSinceTick   int
-	lastTick          float64
-	serviceRate       float64
-	prefillRate       float64
+	service, prefill metrics.PeakRate
 
 	// Current actuated envelope (the constructed ceilings until the first
 	// calibrated retune).
@@ -145,13 +105,14 @@ func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	}
 	fleet, _ := backend.(Fleet)
 	c := &Controller{
-		cfg:   cfg,
-		insts: insts,
-		tuned: tuned,
-		fleet: fleet,
-		next:  cfg.Interval,
-		curD:  cfg.DepthMax,
-		curW:  cfg.WidthMax,
+		cfg:    cfg,
+		insts:  insts,
+		tuned:  tuned,
+		fleet:  fleet,
+		next:   cfg.Interval,
+		window: metrics.NewRolling(cfg.Window),
+		curD:   cfg.DepthMax,
+		curW:   cfg.WidthMax,
 	}
 	return c, nil
 }
@@ -172,53 +133,9 @@ func (c *Controller) OnEvent(ev serve.Event) {
 	if !ok {
 		return
 	}
-	r := e.Req
-	rec := classRec{
-		time: r.DoneTime, cat: r.Category,
-		steps: r.VerifySteps, accepted: r.AcceptedTokens,
-		attained: e.Attained,
-	}
-	// Insert sorted by finish time (stable: equal times append after, so
-	// eviction order is deterministic).
-	at := len(c.recs)
-	for at > 0 && c.recs[at-1].time > rec.time {
-		at--
-	}
-	c.recs = append(c.recs, classRec{})
-	copy(c.recs[at+1:], c.recs[at:])
-	c.recs[at] = rec
-	w := &c.wins[rec.cat]
-	w.finished++
-	w.steps += rec.steps
-	w.accepted += rec.accepted
-	if rec.attained {
-		w.attained++
-	}
-	c.finishedSinceTick++
-	c.promptSinceTick += r.PromptLen
-}
-
-// evict drops window entries older than now − Window.
-func (c *Controller) evict(now float64) {
-	cutoff := now - c.cfg.Window
-	for len(c.recs) > 0 && c.recs[0].time < cutoff {
-		rec := c.recs[0]
-		c.recs = c.recs[1:]
-		w := &c.wins[rec.cat]
-		w.finished--
-		w.steps -= rec.steps
-		w.accepted -= rec.accepted
-		if rec.attained {
-			w.attained--
-		}
-	}
-	for c.head < len(c.arrivals) && c.arrivals[c.head] < cutoff {
-		c.head++
-	}
-	if c.head > len(c.arrivals)/2 {
-		c.arrivals = append(c.arrivals[:0], c.arrivals[c.head:]...)
-		c.head = 0
-	}
+	c.window.Finished(e.Req)
+	c.service.Add(1)
+	c.prefill.Add(e.Req.PromptLen)
 }
 
 // billed returns the capacity-consuming replica count (calibration
@@ -241,35 +158,28 @@ func (c *Controller) Tick(now float64) {
 		c.next += c.cfg.Interval
 	}
 	// Calibrate: peak observed per-replica rates since the last tick.
-	if dt := now - c.lastTick; dt > 0 {
-		if b := c.billed(); b > 0 {
-			if rate := float64(c.finishedSinceTick) / dt / float64(b); rate > c.serviceRate {
-				c.serviceRate = rate
-			}
-			if rate := float64(c.promptSinceTick) / dt / float64(b); rate > c.prefillRate {
-				c.prefillRate = rate
-			}
-		}
-	}
-	c.finishedSinceTick = 0
-	c.promptSinceTick = 0
-	c.lastTick = now
+	b := c.billed()
+	c.service.Mark(now, b)
+	c.prefill.Mark(now, b)
 
 	if c.cfg.DisableTuning {
 		return
 	}
-	c.evict(now)
+	classes, _ := c.window.Windowed(now)
 	// Each class with windowed traffic proposes an envelope; the fleet gets
 	// the widest proposal (max is monotone in every class's signals, so the
 	// per-class monotonicity law lifts to the actuated envelope). With no
 	// calibrated class the constructed envelope stands.
 	d, w, calibrated := c.cfg.DepthMin, c.cfg.WidthMin, false
-	for cat := 0; cat < request.NumCategories; cat++ {
-		win := c.wins[cat]
-		if win.finished == 0 {
+	for _, cls := range classes {
+		if cls.WindowFinished == 0 {
 			continue
 		}
-		cd, cw := c.cfg.Envelope(win.signals())
+		cd, cw := c.cfg.Envelope(ClassSignals{
+			Finished:   cls.WindowFinished,
+			Acceptance: cls.WindowAcceptance(),
+			Attainment: cls.WindowAttainment(),
+		})
 		if cd > d {
 			d = cd
 		}
@@ -289,7 +199,7 @@ func (c *Controller) Tick(now float64) {
 
 // signals assembles the live saturation view for one admission decision.
 func (c *Controller) signals(now float64) Signals {
-	c.evict(now)
+	_, arrivals := c.window.Windowed(now)
 	queued, backlog := 0, 0
 	for _, in := range c.insts {
 		p := in.System().Pool()
@@ -311,12 +221,12 @@ func (c *Controller) signals(now float64) Signals {
 	}
 	rate := 0.0
 	if span > 0 {
-		rate = float64(len(c.arrivals)-c.head) / span
+		rate = float64(arrivals) / span
 	}
 	return Signals{
 		Queued: queued, Active: active, Committed: committed,
-		ArrivalRate: rate, ServiceRate: c.serviceRate,
-		PrefillBacklog: backlog, PrefillRate: c.prefillRate,
+		ArrivalRate: rate, ServiceRate: c.service.Peak(),
+		PrefillBacklog: backlog, PrefillRate: c.prefill.Peak(),
 	}
 }
 
@@ -325,7 +235,7 @@ func (c *Controller) signals(now float64) Signals {
 // applies the outcome (degrading the request in place when admitted at
 // reduced service).
 func (c *Controller) Decide(r *request.Request) (serve.AdmissionDecision, string) {
-	c.arrivals = append(c.arrivals, r.ArrivalTime)
+	c.window.Arrived(r)
 	original := r.Category
 	if c.cfg.DisableAdmission {
 		c.sum.Add(original, true, false, false)

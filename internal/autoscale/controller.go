@@ -67,11 +67,6 @@ type poolState struct {
 	lowTicks int
 }
 
-// arrival is one admitted request in the offered-load window.
-type arrival struct {
-	t float64
-}
-
 // Controller implements serve.Autoscaler: wire it into a run via
 // serve.Options.Autoscaler. It observes the event stream (arrivals, token
 // commits, finishes) through rolling windows, and at each interval-grid
@@ -90,17 +85,11 @@ type Controller struct {
 	pools   []*poolState
 	next    float64
 
-	// Offered-load window (head-indexed ring over admitted arrivals).
-	arrivals []arrival
-	head     int
-
-	// Service-rate calibration: request finishes are counted between
-	// decisions; the peak observed per-replica finish rate estimates
-	// sustainable capacity.
-	finishedInWindow int
-	lastDecision     float64
-	serviceRate      float64
-	billedFleet      int
+	// service calibrates the per-replica service rate from request
+	// finishes between decisions, billed to the committed fleet as the
+	// previous decision left it.
+	service     metrics.PeakRate
+	billedFleet int
 
 	scaleUps, scaleDowns int
 }
@@ -174,10 +163,9 @@ func (c *Controller) OnEvent(ev serve.Event) {
 	switch e := ev.(type) {
 	case serve.RequestAdmitted:
 		c.rolling.Arrived(e.Req)
-		c.arrivals = append(c.arrivals, arrival{t: e.Req.ArrivalTime})
 	case serve.RequestFinished:
 		c.rolling.Finished(e.Req)
-		c.finishedInWindow++
+		c.service.Add(1)
 	}
 }
 
@@ -197,40 +185,21 @@ func (c *Controller) Tick(now float64, q *serve.Queue) []serve.ScaleAction {
 
 // decide runs one decision round over every role pool.
 func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
+	st := c.rolling.Snapshot(now, 0, 0)
 	// Offered load over the trailing window (or the elapsed run, when
 	// shorter).
 	span := c.opts.Window
 	if now < span {
 		span = now
 	}
-	cutoff := now - c.opts.Window
-	for c.head < len(c.arrivals) && c.arrivals[c.head].t < cutoff {
-		c.head++
-	}
-	if c.head > len(c.arrivals)/2 {
-		// Compact the evicted prefix so the window does not retain every
-		// arrival of a long run.
-		c.arrivals = append(c.arrivals[:0], c.arrivals[c.head:]...)
-		c.head = 0
-	}
 	arrivalRate := 0.0
 	if span > 0 {
-		arrivalRate = float64(len(c.arrivals)-c.head) / span
+		arrivalRate = float64(st.WindowArrivals) / span
 	}
-	// Calibrate the per-replica service rate: peak observed finish rate per
-	// billed replica since the last decision (decisions can be more than
-	// one interval apart when the cluster idles through grid instants, so
-	// divide by the real elapsed span). Underestimating capacity only
-	// over-provisions, so the peak is the safe side.
-	if dt := now - c.lastDecision; dt > 0 && c.finishedInWindow > 0 && c.billedFleet > 0 {
-		if rate := float64(c.finishedInWindow) / dt / float64(c.billedFleet); rate > c.serviceRate {
-			c.serviceRate = rate
-		}
-	}
-	c.finishedInWindow = 0
-	c.lastDecision = now
-
-	st := c.rolling.Snapshot(now, 0, 0)
+	// Calibrate the per-replica service rate over the real elapsed span
+	// since the last decision (decisions can be more than one interval
+	// apart when the cluster idles through grid instants).
+	c.service.Mark(now, c.billedFleet)
 	var actions []serve.ScaleAction
 	h := c.opts.Hysteresis
 	for _, ps := range c.pools {
@@ -244,7 +213,7 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 			Capacity:             pc.Capacity(),
 			QueuedTokens:         c.poolQueuedTokens(ps.role),
 			ArrivalRate:          arrivalRate,
-			ServiceRate:          c.serviceRate,
+			ServiceRate:          c.service.Peak(),
 			WindowAttainment:     st.WindowAttainment(),
 			WindowTTFTAttainment: st.WindowTTFTAttainment(),
 			WindowFinished:       st.WindowFinished,

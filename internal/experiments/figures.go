@@ -114,15 +114,6 @@ func Figure12Systems() []SystemKind {
 	return []SystemKind{SysAdaServe, SysVLLMSpec4, SysVLLMSpec6, SysVLLMSpec8}
 }
 
-// Figure12 reports mean accepted tokens per request per verification step
-// across the RPS sweep (reuses Figure 8's configuration, speculative
-// systems only).
-func Figure12(setup ModelSetup, opts RunOptions) ([]Cell, error) {
-	opts.fill()
-	opts.Systems = Figure12Systems()
-	return Figure8and9(setup, opts)
-}
-
 // Figure1 reproduces the motivating study: per-token latency of five
 // baseline systems on a two-SLO workload (categories 1 and 2 only), with the
 // SLO-violation percentage annotated per system and category.

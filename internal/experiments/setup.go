@@ -139,8 +139,6 @@ type BuildOptions struct {
 	Rule lm.VerifyRule
 	// MaxBatch overrides the running-sequence cap (default 256).
 	MaxBatch int
-	// AdaServe overrides AdaServe's options.
-	AdaServe sched.AdaServeOptions
 	// StaticController forces AdaServe to fixed (d,w) (ablation) when both
 	// are > 0.
 	StaticD, StaticW int
@@ -216,7 +214,7 @@ func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode
 
 	switch kind {
 	case SysAdaServe:
-		aopts := opts.AdaServe
+		var aopts sched.AdaServeOptions
 		if opts.StaticD > 0 && opts.StaticW > 0 {
 			c := core.StaticController(opts.StaticD, opts.StaticW)
 			aopts.Controller = &c

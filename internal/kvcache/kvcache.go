@@ -251,9 +251,6 @@ func (a *Allocator) UsedBlocks() int { return a.cfg.NumBlocks - len(a.free) }
 // FreeBlocks returns the number of free blocks.
 func (a *Allocator) FreeBlocks() int { return len(a.free) }
 
-// FreeTokens returns how many more tokens could be stored in free blocks.
-func (a *Allocator) FreeTokens() int { return len(a.free) * a.cfg.BlockSize }
-
 // NumSeqs returns the number of registered sequences.
 func (a *Allocator) NumSeqs() int { return len(a.seqs) }
 

@@ -138,9 +138,6 @@ func (s *Summary) Violations() int { return s.Requests - s.Attained }
 // P50TPOT returns the median per-request average TPOT.
 func (s *Summary) P50TPOT() float64 { return s.TPOTTail.P50 }
 
-// P90TPOT returns the 90th-percentile per-request average TPOT.
-func (s *Summary) P90TPOT() float64 { return s.TPOTTail.P90 }
-
 // P99TPOT returns the 99th-percentile per-request average TPOT.
 func (s *Summary) P99TPOT() float64 { return s.TPOTTail.P99 }
 

@@ -13,9 +13,11 @@ type RollingClass struct {
 	Finished, Attained int
 	GoodTokens         int
 	// WindowFinished/WindowAttained/WindowGoodTokens cover requests that
-	// finished inside the trailing window.
+	// finished inside the trailing window; WindowSteps/WindowAccepted are
+	// their verification steps and committed tokens.
 	WindowFinished, WindowAttained int
 	WindowGoodTokens               int
+	WindowSteps, WindowAccepted    int
 }
 
 // Attainment returns the class's cumulative SLO attainment fraction.
@@ -32,6 +34,15 @@ func (c RollingClass) WindowAttainment() float64 {
 		return 0
 	}
 	return float64(c.WindowAttained) / float64(c.WindowFinished)
+}
+
+// WindowAcceptance returns the class's committed tokens per verification
+// step over the trailing window.
+func (c RollingClass) WindowAcceptance() float64 {
+	if c.WindowSteps == 0 {
+		return 0
+	}
+	return float64(c.WindowAccepted) / float64(c.WindowSteps)
 }
 
 // RollingStats is one point-in-time view of a run in progress: occupancy,
@@ -67,6 +78,9 @@ type RollingStats struct {
 	WindowFinished, WindowAttained int
 	WindowTTFTAttained             int
 	WindowGoodput                  float64
+	// WindowArrivals counts arrivals inside the trailing window (the offered
+	// load the controllers size against).
+	WindowArrivals int
 	// TPOTTail and TTFTTail digest the cumulative per-request TPOT / TTFT
 	// distributions over every finish so far; at the final snapshot they
 	// equal the terminal Summary's TPOTTail/TTFTTail (digests depend only on
@@ -122,6 +136,8 @@ type finishRec struct {
 	attained bool
 	ttft     bool
 	tokens   int
+	steps    int
+	accepted int
 	tpot     float64
 }
 
@@ -163,6 +179,13 @@ type Rolling struct {
 	winTTFT       int
 	winGoodTokens int
 
+	// arrivals holds arrival times in recording order; arrivals[arrHead:]
+	// are still inside the window. Eviction stops at the first in-window
+	// arrival, and the evicted prefix is compacted away once it is more than
+	// half the slice.
+	arrivals []float64
+	arrHead  int
+
 	// tpotHist/ttftHist stream the cumulative per-request TPOT/TTFT
 	// distributions; winTPOT covers only the trailing window (evictions
 	// retract their TPOT). All three are fixed-size, so rolling-metrics
@@ -190,9 +213,11 @@ func NewRolling(window float64) *Rolling {
 func (ro *Rolling) Window() float64 { return ro.window }
 
 // Arrived records a request entering the system. It pins the span start
-// (first arrival) the goodput denominators use.
+// (first arrival) the goodput denominators use and enters the arrival
+// window.
 func (ro *Rolling) Arrived(r *request.Request) {
 	ro.admitted++
+	ro.arrivals = append(ro.arrivals, r.ArrivalTime)
 	if !ro.haveArrival || r.ArrivalTime < ro.firstArrival {
 		ro.firstArrival = r.ArrivalTime
 		ro.haveArrival = true
@@ -231,10 +256,15 @@ func (ro *Rolling) Finished(r *request.Request) {
 		ro.ttftHist.Observe(t)
 	}
 
-	rec := finishRec{time: r.DoneTime, cat: r.Category, attained: attained, ttft: ttft, tokens: tokens, tpot: tpot}
+	rec := finishRec{
+		time: r.DoneTime, cat: r.Category, attained: attained, ttft: ttft,
+		tokens: tokens, steps: r.VerifySteps, accepted: r.AcceptedTokens, tpot: tpot,
+	}
 	ro.insert(rec)
 	ro.winFinished++
 	cls.WindowFinished++
+	cls.WindowSteps += rec.steps
+	cls.WindowAccepted += rec.accepted
 	if attained {
 		ro.winAttained++
 		ro.winGoodTokens += tokens
@@ -271,7 +301,8 @@ func (ro *Rolling) compact() {
 	ro.head = 0
 }
 
-// evict drops finishes that aged out of the window ending at now.
+// evict drops finishes and arrivals that aged out of the window ending at
+// now.
 func (ro *Rolling) evict(now float64) {
 	cutoff := now - ro.window
 	for ro.head < len(ro.recent) && ro.recent[ro.head].time < cutoff {
@@ -282,6 +313,8 @@ func (ro *Rolling) evict(now float64) {
 		ro.winFinished--
 		ro.winTPOT.Remove(rec.tpot)
 		cls.WindowFinished--
+		cls.WindowSteps -= rec.steps
+		cls.WindowAccepted -= rec.accepted
 		if rec.ttft {
 			ro.winTTFT--
 		}
@@ -293,6 +326,21 @@ func (ro *Rolling) evict(now float64) {
 		}
 	}
 	ro.compact()
+	for ro.arrHead < len(ro.arrivals) && ro.arrivals[ro.arrHead] < cutoff {
+		ro.arrHead++
+	}
+	if ro.arrHead > len(ro.arrivals)/2 {
+		ro.arrivals = append(ro.arrivals[:0], ro.arrivals[ro.arrHead:]...)
+		ro.arrHead = 0
+	}
+}
+
+// Windowed evicts at now and returns the per-class view and the windowed
+// arrival count without digesting the histograms, for callers that read the
+// window on every decision.
+func (ro *Rolling) Windowed(now float64) ([request.NumCategories]RollingClass, int) {
+	ro.evict(now)
+	return ro.perClass, len(ro.arrivals) - ro.arrHead
 }
 
 // Snapshot materializes the rolling view at simulated time now. queued and
@@ -309,6 +357,7 @@ func (ro *Rolling) Snapshot(now float64, queued, running int) RollingStats {
 		GoodTokens: ro.goodTokens, AllTokens: ro.allTokens,
 		WindowFinished: ro.winFinished, WindowAttained: ro.winAttained,
 		WindowTTFTAttained: ro.winTTFT,
+		WindowArrivals:     len(ro.arrivals) - ro.arrHead,
 		TPOTTail:           ro.tpotHist.Digest(),
 		TTFTTail:           ro.ttftHist.Digest(),
 		WindowTPOTTail:     ro.winTPOT.Digest(),
@@ -335,3 +384,34 @@ func (ro *Rolling) Snapshot(now float64, queued, running int) RollingStats {
 	}
 	return st
 }
+
+// PeakRate calibrates sustainable per-replica capacity from observed work:
+// counts accumulate between marks, and each mark folds the interval's rate
+// per replica into a running peak. Underestimating capacity only
+// over-provisions or over-gates, so the peak is the safe side. The zero
+// value is ready to use, with its first interval starting at time 0.
+type PeakRate struct {
+	n    int
+	last float64
+	peak float64
+}
+
+// Add counts n units of work (finishes, prompt tokens) in the current
+// interval.
+func (p *PeakRate) Add(n int) { p.n += n }
+
+// Mark closes the interval ending at now over the given replica count and
+// starts the next one. An interval with no elapsed time or no replicas
+// leaves the peak unchanged.
+func (p *PeakRate) Mark(now float64, replicas int) {
+	if dt := now - p.last; dt > 0 && replicas > 0 {
+		if rate := float64(p.n) / dt / float64(replicas); rate > p.peak {
+			p.peak = rate
+		}
+	}
+	p.n = 0
+	p.last = now
+}
+
+// Peak returns the highest per-replica rate seen at any mark.
+func (p *PeakRate) Peak() float64 { return p.peak }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 
 	"adaserve/internal/request"
@@ -20,6 +21,58 @@ func finishedReq(id int, cat request.Category, slo, arrival, firstDecode, done f
 	return r
 }
 
+// recount is a brute-force model of Rolling's trailing window: it keeps
+// every recorded arrival and finish and, at each read, drops those older
+// than the read's cutoff. Eviction is permanent, so a read whose now goes
+// backwards revives nothing, and a finish recorded after a later read stays
+// until a read's cutoff passes it.
+type recount struct {
+	window   float64
+	arrivals []float64
+	finishes []*request.Request
+}
+
+func (m *recount) arrive(ro *Rolling, r *request.Request) {
+	ro.Arrived(r)
+	m.arrivals = append(m.arrivals, r.ArrivalTime)
+}
+
+func (m *recount) finish(ro *Rolling, r *request.Request) {
+	ro.Finished(r)
+	m.finishes = append(m.finishes, r)
+}
+
+// read reads ro at now through both Windowed and Snapshot and fails unless
+// the windowed steps, accepted tokens and arrivals equal the recount.
+func (m *recount) read(t *testing.T, ro *Rolling, now float64) RollingStats {
+	t.Helper()
+	cutoff := now - m.window
+	m.arrivals = slices.DeleteFunc(m.arrivals, func(a float64) bool { return a < cutoff })
+	m.finishes = slices.DeleteFunc(m.finishes, func(r *request.Request) bool { return r.DoneTime < cutoff })
+	var want [request.NumCategories]RollingClass
+	for _, r := range m.finishes {
+		want[r.Category].WindowFinished++
+		want[r.Category].WindowSteps += r.VerifySteps
+		want[r.Category].WindowAccepted += r.AcceptedTokens
+	}
+	classes, arrivals := ro.Windowed(now)
+	st := ro.Snapshot(now, 0, 0)
+	if arrivals != len(m.arrivals) || st.WindowArrivals != len(m.arrivals) {
+		t.Fatalf("t=%g: window arrivals %d/%d, recount %d", now, arrivals, st.WindowArrivals, len(m.arrivals))
+	}
+	if classes != st.PerClass {
+		t.Fatalf("t=%g: Windowed and Snapshot disagree: %+v vs %+v", now, classes, st.PerClass)
+	}
+	for cat, w := range want {
+		got := classes[cat]
+		if got.WindowFinished != w.WindowFinished || got.WindowSteps != w.WindowSteps || got.WindowAccepted != w.WindowAccepted {
+			t.Fatalf("t=%g class %v: finished/steps/accepted %d/%d/%d, recount %d/%d/%d", now, request.Category(cat),
+				got.WindowFinished, got.WindowSteps, got.WindowAccepted, w.WindowFinished, w.WindowSteps, w.WindowAccepted)
+		}
+	}
+	return st
+}
+
 func TestRollingZeroValues(t *testing.T) {
 	ro := NewRolling(10)
 	if ro.Window() != 10 {
@@ -30,7 +83,7 @@ func TestRollingZeroValues(t *testing.T) {
 		t.Fatalf("empty snapshot has non-zero rates: %+v", st)
 	}
 	var cls RollingClass
-	if cls.Attainment() != 0 || cls.WindowAttainment() != 0 {
+	if cls.Attainment() != 0 || cls.WindowAttainment() != 0 || cls.WindowAcceptance() != 0 {
 		t.Fatalf("empty class has non-zero rates: %+v", cls)
 	}
 	defer func() {
@@ -64,15 +117,21 @@ func TestRollingWindowAttainmentRates(t *testing.T) {
 
 func TestRollingWindowEviction(t *testing.T) {
 	ro := NewRolling(10)
+	m := &recount{window: 10}
 	// One attained finish at t=1 (fast decode), one violating at t=8 (slow).
 	a := finishedReq(0, request.Chat, 0.05, 0, 0.5, 1, 20) // 25 ms/tok: attains
-	b := finishedReq(1, request.Chat, 0.05, 0, 2, 8, 20)   // 300 ms/tok: violates
-	ro.Arrived(a)
-	ro.Arrived(b)
-	ro.Finished(a)
-	ro.Finished(b)
+	b := finishedReq(1, request.Chat, 0.05, 1.5, 2, 8, 20) // 300 ms/tok: violates
+	a.VerifySteps, a.AcceptedTokens = 5, 20
+	b.VerifySteps, b.AcceptedTokens = 12, 20
+	m.arrive(ro, a)
+	m.arrive(ro, b)
+	m.finish(ro, a)
+	m.finish(ro, b)
 
-	st := ro.Snapshot(9, 0, 0)
+	st := m.read(t, ro, 9)
+	if cls := st.PerClass[request.Chat]; cls.WindowAcceptance() != 40.0/17 {
+		t.Fatalf("window acceptance %g, want 40/17", cls.WindowAcceptance())
+	}
 	if st.Finished != 2 || st.Attained != 1 {
 		t.Fatalf("cumulative %d/%d", st.Attained, st.Finished)
 	}
@@ -80,8 +139,9 @@ func TestRollingWindowEviction(t *testing.T) {
 		t.Fatalf("window before eviction %d/%d", st.WindowAttained, st.WindowFinished)
 	}
 
-	// At t=12 the window [2,12] has dropped the t=1 finish.
-	st = ro.Snapshot(12, 0, 0)
+	// At t=12 the window [2,12] has dropped the t=1 finish and both
+	// arrivals.
+	st = m.read(t, ro, 12)
 	if st.WindowFinished != 1 || st.WindowAttained != 0 {
 		t.Fatalf("window after eviction %d/%d", st.WindowAttained, st.WindowFinished)
 	}
@@ -93,32 +153,52 @@ func TestRollingWindowEviction(t *testing.T) {
 		t.Fatalf("per-class window %d cumulative %d", cls.WindowFinished, cls.Finished)
 	}
 
+	// A read that goes back in time revives nothing.
+	if st = m.read(t, ro, 9); st.WindowFinished != 1 || st.WindowArrivals != 0 {
+		t.Fatalf("backwards read: window finished %d arrivals %d", st.WindowFinished, st.WindowArrivals)
+	}
+
 	// Far future: the window is empty, cumulative view intact.
-	st = ro.Snapshot(100, 0, 0)
+	st = m.read(t, ro, 100)
 	if st.WindowFinished != 0 || st.WindowAttained != 0 || st.WindowGoodput != 0 {
 		t.Fatalf("stale window %+v", st)
 	}
 }
 
 // TestRollingOutOfOrderFinishes feeds finishes with non-monotone times (as
-// a multi-instance driver does) and expects exact window membership.
+// a multi-instance driver does) and expects exact window membership,
+// including a finish older than an earlier read's cutoff and a read whose
+// now goes backwards (a gate decision at an arrival instant after a tick at
+// a later high-water mark).
 func TestRollingOutOfOrderFinishes(t *testing.T) {
 	ro := NewRolling(5)
+	m := &recount{window: 5}
 	times := []float64{4, 2, 6, 1, 5}
+	cats := []request.Category{request.Coding, request.Chat, request.Coding, request.Summarization, request.Chat}
 	for i, done := range times {
-		r := finishedReq(i, request.Coding, 1.0, 0, done-0.5, done, 4)
-		ro.Arrived(r)
-		ro.Finished(r)
+		r := finishedReq(i, cats[i], 1.0, 0.1*float64(i), done-0.5, done, 4)
+		r.VerifySteps, r.AcceptedTokens = i+2, 2*i+3
+		m.arrive(ro, r)
+		m.finish(ro, r)
 	}
 	// Window [2,7]: finishes at 2,4,5,6 stay, 1 is evicted.
-	st := ro.Snapshot(7, 0, 0)
+	st := m.read(t, ro, 7)
 	if st.WindowFinished != 4 {
 		t.Fatalf("window %d, want 4", st.WindowFinished)
 	}
 	// Window [3.5, 8.5]: 4, 5, 6 remain.
-	st = ro.Snapshot(8.5, 0, 0)
+	st = m.read(t, ro, 8.5)
 	if st.WindowFinished != 3 {
 		t.Fatalf("window %d, want 3", st.WindowFinished)
+	}
+	// A late finish at t=3 lands behind the last cutoff and stays through a
+	// backwards read at t=7 (cutoff 2); a read at t=12 evicts everything.
+	late := finishedReq(len(times), request.Coding, 1.0, 2.5, 2.6, 3, 4)
+	late.VerifySteps, late.AcceptedTokens = 9, 11
+	m.arrive(ro, late)
+	m.finish(ro, late)
+	for _, now := range []float64{7, 7.5, 12} {
+		m.read(t, ro, now)
 	}
 }
 
@@ -165,15 +245,15 @@ func TestRollingMatchesSummarize(t *testing.T) {
 }
 
 // TestRollingBoundedRetention regression-tests the eviction leak: evict must
-// zero aged-out records and compaction must keep the backing array
-// proportional to the window population, so a long run's Rolling does not
+// zero aged-out records and compaction must keep the finish and arrival
+// backing arrays proportional to the window population, so a long run's Rolling does not
 // accumulate every finish ever recorded. Before the fix, evict resliced from
 // the head and the array grew without bound.
 func TestRollingBoundedRetention(t *testing.T) {
 	const window, step = 1.0, 0.01
 	ro := NewRolling(window)
-	pop := int(window/step) + 1 // finishes alive inside one window
-	maxLen := 0
+	pop := int(window/step) + 1 // finishes (and arrivals) alive inside one window
+	maxLen, maxArr := 0, 0
 	for i := 0; i < 20_000; i++ {
 		done := float64(i) * step
 		r := finishedReq(i, request.Chat, 1, done-0.5, done-0.2, done, 4)
@@ -183,14 +263,21 @@ func TestRollingBoundedRetention(t *testing.T) {
 		if n := len(ro.recent); n > maxLen {
 			maxLen = n
 		}
+		if n := len(ro.arrivals); n > maxArr {
+			maxArr = n
+		}
 		if ro.winFinished > pop {
 			t.Fatalf("window holds %d finishes, expected at most %d", ro.winFinished, pop)
 		}
+		if n := len(ro.arrivals) - ro.arrHead; n > pop {
+			t.Fatalf("window holds %d arrivals, expected at most %d", n, pop)
+		}
 	}
-	// Compaction bounds the slice at ~2× the window population, independent
-	// of run length.
-	if bound := 2*pop + 2; maxLen > bound {
-		t.Fatalf("backing slice grew to %d with window population %d (bound %d)", maxLen, pop, bound)
+	// Compaction bounds both slices at ~2× the window population,
+	// independent of run length.
+	if bound := 2*pop + 2; maxLen > bound || maxArr > bound {
+		t.Fatalf("backing slices grew to %d finishes / %d arrivals with window population %d (bound %d)",
+			maxLen, maxArr, pop, bound)
 	}
 }
 
@@ -225,5 +312,38 @@ func TestRollingBoundedMemorySmoke(t *testing.T) {
 	// the last eviction, compacted at 2x — far below the 1M finishes seen.
 	if c := cap(ro.recent); c > 1<<14 {
 		t.Fatalf("rolling view retained %d records for a bounded window", c)
+	}
+}
+
+func TestPeakRate(t *testing.T) {
+	type mark struct {
+		add      int
+		now      float64
+		replicas int
+	}
+	cases := []struct {
+		name  string
+		marks []mark
+		want  float64
+	}{
+		{"one interval", []mark{{10, 5, 2}}, 1},
+		{"zero dt skips", []mark{{10, 0, 2}}, 0},
+		{"backwards mark skips", []mark{{4, 2, 1}, {100, 1, 1}}, 2},
+		{"zero replicas skips", []mark{{10, 5, 0}}, 0},
+		{"skipped interval's count is dropped", []mark{{10, 5, 0}, {1, 10, 1}}, 0.2},
+		{"zero count", []mark{{0, 5, 2}}, 0},
+		{"peak kept across marks", []mark{{20, 5, 2}, {2, 10, 2}, {0, 15, 2}}, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var p PeakRate
+			for _, m := range c.marks {
+				p.Add(m.add)
+				p.Mark(m.now, m.replicas)
+			}
+			if p.Peak() != c.want {
+				t.Fatalf("peak %g, want %g", p.Peak(), c.want)
+			}
+		})
 	}
 }

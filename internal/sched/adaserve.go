@@ -79,14 +79,6 @@ type AdaServeDebug struct {
 	SLOUnmet      int
 }
 
-// AvgBatch returns the mean decode batch size.
-func (d AdaServeDebug) AvgBatch() float64 {
-	if d.DecodeIters == 0 {
-		return 0
-	}
-	return float64(d.SumBatch) / float64(d.DecodeIters)
-}
-
 // AdaServeOptions tunes construction.
 type AdaServeOptions struct {
 	// BudgetLatencyFactor sets the verification latency target as a

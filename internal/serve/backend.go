@@ -69,9 +69,6 @@ func (in *Instance) Halted() bool { return in.halted }
 // iteration's elapsed time (0 or 1: unscaled).
 func (in *Instance) SetStepScale(f float64) { in.stepScale = f }
 
-// StepScale returns the current straggler slowdown factor (0 when unscaled).
-func (in *Instance) StepScale() float64 { return in.stepScale }
-
 // hasWork reports whether the instance has waiting or running requests. A
 // halted (crashed) instance never has work: its resident requests are frozen
 // until fault recovery harvests them.

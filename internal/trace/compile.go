@@ -46,8 +46,8 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 	if duration == 0 {
 		duration = s.Duration
 	}
-	if !(duration > 0) {
-		return nil, fmt.Errorf("trace: compile: non-positive duration %g", duration)
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return nil, fmt.Errorf("trace: compile: duration %g must be positive and finite", duration)
 	}
 	maxContext := opts.MaxContext
 	if maxContext == 0 {

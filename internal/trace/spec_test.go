@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -207,6 +208,14 @@ func TestCompileClasses(t *testing.T) {
 
 	if _, err := Compile(s, CompileOptions{}); err == nil {
 		t.Fatal("Compile without BaselineLatency should fail")
+	}
+	// A non-positive or non-finite duration override fails instead of
+	// sampling arrivals forever.
+	for _, d := range []float64{-5, math.NaN(), math.Inf(1)} {
+		if _, err := Compile(s, CompileOptions{BaselineLatency: 0.02, Duration: d}); err == nil ||
+			!strings.Contains(err.Error(), "must be positive and finite") {
+			t.Fatalf("Compile(Duration %g) = %v, want a duration error", d, err)
+		}
 	}
 }
 

@@ -88,7 +88,6 @@ import (
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
 	"adaserve/internal/faults"
-	"adaserve/internal/kvcache"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/obs"
@@ -512,11 +511,6 @@ func finishObs(spans *obs.SpanRecorder, spanPath string, mexp *obs.MetricsExport
 	}
 }
 
-// kvPrefixStatser is implemented by every scheduler through the shared base.
-type kvPrefixStatser interface {
-	KVPrefixStats() (kvcache.PrefixStats, bool)
-}
-
 // prefixStatsFn returns a poller that sums the live prefix-cache counters
 // across the backend's replicas into a printable summary, or nil when -prefix
 // is off.
@@ -525,31 +519,17 @@ func prefixStatsFn(on bool, cl *cluster.Cluster, sys sched.System) func() *metri
 		return nil
 	}
 	return func() *metrics.PrefixSummary {
-		tot := &metrics.PrefixSummary{}
-		add := func(s sched.System) {
-			p, ok := s.(kvPrefixStatser)
-			if !ok {
-				return
-			}
-			st, enabled := p.KVPrefixStats()
-			if !enabled {
-				return
-			}
-			tot.Add(metrics.PrefixSummary{
-				Lookups: st.Lookups, Hits: st.Hits, HitTokens: st.HitTokens,
-				Evictions: st.Evictions, HostEvictions: st.HostEvictions,
-				Reloads: st.Reloads, ReloadedTokens: st.ReloadedTokens,
-				ReloadStallTime: st.ReloadStall,
-			})
-		}
+		systems := []sched.System{sys}
 		if cl != nil {
+			systems = systems[:0]
 			for _, rep := range cl.Replicas() {
-				add(rep.System())
+				systems = append(systems, rep.System())
 			}
-		} else {
-			add(sys)
 		}
-		return tot
+		if tot := cluster.PrefixSummary(systems...); tot != nil {
+			return tot
+		}
+		return &metrics.PrefixSummary{}
 	}
 }
 

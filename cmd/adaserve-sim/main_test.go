@@ -367,7 +367,6 @@ func TestFleetStringStates(t *testing.T) {
 	if got := fleetString(cl); !strings.Contains(got, "fleet 2/3") {
 		t.Fatalf("fleet tag %q, want active/size occupancy", got)
 	}
-	cl.ArmFaults()
 	if _, ok := cl.Fail(0, 0.5); !ok {
 		t.Fatal("Fail(0) refused")
 	}

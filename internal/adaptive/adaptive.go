@@ -28,7 +28,7 @@
 // replica warms.
 //
 // The decision laws are pure functions of explicit signal structs
-// (Config.Envelope, Config.Decide), which is what the property and fuzz
+// (Envelope, Decide), which is what the property and fuzz
 // tests pin: monotonicity (lower acceptance never raises a cap, more
 // saturation never loosens admission), bounded actuation, and
 // never-reject-below-saturation / never-admit-provably-unmeetable.
@@ -43,29 +43,41 @@ import (
 	"adaserve/internal/serve"
 )
 
-// Defaults for Config.
+// DefaultInterval is the retune cadence in simulated seconds.
+const DefaultInterval = 1.0
+
+// The tuning and admission laws' fixed parameters.
 const (
-	// DefaultInterval is the retune cadence in simulated seconds.
-	DefaultInterval = 1.0
+	// MinEnvelope is the smallest depth and width ceiling the tuner sets.
+	MinEnvelope = 1
 	// DefaultDepthTail is the end-to-end chain acceptance probability below
 	// which deeper drafting stops paying.
 	DefaultDepthTail = 0.2
+	// DefaultAttainLow is the windowed TPOT attainment below which a class's
+	// width cap loses a lane (budget goes to guaranteed tokens instead of
+	// wide trees).
+	DefaultAttainLow = 0.9
 	// DefaultQueueDegrade/DefaultQueueReject are the saturation thresholds
-	// in queued (waiting, unstarted) requests per active replica.
+	// in queued (waiting, unstarted) requests per active replica: at
+	// DefaultQueueDegrade the gate degrades degradable arrivals (when
+	// offered load also exceeds calibrated capacity), at DefaultQueueReject
+	// it rejects.
 	DefaultQueueDegrade = 3.0
 	DefaultQueueReject  = 10.0
 	// DefaultBestEffortTPOT is the TPOT SLO degraded requests relax to: the
 	// batch-tolerant summarization class's 150 ms/token.
 	DefaultBestEffortTPOT = 0.150
-	// DefaultAttainLow is the windowed TPOT attainment below which a class's
-	// width cap loses a lane (budget goes to guaranteed tokens instead of
-	// wide trees).
-	DefaultAttainLow = 0.9
+)
+
+// untunedDepth/untunedWidth are the envelope an admission-only controller
+// reports when no controlled system is tunable; it never actuates them.
+const (
+	untunedDepth = 8
+	untunedWidth = 4
 )
 
 // Config tunes the closed-loop controller. The zero value resolves to the
-// defaults above; envelope bounds default to the controlled system's
-// constructed ceilings.
+// defaults; the envelope ceilings come from the controlled system.
 type Config struct {
 	// Interval is the retune cadence in simulated seconds
 	// (0: DefaultInterval). Decisions land on the interval grid, evaluated
@@ -75,28 +87,6 @@ type Config struct {
 	// (0: serve.DefaultSnapshotWindow).
 	Window float64
 
-	// DepthMin/DepthMax bound the depth ceiling the tuner may set;
-	// WidthMin/WidthMax bound the width ceiling (0: resolved from the first
-	// tunable system's constructed envelope, with DepthMin/WidthMin 1).
-	DepthMin, DepthMax int
-	WidthMin, WidthMax int
-	// DepthTail is the per-chain end-to-end acceptance probability below
-	// which deeper drafting stops paying (0: DefaultDepthTail).
-	DepthTail float64
-	// AttainLow is the windowed attainment floor under which the width cap
-	// shrinks by one lane (0: DefaultAttainLow).
-	AttainLow float64
-
-	// QueueDegrade and QueueReject are the saturation thresholds in queued
-	// requests per active replica: at QueueDegrade the gate degrades
-	// degradable arrivals (when offered load also exceeds calibrated
-	// capacity), at QueueReject it rejects
-	// (0: DefaultQueueDegrade / DefaultQueueReject).
-	QueueDegrade, QueueReject float64
-	// BestEffortTPOT is the TPOT SLO degraded requests relax to
-	// (0: DefaultBestEffortTPOT).
-	BestEffortTPOT float64
-
 	// DisableTuning turns off the speculation half of the loop;
 	// DisableAdmission turns off the gate (every arrival admitted as
 	// submitted). At most one may be set.
@@ -104,8 +94,7 @@ type Config struct {
 	DisableAdmission bool
 }
 
-// fill resolves zero values to the defaults. Envelope bounds are resolved
-// separately by New against the controlled systems.
+// fill resolves zero values to the defaults.
 func (c *Config) fill() {
 	if c.Interval == 0 {
 		c.Interval = DefaultInterval
@@ -113,44 +102,12 @@ func (c *Config) fill() {
 	if c.Window == 0 {
 		c.Window = serve.DefaultSnapshotWindow
 	}
-	if c.DepthTail == 0 {
-		c.DepthTail = DefaultDepthTail
-	}
-	if c.AttainLow == 0 {
-		c.AttainLow = DefaultAttainLow
-	}
-	if c.QueueDegrade == 0 {
-		c.QueueDegrade = DefaultQueueDegrade
-	}
-	if c.QueueReject == 0 {
-		c.QueueReject = DefaultQueueReject
-	}
-	if c.BestEffortTPOT == 0 {
-		c.BestEffortTPOT = DefaultBestEffortTPOT
-	}
-	if c.DepthMin == 0 {
-		c.DepthMin = 1
-	}
-	if c.WidthMin == 0 {
-		c.WidthMin = 1
-	}
 }
 
 // validate checks a filled config.
 func (c Config) validate() error {
 	if c.Interval < 0 || c.Window < 0 {
 		return fmt.Errorf("adaptive: negative interval or window")
-	}
-	if c.DepthTail <= 0 || c.DepthTail >= 1 {
-		return fmt.Errorf("adaptive: depth tail %g outside (0,1)", c.DepthTail)
-	}
-	if c.QueueDegrade <= 0 || c.QueueReject < c.QueueDegrade {
-		return fmt.Errorf("adaptive: saturation thresholds degrade=%g reject=%g (want 0 < degrade <= reject)",
-			c.QueueDegrade, c.QueueReject)
-	}
-	if c.DepthMin < 1 || c.DepthMax < c.DepthMin || c.WidthMin < 1 || c.WidthMax < c.WidthMin {
-		return fmt.Errorf("adaptive: envelope bounds depth [%d,%d] width [%d,%d]",
-			c.DepthMin, c.DepthMax, c.WidthMin, c.WidthMax)
 	}
 	if c.DisableTuning && c.DisableAdmission {
 		return fmt.Errorf("adaptive: both tuning and admission disabled; drop the controller instead")
@@ -177,36 +134,38 @@ type ClassSignals struct {
 // Depth follows a geometric-chain view of acceptance: mean accepted tokens
 // per step m implies a per-position acceptance probability p = m/(1+m)
 // (the mean of a truncated geometric), and the deepest chain worth
-// drafting keeps its end-to-end acceptance p^d above DepthTail. Width
-// grants one lane per accepted token per step, minus one while the class
-// misses its windowed attainment floor (budget is better spent on
-// guaranteed tokens than wide trees).
+// drafting keeps its end-to-end acceptance p^d above DefaultDepthTail.
+// Width grants one lane per accepted token per step, minus one while the
+// class misses the DefaultAttainLow attainment floor (budget is better
+// spent on guaranteed tokens than wide trees). depthMax and widthMax are
+// the controlled system's constructed ceilings.
 //
 // The law is monotone — lower acceptance never raises either cap — and
-// bounded: results always lie in [DepthMin,DepthMax] x [WidthMin,WidthMax].
-func (c Config) Envelope(sig ClassSignals) (dmax, wmax int) {
+// bounded: results always lie in [MinEnvelope,depthMax] x
+// [MinEnvelope,widthMax].
+func Envelope(sig ClassSignals, depthMax, widthMax int) (dmax, wmax int) {
 	if sig.Finished <= 0 {
-		return c.DepthMax, c.WidthMax
+		return depthMax, widthMax
 	}
 	m := sig.Acceptance
 	if m < 0 {
 		m = 0
 	}
 	p := m / (1 + m)
-	d := c.DepthMin
+	d := MinEnvelope
 	if p > 0 {
-		switch est := math.Log(c.DepthTail) / math.Log(p); {
-		case est >= float64(c.DepthMax):
-			d = c.DepthMax
-		case est > float64(c.DepthMin):
+		switch est := math.Log(DefaultDepthTail) / math.Log(p); {
+		case est >= float64(depthMax):
+			d = depthMax
+		case est > MinEnvelope:
 			d = int(est)
 		}
 	}
 	w := 1 + int(m)
-	if sig.Attainment < c.AttainLow {
+	if sig.Attainment < DefaultAttainLow {
 		w--
 	}
-	return d, mathutil.ClipInt(w, c.WidthMin, c.WidthMax)
+	return d, mathutil.ClipInt(w, MinEnvelope, widthMax)
 }
 
 // Signals is the fleet-level saturation view one admission decision is
@@ -262,7 +221,7 @@ func (s Signals) Overloaded() bool {
 // cannot meet its deadline under ANY real schedule, so rejecting it sheds
 // load without costing a single attainable SLO. Uncalibrated gates
 // (PrefillRate 0) and requests without a TTFT SLO are never condemned.
-func (c Config) UnmeetableTTFT(sig Signals, r *request.Request) (float64, bool) {
+func UnmeetableTTFT(sig Signals, r *request.Request) (float64, bool) {
 	if r.TTFTSLO <= 0 || sig.PrefillRate <= 0 || sig.Active <= 0 {
 		return 0, false
 	}
@@ -275,23 +234,23 @@ func (c Config) UnmeetableTTFT(sig Signals, r *request.Request) (float64, bool) 
 // law behind Controller.Decide, exercised directly by the property and
 // fuzz tests. It is monotone in saturation — raising Queued (or shrinking
 // the active fleet, or raising the arrival rate) never loosens the
-// outcome — and it rejects below the QueueReject saturation threshold only
-// when the request's TTFT deadline is provably unmeetable.
-func (c Config) Decide(sig Signals, r *request.Request) (serve.AdmissionDecision, string) {
-	if bound, doomed := c.UnmeetableTTFT(sig, r); doomed {
+// outcome — and it rejects below the DefaultQueueReject saturation
+// threshold only when the request's TTFT deadline is provably unmeetable.
+func Decide(sig Signals, r *request.Request) (serve.AdmissionDecision, string) {
+	if bound, doomed := UnmeetableTTFT(sig, r); doomed {
 		return serve.AdmissionReject,
 			fmt.Sprintf("ttft unmeetable: lower bound %.2fs > slo %.2fs (backlog %d tok / %d active)",
 				bound, r.TTFTSLO, sig.PrefillBacklog, sig.Active)
 	}
 	qp := sig.QueuePressure()
 	switch {
-	case qp >= c.QueueReject:
+	case qp >= DefaultQueueReject:
 		return serve.AdmissionReject,
-			fmt.Sprintf("saturated: %.1f queued/active replica >= %.1f", qp, c.QueueReject)
-	case qp >= c.QueueDegrade && sig.Overloaded() && !r.Degraded:
+			fmt.Sprintf("saturated: %.1f queued/active replica >= %.1f", qp, DefaultQueueReject)
+	case qp >= DefaultQueueDegrade && sig.Overloaded() && !r.Degraded:
 		return serve.AdmissionDegrade,
 			fmt.Sprintf("overloaded: %.1f queued/active replica >= %.1f, %.2f req/s offered",
-				qp, c.QueueDegrade, sig.ArrivalRate)
+				qp, DefaultQueueDegrade, sig.ArrivalRate)
 	default:
 		return serve.AdmissionAdmit, ""
 	}

@@ -8,17 +8,9 @@ import (
 	"adaserve/internal/serve"
 )
 
-// testConfig returns a filled, validated config with explicit envelope
-// bounds (New normally resolves them from the controlled system).
-func testConfig(t *testing.T) Config {
-	t.Helper()
-	cfg := Config{DepthMax: 8, WidthMax: 4}
-	cfg.fill()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	return cfg
-}
+// testDepth/testWidth are the constructed envelope ceilings the pure-law
+// tests tune within (New normally reads them from the controlled system).
+const testDepth, testWidth = 8, 4
 
 // strictness ranks decisions for the monotonicity properties: admit <
 // degrade < reject.
@@ -46,14 +38,13 @@ func chatReq() *request.Request {
 // never raises one, and every output lies inside the configured bounds —
 // for attaining and for struggling classes alike.
 func TestEnvelopeMonotoneAndBounded(t *testing.T) {
-	cfg := testConfig(t)
 	for _, attain := range []float64{0, 0.5, 0.89, 0.9, 1.0} {
 		prevD, prevW := 0, 0
 		for m := 0.0; m <= 8.0; m += 0.05 {
-			d, w := cfg.Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: attain})
-			if d < cfg.DepthMin || d > cfg.DepthMax || w < cfg.WidthMin || w > cfg.WidthMax {
+			d, w := Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: attain}, testDepth, testWidth)
+			if d < MinEnvelope || d > testDepth || w < MinEnvelope || w > testWidth {
 				t.Fatalf("envelope (%d,%d) at m=%.2f attain=%.2f escapes bounds [%d,%d]x[%d,%d]",
-					d, w, m, attain, cfg.DepthMin, cfg.DepthMax, cfg.WidthMin, cfg.WidthMax)
+					d, w, m, attain, MinEnvelope, testDepth, MinEnvelope, testWidth)
 			}
 			if d < prevD || w < prevW {
 				t.Fatalf("envelope shrank as acceptance rose: (%d,%d) -> (%d,%d) at m=%.2f attain=%.2f",
@@ -67,10 +58,9 @@ func TestEnvelopeMonotoneAndBounded(t *testing.T) {
 // TestEnvelopeAttainmentPenalty: missing the windowed attainment floor costs
 // exactly one width lane and never touches depth.
 func TestEnvelopeAttainmentPenalty(t *testing.T) {
-	cfg := testConfig(t)
 	for m := 0.0; m <= 8.0; m += 0.25 {
-		dHi, wHi := cfg.Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: 1.0})
-		dLo, wLo := cfg.Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: 0.0})
+		dHi, wHi := Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: 1.0}, testDepth, testWidth)
+		dLo, wLo := Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: 0.0}, testDepth, testWidth)
 		if dLo != dHi {
 			t.Fatalf("attainment moved depth at m=%.2f: %d vs %d", m, dLo, dHi)
 		}
@@ -83,22 +73,20 @@ func TestEnvelopeAttainmentPenalty(t *testing.T) {
 // TestEnvelopeUncalibrated: a class with no windowed finishes keeps the full
 // constructed envelope — the tuner only ever acts on evidence.
 func TestEnvelopeUncalibrated(t *testing.T) {
-	cfg := testConfig(t)
-	d, w := cfg.Envelope(ClassSignals{})
-	if d != cfg.DepthMax || w != cfg.WidthMax {
-		t.Fatalf("uncalibrated class got (%d,%d), want the full (%d,%d)", d, w, cfg.DepthMax, cfg.WidthMax)
+	d, w := Envelope(ClassSignals{}, testDepth, testWidth)
+	if d != testDepth || w != testWidth {
+		t.Fatalf("uncalibrated class got (%d,%d), want the full (%d,%d)", d, w, testDepth, testWidth)
 	}
 }
 
 // TestDecideMonotoneInQueue: raising queue depth with everything else fixed
 // never loosens the outcome.
 func TestDecideMonotoneInQueue(t *testing.T) {
-	cfg := testConfig(t)
 	for _, serviceRate := range []float64{0, 2.0} {
 		prev := 0
 		for q := 0; q <= 60; q++ {
 			sig := Signals{Queued: q, Active: 2, Committed: 2, ArrivalRate: 10, ServiceRate: serviceRate}
-			dec, reason := cfg.Decide(sig, chatReq())
+			dec, reason := Decide(sig, chatReq())
 			if s := strictness(dec); s < prev {
 				t.Fatalf("queue %d loosened the decision to %v (serviceRate=%g)", q, dec, serviceRate)
 			} else {
@@ -114,12 +102,11 @@ func TestDecideMonotoneInQueue(t *testing.T) {
 // TestDecideMonotoneInFleet: shrinking the active fleet (the autoscaler's
 // cold-start gap) never loosens the outcome for a fixed backlog.
 func TestDecideMonotoneInFleet(t *testing.T) {
-	cfg := testConfig(t)
 	prev := -1
 	for active := 8; active >= 1; active-- {
 		sig := Signals{Queued: 12, Active: active, Committed: 8, ArrivalRate: 10, ServiceRate: 2,
 			PrefillBacklog: 4096, PrefillRate: 2000}
-		dec, _ := cfg.Decide(sig, chatReq())
+		dec, _ := Decide(sig, chatReq())
 		if s := strictness(dec); s < prev {
 			t.Fatalf("shrinking fleet to %d active loosened the decision to %v", active, dec)
 		} else {
@@ -132,14 +119,13 @@ func TestDecideMonotoneInFleet(t *testing.T) {
 // healthy fleets: under the reject threshold, with a meetable (or absent)
 // TTFT deadline, an arrival is never turned away.
 func TestDecideNeverRejectsBelowSaturation(t *testing.T) {
-	cfg := testConfig(t)
-	for q := 0; float64(q)/2 < cfg.QueueReject; q++ {
+	for q := 0; float64(q)/2 < DefaultQueueReject; q++ {
 		for _, rate := range []float64{0, 5, 500} {
 			sig := Signals{Queued: q, Active: 2, Committed: 2, ArrivalRate: rate, ServiceRate: 1}
-			dec, _ := cfg.Decide(sig, chatReq())
+			dec, _ := Decide(sig, chatReq())
 			if dec == serve.AdmissionReject {
 				t.Fatalf("rejected at pressure %.1f < %.1f with no unmeetable deadline (rate %g)",
-					sig.QueuePressure(), cfg.QueueReject, rate)
+					sig.QueuePressure(), DefaultQueueReject, rate)
 			}
 		}
 	}
@@ -149,21 +135,20 @@ func TestDecideNeverRejectsBelowSaturation(t *testing.T) {
 // TTFT deadline is provably lost, even on an otherwise quiet fleet; waiving
 // the deadline or losing calibration withdraws the proof.
 func TestDecideRejectsUnmeetable(t *testing.T) {
-	cfg := testConfig(t)
 	sig := Signals{Queued: 0, Active: 1, Committed: 1, ServiceRate: 2,
 		PrefillBacklog: 100_000, PrefillRate: 10_000}
 	r := chatReq() // TTFT SLO 4s; bound is (100000+512)/10000 > 10s
-	dec, reason := cfg.Decide(sig, r)
+	dec, reason := Decide(sig, r)
 	if dec != serve.AdmissionReject || !strings.Contains(reason, "ttft unmeetable") {
 		t.Fatalf("provably unmeetable request got %v (%q)", dec, reason)
 	}
 	r2 := chatReq()
 	r2.TTFTSLO = 0
-	if dec, _ := cfg.Decide(sig, r2); dec != serve.AdmissionAdmit {
+	if dec, _ := Decide(sig, r2); dec != serve.AdmissionAdmit {
 		t.Fatalf("request without a TTFT SLO got %v on a quiet fleet", dec)
 	}
 	sig.PrefillRate = 0
-	if dec, _ := cfg.Decide(sig, chatReq()); dec != serve.AdmissionAdmit {
+	if dec, _ := Decide(sig, chatReq()); dec != serve.AdmissionAdmit {
 		t.Fatalf("uncalibrated gate condemned a request: %v", dec)
 	}
 }
@@ -171,15 +156,14 @@ func TestDecideRejectsUnmeetable(t *testing.T) {
 // TestDecideDegradedPassThrough: an already-degraded request is never
 // degraded again — in the degrade band it is simply admitted.
 func TestDecideDegradedPassThrough(t *testing.T) {
-	cfg := testConfig(t)
 	sig := Signals{Queued: 10, Active: 2, Committed: 2, ArrivalRate: 50, ServiceRate: 1}
 	fresh := chatReq()
-	if dec, _ := cfg.Decide(sig, fresh); dec != serve.AdmissionDegrade {
+	if dec, _ := Decide(sig, fresh); dec != serve.AdmissionDegrade {
 		t.Fatalf("degrade band did not degrade a fresh request: %v", dec)
 	}
 	degraded := chatReq()
-	degraded.Degrade(cfg.BestEffortTPOT)
-	if dec, _ := cfg.Decide(sig, degraded); dec != serve.AdmissionAdmit {
+	degraded.Degrade(DefaultBestEffortTPOT)
+	if dec, _ := Decide(sig, degraded); dec != serve.AdmissionAdmit {
 		t.Fatalf("already-degraded request got %v in the degrade band", dec)
 	}
 }
@@ -210,13 +194,11 @@ func TestConfigValidate(t *testing.T) {
 		want string
 	}{
 		{"both disabled", func(c *Config) { c.DisableTuning = true; c.DisableAdmission = true }, "both"},
-		{"depth tail", func(c *Config) { c.DepthTail = 1.5 }, "depth tail"},
-		{"inverted thresholds", func(c *Config) { c.QueueDegrade = 8; c.QueueReject = 2 }, "thresholds"},
-		{"inverted envelope", func(c *Config) { c.DepthMin = 6; c.DepthMax = 2 }, "envelope bounds"},
+		{"negative window", func(c *Config) { c.Window = -1 }, "negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{DepthMax: 8, WidthMax: 4}
+			var cfg Config
 			c.mut(&cfg)
 			cfg.fill()
 			err := cfg.validate()

@@ -53,18 +53,20 @@ type Controller struct {
 	// condemns FEWER requests).
 	service, prefill metrics.PeakRate
 
-	// Current actuated envelope (the constructed ceilings until the first
-	// calibrated retune).
-	curD, curW int
+	// depthMax/widthMax are the first tunable system's constructed
+	// ceilings; curD/curW the actuated envelope (the ceilings until the
+	// first calibrated retune).
+	depthMax, widthMax int
+	curD, curW         int
 
 	sum metrics.AdmissionSummary
 }
 
 // New builds a controller over a backend's instances. Unless tuning is
 // disabled, at least one instance's system must be SpecTunable (AdaServe);
-// envelope bounds left zero resolve to the first tunable system's
-// constructed ceilings. If the backend is a Fleet (elastic cluster), the
-// gate normalizes saturation by its live active-replica count.
+// the envelope ceilings are the first tunable system's constructed ones.
+// If the backend is a Fleet (elastic cluster), the gate normalizes
+// saturation by its live active-replica count.
 func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("adaptive: backend required")
@@ -82,22 +84,9 @@ func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	if !cfg.DisableTuning && len(tuned) == 0 {
 		return nil, fmt.Errorf("adaptive: no tunable system (speculation tuning needs AdaServe; set DisableTuning for admission-only control)")
 	}
+	depthMax, widthMax := untunedDepth, untunedWidth
 	if len(tuned) > 0 {
-		d, w := tuned[0].SpecEnvelope()
-		if cfg.DepthMax == 0 {
-			cfg.DepthMax = d
-		}
-		if cfg.WidthMax == 0 {
-			cfg.WidthMax = w
-		}
-	}
-	// Admission-only controllers over non-tunable backends never actuate the
-	// envelope; default the unresolved bounds so validation stays meaningful.
-	if cfg.DepthMax == 0 {
-		cfg.DepthMax = 8
-	}
-	if cfg.WidthMax == 0 {
-		cfg.WidthMax = 4
+		depthMax, widthMax = tuned[0].SpecEnvelope()
 	}
 	cfg.fill()
 	if err := cfg.validate(); err != nil {
@@ -105,20 +94,19 @@ func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	}
 	fleet, _ := backend.(Fleet)
 	c := &Controller{
-		cfg:    cfg,
-		insts:  insts,
-		tuned:  tuned,
-		fleet:  fleet,
-		next:   cfg.Interval,
-		window: metrics.NewRolling(cfg.Window),
-		curD:   cfg.DepthMax,
-		curW:   cfg.WidthMax,
+		cfg:      cfg,
+		insts:    insts,
+		tuned:    tuned,
+		fleet:    fleet,
+		next:     cfg.Interval,
+		window:   metrics.NewRolling(cfg.Window),
+		depthMax: depthMax,
+		widthMax: widthMax,
+		curD:     depthMax,
+		curW:     widthMax,
 	}
 	return c, nil
 }
-
-// Config returns the resolved configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Envelope returns the currently actuated speculation ceilings.
 func (c *Controller) Envelope() (dmax, wmax int) { return c.curD, c.curW }
@@ -170,16 +158,16 @@ func (c *Controller) Tick(now float64) {
 	// the widest proposal (max is monotone in every class's signals, so the
 	// per-class monotonicity law lifts to the actuated envelope). With no
 	// calibrated class the constructed envelope stands.
-	d, w, calibrated := c.cfg.DepthMin, c.cfg.WidthMin, false
+	d, w, calibrated := MinEnvelope, MinEnvelope, false
 	for _, cls := range classes {
 		if cls.WindowFinished == 0 {
 			continue
 		}
-		cd, cw := c.cfg.Envelope(ClassSignals{
+		cd, cw := Envelope(ClassSignals{
 			Finished:   cls.WindowFinished,
 			Acceptance: cls.WindowAcceptance(),
 			Attainment: cls.WindowAttainment(),
-		})
+		}, c.depthMax, c.widthMax)
 		if cd > d {
 			d = cd
 		}
@@ -189,7 +177,7 @@ func (c *Controller) Tick(now float64) {
 		calibrated = true
 	}
 	if !calibrated {
-		d, w = c.cfg.DepthMax, c.cfg.WidthMax
+		d, w = c.depthMax, c.widthMax
 	}
 	c.curD, c.curW = d, w
 	for _, t := range c.tuned {
@@ -241,12 +229,12 @@ func (c *Controller) Decide(r *request.Request) (serve.AdmissionDecision, string
 		c.sum.Add(original, true, false, false)
 		return serve.AdmissionAdmit, ""
 	}
-	dec, reason := c.cfg.Decide(c.signals(r.ArrivalTime), r)
+	dec, reason := Decide(c.signals(r.ArrivalTime), r)
 	switch dec {
 	case serve.AdmissionReject:
 		c.sum.Add(original, false, false, true)
 	case serve.AdmissionDegrade:
-		r.Degrade(c.cfg.BestEffortTPOT)
+		r.Degrade(DefaultBestEffortTPOT)
 		c.sum.Add(original, false, true, false)
 	default:
 		c.sum.Add(original, true, false, false)

@@ -74,9 +74,8 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantD, wantW := sys.SpecEnvelope()
-	if got := ctrl.Config(); got.DepthMax != wantD || got.WidthMax != wantW {
-		t.Fatalf("bounds (%d,%d) not resolved from the system's (%d,%d)",
-			got.DepthMax, got.WidthMax, wantD, wantW)
+	if d, w := ctrl.Envelope(); d != wantD || w != wantW {
+		t.Fatalf("ceilings (%d,%d) not read from the system's (%d,%d)", d, w, wantD, wantW)
 	}
 	if _, err := New(serve.SingleSystem(adaServe(t)), Config{DisableTuning: true, DisableAdmission: true}); err == nil {
 		t.Fatal("fully disabled controller accepted")
@@ -91,11 +90,9 @@ func TestNewValidation(t *testing.T) {
 // envelope must stay inside its bounds.
 func TestControllerClosedLoop(t *testing.T) {
 	sys := adaServe(t)
+	d0, w0 := sys.SpecEnvelope()
 	backend := serve.SingleSystem(sys)
-	ctrl, err := New(backend, Config{
-		Interval: 0.05, Window: 1.0,
-		QueueDegrade: 2, QueueReject: 6,
-	})
+	ctrl, err := New(backend, Config{Interval: 0.05, Window: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +161,10 @@ func TestControllerClosedLoop(t *testing.T) {
 	if perClass != sum.Offered {
 		t.Fatalf("per-class split %d does not cover %d offered", perClass, sum.Offered)
 	}
-	cfg := ctrl.Config()
 	d, w := ctrl.Envelope()
-	if d < cfg.DepthMin || d > cfg.DepthMax || w < cfg.WidthMin || w > cfg.WidthMax {
+	if d < MinEnvelope || d > d0 || w < MinEnvelope || w > w0 {
 		t.Fatalf("actuated envelope (%d,%d) escaped bounds [%d,%d]x[%d,%d]",
-			d, w, cfg.DepthMin, cfg.DepthMax, cfg.WidthMin, cfg.WidthMax)
+			d, w, MinEnvelope, d0, MinEnvelope, w0)
 	}
 	sd, sw := sys.SpecEnvelope()
 	if sd != d || sw != w {

@@ -38,44 +38,39 @@ func FuzzAdmission(f *testing.F) {
 			t.Skip("out of the signal domain")
 		}
 
-		cfg := Config{DepthMax: 8, WidthMax: 4}
-		cfg.fill()
-		if err := cfg.validate(); err != nil {
-			t.Fatal(err)
-		}
 		cat := request.Category(int(classIdx) % request.NumCategories)
 		r := request.New(1, cat, 0.05, 0, promptLen, 64, 1)
 		r.TTFTSLO = ttftSLO
 		if degraded {
-			r.Degrade(cfg.BestEffortTPOT)
+			r.Degrade(DefaultBestEffortTPOT)
 		}
 		sig := Signals{Queued: queued, Active: active, Committed: committed,
 			ArrivalRate: arrivalRate, ServiceRate: serviceRate,
 			PrefillBacklog: backlog, PrefillRate: prefillRate}
 
-		dec, reason := cfg.Decide(sig, r)
+		dec, reason := Decide(sig, r)
 		if s := strictness(dec); s < 0 {
 			t.Fatalf("decision %v outside the enum", dec)
 		} else if (reason == "") != (dec == serve.AdmissionAdmit) {
 			t.Fatalf("decision %v with reason %q", dec, reason)
 		}
-		_, doomed := cfg.UnmeetableTTFT(sig, r)
+		_, doomed := UnmeetableTTFT(sig, r)
 		if doomed && dec != serve.AdmissionReject {
 			t.Fatalf("admitted a provably unmeetable deadline: %v (%+v)", dec, sig)
 		}
-		if !doomed && sig.QueuePressure() < cfg.QueueReject && dec == serve.AdmissionReject {
+		if !doomed && sig.QueuePressure() < DefaultQueueReject && dec == serve.AdmissionReject {
 			t.Fatalf("rejected below saturation with a meetable deadline: %q (%+v)", reason, sig)
 		}
 
 		busier := sig
 		busier.Queued++
-		decBusier, _ := cfg.Decide(busier, r)
+		decBusier, _ := Decide(busier, r)
 		if strictness(decBusier) < strictness(dec) {
 			t.Fatalf("one more queued request loosened %v to %v (%+v)", dec, decBusier, sig)
 		}
 
-		d, w := cfg.Envelope(ClassSignals{Finished: queued, Acceptance: arrivalRate, Attainment: attain})
-		if d < cfg.DepthMin || d > cfg.DepthMax || w < cfg.WidthMin || w > cfg.WidthMax {
+		d, w := Envelope(ClassSignals{Finished: queued, Acceptance: arrivalRate, Attainment: attain}, testDepth, testWidth)
+		if d < MinEnvelope || d > testDepth || w < MinEnvelope || w > testWidth {
 			t.Fatalf("envelope (%d,%d) escapes bounds", d, w)
 		}
 	})

@@ -141,8 +141,8 @@ func TestNewValidates(t *testing.T) {
 }
 
 func TestTickPacingAndUpStep(t *testing.T) {
-	cl := elasticCluster(t, mixedRoles(4), 1)
-	ctrl, err := New(cl, fixedPolicy{4}, Options{Interval: 1, Hysteresis: Hysteresis{UpStep: 1, UpCooldown: 1}})
+	cl := elasticCluster(t, mixedRoles(5), 1)
+	ctrl, err := New(cl, fixedPolicy{5}, Options{Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,24 +151,64 @@ func TestTickPacingAndUpStep(t *testing.T) {
 		t.Fatalf("decision before the first grid instant: %+v", acts)
 	}
 	acts := ctrl.Tick(1.0, &q)
-	if len(acts) != 1 || !acts[0].Up || acts[0].Fleet != 2 || acts[0].Policy != "fixed" {
-		t.Fatalf("first decision = %+v, want one scale-up to fleet 2", acts)
+	if len(acts) != DefaultUpStep || !acts[0].Up || acts[0].Fleet != 2 || acts[1].Fleet != 3 || acts[0].Policy != "fixed" {
+		t.Fatalf("first decision = %+v, want %d scale-ups to fleet 3", acts, DefaultUpStep)
 	}
 	if acts := ctrl.Tick(1.4, &q); acts != nil {
 		t.Fatalf("off-grid tick acted: %+v", acts)
 	}
-	if acts := ctrl.Tick(2.0, &q); len(acts) != 1 {
-		t.Fatalf("second grid decision = %+v, want one scale-up (cooldown elapsed)", acts)
+	if acts := ctrl.Tick(2.0, &q); len(acts) != DefaultUpStep {
+		t.Fatalf("second grid decision = %+v, want %d scale-ups (cooldown elapsed)", acts, DefaultUpStep)
 	}
-	if cl.CommittedFleet() != 3 {
-		t.Fatalf("fleet %d after two up-steps, want 3", cl.CommittedFleet())
+	if cl.CommittedFleet() != 5 {
+		t.Fatalf("fleet %d after two up-steps, want 5", cl.CommittedFleet())
+	}
+	// At capacity the pool stops growing, whatever the policy wants.
+	if acts := ctrl.Tick(3.0, &q); len(acts) != 0 {
+		t.Fatalf("decision at capacity = %+v, want none", acts)
+	}
+}
+
+func TestCooldownsBlockLateDecisions(t *testing.T) {
+	// A decision lands at the first tick past its grid instant, so two
+	// decisions can fall closer than one interval. The up cooldown (one
+	// interval) and the down cooldown (three) then hold the pool still.
+	up := elasticCluster(t, mixedRoles(8), 1)
+	ctrl, err := New(up, fixedPolicy{8}, Options{Interval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q serve.Queue
+	for _, c := range []struct {
+		now  float64
+		acts int
+	}{{1.9, DefaultUpStep}, {2.0, 0}, {3.0, DefaultUpStep}} {
+		if acts := ctrl.Tick(c.now, &q); len(acts) != c.acts {
+			t.Fatalf("up decision at %g = %+v, want %d actions", c.now, acts, c.acts)
+		}
+	}
+
+	down := elasticCluster(t, mixedRoles(4), 4)
+	ctrl, err = New(down, fixedPolicy{0}, Options{Interval: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		now  float64
+		acts int
+	}{{1, 0}, {2, 0}, {3.9, 1}, {4, 0}, {5, 0}, {6, 0}, {7, 1}} {
+		if acts := ctrl.Tick(c.now, &q); len(acts) != c.acts {
+			t.Fatalf("down decision at %g = %+v, want %d actions", c.now, acts, c.acts)
+		}
+	}
+	if down.CommittedFleet() != 2 {
+		t.Fatalf("fleet %d after two down-steps, want 2", down.CommittedFleet())
 	}
 }
 
 func TestDownStableAndMinClamp(t *testing.T) {
 	cl := elasticCluster(t, mixedRoles(3), 3)
-	ctrl, err := New(cl, fixedPolicy{0}, Options{Interval: 1,
-		Hysteresis: Hysteresis{DownStep: 1, DownStable: 3, DownCooldown: 0.5}})
+	ctrl, err := New(cl, fixedPolicy{0}, Options{Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +225,8 @@ func TestDownStableAndMinClamp(t *testing.T) {
 			}
 		}
 	}
-	// Desired 0 clamps to MinPerPool=1, so the fleet never empties.
-	if cl.CommittedFleet() != 1 {
+	// Desired 0 clamps to MinPerPool, so the fleet never empties.
+	if cl.CommittedFleet() != MinPerPool {
 		t.Fatalf("fleet %d, want clamped floor 1", cl.CommittedFleet())
 	}
 	for i := 0; i < 9; i++ {
@@ -200,23 +240,25 @@ func TestDownStableAndMinClamp(t *testing.T) {
 func TestSharedBudgetPrefillPriority(t *testing.T) {
 	roles := []cluster.Role{cluster.RolePrefill, cluster.RolePrefill, cluster.RoleDecode, cluster.RoleDecode}
 	cl := elasticCluster(t, roles, 1)
-	// Both pools want 2; the shared budget allows only one more replica.
-	// Prefill is processed first, so it wins the slot.
-	ctrl, err := New(cl, fixedPolicy{2}, Options{Interval: 1,
-		Hysteresis: Hysteresis{MaxTotal: 3, UpStep: 2}})
+	// Both pools want more than they have: the prefill pool acts first, so
+	// its scale-up leads the decision's actions, and the fleet stops at its
+	// built capacity.
+	ctrl, err := New(cl, fixedPolicy{3}, Options{Interval: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var q serve.Queue
 	acts := ctrl.Tick(1.0, &q)
-	if len(acts) != 1 || acts[0].Role != "prefill" {
-		t.Fatalf("budget-constrained decision = %+v, want one prefill scale-up", acts)
+	if len(acts) != 2 || acts[0].Role != "prefill" || acts[1].Role != "decode" {
+		t.Fatalf("decision = %+v, want a prefill then a decode scale-up", acts)
 	}
-	if pp := cl.CountPool(cluster.RolePrefill); pp.Committed() != 2 {
-		t.Fatalf("prefill pool committed %d, want 2", pp.Committed())
+	for _, role := range []cluster.Role{cluster.RolePrefill, cluster.RoleDecode} {
+		if pc := cl.CountPool(role); pc.Committed() != 2 {
+			t.Fatalf("%s pool committed %d, want its capacity 2", role, pc.Committed())
+		}
 	}
-	if dp := cl.CountPool(cluster.RoleDecode); dp.Committed() != 1 {
-		t.Fatalf("decode pool committed %d, want 1 (budget exhausted)", dp.Committed())
+	if acts := ctrl.Tick(2.0, &q); len(acts) != 0 || cl.CommittedFleet() != cl.Size() {
+		t.Fatalf("decision at capacity = %+v (fleet %d), want none at %d", acts, cl.CommittedFleet(), cl.Size())
 	}
 }
 
@@ -260,8 +302,4 @@ func TestSignalsFromEvents(t *testing.T) {
 		t.Fatalf("occupancy signals wrong: %+v", sig)
 	}
 
-	sum := ctrl.Summary(2.0)
-	if sum.Policy != "capture" || sum.Finished != 2 || sum.Attained == 0 {
-		t.Fatalf("controller summary wrong: %+v", sum)
-	}
 }

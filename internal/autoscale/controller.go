@@ -8,10 +8,18 @@ import (
 	"adaserve/internal/serve"
 )
 
-// Defaults for Options and Hysteresis.
+// DefaultInterval is the decision cadence in simulated seconds.
+const DefaultInterval = 5.0
+
+// Hysteresis bounds how fast and how far the controller moves the fleet, so
+// different policies are comparable under identical traffic: every policy
+// feels the same cooldowns and step limits. An up-step waits one decision
+// interval after the pool's previous one, a down-step three; a pool never
+// grows past its built capacity.
 const (
-	// DefaultInterval is the decision cadence in simulated seconds.
-	DefaultInterval = 5.0
+	// MinPerPool floors each role pool's committed replicas: the cluster
+	// must keep serving every capability.
+	MinPerPool = 1
 	// DefaultUpStep/DefaultDownStep bound replicas added/removed per
 	// decision: growth is urgent (a missed spike is lost goodput), shrink is
 	// cautious (a mistaken drain pays a cold start to undo).
@@ -21,30 +29,9 @@ const (
 	// pool must see before it shrinks (sustained headroom, not one quiet
 	// window).
 	DefaultDownStable = 3
+	// downCooldownIntervals is the down-step cooldown in decision intervals.
+	downCooldownIntervals = 3
 )
-
-// Hysteresis bounds how fast and how far the controller moves the fleet, so
-// different policies are comparable under identical traffic: every policy
-// feels the same cooldowns, step limits and budget.
-type Hysteresis struct {
-	// MinPerPool floors each role pool's committed replicas (0: 1 — the
-	// cluster must keep serving every capability).
-	MinPerPool int
-	// MaxTotal caps committed replicas across all pools — the shared
-	// hardware budget of a disaggregated fleet (0: the cluster's built
-	// capacity).
-	MaxTotal int
-	// UpStep/DownStep bound replicas added/removed per decision
-	// (0: DefaultUpStep/DefaultDownStep).
-	UpStep, DownStep int
-	// UpCooldown/DownCooldown are the minimum simulated seconds between
-	// consecutive actions in the same direction on one pool
-	// (0: the decision interval, and 3x it, respectively).
-	UpCooldown, DownCooldown float64
-	// DownStable is how many consecutive decisions must want fewer replicas
-	// before one drains (0: DefaultDownStable).
-	DownStable int
-}
 
 // Options configures a Controller.
 type Options struct {
@@ -55,8 +42,6 @@ type Options struct {
 	// Window is the trailing-window width for rolling signals
 	// (0: serve.DefaultSnapshotWindow).
 	Window float64
-	// Hysteresis bounds the control loop.
-	Hysteresis Hysteresis
 }
 
 // poolState is the controller's per-role-pool control state.
@@ -71,9 +56,9 @@ type poolState struct {
 // serve.Options.Autoscaler. It observes the event stream (arrivals, token
 // commits, finishes) through rolling windows, and at each interval-grid
 // instant asks the Policy for every role pool's desired size, applies
-// hysteresis and the shared budget, and actuates the elastic cluster's
-// replica lifecycle. All decisions happen at iteration boundaries in
-// event-time order, so runs are deterministic under a fixed seed.
+// hysteresis, and actuates the elastic cluster's replica lifecycle. All
+// decisions happen at iteration boundaries in event-time order, so runs are
+// deterministic under a fixed seed.
 //
 // Like the cluster it resizes, a Controller is single-use.
 type Controller struct {
@@ -90,8 +75,6 @@ type Controller struct {
 	// previous decision left it.
 	service     metrics.PeakRate
 	billedFleet int
-
-	scaleUps, scaleDowns int
 }
 
 // New builds a controller for an elastic cluster under the given policy.
@@ -114,28 +97,6 @@ func New(cl *cluster.Cluster, policy Policy, opts Options) (*Controller, error) 
 	if opts.Window == 0 {
 		opts.Window = serve.DefaultSnapshotWindow
 	}
-	h := &opts.Hysteresis
-	if h.MinPerPool <= 0 {
-		h.MinPerPool = 1
-	}
-	if h.MaxTotal <= 0 {
-		h.MaxTotal = cl.Size()
-	}
-	if h.UpStep <= 0 {
-		h.UpStep = DefaultUpStep
-	}
-	if h.DownStep <= 0 {
-		h.DownStep = DefaultDownStep
-	}
-	if h.UpCooldown <= 0 {
-		h.UpCooldown = opts.Interval
-	}
-	if h.DownCooldown <= 0 {
-		h.DownCooldown = 3 * opts.Interval
-	}
-	if h.DownStable <= 0 {
-		h.DownStable = DefaultDownStable
-	}
 	c := &Controller{
 		cl:          cl,
 		policy:      policy,
@@ -145,8 +106,8 @@ func New(cl *cluster.Cluster, policy Policy, opts Options) (*Controller, error) 
 		billedFleet: cl.CommittedFleet(),
 	}
 	// One control pool per role present, in prefill, decode, mixed order:
-	// the TTFT-critical stage gets budget priority, and the order is fixed
-	// so runs are deterministic.
+	// the TTFT-critical stage acts first, and the order is fixed so runs
+	// are deterministic.
 	for _, role := range []cluster.Role{cluster.RolePrefill, cluster.RoleDecode, cluster.RoleMixed} {
 		if cl.CountPool(role).Capacity() > 0 {
 			c.pools = append(c.pools, &poolState{role: role})
@@ -154,9 +115,6 @@ func New(cl *cluster.Cluster, policy Policy, opts Options) (*Controller, error) 
 	}
 	return c, nil
 }
-
-// Policy returns the controller's scaling policy.
-func (c *Controller) Policy() Policy { return c.policy }
 
 // OnEvent implements serve.Observer: it feeds the rolling windows.
 func (c *Controller) OnEvent(ev serve.Event) {
@@ -201,7 +159,6 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 	// apart when the cluster idles through grid instants).
 	c.service.Mark(now, c.billedFleet)
 	var actions []serve.ScaleAction
-	h := c.opts.Hysteresis
 	for _, ps := range c.pools {
 		pc := c.cl.CountPool(ps.role)
 		sig := Signals{
@@ -219,8 +176,8 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 			WindowFinished:       st.WindowFinished,
 		}
 		desired := c.policy.Desired(sig)
-		if desired < h.MinPerPool {
-			desired = h.MinPerPool
+		if desired < MinPerPool {
+			desired = MinPerPool
 		}
 		if desired > pc.Capacity() {
 			desired = pc.Capacity()
@@ -229,15 +186,12 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 		switch {
 		case desired > committed:
 			ps.lowTicks = 0
-			if now-ps.lastUp < h.UpCooldown && ps.lastUp > 0 {
+			if now-ps.lastUp < c.opts.Interval && ps.lastUp > 0 {
 				break
 			}
 			step := desired - committed
-			if step > h.UpStep {
-				step = h.UpStep
-			}
-			if budget := h.MaxTotal - c.cl.CommittedFleet(); step > budget {
-				step = budget
+			if step > DefaultUpStep {
+				step = DefaultUpStep
 			}
 			acted := false
 			for i := 0; i < step; i++ {
@@ -246,7 +200,6 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 					break
 				}
 				acted = true
-				c.scaleUps++
 				actions = append(actions, serve.ScaleAction{
 					Up: true, Instance: rep.ID(), Role: ps.role.String(),
 					Policy: c.policy.Name(),
@@ -260,12 +213,12 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 			}
 		case desired < committed:
 			ps.lowTicks++
-			if ps.lowTicks < h.DownStable || (now-ps.lastDown < h.DownCooldown && ps.lastDown > 0) {
+			if ps.lowTicks < DefaultDownStable || (now-ps.lastDown < downCooldownIntervals*c.opts.Interval && ps.lastDown > 0) {
 				break
 			}
 			step := committed - desired
-			if step > h.DownStep {
-				step = h.DownStep
+			if step > DefaultDownStep {
+				step = DefaultDownStep
 			}
 			acted := false
 			for i := 0; i < step; i++ {
@@ -274,7 +227,6 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 					break
 				}
 				acted = true
-				c.scaleDowns++
 				actions = append(actions, serve.ScaleAction{
 					Up: false, Instance: rep.ID(), Role: ps.role.String(),
 					Policy: c.policy.Name(),
@@ -311,17 +263,4 @@ func (c *Controller) poolQueuedTokens(role cluster.Role) int {
 		}
 	}
 	return n
-}
-
-// Summary reports the run's autoscaling economics at simulated time end
-// (typically the run's EndTime): the cluster's lifecycle stats stamped with
-// the policy name and the request outcomes the controller observed.
-func (c *Controller) Summary(end float64) metrics.AutoscaleSummary {
-	s := c.cl.LifecycleStats(end)
-	s.Policy = c.policy.Name()
-	st := c.rolling.Snapshot(end, 0, 0)
-	s.Finished = st.Finished
-	s.Attained = st.Attained
-	s.GoodTokens = st.GoodTokens
-	return s
 }

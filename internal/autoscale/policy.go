@@ -7,9 +7,9 @@
 // The split mirrors production autoscalers (SLOs-Serve, AIBrix): policies
 // are pure functions from observed Signals to a desired replica count, so
 // they are trivially comparable under identical traffic; everything
-// stateful — decision cadence, cooldowns, scale-step bounds, the shared
-// budget across role pools, sustained-headroom counting — lives in the
-// Controller, applied identically to every policy.
+// stateful — decision cadence, cooldowns, scale-step bounds,
+// sustained-headroom counting — lives in the Controller, applied
+// identically to every policy.
 package autoscale
 
 import (
@@ -61,7 +61,7 @@ func (s Signals) Utilization() float64 {
 // count. Implementations must be pure and deterministic: identical Signals
 // yield identical desires, so policies are comparable under identical
 // traffic. The controller owns all hysteresis (cooldowns, step bounds,
-// sustained-headroom counting, min/max clamps, the shared budget).
+// sustained-headroom counting, min/max clamps).
 type Policy interface {
 	// Name identifies the policy in reports and events.
 	Name() string

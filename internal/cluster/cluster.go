@@ -291,10 +291,8 @@ type Cluster struct {
 
 	// prefillCap and decodeCap are the role-filtered candidate sets (== all
 	// replicas for a colocated cluster). routablePrefill/routableDecode are
-	// the state-filtered subsets handed to the router: for a static cluster
-	// they alias prefillCap/decodeCap verbatim (so static routing is
-	// byte-identical to pre-lifecycle clusters); an elastic cluster rebuilds
-	// them on every state transition.
+	// the state-filtered subsets handed to the router, in capability order,
+	// rebuilt on every state transition.
 	prefillCap      []*Replica
 	decodeCap       []*Replica
 	routablePrefill []*Replica
@@ -315,9 +313,7 @@ type Cluster struct {
 	peakFleet       int
 	minFleet        int
 
-	// Fault-injection state (see faults.go). All zero — and therefore
-	// invisible — until ArmFaults.
-	faultsArmed   bool
+	// Fault-injection state (see faults.go).
 	linkWindows   []LinkWindow
 	linkFallbacks int
 	linkDegraded  int
@@ -378,8 +374,9 @@ func NewWithRoles(systems []sched.System, roles []Role, router Router, transfer 
 			return nil, fmt.Errorf("cluster: KV-transfer model: %w", err)
 		}
 	}
-	c.routablePrefill = c.prefillCap
-	c.routableDecode = c.decodeCap
+	c.routablePrefill = make([]*Replica, 0, len(c.prefillCap))
+	c.routableDecode = make([]*Replica, 0, len(c.decodeCap))
+	c.rebuildRoutable()
 	c.peakFleet = len(c.replicas)
 	c.minFleet = len(c.replicas)
 	return c, nil
@@ -496,14 +493,14 @@ func (c *Cluster) AfterIterate(in *serve.Instance, q *serve.Queue) error {
 }
 
 // deliver lands an arrived migration on its decode replica, bumping an idle
-// target's clock to the transfer-completion instant. With faults armed, a
-// delivery whose target crashed while the transfer was in flight is
-// re-routed to a surviving decode-capable replica (router exclusion of
-// failed replicas covers in-flight work, not just new dispatches); with none
-// left it lands on the failed replica and is lost with it.
+// target's clock to the transfer-completion instant. A delivery whose
+// target crashed while the transfer was in flight is re-routed to a
+// surviving decode-capable replica (router exclusion of failed replicas
+// covers in-flight work, not just new dispatches); with none left it lands
+// on the failed replica and is lost with it.
 func (c *Cluster) deliver(r *request.Request, target *Replica, ready float64) {
 	target.pendingDeliveries--
-	if c.faultsArmed && target.state == StateFailed && len(c.routableDecode) > 0 {
+	if target.state == StateFailed && len(c.routableDecode) > 0 {
 		target = c.routableDecode[c.router.RouteDecode(r, c.routableDecode)]
 	}
 	target.inst.BumpClock(ready)
@@ -517,7 +514,7 @@ func (c *Cluster) deliver(r *request.Request, target *Replica, ready float64) {
 // deliver.
 func (c *Cluster) deliverRouted(r *request.Request, target *Replica, ready float64) {
 	target.pendingDeliveries--
-	if c.faultsArmed && target.state == StateFailed && len(c.routablePrefill) > 0 {
+	if target.state == StateFailed && len(c.routablePrefill) > 0 {
 		target = c.routablePrefill[c.router.Route(r, c.routablePrefill)]
 	}
 	target.inst.BumpClock(ready)
@@ -597,17 +594,17 @@ func (c *Cluster) Results(rr *serve.Result, reqs []*request.Request) *Result {
 		Roles:     c.roleStats(),
 		Transfer:  c.stats,
 		Autoscale: &as,
-		Prefix:    c.prefixSummary(),
+		Prefix:    PrefixSummary(c.systems()...),
 	}
 	return res
 }
 
-// prefixSummary sums the shared-prefix cache counters over replicas whose
-// systems run with prefix caching enabled; nil when none does.
-func (c *Cluster) prefixSummary() *metrics.PrefixSummary {
+// PrefixSummary sums the shared-prefix cache counters of the systems that
+// run with prefix caching enabled; nil when none does.
+func PrefixSummary(systems ...sched.System) *metrics.PrefixSummary {
 	var out *metrics.PrefixSummary
-	for _, rep := range c.replicas {
-		p, ok := rep.System().(interface {
+	for _, sys := range systems {
+		p, ok := sys.(interface {
 			KVPrefixStats() (kvcache.PrefixStats, bool)
 		})
 		if !ok {
@@ -630,6 +627,15 @@ func (c *Cluster) prefixSummary() *metrics.PrefixSummary {
 			ReloadedTokens:  st.ReloadedTokens,
 			ReloadStallTime: st.ReloadStall,
 		})
+	}
+	return out
+}
+
+// systems returns the replicas' serving systems in ID order.
+func (c *Cluster) systems() []sched.System {
+	out := make([]sched.System, len(c.replicas))
+	for i, rep := range c.replicas {
+		out[i] = rep.System()
 	}
 	return out
 }

@@ -10,8 +10,8 @@ import (
 
 // This file is the cluster half of the fault-injection subsystem: the state
 // mutations an internal/faults.Injector drives through event-time callbacks.
-// Everything here is gated behind ArmFaults, so un-armed clusters — and
-// therefore every pre-existing run — stay byte-identical.
+// A run without faults never calls them, and a replica is only ever
+// StateFailed after Fail.
 
 // LinkWindow is one KV-transfer link-fault window: while a prefill-to-decode
 // migration's departure instant falls in [From, To), the transfer's latency
@@ -42,25 +42,6 @@ func (w LinkWindow) fails(reqID int) bool {
 	u := float64(mathutil.Hash2(w.Seed, uint64(reqID))>>11) / float64(uint64(1)<<53)
 	return u < w.FailProb
 }
-
-// ArmFaults prepares the cluster for fault injection. A static cluster's
-// routable sets alias its capability sets (the byte-identity guarantee for
-// fault-free runs); arming un-aliases them so failed replicas can leave the
-// router's candidate sets. Idempotent.
-func (c *Cluster) ArmFaults() {
-	if c.faultsArmed {
-		return
-	}
-	c.faultsArmed = true
-	if !c.elastic {
-		c.routablePrefill = make([]*Replica, 0, len(c.prefillCap))
-		c.routableDecode = make([]*Replica, 0, len(c.decodeCap))
-		c.rebuildRoutable()
-	}
-}
-
-// FaultsArmed reports whether ArmFaults has run.
-func (c *Cluster) FaultsArmed() bool { return c.faultsArmed }
 
 // SetLinkWindows installs the KV-transfer link-fault windows consulted by
 // prefill-to-decode migrations. Drain migrations are unaffected: a drain is
@@ -110,7 +91,6 @@ func (c *Cluster) Fail(id int, now float64) (lost int, ok bool) {
 	if id < 0 || id >= len(c.replicas) {
 		return 0, false
 	}
-	c.ArmFaults() // rebuildRoutable needs un-aliased routable sets
 	rep := c.replicas[id]
 	if rep.state == StateFailed || rep.state == StateStopped {
 		return 0, false

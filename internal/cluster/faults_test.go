@@ -76,8 +76,8 @@ func TestRecoverStaticResumesElasticSpares(t *testing.T) {
 	if cl.Replicas()[0].State() != StateActive {
 		t.Fatalf("static repair state %v, want active", cl.Replicas()[0].State())
 	}
-	if len(cl.routablePrefill) != 2 {
-		t.Fatal("repaired replica missing from routable set")
+	if len(cl.routablePrefill) != 2 || cl.routablePrefill[0].ID() != 0 || cl.routablePrefill[1].ID() != 1 {
+		t.Fatal("routable set after repair is not both replicas in ID order")
 	}
 	if got := cl.LifecycleStats(3).ReplicaSeconds; got != 5 {
 		t.Fatalf("replica-seconds %g, want 5 (3 + pre-crash 1 + post-repair 1)", got)
@@ -224,5 +224,35 @@ func TestLinkFaultWindows(t *testing.T) {
 		if w.fails(id) != w.fails(id) {
 			t.Fatal("link coin not deterministic")
 		}
+	}
+}
+
+// TestDeliverReroutesAroundFailedTarget: a migration or drain delivery whose
+// target crashed while it was in flight lands on a surviving replica of the
+// right capability instead of being lost with the target.
+func TestDeliverReroutesAroundFailedTarget(t *testing.T) {
+	cl, _ := disaggFakes(t, []Role{RolePrefill, RoleDecode, RoleDecode}, NewRoundRobin(), testTransfer(0.01))
+	if _, ok := cl.Fail(1, 0.5); !ok {
+		t.Fatal("Fail(1) refused")
+	}
+	r := request.New(0, request.Chat, 0.05, 0, 16, 4, 3)
+	cl.replicas[1].pendingDeliveries++
+	cl.deliver(r, cl.replicas[1], 0.6)
+	if got := cl.replicas[2].System().Pool().NumWaiting(); got != 1 || len(cl.replicas[2].migrated) != 1 {
+		t.Fatalf("decode replica 2 holds %d waiting / %d migrated, want the re-routed request", got, len(cl.replicas[2].migrated))
+	}
+	if len(cl.replicas[1].migrated) != 0 {
+		t.Fatal("delivery landed on the failed decode replica")
+	}
+
+	// A drain delivery re-routes among prefill-capable replicas the same way.
+	col := fakeCluster(t, 2, NewRoundRobin())
+	if _, ok := col.Fail(0, 0.5); !ok {
+		t.Fatal("Fail(0) refused")
+	}
+	col.replicas[0].pendingDeliveries++
+	col.deliverRouted(request.New(1, request.Chat, 0.05, 0, 16, 4, 5), col.replicas[0], 0.6)
+	if len(col.replicas[1].routed) != 1 || len(col.replicas[0].routed) != 0 {
+		t.Fatalf("drain delivery routed to %d/%d, want replica 1 only", len(col.replicas[0].routed), len(col.replicas[1].routed))
 	}
 }

@@ -117,10 +117,6 @@ func NewElastic(systems []sched.System, roles []Role, router Router, transfer gp
 		}
 		rep.state = StateStopped
 	}
-	// The routable sets must stop aliasing the capability sets before the
-	// first rebuild (rebuild truncates in place).
-	c.routablePrefill = make([]*Replica, 0, len(c.prefillCap))
-	c.routableDecode = make([]*Replica, 0, len(c.decodeCap))
 	c.rebuildRoutable()
 	if len(c.routablePrefill) == 0 || len(c.routableDecode) == 0 {
 		return nil, fmt.Errorf("cluster: elastic initial fleet lacks an active prefill- or decode-capable replica")
@@ -207,8 +203,7 @@ func (c *Cluster) CountPool(role Role) PoolCounts {
 }
 
 // rebuildRoutable refreshes the state-filtered router candidate sets after a
-// transition. Static clusters never call it (their routable sets alias the
-// capability sets).
+// transition.
 func (c *Cluster) rebuildRoutable() {
 	c.routablePrefill = c.routablePrefill[:0]
 	for _, rep := range c.prefillCap {

@@ -126,17 +126,17 @@ const DefaultTightSLO = 0.100
 // dog-piling the lowest index.
 //
 // During overload bursts (mean resident tight requests past
-// PressureThreshold, clusters of 3+), the policy flips to a sacrificial
-// partition: batch-tolerant work consolidates onto an "island" replica —
-// the one already holding the most of it — while new tight requests
-// exclude the island. Consolidation matters because the engine co-batches
-// prefill with verification: a multi-thousand-token summarization prompt
-// inflates every co-resident request's iteration times, so spreading such
-// work "fairly" during a burst poisons tight requests on every replica,
-// while packing it keeps the remaining replicas clean for urgent traffic —
-// the relaxed SLOs absorb the co-batching. A headcount cap
-// (ConsolidateFactor × the cluster-mean residency) bounds the sacrifice;
-// past it, relaxed work spreads again.
+// DefaultPressureThreshold, clusters of 3+), the policy flips to a
+// sacrificial partition: batch-tolerant work consolidates onto an "island"
+// replica — the one already holding the most of it — while new tight
+// requests exclude the island. Consolidation matters because the engine
+// co-batches prefill with verification: a multi-thousand-token
+// summarization prompt inflates every co-resident request's iteration
+// times, so spreading such work "fairly" during a burst poisons tight
+// requests on every replica, while packing it keeps the remaining replicas
+// clean for urgent traffic — the relaxed SLOs absorb the co-batching. A
+// headcount cap (DefaultConsolidateFactor × the cluster-mean residency)
+// bounds the sacrifice; past it, relaxed work spreads again.
 //
 // Role-awareness: in a disaggregated cluster the per-class residency logic
 // owns decode dispatch (migrations), exactly as it owns placement in a
@@ -145,29 +145,18 @@ const DefaultTightSLO = 0.100
 // (prefill is a throughput stage; TTFT is served by draining the shortest
 // prompt backlog), with the rotating-cursor tie-break.
 type SLOAware struct {
-	// TightSLO overrides the latency-critical cutoff (0: DefaultTightSLO).
-	TightSLO float64
-	// ConsolidateFactor caps a relaxed-consolidation target's total
-	// residency at this multiple of the cluster mean, plus constant slack
-	// for cold starts (0: DefaultConsolidateFactor).
-	ConsolidateFactor float64
-	// PressureThreshold is the mean resident tight requests per replica
-	// above which relaxed traffic consolidates instead of spreading
-	// (0: DefaultPressureThreshold).
-	PressureThreshold float64
-
 	tightCursor, relaxedCursor, prefillCursor int
 }
 
 // DefaultConsolidateFactor is the relaxed-consolidation headroom: a replica
 // may absorb batch-tolerant work until it holds twice the cluster-mean
-// residency.
+// residency, plus constant slack for cold starts.
 const DefaultConsolidateFactor = 2.0
 
 // DefaultPressureThreshold is the urgent-pressure trigger for relaxed
-// consolidation: steady state at the evaluated loads keeps a handful of
-// tight requests resident per replica, while overload bursts push well
-// past ten.
+// consolidation, in mean resident tight requests per replica: steady state
+// at the evaluated loads keeps a handful of tight requests resident per
+// replica, while overload bursts push well past ten.
 const DefaultPressureThreshold = 8
 
 // Name implements Router.
@@ -195,19 +184,15 @@ func (s *SLOAware) RouteDecode(r *request.Request, replicas []*Replica) int {
 // routeByResidency is the per-class residency policy shared by colocated
 // arrival dispatch and disaggregated decode dispatch.
 func (s *SLOAware) routeByResidency(r *request.Request, replicas []*Replica) int {
-	cutoff := s.TightSLO
-	if cutoff <= 0 {
-		cutoff = DefaultTightSLO
-	}
 	// Snapshot every replica's residency once; island/routeTight/
 	// routeRelaxed all read this snapshot rather than rescanning pools.
 	res := make([]residency, len(replicas))
 	for i, rep := range replicas {
-		t, x := rep.ActiveRequests(cutoff)
+		t, x := rep.ActiveRequests(DefaultTightSLO)
 		res[i] = residency{tight: t, relaxed: x}
 	}
 	island := s.island(res)
-	if r.TPOTSLO <= cutoff {
+	if r.TPOTSLO <= DefaultTightSLO {
 		return s.routeTight(res, island)
 	}
 	return s.routeRelaxed(res, island)
@@ -240,15 +225,11 @@ func (s *SLOAware) island(res []residency) int {
 	if len(res) < 3 {
 		return -1
 	}
-	pressure := s.PressureThreshold
-	if pressure <= 0 {
-		pressure = DefaultPressureThreshold
-	}
 	tightTotal := 0
 	for _, r := range res {
 		tightTotal += r.tight
 	}
-	if float64(tightTotal)/float64(len(res)) < pressure {
+	if float64(tightTotal)/float64(len(res)) < DefaultPressureThreshold {
 		return -1
 	}
 	best, bestRelaxed, bestTight := -1, 0, 0
@@ -288,15 +269,11 @@ func (s *SLOAware) routeTight(res []residency, island int) int {
 // the consolidation cap; past the cap it spreads again.
 func (s *SLOAware) routeRelaxed(res []residency, island int) int {
 	if island >= 0 {
-		factor := s.ConsolidateFactor
-		if factor <= 0 {
-			factor = DefaultConsolidateFactor
-		}
 		total := 0
 		for _, r := range res {
 			total += r.tight + r.relaxed
 		}
-		if islandTotal := res[island].tight + res[island].relaxed; float64(islandTotal) < factor*float64(total)/float64(len(res))+4 {
+		if islandTotal := res[island].tight + res[island].relaxed; float64(islandTotal) < DefaultConsolidateFactor*float64(total)/float64(len(res))+4 {
 			return island
 		}
 	}

@@ -130,20 +130,21 @@ func TestSLOAwareCursorRotatesThroughTies(t *testing.T) {
 }
 
 func TestSLOAwareCutoffClassifies(t *testing.T) {
-	s := &SLOAware{TightSLO: 0.040}
+	s := &SLOAware{}
 	c := fakeCluster(t, 2, nil)
 	reps := c.Replicas()
-	loadReplica(reps[0], 100, 100, 0.030) // urgent under the custom cutoff
-	loadReplica(reps[1], 101, 50, 0.150)  // relaxed load on replica 1
-	// Chat (50 ms) is relaxed under cutoff 40 ms: it balances on relaxed
-	// load, and replica 0 has none (its queue is all urgent).
-	chat := request.New(1, request.Chat, 0.050, 0, 16, 4, 3)
-	if got := s.Route(chat, reps); got != 0 {
-		t.Fatalf("chat routed to %d under 40ms cutoff, want 0", got)
+	loadReplica(reps[0], 100, 100, DefaultTightSLO)      // urgent: the cutoff is inclusive
+	loadReplica(reps[1], 101, 50, DefaultTightSLO+0.001) // relaxed load on replica 1
+	// Just past the cutoff is relaxed: it balances on relaxed load, and
+	// replica 0 has none (its queue is all urgent).
+	past := request.New(1, request.Chat, DefaultTightSLO+0.001, 0, 16, 4, 3)
+	if got := s.Route(past, reps); got != 0 {
+		t.Fatalf("request past the cutoff routed to %d, want 0", got)
 	}
-	// Coding (30 ms) is tight: it avoids replica 0's urgent queue.
-	if got := s.Route(tightReq(2), reps); got != 1 {
-		t.Fatalf("coding routed to %d under 40ms cutoff, want 1", got)
+	// At the cutoff is tight: it avoids replica 0's urgent queue.
+	at := request.New(2, request.Chat, DefaultTightSLO, 0, 16, 4, 4)
+	if got := s.Route(at, reps); got != 1 {
+		t.Fatalf("request at the cutoff routed to %d, want 1", got)
 	}
 }
 

@@ -131,14 +131,15 @@ func ParseSystem(name string) (SystemKind, error) {
 	return "", fmt.Errorf("experiments: unknown system %q (have %v)", name, KnownSystems())
 }
 
+// maxBatch is every built system's running-sequence cap.
+const maxBatch = 256
+
 // BuildOptions tunes system construction.
 type BuildOptions struct {
 	// Seed differentiates runs; it drives the engine's verification RNG.
 	Seed uint64
 	// Rule selects the verification acceptance rule (default stochastic).
 	Rule lm.VerifyRule
-	// MaxBatch overrides the running-sequence cap (default 256).
-	MaxBatch int
 	// StaticController forces AdaServe to fixed (d,w) (ablation) when both
 	// are > 0.
 	StaticD, StaticW int
@@ -200,10 +201,6 @@ func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode
 		}
 	}
 
-	maxBatch := opts.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = 256
-	}
 	cfg := sched.Config{
 		Engine: eng, KV: kv,
 		MaxBatch:         maxBatch,
@@ -233,7 +230,7 @@ func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode
 		v.PriorityAware = true
 		return v, nil
 	case SysSarathi:
-		return sched.NewSarathi(cfg, 0)
+		return sched.NewSarathi(cfg)
 	case SysVLLMSpec4:
 		return sched.NewVLLMSpec(cfg, 4)
 	case SysVLLMSpec6:

@@ -69,7 +69,37 @@ const hedgeIDBase = 1 << 28
 // deterministically.
 const faultDeliveryBase = 3 << 29
 
-// Options configures the recovery side of an Injector.
+// Recovery timing and hedging parameters, fixed for every run.
+const (
+	// DetectDelay is the failure-detection timeout in simulated seconds: the
+	// gap between a crash and recovery noticing it from the replica's silent
+	// clock (no oracle — injection and detection are separate instants).
+	DetectDelay = 0.25
+	// Backoff is the first retry's delay, doubling per attempt.
+	Backoff = DetectDelay / 2
+	// RetryBudget bounds re-dispatches per request.
+	RetryBudget = 3
+	// HedgeRisk is the fraction of a request's TTFT SLO after which, still
+	// tokenless on a suspect replica, it is hedged.
+	HedgeRisk = 0.6
+	// SuspectAfter is the clock-divergence patience window: a replica whose
+	// clock has drifted from the fleet's observed time by more than this
+	// span is suspect — a straggler's clock lurches ahead of the fleet, a
+	// crashed replica's freezes behind it, while a merely loaded replica
+	// tracks the fleet closely. Observational only: no oracle, so suspicion
+	// can fire before detection confirms a crash.
+	SuspectAfter = DetectDelay / 2
+	// HedgeSlots caps concurrently racing duplicates. A hedge launches only
+	// while fewer than this many races still have both copies running, so a
+	// straggler's whole backlog cannot convert into a duplicate storm that
+	// overloads the healthy replicas it is racing on — the hedge-budget
+	// discipline of tail-tolerant systems. A race stops occupying a slot at
+	// the winner's first token, when the loser is cancelled, so slots
+	// recycle at the healthy replicas' response time.
+	HedgeSlots = 2
+)
+
+// Options configures an Injector.
 type Options struct {
 	// Seed drives replica binding, hazard expansion and link-fault coin
 	// flips; fault schedules are pure functions of it.
@@ -79,78 +109,6 @@ type Options struct {
 	Horizon float64
 	// Recovery selects the response mode (default RecoveryNone).
 	Recovery Recovery
-	// DetectDelay is the failure-detection timeout: the gap between a crash
-	// and recovery noticing it from the replica's silent clock (no oracle —
-	// injection and detection are separate instants). Default 0.25s.
-	DetectDelay float64
-	// RetryBudget bounds re-dispatches per request (default 3); Backoff is
-	// the first retry's delay, doubling per attempt (default DetectDelay/2).
-	RetryBudget int
-	Backoff     float64
-	// HedgeRisk is the fraction of a request's TTFT SLO after which, still
-	// tokenless on a suspect replica, it is hedged (default 0.6).
-	HedgeRisk float64
-	// SuspectAfter is the clock-divergence patience window (default
-	// DetectDelay/2): a replica whose clock has drifted from the fleet's
-	// observed time by more than this span is suspect — a straggler's clock
-	// lurches ahead of the fleet, a crashed replica's freezes behind it,
-	// while a merely loaded replica tracks the fleet closely. Observational
-	// only: no oracle, so suspicion can fire before detection confirms a
-	// crash.
-	SuspectAfter float64
-	// HedgeSlots caps concurrently racing duplicates (default 2). A hedge
-	// launches only while fewer than this many races still have both copies
-	// running, so a straggler's whole backlog cannot convert into a duplicate
-	// storm that overloads the healthy replicas it is racing on — the
-	// hedge-budget discipline of tail-tolerant systems. A race stops
-	// occupying a slot at the winner's first token, when the loser is
-	// cancelled, so slots recycle at the healthy replicas' response time.
-	HedgeSlots int
-}
-
-// fill resolves zero values to defaults.
-func (o *Options) fill() {
-	if o.DetectDelay == 0 {
-		o.DetectDelay = 0.25
-	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = 3
-	}
-	if o.Backoff == 0 {
-		o.Backoff = o.DetectDelay / 2
-	}
-	if o.HedgeRisk == 0 {
-		o.HedgeRisk = 0.6
-	}
-	if o.SuspectAfter == 0 {
-		o.SuspectAfter = o.DetectDelay / 2
-	}
-	if o.HedgeSlots == 0 {
-		o.HedgeSlots = 2
-	}
-}
-
-// validate rejects unusable options.
-func (o Options) validate() error {
-	if o.DetectDelay <= 0 {
-		return fmt.Errorf("faults: non-positive detect delay %g", o.DetectDelay)
-	}
-	if o.Backoff <= 0 {
-		return fmt.Errorf("faults: non-positive retry backoff %g", o.Backoff)
-	}
-	if o.RetryBudget < 1 {
-		return fmt.Errorf("faults: retry budget %d < 1", o.RetryBudget)
-	}
-	if o.HedgeRisk <= 0 || o.HedgeRisk > 1 {
-		return fmt.Errorf("faults: hedge risk %g outside (0, 1]", o.HedgeRisk)
-	}
-	if o.SuspectAfter <= 0 {
-		return fmt.Errorf("faults: non-positive suspect-after %g", o.SuspectAfter)
-	}
-	if o.HedgeSlots < 1 {
-		return fmt.Errorf("faults: hedge slots %d < 1", o.HedgeSlots)
-	}
-	return nil
 }
 
 // crashRec tracks one injected crash through detection and repair.
@@ -199,17 +157,13 @@ type Injector struct {
 	sum metrics.FaultSummary
 }
 
-// New binds a fault spec against a cluster and builds its injector. The
-// cluster is armed immediately (failed replicas can leave the routable sets;
-// link windows install); injection itself starts when the driver first
-// ticks the injector.
+// New binds a fault spec against a cluster and builds its injector. Link
+// windows install on the cluster immediately, and need a prefill-role
+// replica whose handoffs they can fault; injection itself starts when the
+// driver first ticks the injector.
 func New(cl *cluster.Cluster, spec Spec, opts Options) (*Injector, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("faults: cluster required")
-	}
-	opts.fill()
-	if err := opts.validate(); err != nil {
-		return nil, err
 	}
 	bound, err := spec.Bind(opts.Seed, cl.Size(), opts.Horizon)
 	if err != nil {
@@ -230,10 +184,23 @@ func New(cl *cluster.Cluster, spec Spec, opts Options) (*Injector, error) {
 		}
 		inj.events = append(inj.events, ev)
 	}
-	cl.ArmFaults()
+	if len(inj.windows) > 0 && !hasPrefillRole(cl) {
+		return nil, fmt.Errorf("faults: link faults need a disaggregated fleet (no prefill replica hands off KV)")
+	}
 	cl.SetLinkWindows(inj.windows)
 	inj.sum.LinkWindows = len(inj.windows)
 	return inj, nil
+}
+
+// hasPrefillRole reports whether any replica hands prompts off to decode
+// replicas over the KV-transfer link.
+func hasPrefillRole(cl *cluster.Cluster) bool {
+	for _, role := range cl.Roles() {
+		if role == cluster.RolePrefill {
+			return true
+		}
+	}
+	return false
 }
 
 // Summary reports the fault rollup of a completed run; end is the run's
@@ -327,7 +294,7 @@ func (inj *Injector) injectCrash(ev Event) {
 		Kind: serve.FaultReplicaFailed, Time: ev.Time, Instance: ev.Replica,
 		Lost: lost, Reason: "injected crash",
 	})
-	detectAt := ev.Time + inj.opts.DetectDelay
+	detectAt := ev.Time + DetectDelay
 	inj.q.Schedule(detectAt, inj.nextID(), func() { inj.detect(rec, detectAt) })
 	if ev.Duration > 0 {
 		repairAt := ev.Time + ev.Duration
@@ -373,11 +340,11 @@ func (inj *Injector) scheduleRetry(r *request.Request, now float64) {
 		return
 	}
 	attempt := r.Retries + 1
-	if attempt > inj.opts.RetryBudget {
+	if attempt > RetryBudget {
 		inj.sum.Dropped++
 		return
 	}
-	ready := now + inj.opts.Backoff*math.Pow(2, float64(attempt-1))
+	ready := now + Backoff*math.Pow(2, float64(attempt-1))
 	inj.q.Schedule(ready, r.ID, func() { inj.redispatch(r, ready) })
 }
 
@@ -478,7 +445,7 @@ func (inj *Injector) resolveHedges() {
 // replica, budgeted by the HedgeSlots cap on concurrent races. Both signals
 // are per-replica clocks: no failure oracle.
 func (inj *Injector) maybeHedge(now float64) {
-	slots := inj.opts.HedgeSlots
+	slots := HedgeSlots
 	for _, h := range inj.hedges {
 		if !h.resolved && !h.origLost && !h.shadowWon {
 			slots--
@@ -525,7 +492,7 @@ func (inj *Injector) maybeHedge(now float64) {
 		// while the fleet runs on. Mere queueing delay never diverges the
 		// clock, so loaded-but-healthy replicas are not suspect and hedging
 		// cannot storm a saturated fleet with duplicates.
-		if math.Abs(rep.Clock()-fleetNow) <= inj.opts.SuspectAfter {
+		if math.Abs(rep.Clock()-fleetNow) <= SuspectAfter {
 			continue
 		}
 		obs := math.Max(rep.Clock(), fleetNow) // earliest instant this replica could serve its queue
@@ -551,10 +518,10 @@ func (inj *Injector) hedgePool(reqs []*request.Request, suspect int, obs, at flo
 		if inj.hedges[r.ID] != nil {
 			continue
 		}
-		if obs <= r.ArrivalTime+inj.opts.SuspectAfter {
+		if obs <= r.ArrivalTime+SuspectAfter {
 			continue // too fresh to have been hurt by the divergence
 		}
-		if obs <= r.ArrivalTime+inj.opts.HedgeRisk*r.TTFTSLO {
+		if obs <= r.ArrivalTime+HedgeRisk*r.TTFTSLO {
 			continue // deadline not yet at risk
 		}
 		shadow := r.Clone()

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"adaserve/internal/cluster"
@@ -78,6 +79,28 @@ func staticFakes(t *testing.T, n int) *cluster.Cluster {
 	return cl
 }
 
+// disaggFakes builds a static fleet of prefill-only then decode replicas.
+func disaggFakes(t *testing.T, prefill, decode int) *cluster.Cluster {
+	t.Helper()
+	var systems []sched.System
+	var roles []cluster.Role
+	for i := 0; i < prefill+decode; i++ {
+		role := cluster.RoleDecode
+		if i < prefill {
+			role = cluster.RolePrefill
+		}
+		systems = append(systems, newFake("fake", role == cluster.RolePrefill))
+		roles = append(roles, role)
+	}
+	transfer := gpu.KVTransfer{Model: gpu.Llama1B,
+		Link: gpu.Interconnect{Name: "test", Bandwidth: 1e15, Latency: 1e-4}}
+	cl, err := cluster.NewWithRoles(systems, roles, cluster.NewRoundRobin(), transfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func mkReqs(n int, gap float64, output int, ttft float64) []*request.Request {
 	reqs := make([]*request.Request, n)
 	for i := range reqs {
@@ -136,7 +159,7 @@ func countEvents(events []serve.Event) map[string]int {
 func TestCrashWithoutRecoveryLosesRequests(t *testing.T) {
 	reqs := mkReqs(16, 0.01, 6, 0)
 	inj, rr, events := runFaulted(t, staticFakes(t, 2), "crash@0.06:r0",
-		Options{Seed: 7, Recovery: RecoveryNone, DetectDelay: 0.05, Backoff: 0.02}, reqs)
+		Options{Seed: 7, Recovery: RecoveryNone}, reqs)
 
 	lost := 0
 	for _, r := range reqs {
@@ -165,7 +188,7 @@ func TestCrashWithoutRecoveryLosesRequests(t *testing.T) {
 func TestCrashWithRetryRecoversEveryRequest(t *testing.T) {
 	reqs := mkReqs(16, 0.01, 6, 0)
 	inj, rr, events := runFaulted(t, staticFakes(t, 2), "crash@0.06+0.8:r0",
-		Options{Seed: 7, Recovery: RecoveryRetry, DetectDelay: 0.05, Backoff: 0.02}, reqs)
+		Options{Seed: 7, Recovery: RecoveryRetry}, reqs)
 
 	retried := 0
 	for _, r := range reqs {
@@ -198,8 +221,8 @@ func TestCrashWithRetryRecoversEveryRequest(t *testing.T) {
 	}
 	// Detection is timeout-based: the retry events stamp after crash+detect.
 	for _, ev := range events {
-		if e, ok := ev.(serve.RequestRetried); ok && e.When() < 0.06+0.05 {
-			t.Fatalf("retry at %g, before detection at %g", e.When(), 0.11)
+		if e, ok := ev.(serve.RequestRetried); ok && e.When() < 0.06+DetectDelay+Backoff {
+			t.Fatalf("retry at %g, before detection plus backoff at %g", e.When(), 0.06+DetectDelay+Backoff)
 		}
 	}
 }
@@ -209,7 +232,7 @@ func TestRetryBudgetDropsRequests(t *testing.T) {
 	// to land, burn their budget against the outage and drop.
 	reqs := mkReqs(4, 0.005, 6, 0)
 	inj, rr, _ := runFaulted(t, staticFakes(t, 1), "crash@0.03:r0",
-		Options{Seed: 7, Recovery: RecoveryRetry, DetectDelay: 0.02, Backoff: 0.01, RetryBudget: 2}, reqs)
+		Options{Seed: 7, Recovery: RecoveryRetry}, reqs)
 	sum := inj.Summary(rr.EndTime)
 	if sum.LostRequests == 0 || sum.Dropped != sum.LostRequests {
 		t.Fatalf("fault summary %+v, want every lost request dropped", sum)
@@ -225,8 +248,7 @@ func TestStragglerHedgingCutsWorstCaseTTFT(t *testing.T) {
 	run := func(rec Recovery) (*Injector, *serve.Result, []serve.Event, []*request.Request, float64) {
 		reqs := mkReqs(10, 0.01, 6, 0.1)
 		inj, rr, events := runFaulted(t, staticFakes(t, 2), "slow@0.005+2:r0:x100",
-			Options{Seed: 7, Recovery: rec, DetectDelay: 0.05, Backoff: 0.02,
-				SuspectAfter: 0.03, HedgeRisk: 0.5}, reqs)
+			Options{Seed: 7, Recovery: rec}, reqs)
 		maxTTFT := 0.0
 		for _, r := range reqs {
 			if ttft := r.TTFT(); ttft > maxTTFT {
@@ -264,20 +286,9 @@ func TestStragglerHedgingCutsWorstCaseTTFT(t *testing.T) {
 }
 
 func TestLinkFaultFallsBackToRecompute(t *testing.T) {
-	mk := func() *cluster.Cluster {
-		systems := []sched.System{newFake("p", true), newFake("d", false)}
-		transfer := gpu.KVTransfer{Model: gpu.Llama1B,
-			Link: gpu.Interconnect{Name: "test", Bandwidth: 1e15, Latency: 1e-4}}
-		cl, err := cluster.NewWithRoles(systems, []cluster.Role{cluster.RolePrefill, cluster.RoleDecode},
-			cluster.NewRoundRobin(), transfer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl
-	}
 	reqs := mkReqs(6, 0.01, 4, 0)
-	inj, rr, _ := runFaulted(t, mk(), "link@0+10:p1:x3",
-		Options{Seed: 7, Recovery: RecoveryNone, DetectDelay: 0.05, Backoff: 0.02}, reqs)
+	inj, rr, _ := runFaulted(t, disaggFakes(t, 1, 1), "link@0+10:p1:x3",
+		Options{Seed: 7, Recovery: RecoveryNone}, reqs)
 	for _, r := range reqs {
 		if r.Phase != request.Done || r.OutputLen() != 4 {
 			t.Fatalf("request %d phase %s len %d", r.ID, r.Phase, r.OutputLen())
@@ -296,8 +307,7 @@ func TestFaultedRunDeterminism(t *testing.T) {
 	run := func() (*serve.Result, []int, []float64) {
 		reqs := mkReqs(16, 0.01, 6, 0.1)
 		_, rr, _ := runFaulted(t, staticFakes(t, 3), "crash@0.05+0.5; slow@0.02+0.3:x5",
-			Options{Seed: 11, Recovery: RecoveryRetryHedge, DetectDelay: 0.04, Backoff: 0.02,
-				SuspectAfter: 0.03, HedgeRisk: 0.5}, reqs)
+			Options{Seed: 11, Recovery: RecoveryRetryHedge}, reqs)
 		retries := make([]int, len(reqs))
 		done := make([]float64, len(reqs))
 		for i, r := range reqs {
@@ -322,31 +332,26 @@ func TestInjectorOptionValidation(t *testing.T) {
 	if _, err := New(nil, Spec{}, Options{}); err == nil {
 		t.Error("accepted nil cluster")
 	}
-	if _, err := New(cl, Spec{}, Options{DetectDelay: -1}); err == nil {
-		t.Error("accepted negative detect delay")
-	}
-	if _, err := New(cl, Spec{}, Options{Backoff: -1}); err == nil {
-		t.Error("accepted negative backoff")
-	}
-	if _, err := New(cl, Spec{}, Options{RetryBudget: -2}); err == nil {
-		t.Error("accepted negative retry budget")
-	}
-	if _, err := New(cl, Spec{}, Options{HedgeRisk: 1.5}); err == nil {
-		t.Error("accepted hedge risk above 1")
-	}
-	if _, err := New(cl, Spec{}, Options{SuspectAfter: -1}); err == nil {
-		t.Error("accepted negative suspect-after")
-	}
 	// A hazard spec needs a horizon.
 	sp, _ := ParseSpec("hazard@0.1+1")
 	if _, err := New(cl, sp, Options{}); err == nil {
 		t.Error("accepted hazard without horizon")
 	}
-	// Valid options arm the cluster immediately.
 	if _, err := New(cl, Spec{}, Options{Horizon: 10}); err != nil {
 		t.Errorf("rejected valid options: %v", err)
 	}
-	if !cl.FaultsArmed() {
-		t.Error("New did not arm the cluster")
+	// Link faults act on prefill-to-decode handoffs: a colocated fleet has
+	// none, so the schedule is rejected rather than silently doing nothing;
+	// a 2P2D fleet installs the window.
+	link, _ := ParseSpec("link@1+2:p0.5")
+	if _, err := New(staticFakes(t, 2), link, Options{}); err == nil || !strings.Contains(err.Error(), "link") {
+		t.Errorf("colocated fleet with link faults: err = %v, want a link-fault error", err)
+	}
+	inj, err := New(disaggFakes(t, 2, 2), link, Options{})
+	if err != nil {
+		t.Fatalf("2P2D fleet rejected link faults: %v", err)
+	}
+	if got := inj.Summary(0).LinkWindows; got != 1 {
+		t.Errorf("2P2D fleet installed %d link windows, want 1", got)
 	}
 }

@@ -79,14 +79,18 @@ type AdaServeDebug struct {
 	SLOUnmet      int
 }
 
+// BudgetLatencyFactor sets AdaServe's verification latency target as a
+// multiple of the profiled flat-region (memory-bound) step latency; the
+// per-iteration token budget B is the largest token count whose
+// verification fits that target. 1.3 keeps B at the knee of the latency
+// curve: a full-budget verification pass costs at most 30% more than the
+// memory-bound floor, so the extra tokens are nearly free while every
+// iteration stays close to the baseline per-token latency the tight TPOT
+// SLOs are set against.
+const BudgetLatencyFactor = 1.3
+
 // AdaServeOptions tunes construction.
 type AdaServeOptions struct {
-	// BudgetLatencyFactor sets the verification latency target as a
-	// multiple of the profile's flat-region latency; the budget B is the
-	// largest token count fitting that target. Default 1.5: half again the
-	// memory-bound floor, the knee region where verification throughput is
-	// nearly free.
-	BudgetLatencyFactor float64
 	// NMax overrides the per-request selection cap (default 2·(DMax+1)).
 	NMax int
 	// Controller overrides the adaptive controller (zero value: derived
@@ -104,17 +108,11 @@ func NewAdaServe(cfg Config, opts AdaServeOptions) (*AdaServe, error) {
 	if cfg.Engine.Draft() == nil {
 		return nil, fmt.Errorf("sched: AdaServe requires a draft model")
 	}
-	if opts.BudgetLatencyFactor == 0 {
-		opts.BudgetLatencyFactor = 1.3
-	}
-	if opts.BudgetLatencyFactor < 1 {
-		return nil, fmt.Errorf("sched: budget latency factor %g < 1", opts.BudgetLatencyFactor)
-	}
 	prof, err := gpu.ProfileCostModel(cfg.Engine.TargetCost(), 4096, 512)
 	if err != nil {
 		return nil, fmt.Errorf("sched: profiling target: %w", err)
 	}
-	budget := prof.BudgetFor(opts.BudgetLatencyFactor * prof.Base)
+	budget := prof.BudgetFor(BudgetLatencyFactor * prof.Base)
 	var ctrl core.Controller
 	if opts.Controller != nil {
 		ctrl = *opts.Controller

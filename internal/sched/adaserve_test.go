@@ -70,20 +70,6 @@ func TestAdaServeRequiresDraft(t *testing.T) {
 	}
 }
 
-func TestAdaServeRejectsBadFactor(t *testing.T) {
-	if _, err := NewAdaServe(testConfig(t), AdaServeOptions{BudgetLatencyFactor: 0.5}); err == nil {
-		t.Fatal("factor < 1 accepted")
-	}
-}
-
-func TestAdaServeBudgetGrowsWithFactor(t *testing.T) {
-	small := newAdaServe(t, AdaServeOptions{BudgetLatencyFactor: 1.2})
-	large := newAdaServe(t, AdaServeOptions{BudgetLatencyFactor: 3.0})
-	if large.VerifyBudget <= small.VerifyBudget {
-		t.Fatalf("budgets %d vs %d", small.VerifyBudget, large.VerifyBudget)
-	}
-}
-
 func TestAdaServeSpeculativeIteration(t *testing.T) {
 	a := newAdaServe(t, AdaServeOptions{})
 	r := enqueue(a, 1, request.Coding, 0.04, 0, 64, 40)

@@ -67,7 +67,6 @@ func mixedSLOTrace(t *testing.T, n int, rps float64, seed uint64) []*request.Req
 		Seed:            seed,
 		Mix:             workload.DefaultMix,
 		BaselineLatency: 0.032, // Llama-70B-on-4xA100 ballpark
-		MaxContext:      4096,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func mixedSLOTrace(t *testing.T, n int, rps float64, seed uint64) []*request.Req
 func baselineBuilders() map[string]func(Config) (System, error) {
 	return map[string]func(Config) (System, error){
 		"FastServe":     func(c Config) (System, error) { return NewFastServe(c) },
-		"Sarathi-Serve": func(c Config) (System, error) { return NewSarathi(c, 0) },
+		"Sarathi-Serve": func(c Config) (System, error) { return NewSarathi(c) },
 		"VTC":           func(c Config) (System, error) { return NewVTC(c) },
 		"vLLM-Spec":     func(c Config) (System, error) { return NewVLLMSpec(c, 4) },
 	}
@@ -267,7 +266,7 @@ func TestVLLMSpecCommitBound(t *testing.T) {
 // one-oversized-prompt case the budget explicitly admits.
 func TestSarathiIterationTokenBudget(t *testing.T) {
 	cfg := testConfig(t)
-	sys, err := NewSarathi(cfg, 128)
+	sys, err := NewSarathi(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +281,8 @@ func TestSarathiIterationTokenBudget(t *testing.T) {
 			prevOut[r.ID] = r.OutputLen()
 			prevPre[r.ID] = r.PrefillDone
 		}
-		if tokens > sys.TokenBudget {
-			t.Fatalf("iteration processed %d tokens, budget %d", tokens, sys.TokenBudget)
+		if tokens > SarathiTokenBudget {
+			t.Fatalf("iteration processed %d tokens, budget %d", tokens, SarathiTokenBudget)
 		}
 	})
 }

@@ -11,22 +11,20 @@ import (
 // per-token latency for the absence of prefill latency spikes.
 type Sarathi struct {
 	base
-	// TokenBudget is the per-iteration token budget shared by decode tokens
-	// and prefill chunks (Sarathi's "chunk size").
-	TokenBudget int
 }
 
-// NewSarathi constructs the baseline. tokenBudget <= 0 defaults to 256,
-// the paper's Sarathi configuration ballpark for A100-class hardware.
-func NewSarathi(cfg Config, tokenBudget int) (*Sarathi, error) {
+// SarathiTokenBudget is Sarathi's per-iteration token budget shared by
+// decode tokens and prefill chunks (its "chunk size"): 256, the paper's
+// Sarathi configuration ballpark for A100-class hardware.
+const SarathiTokenBudget = 256
+
+// NewSarathi constructs the baseline.
+func NewSarathi(cfg Config) (*Sarathi, error) {
 	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if tokenBudget <= 0 {
-		tokenBudget = 256
-	}
-	return &Sarathi{base: b, TokenBudget: tokenBudget}, nil
+	return &Sarathi{base: b}, nil
 }
 
 // Name implements System.
@@ -38,7 +36,7 @@ func (s *Sarathi) Iterate(now float64) IterationStats {
 	s.admitFIFO(now)
 
 	decode := s.pool.DecodingRequests()
-	budget := s.TokenBudget - len(decode)
+	budget := SarathiTokenBudget - len(decode)
 	if budget < 0 {
 		budget = 0
 	}

@@ -231,23 +231,24 @@ func TestVLLMPriorityTrimsBatch(t *testing.T) {
 
 func TestSarathiTokenBudget(t *testing.T) {
 	cfg := testConfig(t)
-	sys, err := NewSarathi(cfg, 64)
+	sys, err := NewSarathi(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.Name() != "Sarathi-Serve" {
 		t.Fatalf("name %q", sys.Name())
 	}
-	// A 500-token prompt must be chunked: no single iteration may process
-	// more than the 64-token budget.
-	r := enqueue(sys, 1, request.Summarization, 0.15, 0, 500, 4)
+	// A 2000-token prompt must be chunked: no single iteration may process
+	// more than the token budget.
+	const prompt = 2000
+	r := enqueue(sys, 1, request.Summarization, 0.15, 0, prompt, 4)
 	iters := 0
 	now := 0.0
 	for r.Phase != request.Decoding {
 		before := r.PrefillDone
 		st := sys.Iterate(now)
 		now += st.Elapsed
-		if got := r.PrefillDone - before; got > 64 {
+		if got := r.PrefillDone - before; got > SarathiTokenBudget {
 			t.Fatalf("chunk of %d exceeds budget", got)
 		}
 		iters++
@@ -255,14 +256,14 @@ func TestSarathiTokenBudget(t *testing.T) {
 			t.Fatal("prefill did not finish")
 		}
 	}
-	if iters < 500/64 {
+	if iters < prompt/SarathiTokenBudget {
 		t.Fatalf("prompt finished in %d iterations, impossible under budget", iters)
 	}
 	drain(t, sys, 200)
 }
 
 func TestSarathiCoBatchesDecodeAndPrefill(t *testing.T) {
-	sys, err := NewSarathi(testConfig(t), 64)
+	sys, err := NewSarathi(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestSarathiCoBatchesDecodeAndPrefill(t *testing.T) {
 	}
 	// Inject a long prompt; the next iteration must BOTH commit a token for
 	// a AND advance b's prefill.
-	b := enqueue(sys, 2, request.Summarization, 0.15, now, 300, 4)
+	b := enqueue(sys, 2, request.Summarization, 0.15, now, 1200, 4)
 	st := sys.Iterate(now)
 	if st.TokensCommitted < 1 {
 		t.Fatal("decode starved by prefill (not co-batched)")
@@ -286,12 +287,16 @@ func TestSarathiCoBatchesDecodeAndPrefill(t *testing.T) {
 }
 
 func TestSarathiDefaultBudget(t *testing.T) {
-	sys, err := NewSarathi(testConfig(t), 0)
+	// A lone prompt longer than the budget gets exactly one budget-sized
+	// chunk per iteration.
+	sys, err := NewSarathi(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.TokenBudget != 256 {
-		t.Fatalf("default budget %d", sys.TokenBudget)
+	r := enqueue(sys, 1, request.Summarization, 0.15, 0, 3*SarathiTokenBudget, 4)
+	sys.Iterate(0)
+	if r.PrefillDone != SarathiTokenBudget || SarathiTokenBudget != 256 {
+		t.Fatalf("first chunk %d, want the 256-token budget %d", r.PrefillDone, SarathiTokenBudget)
 	}
 }
 
@@ -480,7 +485,7 @@ func TestVTCFavorsUnderservedCategory(t *testing.T) {
 func TestAllSystemsDrainMixedWorkload(t *testing.T) {
 	builders := map[string]func(Config) (System, error){
 		"vllm":     func(c Config) (System, error) { return NewVLLM(c) },
-		"sarathi":  func(c Config) (System, error) { return NewSarathi(c, 0) },
+		"sarathi":  func(c Config) (System, error) { return NewSarathi(c) },
 		"spec4":    func(c Config) (System, error) { return NewVLLMSpec(c, 4) },
 		"fast":     func(c Config) (System, error) { return NewFastServe(c) },
 		"vtc":      func(c Config) (System, error) { return NewVTC(c) },

@@ -23,9 +23,6 @@ type CompileOptions struct {
 	// Seed overrides the spec's seed (0: use the spec's). The same spec
 	// and seed always compile to the same trace.
 	Seed uint64
-	// MaxContext clips prompt+output per request (0: 8192, matching the
-	// synthetic generator).
-	MaxContext int
 }
 
 // Compile turns a spec into a trace, deterministically per seed: each
@@ -48,10 +45,6 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 	}
 	if !(duration > 0) || math.IsInf(duration, 1) {
 		return nil, fmt.Errorf("trace: compile: duration %g must be positive and finite", duration)
-	}
-	maxContext := opts.MaxContext
-	if maxContext == 0 {
-		maxContext = 8192
 	}
 
 	classes, err := resolveClasses(s, opts.BaselineLatency)
@@ -76,11 +69,11 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 			a := Arrival{At: t, Class: int(c.Class), Tenant: -1, Session: -1}
 			a.Prompt = sampleLength(&c.Prompt, rng)
 			a.Output = sampleLength(&c.Output, rng)
-			// Clip to the context window like the synthetic generator.
-			if a.Prompt+a.Output > maxContext {
-				a.Prompt = maxContext - a.Output
+			// Clip to the context window the synthetic categories fit.
+			if a.Prompt+a.Output > workload.MaxContext {
+				a.Prompt = workload.MaxContext - a.Output
 				if a.Prompt < 1 {
-					a.Prompt, a.Output = 1, maxContext-1
+					a.Prompt, a.Output = 1, workload.MaxContext-1
 				}
 			}
 			if c.Tenants > 0 {

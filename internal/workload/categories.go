@@ -67,6 +67,12 @@ func (c CategorySpec) TPOT(baseline float64) float64 {
 	return c.SLOAbs
 }
 
+// MaxContext is the context window in tokens every request's prompt plus
+// output fits: DefaultCategories' length limits stay within it, multi-turn
+// sessions end before a turn would exceed it, and compiled traces clip to
+// it.
+const MaxContext = 8192
+
 // DefaultCategories returns the Table 2 categories:
 //
 //	Cat 1  coding copilot   SLO = 1.2 × baseline   (HumanEval-like)

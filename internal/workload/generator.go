@@ -12,8 +12,6 @@ import (
 type GeneratorConfig struct {
 	// Seed drives all sampling (categories, lengths, request text seeds).
 	Seed uint64
-	// Categories defaults to DefaultCategories.
-	Categories []CategorySpec
 	// Mix is the category distribution for mixed traces.
 	Mix Mix
 	// BaselineLatency is the model's unloaded per-token decode latency,
@@ -22,22 +20,19 @@ type GeneratorConfig struct {
 	// SLOScale scales category 1's SLO factor (Figure 11's x-axis); 0
 	// means 1.0 (no scaling: factor stays at its spec value).
 	SLOScale float64
-	// MaxContext clips prompt+output so requests always fit KV capacity.
-	MaxContext int
 }
 
-// Generator synthesizes requests.
+// Generator synthesizes requests from the DefaultCategories, whose prompt
+// and output lengths always fit MaxContext together.
 type Generator struct {
-	cfg  GeneratorConfig
-	rng  *mathutil.RNG
-	next int
+	cfg   GeneratorConfig
+	specs []CategorySpec
+	rng   *mathutil.RNG
+	next  int
 }
 
 // NewGenerator validates and builds a generator.
 func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
-	if cfg.Categories == nil {
-		cfg.Categories = DefaultCategories()
-	}
 	if err := cfg.Mix.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,10 +45,7 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	if cfg.SLOScale < 0 {
 		return nil, fmt.Errorf("workload: negative SLO scale %g", cfg.SLOScale)
 	}
-	if cfg.MaxContext == 0 {
-		cfg.MaxContext = 8192
-	}
-	return &Generator{cfg: cfg, rng: mathutil.NewRNG(cfg.Seed)}, nil
+	return &Generator{cfg: cfg, specs: DefaultCategories(), rng: mathutil.NewRNG(cfg.Seed)}, nil
 }
 
 // MustGenerator panics on error.
@@ -81,7 +73,7 @@ func (g *Generator) slo(spec CategorySpec) float64 {
 func (g *Generator) MakeAt(cat request.Category, t float64) *request.Request {
 	var spec CategorySpec
 	found := false
-	for _, s := range g.cfg.Categories {
+	for _, s := range g.specs {
 		if s.Category == cat {
 			spec = s
 			found = true
@@ -93,12 +85,6 @@ func (g *Generator) MakeAt(cat request.Category, t float64) *request.Request {
 	}
 	prompt := spec.Prompt.Sample(g.rng)
 	output := spec.Output.Sample(g.rng)
-	if prompt+output > g.cfg.MaxContext {
-		prompt = g.cfg.MaxContext - output
-		if prompt < 1 {
-			prompt, output = 1, g.cfg.MaxContext-1
-		}
-	}
 	id := g.next
 	g.next++
 	seed := mathutil.Hash2(g.cfg.Seed, uint64(id)+0x5151)

@@ -22,12 +22,10 @@ type SessionsConfig struct {
 	// Turns-1 follow-ups, each extending the prompt with the full prior
 	// conversation (turn k re-sends everything turn k-1 saw plus its reply).
 	Turns int
-	// Category is the request category every turn carries (the chat
-	// category in the default specs).
+	// Category is the request category every turn carries; its
+	// DefaultCategories entry supplies the SLOs and the per-turn
+	// user/assistant length distributions.
 	Category request.Category
-	// Categories defaults to DefaultCategories; the Category entry supplies
-	// the SLOs and the per-turn user/assistant length distributions.
-	Categories []CategorySpec
 	// BaselineLatency resolves factor-based SLOs, as in GeneratorConfig.
 	BaselineLatency float64
 	// ArrivalSpacing staggers the tenants' initial turns (tenant i arrives
@@ -36,12 +34,6 @@ type SessionsConfig struct {
 	// ThinkTime is the gap between a turn finishing and the tenant's
 	// follow-up arriving.
 	ThinkTime float64
-	// MaxContext bounds prompt+output per request; a session whose next turn
-	// would exceed it ends early. 0 means 8192.
-	MaxContext int
-	// FirstID numbers the generated requests starting here (IDs must be
-	// unique across everything submitted to one driver).
-	FirstID int
 }
 
 // session is one tenant's conversation state: the segments every future turn
@@ -64,7 +56,9 @@ type session struct {
 // cross-request (same tenant, shared system prompt and history) and
 // within-session prefix reuse are exactly reconstructible from the requests'
 // PromptSegs. Drive it with InitialRequests to start the run, then call
-// FollowUp from a RequestFinished observer to submit each next turn.
+// FollowUp from a RequestFinished observer to submit each next turn. Turn
+// requests are numbered from 0, and a session whose next turn would exceed
+// MaxContext ends early.
 //
 // All sampling is deterministic given the config seed and the (deterministic)
 // order of FollowUp calls.
@@ -94,15 +88,9 @@ func NewSessions(cfg SessionsConfig) (*Sessions, error) {
 	if cfg.ThinkTime < 0 || cfg.ArrivalSpacing < 0 {
 		return nil, fmt.Errorf("workload: negative session timing")
 	}
-	if cfg.Categories == nil {
-		cfg.Categories = DefaultCategories()
-	}
-	if cfg.MaxContext == 0 {
-		cfg.MaxContext = 8192
-	}
 	var spec CategorySpec
 	found := false
-	for _, s := range cfg.Categories {
+	for _, s := range DefaultCategories() {
 		if s.Category == cfg.Category {
 			spec, found = s, true
 			break
@@ -150,10 +138,10 @@ func (ss *Sessions) makeTurn(s *session, t float64) *request.Request {
 	for _, seg := range segs {
 		promptLen += seg.Len
 	}
-	if promptLen+output > ss.cfg.MaxContext {
+	if promptLen+output > MaxContext {
 		return nil // conversation outgrew the context window: session ends
 	}
-	id := ss.cfg.FirstID + ss.nextID
+	id := ss.nextID
 	ss.nextID++
 	r := request.New(id, ss.cfg.Category, ss.slo(), t, promptLen, output,
 		mathutil.Hash2(s.seed, uint64(s.turn)+0x7a31))

@@ -155,7 +155,9 @@ func TestSessionsContextWindowEndsSession(t *testing.T) {
 	cfg := sessionConfig()
 	cfg.Tenants = 1
 	cfg.Turns = 100
-	cfg.MaxContext = 256 // system prompt 64 + a couple of turns
+	// The system prompt fills all but 2048 tokens of the window: the first
+	// turn (user ≤ 1024 + output ≤ 512) fits, and a handful more follow.
+	cfg.SystemPromptLen = MaxContext - 2048
 	ss := MustSessions(cfg)
 	initial := ss.InitialRequests()
 	if len(initial) != 1 {
@@ -169,7 +171,7 @@ func TestSessionsContextWindowEndsSession(t *testing.T) {
 		if next == nil {
 			break
 		}
-		if next.PromptLen+64 > cfg.MaxContext {
+		if next.PromptLen+next.MaxNewTokens > MaxContext {
 			t.Fatalf("turn %d prompt %d exceeds the context budget", turns, next.PromptLen)
 		}
 		r = next

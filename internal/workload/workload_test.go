@@ -147,13 +147,12 @@ func TestGeneratorSLOScaleOnlyAffectsCoding(t *testing.T) {
 }
 
 func TestGeneratorClipsContext(t *testing.T) {
-	g := MustGenerator(GeneratorConfig{
-		Seed: 3, Mix: DefaultMix, BaselineLatency: 0.033, MaxContext: 600,
-	})
-	for i := 0; i < 500; i++ {
-		r := g.MakeAt(request.Summarization, 0)
-		if r.PromptLen+r.MaxNewTokens > 600 {
-			t.Fatalf("request exceeds context clip: %d+%d", r.PromptLen, r.MaxNewTokens)
+	// The generator needs no clip: every category's longest prompt plus
+	// longest output fits the context window.
+	for _, spec := range DefaultCategories() {
+		if spec.Prompt.Max+spec.Output.Max > MaxContext {
+			t.Fatalf("%v: prompt max %d + output max %d exceed the %d-token context",
+				spec.Category, spec.Prompt.Max, spec.Output.Max, MaxContext)
 		}
 	}
 }

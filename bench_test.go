@@ -273,6 +273,16 @@ func BenchmarkBeamSearch(b *testing.B) {
 	}
 }
 
+// benchTree grows a fresh d=6, w=4 candidate tree for request seed.
+func benchTree(b *testing.B, draft lm.Model, seed uint64) *toktree.Tree {
+	t := toktree.NewTree(lm.Context{ReqSeed: seed}, 5)
+	var bb toktree.BeamBuilder
+	if _, _, err := bb.Search(t, draft, 6, 4); err != nil {
+		b.Fatal(err)
+	}
+	return t
+}
+
 // BenchmarkSelect measures Algorithm 2's selection phases over 16 candidate
 // trees with a 128-token budget — the per-iteration CPU cost Figure 15
 // bounds — on the pooled Selector path schedulers use.
@@ -280,11 +290,7 @@ func BenchmarkSelect(b *testing.B) {
 	_, draft := benchModels(b)
 	var reqs []core.SelectRequest
 	for i := 0; i < 16; i++ {
-		br, err := toktree.BeamSearch(draft, lm.Context{ReqSeed: uint64(i)}, 5, 6, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs = append(reqs, core.SelectRequest{Cand: br.Tree, MinAccept: 1.5})
+		reqs = append(reqs, core.SelectRequest{Cand: benchTree(b, draft, uint64(i)), MinAccept: 1.5})
 	}
 	var sel core.Selector
 	b.ResetTimer()
@@ -295,23 +301,26 @@ func BenchmarkSelect(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyTree measures one tree verification walk.
+// verifySink keeps BenchmarkVerifyTree's fresh result on the heap.
+var verifySink *toktree.VerifyResult
+
+// BenchmarkVerifyTree measures one tree verification walk with a fresh
+// result and scratch on every call.
 func BenchmarkVerifyTree(b *testing.B) {
 	target, draft := benchModels(b)
-	br, err := toktree.BeamSearch(draft, lm.Context{ReqSeed: 3}, 5, 6, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sel := toktree.NewSelection(br.Tree)
-	for id := 1; id < br.Tree.Size(); id++ {
-		if sel.Has(br.Tree.Nodes[id].Parent) {
+	tree := benchTree(b, draft, 3)
+	sel := toktree.NewSelection(tree)
+	for id := 1; id < tree.Size(); id++ {
+		if sel.Has(tree.Nodes[id].Parent) {
 			sel.Add(id)
 		}
 	}
 	v := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = toktree.Verify(sel, v)
+		res := &toktree.VerifyResult{}
+		toktree.VerifyInto(res, sel, v, &toktree.VerifyScratch{})
+		verifySink = res
 	}
 }
 
@@ -330,12 +339,15 @@ func BenchmarkCostModel(b *testing.B) {
 // is the real CPU cost of the simulator itself).
 func BenchmarkEngineIteration(b *testing.B) {
 	target, draft := benchModels(b)
-	eng := engine.MustNew(engine.Config{
+	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
 		Seed:       3,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	reqs := make([]*request.Request, 8)
 	for i := range reqs {
 		r := request.New(i, request.Chat, 0.05, 0, 64, 1<<30, uint64(i)*17+3)

@@ -108,9 +108,6 @@ func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Envelope returns the currently actuated speculation ceilings.
-func (c *Controller) Envelope() (dmax, wmax int) { return c.curD, c.curW }
-
 // Summary returns the admission rollup so far.
 func (c *Controller) Summary() metrics.AdmissionSummary { return c.sum }
 

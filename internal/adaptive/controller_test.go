@@ -19,12 +19,15 @@ func schedConfig(t *testing.T) sched.Config {
 	t.Helper()
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.88, 2)
-	eng := engine.MustNew(engine.Config{
+	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
 		Seed:       3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return sched.Config{
 		Engine:           eng,
 		KV:               kvcache.MustNew(kvcache.ConfigForTokens(200000, 16)),
@@ -65,7 +68,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("admission-only over vLLM: %v", err)
 	}
-	if d, w := admOnly.Envelope(); d < 1 || w < 1 {
+	if d, w := admOnly.curD, admOnly.curW; d < 1 || w < 1 {
 		t.Fatalf("admission-only envelope (%d,%d) unresolved", d, w)
 	}
 	sys := adaServe(t)
@@ -74,7 +77,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantD, wantW := sys.SpecEnvelope()
-	if d, w := ctrl.Envelope(); d != wantD || w != wantW {
+	if d, w := ctrl.curD, ctrl.curW; d != wantD || w != wantW {
 		t.Fatalf("ceilings (%d,%d) not read from the system's (%d,%d)", d, w, wantD, wantW)
 	}
 	if _, err := New(serve.SingleSystem(adaServe(t)), Config{DisableTuning: true, DisableAdmission: true}); err == nil {
@@ -161,7 +164,7 @@ func TestControllerClosedLoop(t *testing.T) {
 	if perClass != sum.Offered {
 		t.Fatalf("per-class split %d does not cover %d offered", perClass, sum.Offered)
 	}
-	d, w := ctrl.Envelope()
+	d, w := ctrl.curD, ctrl.curW
 	if d < MinEnvelope || d > d0 || w < MinEnvelope || w > w0 {
 		t.Fatalf("actuated envelope (%d,%d) escaped bounds [%d,%d]x[%d,%d]",
 			d, w, MinEnvelope, d0, MinEnvelope, w0)
@@ -182,7 +185,7 @@ func TestControllerTuningShrinksOnLowAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d0, w0 := ctrl.Envelope()
+	d0, w0 := ctrl.curD, ctrl.curW
 
 	finish := func(id int, at float64, steps, accepted int) {
 		r := request.New(id, request.Chat, 0.05, at-1, 64, 8, uint64(id))
@@ -198,7 +201,7 @@ func TestControllerTuningShrinksOnLowAcceptance(t *testing.T) {
 		finish(i, 0.5, 10, 11) // acceptance ~1.1: barely worth drafting deep
 	}
 	ctrl.Tick(1.0)
-	d1, w1 := ctrl.Envelope()
+	d1, w1 := ctrl.curD, ctrl.curW
 	if d1 >= d0 {
 		t.Fatalf("low acceptance did not shrink depth: %d -> %d", d0, d1)
 	}
@@ -214,7 +217,7 @@ func TestControllerTuningShrinksOnLowAcceptance(t *testing.T) {
 		finish(i, 6.0, 10, 60) // acceptance 6.0
 	}
 	ctrl.Tick(7.0)
-	d2, w2 := ctrl.Envelope()
+	d2, w2 := ctrl.curD, ctrl.curW
 	if d2 <= d1 || w2 < w1 {
 		t.Fatalf("recovered acceptance did not widen the envelope: (%d,%d) -> (%d,%d)", d1, w1, d2, w2)
 	}

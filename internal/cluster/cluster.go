@@ -187,12 +187,6 @@ func (rep *Replica) Instance() *serve.Instance { return rep.inst }
 // executed iteration (or the last arrival it received while idle).
 func (rep *Replica) Clock() float64 { return rep.inst.Clock() }
 
-// Routed returns the number of arrivals routed to this replica so far.
-func (rep *Replica) Routed() int { return len(rep.routed) }
-
-// Migrated returns the number of requests migrated to this replica so far.
-func (rep *Replica) Migrated() int { return len(rep.migrated) }
-
 // served are the requests whose final stage ran (or will run) on this
 // replica: migrations for a decode replica, arrivals for a colocated one —
 // and both for a mixed replica inside a hybrid fleet, which decodes its own

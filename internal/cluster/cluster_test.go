@@ -89,10 +89,10 @@ func TestRunRoutesEveryRequestOnce(t *testing.T) {
 	}
 	total := 0
 	for _, rep := range c.Replicas() {
-		if rep.Routed() != 10 {
-			t.Errorf("replica %d got %d requests, want 10 under round-robin", rep.ID(), rep.Routed())
+		if len(rep.routed) != 10 {
+			t.Errorf("replica %d got %d requests, want 10 under round-robin", rep.ID(), len(rep.routed))
 		}
-		total += rep.Routed()
+		total += len(rep.routed)
 	}
 	if total != 30 {
 		t.Fatalf("routed %d of 30", total)
@@ -126,8 +126,8 @@ func TestRunPerReplicaClocksAdvanceIndependently(t *testing.T) {
 	if reps[0].Clock() <= 0 {
 		t.Fatalf("replica 0 clock %.3f", reps[0].Clock())
 	}
-	if reps[1].Clock() != 0 || reps[1].Routed() != 0 {
-		t.Fatalf("idle replica advanced: clock %.3f, routed %d", reps[1].Clock(), reps[1].Routed())
+	if reps[1].Clock() != 0 || len(reps[1].routed) != 0 {
+		t.Fatalf("idle replica advanced: clock %.3f, routed %d", reps[1].Clock(), len(reps[1].routed))
 	}
 	if res.EndTime != reps[0].Clock() {
 		t.Fatalf("end time %.3f != busy replica clock %.3f", res.EndTime, reps[0].Clock())
@@ -166,7 +166,7 @@ func TestRunDeterminism(t *testing.T) {
 		}
 		var routed []int
 		for _, rep := range c.Replicas() {
-			routed = append(routed, rep.Routed())
+			routed = append(routed, len(rep.routed))
 		}
 		return res.EndTime, res.Iterations, routed
 	}

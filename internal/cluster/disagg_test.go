@@ -150,13 +150,13 @@ func TestDisaggMigratesEveryRequest(t *testing.T) {
 		}
 	}
 	reps := c.Replicas()
-	if reps[0].Routed() != 12 || reps[0].Migrated() != 0 {
-		t.Fatalf("prefill replica routed %d / migrated %d, want 12 / 0", reps[0].Routed(), reps[0].Migrated())
+	if len(reps[0].routed) != 12 || len(reps[0].migrated) != 0 {
+		t.Fatalf("prefill replica routed %d / migrated %d, want 12 / 0", len(reps[0].routed), len(reps[0].migrated))
 	}
-	if got := reps[1].Migrated() + reps[2].Migrated(); got != 12 {
+	if got := len(reps[1].migrated) + len(reps[2].migrated); got != 12 {
 		t.Fatalf("decode replicas received %d migrations, want 12", got)
 	}
-	if reps[1].Routed()+reps[2].Routed() != 0 {
+	if len(reps[1].routed)+len(reps[2].routed) != 0 {
 		t.Fatal("arrivals routed to decode-only replicas")
 	}
 	if len(fakes[0].released) != 12 {
@@ -240,7 +240,7 @@ func TestDisaggDeterminism(t *testing.T) {
 		}
 		var counts []int
 		for _, rep := range c.Replicas() {
-			counts = append(counts, rep.Routed(), rep.Migrated())
+			counts = append(counts, len(rep.routed), len(rep.migrated))
 		}
 		return res.EndTime, res.Iterations, counts
 	}
@@ -296,10 +296,10 @@ func TestHybridMixedReplicaAccountsMigrations(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := c.Replicas()
-	routedToMixed := reps[1].Routed()
-	migrated := reps[1].Migrated()
-	if migrated != reps[0].Routed() || migrated == 0 {
-		t.Fatalf("migrations %d, want every prefill-replica arrival (%d)", migrated, reps[0].Routed())
+	routedToMixed := len(reps[1].routed)
+	migrated := len(reps[1].migrated)
+	if migrated != len(reps[0].routed) || migrated == 0 {
+		t.Fatalf("migrations %d, want every prefill-replica arrival (%d)", migrated, len(reps[0].routed))
 	}
 	if got := res.PerReplica[1].Summary.Requests; got != routedToMixed+migrated {
 		t.Fatalf("mixed replica summary covers %d requests, want routed %d + migrated %d",
@@ -331,7 +331,7 @@ func TestRoundRobinDecodeCursorIndependent(t *testing.T) {
 	}
 	reps := c.Replicas()
 	// Round-robin over the two decode replicas: migrations alternate 5/5.
-	if reps[1].Migrated() != 5 || reps[2].Migrated() != 5 {
-		t.Fatalf("decode round-robin split %d/%d, want 5/5", reps[1].Migrated(), reps[2].Migrated())
+	if len(reps[1].migrated) != 5 || len(reps[2].migrated) != 5 {
+		t.Fatalf("decode round-robin split %d/%d, want 5/5", len(reps[1].migrated), len(reps[2].migrated))
 	}
 }

@@ -131,7 +131,7 @@ func TestRedispatchAvoidsSuspect(t *testing.T) {
 	if in.ID() != 1 {
 		t.Fatalf("re-dispatch landed on %d, want 1 (replica 0 avoided)", in.ID())
 	}
-	if cl.Replicas()[1].Routed() != 1 || len(cl.admitted) != 0 {
+	if len(cl.Replicas()[1].routed) != 1 || len(cl.admitted) != 0 {
 		t.Fatal("re-dispatch must count as routed but not re-enter the admitted population")
 	}
 	// Avoidance is best-effort: with every other replica failed, the suspect
@@ -171,15 +171,15 @@ func TestEvictAndAdoptOutcome(t *testing.T) {
 	if !cl.Evict(orig) {
 		t.Fatal("eviction missed the resident original")
 	}
-	if cl.Replicas()[0].Routed() != 0 {
+	if len(cl.Replicas()[0].routed) != 0 {
 		t.Fatal("evicted request still in placement stats")
 	}
 	cl.AdoptOutcome(orig, shadow, 1)
 	if orig.Phase != request.Done || orig.DoneTime != 1.2 || orig.FirstTokenTime != 0.8 {
 		t.Fatalf("adoption did not copy the outcome: %+v", orig)
 	}
-	if cl.Replicas()[1].Routed() != 1 {
-		t.Fatalf("winner owns %d routed requests, want 1 (shadow swapped for original)", cl.Replicas()[1].Routed())
+	if len(cl.Replicas()[1].routed) != 1 {
+		t.Fatalf("winner owns %d routed requests, want 1 (shadow swapped for original)", len(cl.Replicas()[1].routed))
 	}
 	done := cl.Replicas()[1].System().Pool().Done()
 	if len(done) != 1 || done[0] != orig {

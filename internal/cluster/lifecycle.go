@@ -132,9 +132,6 @@ func (rep *Replica) State() State { return rep.state }
 // Elastic reports whether the cluster's fleet can be resized mid-run.
 func (c *Cluster) Elastic() bool { return c.elastic }
 
-// ColdStart returns the provisioning delay of an elastic cluster.
-func (c *Cluster) ColdStart() float64 { return c.coldStart }
-
 // ActiveServing counts replicas currently serving traffic (StateActive):
 // the capacity denominator admission gates normalize queue depth by. While
 // a scaled-up replica provisions, CommittedFleet − ActiveServing is the

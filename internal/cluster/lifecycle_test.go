@@ -42,7 +42,7 @@ func TestElasticInitialState(t *testing.T) {
 	if pc.Active != 2 || pc.Stopped != 2 || pc.Capacity() != 4 || pc.Committed() != 2 {
 		t.Fatalf("pool counts wrong: %+v", pc)
 	}
-	if !cl.Elastic() || cl.ColdStart() != 1 {
+	if !cl.Elastic() || cl.coldStart != 1 {
 		t.Fatal("elastic metadata wrong")
 	}
 }
@@ -90,7 +90,7 @@ func TestScaleUpLifecycle(t *testing.T) {
 	if _, err := cl.Dispatch(arr); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Replicas()[1].Routed() != 0 {
+	if len(cl.Replicas()[1].routed) != 0 {
 		t.Fatal("arrival routed to a provisioning replica")
 	}
 
@@ -239,8 +239,8 @@ func TestDrainMovesPlacementStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cl.Replicas()[1].Routed() != 2 {
-		t.Fatalf("setup: replica 1 routed %d, want 2", cl.Replicas()[1].Routed())
+	if len(cl.Replicas()[1].routed) != 2 {
+		t.Fatalf("setup: replica 1 routed %d, want 2", len(cl.Replicas()[1].routed))
 	}
 	down, ok := cl.ScaleDown(RoleMixed, 1.0, &q)
 	if !ok || down.ID() != 1 {
@@ -250,8 +250,8 @@ func TestDrainMovesPlacementStats(t *testing.T) {
 	// both requests and the new target (replica 2 via routeTo(1) over the
 	// remaining prefill set [0, 2]) will count them as routed arrivals on
 	// delivery.
-	if cl.Replicas()[1].Routed() != 0 {
-		t.Fatalf("drained replica still owns %d routed requests", cl.Replicas()[1].Routed())
+	if len(cl.Replicas()[1].routed) != 0 {
+		t.Fatalf("drained replica still owns %d routed requests", len(cl.Replicas()[1].routed))
 	}
 	if cl.Replicas()[2].pendingDeliveries != 2 {
 		t.Fatalf("replica 2 pending deliveries %d, want 2", cl.Replicas()[2].pendingDeliveries)

@@ -97,64 +97,3 @@ func OptimalTrees(trees []ProbTree, minAccept []float64, budget int) ([][]int, e
 	}
 	return selected, nil
 }
-
-// ExpectedAccept sums f(v) over a selection on tree t: E[acc(T)] per
-// Theorem 3.1.
-func ExpectedAccept(t ProbTree, nodes []int) float64 {
-	var s float64
-	for _, id := range nodes {
-		s += t.PathProb(id)
-	}
-	return s
-}
-
-// SliceTree is an explicit finite ProbTree for tests and brute-force
-// verification: parent links and path probabilities given as slices.
-type SliceTree struct {
-	// Parents[i] is node i's parent; Parents[0] must be -1.
-	Parents []int
-	// Probs[i] is f(node i); Probs[0] must be 1.
-	Probs []float64
-
-	children [][]int
-}
-
-// NewSliceTree validates and indexes an explicit tree.
-func NewSliceTree(parents []int, probs []float64) (*SliceTree, error) {
-	if len(parents) != len(probs) || len(parents) == 0 {
-		return nil, fmt.Errorf("core: slice tree needs equal non-empty parents/probs")
-	}
-	if parents[0] != -1 || probs[0] != 1 {
-		return nil, fmt.Errorf("core: slice tree root must have parent -1 and prob 1")
-	}
-	st := &SliceTree{Parents: parents, Probs: probs, children: make([][]int, len(parents))}
-	for i := 1; i < len(parents); i++ {
-		p := parents[i]
-		if p < 0 || p >= i {
-			return nil, fmt.Errorf("core: node %d has invalid parent %d (must precede it)", i, p)
-		}
-		if probs[i] > probs[p] {
-			return nil, fmt.Errorf("core: node %d prob %g exceeds parent prob %g", i, probs[i], probs[p])
-		}
-		st.children[p] = append(st.children[p], i)
-	}
-	return st, nil
-}
-
-// MustSliceTree panics on error; for test fixtures.
-func MustSliceTree(parents []int, probs []float64) *SliceTree {
-	st, err := NewSliceTree(parents, probs)
-	if err != nil {
-		panic(err)
-	}
-	return st
-}
-
-// Children implements ProbTree.
-func (s *SliceTree) Children(node int) []int { return s.children[node] }
-
-// PathProb implements ProbTree.
-func (s *SliceTree) PathProb(node int) float64 { return s.Probs[node] }
-
-// Len returns the node count.
-func (s *SliceTree) Len() int { return len(s.Parents) }

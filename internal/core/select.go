@@ -68,15 +68,6 @@ type Selector struct {
 // taken from the candidate tree in descending approximated-f(v) order, with
 // parents always preceding children (connectivity, Appendix B). The
 // remaining budget is then spent globally on the highest-f(v) candidates.
-//
-// This convenience form allocates fresh storage per call; schedulers reuse a
-// Selector. Both produce identical results.
-func Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult, error) {
-	var s Selector
-	return s.Select(reqs, cfg)
-}
-
-// Select implements the free function Select over the pooled storage.
 func (s *Selector) Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult, error) {
 	n := len(reqs)
 	if cfg.Budget < n {

@@ -22,7 +22,7 @@ func TestSelectMeetsThresholdMinimally(t *testing.T) {
 	// A(r) = 1.6: the root provides 1.0; one 0.7 node suffices (Figure 5's
 	// A_cap(r0)=0.6 example, shifted by the root's contribution).
 	tr := candTree(0.7, 0.2, 0.6)
-	res, err := Select([]SelectRequest{{Cand: tr, MinAccept: 1.6}},
+	res, err := new(Selector).Select([]SelectRequest{{Cand: tr, MinAccept: 1.6}},
 		SelectConfig{Budget: 2, Depth: 3, PerRequestMax: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestSelectFigure5Scenario(t *testing.T) {
 	r1.AddChild(b1, 5, 0.4)       // f=0.14
 	r1.AddChild(b1, 6, 0.4)       // f=0.14
 
-	res, err := Select([]SelectRequest{
+	res, err := new(Selector).Select([]SelectRequest{
 		{Cand: r0, MinAccept: 1.6},
 		{Cand: r1, MinAccept: 1.8},
 	}, SelectConfig{Budget: 8, Depth: 3, PerRequestMax: 8})
@@ -95,7 +95,7 @@ func TestSelectHardestFirstUnderScarcity(t *testing.T) {
 	// must receive it.
 	easy := candTree(0.9, 0.5, 0.8)
 	hard := candTree(0.6, 0.3, 0.5)
-	res, err := Select([]SelectRequest{
+	res, err := new(Selector).Select([]SelectRequest{
 		{Cand: easy, MinAccept: 1.2},
 		{Cand: hard, MinAccept: 2.5},
 	}, SelectConfig{Budget: 3, Depth: 3, PerRequestMax: 8})
@@ -112,7 +112,7 @@ func TestSelectACapLimitsThreshold(t *testing.T) {
 	// Depth 1 caps attainable accepts at 2; a huge A(r) must be capped and
 	// reported satisfied once E[acc] reaches the cap.
 	tr := candTree(0.9, 0.8, 0.7)
-	res, err := Select([]SelectRequest{{Cand: tr, MinAccept: 50}},
+	res, err := new(Selector).Select([]SelectRequest{{Cand: tr, MinAccept: 50}},
 		SelectConfig{Budget: 4, Depth: 1, PerRequestMax: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestSelectACapLimitsThreshold(t *testing.T) {
 
 func TestSelectPerRequestMax(t *testing.T) {
 	tr := candTree(0.9, 0.8, 0.85)
-	res, err := Select([]SelectRequest{{Cand: tr, MinAccept: 10}},
+	res, err := new(Selector).Select([]SelectRequest{{Cand: tr, MinAccept: 10}},
 		SelectConfig{Budget: 10, Depth: 3, PerRequestMax: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestSelectBudgetNeverExceeded(t *testing.T) {
 		{Cand: candTree(0.3, 0.2, 0.1), MinAccept: 3},
 	}
 	for budget := 3; budget <= 12; budget++ {
-		res, err := Select(trees, SelectConfig{Budget: budget, Depth: 2, PerRequestMax: 4})
+		res, err := new(Selector).Select(trees, SelectConfig{Budget: budget, Depth: 2, PerRequestMax: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +170,14 @@ func TestSelectRejectsBudgetBelowRoots(t *testing.T) {
 		{Cand: candTree(0.9, 0.8, 0.7)},
 		{Cand: candTree(0.6, 0.5, 0.4)},
 	}
-	if _, err := Select(trees, SelectConfig{Budget: 1, Depth: 2, PerRequestMax: 4}); err == nil {
+	if _, err := new(Selector).Select(trees, SelectConfig{Budget: 1, Depth: 2, PerRequestMax: 4}); err == nil {
 		t.Fatal("budget below one root per request accepted")
 	}
 }
 
 func TestSelectRejectsNegativeDepth(t *testing.T) {
 	trees := []SelectRequest{{Cand: candTree(0.9, 0.8, 0.7)}}
-	if _, err := Select(trees, SelectConfig{Budget: 4, Depth: -1, PerRequestMax: 4}); err == nil {
+	if _, err := new(Selector).Select(trees, SelectConfig{Budget: 4, Depth: -1, PerRequestMax: 4}); err == nil {
 		t.Fatal("negative depth accepted")
 	}
 }
@@ -187,7 +187,7 @@ func TestSelectSelectionsAreValidTrees(t *testing.T) {
 		{Cand: candTree(0.9, 0.8, 0.7), MinAccept: 2.0},
 		{Cand: candTree(0.6, 0.5, 0.4), MinAccept: 1.2},
 	}
-	res, err := Select(trees, SelectConfig{Budget: 7, Depth: 2, PerRequestMax: 6})
+	res, err := new(Selector).Select(trees, SelectConfig{Budget: 7, Depth: 2, PerRequestMax: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSelectThroughputPhaseGlobalOrder(t *testing.T) {
 	// highest-f nodes across requests.
 	rich := candTree(0.9, 0.85, 0.8) // f: 0.9, 0.85, 0.72
 	poor := candTree(0.3, 0.2, 0.1)  // f: 0.3, 0.2, 0.03
-	res, err := Select([]SelectRequest{
+	res, err := new(Selector).Select([]SelectRequest{
 		{Cand: rich, MinAccept: 0},
 		{Cand: poor, MinAccept: 0},
 	}, SelectConfig{Budget: 5, Depth: 2, PerRequestMax: 8})

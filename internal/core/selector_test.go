@@ -9,9 +9,8 @@ import (
 )
 
 // TestSelectorMatchesSelect drives one pooled Selector through many
-// iterations with varying batch sizes and checks every result against the
-// allocating free function — the pooling-determinism contract schedulers
-// rely on.
+// iterations with varying batch sizes and checks every result against a
+// fresh Selector's — the pooling-determinism contract schedulers rely on.
 func TestSelectorMatchesSelect(t *testing.T) {
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.85, 2)
@@ -21,19 +20,19 @@ func TestSelectorMatchesSelect(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		reqs := make([]SelectRequest, n)
 		for i := range reqs {
-			br, err := toktree.BeamSearch(draft,
-				lm.Context{ReqSeed: uint64(iter*100 + i)}, 5, 1+rng.Intn(6), 1+rng.Intn(4))
-			if err != nil {
+			tr := toktree.NewTree(lm.Context{ReqSeed: uint64(iter*100 + i)}, 5)
+			var bb toktree.BeamBuilder
+			if _, _, err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
 				t.Fatal(err)
 			}
-			reqs[i] = SelectRequest{Cand: br.Tree, MinAccept: float64(rng.Intn(8)) / 2}
+			reqs[i] = SelectRequest{Cand: tr, MinAccept: float64(rng.Intn(8)) / 2}
 		}
 		cfg := SelectConfig{
 			Budget:        n + rng.Intn(64),
 			Depth:         6,
 			PerRequestMax: rng.Intn(12), // 0 = unlimited on some iterations
 		}
-		want, err := Select(reqs, cfg)
+		want, err := new(Selector).Select(reqs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,8 +76,6 @@ type Stats struct {
 	DraftTokens int
 	// VerifiedTokens counts target forward positions during verify/decode.
 	VerifiedTokens int
-	// CommittedTokens counts tokens committed to outputs.
-	CommittedTokens int
 	// VerifySteps counts verification (or plain decode) iterations summed
 	// over requests.
 	VerifySteps int
@@ -103,26 +101,11 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// MustNew panics on error.
-func MustNew(cfg Config) *Engine {
-	e, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Target returns the target model.
-func (e *Engine) Target() lm.Model { return e.target }
-
 // Draft returns the draft model (nil when speculation is disabled).
 func (e *Engine) Draft() lm.Model { return e.draft }
 
 // TargetCost returns the target's cost model.
 func (e *Engine) TargetCost() *gpu.CostModel { return e.targetCost }
-
-// RNG exposes the engine's RNG for schedulers needing deterministic noise.
-func (e *Engine) RNG() *mathutil.RNG { return e.rng }
 
 // PrefillChunk models processing `chunk` prompt tokens for each listed
 // request (each entry its own chunk size) in one batched pass and returns
@@ -455,12 +438,6 @@ func CommitVerify(r *request.Request, vr *toktree.VerifyResult, now float64) int
 	kept += r.Commit1(vr.Correction, now)
 	r.VerifySteps++
 	return kept
-}
-
-// BaselineLatency exposes the target's unloaded per-token decode latency at
-// a reference context length (used to derive category-1 SLOs).
-func (e *Engine) BaselineLatency(ctx int) float64 {
-	return e.targetCost.BaselineLatency(ctx)
 }
 
 // DraftStepLatency returns the modeled latency of one single-token draft

@@ -13,12 +13,16 @@ func newEngine(t *testing.T) *Engine {
 	t.Helper()
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.88, 2)
-	return MustNew(Config{
+	e, err := New(Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
 		Seed:       3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func decodingReq(id int, prompt, maxNew int) *request.Request {
@@ -140,8 +144,12 @@ func TestSpeculateBeamsShapesAndCost(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
-		if tr.Depth() != 4 {
-			t.Fatalf("tree %d depth %d", i, tr.Depth())
+		depth := 0
+		for _, n := range tr.Nodes {
+			depth = max(depth, n.Depth)
+		}
+		if depth != 4 {
+			t.Fatalf("tree %d depth %d", i, depth)
 		}
 	}
 	if res.GPUTime <= 0 || res.DraftTokens <= 0 {
@@ -166,11 +174,14 @@ func TestSpeculateBeamsDepthZero(t *testing.T) {
 
 func TestSpeculateRequiresDraft(t *testing.T) {
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	e := MustNew(Config{
+	e, err := New(Config{
 		Target:     target,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		Seed:       3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := e.SpeculateBeams([]*request.Request{decodingReq(1, 8, 4)}, 2, 2); err == nil {
 		t.Fatal("speculation without draft accepted")
 	}
@@ -293,7 +304,7 @@ func TestEngineDeterminism(t *testing.T) {
 
 func TestBaselineLatencyExposed(t *testing.T) {
 	e := newEngine(t)
-	if e.BaselineLatency(512) <= 0 {
+	if e.TargetCost().BaselineLatency(512) <= 0 {
 		t.Fatal("baseline latency should be positive")
 	}
 }

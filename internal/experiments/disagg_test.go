@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaserve/internal/cluster"
+	"adaserve/internal/metrics"
 	"adaserve/internal/workload"
 )
 
@@ -31,7 +32,7 @@ func TestDisaggEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, cl := out.Fleet, a.Backend().(*cluster.Cluster)
+	res := out.Fleet
 	if res.Summary.Aggregate.Finished != len(reqs) {
 		t.Fatalf("finished %d of %d", res.Summary.Aggregate.Finished, len(reqs))
 	}
@@ -45,9 +46,14 @@ func TestDisaggEndToEnd(t *testing.T) {
 	if res.Summary.Transfer.Bytes != promptBytes {
 		t.Fatalf("transfer bytes %.0f, want %.0f (prompt KV volume)", res.Summary.Transfer.Bytes, promptBytes)
 	}
-	reps := cl.Replicas()
-	if reps[0].Migrated() != 0 || reps[1].Routed() != 0 {
-		t.Fatal("role filtering violated: arrivals on decode replica or migrations on prefill replica")
+	// Every arrival prefilled on the prefill replica and every migration
+	// decoded on the decode replica.
+	byRole := map[string]metrics.RoleStats{}
+	for _, rs := range res.Summary.Roles {
+		byRole[rs.Role] = rs
+	}
+	if byRole["prefill"].PrefillRequests != len(reqs) || byRole["decode"].DecodeRequests != len(reqs) {
+		t.Fatalf("role filtering violated: %+v", res.Summary.Roles)
 	}
 	// The prefill replica must have spent zero GPU time in decode/verify.
 	pre := res.PerReplica[0].Summary.Breakdown

@@ -248,6 +248,12 @@ func ParseSpec(spec string) (Spec, error) {
 // Empty reports whether the spec schedules nothing.
 func (s Spec) Empty() bool { return len(s.Events) == 0 && s.Hazard == nil }
 
+// maxHazardCrashes caps the crashes a hazard process may expand into: Bind
+// materializes every one, so a runaway rate would exhaust memory before the
+// run starts. It rejects a hazard whose expected count Rate × horizon
+// exceeds the cap.
+const maxHazardCrashes = 100_000
+
 // Bind resolves the spec against a concrete fleet: hazard crashes expand
 // over [0, horizon) from the seeded exponential process, unbound replicas
 // resolve deterministically from the seed, explicit replica IDs are
@@ -262,6 +268,10 @@ func (s Spec) Bind(seed uint64, replicas int, horizon float64) ([]Event, error) 
 	if h := s.Hazard; h != nil {
 		if horizon <= 0 {
 			return nil, fmt.Errorf("faults: hazard needs a positive bind horizon")
+		}
+		if n := h.Rate * horizon; n > maxHazardCrashes {
+			return nil, fmt.Errorf("faults: hazard rate %s over a %ss horizon expects %.3g crashes, above the limit of %d",
+				num(h.Rate), num(horizon), n, maxHazardCrashes)
 		}
 		rng := mathutil.NewRNG(mathutil.Hash2(seed, 0xfa17))
 		for t := rng.ExpFloat64() / h.Rate; t < horizon; t += rng.ExpFloat64() / h.Rate {

@@ -157,6 +157,34 @@ func TestBindExpandsHazard(t *testing.T) {
 	}
 }
 
+// TestBindRejectsRunawayHazard pins the hazard expansion cap: a rate whose
+// expected crash count over the horizon exceeds maxHazardCrashes fails
+// before any of the schedule is allocated, and a rate just under it binds.
+func TestBindRejectsRunawayHazard(t *testing.T) {
+	const horizon = 3
+	runaway, err := ParseSpec("hazard@1e7+10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bindErr error
+	allocs := testing.AllocsPerRun(1, func() { _, bindErr = runaway.Bind(1, 2, horizon) })
+	if bindErr == nil || !strings.Contains(bindErr.Error(), "limit") {
+		t.Fatalf("runaway hazard bound: %v", bindErr)
+	}
+	if allocs > 8 {
+		t.Fatalf("rejecting the runaway hazard made %.0f allocations", allocs)
+	}
+
+	under := Spec{Hazard: &Hazard{Rate: 0.999 * maxHazardCrashes / horizon, MTTR: 10}}
+	bound, err := under.Bind(1, 2, horizon)
+	if err != nil {
+		t.Fatalf("hazard just under the limit rejected: %v", err)
+	}
+	if len(bound) < maxHazardCrashes*9/10 || len(bound) > maxHazardCrashes {
+		t.Fatalf("hazard just under the limit expanded to %d crashes", len(bound))
+	}
+}
+
 func TestParseRecovery(t *testing.T) {
 	for in, want := range map[string]Recovery{
 		"none": RecoveryNone, "retry": RecoveryRetry,

@@ -215,31 +215,6 @@ func (c *CostModel) ForwardLatencyPure(shape BatchShape) float64 {
 	return roof + c.kvReadTime(shape.KVTokens) + launch + c.collectiveTime()
 }
 
-// TokenBudget solves for the largest per-iteration token budget B such that
-// a verification pass over B tokens (with the given total KV context)
-// finishes within targetLatency. Returns at least minBudget so systems can
-// always make progress (one token per active request).
-func (c *CostModel) TokenBudget(targetLatency float64, kvTokens, minBudget int) int {
-	if targetLatency <= 0 {
-		return minBudget
-	}
-	lo, hi := 1, 1<<20
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		seqs := mid
-		lat := c.ForwardLatencyPure(BatchShape{Tokens: mid, Seqs: seqs, KVTokens: kvTokens})
-		if lat <= targetLatency {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if lo < minBudget {
-		return minBudget
-	}
-	return lo
-}
-
 // KVCapacityTokens returns how many KV-cache tokens fit in the TP group's
 // free memory after weights, with a reserve fraction held back for
 // activations and fragmentation.
@@ -250,12 +225,4 @@ func (c *CostModel) KVCapacityTokens(reserveFrac float64) int {
 		return 0
 	}
 	return int(free / c.Model.KVBytesPerToken())
-}
-
-// ResetGraphCache clears captured CUDA graphs (e.g., after a reconfiguration
-// that invalidates shapes).
-func (c *CostModel) ResetGraphCache() {
-	c.graphCache = nil
-	c.Captures = 0
-	c.Replays = 0
 }

@@ -160,15 +160,6 @@ func TestCUDAGraphDisabled(t *testing.T) {
 	}
 }
 
-func TestResetGraphCache(t *testing.T) {
-	cm := MustCostModel(A100, Llama1B, 1)
-	cm.ForwardLatency(BatchShape{Tokens: 4, Seqs: 4})
-	cm.ResetGraphCache()
-	if cm.Captures != 0 || cm.Replays != 0 {
-		t.Fatal("reset did not clear counters")
-	}
-}
-
 func TestTPScaling(t *testing.T) {
 	cm2 := MustCostModel(A100, Qwen32B, 2)
 	cm4 := MustCostModel(A100, Qwen32B, 4)
@@ -189,22 +180,6 @@ func TestKVReadCostGrows(t *testing.T) {
 	large := cm.ForwardLatencyPure(BatchShape{Tokens: 8, Seqs: 8, KVTokens: 8 * 8192})
 	if large <= small {
 		t.Fatal("longer contexts should cost more")
-	}
-}
-
-func TestTokenBudgetInvertsLatency(t *testing.T) {
-	cm := MustCostModel(A100, Llama70B, 4)
-	base := cm.BaselineLatency(512)
-	b := cm.TokenBudget(base*2, 0, 1)
-	if b < cm.RooflineKnee() {
-		t.Fatalf("budget %d below knee %d for a 2x latency target", b, cm.RooflineKnee())
-	}
-	lat := cm.ForwardLatencyPure(BatchShape{Tokens: b, Seqs: b})
-	if lat > base*2*1.01 {
-		t.Fatalf("budget %d violates its own target: %.2fms > %.2fms", b, 1e3*lat, 2e3*base)
-	}
-	if got := cm.TokenBudget(0, 0, 7); got != 7 {
-		t.Fatalf("non-positive target should return minBudget, got %d", got)
 	}
 }
 

@@ -4,14 +4,12 @@
 //
 // Tokens are stored in fixed-size blocks; a sequence owns a block table.
 // The allocator tracks capacity so the simulator can enforce admission
-// control and measure fragmentation (the internal waste of partially filled
-// last blocks).
+// control. Schedulers reserve a sequence's full length when they admit it,
+// so a block table never grows or shrinks in place: it is allocated once and
+// freed once.
 package kvcache
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Config sizes the allocator.
 type Config struct {
@@ -94,23 +92,9 @@ func MustNew(cfg Config) *Allocator {
 	return a
 }
 
-// Config returns the allocator's configuration.
-func (a *Allocator) Config() Config { return a.cfg }
-
 // blocksFor returns the blocks needed for n tokens.
 func (a *Allocator) blocksFor(n int) int {
 	return (n + a.cfg.BlockSize - 1) / a.cfg.BlockSize
-}
-
-// CanAllocate reports whether extending/creating a sequence to hold
-// additional tokens would succeed, given its current token count.
-func (a *Allocator) CanAllocate(seqID, additional int) bool {
-	cur := 0
-	if s, ok := a.seqs[seqID]; ok {
-		cur = s.tokens
-	}
-	need := a.blocksFor(cur+additional) - a.blocksFor(cur)
-	return need <= a.availableBlocks()
 }
 
 // Allocate registers a new sequence with tokens tokens. It fails if the
@@ -134,79 +118,6 @@ func (a *Allocator) Allocate(seqID, tokens int) error {
 	}
 	a.seqs[seqID] = s
 	a.updatePeak()
-	return nil
-}
-
-// Extend grows a sequence by n tokens, allocating blocks as needed.
-func (a *Allocator) Extend(seqID, n int) error {
-	s, ok := a.seqs[seqID]
-	if !ok {
-		return fmt.Errorf("kvcache: sequence %d not allocated", seqID)
-	}
-	if n < 0 {
-		return fmt.Errorf("kvcache: negative extension %d", n)
-	}
-	// Copy-on-write: appending tokens into a partially filled block that is
-	// registry-backed would diverge from the cached content every sharer
-	// sees, so the sequence must take a private copy of that block first.
-	cow := -1
-	if n > 0 && s.tokens%a.cfg.BlockSize != 0 {
-		if i := len(s.blocks) - 1; i >= 0 && i < len(s.hashes) && s.hashes[i] != 0 {
-			cow = i
-		}
-	}
-	need := a.blocksFor(s.tokens+n) - a.blocksFor(s.tokens)
-	extra := 0
-	if cow >= 0 {
-		extra = 1
-	}
-	if avail := a.availableBlocks(); need+extra > avail {
-		a.Failures++
-		return fmt.Errorf("kvcache: need %d blocks, %d free", need+extra, avail)
-	}
-	if cow >= 0 {
-		id, _ := a.popAvailable()
-		a.release(s.hashes[cow])
-		s.blocks[cow] = id
-		s.hashes[cow] = 0
-	}
-	for i := 0; i < need; i++ {
-		id, _ := a.popAvailable()
-		s.blocks = append(s.blocks, id)
-	}
-	s.tokens += n
-	a.updatePeak()
-	return nil
-}
-
-// Shrink releases tokens from the tail of a sequence (e.g. discarded
-// speculative tokens), freeing now-empty blocks.
-func (a *Allocator) Shrink(seqID, n int) error {
-	s, ok := a.seqs[seqID]
-	if !ok {
-		return fmt.Errorf("kvcache: sequence %d not allocated", seqID)
-	}
-	if n < 0 || n > s.tokens {
-		return fmt.Errorf("kvcache: shrink %d out of range (have %d)", n, s.tokens)
-	}
-	s.tokens -= n
-	keep := a.blocksFor(s.tokens)
-	for len(s.blocks) > keep {
-		i := len(s.blocks) - 1
-		last := s.blocks[i]
-		s.blocks = s.blocks[:i]
-		var h uint64
-		if i < len(s.hashes) {
-			h = s.hashes[i]
-			s.hashes = s.hashes[:i]
-		}
-		if h != 0 {
-			a.release(h)
-		} else {
-			a.free = append(a.free, last)
-		}
-	}
-	s.published = min(s.published, len(s.hashes))
 	return nil
 }
 
@@ -237,62 +148,8 @@ func (a *Allocator) Has(seqID int) bool {
 	return ok
 }
 
-// SeqTokens returns the token count of a sequence (0 if absent).
-func (a *Allocator) SeqTokens(seqID int) int {
-	if s, ok := a.seqs[seqID]; ok {
-		return s.tokens
-	}
-	return 0
-}
-
 // UsedBlocks returns the number of allocated blocks.
 func (a *Allocator) UsedBlocks() int { return a.cfg.NumBlocks - len(a.free) }
-
-// FreeBlocks returns the number of free blocks.
-func (a *Allocator) FreeBlocks() int { return len(a.free) }
-
-// NumSeqs returns the number of registered sequences.
-func (a *Allocator) NumSeqs() int { return len(a.seqs) }
-
-// TotalTokens returns the total tokens held across sequences.
-func (a *Allocator) TotalTokens() int {
-	t := 0
-	for _, s := range a.seqs {
-		t += s.tokens
-	}
-	return t
-}
-
-// InternalFragmentation returns the fraction of allocated block capacity
-// that holds no token (waste inside partially filled last blocks).
-func (a *Allocator) InternalFragmentation() float64 {
-	used := a.UsedBlocks() * a.cfg.BlockSize
-	if used == 0 {
-		return 0
-	}
-	return float64(used-a.TotalTokens()) / float64(used)
-}
-
-// BlockTable returns a copy of the block IDs owned by a sequence, in order.
-func (a *Allocator) BlockTable(seqID int) []int {
-	s, ok := a.seqs[seqID]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(s.blocks))
-	copy(out, s.blocks)
-	return out
-}
-
-// SeqIDs returns the registered sequence IDs in ascending order.
-func (a *Allocator) SeqIDs() []int {
-	ids := make([]int, 0, len(a.seqs))
-	for id := range a.seqs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 func (a *Allocator) pop() int {
 	b := a.free[len(a.free)-1]

@@ -43,16 +43,16 @@ func TestAllocateAndFree(t *testing.T) {
 	if err := a.Allocate(1, 40); err != nil { // 3 blocks
 		t.Fatal(err)
 	}
-	if a.UsedBlocks() != 3 || a.FreeBlocks() != 5 {
-		t.Fatalf("used=%d free=%d", a.UsedBlocks(), a.FreeBlocks())
+	if a.UsedBlocks() != 3 || len(a.free) != 5 {
+		t.Fatalf("used=%d free=%d", a.UsedBlocks(), len(a.free))
 	}
-	if a.SeqTokens(1) != 40 {
-		t.Fatalf("seq tokens %d", a.SeqTokens(1))
+	if a.seqs[1].tokens != 40 {
+		t.Fatalf("seq tokens %d", a.seqs[1].tokens)
 	}
 	if err := a.Free(1); err != nil {
 		t.Fatal(err)
 	}
-	if a.UsedBlocks() != 0 || a.NumSeqs() != 0 {
+	if a.UsedBlocks() != 0 || len(a.seqs) != 0 {
 		t.Fatal("free did not release blocks")
 	}
 }
@@ -80,77 +80,12 @@ func TestAllocateCapacityExhausted(t *testing.T) {
 	}
 }
 
-func TestExtendAcrossBlockBoundary(t *testing.T) {
-	a := newAlloc(t, 16, 4)
-	if err := a.Allocate(1, 15); err != nil {
-		t.Fatal(err)
-	}
-	if a.UsedBlocks() != 1 {
-		t.Fatal("15 tokens should use 1 block")
-	}
-	if err := a.Extend(1, 1); err != nil { // 16 tokens, still 1 block
-		t.Fatal(err)
-	}
-	if a.UsedBlocks() != 1 {
-		t.Fatal("16 tokens should still use 1 block")
-	}
-	if err := a.Extend(1, 1); err != nil { // 17 tokens -> 2 blocks
-		t.Fatal(err)
-	}
-	if a.UsedBlocks() != 2 {
-		t.Fatal("17 tokens should use 2 blocks")
-	}
-}
-
-func TestExtendUnknownSeq(t *testing.T) {
-	a := newAlloc(t, 16, 4)
-	if err := a.Extend(9, 1); err == nil {
-		t.Fatal("extend of unknown sequence accepted")
-	}
-}
-
-func TestShrinkReleasesBlocks(t *testing.T) {
-	a := newAlloc(t, 16, 8)
-	if err := a.Allocate(1, 48); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Shrink(1, 33); err != nil { // 15 tokens -> 1 block
-		t.Fatal(err)
-	}
-	if a.UsedBlocks() != 1 || a.SeqTokens(1) != 15 {
-		t.Fatalf("used=%d tokens=%d", a.UsedBlocks(), a.SeqTokens(1))
-	}
-	if err := a.Shrink(1, 100); err == nil {
-		t.Fatal("over-shrink accepted")
-	}
-}
-
-func TestCanAllocate(t *testing.T) {
-	a := newAlloc(t, 16, 4)
-	if !a.CanAllocate(1, 64) {
-		t.Fatal("64 tokens should fit in 4 blocks")
-	}
-	if a.CanAllocate(1, 65) {
-		t.Fatal("65 tokens should not fit")
-	}
-	if err := a.Allocate(1, 16); err != nil {
-		t.Fatal(err)
-	}
-	// Sequence 1 holds 1 block; extending by 48 needs 3 more: OK.
-	if !a.CanAllocate(1, 48) {
-		t.Fatal("extension should fit")
-	}
-	if a.CanAllocate(1, 49) {
-		t.Fatal("extension should not fit")
-	}
-}
-
 func TestBlockTableStable(t *testing.T) {
 	a := newAlloc(t, 16, 8)
 	if err := a.Allocate(1, 33); err != nil {
 		t.Fatal(err)
 	}
-	bt := a.BlockTable(1)
+	bt := a.seqs[1].blocks
 	if len(bt) != 3 {
 		t.Fatalf("block table %v", bt)
 	}
@@ -160,26 +95,6 @@ func TestBlockTableStable(t *testing.T) {
 			t.Fatalf("invalid block table %v", bt)
 		}
 		seen[b] = true
-	}
-	if a.BlockTable(99) != nil {
-		t.Fatal("unknown sequence should have nil table")
-	}
-}
-
-func TestFragmentationAccounting(t *testing.T) {
-	a := newAlloc(t, 16, 8)
-	if err := a.Allocate(1, 1); err != nil { // 1 token in a 16-token block
-		t.Fatal(err)
-	}
-	frag := a.InternalFragmentation()
-	if frag < 0.9 {
-		t.Fatalf("fragmentation %g, want ~0.94", frag)
-	}
-	if err := a.Extend(1, 15); err != nil {
-		t.Fatal(err)
-	}
-	if a.InternalFragmentation() != 0 {
-		t.Fatal("full block should have zero fragmentation")
 	}
 }
 
@@ -193,21 +108,9 @@ func TestPeakTracking(t *testing.T) {
 	}
 }
 
-func TestSeqIDsSorted(t *testing.T) {
-	a := newAlloc(t, 16, 8)
-	for _, id := range []int{5, 1, 3} {
-		if err := a.Allocate(id, 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := a.SeqIDs()
-	if len(ids) != 3 || ids[0] != 1 || ids[1] != 3 || ids[2] != 5 {
-		t.Fatalf("SeqIDs = %v", ids)
-	}
-}
-
-// TestAllocatorInvariantProperty drives random operations and checks the
-// conservation invariant: used + free == total, no block owned twice.
+// TestAllocatorInvariantProperty drives random allocations and frees and
+// checks the conservation invariant: used + free == total, no block owned
+// twice.
 func TestAllocatorInvariantProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := mathutil.NewRNG(seed)
@@ -215,27 +118,14 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 		live := map[int]bool{}
 		next := 0
 		for op := 0; op < 200; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(2) {
 			case 0: // allocate
 				id := next
 				next++
 				if a.Allocate(id, rng.Intn(60)) == nil {
 					live[id] = true
 				}
-			case 1: // extend
-				for id := range live {
-					_ = a.Extend(id, rng.Intn(20))
-					break
-				}
-			case 2: // shrink
-				for id := range live {
-					n := a.SeqTokens(id)
-					if n > 0 {
-						_ = a.Shrink(id, rng.Intn(n+1))
-					}
-					break
-				}
-			case 3: // free
+			case 1: // free
 				for id := range live {
 					if a.Free(id) == nil {
 						delete(live, id)
@@ -243,12 +133,12 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 					break
 				}
 			}
-			if a.UsedBlocks()+a.FreeBlocks() != 32 {
+			if a.UsedBlocks()+len(a.free) != 32 {
 				return false
 			}
 			owned := map[int]bool{}
-			for _, id := range a.SeqIDs() {
-				for _, b := range a.BlockTable(id) {
+			for _, s := range a.seqs {
+				for _, b := range s.blocks {
 					if owned[b] {
 						return false
 					}

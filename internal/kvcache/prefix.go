@@ -1,6 +1,7 @@
 // Shared-prefix reuse: content-addressed block hashing over prompt token
-// seeds, refcounted shared blocks with copy-on-write divergence, and a tiered
-// host-offload pool for evicted cold prefixes.
+// seeds, refcounted shared blocks, and a tiered host-offload pool for evicted
+// cold prefixes. A sequence reserves its full length at admission and is
+// never extended, so nothing ever writes into a shared block.
 //
 // The scheme follows vLLM's automatic prefix caching: only FULL prompt blocks
 // are shareable, each identified by a chained fingerprint — the hash of the
@@ -225,23 +226,6 @@ func (a *Allocator) PrefixStats() PrefixStats {
 	return a.prefix.stats
 }
 
-// ColdBlocks returns the GPU-resident cold (refcount zero, reclaimable)
-// shared blocks.
-func (a *Allocator) ColdBlocks() int {
-	if a.prefix == nil {
-		return 0
-	}
-	return a.prefix.cold.n
-}
-
-// HostBlocksResident returns the host-tier entries currently held.
-func (a *Allocator) HostBlocksResident() int {
-	if a.prefix == nil {
-		return 0
-	}
-	return a.prefix.host.n
-}
-
 // availableBlocks is the allocation headroom: free-list blocks plus cold
 // shared blocks that can be reclaimed on demand.
 func (a *Allocator) availableBlocks() int {
@@ -312,28 +296,10 @@ func (a *Allocator) release(h uint64) {
 	p.cold.pushBack(e)
 }
 
-// MatchPrefix returns the longest computed cached prefix of prompt's first
-// limit tokens: the cached length in tokens (a multiple of the block size)
-// and the matched block IDs in position order, -1 marking blocks resident on
-// the host tier (matchable, but an allocation against them pays a reload).
-// Read-only: no reference counts, LRU positions or stats change.
-func (a *Allocator) MatchPrefix(prompt Prompt, limit int) (int, []int) {
-	if a.prefix == nil {
-		return 0, nil
-	}
-	var blocks []int
-	n, _ := a.walkPrefix(prompt, limit, func(e *shared) {
-		id := e.id
-		if e.onHost {
-			id = -1
-		}
-		blocks = append(blocks, id)
-	})
-	return n * a.cfg.BlockSize, blocks
-}
-
-// MatchPrefixTokens is the probe routers use: the cached prefix length
-// MatchPrefix would report, without materializing the block list. It
+// MatchPrefixTokens is the probe routers use: the longest computed cached
+// prefix of prompt's first limit tokens, in tokens (a multiple of the block
+// size). Host-resident blocks count: an allocation against them pays a
+// reload. Read-only, it changes no reference count, LRU position or stat,
 // allocates nothing and hashes only up to the first missing block.
 func (a *Allocator) MatchPrefixTokens(prompt Prompt, limit int) int {
 	if a.prefix == nil {
@@ -504,7 +470,8 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 // with a reference count equal to the sequences actually holding it; cold and
 // host LRU lists agree with entry states; and the host tier respects its
 // bound. Tests call it after every mutation step; it is read-only and
-// order-independent.
+// order-independent. Kept for the invariant auditor on the roadmap, which
+// will call it after every iteration.
 func (a *Allocator) CheckInvariants() error {
 	claim := make(map[int]string, a.cfg.NumBlocks)
 	take := func(id int, who string) error {

@@ -41,35 +41,6 @@ func check(t *testing.T, a *Allocator) {
 	}
 }
 
-func TestShrinkToZeroKeepsSeqRegistered(t *testing.T) {
-	a := newAlloc(t, 16, 4)
-	if err := a.Allocate(1, 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Shrink(1, 40); err != nil {
-		t.Fatal(err)
-	}
-	if !a.Has(1) || a.SeqTokens(1) != 0 {
-		t.Fatalf("shrunk-to-zero sequence gone: has=%v tokens=%d", a.Has(1), a.SeqTokens(1))
-	}
-	if bt := a.BlockTable(1); len(bt) != 0 {
-		t.Fatalf("shrunk-to-zero sequence still holds blocks %v", bt)
-	}
-	if a.UsedBlocks() != 0 {
-		t.Fatalf("used %d blocks after shrink to zero", a.UsedBlocks())
-	}
-	// The empty registration must still extend and free normally.
-	if err := a.Extend(1, 17); err != nil {
-		t.Fatal(err)
-	}
-	if a.UsedBlocks() != 2 {
-		t.Fatalf("used %d blocks after re-extend, want 2", a.UsedBlocks())
-	}
-	if err := a.Free(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllocateZeroTokens(t *testing.T) {
 	a := newAlloc(t, 16, 4)
 	if err := a.Allocate(1, 0); err != nil {
@@ -86,18 +57,6 @@ func TestAllocateZeroTokens(t *testing.T) {
 	}
 	if a.Has(1) {
 		t.Fatal("zero-token sequence survived Free")
-	}
-}
-
-func TestCanAllocateUnknownSeq(t *testing.T) {
-	a := newAlloc(t, 16, 4)
-	// An unknown sequence starts from zero tokens: the answer depends only on
-	// pool headroom, and asking must not register anything.
-	if !a.CanAllocate(42, 64) || a.CanAllocate(42, 65) {
-		t.Fatal("unknown-sequence headroom wrong")
-	}
-	if a.Has(42) || a.NumSeqs() != 0 {
-		t.Fatal("CanAllocate registered a sequence")
 	}
 }
 
@@ -122,10 +81,6 @@ func TestPrefixMatchSkipsSharedBlocks(t *testing.T) {
 	if n := a.MatchPrefixTokens(doc, len(doc)); n != 12 {
 		t.Fatalf("computed prefix matches %d tokens, want 12", n)
 	}
-	n, blocks := a.MatchPrefix(doc, len(doc))
-	if n != 12 || len(blocks) != 3 {
-		t.Fatalf("MatchPrefix = %d tokens, %v", n, blocks)
-	}
 
 	used := a.UsedBlocks()
 	hit, err = a.AllocateWithPrefix(2, 12, doc, 12)
@@ -138,7 +93,7 @@ func TestPrefixMatchSkipsSharedBlocks(t *testing.T) {
 	if a.UsedBlocks() != used {
 		t.Fatalf("full-prefix hit consumed blocks: %d -> %d", used, a.UsedBlocks())
 	}
-	bt1, bt2 := a.BlockTable(1), a.BlockTable(2)
+	bt1, bt2 := a.seqs[1].blocks, a.seqs[2].blocks
 	for i := range bt2 {
 		if bt1[i] != bt2[i] {
 			t.Fatalf("shared prefix maps to different blocks: %v vs %v", bt1, bt2)
@@ -163,52 +118,6 @@ func TestPrefixMatchSkipsSharedBlocks(t *testing.T) {
 	check(t, a)
 }
 
-func TestPrefixCopyOnWriteDiverges(t *testing.T) {
-	a := newPrefixAlloc(t, 4, 16, PrefixConfig{})
-	doc := prompt(3, 8)
-	if _, err := a.AllocateWithPrefix(1, 8, doc, 0); err != nil {
-		t.Fatal(err)
-	}
-	a.MarkComputed(1, 8)
-	if _, err := a.AllocateWithPrefix(2, 8, doc, 8); err != nil {
-		t.Fatal(err)
-	}
-	check(t, a)
-
-	// Speculative decode discards a token and re-extends: the sequence's last
-	// block is now partially filled AND shared, so appending must first take
-	// a private copy instead of mutating the block sequence 1 still reads.
-	if err := a.Shrink(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	check(t, a)
-	if err := a.Extend(2, 2); err != nil {
-		t.Fatal(err)
-	}
-	check(t, a)
-	bt1, bt2 := a.BlockTable(1), a.BlockTable(2)
-	if bt1[0] != bt2[0] {
-		t.Fatalf("untouched prefix block diverged: %v vs %v", bt1, bt2)
-	}
-	if bt1[1] == bt2[1] {
-		t.Fatalf("shared block written without copy: %v vs %v", bt1, bt2)
-	}
-	// Sequence 1's copy is untouched and still matchable in full.
-	if n := a.MatchPrefixTokens(doc, len(doc)); n != 8 {
-		t.Fatalf("donor prefix matches %d tokens after COW, want 8", n)
-	}
-	if err := a.Free(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Free(2); err != nil {
-		t.Fatal(err)
-	}
-	check(t, a)
-	if a.UsedBlocks() != a.ColdBlocks() {
-		t.Fatalf("used %d != cold %d after freeing everything", a.UsedBlocks(), a.ColdBlocks())
-	}
-}
-
 func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 	stall := 0.0125
 	a := newPrefixAlloc(t, 4, 4, PrefixConfig{
@@ -226,8 +135,8 @@ func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, a)
-	if a.ColdBlocks() != 2 || a.MatchPrefixTokens(docA, len(docA)) != 8 {
-		t.Fatalf("cold=%d match=%d after free", a.ColdBlocks(), a.MatchPrefixTokens(docA, len(docA)))
+	if a.prefix.cold.n != 2 || a.MatchPrefixTokens(docA, len(docA)) != 8 {
+		t.Fatalf("cold=%d match=%d after free", a.prefix.cold.n, a.MatchPrefixTokens(docA, len(docA)))
 	}
 
 	// B needs the whole pool: both cold blocks are reclaimed and demote to
@@ -237,15 +146,11 @@ func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 	}
 	check(t, a)
 	st := a.PrefixStats()
-	if st.Evictions != 2 || st.HostEvictions != 0 || a.HostBlocksResident() != 2 {
-		t.Fatalf("after pressure: %+v, host %d", st, a.HostBlocksResident())
+	if st.Evictions != 2 || st.HostEvictions != 0 || a.prefix.host.n != 2 {
+		t.Fatalf("after pressure: %+v, host %d", st, a.prefix.host.n)
 	}
 	if a.MatchPrefixTokens(docA, len(docA)) != 8 {
 		t.Fatal("host-resident prefix no longer matchable")
-	}
-	n, blocks := a.MatchPrefix(docA, len(docA))
-	if n != 8 || blocks[0] != -1 || blocks[1] != -1 {
-		t.Fatalf("MatchPrefix on host tier = %d, %v (want -1 markers)", n, blocks)
 	}
 	if err := a.Free(2); err != nil {
 		t.Fatal(err)
@@ -269,8 +174,8 @@ func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 	if st.Reloads != 2 || st.ReloadedTokens != 8 || st.ReloadStall != stall*2 {
 		t.Fatalf("reload stats %+v", st)
 	}
-	if a.HostBlocksResident() != 0 {
-		t.Fatalf("host tier still holds %d after reload", a.HostBlocksResident())
+	if a.prefix.host.n != 0 {
+		t.Fatalf("host tier still holds %d after reload", a.prefix.host.n)
 	}
 }
 
@@ -290,8 +195,8 @@ func TestPrefixHostTierOverflowDrops(t *testing.T) {
 	}
 	check(t, a)
 	st := a.PrefixStats()
-	if st.Evictions != 2 || st.HostEvictions != 1 || a.HostBlocksResident() != 1 {
-		t.Fatalf("overflow: %+v, host %d", st, a.HostBlocksResident())
+	if st.Evictions != 2 || st.HostEvictions != 1 || a.prefix.host.n != 1 {
+		t.Fatalf("overflow: %+v, host %d", st, a.prefix.host.n)
 	}
 	// The drop took the chain's FIRST block (demoted earliest, so oldest on
 	// the host LRU); the surviving second block is unreachable without its
@@ -316,8 +221,8 @@ func TestPrefixNoTierDropsOnEviction(t *testing.T) {
 	}
 	check(t, a)
 	st := a.PrefixStats()
-	if st.Evictions != 2 || a.HostBlocksResident() != 0 {
-		t.Fatalf("tier-less eviction: %+v, host %d", st, a.HostBlocksResident())
+	if st.Evictions != 2 || a.prefix.host.n != 0 {
+		t.Fatalf("tier-less eviction: %+v, host %d", st, a.prefix.host.n)
 	}
 	if a.MatchPrefixTokens(prompt(1, 8), 8) != 0 {
 		t.Fatal("dropped blocks still match")
@@ -345,8 +250,8 @@ func TestEnablePrefixValidation(t *testing.T) {
 }
 
 // TestPrefixInvariantProperty drives random allocator operations — prefix
-// allocations over a tiny document alphabet (forcing heavy sharing), extends,
-// shrinks, frees and prefill completions — and runs the full CheckInvariants
+// allocations over a tiny document alphabet (forcing heavy sharing), frees
+// and prefill completions — and runs the full CheckInvariants
 // accounting after every single mutation: refcounts equal actual holders,
 // every block has exactly one owner, LRU lists agree with entry states, and
 // the host tier respects its bound.
@@ -360,7 +265,7 @@ func TestPrefixInvariantProperty(t *testing.T) {
 		live := map[int]bool{}
 		next := 0
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(4) {
 			case 0, 1: // allocate with prefix matching
 				id := next
 				next++
@@ -373,24 +278,12 @@ func TestPrefixInvariantProperty(t *testing.T) {
 				if _, err := a.AllocateWithPrefix(id, tokens, doc, limit); err == nil {
 					live[id] = true
 				}
-			case 2: // extend
+			case 2: // prefill progress makes blocks matchable
 				for id := range live {
-					_ = a.Extend(id, rng.Intn(12))
+					a.MarkComputed(id, rng.Intn(a.seqs[id].tokens+1))
 					break
 				}
-			case 3: // shrink
-				for id := range live {
-					if n := a.SeqTokens(id); n > 0 {
-						_ = a.Shrink(id, rng.Intn(n+1))
-					}
-					break
-				}
-			case 4: // prefill progress makes blocks matchable
-				for id := range live {
-					a.MarkComputed(id, rng.Intn(a.SeqTokens(id)+1))
-					break
-				}
-			case 5: // free
+			case 3: // free
 				for id := range live {
 					if a.Free(id) == nil {
 						delete(live, id)
@@ -447,8 +340,8 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 	if err := a.Free(90); err != nil {
 		t.Fatal(err)
 	}
-	if a.HostBlocksResident() != 1 {
-		t.Fatalf("host tier holds %d, want doc1's block", a.HostBlocksResident())
+	if a.prefix.host.n != 1 {
+		t.Fatalf("host tier holds %d, want doc1's block", a.prefix.host.n)
 	}
 	check(t, a)
 
@@ -468,8 +361,8 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 	if err := a.Allocate(91, 4); err != nil {
 		t.Fatal(err)
 	}
-	if a.FreeBlocks() != 0 || a.ColdBlocks() != 2 {
-		t.Fatalf("free %d cold %d, want 0/2", a.FreeBlocks(), a.ColdBlocks())
+	if len(a.free) != 0 || a.prefix.cold.n != 2 {
+		t.Fatalf("free %d cold %d, want 0/2", len(a.free), a.prefix.cold.n)
 	}
 	check(t, a)
 
@@ -527,8 +420,7 @@ func TestMatchStopsAtFirstMiss(t *testing.T) {
 // TestMarkComputedWatermark drives chunked prefill in steps that are not
 // block multiples and checks that each registry-backed block becomes
 // matchable exactly when the done length covers it, that the watermark
-// tracks the passed blocks (so later calls resume instead of rescanning),
-// and that Shrink clamps the watermark to the surviving hashes.
+// tracks the passed blocks (so later calls resume instead of rescanning).
 func TestMarkComputedWatermark(t *testing.T) {
 	const bs = 4
 	a := newPrefixAlloc(t, bs, 16, PrefixConfig{})
@@ -553,24 +445,6 @@ func TestMarkComputedWatermark(t *testing.T) {
 		a.MarkComputed(1, done)
 		high = max(high, done) // a smaller done never unpublishes
 		want(high)
-	}
-
-	// Shrinking below the watermark releases the tail block (cold, still
-	// matchable) and clamps the watermark; publishing again is a no-op.
-	if err := a.Shrink(1, 15); err != nil {
-		t.Fatal(err)
-	}
-	check(t, a)
-	if got := a.seqs[1].published; got != 2 {
-		t.Fatalf("watermark %d after shrinking to 2 blocks, want 2", got)
-	}
-	a.MarkComputed(1, 20)
-	check(t, a)
-	if got := a.seqs[1].published; got != 2 {
-		t.Fatalf("watermark %d after re-publishing a shrunk sequence, want 2", got)
-	}
-	if got := a.MatchPrefixTokens(doc, len(doc)); got != 12 {
-		t.Fatalf("%d tokens matchable after shrink, want 12", got)
 	}
 
 	// A sequence that takes the blocks by reference starts its own watermark

@@ -34,7 +34,7 @@ func FuzzDistSample(f *testing.F) {
 		if err != nil {
 			t.Fatalf("construction rejected in-range parameters: %v", err)
 		}
-		ctx := NewContext(seed^0xabcd, []Token{Token(seed % uint64(vocab))})
+		ctx := ctxOf(seed^0xabcd, []Token{Token(seed % uint64(vocab))})
 		d := m.Dist(ctx)
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)

@@ -65,7 +65,8 @@ type Dist struct {
 	Vocab int
 }
 
-// Validate checks that the distribution is normalized and sorted.
+// Validate checks that the distribution is normalized and sorted. Kept as an
+// invariant check for the lm tests and FuzzDistSample; no binary links it.
 func (d Dist) Validate() error {
 	var s float64
 	prev := 1.1
@@ -187,21 +188,6 @@ type Context struct {
 	n uint8
 }
 
-// NewContext builds a context from a request seed and a full (or partial)
-// generated history; only the trailing HistoryWindow tokens are retained.
-func NewContext(seed uint64, hist []Token) Context {
-	c := Context{ReqSeed: seed}
-	start := len(hist) - HistoryWindow
-	if start < 0 {
-		start = 0
-	}
-	for _, t := range hist[start:] {
-		c.win[c.n] = t
-		c.n++
-	}
-	return c
-}
-
 // Extend returns a context with one more history token appended. Pure value
 // semantics: the receiver is unchanged and nothing is allocated.
 func (c Context) Extend(tok Token) Context {
@@ -214,15 +200,6 @@ func (c Context) Extend(tok Token) Context {
 	c.win[HistoryWindow-1] = tok
 	return c
 }
-
-// Window returns a copy of the retained history window, oldest first.
-func (c Context) Window() []Token {
-	return append([]Token(nil), c.win[:c.n]...)
-}
-
-// WindowLen returns how many history tokens the context retains
-// (min(history length, HistoryWindow)).
-func (c Context) WindowLen() int { return int(c.n) }
 
 // hash folds the request seed and trailing window into one 64-bit value.
 func (c Context) hash(salt uint64) uint64 {
@@ -237,8 +214,6 @@ func (c Context) hash(salt uint64) uint64 {
 type Model interface {
 	// Dist returns the next-token distribution for ctx.
 	Dist(ctx Context) Dist
-	// Vocab returns the vocabulary size.
-	Vocab() int
 	// Name identifies the model in logs and metrics.
 	Name() string
 }
@@ -308,9 +283,6 @@ func MustSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tai
 
 // Name implements Model.
 func (m *SyntheticLM) Name() string { return m.name }
-
-// Vocab implements Model.
-func (m *SyntheticLM) Vocab() int { return m.vocab }
 
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
@@ -394,12 +366,6 @@ func MustDraftLM(name string, target *SyntheticLM, alpha float64, seed uint64) *
 
 // Name implements Model.
 func (d *DraftLM) Name() string { return d.name }
-
-// Vocab implements Model.
-func (d *DraftLM) Vocab() int { return d.target.vocab }
-
-// Alpha returns the draft/target per-context agreement rate.
-func (d *DraftLM) Alpha() float64 { return d.alpha }
 
 // Dist implements Model. The result is built in the draft's entry buffer,
 // so no call allocates.

@@ -8,6 +8,15 @@ import (
 	"adaserve/internal/mathutil"
 )
 
+// ctxOf is the context a request with seed reaches after generating hist.
+func ctxOf(seed uint64, hist []Token) Context {
+	c := Context{ReqSeed: seed}
+	for _, tok := range hist {
+		c = c.Extend(tok)
+	}
+	return c
+}
+
 func newTarget(t *testing.T) *SyntheticLM {
 	t.Helper()
 	return MustSyntheticLM("target", 1, 4096, 16, 3.2, 0.02)
@@ -46,7 +55,7 @@ func TestDistNormalized(t *testing.T) {
 
 func TestDistDeterministic(t *testing.T) {
 	m := newTarget(t)
-	ctx := NewContext(7, []Token{1, 2, 3})
+	ctx := ctxOf(7, []Token{1, 2, 3})
 	a := cloneDist(m.Dist(ctx))
 	b := m.Dist(ctx)
 	if len(a.Entries) != len(b.Entries) {
@@ -61,8 +70,8 @@ func TestDistDeterministic(t *testing.T) {
 
 func TestDistDependsOnContext(t *testing.T) {
 	m := newTarget(t)
-	a := cloneDist(m.Dist(NewContext(7, []Token{1, 2, 3})))
-	b := m.Dist(NewContext(7, []Token{1, 2, 4}))
+	a := cloneDist(m.Dist(ctxOf(7, []Token{1, 2, 3})))
+	b := m.Dist(ctxOf(7, []Token{1, 2, 4}))
 	if a.Argmax() == b.Argmax() {
 		// Possible by chance; require at least the candidate sets differ.
 		same := true
@@ -93,11 +102,11 @@ func TestHistoryWindowLimits(t *testing.T) {
 	for i := range long {
 		long[i] = Token(i)
 	}
-	a := cloneDist(m.Dist(NewContext(5, long)))
+	a := cloneDist(m.Dist(ctxOf(5, long)))
 	// Changing a token OUTSIDE the window must not change the distribution.
 	long2 := append([]Token(nil), long...)
 	long2[0] = 999
-	b := m.Dist(NewContext(5, long2))
+	b := m.Dist(ctxOf(5, long2))
 	for i := range a.Entries {
 		if a.Entries[i] != b.Entries[i] {
 			t.Fatal("token outside history window changed the distribution")
@@ -106,7 +115,7 @@ func TestHistoryWindowLimits(t *testing.T) {
 	// Changing a token INSIDE the window must change it.
 	long3 := append([]Token(nil), long...)
 	long3[len(long3)-1] = 999
-	c := m.Dist(NewContext(5, long3))
+	c := m.Dist(ctxOf(5, long3))
 	if a.Argmax() == c.Argmax() && a.Entries[1].Token == c.Entries[1].Token {
 		t.Fatal("token inside history window did not change the distribution")
 	}
@@ -179,28 +188,28 @@ func TestSharpnessControlsTopProbability(t *testing.T) {
 }
 
 func TestContextExtendImmutable(t *testing.T) {
-	ctx := NewContext(1, []Token{1, 2})
+	ctx := ctxOf(1, []Token{1, 2})
 	ext := ctx.Extend(3)
-	if ctx.WindowLen() != 2 {
+	if ctx.n != 2 {
 		t.Fatal("Extend mutated the original context")
 	}
-	if w := ext.Window(); len(w) != 3 || w[2] != 3 {
+	if w := ext.win[:ext.n]; len(w) != 3 || w[2] != 3 {
 		t.Fatalf("Extend result wrong: %v", w)
 	}
 	// Extending the original again must not corrupt ext.
 	_ = ctx.Extend(9)
-	if ext.Window()[2] != 3 {
+	if ext.win[2] != 3 {
 		t.Fatal("sibling Extend corrupted earlier extension")
 	}
 }
 
 func TestContextWindowSlides(t *testing.T) {
-	ctx := NewContext(1, nil)
+	ctx := Context{ReqSeed: 1}
 	for i := Token(0); i < 10; i++ {
 		ctx = ctx.Extend(i)
 	}
 	want := []Token{6, 7, 8, 9}
-	got := ctx.Window()
+	got := ctx.win[:ctx.n]
 	if len(got) != HistoryWindow {
 		t.Fatalf("window length %d, want %d", len(got), HistoryWindow)
 	}
@@ -208,15 +217,6 @@ func TestContextWindowSlides(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("window %v, want %v", got, want)
 		}
-	}
-	// NewContext over the full history and the incrementally extended
-	// context must agree (and hash identically).
-	full := make([]Token, 10)
-	for i := range full {
-		full[i] = Token(i)
-	}
-	if NewContext(1, full) != ctx {
-		t.Fatal("NewContext(full history) differs from incremental Extend")
 	}
 }
 
@@ -297,7 +297,7 @@ func TestDraftDistNormalized(t *testing.T) {
 		for i, b := range toks {
 			hist[i] = Token(b)
 		}
-		d := draft.Dist(NewContext(seed, hist))
+		d := draft.Dist(ctxOf(seed, hist))
 		return d.Validate() == nil
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {

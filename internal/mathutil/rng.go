@@ -20,9 +20,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Seed resets the generator state.
-func (r *RNG) Seed(seed uint64) { r.state = seed }
-
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -71,19 +68,6 @@ func (r *RNG) NormFloat64() float64 {
 // normal has the given mu and sigma.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
-// Perm returns a pseudo-random permutation of [0, n) as a slice.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // SplitMix64 advances a splitmix64 state and returns the next output without

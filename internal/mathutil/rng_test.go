@@ -30,20 +30,6 @@ func TestRNGSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestRNGSeedResets(t *testing.T) {
-	r := NewRNG(7)
-	first := make([]uint64, 10)
-	for i := range first {
-		first[i] = r.Uint64()
-	}
-	r.Seed(7)
-	for i := range first {
-		if got := r.Uint64(); got != first[i] {
-			t.Fatalf("after reseed, step %d: got %d want %d", i, got, first[i])
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10000; i++ {
@@ -132,23 +118,6 @@ func TestLogNormalPositive(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := r.LogNormal(3, 0.5); v <= 0 {
 			t.Fatalf("non-positive log-normal draw %g", v)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(23)
-	for _, n := range []int{1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
 		}
 	}
 }

@@ -5,20 +5,6 @@ import (
 	"sort"
 )
 
-// Clip constrains x to the closed interval [lo, hi]. It panics if lo > hi.
-func Clip(x, lo, hi float64) float64 {
-	if lo > hi {
-		panic("mathutil: Clip with lo > hi")
-	}
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // ClipInt constrains x to the closed interval [lo, hi]. It panics if lo > hi.
 func ClipInt(x, lo, hi int) int {
 	if lo > hi {
@@ -34,6 +20,7 @@ func ClipInt(x, lo, hi int) int {
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
+// Kept as obs/hist's bit-for-bit oracle (TestMeanMatchesSliceMean).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -43,30 +30,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Stddev returns the population standard deviation of xs, or 0 when
-// len(xs) < 2.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using the
@@ -80,7 +43,8 @@ func Stddev(xs []float64) float64 {
 // a single-element slice returns that element for every p. The input is not
 // modified. obs/hist.Histogram.Percentile follows the same rank rule, so
 // histogram-backed percentiles agree with this function at the extremes and
-// to bucket resolution in between.
+// to bucket resolution in between. Kept as obs/hist's oracle
+// (TestPercentileAccuracy).
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -105,6 +69,7 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 // Max returns the maximum of xs, or 0 for an empty slice.
+// Kept as obs/hist's oracle (TestPercentileAccuracy).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -119,6 +84,7 @@ func Max(xs []float64) float64 {
 }
 
 // Min returns the minimum of xs, or 0 for an empty slice.
+// Kept as obs/hist's oracle (TestPercentileAccuracy).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -151,51 +117,4 @@ func ZipfWeights(k int, s float64) []float64 {
 		w[i] /= total
 	}
 	return w
-}
-
-// Normalize rescales xs in place so it sums to 1. If the sum is zero the
-// slice becomes uniform. It returns the slice for convenience.
-func Normalize(xs []float64) []float64 {
-	s := Sum(xs)
-	if s <= 0 {
-		u := 1 / float64(len(xs))
-		for i := range xs {
-			xs[i] = u
-		}
-		return xs
-	}
-	for i := range xs {
-		xs[i] /= s
-	}
-	return xs
-}
-
-// CumSum returns the cumulative sums of xs (same length).
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var acc float64
-	for i, x := range xs {
-		acc += x
-		out[i] = acc
-	}
-	return out
-}
-
-// SampleDiscrete draws an index from the discrete distribution given by
-// weights (need not be normalized) using u in [0,1). It returns the last
-// index if rounding pushes u past the total.
-func SampleDiscrete(weights []float64, u float64) int {
-	total := Sum(weights)
-	if total <= 0 || len(weights) == 0 {
-		return 0
-	}
-	target := u * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -7,15 +7,15 @@ import (
 )
 
 func TestClip(t *testing.T) {
-	cases := []struct{ x, lo, hi, want float64 }{
+	cases := []struct{ x, lo, hi, want int }{
 		{5, 0, 10, 5},
 		{-1, 0, 10, 0},
 		{11, 0, 10, 10},
 		{0, 0, 0, 0},
 	}
 	for _, c := range cases {
-		if got := Clip(c.x, c.lo, c.hi); got != c.want {
-			t.Errorf("Clip(%g,%g,%g) = %g, want %g", c.x, c.lo, c.hi, got, c.want)
+		if got := ClipInt(c.x, c.lo, c.hi); got != c.want {
+			t.Errorf("ClipInt(%d,%d,%d) = %d, want %d", c.x, c.lo, c.hi, got, c.want)
 		}
 	}
 }
@@ -23,10 +23,10 @@ func TestClip(t *testing.T) {
 func TestClipPanicsOnInvertedBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Clip(0, 1, 0) did not panic")
+			t.Fatal("ClipInt(0, 1, 0) did not panic")
 		}
 	}()
-	Clip(0, 1, 0)
+	ClipInt(0, 1, 0)
 }
 
 func TestClipIntProperty(t *testing.T) {
@@ -43,25 +43,12 @@ func TestClipIntProperty(t *testing.T) {
 	}
 }
 
-func TestMeanAndSum(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %g, want 2", got)
-	}
-	if got := Sum([]float64{1.5, 2.5}); got != 4 {
-		t.Errorf("Sum = %g, want 4", got)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{5}) != 0 {
-		t.Error("Stddev of singleton should be 0")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-9 {
-		t.Errorf("Stddev = %g, want 2", got)
 	}
 }
 
@@ -152,8 +139,8 @@ func TestMaxMin(t *testing.T) {
 
 func TestZipfWeights(t *testing.T) {
 	w := ZipfWeights(5, 1.0)
-	if math.Abs(Sum(w)-1) > 1e-9 {
-		t.Fatalf("weights sum to %g", Sum(w))
+	if sum := Mean(w) * float64(len(w)); math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("weights sum to %g", sum)
 	}
 	for i := 1; i < len(w); i++ {
 		if w[i] > w[i-1] {
@@ -190,60 +177,5 @@ func TestZipfWeightsPanics(t *testing.T) {
 			}()
 			ZipfWeights(bad.k, bad.s)
 		}()
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{2, 6}
-	Normalize(xs)
-	if xs[0] != 0.25 || xs[1] != 0.75 {
-		t.Fatalf("Normalize = %v", xs)
-	}
-	zeros := []float64{0, 0, 0, 0}
-	Normalize(zeros)
-	for _, x := range zeros {
-		if math.Abs(x-0.25) > 1e-9 {
-			t.Fatalf("Normalize of zeros = %v", zeros)
-		}
-	}
-}
-
-func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumSum = %v", got)
-		}
-	}
-}
-
-func TestSampleDiscrete(t *testing.T) {
-	w := []float64{0.5, 0.3, 0.2}
-	if SampleDiscrete(w, 0.0) != 0 {
-		t.Error("u=0 should pick index 0")
-	}
-	if SampleDiscrete(w, 0.6) != 1 {
-		t.Error("u=0.6 should pick index 1")
-	}
-	if SampleDiscrete(w, 0.99) != 2 {
-		t.Error("u=0.99 should pick index 2")
-	}
-	if SampleDiscrete(nil, 0.5) != 0 {
-		t.Error("empty weights should return 0")
-	}
-}
-
-func TestSampleDiscreteDistribution(t *testing.T) {
-	w := []float64{1, 3}
-	r := NewRNG(29)
-	counts := [2]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[SampleDiscrete(w, r.Float64())]++
-	}
-	frac := float64(counts[1]) / n
-	if frac < 0.74 || frac > 0.76 {
-		t.Fatalf("weight-3 index drawn %.3f of the time, want ~0.75", frac)
 	}
 }

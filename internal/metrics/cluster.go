@@ -108,15 +108,6 @@ func (a AutoscaleSummary) GoodputPerReplicaSecond() float64 {
 	return float64(a.GoodTokens) / a.ReplicaSeconds
 }
 
-// AttainedPerReplicaSecond returns SLO-attaining requests per
-// replica-second consumed.
-func (a AutoscaleSummary) AttainedPerReplicaSecond() float64 {
-	if a.ReplicaSeconds <= 0 {
-		return 0
-	}
-	return float64(a.Attained) / a.ReplicaSeconds
-}
-
 // String renders the one-line lifecycle economics summary.
 func (a AutoscaleSummary) String() string {
 	policy := a.Policy

@@ -97,11 +97,8 @@ func TestAutoscaleSummary(t *testing.T) {
 	if got := a.GoodputPerReplicaSecond(); got != 250 {
 		t.Fatalf("goodput per replica-second %g, want 250", got)
 	}
-	if got := a.AttainedPerReplicaSecond(); got != 0.45 {
-		t.Fatalf("attained per replica-second %g, want 0.45", got)
-	}
 	zero := AutoscaleSummary{GoodTokens: 10, Attained: 10}
-	if zero.GoodputPerReplicaSecond() != 0 || zero.AttainedPerReplicaSecond() != 0 {
+	if zero.GoodputPerReplicaSecond() != 0 {
 		t.Fatal("zero replica-seconds must not divide")
 	}
 	s := a.String()

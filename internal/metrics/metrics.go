@@ -123,18 +123,6 @@ func (s *Summary) TTFTAttainment() float64 {
 	return float64(s.TTFTAttained) / float64(s.Requests)
 }
 
-// ViolationRate returns 1 − attainment.
-func (s *Summary) ViolationRate() float64 {
-	if s.Requests == 0 {
-		return 0
-	}
-	return 1 - s.Attainment()
-}
-
-// Violations returns the number of requests that missed their SLO
-// (unfinished requests count as violations).
-func (s *Summary) Violations() int { return s.Requests - s.Attained }
-
 // P50TPOT returns the median per-request average TPOT.
 func (s *Summary) P50TPOT() float64 { return s.TPOTTail.P50 }
 

@@ -22,7 +22,7 @@ func finished(id int, cat request.Category, slo, start, end float64, tokens int)
 
 func TestSummarizeEmpty(t *testing.T) {
 	s := Summarize("x", nil, Breakdown{})
-	if s.Requests != 0 || s.Attainment() != 0 || s.ViolationRate() != 0 {
+	if s.Requests != 0 || s.Attainment() != 0 {
 		t.Fatal("empty summary should be zero-valued")
 	}
 }
@@ -39,9 +39,6 @@ func TestSummarizeAttainment(t *testing.T) {
 	if math.Abs(s.Attainment()-0.5) > 1e-12 {
 		t.Fatalf("attainment %g", s.Attainment())
 	}
-	if s.Violations() != 1 {
-		t.Fatalf("violations %d", s.Violations())
-	}
 }
 
 func TestSummarizeUnfinishedCountsAsViolation(t *testing.T) {
@@ -50,7 +47,7 @@ func TestSummarizeUnfinishedCountsAsViolation(t *testing.T) {
 	if s.Finished != 0 || s.Attained != 0 || s.Requests != 1 {
 		t.Fatal("unfinished request mishandled")
 	}
-	if s.ViolationRate() != 1 {
+	if s.Attainment() != 0 {
 		t.Fatal("unfinished should count as violation")
 	}
 }

@@ -20,14 +20,6 @@ type RollingClass struct {
 	WindowSteps, WindowAccepted    int
 }
 
-// Attainment returns the class's cumulative SLO attainment fraction.
-func (c RollingClass) Attainment() float64 {
-	if c.Finished == 0 {
-		return 0
-	}
-	return float64(c.Attained) / float64(c.Finished)
-}
-
 // WindowAttainment returns the class's attainment over the trailing window.
 func (c RollingClass) WindowAttainment() float64 {
 	if c.WindowFinished == 0 {
@@ -101,15 +93,6 @@ func (s RollingStats) Attainment() float64 {
 		return 0
 	}
 	return float64(s.Attained) / float64(s.Finished)
-}
-
-// TTFTAttainment returns the cumulative TTFT attainment over finished
-// requests.
-func (s RollingStats) TTFTAttainment() float64 {
-	if s.Finished == 0 {
-		return 0
-	}
-	return float64(s.TTFTAttained) / float64(s.Finished)
 }
 
 // WindowAttainment returns the attainment over the trailing window.
@@ -208,9 +191,6 @@ func NewRolling(window float64) *Rolling {
 		winTPOT:  hist.New(),
 	}
 }
-
-// Window returns the trailing-window width.
-func (ro *Rolling) Window() float64 { return ro.window }
 
 // Arrived records a request entering the system. It pins the span start
 // (first arrival) the goodput denominators use and enters the arrival

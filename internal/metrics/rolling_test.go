@@ -75,15 +75,15 @@ func (m *recount) read(t *testing.T, ro *Rolling, now float64) RollingStats {
 
 func TestRollingZeroValues(t *testing.T) {
 	ro := NewRolling(10)
-	if ro.Window() != 10 {
-		t.Fatalf("window %g", ro.Window())
+	if ro.window != 10 {
+		t.Fatalf("window %g", ro.window)
 	}
 	st := ro.Snapshot(0, 0, 0)
-	if st.Attainment() != 0 || st.TTFTAttainment() != 0 || st.WindowAttainment() != 0 {
+	if st.Attainment() != 0 || st.TTFTAttained != 0 || st.WindowAttainment() != 0 {
 		t.Fatalf("empty snapshot has non-zero rates: %+v", st)
 	}
 	var cls RollingClass
-	if cls.Attainment() != 0 || cls.WindowAttainment() != 0 || cls.WindowAcceptance() != 0 {
+	if cls.Attained != 0 || cls.WindowAttainment() != 0 || cls.WindowAcceptance() != 0 {
 		t.Fatalf("empty class has non-zero rates: %+v", cls)
 	}
 	defer func() {
@@ -110,8 +110,8 @@ func TestRollingWindowAttainmentRates(t *testing.T) {
 		t.Fatalf("occupancy %d/%d", st.Queued, st.Running)
 	}
 	cls := st.PerClass[request.Chat]
-	if cls.Attainment() != 0.5 || cls.WindowAttainment() != 0.5 {
-		t.Fatalf("class rates %.2f/%.2f", cls.Attainment(), cls.WindowAttainment())
+	if cls.Finished != 2 || cls.Attained != 1 || cls.WindowAttainment() != 0.5 {
+		t.Fatalf("class %d/%d attained, window %.2f", cls.Attained, cls.Finished, cls.WindowAttainment())
 	}
 }
 
@@ -227,8 +227,8 @@ func TestRollingMatchesSummarize(t *testing.T) {
 	if st.Attainment() != sum.Attainment() {
 		t.Fatalf("attainment %.9f vs %.9f", st.Attainment(), sum.Attainment())
 	}
-	if st.TTFTAttainment() != sum.TTFTAttainment() {
-		t.Fatalf("ttft %.9f vs %.9f", st.TTFTAttainment(), sum.TTFTAttainment())
+	if st.TTFTAttained != sum.TTFTAttained {
+		t.Fatalf("ttft attained %d vs %d", st.TTFTAttained, sum.TTFTAttained)
 	}
 	if st.Goodput != sum.Goodput || st.Throughput != sum.Throughput {
 		t.Fatalf("goodput %.9f/%.9f vs %.9f/%.9f", st.Goodput, st.Throughput, sum.Goodput, sum.Throughput)
@@ -237,9 +237,6 @@ func TestRollingMatchesSummarize(t *testing.T) {
 		cls := st.PerClass[cat]
 		if cls.Finished != cs.Requests || cls.Attained != cs.Attained {
 			t.Fatalf("class %v: %d/%d vs %d/%d", cat, cls.Attained, cls.Finished, cs.Attained, cs.Requests)
-		}
-		if cls.Attainment() != cs.Attainment() {
-			t.Fatalf("class %v attainment %.9f vs %.9f", cat, cls.Attainment(), cs.Attainment())
 		}
 	}
 }

@@ -91,32 +91,12 @@ func (p *Pool) Admit(r *Request, now float64) {
 	p.running = append(p.running, r)
 }
 
-// Preempt moves a running request back to the waiting queue (KV retained or
-// dropped per the caller), marking it Preempted.
-func (p *Pool) Preempt(r *Request) {
-	idx := -1
-	for i, q := range p.running {
-		if q == r {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		panic(fmt.Sprintf("request: preempt of %d not running", r.ID))
-	}
-	p.running = append(p.running[:idx], p.running[idx+1:]...)
-	r.Phase = Preempted
-	r.PreemptCount++
-	p.waiting = append(p.waiting, r)
-	p.sortWaiting()
-}
-
 // Remove takes a resident (running or waiting) request out of the pool
 // without finishing it: the cluster driver migrates prefill-complete
 // requests to a decode replica this way, and drain migration moves waiting
-// requests off a draining replica. Unlike Preempt it neither re-enqueues
-// nor touches the request's phase or preemption count — the caller owns the
-// request's onward lifecycle.
+// requests off a draining replica. It neither re-enqueues nor touches the
+// request's phase or preemption count — the caller owns the request's
+// onward lifecycle.
 func (p *Pool) Remove(r *Request) {
 	for i, q := range p.running {
 		if q == r {
@@ -167,9 +147,6 @@ func (p *Pool) NumWaiting() int { return len(p.waiting) }
 
 // NumRunning returns the running-set size.
 func (p *Pool) NumRunning() int { return len(p.running) }
-
-// NumDone returns the finished-request count.
-func (p *Pool) NumDone() int { return len(p.done) }
 
 // DecodingRequests returns running requests currently in the decode phase.
 func (p *Pool) DecodingRequests() []*Request {

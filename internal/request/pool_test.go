@@ -40,18 +40,20 @@ func TestAdmitPanicsIfNotWaiting(t *testing.T) {
 	p.Admit(r, 0)
 }
 
+// TestPreemptAndResume follows a prefill-complete request across a
+// migration: removed from its source pool, marked Preempted, and resumed on
+// the target pool.
 func TestPreemptAndResume(t *testing.T) {
-	p := NewPool()
+	src, p := NewPool(), NewPool()
 	r := New(1, Chat, 0.05, 0, 16, 8, 1)
-	p.Enqueue(r)
-	p.Admit(r, 1)
+	src.Enqueue(r)
+	src.Admit(r, 1)
 	r.Phase = Decoding
-	p.Preempt(r)
-	if r.Phase != Preempted || r.PreemptCount != 1 {
-		t.Fatalf("phase %s count %d", r.Phase, r.PreemptCount)
-	}
-	if p.NumWaiting() != 1 || p.NumRunning() != 0 {
-		t.Fatal("preempt did not requeue")
+	src.Remove(r)
+	r.Phase = Preempted
+	p.Enqueue(r)
+	if src.NumRunning() != 0 || p.NumWaiting() != 1 {
+		t.Fatal("migration did not move the request")
 	}
 	// Resuming flips straight to Decoding and keeps AdmitTime.
 	p.Admit(r, 5)
@@ -76,7 +78,7 @@ func TestFinishRetiresDone(t *testing.T) {
 	if moved := p.Finish(); moved != 1 {
 		t.Fatalf("moved %d", moved)
 	}
-	if p.NumRunning() != 1 || p.NumDone() != 1 {
+	if p.NumRunning() != 1 || len(p.Done()) != 1 {
 		t.Fatal("finish bookkeeping wrong")
 	}
 	if p.Done()[0] != r1 {

@@ -98,9 +98,10 @@ func TestCommitLifecycle(t *testing.T) {
 
 func TestCommitExtendsContext(t *testing.T) {
 	r := New(1, Chat, 0.05, 0, 16, 10, 7)
+	before := r.Ctx
 	r.Commit([]lm.Token{5, 6}, 1)
-	if w := r.Ctx.Window(); len(w) != 2 || w[1] != 6 {
-		t.Fatalf("context window %v", w)
+	if r.Ctx != before.Extend(5).Extend(6) {
+		t.Fatalf("context %+v, want the prior context extended by 5, 6", r.Ctx)
 	}
 	if r.LastToken() != 6 {
 		t.Fatal("LastToken should be the newest")

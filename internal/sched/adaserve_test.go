@@ -6,6 +6,7 @@ import (
 	"adaserve/internal/core"
 	"adaserve/internal/engine"
 	"adaserve/internal/gpu"
+	"adaserve/internal/lm"
 	"adaserve/internal/request"
 )
 
@@ -60,11 +61,15 @@ func TestAdaServeClampSpecEnvelope(t *testing.T) {
 
 func TestAdaServeRequiresDraft(t *testing.T) {
 	cfg := testConfig(t)
-	cfg.Engine = engine.MustNew(engine.Config{
-		Target:     cfg.Engine.Target(),
+	eng, err := engine.New(engine.Config{
+		Target:     lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02),
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		Seed:       3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = eng
 	if _, err := NewAdaServe(cfg, AdaServeOptions{}); err == nil {
 		t.Fatal("draftless AdaServe accepted")
 	}

@@ -157,8 +157,8 @@ func TestBaselineAdmissionInvariants(t *testing.T) {
 					}
 				}
 			})
-			if sys.Pool().NumDone() != len(reqs) {
-				t.Fatalf("%d of %d done", sys.Pool().NumDone(), len(reqs))
+			if len(sys.Pool().Done()) != len(reqs) {
+				t.Fatalf("%d of %d done", len(sys.Pool().Done()), len(reqs))
 			}
 		})
 	}
@@ -219,7 +219,7 @@ func TestVTCCountersMonotone(t *testing.T) {
 	var last [request.NumCategories]float64
 	replay(t, sys, reqs, 20000, func(now float64) {
 		for c := 0; c < request.NumCategories; c++ {
-			got := sys.Counter(request.Category(c))
+			got := sys.counters[request.Category(c)]
 			if got < last[c] {
 				t.Fatalf("category %d counter decreased: %g -> %g", c, last[c], got)
 			}
@@ -233,8 +233,8 @@ func TestVTCCountersMonotone(t *testing.T) {
 				served = true
 			}
 		}
-		if served && sys.Counter(request.Category(c)) <= 0 {
-			t.Fatalf("category %d served but counter is %g", c, sys.Counter(request.Category(c)))
+		if served && sys.counters[request.Category(c)] <= 0 {
+			t.Fatalf("category %d served but counter is %g", c, sys.counters[request.Category(c)])
 		}
 	}
 }

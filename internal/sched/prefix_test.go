@@ -159,10 +159,13 @@ func TestPrefixProbePredictsAdmissionHit(t *testing.T) {
 		return st, probe
 	}
 
-	sessions := workload.MustSessions(workload.SessionsConfig{
+	sessions, err := workload.NewSessions(workload.SessionsConfig{
 		Seed: 11, Tenants: 3, SystemPromptLen: 200, Turns: 4, Category: request.Chat,
 		BaselineLatency: 0.03, ArrivalSpacing: 0.05, ThinkTime: 0.1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pending := sessions.InitialRequests()
 	now, handled := 0.0, 0
 	for iter := 0; len(pending) > 0 || sys.Pool().NumRunning() > 0; iter++ {

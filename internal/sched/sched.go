@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"adaserve/internal/engine"
-	"adaserve/internal/gpu"
 	"adaserve/internal/kvcache"
 	"adaserve/internal/request"
 )
@@ -331,23 +330,4 @@ func markFirstDecode(reqs []*request.Request, now float64) {
 // sortStable sorts requests with the given ordering.
 func sortStable(reqs []*request.Request, less func(a, c *request.Request) bool) {
 	sort.SliceStable(reqs, func(i, j int) bool { return less(reqs[i], reqs[j]) })
-}
-
-// shapeFor is a one-token-per-sequence decode batch shape.
-func shapeFor(n, kv int) gpu.BatchShape {
-	return gpu.BatchShape{Tokens: n, Seqs: n, KVTokens: kv}
-}
-
-// minSLO returns the tightest TPOT SLO among reqs (or 0 when empty).
-func minSLO(reqs []*request.Request) float64 {
-	if len(reqs) == 0 {
-		return 0
-	}
-	m := reqs[0].TPOTSLO
-	for _, r := range reqs[1:] {
-		if r.TPOTSLO < m {
-			m = r.TPOTSLO
-		}
-	}
-	return m
 }

@@ -16,12 +16,15 @@ func testConfig(t *testing.T) Config {
 	t.Helper()
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.88, 2)
-	eng := engine.MustNew(engine.Config{
+	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
 		Seed:       3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return Config{
 		Engine:           eng,
 		KV:               kvcache.MustNew(kvcache.ConfigForTokens(200000, 16)),
@@ -125,7 +128,7 @@ func TestVLLMLifecycle(t *testing.T) {
 	if r.Phase != request.Done || r.OutputLen() != 8 {
 		t.Fatalf("final phase %s len %d", r.Phase, r.OutputLen())
 	}
-	if sys.Pool().NumDone() != 1 {
+	if len(sys.Pool().Done()) != 1 {
 		t.Fatal("request not retired")
 	}
 }
@@ -194,7 +197,7 @@ func TestVLLMKVAdmissionControl(t *testing.T) {
 		t.Fatalf("running %d, want 1 (KV-limited)", sys.Pool().NumRunning())
 	}
 	drain(t, sys, 300)
-	if sys.Pool().NumDone() != 2 {
+	if len(sys.Pool().Done()) != 2 {
 		t.Fatal("second request never served after KV freed")
 	}
 }
@@ -337,11 +340,14 @@ func TestVLLMSpecValidation(t *testing.T) {
 		t.Fatal("k=0 accepted")
 	}
 	cfg := testConfig(t)
-	eng := engine.MustNew(engine.Config{
-		Target:     cfg.Engine.Target(),
+	eng, err := engine.New(engine.Config{
+		Target:     lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02),
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		Seed:       3,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Engine = eng
 	if _, err := NewVLLMSpec(cfg, 4); err == nil {
 		t.Fatal("draftless engine accepted")
@@ -371,7 +377,10 @@ func TestFastServeServesShallowLevelFirst(t *testing.T) {
 	// The cap is 1, so the old request must leave the running set before a
 	// fresh one can be admitted; preempt it back to the queue to model the
 	// FastServe swap, then admit a fresh (level 0) competitor.
-	sys.Pool().Preempt(old)
+	sys.Pool().Remove(old)
+	old.Phase = request.Preempted
+	old.PreemptCount++
+	sys.Pool().Enqueue(old)
 	fresh := enqueue(sys, 2, request.Chat, 0.05, now, 32, 60)
 	st := sys.Iterate(now) // admits one; fresh arrived later but is level 0
 	now += st.Elapsed
@@ -464,7 +473,7 @@ func TestVTCFavorsUnderservedCategory(t *testing.T) {
 	// Serve a chat request fully: the chat counter rises.
 	first := enqueue(sys, 1, request.Chat, 0.05, 0, 64, 12)
 	now := drain(t, sys, 200)
-	if sys.Counter(request.Chat) <= 0 {
+	if sys.counters[request.Chat] <= 0 {
 		t.Fatal("counter not advanced")
 	}
 	_ = first
@@ -509,8 +518,8 @@ func TestAllSystemsDrainMixedWorkload(t *testing.T) {
 			enqueue(sys, 2, request.Chat, 0.05, 0.01, 128, 10)
 			enqueue(sys, 3, request.Summarization, 0.15, 0.02, 700, 8)
 			drain(t, sys, 2000)
-			if sys.Pool().NumDone() != 3 {
-				t.Fatalf("%d done", sys.Pool().NumDone())
+			if len(sys.Pool().Done()) != 3 {
+				t.Fatalf("%d done", len(sys.Pool().Done()))
 			}
 			for _, r := range sys.Pool().Done() {
 				if r.OutputLen() != r.MaxNewTokens {
@@ -540,7 +549,7 @@ func TestDecodeModeAdmitsRecompute(t *testing.T) {
 	// the request forever.
 	stuck.Recompute = true
 	drain(t, sys, 2000)
-	if sys.Pool().NumDone() != 1 || stuck.OutputLen() != stuck.MaxNewTokens {
-		t.Fatalf("recompute request did not finish: done=%d output=%d", sys.Pool().NumDone(), stuck.OutputLen())
+	if len(sys.Pool().Done()) != 1 || stuck.OutputLen() != stuck.MaxNewTokens {
+		t.Fatalf("recompute request did not finish: done=%d output=%d", len(sys.Pool().Done()), stuck.OutputLen())
 	}
 }

@@ -29,9 +29,6 @@ func NewVTC(cfg Config) (*VTC, error) {
 // Name implements System.
 func (v *VTC) Name() string { return "VTC" }
 
-// Counter returns the current fair-share counter for a category (tests).
-func (v *VTC) Counter(c request.Category) float64 { return v.counters[c] }
-
 // Iterate implements System.
 func (v *VTC) Iterate(now float64) IterationStats {
 	v.finish()

@@ -13,9 +13,17 @@ import (
 
 func mustGen(t *testing.T) *workload.Generator {
 	t.Helper()
-	return workload.MustGenerator(workload.GeneratorConfig{
-		Seed: 1, Mix: workload.DefaultMix, BaselineLatency: 0.03,
-	})
+	return newGen(t, workload.GeneratorConfig{Seed: 1, Mix: workload.DefaultMix, BaselineLatency: 0.03})
+}
+
+// newGen builds a request generator, failing the test on a bad config.
+func newGen(t *testing.T, cfg workload.GeneratorConfig) *workload.Generator {
+	t.Helper()
+	g, err := workload.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func mustRNG() *mathutil.RNG { return mathutil.NewRNG(1) }
@@ -75,12 +83,16 @@ func TestTraceSourceValidatesAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Remaining() != 3 {
-		t.Fatalf("remaining %d", src.Remaining())
+	n := 0
+	for {
+		if _, ok := src.Peek(); !ok {
+			break
+		}
+		src.Pop()
+		n++
 	}
-	src.Pop()
-	if src.Remaining() != 2 {
-		t.Fatalf("remaining %d after pop", src.Remaining())
+	if n != 3 {
+		t.Fatalf("drained %d requests, want 3", n)
 	}
 }
 

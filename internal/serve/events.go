@@ -30,6 +30,9 @@ type EventMeta struct {
 	Seq int
 }
 
+// When, EventSeq and isEvent are the sealed Event contract; binaries link
+// only the wrappers each event type promotes from EventMeta.
+
 // When implements Event.
 func (m EventMeta) When() float64 { return m.Time }
 

@@ -22,12 +22,15 @@ func testSystemKV(t *testing.T, seed uint64, kvTokens int) sched.System {
 	t.Helper()
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.88, 2)
-	eng := engine.MustNew(engine.Config{
+	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
 		Seed:       seed,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sys, err := sched.NewVLLM(sched.Config{
 		Engine:   eng,
 		KV:       kvcache.MustNew(kvcache.ConfigForTokens(kvTokens, 16)),
@@ -248,8 +251,8 @@ func TestSnapshotConvergence(t *testing.T) {
 	if st.Attainment() != sum.Attainment() {
 		t.Fatalf("attainment %.9f != %.9f", st.Attainment(), sum.Attainment())
 	}
-	if st.TTFTAttainment() != sum.TTFTAttainment() {
-		t.Fatalf("TTFT attainment %.9f != %.9f", st.TTFTAttainment(), sum.TTFTAttainment())
+	if st.TTFTAttained != sum.TTFTAttained {
+		t.Fatalf("TTFT attained %d != %d", st.TTFTAttained, sum.TTFTAttained)
 	}
 	if st.Goodput != sum.Goodput || st.Throughput != sum.Throughput {
 		t.Fatalf("goodput %.9f/%.9f != %.9f/%.9f", st.Goodput, st.Throughput, sum.Goodput, sum.Throughput)
@@ -355,8 +358,8 @@ func TestSubmitSourceMidRun(t *testing.T) {
 	if admittedOrder[0] != 0 || admittedOrder[1] != 1 {
 		t.Fatalf("pre-run submissions admitted as %v, want arrival order", admittedOrder[:2])
 	}
-	if src.Pending() != 0 {
-		t.Fatalf("%d submissions left pending", src.Pending())
+	if at, ok := src.Peek(); ok {
+		t.Fatalf("a submission arriving at %g was left pending", at)
 	}
 }
 
@@ -365,11 +368,11 @@ func TestSubmitSourceMidRun(t *testing.T) {
 // PoissonTrace + FromTimestamps construction with the same seeds.
 func TestOpenLoopMatchesEagerTrace(t *testing.T) {
 	cfg := workload.GeneratorConfig{Seed: 5, Mix: workload.DefaultMix, BaselineLatency: 0.03}
-	eagerGen := workload.MustGenerator(cfg)
+	eagerGen := newGen(t, cfg)
 	ts := workload.PoissonTrace(mathutil.NewRNG(9), 2.0, 30)
 	eager := eagerGen.FromTimestamps(ts)
 
-	lazyGen := workload.MustGenerator(cfg)
+	lazyGen := newGen(t, cfg)
 	ol, err := serve.NewOpenLoop(lazyGen, mathutil.NewRNG(9),
 		func(float64) float64 { return 2.0 }, 2.0, 30)
 	if err != nil {
@@ -403,7 +406,7 @@ func TestOpenLoopEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ol, err := serve.NewOpenLoop(workload.MustGenerator(cfg), mathutil.NewRNG(11), rate, maxRate, 20)
+		ol, err := serve.NewOpenLoop(newGen(t, cfg), mathutil.NewRNG(11), rate, maxRate, 20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,9 +58,6 @@ func (t *TraceSource) Pop() *request.Request {
 	return r
 }
 
-// Remaining returns the number of requests not yet consumed.
-func (t *TraceSource) Remaining() int { return len(t.ordered) - t.next }
-
 // SubmitSource is the programmatic Source: tests, examples and online
 // drivers Submit requests — before the run, or from observer callbacks while
 // it executes — and the driver consumes them in (arrival time, ID) order.
@@ -115,9 +112,6 @@ func (s *SubmitSource) Submit(r *request.Request) error {
 	s.pending[at] = r
 	return nil
 }
-
-// Pending returns the number of submitted, not yet consumed requests.
-func (s *SubmitSource) Pending() int { return len(s.pending) - s.head }
 
 // Peek implements Source.
 func (s *SubmitSource) Peek() (float64, bool) {

@@ -34,8 +34,8 @@ func TestSubmitSourceBoundedRetention(t *testing.T) {
 		if n := len(src.pending); n > maxLen {
 			maxLen = n
 		}
-		if src.Pending() != live {
-			t.Fatalf("live count %d, want %d", src.Pending(), live)
+		if n := len(src.pending) - src.head; n != live {
+			t.Fatalf("live count %d, want %d", n, live)
 		}
 		// The consumed prefix is nil-ed the moment it is popped, so even the
 		// slots compaction has not reclaimed yet retain nothing.

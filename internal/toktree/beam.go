@@ -7,18 +7,6 @@ import (
 	"adaserve/internal/lm"
 )
 
-// BeamResult is the outcome of candidate-tree construction for one request.
-type BeamResult struct {
-	Tree *Tree
-	// DraftTokensProcessed counts draft-model forward positions consumed,
-	// for cost accounting: 1 (root) at step one, then the beam nodes
-	// expanded at each later step.
-	DraftTokensProcessed int
-	// Steps is the number of draft decoding steps actually executed (≤ the
-	// requested depth; construction stops early if the beam empties).
-	Steps int
-}
-
 // beamEntry is one live beam node: its tree ID plus the decoding context
 // under which its children are proposed. lm.Context is a value type, so the
 // beam carries no heap references.
@@ -72,9 +60,16 @@ func (bb *BeamBuilder) Swap(i, j int) { bb.cands[i], bb.cands[j] = bb.cands[j], 
 
 // Search grows a candidate token tree of depth d and beam width w into t,
 // which must contain only a root (fresh from NewTree, TreePool.Get, or
-// Reset). It returns the number of draft steps executed and draft forward
-// positions consumed. The algorithm matches BeamSearch exactly; only the
-// scratch storage is reused.
+// Reset): Algorithm 2's speculation phase for one request. Step 1 expands
+// the root and keeps the w highest-DraftProb children. Each subsequent step
+// expands all beam nodes and keeps the w children with the highest *path*
+// probability (global per request, as in Eagle-2-style beam search), so
+// every non-root level holds at most w nodes. Width 1 is the greedy chain
+// the vLLM-Spec baselines speculate.
+//
+// It returns the number of draft steps executed (fewer than d if the beam
+// empties) and the draft forward positions consumed, for cost accounting:
+// 1 (the root) at step one, then the beam nodes expanded at each later step.
 func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps, draftTokens int, err error) {
 	if d < 0 {
 		return 0, 0, fmt.Errorf("toktree: negative beam depth %d", d)
@@ -122,33 +117,4 @@ func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps, draftTo
 		steps++
 	}
 	return steps, draftTokens, nil
-}
-
-// BeamSearch constructs a candidate token tree of depth d and beam width w
-// for a request whose decoding context is ctx and whose last committed token
-// is rootTok (Algorithm 2's speculation phase).
-//
-// Step 1 expands the root and keeps the w highest-DraftProb children. Each
-// subsequent step expands all beam nodes and keeps the w children with the
-// highest *path* probability (global per request, as in Eagle-2-style beam
-// search), so every non-root level holds at most w nodes.
-//
-// This convenience form allocates fresh scratch per call; the engine's hot
-// path reuses a BeamBuilder and pooled trees instead. Both produce identical
-// trees.
-func BeamSearch(draft lm.Model, ctx lm.Context, rootTok lm.Token, d, w int) (*BeamResult, error) {
-	t := NewTree(ctx, rootTok)
-	var bb BeamBuilder
-	steps, draftTokens, err := bb.Search(t, draft, d, w)
-	if err != nil {
-		return nil, err
-	}
-	return &BeamResult{Tree: t, DraftTokensProcessed: draftTokens, Steps: steps}, nil
-}
-
-// ChainSpeculate builds a depth-k chain (beam width 1): the draft greedily
-// decodes k tokens. This is the static sequence speculation used by the
-// vLLM-Spec baselines.
-func ChainSpeculate(draft lm.Model, ctx lm.Context, rootTok lm.Token, k int) (*BeamResult, error) {
-	return BeamSearch(draft, ctx, rootTok, k, 1)
 }

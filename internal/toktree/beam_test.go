@@ -13,18 +13,41 @@ func beamModels(t *testing.T) (*lm.SyntheticLM, *lm.DraftLM) {
 	return target, lm.MustDraftLM("d", target, 0.85, 12)
 }
 
+// search grows a fresh depth-d, width-w candidate tree rooted at rootTok.
+func search(t testing.TB, draft lm.Model, ctx lm.Context, rootTok lm.Token, d, w int) *Tree {
+	t.Helper()
+	tr := NewTree(ctx, rootTok)
+	var bb BeamBuilder
+	if _, _, err := bb.Search(tr, draft, d, w); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// verify runs one verification walk with fresh result and scratch storage.
+func verify(sel *Selection, v *lm.Verifier) *VerifyResult {
+	var res VerifyResult
+	VerifyInto(&res, sel, v, &VerifyScratch{})
+	return &res
+}
+
+// depth returns the deepest node's depth.
+func depth(tr *Tree) int {
+	d := 0
+	for _, n := range tr.Nodes {
+		d = max(d, n.Depth)
+	}
+	return d
+}
+
 func TestBeamSearchShape(t *testing.T) {
 	_, draft := beamModels(t)
 	for _, c := range []struct{ d, w int }{{1, 1}, {3, 2}, {5, 4}, {8, 1}} {
-		br, err := BeamSearch(draft, lm.Context{ReqSeed: 3}, 7, c.d, c.w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := br.Tree
+		tr := search(t, draft, lm.Context{ReqSeed: 3}, 7, c.d, c.w)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("d=%d w=%d: %v", c.d, c.w, err)
 		}
-		if got := tr.Depth(); got != c.d {
+		if got := depth(tr); got != c.d {
 			t.Errorf("d=%d w=%d: depth %d", c.d, c.w, got)
 		}
 		// Level sizes: level 1..d hold at most w nodes; total ≤ 1 + d*w.
@@ -48,38 +71,42 @@ func TestBeamSearchShape(t *testing.T) {
 
 func TestBeamSearchDepthZero(t *testing.T) {
 	_, draft := beamModels(t)
-	br, err := BeamSearch(draft, lm.Context{ReqSeed: 3}, 7, 0, 4)
+	tr := NewTree(lm.Context{ReqSeed: 3}, 7)
+	var bb BeamBuilder
+	steps, draftTokens, err := bb.Search(tr, draft, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Tree.Size() != 1 || br.DraftTokensProcessed != 0 {
+	if tr.Size() != 1 || steps != 0 || draftTokens != 0 {
 		t.Fatal("depth-0 beam should produce a bare root at no cost")
 	}
 }
 
 func TestBeamSearchRejectsBadParams(t *testing.T) {
 	_, draft := beamModels(t)
-	if _, err := BeamSearch(draft, lm.Context{}, 0, -1, 2); err == nil {
+	var bb BeamBuilder
+	if _, _, err := bb.Search(NewTree(lm.Context{}, 0), draft, -1, 2); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if _, err := BeamSearch(draft, lm.Context{}, 0, 2, 0); err == nil {
+	if _, _, err := bb.Search(NewTree(lm.Context{}, 0), draft, 2, 0); err == nil {
 		t.Error("zero width accepted")
 	}
 }
 
 func TestBeamSearchCostAccounting(t *testing.T) {
 	_, draft := beamModels(t)
-	br, err := BeamSearch(draft, lm.Context{ReqSeed: 5}, 7, 4, 3)
+	var bb BeamBuilder
+	steps, draftTokens, err := bb.Search(NewTree(lm.Context{ReqSeed: 5}, 7), draft, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Step 1 expands the root (1 token); steps 2..4 expand ≤3 beam nodes.
 	want := 1 + 3*3
-	if br.DraftTokensProcessed > want || br.DraftTokensProcessed < 4 {
-		t.Fatalf("draft tokens %d outside [4, %d]", br.DraftTokensProcessed, want)
+	if draftTokens > want || draftTokens < 4 {
+		t.Fatalf("draft tokens %d outside [4, %d]", draftTokens, want)
 	}
-	if br.Steps != 4 {
-		t.Fatalf("steps %d, want 4", br.Steps)
+	if steps != 4 {
+		t.Fatalf("steps %d, want 4", steps)
 	}
 }
 
@@ -89,13 +116,10 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	// spot-check: the level-1 nodes are exactly the draft's top-w.
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 17}
-	br, err := BeamSearch(draft, ctx, 7, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := search(t, draft, ctx, 7, 2, 3)
 	top := draft.Dist(ctx).TopK(3)
 	var level1 []lm.Token
-	for _, n := range br.Tree.Nodes[1:] {
+	for _, n := range tr.Nodes[1:] {
 		if n.Depth == 1 {
 			level1 = append(level1, n.Token)
 		}
@@ -116,16 +140,16 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	}
 }
 
+// TestChainSpeculateIsWidthOne pins the static sequence speculation of the
+// vLLM-Spec baselines: a width-1 beam is a chain that follows the draft's
+// argmax at every step.
 func TestChainSpeculateIsWidthOne(t *testing.T) {
 	_, draft := beamModels(t)
-	br, err := ChainSpeculate(draft, lm.Context{ReqSeed: 5}, 7, 6)
-	if err != nil {
-		t.Fatal(err)
+	tr := search(t, draft, lm.Context{ReqSeed: 5}, 7, 6, 1)
+	if tr.Size() != 7 {
+		t.Fatalf("chain size %d, want 7", tr.Size())
 	}
-	if br.Tree.Size() != 7 {
-		t.Fatalf("chain size %d, want 7", br.Tree.Size())
-	}
-	for _, n := range br.Tree.Nodes {
+	for _, n := range tr.Nodes {
 		if len(n.Children) > 1 {
 			t.Fatal("chain has branching")
 		}
@@ -135,8 +159,8 @@ func TestChainSpeculateIsWidthOne(t *testing.T) {
 	cur := 0
 	for depth := 0; depth < 6; depth++ {
 		want := draft.Dist(ctx).Argmax()
-		child := br.Tree.Nodes[cur].Children[0]
-		if got := br.Tree.Nodes[child].Token; got != want {
+		child := tr.Nodes[cur].Children[0]
+		if got := tr.Nodes[child].Token; got != want {
 			t.Fatalf("depth %d: chain token %d, draft argmax %d", depth, got, want)
 		}
 		ctx = ctx.Extend(want)
@@ -192,13 +216,10 @@ func TestTheorem41(t *testing.T) {
 		}
 
 		// Candidate tree: beam search with width = budget, depth = D_opt.
-		br, err := BeamSearch(draft, ctx, 0, maxDepth, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cand := search(t, draft, ctx, 0, maxDepth, budget)
 		// Every optimal node's path must exist in the candidate tree.
 		for _, n := range selected[1:] {
-			if !containsPath(br.Tree, n.path) {
+			if !containsPath(cand, n.path) {
 				t.Fatalf("seed %d: optimal path %v missing from beam(%d, %d) candidate tree",
 					seed, n.path, maxDepth, budget)
 			}
@@ -227,15 +248,11 @@ func containsPath(t *Tree, path []lm.Token) bool {
 func TestVerifyCommitsAtLeastOneToken(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(9))
-	br, err := BeamSearch(draft, lm.Context{ReqSeed: 31}, 7, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := NewSelection(br.Tree)
+	sel := NewSelection(search(t, draft, lm.Context{ReqSeed: 31}, 7, 4, 2))
 	for i := 0; i < 200; i++ {
-		res := Verify(sel, v)
-		if res.NumNewTokens() < 1 {
-			t.Fatal("verification committed zero tokens")
+		res := verify(sel, v)
+		if len(res.Accepted) != 0 {
+			t.Fatalf("root-only selection accepted %v", res.Accepted)
 		}
 		if res.TokensVerified != sel.Size() {
 			t.Fatalf("verified %d tokens, selection size %d", res.TokensVerified, sel.Size())
@@ -246,28 +263,25 @@ func TestVerifyCommitsAtLeastOneToken(t *testing.T) {
 func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(9))
-	br, err := BeamSearch(draft, lm.Context{ReqSeed: 33}, 7, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := NewSelection(br.Tree)
-	for id := 1; id < br.Tree.Size(); id++ {
-		if sel.Has(br.Tree.Nodes[id].Parent) {
+	tr := search(t, draft, lm.Context{ReqSeed: 33}, 7, 5, 3)
+	sel := NewSelection(tr)
+	for id := 1; id < tr.Size(); id++ {
+		if sel.Has(tr.Nodes[id].Parent) {
 			sel.Add(id)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		res := Verify(sel, v)
+		res := verify(sel, v)
 		if len(res.Accepted) != len(res.AcceptedNodeIDs) {
 			t.Fatal("accepted tokens/IDs length mismatch")
 		}
 		// The accepted node IDs must form a root-descending path.
 		prev := 0
 		for j, id := range res.AcceptedNodeIDs {
-			if br.Tree.Nodes[id].Parent != prev {
+			if tr.Nodes[id].Parent != prev {
 				t.Fatalf("accepted node %d at position %d is not a child of %d", id, j, prev)
 			}
-			if br.Tree.Nodes[id].Token != res.Accepted[j] {
+			if tr.Nodes[id].Token != res.Accepted[j] {
 				t.Fatal("accepted token mismatch")
 			}
 			prev = id
@@ -278,16 +292,16 @@ func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 func TestVerifyGreedyDeterministic(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, draft, lm.RuleGreedy, mathutil.NewRNG(9))
-	br, _ := BeamSearch(draft, lm.Context{ReqSeed: 35}, 7, 4, 2)
-	sel := NewSelection(br.Tree)
-	for id := 1; id < br.Tree.Size(); id++ {
-		if sel.Has(br.Tree.Nodes[id].Parent) {
+	tr := search(t, draft, lm.Context{ReqSeed: 35}, 7, 4, 2)
+	sel := NewSelection(tr)
+	for id := 1; id < tr.Size(); id++ {
+		if sel.Has(tr.Nodes[id].Parent) {
 			sel.Add(id)
 		}
 	}
-	a := Verify(sel, v)
-	b := Verify(sel, v)
-	if a.NumNewTokens() != b.NumNewTokens() || a.Correction != b.Correction {
+	a := verify(sel, v)
+	b := verify(sel, v)
+	if len(a.Accepted) != len(b.Accepted) || a.Correction != b.Correction {
 		t.Fatal("greedy verification should be deterministic")
 	}
 }

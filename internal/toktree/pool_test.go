@@ -37,7 +37,7 @@ func treesEqual(a, b *Tree) bool {
 
 // TestPooledBeamMatchesFresh drives a pooled tree + reused BeamBuilder
 // through many searches and checks every tree is byte-identical to a fresh
-// BeamSearch of the same inputs — the pooling-determinism contract the
+// tree grown by a fresh builder from the same inputs — the pooling-determinism contract the
 // engine relies on.
 func TestPooledBeamMatchesFresh(t *testing.T) {
 	draft := poolTestDraft(t)
@@ -46,7 +46,7 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 	rng := mathutil.NewRNG(42)
 	var prev *Tree
 	for i := 0; i < 200; i++ {
-		ctx := lm.NewContext(uint64(i%13), []lm.Token{lm.Token(rng.Intn(64))})
+		ctx := lm.Context{ReqSeed: uint64(i % 13)}.Extend(lm.Token(rng.Intn(64)))
 		root := lm.Token(rng.Intn(256))
 		d, w := 1+rng.Intn(7), 1+rng.Intn(4)
 
@@ -59,11 +59,7 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 		}
 		prev = pooled
 
-		fresh, err := BeamSearch(draft, ctx, root, d, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !treesEqual(pooled, fresh.Tree) {
+		if !treesEqual(pooled, search(t, draft, ctx, root, d, w)) {
 			t.Fatalf("iteration %d (d=%d w=%d): pooled tree differs from fresh", i, d, w)
 		}
 		if err := pooled.Validate(); err != nil {
@@ -126,28 +122,25 @@ func TestAddChildInsertionMatchesSort(t *testing.T) {
 	}
 }
 
-// TestVerifyIntoMatchesVerify runs pooled-scratch verification against the
-// allocating form over many trees and seeds.
+// TestVerifyIntoMatchesVerify runs pooled-scratch verification against a
+// walk with fresh storage over many trees and seeds.
 func TestVerifyIntoMatchesVerify(t *testing.T) {
 	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM("d", target, 0.8, 2)
 	var sc VerifyScratch
 	var res VerifyResult
 	for i := 0; i < 100; i++ {
-		br, err := BeamSearch(draft, lm.Context{ReqSeed: uint64(i)}, 5, 5, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel := NewSelection(br.Tree)
-		for id := 1; id < br.Tree.Size(); id++ {
-			if sel.Has(br.Tree.Nodes[id].Parent) && id%3 != 0 {
+		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 5, 3)
+		sel := NewSelection(tr)
+		for id := 1; id < tr.Size(); id++ {
+			if sel.Has(tr.Nodes[id].Parent) && id%3 != 0 {
 				sel.Add(id)
 			}
 		}
 		// Identical RNG state for both walks.
 		v1 := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
 		v2 := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
-		want := Verify(sel, v1)
+		want := verify(sel, v1)
 		VerifyInto(&res, sel, v2, &sc)
 		if want.Correction != res.Correction || len(want.Accepted) != len(res.Accepted) {
 			t.Fatalf("tree %d: pooled verify diverged: %+v vs %+v", i, want, res)

@@ -120,46 +120,10 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 // Size returns the number of nodes including the root.
 func (t *Tree) Size() int { return len(t.Nodes) }
 
-// Depth returns the maximum node depth.
-func (t *Tree) Depth() int {
-	d := 0
-	for i := range t.Nodes {
-		if t.Nodes[i].Depth > d {
-			d = t.Nodes[i].Depth
-		}
-	}
-	return d
-}
-
-// NodeCtx returns the decoding context at node id: the root context extended
-// by the draft tokens along the path (excluding the node's own token), i.e.
-// the context under which the node's token was proposed.
-func (t *Tree) NodeCtx(id int) lm.Context {
-	var path []int
-	for n := id; n != 0; n = t.Nodes[n].Parent {
-		path = append(path, n)
-	}
-	ctx := t.Ctx
-	for i := len(path) - 1; i >= 1; i-- {
-		ctx = ctx.Extend(t.Nodes[path[i]].Token)
-	}
-	return ctx
-}
-
-// PathTokens returns the draft tokens from (excluding) the root to node id.
-func (t *Tree) PathTokens(id int) []lm.Token {
-	var rev []lm.Token
-	for n := id; n != 0; n = t.Nodes[n].Parent {
-		rev = append(rev, t.Nodes[n].Token)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // Validate checks structural invariants: parent links, depths, sorted
 // children, and path-probability monotonicity (child ≤ parent).
+// Kept as an invariant check for the toktree and engine tests; no binary
+// links it.
 func (t *Tree) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("toktree: empty tree")
@@ -263,27 +227,12 @@ func (s *Selection) Has(id int) bool { return id >= 0 && id < len(s.mask) && s.m
 // Size returns the number of selected nodes including the root.
 func (s *Selection) Size() int { return s.count }
 
-// ExpectedAccept returns Σ f(v) over the selection: the expected number of
-// tokens this verification will commit (Theorem 3.1).
-func (s *Selection) ExpectedAccept() float64 { return s.sumPathProb }
-
 // Tree returns the underlying candidate tree.
 func (s *Selection) Tree() *Tree { return s.tree }
 
-// SelectedChildren returns the selected children of node id, in the tree's
-// (descending DraftProb) order.
-func (s *Selection) SelectedChildren(id int) []int {
-	var out []int
-	for _, c := range s.tree.Nodes[id].Children {
-		if s.mask[c] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Validate checks the connectivity invariant (Appendix B): every selected
-// node's parent is selected.
+// node's parent is selected. Kept as an invariant check for the toktree and
+// core tests; no binary links it.
 func (s *Selection) Validate() error {
 	if !s.mask[0] {
 		return fmt.Errorf("toktree: root not selected")

@@ -19,11 +19,6 @@ type VerifyResult struct {
 	TokensVerified int
 }
 
-// NumNewTokens returns the number of tokens committed by this pass: the
-// accepted prefix plus the correction/bonus token. This equals acc(T) in the
-// paper's formulation (which counts the root).
-func (r *VerifyResult) NumNewTokens() int { return len(r.Accepted) + 1 }
-
 // VerifyScratch holds the per-level buffers of a verification walk so
 // repeated verifies — one per request per iteration — allocate nothing once
 // warm. The zero value is ready to use. Not safe for concurrent use.
@@ -32,7 +27,7 @@ type VerifyScratch struct {
 	branches []lm.Branch
 }
 
-// Verify runs tree-based parallel verification of the selected subtree.
+// VerifyInto runs tree-based parallel verification of the selected subtree.
 //
 // Semantically the target scores every selected node in one batched pass
 // (cost = selection size); the commit walk then descends from the root: at
@@ -41,17 +36,10 @@ type VerifyScratch struct {
 // rule's correction token is committed — or past the last selected node,
 // where the bonus token is drawn from the target distribution at that
 // context.
-func Verify(sel *Selection, v *lm.Verifier) *VerifyResult {
-	res := &VerifyResult{}
-	var sc VerifyScratch
-	VerifyInto(res, sel, v, &sc)
-	return res
-}
-
-// VerifyInto is Verify with caller-owned result and scratch storage: res is
-// reset and refilled in place (its Accepted/AcceptedNodeIDs capacity is
-// reused), sc provides the walk buffers. The engine pools both across
-// iterations; results are identical to Verify's.
+//
+// res is reset and refilled in place (its Accepted/AcceptedNodeIDs capacity
+// is reused) and sc provides the walk buffers; the engine pools both across
+// iterations.
 func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScratch) {
 	t := sel.Tree()
 	res.Accepted = res.Accepted[:0]

@@ -115,15 +115,6 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 	return t, nil
 }
 
-// NewSpecSource compiles a spec and wraps the result as a replay source.
-func NewSpecSource(s *Spec, opts CompileOptions) (*Source, error) {
-	t, err := Compile(s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewSource(t)
-}
-
 // resolveClasses builds the class map from the cohorts' categories,
 // applying tpot/ttft overrides over the Table 2 defaults.
 func resolveClasses(s *Spec, baseline float64) ([]ClassDef, error) {

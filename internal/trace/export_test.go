@@ -42,10 +42,7 @@ func TestExporterRoundTrip(t *testing.T) {
 		t.Fatalf("classes = %+v, want %+v", tr.Header.Classes, want)
 	}
 	// Replay reproduces the original admission stream exactly.
-	replayed, err := tr.Requests()
-	if err != nil {
-		t.Fatalf("Requests: %v", err)
-	}
+	replayed := drain(t, tr)
 	if len(replayed) != len(reqs) {
 		t.Fatalf("replay len = %d", len(replayed))
 	}
@@ -128,5 +125,21 @@ func TestExporterConflictingSLOs(t *testing.T) {
 	e.OnEvent(admitted(b))
 	if _, err := e.Trace(); err == nil || !strings.Contains(err.Error(), "conflicting SLOs") {
 		t.Fatalf("Trace = %v, want conflict error", err)
+	}
+}
+
+// drain replays tr through a Source and returns every request it yields.
+func drain(t *testing.T, tr *Trace) []*request.Request {
+	t.Helper()
+	src, err := NewSource(tr)
+	if err != nil {
+		t.Fatalf("NewSource: %v", err)
+	}
+	var out []*request.Request
+	for {
+		if _, ok := src.Peek(); !ok {
+			return out
+		}
+		out = append(out, src.Pop())
 	}
 }

@@ -45,21 +45,6 @@ func makeRequest(h *Header, defs map[int]ClassDef, cats map[int]request.Category
 	return r
 }
 
-// Requests materializes the whole trace eagerly as replay-ordered
-// requests, for callers that want the slice (e.g. closed-loop Results
-// accounting). Fails if any class does not name a request category.
-func (t *Trace) Requests() ([]*request.Request, error) {
-	defs, cats, err := classCategories(&t.Header)
-	if err != nil {
-		return nil, err
-	}
-	reqs := make([]*request.Request, len(t.Arrivals))
-	for i, a := range t.Arrivals {
-		reqs[i] = makeRequest(&t.Header, defs, cats, i, a)
-	}
-	return reqs, nil
-}
-
 // Source replays a trace through the event-driven driver: a lazy
 // serve.Source that materializes each request on Pop, in file order.
 type Source struct {

@@ -109,7 +109,8 @@ func specErr(n int, format string, args ...any) error {
 }
 
 // Format renders the canonical spec form: meta in fixed order, cohorts in
-// file order, options in canonical order with defaults omitted.
+// file order, options in canonical order with defaults omitted. Kept, with
+// its format helpers, as FuzzSpecParse's round-trip oracle.
 func (s *Spec) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s v%d\n", specMagic, s.Version)
@@ -124,9 +125,6 @@ func (s *Spec) Format() string {
 	}
 	return b.String()
 }
-
-// String implements fmt.Stringer (the canonical form).
-func (s *Spec) String() string { return s.Format() }
 
 func (c *Cohort) format() string {
 	var b strings.Builder

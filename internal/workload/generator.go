@@ -48,15 +48,6 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	return &Generator{cfg: cfg, specs: DefaultCategories(), rng: mathutil.NewRNG(cfg.Seed)}, nil
 }
 
-// MustGenerator panics on error.
-func MustGenerator(cfg GeneratorConfig) *Generator {
-	g, err := NewGenerator(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // slo resolves the SLO for a category, applying SLOScale to category 1.
 // Per Figure 11, the scale stretches or tightens the most urgent SLO
 // relative to the baseline latency (scale < 1 demands per-token latency

@@ -106,15 +106,6 @@ func NewSessions(cfg SessionsConfig) (*Sessions, error) {
 	}, nil
 }
 
-// MustSessions panics on error.
-func MustSessions(cfg SessionsConfig) *Sessions {
-	s, err := NewSessions(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // slo mirrors Generator.slo without SLO scaling.
 func (ss *Sessions) slo() float64 {
 	if ss.spec.SLOFactor > 0 {
@@ -205,7 +196,5 @@ func (ss *Sessions) FollowUp(r *request.Request, now float64) *request.Request {
 	return ss.makeTurn(s, now+ss.cfg.ThinkTime)
 }
 
-// Issued returns the number of turn requests generated so far; Outstanding
-// the turns issued but not yet consumed by FollowUp.
-func (ss *Sessions) Issued() int      { return ss.issued }
-func (ss *Sessions) Outstanding() int { return len(ss.open) }
+// Issued returns the number of turn requests generated so far.
+func (ss *Sessions) Issued() int { return ss.issued }

@@ -45,13 +45,14 @@ func TestNewSessionsValidation(t *testing.T) {
 	}
 }
 
-func TestMustSessionsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSessions did not panic on invalid config")
-		}
-	}()
-	MustSessions(SessionsConfig{})
+// newSessions builds a session generator, failing the test on a bad config.
+func newSessions(t *testing.T, cfg SessionsConfig) *Sessions {
+	t.Helper()
+	ss, err := NewSessions(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
 }
 
 // finishTurn simulates the engine serving a turn: commit `out` output tokens
@@ -63,7 +64,7 @@ func finishTurn(r *request.Request, out int) {
 }
 
 func TestSessionsConversationGrowth(t *testing.T) {
-	ss := MustSessions(sessionConfig())
+	ss := newSessions(t, sessionConfig())
 	initial := ss.InitialRequests()
 	if len(initial) != 3 {
 		t.Fatalf("got %d initial turns, want 3", len(initial))
@@ -84,8 +85,8 @@ func TestSessionsConversationGrowth(t *testing.T) {
 			t.Errorf("tenant %d turn missing TTFT SLO", i)
 		}
 	}
-	if ss.Issued() != 3 || ss.Outstanding() != 3 {
-		t.Fatalf("issued %d outstanding %d, want 3/3", ss.Issued(), ss.Outstanding())
+	if ss.Issued() != 3 || len(ss.open) != 3 {
+		t.Fatalf("issued %d outstanding %d, want 3/3", ss.Issued(), len(ss.open))
 	}
 
 	// Tenants 0 and 1 share no segments (different seeds), but a tenant's
@@ -111,8 +112,8 @@ func TestSessionsConversationGrowth(t *testing.T) {
 	if reply := next.PromptSegs[len(r0.PromptSegs)]; reply.Len != 10 {
 		t.Errorf("assistant reply segment len %d, want the 10 committed tokens", reply.Len)
 	}
-	if ss.Outstanding() != 3 {
-		t.Fatalf("outstanding %d after one finish+follow-up, want 3", ss.Outstanding())
+	if len(ss.open) != 3 {
+		t.Fatalf("outstanding %d after one finish+follow-up, want 3", len(ss.open))
 	}
 
 	// A request the generator never issued (or one already consumed) is
@@ -140,7 +141,7 @@ func TestSessionsZeroOutputReply(t *testing.T) {
 	// A finished turn with no committed output contributes no assistant
 	// segment — the next prompt is exactly the previous one plus a new user
 	// turn.
-	ss := MustSessions(sessionConfig())
+	ss := newSessions(t, sessionConfig())
 	r := ss.InitialRequests()[0]
 	next := ss.FollowUp(r, 1.0)
 	if next == nil {
@@ -158,7 +159,7 @@ func TestSessionsContextWindowEndsSession(t *testing.T) {
 	// The system prompt fills all but 2048 tokens of the window: the first
 	// turn (user ≤ 1024 + output ≤ 512) fits, and a handful more follow.
 	cfg.SystemPromptLen = MaxContext - 2048
-	ss := MustSessions(cfg)
+	ss := newSessions(t, cfg)
 	initial := ss.InitialRequests()
 	if len(initial) != 1 {
 		t.Fatalf("got %d initial turns, want 1", len(initial))
@@ -183,8 +184,8 @@ func TestSessionsContextWindowEndsSession(t *testing.T) {
 	if turns >= 100 {
 		t.Fatal("expected the context window, not the turn budget, to end the session")
 	}
-	if ss.Outstanding() != 0 {
-		t.Fatalf("outstanding %d after session end, want 0", ss.Outstanding())
+	if len(ss.open) != 0 {
+		t.Fatalf("outstanding %d after session end, want 0", len(ss.open))
 	}
 }
 
@@ -196,7 +197,7 @@ func TestSessionsDeterministicAcrossFinishOrder(t *testing.T) {
 		prompt, output int
 	}
 	collect := func(order []int) map[int][]turnKey {
-		ss := MustSessions(sessionConfig())
+		ss := newSessions(t, sessionConfig())
 		byTenant := map[int][]turnKey{}
 		live := ss.InitialRequests()
 		for i, r := range live {

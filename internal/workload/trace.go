@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"adaserve/internal/mathutil"
 )
@@ -131,24 +129,4 @@ func BinCounts(ts []float64, duration, binWidth float64) []int {
 		bins[i]++
 	}
 	return bins
-}
-
-// MergeSorted merges pre-sorted timestamp slices into one sorted slice.
-func MergeSorted(lists ...[]float64) []float64 {
-	var out []float64
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// ValidateSorted reports whether ts is non-decreasing.
-func ValidateSorted(ts []float64) error {
-	for i := 1; i < len(ts); i++ {
-		if ts[i] < ts[i-1] {
-			return fmt.Errorf("workload: timestamps not sorted at %d", i)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ func TestPoissonTraceRate(t *testing.T) {
 	if math.Abs(rate-10) > 0.5 {
 		t.Fatalf("empirical rate %.2f, want ~10", rate)
 	}
-	if err := ValidateSorted(ts); err != nil {
-		t.Fatal(err)
+	if !sort.Float64sAreSorted(ts) {
+		t.Fatal("timestamps not sorted")
 	}
 }
 
@@ -97,8 +98,8 @@ func TestRealTraceMeanRPS(t *testing.T) {
 		if math.Abs(got-rps) > rps*0.2 {
 			t.Fatalf("target %.1f rps, got %.2f", rps, got)
 		}
-		if err := ValidateSorted(ts); err != nil {
-			t.Fatal(err)
+		if !sort.Float64sAreSorted(ts) {
+			t.Fatal("timestamps not sorted")
 		}
 	}
 }
@@ -177,25 +178,6 @@ func TestBinCountsBoundary(t *testing.T) {
 	bins = BinCounts([]float64{5}, 5, 2)
 	if len(bins) != 3 || bins[2] != 1 {
 		t.Fatalf("ragged bins %v", bins)
-	}
-}
-
-func TestMergeSorted(t *testing.T) {
-	out := MergeSorted([]float64{1, 3}, []float64{2}, nil)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("merged %v", out)
-		}
-	}
-}
-
-func TestValidateSorted(t *testing.T) {
-	if ValidateSorted([]float64{1, 2, 2, 3}) != nil {
-		t.Fatal("sorted slice rejected")
-	}
-	if ValidateSorted([]float64{2, 1}) == nil {
-		t.Fatal("unsorted slice accepted")
 	}
 }
 

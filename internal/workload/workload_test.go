@@ -8,6 +8,16 @@ import (
 	"adaserve/internal/request"
 )
 
+// newGenerator builds a request generator, failing the test on a bad config.
+func newGenerator(t *testing.T, cfg GeneratorConfig) *Generator {
+	t.Helper()
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestLengthDistClipping(t *testing.T) {
 	d := LengthDist{Median: 100, Sigma: 2.0, Min: 50, Max: 150}
 	rng := mathutil.NewRNG(1)
@@ -100,7 +110,7 @@ func TestGeneratorValidation(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	mk := func() []*request.Request {
-		g := MustGenerator(GeneratorConfig{Seed: 9, Mix: DefaultMix, BaselineLatency: 0.033})
+		g := newGenerator(t, GeneratorConfig{Seed: 9, Mix: DefaultMix, BaselineLatency: 0.033})
 		ts := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 		return g.FromTimestamps(ts)
 	}
@@ -114,7 +124,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestGeneratorMixProportions(t *testing.T) {
-	g := MustGenerator(GeneratorConfig{Seed: 3, Mix: Mix{0.6, 0.2, 0.2}, BaselineLatency: 0.033})
+	g := newGenerator(t, GeneratorConfig{Seed: 3, Mix: Mix{0.6, 0.2, 0.2}, BaselineLatency: 0.033})
 	ts := make([]float64, 20000)
 	for i := range ts {
 		ts[i] = float64(i) * 0.01
@@ -129,8 +139,8 @@ func TestGeneratorMixProportions(t *testing.T) {
 
 func TestGeneratorSLOScaleOnlyAffectsCoding(t *testing.T) {
 	base := 0.033
-	g1 := MustGenerator(GeneratorConfig{Seed: 3, Mix: DefaultMix, BaselineLatency: base, SLOScale: 1.0})
-	g2 := MustGenerator(GeneratorConfig{Seed: 3, Mix: DefaultMix, BaselineLatency: base, SLOScale: 0.6})
+	g1 := newGenerator(t, GeneratorConfig{Seed: 3, Mix: DefaultMix, BaselineLatency: base, SLOScale: 1.0})
+	g2 := newGenerator(t, GeneratorConfig{Seed: 3, Mix: DefaultMix, BaselineLatency: base, SLOScale: 0.6})
 	r1c := g1.MakeAt(request.Coding, 0)
 	r2c := g2.MakeAt(request.Coding, 0)
 	if math.Abs(r1c.TPOTSLO-1.2*base) > 1e-12 {
@@ -158,7 +168,7 @@ func TestGeneratorClipsContext(t *testing.T) {
 }
 
 func TestFromCategoryTimestampsSorted(t *testing.T) {
-	g := MustGenerator(GeneratorConfig{Seed: 5, Mix: DefaultMix, BaselineLatency: 0.033})
+	g := newGenerator(t, GeneratorConfig{Seed: 5, Mix: DefaultMix, BaselineLatency: 0.033})
 	perCat := [][]float64{{3, 1}, {2}, {0.5}}
 	// FromCategoryTimestamps does not require sorted inputs per category.
 	reqs := g.FromCategoryTimestamps(perCat)
@@ -190,7 +200,7 @@ func TestFromCategoryTimestampsSorted(t *testing.T) {
 }
 
 func TestStreamStats(t *testing.T) {
-	g := MustGenerator(GeneratorConfig{Seed: 5, Mix: DefaultMix, BaselineLatency: 0.033})
+	g := newGenerator(t, GeneratorConfig{Seed: 5, Mix: DefaultMix, BaselineLatency: 0.033})
 	reqs := g.FromTimestamps([]float64{0, 1, 2, 3, 4})
 	st := StreamStats(reqs)
 	if st.Requests != 5 {
@@ -230,7 +240,7 @@ func TestSampleCategoryDegenerateMixes(t *testing.T) {
 			if err := c.mix.Validate(); err != nil {
 				t.Fatalf("test mix does not validate: %v", err)
 			}
-			g := MustGenerator(GeneratorConfig{Seed: 5, Mix: c.mix, BaselineLatency: 0.033})
+			g := newGenerator(t, GeneratorConfig{Seed: 5, Mix: c.mix, BaselineLatency: 0.033})
 			for i := 0; i < 200_000; i++ {
 				if cat := g.sampleCategory(); !c.allowed[cat] {
 					t.Fatalf("draw %d emitted probability-zero category %v", i, cat)

@@ -461,7 +461,7 @@ func TestFinishObs(t *testing.T) {
 	req.FirstTokenTime = 0.3
 	req.DoneTime = 1.0
 	req.Phase = request.Done
-	req.Output = append(req.Output, 1, 2, 3, 4)
+	req.Generated = 4
 
 	spans := obs.NewSpanRecorder()
 	spans.OnEvent(serve.RequestFinished{

@@ -409,7 +409,7 @@ func (c *Cluster) Instances() []*serve.Instance { return c.insts }
 func (c *Cluster) Dispatch(r *request.Request) (*serve.Instance, error) {
 	cands := c.routablePrefill
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("cluster: no active prefill-capable replica")
+		return nil, fmt.Errorf("cluster: no active prefill-capable replica: %w", serve.ErrNoReplica)
 	}
 	idx := c.router.Route(r, cands)
 	if idx < 0 || idx >= len(cands) {

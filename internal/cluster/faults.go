@@ -233,7 +233,7 @@ func (c *Cluster) AdoptOutcome(orig, shadow *request.Request, winner int) {
 	rep := c.replicas[winner]
 	orig.Phase = request.Done
 	orig.PrefillDone = shadow.PrefillDone
-	orig.Output = shadow.Output
+	orig.Generated = shadow.Generated
 	orig.Ctx = shadow.Ctx
 	orig.AdmitTime = shadow.AdmitTime
 	orig.FirstDecodeTime = shadow.FirstDecodeTime

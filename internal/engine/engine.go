@@ -7,6 +7,15 @@
 // they would take; the caller accumulates those into the iteration's end
 // time and commits tokens at that time. This keeps the decision of *when*
 // state becomes visible with the scheduler, as in a real system.
+//
+// Token identity: only the speculative systems (AdaServe, its interleaved
+// variant and vLLM-Spec) read which tokens were generated, through the draft
+// trees SpeculateBeams grows from a request's context and the verifier
+// VerifyTrees* runs over them. The non-speculative baselines (vLLM,
+// Sarathi-Serve, FastServe, VTC) decode through DecodeBatch and Mixed, whose
+// latency depends only on batch shape and whose output length is fixed by
+// the trace, so those passes compute no token at all and their schedulers
+// commit counts. Only the verifier draws from the engine's RNG.
 package engine
 
 import (
@@ -47,8 +56,9 @@ type Engine struct {
 	verifier   *lm.Verifier
 	rng        *mathutil.RNG
 
-	// ord is the reusable index permutation that orders batched requests by
-	// ID for deterministic RNG consumption; ids is its parallel key buffer.
+	// ord is the reusable index permutation that orders a verification
+	// batch by request ID for deterministic RNG consumption; ids is its
+	// parallel key buffer.
 	ord []int
 	ids []int
 	// treePool recycles candidate trees; liveTrees are the ones handed out
@@ -167,22 +177,12 @@ func (e *Engine) Prefill(items []PrefillItem) float64 {
 	return lat
 }
 
-// DecodeResult reports one plain (non-speculative) decode pass.
-type DecodeResult struct {
-	// Tokens[i] is the token generated for reqs[i].
-	Tokens []lm.Token
-	// GPUTime is the modeled pass latency.
-	GPUTime float64
-}
-
 // orderByKeys fills e.ord with a permutation of [0, len(e.ids)) sorted by
 // the request IDs the caller staged in e.ids: the deterministic
-// RNG-consumption order for batched passes, independent of the caller's
-// batch order. This is the single source of truth for that ordering —
-// DecodeBatch, Mixed and VerifyTreesWithPrefill all route through it.
-// Insertion sort: IDs are unique and batches arrive nearly sorted (pool
-// order), so this is linear in practice and free of sort.Slice's
-// reflection allocations.
+// RNG-consumption order of a verification pass, independent of the caller's
+// batch order. Insertion sort: IDs are unique and batches arrive nearly
+// sorted (pool order), so this is linear in practice and free of
+// sort.Slice's reflection allocations.
 func (e *Engine) orderByKeys() []int {
 	e.ord = e.ord[:0]
 	for i := range e.ids {
@@ -197,56 +197,40 @@ func (e *Engine) orderByKeys() []int {
 	return ord
 }
 
-// orderByID is orderByKeys keyed on a request batch.
-func (e *Engine) orderByID(reqs []*request.Request) []int {
-	e.ids = e.ids[:0]
-	for _, r := range reqs {
-		e.ids = append(e.ids, r.ID)
-	}
-	return e.orderByKeys()
-}
-
-// DecodeBatch performs one continuous-batching decode iteration: every
-// request generates exactly one token (sampled from the target, matching
-// the stochastic verification rule's marginal distribution). Tokens are
-// NOT committed; the caller commits at the iteration end time.
-func (e *Engine) DecodeBatch(reqs []*request.Request) *DecodeResult {
+// DecodeBatch performs one continuous-batching decode iteration, in which
+// every request generates exactly one token, and returns the modeled pass
+// latency. The token's identity is never computed: latency depends only on
+// the batch shape and the output length is fixed by MaxNewTokens, so the
+// caller commits a count (request.CommitCount) at the iteration end time.
+func (e *Engine) DecodeBatch(reqs []*request.Request) float64 {
 	if len(reqs) == 0 {
-		return &DecodeResult{}
+		return 0
 	}
-	res := &DecodeResult{Tokens: make([]lm.Token, len(reqs))}
 	kv := 0
-	for _, i := range e.orderByID(reqs) {
-		r := reqs[i]
-		res.Tokens[i] = e.target.Dist(r.Ctx).Sample(e.rng)
+	for _, r := range reqs {
 		kv += r.ContextLen() + 1
 	}
-	res.GPUTime = e.targetCost.ForwardLatency(gpu.BatchShape{
+	lat := e.targetCost.ForwardLatency(gpu.BatchShape{
 		Tokens: len(reqs), Seqs: len(reqs), KVTokens: kv,
 	})
-	e.Stats.VerifyTime += res.GPUTime
+	e.Stats.VerifyTime += lat
 	e.Stats.VerifiedTokens += len(reqs)
 	e.Stats.VerifySteps += len(reqs)
-	return res
+	return lat
 }
 
 // Mixed runs one Sarathi-style co-batched pass: one decode token for each
 // decode request plus prefill chunks for prefilling requests, in a single
 // forward pass (chunked-prefill co-batching). The combined pass shares the
-// weight-load cost, which is the source of Sarathi's efficiency.
-// Decode tokens are NOT committed; prefill progress is applied immediately.
-func (e *Engine) Mixed(decode []*request.Request, prefill []PrefillItem) (*DecodeResult, float64) {
-	res := &DecodeResult{}
-	totalTokens := 0
+// weight-load cost, which is the source of Sarathi's efficiency. It returns
+// the pass latency. Like DecodeBatch it computes no token identity: the
+// caller commits one token per decode request by count at the iteration end
+// time; prefill progress is applied immediately.
+func (e *Engine) Mixed(decode []*request.Request, prefill []PrefillItem) float64 {
+	totalTokens := len(decode)
 	kv := 0
-	if len(decode) > 0 {
-		res.Tokens = make([]lm.Token, len(decode))
-		for _, i := range e.orderByID(decode) {
-			r := decode[i]
-			res.Tokens[i] = e.target.Dist(r.Ctx).Sample(e.rng)
-			kv += r.ContextLen() + 1
-		}
-		totalTokens += len(decode)
+	for _, r := range decode {
+		kv += r.ContextLen() + 1
 	}
 	for _, it := range prefill {
 		prior := it.Req.PrefillDone
@@ -255,7 +239,7 @@ func (e *Engine) Mixed(decode []*request.Request, prefill []PrefillItem) (*Decod
 		kv += c*prior + c*(c+1)/2
 	}
 	if totalTokens == 0 {
-		return res, 0
+		return 0
 	}
 	lat := e.targetCost.ForwardLatency(gpu.BatchShape{
 		Tokens: totalTokens, Seqs: len(decode) + len(prefill), KVTokens: kv,
@@ -266,11 +250,10 @@ func (e *Engine) Mixed(decode []*request.Request, prefill []PrefillItem) (*Decod
 			it.Req.Phase = request.Decoding
 		}
 	}
-	res.GPUTime = lat
 	e.Stats.VerifyTime += lat
 	e.Stats.VerifiedTokens += totalTokens
 	e.Stats.VerifySteps += len(decode)
-	return res, lat
+	return lat
 }
 
 // SpeculateResult reports the speculation phase for a batch.

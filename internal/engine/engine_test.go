@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"adaserve/internal/gpu"
@@ -84,49 +85,124 @@ func TestPrefillLongerPromptsCostMore(t *testing.T) {
 func TestDecodeBatchOneTokenEach(t *testing.T) {
 	e := newEngine(t)
 	reqs := []*request.Request{decodingReq(1, 64, 10), decodingReq(2, 64, 10)}
-	res := e.DecodeBatch(reqs)
-	if len(res.Tokens) != 2 {
-		t.Fatalf("tokens %v", res.Tokens)
-	}
-	if res.GPUTime <= 0 {
+	if lat := e.DecodeBatch(reqs); lat <= 0 {
 		t.Fatal("decode should cost time")
 	}
-	if e.Stats.VerifySteps != 2 {
-		t.Fatalf("verify steps %d", e.Stats.VerifySteps)
+	if e.Stats.VerifySteps != 2 || e.Stats.VerifiedTokens != 2 {
+		t.Fatalf("one token per request expected, stats %+v", e.Stats)
 	}
 }
 
 func TestDecodeBatchOrderIndependence(t *testing.T) {
-	// The same requests in a different slice order must receive the same
-	// tokens (per-request determinism), because the engine samples in ID
-	// order.
-	mk := func(order []int) map[int]lm.Token {
+	// The same requests in a different slice order must cost the same pass
+	// and leave the same stats: nothing a decode pass computes depends on
+	// batch order.
+	mk := func(order []int) (float64, Stats) {
 		e := newEngine(t)
 		reqs := make([]*request.Request, len(order))
 		for i, id := range order {
-			reqs[i] = decodingReq(id, 64, 10)
+			reqs[i] = decodingReq(id, 64*id, 10)
 		}
-		res := e.DecodeBatch(reqs)
-		out := map[int]lm.Token{}
-		for i, r := range reqs {
-			out[r.ID] = res.Tokens[i]
-		}
-		return out
+		return e.DecodeBatch(reqs), e.Stats
 	}
-	a := mk([]int{1, 2, 3})
-	b := mk([]int{3, 1, 2})
-	for id, tok := range a {
-		if b[id] != tok {
-			t.Fatalf("request %d got different tokens under reordering", id)
-		}
+	la, sa := mk([]int{1, 2, 3})
+	lb, sb := mk([]int{3, 1, 2})
+	if la != lb || sa != sb {
+		t.Fatalf("reordered batch differs: %g %+v vs %g %+v", la, sa, lb, sb)
 	}
 }
 
 func TestDecodeBatchEmpty(t *testing.T) {
 	e := newEngine(t)
-	res := e.DecodeBatch(nil)
-	if res.GPUTime != 0 || len(res.Tokens) != 0 {
+	if lat := e.DecodeBatch(nil); lat != 0 || e.Stats != (Stats{}) {
 		t.Fatal("empty batch should be free")
+	}
+}
+
+// countingModel counts Dist calls on the model it wraps.
+type countingModel struct {
+	lm.Model
+	calls int
+}
+
+func (m *countingModel) Dist(ctx lm.Context) lm.Dist {
+	m.calls++
+	return m.Model.Dist(ctx)
+}
+
+// TestPlainDecodeNeverReadsTokens pins the engine's token-identity contract:
+// the non-speculative passes (DecodeBatch, Mixed) never query the target
+// model, and so never draw from the engine RNG — a verification pass returns
+// the same result whether or not plain decode passes ran before it on the
+// same engine.
+func TestPlainDecodeNeverReadsTokens(t *testing.T) {
+	build := func() (*Engine, *countingModel) {
+		target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
+		counted := &countingModel{Model: target}
+		e, err := New(Config{
+			Target: counted, Draft: lm.MustDraftLM("d", target, 0.88, 2),
+			TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
+			DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
+			Seed:       3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, counted
+	}
+	// verify runs a few speculate-verify iterations over a batch and
+	// returns every verification result, copied out of the engine's pools.
+	verify := func(e *Engine) []toktree.VerifyResult {
+		reqs := make([]*request.Request, 6)
+		for i := range reqs {
+			reqs[i] = decodingReq(10+i, 64, 50)
+		}
+		var out []toktree.VerifyResult
+		for step := 0; step < 4; step++ {
+			spec, err := e.SpeculateBeams(reqs, 4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := make([]VerifyItem, len(reqs))
+			for i, tr := range spec.Trees {
+				sel := toktree.NewSelection(tr)
+				for id := 1; id < tr.Size(); id++ {
+					if sel.Has(tr.Nodes[id].Parent) {
+						sel.Add(id)
+					}
+				}
+				items[i] = VerifyItem{Req: reqs[i], Sel: sel}
+			}
+			for i, vr := range e.VerifyTrees(items).Results {
+				cp := *vr
+				cp.Accepted = append([]lm.Token(nil), vr.Accepted...)
+				cp.AcceptedNodeIDs = append([]int(nil), vr.AcceptedNodeIDs...)
+				out = append(out, cp)
+				CommitVerify(reqs[i], vr, float64(step))
+			}
+		}
+		return out
+	}
+
+	fresh, _ := build()
+	want := verify(fresh)
+
+	e, counted := build()
+	for i := 0; i < 5; i++ {
+		dec := []*request.Request{decodingReq(1, 64, 10), decodingReq(2, 80, 10)}
+		pre := request.New(3, request.Chat, 0.05, 0, 96, 10, 5)
+		pre.Phase = request.Prefilling
+		e.DecodeBatch(dec)
+		e.Mixed(dec, []PrefillItem{{Req: pre, Chunk: 32}})
+	}
+	if counted.calls != 0 {
+		t.Fatalf("plain decode passes made %d target Dist calls, want 0", counted.calls)
+	}
+	got := verify(e)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("verification %d after plain decode passes %+v, on a fresh engine %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -255,16 +331,16 @@ func TestMixedPass(t *testing.T) {
 	pre := request.New(2, request.Summarization, 0.15, 0, 300, 20, 9)
 	pre.Phase = request.Prefilling
 
-	res, lat := e.Mixed(dec, []PrefillItem{{Req: pre, Chunk: 100}})
-	if lat <= 0 || len(res.Tokens) != 1 {
-		t.Fatalf("mixed pass lat=%g tokens=%v", lat, res.Tokens)
+	lat := e.Mixed(dec, []PrefillItem{{Req: pre, Chunk: 100}})
+	if lat <= 0 || e.Stats.VerifySteps != 1 || e.Stats.VerifiedTokens != 101 {
+		t.Fatalf("mixed pass lat=%g stats %+v, want one decode token plus the chunk", lat, e.Stats)
 	}
 	if pre.PrefillDone != 100 {
 		t.Fatal("mixed pass did not advance prefill")
 	}
 	// Empty mixed pass is free.
-	res2, lat2 := e.Mixed(nil, nil)
-	if lat2 != 0 || len(res2.Tokens) != 0 {
+	before := e.Stats
+	if lat2 := e.Mixed(nil, nil); lat2 != 0 || e.Stats != before {
 		t.Fatal("empty mixed pass should be free")
 	}
 }
@@ -286,9 +362,11 @@ func TestEngineDeterminism(t *testing.T) {
 				}
 			}
 			ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}})
+			before := r.OutputLen()
 			CommitVerify(r, ver.Results[0], 0)
+			committed := append(append([]lm.Token(nil), ver.Results[0].Accepted...), ver.Results[0].Correction)
+			out = append(out, committed[:r.OutputLen()-before]...)
 		}
-		out = append(out, r.Output...)
 		return out
 	}
 	a, b := run(), run()

@@ -4,8 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"adaserve/internal/cluster"
 	"adaserve/internal/faults"
+	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
+	"adaserve/internal/serve"
+	"adaserve/internal/workload"
 )
 
 // faultOpts is the chaos grid's fixed-seed configuration: long enough that
@@ -166,5 +170,48 @@ func TestFaultsWithSpec(t *testing.T) {
 		if p.Sum.Faults == nil || p.Sum.Faults.Crashes != 1 {
 			t.Fatalf("recovery %s did not replay the custom crash: %+v", p.Recovery, p.Sum.Faults)
 		}
+	}
+}
+
+// TestWholeFleetOutageHoldsArrivals pins the whole-fleet outage of
+// `adaserve-sim -duration 120 -replicas 2 -faults hazard@0.1+10`, which once
+// aborted with "cluster: no active prefill-capable replica": an arrival while
+// every replica is down is held and dispatched when the first replica is
+// repaired, and every offered request is accounted exactly once — offered =
+// finished + rejected + dropped.
+func TestWholeFleetOutageHoldsArrivals(t *testing.T) {
+	setup := Llama70B()
+	gen, err := NewGenerator(setup, workload.DefaultMix, 1, mathutil.Hash2(1, 0x51e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := faults.ParseSpec("hazard@0.1+10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{
+		Kind: SysAdaServe, Setup: setup, Seed: 1, Duration: 120, Router: "slo-aware",
+		Roles:    make([]cluster.Role, 2),
+		Requests: gen.FromTimestamps(workload.RealTrace(mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), 2*3.8, 120)),
+	}
+	spec.Controls.Faults, spec.Controls.Recovery = fs, faults.RecoveryRetry
+	held := 0
+	spec.Observers = append(spec.Observers, serve.ObserverFunc(func(ev serve.Event) {
+		if a, ok := ev.(serve.RequestAdmitted); ok && a.Time > a.Req.ArrivalTime {
+			held++
+		}
+	}))
+	out, err := spec.Run()
+	if err != nil {
+		t.Fatalf("whole-fleet outage aborted the run: %v", err)
+	}
+	if held == 0 {
+		t.Fatal("no arrival was held: the schedule no longer takes the whole fleet down")
+	}
+	agg := out.Summary.Aggregate
+	offered, dropped := len(spec.Requests), out.Summary.Faults.Dropped
+	if agg.Requests != offered || offered != agg.Finished+dropped {
+		t.Fatalf("offered %d (summarized %d) != finished %d + dropped %d",
+			offered, agg.Requests, agg.Finished, dropped)
 	}
 }

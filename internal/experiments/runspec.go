@@ -253,6 +253,7 @@ func (a *Armed) Run() (*Outcome, error) {
 		}
 		if a.inj != nil {
 			sum := a.inj.Summary(rr.EndTime)
+			sum.Dropped += rr.Unplaced
 			out.Summary.Faults = &sum
 		}
 	} else {

@@ -55,10 +55,18 @@ type seq struct {
 
 // Allocator manages the block pool. It is not safe for concurrent use; the
 // simulator is single-threaded per serving instance.
+//
+// Free blocks are held implicitly: IDs at or above the watermark fresh have
+// never been allocated, and returned holds every block given back since, as
+// a stack. A block is taken from returned first (LIFO reuse) and otherwise
+// from the watermark, so IDs come out in ascending order until blocks start
+// coming back — the order an explicit free list of every ID would give,
+// without building one per replica.
 type Allocator struct {
-	cfg  Config
-	free []int
-	seqs map[int]*seq
+	cfg      Config
+	fresh    int
+	returned []int
+	seqs     map[int]*seq
 
 	// prefix is nil unless EnablePrefix was called; every shared-prefix path
 	// gates on it so the disabled allocator behaves exactly as before.
@@ -75,12 +83,7 @@ func New(cfg Config) (*Allocator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Allocator{cfg: cfg, seqs: make(map[int]*seq)}
-	a.free = make([]int, cfg.NumBlocks)
-	for i := range a.free {
-		a.free[i] = cfg.NumBlocks - 1 - i // pop from the end → ascending IDs
-	}
-	return a, nil
+	return &Allocator{cfg: cfg, seqs: make(map[int]*seq)}, nil
 }
 
 // MustNew panics on config error.
@@ -128,13 +131,13 @@ func (a *Allocator) Free(seqID int) error {
 		return fmt.Errorf("kvcache: sequence %d not allocated", seqID)
 	}
 	if len(s.hashes) == 0 {
-		a.free = append(a.free, s.blocks...)
+		a.returned = append(a.returned, s.blocks...)
 	} else {
 		for i, b := range s.blocks {
 			if i < len(s.hashes) && s.hashes[i] != 0 {
 				a.release(s.hashes[i])
 			} else {
-				a.free = append(a.free, b)
+				a.returned = append(a.returned, b)
 			}
 		}
 	}
@@ -148,13 +151,23 @@ func (a *Allocator) Has(seqID int) bool {
 	return ok
 }
 
-// UsedBlocks returns the number of allocated blocks.
-func (a *Allocator) UsedBlocks() int { return a.cfg.NumBlocks - len(a.free) }
+// UsedBlocks returns the number of allocated blocks: every block below the
+// watermark that is not waiting on the returned stack.
+func (a *Allocator) UsedBlocks() int { return a.fresh - len(a.returned) }
 
-func (a *Allocator) pop() int {
-	b := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	return b
+// popFree takes one free block, or reports false when none is left: the
+// newest returned block first, then the lowest never-allocated ID.
+func (a *Allocator) popFree() (int, bool) {
+	if n := len(a.returned); n > 0 {
+		b := a.returned[n-1]
+		a.returned = a.returned[:n-1]
+		return b, true
+	}
+	if a.fresh < a.cfg.NumBlocks {
+		a.fresh++
+		return a.fresh - 1, true
+	}
+	return 0, false
 }
 
 func (a *Allocator) updatePeak() {

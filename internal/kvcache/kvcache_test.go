@@ -43,8 +43,8 @@ func TestAllocateAndFree(t *testing.T) {
 	if err := a.Allocate(1, 40); err != nil { // 3 blocks
 		t.Fatal(err)
 	}
-	if a.UsedBlocks() != 3 || len(a.free) != 5 {
-		t.Fatalf("used=%d free=%d", a.UsedBlocks(), len(a.free))
+	if a.UsedBlocks() != 3 || a.availableBlocks() != 5 {
+		t.Fatalf("used=%d available=%d", a.UsedBlocks(), a.availableBlocks())
 	}
 	if a.seqs[1].tokens != 40 {
 		t.Fatalf("seq tokens %d", a.seqs[1].tokens)
@@ -52,7 +52,7 @@ func TestAllocateAndFree(t *testing.T) {
 	if err := a.Free(1); err != nil {
 		t.Fatal(err)
 	}
-	if a.UsedBlocks() != 0 || len(a.seqs) != 0 {
+	if a.UsedBlocks() != 0 || a.availableBlocks() != 8 || len(a.seqs) != 0 {
 		t.Fatal("free did not release blocks")
 	}
 }
@@ -109,8 +109,8 @@ func TestPeakTracking(t *testing.T) {
 }
 
 // TestAllocatorInvariantProperty drives random allocations and frees and
-// checks the conservation invariant: used + free == total, no block owned
-// twice.
+// checks the conservation invariant: used + available == total, no block
+// owned twice, and the full CheckInvariants accounting.
 func TestAllocatorInvariantProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := mathutil.NewRNG(seed)
@@ -133,7 +133,7 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 					break
 				}
 			}
-			if a.UsedBlocks()+len(a.free) != 32 {
+			if a.UsedBlocks()+a.availableBlocks() != 32 || a.CheckInvariants() != nil {
 				return false
 			}
 			owned := map[int]bool{}

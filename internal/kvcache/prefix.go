@@ -226,22 +226,22 @@ func (a *Allocator) PrefixStats() PrefixStats {
 	return a.prefix.stats
 }
 
-// availableBlocks is the allocation headroom: free-list blocks plus cold
-// shared blocks that can be reclaimed on demand.
+// availableBlocks is the allocation headroom: free blocks (returned or never
+// allocated) plus cold shared blocks that can be reclaimed on demand.
 func (a *Allocator) availableBlocks() int {
-	n := len(a.free)
+	n := len(a.returned) + a.cfg.NumBlocks - a.fresh
 	if a.prefix != nil {
 		n += a.prefix.cold.n
 	}
 	return n
 }
 
-// popAvailable takes one GPU block: from the free list, or by reclaiming the
+// popAvailable takes one GPU block: a free one, or by reclaiming the
 // least-recently-used cold shared block (demoting it to the host tier when
 // one is configured, dropping it otherwise).
 func (a *Allocator) popAvailable() (int, bool) {
-	if len(a.free) > 0 {
-		return a.pop(), true
+	if id, ok := a.popFree(); ok {
+		return id, true
 	}
 	p := a.prefix
 	if p == nil || p.cold.n == 0 {
@@ -277,7 +277,7 @@ func (a *Allocator) acquire(e *shared) {
 // release drops one reference on a registry-backed block. The last release
 // of a computed block parks it on the cold LRU (still matchable, reclaimed
 // only under pressure); a block whose prefill never completed is worthless
-// as a cache entry and returns straight to the free list.
+// as a cache entry and returns straight to the free blocks.
 func (a *Allocator) release(h uint64) {
 	p := a.prefix
 	e := p.table[h]
@@ -290,7 +290,7 @@ func (a *Allocator) release(h uint64) {
 	}
 	if !e.computed {
 		delete(p.table, h)
-		a.free = append(a.free, e.id)
+		a.returned = append(a.returned, e.id)
 		return
 	}
 	p.cold.pushBack(e)
@@ -313,7 +313,7 @@ func (a *Allocator) MatchPrefixTokens(prompt Prompt, limit int) int {
 // Allocate, but first matches the prompt's token seeds against the prefix
 // cache: the longest computed cached prefix (capped at matchLimit tokens,
 // rounded down to full blocks) is taken by reference instead of from the
-// free list, and the sequence's own remaining full prompt blocks are
+// free blocks, and the sequence's own remaining full prompt blocks are
 // registered as shareable for later arrivals. Capacity is only needed for
 // the unmatched remainder (plus one GPU slot per host-resident match), which
 // is how prefix reuse stretches KV capacity. Both the match and the
@@ -357,7 +357,7 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 		}
 	}
 	need := totalBlocks - len(matched) + hostMatched
-	if avail := len(a.free) + p.cold.n - coldMatched; need > avail {
+	if avail := a.availableBlocks() - coldMatched; need > avail {
 		a.Failures++
 		return PrefixHit{}, fmt.Errorf("kvcache: need %d blocks, %d free", need, avail)
 	}
@@ -466,17 +466,26 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 }
 
 // CheckInvariants verifies the allocator's full accounting: every block is
-// exactly one of free, privately owned by one sequence, or registry-backed
-// with a reference count equal to the sequences actually holding it; cold and
-// host LRU lists agree with entry states; and the host tier respects its
-// bound. Tests call it after every mutation step; it is read-only and
-// order-independent. Kept for the invariant auditor on the roadmap, which
-// will call it after every iteration.
+// exactly one of free (at or above the never-allocated watermark, or on the
+// returned stack below it), privately owned by one sequence, or
+// registry-backed with a reference count equal to the sequences actually
+// holding it; cold and host LRU lists agree with entry states; and the host
+// tier respects its bound. Tests call it after every mutation step; it is
+// read-only and order-independent. Kept for the invariant auditor on the
+// roadmap, which will call it after every iteration.
 func (a *Allocator) CheckInvariants() error {
-	claim := make(map[int]string, a.cfg.NumBlocks)
+	if a.fresh < 0 || a.fresh > a.cfg.NumBlocks {
+		return fmt.Errorf("kvcache: watermark %d outside [0, %d]", a.fresh, a.cfg.NumBlocks)
+	}
+	// Blocks at or above the watermark are free by construction; every other
+	// block must be claimed exactly once.
+	claim := make(map[int]string, a.fresh)
 	take := func(id int, who string) error {
 		if id < 0 || id >= a.cfg.NumBlocks {
 			return fmt.Errorf("kvcache: block %d out of range (%s)", id, who)
+		}
+		if id >= a.fresh {
+			return fmt.Errorf("kvcache: block %d at or above the watermark %d claimed by %s", id, a.fresh, who)
 		}
 		if prev, ok := claim[id]; ok {
 			return fmt.Errorf("kvcache: block %d claimed by both %s and %s", id, prev, who)
@@ -484,8 +493,8 @@ func (a *Allocator) CheckInvariants() error {
 		claim[id] = who
 		return nil
 	}
-	for _, id := range a.free {
-		if err := take(id, "free list"); err != nil {
+	for _, id := range a.returned {
+		if err := take(id, "returned stack"); err != nil {
 			return err
 		}
 	}
@@ -569,8 +578,8 @@ func (a *Allocator) CheckInvariants() error {
 		}
 	}
 
-	if len(claim) != a.cfg.NumBlocks {
-		return fmt.Errorf("kvcache: %d of %d blocks accounted for", len(claim), a.cfg.NumBlocks)
+	if len(claim) != a.fresh {
+		return fmt.Errorf("kvcache: %d of the %d blocks below the watermark accounted for", len(claim), a.fresh)
 	}
 	return nil
 }

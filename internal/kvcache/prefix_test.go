@@ -345,8 +345,8 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 	}
 	check(t, a)
 
-	// Two more cold single-block entries and a private holder so the free
-	// list is empty: the doc1 reload below must evict cold blocks, and each
+	// Two more cold single-block entries and a private holder so no free
+	// block is left: the doc1 reload below must evict cold blocks, and each
 	// eviction demotes into the already-full host tier.
 	for doc := uint64(2); doc <= 3; doc++ {
 		id := int(doc)
@@ -361,8 +361,8 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 	if err := a.Allocate(91, 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.free) != 0 || a.prefix.cold.n != 2 {
-		t.Fatalf("free %d cold %d, want 0/2", len(a.free), a.prefix.cold.n)
+	if a.availableBlocks() != 2 || a.prefix.cold.n != 2 {
+		t.Fatalf("available %d cold %d, want 2/2 (no free block)", a.availableBlocks(), a.prefix.cold.n)
 	}
 	check(t, a)
 

@@ -201,6 +201,14 @@ func (c Context) Extend(tok Token) Context {
 	return c
 }
 
+// Last returns the newest history token; ok is false for an empty history.
+func (c Context) Last() (tok Token, ok bool) {
+	if c.n == 0 {
+		return 0, false
+	}
+	return c.win[c.n-1], true
+}
+
 // hash folds the request seed and trailing window into one 64-bit value.
 func (c Context) hash(salt uint64) uint64 {
 	h := mathutil.Hash2(c.ReqSeed, salt)

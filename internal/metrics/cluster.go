@@ -133,8 +133,10 @@ type FaultSummary struct {
 	// Repairs counts crashes whose replica returned.
 	Crashes, Stragglers, LinkWindows, Repairs int
 	// LostRequests counts requests frozen on crashed replicas (harvested at
-	// detection); Retried of them were re-dispatched, and Dropped exhausted
-	// their retry budget.
+	// detection); Retried of them were re-dispatched. Dropped counts requests
+	// never served to completion for want of a replica: lost ones that
+	// exhausted their retry budget, plus arrivals held through a whole-fleet
+	// outage that outlasted the run.
 	LostRequests, Retried, Dropped int
 	// Hedged counts duplicate dispatches for TTFT-at-risk requests on
 	// suspect replicas; DuplicateCancelled counts resolved races (the losing

@@ -121,7 +121,7 @@ func TestCloneResetsLifecycle(t *testing.T) {
 			cp.ArrivalTime != 1.5 || cp.PromptLen != 16 || cp.MaxNewTokens != 8 || cp.Seed != 99 {
 			t.Fatalf("trace fields not copied: %+v", cp)
 		}
-		if cp.Phase != Queued || cp.PrefillDone != 0 || len(cp.Output) != 0 ||
+		if cp.Phase != Queued || cp.PrefillDone != 0 || cp.OutputLen() != 0 ||
 			cp.AdmitTime != -1 || cp.FirstTokenTime != -1 || cp.DoneTime != -1 ||
 			cp.Ctx != (lm.Context{ReqSeed: 99}) {
 			t.Fatalf("lifecycle not reset: %+v", cp)
@@ -175,7 +175,7 @@ func TestResetForRetry(t *testing.T) {
 	r.ReloadStall = 0.1
 
 	r.ResetForRetry()
-	if r.Phase != Queued || r.PrefillDone != 0 || r.Output != nil || r.Ctx != (lm.Context{ReqSeed: 21}) ||
+	if r.Phase != Queued || r.PrefillDone != 0 || r.OutputLen() != 0 || r.Ctx != (lm.Context{ReqSeed: 21}) ||
 		r.AdmitTime != -1 || r.FirstDecodeTime != -1 || r.FirstTokenTime != -1 || r.DoneTime != -1 ||
 		r.VerifySteps != 0 || r.AcceptedTokens != 0 || r.Recompute || r.ReloadStall != 0 {
 		t.Fatalf("computed state survived the reset: %+v", r)

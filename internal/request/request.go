@@ -118,9 +118,12 @@ type Request struct {
 	Phase Phase
 	// PrefillDone counts prompt tokens already processed (chunked prefill).
 	PrefillDone int
-	// Output holds the committed output tokens.
-	Output []lm.Token
-	// Ctx is the decoding context (history of committed tokens).
+	// Generated counts the committed output tokens (o_i).
+	Generated int
+	// Ctx is the decoding context: the window of committed tokens that
+	// conditions speculation and verification. Only speculative systems read
+	// token identity, so only their commits (Commit, Commit1) extend it;
+	// CommitCount advances Generated alone.
 	Ctx lm.Context
 
 	// AdmitTime is when the request was first scheduled (prefill start).
@@ -267,7 +270,7 @@ func (r *Request) Degrade(bestEffort float64) {
 func (r *Request) ResetForRetry() {
 	r.Phase = Queued
 	r.PrefillDone = 0
-	r.Output = nil
+	r.Generated = 0
 	r.Ctx = lm.Context{ReqSeed: r.Seed}
 	r.AdmitTime = -1
 	r.FirstDecodeTime = -1
@@ -304,13 +307,14 @@ func (r *Request) Validate() error {
 }
 
 // OutputLen returns the number of committed output tokens (o_i).
-func (r *Request) OutputLen() int { return len(r.Output) }
+func (r *Request) OutputLen() int { return r.Generated }
 
 // LastToken returns the most recent committed token, or a deterministic
-// pseudo prompt-final token if none has been generated yet.
+// pseudo prompt-final token if none has been generated yet. Ctx starts empty
+// and only token commits extend it, so its newest entry is the newest token.
 func (r *Request) LastToken() lm.Token {
-	if n := len(r.Output); n > 0 {
-		return r.Output[n-1]
+	if t, ok := r.Ctx.Last(); ok {
+		return t
 	}
 	return lm.Token(r.Seed % 256)
 }
@@ -322,10 +326,10 @@ func (r *Request) LastToken() lm.Token {
 func (r *Request) Commit(tokens []lm.Token, now float64) int {
 	kept := 0
 	for _, t := range tokens {
-		if len(r.Output) >= r.MaxNewTokens {
+		if r.Generated >= r.MaxNewTokens {
 			break
 		}
-		r.Output = append(r.Output, t)
+		r.Generated++
 		r.Ctx = r.Ctx.Extend(t)
 		kept++
 	}
@@ -337,8 +341,8 @@ func (r *Request) Commit(tokens []lm.Token, now float64) int {
 // to build a slice.
 func (r *Request) Commit1(tok lm.Token, now float64) int {
 	kept := 0
-	if len(r.Output) < r.MaxNewTokens {
-		r.Output = append(r.Output, tok)
+	if r.Generated < r.MaxNewTokens {
+		r.Generated++
 		r.Ctx = r.Ctx.Extend(tok)
 		kept = 1
 	}
@@ -346,13 +350,23 @@ func (r *Request) Commit1(tok lm.Token, now float64) int {
 	return kept
 }
 
-// finishCommit applies the bookkeeping shared by Commit and Commit1.
+// CommitCount commits n tokens whose identity nothing reads: the
+// non-speculative systems' commit, which advances the output count (clipped
+// at MaxNewTokens) with the same bookkeeping as Commit but leaves Ctx alone.
+func (r *Request) CommitCount(n int, now float64) int {
+	kept := min(n, r.MaxNewTokens-r.Generated)
+	r.Generated += kept
+	r.finishCommit(kept, now)
+	return kept
+}
+
+// finishCommit applies the bookkeeping shared by the commit methods.
 func (r *Request) finishCommit(kept int, now float64) {
 	if kept > 0 && r.FirstTokenTime < 0 {
 		r.FirstTokenTime = now
 	}
 	r.AcceptedTokens += kept
-	if len(r.Output) >= r.MaxNewTokens {
+	if r.Generated >= r.MaxNewTokens {
 		r.Phase = Done
 		r.DoneTime = now
 	}
@@ -427,7 +441,7 @@ func (r *Request) AttainedTTFT() bool {
 
 // ContextLen returns the KV length if all prompt and output tokens are
 // cached: prompt + generated.
-func (r *Request) ContextLen() int { return r.PromptLen + len(r.Output) }
+func (r *Request) ContextLen() int { return r.PromptLen + r.Generated }
 
 // RemainingPrefill returns prompt tokens not yet prefilled.
 func (r *Request) RemainingPrefill() int { return r.PromptLen - r.PrefillDone }

@@ -123,6 +123,29 @@ func TestCommit1MatchesCommit(t *testing.T) {
 	}
 }
 
+// TestCommitCountMatchesCommit pins the non-speculative commit: the same
+// bookkeeping as a token commit — count, clipping, first-token and
+// completion stamps — but the decoding context stays untouched.
+func TestCommitCountMatchesCommit(t *testing.T) {
+	a := New(1, Chat, 0.05, 0, 16, 3, 7)
+	b := New(1, Chat, 0.05, 0, 16, 3, 7)
+	ka := a.Commit([]lm.Token{5}, 1)
+	kb := b.CommitCount(1, 1)
+	ka += a.Commit([]lm.Token{6, 8, 9}, 2) // clips at MaxNewTokens
+	kb += b.CommitCount(3, 2)
+	if ka != 3 || kb != 3 || a.Phase != b.Phase || a.DoneTime != b.DoneTime ||
+		a.FirstTokenTime != b.FirstTokenTime || a.AcceptedTokens != b.AcceptedTokens ||
+		a.OutputLen() != b.OutputLen() || a.ContextLen() != b.ContextLen() {
+		t.Fatalf("CommitCount state diverged from Commit: %+v vs %+v", a, b)
+	}
+	if b.Ctx != (lm.Context{ReqSeed: 7}) || b.LastToken() != lm.Token(7) {
+		t.Fatalf("CommitCount extended the context: %+v", b.Ctx)
+	}
+	if b.CommitCount(1, 3) != 0 || b.OutputLen() != 3 || b.AcceptedTokens != 3 {
+		t.Fatal("commit past completion kept tokens")
+	}
+}
+
 func TestLastTokenBeforeOutput(t *testing.T) {
 	r := New(1, Chat, 0.05, 0, 16, 10, 300)
 	if got := r.LastToken(); got != lm.Token(300%256) {
@@ -144,7 +167,7 @@ func TestDecodeLatency(t *testing.T) {
 func TestMinAcceptForSLO(t *testing.T) {
 	r := newReq(t) // SLO 40ms
 	r.FirstDecodeTime = 0
-	r.Output = make([]lm.Token, 4) // o_i = 4
+	r.Generated = 4 // o_i = 4
 
 	// At now=0.2s with tspec=0.04: A = (0.2+0.04)/0.04 - 4 = 2.
 	got := r.MinAcceptForSLO(0.2, 0.04)
@@ -152,7 +175,7 @@ func TestMinAcceptForSLO(t *testing.T) {
 		t.Fatalf("A(r) = %g, want 2", got)
 	}
 	// Ahead of schedule: negative A.
-	r.Output = make([]lm.Token, 10)
+	r.Generated = 10
 	if r.MinAcceptForSLO(0.2, 0.04) >= 0 {
 		t.Fatal("ahead-of-SLO request should have negative A")
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adaserve/internal/lm"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/request"
 	"adaserve/internal/workload"
@@ -93,15 +94,18 @@ func baselineBuilders() map[string]func(Config) (System, error) {
 
 // TestBaselineDeterminismAtFixedSeed replays the identical trace through two
 // independently built instances of each baseline and requires bit-identical
-// request outcomes: same token streams, same completion times.
+// request outcomes: same first-token and completion times, same verification
+// steps, committed tokens and preemptions, and — for the speculative
+// baseline, the one that reads token identity — the same decoding context.
 func TestBaselineDeterminismAtFixedSeed(t *testing.T) {
 	for name, build := range baselineBuilders() {
 		t.Run(name, func(t *testing.T) {
 			trace := mixedSLOTrace(t, 20, 8, 7)
 			type outcome struct {
-				tokens   []int32
-				doneTime float64
-				preempts int
+				firstToken, done          float64
+				steps, accepted, preempts int
+				output                    int
+				ctx                       lm.Context
 			}
 			run := func() []outcome {
 				sys, err := build(testConfig(t))
@@ -112,11 +116,11 @@ func TestBaselineDeterminismAtFixedSeed(t *testing.T) {
 				replay(t, sys, reqs, 20000, nil)
 				out := make([]outcome, len(reqs))
 				for i, r := range reqs {
-					toks := make([]int32, len(r.Output))
-					for j, tok := range r.Output {
-						toks[j] = int32(tok)
+					out[i] = outcome{
+						firstToken: r.FirstTokenTime, done: r.DoneTime,
+						steps: r.VerifySteps, accepted: r.AcceptedTokens, preempts: r.PreemptCount,
+						output: r.OutputLen(), ctx: r.Ctx,
 					}
-					out[i] = outcome{tokens: toks, doneTime: r.DoneTime, preempts: r.PreemptCount}
 				}
 				return out
 			}

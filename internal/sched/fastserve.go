@@ -109,15 +109,15 @@ func (f *FastServe) Iterate(now float64) IterationStats {
 		}
 	}
 	markFirstDecode(run, now)
-	res := f.cfg.Engine.DecodeBatch(run)
+	gpuTime := f.cfg.Engine.DecodeBatch(run)
 	st := IterationStats{
-		Elapsed:    res.GPUTime + f.cfg.SchedOverhead,
+		Elapsed:    gpuTime + f.cfg.SchedOverhead,
 		SchedCPU:   f.cfg.SchedOverhead,
-		VerifyTime: res.GPUTime,
+		VerifyTime: gpuTime,
 	}
 	end := now + st.Elapsed
-	for i, r := range run {
-		st.TokensCommitted += r.Commit(res.Tokens[i:i+1], end)
+	for _, r := range run {
+		st.TokensCommitted += r.CommitCount(1, end)
 		r.VerifySteps++
 		f.lastServed[r.ID] = end
 		if r.Phase == request.Done {

@@ -67,15 +67,15 @@ func (v *VLLM) Iterate(now float64) IterationStats {
 		decode = v.trimByPriority(decode)
 	}
 	markFirstDecode(decode, now)
-	res := v.cfg.Engine.DecodeBatch(decode)
+	gpuTime := v.cfg.Engine.DecodeBatch(decode)
 	st := IterationStats{
-		Elapsed:    res.GPUTime + v.cfg.SchedOverhead,
+		Elapsed:    gpuTime + v.cfg.SchedOverhead,
 		SchedCPU:   v.cfg.SchedOverhead,
-		VerifyTime: res.GPUTime,
+		VerifyTime: gpuTime,
 	}
 	end := now + st.Elapsed
-	for i, r := range decode {
-		st.TokensCommitted += r.Commit(res.Tokens[i:i+1], end)
+	for _, r := range decode {
+		st.TokensCommitted += r.CommitCount(1, end)
 		r.VerifySteps++
 	}
 	return st

@@ -60,15 +60,15 @@ func (v *VTC) Iterate(now float64) IterationStats {
 		return IterationStats{Idle: true}
 	}
 	markFirstDecode(decode, now)
-	res := v.cfg.Engine.DecodeBatch(decode)
+	gpuTime := v.cfg.Engine.DecodeBatch(decode)
 	st := IterationStats{
-		Elapsed:    res.GPUTime + v.cfg.SchedOverhead,
+		Elapsed:    gpuTime + v.cfg.SchedOverhead,
 		SchedCPU:   v.cfg.SchedOverhead,
-		VerifyTime: res.GPUTime,
+		VerifyTime: gpuTime,
 	}
 	end := now + st.Elapsed
-	for i, r := range decode {
-		kept := r.Commit(res.Tokens[i:i+1], end)
+	for _, r := range decode {
+		kept := r.CommitCount(1, end)
 		st.TokensCommitted += kept
 		v.counters[r.Category] += float64(kept)
 		r.VerifySteps++

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"sort"
 
 	"adaserve/internal/metrics"
@@ -90,13 +91,21 @@ type Backend interface {
 	Instances() []*Instance
 	// Dispatch routes a newly arrived request: enqueue it into the chosen
 	// instance's pool — bumping an idle instance's clock to the arrival
-	// instant — and return that instance.
+	// instant — and return that instance. It returns ErrNoReplica, leaving
+	// the request untouched, when no instance can take arrivals right now.
 	Dispatch(r *request.Request) (*Instance, error)
 	// AfterIterate runs backend work after in executed one iteration (e.g.
 	// harvesting prefill-complete requests off a prefill replica), scheduling
 	// any deferred deliveries on q.
 	AfterIterate(in *Instance, q *Queue) error
 }
+
+// ErrNoReplica reports that a backend has no instance able to take an
+// arrival at the moment: every replica that could serve it has failed or
+// stopped. The driver holds such arrivals, in order, and dispatches them as
+// soon as the backend accepts again (a repaired or started replica); any
+// still held when the run ends are counted in Result.Unplaced.
+var ErrNoReplica = errors.New("no routable replica")
 
 // single is the trivial backend: one instance, every arrival lands on it.
 type single struct {

@@ -96,3 +96,84 @@ func TestFaultInjectorTickAndEvents(t *testing.T) {
 		}
 	}
 }
+
+// gatedBackend refuses every arrival with ErrNoReplica until open: a fleet
+// that is wholly down.
+type gatedBackend struct {
+	serve.Backend
+	open bool
+}
+
+func (g *gatedBackend) Dispatch(r *request.Request) (*serve.Instance, error) {
+	if !g.open {
+		return nil, serve.ErrNoReplica
+	}
+	return g.Backend.Dispatch(r)
+}
+
+// repairAt is a fault injector whose only action is a delivery that opens
+// the gate at the given instant (never, when negative).
+type repairAt struct {
+	g     *gatedBackend
+	at    float64
+	armed bool
+}
+
+func (*repairAt) OnEvent(serve.Event) {}
+
+func (f *repairAt) Tick(_ float64, q *serve.Queue) []serve.FaultAction {
+	if !f.armed && f.at >= 0 {
+		f.armed = true
+		q.Schedule(f.at, 0, func() { f.g.open = true })
+	}
+	return nil
+}
+
+// TestOutageHoldsArrivals pins the driver's answer to a whole-fleet outage:
+// arrivals the backend cannot place are held in arrival order and admitted
+// at the delivery that ends the outage, then served; an outage that never
+// ends leaves them unplaced and counted, instead of aborting the run.
+func TestOutageHoldsArrivals(t *testing.T) {
+	run := func(repair float64) (*serve.Result, []serve.RequestAdmitted, []*request.Request) {
+		g := &gatedBackend{Backend: serve.SingleSystem(testSystem(t, 1))}
+		srv, err := serve.NewServer(g, serve.Options{Faults: &repairAt{g: g, at: repair}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var admitted []serve.RequestAdmitted
+		srv.Subscribe(serve.ObserverFunc(func(ev serve.Event) {
+			if a, ok := ev.(serve.RequestAdmitted); ok {
+				admitted = append(admitted, a)
+			}
+		}))
+		reqs := mkReqs(10, 0.05)
+		src, err := serve.NewTraceSource(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Run(src)
+		if err != nil {
+			t.Fatalf("outage aborted the run: %v", err)
+		}
+		return res, admitted, reqs
+	}
+
+	res, admitted, reqs := run(0.3)
+	if res.Unplaced != 0 || len(admitted) != len(reqs) {
+		t.Fatalf("unplaced %d, admitted %d of %d", res.Unplaced, len(admitted), len(reqs))
+	}
+	for i, a := range admitted {
+		want := max(a.Req.ArrivalTime, 0.3)
+		if a.Req.ID != i || a.Time != want {
+			t.Fatalf("admission %d: request %d at %g, want request %d at %g", i, a.Req.ID, a.Time, i, want)
+		}
+		if a.Req.Phase != request.Done || a.Req.FirstTokenTime < 0.3 {
+			t.Fatalf("request %d not served after the repair: phase %s first token %g", i, a.Req.Phase, a.Req.FirstTokenTime)
+		}
+	}
+
+	res, admitted, _ = run(-1)
+	if res.Unplaced != 10 || len(admitted) != 0 {
+		t.Fatalf("permanent outage: unplaced %d, admitted %d, want 10/0", res.Unplaced, len(admitted))
+	}
+}

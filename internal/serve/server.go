@@ -17,6 +17,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
 	"adaserve/internal/metrics"
@@ -111,6 +112,10 @@ type Result struct {
 	Breakdown metrics.Breakdown
 	// Events is the number of events delivered to observers.
 	Events int
+	// Unplaced counts arrivals the backend could never place: held through
+	// a whole-fleet outage (see ErrNoReplica) that outlasted the run. They
+	// were never dispatched, so no instance served them.
+	Unplaced int
 }
 
 // reqTrack is the driver's per-request event-derivation state, kept only
@@ -130,6 +135,10 @@ type Server struct {
 	observers []Observer
 	queue     Queue
 	ran       bool
+	// held queues arrivals, in arrival order, until the backend places them:
+	// at once normally, after a whole-fleet outage ends (ErrNoReplica)
+	// otherwise.
+	held []*request.Request
 
 	// Event-derivation state (allocated only when observers exist; the
 	// observer-free hot path skips all of it).
@@ -255,6 +264,10 @@ func (s *Server) Run(src Source) (*Result, error) {
 						Depart: d.mig.Depart, Bytes: d.mig.Bytes,
 					})
 				}
+				// A delivery (a repair, a started replica) may end an outage.
+				if err := s.dispatchHeld(d.ready); err != nil {
+					return nil, err
+				}
 				continue
 			}
 			r := src.Pop()
@@ -268,11 +281,11 @@ func (s *Server) Run(src Source) (*Result, error) {
 					s.noteDegraded(r, reason)
 				}
 			}
-			in, err := s.backend.Dispatch(r)
-			if err != nil {
+			// An arrival queues behind any still held by an outage.
+			s.held = append(s.held, r)
+			if err := s.dispatchHeld(r.ArrivalTime); err != nil {
 				return nil, err
 			}
-			s.noteAdmitted(r, in)
 			continue
 		}
 		if busy == nil {
@@ -367,7 +380,30 @@ func (s *Server) Run(src Source) (*Result, error) {
 		s.emitSnapshot(s.now, true)
 	}
 	res.Events = s.events
+	res.Unplaced = len(s.held)
 	return res, nil
+}
+
+// dispatchHeld dispatches held arrivals in arrival order at event time at,
+// keeping the rest from the first one the backend cannot place yet
+// (ErrNoReplica). A request released after its arrival is admitted at the
+// release: its instance's clock is bumped to at.
+func (s *Server) dispatchHeld(at float64) error {
+	n := 0
+	for ; n < len(s.held); n++ {
+		r := s.held[n]
+		in, err := s.backend.Dispatch(r)
+		if errors.Is(err, ErrNoReplica) {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		in.BumpClock(at)
+		s.noteAdmitted(r, in, at)
+	}
+	s.held = s.held[:copy(s.held, s.held[n:])]
+	return nil
 }
 
 // tickFaults lets the fault injector act at an iteration boundary and emits
@@ -473,18 +509,19 @@ func (s *Server) bumpNow(t float64) {
 	}
 }
 
-// noteAdmitted derives the RequestAdmitted event for a dispatched arrival.
-func (s *Server) noteAdmitted(r *request.Request, in *Instance) {
+// noteAdmitted derives the RequestAdmitted event for an arrival dispatched at
+// time at (see dispatchHeld).
+func (s *Server) noteAdmitted(r *request.Request, in *Instance, at float64) {
 	if !s.tracking {
 		return
 	}
-	s.bumpNow(r.ArrivalTime)
+	s.bumpNow(at)
 	s.maybeSnapshots()
 	s.track[r.ID] = &reqTrack{}
 	if s.rolling != nil {
 		s.rolling.Arrived(r)
 	}
-	s.emit(RequestAdmitted{EventMeta: s.meta(r.ArrivalTime), Req: r, Instance: in.id})
+	s.emit(RequestAdmitted{EventMeta: s.meta(at), Req: r, Instance: in.id})
 }
 
 // noteIteration derives per-request lifecycle events after in executed one

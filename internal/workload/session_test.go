@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"adaserve/internal/lm"
 	"adaserve/internal/request"
 )
 
@@ -58,9 +57,7 @@ func newSessions(t *testing.T, cfg SessionsConfig) *Sessions {
 // finishTurn simulates the engine serving a turn: commit `out` output tokens
 // so FollowUp sees the assistant reply it should fold into the conversation.
 func finishTurn(r *request.Request, out int) {
-	for i := 0; i < out; i++ {
-		r.Output = append(r.Output, lm.Token(i+1))
-	}
+	r.Generated = out
 }
 
 func TestSessionsConversationGrowth(t *testing.T) {

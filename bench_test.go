@@ -375,7 +375,7 @@ func BenchmarkEngineIteration(b *testing.B) {
 		for j, r := range reqs {
 			items[j] = engine.VerifyItem{Req: r, Sel: selRes.Selections[j]}
 		}
-		ver := eng.VerifyTrees(items)
+		ver := eng.VerifyTrees(items, nil)
 		for j, r := range reqs {
 			engine.CommitVerify(r, ver.Results[j], 0)
 		}

@@ -174,12 +174,10 @@ type Signals struct {
 	// Queued counts waiting (not yet scheduled) requests across serving
 	// instances.
 	Queued int
-	// Active counts replicas serving traffic now; Committed counts replicas
-	// consuming capacity (committed − active is the autoscaler's in-flight
-	// cold-start gap — provisioning replicas are paid for but not serving,
-	// so pressure is normalized by Active and the gate tightens exactly
-	// through the gap).
-	Active, Committed int
+	// Active counts replicas serving traffic now. Provisioning replicas are
+	// paid for but not serving, so pressure is normalized by Active and the
+	// gate tightens exactly through the autoscaler's cold-start gap.
+	Active int
 	// ArrivalRate is the offered load over the trailing window in req/s;
 	// ServiceRate is the calibrated sustainable per-replica finish rate
 	// (0 until calibrated).

@@ -85,7 +85,7 @@ func TestDecideMonotoneInQueue(t *testing.T) {
 	for _, serviceRate := range []float64{0, 2.0} {
 		prev := 0
 		for q := 0; q <= 60; q++ {
-			sig := Signals{Queued: q, Active: 2, Committed: 2, ArrivalRate: 10, ServiceRate: serviceRate}
+			sig := Signals{Queued: q, Active: 2, ArrivalRate: 10, ServiceRate: serviceRate}
 			dec, reason := Decide(sig, chatReq())
 			if s := strictness(dec); s < prev {
 				t.Fatalf("queue %d loosened the decision to %v (serviceRate=%g)", q, dec, serviceRate)
@@ -104,7 +104,7 @@ func TestDecideMonotoneInQueue(t *testing.T) {
 func TestDecideMonotoneInFleet(t *testing.T) {
 	prev := -1
 	for active := 8; active >= 1; active-- {
-		sig := Signals{Queued: 12, Active: active, Committed: 8, ArrivalRate: 10, ServiceRate: 2,
+		sig := Signals{Queued: 12, Active: active, ArrivalRate: 10, ServiceRate: 2,
 			PrefillBacklog: 4096, PrefillRate: 2000}
 		dec, _ := Decide(sig, chatReq())
 		if s := strictness(dec); s < prev {
@@ -121,7 +121,7 @@ func TestDecideMonotoneInFleet(t *testing.T) {
 func TestDecideNeverRejectsBelowSaturation(t *testing.T) {
 	for q := 0; float64(q)/2 < DefaultQueueReject; q++ {
 		for _, rate := range []float64{0, 5, 500} {
-			sig := Signals{Queued: q, Active: 2, Committed: 2, ArrivalRate: rate, ServiceRate: 1}
+			sig := Signals{Queued: q, Active: 2, ArrivalRate: rate, ServiceRate: 1}
 			dec, _ := Decide(sig, chatReq())
 			if dec == serve.AdmissionReject {
 				t.Fatalf("rejected at pressure %.1f < %.1f with no unmeetable deadline (rate %g)",
@@ -135,7 +135,7 @@ func TestDecideNeverRejectsBelowSaturation(t *testing.T) {
 // TTFT deadline is provably lost, even on an otherwise quiet fleet; waiving
 // the deadline or losing calibration withdraws the proof.
 func TestDecideRejectsUnmeetable(t *testing.T) {
-	sig := Signals{Queued: 0, Active: 1, Committed: 1, ServiceRate: 2,
+	sig := Signals{Queued: 0, Active: 1, ServiceRate: 2,
 		PrefillBacklog: 100_000, PrefillRate: 10_000}
 	r := chatReq() // TTFT SLO 4s; bound is (100000+512)/10000 > 10s
 	dec, reason := Decide(sig, r)
@@ -156,7 +156,7 @@ func TestDecideRejectsUnmeetable(t *testing.T) {
 // TestDecideDegradedPassThrough: an already-degraded request is never
 // degraded again — in the degrade band it is simply admitted.
 func TestDecideDegradedPassThrough(t *testing.T) {
-	sig := Signals{Queued: 10, Active: 2, Committed: 2, ArrivalRate: 50, ServiceRate: 1}
+	sig := Signals{Queued: 10, Active: 2, ArrivalRate: 50, ServiceRate: 1}
 	fresh := chatReq()
 	if dec, _ := Decide(sig, fresh); dec != serve.AdmissionDegrade {
 		t.Fatalf("degrade band did not degrade a fresh request: %v", dec)

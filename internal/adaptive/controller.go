@@ -54,10 +54,8 @@ type Controller struct {
 	service, prefill metrics.PeakRate
 
 	// depthMax/widthMax are the first tunable system's constructed
-	// ceilings; curD/curW the actuated envelope (the ceilings until the
-	// first calibrated retune).
+	// ceilings.
 	depthMax, widthMax int
-	curD, curW         int
 
 	sum metrics.AdmissionSummary
 }
@@ -102,8 +100,6 @@ func New(backend serve.Backend, cfg Config) (*Controller, error) {
 		window:   metrics.NewRolling(cfg.Window),
 		depthMax: depthMax,
 		widthMax: widthMax,
-		curD:     depthMax,
-		curW:     widthMax,
 	}
 	return c, nil
 }
@@ -176,7 +172,6 @@ func (c *Controller) Tick(now float64) {
 	if !calibrated {
 		d, w = c.depthMax, c.widthMax
 	}
-	c.curD, c.curW = d, w
 	for _, t := range c.tuned {
 		t.ClampSpecEnvelope(d, w)
 	}
@@ -196,9 +191,9 @@ func (c *Controller) signals(now float64) Signals {
 			backlog += r.RemainingPrefill()
 		}
 	}
-	active, committed := len(c.insts), len(c.insts)
+	active := len(c.insts)
 	if c.fleet != nil {
-		active, committed = c.fleet.ActiveServing(), c.fleet.CommittedFleet()
+		active = c.fleet.ActiveServing()
 	}
 	span := c.cfg.Window
 	if now < span {
@@ -209,7 +204,7 @@ func (c *Controller) signals(now float64) Signals {
 		rate = float64(arrivals) / span
 	}
 	return Signals{
-		Queued: queued, Active: active, Committed: committed,
+		Queued: queued, Active: active,
 		ArrivalRate: rate, ServiceRate: c.service.Peak(),
 		PrefillBacklog: backlog, PrefillRate: c.prefill.Peak(),
 	}

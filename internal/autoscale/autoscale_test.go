@@ -58,7 +58,7 @@ func (p *capturePolicy) Desired(sig Signals) int {
 }
 
 func TestPolicyDesired(t *testing.T) {
-	base := Signals{Committed: 2, Active: 2, Capacity: 4}
+	base := Signals{Committed: 2}
 
 	tq := TargetQueue{TokensPerReplica: 100}
 	for _, c := range []struct{ queued, want int }{{0, 0}, {1, 1}, {100, 1}, {101, 2}, {1000, 10}} {
@@ -298,7 +298,7 @@ func TestSignalsFromEvents(t *testing.T) {
 	if sig.WindowFinished != 2 {
 		t.Fatalf("window finished %d, want 2", sig.WindowFinished)
 	}
-	if sig.Committed != 1 || sig.Capacity != 2 {
+	if sig.Committed != 1 {
 		t.Fatalf("occupancy signals wrong: %+v", sig)
 	}
 

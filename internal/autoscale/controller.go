@@ -162,12 +162,7 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 	for _, ps := range c.pools {
 		pc := c.cl.CountPool(ps.role)
 		sig := Signals{
-			Now:                  now,
-			Active:               pc.Active,
-			Provisioning:         pc.Provisioning,
-			Draining:             pc.Draining,
 			Committed:            pc.Active + pc.Provisioning,
-			Capacity:             pc.Capacity(),
 			QueuedTokens:         c.poolQueuedTokens(ps.role),
 			ArrivalRate:          arrivalRate,
 			ServiceRate:          c.service.Peak(),

@@ -21,15 +21,10 @@ import (
 // Policy decides from. All windowed quantities come from the controller's
 // rolling views over the event stream; occupancy comes from the cluster.
 type Signals struct {
-	// Now is the decision instant in simulated seconds.
-	Now float64
-	// Active/Provisioning/Draining are the pool's lifecycle occupancy;
-	// Committed = Active + Provisioning is the capacity the pool will have
-	// once cold starts complete (draining replicas are already leaving).
-	Active, Provisioning, Draining int
-	Committed                      int
-	// Capacity is the pool's built replica count: the scale-up ceiling.
-	Capacity int
+	// Committed counts the pool's active plus provisioning replicas: the
+	// capacity the pool will have once cold starts complete (draining
+	// replicas are already leaving).
+	Committed int
 	// QueuedTokens is the outstanding work on the pool's active replicas:
 	// prompt backlog for a prefill pool, total remaining tokens otherwise.
 	QueuedTokens int

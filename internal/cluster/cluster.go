@@ -521,8 +521,6 @@ type ReplicaResult struct {
 	// Summary covers the requests this replica served: arrivals routed to
 	// it, or — for a decode-role replica — the requests migrated to it.
 	Summary *metrics.Summary
-	// Role is the replica's serving role.
-	Role Role
 	// Iterations is the replica's scheduling-iteration count.
 	Iterations int
 	// EndTime is the replica's final local clock.
@@ -566,7 +564,6 @@ func (c *Cluster) Results(rr *serve.Result, reqs []*request.Request) *Result {
 		perReplica = append(perReplica, sum)
 		res.PerReplica = append(res.PerReplica, ReplicaResult{
 			Summary:    sum,
-			Role:       rep.role,
 			Iterations: rep.inst.Iterations(),
 			EndTime:    rep.Clock(),
 		})

@@ -162,7 +162,6 @@ func (c *Cluster) CommittedFleet() int {
 
 // PoolCounts reports the lifecycle occupancy of one role pool.
 type PoolCounts struct {
-	Role                           Role
 	Active, Provisioning, Draining int
 	Stopped                        int
 	// Failed counts crashed replicas: built capacity that is neither billed
@@ -178,7 +177,7 @@ func (p PoolCounts) Capacity() int { return p.Committed() + p.Stopped + p.Failed
 
 // CountPool tallies the lifecycle states of the replicas running one role.
 func (c *Cluster) CountPool(role Role) PoolCounts {
-	pc := PoolCounts{Role: role}
+	var pc PoolCounts
 	for _, rep := range c.replicas {
 		if rep.role != role {
 			continue

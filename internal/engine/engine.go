@@ -3,19 +3,23 @@
 // outcomes and the roofline cost models of internal/gpu for wall time.
 // Schedulers call the engine; the engine never makes policy decisions.
 //
-// Timing protocol: engine methods return results plus the modeled GPU time
-// they would take; the caller accumulates those into the iteration's end
-// time and commits tokens at that time. This keeps the decision of *when*
-// state becomes visible with the scheduler, as in a real system.
+// Timing protocol: the engine has one target forward pass, whose cost
+// depends only on its batch shape (tokens, sequences, KV read), and two
+// ways into it. Pass runs decode tokens plus prefill chunks; VerifyTrees
+// runs selected draft trees plus prefill chunks. Both return the modeled
+// GPU time; prefill chunks ride along in either, and their progress is
+// applied at once. SpeculateBeams returns the draft-model time. The caller
+// accumulates those into the iteration's end time and commits tokens at
+// that time. This keeps the decision of *when* state becomes visible with
+// the scheduler, as in a real system.
 //
 // Token identity: only the speculative systems (AdaServe, its interleaved
 // variant and vLLM-Spec) read which tokens were generated, through the draft
 // trees SpeculateBeams grows from a request's context and the verifier
-// VerifyTrees* runs over them. The non-speculative baselines (vLLM,
-// Sarathi-Serve, FastServe, VTC) decode through DecodeBatch and Mixed, whose
-// latency depends only on batch shape and whose output length is fixed by
-// the trace, so those passes compute no token at all and their schedulers
-// commit counts. Only the verifier draws from the engine's RNG.
+// VerifyTrees runs over them. The non-speculative baselines (vLLM,
+// Sarathi-Serve, FastServe, VTC) decode through Pass, whose output length
+// is fixed by the trace, so their passes compute no token at all and their
+// schedulers commit counts. Only the verifier draws from the engine's RNG.
 package engine
 
 import (
@@ -44,12 +48,11 @@ type Config struct {
 //
 // Per-iteration scratch (candidate trees, verification results, ordering
 // buffers) is pooled across iterations: the objects returned by
-// SpeculateBeams and VerifyTrees* stay valid until the NEXT call of the same
+// SpeculateBeams and VerifyTrees stay valid until the NEXT call of the same
 // method, which matches how schedulers consume them (within one iteration).
 // Engines are not safe for concurrent use; the parallel experiment runner
 // gives every worker its own.
 type Engine struct {
-	target     lm.Model
 	draft      lm.Model
 	targetCost *gpu.CostModel
 	draftCost  *gpu.CostModel
@@ -69,26 +72,6 @@ type Engine struct {
 	// vres holds pooled verification results; vscratch the walk buffers.
 	vres     []toktree.VerifyResult
 	vscratch toktree.VerifyScratch
-
-	// Stats accumulate across the run.
-	Stats Stats
-}
-
-// Stats tallies engine activity for metrics and the Figure 15 breakdown.
-type Stats struct {
-	// SpecTime is GPU seconds spent in draft-model speculation.
-	SpecTime float64
-	// VerifyTime is GPU seconds spent in target verification/decode.
-	VerifyTime float64
-	// PrefillTime is GPU seconds spent prefilling prompts.
-	PrefillTime float64
-	// DraftTokens counts draft-model forward positions.
-	DraftTokens int
-	// VerifiedTokens counts target forward positions during verify/decode.
-	VerifiedTokens int
-	// VerifySteps counts verification (or plain decode) iterations summed
-	// over requests.
-	VerifySteps int
 }
 
 // New builds an engine.
@@ -97,17 +80,12 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: target model and cost model required")
 	}
 	e := &Engine{
-		target:     cfg.Target,
 		draft:      cfg.Draft,
 		targetCost: cfg.TargetCost,
 		draftCost:  cfg.DraftCost,
 		rng:        mathutil.NewRNG(cfg.Seed),
 	}
-	if cfg.Draft != nil {
-		e.verifier = lm.NewVerifier(cfg.Target, cfg.Draft, cfg.Rule, e.rng)
-	} else {
-		e.verifier = lm.NewVerifier(cfg.Target, nil, cfg.Rule, e.rng)
-	}
+	e.verifier = lm.NewVerifier(cfg.Target, cfg.Draft, cfg.Rule, e.rng)
 	return e, nil
 }
 
@@ -117,10 +95,7 @@ func (e *Engine) Draft() lm.Model { return e.draft }
 // TargetCost returns the target's cost model.
 func (e *Engine) TargetCost() *gpu.CostModel { return e.targetCost }
 
-// PrefillChunk models processing `chunk` prompt tokens for each listed
-// request (each entry its own chunk size) in one batched pass and returns
-// the GPU time. It advances PrefillDone and flips requests whose prompt
-// completes into the Decoding phase.
+// PrefillItem asks a pass to process Chunk more prompt tokens of Req.
 type PrefillItem struct {
 	Req   *request.Request
 	Chunk int
@@ -142,39 +117,52 @@ func drainReloadStall(items []PrefillItem) float64 {
 	return stall
 }
 
-// Prefill runs one batched prefill pass over the items. Attention cost is
-// exact: each new token attends over all prior tokens of its sequence.
-func (e *Engine) Prefill(items []PrefillItem) float64 {
-	if len(items) == 0 {
-		return 0
-	}
-	totalTokens := 0
-	kvReads := 0
-	for _, it := range items {
-		if it.Chunk <= 0 {
-			panic(fmt.Sprintf("engine: prefill chunk %d for request %d", it.Chunk, it.Req.ID))
+// forward runs one batched target pass over a shape the caller has summed
+// for its own sequences (tokens, seqs, kv) plus the prefill chunks, and
+// returns its latency. It owns prefill accounting: every chunk must be
+// positive and fit the request's remaining prompt; attention cost is exact
+// (each new prompt token attends over all prior tokens of its sequence);
+// pending reload stalls are charged; and PrefillDone advances, flipping
+// requests whose prompt completes into the Decoding phase. An empty pass
+// costs 0 (gpu.CostModel.ForwardLatency prices zero tokens at 0).
+func (e *Engine) forward(tokens, seqs, kv int, prefill []PrefillItem) float64 {
+	for _, it := range prefill {
+		c, rem := it.Chunk, it.Req.RemainingPrefill()
+		if c <= 0 {
+			panic(fmt.Sprintf("engine: prefill chunk %d for request %d", c, it.Req.ID))
 		}
-		if it.Chunk > it.Req.RemainingPrefill() {
-			panic(fmt.Sprintf("engine: prefill chunk %d exceeds remaining %d for request %d",
-				it.Chunk, it.Req.RemainingPrefill(), it.Req.ID))
+		if c > rem {
+			panic(fmt.Sprintf("engine: prefill chunk %d exceeds remaining %d for request %d", c, rem, it.Req.ID))
 		}
-		prior := it.Req.PrefillDone
-		c := it.Chunk
-		totalTokens += c
-		kvReads += c*prior + c*(c+1)/2
+		tokens += c
+		kv += c*it.Req.PrefillDone + c*(c+1)/2
 	}
 	lat := e.targetCost.ForwardLatency(gpu.BatchShape{
-		Tokens: totalTokens, Seqs: len(items), KVTokens: kvReads,
-	}) + drainReloadStall(items)
-	for _, it := range items {
+		Tokens: tokens, Seqs: seqs + len(prefill), KVTokens: kv,
+	}) + drainReloadStall(prefill)
+	for _, it := range prefill {
 		it.Req.PrefillDone += it.Chunk
 		if it.Req.RemainingPrefill() == 0 {
 			it.Req.Phase = request.Decoding
 		}
 	}
-	e.Stats.PrefillTime += lat
-	e.Stats.VerifiedTokens += totalTokens
 	return lat
+}
+
+// Pass runs one batched forward pass: one decode token for each decode
+// request plus the prefill chunks, sharing the weight-load cost (Sarathi's
+// chunked-prefill co-batching; a prefill-only or decode-only pass is the
+// special case). It returns the pass latency. No token identity is
+// computed: latency depends only on the batch shape and the output length
+// is fixed by MaxNewTokens, so the caller commits one token per decode
+// request by count (request.CommitCount) at the iteration end time.
+// Prefill progress is applied immediately.
+func (e *Engine) Pass(decode []*request.Request, prefill []PrefillItem) float64 {
+	kv := 0
+	for _, r := range decode {
+		kv += r.ContextLen() + 1
+	}
+	return e.forward(len(decode), len(decode), kv, prefill)
 }
 
 // orderByKeys fills e.ord with a permutation of [0, len(e.ids)) sorted by
@@ -197,73 +185,12 @@ func (e *Engine) orderByKeys() []int {
 	return ord
 }
 
-// DecodeBatch performs one continuous-batching decode iteration, in which
-// every request generates exactly one token, and returns the modeled pass
-// latency. The token's identity is never computed: latency depends only on
-// the batch shape and the output length is fixed by MaxNewTokens, so the
-// caller commits a count (request.CommitCount) at the iteration end time.
-func (e *Engine) DecodeBatch(reqs []*request.Request) float64 {
-	if len(reqs) == 0 {
-		return 0
-	}
-	kv := 0
-	for _, r := range reqs {
-		kv += r.ContextLen() + 1
-	}
-	lat := e.targetCost.ForwardLatency(gpu.BatchShape{
-		Tokens: len(reqs), Seqs: len(reqs), KVTokens: kv,
-	})
-	e.Stats.VerifyTime += lat
-	e.Stats.VerifiedTokens += len(reqs)
-	e.Stats.VerifySteps += len(reqs)
-	return lat
-}
-
-// Mixed runs one Sarathi-style co-batched pass: one decode token for each
-// decode request plus prefill chunks for prefilling requests, in a single
-// forward pass (chunked-prefill co-batching). The combined pass shares the
-// weight-load cost, which is the source of Sarathi's efficiency. It returns
-// the pass latency. Like DecodeBatch it computes no token identity: the
-// caller commits one token per decode request by count at the iteration end
-// time; prefill progress is applied immediately.
-func (e *Engine) Mixed(decode []*request.Request, prefill []PrefillItem) float64 {
-	totalTokens := len(decode)
-	kv := 0
-	for _, r := range decode {
-		kv += r.ContextLen() + 1
-	}
-	for _, it := range prefill {
-		prior := it.Req.PrefillDone
-		c := it.Chunk
-		totalTokens += c
-		kv += c*prior + c*(c+1)/2
-	}
-	if totalTokens == 0 {
-		return 0
-	}
-	lat := e.targetCost.ForwardLatency(gpu.BatchShape{
-		Tokens: totalTokens, Seqs: len(decode) + len(prefill), KVTokens: kv,
-	}) + drainReloadStall(prefill)
-	for _, it := range prefill {
-		it.Req.PrefillDone += it.Chunk
-		if it.Req.RemainingPrefill() == 0 {
-			it.Req.Phase = request.Decoding
-		}
-	}
-	e.Stats.VerifyTime += lat
-	e.Stats.VerifiedTokens += totalTokens
-	e.Stats.VerifySteps += len(decode)
-	return lat
-}
-
 // SpeculateResult reports the speculation phase for a batch.
 type SpeculateResult struct {
 	// Trees[i] is the candidate tree for reqs[i].
 	Trees []*toktree.Tree
 	// GPUTime is the modeled draft-model time for all beam steps.
 	GPUTime float64
-	// DraftTokens is the number of draft forward positions processed.
-	DraftTokens int
 }
 
 // SpeculateBeams runs the speculation phase: a depth-d width-w beam search
@@ -308,11 +235,10 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 			// verification unchanged, committing one correction token.
 			continue
 		}
-		steps, draftTokens, err := e.beam.Search(t, e.draft, d, w)
+		steps, _, err := e.beam.Search(t, e.draft, d, w)
 		if err != nil {
 			return nil, fmt.Errorf("engine: beam search for request %d: %w", r.ID, err)
 		}
-		res.DraftTokens += draftTokens
 		if steps > maxSteps {
 			maxSteps = steps
 		}
@@ -331,8 +257,6 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 		})
 		res.GPUTime += lat
 	}
-	e.Stats.SpecTime += res.GPUTime
-	e.Stats.DraftTokens += res.DraftTokens
 	return res, nil
 }
 
@@ -352,25 +276,15 @@ type VerifyBatchResult struct {
 	TokensVerified int
 }
 
-// VerifyTrees runs one batched verification pass over the selected trees.
-// Tokens are NOT committed; the caller commits at the iteration end time.
-func (e *Engine) VerifyTrees(items []VerifyItem) *VerifyBatchResult {
-	return e.VerifyTreesWithPrefill(items, nil)
-}
-
-// VerifyTreesWithPrefill runs one batched pass that verifies the selected
-// trees AND processes prefill chunks for other requests (the unified-batch
-// style of tree-based serving engines: prefill tokens ride along in the
-// same forward pass, sharing the weight-load cost, so prompts never stall
-// decode as a monolithic pass would). Prefill progress is applied
-// immediately; verify tokens are NOT committed (caller commits at the
-// iteration end time).
-func (e *Engine) VerifyTreesWithPrefill(items []VerifyItem, prefill []PrefillItem) *VerifyBatchResult {
+// VerifyTrees runs one batched pass that verifies the selected trees and
+// processes the prefill chunks (the unified-batch style of tree-based
+// serving engines: prefill tokens ride along in the same forward pass,
+// sharing the weight-load cost, so prompts never stall decode as a
+// monolithic pass would). Prefill progress is applied immediately; verify
+// tokens are NOT committed (the caller commits at the iteration end time).
+func (e *Engine) VerifyTrees(items []VerifyItem, prefill []PrefillItem) *VerifyBatchResult {
 	res := &VerifyBatchResult{Results: make([]*toktree.VerifyResult, len(items))}
-	if len(items) == 0 && len(prefill) == 0 {
-		return res
-	}
-	// Pooled results: valid until the next VerifyTrees* call. Growth must
+	// Pooled results: valid until the next VerifyTrees call. Growth must
 	// not move already-assigned entries, so the backing array is replaced
 	// wholesale only when too small (stale pointers are dead by contract).
 	if cap(e.vres) < len(items) {
@@ -392,25 +306,7 @@ func (e *Engine) VerifyTreesWithPrefill(items []VerifyItem, prefill []PrefillIte
 		// Every tree token attends over the request context plus its depth.
 		kv += it.Sel.Size() * (it.Req.ContextLen() + 1)
 	}
-	totalTokens := res.TokensVerified
-	for _, it := range prefill {
-		prior := it.Req.PrefillDone
-		c := it.Chunk
-		totalTokens += c
-		kv += c*prior + c*(c+1)/2
-	}
-	res.GPUTime = e.targetCost.ForwardLatency(gpu.BatchShape{
-		Tokens: totalTokens, Seqs: len(items) + len(prefill), KVTokens: kv,
-	}) + drainReloadStall(prefill)
-	for _, it := range prefill {
-		it.Req.PrefillDone += it.Chunk
-		if it.Req.RemainingPrefill() == 0 {
-			it.Req.Phase = request.Decoding
-		}
-	}
-	e.Stats.VerifyTime += res.GPUTime
-	e.Stats.VerifiedTokens += totalTokens
-	e.Stats.VerifySteps += len(items)
+	res.GPUTime = e.forward(res.TokensVerified, len(items), kv, prefill)
 	return res
 }
 

@@ -44,19 +44,21 @@ func TestPrefillAdvancesAndFlips(t *testing.T) {
 	r := request.New(1, request.Chat, 0.05, 0, 100, 10, 7)
 	r.Phase = request.Prefilling
 
-	lat := e.Prefill([]PrefillItem{{Req: r, Chunk: 60}})
+	lat := e.Pass(nil, []PrefillItem{{Req: r, Chunk: 60}})
 	if lat <= 0 {
 		t.Fatal("prefill should cost time")
 	}
 	if r.PrefillDone != 60 || r.Phase != request.Prefilling {
 		t.Fatalf("after chunk: done=%d phase=%s", r.PrefillDone, r.Phase)
 	}
-	e.Prefill([]PrefillItem{{Req: r, Chunk: 40}})
+	// The second chunk's 40 tokens attend over the 60 already computed plus
+	// themselves: the pass prices exactly that shape.
+	want := newEngine(t).TargetCost().ForwardLatency(gpu.BatchShape{Tokens: 40, Seqs: 1, KVTokens: 40*60 + 40*41/2})
+	if lat2 := e.Pass(nil, []PrefillItem{{Req: r, Chunk: 40}}); lat2 != want {
+		t.Fatalf("second chunk cost %g, want the 40-token shape's %g", lat2, want)
+	}
 	if r.Phase != request.Decoding {
 		t.Fatal("completed prefill should flip to decoding")
-	}
-	if e.Stats.PrefillTime <= 0 || e.Stats.VerifiedTokens != 100 {
-		t.Fatalf("stats %+v", e.Stats)
 	}
 }
 
@@ -68,15 +70,15 @@ func TestPrefillPanicsOnOverChunk(t *testing.T) {
 			t.Fatal("over-sized chunk did not panic")
 		}
 	}()
-	e.Prefill([]PrefillItem{{Req: r, Chunk: 101}})
+	e.Pass(nil, []PrefillItem{{Req: r, Chunk: 101}})
 }
 
 func TestPrefillLongerPromptsCostMore(t *testing.T) {
 	e := newEngine(t)
 	r1 := request.New(1, request.Chat, 0.05, 0, 100, 10, 7)
 	r2 := request.New(2, request.Chat, 0.05, 0, 2000, 10, 7)
-	l1 := e.Prefill([]PrefillItem{{Req: r1, Chunk: 100}})
-	l2 := e.Prefill([]PrefillItem{{Req: r2, Chunk: 2000}})
+	l1 := e.Pass(nil, []PrefillItem{{Req: r1, Chunk: 100}})
+	l2 := e.Pass(nil, []PrefillItem{{Req: r2, Chunk: 2000}})
 	if l2 <= l1 {
 		t.Fatalf("2000-token prefill (%.2fms) not dearer than 100 (%.2fms)", 1e3*l2, 1e3*l1)
 	}
@@ -85,37 +87,43 @@ func TestPrefillLongerPromptsCostMore(t *testing.T) {
 func TestDecodeBatchOneTokenEach(t *testing.T) {
 	e := newEngine(t)
 	reqs := []*request.Request{decodingReq(1, 64, 10), decodingReq(2, 64, 10)}
-	if lat := e.DecodeBatch(reqs); lat <= 0 {
-		t.Fatal("decode should cost time")
-	}
-	if e.Stats.VerifySteps != 2 || e.Stats.VerifiedTokens != 2 {
-		t.Fatalf("one token per request expected, stats %+v", e.Stats)
+	lat := e.Pass(reqs, nil)
+	// One token per request, each attending over its 64-token context plus
+	// itself.
+	want := newEngine(t).TargetCost().ForwardLatency(gpu.BatchShape{Tokens: 2, Seqs: 2, KVTokens: 2 * 65})
+	if lat <= 0 || lat != want {
+		t.Fatalf("decode pass cost %g, want the one-token-each shape's %g", lat, want)
 	}
 }
 
 func TestDecodeBatchOrderIndependence(t *testing.T) {
-	// The same requests in a different slice order must cost the same pass
-	// and leave the same stats: nothing a decode pass computes depends on
-	// batch order.
-	mk := func(order []int) (float64, Stats) {
+	// The same requests in a different slice order must cost the same pass:
+	// nothing a decode pass computes depends on batch order.
+	mk := func(order []int) float64 {
 		e := newEngine(t)
 		reqs := make([]*request.Request, len(order))
 		for i, id := range order {
 			reqs[i] = decodingReq(id, 64*id, 10)
 		}
-		return e.DecodeBatch(reqs), e.Stats
+		return e.Pass(reqs, nil)
 	}
-	la, sa := mk([]int{1, 2, 3})
-	lb, sb := mk([]int{3, 1, 2})
-	if la != lb || sa != sb {
-		t.Fatalf("reordered batch differs: %g %+v vs %g %+v", la, sa, lb, sb)
+	la := mk([]int{1, 2, 3})
+	lb := mk([]int{3, 1, 2})
+	if la != lb {
+		t.Fatalf("reordered batch differs: %g vs %g", la, lb)
 	}
 }
 
 func TestDecodeBatchEmpty(t *testing.T) {
 	e := newEngine(t)
-	if lat := e.DecodeBatch(nil); lat != 0 || e.Stats != (Stats{}) {
+	if lat := e.Pass(nil, nil); lat != 0 {
 		t.Fatal("empty batch should be free")
+	}
+	// An empty pass captures no graph: the first real pass still pays the
+	// capture, exactly as on a fresh engine.
+	reqs := []*request.Request{decodingReq(1, 64, 10)}
+	if got, want := e.Pass(reqs, nil), newEngine(t).Pass(reqs, nil); got != want {
+		t.Fatalf("pass after an empty one cost %g, fresh engine %g", got, want)
 	}
 }
 
@@ -131,7 +139,7 @@ func (m *countingModel) Dist(ctx lm.Context) lm.Dist {
 }
 
 // TestPlainDecodeNeverReadsTokens pins the engine's token-identity contract:
-// the non-speculative passes (DecodeBatch, Mixed) never query the target
+// the non-speculative passes (Pass) never query the target
 // model, and so never draw from the engine RNG — a verification pass returns
 // the same result whether or not plain decode passes ran before it on the
 // same engine.
@@ -173,7 +181,7 @@ func TestPlainDecodeNeverReadsTokens(t *testing.T) {
 				}
 				items[i] = VerifyItem{Req: reqs[i], Sel: sel}
 			}
-			for i, vr := range e.VerifyTrees(items).Results {
+			for i, vr := range e.VerifyTrees(items, nil).Results {
 				cp := *vr
 				cp.Accepted = append([]lm.Token(nil), vr.Accepted...)
 				cp.AcceptedNodeIDs = append([]int(nil), vr.AcceptedNodeIDs...)
@@ -192,8 +200,8 @@ func TestPlainDecodeNeverReadsTokens(t *testing.T) {
 		dec := []*request.Request{decodingReq(1, 64, 10), decodingReq(2, 80, 10)}
 		pre := request.New(3, request.Chat, 0.05, 0, 96, 10, 5)
 		pre.Phase = request.Prefilling
-		e.DecodeBatch(dec)
-		e.Mixed(dec, []PrefillItem{{Req: pre, Chunk: 32}})
+		e.Pass(dec, nil)
+		e.Pass(dec, []PrefillItem{{Req: pre, Chunk: 32}})
 	}
 	if counted.calls != 0 {
 		t.Fatalf("plain decode passes made %d target Dist calls, want 0", counted.calls)
@@ -228,11 +236,22 @@ func TestSpeculateBeamsShapesAndCost(t *testing.T) {
 			t.Fatalf("tree %d depth %d", i, depth)
 		}
 	}
-	if res.GPUTime <= 0 || res.DraftTokens <= 0 {
+	if res.GPUTime <= 0 {
 		t.Fatal("speculation must cost draft time")
 	}
-	if e.Stats.SpecTime != res.GPUTime {
-		t.Fatal("stats not accumulated")
+	// Step 1 drafts the 2 roots, steps 2-4 the 2x3 beam tokens, all over
+	// the shared 64-token contexts.
+	cost := newEngine(t).draftCost
+	want := 0.0
+	for step := 1; step <= 4; step++ {
+		tokens := 2
+		if step > 1 {
+			tokens = 2 * 3
+		}
+		want += cost.ForwardLatency(gpu.BatchShape{Tokens: tokens, Seqs: 2, KVTokens: 2*64 + 2*step})
+	}
+	if res.GPUTime != want {
+		t.Fatalf("speculation cost %g, want the four draft steps' %g", res.GPUTime, want)
 	}
 }
 
@@ -276,7 +295,7 @@ func TestVerifyTreesCommitsViaHelper(t *testing.T) {
 			sel.Add(id)
 		}
 	}
-	ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}})
+	ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 	if ver.GPUTime <= 0 || ver.TokensVerified != sel.Size() {
 		t.Fatalf("verify result %+v", ver)
 	}
@@ -300,7 +319,7 @@ func TestVerifyTreesWithPrefillSharesPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := toktree.NewSelection(spec.Trees[0])
-	combined := e.VerifyTreesWithPrefill(
+	combined := e.VerifyTrees(
 		[]VerifyItem{{Req: r, Sel: sel}},
 		[]PrefillItem{{Req: pre, Chunk: 128}},
 	)
@@ -317,8 +336,8 @@ func TestVerifyTreesWithPrefillSharesPass(t *testing.T) {
 	pre2.Phase = request.Prefilling
 	spec2, _ := e2.SpeculateBeams([]*request.Request{r2}, 2, 2)
 	sel2 := toktree.NewSelection(spec2.Trees[0])
-	sep := e2.VerifyTrees([]VerifyItem{{Req: r2, Sel: sel2}}).GPUTime
-	sep += e2.Prefill([]PrefillItem{{Req: pre2, Chunk: 128}})
+	sep := e2.VerifyTrees([]VerifyItem{{Req: r2, Sel: sel2}}, nil).GPUTime
+	sep += e2.Pass(nil, []PrefillItem{{Req: pre2, Chunk: 128}})
 	if combined.GPUTime >= sep {
 		t.Fatalf("co-batched pass %.2fms not cheaper than separate %.2fms",
 			1e3*combined.GPUTime, 1e3*sep)
@@ -331,16 +350,16 @@ func TestMixedPass(t *testing.T) {
 	pre := request.New(2, request.Summarization, 0.15, 0, 300, 20, 9)
 	pre.Phase = request.Prefilling
 
-	lat := e.Mixed(dec, []PrefillItem{{Req: pre, Chunk: 100}})
-	if lat <= 0 || e.Stats.VerifySteps != 1 || e.Stats.VerifiedTokens != 101 {
-		t.Fatalf("mixed pass lat=%g stats %+v, want one decode token plus the chunk", lat, e.Stats)
+	lat := e.Pass(dec, []PrefillItem{{Req: pre, Chunk: 100}})
+	want := newEngine(t).TargetCost().ForwardLatency(gpu.BatchShape{Tokens: 101, Seqs: 2, KVTokens: 65 + 100*101/2})
+	if lat <= 0 || lat != want {
+		t.Fatalf("mixed pass lat=%g, want one decode token plus the chunk: %g", lat, want)
 	}
 	if pre.PrefillDone != 100 {
 		t.Fatal("mixed pass did not advance prefill")
 	}
-	// Empty mixed pass is free.
-	before := e.Stats
-	if lat2 := e.Mixed(nil, nil); lat2 != 0 || e.Stats != before {
+	// Empty mixed pass is free and leaves prefill progress alone.
+	if lat2 := e.Pass(nil, nil); lat2 != 0 || pre.PrefillDone != 100 {
 		t.Fatal("empty mixed pass should be free")
 	}
 }
@@ -361,7 +380,7 @@ func TestEngineDeterminism(t *testing.T) {
 					sel.Add(id)
 				}
 			}
-			ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}})
+			ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 			before := r.OutputLen()
 			CommitVerify(r, ver.Results[0], 0)
 			committed := append(append([]lm.Token(nil), ver.Results[0].Accepted...), ver.Results[0].Correction)
@@ -395,21 +414,21 @@ func TestPrefillChargesReloadStallOnce(t *testing.T) {
 	e := newEngine(t)
 	clean := request.New(1, request.Chat, 0.05, 0, 64, 8, 7)
 	clean.Phase = request.Prefilling
-	base := e.Prefill([]PrefillItem{{Req: clean, Chunk: 32}})
+	base := e.Pass(nil, []PrefillItem{{Req: clean, Chunk: 32}})
 
 	e2 := newEngine(t)
 	stalled := request.New(2, request.Chat, 0.05, 0, 64, 8, 7)
 	stalled.Phase = request.Prefilling
 	stalled.ReloadStall = 0.025
-	first := e2.Prefill([]PrefillItem{{Req: stalled, Chunk: 32}})
+	first := e2.Pass(nil, []PrefillItem{{Req: stalled, Chunk: 32}})
 	if want := base + 0.025; first != want {
 		t.Fatalf("first pass latency %g, want base %g + 0.025 stall", first, want)
 	}
 	if stalled.ReloadStall != 0 {
 		t.Fatalf("stall %g not drained after the first pass", stalled.ReloadStall)
 	}
-	second := e2.Prefill([]PrefillItem{{Req: stalled, Chunk: 32}})
-	clean2 := e.Prefill([]PrefillItem{{Req: clean, Chunk: 32}})
+	second := e2.Pass(nil, []PrefillItem{{Req: stalled, Chunk: 32}})
+	clean2 := e.Pass(nil, []PrefillItem{{Req: clean, Chunk: 32}})
 	if second != clean2 {
 		t.Fatalf("second pass %g still carries the stall (clean %g)", second, clean2)
 	}

@@ -58,10 +58,6 @@ type CostModel struct {
 
 	// graphCache remembers shapes already "captured"; replays are cheaper.
 	graphCache map[graphKey]struct{}
-	// Captures counts graph captures performed (for tests/ablations).
-	Captures int
-	// Replays counts graph replays performed.
-	Replays int
 }
 
 type graphKey struct {
@@ -149,11 +145,9 @@ func (c *CostModel) launchTime(shape BatchShape) float64 {
 	}
 	key := graphKey{tokens: shape.Tokens, seqs: shape.Seqs}
 	if _, ok := c.graphCache[key]; ok {
-		c.Replays++
 		return c.HW.GraphLaunchOverhead * kernels / 16
 	}
 	c.graphCache[key] = struct{}{}
-	c.Captures++
 	return plain
 }
 

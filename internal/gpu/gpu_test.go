@@ -138,13 +138,19 @@ func TestCUDAGraphCaptureThenReplay(t *testing.T) {
 	if second >= first {
 		t.Fatalf("graph replay should be cheaper: first %.3gms then %.3gms", 1e3*first, 1e3*second)
 	}
-	if cm.Captures != 1 || cm.Replays != 1 {
-		t.Fatalf("captures=%d replays=%d, want 1/1", cm.Captures, cm.Replays)
+	// Every later call of the shape replays at the same cost.
+	if third := cm.ForwardLatency(shape); third != second {
+		t.Fatalf("second replay cost %.3gms, first replay %.3gms", 1e3*third, 1e3*second)
 	}
-	// A different shape captures anew.
-	cm.ForwardLatency(BatchShape{Tokens: 9, Seqs: 9, KVTokens: 256})
-	if cm.Captures != 2 {
-		t.Fatalf("new shape should capture, got %d captures", cm.Captures)
+	// A different shape captures anew: it costs what its first call costs
+	// on a fresh model, and its own replay is cheaper.
+	other := BatchShape{Tokens: 9, Seqs: 9, KVTokens: 256}
+	capture := cm.ForwardLatency(other)
+	if fresh := MustCostModel(A100, Llama1B, 1).ForwardLatency(other); capture != fresh {
+		t.Fatalf("new shape cost %.3gms, a first capture costs %.3gms", 1e3*capture, 1e3*fresh)
+	}
+	if replay := cm.ForwardLatency(other); replay >= capture {
+		t.Fatalf("new shape's replay %.3gms not cheaper than its capture %.3gms", 1e3*replay, 1e3*capture)
 	}
 }
 
@@ -155,8 +161,10 @@ func TestCUDAGraphDisabled(t *testing.T) {
 	if cm.ForwardLatency(shape) != cm.ForwardLatency(shape) {
 		t.Fatal("without graphs, identical shapes should cost the same")
 	}
-	if cm.Captures != 0 {
-		t.Fatal("graphs disabled but captures recorded")
+	// Without graphs every call pays the plain launch, which is what a
+	// capture costs.
+	if got, capture := cm.ForwardLatency(shape), MustCostModel(A100, Llama1B, 1).ForwardLatency(shape); got != capture {
+		t.Fatalf("graphs disabled cost %.3gms, a capture %.3gms", 1e3*got, 1e3*capture)
 	}
 }
 

@@ -12,15 +12,12 @@ import (
 // plays that role: schedulers consume a Profile, never the analytic model
 // directly, so a real deployment could swap in measured numbers.
 type Profile struct {
-	ModelName string
 	// Base is the flat-region iteration latency in seconds.
 	Base float64
 	// Slope is the marginal seconds per extra token past the knee.
 	Slope float64
 	// Knee is the token count where latency departs the flat region.
 	Knee int
-	// Points are the raw (tokens, latency) samples the fit came from.
-	Points []ProfilePoint
 }
 
 // ProfilePoint is one profiling sample.
@@ -41,9 +38,7 @@ func ProfileCostModel(cm *CostModel, maxTokens, kvPerTok int) (*Profile, error) 
 		lat := cm.ForwardLatencyPure(BatchShape{Tokens: t, Seqs: t, KVTokens: t * kvPerTok})
 		pts = append(pts, ProfilePoint{Tokens: t, Latency: lat})
 	}
-	p := fitProfile(pts)
-	p.ModelName = cm.Model.Name
-	return p, nil
+	return fitProfile(pts), nil
 }
 
 // nextSweepPoint yields a geometric-ish sweep: 1,2,3,...,16 then +12.5%.
@@ -90,7 +85,7 @@ func fitProfile(pts []ProfilePoint) *Profile {
 			slope = 0
 		}
 	}
-	return &Profile{Base: base, Slope: slope, Knee: knee, Points: pts}
+	return &Profile{Base: base, Slope: slope, Knee: knee}
 }
 
 // Latency evaluates the fitted model at a token count.

@@ -74,8 +74,6 @@ type Allocator struct {
 
 	// PeakUsedBlocks records the allocation high-water mark.
 	PeakUsedBlocks int
-	// Failures counts rejected allocations (capacity exhausted).
-	Failures int
 }
 
 // New creates an allocator with all blocks free.
@@ -111,7 +109,6 @@ func (a *Allocator) Allocate(seqID, tokens int) error {
 	}
 	need := a.blocksFor(tokens)
 	if avail := a.availableBlocks(); need > avail {
-		a.Failures++
 		return fmt.Errorf("kvcache: need %d blocks, %d free", need, avail)
 	}
 	s := &seq{tokens: tokens}

@@ -72,11 +72,12 @@ func TestAllocateCapacityExhausted(t *testing.T) {
 	if err := a.Allocate(1, 64); err != nil { // exactly 4 blocks
 		t.Fatal(err)
 	}
-	if err := a.Allocate(2, 1); err == nil {
+	err := a.Allocate(2, 1)
+	if err == nil {
 		t.Fatal("over-capacity allocation accepted")
 	}
-	if a.Failures != 1 {
-		t.Fatalf("failures = %d", a.Failures)
+	if want := "kvcache: need 1 blocks, 0 free"; err.Error() != want {
+		t.Fatalf("error %q, want the capacity error %q", err, want)
 	}
 }
 

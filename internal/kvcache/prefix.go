@@ -358,7 +358,6 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 	}
 	need := totalBlocks - len(matched) + hostMatched
 	if avail := a.availableBlocks() - coldMatched; need > avail {
-		a.Failures++
 		return PrefixHit{}, fmt.Errorf("kvcache: need %d blocks, %d free", need, avail)
 	}
 	if len(matched) > 0 {

@@ -41,21 +41,13 @@ func (b Breakdown) SchedulingShare() float64 {
 
 // CategoryStats summarizes one request category.
 type CategoryStats struct {
-	Category   request.Category
-	Requests   int
-	Attained   int
-	Violations int
+	Requests int
+	Attained int
 	// MeanTPOT is the average per-token latency across requests, seconds.
 	MeanTPOT float64
-	// P50TPOT/P99TPOT are the median and 99th-percentile per-request average
-	// TPOT, computed once at Summarize time from the class histogram.
-	P50TPOT float64
-	P99TPOT float64
 	// TPOT is the class's streaming TPOT histogram over finished requests —
 	// fixed-size, so per-class metric memory is independent of request count.
 	TPOT *hist.Histogram
-	// Goodput is output tokens/second from SLO-attaining requests.
-	Goodput float64
 }
 
 // Attainment returns the category's SLO attainment fraction.
@@ -159,7 +151,7 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 		}
 		cs := s.PerCategory[r.Category]
 		if cs == nil {
-			cs = &CategoryStats{Category: r.Category, TPOT: hist.New()}
+			cs = &CategoryStats{TPOT: hist.New()}
 			s.PerCategory[r.Category] = cs
 		}
 		cs.Requests++
@@ -167,7 +159,6 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 			s.TTFTAttained++
 		}
 		if r.Phase != request.Done {
-			cs.Violations++
 			continue
 		}
 		s.Finished++
@@ -188,8 +179,6 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 		if r.AttainedSLO() {
 			s.Attained++
 			cs.Attained++
-		} else {
-			cs.Violations++
 		}
 	}
 	s.Duration = lastDone - firstArrival
@@ -206,15 +195,6 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 		}
 		s.Goodput = float64(goodTokens) / s.Duration
 		s.Throughput = float64(allTokens) / s.Duration
-		for cat, cs := range s.PerCategory {
-			var good int
-			for _, r := range reqs {
-				if r.Category == cat && r.Phase == request.Done && r.AttainedSLO() {
-					good += r.OutputLen()
-				}
-			}
-			cs.Goodput = float64(good) / s.Duration
-		}
 	}
 	if totalSteps > 0 {
 		s.MeanAcceptedPerStep = float64(totalAccepted) / float64(totalSteps)
@@ -228,9 +208,6 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 	s.TTFTTail = s.TTFT.Digest()
 	for _, cs := range s.PerCategory {
 		cs.MeanTPOT = cs.TPOT.Mean()
-		d := cs.TPOT.Digest()
-		cs.P50TPOT = d.P50
-		cs.P99TPOT = d.P99
 	}
 	return s
 }

@@ -48,9 +48,10 @@ type Mark struct {
 	Tokens int    `json:"tokens,omitempty"`
 }
 
-// migration is one recorded KV movement, kept until phase assembly.
+// migration is one recorded KV movement to replica to, kept until phase
+// assembly.
 type migration struct {
-	from, to       int
+	to             int
 	depart, arrive float64
 }
 
@@ -132,7 +133,7 @@ func (sr *SpanRecorder) OnEvent(ev serve.Event) {
 		sr.retire(tl)
 	case serve.RequestMigrated:
 		tl := sr.timeline(e.Req)
-		tl.migrations = append(tl.migrations, migration{from: e.From, to: e.To, depart: e.Depart, arrive: e.Time})
+		tl.migrations = append(tl.migrations, migration{to: e.To, depart: e.Depart, arrive: e.Time})
 	case serve.FirstToken:
 		tl := sr.timeline(e.Req)
 		tl.Marks = append(tl.Marks, Mark{Name: "first-token", Time: e.Time, Instance: e.Instance})

@@ -360,13 +360,15 @@ func (r *Request) CommitCount(n int, now float64) int {
 	return kept
 }
 
-// finishCommit applies the bookkeeping shared by the commit methods.
+// finishCommit applies the bookkeeping shared by the commit methods. The
+// completion stamp is taken once, on the commit that completes the output:
+// a later commit to a done request keeps nothing and moves nothing.
 func (r *Request) finishCommit(kept int, now float64) {
 	if kept > 0 && r.FirstTokenTime < 0 {
 		r.FirstTokenTime = now
 	}
 	r.AcceptedTokens += kept
-	if r.Generated >= r.MaxNewTokens {
+	if r.Generated >= r.MaxNewTokens && r.Phase != Done {
 		r.Phase = Done
 		r.DoneTime = now
 	}

@@ -146,6 +146,32 @@ func TestCommitCountMatchesCommit(t *testing.T) {
 	}
 }
 
+// TestLateCommitKeepsDoneTime pins the completion stamp: a commit that
+// reaches a request already done at t = 2 keeps no token and leaves its
+// phase, completion time and first-token time alone, whichever commit
+// method makes it.
+func TestLateCommitKeepsDoneTime(t *testing.T) {
+	for name, late := range map[string]func(r *Request) int{
+		"CommitCount": func(r *Request) int { return r.CommitCount(1, 3) },
+		"Commit":      func(r *Request) int { return r.Commit([]lm.Token{4, 5}, 3) },
+		"Commit1":     func(r *Request) int { return r.Commit1(4, 3) },
+	} {
+		r := New(1, Chat, 0.05, 0, 16, 3, 7)
+		r.Commit([]lm.Token{1}, 1)
+		r.Commit([]lm.Token{2, 3}, 2)
+		if r.Phase != Done || r.DoneTime != 2 {
+			t.Fatalf("setup: phase %s done at %g, want done at 2", r.Phase, r.DoneTime)
+		}
+		if kept := late(r); kept != 0 {
+			t.Errorf("%s on a done request kept %d tokens", name, kept)
+		}
+		if r.Phase != Done || r.DoneTime != 2 || r.FirstTokenTime != 1 || r.OutputLen() != 3 {
+			t.Errorf("%s at t = 3 moved the request: phase %s, done %g, first token %g, output %d",
+				name, r.Phase, r.DoneTime, r.FirstTokenTime, r.OutputLen())
+		}
+	}
+}
+
 func TestLastTokenBeforeOutput(t *testing.T) {
 	r := New(1, Chat, 0.05, 0, 16, 10, 300)
 	if got := r.LastToken(); got != lm.Token(300%256) {

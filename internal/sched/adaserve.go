@@ -30,19 +30,6 @@ type AdaServe struct {
 	// heavy batches are not starved below what static speculation would
 	// spend (the profiled budget governs at low load).
 	TokensPerRequest int
-	// SelectCPUPerNode models the CPU cost of the selection phases per
-	// candidate node (heap operations), in seconds.
-	SelectCPUPerNode float64
-	// SLOMargin makes A(r) target this fraction of each request's SLO
-	// (e.g. 0.75 aims 25% under), absorbing the prefill interruptions that
-	// land between a request's decode iterations.
-	SLOMargin float64
-	// PrefillChunk is the baseline number of prompt tokens co-batched into
-	// each verification pass. AdaServe's unified engine rides prefill
-	// chunks along with tree verification (the paper's Figure 15 has no
-	// separate prefill phase), so prompts never block decode with
-	// monolithic passes. The chunk grows with the prefill backlog.
-	PrefillChunk int
 
 	// lastIterTime smooths the t_spec estimate used in A(r) with the
 	// previous iteration's actual duration.
@@ -65,18 +52,14 @@ type AdaServe struct {
 	Debug AdaServeDebug
 }
 
-// AdaServeDebug aggregates scheduler internals across a run.
+// AdaServeDebug aggregates scheduler internals across a run: the decode
+// iteration count and the sums of their depth, token budget and budget
+// used.
 type AdaServeDebug struct {
 	DecodeIters   int
-	SumBatch      int
 	SumDepth      int
-	SumWidth      int
 	SumBudget     int
 	SumBudgetUsed int
-	SumSelected   int
-	SumExpected   float64
-	SumIterTime   float64
-	SLOUnmet      int
 }
 
 // BudgetLatencyFactor sets AdaServe's verification latency target as a
@@ -88,6 +71,17 @@ type AdaServeDebug struct {
 // iteration stays close to the baseline per-token latency the tight TPOT
 // SLOs are set against.
 const BudgetLatencyFactor = 1.3
+
+// selectCPUPerNode models the CPU cost of the selection phases per
+// candidate node (heap operations), in seconds.
+const selectCPUPerNode = 150e-9
+
+// adaServePrefillChunk is the baseline number of prompt tokens co-batched
+// into each verification pass. AdaServe's unified engine rides prefill
+// chunks along with tree verification (the paper's Figure 15 has no
+// separate prefill phase), so prompts never block decode with monolithic
+// passes. The chunk grows with the prefill backlog.
+const adaServePrefillChunk = 128
 
 // AdaServeOptions tunes construction.
 type AdaServeOptions struct {
@@ -135,9 +129,6 @@ func NewAdaServe(cfg Config, opts AdaServeOptions) (*AdaServe, error) {
 		VerifyBudget:     budget,
 		NMax:             nmax,
 		TokensPerRequest: 4,
-		SelectCPUPerNode: 150e-9,
-		SLOMargin:        1.0,
-		PrefillChunk:     128,
 	}, nil
 }
 
@@ -213,7 +204,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	a.selReqs = a.selReqs[:0]
 	candNodes := 0
 	for i, r := range decode {
-		minAcc := r.MinAcceptFor(now, tspec, r.TPOTSLO*a.SLOMargin)
+		minAcc := r.MinAcceptFor(now, tspec, r.TPOTSLO)
 		if minAcc < 0 {
 			minAcc = 0
 		}
@@ -240,7 +231,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	if err != nil {
 		panic(err)
 	}
-	selCPU := a.cfg.SchedOverhead + a.SelectCPUPerNode*float64(candNodes)
+	selCPU := a.cfg.SchedOverhead + selectCPUPerNode*float64(candNodes)
 
 	// Step 4: tree verification, with prefill chunks co-batched into the
 	// same pass. The chunk budget grows with the prefill backlog so prompt
@@ -250,32 +241,21 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 		a.items = append(a.items, engine.VerifyItem{Req: r, Sel: selRes.Selections[i]})
 	}
 	a.prefill = a.prefill[:0]
-	if a.PrefillChunk > 0 {
-		backlog := 0
-		pre := a.pool.PrefillingRequests()
-		for _, r := range pre {
-			backlog += r.RemainingPrefill()
-		}
-		chunkBudget := backlog / 4
-		if chunkBudget < a.PrefillChunk {
-			chunkBudget = a.PrefillChunk
-		}
-		if max := a.cfg.MaxPrefillTokens; chunkBudget > max {
-			chunkBudget = max
-		}
-		for _, r := range pre {
-			if chunkBudget <= 0 {
-				break
-			}
-			c := r.RemainingPrefill()
-			if c > chunkBudget {
-				c = chunkBudget
-			}
-			a.prefill = append(a.prefill, engine.PrefillItem{Req: r, Chunk: c})
-			chunkBudget -= c
-		}
+	pre := a.pool.PrefillingRequests()
+	backlog := 0
+	for _, r := range pre {
+		backlog += r.RemainingPrefill()
 	}
-	ver := a.cfg.Engine.VerifyTreesWithPrefill(a.items, a.prefill)
+	chunkBudget := min(max(backlog/4, adaServePrefillChunk), a.cfg.MaxPrefillTokens)
+	for _, r := range pre {
+		if chunkBudget <= 0 {
+			break
+		}
+		c := min(r.RemainingPrefill(), chunkBudget)
+		a.prefill = append(a.prefill, engine.PrefillItem{Req: r, Chunk: c})
+		chunkBudget -= c
+	}
+	ver := a.cfg.Engine.VerifyTrees(a.items, a.prefill)
 
 	st := IterationStats{
 		Elapsed:    spec.GPUTime + selCPU + ver.GPUTime,
@@ -290,18 +270,8 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	a.lastIterTime = st.Elapsed
 
 	a.Debug.DecodeIters++
-	a.Debug.SumBatch += n
 	a.Debug.SumDepth += d
-	a.Debug.SumWidth += w
 	a.Debug.SumBudget += budget
 	a.Debug.SumBudgetUsed += selRes.BudgetUsed
-	a.Debug.SumIterTime += st.Elapsed
-	for i := range selRes.Selections {
-		a.Debug.SumSelected += selRes.Selections[i].Size()
-		a.Debug.SumExpected += selRes.ExpectedAccept[i]
-		if !selRes.SLOSatisfied[i] {
-			a.Debug.SLOUnmet++
-		}
-	}
 	return st
 }

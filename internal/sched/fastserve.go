@@ -14,11 +14,6 @@ import (
 // by long requests but is oblivious to per-request SLOs.
 type FastServe struct {
 	base
-	// Levels caps the MLFQ depth.
-	Levels int
-	// AgingQuantum promotes a starved request one level per this many
-	// seconds without service (FastServe's starvation prevention).
-	AgingQuantum float64
 	// lastServed tracks each request's most recent decode time.
 	lastServed map[int]float64
 }
@@ -29,11 +24,15 @@ func NewFastServe(cfg Config) (*FastServe, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FastServe{
-		base: b, Levels: 8, AgingQuantum: 0.25,
-		lastServed: make(map[int]float64),
-	}, nil
+	return &FastServe{base: b, lastServed: make(map[int]float64)}, nil
 }
+
+// fastServeLevels caps the MLFQ depth.
+const fastServeLevels = 8
+
+// fastServeAgingQuantum promotes a starved request one level per this many
+// seconds without service (FastServe's starvation prevention).
+const fastServeAgingQuantum = 0.25
 
 // Name implements System.
 func (f *FastServe) Name() string { return "FastServe" }
@@ -50,8 +49,8 @@ func (f *FastServe) level(r *request.Request) int {
 		skip = 1
 	}
 	lvl := bits.Len(uint(served)) + skip // 0 tokens -> level 0 (+skip)
-	if lvl >= f.Levels {
-		lvl = f.Levels - 1
+	if lvl >= fastServeLevels {
+		lvl = fastServeLevels - 1
 	}
 	return lvl
 }
@@ -64,9 +63,7 @@ func (f *FastServe) effectiveLevel(r *request.Request, now float64) int {
 	if !ok {
 		last = r.ArrivalTime
 	}
-	if f.AgingQuantum > 0 {
-		lvl -= int((now - last) / f.AgingQuantum)
-	}
+	lvl -= int((now - last) / fastServeAgingQuantum)
 	if lvl < 0 {
 		lvl = 0
 	}
@@ -108,17 +105,9 @@ func (f *FastServe) Iterate(now float64) IterationStats {
 			r.PreemptCount++
 		}
 	}
-	markFirstDecode(run, now)
-	gpuTime := f.cfg.Engine.DecodeBatch(run)
-	st := IterationStats{
-		Elapsed:    gpuTime + f.cfg.SchedOverhead,
-		SchedCPU:   f.cfg.SchedOverhead,
-		VerifyTime: gpuTime,
-	}
+	st := f.decodeStep(now, run, nil)
 	end := now + st.Elapsed
 	for _, r := range run {
-		st.TokensCommitted += r.CommitCount(1, end)
-		r.VerifySteps++
 		f.lastServed[r.ID] = end
 		if r.Phase == request.Done {
 			delete(f.lastServed, r.ID)

@@ -25,18 +25,18 @@ type AdaServeInterleaved struct {
 	base
 	// Budget is the verification token budget per iteration.
 	Budget int
-	// MaxAccept caps A(r) per iteration (no beam depth exists to cap it).
-	MaxAccept float64
-	// TopK bounds the children materialized per expansion.
-	TopK int
 	// Profile is the fitted verifier roofline (for t_spec estimation).
 	Profile *gpu.Profile
 
 	lastIterTime float64
-	// DraftStepsTotal counts serial draft expansions across the run (the
-	// ablation's headline statistic).
-	DraftStepsTotal int
 }
+
+// interleavedMaxAccept caps A(r) per iteration (no beam depth exists to cap
+// it).
+const interleavedMaxAccept = 5
+
+// interleavedTopK bounds the children materialized per expansion.
+const interleavedTopK = 8
 
 // NewAdaServeInterleaved builds the ablation system.
 func NewAdaServeInterleaved(cfg Config) (*AdaServeInterleaved, error) {
@@ -52,11 +52,9 @@ func NewAdaServeInterleaved(cfg Config) (*AdaServeInterleaved, error) {
 		return nil, err
 	}
 	return &AdaServeInterleaved{
-		base:      b,
-		Budget:    prof.BudgetFor(1.3 * prof.Base),
-		MaxAccept: 5,
-		TopK:      8,
-		Profile:   prof,
+		base:    b,
+		Budget:  prof.BudgetFor(1.3 * prof.Base),
+		Profile: prof,
 	}, nil
 }
 
@@ -187,14 +185,14 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 	lazies := make([]*lazyDraftTree, n)
 	thresholds := make([]float64, n)
 	for i, r := range decode {
-		lazies[i] = newLazyDraftTree(a.cfg.Engine.Draft(), r.Ctx, r.LastToken(), a.TopK)
+		lazies[i] = newLazyDraftTree(a.cfg.Engine.Draft(), r.Ctx, r.LastToken(), interleavedTopK)
 		trees[i] = lazies[i]
 		A := r.MinAcceptForSLO(now, tspec)
 		if A < 0 {
 			A = 0
 		}
-		if A > a.MaxAccept {
-			A = a.MaxAccept
+		if A > interleavedMaxAccept {
+			A = interleavedMaxAccept
 		}
 		thresholds[i] = A
 	}
@@ -217,7 +215,6 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 	for _, lt := range lazies {
 		expansions += lt.expansions
 	}
-	a.DraftStepsTotal += expansions
 	specTime := float64(expansions) * draftStep
 
 	items := make([]engine.VerifyItem, n)
@@ -227,7 +224,7 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 			Sel: lazies[i].materialize(r.Ctx, r.LastToken(), selected[i]),
 		}
 	}
-	ver := a.cfg.Engine.VerifyTrees(items)
+	ver := a.cfg.Engine.VerifyTrees(items, nil)
 	st := IterationStats{
 		Elapsed:    specTime + a.cfg.SchedOverhead + ver.GPUTime,
 		SchedCPU:   a.cfg.SchedOverhead,

@@ -55,17 +55,5 @@ func (s *Sarathi) Iterate(now float64) IterationStats {
 	if len(decode) == 0 && len(prefill) == 0 {
 		return IterationStats{Idle: true}
 	}
-	markFirstDecode(decode, now)
-	gpuTime := s.cfg.Engine.Mixed(decode, prefill)
-	st := IterationStats{
-		Elapsed:    gpuTime + s.cfg.SchedOverhead,
-		SchedCPU:   s.cfg.SchedOverhead,
-		VerifyTime: gpuTime,
-	}
-	end := now + st.Elapsed
-	for _, r := range decode {
-		st.TokensCommitted += r.CommitCount(1, end)
-		r.VerifySteps++
-	}
-	return st
+	return s.decodeStep(now, decode, prefill)
 }

@@ -308,13 +308,33 @@ func (b *base) prefillWhole(now float64) (IterationStats, bool) {
 			break
 		}
 	}
-	gpuTime := b.cfg.Engine.Prefill(items)
+	gpuTime := b.cfg.Engine.Pass(nil, items)
 	st := IterationStats{
 		Elapsed:     gpuTime + b.cfg.SchedOverhead,
 		SchedCPU:    b.cfg.SchedOverhead,
 		PrefillTime: gpuTime,
 	}
 	return st, true
+}
+
+// decodeStep runs one count-only iteration of the non-speculative systems:
+// it stamps run's first decode, runs one pass of a decode token per request
+// in run plus the prefill chunks, and commits each decode token by count at
+// the iteration end (now + Elapsed).
+func (b *base) decodeStep(now float64, run []*request.Request, prefill []engine.PrefillItem) IterationStats {
+	markFirstDecode(run, now)
+	gpuTime := b.cfg.Engine.Pass(run, prefill)
+	st := IterationStats{
+		Elapsed:    gpuTime + b.cfg.SchedOverhead,
+		SchedCPU:   b.cfg.SchedOverhead,
+		VerifyTime: gpuTime,
+	}
+	end := now + st.Elapsed
+	for _, r := range run {
+		st.TokensCommitted += r.CommitCount(1, end)
+		r.VerifySteps++
+	}
+	return st
 }
 
 // markFirstDecode stamps FirstDecodeTime for requests entering their first

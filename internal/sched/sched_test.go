@@ -443,7 +443,7 @@ func TestFastServeAgingPromotesStarved(t *testing.T) {
 		t.Fatal("expected a deep base level")
 	}
 	// Unserved for many quanta: effective level decays to 0.
-	if got := sys.effectiveLevel(r, float64(deep+2)*sys.AgingQuantum); got != 0 {
+	if got := sys.effectiveLevel(r, float64(deep+2)*fastServeAgingQuantum); got != 0 {
 		t.Fatalf("aged level %d, want 0", got)
 	}
 }

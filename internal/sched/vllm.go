@@ -66,19 +66,7 @@ func (v *VLLM) Iterate(now float64) IterationStats {
 	if v.PriorityAware {
 		decode = v.trimByPriority(decode)
 	}
-	markFirstDecode(decode, now)
-	gpuTime := v.cfg.Engine.DecodeBatch(decode)
-	st := IterationStats{
-		Elapsed:    gpuTime + v.cfg.SchedOverhead,
-		SchedCPU:   v.cfg.SchedOverhead,
-		VerifyTime: gpuTime,
-	}
-	end := now + st.Elapsed
-	for _, r := range decode {
-		st.TokensCommitted += r.CommitCount(1, end)
-		r.VerifySteps++
-	}
-	return st
+	return v.decodeStep(now, decode, nil)
 }
 
 // trimByPriority restricts the decode batch when urgent requests are

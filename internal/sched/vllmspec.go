@@ -71,7 +71,7 @@ func (v *VLLMSpec) Iterate(now float64) IterationStats {
 		}
 		v.items = append(v.items, engine.VerifyItem{Req: r, Sel: sel})
 	}
-	ver := v.cfg.Engine.VerifyTrees(v.items)
+	ver := v.cfg.Engine.VerifyTrees(v.items, nil)
 	st := IterationStats{
 		Elapsed:    spec.GPUTime + ver.GPUTime + v.cfg.SchedOverhead,
 		SchedCPU:   v.cfg.SchedOverhead,

@@ -11,8 +11,6 @@ import (
 // tight latency gets no preferential latency treatment.
 type VTC struct {
 	base
-	// WIn weights prompt tokens in the counter (VTC's w_in/w_out ratio).
-	WIn float64
 	// counters tracks weighted tokens served per category.
 	counters [request.NumCategories]float64
 }
@@ -23,8 +21,12 @@ func NewVTC(cfg Config) (*VTC, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VTC{base: b, WIn: 0.5}, nil
+	return &VTC{base: b}, nil
 }
+
+// vtcWeightIn weights prompt tokens in VTC's counters against output tokens
+// (its w_in/w_out ratio).
+const vtcWeightIn = 0.5
 
 // Name implements System.
 func (v *VTC) Name() string { return "VTC" }
@@ -49,7 +51,7 @@ func (v *VTC) Iterate(now float64) IterationStats {
 		for _, r := range v.pool.Running() {
 			// Count freshly prefilled prompts toward their class.
 			if r.Phase == request.Decoding && r.OutputLen() == 0 && r.FirstDecodeTime < 0 {
-				v.counters[r.Category] += v.WIn * float64(r.PromptLen)
+				v.counters[r.Category] += vtcWeightIn * float64(r.PromptLen)
 			}
 		}
 		return st
@@ -59,19 +61,10 @@ func (v *VTC) Iterate(now float64) IterationStats {
 	if len(decode) == 0 {
 		return IterationStats{Idle: true}
 	}
-	markFirstDecode(decode, now)
-	gpuTime := v.cfg.Engine.DecodeBatch(decode)
-	st := IterationStats{
-		Elapsed:    gpuTime + v.cfg.SchedOverhead,
-		SchedCPU:   v.cfg.SchedOverhead,
-		VerifyTime: gpuTime,
-	}
-	end := now + st.Elapsed
+	st := v.decodeStep(now, decode, nil)
 	for _, r := range decode {
-		kept := r.CommitCount(1, end)
-		st.TokensCommitted += kept
-		v.counters[r.Category] += float64(kept)
-		r.VerifySteps++
+		// A decoding request is short of MaxNewTokens, so it kept its token.
+		v.counters[r.Category]++
 	}
 	return st
 }

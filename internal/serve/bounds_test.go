@@ -118,7 +118,7 @@ func TestInstanceAccessors(t *testing.T) {
 		t.Fatalf("instance clock/iterations %g/%d vs result %g/%d",
 			in.Clock(), in.Iterations(), rr.EndTime, rr.Iterations)
 	}
-	if in.Breakdown() != rr.Instances[0].Breakdown || in.Breakdown().Total() <= 0 {
+	if in.Breakdown() != rr.Breakdown || in.Breakdown().Total() <= 0 {
 		t.Fatalf("instance breakdown %+v", in.Breakdown())
 	}
 }

@@ -95,8 +95,6 @@ type InstanceResult struct {
 	Iterations int
 	// EndTime is the instance's final local clock.
 	EndTime float64
-	// Breakdown aggregates the instance's per-iteration time components.
-	Breakdown metrics.Breakdown
 }
 
 // Result reports a completed run.
@@ -368,7 +366,6 @@ func (s *Server) Run(src Source) (*Result, error) {
 		res.Instances[i] = InstanceResult{
 			Iterations: in.iterations,
 			EndTime:    in.clock,
-			Breakdown:  in.breakdown,
 		}
 		res.Breakdown.Add(in.breakdown)
 		if in.clock > res.EndTime {

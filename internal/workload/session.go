@@ -43,11 +43,10 @@ type SessionsConfig struct {
 // (e.g. the same workload behind different routers), so compared cells face
 // equal offered load.
 type session struct {
-	tenant int
-	seed   uint64
-	turn   int
-	segs   []request.PromptSegment
-	rng    *mathutil.RNG
+	seed uint64
+	turn int
+	segs []request.PromptSegment
+	rng  *mathutil.RNG
 }
 
 // Sessions synthesizes multi-turn, multi-tenant conversations for closed-loop
@@ -63,12 +62,11 @@ type session struct {
 // All sampling is deterministic given the config seed and the (deterministic)
 // order of FollowUp calls.
 type Sessions struct {
-	cfg      SessionsConfig
-	spec     CategorySpec
-	nextID   int
-	open     map[int]*session // outstanding turn's request ID → session
-	issued   int
-	finished int
+	cfg    SessionsConfig
+	spec   CategorySpec
+	nextID int
+	open   map[int]*session // outstanding turn's request ID → session
+	issued int
 }
 
 // NewSessions validates and builds a session generator.
@@ -148,10 +146,7 @@ func (ss *Sessions) makeTurn(s *session, t float64) *request.Request {
 func (ss *Sessions) InitialRequests() []*request.Request {
 	out := make([]*request.Request, 0, ss.cfg.Tenants)
 	for tenant := 0; tenant < ss.cfg.Tenants; tenant++ {
-		s := &session{
-			tenant: tenant,
-			seed:   mathutil.Hash2(ss.cfg.Seed, uint64(tenant)+0x5e55),
-		}
+		s := &session{seed: mathutil.Hash2(ss.cfg.Seed, uint64(tenant)+0x5e55)}
 		s.rng = mathutil.NewRNG(mathutil.Hash2(s.seed, 0x17e6))
 		if ss.cfg.SystemPromptLen > 0 {
 			s.segs = append(s.segs, request.PromptSegment{
@@ -178,7 +173,6 @@ func (ss *Sessions) FollowUp(r *request.Request, now float64) *request.Request {
 		return nil
 	}
 	delete(ss.open, r.ID)
-	ss.finished++
 	// The conversation absorbs the finished turn: its full prompt (already
 	// seg-aligned in r.PromptSegs) plus the assistant reply.
 	s.segs = s.segs[:0]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# deadcode.sh — fail when a function under internal/ is linked into no binary.
+# deadcode.sh — fail on dead code under internal/, in two phases.
 #
-# Builds every main package of the module with inlining off
+# Phase 1 fails when a function under internal/ is linked into no binary. It
+# builds every main package of the module with inlining off
 # (-gcflags=all=-l, so a function that is only ever inlined still leaves a
 # symbol), collects the adaserve/internal/... symbols with `go tool nm`, and
 # compares them against every non-test `func` declaration under internal/.
@@ -9,10 +10,16 @@
 # a _test.go file if only tests use it, or list it in scripts/deadcode.allow
 # with the reason it stays.
 #
-# Names are `<package path under internal/>.<Func>` or
+# Function names are `<package path under internal/>.<Func>` or
 # `<package path>.<Type>.<Method>`, e.g. `kvcache.Manager.CheckInvariants`.
 # Generic instantiations (`Table[go.shape.int]`), pointer-receiver forms
 # (`(*Manager)`) and closures (`.func1`) are normalised to those names.
+#
+# Phase 2 (scripts/writeonly) fails when a struct field under internal/ is
+# written but read by no non-test code: delete it, or list it in the allow
+# file as `field <name> <reason>` when something reads it another way
+# (reflection, a map key, an event payload). Each phase reads only its own
+# allow entries and fails on a stale one.
 #
 # Usage: scripts/deadcode.sh     (exit 0: nothing dead outside the allow list)
 set -euo pipefail
@@ -47,7 +54,7 @@ find internal -name '*.go' ! -name '*_test.go' | sort | while read -r f; do
     grep -vxE 'init|main' | sed "s|^|$dir.|" || true
 done | sort -u > "$work/declared"
 
-awk '!/^[[:space:]]*(#|$)/ {print $1}' "$allow" | sort -u > "$work/allowed"
+awk '!/^[[:space:]]*(#|$)/ && $1 != "field" {print $1}' "$allow" | sort -u > "$work/allowed"
 
 comm -23 "$work/declared" "$work/linked" | comm -23 - "$work/allowed" > "$work/dead"
 comm -13 "$work/declared" "$work/allowed" > "$work/stale"
@@ -65,4 +72,8 @@ if [ -s "$work/stale" ]; then
   status=1
 fi
 [ "$status" -eq 0 ] && echo "deadcode: $(wc -l < "$work/declared") functions under internal/, none dead outside $allow"
+
+# Phase 2: write-only fields.
+go build -o "$work/writeonly" ./scripts/writeonly
+"$work/writeonly" -allow "$allow" . || status=1
 exit "$status"

@@ -28,7 +28,7 @@
 // replica warms.
 //
 // The decision laws are pure functions of explicit signal structs
-// (Envelope, Decide), which is what the property and fuzz
+// (envelope, Decide), which is what the property and fuzz
 // tests pin: monotonicity (lower acceptance never raises a cap, more
 // saturation never loosens admission), bounded actuation, and
 // never-reject-below-saturation / never-admit-provably-unmeetable.
@@ -43,30 +43,30 @@ import (
 	"adaserve/internal/serve"
 )
 
-// DefaultInterval is the retune cadence in simulated seconds.
-const DefaultInterval = 1.0
+// defaultInterval is the retune cadence in simulated seconds.
+const defaultInterval = 1.0
 
 // The tuning and admission laws' fixed parameters.
 const (
-	// MinEnvelope is the smallest depth and width ceiling the tuner sets.
-	MinEnvelope = 1
-	// DefaultDepthTail is the end-to-end chain acceptance probability below
+	// minEnvelope is the smallest depth and width ceiling the tuner sets.
+	minEnvelope = 1
+	// defaultDepthTail is the end-to-end chain acceptance probability below
 	// which deeper drafting stops paying.
-	DefaultDepthTail = 0.2
-	// DefaultAttainLow is the windowed TPOT attainment below which a class's
+	defaultDepthTail = 0.2
+	// defaultAttainLow is the windowed TPOT attainment below which a class's
 	// width cap loses a lane (budget goes to guaranteed tokens instead of
 	// wide trees).
-	DefaultAttainLow = 0.9
-	// DefaultQueueDegrade/DefaultQueueReject are the saturation thresholds
+	defaultAttainLow = 0.9
+	// defaultQueueDegrade/defaultQueueReject are the saturation thresholds
 	// in queued (waiting, unstarted) requests per active replica: at
-	// DefaultQueueDegrade the gate degrades degradable arrivals (when
-	// offered load also exceeds calibrated capacity), at DefaultQueueReject
+	// defaultQueueDegrade the gate degrades degradable arrivals (when
+	// offered load also exceeds calibrated capacity), at defaultQueueReject
 	// it rejects.
-	DefaultQueueDegrade = 3.0
-	DefaultQueueReject  = 10.0
-	// DefaultBestEffortTPOT is the TPOT SLO degraded requests relax to: the
+	defaultQueueDegrade = 3.0
+	defaultQueueReject  = 10.0
+	// defaultBestEffortTPOT is the TPOT SLO degraded requests relax to: the
 	// batch-tolerant summarization class's 150 ms/token.
-	DefaultBestEffortTPOT = 0.150
+	defaultBestEffortTPOT = 0.150
 )
 
 // untunedDepth/untunedWidth are the envelope an admission-only controller
@@ -80,7 +80,7 @@ const (
 // defaults; the envelope ceilings come from the controlled system.
 type Config struct {
 	// Interval is the retune cadence in simulated seconds
-	// (0: DefaultInterval). Decisions land on the interval grid, evaluated
+	// (0: defaultInterval). Decisions land on the interval grid, evaluated
 	// at the first iteration boundary past each grid instant.
 	Interval float64
 	// Window is the trailing-window width for rolling signals
@@ -97,7 +97,7 @@ type Config struct {
 // fill resolves zero values to the defaults.
 func (c *Config) fill() {
 	if c.Interval == 0 {
-		c.Interval = DefaultInterval
+		c.Interval = defaultInterval
 	}
 	if c.Window == 0 {
 		c.Window = serve.DefaultSnapshotWindow
@@ -115,102 +115,102 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ClassSignals are one SLO class's windowed measurements, the input to the
+// classSignals are one SLO class's windowed measurements, the input to the
 // envelope law.
-type ClassSignals struct {
-	// Finished is the class's windowed finish count; zero means the class
+type classSignals struct {
+	// finished is the class's windowed finish count; zero means the class
 	// is uncalibrated and keeps the full envelope.
-	Finished int
-	// Acceptance is the class's mean accepted tokens per verification step
+	finished int
+	// acceptance is the class's mean accepted tokens per verification step
 	// over the window.
-	Acceptance float64
-	// Attainment is the class's windowed TPOT attainment fraction.
-	Attainment float64
+	acceptance float64
+	// attainment is the class's windowed TPOT attainment fraction.
+	attainment float64
 }
 
-// Envelope maps one class's rolling signals to its speculation ceilings —
+// envelope maps one class's rolling signals to its speculation ceilings —
 // the pure law behind the tuner, exercised directly by the property tests.
 //
 // Depth follows a geometric-chain view of acceptance: mean accepted tokens
 // per step m implies a per-position acceptance probability p = m/(1+m)
 // (the mean of a truncated geometric), and the deepest chain worth
-// drafting keeps its end-to-end acceptance p^d above DefaultDepthTail.
+// drafting keeps its end-to-end acceptance p^d above defaultDepthTail.
 // Width grants one lane per accepted token per step, minus one while the
-// class misses the DefaultAttainLow attainment floor (budget is better
+// class misses the defaultAttainLow attainment floor (budget is better
 // spent on guaranteed tokens than wide trees). depthMax and widthMax are
 // the controlled system's constructed ceilings.
 //
 // The law is monotone — lower acceptance never raises either cap — and
-// bounded: results always lie in [MinEnvelope,depthMax] x
-// [MinEnvelope,widthMax].
-func Envelope(sig ClassSignals, depthMax, widthMax int) (dmax, wmax int) {
-	if sig.Finished <= 0 {
+// bounded: results always lie in [minEnvelope,depthMax] x
+// [minEnvelope,widthMax].
+func envelope(sig classSignals, depthMax, widthMax int) (dmax, wmax int) {
+	if sig.finished <= 0 {
 		return depthMax, widthMax
 	}
-	m := sig.Acceptance
+	m := sig.acceptance
 	if m < 0 {
 		m = 0
 	}
 	p := m / (1 + m)
-	d := MinEnvelope
+	d := minEnvelope
 	if p > 0 {
-		switch est := math.Log(DefaultDepthTail) / math.Log(p); {
+		switch est := math.Log(defaultDepthTail) / math.Log(p); {
 		case est >= float64(depthMax):
 			d = depthMax
-		case est > MinEnvelope:
+		case est > minEnvelope:
 			d = int(est)
 		}
 	}
 	w := 1 + int(m)
-	if sig.Attainment < DefaultAttainLow {
+	if sig.attainment < defaultAttainLow {
 		w--
 	}
-	return d, mathutil.ClipInt(w, MinEnvelope, widthMax)
+	return d, mathutil.ClipInt(w, minEnvelope, widthMax)
 }
 
-// Signals is the fleet-level saturation view one admission decision is
+// signals is the fleet-level saturation view one admission decision is
 // made against.
-type Signals struct {
-	// Queued counts waiting (not yet scheduled) requests across serving
+type signals struct {
+	// queued counts waiting (not yet scheduled) requests across serving
 	// instances.
-	Queued int
-	// Active counts replicas serving traffic now. Provisioning replicas are
-	// paid for but not serving, so pressure is normalized by Active and the
+	queued int
+	// active counts replicas serving traffic now. Provisioning replicas are
+	// paid for but not serving, so pressure is normalized by active and the
 	// gate tightens exactly through the autoscaler's cold-start gap.
-	Active int
-	// ArrivalRate is the offered load over the trailing window in req/s;
-	// ServiceRate is the calibrated sustainable per-replica finish rate
+	active int
+	// arrivalRate is the offered load over the trailing window in req/s;
+	// serviceRate is the calibrated sustainable per-replica finish rate
 	// (0 until calibrated).
-	ArrivalRate, ServiceRate float64
-	// PrefillBacklog is the queued prompt tokens across serving instances;
-	// PrefillRate is the calibrated per-replica prompt-processing rate in
+	arrivalRate, serviceRate float64
+	// prefillBacklog is the queued prompt tokens across serving instances;
+	// prefillRate is the calibrated per-replica prompt-processing rate in
 	// tokens/s (0 until calibrated). Together they lower-bound any new
 	// arrival's achievable TTFT.
-	PrefillBacklog int
-	PrefillRate    float64
+	prefillBacklog int
+	prefillRate    float64
 }
 
-// QueuePressure returns queued requests per active replica: the primary
+// queuePressure returns queued requests per active replica: the primary
 // saturation signal.
-func (s Signals) QueuePressure() float64 {
-	active := s.Active
+func (s signals) queuePressure() float64 {
+	active := s.active
 	if active < 1 {
 		active = 1
 	}
-	return float64(s.Queued) / float64(active)
+	return float64(s.queued) / float64(active)
 }
 
-// Overloaded reports whether windowed offered load exceeds the calibrated
-// fleet capacity. An uncalibrated gate (ServiceRate 0) trusts queue
+// overloaded reports whether windowed offered load exceeds the calibrated
+// fleet capacity. An uncalibrated gate (serviceRate 0) trusts queue
 // pressure alone and reports true.
-func (s Signals) Overloaded() bool {
-	if s.ServiceRate <= 0 || s.Active <= 0 {
+func (s signals) overloaded() bool {
+	if s.serviceRate <= 0 || s.active <= 0 {
 		return true
 	}
-	return s.ArrivalRate > s.ServiceRate*float64(s.Active)
+	return s.arrivalRate > s.serviceRate*float64(s.active)
 }
 
-// UnmeetableTTFT returns a conservative lower bound on the request's
+// unmeetableTTFT returns a conservative lower bound on the request's
 // achievable TTFT and whether that bound already exceeds its TTFT SLO. The
 // bound assumes the most optimistic schedule the fleet could possibly run:
 // the entire active fleet prefilling at its calibrated peak rate, the
@@ -218,37 +218,37 @@ func (s Signals) Overloaded() bool {
 // prompt, with a free first decode step. A request this bound condemns
 // cannot meet its deadline under ANY real schedule, so rejecting it sheds
 // load without costing a single attainable SLO. Uncalibrated gates
-// (PrefillRate 0) and requests without a TTFT SLO are never condemned.
-func UnmeetableTTFT(sig Signals, r *request.Request) (float64, bool) {
-	if r.TTFTSLO <= 0 || sig.PrefillRate <= 0 || sig.Active <= 0 {
+// (prefillRate 0) and requests without a TTFT SLO are never condemned.
+func unmeetableTTFT(sig signals, r *request.Request) (float64, bool) {
+	if r.TTFTSLO <= 0 || sig.prefillRate <= 0 || sig.active <= 0 {
 		return 0, false
 	}
-	fleetRate := sig.PrefillRate * float64(sig.Active)
-	bound := (float64(sig.PrefillBacklog) + float64(r.PromptLen)) / fleetRate
+	fleetRate := sig.prefillRate * float64(sig.active)
+	bound := (float64(sig.prefillBacklog) + float64(r.PromptLen)) / fleetRate
 	return bound, bound > r.TTFTSLO
 }
 
-// Decide classifies one arrival against the saturation signals: the pure
+// decide classifies one arrival against the saturation signals: the pure
 // law behind Controller.Decide, exercised directly by the property and
-// fuzz tests. It is monotone in saturation — raising Queued (or shrinking
+// fuzz tests. It is monotone in saturation — raising queued (or shrinking
 // the active fleet, or raising the arrival rate) never loosens the
-// outcome — and it rejects below the DefaultQueueReject saturation
+// outcome — and it rejects below the defaultQueueReject saturation
 // threshold only when the request's TTFT deadline is provably unmeetable.
-func Decide(sig Signals, r *request.Request) (serve.AdmissionDecision, string) {
-	if bound, doomed := UnmeetableTTFT(sig, r); doomed {
+func decide(sig signals, r *request.Request) (serve.AdmissionDecision, string) {
+	if bound, doomed := unmeetableTTFT(sig, r); doomed {
 		return serve.AdmissionReject,
 			fmt.Sprintf("ttft unmeetable: lower bound %.2fs > slo %.2fs (backlog %d tok / %d active)",
-				bound, r.TTFTSLO, sig.PrefillBacklog, sig.Active)
+				bound, r.TTFTSLO, sig.prefillBacklog, sig.active)
 	}
-	qp := sig.QueuePressure()
+	qp := sig.queuePressure()
 	switch {
-	case qp >= DefaultQueueReject:
+	case qp >= defaultQueueReject:
 		return serve.AdmissionReject,
-			fmt.Sprintf("saturated: %.1f queued/active replica >= %.1f", qp, DefaultQueueReject)
-	case qp >= DefaultQueueDegrade && sig.Overloaded() && !r.Degraded:
+			fmt.Sprintf("saturated: %.1f queued/active replica >= %.1f", qp, defaultQueueReject)
+	case qp >= defaultQueueDegrade && sig.overloaded() && !r.Degraded:
 		return serve.AdmissionDegrade,
 			fmt.Sprintf("overloaded: %.1f queued/active replica >= %.1f, %.2f req/s offered",
-				qp, DefaultQueueDegrade, sig.ArrivalRate)
+				qp, defaultQueueDegrade, sig.arrivalRate)
 	default:
 		return serve.AdmissionAdmit, ""
 	}

@@ -41,10 +41,10 @@ func TestEnvelopeMonotoneAndBounded(t *testing.T) {
 	for _, attain := range []float64{0, 0.5, 0.89, 0.9, 1.0} {
 		prevD, prevW := 0, 0
 		for m := 0.0; m <= 8.0; m += 0.05 {
-			d, w := Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: attain}, testDepth, testWidth)
-			if d < MinEnvelope || d > testDepth || w < MinEnvelope || w > testWidth {
+			d, w := envelope(classSignals{finished: 10, acceptance: m, attainment: attain}, testDepth, testWidth)
+			if d < minEnvelope || d > testDepth || w < minEnvelope || w > testWidth {
 				t.Fatalf("envelope (%d,%d) at m=%.2f attain=%.2f escapes bounds [%d,%d]x[%d,%d]",
-					d, w, m, attain, MinEnvelope, testDepth, MinEnvelope, testWidth)
+					d, w, m, attain, minEnvelope, testDepth, minEnvelope, testWidth)
 			}
 			if d < prevD || w < prevW {
 				t.Fatalf("envelope shrank as acceptance rose: (%d,%d) -> (%d,%d) at m=%.2f attain=%.2f",
@@ -59,8 +59,8 @@ func TestEnvelopeMonotoneAndBounded(t *testing.T) {
 // exactly one width lane and never touches depth.
 func TestEnvelopeAttainmentPenalty(t *testing.T) {
 	for m := 0.0; m <= 8.0; m += 0.25 {
-		dHi, wHi := Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: 1.0}, testDepth, testWidth)
-		dLo, wLo := Envelope(ClassSignals{Finished: 10, Acceptance: m, Attainment: 0.0}, testDepth, testWidth)
+		dHi, wHi := envelope(classSignals{finished: 10, acceptance: m, attainment: 1.0}, testDepth, testWidth)
+		dLo, wLo := envelope(classSignals{finished: 10, acceptance: m, attainment: 0.0}, testDepth, testWidth)
 		if dLo != dHi {
 			t.Fatalf("attainment moved depth at m=%.2f: %d vs %d", m, dLo, dHi)
 		}
@@ -73,7 +73,7 @@ func TestEnvelopeAttainmentPenalty(t *testing.T) {
 // TestEnvelopeUncalibrated: a class with no windowed finishes keeps the full
 // constructed envelope — the tuner only ever acts on evidence.
 func TestEnvelopeUncalibrated(t *testing.T) {
-	d, w := Envelope(ClassSignals{}, testDepth, testWidth)
+	d, w := envelope(classSignals{}, testDepth, testWidth)
 	if d != testDepth || w != testWidth {
 		t.Fatalf("uncalibrated class got (%d,%d), want the full (%d,%d)", d, w, testDepth, testWidth)
 	}
@@ -85,8 +85,8 @@ func TestDecideMonotoneInQueue(t *testing.T) {
 	for _, serviceRate := range []float64{0, 2.0} {
 		prev := 0
 		for q := 0; q <= 60; q++ {
-			sig := Signals{Queued: q, Active: 2, ArrivalRate: 10, ServiceRate: serviceRate}
-			dec, reason := Decide(sig, chatReq())
+			sig := signals{queued: q, active: 2, arrivalRate: 10, serviceRate: serviceRate}
+			dec, reason := decide(sig, chatReq())
 			if s := strictness(dec); s < prev {
 				t.Fatalf("queue %d loosened the decision to %v (serviceRate=%g)", q, dec, serviceRate)
 			} else {
@@ -104,9 +104,9 @@ func TestDecideMonotoneInQueue(t *testing.T) {
 func TestDecideMonotoneInFleet(t *testing.T) {
 	prev := -1
 	for active := 8; active >= 1; active-- {
-		sig := Signals{Queued: 12, Active: active, ArrivalRate: 10, ServiceRate: 2,
-			PrefillBacklog: 4096, PrefillRate: 2000}
-		dec, _ := Decide(sig, chatReq())
+		sig := signals{queued: 12, active: active, arrivalRate: 10, serviceRate: 2,
+			prefillBacklog: 4096, prefillRate: 2000}
+		dec, _ := decide(sig, chatReq())
 		if s := strictness(dec); s < prev {
 			t.Fatalf("shrinking fleet to %d active loosened the decision to %v", active, dec)
 		} else {
@@ -119,13 +119,13 @@ func TestDecideMonotoneInFleet(t *testing.T) {
 // healthy fleets: under the reject threshold, with a meetable (or absent)
 // TTFT deadline, an arrival is never turned away.
 func TestDecideNeverRejectsBelowSaturation(t *testing.T) {
-	for q := 0; float64(q)/2 < DefaultQueueReject; q++ {
+	for q := 0; float64(q)/2 < defaultQueueReject; q++ {
 		for _, rate := range []float64{0, 5, 500} {
-			sig := Signals{Queued: q, Active: 2, ArrivalRate: rate, ServiceRate: 1}
-			dec, _ := Decide(sig, chatReq())
+			sig := signals{queued: q, active: 2, arrivalRate: rate, serviceRate: 1}
+			dec, _ := decide(sig, chatReq())
 			if dec == serve.AdmissionReject {
 				t.Fatalf("rejected at pressure %.1f < %.1f with no unmeetable deadline (rate %g)",
-					sig.QueuePressure(), DefaultQueueReject, rate)
+					sig.queuePressure(), defaultQueueReject, rate)
 			}
 		}
 	}
@@ -135,20 +135,20 @@ func TestDecideNeverRejectsBelowSaturation(t *testing.T) {
 // TTFT deadline is provably lost, even on an otherwise quiet fleet; waiving
 // the deadline or losing calibration withdraws the proof.
 func TestDecideRejectsUnmeetable(t *testing.T) {
-	sig := Signals{Queued: 0, Active: 1, ServiceRate: 2,
-		PrefillBacklog: 100_000, PrefillRate: 10_000}
+	sig := signals{queued: 0, active: 1, serviceRate: 2,
+		prefillBacklog: 100_000, prefillRate: 10_000}
 	r := chatReq() // TTFT SLO 4s; bound is (100000+512)/10000 > 10s
-	dec, reason := Decide(sig, r)
+	dec, reason := decide(sig, r)
 	if dec != serve.AdmissionReject || !strings.Contains(reason, "ttft unmeetable") {
 		t.Fatalf("provably unmeetable request got %v (%q)", dec, reason)
 	}
 	r2 := chatReq()
 	r2.TTFTSLO = 0
-	if dec, _ := Decide(sig, r2); dec != serve.AdmissionAdmit {
+	if dec, _ := decide(sig, r2); dec != serve.AdmissionAdmit {
 		t.Fatalf("request without a TTFT SLO got %v on a quiet fleet", dec)
 	}
-	sig.PrefillRate = 0
-	if dec, _ := Decide(sig, chatReq()); dec != serve.AdmissionAdmit {
+	sig.prefillRate = 0
+	if dec, _ := decide(sig, chatReq()); dec != serve.AdmissionAdmit {
 		t.Fatalf("uncalibrated gate condemned a request: %v", dec)
 	}
 }
@@ -156,14 +156,14 @@ func TestDecideRejectsUnmeetable(t *testing.T) {
 // TestDecideDegradedPassThrough: an already-degraded request is never
 // degraded again — in the degrade band it is simply admitted.
 func TestDecideDegradedPassThrough(t *testing.T) {
-	sig := Signals{Queued: 10, Active: 2, ArrivalRate: 50, ServiceRate: 1}
+	sig := signals{queued: 10, active: 2, arrivalRate: 50, serviceRate: 1}
 	fresh := chatReq()
-	if dec, _ := Decide(sig, fresh); dec != serve.AdmissionDegrade {
+	if dec, _ := decide(sig, fresh); dec != serve.AdmissionDegrade {
 		t.Fatalf("degrade band did not degrade a fresh request: %v", dec)
 	}
 	degraded := chatReq()
-	degraded.Degrade(DefaultBestEffortTPOT)
-	if dec, _ := Decide(sig, degraded); dec != serve.AdmissionAdmit {
+	degraded.Degrade(defaultBestEffortTPOT)
+	if dec, _ := decide(sig, degraded); dec != serve.AdmissionAdmit {
 		t.Fatalf("already-degraded request got %v in the degrade band", dec)
 	}
 }

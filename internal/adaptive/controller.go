@@ -18,11 +18,11 @@ type SpecTunable interface {
 	ClampSpecEnvelope(dmax, wmax int)
 }
 
-// Fleet is the optional replica-lifecycle view an elastic backend exposes
+// fleet is the optional replica-lifecycle view an elastic backend exposes
 // (*cluster.Cluster implements it): how many replicas serve traffic now
 // versus how many consume capacity. Backends without it (single systems,
 // static clusters) count every instance as active.
-type Fleet interface {
+type fleet interface {
 	ActiveServing() int
 	CommittedFleet() int
 }
@@ -39,7 +39,7 @@ type Controller struct {
 	cfg   Config
 	insts []*serve.Instance
 	tuned []SpecTunable
-	fleet Fleet
+	fleet fleet
 
 	next float64
 
@@ -63,7 +63,7 @@ type Controller struct {
 // New builds a controller over a backend's instances. Unless tuning is
 // disabled, at least one instance's system must be SpecTunable (AdaServe);
 // the envelope ceilings are the first tunable system's constructed ones.
-// If the backend is a Fleet (elastic cluster), the gate normalizes
+// If the backend is a fleet (elastic cluster), the gate normalizes
 // saturation by its live active-replica count.
 func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	if backend == nil {
@@ -90,7 +90,7 @@ func New(backend serve.Backend, cfg Config) (*Controller, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	fleet, _ := backend.(Fleet)
+	fleet, _ := backend.(fleet)
 	c := &Controller{
 		cfg:      cfg,
 		insts:    insts,
@@ -151,15 +151,15 @@ func (c *Controller) Tick(now float64) {
 	// the widest proposal (max is monotone in every class's signals, so the
 	// per-class monotonicity law lifts to the actuated envelope). With no
 	// calibrated class the constructed envelope stands.
-	d, w, calibrated := MinEnvelope, MinEnvelope, false
+	d, w, calibrated := minEnvelope, minEnvelope, false
 	for _, cls := range classes {
 		if cls.WindowFinished == 0 {
 			continue
 		}
-		cd, cw := Envelope(ClassSignals{
-			Finished:   cls.WindowFinished,
-			Acceptance: cls.WindowAcceptance(),
-			Attainment: cls.WindowAttainment(),
+		cd, cw := envelope(classSignals{
+			finished:   cls.WindowFinished,
+			acceptance: cls.WindowAcceptance(),
+			attainment: cls.WindowAttainment(),
 		}, c.depthMax, c.widthMax)
 		if cd > d {
 			d = cd
@@ -178,7 +178,7 @@ func (c *Controller) Tick(now float64) {
 }
 
 // signals assembles the live saturation view for one admission decision.
-func (c *Controller) signals(now float64) Signals {
+func (c *Controller) signals(now float64) signals {
 	_, arrivals := c.window.Windowed(now)
 	queued, backlog := 0, 0
 	for _, in := range c.insts {
@@ -203,10 +203,10 @@ func (c *Controller) signals(now float64) Signals {
 	if span > 0 {
 		rate = float64(arrivals) / span
 	}
-	return Signals{
-		Queued: queued, Active: active,
-		ArrivalRate: rate, ServiceRate: c.service.Peak(),
-		PrefillBacklog: backlog, PrefillRate: c.prefill.Peak(),
+	return signals{
+		queued: queued, active: active,
+		arrivalRate: rate, serviceRate: c.service.Peak(),
+		prefillBacklog: backlog, prefillRate: c.prefill.Peak(),
 	}
 }
 
@@ -221,12 +221,12 @@ func (c *Controller) Decide(r *request.Request) (serve.AdmissionDecision, string
 		c.sum.Add(original, true, false, false)
 		return serve.AdmissionAdmit, ""
 	}
-	dec, reason := Decide(c.signals(r.ArrivalTime), r)
+	dec, reason := decide(c.signals(r.ArrivalTime), r)
 	switch dec {
 	case serve.AdmissionReject:
 		c.sum.Add(original, false, false, true)
 	case serve.AdmissionDegrade:
-		r.Degrade(DefaultBestEffortTPOT)
+		r.Degrade(defaultBestEffortTPOT)
 		c.sum.Add(original, false, true, false)
 	default:
 		c.sum.Add(original, true, false, false)

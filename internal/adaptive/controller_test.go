@@ -17,8 +17,8 @@ import (
 // on (mirrors the sched package's own test fixture).
 func schedConfig(t *testing.T) sched.Config {
 	t.Helper()
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	draft := lm.MustDraftLM("d", target, 0.88, 2)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.88, 2)
 	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
@@ -165,9 +165,9 @@ func TestControllerClosedLoop(t *testing.T) {
 		t.Fatalf("per-class split %d does not cover %d offered", perClass, sum.Offered)
 	}
 	d, w := sys.SpecEnvelope()
-	if d < MinEnvelope || d > d0 || w < MinEnvelope || w > w0 {
+	if d < minEnvelope || d > d0 || w < minEnvelope || w > w0 {
 		t.Fatalf("actuated envelope (%d,%d) escaped bounds [%d,%d]x[%d,%d]",
-			d, w, MinEnvelope, d0, MinEnvelope, w0)
+			d, w, minEnvelope, d0, minEnvelope, w0)
 	}
 }
 

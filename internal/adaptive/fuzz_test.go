@@ -44,35 +44,35 @@ func FuzzAdmission(f *testing.F) {
 		r := request.New(1, cat, 0.05, 0, promptLen, 64, 1)
 		r.TTFTSLO = ttftSLO
 		if degraded {
-			r.Degrade(DefaultBestEffortTPOT)
+			r.Degrade(defaultBestEffortTPOT)
 		}
-		sig := Signals{Queued: queued, Active: active,
-			ArrivalRate: arrivalRate, ServiceRate: serviceRate,
-			PrefillBacklog: backlog, PrefillRate: prefillRate}
+		sig := signals{queued: queued, active: active,
+			arrivalRate: arrivalRate, serviceRate: serviceRate,
+			prefillBacklog: backlog, prefillRate: prefillRate}
 
-		dec, reason := Decide(sig, r)
+		dec, reason := decide(sig, r)
 		if s := strictness(dec); s < 0 {
 			t.Fatalf("decision %v outside the enum", dec)
 		} else if (reason == "") != (dec == serve.AdmissionAdmit) {
 			t.Fatalf("decision %v with reason %q", dec, reason)
 		}
-		_, doomed := UnmeetableTTFT(sig, r)
+		_, doomed := unmeetableTTFT(sig, r)
 		if doomed && dec != serve.AdmissionReject {
 			t.Fatalf("admitted a provably unmeetable deadline: %v (%+v)", dec, sig)
 		}
-		if !doomed && sig.QueuePressure() < DefaultQueueReject && dec == serve.AdmissionReject {
+		if !doomed && sig.queuePressure() < defaultQueueReject && dec == serve.AdmissionReject {
 			t.Fatalf("rejected below saturation with a meetable deadline: %q (%+v)", reason, sig)
 		}
 
 		busier := sig
-		busier.Queued++
-		decBusier, _ := Decide(busier, r)
+		busier.queued++
+		decBusier, _ := decide(busier, r)
 		if strictness(decBusier) < strictness(dec) {
 			t.Fatalf("one more queued request loosened %v to %v (%+v)", dec, decBusier, sig)
 		}
 
-		d, w := Envelope(ClassSignals{Finished: queued, Acceptance: arrivalRate, Attainment: attain}, testDepth, testWidth)
-		if d < MinEnvelope || d > testDepth || w < MinEnvelope || w > testWidth {
+		d, w := envelope(classSignals{finished: queued, acceptance: arrivalRate, attainment: attain}, testDepth, testWidth)
+		if d < minEnvelope || d > testDepth || w < minEnvelope || w > testWidth {
 			t.Fatalf("envelope (%d,%d) escapes bounds", d, w)
 		}
 	})

@@ -43,66 +43,66 @@ func mixedRoles(n int) []cluster.Role { return make([]cluster.Role, n) }
 type fixedPolicy struct{ want int }
 
 func (fixedPolicy) Name() string          { return "fixed" }
-func (p fixedPolicy) Desired(Signals) int { return p.want }
+func (p fixedPolicy) desired(signals) int { return p.want }
 
-// capturePolicy records the Signals it was asked about.
+// capturePolicy records the signals it was asked about.
 type capturePolicy struct {
-	seen []Signals
+	seen []signals
 	want int
 }
 
 func (*capturePolicy) Name() string { return "capture" }
-func (p *capturePolicy) Desired(sig Signals) int {
+func (p *capturePolicy) desired(sig signals) int {
 	p.seen = append(p.seen, sig)
 	return p.want
 }
 
 func TestPolicyDesired(t *testing.T) {
-	base := Signals{Committed: 2}
+	base := signals{committed: 2}
 
-	tq := TargetQueue{TokensPerReplica: 100}
+	tq := targetQueue{tokensPerReplica: 100}
 	for _, c := range []struct{ queued, want int }{{0, 0}, {1, 1}, {100, 1}, {101, 2}, {1000, 10}} {
 		sig := base
-		sig.QueuedTokens = c.queued
-		if got := tq.Desired(sig); got != c.want {
+		sig.queuedTokens = c.queued
+		if got := tq.desired(sig); got != c.want {
 			t.Errorf("target-queue Desired(queued=%d) = %d, want %d", c.queued, got, c.want)
 		}
 	}
 
-	rp := RateProportional{Headroom: 1.0}
+	rp := rateProportional{headroom: 1.0}
 	sig := base
-	sig.ArrivalRate = 9
-	if got := rp.Desired(sig); got != 2 {
+	sig.arrivalRate = 9
+	if got := rp.desired(sig); got != 2 {
 		t.Errorf("uncalibrated rate-prop moved the fleet: %d", got)
 	}
-	sig.ServiceRate = 2 // 9 req/s over 2 req/s/replica -> 5 replicas
-	if got := rp.Desired(sig); got != 5 {
+	sig.serviceRate = 2 // 9 req/s over 2 req/s/replica -> 5 replicas
+	if got := rp.desired(sig); got != 5 {
 		t.Errorf("rate-prop Desired = %d, want 5", got)
 	}
-	if u := sig.Utilization(); u != 9.0/4.0 {
+	if u := sig.utilization(); u != 9.0/4.0 {
 		t.Errorf("utilization %g, want 2.25", u)
 	}
 
-	sf := SLOFeedback{Target: 0.9, Headroom: 0.5}
+	sf := sloFeedback{target: 0.9, headroom: 0.5}
 	low := sig
-	low.WindowFinished = 10
-	low.WindowAttainment = 0.99
-	low.WindowTTFTAttainment = 0.5 // the worse signal drives the decision
-	if got := sf.Desired(low); got != 3 {
+	low.windowFinished = 10
+	low.windowAttainment = 0.99
+	low.windowTTFTAttainment = 0.5 // the worse signal drives the decision
+	if got := sf.desired(low); got != 3 {
 		t.Errorf("slo-feedback under attainment pressure = %d, want committed+1 = 3", got)
 	}
 	idle := base
-	idle.WindowFinished = 10
-	idle.WindowAttainment = 1
-	idle.WindowTTFTAttainment = 1
-	idle.ServiceRate = 10
-	idle.ArrivalRate = 1 // utilization 0.05 < 0.5 headroom
-	if got := sf.Desired(idle); got != 1 {
+	idle.windowFinished = 10
+	idle.windowAttainment = 1
+	idle.windowTTFTAttainment = 1
+	idle.serviceRate = 10
+	idle.arrivalRate = 1 // utilization 0.05 < 0.5 headroom
+	if got := sf.desired(idle); got != 1 {
 		t.Errorf("slo-feedback under headroom = %d, want committed-1 = 1", got)
 	}
 	busy := idle
-	busy.ArrivalRate = 15 // utilization 0.75: healthy and busy
-	if got := sf.Desired(busy); got != 2 {
+	busy.arrivalRate = 15 // utilization 0.75: healthy and busy
+	if got := sf.desired(busy); got != 2 {
 		t.Errorf("slo-feedback steady = %d, want committed = 2", got)
 	}
 }
@@ -151,14 +151,14 @@ func TestTickPacingAndUpStep(t *testing.T) {
 		t.Fatalf("decision before the first grid instant: %+v", acts)
 	}
 	acts := ctrl.Tick(1.0, &q)
-	if len(acts) != DefaultUpStep || !acts[0].Up || acts[0].Fleet != 2 || acts[1].Fleet != 3 || acts[0].Policy != "fixed" {
-		t.Fatalf("first decision = %+v, want %d scale-ups to fleet 3", acts, DefaultUpStep)
+	if len(acts) != defaultUpStep || !acts[0].Up || acts[0].Fleet != 2 || acts[1].Fleet != 3 || acts[0].Policy != "fixed" {
+		t.Fatalf("first decision = %+v, want %d scale-ups to fleet 3", acts, defaultUpStep)
 	}
 	if acts := ctrl.Tick(1.4, &q); acts != nil {
 		t.Fatalf("off-grid tick acted: %+v", acts)
 	}
-	if acts := ctrl.Tick(2.0, &q); len(acts) != DefaultUpStep {
-		t.Fatalf("second grid decision = %+v, want %d scale-ups (cooldown elapsed)", acts, DefaultUpStep)
+	if acts := ctrl.Tick(2.0, &q); len(acts) != defaultUpStep {
+		t.Fatalf("second grid decision = %+v, want %d scale-ups (cooldown elapsed)", acts, defaultUpStep)
 	}
 	if cl.CommittedFleet() != 5 {
 		t.Fatalf("fleet %d after two up-steps, want 5", cl.CommittedFleet())
@@ -182,7 +182,7 @@ func TestCooldownsBlockLateDecisions(t *testing.T) {
 	for _, c := range []struct {
 		now  float64
 		acts int
-	}{{1.9, DefaultUpStep}, {2.0, 0}, {3.0, DefaultUpStep}} {
+	}{{1.9, defaultUpStep}, {2.0, 0}, {3.0, defaultUpStep}} {
 		if acts := ctrl.Tick(c.now, &q); len(acts) != c.acts {
 			t.Fatalf("up decision at %g = %+v, want %d actions", c.now, acts, c.acts)
 		}
@@ -225,8 +225,8 @@ func TestDownStableAndMinClamp(t *testing.T) {
 			}
 		}
 	}
-	// Desired 0 clamps to MinPerPool, so the fleet never empties.
-	if cl.CommittedFleet() != MinPerPool {
+	// desired 0 clamps to minPerPool, so the fleet never empties.
+	if cl.CommittedFleet() != minPerPool {
 		t.Fatalf("fleet %d, want clamped floor 1", cl.CommittedFleet())
 	}
 	for i := 0; i < 9; i++ {
@@ -289,16 +289,16 @@ func TestSignalsFromEvents(t *testing.T) {
 		t.Fatalf("policy consulted %d times, want 1", len(pol.seen))
 	}
 	sig := pol.seen[0]
-	if sig.ArrivalRate != 4/2.0 {
-		t.Fatalf("arrival rate %g, want 2 (4 arrivals over the 2s elapsed span)", sig.ArrivalRate)
+	if sig.arrivalRate != 4/2.0 {
+		t.Fatalf("arrival rate %g, want 2 (4 arrivals over the 2s elapsed span)", sig.arrivalRate)
 	}
-	if sig.ServiceRate <= 0 {
+	if sig.serviceRate <= 0 {
 		t.Fatal("service rate not calibrated from finishes")
 	}
-	if sig.WindowFinished != 2 {
-		t.Fatalf("window finished %d, want 2", sig.WindowFinished)
+	if sig.windowFinished != 2 {
+		t.Fatalf("window finished %d, want 2", sig.windowFinished)
 	}
-	if sig.Committed != 1 {
+	if sig.committed != 1 {
 		t.Fatalf("occupancy signals wrong: %+v", sig)
 	}
 

@@ -8,8 +8,8 @@ import (
 	"adaserve/internal/serve"
 )
 
-// DefaultInterval is the decision cadence in simulated seconds.
-const DefaultInterval = 5.0
+// defaultInterval is the decision cadence in simulated seconds.
+const defaultInterval = 5.0
 
 // Hysteresis bounds how fast and how far the controller moves the fleet, so
 // different policies are comparable under identical traffic: every policy
@@ -17,18 +17,18 @@ const DefaultInterval = 5.0
 // interval after the pool's previous one, a down-step three; a pool never
 // grows past its built capacity.
 const (
-	// MinPerPool floors each role pool's committed replicas: the cluster
+	// minPerPool floors each role pool's committed replicas: the cluster
 	// must keep serving every capability.
-	MinPerPool = 1
-	// DefaultUpStep/DefaultDownStep bound replicas added/removed per
+	minPerPool = 1
+	// defaultUpStep/defaultDownStep bound replicas added/removed per
 	// decision: growth is urgent (a missed spike is lost goodput), shrink is
 	// cautious (a mistaken drain pays a cold start to undo).
-	DefaultUpStep   = 2
-	DefaultDownStep = 1
-	// DefaultDownStable is how many consecutive below-capacity decisions a
+	defaultUpStep   = 2
+	defaultDownStep = 1
+	// defaultDownStable is how many consecutive below-capacity decisions a
 	// pool must see before it shrinks (sustained headroom, not one quiet
 	// window).
-	DefaultDownStable = 3
+	defaultDownStable = 3
 	// downCooldownIntervals is the down-step cooldown in decision intervals.
 	downCooldownIntervals = 3
 )
@@ -36,7 +36,7 @@ const (
 // Options configures a Controller.
 type Options struct {
 	// Interval is the decision cadence in simulated seconds
-	// (0: DefaultInterval). Decisions land on the interval grid, evaluated
+	// (0: defaultInterval). Decisions land on the interval grid, evaluated
 	// at the first iteration boundary past each grid instant.
 	Interval float64
 	// Window is the trailing-window width for rolling signals
@@ -92,7 +92,7 @@ func New(cl *cluster.Cluster, policy Policy, opts Options) (*Controller, error) 
 		return nil, fmt.Errorf("autoscale: negative interval or window")
 	}
 	if opts.Interval == 0 {
-		opts.Interval = DefaultInterval
+		opts.Interval = defaultInterval
 	}
 	if opts.Window == 0 {
 		opts.Window = serve.DefaultSnapshotWindow
@@ -161,23 +161,23 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 	var actions []serve.ScaleAction
 	for _, ps := range c.pools {
 		pc := c.cl.CountPool(ps.role)
-		sig := Signals{
-			Committed:            pc.Active + pc.Provisioning,
-			QueuedTokens:         c.poolQueuedTokens(ps.role),
-			ArrivalRate:          arrivalRate,
-			ServiceRate:          c.service.Peak(),
-			WindowAttainment:     st.WindowAttainment(),
-			WindowTTFTAttainment: st.WindowTTFTAttainment(),
-			WindowFinished:       st.WindowFinished,
+		sig := signals{
+			committed:            pc.Active + pc.Provisioning,
+			queuedTokens:         c.poolQueuedTokens(ps.role),
+			arrivalRate:          arrivalRate,
+			serviceRate:          c.service.Peak(),
+			windowAttainment:     st.WindowAttainment(),
+			windowTTFTAttainment: st.WindowTTFTAttainment(),
+			windowFinished:       st.WindowFinished,
 		}
-		desired := c.policy.Desired(sig)
-		if desired < MinPerPool {
-			desired = MinPerPool
+		desired := c.policy.desired(sig)
+		if desired < minPerPool {
+			desired = minPerPool
 		}
 		if desired > pc.Capacity() {
 			desired = pc.Capacity()
 		}
-		committed := sig.Committed
+		committed := sig.committed
 		switch {
 		case desired > committed:
 			ps.lowTicks = 0
@@ -185,8 +185,8 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 				break
 			}
 			step := desired - committed
-			if step > DefaultUpStep {
-				step = DefaultUpStep
+			if step > defaultUpStep {
+				step = defaultUpStep
 			}
 			acted := false
 			for i := 0; i < step; i++ {
@@ -199,7 +199,7 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 					Up: true, Instance: rep.ID(), Role: ps.role.String(),
 					Policy: c.policy.Name(),
 					Reason: fmt.Sprintf("desired %d > committed %d (queued %d tok, %.2f req/s)",
-						desired, committed, sig.QueuedTokens, arrivalRate),
+						desired, committed, sig.queuedTokens, arrivalRate),
 					Fleet: c.cl.CommittedFleet(),
 				})
 			}
@@ -208,12 +208,12 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 			}
 		case desired < committed:
 			ps.lowTicks++
-			if ps.lowTicks < DefaultDownStable || (now-ps.lastDown < downCooldownIntervals*c.opts.Interval && ps.lastDown > 0) {
+			if ps.lowTicks < defaultDownStable || (now-ps.lastDown < downCooldownIntervals*c.opts.Interval && ps.lastDown > 0) {
 				break
 			}
 			step := committed - desired
-			if step > DefaultDownStep {
-				step = DefaultDownStep
+			if step > defaultDownStep {
+				step = defaultDownStep
 			}
 			acted := false
 			for i := 0; i < step; i++ {
@@ -226,7 +226,7 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 					Up: false, Instance: rep.ID(), Role: ps.role.String(),
 					Policy: c.policy.Name(),
 					Reason: fmt.Sprintf("desired %d < committed %d (util %.2f, attain %.0f%%)",
-						desired, committed, sig.Utilization(), 100*st.WindowAttainment()),
+						desired, committed, sig.utilization(), 100*st.WindowAttainment()),
 					Fleet: c.cl.CommittedFleet(),
 				})
 			}

@@ -5,7 +5,7 @@
 // hysteresis.
 //
 // The split mirrors production autoscalers (SLOs-Serve, AIBrix): policies
-// are pure functions from observed Signals to a desired replica count, so
+// are pure functions from observed signals to a desired replica count, so
 // they are trivially comparable under identical traffic; everything
 // stateful — decision cadence, cooldowns, scale-step bounds,
 // sustained-headroom counting — lives in the Controller, applied
@@ -17,160 +17,160 @@ import (
 	"math"
 )
 
-// Signals is one role pool's observed state at a decision instant: what a
+// signals is one role pool's observed state at a decision instant: what a
 // Policy decides from. All windowed quantities come from the controller's
 // rolling views over the event stream; occupancy comes from the cluster.
-type Signals struct {
-	// Committed counts the pool's active plus provisioning replicas: the
+type signals struct {
+	// committed counts the pool's active plus provisioning replicas: the
 	// capacity the pool will have once cold starts complete (draining
 	// replicas are already leaving).
-	Committed int
-	// QueuedTokens is the outstanding work on the pool's active replicas:
+	committed int
+	// queuedTokens is the outstanding work on the pool's active replicas:
 	// prompt backlog for a prefill pool, total remaining tokens otherwise.
-	QueuedTokens int
-	// ArrivalRate is the offered load in requests/second over the trailing
+	queuedTokens int
+	// arrivalRate is the offered load in requests/second over the trailing
 	// window.
-	ArrivalRate float64
-	// ServiceRate is the estimated per-replica sustainable service rate in
+	arrivalRate float64
+	// serviceRate is the estimated per-replica sustainable service rate in
 	// requests/second (peak observed so far; 0 until the first window with
 	// finishes calibrates it).
-	ServiceRate float64
+	serviceRate float64
 	// WindowAttainment/WindowTTFTAttainment are the TPOT and TTFT SLO
 	// attainment over requests finishing in the trailing window;
 	// WindowFinished is their denominator (0 means no signal).
-	WindowAttainment     float64
-	WindowTTFTAttainment float64
-	WindowFinished       int
+	windowAttainment     float64
+	windowTTFTAttainment float64
+	windowFinished       int
 }
 
-// Utilization estimates the pool's load factor: offered request rate over
+// utilization estimates the pool's load factor: offered request rate over
 // committed service capacity (0 when uncalibrated).
-func (s Signals) Utilization() float64 {
-	if s.ServiceRate <= 0 || s.Committed == 0 {
+func (s signals) utilization() float64 {
+	if s.serviceRate <= 0 || s.committed == 0 {
 		return 0
 	}
-	return s.ArrivalRate / (s.ServiceRate * float64(s.Committed))
+	return s.arrivalRate / (s.serviceRate * float64(s.committed))
 }
 
-// Policy maps observed Signals to the pool's desired committed replica
-// count. Implementations must be pure and deterministic: identical Signals
+// Policy maps observed signals to the pool's desired committed replica
+// count. Implementations must be pure and deterministic: identical signals
 // yield identical desires, so policies are comparable under identical
 // traffic. The controller owns all hysteresis (cooldowns, step bounds,
 // sustained-headroom counting, min/max clamps).
 type Policy interface {
 	// Name identifies the policy in reports and events.
 	Name() string
-	// Desired returns the pool's desired committed replica count; the
+	// desired returns the pool's desired committed replica count; the
 	// controller clamps and rate-limits it.
-	Desired(sig Signals) int
+	desired(sig signals) int
 }
 
-// DefaultQueueTarget is TargetQueue's per-replica queued-token budget: about
+// defaultQueueTarget is targetQueue's per-replica queued-token budget: about
 // one contended replica's worth of resident work at the evaluated loads, so
 // backlog past it means requests are waiting on capacity rather than being
 // served.
-const DefaultQueueTarget = 2048
+const defaultQueueTarget = 2048
 
-// TargetQueue scales to hold queued work near a per-replica target: desired
+// targetQueue scales to hold queued work near a per-replica target: desired
 // replicas = ceil(queued tokens / target). The simplest production policy
 // (queue-depth targeting); reacts fast to bursts because backlog is the
 // first signal to move, but cannot see SLO pressure that shows up as
 // latency before it shows up as queueing.
-type TargetQueue struct {
-	// TokensPerReplica is the queued-token budget one replica is expected
-	// to absorb (0: DefaultQueueTarget).
-	TokensPerReplica int
+type targetQueue struct {
+	// tokensPerReplica is the queued-token budget one replica is expected
+	// to absorb (0: defaultQueueTarget).
+	tokensPerReplica int
 }
 
 // Name implements Policy.
-func (TargetQueue) Name() string { return "target-queue" }
+func (targetQueue) Name() string { return "target-queue" }
 
-// Desired implements Policy.
-func (p TargetQueue) Desired(sig Signals) int {
-	target := p.TokensPerReplica
+// desired implements Policy.
+func (p targetQueue) desired(sig signals) int {
+	target := p.tokensPerReplica
 	if target <= 0 {
-		target = DefaultQueueTarget
+		target = defaultQueueTarget
 	}
-	return (sig.QueuedTokens + target - 1) / target
+	return (sig.queuedTokens + target - 1) / target
 }
 
-// DefaultRateHeadroom is RateProportional's provisioning margin over the
+// defaultRateHeadroom is rateProportional's provisioning margin over the
 // measured offered load.
-const DefaultRateHeadroom = 1.15
+const defaultRateHeadroom = 1.15
 
-// RateProportional scales proportionally to offered load (AIBrix-style):
+// rateProportional scales proportionally to offered load (AIBrix-style):
 // desired replicas = ceil(arrival-rate EWMA x headroom / measured
 // per-replica service rate). Tracks sustained load shifts (diurnal swells)
 // smoothly but lags spikes by the window width; until the first completed
 // window calibrates the service rate it holds the fleet steady.
-type RateProportional struct {
-	// Headroom is the capacity margin over measured load
-	// (0: DefaultRateHeadroom).
-	Headroom float64
+type rateProportional struct {
+	// headroom is the capacity margin over measured load
+	// (0: defaultRateHeadroom).
+	headroom float64
 }
 
 // Name implements Policy.
-func (RateProportional) Name() string { return "rate-prop" }
+func (rateProportional) Name() string { return "rate-prop" }
 
-// Desired implements Policy.
-func (p RateProportional) Desired(sig Signals) int {
-	if sig.ServiceRate <= 0 {
-		return sig.Committed
+// desired implements Policy.
+func (p rateProportional) desired(sig signals) int {
+	if sig.serviceRate <= 0 {
+		return sig.committed
 	}
-	headroom := p.Headroom
+	headroom := p.headroom
 	if headroom <= 0 {
-		headroom = DefaultRateHeadroom
+		headroom = defaultRateHeadroom
 	}
-	return int(math.Ceil(sig.ArrivalRate * headroom / sig.ServiceRate))
+	return int(math.Ceil(sig.arrivalRate * headroom / sig.serviceRate))
 }
 
-// Defaults for SLOFeedback: scale up below 95% windowed attainment, scale
+// Defaults for sloFeedback: scale up below 95% windowed attainment, scale
 // down only under half-utilized capacity.
 const (
-	DefaultAttainmentTarget = 0.95
-	DefaultHeadroomUtil     = 0.5
+	defaultAttainmentTarget = 0.95
+	defaultHeadroomUtil     = 0.5
 )
 
-// SLOFeedback scales on the serving outcome itself: one replica up whenever
+// sloFeedback scales on the serving outcome itself: one replica up whenever
 // windowed SLO attainment (the worse of TPOT and TTFT) drops below target,
 // one down under sustained headroom — attainment at target while measured
 // utilization sits below the headroom threshold. Closest to what the
 // operator actually wants (attainment per dollar), but reacts a window
 // later than queue depth moves.
-type SLOFeedback struct {
-	// Target is the windowed attainment floor (0: DefaultAttainmentTarget).
-	Target float64
-	// Headroom is the utilization below which capacity is considered idle
-	// enough to shrink (0: DefaultHeadroomUtil).
-	Headroom float64
+type sloFeedback struct {
+	// target is the windowed attainment floor (0: defaultAttainmentTarget).
+	target float64
+	// headroom is the utilization below which capacity is considered idle
+	// enough to shrink (0: defaultHeadroomUtil).
+	headroom float64
 }
 
 // Name implements Policy.
-func (SLOFeedback) Name() string { return "slo-feedback" }
+func (sloFeedback) Name() string { return "slo-feedback" }
 
-// Desired implements Policy.
-func (p SLOFeedback) Desired(sig Signals) int {
-	target := p.Target
+// desired implements Policy.
+func (p sloFeedback) desired(sig signals) int {
+	target := p.target
 	if target <= 0 {
-		target = DefaultAttainmentTarget
+		target = defaultAttainmentTarget
 	}
-	headroom := p.Headroom
+	headroom := p.headroom
 	if headroom <= 0 {
-		headroom = DefaultHeadroomUtil
+		headroom = defaultHeadroomUtil
 	}
-	if sig.WindowFinished > 0 {
-		att := sig.WindowAttainment
-		if sig.WindowTTFTAttainment < att {
-			att = sig.WindowTTFTAttainment
+	if sig.windowFinished > 0 {
+		att := sig.windowAttainment
+		if sig.windowTTFTAttainment < att {
+			att = sig.windowTTFTAttainment
 		}
 		if att < target {
-			return sig.Committed + 1
+			return sig.committed + 1
 		}
 	}
-	if sig.Utilization() < headroom {
-		return sig.Committed - 1
+	if sig.utilization() < headroom {
+		return sig.committed - 1
 	}
-	return sig.Committed
+	return sig.committed
 }
 
 // PolicyNames lists the built-in scaling policies accepted by NewPolicy.
@@ -180,11 +180,11 @@ func PolicyNames() []string { return []string{"target-queue", "rate-prop", "slo-
 func NewPolicy(name string) (Policy, error) {
 	switch name {
 	case "target-queue":
-		return TargetQueue{}, nil
+		return targetQueue{}, nil
 	case "rate-prop":
-		return RateProportional{}, nil
+		return rateProportional{}, nil
 	case "slo-feedback":
-		return SLOFeedback{}, nil
+		return sloFeedback{}, nil
 	default:
 		return nil, fmt.Errorf("autoscale: unknown policy %q (have %v)", name, PolicyNames())
 	}

@@ -116,9 +116,9 @@ func ParseSplit(spec string) ([]Role, error) {
 	return roles, nil
 }
 
-// SplitName renders a role list in ParseSplit's notation ("2P2D",
+// splitName renders a role list in ParseSplit's notation ("2P2D",
 // "colocated" when every replica is mixed).
-func SplitName(roles []Role) string {
+func splitName(roles []Role) string {
 	np, nd, nm := 0, 0, 0
 	for _, r := range roles {
 		switch r {
@@ -216,7 +216,7 @@ func remainingTokens(r *request.Request) int {
 // QueuedTokens returns the replica's outstanding work in tokens, summed over
 // its waiting and running requests. This is the load signal the
 // least-loaded router balances on (the SLO-aware router balances resident
-// headcount instead — see ActiveRequests).
+// headcount instead — see activeRequests).
 func (rep *Replica) QueuedTokens() int {
 	p := rep.System().Pool()
 	n := 0
@@ -245,14 +245,14 @@ func (rep *Replica) QueuedPrefillTokens() int {
 	return n
 }
 
-// ActiveRequests counts the replica's resident (waiting or running,
+// activeRequests counts the replica's resident (waiting or running,
 // unfinished) requests split into latency-critical (TPOT SLO <= cutoff) and
 // batch-tolerant shares. Headcount — not queued tokens — is the contention
 // signal the SLO-aware router balances: every resident request claims a
 // share of each iteration's verification budget for its whole decode
 // residence, so headcount is what dilutes a tight request's token
 // allowance.
-func (rep *Replica) ActiveRequests(cutoff float64) (tight, relaxed int) {
+func (rep *Replica) activeRequests(cutoff float64) (tight, relaxed int) {
 	p := rep.System().Pool()
 	count := func(r *request.Request) {
 		if r.Phase == request.Done {
@@ -391,10 +391,10 @@ func (c *Cluster) Roles() []Role {
 	return roles
 }
 
-// Name identifies the cluster configuration in reports.
-func (c *Cluster) Name() string {
+// name identifies the cluster configuration in reports.
+func (c *Cluster) name() string {
 	base := fmt.Sprintf("%s x%d [%s]", c.replicas[0].System().Name(), len(c.replicas), c.router.Name())
-	if split := SplitName(c.Roles()); split != "colocated" {
+	if split := splitName(c.Roles()); split != "colocated" {
 		base += " " + split
 	}
 	return base
@@ -568,7 +568,7 @@ func (c *Cluster) Results(rr *serve.Result, reqs []*request.Request) *Result {
 			EndTime:    rep.Clock(),
 		})
 	}
-	as := c.LifecycleStats(rr.EndTime)
+	as := c.lifecycleStats(rr.EndTime)
 	for _, r := range reqs {
 		if r.Phase != request.Done {
 			continue
@@ -580,7 +580,7 @@ func (c *Cluster) Results(rr *serve.Result, reqs []*request.Request) *Result {
 		}
 	}
 	res.Summary = &metrics.ClusterSummary{
-		Aggregate: metrics.Summarize(c.Name(), reqs, total),
+		Aggregate: metrics.Summarize(c.name(), reqs, total),
 		Replicas:  perReplica,
 		Roles:     c.roleStats(),
 		Transfer:  c.stats,

@@ -158,7 +158,7 @@ func TestRunHandlesArrivalGaps(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	run := func() (float64, int, []int) {
-		c := fakeCluster(t, 4, &SLOAware{})
+		c := fakeCluster(t, 4, &sloAware{})
 		reqs := mkReqs(40, 0.007, 6)
 		res, err := replayTrace(c, reqs)
 		if err != nil {
@@ -216,35 +216,53 @@ func replayTrace(c *Cluster, reqs []*request.Request) (*Result, error) {
 	return c.Results(rr, reqs), nil
 }
 
-// runBounded drives the cluster through a server with explicit run bounds.
-func runBounded(t *testing.T, c *Cluster, reqs []*request.Request, opts serve.Options) error {
-	t.Helper()
-	srv, err := serve.NewServer(c, opts)
-	if err != nil {
-		t.Fatal(err)
+// spinSystem is a sched.System that admits every request and never finishes
+// one, at a negligible per-iteration cost: a run over it can only end at a
+// run bound.
+type spinSystem struct{ pool *request.Pool }
+
+func (s *spinSystem) Name() string             { return "spin" }
+func (s *spinSystem) Pool() *request.Pool      { return s.pool }
+func (s *spinSystem) Release(*request.Request) {}
+
+func (s *spinSystem) Iterate(now float64) sched.IterationStats {
+	for len(s.pool.Waiting()) > 0 {
+		s.pool.Admit(s.pool.Waiting()[0], now)
 	}
-	src, err := serve.NewTraceSource(reqs)
-	if err != nil {
-		t.Fatal(err)
+	if len(s.pool.Running()) == 0 {
+		return sched.IterationStats{Idle: true}
 	}
-	_, err = srv.Run(src)
-	return err
+	return sched.IterationStats{Elapsed: 1e-12}
 }
 
-// TestRunRespectsMaxIterations: the iteration budget counts iterations
-// summed across replicas (3 is below what either replica alone needs).
+// TestRunRespectsMaxIterations: the shared iteration bound counts
+// iterations summed across replicas. Two replicas that never finish stop
+// together at the bound, each well below it alone.
 func TestRunRespectsMaxIterations(t *testing.T) {
-	c := fakeCluster(t, 2, NewRoundRobin())
-	err := runBounded(t, c, mkReqs(10, 0.001, 50), serve.Options{MaxIterations: 3})
+	c, err := New([]sched.System{
+		&spinSystem{pool: request.NewPool()},
+		&spinSystem{pool: request.NewPool()},
+	}, NewRoundRobin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = replayTrace(c, mkReqs(2, 0, 4))
 	if err == nil || !strings.Contains(err.Error(), "max iterations") {
 		t.Fatalf("want max-iterations error, got %v", err)
 	}
+	// The bound is 50 million; the run stops on the first iteration past it.
+	a, b := c.Replicas()[0].inst.Iterations(), c.Replicas()[1].inst.Iterations()
+	if a >= 50_000_000 || b >= 50_000_000 || a+b != 50_000_001 {
+		t.Fatalf("replica iterations %d + %d, want 50,000,001 in total", a, b)
+	}
 }
 
+// TestRunRespectsMaxSimTime: a run whose arrivals outlast the shared
+// simulated-time bound (24 h) fails with a one-line error.
 func TestRunRespectsMaxSimTime(t *testing.T) {
 	c := fakeCluster(t, 2, NewRoundRobin())
-	reqs := mkReqs(4, 100, 4) // arrivals span 300s
-	err := runBounded(t, c, reqs, serve.Options{MaxSimTime: 10})
+	reqs := mkReqs(4, 40_000, 4) // arrivals span 120,000 s
+	_, err := replayTrace(c, reqs)
 	if err == nil || !strings.Contains(err.Error(), "max simulated time") {
 		t.Fatalf("want max-sim-time error, got %v", err)
 	}
@@ -273,11 +291,11 @@ func TestQueuedTokensCountsOutstandingWork(t *testing.T) {
 	if got := rep.QueuedTokens(); got != 120 {
 		t.Fatalf("queued tokens %d, want 120 (prompt 100 + output 20)", got)
 	}
-	tight, relaxed := rep.ActiveRequests(0.1)
+	tight, relaxed := rep.activeRequests(0.1)
 	if tight != 1 || relaxed != 0 {
 		t.Fatalf("active requests (%d,%d), want (1,0)", tight, relaxed)
 	}
-	tight, relaxed = rep.ActiveRequests(0.01)
+	tight, relaxed = rep.activeRequests(0.01)
 	if tight != 0 || relaxed != 1 {
 		t.Fatalf("active requests (%d,%d) with cutoff below SLO, want (0,1)", tight, relaxed)
 	}

@@ -99,9 +99,9 @@ func TestParseSplit(t *testing.T) {
 			t.Errorf("ParseSplit(%q): %v", tc.spec, err)
 			continue
 		}
-		if len(roles) != tc.n || SplitName(roles) != tc.want {
+		if len(roles) != tc.n || splitName(roles) != tc.want {
 			t.Errorf("ParseSplit(%q) = %v (%s), want %d roles named %s",
-				tc.spec, roles, SplitName(roles), tc.n, tc.want)
+				tc.spec, roles, splitName(roles), tc.n, tc.want)
 		}
 	}
 	for _, bad := range []string{"", "PD", "0P2D", "2P0D", "2D2P", "xPyD", "mixed0", "2P2D3"} {
@@ -232,7 +232,7 @@ func TestDisaggRoleStats(t *testing.T) {
 func TestDisaggDeterminism(t *testing.T) {
 	run := func() (float64, int, []int) {
 		c, _ := disaggFakes(t, []Role{RolePrefill, RolePrefill, RoleDecode, RoleDecode},
-			&SLOAware{}, testTransfer(0.002))
+			&sloAware{}, testTransfer(0.002))
 		reqs := mkReqs(40, 0.007, 6)
 		res, err := replayTrace(c, reqs)
 		if err != nil {
@@ -258,11 +258,11 @@ func TestDisaggDeterminism(t *testing.T) {
 
 func TestDisaggClusterName(t *testing.T) {
 	c, _ := disaggFakes(t, []Role{RolePrefill, RoleDecode}, NewRoundRobin(), testTransfer(0))
-	if name := c.Name(); !strings.Contains(name, "1P1D") {
+	if name := c.name(); !strings.Contains(name, "1P1D") {
 		t.Fatalf("disaggregated cluster name %q lacks the split", name)
 	}
 	col := fakeCluster(t, 2, NewRoundRobin())
-	if name := col.Name(); strings.Contains(name, "P") && strings.Contains(name, "D") && strings.Contains(name, "colocated") {
+	if name := col.name(); strings.Contains(name, "P") && strings.Contains(name, "D") && strings.Contains(name, "colocated") {
 		t.Fatalf("colocated cluster name %q should not carry a split", name)
 	}
 }

@@ -92,7 +92,7 @@ func (c *Cluster) Fail(id int, now float64) (lost int, ok bool) {
 		return 0, false
 	}
 	rep := c.replicas[id]
-	if rep.state == StateFailed || rep.state == StateStopped {
+	if rep.state == StateFailed || rep.state == stateStopped {
 		return 0, false
 	}
 	if now > rep.activeSince {
@@ -133,7 +133,7 @@ func (c *Cluster) HarvestFailed(id int) []*request.Request {
 // Recover returns a crashed replica to service at event-time instant now.
 // In a static fleet it resumes active duty immediately (repair delay is the
 // whole re-provisioning story); in an elastic fleet it returns as spare
-// (StateStopped) capacity — the autoscale controller already provisioned
+// (stateStopped) capacity — the autoscale controller already provisioned
 // replacement capacity through its ordinary ScaleUp path, and the repaired
 // machine rejoins the spare pool it came from. Any requests still frozen in
 // the pool (repair beat detection) are harvested first and returned for the
@@ -147,7 +147,7 @@ func (c *Cluster) Recover(id int, now float64) ([]*request.Request, bool) {
 	rep.inst.SetHalted(false)
 	rep.inst.BumpClock(now)
 	if c.elastic {
-		rep.state = StateStopped
+		rep.state = stateStopped
 	} else {
 		rep.state = StateActive
 		rep.activeSince = now

@@ -36,13 +36,13 @@ func TestFailFreezesReplicaAndHarvest(t *testing.T) {
 		t.Fatalf("committed fleet %d, want 1", got)
 	}
 	pc := cl.CountPool(RoleMixed)
-	if pc.Failed != 1 || pc.Active != 1 || pc.Stopped != 0 || pc.Capacity() != 2 {
+	if pc.failed != 1 || pc.Active != 1 || pc.Stopped != 0 || pc.Capacity() != 2 {
 		t.Fatalf("pool counts %+v, want 1 failed / 1 active", pc)
 	}
 	if len(cl.routablePrefill) != 1 || cl.routablePrefill[0].ID() != 1 {
 		t.Fatalf("routable prefill set wrong after crash: want only replica 1")
 	}
-	if got := cl.LifecycleStats(10).ReplicaSeconds; got != 11 {
+	if got := cl.lifecycleStats(10).ReplicaSeconds; got != 11 {
 		t.Fatalf("replica-seconds %g, want 11 (replica 1 for 10s + failed span 1s)", got)
 	}
 
@@ -79,7 +79,7 @@ func TestRecoverStaticResumesElasticSpares(t *testing.T) {
 	if len(cl.routablePrefill) != 2 || cl.routablePrefill[0].ID() != 0 || cl.routablePrefill[1].ID() != 1 {
 		t.Fatal("routable set after repair is not both replicas in ID order")
 	}
-	if got := cl.LifecycleStats(3).ReplicaSeconds; got != 5 {
+	if got := cl.lifecycleStats(3).ReplicaSeconds; got != 5 {
 		t.Fatalf("replica-seconds %g, want 5 (3 + pre-crash 1 + post-repair 1)", got)
 	}
 	if _, ok := cl.Recover(0, 3.0); ok {
@@ -95,10 +95,10 @@ func TestRecoverStaticResumesElasticSpares(t *testing.T) {
 	if _, ok := ecl.Recover(1, 2.5); !ok {
 		t.Fatal("elastic recover refused")
 	}
-	if ecl.Replicas()[1].State() != StateStopped {
+	if ecl.Replicas()[1].State() != stateStopped {
 		t.Fatalf("elastic repair state %v, want stopped (spare)", ecl.Replicas()[1].State())
 	}
-	if pc := ecl.CountPool(RoleMixed); pc.Stopped != 1 || pc.Failed != 0 {
+	if pc := ecl.CountPool(RoleMixed); pc.Stopped != 1 || pc.failed != 0 {
 		t.Fatalf("elastic pool counts %+v after repair", pc)
 	}
 }

@@ -16,11 +16,11 @@ import (
 //
 // Transitions (all at deterministic event-time instants):
 //
-//	StateStopped ──ScaleUp──▶ StateProvisioning ──cold start elapses──▶ StateActive
-//	StateProvisioning ──ScaleDown (cancel)──▶ StateStopped
-//	StateActive ──ScaleDown──▶ StateDraining ──pool drains──▶ StateStopped
+//	stateStopped ──ScaleUp──▶ StateProvisioning ──cold start elapses──▶ StateActive
+//	StateProvisioning ──ScaleDown (cancel)──▶ stateStopped
+//	StateActive ──ScaleDown──▶ StateDraining ──pool drains──▶ stateStopped
 //	any non-stopped ──Fail (injected crash)──▶ StateFailed
-//	StateFailed ──Recover──▶ StateActive (static) / StateStopped (elastic)
+//	StateFailed ──Recover──▶ StateActive (static) / stateStopped (elastic)
 //
 // Provisioning models model-load plus KV allocation: the replica consumes
 // capacity (it is billed) but accepts no work until its cold start elapses.
@@ -43,8 +43,8 @@ const (
 	// StateDraining takes no new admissions; in-flight work finishes or
 	// migrates, then the replica stops.
 	StateDraining
-	// StateStopped is spare capacity: unbilled, not routable.
-	StateStopped
+	// stateStopped is spare capacity: unbilled, not routable.
+	stateStopped
 	// StateFailed is crashed: halted abruptly by fault injection, resident
 	// requests frozen (lost once detection harvests them), KV gone. Unbilled
 	// and not routable until recovery.
@@ -60,7 +60,7 @@ func (s State) String() string {
 		return "provisioning"
 	case StateDraining:
 		return "draining"
-	case StateStopped:
+	case stateStopped:
 		return "stopped"
 	case StateFailed:
 		return "failed"
@@ -81,7 +81,7 @@ type ElasticOptions struct {
 	// activates instantly.
 	ColdStart float64
 	// InitialActive is the number of replicas per role pool active at t=0
-	// (lowest IDs first); the rest start StateStopped as spare capacity.
+	// (lowest IDs first); the rest start stateStopped as spare capacity.
 	// Clamped to each pool's size; must be at least 1.
 	InitialActive int
 }
@@ -89,7 +89,7 @@ type ElasticOptions struct {
 // NewElastic builds a cluster whose fleet an autoscale controller resizes
 // mid-run: the systems/roles define the capacity fleet, of which only the
 // first InitialActive replicas per role pool start active; the rest are
-// spare (StateStopped, unbilled) until scaled up. The transfer model prices
+// spare (stateStopped, unbilled) until scaled up. The transfer model prices
 // drain migrations (and the prefill-to-decode handoff of a disaggregated
 // fleet) and must validate.
 func NewElastic(systems []sched.System, roles []Role, router Router, transfer gpu.KVTransfer, opts ElasticOptions) (*Cluster, error) {
@@ -115,7 +115,7 @@ func NewElastic(systems []sched.System, roles []Role, router Router, transfer gp
 			activePerRole[rep.role]++
 			continue
 		}
-		rep.state = StateStopped
+		rep.state = stateStopped
 	}
 	c.rebuildRoutable()
 	if len(c.routablePrefill) == 0 || len(c.routableDecode) == 0 {
@@ -153,7 +153,7 @@ func (c *Cluster) ActiveServing() int {
 func (c *Cluster) CommittedFleet() int {
 	n := 0
 	for _, rep := range c.replicas {
-		if rep.state != StateStopped && rep.state != StateFailed {
+		if rep.state != stateStopped && rep.state != StateFailed {
 			n++
 		}
 	}
@@ -162,18 +162,18 @@ func (c *Cluster) CommittedFleet() int {
 
 // PoolCounts reports the lifecycle occupancy of one role pool.
 type PoolCounts struct {
-	Active, Provisioning, Draining int
+	Active, Provisioning, draining int
 	Stopped                        int
-	// Failed counts crashed replicas: built capacity that is neither billed
+	// failed counts crashed replicas: built capacity that is neither billed
 	// nor spare — ScaleUp cannot provision it until recovery returns it.
-	Failed int
+	failed int
 }
 
 // Committed is the pool's capacity-consuming replica count.
-func (p PoolCounts) Committed() int { return p.Active + p.Provisioning + p.Draining }
+func (p PoolCounts) Committed() int { return p.Active + p.Provisioning + p.draining }
 
 // Capacity is the pool's built replica count.
-func (p PoolCounts) Capacity() int { return p.Committed() + p.Stopped + p.Failed }
+func (p PoolCounts) Capacity() int { return p.Committed() + p.Stopped + p.failed }
 
 // CountPool tallies the lifecycle states of the replicas running one role.
 func (c *Cluster) CountPool(role Role) PoolCounts {
@@ -188,9 +188,9 @@ func (c *Cluster) CountPool(role Role) PoolCounts {
 		case StateProvisioning:
 			pc.Provisioning++
 		case StateDraining:
-			pc.Draining++
+			pc.draining++
 		case StateFailed:
-			pc.Failed++
+			pc.failed++
 		default:
 			pc.Stopped++
 		}
@@ -238,7 +238,7 @@ func (c *Cluster) ScaleUp(role Role, now float64, q *serve.Queue) (*Replica, boo
 	}
 	var rep *Replica
 	for _, cand := range c.replicas {
-		if cand.role == role && cand.state == StateStopped {
+		if cand.role == role && cand.state == stateStopped {
 			rep = cand
 			break
 		}
@@ -300,7 +300,7 @@ func (c *Cluster) ScaleDown(role Role, now float64, q *serve.Queue) (*Replica, b
 	}
 	if cancel != nil {
 		cancel.consumed += now - cancel.activeSince
-		cancel.state = StateStopped
+		cancel.state = stateStopped
 		cancel.readyAt = -1 // invalidates the queued activation delivery
 		c.downs++
 		c.noteFleet()
@@ -416,7 +416,7 @@ func (rep *Replica) forget(r *request.Request) {
 }
 
 // SweepDrained retires draining replicas whose pools have emptied: each
-// flips to StateStopped and its consumption span closes at the instant it
+// flips to stateStopped and its consumption span closes at the instant it
 // ran out of work (its own clock, or the drain decision for a replica that
 // was already idle). The autoscale controller calls this every tick; the
 // cluster also sweeps after its own iterations so lifecycle stats stay
@@ -441,16 +441,16 @@ func (c *Cluster) sweepDrained() {
 			end = rep.drainedAt
 		}
 		rep.consumed += end - rep.activeSince
-		rep.state = StateStopped
+		rep.state = stateStopped
 	}
 }
 
-// LifecycleStats reports the fleet's replica-lifecycle economics at
+// lifecycleStats reports the fleet's replica-lifecycle economics at
 // simulated time end (typically the run's EndTime): scale events, drain
 // migrations, committed-fleet watermarks, and total replica-seconds
 // consumed — still-committed replicas bill through end. The caller fills
 // the request-outcome fields (Finished/Attained/GoodTokens) and Policy.
-func (c *Cluster) LifecycleStats(end float64) metrics.AutoscaleSummary {
+func (c *Cluster) lifecycleStats(end float64) metrics.AutoscaleSummary {
 	s := metrics.AutoscaleSummary{
 		ScaleUps:        c.ups,
 		ScaleDowns:      c.downs,
@@ -462,7 +462,7 @@ func (c *Cluster) LifecycleStats(end float64) metrics.AutoscaleSummary {
 		s.ReplicaSeconds += rep.consumed
 		// Failed replicas stopped billing at the crash (their span closed in
 		// Fail); the outage shows up as unavailability, not capacity.
-		if rep.state != StateStopped && rep.state != StateFailed && end > rep.activeSince {
+		if rep.state != stateStopped && rep.state != StateFailed && end > rep.activeSince {
 			s.ReplicaSeconds += end - rep.activeSince
 		}
 	}

@@ -29,7 +29,7 @@ func elasticFake(t *testing.T, n int, opts ElasticOptions, router Router) *Clust
 
 func TestElasticInitialState(t *testing.T) {
 	cl := elasticFake(t, 4, ElasticOptions{ColdStart: 1, InitialActive: 2}, nil)
-	wantStates := []State{StateActive, StateActive, StateStopped, StateStopped}
+	wantStates := []State{StateActive, StateActive, stateStopped, stateStopped}
 	for i, rep := range cl.Replicas() {
 		if rep.State() != wantStates[i] {
 			t.Errorf("replica %d state %v, want %v", i, rep.State(), wantStates[i])
@@ -122,18 +122,18 @@ func TestScaleDownCancelsProvisioningFirst(t *testing.T) {
 	if !ok || down != rep {
 		t.Fatalf("scale-down picked %v, want the provisioning replica %d", down, rep.ID())
 	}
-	if down.State() != StateStopped {
+	if down.State() != stateStopped {
 		t.Fatalf("canceled replica state %v, want stopped", down.State())
 	}
 	// Its consumption span covers exactly the provisioning time so far.
-	if got := cl.LifecycleStats(10).ReplicaSeconds; got != 10+1 {
+	if got := cl.lifecycleStats(10).ReplicaSeconds; got != 10+1 {
 		t.Fatalf("replica-seconds %g, want 11 (replica 0 for 10s + canceled provisioning 1s)", got)
 	}
 	// The stale activation delivery must not resurrect it: re-provision with
 	// a different ready time, then deliver both through a driver run — the
 	// direct harness can't pop the queue, so check the guard directly.
 	cl.activate(down, 6.0)
-	if down.State() != StateStopped {
+	if down.State() != stateStopped {
 		t.Fatal("stale activation flipped a canceled replica")
 	}
 }
@@ -179,7 +179,7 @@ func TestScaleDownDrainMigratesWaiting(t *testing.T) {
 	if !ok || down.ID() != 1 {
 		t.Fatalf("scale-down picked %v, want replica 1", down)
 	}
-	if down.State() != StateStopped {
+	if down.State() != stateStopped {
 		// Pool was emptied by the drain migration, so the sweep inside drain
 		// already retired it.
 		t.Fatalf("drained replica state %v, want stopped (pool emptied)", down.State())
@@ -440,11 +440,11 @@ func TestCancelAtActivationInstant(t *testing.T) {
 		t.Fatalf("cancel picked %v, want the provisioning replica", down)
 	}
 	cl.activate(rep, readyAt) // the queued delivery, same instant
-	if rep.State() != StateStopped {
+	if rep.State() != stateStopped {
 		t.Fatalf("same-instant activation resurrected a canceled replica: %v", rep.State())
 	}
 	// The full provisioning span was paid for exactly once.
-	if got := cl.LifecycleStats(readyAt).ReplicaSeconds; got != readyAt+2 {
+	if got := cl.lifecycleStats(readyAt).ReplicaSeconds; got != readyAt+2 {
 		t.Fatalf("replica-seconds %g, want %g", got, readyAt+2)
 	}
 }
@@ -453,16 +453,16 @@ func TestSweepDrainedIdempotentOnStopped(t *testing.T) {
 	cl := elasticFake(t, 2, ElasticOptions{ColdStart: 0, InitialActive: 2}, nil)
 	var q serve.Queue
 	down, ok := cl.ScaleDown(RoleMixed, 1.0, &q)
-	if !ok || down.State() != StateStopped {
+	if !ok || down.State() != stateStopped {
 		t.Fatalf("idle drain did not stop immediately: %v", down)
 	}
-	before := cl.LifecycleStats(5).ReplicaSeconds
+	before := cl.lifecycleStats(5).ReplicaSeconds
 	cl.SweepDrained()
 	cl.SweepDrained()
-	if down.State() != StateStopped {
+	if down.State() != stateStopped {
 		t.Fatalf("sweep changed a stopped replica to %v", down.State())
 	}
-	if after := cl.LifecycleStats(5).ReplicaSeconds; after != before {
+	if after := cl.lifecycleStats(5).ReplicaSeconds; after != before {
 		t.Fatalf("re-sweeping a stopped replica re-billed it: %g != %g", after, before)
 	}
 }
@@ -470,7 +470,7 @@ func TestSweepDrainedIdempotentOnStopped(t *testing.T) {
 func TestStateString(t *testing.T) {
 	for st, want := range map[State]string{
 		StateActive: "active", StateProvisioning: "provisioning",
-		StateDraining: "draining", StateStopped: "stopped", StateFailed: "failed",
+		StateDraining: "draining", stateStopped: "stopped", StateFailed: "failed",
 		State(9): "State(9)",
 	} {
 		if st.String() != want {

@@ -105,14 +105,14 @@ func (LeastLoaded) RouteDecode(_ *request.Request, replicas []*Replica) int {
 	return best
 }
 
-// DefaultTightSLO is the TPOT-SLO cutoff (seconds) below which SLOAware
+// defaultTightSLO is the TPOT-SLO cutoff (seconds) below which sloAware
 // treats a request as latency-critical. 100 ms sits between the chatbot
 // SLO (50 ms) and the summarization SLO (150 ms) of Table 2, so the
 // default splits the paper's workload into {coding, chat} vs
 // {summarization}.
-const DefaultTightSLO = 0.100
+const defaultTightSLO = 0.100
 
-// SLOAware routes each SLO class separately and adapts to urgent pressure.
+// sloAware routes each SLO class separately and adapts to urgent pressure.
 //
 // In steady state both classes balance independently: a latency-critical
 // request goes to the least-contended replica (fewest resident
@@ -126,7 +126,7 @@ const DefaultTightSLO = 0.100
 // dog-piling the lowest index.
 //
 // During overload bursts (mean resident tight requests past
-// DefaultPressureThreshold, clusters of 3+), the policy flips to a
+// defaultPressureThreshold, clusters of 3+), the policy flips to a
 // sacrificial partition: batch-tolerant work consolidates onto an "island"
 // replica — the one already holding the most of it — while new tight
 // requests exclude the island. Consolidation matters because the engine
@@ -135,7 +135,7 @@ const DefaultTightSLO = 0.100
 // times, so spreading such work "fairly" during a burst poisons tight
 // requests on every replica, while packing it keeps the remaining replicas
 // clean for urgent traffic — the relaxed SLOs absorb the co-batching. A
-// headcount cap (DefaultConsolidateFactor × the cluster-mean residency)
+// headcount cap (defaultConsolidateFactor × the cluster-mean residency)
 // bounds the sacrifice; past it, relaxed work spreads again.
 //
 // Role-awareness: in a disaggregated cluster the per-class residency logic
@@ -144,23 +144,23 @@ const DefaultTightSLO = 0.100
 // among dedicated prefill replicas instead balances queued prompt tokens
 // (prefill is a throughput stage; TTFT is served by draining the shortest
 // prompt backlog), with the rotating-cursor tie-break.
-type SLOAware struct {
+type sloAware struct {
 	tightCursor, relaxedCursor, prefillCursor int
 }
 
-// DefaultConsolidateFactor is the relaxed-consolidation headroom: a replica
+// defaultConsolidateFactor is the relaxed-consolidation headroom: a replica
 // may absorb batch-tolerant work until it holds twice the cluster-mean
 // residency, plus constant slack for cold starts.
-const DefaultConsolidateFactor = 2.0
+const defaultConsolidateFactor = 2.0
 
-// DefaultPressureThreshold is the urgent-pressure trigger for relaxed
+// defaultPressureThreshold is the urgent-pressure trigger for relaxed
 // consolidation, in mean resident tight requests per replica: steady state
 // at the evaluated loads keeps a handful of tight requests resident per
 // replica, while overload bursts push well past ten.
-const DefaultPressureThreshold = 8
+const defaultPressureThreshold = 8
 
 // Name implements Router.
-func (s *SLOAware) Name() string { return "slo-aware" }
+func (s *sloAware) Name() string { return "slo-aware" }
 
 // residency is one replica's (tight, relaxed) resident-request counts,
 // snapshotted once per routing decision.
@@ -169,7 +169,7 @@ type residency struct {
 }
 
 // Route implements Router.
-func (s *SLOAware) Route(r *request.Request, replicas []*Replica) int {
+func (s *sloAware) Route(r *request.Request, replicas []*Replica) int {
 	if prefillDispatch(replicas) {
 		return s.routePrefill(replicas)
 	}
@@ -177,22 +177,22 @@ func (s *SLOAware) Route(r *request.Request, replicas []*Replica) int {
 }
 
 // RouteDecode implements Router.
-func (s *SLOAware) RouteDecode(r *request.Request, replicas []*Replica) int {
+func (s *sloAware) RouteDecode(r *request.Request, replicas []*Replica) int {
 	return s.routeByResidency(r, replicas)
 }
 
 // routeByResidency is the per-class residency policy shared by colocated
 // arrival dispatch and disaggregated decode dispatch.
-func (s *SLOAware) routeByResidency(r *request.Request, replicas []*Replica) int {
+func (s *sloAware) routeByResidency(r *request.Request, replicas []*Replica) int {
 	// Snapshot every replica's residency once; island/routeTight/
 	// routeRelaxed all read this snapshot rather than rescanning pools.
 	res := make([]residency, len(replicas))
 	for i, rep := range replicas {
-		t, x := rep.ActiveRequests(DefaultTightSLO)
+		t, x := rep.activeRequests(defaultTightSLO)
 		res[i] = residency{tight: t, relaxed: x}
 	}
 	island := s.island(res)
-	if r.TPOTSLO <= DefaultTightSLO {
+	if r.TPOTSLO <= defaultTightSLO {
 		return s.routeTight(res, island)
 	}
 	return s.routeRelaxed(res, island)
@@ -201,7 +201,7 @@ func (s *SLOAware) routeByResidency(r *request.Request, replicas []*Replica) int
 // routePrefill balances arrivals over dedicated prefill replicas by queued
 // prompt tokens, rotating the tie-break cursor so equally idle replicas
 // share cold starts.
-func (s *SLOAware) routePrefill(replicas []*Replica) int {
+func (s *sloAware) routePrefill(replicas []*Replica) int {
 	best, bestLoad := -1, 0
 	for off := 0; off < len(replicas); off++ {
 		i := (s.prefillCursor + off) % len(replicas)
@@ -221,7 +221,7 @@ func (s *SLOAware) routePrefill(replicas []*Replica) int {
 // the threshold) or the cluster is too small to afford a sacrifice:
 // islanding one of two replicas halves urgent capacity exactly when the
 // cluster is overloaded, so it needs at least three.
-func (s *SLOAware) island(res []residency) int {
+func (s *sloAware) island(res []residency) int {
 	if len(res) < 3 {
 		return -1
 	}
@@ -229,7 +229,7 @@ func (s *SLOAware) island(res []residency) int {
 	for _, r := range res {
 		tightTotal += r.tight
 	}
-	if float64(tightTotal)/float64(len(res)) < DefaultPressureThreshold {
+	if float64(tightTotal)/float64(len(res)) < defaultPressureThreshold {
 		return -1
 	}
 	best, bestRelaxed, bestTight := -1, 0, 0
@@ -246,7 +246,7 @@ func (s *SLOAware) island(res []residency) int {
 // relaxed work), then on the rotating class cursor. Under urgent pressure
 // the island is excluded: keeping new tight requests off the sacrificial
 // replica is what preserves clean replicas for urgent traffic.
-func (s *SLOAware) routeTight(res []residency, island int) int {
+func (s *sloAware) routeTight(res []residency, island int) int {
 	best, bestTight, bestTotal := -1, 0, 0
 	for off := 0; off < len(res); off++ {
 		i := (s.tightCursor + off) % len(res)
@@ -267,13 +267,13 @@ func (s *SLOAware) routeTight(res []residency, island int) int {
 // cursor — with budget headroom everywhere, filling all replicas maximizes
 // throughput. Under urgent pressure it packs onto the island, bounded by
 // the consolidation cap; past the cap it spreads again.
-func (s *SLOAware) routeRelaxed(res []residency, island int) int {
+func (s *sloAware) routeRelaxed(res []residency, island int) int {
 	if island >= 0 {
 		total := 0
 		for _, r := range res {
 			total += r.tight + r.relaxed
 		}
-		if islandTotal := res[island].tight + res[island].relaxed; float64(islandTotal) < DefaultConsolidateFactor*float64(total)/float64(len(res))+4 {
+		if islandTotal := res[island].tight + res[island].relaxed; float64(islandTotal) < defaultConsolidateFactor*float64(total)/float64(len(res))+4 {
 			return island
 		}
 	}
@@ -361,7 +361,7 @@ func NewRouter(name string) (Router, error) {
 	case "least-loaded":
 		return LeastLoaded{}, nil
 	case "slo-aware":
-		return &SLOAware{}, nil
+		return &sloAware{}, nil
 	case "prefix-affinity":
 		return PrefixAffinity{}, nil
 	default:

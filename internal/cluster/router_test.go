@@ -69,7 +69,7 @@ func TestSLOAwareSpreadsTightRequestsByUrgentLoad(t *testing.T) {
 	loadReplica(reps[0], 100, 400, 0.030)
 	loadReplica(reps[1], 101, 500, 0.150)
 	loadReplica(reps[2], 102, 200, 0.030)
-	s := &SLOAware{}
+	s := &sloAware{}
 	if got := s.Route(tightReq(1), reps); got != 1 {
 		t.Fatalf("tight request to replica %d, want 1 (zero urgent load)", got)
 	}
@@ -84,7 +84,7 @@ func TestSLOAwareFillsRelaxedWorkByRelaxedLoad(t *testing.T) {
 	loadReplica(reps[0], 100, 400, 0.030)
 	loadReplica(reps[1], 101, 100, 0.150)
 	loadReplica(reps[2], 102, 300, 0.150)
-	s := &SLOAware{}
+	s := &sloAware{}
 	if got := s.Route(relaxedReq(1), reps); got != 0 {
 		t.Fatalf("relaxed request to replica %d, want 0 (no relaxed load)", got)
 	}
@@ -101,7 +101,7 @@ func TestSLOAwareTieBreaksOnTotalThenCursor(t *testing.T) {
 	loadReplica(reps[0], 103, 100, 0.150)
 	loadReplica(reps[1], 101, 100, 0.150)
 	loadReplica(reps[2], 102, 100, 0.150)
-	s := &SLOAware{}
+	s := &sloAware{}
 	if got := s.Route(tightReq(1), reps); got != 1 {
 		t.Fatalf("tight request to replica %d, want 1 (lowest total residency)", got)
 	}
@@ -116,7 +116,7 @@ func TestSLOAwareCursorRotatesThroughTies(t *testing.T) {
 	// rotate — per-class round-robin — rather than dog-pile replica 0.
 	// Fake replicas stay empty because Route alone never enqueues.
 	c := fakeCluster(t, 3, nil)
-	s := &SLOAware{}
+	s := &sloAware{}
 	for i, want := range []int{0, 1, 2, 0} {
 		if got := s.Route(tightReq(i), c.Replicas()); got != want {
 			t.Fatalf("tight pick %d: replica %d, want %d", i, got, want)
@@ -130,19 +130,19 @@ func TestSLOAwareCursorRotatesThroughTies(t *testing.T) {
 }
 
 func TestSLOAwareCutoffClassifies(t *testing.T) {
-	s := &SLOAware{}
+	s := &sloAware{}
 	c := fakeCluster(t, 2, nil)
 	reps := c.Replicas()
-	loadReplica(reps[0], 100, 100, DefaultTightSLO)      // urgent: the cutoff is inclusive
-	loadReplica(reps[1], 101, 50, DefaultTightSLO+0.001) // relaxed load on replica 1
+	loadReplica(reps[0], 100, 100, defaultTightSLO)      // urgent: the cutoff is inclusive
+	loadReplica(reps[1], 101, 50, defaultTightSLO+0.001) // relaxed load on replica 1
 	// Just past the cutoff is relaxed: it balances on relaxed load, and
 	// replica 0 has none (its queue is all urgent).
-	past := request.New(1, request.Chat, DefaultTightSLO+0.001, 0, 16, 4, 3)
+	past := request.New(1, request.Chat, defaultTightSLO+0.001, 0, 16, 4, 3)
 	if got := s.Route(past, reps); got != 0 {
 		t.Fatalf("request past the cutoff routed to %d, want 0", got)
 	}
 	// At the cutoff is tight: it avoids replica 0's urgent queue.
-	at := request.New(2, request.Chat, DefaultTightSLO, 0, 16, 4, 4)
+	at := request.New(2, request.Chat, defaultTightSLO, 0, 16, 4, 4)
 	if got := s.Route(at, reps); got != 1 {
 		t.Fatalf("request at the cutoff routed to %d, want 1", got)
 	}
@@ -170,10 +170,10 @@ func pressureCluster(t *testing.T, tight, relaxed, islandIdx int) *Cluster {
 }
 
 func TestSLOAwareIslandConsolidatesRelaxedUnderPressure(t *testing.T) {
-	// Mean tight residency 10 >= DefaultPressureThreshold: the island (the
+	// Mean tight residency 10 >= defaultPressureThreshold: the island (the
 	// replica with the most relaxed work) absorbs new relaxed requests.
 	c := pressureCluster(t, 10, 3, 1)
-	s := &SLOAware{}
+	s := &sloAware{}
 	for i := 0; i < 3; i++ {
 		if got := s.Route(relaxedReq(i), c.Replicas()); got != 1 {
 			t.Fatalf("relaxed pick %d: replica %d, want island 1", i, got)
@@ -185,7 +185,7 @@ func TestSLOAwareTightAvoidsIslandUnderPressure(t *testing.T) {
 	// Under pressure new tight requests must exclude the island even
 	// though the non-island replicas hold equal tight residency.
 	c := pressureCluster(t, 10, 3, 1)
-	s := &SLOAware{}
+	s := &sloAware{}
 	for i, want := range []int{0, 2, 0, 2} {
 		if got := s.Route(tightReq(i), c.Replicas()); got != want {
 			t.Fatalf("tight pick %d: replica %d, want %d (island 1 excluded)", i, got, want)
@@ -197,7 +197,7 @@ func TestSLOAwareIslandCapFallsBackToSpreading(t *testing.T) {
 	// The island holds far more than ConsolidateFactor x mean residency:
 	// relaxed traffic must spread to the least-relaxed replica instead.
 	c := pressureCluster(t, 10, 60, 1)
-	s := &SLOAware{}
+	s := &sloAware{}
 	if got := s.Route(relaxedReq(1), c.Replicas()); got == 1 {
 		t.Fatal("relaxed request packed onto a saturated island")
 	}
@@ -207,7 +207,7 @@ func TestSLOAwareNoIslandBelowPressureOrOnSmallClusters(t *testing.T) {
 	// Below the pressure threshold the relaxed stream spreads: replica 1
 	// holds the most relaxed work but must not attract more.
 	c := pressureCluster(t, 3, 2, 1)
-	s := &SLOAware{}
+	s := &sloAware{}
 	if got := s.Route(relaxedReq(1), c.Replicas()); got == 1 {
 		t.Fatal("relaxed request consolidated without urgent pressure")
 	}
@@ -222,7 +222,7 @@ func TestSLOAwareNoIslandBelowPressureOrOnSmallClusters(t *testing.T) {
 		}
 	}
 	loadReplica(c2.Replicas()[1], id, 50, 0.150)
-	s2 := &SLOAware{}
+	s2 := &sloAware{}
 	if got := s2.Route(relaxedReq(3), c2.Replicas()); got == 1 {
 		t.Fatal("two-replica cluster consolidated onto an island")
 	}

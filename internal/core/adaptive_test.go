@@ -14,12 +14,12 @@ func TestDefaultControllerValid(t *testing.T) {
 
 func TestControllerValidateRejects(t *testing.T) {
 	bad := []Controller{
-		{DMin: -1, DMax: 4, WMax: 2, B1: 10, B2: 10},
-		{DMin: 5, DMax: 4, WMax: 2, B1: 10, B2: 10},
-		{DMin: 1, DMax: 4, WMax: 0, B1: 10, B2: 10},
-		{DMin: 1, DMax: 4, WMax: 2, B1: 0, B2: 10},
-		{DMin: 1, DMax: 4, WMax: 2, B1: 10, B2: 0},
-		{DMin: 1, DMax: 4, WMax: 2, B1: 10, B2: 10, C1: -1},
+		{DMin: -1, DMax: 4, WMax: 2, b1: 10, b2: 10},
+		{DMin: 5, DMax: 4, WMax: 2, b1: 10, b2: 10},
+		{DMin: 1, DMax: 4, WMax: 0, b1: 10, b2: 10},
+		{DMin: 1, DMax: 4, WMax: 2, b1: 0, b2: 10},
+		{DMin: 1, DMax: 4, WMax: 2, b1: 10, b2: 0},
+		{DMin: 1, DMax: 4, WMax: 2, b1: 10, b2: 10, c1: -1},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -29,9 +29,9 @@ func TestControllerValidateRejects(t *testing.T) {
 }
 
 func TestParamsEquation(t *testing.T) {
-	// Eq. 8-9 with B1=120, B2=60, c1=2, c2=0:
+	// Eq. 8-9 with b1=120, b2=60, c1=2, c2=0:
 	// n=10: d = clip(120/12 - 1) = 9 -> DMax; w = clip(60/10) = 6 -> WMax.
-	c := Controller{DMin: 1, DMax: 8, WMax: 4, B1: 120, B2: 60, C1: 2, C2: 0}
+	c := Controller{DMin: 1, DMax: 8, WMax: 4, b1: 120, b2: 60, c1: 2, c2: 0}
 	d, w := c.Params(10)
 	if d != 8 || w != 4 {
 		t.Fatalf("n=10: (d,w) = (%d,%d), want (8,4)", d, w)

@@ -35,11 +35,8 @@ type SelectResult struct {
 	// Selections holds the draft token tree for each request, parallel to
 	// the input slice.
 	Selections []*toktree.Selection
-	// ExpectedAccept[i] is Σ f(v) over request i's selection.
-	ExpectedAccept []float64
-	// SLOSatisfied[i] reports whether E[acc] reached A_cap(r_i) during the
-	// SLO-customized phase.
-	SLOSatisfied []bool
+	// expectedAccept[i] is Σ f(v) over request i's selection.
+	expectedAccept []float64
 	// BudgetUsed counts nodes selected in total (incl. roots).
 	BudgetUsed int
 }
@@ -82,7 +79,7 @@ func (s *Selector) Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult
 	// Initialization: every request's root is selected and costs budget.
 	for i, rq := range reqs {
 		res.Selections[i].Reset(rq.Cand)
-		res.ExpectedAccept[i] = 1
+		res.expectedAccept[i] = 1
 		budget--
 		for _, c := range rq.Cand.Nodes[0].Children {
 			pushItem(&s.frontiers[i], frontierItem{
@@ -110,14 +107,13 @@ func (s *Selector) Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult
 	}
 	for _, i := range order {
 		cap_ := capThreshold(reqs[i].MinAccept, cfg.Depth)
-		for res.ExpectedAccept[i] < cap_ &&
+		for res.expectedAccept[i] < cap_ &&
 			res.Selections[i].Size() < maxPerReq &&
 			budget > 0 && s.frontiers[i].Len() > 0 {
 			it := popItem(&s.frontiers[i])
 			addNode(res, &s.frontiers[i], reqs[i].Cand, i, it)
 			budget--
 		}
-		res.SLOSatisfied[i] = res.ExpectedAccept[i] >= cap_
 	}
 
 	// Throughput-optimized selection: global greedy over all frontiers.
@@ -156,16 +152,13 @@ func (s *Selector) reset(n int) *SelectResult {
 	res := &s.res
 	if cap(res.Selections) < n {
 		res.Selections = make([]*toktree.Selection, n)
-		res.ExpectedAccept = make([]float64, n)
-		res.SLOSatisfied = make([]bool, n)
+		res.expectedAccept = make([]float64, n)
 	}
 	res.Selections = res.Selections[:n]
-	res.ExpectedAccept = res.ExpectedAccept[:n]
-	res.SLOSatisfied = res.SLOSatisfied[:n]
+	res.expectedAccept = res.expectedAccept[:n]
 	for i := 0; i < n; i++ {
 		res.Selections[i] = s.sels[i]
-		res.ExpectedAccept[i] = 0
-		res.SLOSatisfied[i] = false
+		res.expectedAccept[i] = 0
 	}
 	res.BudgetUsed = 0
 	return res
@@ -185,7 +178,7 @@ func capThreshold(minAccept float64, depth int) float64 {
 // addNode selects the node and pushes its children onto the given frontier.
 func addNode(res *SelectResult, h *frontierHeap, cand *toktree.Tree, req int, it frontierItem) {
 	res.Selections[req].Add(it.node)
-	res.ExpectedAccept[req] += it.pathProb
+	res.expectedAccept[req] += it.pathProb
 	for _, c := range cand.Nodes[it.node].Children {
 		pushItem(h, frontierItem{req: req, node: c, pathProb: cand.Nodes[c].PathProb})
 	}

@@ -12,8 +12,8 @@ import (
 // iterations with varying batch sizes and checks every result against a
 // fresh Selector's — the pooling-determinism contract schedulers rely on.
 func TestSelectorMatchesSelect(t *testing.T) {
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	draft := lm.MustDraftLM("d", target, 0.85, 2)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.85, 2)
 	rng := mathutil.NewRNG(99)
 	var sel Selector
 	for iter := 0; iter < 60; iter++ {
@@ -22,7 +22,7 @@ func TestSelectorMatchesSelect(t *testing.T) {
 		for i := range reqs {
 			tr := toktree.NewTree(lm.Context{ReqSeed: uint64(iter*100 + i)}, 5)
 			var bb toktree.BeamBuilder
-			if _, _, err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
+			if _, err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
 				t.Fatal(err)
 			}
 			reqs[i] = SelectRequest{Cand: tr, MinAccept: float64(rng.Intn(8)) / 2}
@@ -44,8 +44,7 @@ func TestSelectorMatchesSelect(t *testing.T) {
 			t.Fatalf("iter %d: BudgetUsed %d, want %d", iter, got.BudgetUsed, want.BudgetUsed)
 		}
 		for i := range reqs {
-			if got.ExpectedAccept[i] != want.ExpectedAccept[i] ||
-				got.SLOSatisfied[i] != want.SLOSatisfied[i] ||
+			if got.expectedAccept[i] != want.expectedAccept[i] ||
 				got.Selections[i].Size() != want.Selections[i].Size() {
 				t.Fatalf("iter %d req %d: pooled selector diverged", iter, i)
 			}

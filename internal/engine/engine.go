@@ -85,7 +85,7 @@ func New(cfg Config) (*Engine, error) {
 		draftCost:  cfg.DraftCost,
 		rng:        mathutil.NewRNG(cfg.Seed),
 	}
-	e.verifier = lm.NewVerifier(cfg.Target, cfg.Draft, cfg.Rule, e.rng)
+	e.verifier = lm.NewVerifier(cfg.Target, cfg.Rule, e.rng)
 	return e, nil
 }
 
@@ -235,7 +235,7 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 			// verification unchanged, committing one correction token.
 			continue
 		}
-		steps, _, err := e.beam.Search(t, e.draft, d, w)
+		steps, err := e.beam.Search(t, e.draft, d, w)
 		if err != nil {
 			return nil, fmt.Errorf("engine: beam search for request %d: %w", r.ID, err)
 		}
@@ -272,8 +272,8 @@ type VerifyBatchResult struct {
 	Results []*toktree.VerifyResult
 	// GPUTime is the modeled verification pass latency.
 	GPUTime float64
-	// TokensVerified is the total tree positions processed.
-	TokensVerified int
+	// tokensVerified is the total tree positions processed.
+	tokensVerified int
 }
 
 // VerifyTrees runs one batched pass that verifies the selected trees and
@@ -302,11 +302,11 @@ func (e *Engine) VerifyTrees(items []VerifyItem, prefill []PrefillItem) *VerifyB
 		vr := &e.vres[idx]
 		toktree.VerifyInto(vr, it.Sel, e.verifier, &e.vscratch)
 		res.Results[idx] = vr
-		res.TokensVerified += vr.TokensVerified
+		res.tokensVerified += vr.TokensVerified
 		// Every tree token attends over the request context plus its depth.
 		kv += it.Sel.Size() * (it.Req.ContextLen() + 1)
 	}
-	res.GPUTime = e.forward(res.TokensVerified, len(items), kv, prefill)
+	res.GPUTime = e.forward(res.tokensVerified, len(items), kv, prefill)
 	return res
 }
 

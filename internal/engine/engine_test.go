@@ -12,8 +12,8 @@ import (
 
 func newEngine(t *testing.T) *Engine {
 	t.Helper()
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	draft := lm.MustDraftLM("d", target, 0.88, 2)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.88, 2)
 	e, err := New(Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
@@ -145,10 +145,10 @@ func (m *countingModel) Dist(ctx lm.Context) lm.Dist {
 // same engine.
 func TestPlainDecodeNeverReadsTokens(t *testing.T) {
 	build := func() (*Engine, *countingModel) {
-		target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
+		target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 		counted := &countingModel{Model: target}
 		e, err := New(Config{
-			Target: counted, Draft: lm.MustDraftLM("d", target, 0.88, 2),
+			Target: counted, Draft: lm.MustDraftLM(target, 0.88, 2),
 			TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 			DraftCost:  gpu.MustCostModel(gpu.A100, gpu.Llama1B, 1),
 			Seed:       3,
@@ -175,16 +175,13 @@ func TestPlainDecodeNeverReadsTokens(t *testing.T) {
 			for i, tr := range spec.Trees {
 				sel := toktree.NewSelection(tr)
 				for id := 1; id < tr.Size(); id++ {
-					if sel.Has(tr.Nodes[id].Parent) {
-						sel.Add(id)
-					}
+					sel.Add(id)
 				}
 				items[i] = VerifyItem{Req: reqs[i], Sel: sel}
 			}
 			for i, vr := range e.VerifyTrees(items, nil).Results {
 				cp := *vr
 				cp.Accepted = append([]lm.Token(nil), vr.Accepted...)
-				cp.AcceptedNodeIDs = append([]int(nil), vr.AcceptedNodeIDs...)
 				out = append(out, cp)
 				CommitVerify(reqs[i], vr, float64(step))
 			}
@@ -228,11 +225,15 @@ func TestSpeculateBeamsShapesAndCost(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
-		depth := 0
-		for _, n := range tr.Nodes {
-			depth = max(depth, n.Depth)
+		var height func(id int) int
+		height = func(id int) int {
+			h := 0
+			for _, c := range tr.Nodes[id].Children {
+				h = max(h, 1+height(c))
+			}
+			return h
 		}
-		if depth != 4 {
+		if depth := height(0); depth != 4 {
 			t.Fatalf("tree %d depth %d", i, depth)
 		}
 	}
@@ -268,7 +269,7 @@ func TestSpeculateBeamsDepthZero(t *testing.T) {
 }
 
 func TestSpeculateRequiresDraft(t *testing.T) {
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 	e, err := New(Config{
 		Target:     target,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
@@ -291,12 +292,10 @@ func TestVerifyTreesCommitsViaHelper(t *testing.T) {
 	}
 	sel := toktree.NewSelection(spec.Trees[0])
 	for id := 1; id < spec.Trees[0].Size(); id++ {
-		if sel.Has(spec.Trees[0].Nodes[id].Parent) {
-			sel.Add(id)
-		}
+		sel.Add(id)
 	}
 	ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
-	if ver.GPUTime <= 0 || ver.TokensVerified != sel.Size() {
+	if ver.GPUTime <= 0 || ver.tokensVerified != sel.Size() {
 		t.Fatalf("verify result %+v", ver)
 	}
 	kept := CommitVerify(r, ver.Results[0], 1.0)
@@ -376,9 +375,7 @@ func TestEngineDeterminism(t *testing.T) {
 			}
 			sel := toktree.NewSelection(spec.Trees[0])
 			for id := 1; id < spec.Trees[0].Size(); id++ {
-				if sel.Has(spec.Trees[0].Nodes[id].Parent) {
-					sel.Add(id)
-				}
+				sel.Add(id)
 			}
 			ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 			before := r.OutputLen()

@@ -107,10 +107,10 @@ func refVerifyTreesWithPrefill(e *Engine, items []VerifyItem, prefill []PrefillI
 		vr := &e.vres[idx]
 		toktree.VerifyInto(vr, it.Sel, e.verifier, &e.vscratch)
 		res.Results[idx] = vr
-		res.TokensVerified += vr.TokensVerified
+		res.tokensVerified += vr.TokensVerified
 		kv += it.Sel.Size() * (it.Req.ContextLen() + 1)
 	}
-	totalTokens := res.TokensVerified
+	totalTokens := res.tokensVerified
 	for _, it := range prefill {
 		prior := it.Req.PrefillDone
 		c := it.Chunk
@@ -238,9 +238,9 @@ func TestVerifyTreesMatchesReference(t *testing.T) {
 			ia, ib := specItems(t, ref, da), specItems(t, got, db)
 			want := refVerifyTreesWithPrefill(ref, ia, pa)
 			res := got.VerifyTrees(ib, pb)
-			if res.GPUTime != want.GPUTime || res.TokensVerified != want.TokensVerified {
+			if res.GPUTime != want.GPUTime || res.tokensVerified != want.tokensVerified {
 				t.Fatalf("seed %d pass %d: VerifyTrees %v s/%d tokens, reference %v s/%d tokens",
-					seed, i, res.GPUTime, res.TokensVerified, want.GPUTime, want.TokensVerified)
+					seed, i, res.GPUTime, res.tokensVerified, want.GPUTime, want.tokensVerified)
 			}
 			for j := range res.Results {
 				if !reflect.DeepEqual(*res.Results[j], *want.Results[j]) {
@@ -265,9 +265,7 @@ func specItems(t *testing.T, e *Engine, reqs []*request.Request) []VerifyItem {
 	for i, tr := range spec.Trees {
 		sel := toktree.NewSelection(tr)
 		for id := 1; id < tr.Size(); id++ {
-			if sel.Has(tr.Nodes[id].Parent) {
-				sel.Add(id)
-			}
+			sel.Add(id)
 		}
 		items[i] = VerifyItem{Req: reqs[i], Sel: sel}
 	}

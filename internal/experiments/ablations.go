@@ -15,12 +15,12 @@ var ablationConfigs = []struct {
 	build BuildOptions
 }{
 	{"AdaServe (full)", SysAdaServe, BuildOptions{}},
-	{"interleaved Algorithm 1", SysAdaServeInterleaved, BuildOptions{}},
+	{"interleaved Algorithm 1", sysAdaServeInterleaved, BuildOptions{}},
 	{"static d=4 w=1 (chains)", SysAdaServe, BuildOptions{StaticD: 4, StaticW: 1}},
 	{"static d=8 w=4 (max trees)", SysAdaServe, BuildOptions{StaticD: 8, StaticW: 4}},
-	{"no n_max cap", SysAdaServe, BuildOptions{DisableNMax: true}},
-	{"no CUDA graphs", SysAdaServe, BuildOptions{DisableCUDAGraphs: true}},
-	{"greedy verification", SysAdaServe, BuildOptions{Rule: lm.RuleGreedy}},
+	{"no n_max cap", SysAdaServe, BuildOptions{disableNMax: true}},
+	{"no CUDA graphs", SysAdaServe, BuildOptions{disableCUDAGraphs: true}},
+	{"greedy verification", SysAdaServe, BuildOptions{rule: lm.RuleGreedy}},
 }
 
 // Ablations runs the design-choice studies, all at one fixed
@@ -41,19 +41,19 @@ func Ablations(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	cells := make([]Cell, len(ablationConfigs))
 	builds := map[string]BuildOptions{}
 	for i, c := range ablationConfigs {
-		cells[i] = Cell{System: c.kind, Config: c.name}
+		cells[i] = Cell{System: c.kind, config: c.name}
 		builds[c.name] = c.build
 	}
 	return runGrid("ablation", opts, cells, func(c Cell) (RunSpec, error) {
 		return RunSpec{Kind: c.System, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
-			Build: builds[c.Config], Requests: reqs}, nil
+			Build: builds[c.config], Requests: reqs}, nil
 	})
 }
 
 // AblationsTable prints the ablation study: one row per configuration.
 var AblationsTable = Table[Cell]{
-	Row: Axis[Cell]{Name: "configuration", Width: -28, Label: func(c Cell) string { return c.Config }},
-	Columns: slices.Concat(
+	row: axis[Cell]{name: "configuration", width: -28, label: func(c Cell) string { return c.config }},
+	columns: slices.Concat(
 		sumCols(13, "%.1f", "attain %", "goodput"),
 		sumCols(11, "%.2f", "mean acc"),
 		sumCols(15, "%.3f", "sched share %"),

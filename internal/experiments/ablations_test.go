@@ -18,7 +18,7 @@ func TestAblationsRun(t *testing.T) {
 	}
 	byName := map[string]*Cell{}
 	for i := range rows {
-		byName[rows[i].Config] = &rows[i]
+		byName[rows[i].config] = &rows[i]
 	}
 	full := byName["AdaServe (full)"]
 	if full == nil || full.Sum.Aggregate.Requests == 0 {
@@ -49,11 +49,11 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestInterleavedSystemBuildable(t *testing.T) {
-	sys, err := Build(SysAdaServeInterleaved, Llama70B(), BuildOptions{Seed: 1})
+	sys, err := Build(sysAdaServeInterleaved, Llama70B(), BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Name() != string(SysAdaServeInterleaved) {
+	if sys.Name() != string(sysAdaServeInterleaved) {
 		t.Fatalf("name %q", sys.Name())
 	}
 }

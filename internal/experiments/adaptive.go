@@ -18,15 +18,15 @@ const AdaptiveFleet = 2
 // fixed so the cells differ only in the control loop.
 const AdaptiveRouter = "slo-aware"
 
-// AdaptiveProfiles are the arrival shapes of the flash-crowd sweep. The
+// adaptiveProfiles are the arrival shapes of the flash-crowd sweep. The
 // spike profile's burst (~5.6x the mean) is the overload the admission gate
 // exists for.
-func AdaptiveProfiles() []string { return []string{"spike"} }
+func adaptiveProfiles() []string { return []string{"spike"} }
 
-// AdaptiveConfigs are the control configurations under comparison: the
+// adaptiveConfigs are the control configurations under comparison: the
 // static AdaServe baseline, closed-loop speculation tuning alone, and tuning
 // plus the overload admission gate.
-func AdaptiveConfigs() []string { return []string{"static", "adaptive", "adaptive+admission"} }
+func adaptiveConfigs() []string { return []string{"static", "adaptive", "adaptive+admission"} }
 
 // AdaptiveMeanRPS sizes the offered load: the mean sits at the fleet's
 // contended-but-serviceable operating point, so the baseline phases are
@@ -49,13 +49,13 @@ func AdaptiveInterval(duration float64) float64 { return duration / 60 }
 func AdaptiveControl(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	var cells []Cell
-	for _, profile := range AdaptiveProfiles() {
-		for _, config := range AdaptiveConfigs() {
-			cells = append(cells, Cell{Config: config, Profile: profile})
+	for _, profile := range adaptiveProfiles() {
+		for _, config := range adaptiveConfigs() {
+			cells = append(cells, Cell{config: config, profile: profile})
 		}
 	}
 	return runGrid("adaptive", opts, cells, func(c Cell) (RunSpec, error) {
-		return AdaptiveCell(setup, c.Config, c.Profile, opts)
+		return adaptiveCell(setup, c.config, c.profile, opts)
 	})
 }
 
@@ -77,16 +77,16 @@ func AdaptiveConfig(config string, duration float64) (*adaptive.Config, error) {
 	case "adaptive+admission":
 	default:
 		return nil, fmt.Errorf("experiments: unknown adaptive config %q (want one of %s, admission)",
-			config, strings.Join(AdaptiveConfigs(), ", "))
+			config, strings.Join(adaptiveConfigs(), ", "))
 	}
 	return cfg, nil
 }
 
-// AdaptiveCell describes one configuration over the profile's open-loop
+// adaptiveCell describes one configuration over the profile's open-loop
 // arrival stream. Workload seeding is shared across the profile's cells,
 // so every configuration faces the same requests at the same instants;
 // what differs is only what the controller does about them.
-func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (RunSpec, error) {
+func adaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (RunSpec, error) {
 	cfg, err := AdaptiveConfig(config, opts.Duration)
 	if err != nil {
 		return RunSpec{}, err
@@ -102,7 +102,7 @@ func AdaptiveCell(setup ModelSetup, config, profile string, opts RunOptions) (Ru
 // admitted requests (rejected ones never produce tokens), so the admission
 // row trades a visible rejected count for goodput and tail bounds.
 var AdaptiveTable = Table[Cell]{
-	Section: func(c Cell) string { return "== profile " + c.Profile + " ==" },
-	Row:     Axis[Cell]{Name: "config", Width: -20, Label: func(c Cell) string { return c.Config }},
-	Columns: sumCols(12, "%.2f", "goodput", "attain%", "maxTTFT", "p50TPOT", "p99TPOT", "p999TPOT", "maxTPOT", "degraded", "rejected"),
+	section: func(c Cell) string { return "== profile " + c.profile + " ==" },
+	row:     axis[Cell]{name: "config", width: -20, label: func(c Cell) string { return c.config }},
+	columns: sumCols(12, "%.2f", "goodput", "attain%", "maxTTFT", "p50TPOT", "p99TPOT", "p999TPOT", "maxTPOT", "degraded", "rejected"),
 }

@@ -37,20 +37,20 @@ func TestAdaptiveControlDeterministic(t *testing.T) {
 		t.Fatalf("point count differs: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Config != par[i].Config || seq[i].Profile != par[i].Profile {
+		if seq[i].config != par[i].config || seq[i].profile != par[i].profile {
 			t.Fatalf("point %d coordinates differ: %+v vs %+v", i, seq[i], par[i])
 		}
 		if !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
 			t.Fatalf("point %d (%s/%s): summaries differ between -parallel 1 and 8",
-				i, seq[i].Config, seq[i].Profile)
+				i, seq[i].config, seq[i].profile)
 		}
 	}
 	t.Logf("\n%s", AdaptiveTable.Render(seq))
 
 	byConfig := map[string]*Cell{}
 	for i := range seq {
-		if seq[i].Profile == "spike" {
-			byConfig[seq[i].Config] = &seq[i]
+		if seq[i].profile == "spike" {
+			byConfig[seq[i].config] = &seq[i]
 		}
 	}
 	static, adm := byConfig["static"], byConfig["adaptive+admission"]

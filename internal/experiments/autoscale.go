@@ -11,9 +11,9 @@ import (
 // may scale within it.
 const AutoscaleFleet = 4
 
-// AutoscaleProfiles are the arrival shapes of the autoscaling sweep: the
+// autoscaleProfiles are the arrival shapes of the autoscaling sweep: the
 // two time-varying loads where a fixed fleet wastes the most capacity.
-func AutoscaleProfiles() []string { return []string{"spike", "diurnal"} }
+func autoscaleProfiles() []string { return []string{"spike", "diurnal"} }
 
 // AutoscaleConfigs are the fleet-sizing configurations under comparison:
 // the equal-peak static fleet plus every built-in scaling policy.
@@ -51,24 +51,24 @@ func AutoscaleWindow(duration float64) float64    { return duration / 8 }
 func Autoscaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	var cells []Cell
-	for _, profile := range AutoscaleProfiles() {
+	for _, profile := range autoscaleProfiles() {
 		for _, config := range AutoscaleConfigs() {
 			for _, routerName := range cluster.RouterNames() {
-				cells = append(cells, Cell{Config: config, Profile: profile, Router: routerName})
+				cells = append(cells, Cell{config: config, profile: profile, router: routerName})
 			}
 		}
 	}
 	return runGrid("autoscale", opts, cells, func(c Cell) (RunSpec, error) {
-		return AutoscaleCell(setup, c.Config, c.Profile, c.Router, opts)
+		return autoscaleCell(setup, c.config, c.profile, c.router, opts)
 	})
 }
 
-// AutoscaleCell describes one configuration over the profile's open-loop
+// autoscaleCell describes one configuration over the profile's open-loop
 // arrival stream: a static capacity fleet, or (under a scaling policy) an
 // elastic one starting from a single replica. The workload is seeded
 // identically across cells (matching adaserve-sim's open-loop seeding), so
 // every cell of one profile faces the same requests at the same instants.
-func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts RunOptions) (RunSpec, error) {
+func autoscaleCell(setup ModelSetup, config, profile, routerName string, opts RunOptions) (RunSpec, error) {
 	mean, err := AutoscaleMeanRPS(setup, profile)
 	if err != nil {
 		return RunSpec{}, err
@@ -87,8 +87,8 @@ func AutoscaleCell(setup ModelSetup, config, profile, routerName string, opts Ru
 // per replica-second (the headline), attainment, replica-seconds consumed,
 // and scale events — one row per configuration and one column per router.
 var AutoscaleTable = Table[Cell]{
-	Section: func(c Cell) string { return "== profile " + c.Profile + " ==" },
-	Row:     Axis[Cell]{Name: "config", Width: -14, Label: func(c Cell) string { return c.Config }},
-	Cols:    routerCols,
-	Columns: sumCols(0, "%.2f", "goodput / replica-second", "attainment %", "replica-seconds", "scale events (up+down)"),
+	section: func(c Cell) string { return "== profile " + c.profile + " ==" },
+	row:     axis[Cell]{name: "config", width: -14, label: func(c Cell) string { return c.config }},
+	cols:    routerCols,
+	columns: sumCols(0, "%.2f", "goodput / replica-second", "attainment %", "replica-seconds", "scale events (up+down)"),
 }

@@ -30,12 +30,12 @@ func TestAutoscalingDeterministic(t *testing.T) {
 		t.Fatalf("point count differs: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Config != par[i].Config || seq[i].Profile != par[i].Profile || seq[i].Router != par[i].Router {
+		if seq[i].config != par[i].config || seq[i].profile != par[i].profile || seq[i].router != par[i].router {
 			t.Fatalf("point %d coordinates differ: %+v vs %+v", i, seq[i], par[i])
 		}
 		if !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
 			t.Fatalf("point %d (%s/%s/%s): summaries differ between -parallel 1 and 8",
-				i, seq[i].Config, seq[i].Profile, seq[i].Router)
+				i, seq[i].config, seq[i].profile, seq[i].router)
 		}
 	}
 
@@ -44,17 +44,17 @@ func TestAutoscalingDeterministic(t *testing.T) {
 	// goodput per replica-second — same router, identical arrival stream.
 	static := map[string]float64{} // profile/router -> static headline
 	for _, p := range seq {
-		if p.Config == "static" {
-			static[p.Profile+"/"+p.Router] = p.Sum.Autoscale.GoodputPerReplicaSecond()
+		if p.config == "static" {
+			static[p.profile+"/"+p.router] = p.Sum.Autoscale.GoodputPerReplicaSecond()
 		}
 	}
-	for _, profile := range AutoscaleProfiles() {
+	for _, profile := range autoscaleProfiles() {
 		beat := false
 		for _, p := range seq {
-			if p.Profile != profile || p.Config == "static" {
+			if p.profile != profile || p.config == "static" {
 				continue
 			}
-			if p.Sum.Autoscale.GoodputPerReplicaSecond() > static[p.Profile+"/"+p.Router] {
+			if p.Sum.Autoscale.GoodputPerReplicaSecond() > static[p.profile+"/"+p.router] {
 				beat = true
 				break
 			}
@@ -73,9 +73,9 @@ func TestAutoscalingCellShape(t *testing.T) {
 	setup := Llama70B()
 	opts := autoscaleOpts(4)
 	opts.fill()
-	spec, err := AutoscaleCell(setup, "static", "diurnal", "least-loaded", opts)
+	spec, err := autoscaleCell(setup, "static", "diurnal", "least-loaded", opts)
 	static := runSpec(t, spec, err).Summary
-	spec, err = AutoscaleCell(setup, "rate-prop", "diurnal", "least-loaded", opts)
+	spec, err = autoscaleCell(setup, "rate-prop", "diurnal", "least-loaded", opts)
 	elastic := runSpec(t, spec, err).Summary
 	sa, ea := static.Autoscale, elastic.Autoscale
 	if sa == nil || ea == nil {

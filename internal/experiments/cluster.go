@@ -8,14 +8,14 @@ import (
 	"adaserve/internal/workload"
 )
 
-// ClusterReplicaCounts are the cluster sizes the scaling experiment sweeps.
-func ClusterReplicaCounts() []int { return []int{1, 2, 3, 4, 8} }
+// clusterReplicaCounts are the cluster sizes the scaling experiment sweeps.
+func clusterReplicaCounts() []int { return []int{1, 2, 3, 4, 8} }
 
 // ClusterPerReplicaRPS returns the fixed per-replica offered load of the
 // scaling experiment: the midpoint of the setup's Figure 8 RPS sweep, a
 // contended-but-serviceable operating point where routing quality shows.
 func ClusterPerReplicaRPS(setup ModelSetup) float64 {
-	sweep := RPSSweepsForSetup(setup)
+	sweep := rpsSweepsForSetup(setup)
 	return sweep[len(sweep)/2]
 }
 
@@ -33,19 +33,19 @@ func ClusterScaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	perReplica := ClusterPerReplicaRPS(setup)
 	traces := map[int][]*request.Request{}
 	var cells []Cell
-	for _, n := range ClusterReplicaCounts() {
+	for _, n := range clusterReplicaCounts() {
 		reqs, err := mixedTrace(setup, workload.DefaultMix, 1.0, perReplica*float64(n), opts.Duration, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
 		traces[n] = reqs
 		for _, routerName := range cluster.RouterNames() {
-			cells = append(cells, Cell{Replicas: n, Router: routerName})
+			cells = append(cells, Cell{replicas: n, router: routerName})
 		}
 	}
 	return runGrid("cluster", opts, cells, func(c Cell) (RunSpec, error) {
 		return RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
-			Roles: make([]cluster.Role, c.Replicas), Router: c.Router, Requests: traces[c.Replicas]}, nil
+			Roles: make([]cluster.Role, c.replicas), Router: c.router, Requests: traces[c.replicas]}, nil
 	})
 }
 
@@ -53,12 +53,12 @@ func ClusterScaling(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 // and request imbalance, one row per replica count and one column per
 // router.
 var ClusterTable = Table[Cell]{
-	Row: Axis[Cell]{Name: "replicas", Width: -10,
-		Label: func(c Cell) string { return strconv.Itoa(c.Replicas) },
-		Order: func(c Cell) float64 { return float64(c.Replicas) }},
-	Cols:    routerCols,
-	Columns: sumCols(0, "%.2f", "attainment %", "goodput tok/s", "request imbalance (max/mean)"),
+	row: axis[Cell]{name: "replicas", width: -10,
+		label: func(c Cell) string { return strconv.Itoa(c.replicas) },
+		order: func(c Cell) float64 { return float64(c.replicas) }},
+	cols:    routerCols,
+	columns: sumCols(0, "%.2f", "attainment %", "goodput tok/s", "request imbalance (max/mean)"),
 }
 
 // routerCols is the column axis of the router-comparison grids.
-var routerCols = &Axis[Cell]{Width: 16, Label: func(c Cell) string { return c.Router }}
+var routerCols = &axis[Cell]{width: 16, label: func(c Cell) string { return c.router }}

@@ -71,7 +71,7 @@ func TestClusterScalingSLOAwareBeatsRoundRobin(t *testing.T) {
 	pts := run()
 	att := func(pts []Cell, n int, router string) float64 {
 		for _, p := range pts {
-			if p.Replicas == n && p.Router == router {
+			if p.replicas == n && p.router == router {
 				return p.Sum.Attainment()
 			}
 		}
@@ -99,7 +99,7 @@ func TestClusterScalingSLOAwareBeatsRoundRobin(t *testing.T) {
 	for i := range pts {
 		if pts[i].Sum.Attainment() != pts2[i].Sum.Attainment() {
 			t.Errorf("n=%d router=%s not deterministic: %.6f vs %.6f",
-				pts[i].Replicas, pts[i].Router, pts[i].Sum.Attainment(), pts2[i].Sum.Attainment())
+				pts[i].replicas, pts[i].router, pts[i].Sum.Attainment(), pts2[i].Sum.Attainment())
 		}
 	}
 }

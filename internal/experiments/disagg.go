@@ -11,19 +11,19 @@ import (
 // against every prefill/decode partition of the same four replicas.
 func DisaggSplits() []string { return []string{"colocated", "1P3D", "2P2D", "3P1D"} }
 
-// DisaggMix tags a workload mix swept by the disaggregation experiment.
-type DisaggMix struct {
-	Name string
-	Mix  workload.Mix
+// disaggMix tags a workload mix swept by the disaggregation experiment.
+type disaggMix struct {
+	name string
+	mix  workload.Mix
 }
 
-// DisaggMixes returns the SLO mixes of the disaggregation sweep: the default
+// disaggMixes returns the SLO mixes of the disaggregation sweep: the default
 // 60/20/20 interactive-heavy mix, and a summarization-heavy mix whose long
 // prompts are where prefill interference hurts colocated replicas most.
-func DisaggMixes() []DisaggMix {
-	return []DisaggMix{
-		{Name: "default", Mix: workload.DefaultMix},
-		{Name: "summ-heavy", Mix: workload.Mix{0.2, 0.2, 0.6}},
+func disaggMixes() []disaggMix {
+	return []disaggMix{
+		{name: "default", mix: workload.DefaultMix},
+		{name: "summ-heavy", mix: workload.Mix{0.2, 0.2, 0.6}},
 	}
 }
 
@@ -44,28 +44,28 @@ func Disaggregation(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	rps := DisaggAggregateRPS(setup)
 	traces := map[string][]*request.Request{}
 	var cells []Cell
-	for _, mix := range DisaggMixes() {
-		reqs, err := mixedTrace(setup, mix.Mix, 1.0, rps, opts.Duration, opts.Seed)
+	for _, mix := range disaggMixes() {
+		reqs, err := mixedTrace(setup, mix.mix, 1.0, rps, opts.Duration, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		traces[mix.Name] = reqs
+		traces[mix.name] = reqs
 		for _, split := range DisaggSplits() {
 			for _, routerName := range cluster.RouterNames() {
-				cells = append(cells, Cell{Split: split, Router: routerName, Mix: mix.Name})
+				cells = append(cells, Cell{split: split, router: routerName, mix: mix.name})
 			}
 		}
 	}
 	return runGrid("disagg", opts, cells, func(c Cell) (RunSpec, error) {
 		roles := make([]cluster.Role, 4)
-		if c.Split != "colocated" {
+		if c.split != "colocated" {
 			var err error
-			if roles, err = cluster.ParseSplit(c.Split); err != nil {
+			if roles, err = cluster.ParseSplit(c.split); err != nil {
 				return RunSpec{}, err
 			}
 		}
 		return RunSpec{Kind: SysAdaServe, Setup: setup, Seed: opts.Seed, Duration: opts.Duration,
-			Roles: roles, Router: c.Router, Requests: traces[c.Mix]}, nil
+			Roles: roles, Router: c.router, Requests: traces[c.mix]}, nil
 	})
 }
 
@@ -73,8 +73,8 @@ func Disaggregation(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 // attainment, TPOT attainment, goodput and mean KV-transfer latency, one
 // row per fleet split and one column per router.
 var DisaggTable = Table[Cell]{
-	Section: func(c Cell) string { return "== mix " + c.Mix + " ==" },
-	Row:     Axis[Cell]{Name: "split", Width: -10, Label: func(c Cell) string { return c.Split }},
-	Cols:    routerCols,
-	Columns: sumCols(0, "%.2f", "TTFT attainment %", "TPOT attainment %", "goodput tok/s", "KV transfer mean ms"),
+	section: func(c Cell) string { return "== mix " + c.mix + " ==" },
+	row:     axis[Cell]{name: "split", width: -10, label: func(c Cell) string { return c.split }},
+	cols:    routerCols,
+	columns: sumCols(0, "%.2f", "TTFT attainment %", "TPOT attainment %", "goodput tok/s", "KV transfer mean ms"),
 }

@@ -88,12 +88,12 @@ func TestDisaggDeterministicAcrossParallel(t *testing.T) {
 		t.Fatalf("point count differs: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Split != par[i].Split || seq[i].Router != par[i].Router || seq[i].Mix != par[i].Mix {
+		if seq[i].split != par[i].split || seq[i].router != par[i].router || seq[i].mix != par[i].mix {
 			t.Fatalf("point %d coordinates differ: %+v vs %+v", i, seq[i], par[i])
 		}
 		if !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
 			t.Fatalf("point %d (%s/%s/%s) differs between -parallel 1 and 8",
-				i, seq[i].Split, seq[i].Router, seq[i].Mix)
+				i, seq[i].split, seq[i].router, seq[i].mix)
 		}
 	}
 }
@@ -115,14 +115,14 @@ func TestDisaggSplitBeatsColocatedTTFT(t *testing.T) {
 	colocated := map[string]float64{} // router -> TTFT attainment on the default mix
 	bestSplit := map[string]float64{}
 	for _, p := range pts {
-		if p.Mix != "default" {
+		if p.mix != "default" {
 			continue
 		}
 		ttft := p.Sum.TTFTAttainment()
-		if p.Split == "colocated" {
-			colocated[p.Router] = ttft
-		} else if ttft > bestSplit[p.Router] {
-			bestSplit[p.Router] = ttft
+		if p.split == "colocated" {
+			colocated[p.router] = ttft
+		} else if ttft > bestSplit[p.router] {
+			bestSplit[p.router] = ttft
 		}
 	}
 	won := false

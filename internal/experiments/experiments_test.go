@@ -25,11 +25,11 @@ func TestSetupsMatchTable1(t *testing.T) {
 		t.Fatalf("Qwen setup %+v", q)
 	}
 	for _, s := range setups {
-		if s.Draft.Params >= s.Target.Params {
+		if s.draft.Params >= s.Target.Params {
 			t.Errorf("%s: draft not smaller than target", s.Name)
 		}
-		if s.Alpha <= 0 || s.Alpha > 1 {
-			t.Errorf("%s: alpha %g", s.Name, s.Alpha)
+		if s.alpha <= 0 || s.alpha > 1 {
+			t.Errorf("%s: alpha %g", s.Name, s.alpha)
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestBaselineLatencyBands(t *testing.T) {
 
 func TestBuildAllSystems(t *testing.T) {
 	setup := Llama70B()
-	kinds := append(EndToEndSystems(), SysVLLMPriority, SysFastServe, SysVTC)
+	kinds := append(endToEndSystems(), SysVLLMPriority, SysFastServe, SysVTC)
 	for _, kind := range kinds {
 		sys, err := Build(kind, setup, BuildOptions{Seed: 1})
 		if err != nil {
@@ -114,7 +114,7 @@ func TestFigure1RunsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(Figure1Systems()) {
+	if len(pts) != len(figure1Systems()) {
 		t.Fatalf("%d points", len(pts))
 	}
 	for _, p := range pts {
@@ -131,7 +131,7 @@ func TestFigure1RunsBaselines(t *testing.T) {
 func TestFigure13and14TraceShape(t *testing.T) {
 	pts, err := Figure13and14(Llama70B(), RunOptions{
 		Seed: 1, Duration: 30,
-		Systems: []SystemKind{SysAdaServe, SysVLLM},
+		systems: []SystemKind{SysAdaServe, SysVLLM},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +157,8 @@ func TestFigure13and14TraceShape(t *testing.T) {
 
 func TestRenderSeries(t *testing.T) {
 	pts := []Cell{
-		{System: SysVLLM, X: 1, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 5}}},
-		{System: SysVLLM, X: 2, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 8}}},
+		{System: SysVLLM, x: 1, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 5}}},
+		{System: SysVLLM, x: 2, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{System: "vLLM", Requests: 10, Attained: 8}}},
 	}
 	out := SeriesTable("rps", "attainment", func(s *metrics.Summary) float64 {
 		return s.Attainment()
@@ -169,11 +169,11 @@ func TestRenderSeries(t *testing.T) {
 }
 
 func TestRPSSweeps(t *testing.T) {
-	l := RPSSweepsForSetup(Llama70B())
+	l := rpsSweepsForSetup(Llama70B())
 	if l[0] != 2.6 || l[len(l)-1] != 4.8 {
 		t.Fatalf("Llama sweep %v", l)
 	}
-	q := RPSSweepsForSetup(Qwen32B())
+	q := rpsSweepsForSetup(Qwen32B())
 	if q[0] != 2.4 || q[len(q)-1] != 4.2 {
 		t.Fatalf("Qwen sweep %v", q)
 	}

@@ -22,15 +22,15 @@ const FaultInitialActive = 3
 // the fault schedule and recovery mode.
 const FaultRouter = "slo-aware"
 
-// FaultScenarios are the failure shapes of the chaos sweep: a replica crash
+// faultScenarios are the failure shapes of the chaos sweep: a replica crash
 // with repair, a slowed-but-alive straggler, and a lossy/degraded KV-transfer
 // link on a disaggregated fleet.
-func FaultScenarios() []string { return []string{"crash", "straggler", "link"} }
+func faultScenarios() []string { return []string{"crash", "straggler", "link"} }
 
-// FaultRecoveries are the recovery modes under comparison.
-func FaultRecoveries() []string { return []string{"none", "retry", "retry+hedge"} }
+// faultRecoveries are the recovery modes under comparison.
+func faultRecoveries() []string { return []string{"none", "retry", "retry+hedge"} }
 
-// FaultSpec returns the pinned fault schedule for a scenario, scaled to the
+// faultSpec returns the pinned fault schedule for a scenario, scaled to the
 // run duration so short CI runs and long sweeps keep the same proportions:
 //
 //	crash     — replica 0 dies a quarter into the run, repaired after D/6
@@ -39,7 +39,7 @@ func FaultRecoveries() []string { return []string{"none", "retry", "retry+hedge"
 //	            so timeout detection never fires — only hedging helps.
 //	link      — the KV-transfer fabric drops half of all migrations and slows
 //	            the survivors 3x for the middle half of the run.
-func FaultSpec(scenario string, duration float64) (faults.Spec, error) {
+func faultSpec(scenario string, duration float64) (faults.Spec, error) {
 	var raw string
 	switch scenario {
 	case "crash":
@@ -50,12 +50,12 @@ func FaultSpec(scenario string, duration float64) (faults.Spec, error) {
 		raw = fmt.Sprintf("link@%g+%g:p0.5:x3", duration/4, duration/2)
 	default:
 		return faults.Spec{}, fmt.Errorf("experiments: unknown fault scenario %q (want one of %s)",
-			scenario, strings.Join(FaultScenarios(), ", "))
+			scenario, strings.Join(faultScenarios(), ", "))
 	}
 	return faults.ParseSpec(raw)
 }
 
-// FaultLoadFactor scales each scenario's offered load against the steady
+// faultLoadFactor scales each scenario's offered load against the steady
 // fleet's capacity, because the two recovery mechanisms are meaningful in
 // different operating regimes. Failover is judged at the contended
 // operating point (factor 1): a crash there genuinely backs work up, and
@@ -65,7 +65,7 @@ func FaultSpec(scenario string, duration float64) (faults.Spec, error) {
 // fleet pinned at saturation would convert every duplicate into queueing
 // delay for healthy traffic. Custom schedules get the headroom factor so
 // both mechanisms have room to act.
-func FaultLoadFactor(scenario string) float64 {
+func faultLoadFactor(scenario string) float64 {
 	if scenario == "straggler" || scenario == "custom" {
 		return 0.9
 	}
@@ -74,7 +74,7 @@ func FaultLoadFactor(scenario string) float64 {
 
 // FaultMeanRPS is the chaos sweep's offered load for one scenario.
 func FaultMeanRPS(setup ModelSetup, scenario string) float64 {
-	return FaultLoadFactor(scenario) * FaultInitialActive * ClusterPerReplicaRPS(setup)
+	return faultLoadFactor(scenario) * FaultInitialActive * ClusterPerReplicaRPS(setup)
 }
 
 // Faults runs the chaos sweep: every failure scenario crossed with every
@@ -87,13 +87,13 @@ func FaultMeanRPS(setup ModelSetup, scenario string) float64 {
 func Faults(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	var cells []Cell
-	for _, scenario := range FaultScenarios() {
-		for _, recovery := range FaultRecoveries() {
-			cells = append(cells, Cell{Scenario: scenario, Recovery: recovery})
+	for _, scenario := range faultScenarios() {
+		for _, recovery := range faultRecoveries() {
+			cells = append(cells, Cell{scenario: scenario, recovery: recovery})
 		}
 	}
 	return runGrid("faults", opts, cells, func(c Cell) (RunSpec, error) {
-		return FaultCell(setup, c.Scenario, c.Recovery, opts)
+		return faultCell(setup, c.scenario, c.recovery, opts)
 	})
 }
 
@@ -104,22 +104,22 @@ func Faults(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 func FaultsWithSpec(setup ModelSetup, spec faults.Spec, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	var cells []Cell
-	for _, recovery := range FaultRecoveries() {
-		cells = append(cells, Cell{Scenario: "custom", Recovery: recovery})
+	for _, recovery := range faultRecoveries() {
+		cells = append(cells, Cell{scenario: "custom", recovery: recovery})
 	}
 	return runGrid("faults", opts, cells, func(c Cell) (RunSpec, error) {
-		return faultRun(setup, spec, c.Scenario, c.Recovery, opts)
+		return faultRun(setup, spec, c.scenario, c.recovery, opts)
 	})
 }
 
-// FaultCell describes one (scenario, recovery) chaos cell. Crash and straggler
+// faultCell describes one (scenario, recovery) chaos cell. Crash and straggler
 // run on the elastic colocated fleet (so a crash also exercises
 // autoscale-driven replacement); the link scenario runs on a static 2P2D
 // disaggregated fleet where every finished request crossed the faulted
 // fabric. Workload seeding is shared across a scenario's cells, so every
 // recovery mode faces the same requests at the same instants.
-func FaultCell(setup ModelSetup, scenario, recovery string, opts RunOptions) (RunSpec, error) {
-	spec, err := FaultSpec(scenario, opts.Duration)
+func faultCell(setup ModelSetup, scenario, recovery string, opts RunOptions) (RunSpec, error) {
+	spec, err := faultSpec(scenario, opts.Duration)
 	if err != nil {
 		return RunSpec{}, err
 	}
@@ -156,7 +156,7 @@ func faultRun(setup ModelSetup, spec faults.Spec, scenario, recovery string, opt
 // show directly what re-dispatch buys back; maxTTFT is the tail hedging
 // exists to bound.
 var FaultsTable = Table[Cell]{
-	Section: func(c Cell) string { return fmt.Sprintf("== scenario %s (%s) ==", c.Scenario, c.Sum.Faults.Spec) },
-	Row:     Axis[Cell]{Name: "recovery", Width: -14, Label: func(c Cell) string { return c.Recovery }},
-	Columns: sumCols(10, "%.2f", "goodput", "attain%", "maxTTFT", "p99TPOT", "lost", "retried", "dropped", "hedged", "fallback", "MTTR"),
+	section: func(c Cell) string { return fmt.Sprintf("== scenario %s (%s) ==", c.scenario, c.Sum.Faults.Spec) },
+	row:     axis[Cell]{name: "recovery", width: -14, label: func(c Cell) string { return c.recovery }},
+	columns: sumCols(10, "%.2f", "goodput", "attain%", "maxTTFT", "p99TPOT", "lost", "retried", "dropped", "hedged", "fallback", "MTTR"),
 }

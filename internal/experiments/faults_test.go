@@ -22,7 +22,7 @@ func faultOpts(parallel int) RunOptions {
 func faultPoint(t *testing.T, pts []Cell, scenario, recovery string) *metrics.ClusterSummary {
 	t.Helper()
 	for _, p := range pts {
-		if p.Scenario == scenario && p.Recovery == recovery {
+		if p.scenario == scenario && p.recovery == recovery {
 			return p.Sum
 		}
 	}
@@ -97,19 +97,19 @@ func TestParallelFaultsDeterministic(t *testing.T) {
 		t.Fatalf("cell count differs: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Scenario != par[i].Scenario || seq[i].Recovery != par[i].Recovery ||
+		if seq[i].scenario != par[i].scenario || seq[i].recovery != par[i].recovery ||
 			!reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
-			t.Fatalf("cell %s/%s differs between -parallel 1 and 8", seq[i].Scenario, seq[i].Recovery)
+			t.Fatalf("cell %s/%s differs between -parallel 1 and 8", seq[i].scenario, seq[i].recovery)
 		}
 	}
 }
 
 // TestFaultSpecRejectsUnknownScenario covers the sweep's input validation.
 func TestFaultSpecRejectsUnknownScenario(t *testing.T) {
-	if _, err := FaultSpec("meteor", 24); err == nil {
+	if _, err := faultSpec("meteor", 24); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	if _, err := FaultCell(Llama70B(), "crash", "prayer", faultOpts(1)); err == nil {
+	if _, err := faultCell(Llama70B(), "crash", "prayer", faultOpts(1)); err == nil {
 		t.Fatal("unknown recovery accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestGoldenFaultsGrid(t *testing.T) {
 	for _, p := range pts {
 		s := p.Sum
 		row := goldenRow{
-			Experiment: "faults", Scenario: p.Scenario, Recovery: p.Recovery,
+			Experiment: "faults", Scenario: p.scenario, Recovery: p.recovery,
 			Requests: s.Aggregate.Requests, Finished: s.Aggregate.Finished,
 			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
 			Goodput: s.Goodput(), Throughput: s.Aggregate.Throughput,
@@ -160,15 +160,15 @@ func TestFaultsWithSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != len(FaultRecoveries()) {
+	if len(pts) != len(faultRecoveries()) {
 		t.Fatalf("%d points, want one per recovery mode", len(pts))
 	}
 	for i, p := range pts {
-		if p.Scenario != "custom" || p.Recovery != FaultRecoveries()[i] {
-			t.Fatalf("point %d = (%s, %s), want custom scenario in recovery order", i, p.Scenario, p.Recovery)
+		if p.scenario != "custom" || p.recovery != faultRecoveries()[i] {
+			t.Fatalf("point %d = (%s, %s), want custom scenario in recovery order", i, p.scenario, p.recovery)
 		}
 		if p.Sum.Faults == nil || p.Sum.Faults.Crashes != 1 {
-			t.Fatalf("recovery %s did not replay the custom crash: %+v", p.Recovery, p.Sum.Faults)
+			t.Fatalf("recovery %s did not replay the custom crash: %+v", p.recovery, p.Sum.Faults)
 		}
 	}
 }

@@ -17,8 +17,8 @@ type RunOptions struct {
 	// trace; the default here (180 s) keeps the full suite tractable while
 	// preserving the load dynamics.
 	Duration float64
-	// Systems defaults to EndToEndSystems.
-	Systems []SystemKind
+	// systems defaults to endToEndSystems.
+	systems []SystemKind
 	// Parallel is the number of worker goroutines grid points fan out
 	// across (each grid point is an independent deterministic simulation
 	// with its own engines and RNGs). <= 1 runs sequentially; results are
@@ -30,8 +30,8 @@ func (o *RunOptions) fill() {
 	if o.Duration == 0 {
 		o.Duration = 180
 	}
-	if o.Systems == nil {
-		o.Systems = EndToEndSystems()
+	if o.systems == nil {
+		o.systems = endToEndSystems()
 	}
 	if o.Parallel <= 0 {
 		o.Parallel = 1
@@ -49,9 +49,9 @@ func mixedTrace(setup ModelSetup, mix workload.Mix, sloScale, meanRPS, duration 
 	return gen.FromTimestamps(ts), nil
 }
 
-// RPSSweepsForSetup returns the paper's RPS sweep for a setup (Figure 8's
+// rpsSweepsForSetup returns the paper's RPS sweep for a setup (Figure 8's
 // x-axes: 2.6–4.8 for Llama-70B, 2.4–4.2 for Qwen-32B).
-func RPSSweepsForSetup(setup ModelSetup) []float64 {
+func rpsSweepsForSetup(setup ModelSetup) []float64 {
 	if strings.Contains(setup.Name, "Qwen") {
 		return []float64{2.4, 2.8, 3.2, 3.6, 4.0, 4.2}
 	}
@@ -72,11 +72,11 @@ func figureGrid(sweep string, setup ModelSetup, opts RunOptions, systems []Syste
 		}
 		traces[x] = reqs
 		for _, kind := range systems {
-			cells = append(cells, Cell{System: kind, X: x})
+			cells = append(cells, Cell{System: kind, x: x})
 		}
 	}
 	return runGrid(sweep, opts, cells, func(c Cell) (RunSpec, error) {
-		return RunSpec{Kind: c.System, Setup: setup, Seed: opts.Seed, Duration: opts.Duration, Requests: traces[c.X]}, nil
+		return RunSpec{Kind: c.System, Setup: setup, Seed: opts.Seed, Duration: opts.Duration, Requests: traces[c.x]}, nil
 	})
 }
 
@@ -85,7 +85,7 @@ func figureGrid(sweep string, setup ModelSetup, opts RunOptions, systems []Syste
 // comes from the same runs.
 func Figure8and9(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	return figureGrid("fig8/9", setup, opts, opts.Systems, RPSSweepsForSetup(setup), func(rps float64) ([]*request.Request, error) {
+	return figureGrid("fig8/9", setup, opts, opts.systems, rpsSweepsForSetup(setup), func(rps float64) ([]*request.Request, error) {
 		return mixedTrace(setup, workload.DefaultMix, 1.0, rps, opts.Duration, opts.Seed)
 	})
 }
@@ -94,7 +94,7 @@ func Figure8and9(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 // (30–90%), reporting attainment and goodput.
 func Figure10(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	return figureGrid("fig10", setup, opts, opts.Systems, []float64{0.3, 0.5, 0.7, 0.9}, func(urgent float64) ([]*request.Request, error) {
+	return figureGrid("fig10", setup, opts, opts.systems, []float64{0.3, 0.5, 0.7, 0.9}, func(urgent float64) ([]*request.Request, error) {
 		return mixedTrace(setup, workload.UrgentMix(urgent), 1.0, 4.0, opts.Duration, opts.Seed)
 	})
 }
@@ -103,7 +103,7 @@ func Figure10(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 // scale of the most urgent category from 1.6 down to 0.6.
 func Figure11(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	return figureGrid("fig11", setup, opts, opts.Systems, []float64{1.6, 1.4, 1.2, 1.0, 0.8, 0.6}, func(scale float64) ([]*request.Request, error) {
+	return figureGrid("fig11", setup, opts, opts.systems, []float64{1.6, 1.4, 1.2, 1.0, 0.8, 0.6}, func(scale float64) ([]*request.Request, error) {
 		return mixedTrace(setup, workload.UrgentMix(0.6), scale, 4.0, opts.Duration, opts.Seed)
 	})
 }
@@ -119,7 +119,7 @@ func Figure12Systems() []SystemKind {
 // SLO-violation percentage annotated per system and category.
 func Figure1(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	return figureGrid("fig1", setup, opts, Figure1Systems(), []float64{0}, func(float64) ([]*request.Request, error) {
+	return figureGrid("fig1", setup, opts, figure1Systems(), []float64{0}, func(float64) ([]*request.Request, error) {
 		return mixedTrace(setup, workload.Mix{0.5, 0.5, 0}, 1.0, 3.0, opts.Duration, opts.Seed)
 	})
 }
@@ -129,7 +129,7 @@ func Figure1(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 // it (Fig. 14).
 func Figure13and14(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
-	return figureGrid("fig14", setup, opts, opts.Systems, []float64{0}, func(float64) ([]*request.Request, error) {
+	return figureGrid("fig14", setup, opts, opts.systems, []float64{0}, func(float64) ([]*request.Request, error) {
 		gen, err := NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(opts.Seed, 0x1314))
 		if err != nil {
 			return nil, err

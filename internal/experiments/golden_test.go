@@ -78,7 +78,7 @@ func goldenOpts() RunOptions {
 	return RunOptions{
 		Seed:     1,
 		Duration: 6,
-		Systems:  []SystemKind{SysAdaServe, SysVLLMSpec6, SysVLLM},
+		systems:  []SystemKind{SysAdaServe, SysVLLMSpec6, SysVLLM},
 		Parallel: 4,
 	}
 }
@@ -97,7 +97,7 @@ func goldenGrid(t *testing.T) []goldenRow {
 	for _, p := range pts {
 		s := p.Sum.Aggregate
 		rows = append(rows, goldenRow{
-			Experiment: "fig8-9", System: string(p.System), X: p.X,
+			Experiment: "fig8-9", System: string(p.System), X: p.x,
 			Requests: s.Requests, Finished: s.Finished,
 			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
 			Goodput: s.Goodput, Throughput: s.Throughput,
@@ -113,7 +113,7 @@ func goldenGrid(t *testing.T) []goldenRow {
 	for _, p := range dpts {
 		s := p.Sum
 		row := goldenRow{
-			Experiment: "disagg", Split: p.Split, Router: p.Router, Mix: p.Mix,
+			Experiment: "disagg", Split: p.split, Router: p.router, Mix: p.mix,
 			Requests: s.Aggregate.Requests, Finished: s.Aggregate.Finished,
 			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
 			Goodput: s.Goodput(), Throughput: s.Aggregate.Throughput,
@@ -201,7 +201,7 @@ func TestGoldenAdaptiveGrid(t *testing.T) {
 	for _, p := range pts {
 		s := p.Sum
 		row := goldenRow{
-			Experiment: "adaptive", Config: p.Config, Profile: p.Profile,
+			Experiment: "adaptive", Config: p.config, Profile: p.profile,
 			Requests: s.Aggregate.Requests, Finished: s.Aggregate.Finished,
 			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
 			Goodput: s.Goodput(), Throughput: s.Aggregate.Throughput,

@@ -11,15 +11,15 @@ import (
 // across GPU platforms — the paper's hardware-awareness claim: the token
 // budget is a property of the platform's roofline, not a constant.
 type HardwareRow struct {
-	Hardware string
-	// Baseline is the unloaded per-token decode latency (seconds).
-	Baseline float64
-	// Knee is the profiled roofline knee in tokens.
-	Knee int
-	// Budget is BudgetFor(1.3 x base): the verification token budget.
-	Budget int
-	// DraftStep is the draft model's per-step latency (seconds).
-	DraftStep float64
+	hardware string
+	// baseline is the unloaded per-token decode latency (seconds).
+	baseline float64
+	// knee is the profiled roofline knee in tokens.
+	knee int
+	// budget is BudgetFor(1.3 x base): the verification token budget.
+	budget int
+	// draftStep is the draft model's per-step latency (seconds).
+	draftStep float64
 }
 
 // HardwareSensitivity profiles one model setup across GPU platforms. The
@@ -39,16 +39,16 @@ func HardwareSensitivity(setup ModelSetup, platforms []gpu.Hardware) ([]Hardware
 		if err != nil {
 			return nil, fmt.Errorf("profiling %s on %s: %w", setup.Name, hw.Name, err)
 		}
-		dc, err := gpu.NewCostModel(hw, setup.Draft, 1)
+		dc, err := gpu.NewCostModel(hw, setup.draft, 1)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, HardwareRow{
-			Hardware:  hw.Name,
-			Baseline:  cm.BaselineLatency(512),
-			Knee:      cm.RooflineKnee(),
-			Budget:    prof.BudgetFor(1.3 * prof.Base),
-			DraftStep: dc.BaselineLatency(512),
+			hardware:  hw.Name,
+			baseline:  cm.BaselineLatency(512),
+			knee:      cm.RooflineKnee(),
+			budget:    prof.BudgetFor(1.3 * prof.Base),
+			draftStep: dc.BaselineLatency(512),
 		})
 	}
 	if len(rows) == 0 {
@@ -64,7 +64,7 @@ func RenderHardware(setup ModelSetup, rows []HardwareRow) string {
 	fmt.Fprintf(&b, "%-12s %14s %8s %8s %14s\n", "hardware", "baseline ms", "knee", "budget", "draft step ms")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-12s %14.1f %8d %8d %14.2f\n",
-			r.Hardware, 1e3*r.Baseline, r.Knee, r.Budget, 1e3*r.DraftStep)
+			r.hardware, 1e3*r.baseline, r.knee, r.budget, 1e3*r.draftStep)
 	}
 	return b.String()
 }

@@ -18,24 +18,24 @@ func TestHardwareSensitivity(t *testing.T) {
 	var a100, h100 *HardwareRow
 	for i := range rows {
 		switch {
-		case strings.Contains(rows[i].Hardware, "A100"):
+		case strings.Contains(rows[i].hardware, "A100"):
 			a100 = &rows[i]
-		case strings.Contains(rows[i].Hardware, "H100"):
+		case strings.Contains(rows[i].hardware, "H100"):
 			h100 = &rows[i]
 		}
 	}
 	// H100's higher bandwidth drops the baseline; its higher FLOPs-to-
 	// bandwidth ratio pushes the knee (and so the budget) outward — the
 	// hardware-awareness the paper motivates.
-	if h100.Baseline >= a100.Baseline {
+	if h100.baseline >= a100.baseline {
 		t.Fatalf("H100 baseline %.1fms not below A100 %.1fms",
-			1e3*h100.Baseline, 1e3*a100.Baseline)
+			1e3*h100.baseline, 1e3*a100.baseline)
 	}
-	if h100.Knee <= a100.Knee {
-		t.Fatalf("H100 knee %d not beyond A100 knee %d", h100.Knee, a100.Knee)
+	if h100.knee <= a100.knee {
+		t.Fatalf("H100 knee %d not beyond A100 knee %d", h100.knee, a100.knee)
 	}
-	if h100.Budget <= a100.Budget {
-		t.Fatalf("H100 budget %d not beyond A100 budget %d", h100.Budget, a100.Budget)
+	if h100.budget <= a100.budget {
+		t.Fatalf("H100 budget %d not beyond A100 budget %d", h100.budget, a100.budget)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestHardwareSensitivitySkipsUnfitPlatforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || !strings.Contains(rows[0].Hardware, "A100") {
+	if len(rows) != 1 || !strings.Contains(rows[0].hardware, "A100") {
 		t.Fatalf("rows %+v", rows)
 	}
 }

@@ -13,7 +13,7 @@ func shortOpts(parallel int) RunOptions {
 	return RunOptions{
 		Seed:     1,
 		Duration: 8,
-		Systems:  []SystemKind{SysAdaServe, SysVLLMSpec6, SysVLLM},
+		systems:  []SystemKind{SysAdaServe, SysVLLMSpec6, SysVLLM},
 		Parallel: parallel,
 	}
 }
@@ -25,12 +25,12 @@ func pointsEqual(t *testing.T, a, b []Cell) {
 		t.Fatalf("point count differs: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].System != b[i].System || a[i].X != b[i].X {
+		if a[i].System != b[i].System || a[i].x != b[i].x {
 			t.Fatalf("point %d coordinates differ: %+v vs %+v", i, a[i], b[i])
 		}
 		if !reflect.DeepEqual(a[i].Sum, b[i].Sum) {
 			t.Fatalf("point %d (%s x=%v): summaries differ:\n%+v\nvs\n%+v",
-				i, a[i].System, a[i].X, a[i].Sum, b[i].Sum)
+				i, a[i].System, a[i].x, a[i].Sum, b[i].Sum)
 		}
 	}
 }
@@ -70,8 +70,8 @@ func TestParallelAblationsDeterministic(t *testing.T) {
 		t.Fatalf("row count differs: %d vs %d", len(seq), len(par))
 	}
 	for i := range seq {
-		if seq[i].Config != par[i].Config || !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
-			t.Fatalf("ablation %q differs between -parallel 1 and 8", seq[i].Config)
+		if seq[i].config != par[i].config || !reflect.DeepEqual(seq[i].Sum, par[i].Sum) {
+			t.Fatalf("ablation %q differs between -parallel 1 and 8", seq[i].config)
 		}
 	}
 }

@@ -31,11 +31,11 @@ const (
 	prefixSpacing      = 0.25
 )
 
-// PrefixRouters are the routing policies the prefix experiment compares:
+// prefixRouters are the routing policies the prefix experiment compares:
 // the two load-signal baselines and the prefix-affinity policy under test
 // (slo-aware is omitted — the session workload is single-category, where it
 // degrades to least-loaded).
-func PrefixRouters() []string { return []string{"round-robin", "least-loaded", "prefix-affinity"} }
+func prefixRouters() []string { return []string{"round-robin", "least-loaded", "prefix-affinity"} }
 
 // NewSessions builds the experiment's session workload for a setup: the
 // multi-tenant, multi-turn conversations every cell of the sweep replays
@@ -53,13 +53,13 @@ func NewSessions(setup ModelSetup, seed uint64) (*workload.Sessions, error) {
 	})
 }
 
-// PrefixCell describes the session workload on one cluster configuration:
+// prefixCell describes the session workload on one cluster configuration:
 // a PrefixFleet-replica AdaServe cluster behind the named router, with
 // shared-prefix caching (and the host tier) enabled unless cached is false.
 // The run is closed-loop: each tenant's follow-up turn is submitted when
 // the previous one finishes, so arrivals react to serving speed exactly as
 // a session-bound client would.
-func PrefixCell(setup ModelSetup, routerName string, cached bool, opts RunOptions) (RunSpec, error) {
+func prefixCell(setup ModelSetup, routerName string, cached bool, opts RunOptions) (RunSpec, error) {
 	sessions, err := NewSessions(setup, opts.Seed)
 	if err != nil {
 		return RunSpec{}, err
@@ -83,22 +83,22 @@ func PrefixCaching(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	var cells []Cell
 	for _, cached := range []bool{false, true} {
-		for _, routerName := range PrefixRouters() {
-			cells = append(cells, Cell{Router: routerName, Cached: cached})
+		for _, routerName := range prefixRouters() {
+			cells = append(cells, Cell{router: routerName, cached: cached})
 		}
 	}
 	return runGrid("prefix", opts, cells, func(c Cell) (RunSpec, error) {
-		return PrefixCell(setup, c.Router, c.Cached, opts)
+		return prefixCell(setup, c.router, c.cached, opts)
 	})
 }
 
 // PrefixTable prints the prefix experiment: one row per (router, caching)
 // cell with the TTFT/TPOT attainment headline and the cache economics.
 var PrefixTable = Table[Cell]{
-	Row: Axis[Cell]{Name: "router", Width: -18, Label: func(c Cell) string { return c.Router }},
-	Columns: slices.Concat(
-		[]Column[Cell]{{Name: "prefix", Width: -10, Text: func(c Cell) string {
-			if c.Cached {
+	row: axis[Cell]{name: "router", width: -18, label: func(c Cell) string { return c.router }},
+	columns: slices.Concat(
+		[]column[Cell]{{name: "prefix", width: -10, text: func(c Cell) string {
+			if c.cached {
 				return "on"
 			}
 			return "off"

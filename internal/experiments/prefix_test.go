@@ -17,11 +17,11 @@ func prefixGoldenRows(t *testing.T, parallel int) []goldenRow {
 	for _, p := range pts {
 		s := p.Sum
 		mode := "off"
-		if p.Cached {
+		if p.cached {
 			mode = "on"
 		}
 		row := goldenRow{
-			Experiment: "prefix", Router: p.Router, Config: mode,
+			Experiment: "prefix", Router: p.router, Config: mode,
 			Requests: s.Aggregate.Requests, Finished: s.Aggregate.Finished,
 			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
 			Goodput: s.Goodput(), Throughput: s.Aggregate.Throughput,
@@ -71,15 +71,15 @@ func TestPrefixAffinityWins(t *testing.T) {
 	}
 	ttft := map[string]float64{}
 	for _, p := range pts {
-		if !p.Cached {
+		if !p.cached {
 			continue
 		}
-		ttft[p.Router] = p.Sum.TTFTAttainment()
+		ttft[p.router] = p.Sum.TTFTAttainment()
 		if p.Sum.Prefix == nil {
-			t.Fatalf("router %s: cached run has no prefix summary", p.Router)
+			t.Fatalf("router %s: cached run has no prefix summary", p.router)
 		}
 		if p.Sum.Prefix.Hits == 0 {
-			t.Errorf("router %s: cached run never hit the prefix cache", p.Router)
+			t.Errorf("router %s: cached run never hit the prefix cache", p.router)
 		}
 	}
 	aff := ttft["prefix-affinity"]

@@ -58,7 +58,7 @@ func renderGoldenTables() string {
 				continue // missing cell
 			}
 			n := 3*i + j
-			series = append(series, Cell{System: kind, X: x, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{
+			series = append(series, Cell{System: kind, x: x, Sum: &metrics.ClusterSummary{Aggregate: &metrics.Summary{
 				Requests: 30 + n, Attained: 25 + n%4, Goodput: 100.5 + 9.25*float64(n),
 				MeanAcceptedPerStep: 2 + 0.07*float64(n),
 			}}})
@@ -77,7 +77,7 @@ func renderGoldenTables() string {
 			if i == 1 && j == 1 {
 				continue
 			}
-			cluster = append(cluster, Cell{Replicas: n, Router: r, Sum: tableSum(3*i + j)})
+			cluster = append(cluster, Cell{replicas: n, router: r, Sum: tableSum(3*i + j)})
 		}
 	}
 	block("cluster", ClusterTable.Render(cluster))
@@ -86,7 +86,7 @@ func renderGoldenTables() string {
 	for i, mix := range []string{"default", "summ-heavy"} {
 		for j, split := range []string{"colocated", "1P3D", "2P2D"} {
 			for k, r := range []string{"round-robin", "slo-aware"} {
-				disagg = append(disagg, Cell{Split: split, Router: r, Mix: mix, Sum: tableSum(6*i + 2*j + k)})
+				disagg = append(disagg, Cell{split: split, router: r, mix: mix, Sum: tableSum(6*i + 2*j + k)})
 			}
 		}
 	}
@@ -96,7 +96,7 @@ func renderGoldenTables() string {
 	for i, profile := range []string{"spike", "diurnal"} {
 		for j, cfg := range []string{"static", "target-queue", "rate-prop"} {
 			for k, r := range []string{"least-loaded", "slo-aware"} {
-				auto = append(auto, Cell{Config: cfg, Profile: profile, Router: r, Sum: tableSum(6*i + 2*j + k)})
+				auto = append(auto, Cell{config: cfg, profile: profile, router: r, Sum: tableSum(6*i + 2*j + k)})
 			}
 		}
 	}
@@ -104,19 +104,19 @@ func renderGoldenTables() string {
 
 	var adapt []Cell
 	for i, profile := range []string{"spike", "ramp"} {
-		for j, cfg := range AdaptiveConfigs() {
+		for j, cfg := range adaptiveConfigs() {
 			s := tableSum(3*i + j)
 			if cfg != "static" {
 				s = withAdmission(s, 3*i+j)
 			}
-			adapt = append(adapt, Cell{Config: cfg, Profile: profile, Sum: s})
+			adapt = append(adapt, Cell{config: cfg, profile: profile, Sum: s})
 		}
 	}
 	block("adaptive", AdaptiveTable.Render(adapt))
 
 	var fault []Cell
 	for i, scenario := range []string{"crash", "straggler", "custom"} {
-		for j, rec := range FaultRecoveries() {
+		for j, rec := range faultRecoveries() {
 			n := 3*i + j
 			s := tableSum(n)
 			s.Faults = &metrics.FaultSummary{
@@ -124,26 +124,26 @@ func renderGoldenTables() string {
 				LostRequests: n % 5, Retried: n % 4, Dropped: n % 2, Hedged: n % 3,
 				TransferFallbacks: n % 6, MTTR: 0.5 * float64(n),
 			}
-			fault = append(fault, Cell{Scenario: scenario, Recovery: rec, Sum: s})
+			fault = append(fault, Cell{scenario: scenario, recovery: rec, Sum: s})
 		}
 	}
 	block("faults", FaultsTable.Render(fault))
 
 	var tr []Cell
-	for i, scenario := range TraceScenarios() {
-		for j, cfg := range TraceConfigs() {
+	for i, scenario := range traceScenarios() {
+		for j, cfg := range traceConfigs() {
 			s := tableSum(3*i + j)
 			if cfg == "admission" {
 				s = withAdmission(s, 3*i+j)
 			}
-			tr = append(tr, Cell{Scenario: scenario, Config: cfg, Sum: s})
+			tr = append(tr, Cell{scenario: scenario, config: cfg, Sum: s})
 		}
 	}
 	block("trace", TraceTable.Render(tr))
 
 	var pfx []Cell
 	for i, cached := range []bool{false, true} {
-		for j, r := range PrefixRouters() {
+		for j, r := range prefixRouters() {
 			n := 3*i + j
 			s := tableSum(n)
 			if cached {
@@ -152,18 +152,18 @@ func renderGoldenTables() string {
 					Evictions: n, Reloads: n % 3,
 				}
 			}
-			pfx = append(pfx, Cell{Router: r, Cached: cached, Sum: s})
+			pfx = append(pfx, Cell{router: r, cached: cached, Sum: s})
 		}
 	}
 	block("prefix", PrefixTable.Render(pfx))
 
 	block("ablations", AblationsTable.Render([]Cell{
-		{Config: "AdaServe (full)", Sum: tableSum(1)},
-		{Config: "no CUDA graphs", Sum: tableSum(2)},
+		{config: "AdaServe (full)", Sum: tableSum(1)},
+		{config: "no CUDA graphs", Sum: tableSum(2)},
 	})+"\n")
 	block("hardware", RenderHardware(Llama70B(), []HardwareRow{
-		{Hardware: "A100", Baseline: 0.0319, Knee: 160, Budget: 212, DraftStep: 0.0041},
-		{Hardware: "H100", Baseline: 0.0187, Knee: 295, Budget: 390, DraftStep: 0.0023},
+		{hardware: "A100", baseline: 0.0319, knee: 160, budget: 212, draftStep: 0.0041},
+		{hardware: "H100", baseline: 0.0187, knee: 295, budget: 390, draftStep: 0.0023},
 	}))
 	return b.String()
 }

@@ -30,9 +30,9 @@ func renderSum(requests, attained int, goodput float64) *metrics.ClusterSummary 
 
 func TestRenderAutoscale(t *testing.T) {
 	pts := []Cell{
-		{Config: "static", Profile: "spike", Router: "round-robin", Sum: renderSum(90, 60, 500)},
-		{Config: "target-queue", Profile: "spike", Router: "round-robin", Sum: renderSum(90, 80, 620)},
-		{Config: "static", Profile: "diurnal", Router: "least-loaded", Sum: renderSum(120, 100, 550)},
+		{config: "static", profile: "spike", router: "round-robin", Sum: renderSum(90, 60, 500)},
+		{config: "target-queue", profile: "spike", router: "round-robin", Sum: renderSum(90, 80, 620)},
+		{config: "static", profile: "diurnal", router: "least-loaded", Sum: renderSum(120, 100, 550)},
 	}
 	out := AutoscaleTable.Render(pts)
 	for _, want := range []string{
@@ -52,9 +52,9 @@ func TestRenderAutoscale(t *testing.T) {
 
 func TestRenderClusterScaling(t *testing.T) {
 	pts := []Cell{
-		{Replicas: 4, Router: "slo-aware", Sum: renderSum(100, 75, 400)},
-		{Replicas: 1, Router: "slo-aware", Sum: renderSum(25, 20, 110)},
-		{Replicas: 1, Router: "round-robin", Sum: renderSum(25, 15, 90)},
+		{replicas: 4, router: "slo-aware", Sum: renderSum(100, 75, 400)},
+		{replicas: 1, router: "slo-aware", Sum: renderSum(25, 20, 110)},
+		{replicas: 1, router: "round-robin", Sum: renderSum(25, 15, 90)},
 	}
 	out := ClusterTable.Render(pts)
 	for _, want := range []string{"replicas", "slo-aware", "round-robin", "attainment %", "goodput tok/s", "request imbalance", "75.00"} {
@@ -70,9 +70,9 @@ func TestRenderClusterScaling(t *testing.T) {
 
 func TestRenderDisagg(t *testing.T) {
 	pts := []Cell{
-		{Split: "3p1d", Router: "slo-aware", Mix: "default", Sum: renderSum(80, 70, 480)},
-		{Split: "2p2d", Router: "slo-aware", Mix: "default", Sum: renderSum(80, 64, 510)},
-		{Split: "3p1d", Router: "least-loaded", Mix: "prefill-heavy", Sum: renderSum(60, 40, 300)},
+		{split: "3p1d", router: "slo-aware", mix: "default", Sum: renderSum(80, 70, 480)},
+		{split: "2p2d", router: "slo-aware", mix: "default", Sum: renderSum(80, 64, 510)},
+		{split: "3p1d", router: "least-loaded", mix: "prefill-heavy", Sum: renderSum(60, 40, 300)},
 	}
 	out := DisaggTable.Render(pts)
 	for _, want := range []string{
@@ -87,7 +87,7 @@ func TestRenderDisagg(t *testing.T) {
 }
 
 func TestParseSystem(t *testing.T) {
-	for _, k := range KnownSystems() {
+	for _, k := range knownSystems() {
 		got, err := ParseSystem(string(k))
 		if err != nil || got != k {
 			t.Fatalf("ParseSystem(%q) = %v, %v", k, got, err)
@@ -105,8 +105,8 @@ func TestRenderPrefix(t *testing.T) {
 		Evictions: 4, Reloads: 2, ReloadedTokens: 32,
 	}
 	pts := []Cell{
-		{Router: "least-loaded", Cached: false, Sum: renderSum(72, 44, 310)},
-		{Router: "prefix-affinity", Cached: true, Sum: on},
+		{router: "least-loaded", cached: false, Sum: renderSum(72, 44, 310)},
+		{router: "prefix-affinity", cached: true, Sum: on},
 	}
 	out := PrefixTable.Render(pts)
 	for _, want := range []string{

@@ -77,16 +77,16 @@ type Cell struct {
 	// System and X are a figure sweep's axes: the serving system and the
 	// sweep coordinate (request rate, urgent share, SLO scale).
 	System   SystemKind
-	X        float64
-	Replicas int
-	Split    string
-	Router   string
-	Mix      string
-	Config   string
-	Profile  string
-	Scenario string
-	Recovery string
-	Cached   bool
+	x        float64
+	replicas int
+	split    string
+	router   string
+	mix      string
+	config   string
+	profile  string
+	scenario string
+	recovery string
+	cached   bool
 	Sum      *metrics.ClusterSummary
 }
 
@@ -94,20 +94,20 @@ type Cell struct {
 func (c Cell) String() string {
 	var parts []string
 	if c.System != "" {
-		parts = append(parts, fmt.Sprintf("system=%s x=%g", c.System, c.X))
+		parts = append(parts, fmt.Sprintf("system=%s x=%g", c.System, c.x))
 	}
-	if c.Replicas > 0 {
-		parts = append(parts, fmt.Sprintf("n=%d", c.Replicas))
+	if c.replicas > 0 {
+		parts = append(parts, fmt.Sprintf("n=%d", c.replicas))
 	}
 	for _, kv := range [][2]string{
-		{"split", c.Split}, {"router", c.Router}, {"mix", c.Mix}, {"config", c.Config},
-		{"profile", c.Profile}, {"scenario", c.Scenario}, {"recovery", c.Recovery},
+		{"split", c.split}, {"router", c.router}, {"mix", c.mix}, {"config", c.config},
+		{"profile", c.profile}, {"scenario", c.scenario}, {"recovery", c.recovery},
 	} {
 		if kv[1] != "" {
 			parts = append(parts, kv[0]+"="+kv[1])
 		}
 	}
-	if c.Cached {
+	if c.cached {
 		parts = append(parts, "cached")
 	}
 	return strings.Join(parts, " ")

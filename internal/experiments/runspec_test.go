@@ -154,11 +154,11 @@ func TestRunSpecWorkloadsByFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := TraceSpec("bursty")
+	bursty, err := traceSpec("bursty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := CompileTraceSpec(bursty, setup, RunOptions{Seed: 1, Duration: duration})
+	tr, err := compileTraceSpec(bursty, setup, RunOptions{Seed: 1, Duration: duration})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,17 +32,17 @@ type ModelSetup struct {
 	Name     string
 	Target   gpu.ModelSpec
 	TargetTP int
-	Draft    gpu.ModelSpec
+	draft    gpu.ModelSpec
 	HW       gpu.Hardware
 
-	// Alpha is the draft/target alignment (calibrated so mean accepted
+	// alpha is the draft/target alignment (calibrated so mean accepted
 	// tokens per step land in the paper's Figure 12 range).
-	Alpha float64
-	// Vocab, Branch, Sharpness, Tail parameterize the synthetic LM.
-	Vocab     int
-	Branch    int
-	Sharpness float64
-	Tail      float64
+	alpha float64
+	// vocab, branch, sharpness, tail parameterize the synthetic LM.
+	vocab     int
+	branch    int
+	sharpness float64
+	tail      float64
 }
 
 // Llama70B returns the Llama-3.1-70B-Instruct setup: 4-way TP on 4xA100,
@@ -51,8 +51,8 @@ func Llama70B() ModelSetup {
 	return ModelSetup{
 		Name:   "Llama-3.1-70B-Instruct",
 		Target: gpu.Llama70B, TargetTP: 4,
-		Draft: gpu.Llama1B, HW: gpu.A100,
-		Alpha: 0.88, Vocab: 4096, Branch: 16, Sharpness: 3.2, Tail: 0.02,
+		draft: gpu.Llama1B, HW: gpu.A100,
+		alpha: 0.88, vocab: 4096, branch: 16, sharpness: 3.2, tail: 0.02,
 	}
 }
 
@@ -62,10 +62,10 @@ func Qwen32B() ModelSetup {
 	return ModelSetup{
 		Name:   "Qwen2.5-32B-Instruct",
 		Target: gpu.Qwen32B, TargetTP: 2,
-		Draft: gpu.Qwen05B, HW: gpu.A100,
+		draft: gpu.Qwen05B, HW: gpu.A100,
 		// The 0.5B Qwen draft is weaker relative to its 32B target than the
 		// 1B Llama draft is to the 70B.
-		Alpha: 0.84, Vocab: 4096, Branch: 16, Sharpness: 3.0, Tail: 0.02,
+		alpha: 0.84, vocab: 4096, branch: 16, sharpness: 3.0, tail: 0.02,
 	}
 }
 
@@ -93,29 +93,29 @@ const (
 	SysVLLMSpec8    SystemKind = "vLLM-Spec (8)"
 	SysFastServe    SystemKind = "FastServe"
 	SysVTC          SystemKind = "VTC"
-	// SysAdaServeInterleaved is the Challenge-2 ablation: Algorithm 1 run
+	// sysAdaServeInterleaved is the Challenge-2 ablation: Algorithm 1 run
 	// directly with interleaved GetTop + draft decoding ((B−n) serial draft
 	// steps per iteration) instead of the decoupled speculate-select
 	// pipeline.
-	SysAdaServeInterleaved SystemKind = "AdaServe (interleaved)"
+	sysAdaServeInterleaved SystemKind = "AdaServe (interleaved)"
 )
 
-// EndToEndSystems are the systems of Figures 8-12 and 14.
-func EndToEndSystems() []SystemKind {
+// endToEndSystems are the systems of Figures 8-12 and 14.
+func endToEndSystems() []SystemKind {
 	return []SystemKind{SysAdaServe, SysSarathi, SysVLLM, SysVLLMSpec4, SysVLLMSpec6, SysVLLMSpec8}
 }
 
-// Figure1Systems are the systems of the motivating Figure 1.
-func Figure1Systems() []SystemKind {
+// figure1Systems are the systems of the motivating Figure 1.
+func figure1Systems() []SystemKind {
 	return []SystemKind{SysVLLM, SysSarathi, SysVLLMPriority, SysFastServe, SysVTC}
 }
 
-// KnownSystems lists every system configuration Build accepts.
-func KnownSystems() []SystemKind {
+// knownSystems lists every system configuration Build accepts.
+func knownSystems() []SystemKind {
 	return []SystemKind{
 		SysAdaServe, SysVLLM, SysVLLMPriority, SysSarathi,
 		SysVLLMSpec4, SysVLLMSpec6, SysVLLMSpec8,
-		SysFastServe, SysVTC, SysAdaServeInterleaved,
+		SysFastServe, SysVTC, sysAdaServeInterleaved,
 	}
 }
 
@@ -123,12 +123,12 @@ func KnownSystems() []SystemKind {
 // one-line error that lists the valid names — so binaries can reject typos
 // up front instead of panicking or erroring deep in setup.
 func ParseSystem(name string) (SystemKind, error) {
-	for _, k := range KnownSystems() {
+	for _, k := range knownSystems() {
 		if string(k) == name {
 			return k, nil
 		}
 	}
-	return "", fmt.Errorf("experiments: unknown system %q (have %v)", name, KnownSystems())
+	return "", fmt.Errorf("experiments: unknown system %q (have %v)", name, knownSystems())
 }
 
 // maxBatch is every built system's running-sequence cap.
@@ -138,15 +138,15 @@ const maxBatch = 256
 type BuildOptions struct {
 	// Seed differentiates runs; it drives the engine's verification RNG.
 	Seed uint64
-	// Rule selects the verification acceptance rule (default stochastic).
-	Rule lm.VerifyRule
+	// rule selects the verification acceptance rule (default stochastic).
+	rule lm.VerifyRule
 	// StaticController forces AdaServe to fixed (d,w) (ablation) when both
 	// are > 0.
 	StaticD, StaticW int
-	// DisableNMax removes AdaServe's per-request selection cap (ablation).
-	DisableNMax bool
-	// DisableCUDAGraphs turns off graph-replay amortization (ablation).
-	DisableCUDAGraphs bool
+	// disableNMax removes AdaServe's per-request selection cap (ablation).
+	disableNMax bool
+	// disableCUDAGraphs turns off graph-replay amortization (ablation).
+	disableCUDAGraphs bool
 	// Prefix enables shared-prefix KV reuse on the system's allocator.
 	Prefix bool
 	// PrefixHostBlocks sizes the host offload tier in KV blocks (0: no
@@ -164,18 +164,18 @@ func Build(kind SystemKind, setup ModelSetup, opts BuildOptions) (sched.System, 
 // build is Build for a replica whose fleet role restricts its admission
 // mode.
 func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode) (sched.System, error) {
-	target := lm.MustSyntheticLM(setup.Target.Name, mathutil.Hash2(opts.Seed, 0x7a26e7), setup.Vocab, setup.Branch, setup.Sharpness, setup.Tail)
-	draft := lm.MustDraftLM(setup.Draft.Name, target, setup.Alpha, mathutil.Hash2(opts.Seed, 0xd12af7))
+	target := lm.MustSyntheticLM(mathutil.Hash2(opts.Seed, 0x7a26e7), setup.vocab, setup.branch, setup.sharpness, setup.tail)
+	draft := lm.MustDraftLM(target, setup.alpha, mathutil.Hash2(opts.Seed, 0xd12af7))
 
 	targetCost, err := gpu.NewCostModel(setup.HW, setup.Target, setup.TargetTP)
 	if err != nil {
 		return nil, err
 	}
-	draftCost, err := gpu.NewCostModel(setup.HW, setup.Draft, 1)
+	draftCost, err := gpu.NewCostModel(setup.HW, setup.draft, 1)
 	if err != nil {
 		return nil, err
 	}
-	if opts.DisableCUDAGraphs {
+	if opts.disableCUDAGraphs {
 		targetCost.UseCUDAGraphs = false
 		draftCost.UseCUDAGraphs = false
 	}
@@ -183,7 +183,7 @@ func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode
 	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: targetCost, DraftCost: draftCost,
-		Rule: opts.Rule, Seed: mathutil.Hash2(opts.Seed, 0xe0617e),
+		Rule: opts.rule, Seed: mathutil.Hash2(opts.Seed, 0xe0617e),
 	})
 	if err != nil {
 		return nil, err
@@ -216,7 +216,7 @@ func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode
 			c := core.StaticController(opts.StaticD, opts.StaticW)
 			aopts.Controller = &c
 		}
-		if opts.DisableNMax {
+		if opts.disableNMax {
 			aopts.NMax = -1
 		}
 		return sched.NewAdaServe(cfg, aopts)
@@ -241,10 +241,10 @@ func build(kind SystemKind, setup ModelSetup, opts BuildOptions, mode sched.Mode
 		return sched.NewFastServe(cfg)
 	case SysVTC:
 		return sched.NewVTC(cfg)
-	case SysAdaServeInterleaved:
+	case sysAdaServeInterleaved:
 		return sched.NewAdaServeInterleaved(cfg)
 	default:
-		return nil, fmt.Errorf("experiments: unknown system %q (have %v)", kind, KnownSystems())
+		return nil, fmt.Errorf("experiments: unknown system %q (have %v)", kind, knownSystems())
 	}
 }
 

@@ -17,85 +17,85 @@ import (
 // section, and the output's final newline is trimmed (so a flat table
 // without sections ends with no newline at all).
 type Table[C any] struct {
-	// Section returns the header line of a cell's section; cells group
+	// section returns the header line of a cell's section; cells group
 	// by it in first-seen order (nil: one section, no header).
-	Section func(C) string
-	// Row labels each line.
-	Row Axis[C]
-	// Cols, when set, spreads cells across columns by its labels.
-	Cols *Axis[C]
-	// Columns are the value columns.
-	Columns []Column[C]
+	section func(C) string
+	// row labels each line.
+	row axis[C]
+	// cols, when set, spreads cells across columns by its labels.
+	cols *axis[C]
+	// columns are the value columns.
+	columns []column[C]
 }
 
-// Axis is a labelled table dimension.
-type Axis[C any] struct {
-	// Name heads the row axis (unused for a column axis).
-	Name string
-	// Width pads every label, fmt-style: negative left-aligns.
-	Width int
-	Label func(C) string
-	// Order, when set, sorts a grid's labels ascending by it instead of
+// axis is a labelled table dimension.
+type axis[C any] struct {
+	// name heads the row axis (unused for a column axis).
+	name string
+	// width pads every label, fmt-style: negative left-aligns.
+	width int
+	label func(C) string
+	// order, when set, sorts a grid's labels ascending by it instead of
 	// keeping them in first-seen order.
-	Order func(C) float64
+	order func(C) float64
 }
 
-// Column is one value column: a header, its padding (negative
+// column is one value column: a header, its padding (negative
 // left-aligns; unused inside a grid, which pads to the column axis) and
 // the cell text.
-type Column[C any] struct {
-	Name  string
-	Width int
-	Text  func(C) string
+type column[C any] struct {
+	name  string
+	width int
+	text  func(C) string
 }
 
 // Render prints cells as the spec describes.
 func (t Table[C]) Render(cells []C) string {
 	var b strings.Builder
 	sections := [][]C{cells}
-	if t.Section != nil {
-		sections = groupBy(cells, t.Section)
+	if t.section != nil {
+		sections = groupBy(cells, t.section)
 	}
 	for _, sec := range sections {
-		if t.Section != nil {
-			b.WriteString(t.Section(sec[0]) + "\n")
+		if t.section != nil {
+			b.WriteString(t.section(sec[0]) + "\n")
 		}
-		if t.Cols == nil {
-			b.WriteString(pad(t.Row.Name, t.Row.Width))
-			for _, col := range t.Columns {
-				b.WriteString(pad(col.Name, col.Width))
+		if t.cols == nil {
+			b.WriteString(pad(t.row.name, t.row.width))
+			for _, col := range t.columns {
+				b.WriteString(pad(col.name, col.width))
 			}
 			b.WriteString("\n")
 			for _, c := range sec {
-				b.WriteString(pad(t.Row.Label(c), t.Row.Width))
-				for _, col := range t.Columns {
-					b.WriteString(pad(col.Text(c), col.Width))
+				b.WriteString(pad(t.row.label(c), t.row.width))
+				for _, col := range t.columns {
+					b.WriteString(pad(col.text(c), col.width))
 				}
 				b.WriteString("\n")
 			}
-			if t.Section != nil {
+			if t.section != nil {
 				b.WriteString("\n")
 			}
 			continue
 		}
-		rows, cols := labels(sec, t.Row), labels(sec, *t.Cols)
-		for _, col := range t.Columns {
-			b.WriteString(pad(t.Row.Name, t.Row.Width))
+		rows, cols := labels(sec, t.row), labels(sec, *t.cols)
+		for _, col := range t.columns {
+			b.WriteString(pad(t.row.name, t.row.width))
 			for _, cl := range cols {
-				b.WriteString(pad(cl, t.Cols.Width))
+				b.WriteString(pad(cl, t.cols.width))
 			}
-			fmt.Fprintf(&b, "   [%s]\n", col.Name)
+			fmt.Fprintf(&b, "   [%s]\n", col.name)
 			for _, row := range rows {
-				b.WriteString(pad(row, t.Row.Width))
+				b.WriteString(pad(row, t.row.width))
 				for _, cl := range cols {
 					text := ""
 					for _, c := range sec {
-						if t.Row.Label(c) == row && t.Cols.Label(c) == cl {
-							text = col.Text(c)
+						if t.row.label(c) == row && t.cols.label(c) == cl {
+							text = col.text(c)
 							break
 						}
 					}
-					b.WriteString(pad(text, t.Cols.Width))
+					b.WriteString(pad(text, t.cols.width))
 				}
 				b.WriteString("\n")
 			}
@@ -125,22 +125,22 @@ func groupBy[C any](cells []C, key func(C) string) [][]C {
 }
 
 // labels returns the axis's distinct labels over cells, in first-seen
-// order or sorted by the axis's Order.
-func labels[C any](cells []C, a Axis[C]) []string {
-	groups := groupBy(cells, a.Label)
-	if a.Order != nil {
-		sort.SliceStable(groups, func(i, j int) bool { return a.Order(groups[i][0]) < a.Order(groups[j][0]) })
+// order or sorted by the axis's order.
+func labels[C any](cells []C, a axis[C]) []string {
+	groups := groupBy(cells, a.label)
+	if a.order != nil {
+		sort.SliceStable(groups, func(i, j int) bool { return a.order(groups[i][0]) < a.order(groups[j][0]) })
 	}
 	out := make([]string, len(groups))
 	for i, g := range groups {
-		out[i] = a.Label(g[0])
+		out[i] = a.label(g[0])
 	}
 	return out
 }
 
 // num is a numeric value column.
-func num[C any](name string, width int, format string, f func(C) float64) Column[C] {
-	return Column[C]{Name: name, Width: width, Text: func(c C) string { return fmt.Sprintf(format, f(c)) }}
+func num[C any](name string, width int, format string, f func(C) float64) column[C] {
+	return column[C]{name: name, width: width, text: func(c C) string { return fmt.Sprintf(format, f(c)) }}
 }
 
 // readouts are the cluster-summary values the sweep tables print, keyed by
@@ -212,8 +212,8 @@ func prefixRead(f func(*metrics.PrefixSummary) float64) func(*metrics.ClusterSum
 
 // sumCols builds equally padded, equally formatted value columns over the
 // cells' summaries, one per readout header.
-func sumCols(width int, format string, names ...string) []Column[Cell] {
-	cols := make([]Column[Cell], len(names))
+func sumCols(width int, format string, names ...string) []column[Cell] {
+	cols := make([]column[Cell], len(names))
 	for i, name := range names {
 		f, ok := readouts[name]
 		if !ok {
@@ -228,10 +228,10 @@ func sumCols(width int, format string, names ...string) []Column[Cell] {
 // column per system, the metric as the sub-table title.
 func SeriesTable(xName, metric string, f func(*metrics.Summary) float64) Table[Cell] {
 	return Table[Cell]{
-		Row: Axis[Cell]{Name: xName, Width: -10,
-			Label: func(c Cell) string { return fmt.Sprintf("%.2f", c.X) },
-			Order: func(c Cell) float64 { return c.X }},
-		Cols:    &Axis[Cell]{Width: 18, Label: func(c Cell) string { return string(c.System) }},
-		Columns: []Column[Cell]{num(metric, 0, "%.2f", func(c Cell) float64 { return f(c.Sum.Aggregate) })},
+		row: axis[Cell]{name: xName, width: -10,
+			label: func(c Cell) string { return fmt.Sprintf("%.2f", c.x) },
+			order: func(c Cell) float64 { return c.x }},
+		cols:    &axis[Cell]{width: 18, label: func(c Cell) string { return string(c.System) }},
+		columns: []column[Cell]{num(metric, 0, "%.2f", func(c Cell) float64 { return f(c.Sum.Aggregate) })},
 	}
 }

@@ -31,14 +31,14 @@ const TraceCapacity = 3
 // scenario and control configuration.
 const TraceRouter = "slo-aware"
 
-// TracePolicy is the elastic configuration's scaling policy.
-const TracePolicy = "rate-prop"
+// tracePolicy is the elastic configuration's scaling policy.
+const tracePolicy = "rate-prop"
 
 // traceSeedSalt decorrelates the sweep's spec-compilation seed from the
 // other experiment seed streams.
 const traceSeedSalt = 0x7c5
 
-// TraceScenarios lists the committed spec scenarios, in sweep order:
+// traceScenarios lists the committed spec scenarios, in sweep order:
 //
 //	bursty    — a steady coding cohort, a chat cohort arriving in
 //	            correlated 6-second bursts (the flash crowds routers and
@@ -47,28 +47,28 @@ const traceSeedSalt = 0x7c5
 //	heavytail — a ramping chat cohort against a summarization cohort with
 //	            Pareto(α=1.1) prompts: a few enormous contexts wedged into
 //	            every batch.
-func TraceScenarios() []string { return []string{"bursty", "heavytail"} }
+func traceScenarios() []string { return []string{"bursty", "heavytail"} }
 
-// TraceConfigs are the control configurations each scenario replays under:
+// traceConfigs are the control configurations each scenario replays under:
 // the static fleet, the static fleet behind the overload admission gate,
 // and the elastic fleet under the scaling policy.
-func TraceConfigs() []string { return []string{"static", "admission", "autoscale"} }
+func traceConfigs() []string { return []string{"static", "admission", "autoscale"} }
 
-// TraceSpec loads and parses a committed scenario spec by name.
-func TraceSpec(scenario string) (*trace.Spec, error) {
+// traceSpec loads and parses a committed scenario spec by name.
+func traceSpec(scenario string) (*trace.Spec, error) {
 	data, err := traceSpecs.ReadFile("testdata/specs/" + scenario + ".spec")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: unknown trace scenario %q (want one of %s)",
-			scenario, strings.Join(TraceScenarios(), ", "))
+			scenario, strings.Join(traceScenarios(), ", "))
 	}
 	return trace.ParseSpec(string(data))
 }
 
-// CompileTraceSpec compiles a scenario for this sweep's setup and options:
+// compileTraceSpec compiles a scenario for this sweep's setup and options:
 // class SLOs resolve against the setup's baseline decode latency, and the
 // run's duration and seed override the spec's, so every config of one
 // scenario replays the identical arrival stream.
-func CompileTraceSpec(spec *trace.Spec, setup ModelSetup, opts RunOptions) (*trace.Trace, error) {
+func compileTraceSpec(spec *trace.Spec, setup ModelSetup, opts RunOptions) (*trace.Trace, error) {
 	return trace.Compile(spec, trace.CompileOptions{
 		BaselineLatency: setup.BaselineLatency(),
 		Duration:        opts.Duration,
@@ -85,27 +85,27 @@ func CompileTraceSpec(spec *trace.Spec, setup ModelSetup, opts RunOptions) (*tra
 func TraceReplay(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 	opts.fill()
 	var cells []Cell
-	for _, scenario := range TraceScenarios() {
-		for _, config := range TraceConfigs() {
-			cells = append(cells, Cell{Scenario: scenario, Config: config})
+	for _, scenario := range traceScenarios() {
+		for _, config := range traceConfigs() {
+			cells = append(cells, Cell{scenario: scenario, config: config})
 		}
 	}
 	return runGrid("trace", opts, cells, func(c Cell) (RunSpec, error) {
-		return TraceCell(setup, c.Scenario, c.Config, opts)
+		return traceCell(setup, c.scenario, c.config, opts)
 	})
 }
 
-// TraceCell compiles one scenario and describes its replay under one
+// traceCell compiles one scenario and describes its replay under one
 // configuration.
 // Compilation seeding depends only on (opts.Seed, scenario), so every
 // configuration of a scenario faces the same requests at the same
 // instants; what differs is only how the fleet responds.
-func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (RunSpec, error) {
-	spec, err := TraceSpec(scenario)
+func traceCell(setup ModelSetup, scenario, config string, opts RunOptions) (RunSpec, error) {
+	spec, err := traceSpec(scenario)
 	if err != nil {
 		return RunSpec{}, err
 	}
-	tr, err := CompileTraceSpec(spec, setup, opts)
+	tr, err := compileTraceSpec(spec, setup, opts)
 	if err != nil {
 		return RunSpec{}, err
 	}
@@ -118,12 +118,12 @@ func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (RunS
 			return RunSpec{}, err
 		}
 	case "autoscale":
-		run.Controls.Policy = TracePolicy
+		run.Controls.Policy = tracePolicy
 		run.Roles = make([]cluster.Role, TraceCapacity)
 		run.InitialActive = TraceFleet
 	default:
 		return RunSpec{}, fmt.Errorf("experiments: unknown trace config %q (want one of %s)",
-			config, strings.Join(TraceConfigs(), ", "))
+			config, strings.Join(traceConfigs(), ", "))
 	}
 	return run, nil
 }
@@ -131,7 +131,7 @@ func TraceCell(setup ModelSetup, scenario, config string, opts RunOptions) (RunS
 // TraceTable prints the trace-replay sweep as one table per scenario: a
 // row per control configuration, a column per headline metric.
 var TraceTable = Table[Cell]{
-	Section: func(c Cell) string { return "== scenario " + c.Scenario + " ==" },
-	Row:     Axis[Cell]{Name: "config", Width: -20, Label: func(c Cell) string { return c.Config }},
-	Columns: sumCols(12, "%.2f", "goodput", "attain%", "ttftAtt%", "maxTTFT", "p50TPOT", "p99TPOT", "p999TPOT", "degraded", "rejected"),
+	section: func(c Cell) string { return "== scenario " + c.scenario + " ==" },
+	row:     axis[Cell]{name: "config", width: -20, label: func(c Cell) string { return c.config }},
+	columns: sumCols(12, "%.2f", "goodput", "attain%", "ttftAtt%", "maxTTFT", "p50TPOT", "p99TPOT", "p999TPOT", "degraded", "rejected"),
 }

@@ -40,22 +40,22 @@ func TestTraceSpecsCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scenario := range TraceScenarios() {
+	for _, scenario := range traceScenarios() {
 		if !names[scenario] {
 			t.Errorf("scenario %s has no committed spec (or its #meta name differs)", scenario)
 		}
-		if _, err := TraceSpec(scenario); err != nil {
+		if _, err := traceSpec(scenario); err != nil {
 			t.Errorf("TraceSpec(%s): %v", scenario, err)
 		}
 	}
-	if _, err := TraceSpec("nope"); err == nil {
+	if _, err := traceSpec("nope"); err == nil {
 		t.Error("TraceSpec should reject unknown scenarios")
 	}
 }
 
 // TestTraceCellUnknownConfig pins the sweep's config validation.
 func TestTraceCellUnknownConfig(t *testing.T) {
-	_, err := TraceCell(Llama70B(), "bursty", "chaos", RunOptions{Seed: 1, Duration: 6})
+	_, err := traceCell(Llama70B(), "bursty", "chaos", RunOptions{Seed: 1, Duration: 6})
 	if err == nil || !strings.Contains(err.Error(), "unknown trace config") {
 		t.Fatalf("TraceCell = %v, want unknown-config error", err)
 	}
@@ -76,13 +76,13 @@ func TestGoldenTraceGrid(t *testing.T) {
 	// sweep: one section per scenario, one row per config, every headline
 	// column present.
 	table := TraceTable.Render(pts)
-	for _, scenario := range TraceScenarios() {
+	for _, scenario := range traceScenarios() {
 		if !strings.Contains(table, "== scenario "+scenario+" ==") {
 			t.Errorf("rendered table missing scenario %s:\n%s", scenario, table)
 		}
 	}
-	for _, config := range TraceConfigs() {
-		if strings.Count(table, config) < len(TraceScenarios()) {
+	for _, config := range traceConfigs() {
+		if strings.Count(table, config) < len(traceScenarios()) {
 			t.Errorf("rendered table missing a %s row:\n%s", config, table)
 		}
 	}
@@ -98,7 +98,7 @@ func traceRows(pts []Cell) []goldenRow {
 	for _, p := range pts {
 		s := p.Sum
 		row := goldenRow{
-			Experiment: "trace", Scenario: p.Scenario, Config: p.Config,
+			Experiment: "trace", Scenario: p.scenario, Config: p.config,
 			Requests: s.Aggregate.Requests, Finished: s.Aggregate.Finished,
 			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
 			Goodput: s.Goodput(), Throughput: s.Aggregate.Throughput,
@@ -207,22 +207,22 @@ func TestExportReplayLoop(t *testing.T) {
 // traffic).
 func TestCompileTraceSpecSeedScoping(t *testing.T) {
 	setup := Llama70B()
-	spec, err := TraceSpec("bursty")
+	spec, err := traceSpec("bursty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := CompileTraceSpec(spec, setup, RunOptions{Seed: 1, Duration: 12})
+	a, err := compileTraceSpec(spec, setup, RunOptions{Seed: 1, Duration: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CompileTraceSpec(spec, setup, RunOptions{Seed: 1, Duration: 12})
+	b, err := compileTraceSpec(spec, setup, RunOptions{Seed: 1, Duration: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Format() != b.Format() {
 		t.Fatal("same seed compiled different traces")
 	}
-	c, err := CompileTraceSpec(spec, setup, RunOptions{Seed: 2, Duration: 12})
+	c, err := compileTraceSpec(spec, setup, RunOptions{Seed: 2, Duration: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

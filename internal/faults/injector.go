@@ -71,32 +71,32 @@ const faultDeliveryBase = 3 << 29
 
 // Recovery timing and hedging parameters, fixed for every run.
 const (
-	// DetectDelay is the failure-detection timeout in simulated seconds: the
+	// detectDelay is the failure-detection timeout in simulated seconds: the
 	// gap between a crash and recovery noticing it from the replica's silent
 	// clock (no oracle — injection and detection are separate instants).
-	DetectDelay = 0.25
-	// Backoff is the first retry's delay, doubling per attempt.
-	Backoff = DetectDelay / 2
-	// RetryBudget bounds re-dispatches per request.
-	RetryBudget = 3
-	// HedgeRisk is the fraction of a request's TTFT SLO after which, still
+	detectDelay = 0.25
+	// backoff is the first retry's delay, doubling per attempt.
+	backoff = detectDelay / 2
+	// retryBudget bounds re-dispatches per request.
+	retryBudget = 3
+	// hedgeRisk is the fraction of a request's TTFT SLO after which, still
 	// tokenless on a suspect replica, it is hedged.
-	HedgeRisk = 0.6
-	// SuspectAfter is the clock-divergence patience window: a replica whose
+	hedgeRisk = 0.6
+	// suspectAfter is the clock-divergence patience window: a replica whose
 	// clock has drifted from the fleet's observed time by more than this
 	// span is suspect — a straggler's clock lurches ahead of the fleet, a
 	// crashed replica's freezes behind it, while a merely loaded replica
 	// tracks the fleet closely. Observational only: no oracle, so suspicion
 	// can fire before detection confirms a crash.
-	SuspectAfter = DetectDelay / 2
-	// HedgeSlots caps concurrently racing duplicates. A hedge launches only
+	suspectAfter = detectDelay / 2
+	// hedgeSlots caps concurrently racing duplicates. A hedge launches only
 	// while fewer than this many races still have both copies running, so a
 	// straggler's whole backlog cannot convert into a duplicate storm that
 	// overloads the healthy replicas it is racing on — the hedge-budget
 	// discipline of tail-tolerant systems. A race stops occupying a slot at
 	// the winner's first token, when the loser is cancelled, so slots
 	// recycle at the healthy replicas' response time.
-	HedgeSlots = 2
+	hedgeSlots = 2
 )
 
 // Options configures an Injector.
@@ -141,7 +141,7 @@ type Injector struct {
 	cl      *cluster.Cluster
 	spec    Spec
 	opts    Options
-	events  []Event
+	events  []event
 	windows []cluster.LinkWindow
 
 	armed   bool
@@ -165,7 +165,7 @@ func New(cl *cluster.Cluster, spec Spec, opts Options) (*Injector, error) {
 	if cl == nil {
 		return nil, fmt.Errorf("faults: cluster required")
 	}
-	bound, err := spec.Bind(opts.Seed, cl.Size(), opts.Horizon)
+	bound, err := spec.bind(opts.Seed, cl.Size(), opts.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -174,10 +174,10 @@ func New(cl *cluster.Cluster, spec Spec, opts Options) (*Injector, error) {
 		hedges: make(map[int]*hedgeRec),
 	}
 	for i, ev := range bound {
-		if ev.Kind == KindLink {
+		if ev.kind == kindLink {
 			inj.windows = append(inj.windows, cluster.LinkWindow{
-				From: ev.Time, To: ev.Time + ev.Duration,
-				FailProb: ev.FailProb, Factor: ev.Factor,
+				From: ev.time, To: ev.time + ev.duration,
+				FailProb: ev.failProb, Factor: ev.factor,
 				Seed: mathutil.Hash2(opts.Seed, 0x117c+uint64(i)),
 			})
 			continue
@@ -266,38 +266,38 @@ func (inj *Injector) nextID() int {
 func (inj *Injector) arm() {
 	for _, ev := range inj.events {
 		ev := ev
-		switch ev.Kind {
-		case KindCrash:
-			inj.q.Schedule(ev.Time, inj.nextID(), func() { inj.injectCrash(ev) })
-		case KindSlow:
-			inst := inj.cl.Replicas()[ev.Replica].Instance()
-			inj.q.Schedule(ev.Time, inj.nextID(), func() {
+		switch ev.kind {
+		case kindCrash:
+			inj.q.Schedule(ev.time, inj.nextID(), func() { inj.injectCrash(ev) })
+		case kindSlow:
+			inst := inj.cl.Replicas()[ev.replica].Instance()
+			inj.q.Schedule(ev.time, inj.nextID(), func() {
 				inj.sum.Stragglers++
-				inst.SetStepScale(ev.Factor)
+				inst.SetStepScale(ev.factor)
 			})
-			inj.q.Schedule(ev.Time+ev.Duration, inj.nextID(), func() { inst.SetStepScale(0) })
+			inj.q.Schedule(ev.time+ev.duration, inj.nextID(), func() { inst.SetStepScale(0) })
 		}
 	}
 }
 
 // injectCrash halts the target replica at the scheduled instant and
 // schedules detection (and repair, when the event has one).
-func (inj *Injector) injectCrash(ev Event) {
-	lost, ok := inj.cl.Fail(ev.Replica, ev.Time)
+func (inj *Injector) injectCrash(ev event) {
+	lost, ok := inj.cl.Fail(ev.replica, ev.time)
 	if !ok {
 		return // already failed or spare: the crash hit nothing
 	}
 	inj.sum.Crashes++
-	rec := &crashRec{replica: ev.Replica, failAt: ev.Time, repairAt: -1}
+	rec := &crashRec{replica: ev.replica, failAt: ev.time, repairAt: -1}
 	inj.crashes = append(inj.crashes, rec)
 	inj.pending = append(inj.pending, serve.FaultAction{
-		Kind: serve.FaultReplicaFailed, Time: ev.Time, Instance: ev.Replica,
+		Kind: serve.FaultReplicaFailed, Time: ev.time, Instance: ev.replica,
 		Lost: lost, Reason: "injected crash",
 	})
-	detectAt := ev.Time + DetectDelay
+	detectAt := ev.time + detectDelay
 	inj.q.Schedule(detectAt, inj.nextID(), func() { inj.detect(rec, detectAt) })
-	if ev.Duration > 0 {
-		repairAt := ev.Time + ev.Duration
+	if ev.duration > 0 {
+		repairAt := ev.time + ev.duration
 		inj.q.Schedule(repairAt, inj.nextID(), func() { inj.repair(rec, repairAt) })
 	}
 }
@@ -340,11 +340,11 @@ func (inj *Injector) scheduleRetry(r *request.Request, now float64) {
 		return
 	}
 	attempt := r.Retries + 1
-	if attempt > RetryBudget {
+	if attempt > retryBudget {
 		inj.sum.Dropped++
 		return
 	}
-	ready := now + Backoff*math.Pow(2, float64(attempt-1))
+	ready := now + backoff*math.Pow(2, float64(attempt-1))
 	inj.q.Schedule(ready, r.ID, func() { inj.redispatch(r, ready) })
 }
 
@@ -438,14 +438,14 @@ func (inj *Injector) resolveHedges() {
 // maybeHedge launches duplicates for TTFT-at-risk requests on suspect
 // replicas. A replica is suspect when its clock has diverged from the
 // fleet's observed time — the minimum clock over active working replicas —
-// by more than SuspectAfter: a straggler's clock lurches ahead by its
+// by more than suspectAfter: a straggler's clock lurches ahead by its
 // inflated iterations, a crashed replica's freezes while the fleet runs on.
 // Of a suspect replica's resident requests, those still tokenless past the
-// HedgeRisk fraction of their TTFT SLO get a duplicate raced on a healthy
-// replica, budgeted by the HedgeSlots cap on concurrent races. Both signals
+// hedgeRisk fraction of their TTFT SLO get a duplicate raced on a healthy
+// replica, budgeted by the hedgeSlots cap on concurrent races. Both signals
 // are per-replica clocks: no failure oracle.
 func (inj *Injector) maybeHedge(now float64) {
-	slots := HedgeSlots
+	slots := hedgeSlots
 	for _, h := range inj.hedges {
 		if !h.resolved && !h.origLost && !h.shadowWon {
 			slots--
@@ -492,7 +492,7 @@ func (inj *Injector) maybeHedge(now float64) {
 		// while the fleet runs on. Mere queueing delay never diverges the
 		// clock, so loaded-but-healthy replicas are not suspect and hedging
 		// cannot storm a saturated fleet with duplicates.
-		if math.Abs(rep.Clock()-fleetNow) <= SuspectAfter {
+		if math.Abs(rep.Clock()-fleetNow) <= suspectAfter {
 			continue
 		}
 		obs := math.Max(rep.Clock(), fleetNow) // earliest instant this replica could serve its queue
@@ -518,10 +518,10 @@ func (inj *Injector) hedgePool(reqs []*request.Request, suspect int, obs, at flo
 		if inj.hedges[r.ID] != nil {
 			continue
 		}
-		if obs <= r.ArrivalTime+SuspectAfter {
+		if obs <= r.ArrivalTime+suspectAfter {
 			continue // too fresh to have been hurt by the divergence
 		}
-		if obs <= r.ArrivalTime+HedgeRisk*r.TTFTSLO {
+		if obs <= r.ArrivalTime+hedgeRisk*r.TTFTSLO {
 			continue // deadline not yet at risk
 		}
 		shadow := r.Clone()

@@ -221,8 +221,8 @@ func TestCrashWithRetryRecoversEveryRequest(t *testing.T) {
 	}
 	// Detection is timeout-based: the retry events stamp after crash+detect.
 	for _, ev := range events {
-		if e, ok := ev.(serve.RequestRetried); ok && e.When() < 0.06+DetectDelay+Backoff {
-			t.Fatalf("retry at %g, before detection plus backoff at %g", e.When(), 0.06+DetectDelay+Backoff)
+		if e, ok := ev.(serve.RequestRetried); ok && e.When() < 0.06+detectDelay+backoff {
+			t.Fatalf("retry at %g, before detection plus backoff at %g", e.When(), 0.06+detectDelay+backoff)
 		}
 	}
 }

@@ -17,68 +17,68 @@ import (
 	"adaserve/internal/mathutil"
 )
 
-// Kind discriminates fault events.
-type Kind int
+// kind discriminates fault events.
+type kind int
 
 const (
-	// KindCrash halts a replica abruptly at Time, losing its resident
-	// requests and KV; Duration is the repair delay (0: never repaired).
-	KindCrash Kind = iota
-	// KindSlow multiplies one replica's iteration step time by Factor for
-	// the window [Time, Time+Duration).
-	KindSlow
-	// KindLink degrades the prefill-to-decode KV-transfer link for the
-	// window [Time, Time+Duration): migrations fail with probability
+	// kindCrash halts a replica abruptly at Time, losing its resident
+	// requests and KV; duration is the repair delay (0: never repaired).
+	kindCrash kind = iota
+	// kindSlow multiplies one replica's iteration step time by Factor for
+	// the window [Time, Time+duration).
+	kindSlow
+	// kindLink degrades the prefill-to-decode KV-transfer link for the
+	// window [Time, Time+duration): migrations fail with probability
 	// FailProb (prompt KV lost in flight, recomputed on the destination)
 	// and surviving transfers pay Factor× latency when Factor > 1.
-	KindLink
+	kindLink
 )
 
 // String implements fmt.Stringer.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case KindCrash:
+	case kindCrash:
 		return "crash"
-	case KindSlow:
+	case kindSlow:
 		return "slow"
-	case KindLink:
+	case kindLink:
 		return "link"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
 }
 
-// Event is one scheduled fault.
-type Event struct {
-	Kind Kind
-	// Time is the injection instant in simulated seconds.
-	Time float64
-	// Duration is the slow/link window length, or the crash repair delay
+// event is one scheduled fault.
+type event struct {
+	kind kind
+	// time is the injection instant in simulated seconds.
+	time float64
+	// duration is the slow/link window length, or the crash repair delay
 	// (0: the crash is never repaired).
-	Duration float64
-	// Replica is the target replica ID; -1 binds deterministically from the
-	// seed at Bind time. Link faults are cluster-wide (always -1).
-	Replica int
-	// Factor is the slow-down multiplier (slow: > 1; link: ≥ 1 latency
+	duration float64
+	// replica is the target replica ID; -1 binds deterministically from the
+	// seed at bind time. Link faults are cluster-wide (always -1).
+	replica int
+	// factor is the slow-down multiplier (slow: > 1; link: ≥ 1 latency
 	// degradation on surviving transfers, 0 meaning none).
-	Factor float64
-	// FailProb is the link fault's per-migration loss probability.
-	FailProb float64
+	factor float64
+	// failProb is the link fault's per-migration loss probability.
+	failProb float64
 }
 
-// Hazard derives crash events from a seeded exponential process instead of
-// explicit instants: crashes arrive at Rate per second (expanded over the
+// hazard derives crash events from a seeded exponential process instead of
+// explicit instants: crashes arrive at rate per second (expanded over the
 // bind horizon), each repaired after MTTR (0: never).
-type Hazard struct {
-	Rate float64
-	MTTR float64
+type hazard struct {
+	rate float64
+	mttr float64
 }
 
 // Spec is a parsed fault schedule: explicit events plus an optional hazard
-// process, both bound to concrete replicas by Bind.
+// process, both bound to concrete replicas by bind.
 type Spec struct {
-	Events []Event
-	Hazard *Hazard
+	Events []event
+	hazard *hazard
 }
 
 // num renders a float in the canonical spec form: shortest exact decimal,
@@ -92,29 +92,29 @@ func (s Spec) String() string {
 	var terms []string
 	for _, e := range s.Events {
 		var b strings.Builder
-		b.WriteString(e.Kind.String())
+		b.WriteString(e.kind.String())
 		b.WriteByte('@')
-		b.WriteString(num(e.Time))
-		if e.Kind != KindCrash || e.Duration > 0 {
+		b.WriteString(num(e.time))
+		if e.kind != kindCrash || e.duration > 0 {
 			b.WriteByte('+')
-			b.WriteString(num(e.Duration))
+			b.WriteString(num(e.duration))
 		}
-		if e.Kind != KindLink && e.Replica >= 0 {
+		if e.kind != kindLink && e.replica >= 0 {
 			b.WriteString(":r")
-			b.WriteString(strconv.Itoa(e.Replica))
+			b.WriteString(strconv.Itoa(e.replica))
 		}
-		if e.Kind == KindLink {
+		if e.kind == kindLink {
 			b.WriteString(":p")
-			b.WriteString(num(e.FailProb))
+			b.WriteString(num(e.failProb))
 		}
-		if e.Kind == KindSlow || (e.Kind == KindLink && e.Factor > 1) {
+		if e.kind == kindSlow || (e.kind == kindLink && e.factor > 1) {
 			b.WriteString(":x")
-			b.WriteString(num(e.Factor))
+			b.WriteString(num(e.factor))
 		}
 		terms = append(terms, b.String())
 	}
-	if s.Hazard != nil {
-		terms = append(terms, "hazard@"+num(s.Hazard.Rate)+"+"+num(s.Hazard.MTTR))
+	if s.hazard != nil {
+		terms = append(terms, "hazard@"+num(s.hazard.rate)+"+"+num(s.hazard.mttr))
 	}
 	return strings.Join(terms, "; ")
 }
@@ -131,7 +131,7 @@ func parseNum(s, what string) (float64, error) {
 // ParseSpec parses a fault-schedule spec string: ";"-separated terms, each
 //
 //	crash@T[+R][:rN]     crash at T, repaired after R (omitted: never), on
-//	                     replica N (omitted: seed-bound at Bind time)
+//	                     replica N (omitted: seed-bound at bind time)
 //	slow@T+D[:rN]:xF     straggler: replica N runs F× slower over [T, T+D)
 //	link@T+D:pP[:xF]     KV-transfer link fault over [T, T+D): migrations
 //	                     fail with probability P, survivors pay F× latency
@@ -166,7 +166,7 @@ func ParseSpec(spec string) (Spec, error) {
 				return Spec{}, err
 			}
 		}
-		ev := Event{Time: tv, Duration: dv, Replica: -1}
+		ev := event{time: tv, duration: dv, replica: -1}
 		for _, opt := range opts {
 			if opt == "" {
 				return Spec{}, fmt.Errorf("faults: empty option in %q", term)
@@ -178,13 +178,13 @@ func ParseSpec(spec string) (Spec, error) {
 				if err != nil || n < 0 {
 					return Spec{}, fmt.Errorf("faults: bad replica %q in %q", val, term)
 				}
-				ev.Replica = n
+				ev.replica = n
 			case 'x':
-				if ev.Factor, err = parseNum(val, "factor"); err != nil {
+				if ev.factor, err = parseNum(val, "factor"); err != nil {
 					return Spec{}, err
 				}
 			case 'p':
-				if ev.FailProb, err = parseNum(val, "probability"); err != nil {
+				if ev.failProb, err = parseNum(val, "probability"); err != nil {
 					return Spec{}, err
 				}
 			default:
@@ -193,40 +193,40 @@ func ParseSpec(spec string) (Spec, error) {
 		}
 		switch kind {
 		case "crash":
-			if ev.Factor != 0 || ev.FailProb != 0 {
+			if ev.factor != 0 || ev.failProb != 0 {
 				return Spec{}, fmt.Errorf("faults: crash takes no :x/:p option in %q", term)
 			}
-			ev.Kind = KindCrash
+			ev.kind = kindCrash
 		case "slow":
 			if dur == "" || dv <= 0 {
 				return Spec{}, fmt.Errorf("faults: slow needs a positive +duration in %q", term)
 			}
-			if ev.Factor <= 1 {
+			if ev.factor <= 1 {
 				return Spec{}, fmt.Errorf("faults: slow needs a slowdown factor :x > 1 in %q", term)
 			}
-			if ev.FailProb != 0 {
+			if ev.failProb != 0 {
 				return Spec{}, fmt.Errorf("faults: slow takes no :p option in %q", term)
 			}
-			ev.Kind = KindSlow
+			ev.kind = kindSlow
 		case "link":
 			if dur == "" || dv <= 0 {
 				return Spec{}, fmt.Errorf("faults: link needs a positive +duration in %q", term)
 			}
-			if ev.Replica >= 0 {
+			if ev.replica >= 0 {
 				return Spec{}, fmt.Errorf("faults: link faults are cluster-wide (no :r option) in %q", term)
 			}
-			if ev.FailProb > 1 {
-				return Spec{}, fmt.Errorf("faults: link probability %g > 1 in %q", ev.FailProb, term)
+			if ev.failProb > 1 {
+				return Spec{}, fmt.Errorf("faults: link probability %g > 1 in %q", ev.failProb, term)
 			}
-			if ev.Factor != 0 && ev.Factor <= 1 {
+			if ev.factor != 0 && ev.factor <= 1 {
 				return Spec{}, fmt.Errorf("faults: link degrade factor :x must exceed 1 in %q", term)
 			}
-			if ev.FailProb == 0 && ev.Factor == 0 {
+			if ev.failProb == 0 && ev.factor == 0 {
 				return Spec{}, fmt.Errorf("faults: link needs :p > 0 or :x > 1 in %q", term)
 			}
-			ev.Kind = KindLink
+			ev.kind = kindLink
 		case "hazard":
-			if s.Hazard != nil {
+			if s.hazard != nil {
 				return Spec{}, fmt.Errorf("faults: duplicate hazard term %q", term)
 			}
 			if tv <= 0 {
@@ -235,7 +235,7 @@ func ParseSpec(spec string) (Spec, error) {
 			if len(opts) > 0 {
 				return Spec{}, fmt.Errorf("faults: hazard takes no options in %q", term)
 			}
-			s.Hazard = &Hazard{Rate: tv, MTTR: dv}
+			s.hazard = &hazard{rate: tv, mttr: dv}
 			continue
 		default:
 			return Spec{}, fmt.Errorf("faults: unknown fault kind %q in %q", kind, term)
@@ -246,63 +246,63 @@ func ParseSpec(spec string) (Spec, error) {
 }
 
 // Empty reports whether the spec schedules nothing.
-func (s Spec) Empty() bool { return len(s.Events) == 0 && s.Hazard == nil }
+func (s Spec) Empty() bool { return len(s.Events) == 0 && s.hazard == nil }
 
-// maxHazardCrashes caps the crashes a hazard process may expand into: Bind
+// maxHazardCrashes caps the crashes a hazard process may expand into: bind
 // materializes every one, so a runaway rate would exhaust memory before the
-// run starts. It rejects a hazard whose expected count Rate × horizon
+// run starts. It rejects a hazard whose expected count rate × horizon
 // exceeds the cap.
 const maxHazardCrashes = 100_000
 
-// Bind resolves the spec against a concrete fleet: hazard crashes expand
+// bind resolves the spec against a concrete fleet: hazard crashes expand
 // over [0, horizon) from the seeded exponential process, unbound replicas
 // resolve deterministically from the seed, explicit replica IDs are
 // validated against the fleet size, and the result is sorted by (time, kind,
 // replica). Bound schedules are pure functions of (spec, seed, replicas,
 // horizon) — the determinism contract the chaos experiments rely on.
-func (s Spec) Bind(seed uint64, replicas int, horizon float64) ([]Event, error) {
+func (s Spec) bind(seed uint64, replicas int, horizon float64) ([]event, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("faults: bind against %d replicas", replicas)
 	}
-	bound := append([]Event(nil), s.Events...)
-	if h := s.Hazard; h != nil {
+	bound := append([]event(nil), s.Events...)
+	if h := s.hazard; h != nil {
 		if horizon <= 0 {
 			return nil, fmt.Errorf("faults: hazard needs a positive bind horizon")
 		}
-		if n := h.Rate * horizon; n > maxHazardCrashes {
+		if n := h.rate * horizon; n > maxHazardCrashes {
 			return nil, fmt.Errorf("faults: hazard rate %s over a %ss horizon expects %.3g crashes, above the limit of %d",
-				num(h.Rate), num(horizon), n, maxHazardCrashes)
+				num(h.rate), num(horizon), n, maxHazardCrashes)
 		}
 		rng := mathutil.NewRNG(mathutil.Hash2(seed, 0xfa17))
-		for t := rng.ExpFloat64() / h.Rate; t < horizon; t += rng.ExpFloat64() / h.Rate {
-			bound = append(bound, Event{
-				Kind: KindCrash, Time: t, Duration: h.MTTR,
-				Replica: rng.Intn(replicas),
+		for t := rng.ExpFloat64() / h.rate; t < horizon; t += rng.ExpFloat64() / h.rate {
+			bound = append(bound, event{
+				kind: kindCrash, time: t, duration: h.mttr,
+				replica: rng.Intn(replicas),
 			})
 		}
 	}
 	for i := range bound {
 		e := &bound[i]
-		if e.Kind == KindLink {
+		if e.kind == kindLink {
 			continue
 		}
-		if e.Replica < 0 {
-			e.Replica = int(mathutil.Hash2(seed, 0xb1bd+uint64(i)) % uint64(replicas))
+		if e.replica < 0 {
+			e.replica = int(mathutil.Hash2(seed, 0xb1bd+uint64(i)) % uint64(replicas))
 		}
-		if e.Replica >= replicas {
+		if e.replica >= replicas {
 			return nil, fmt.Errorf("faults: event %s targets replica %d of a %d-replica fleet",
-				e.Kind, e.Replica, replicas)
+				e.kind, e.replica, replicas)
 		}
 	}
 	sort.SliceStable(bound, func(i, j int) bool {
 		a, b := bound[i], bound[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+		if a.time != b.time {
+			return a.time < b.time
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+		if a.kind != b.kind {
+			return a.kind < b.kind
 		}
-		return a.Replica < b.Replica
+		return a.replica < b.replica
 	})
 	return bound, nil
 }

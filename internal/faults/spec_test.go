@@ -12,17 +12,17 @@ func TestParseSpecValid(t *testing.T) {
 		want Spec
 	}{
 		{"", Spec{}},
-		{"crash@5", Spec{Events: []Event{{Kind: KindCrash, Time: 5, Replica: -1}}}},
-		{"crash@5+2:r1", Spec{Events: []Event{{Kind: KindCrash, Time: 5, Duration: 2, Replica: 1}}}},
-		{"slow@1+2:x3", Spec{Events: []Event{{Kind: KindSlow, Time: 1, Duration: 2, Replica: -1, Factor: 3}}}},
-		{"slow@1+2:r0:x1.5", Spec{Events: []Event{{Kind: KindSlow, Time: 1, Duration: 2, Replica: 0, Factor: 1.5}}}},
-		{"link@1+2:p0.5", Spec{Events: []Event{{Kind: KindLink, Time: 1, Duration: 2, Replica: -1, FailProb: 0.5}}}},
-		{"link@1+2:p0:x4", Spec{Events: []Event{{Kind: KindLink, Time: 1, Duration: 2, Replica: -1, Factor: 4}}}},
-		{"hazard@0.1+3", Spec{Hazard: &Hazard{Rate: 0.1, MTTR: 3}}},
-		{"hazard@0.1", Spec{Hazard: &Hazard{Rate: 0.1}}},
-		{" crash@5 ; slow@1+2:x3 ", Spec{Events: []Event{
-			{Kind: KindCrash, Time: 5, Replica: -1},
-			{Kind: KindSlow, Time: 1, Duration: 2, Replica: -1, Factor: 3},
+		{"crash@5", Spec{Events: []event{{kind: kindCrash, time: 5, replica: -1}}}},
+		{"crash@5+2:r1", Spec{Events: []event{{kind: kindCrash, time: 5, duration: 2, replica: 1}}}},
+		{"slow@1+2:x3", Spec{Events: []event{{kind: kindSlow, time: 1, duration: 2, replica: -1, factor: 3}}}},
+		{"slow@1+2:r0:x1.5", Spec{Events: []event{{kind: kindSlow, time: 1, duration: 2, replica: 0, factor: 1.5}}}},
+		{"link@1+2:p0.5", Spec{Events: []event{{kind: kindLink, time: 1, duration: 2, replica: -1, failProb: 0.5}}}},
+		{"link@1+2:p0:x4", Spec{Events: []event{{kind: kindLink, time: 1, duration: 2, replica: -1, factor: 4}}}},
+		{"hazard@0.1+3", Spec{hazard: &hazard{rate: 0.1, mttr: 3}}},
+		{"hazard@0.1", Spec{hazard: &hazard{rate: 0.1}}},
+		{" crash@5 ; slow@1+2:x3 ", Spec{Events: []event{
+			{kind: kindCrash, time: 5, replica: -1},
+			{kind: kindSlow, time: 1, duration: 2, replica: -1, factor: 3},
 		}}},
 	} {
 		got, err := ParseSpec(tc.in)
@@ -98,7 +98,7 @@ func TestBindResolvesAndSorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := s.Bind(7, 4, 0)
+	bound, err := s.bind(7, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,24 +106,24 @@ func TestBindResolvesAndSorts(t *testing.T) {
 		t.Fatalf("bound %d events, want 3", len(bound))
 	}
 	for i, e := range bound {
-		if e.Replica < 0 || e.Replica >= 4 {
-			t.Fatalf("event %d bound to replica %d", i, e.Replica)
+		if e.replica < 0 || e.replica >= 4 {
+			t.Fatalf("event %d bound to replica %d", i, e.replica)
 		}
-		if i > 0 && bound[i-1].Time > e.Time {
+		if i > 0 && bound[i-1].time > e.time {
 			t.Fatalf("bound schedule unsorted at %d", i)
 		}
 	}
 	// Binding is a pure function of (spec, seed, replicas, horizon).
-	again, _ := s.Bind(7, 4, 0)
+	again, _ := s.bind(7, 4, 0)
 	if !reflect.DeepEqual(bound, again) {
 		t.Fatal("bind not deterministic")
 	}
-	other, _ := s.Bind(8, 4, 0)
+	other, _ := s.bind(8, 4, 0)
 	if reflect.DeepEqual(bound, other) {
 		t.Fatal("bind ignores the seed")
 	}
 	// Explicit out-of-range targets are rejected.
-	if _, err := s.Bind(7, 2, 0); err == nil {
+	if _, err := s.bind(7, 2, 0); err == nil {
 		t.Fatal("bound replica 2 on a 2-replica fleet")
 	}
 }
@@ -133,10 +133,10 @@ func TestBindExpandsHazard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Bind(7, 4, 0); err == nil {
+	if _, err := s.bind(7, 4, 0); err == nil {
 		t.Fatal("hazard bound without a horizon")
 	}
-	bound, err := s.Bind(7, 4, 100)
+	bound, err := s.bind(7, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func TestBindExpandsHazard(t *testing.T) {
 		t.Fatalf("rate 0.5 over 100s expanded to %d crashes", len(bound))
 	}
 	for i, e := range bound {
-		if e.Kind != KindCrash || e.Duration != 2 || e.Time >= 100 {
+		if e.kind != kindCrash || e.duration != 2 || e.time >= 100 {
 			t.Fatalf("hazard event %d wrong: %+v", i, e)
 		}
-		if i > 0 && bound[i-1].Time > e.Time {
+		if i > 0 && bound[i-1].time > e.time {
 			t.Fatalf("hazard schedule unsorted at %d", i)
 		}
 	}
-	again, _ := s.Bind(7, 4, 100)
+	again, _ := s.bind(7, 4, 100)
 	if !reflect.DeepEqual(bound, again) {
 		t.Fatal("hazard expansion not deterministic")
 	}
@@ -167,7 +167,7 @@ func TestBindRejectsRunawayHazard(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bindErr error
-	allocs := testing.AllocsPerRun(1, func() { _, bindErr = runaway.Bind(1, 2, horizon) })
+	allocs := testing.AllocsPerRun(1, func() { _, bindErr = runaway.bind(1, 2, horizon) })
 	if bindErr == nil || !strings.Contains(bindErr.Error(), "limit") {
 		t.Fatalf("runaway hazard bound: %v", bindErr)
 	}
@@ -175,8 +175,8 @@ func TestBindRejectsRunawayHazard(t *testing.T) {
 		t.Fatalf("rejecting the runaway hazard made %.0f allocations", allocs)
 	}
 
-	under := Spec{Hazard: &Hazard{Rate: 0.999 * maxHazardCrashes / horizon, MTTR: 10}}
-	bound, err := under.Bind(1, 2, horizon)
+	under := Spec{hazard: &hazard{rate: 0.999 * maxHazardCrashes / horizon, mttr: 10}}
+	bound, err := under.bind(1, 2, horizon)
 	if err != nil {
 		t.Fatalf("hazard just under the limit rejected: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestParseRecovery(t *testing.T) {
 	if RecoveryRetryHedge.String() != "retry+hedge" || Recovery(9).String() != "Recovery(9)" {
 		t.Fatal("Recovery.String wrong")
 	}
-	if KindLink.String() != "link" || Kind(9).String() != "Kind(9)" {
+	if kindLink.String() != "link" || kind(9).String() != "Kind(9)" {
 		t.Fatal("Kind.String wrong")
 	}
 }

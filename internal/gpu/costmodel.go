@@ -18,8 +18,8 @@ type BatchShape struct {
 	KVTokens int
 }
 
-// Validate reports whether the shape is well-formed.
-func (b BatchShape) Validate() error {
+// validate reports whether the shape is well-formed.
+func (b BatchShape) validate() error {
 	if b.Tokens < 0 || b.Seqs < 0 || b.KVTokens < 0 {
 		return fmt.Errorf("gpu: negative batch shape %+v", b)
 	}
@@ -37,24 +37,24 @@ func (b BatchShape) Validate() error {
 // Tensor parallelism divides both bandwidth-bound and compute-bound terms by
 // TP and adds a per-layer all-reduce cost.
 type CostModel struct {
-	HW    Hardware
-	Model ModelSpec
-	// TP is the tensor-parallel degree (>= 1).
-	TP int
+	hw    Hardware
+	model ModelSpec
+	// tp is the tensor-parallel degree (>= 1).
+	tp int
 	// UseCUDAGraphs enables graph-replay launch-overhead amortization for
 	// shape-identical invocations.
 	UseCUDAGraphs bool
-	// KernelsPerLayer approximates how many kernel launches one transformer
+	// kernelsPerLayer approximates how many kernel launches one transformer
 	// layer needs without graph capture.
-	KernelsPerLayer int
-	// AllReduceLatency is the per-layer collective cost with TP > 1, seconds.
-	AllReduceLatency float64
-	// BandwidthUtil scales achievable memory bandwidth for this model.
+	kernelsPerLayer int
+	// allReduceLatency is the per-layer collective cost with TP > 1, seconds.
+	allReduceLatency float64
+	// bandwidthUtil scales achievable memory bandwidth for this model.
 	// Small models cannot saturate HBM (their per-layer tensors are too
 	// small to hide latency), which is why ~1B draft models decode at
 	// ~5 ms/step rather than the ~1 ms a pure roofline predicts. Defaults
 	// to min(1, sqrt(params/8e9)).
-	BandwidthUtil float64
+	bandwidthUtil float64
 
 	// graphCache remembers shapes already "captured"; replays are cheaper.
 	graphCache map[graphKey]struct{}
@@ -67,31 +67,31 @@ type graphKey struct {
 
 // NewCostModel constructs a validated cost model.
 func NewCostModel(hw Hardware, model ModelSpec, tp int) (*CostModel, error) {
-	if err := hw.Validate(); err != nil {
+	if err := hw.validate(); err != nil {
 		return nil, err
 	}
-	if err := model.Validate(); err != nil {
+	if err := model.validate(); err != nil {
 		return nil, err
 	}
 	if tp < 1 {
 		return nil, fmt.Errorf("gpu: tensor parallel degree %d < 1", tp)
 	}
-	if model.WeightBytes()/float64(tp) > hw.MemCapacity {
+	if model.weightBytes()/float64(tp) > hw.memCapacity {
 		return nil, fmt.Errorf("gpu: model %s (%.0f GB) does not fit on %d x %s",
-			model.Name, model.WeightBytes()/1e9, tp, hw.Name)
+			model.name, model.weightBytes()/1e9, tp, hw.Name)
 	}
 	util := math.Sqrt(model.Params / 8e9)
 	if util > 1 {
 		util = 1
 	}
 	return &CostModel{
-		HW:               hw,
-		Model:            model,
-		TP:               tp,
+		hw:               hw,
+		model:            model,
+		tp:               tp,
 		UseCUDAGraphs:    true,
-		KernelsPerLayer:  8,
-		AllReduceLatency: 4e-6,
-		BandwidthUtil:    util,
+		kernelsPerLayer:  8,
+		allReduceLatency: 4e-6,
+		bandwidthUtil:    util,
 	}, nil
 }
 
@@ -107,27 +107,27 @@ func MustCostModel(hw Hardware, model ModelSpec, tp int) *CostModel {
 
 // bandwidth is the model-achievable HBM bandwidth across the TP group.
 func (c *CostModel) bandwidth() float64 {
-	util := c.BandwidthUtil
+	util := c.bandwidthUtil
 	if util <= 0 || util > 1 {
 		util = 1
 	}
-	return c.HW.MemBandwidth * util * float64(c.TP)
+	return c.hw.memBandwidth * util * float64(c.tp)
 }
 
 // weightLoadTime is the time to stream all weights from HBM once,
 // split across the TP group.
 func (c *CostModel) weightLoadTime() float64 {
-	return c.Model.WeightBytes() / c.bandwidth()
+	return c.model.weightBytes() / c.bandwidth()
 }
 
 // computeTime is the dense-GEMM time for tokens positions.
 func (c *CostModel) computeTime(tokens int) float64 {
-	return c.Model.FLOPsPerToken() * float64(tokens) / (c.HW.FLOPS * float64(c.TP))
+	return c.model.flopsPerToken() * float64(tokens) / (c.hw.flops * float64(c.tp))
 }
 
 // kvReadTime is the time to stream the attended KV cache.
 func (c *CostModel) kvReadTime(kvTokens int) float64 {
-	return c.Model.KVBytesPerToken() * float64(kvTokens) / c.bandwidth()
+	return c.model.KVBytesPerToken() * float64(kvTokens) / c.bandwidth()
 }
 
 // launchTime models kernel-launch overhead, optionally amortized by CUDA
@@ -135,8 +135,8 @@ func (c *CostModel) kvReadTime(kvTokens int) float64 {
 // launch sequence (the paper reuses graphs across iterations with the same
 // active-request count).
 func (c *CostModel) launchTime(shape BatchShape) float64 {
-	kernels := float64(c.KernelsPerLayer*c.Model.Layers + 4)
-	plain := kernels * c.HW.LaunchOverhead
+	kernels := float64(c.kernelsPerLayer*c.model.layers + 4)
+	plain := kernels * c.hw.launchOverhead
 	if !c.UseCUDAGraphs {
 		return plain
 	}
@@ -145,7 +145,7 @@ func (c *CostModel) launchTime(shape BatchShape) float64 {
 	}
 	key := graphKey{tokens: shape.Tokens, seqs: shape.Seqs}
 	if _, ok := c.graphCache[key]; ok {
-		return c.HW.GraphLaunchOverhead * kernels / 16
+		return c.hw.graphLaunchOverhead * kernels / 16
 	}
 	c.graphCache[key] = struct{}{}
 	return plain
@@ -153,10 +153,10 @@ func (c *CostModel) launchTime(shape BatchShape) float64 {
 
 // collectiveTime is the tensor-parallel synchronization cost per pass.
 func (c *CostModel) collectiveTime() float64 {
-	if c.TP <= 1 {
+	if c.tp <= 1 {
 		return 0
 	}
-	return float64(c.Model.Layers) * c.AllReduceLatency
+	return float64(c.model.layers) * c.allReduceLatency
 }
 
 // ForwardLatency returns the modeled wall time of one forward pass with the
@@ -165,7 +165,7 @@ func (c *CostModel) ForwardLatency(shape BatchShape) float64 {
 	if shape.Tokens == 0 {
 		return 0
 	}
-	if err := shape.Validate(); err != nil {
+	if err := shape.validate(); err != nil {
 		panic(err)
 	}
 	roof := math.Max(c.weightLoadTime(), c.computeTime(shape.Tokens))
@@ -177,7 +177,7 @@ func (c *CostModel) ForwardLatency(shape BatchShape) float64 {
 // free. This is the quantity AdaServe's budget is anchored to.
 func (c *CostModel) RooflineKnee() int {
 	// weightBytes/BW == 2·P·T/FLOPS  =>  T = FLOPS·bytesPerParam/(2·BW)
-	t := c.HW.FLOPS * float64(c.TP) * c.Model.BytesPerParam / (2 * c.bandwidth())
+	t := c.hw.flops * float64(c.tp) * c.model.bytesPerParam / (2 * c.bandwidth())
 	if t < 1 {
 		return 1
 	}
@@ -199,12 +199,12 @@ func (c *CostModel) ForwardLatencyPure(shape BatchShape) float64 {
 		return 0
 	}
 	roof := math.Max(c.weightLoadTime(), c.computeTime(shape.Tokens))
-	kernels := float64(c.KernelsPerLayer*c.Model.Layers + 4)
+	kernels := float64(c.kernelsPerLayer*c.model.layers + 4)
 	var launch float64
 	if c.UseCUDAGraphs {
-		launch = c.HW.GraphLaunchOverhead * kernels / 16
+		launch = c.hw.graphLaunchOverhead * kernels / 16
 	} else {
-		launch = kernels * c.HW.LaunchOverhead
+		launch = kernels * c.hw.launchOverhead
 	}
 	return roof + c.kvReadTime(shape.KVTokens) + launch + c.collectiveTime()
 }
@@ -213,10 +213,10 @@ func (c *CostModel) ForwardLatencyPure(shape BatchShape) float64 {
 // free memory after weights, with a reserve fraction held back for
 // activations and fragmentation.
 func (c *CostModel) KVCapacityTokens(reserveFrac float64) int {
-	free := c.HW.MemCapacity*float64(c.TP) - c.Model.WeightBytes()
+	free := c.hw.memCapacity*float64(c.tp) - c.model.weightBytes()
 	free *= 1 - reserveFrac
 	if free <= 0 {
 		return 0
 	}
-	return int(free / c.Model.KVBytesPerToken())
+	return int(free / c.model.KVBytesPerToken())
 }

@@ -7,31 +7,31 @@ import (
 
 func TestHardwareValidate(t *testing.T) {
 	for _, hw := range []Hardware{A100, H100, L4} {
-		if err := hw.Validate(); err != nil {
+		if err := hw.validate(); err != nil {
 			t.Errorf("%s: %v", hw.Name, err)
 		}
 	}
 	bad := A100
-	bad.MemBandwidth = 0
-	if bad.Validate() == nil {
+	bad.memBandwidth = 0
+	if bad.validate() == nil {
 		t.Error("zero bandwidth should not validate")
 	}
 }
 
 func TestModelSpecDerived(t *testing.T) {
-	if got := Llama70B.WeightBytes(); math.Abs(got-70.6e9*2) > 1 {
+	if got := Llama70B.weightBytes(); math.Abs(got-70.6e9*2) > 1 {
 		t.Errorf("WeightBytes = %g", got)
 	}
 	// 2 (K,V) x 80 layers x 8 heads x 128 dim x 2 bytes = 327,680 B/token.
 	if got := Llama70B.KVBytesPerToken(); got != 327680 {
 		t.Errorf("KVBytesPerToken = %g", got)
 	}
-	if got := Llama70B.FLOPsPerToken(); got != 2*70.6e9 {
+	if got := Llama70B.flopsPerToken(); got != 2*70.6e9 {
 		t.Errorf("FLOPsPerToken = %g", got)
 	}
 	for _, m := range []ModelSpec{Llama70B, Llama1B, Qwen32B, Qwen05B} {
-		if err := m.Validate(); err != nil {
-			t.Errorf("%s: %v", m.Name, err)
+		if err := m.validate(); err != nil {
+			t.Errorf("%s: %v", m.name, err)
 		}
 	}
 }
@@ -119,13 +119,13 @@ func TestForwardLatencyPanicsOnInvalidShape(t *testing.T) {
 }
 
 func TestBatchShapeValidate(t *testing.T) {
-	if (BatchShape{Tokens: 4, Seqs: 2, KVTokens: 10}).Validate() != nil {
+	if (BatchShape{Tokens: 4, Seqs: 2, KVTokens: 10}).validate() != nil {
 		t.Error("valid shape rejected")
 	}
-	if (BatchShape{Tokens: 1, Seqs: 2}).Validate() == nil {
+	if (BatchShape{Tokens: 1, Seqs: 2}).validate() == nil {
 		t.Error("seqs > tokens accepted")
 	}
-	if (BatchShape{Tokens: -1}).Validate() == nil {
+	if (BatchShape{Tokens: -1}).validate() == nil {
 		t.Error("negative tokens accepted")
 	}
 }
@@ -208,10 +208,10 @@ func TestKVCapacityTokens(t *testing.T) {
 func TestBandwidthUtilSmallModels(t *testing.T) {
 	big := MustCostModel(A100, Llama70B, 4)
 	small := MustCostModel(A100, Qwen05B, 1)
-	if big.BandwidthUtil != 1 {
-		t.Fatalf("70B util = %g, want 1", big.BandwidthUtil)
+	if big.bandwidthUtil != 1 {
+		t.Fatalf("70B util = %g, want 1", big.bandwidthUtil)
 	}
-	if small.BandwidthUtil >= 0.5 {
-		t.Fatalf("0.5B util = %g, want < 0.5", small.BandwidthUtil)
+	if small.bandwidthUtil >= 0.5 {
+		t.Fatalf("0.5B util = %g, want < 0.5", small.bandwidthUtil)
 	}
 }

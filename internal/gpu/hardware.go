@@ -21,31 +21,31 @@ import "fmt"
 type Hardware struct {
 	Name string
 
-	// MemBandwidth is the achievable HBM bandwidth in bytes/second.
-	MemBandwidth float64
-	// FLOPS is the peak dense FP16 tensor throughput in FLOP/second.
-	FLOPS float64
-	// MemCapacity is the device memory size in bytes.
-	MemCapacity float64
-	// LaunchOverhead is the fixed per-kernel launch cost in seconds.
-	LaunchOverhead float64
-	// GraphLaunchOverhead is the per-replay cost when a CUDA graph capturing
+	// memBandwidth is the achievable HBM bandwidth in bytes/second.
+	memBandwidth float64
+	// flops is the peak dense FP16 tensor throughput in FLOP/second.
+	flops float64
+	// memCapacity is the device memory size in bytes.
+	memCapacity float64
+	// launchOverhead is the fixed per-kernel launch cost in seconds.
+	launchOverhead float64
+	// graphLaunchOverhead is the per-replay cost when a CUDA graph capturing
 	// the whole iteration is reused (shape-identical invocation).
-	GraphLaunchOverhead float64
+	graphLaunchOverhead float64
 }
 
-// Validate reports whether the hardware description is physically sensible.
-func (h Hardware) Validate() error {
-	if h.MemBandwidth <= 0 {
+// validate reports whether the hardware description is physically sensible.
+func (h Hardware) validate() error {
+	if h.memBandwidth <= 0 {
 		return fmt.Errorf("gpu: %s: non-positive memory bandwidth", h.Name)
 	}
-	if h.FLOPS <= 0 {
+	if h.flops <= 0 {
 		return fmt.Errorf("gpu: %s: non-positive FLOPS", h.Name)
 	}
-	if h.MemCapacity <= 0 {
+	if h.memCapacity <= 0 {
 		return fmt.Errorf("gpu: %s: non-positive memory capacity", h.Name)
 	}
-	if h.LaunchOverhead < 0 || h.GraphLaunchOverhead < 0 {
+	if h.launchOverhead < 0 || h.graphLaunchOverhead < 0 {
 		return fmt.Errorf("gpu: %s: negative launch overhead", h.Name)
 	}
 	return nil
@@ -60,85 +60,85 @@ var (
 	// A100 is an NVIDIA A100-SXM4-80GB, the GPU used in the paper (Table 1).
 	A100 = Hardware{
 		Name:                "A100-80GB",
-		MemBandwidth:        2.039e12 * 0.55,
-		FLOPS:               312e12 * 0.50,
-		MemCapacity:         80e9,
-		LaunchOverhead:      6e-6,
-		GraphLaunchOverhead: 1.5e-6,
+		memBandwidth:        2.039e12 * 0.55,
+		flops:               312e12 * 0.50,
+		memCapacity:         80e9,
+		launchOverhead:      6e-6,
+		graphLaunchOverhead: 1.5e-6,
 	}
 
 	// H100 is an NVIDIA H100-SXM5-80GB, provided for hardware-sensitivity
 	// ablations (the paper argues the budget is hardware-dependent).
 	H100 = Hardware{
 		Name:                "H100-80GB",
-		MemBandwidth:        3.35e12 * 0.55,
-		FLOPS:               989e12 * 0.50,
-		MemCapacity:         80e9,
-		LaunchOverhead:      5e-6,
-		GraphLaunchOverhead: 1.2e-6,
+		memBandwidth:        3.35e12 * 0.55,
+		flops:               989e12 * 0.50,
+		memCapacity:         80e9,
+		launchOverhead:      5e-6,
+		graphLaunchOverhead: 1.2e-6,
 	}
 
 	// L4 is a small inference GPU; its much lower knee stresses the budget
 	// solver in the opposite direction.
 	L4 = Hardware{
 		Name:                "L4-24GB",
-		MemBandwidth:        300e9 * 0.55,
-		FLOPS:               121e12 * 0.50,
-		MemCapacity:         24e9,
-		LaunchOverhead:      8e-6,
-		GraphLaunchOverhead: 2e-6,
+		memBandwidth:        300e9 * 0.55,
+		flops:               121e12 * 0.50,
+		memCapacity:         24e9,
+		launchOverhead:      8e-6,
+		graphLaunchOverhead: 2e-6,
 	}
 )
 
 // ModelSpec describes a transformer LLM's cost-relevant dimensions.
 type ModelSpec struct {
-	Name string
+	name string
 	// Params is the total parameter count.
 	Params float64
-	// Layers is the number of transformer blocks.
-	Layers int
-	// Hidden is the model (embedding) dimension.
-	Hidden int
-	// KVHeads is the number of key/value heads (GQA).
-	KVHeads int
-	// HeadDim is the per-head dimension.
-	HeadDim int
-	// BytesPerParam is the weight precision (2 for FP16/BF16).
-	BytesPerParam float64
-	// VocabSize is the output vocabulary size.
-	VocabSize int
+	// layers is the number of transformer blocks.
+	layers int
+	// hidden is the model (embedding) dimension.
+	hidden int
+	// kvHeads is the number of key/value heads (GQA).
+	kvHeads int
+	// headDim is the per-head dimension.
+	headDim int
+	// bytesPerParam is the weight precision (2 for FP16/BF16).
+	bytesPerParam float64
+	// vocabSize is the output vocabulary size.
+	vocabSize int
 }
 
-// WeightBytes returns the total bytes of model weights.
-func (m ModelSpec) WeightBytes() float64 {
-	return m.Params * m.BytesPerParam
+// weightBytes returns the total bytes of model weights.
+func (m ModelSpec) weightBytes() float64 {
+	return m.Params * m.bytesPerParam
 }
 
 // KVBytesPerToken returns the KV-cache bytes appended per token
 // (K and V, all layers, FP16).
 func (m ModelSpec) KVBytesPerToken() float64 {
-	return 2 * float64(m.Layers) * float64(m.KVHeads) * float64(m.HeadDim) * 2
+	return 2 * float64(m.layers) * float64(m.kvHeads) * float64(m.headDim) * 2
 }
 
-// FLOPsPerToken returns the dense FLOPs needed to process one token through
+// flopsPerToken returns the dense FLOPs needed to process one token through
 // the model (the standard 2·P approximation).
-func (m ModelSpec) FLOPsPerToken() float64 {
+func (m ModelSpec) flopsPerToken() float64 {
 	return 2 * m.Params
 }
 
-// Validate reports whether the model spec is usable by the cost model.
-func (m ModelSpec) Validate() error {
+// validate reports whether the model spec is usable by the cost model.
+func (m ModelSpec) validate() error {
 	if m.Params <= 0 {
-		return fmt.Errorf("gpu: model %s: non-positive parameter count", m.Name)
+		return fmt.Errorf("gpu: model %s: non-positive parameter count", m.name)
 	}
-	if m.Layers <= 0 || m.Hidden <= 0 || m.KVHeads <= 0 || m.HeadDim <= 0 {
-		return fmt.Errorf("gpu: model %s: non-positive dimensions", m.Name)
+	if m.layers <= 0 || m.hidden <= 0 || m.kvHeads <= 0 || m.headDim <= 0 {
+		return fmt.Errorf("gpu: model %s: non-positive dimensions", m.name)
 	}
-	if m.BytesPerParam <= 0 {
-		return fmt.Errorf("gpu: model %s: non-positive bytes per param", m.Name)
+	if m.bytesPerParam <= 0 {
+		return fmt.Errorf("gpu: model %s: non-positive bytes per param", m.name)
 	}
-	if m.VocabSize <= 0 {
-		return fmt.Errorf("gpu: model %s: non-positive vocab size", m.Name)
+	if m.vocabSize <= 0 {
+		return fmt.Errorf("gpu: model %s: non-positive vocab size", m.name)
 	}
 	return nil
 }
@@ -147,19 +147,19 @@ func (m ModelSpec) Validate() error {
 // draft models. Architecture dimensions are the published ones.
 var (
 	Llama70B = ModelSpec{
-		Name: "Llama-3.1-70B-Instruct", Params: 70.6e9, Layers: 80,
-		Hidden: 8192, KVHeads: 8, HeadDim: 128, BytesPerParam: 2, VocabSize: 128256,
+		name: "Llama-3.1-70B-Instruct", Params: 70.6e9, layers: 80,
+		hidden: 8192, kvHeads: 8, headDim: 128, bytesPerParam: 2, vocabSize: 128256,
 	}
 	Llama1B = ModelSpec{
-		Name: "Llama-3.2-1B-Instruct", Params: 1.24e9, Layers: 16,
-		Hidden: 2048, KVHeads: 8, HeadDim: 64, BytesPerParam: 2, VocabSize: 128256,
+		name: "Llama-3.2-1B-Instruct", Params: 1.24e9, layers: 16,
+		hidden: 2048, kvHeads: 8, headDim: 64, bytesPerParam: 2, vocabSize: 128256,
 	}
 	Qwen32B = ModelSpec{
-		Name: "Qwen2.5-32B-Instruct", Params: 32.8e9, Layers: 64,
-		Hidden: 5120, KVHeads: 8, HeadDim: 128, BytesPerParam: 2, VocabSize: 152064,
+		name: "Qwen2.5-32B-Instruct", Params: 32.8e9, layers: 64,
+		hidden: 5120, kvHeads: 8, headDim: 128, bytesPerParam: 2, vocabSize: 152064,
 	}
 	Qwen05B = ModelSpec{
-		Name: "Qwen2.5-0.5B-Instruct", Params: 0.49e9, Layers: 24,
-		Hidden: 896, KVHeads: 2, HeadDim: 64, BytesPerParam: 2, VocabSize: 151936,
+		name: "Qwen2.5-0.5B-Instruct", Params: 0.49e9, layers: 24,
+		hidden: 896, kvHeads: 2, headDim: 64, bytesPerParam: 2, vocabSize: 151936,
 	}
 )

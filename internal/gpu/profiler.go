@@ -6,7 +6,7 @@ import (
 )
 
 // Profile is a fitted piecewise-linear latency model
-// lat(T) ≈ Base + Slope·max(0, T − Knee), obtained by "profiling" a cost
+// lat(T) ≈ Base + slope·max(0, T − Knee), obtained by "profiling" a cost
 // model at a sweep of token counts. AdaServe is described as using
 // profiling-based roofline models rather than datasheet numbers; this type
 // plays that role: schedulers consume a Profile, never the analytic model
@@ -14,16 +14,16 @@ import (
 type Profile struct {
 	// Base is the flat-region iteration latency in seconds.
 	Base float64
-	// Slope is the marginal seconds per extra token past the knee.
-	Slope float64
+	// slope is the marginal seconds per extra token past the knee.
+	slope float64
 	// Knee is the token count where latency departs the flat region.
 	Knee int
 }
 
-// ProfilePoint is one profiling sample.
-type ProfilePoint struct {
-	Tokens  int
-	Latency float64
+// profilePoint is one profiling sample.
+type profilePoint struct {
+	tokens  int
+	latency float64
 }
 
 // ProfileCostModel sweeps the cost model across token counts (with kvPerTok
@@ -33,10 +33,10 @@ func ProfileCostModel(cm *CostModel, maxTokens, kvPerTok int) (*Profile, error) 
 	if maxTokens < 8 {
 		return nil, fmt.Errorf("gpu: profile sweep needs maxTokens >= 8, got %d", maxTokens)
 	}
-	var pts []ProfilePoint
+	var pts []profilePoint
 	for t := 1; t <= maxTokens; t = nextSweepPoint(t) {
 		lat := cm.ForwardLatencyPure(BatchShape{Tokens: t, Seqs: t, KVTokens: t * kvPerTok})
-		pts = append(pts, ProfilePoint{Tokens: t, Latency: lat})
+		pts = append(pts, profilePoint{tokens: t, latency: lat})
 	}
 	return fitProfile(pts), nil
 }
@@ -55,23 +55,23 @@ func nextSweepPoint(t int) int {
 
 // fitProfile locates the knee as the sample where latency first exceeds the
 // flat region by 5%, then least-squares fits the slope on samples past it.
-func fitProfile(pts []ProfilePoint) *Profile {
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Tokens < pts[j].Tokens })
-	base := pts[0].Latency
-	knee := pts[len(pts)-1].Tokens
+func fitProfile(pts []profilePoint) *Profile {
+	sort.Slice(pts, func(i, j int) bool { return pts[i].tokens < pts[j].tokens })
+	base := pts[0].latency
+	knee := pts[len(pts)-1].tokens
 	for _, p := range pts {
-		if p.Latency > base*1.05 {
-			knee = p.Tokens
+		if p.latency > base*1.05 {
+			knee = p.tokens
 			break
 		}
 	}
 	// Least-squares on the linear region.
 	var sx, sy, sxx, sxy, n float64
 	for _, p := range pts {
-		if p.Tokens < knee {
+		if p.tokens < knee {
 			continue
 		}
-		x, y := float64(p.Tokens), p.Latency
+		x, y := float64(p.tokens), p.latency
 		sx += x
 		sy += y
 		sxx += x * x
@@ -85,7 +85,7 @@ func fitProfile(pts []ProfilePoint) *Profile {
 			slope = 0
 		}
 	}
-	return &Profile{Base: base, Slope: slope, Knee: knee}
+	return &Profile{Base: base, slope: slope, Knee: knee}
 }
 
 // Latency evaluates the fitted model at a token count.
@@ -97,7 +97,7 @@ func (p *Profile) Latency(tokens int) float64 {
 	if extra < 0 {
 		extra = 0
 	}
-	return p.Base + p.Slope*extra
+	return p.Base + p.slope*extra
 }
 
 // BudgetFor inverts the fitted model: the max token count whose predicted
@@ -106,10 +106,10 @@ func (p *Profile) BudgetFor(target float64) int {
 	if target <= p.Base {
 		return 1
 	}
-	if p.Slope <= 0 {
+	if p.slope <= 0 {
 		return p.Knee
 	}
-	b := p.Knee + int((target-p.Base)/p.Slope)
+	b := p.Knee + int((target-p.Base)/p.slope)
 	if b < 1 {
 		return 1
 	}

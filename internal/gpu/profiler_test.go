@@ -8,7 +8,7 @@ func TestProfileCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Base <= 0 || p.Slope <= 0 || p.Knee <= 0 {
+	if p.Base <= 0 || p.slope <= 0 || p.Knee <= 0 {
 		t.Fatalf("degenerate fit: %+v", p)
 	}
 	// The fit comes from the sweep 1, 2, ..., 2048.

@@ -15,8 +15,8 @@ type Interconnect struct {
 	Latency float64
 }
 
-// Validate reports whether the interconnect description is usable.
-func (ic Interconnect) Validate() error {
+// validate reports whether the interconnect description is usable.
+func (ic Interconnect) validate() error {
 	if ic.Bandwidth <= 0 {
 		return fmt.Errorf("gpu: interconnect %s: non-positive bandwidth", ic.Name)
 	}
@@ -26,9 +26,9 @@ func (ic Interconnect) Validate() error {
 	return nil
 }
 
-// TransferTime returns the modeled wall time to move the given byte count
+// transferTime returns the modeled wall time to move the given byte count
 // across the link.
-func (ic Interconnect) TransferTime(bytes float64) float64 {
+func (ic Interconnect) transferTime(bytes float64) float64 {
 	if bytes <= 0 {
 		return ic.Latency
 	}
@@ -63,10 +63,10 @@ type KVTransfer struct {
 
 // Validate reports whether the transfer model is usable.
 func (t KVTransfer) Validate() error {
-	if err := t.Model.Validate(); err != nil {
+	if err := t.Model.validate(); err != nil {
 		return err
 	}
-	return t.Link.Validate()
+	return t.Link.validate()
 }
 
 // Bytes returns the KV-cache size of a promptTokens-long prefix.
@@ -80,5 +80,5 @@ func (t KVTransfer) Bytes(promptTokens int) float64 {
 // Latency returns the modeled wall time of one prefill-to-decode migration
 // for a request with the given prompt length.
 func (t KVTransfer) Latency(promptTokens int) float64 {
-	return t.Link.TransferTime(t.Bytes(promptTokens))
+	return t.Link.transferTime(t.Bytes(promptTokens))
 }

@@ -4,21 +4,21 @@ import "testing"
 
 func TestInterconnectTransferTime(t *testing.T) {
 	ic := Interconnect{Name: "test", Bandwidth: 1e9, Latency: 1e-3}
-	if err := ic.Validate(); err != nil {
+	if err := ic.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ic.TransferTime(0); got != 1e-3 {
+	if got := ic.transferTime(0); got != 1e-3 {
 		t.Fatalf("zero-byte transfer %g, want the fixed latency", got)
 	}
-	if got, want := ic.TransferTime(2e9), 1e-3+2.0; got != want {
+	if got, want := ic.transferTime(2e9), 1e-3+2.0; got != want {
 		t.Fatalf("transfer time %g, want %g", got, want)
 	}
 	bad := Interconnect{Name: "bad", Bandwidth: 0}
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Fatal("zero bandwidth accepted")
 	}
 	bad = Interconnect{Name: "bad", Bandwidth: 1, Latency: -1}
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Fatal("negative latency accepted")
 	}
 }

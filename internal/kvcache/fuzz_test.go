@@ -13,10 +13,10 @@ import (
 // difference between this reference and MustNew is the watermark's doing.
 func explicitFreeList(cfg Config) *Allocator {
 	a := MustNew(cfg)
-	a.fresh = cfg.NumBlocks
-	a.returned = make([]int, cfg.NumBlocks)
+	a.fresh = cfg.numBlocks
+	a.returned = make([]int, cfg.numBlocks)
 	for i := range a.returned {
-		a.returned[i] = cfg.NumBlocks - 1 - i
+		a.returned[i] = cfg.numBlocks - 1 - i
 	}
 	return a
 }
@@ -27,7 +27,7 @@ func explicitFreeList(cfg Config) *Allocator {
 // off, on, and on with a host tier — and requires them to agree after every
 // step: the same errors and prefix hits, the same block tables (block IDs
 // included), used and available counts, peak and failure counters, prefix
-// stats, and a clean CheckInvariants on both.
+// stats, and a clean checkInvariants on both.
 //
 // data[0] picks the pool size and the prefix mode; every following 3-byte
 // group is one operation: its kind, a byte choosing the sequence ID (and, for
@@ -38,7 +38,7 @@ func FuzzAllocatorMatchesFreeList(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		cfg := Config{BlockSize: 4, NumBlocks: 4 + int(data[0]%4)*6}
+		cfg := Config{blockSize: 4, numBlocks: 4 + int(data[0]%4)*6}
 		got, want := MustNew(cfg), explicitFreeList(cfg)
 		prefix := data[0]&0x10 != 0
 		if prefix {
@@ -76,17 +76,17 @@ func FuzzAllocatorMatchesFreeList(f *testing.F) {
 			if fmt.Sprint(errGot) != fmt.Sprint(errWant) {
 				t.Fatalf("step %d (op %d seq %d len %d): error %v, free-list reference %v", step, kind, id, n, errGot, errWant)
 			}
-			if err := got.CheckInvariants(); err != nil {
+			if err := got.checkInvariants(); err != nil {
 				t.Fatalf("step %d: watermark allocator: %v", step, err)
 			}
-			if err := want.CheckInvariants(); err != nil {
+			if err := want.checkInvariants(); err != nil {
 				t.Fatalf("step %d: free-list reference: %v", step, err)
 			}
-			if got.UsedBlocks() != want.UsedBlocks() || got.availableBlocks() != want.availableBlocks() ||
-				got.PeakUsedBlocks != want.PeakUsedBlocks || got.PrefixStats() != want.PrefixStats() {
+			if got.usedBlocks() != want.usedBlocks() || got.availableBlocks() != want.availableBlocks() ||
+				got.peakUsedBlocks != want.peakUsedBlocks || got.PrefixStats() != want.PrefixStats() {
 				t.Fatalf("step %d: used/available/peak %d/%d/%d %+v, free-list reference %d/%d/%d %+v",
-					step, got.UsedBlocks(), got.availableBlocks(), got.PeakUsedBlocks, got.PrefixStats(),
-					want.UsedBlocks(), want.availableBlocks(), want.PeakUsedBlocks, want.PrefixStats())
+					step, got.usedBlocks(), got.availableBlocks(), got.peakUsedBlocks, got.PrefixStats(),
+					want.usedBlocks(), want.availableBlocks(), want.peakUsedBlocks, want.PrefixStats())
 			}
 			if !reflect.DeepEqual(got.seqs, want.seqs) {
 				t.Fatalf("step %d: block tables diverged from the free-list reference", step)

@@ -13,19 +13,19 @@ import "fmt"
 
 // Config sizes the allocator.
 type Config struct {
-	// BlockSize is the tokens per block (vLLM default: 16).
-	BlockSize int
-	// NumBlocks is the total block pool size.
-	NumBlocks int
+	// blockSize is the tokens per block (vLLM default: 16).
+	blockSize int
+	// numBlocks is the total block pool size.
+	numBlocks int
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.BlockSize <= 0 {
-		return fmt.Errorf("kvcache: block size %d <= 0", c.BlockSize)
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
+	if c.blockSize <= 0 {
+		return fmt.Errorf("kvcache: block size %d <= 0", c.blockSize)
 	}
-	if c.NumBlocks <= 0 {
-		return fmt.Errorf("kvcache: block count %d <= 0", c.NumBlocks)
+	if c.numBlocks <= 0 {
+		return fmt.Errorf("kvcache: block count %d <= 0", c.numBlocks)
 	}
 	return nil
 }
@@ -37,7 +37,7 @@ func ConfigForTokens(capacityTokens, blockSize int) Config {
 	if blocks < 1 {
 		blocks = 1
 	}
-	return Config{BlockSize: blockSize, NumBlocks: blocks}
+	return Config{blockSize: blockSize, numBlocks: blocks}
 }
 
 // seq tracks one sequence's allocation. With prefix caching enabled, hashes
@@ -72,13 +72,13 @@ type Allocator struct {
 	// gates on it so the disabled allocator behaves exactly as before.
 	prefix *prefixState
 
-	// PeakUsedBlocks records the allocation high-water mark.
-	PeakUsedBlocks int
+	// peakUsedBlocks records the allocation high-water mark.
+	peakUsedBlocks int
 }
 
-// New creates an allocator with all blocks free.
-func New(cfg Config) (*Allocator, error) {
-	if err := cfg.Validate(); err != nil {
+// newAllocator creates an allocator with all blocks free.
+func newAllocator(cfg Config) (*Allocator, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &Allocator{cfg: cfg, seqs: make(map[int]*seq)}, nil
@@ -86,7 +86,7 @@ func New(cfg Config) (*Allocator, error) {
 
 // MustNew panics on config error.
 func MustNew(cfg Config) *Allocator {
-	a, err := New(cfg)
+	a, err := newAllocator(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -95,7 +95,7 @@ func MustNew(cfg Config) *Allocator {
 
 // blocksFor returns the blocks needed for n tokens.
 func (a *Allocator) blocksFor(n int) int {
-	return (n + a.cfg.BlockSize - 1) / a.cfg.BlockSize
+	return (n + a.cfg.blockSize - 1) / a.cfg.blockSize
 }
 
 // Allocate registers a new sequence with tokens tokens. It fails if the
@@ -148,9 +148,9 @@ func (a *Allocator) Has(seqID int) bool {
 	return ok
 }
 
-// UsedBlocks returns the number of allocated blocks: every block below the
+// usedBlocks returns the number of allocated blocks: every block below the
 // watermark that is not waiting on the returned stack.
-func (a *Allocator) UsedBlocks() int { return a.fresh - len(a.returned) }
+func (a *Allocator) usedBlocks() int { return a.fresh - len(a.returned) }
 
 // popFree takes one free block, or reports false when none is left: the
 // newest returned block first, then the lowest never-allocated ID.
@@ -160,7 +160,7 @@ func (a *Allocator) popFree() (int, bool) {
 		a.returned = a.returned[:n-1]
 		return b, true
 	}
-	if a.fresh < a.cfg.NumBlocks {
+	if a.fresh < a.cfg.numBlocks {
 		a.fresh++
 		return a.fresh - 1, true
 	}
@@ -168,7 +168,7 @@ func (a *Allocator) popFree() (int, bool) {
 }
 
 func (a *Allocator) updatePeak() {
-	if u := a.UsedBlocks(); u > a.PeakUsedBlocks {
-		a.PeakUsedBlocks = u
+	if u := a.usedBlocks(); u > a.peakUsedBlocks {
+		a.peakUsedBlocks = u
 	}
 }

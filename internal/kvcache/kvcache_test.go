@@ -9,7 +9,7 @@ import (
 
 func newAlloc(t *testing.T, blockSize, numBlocks int) *Allocator {
 	t.Helper()
-	a, err := New(Config{BlockSize: blockSize, NumBlocks: numBlocks})
+	a, err := newAllocator(Config{blockSize: blockSize, numBlocks: numBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,23 +17,23 @@ func newAlloc(t *testing.T, blockSize, numBlocks int) *Allocator {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if (Config{BlockSize: 0, NumBlocks: 1}).Validate() == nil {
+	if (Config{blockSize: 0, numBlocks: 1}).validate() == nil {
 		t.Error("zero block size accepted")
 	}
-	if (Config{BlockSize: 16, NumBlocks: 0}).Validate() == nil {
+	if (Config{blockSize: 16, numBlocks: 0}).validate() == nil {
 		t.Error("zero block count accepted")
 	}
-	if (Config{BlockSize: 16, NumBlocks: 8}).Validate() != nil {
+	if (Config{blockSize: 16, numBlocks: 8}).validate() != nil {
 		t.Error("valid config rejected")
 	}
 }
 
 func TestConfigForTokens(t *testing.T) {
 	c := ConfigForTokens(100, 16)
-	if c.NumBlocks != 7 {
-		t.Fatalf("100 tokens / 16 per block = 7 blocks, got %d", c.NumBlocks)
+	if c.numBlocks != 7 {
+		t.Fatalf("100 tokens / 16 per block = 7 blocks, got %d", c.numBlocks)
 	}
-	if ConfigForTokens(0, 16).NumBlocks != 1 {
+	if ConfigForTokens(0, 16).numBlocks != 1 {
 		t.Fatal("zero capacity should still allocate one block")
 	}
 }
@@ -43,8 +43,8 @@ func TestAllocateAndFree(t *testing.T) {
 	if err := a.Allocate(1, 40); err != nil { // 3 blocks
 		t.Fatal(err)
 	}
-	if a.UsedBlocks() != 3 || a.availableBlocks() != 5 {
-		t.Fatalf("used=%d available=%d", a.UsedBlocks(), a.availableBlocks())
+	if a.usedBlocks() != 3 || a.availableBlocks() != 5 {
+		t.Fatalf("used=%d available=%d", a.usedBlocks(), a.availableBlocks())
 	}
 	if a.seqs[1].tokens != 40 {
 		t.Fatalf("seq tokens %d", a.seqs[1].tokens)
@@ -52,7 +52,7 @@ func TestAllocateAndFree(t *testing.T) {
 	if err := a.Free(1); err != nil {
 		t.Fatal(err)
 	}
-	if a.UsedBlocks() != 0 || a.availableBlocks() != 8 || len(a.seqs) != 0 {
+	if a.usedBlocks() != 0 || a.availableBlocks() != 8 || len(a.seqs) != 0 {
 		t.Fatal("free did not release blocks")
 	}
 }
@@ -104,18 +104,18 @@ func TestPeakTracking(t *testing.T) {
 	_ = a.Allocate(1, 64)
 	_ = a.Free(1)
 	_ = a.Allocate(2, 16)
-	if a.PeakUsedBlocks != 4 {
-		t.Fatalf("peak %d, want 4", a.PeakUsedBlocks)
+	if a.peakUsedBlocks != 4 {
+		t.Fatalf("peak %d, want 4", a.peakUsedBlocks)
 	}
 }
 
 // TestAllocatorInvariantProperty drives random allocations and frees and
 // checks the conservation invariant: used + available == total, no block
-// owned twice, and the full CheckInvariants accounting.
+// owned twice, and the full checkInvariants accounting.
 func TestAllocatorInvariantProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := mathutil.NewRNG(seed)
-		a := MustNew(Config{BlockSize: 8, NumBlocks: 32})
+		a := MustNew(Config{blockSize: 8, numBlocks: 32})
 		live := map[int]bool{}
 		next := 0
 		for op := 0; op < 200; op++ {
@@ -134,7 +134,7 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 					break
 				}
 			}
-			if a.UsedBlocks()+a.availableBlocks() != 32 || a.CheckInvariants() != nil {
+			if a.usedBlocks()+a.availableBlocks() != 32 || a.checkInvariants() != nil {
 				return false
 			}
 			owned := map[int]bool{}
@@ -146,7 +146,7 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 					owned[b] = true
 				}
 			}
-			if len(owned) != a.UsedBlocks() {
+			if len(owned) != a.usedBlocks() {
 				return false
 			}
 		}

@@ -64,10 +64,10 @@ type PrefixHit struct {
 	// Tokens is the cached prefix length: prompt tokens whose prefill the
 	// sequence skips.
 	Tokens int
-	// Reloaded is the subset of Tokens that had to be reloaded from the
+	// reloaded is the subset of Tokens that had to be reloaded from the
 	// host tier; Stall is the priced reload latency the caller must charge
 	// before the sequence's first prefill pass.
-	Reloaded int
+	reloaded int
 	Stall    float64
 }
 
@@ -180,7 +180,7 @@ func (a *Allocator) blockHash(prev uint64, prompt Prompt, b int) uint64 {
 // matched block (prefixChainSeed when none matched), from which a caller
 // continues the chain.
 func (a *Allocator) walkPrefix(prompt Prompt, limit int, visit func(*shared)) (int, uint64) {
-	bs := a.cfg.BlockSize
+	bs := a.cfg.blockSize
 	limit = min(limit, prompt.PromptTokens())
 	h := prefixChainSeed
 	b := 0
@@ -204,13 +204,13 @@ func (a *Allocator) EnablePrefix(cfg PrefixConfig) error {
 	if a.prefix != nil {
 		return fmt.Errorf("kvcache: prefix caching already enabled")
 	}
-	if len(a.seqs) != 0 || a.UsedBlocks() != 0 {
+	if len(a.seqs) != 0 || a.usedBlocks() != 0 {
 		return fmt.Errorf("kvcache: prefix caching must be enabled on an empty allocator")
 	}
 	if cfg.HostBlocks < 0 {
 		return fmt.Errorf("kvcache: negative host tier size %d", cfg.HostBlocks)
 	}
-	a.prefix = &prefixState{cfg: cfg, table: make(map[uint64]*shared), scratch: make([]uint64, a.cfg.BlockSize)}
+	a.prefix = &prefixState{cfg: cfg, table: make(map[uint64]*shared), scratch: make([]uint64, a.cfg.blockSize)}
 	return nil
 }
 
@@ -229,7 +229,7 @@ func (a *Allocator) PrefixStats() PrefixStats {
 // availableBlocks is the allocation headroom: free blocks (returned or never
 // allocated) plus cold shared blocks that can be reclaimed on demand.
 func (a *Allocator) availableBlocks() int {
-	n := len(a.returned) + a.cfg.NumBlocks - a.fresh
+	n := len(a.returned) + a.cfg.numBlocks - a.fresh
 	if a.prefix != nil {
 		n += a.prefix.cold.n
 	}
@@ -306,7 +306,7 @@ func (a *Allocator) MatchPrefixTokens(prompt Prompt, limit int) int {
 		return 0
 	}
 	n, _ := a.walkPrefix(prompt, limit, nil)
-	return n * a.cfg.BlockSize
+	return n * a.cfg.blockSize
 }
 
 // AllocateWithPrefix registers a new sequence reserving tokens tokens, like
@@ -331,7 +331,7 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 		return hit, fmt.Errorf("kvcache: negative token count %d", tokens)
 	}
 	p := a.prefix
-	bs := a.cfg.BlockSize
+	bs := a.cfg.blockSize
 	promptLen := prompt.PromptTokens()
 	matchLimit = min(matchLimit, tokens, promptLen)
 
@@ -404,7 +404,7 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 		s.blocks[i] = id
 		p.stats.Reloads++
 		p.stats.ReloadedTokens += bs
-		hit.Reloaded += bs
+		hit.reloaded += bs
 	}
 	for len(s.blocks) < totalBlocks {
 		id, ok := a.popAvailable()
@@ -429,8 +429,8 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 
 	a.seqs[seqID] = s
 	a.updatePeak()
-	if hit.Reloaded > 0 && p.cfg.ReloadLatency != nil {
-		hit.Stall = p.cfg.ReloadLatency(hit.Reloaded)
+	if hit.reloaded > 0 && p.cfg.ReloadLatency != nil {
+		hit.Stall = p.cfg.ReloadLatency(hit.reloaded)
 		p.stats.ReloadStall += hit.Stall
 	}
 	return hit, nil
@@ -452,7 +452,7 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	if !ok {
 		return
 	}
-	bs := a.cfg.BlockSize
+	bs := a.cfg.blockSize
 	i := s.published
 	for ; i < len(s.hashes) && (i+1)*bs <= doneTokens; i++ {
 		if h := s.hashes[i]; h != 0 {
@@ -464,7 +464,7 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	s.published = i
 }
 
-// CheckInvariants verifies the allocator's full accounting: every block is
+// checkInvariants verifies the allocator's full accounting: every block is
 // exactly one of free (at or above the never-allocated watermark, or on the
 // returned stack below it), privately owned by one sequence, or
 // registry-backed with a reference count equal to the sequences actually
@@ -472,15 +472,15 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 // tier respects its bound. Tests call it after every mutation step; it is
 // read-only and order-independent. Kept for the invariant auditor on the
 // roadmap, which will call it after every iteration.
-func (a *Allocator) CheckInvariants() error {
-	if a.fresh < 0 || a.fresh > a.cfg.NumBlocks {
-		return fmt.Errorf("kvcache: watermark %d outside [0, %d]", a.fresh, a.cfg.NumBlocks)
+func (a *Allocator) checkInvariants() error {
+	if a.fresh < 0 || a.fresh > a.cfg.numBlocks {
+		return fmt.Errorf("kvcache: watermark %d outside [0, %d]", a.fresh, a.cfg.numBlocks)
 	}
 	// Blocks at or above the watermark are free by construction; every other
 	// block must be claimed exactly once.
 	claim := make(map[int]string, a.fresh)
 	take := func(id int, who string) error {
-		if id < 0 || id >= a.cfg.NumBlocks {
+		if id < 0 || id >= a.cfg.numBlocks {
 			return fmt.Errorf("kvcache: block %d out of range (%s)", id, who)
 		}
 		if id >= a.fresh {

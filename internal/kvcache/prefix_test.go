@@ -36,7 +36,7 @@ func prompt(doc uint64, n int) seeds {
 // check fails the test on the first invariant violation.
 func check(t *testing.T, a *Allocator) {
 	t.Helper()
-	if err := a.CheckInvariants(); err != nil {
+	if err := a.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -46,8 +46,8 @@ func TestAllocateZeroTokens(t *testing.T) {
 	if err := a.Allocate(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Has(1) || a.UsedBlocks() != 0 {
-		t.Fatalf("zero-token allocation: has=%v used=%d", a.Has(1), a.UsedBlocks())
+	if !a.Has(1) || a.usedBlocks() != 0 {
+		t.Fatalf("zero-token allocation: has=%v used=%d", a.Has(1), a.usedBlocks())
 	}
 	if err := a.Allocate(1, 0); err == nil {
 		t.Fatal("duplicate zero-token allocation accepted")
@@ -82,16 +82,16 @@ func TestPrefixMatchSkipsSharedBlocks(t *testing.T) {
 		t.Fatalf("computed prefix matches %d tokens, want 12", n)
 	}
 
-	used := a.UsedBlocks()
+	used := a.usedBlocks()
 	hit, err = a.AllocateWithPrefix(2, 12, doc, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit.Tokens != 12 || hit.Reloaded != 0 || hit.Stall != 0 {
+	if hit.Tokens != 12 || hit.reloaded != 0 || hit.Stall != 0 {
 		t.Fatalf("second arrival hit %+v, want 12 cached tokens", hit)
 	}
-	if a.UsedBlocks() != used {
-		t.Fatalf("full-prefix hit consumed blocks: %d -> %d", used, a.UsedBlocks())
+	if a.usedBlocks() != used {
+		t.Fatalf("full-prefix hit consumed blocks: %d -> %d", used, a.usedBlocks())
 	}
 	bt1, bt2 := a.seqs[1].blocks, a.seqs[2].blocks
 	for i := range bt2 {
@@ -164,7 +164,7 @@ func TestPrefixEvictionDemotionAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, a)
-	if hit.Tokens != 8 || hit.Reloaded != 8 {
+	if hit.Tokens != 8 || hit.reloaded != 8 {
 		t.Fatalf("reload hit %+v, want 8 tokens all reloaded", hit)
 	}
 	if want := stall * 2; hit.Stall != want {
@@ -251,14 +251,14 @@ func TestEnablePrefixValidation(t *testing.T) {
 
 // TestPrefixInvariantProperty drives random allocator operations — prefix
 // allocations over a tiny document alphabet (forcing heavy sharing), frees
-// and prefill completions — and runs the full CheckInvariants
+// and prefill completions — and runs the full checkInvariants
 // accounting after every single mutation: refcounts equal actual holders,
 // every block has exactly one owner, LRU lists agree with entry states, and
 // the host tier respects its bound.
 func TestPrefixInvariantProperty(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := mathutil.NewRNG(seed)
-		a := MustNew(Config{BlockSize: 4, NumBlocks: 24})
+		a := MustNew(Config{blockSize: 4, numBlocks: 24})
 		if err := a.EnablePrefix(PrefixConfig{HostBlocks: int(rng.Intn(3)) * 4}); err != nil {
 			return false
 		}
@@ -291,7 +291,7 @@ func TestPrefixInvariantProperty(t *testing.T) {
 					break
 				}
 			}
-			if err := a.CheckInvariants(); err != nil {
+			if err := a.checkInvariants(); err != nil {
 				t.Log(err)
 				return false
 			}
@@ -374,7 +374,7 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(t, a)
-	if hit.Tokens != 4 || hit.Reloaded != 4 {
+	if hit.Tokens != 4 || hit.reloaded != 4 {
 		t.Fatalf("hit %+v, want 4 cached tokens, all reloaded", hit)
 	}
 	a.MarkComputed(4, 8)

@@ -13,6 +13,21 @@ func cloneDist(d Dist) Dist {
 	return d
 }
 
+// prob returns the probability of tok under d: a linear scan of the small
+// candidate set, else tok's uniform share of the tail. It is
+// FuzzDistSample's mass oracle.
+func prob(d Dist, tok Token) float64 {
+	for _, e := range d.Entries {
+		if e.Token == tok {
+			return e.Prob
+		}
+	}
+	if d.vocab <= len(d.Entries) {
+		return 0
+	}
+	return d.tail / float64(d.vocab-len(d.Entries))
+}
+
 // freshModel wraps a model and clones every Dist it returns: the aliasing
 // reference, whose results no later call can rebuild in place.
 type freshModel struct{ Model }
@@ -21,7 +36,7 @@ func (f freshModel) Dist(ctx Context) Dist { return cloneDist(f.Model.Dist(ctx))
 
 // distsEqual compares two distributions entry-by-entry (order included).
 func distsEqual(a, b Dist) bool {
-	if len(a.Entries) != len(b.Entries) || a.Tail != b.Tail || a.Vocab != b.Vocab {
+	if len(a.Entries) != len(b.Entries) || a.tail != b.tail || a.vocab != b.vocab {
 		return false
 	}
 	for i := range a.Entries {
@@ -50,12 +65,12 @@ func walkContexts(n int, visit func(Context)) {
 // construction (strictly decreasing Zipf weights) against the reference
 // sort-based path, which still runs for non-strict weight tables.
 func TestDraftSortFreePathMatchesSort(t *testing.T) {
-	target := MustSyntheticLM("t", 7, 4096, 16, 3.2, 0.02)
+	target := MustSyntheticLM(7, 4096, 16, 3.2, 0.02)
 	if !target.strictOrder {
 		t.Fatal("sharpness 3.2 should produce strictly decreasing weights")
 	}
-	draft := MustDraftLM("d", target, 0.0, 11) // mistaken everywhere
-	ref := MustDraftLM("d", target, 0.0, 11)
+	draft := MustDraftLM(target, 0.0, 11) // mistaken everywhere
+	ref := MustDraftLM(target, 0.0, 11)
 	walkContexts(200, func(ctx Context) {
 		got := draft.Dist(ctx)
 		// Reference: recompute via the generic sort path.
@@ -73,14 +88,14 @@ func TestDraftSortFreePathMatchesSort(t *testing.T) {
 // sharpness 0 gives equal weights, where the mistaken-draft "swap" is an
 // identity on probabilities and the stable sort orders tokens ascending.
 func TestUniformWeightsUseSortPath(t *testing.T) {
-	target := MustSyntheticLM("t", 7, 256, 8, 0, 0.02)
+	target := MustSyntheticLM(7, 256, 8, 0, 0.02)
 	if target.strictOrder {
 		t.Fatal("sharpness 0 should not report strictly decreasing weights")
 	}
-	draft := MustDraftLM("d", target, 0.0, 11)
+	draft := MustDraftLM(target, 0.0, 11)
 	for i := uint64(0); i < 50; i++ {
 		d := draft.Dist(Context{ReqSeed: i})
-		if err := d.Validate(); err != nil {
+		if err := d.validate(); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 	}
@@ -91,8 +106,8 @@ func TestUniformWeightsUseSortPath(t *testing.T) {
 // allocates nothing, for the target and for the draft (whose call also
 // rebuilds the target's buffer).
 func TestDistAllocatesNothing(t *testing.T) {
-	target := MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
-	draft := MustDraftLM("d", target, 0.5, 9)
+	target := MustSyntheticLM(3, 4096, 16, 3.2, 0.02)
+	draft := MustDraftLM(target, 0.5, 9)
 	seed := uint64(0)
 	for _, c := range []struct {
 		name  string
@@ -113,7 +128,7 @@ func TestDistAllocatesNothing(t *testing.T) {
 // double-counting its mass).
 func TestSampleTailAvoidsCandidates(t *testing.T) {
 	// Large tail and tiny vocab make tail hits and collisions frequent.
-	m := MustSyntheticLM("m", 1, 32, 8, 1.0, 0.4)
+	m := MustSyntheticLM(1, 32, 8, 1.0, 0.4)
 	d := m.Dist(Context{ReqSeed: 2})
 	cand := make(map[Token]bool, len(d.Entries))
 	for _, e := range d.Entries {
@@ -146,8 +161,8 @@ func TestSampleTailAvoidsCandidates(t *testing.T) {
 		}
 	}
 	// Each non-candidate should get roughly tail/(vocab-branch) mass.
-	per := d.Tail / float64(d.Vocab-len(d.Entries))
-	for tok := Token(0); tok < Token(d.Vocab); tok++ {
+	per := d.tail / float64(d.vocab-len(d.Entries))
+	for tok := Token(0); tok < Token(d.vocab); tok++ {
 		if cand[tok] {
 			continue
 		}

@@ -30,13 +30,13 @@ func FuzzDistSample(f *testing.F) {
 		branch := 1 + int(branchRaw)%vocab // [1, vocab]
 		sharpness := 0.5 + float64(sharpRaw%400)/100.0
 		tail := float64(tailRaw%100) / 100.0 // [0, 0.99]
-		m, err := NewSyntheticLM("fuzz", seed, vocab, branch, sharpness, tail)
+		m, err := newSyntheticLM(seed, vocab, branch, sharpness, tail)
 		if err != nil {
 			t.Fatalf("construction rejected in-range parameters: %v", err)
 		}
 		ctx := ctxOf(seed^0xabcd, []Token{Token(seed % uint64(vocab))})
 		d := m.Dist(ctx)
-		if err := d.Validate(); err != nil {
+		if err := d.validate(); err != nil {
 			t.Fatal(err)
 		}
 		inCandidates := func(tok Token) bool {
@@ -53,11 +53,11 @@ func FuzzDistSample(f *testing.F) {
 		// would push this above 1.
 		var mass float64
 		for tok := 0; tok < vocab; tok++ {
-			mass += d.Prob(Token(tok))
+			mass += prob(d, Token(tok))
 		}
 		if vocab == len(d.Entries) {
-			// No tail tokens exist: the tail mass is unreachable by Prob.
-			mass += d.Tail
+			// No tail tokens exist: the tail mass is unreachable by prob.
+			mass += d.tail
 		}
 		if mass < 0.999 || mass > 1.001 {
 			t.Fatalf("probability mass over vocab sums to %g", mass)

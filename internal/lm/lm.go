@@ -26,7 +26,7 @@
 // that buffer, so no call allocates. The price is a lifetime contract: a
 // Dist returned by a model is valid until that model's next Dist call (see
 // Dist). Context itself is a small value type carrying only the
-// HistoryWindow-sized suffix that conditions the distribution, so extending
+// historyWindow-sized suffix that conditions the distribution, so extending
 // a context allocates nothing. Models are NOT safe for concurrent use: give
 // each goroutine its own engine/models, as the parallel experiment runner
 // does.
@@ -49,7 +49,7 @@ type TokenProb struct {
 }
 
 // Dist is a truncated next-token distribution: explicit probabilities for a
-// small candidate set plus Tail mass smeared uniformly over the rest of the
+// small candidate set plus tail mass smeared uniformly over the rest of the
 // vocabulary. Entries are sorted by descending probability.
 //
 // Lifetime: the Entries of a Dist returned by a model live in the model's
@@ -59,15 +59,15 @@ type TokenProb struct {
 // that keep entries longer must copy them (TopK does).
 type Dist struct {
 	Entries []TokenProb
-	// Tail is the probability mass not covered by Entries.
-	Tail float64
-	// Vocab is the vocabulary size (for tail token sampling).
-	Vocab int
+	// tail is the probability mass not covered by Entries.
+	tail float64
+	// vocab is the vocabulary size (for tail token sampling).
+	vocab int
 }
 
-// Validate checks that the distribution is normalized and sorted. Kept as an
+// validate checks that the distribution is normalized and sorted. Kept as an
 // invariant check for the lm tests and FuzzDistSample; no binary links it.
-func (d Dist) Validate() error {
+func (d Dist) validate() error {
 	var s float64
 	prev := 1.1
 	for _, e := range d.Entries {
@@ -80,25 +80,11 @@ func (d Dist) Validate() error {
 		prev = e.Prob
 		s += e.Prob
 	}
-	s += d.Tail
+	s += d.tail
 	if s < 0.999 || s > 1.001 {
 		return fmt.Errorf("lm: distribution sums to %g", s)
 	}
 	return nil
-}
-
-// Prob returns the probability of tok under d: a linear scan of the small
-// candidate set, else tok's uniform share of the tail.
-func (d Dist) Prob(tok Token) float64 {
-	for _, e := range d.Entries {
-		if e.Token == tok {
-			return e.Prob
-		}
-	}
-	if d.Vocab <= len(d.Entries) {
-		return 0
-	}
-	return d.Tail / float64(d.Vocab-len(d.Entries))
 }
 
 // TopK returns up to k highest-probability entries.
@@ -137,7 +123,7 @@ func (d Dist) Sample(rng *mathutil.RNG) Token {
 // landed in the tail must never return a candidate (returning one would
 // double-count its mass on top of its explicit entry).
 func (d Dist) sampleTail(rng *mathutil.RNG) Token {
-	free := d.Vocab - len(d.Entries)
+	free := d.vocab - len(d.Entries)
 	if free <= 0 {
 		// No non-candidate tokens exist (or the distribution is degenerate):
 		// fall back to the least likely candidate.
@@ -169,21 +155,21 @@ func nthFree(r Token, taken []TokenProb) Token {
 	}
 }
 
-// HistoryWindow is how many trailing tokens condition the next-token
+// historyWindow is how many trailing tokens condition the next-token
 // distribution.
-const HistoryWindow = 4
+const historyWindow = 4
 
 // Context identifies a decoding position: the request's own seed (so two
 // requests with identical recent tokens still have independent text) plus
-// the trailing HistoryWindow tokens of the generated history (an order-n
+// the trailing historyWindow tokens of the generated history (an order-n
 // Markov approximation — only the window conditions the distribution, so
 // only the window is stored). Context is a small value type: Extend never
 // allocates, and contexts compare with ==.
 type Context struct {
 	ReqSeed uint64
-	// win holds the most recent min(n, HistoryWindow) history tokens, oldest
+	// win holds the most recent min(n, historyWindow) history tokens, oldest
 	// first.
-	win [HistoryWindow]Token
+	win [historyWindow]Token
 	// n is the number of valid tokens in win.
 	n uint8
 }
@@ -191,13 +177,13 @@ type Context struct {
 // Extend returns a context with one more history token appended. Pure value
 // semantics: the receiver is unchanged and nothing is allocated.
 func (c Context) Extend(tok Token) Context {
-	if int(c.n) < HistoryWindow {
+	if int(c.n) < historyWindow {
 		c.win[c.n] = tok
 		c.n++
 		return c
 	}
 	copy(c.win[:], c.win[1:])
-	c.win[HistoryWindow-1] = tok
+	c.win[historyWindow-1] = tok
 	return c
 }
 
@@ -222,13 +208,10 @@ func (c Context) hash(salt uint64) uint64 {
 type Model interface {
 	// Dist returns the next-token distribution for ctx.
 	Dist(ctx Context) Dist
-	// Name identifies the model in logs and metrics.
-	Name() string
 }
 
 // SyntheticLM is the target ("large") model.
 type SyntheticLM struct {
-	name string
 	seed uint64
 	// vocab is the vocabulary size.
 	vocab int
@@ -247,7 +230,7 @@ type SyntheticLM struct {
 	buf []TokenProb
 }
 
-// NewSyntheticLM constructs a target model.
+// newSyntheticLM constructs a target model.
 //
 //   - vocab: vocabulary size (e.g. 4096; the serving layer never enumerates it).
 //   - branch: candidate tokens per context (e.g. 16).
@@ -255,7 +238,7 @@ type SyntheticLM struct {
 //     sharpness ≈ 1.6 yields top-1 probability ≈ 0.6, typical of instruct
 //     LLMs under greedy-ish sampling.
 //   - tail: probability mass outside the candidate set (e.g. 0.02).
-func NewSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail float64) (*SyntheticLM, error) {
+func newSyntheticLM(seed uint64, vocab, branch int, sharpness, tail float64) (*SyntheticLM, error) {
 	if vocab < 2 || branch < 1 || branch > vocab {
 		return nil, fmt.Errorf("lm: bad vocab/branch %d/%d", vocab, branch)
 	}
@@ -274,23 +257,20 @@ func NewSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail
 		}
 	}
 	return &SyntheticLM{
-		name: name, seed: seed, vocab: vocab, branch: branch,
+		seed: seed, vocab: vocab, branch: branch,
 		weights: w, tail: tail, strictOrder: strict,
 		buf: make([]TokenProb, 0, branch),
 	}, nil
 }
 
 // MustSyntheticLM panics on construction error; for fixed experiment setups.
-func MustSyntheticLM(name string, seed uint64, vocab, branch int, sharpness, tail float64) *SyntheticLM {
-	m, err := NewSyntheticLM(name, seed, vocab, branch, sharpness, tail)
+func MustSyntheticLM(seed uint64, vocab, branch int, sharpness, tail float64) *SyntheticLM {
+	m, err := newSyntheticLM(seed, vocab, branch, sharpness, tail)
 	if err != nil {
 		panic(err)
 	}
 	return m
 }
-
-// Name implements Model.
-func (m *SyntheticLM) Name() string { return m.name }
 
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
@@ -321,7 +301,7 @@ func (m *SyntheticLM) computeDist(h uint64) Dist {
 		}
 		entries = append(entries, TokenProb{Token: tok, Prob: m.weights[len(entries)]})
 	}
-	return Dist{Entries: entries, Tail: m.tail, Vocab: m.vocab}
+	return Dist{Entries: entries, tail: m.tail, vocab: m.vocab}
 }
 
 // DraftLM approximates a target model with tunable alignment, mimicking a
@@ -343,7 +323,6 @@ func (m *SyntheticLM) computeDist(h uint64) Dist {
 //
 // alpha = 1 is a perfect draft; alpha = 0 disagrees everywhere.
 type DraftLM struct {
-	name   string
 	target *SyntheticLM
 	alpha  float64
 	seed   uint64
@@ -351,29 +330,26 @@ type DraftLM struct {
 	buf []TokenProb
 }
 
-// NewDraftLM builds a draft for target with the given per-context agreement
+// newDraftLM builds a draft for target with the given per-context agreement
 // rate alpha in [0, 1]. seed controls which contexts the draft gets wrong.
-func NewDraftLM(name string, target *SyntheticLM, alpha float64, seed uint64) (*DraftLM, error) {
+func newDraftLM(target *SyntheticLM, alpha float64, seed uint64) (*DraftLM, error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("lm: alpha %g out of [0,1]", alpha)
 	}
 	return &DraftLM{
-		name: name, target: target, alpha: alpha, seed: seed,
+		target: target, alpha: alpha, seed: seed,
 		buf: make([]TokenProb, 0, target.branch),
 	}, nil
 }
 
 // MustDraftLM panics on construction error.
-func MustDraftLM(name string, target *SyntheticLM, alpha float64, seed uint64) *DraftLM {
-	d, err := NewDraftLM(name, target, alpha, seed)
+func MustDraftLM(target *SyntheticLM, alpha float64, seed uint64) *DraftLM {
+	d, err := newDraftLM(target, alpha, seed)
 	if err != nil {
 		panic(err)
 	}
 	return d
 }
-
-// Name implements Model.
-func (d *DraftLM) Name() string { return d.name }
 
 // Dist implements Model. The result is built in the draft's entry buffer,
 // so no call allocates.
@@ -391,7 +367,7 @@ func (d *DraftLM) computeDist(hd, ht uint64) Dist {
 	entries := append(d.buf[:0], p.Entries...)
 	u := float64(hd>>11) / (1 << 53)
 	if u < d.alpha || len(entries) < 2 {
-		return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}
+		return Dist{Entries: entries, tail: p.tail, vocab: p.vocab}
 	}
 	// Mistaken context: swap the top token's probability with that of a
 	// lower-ranked candidate (rank drawn from the context hash, biased
@@ -413,7 +389,7 @@ func (d *DraftLM) computeDist(hd, ht uint64) Dist {
 			return entries[a].Token < entries[b].Token
 		})
 	}
-	return Dist{Entries: entries, Tail: p.Tail, Vocab: p.Vocab}
+	return Dist{Entries: entries, tail: p.tail, vocab: p.vocab}
 }
 
 // disagreeRank draws the target rank a mistaken draft confuses with the top:

@@ -19,7 +19,7 @@ func ctxOf(seed uint64, hist []Token) Context {
 
 func newTarget(t *testing.T) *SyntheticLM {
 	t.Helper()
-	return MustSyntheticLM("target", 1, 4096, 16, 3.2, 0.02)
+	return MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 }
 
 func TestSyntheticLMConstruction(t *testing.T) {
@@ -36,7 +36,7 @@ func TestSyntheticLMConstruction(t *testing.T) {
 		{4096, 16, 0, 0, true}, // uniform is allowed
 	}
 	for _, c := range cases {
-		_, err := NewSyntheticLM("m", 1, c.vocab, c.branch, c.sharpness, c.tail)
+		_, err := newSyntheticLM(1, c.vocab, c.branch, c.sharpness, c.tail)
 		if (err == nil) != c.ok {
 			t.Errorf("NewSyntheticLM(%+v): err=%v", c, err)
 		}
@@ -47,7 +47,7 @@ func TestDistNormalized(t *testing.T) {
 	m := newTarget(t)
 	for i := uint64(0); i < 50; i++ {
 		d := m.Dist(Context{ReqSeed: i})
-		if err := d.Validate(); err != nil {
+		if err := d.validate(); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 	}
@@ -131,8 +131,8 @@ func TestDistProbAndTopK(t *testing.T) {
 	if top[0].Token != d.Argmax() {
 		t.Fatal("TopK[0] != Argmax")
 	}
-	if got := d.Prob(top[0].Token); got != top[0].Prob {
-		t.Fatalf("Prob(top) = %g, want %g", got, top[0].Prob)
+	if got := prob(d, top[0].Token); got != top[0].Prob {
+		t.Fatalf("prob(top) = %g, want %g", got, top[0].Prob)
 	}
 	if d.TopK(100)[0] != top[0] {
 		t.Fatal("oversized TopK should clip")
@@ -140,12 +140,12 @@ func TestDistProbAndTopK(t *testing.T) {
 	// Tail token probability is tiny but nonzero.
 	var missing Token
 	for tok := Token(0); ; tok++ {
-		if d.Prob(tok) < 1e-4 {
+		if prob(d, tok) < 1e-4 {
 			missing = tok
 			break
 		}
 	}
-	if p := d.Prob(missing); p <= 0 || p > 1e-4 {
+	if p := prob(d, missing); p <= 0 || p > 1e-4 {
 		t.Fatalf("tail token prob %g", p)
 	}
 }
@@ -172,8 +172,8 @@ func TestDistSampleMatchesProbabilities(t *testing.T) {
 }
 
 func TestSharpnessControlsTopProbability(t *testing.T) {
-	soft := MustSyntheticLM("soft", 1, 4096, 16, 1.0, 0.02)
-	sharp := MustSyntheticLM("sharp", 1, 4096, 16, 3.2, 0.02)
+	soft := MustSyntheticLM(1, 4096, 16, 1.0, 0.02)
+	sharp := MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 	var softTop, sharpTop float64
 	for i := uint64(0); i < 100; i++ {
 		softTop += soft.Dist(Context{ReqSeed: i}).Entries[0].Prob
@@ -210,8 +210,8 @@ func TestContextWindowSlides(t *testing.T) {
 	}
 	want := []Token{6, 7, 8, 9}
 	got := ctx.win[:ctx.n]
-	if len(got) != HistoryWindow {
-		t.Fatalf("window length %d, want %d", len(got), HistoryWindow)
+	if len(got) != historyWindow {
+		t.Fatalf("window length %d, want %d", len(got), historyWindow)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -222,20 +222,20 @@ func TestContextWindowSlides(t *testing.T) {
 
 func TestDraftAlphaBounds(t *testing.T) {
 	target := newTarget(t)
-	if _, err := NewDraftLM("d", target, -0.1, 1); err == nil {
+	if _, err := newDraftLM(target, -0.1, 1); err == nil {
 		t.Error("alpha < 0 accepted")
 	}
-	if _, err := NewDraftLM("d", target, 1.1, 1); err == nil {
+	if _, err := newDraftLM(target, 1.1, 1); err == nil {
 		t.Error("alpha > 1 accepted")
 	}
-	if _, err := NewDraftLM("d", target, 0.5, 1); err != nil {
+	if _, err := newDraftLM(target, 0.5, 1); err != nil {
 		t.Errorf("alpha 0.5 rejected: %v", err)
 	}
 }
 
 func TestDraftPerfectAlignment(t *testing.T) {
 	target := newTarget(t)
-	draft := MustDraftLM("d", target, 1.0, 2)
+	draft := MustDraftLM(target, 1.0, 2)
 	for i := uint64(0); i < 20; i++ {
 		ctx := Context{ReqSeed: i}
 		p := cloneDist(target.Dist(ctx))
@@ -251,7 +251,7 @@ func TestDraftPerfectAlignment(t *testing.T) {
 func TestDraftAgreementRate(t *testing.T) {
 	target := newTarget(t)
 	for _, alpha := range []float64{0.5, 0.8, 0.9} {
-		draft := MustDraftLM("d", target, alpha, 7)
+		draft := MustDraftLM(target, alpha, 7)
 		agree := 0
 		const n = 5000
 		for i := uint64(0); i < n; i++ {
@@ -269,7 +269,7 @@ func TestDraftAgreementRate(t *testing.T) {
 
 func TestDraftMistakesAreNearMisses(t *testing.T) {
 	target := newTarget(t)
-	draft := MustDraftLM("d", target, 0.0, 7) // disagree everywhere
+	draft := MustDraftLM(target, 0.0, 7) // disagree everywhere
 	nearMiss := 0
 	const n = 2000
 	for i := uint64(0); i < n; i++ {
@@ -291,14 +291,14 @@ func TestDraftMistakesAreNearMisses(t *testing.T) {
 
 func TestDraftDistNormalized(t *testing.T) {
 	target := newTarget(t)
-	draft := MustDraftLM("d", target, 0.7, 3)
+	draft := MustDraftLM(target, 0.7, 3)
 	err := quick.Check(func(seed uint64, toks []uint8) bool {
 		hist := make([]Token, len(toks))
 		for i, b := range toks {
 			hist[i] = Token(b)
 		}
 		d := draft.Dist(ctxOf(seed, hist))
-		return d.Validate() == nil
+		return d.validate() == nil
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -306,16 +306,16 @@ func TestDraftDistNormalized(t *testing.T) {
 }
 
 func TestDistValidateCatchesBadDists(t *testing.T) {
-	bad := Dist{Entries: []TokenProb{{Token: 1, Prob: 0.5}, {Token: 2, Prob: 0.6}}, Tail: 0, Vocab: 10}
-	if bad.Validate() == nil {
+	bad := Dist{Entries: []TokenProb{{Token: 1, Prob: 0.5}, {Token: 2, Prob: 0.6}}, tail: 0, vocab: 10}
+	if bad.validate() == nil {
 		t.Error("unsorted dist validated")
 	}
-	bad2 := Dist{Entries: []TokenProb{{Token: 1, Prob: 0.5}}, Tail: 0, Vocab: 10}
-	if bad2.Validate() == nil {
+	bad2 := Dist{Entries: []TokenProb{{Token: 1, Prob: 0.5}}, tail: 0, vocab: 10}
+	if bad2.validate() == nil {
 		t.Error("non-normalized dist validated")
 	}
-	bad3 := Dist{Entries: []TokenProb{{Token: 1, Prob: -0.5}, {Token: 2, Prob: 1.5}}, Tail: 0, Vocab: 10}
-	if bad3.Validate() == nil {
+	bad3 := Dist{Entries: []TokenProb{{Token: 1, Prob: -0.5}, {Token: 2, Prob: 1.5}}, tail: 0, vocab: 10}
+	if bad3.validate() == nil {
 		t.Error("negative prob validated")
 	}
 }

@@ -9,15 +9,14 @@ import (
 
 func newPair(t *testing.T, alpha float64) (*SyntheticLM, *DraftLM) {
 	t.Helper()
-	target := MustSyntheticLM("target", 1, 4096, 16, 3.2, 0.02)
-	draft := MustDraftLM("draft", target, alpha, 2)
+	target := MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := MustDraftLM(target, alpha, 2)
 	return target, draft
 }
 
 func TestRuleString(t *testing.T) {
 	if RuleSampleMatch.String() != "sample-match" ||
-		RuleGreedy.String() != "greedy" ||
-		RuleRejection.String() != "rejection" {
+		RuleGreedy.String() != "greedy" {
 		t.Fatal("rule names wrong")
 	}
 	if VerifyRule(99).String() == "" {
@@ -26,8 +25,8 @@ func TestRuleString(t *testing.T) {
 }
 
 func TestGreedyRuleAcceptsArgmax(t *testing.T) {
-	target, draft := newPair(t, 1.0)
-	v := NewVerifier(target, draft, RuleGreedy, mathutil.NewRNG(1))
+	target, _ := newPair(t, 1.0)
+	v := NewVerifier(target, RuleGreedy, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 5}
 	top := target.Dist(ctx).Argmax()
 	idx, _ := v.AcceptAmong(ctx, []Branch{{Token: top}})
@@ -44,8 +43,8 @@ func TestSampleMatchAcceptanceIsCalibrated(t *testing.T) {
 	// The acceptance probability of a branch must equal the target's
 	// probability of that token — the calibration property that makes the
 	// draft's f(v) estimates meaningful (paper Eq. 7).
-	target, draft := newPair(t, 1.0)
-	v := NewVerifier(target, draft, RuleSampleMatch, mathutil.NewRNG(1))
+	target, _ := newPair(t, 1.0)
+	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 9}
 	p := target.Dist(ctx)
 	branch := p.Entries[0]
@@ -64,8 +63,8 @@ func TestSampleMatchAcceptanceIsCalibrated(t *testing.T) {
 
 func TestSampleMatchMultiBranchCoverage(t *testing.T) {
 	// With all candidate tokens as branches, acceptance covers 1 − tail.
-	target, draft := newPair(t, 1.0)
-	v := NewVerifier(target, draft, RuleSampleMatch, mathutil.NewRNG(1))
+	target, _ := newPair(t, 1.0)
+	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 13}
 	p := target.Dist(ctx)
 	branches := make([]Branch, len(p.Entries))
@@ -80,7 +79,7 @@ func TestSampleMatchMultiBranchCoverage(t *testing.T) {
 		}
 	}
 	got := float64(accepted) / n
-	want := 1 - p.Tail
+	want := 1 - p.tail
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("full-branch acceptance %.3f, want %.3f", got, want)
 	}
@@ -89,8 +88,8 @@ func TestSampleMatchMultiBranchCoverage(t *testing.T) {
 func TestSampleMatchCorrectionDistribution(t *testing.T) {
 	// The correction token is a true sample from p: over many rejections
 	// with no branches, frequencies track the distribution.
-	target, draft := newPair(t, 1.0)
-	v := NewVerifier(target, draft, RuleSampleMatch, mathutil.NewRNG(1))
+	target, _ := newPair(t, 1.0)
+	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 17}
 	p := cloneDist(target.Dist(ctx))
 	counts := make(map[Token]int)
@@ -106,58 +105,20 @@ func TestSampleMatchCorrectionDistribution(t *testing.T) {
 	}
 }
 
-func TestRejectionRuleLosslessOnPerfectDraft(t *testing.T) {
-	// With q == p, rejection sampling accepts the first branch whenever it
-	// carries positive residual mass (min(1, p/q) = 1).
-	target, draft := newPair(t, 1.0)
-	v := NewVerifier(target, draft, RuleRejection, mathutil.NewRNG(1))
-	ctx := Context{ReqSeed: 21}
-	top := target.Dist(ctx).Argmax()
-	for i := 0; i < 100; i++ {
-		idx, _ := v.AcceptAmong(ctx, []Branch{{Token: top}})
-		if idx != 0 {
-			t.Fatal("rejection rule with q=p should always accept the proposal")
-		}
-	}
-}
-
-func TestRejectionRuleRejectsOverconfidentDraft(t *testing.T) {
-	// A draft token with q >> p must be rejected some of the time.
-	target, _ := newPair(t, 1.0)
-	draft := MustDraftLM("bad", target, 0.0, 99) // always mistaken
-	v := NewVerifier(target, draft, RuleRejection, mathutil.NewRNG(1))
-	rejected := 0
-	const n = 2000
-	for i := uint64(0); i < n; i++ {
-		ctx := Context{ReqSeed: i}
-		wrongTop := draft.Dist(ctx).Argmax()
-		if wrongTop == target.Dist(ctx).Argmax() {
-			continue // swap was a no-op for this context
-		}
-		if idx, _ := v.AcceptAmong(ctx, []Branch{{Token: wrongTop}}); idx < 0 {
-			rejected++
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("overconfident wrong drafts were never rejected")
-	}
-}
-
 // TestVerifierMatchesFreshReference pins the Dist lifetime contract against
 // a reference whose every Dist is freshly allocated. Under each rule, the
 // verifier must decide identically over the raw models and over freshModel
 // wrappers, although between decisions the raw models' buffers are rebuilt
 // by calls on other contexts: the branches come from a draft Dist held
 // across a target call, and a draft call on another context precedes each
-// decision. The tightest case is the rejection rule, which holds the
-// target's p across the draft's Dist call on the same context.
+// decision.
 func TestVerifierMatchesFreshReference(t *testing.T) {
 	run := func(rule VerifyRule, fresh bool) []int {
 		var target, draft Model = newPair(t, 0.6)
 		if fresh {
 			target, draft = freshModel{target}, freshModel{draft}
 		}
-		v := NewVerifier(target, draft, rule, mathutil.NewRNG(31))
+		v := NewVerifier(target, rule, mathutil.NewRNG(31))
 		out := make([]int, 0, 1200)
 		walkContexts(200, func(ctx Context) {
 			q := draft.Dist(ctx)
@@ -173,7 +134,7 @@ func TestVerifierMatchesFreshReference(t *testing.T) {
 		})
 		return out
 	}
-	for _, rule := range []VerifyRule{RuleSampleMatch, RuleGreedy, RuleRejection} {
+	for _, rule := range []VerifyRule{RuleSampleMatch, RuleGreedy} {
 		t.Run(rule.String(), func(t *testing.T) {
 			raw, ref := run(rule, false), run(rule, true)
 			if len(raw) != len(ref) {
@@ -188,64 +149,10 @@ func TestVerifierMatchesFreshReference(t *testing.T) {
 	}
 }
 
-// TestResidualSampleAvoidsDoubleCounting checks the rejection rule's
-// residual after one candidate and one tail token are rejected: the rejected
-// tail token's share leaves the tail (total mass = 1 − rejected mass), a
-// tail draw never lands on an explicit token, and every token is sampled at
-// its normalized residual probability.
-func TestResidualSampleAvoidsDoubleCounting(t *testing.T) {
-	// Large tail and tiny vocab make tail hits and collisions frequent.
-	m := MustSyntheticLM("m", 1, 32, 8, 1.0, 0.4)
-	d := m.Dist(Context{ReqSeed: 2})
-	cand := make(map[Token]bool, len(d.Entries))
-	for _, e := range d.Entries {
-		cand[e.Token] = true
-	}
-	var tailTok Token
-	for cand[tailTok] {
-		tailTok++
-	}
-	share := d.Tail / float64(d.Vocab-len(d.Entries))
-	c := d.Entries[1]
-
-	r := newResidual(d)
-	r.subtract(c.Token, c.Prob)  // candidate fully rejected: residual 0
-	r.subtract(tailTok, share/2) // tail token half rejected
-	wantTotal := 1 - c.Prob - share/2
-	if math.Abs(r.total-wantTotal) > 1e-12 {
-		t.Fatalf("residual total %.6f, want %.6f (tail share counted twice?)", r.total, wantTotal)
-	}
-
-	want := make(map[Token]float64, d.Vocab)
-	for tok := Token(0); tok < Token(d.Vocab); tok++ {
-		want[tok] = share / wantTotal
-	}
-	for _, e := range d.Entries {
-		want[e.Token] = e.Prob / wantTotal
-	}
-	want[c.Token] = 0
-	want[tailTok] = share / 2 / wantTotal
-
-	rng := mathutil.NewRNG(77)
-	counts := make(map[Token]int)
-	const n = 200000
-	for i := 0; i < n; i++ {
-		counts[r.sample(rng, d.Argmax())]++
-	}
-	if counts[c.Token] != 0 {
-		t.Fatalf("fully rejected token %d sampled %d times", c.Token, counts[c.Token])
-	}
-	for tok, p := range want {
-		if got := float64(counts[tok]) / n; math.Abs(got-p) > 0.01 {
-			t.Fatalf("token %d sampled %.4f, want %.4f", tok, got, p)
-		}
-	}
-}
-
 func TestVerifierDeterministicGivenSeed(t *testing.T) {
 	target, draft := newPair(t, 0.8)
 	run := func() []int {
-		v := NewVerifier(target, draft, RuleSampleMatch, mathutil.NewRNG(55))
+		v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(55))
 		out := make([]int, 0, 100)
 		for i := uint64(0); i < 100; i++ {
 			ctx := Context{ReqSeed: i}
@@ -268,7 +175,7 @@ func TestChainAcceptanceBand(t *testing.T) {
 	// should land in the per-level acceptance band the experiments assume
 	// (per-level ~0.6-0.8 given alpha=0.88 and the sharp target).
 	target, draft := newPair(t, 0.88)
-	v := NewVerifier(target, draft, RuleSampleMatch, mathutil.NewRNG(7))
+	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(7))
 	var totalAccepted, chains int
 	for i := uint64(0); i < 500; i++ {
 		ctx := Context{ReqSeed: i}

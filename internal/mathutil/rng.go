@@ -20,8 +20,8 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Uint64 returns the next value in the stream.
-func (r *RNG) Uint64() uint64 {
+// next returns the next value in the stream.
+func (r *RNG) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -31,7 +31,7 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniformly distributed value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Intn returns a uniformly distributed value in [0, n). It panics if n <= 0.
@@ -39,7 +39,7 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("mathutil: Intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(r.next() % uint64(n))
 }
 
 // ExpFloat64 returns an exponentially distributed value with rate 1, via
@@ -53,9 +53,9 @@ func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(1 - u)
 }
 
-// NormFloat64 returns a normally distributed value with mean 0 and standard
+// normFloat64 returns a normally distributed value with mean 0 and standard
 // deviation 1 using the Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) normFloat64() float64 {
 	u1 := r.Float64()
 	u2 := r.Float64()
 	if u1 <= 0 {
@@ -67,7 +67,7 @@ func (r *RNG) NormFloat64() float64 {
 // LogNormal returns a log-normally distributed value where the underlying
 // normal has the given mu and sigma.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + sigma*r.normFloat64())
 }
 
 // SplitMix64 advances a splitmix64 state and returns the next output without

@@ -10,7 +10,7 @@ func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatalf("streams diverged at step %d", i)
 		}
 	}
@@ -21,7 +21,7 @@ func TestRNGSeedsDiffer(t *testing.T) {
 	b := NewRNG(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.next() == b.next() {
 			same++
 		}
 	}
@@ -99,7 +99,7 @@ func TestNormFloat64Moments(t *testing.T) {
 	var sum, sumSq float64
 	const n = 100000
 	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
+		v := r.normFloat64()
 		sum += v
 		sumSq += v * v
 	}

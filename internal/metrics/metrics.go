@@ -42,7 +42,7 @@ func (b Breakdown) SchedulingShare() float64 {
 // CategoryStats summarizes one request category.
 type CategoryStats struct {
 	Requests int
-	Attained int
+	attained int
 	// MeanTPOT is the average per-token latency across requests, seconds.
 	MeanTPOT float64
 	// TPOT is the class's streaming TPOT histogram over finished requests —
@@ -55,7 +55,7 @@ func (c CategoryStats) Attainment() float64 {
 	if c.Requests == 0 {
 		return 0
 	}
-	return float64(c.Attained) / float64(c.Requests)
+	return float64(c.attained) / float64(c.Requests)
 }
 
 // Summary aggregates a full run.
@@ -69,8 +69,8 @@ type Summary struct {
 	// Requests).
 	TTFTAttained int
 
-	// Duration is the wall-clock span from first arrival to last completion.
-	Duration float64
+	// duration is the wall-clock span from first arrival to last completion.
+	duration float64
 	// Goodput is output tokens/second counting only SLO-attaining requests.
 	Goodput float64
 	// Throughput is output tokens/second counting all requests.
@@ -178,11 +178,11 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 		totalAccepted += r.AcceptedTokens
 		if r.AttainedSLO() {
 			s.Attained++
-			cs.Attained++
+			cs.attained++
 		}
 	}
-	s.Duration = lastDone - firstArrival
-	if s.Duration > 0 {
+	s.duration = lastDone - firstArrival
+	if s.duration > 0 {
 		var goodTokens, allTokens int
 		for _, r := range reqs {
 			if r.Phase != request.Done {
@@ -193,8 +193,8 @@ func Summarize(system string, reqs []*request.Request, breakdown Breakdown) *Sum
 				goodTokens += r.OutputLen()
 			}
 		}
-		s.Goodput = float64(goodTokens) / s.Duration
-		s.Throughput = float64(allTokens) / s.Duration
+		s.Goodput = float64(goodTokens) / s.duration
+		s.Throughput = float64(allTokens) / s.duration
 	}
 	if totalSteps > 0 {
 		s.MeanAcceptedPerStep = float64(totalAccepted) / float64(totalSteps)

@@ -60,9 +60,9 @@ func TestSummarizeGoodputExcludesViolators(t *testing.T) {
 	// Recompute: r2 at 45ms < 50 attains. Force a violation instead.
 	reqs[1] = finished(2, request.Chat, 0.05, 0, 1.2, 20) // 60ms violates
 	s := Summarize("sys", reqs, Breakdown{})
-	// Duration = last done (1.2) - first arrival (0) = 1.2.
-	if math.Abs(s.Duration-1.2) > 1e-12 {
-		t.Fatalf("duration %g", s.Duration)
+	// duration = last done (1.2) - first arrival (0) = 1.2.
+	if math.Abs(s.duration-1.2) > 1e-12 {
+		t.Fatalf("duration %g", s.duration)
 	}
 	wantGood := 10 / 1.2
 	if math.Abs(s.Goodput-wantGood) > 1e-9 {
@@ -82,7 +82,7 @@ func TestSummarizePerCategory(t *testing.T) {
 	}
 	s := Summarize("sys", reqs, Breakdown{})
 	c := s.PerCategory[request.Coding]
-	if c.Requests != 2 || c.Attained != 1 {
+	if c.Requests != 2 || c.attained != 1 {
 		t.Fatalf("coding stats %+v", c)
 	}
 	if math.Abs(c.MeanTPOT-0.04) > 1e-9 {

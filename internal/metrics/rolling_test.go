@@ -235,8 +235,8 @@ func TestRollingMatchesSummarize(t *testing.T) {
 	}
 	for cat, cs := range sum.PerCategory {
 		cls := st.PerClass[cat]
-		if cls.Finished != cs.Requests || cls.Attained != cs.Attained {
-			t.Fatalf("class %v: %d/%d vs %d/%d", cat, cls.Attained, cls.Finished, cs.Attained, cs.Requests)
+		if cls.Finished != cs.Requests || cls.Attained != cs.attained {
+			t.Fatalf("class %v: %d/%d vs %d/%d", cat, cls.Attained, cls.Finished, cs.attained, cs.Requests)
 		}
 	}
 }

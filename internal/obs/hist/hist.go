@@ -25,15 +25,15 @@ const (
 	// tracked exact min/max.
 	minExp = -20
 	maxExp = 18
-	// NumBuckets is the fixed bucket-array length — the histogram's whole
+	// numBuckets is the fixed bucket-array length — the histogram's whole
 	// memory footprint, independent of observation count.
-	NumBuckets = (maxExp - minExp) * subCount
+	numBuckets = (maxExp - minExp) * subCount
 )
 
 // Histogram is a streaming log-bucketed histogram. The zero value is ready
 // to use. Histograms are not safe for concurrent use.
 type Histogram struct {
-	counts [NumBuckets]int64
+	counts [numBuckets]int64
 	count  int64
 	sum    float64
 	min    float64
@@ -51,14 +51,14 @@ func bucketIndex(v float64) int {
 		return 0 // zero, negative and NaN observations share the first bucket
 	}
 	if math.IsInf(v, 1) {
-		return NumBuckets - 1
+		return numBuckets - 1
 	}
 	frac, exp := math.Frexp(v) // v = frac × 2^exp, frac ∈ [0.5, 1)
 	if exp < minExp {
 		return 0
 	}
 	if exp >= maxExp {
-		return NumBuckets - 1
+		return numBuckets - 1
 	}
 	sub := int((frac - 0.5) * (2 * subCount))
 	return (exp-minExp)*subCount + sub
@@ -118,18 +118,18 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Min returns the smallest value observed (exact), or 0 when empty. After
+// minimum returns the smallest value observed (exact), or 0 when empty. After
 // Remove it may be stale — see Remove.
-func (h *Histogram) Min() float64 {
+func (h *Histogram) minimum() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.min
 }
 
-// Max returns the largest value observed (exact), or 0 when empty. After
+// maximum returns the largest value observed (exact), or 0 when empty. After
 // Remove it may be stale — see Remove.
-func (h *Histogram) Max() float64 {
+func (h *Histogram) maximum() float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -205,8 +205,8 @@ type Digest struct {
 func (h *Histogram) Digest() Digest {
 	return Digest{
 		Count: h.count,
-		Min:   h.Min(),
-		Max:   h.Max(),
+		Min:   h.minimum(),
+		Max:   h.maximum(),
 		P50:   h.Percentile(50),
 		P90:   h.Percentile(90),
 		P99:   h.Percentile(99),

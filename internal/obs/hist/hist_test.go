@@ -10,7 +10,7 @@ import (
 
 func TestEmpty(t *testing.T) {
 	h := New()
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.minimum() != 0 || h.maximum() != 0 {
 		t.Fatalf("empty histogram not zero: %+v", h.Digest())
 	}
 	if p := h.Percentile(50); p != 0 {
@@ -30,7 +30,7 @@ func TestSingleObservationExact(t *testing.T) {
 			t.Fatalf("Percentile(%g) = %g, want exact 0.042", p, got)
 		}
 	}
-	if h.Mean() != 0.042 || h.Min() != 0.042 || h.Max() != 0.042 {
+	if h.Mean() != 0.042 || h.minimum() != 0.042 || h.maximum() != 0.042 {
 		t.Fatalf("single-value stats: %+v", h.Digest())
 	}
 }
@@ -64,8 +64,8 @@ func TestOutOfRangeValues(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if h.Min() != -1 || !math.IsInf(h.Max(), 1) {
-		t.Fatalf("min/max = %g/%g", h.Min(), h.Max())
+	if h.minimum() != -1 || !math.IsInf(h.maximum(), 1) {
+		t.Fatalf("min/max = %g/%g", h.minimum(), h.maximum())
 	}
 	var total int64
 	h.Buckets(func(_ float64, c int64) { total += c })

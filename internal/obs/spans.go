@@ -33,8 +33,8 @@ type Phase struct {
 	Instance int `json:"instance"`
 }
 
-// Mark is one instantaneous annotation on a request's timeline.
-type Mark struct {
+// mark is one instantaneous annotation on a request's timeline.
+type mark struct {
 	// Name labels the annotation: "first-token", "commit", "slo-tpot",
 	// "slo-ttft", "degraded", "rejected", "retry" or "hedged".
 	Name string  `json:"name"`
@@ -79,7 +79,7 @@ type Timeline struct {
 	// Phases are the contiguous lifecycle spans in time order; Marks the
 	// instantaneous annotations in event-delivery order.
 	Phases []Phase `json:"phases"`
-	Marks  []Mark  `json:"marks"`
+	Marks  []mark  `json:"marks"`
 
 	admitInstance int
 	migrations    []migration
@@ -119,7 +119,7 @@ func (sr *SpanRecorder) OnEvent(ev serve.Event) {
 		tl := sr.timeline(e.Req)
 		tl.Class = e.From.String()
 		tl.DegradedTo = e.To.String()
-		tl.Marks = append(tl.Marks, Mark{
+		tl.Marks = append(tl.Marks, mark{
 			Name: "degraded", Time: e.Time, Instance: -1,
 			Detail: fmt.Sprintf("%s→%s: %s", e.From, e.To, e.Reason),
 		})
@@ -129,31 +129,31 @@ func (sr *SpanRecorder) OnEvent(ev serve.Event) {
 	case serve.RequestRejected:
 		tl := sr.timeline(e.Req)
 		tl.Rejected = true
-		tl.Marks = append(tl.Marks, Mark{Name: "rejected", Time: e.Time, Instance: -1, Detail: e.Reason})
+		tl.Marks = append(tl.Marks, mark{Name: "rejected", Time: e.Time, Instance: -1, Detail: e.Reason})
 		sr.retire(tl)
 	case serve.RequestMigrated:
 		tl := sr.timeline(e.Req)
 		tl.migrations = append(tl.migrations, migration{to: e.To, depart: e.Depart, arrive: e.Time})
 	case serve.FirstToken:
 		tl := sr.timeline(e.Req)
-		tl.Marks = append(tl.Marks, Mark{Name: "first-token", Time: e.Time, Instance: e.Instance})
+		tl.Marks = append(tl.Marks, mark{Name: "first-token", Time: e.Time, Instance: e.Instance})
 	case serve.TokensCommitted:
 		tl := sr.timeline(e.Req)
-		tl.Marks = append(tl.Marks, Mark{Name: "commit", Time: e.Time, Instance: e.Instance, Tokens: e.Tokens})
+		tl.Marks = append(tl.Marks, mark{Name: "commit", Time: e.Time, Instance: e.Instance, Tokens: e.Tokens})
 	case serve.SLOViolated:
 		tl := sr.timeline(e.Req)
-		tl.Marks = append(tl.Marks, Mark{Name: "slo-" + e.Kind.String(), Time: e.Time, Instance: e.Instance})
+		tl.Marks = append(tl.Marks, mark{Name: "slo-" + e.Kind.String(), Time: e.Time, Instance: e.Instance})
 	case serve.RequestRetried:
 		tl := sr.timeline(e.Req)
 		tl.Retries++
-		tl.Marks = append(tl.Marks, Mark{
+		tl.Marks = append(tl.Marks, mark{
 			Name: "retry", Time: e.Time, Instance: e.Instance,
 			Detail: fmt.Sprintf("attempt %d", e.Attempt),
 		})
 	case serve.RequestHedged:
 		tl := sr.timeline(e.Req)
 		tl.Hedges++
-		tl.Marks = append(tl.Marks, Mark{Name: "hedged", Time: e.Time, Instance: e.Instance})
+		tl.Marks = append(tl.Marks, mark{Name: "hedged", Time: e.Time, Instance: e.Instance})
 	case serve.RequestFinished:
 		tl := sr.timeline(e.Req)
 		tl.Finish = e.Req.DoneTime

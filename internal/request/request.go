@@ -374,9 +374,9 @@ func (r *Request) finishCommit(kept int, now float64) {
 	}
 }
 
-// DecodeLatency returns l_i: the time elapsed since the first decode step.
+// decodeLatency returns l_i: the time elapsed since the first decode step.
 // Zero before decoding starts.
-func (r *Request) DecodeLatency(now float64) float64 {
+func (r *Request) decodeLatency(now float64) float64 {
 	if r.FirstDecodeTime < 0 {
 		return 0
 	}
@@ -397,7 +397,7 @@ func (r *Request) MinAcceptForSLO(now, tspec float64) float64 {
 // letting schedulers aim below the contractual SLO (a safety margin that
 // absorbs prefill interruptions between decode iterations).
 func (r *Request) MinAcceptFor(now, tspec, target float64) float64 {
-	return (r.DecodeLatency(now)+tspec)/target - float64(r.OutputLen())
+	return (r.decodeLatency(now)+tspec)/target - float64(r.OutputLen())
 }
 
 // AvgTPOT returns the request's average per-token latency measured from the

@@ -181,11 +181,11 @@ func TestLastTokenBeforeOutput(t *testing.T) {
 
 func TestDecodeLatency(t *testing.T) {
 	r := newReq(t)
-	if r.DecodeLatency(99) != 0 {
+	if r.decodeLatency(99) != 0 {
 		t.Fatal("latency before decoding should be 0")
 	}
 	r.FirstDecodeTime = 10
-	if got := r.DecodeLatency(12.5); got != 2.5 {
+	if got := r.decodeLatency(12.5); got != 2.5 {
 		t.Fatalf("latency %g", got)
 	}
 }

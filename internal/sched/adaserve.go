@@ -15,21 +15,21 @@ import (
 // budget, and adaptive speculation parameters (Eq. 8–9).
 type AdaServe struct {
 	base
-	// Controller adapts the speculation depth and width to load.
-	Controller core.Controller
-	// Profile is the fitted roofline of the verifier (target model).
-	Profile *gpu.Profile
-	// VerifyBudget is B: the per-iteration verification token budget chosen
+	// controller adapts the speculation depth and width to load.
+	controller core.Controller
+	// profile is the fitted roofline of the verifier (target model).
+	profile *gpu.Profile
+	// verifyBudget is B: the per-iteration verification token budget chosen
 	// from the profile ("an optimal budget that balances decoding
 	// throughput and latency").
-	VerifyBudget int
-	// NMax caps one request's draft-tree size during SLO-customized
+	verifyBudget int
+	// nMax caps one request's draft-tree size during SLO-customized
 	// selection (n_max in Algorithm 2); <= 0 disables the cap (ablation).
-	NMax int
-	// TokensPerRequest floors the budget at n x this under high load, so
+	nMax int
+	// tokensPerRequest floors the budget at n x this under high load, so
 	// heavy batches are not starved below what static speculation would
 	// spend (the profiled budget governs at low load).
-	TokensPerRequest int
+	tokensPerRequest int
 
 	// lastIterTime smooths the t_spec estimate used in A(r) with the
 	// previous iteration's actual duration.
@@ -62,7 +62,7 @@ type AdaServeDebug struct {
 	SumBudgetUsed int
 }
 
-// BudgetLatencyFactor sets AdaServe's verification latency target as a
+// budgetLatencyFactor sets AdaServe's verification latency target as a
 // multiple of the profiled flat-region (memory-bound) step latency; the
 // per-iteration token budget B is the largest token count whose
 // verification fits that target. 1.3 keeps B at the knee of the latency
@@ -70,7 +70,7 @@ type AdaServeDebug struct {
 // memory-bound floor, so the extra tokens are nearly free while every
 // iteration stays close to the baseline per-token latency the tight TPOT
 // SLOs are set against.
-const BudgetLatencyFactor = 1.3
+const budgetLatencyFactor = 1.3
 
 // selectCPUPerNode models the CPU cost of the selection phases per
 // candidate node (heap operations), in seconds.
@@ -106,7 +106,7 @@ func NewAdaServe(cfg Config, opts AdaServeOptions) (*AdaServe, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: profiling target: %w", err)
 	}
-	budget := prof.BudgetFor(BudgetLatencyFactor * prof.Base)
+	budget := prof.BudgetFor(budgetLatencyFactor * prof.Base)
 	var ctrl core.Controller
 	if opts.Controller != nil {
 		ctrl = *opts.Controller
@@ -122,13 +122,13 @@ func NewAdaServe(cfg Config, opts AdaServeOptions) (*AdaServe, error) {
 	}
 	return &AdaServe{
 		base:             b,
-		Controller:       ctrl,
+		controller:       ctrl,
 		baseDMax:         ctrl.DMax,
 		baseWMax:         ctrl.WMax,
-		Profile:          prof,
-		VerifyBudget:     budget,
-		NMax:             nmax,
-		TokensPerRequest: 4,
+		profile:          prof,
+		verifyBudget:     budget,
+		nMax:             nmax,
+		tokensPerRequest: 4,
 	}, nil
 }
 
@@ -139,7 +139,7 @@ func (a *AdaServe) Name() string { return "AdaServe" }
 // ceilings — the DMax/WMax bounds the per-iteration Eq. 8–9 evaluation
 // clips into.
 func (a *AdaServe) SpecEnvelope() (dmax, wmax int) {
-	return a.Controller.DMax, a.Controller.WMax
+	return a.controller.DMax, a.controller.WMax
 }
 
 // ClampSpecEnvelope retunes the speculation envelope at runtime: a
@@ -149,8 +149,8 @@ func (a *AdaServe) SpecEnvelope() (dmax, wmax int) {
 // what the system was built for; within the new ceilings the per-iteration
 // evaluation keeps adapting to load as before.
 func (a *AdaServe) ClampSpecEnvelope(dmax, wmax int) {
-	a.Controller.DMax = mathutil.ClipInt(dmax, a.Controller.DMin, a.baseDMax)
-	a.Controller.WMax = mathutil.ClipInt(wmax, 1, a.baseWMax)
+	a.controller.DMax = mathutil.ClipInt(dmax, a.controller.DMin, a.baseDMax)
+	a.controller.WMax = mathutil.ClipInt(wmax, 1, a.baseWMax)
 }
 
 // Iterate implements System: one full SLO-customized speculative decoding
@@ -174,8 +174,8 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	// Budget for this iteration: the profiled budget at low load, scaling
 	// with the batch under high load so requests are not starved below
 	// plain static speculation.
-	budget := a.VerifyBudget
-	if scaled := n * a.TokensPerRequest; scaled > budget {
+	budget := a.verifyBudget
+	if scaled := n * a.tokensPerRequest; scaled > budget {
 		budget = scaled
 	}
 	if budget < n {
@@ -184,7 +184,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 
 	// Adaptive control: (d, w) from the active-request count (Eq. 8–9),
 	// evaluated at this iteration's effective budget.
-	d, w := a.Controller.ParamsWithBudget(n, budget, budget)
+	d, w := a.controller.ParamsWithBudget(n, budget, budget)
 
 	// Step 1: speculation (beam search candidate trees).
 	spec, err := a.cfg.Engine.SpeculateBeams(decode, d, w)
@@ -195,7 +195,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	// Estimate t_spec (the iteration's duration) for the TPOT constraint:
 	// known speculation time + profiled verification time at the budget,
 	// smoothed with the previous iteration's actual duration.
-	tspec := spec.GPUTime + a.Profile.Latency(budget) + a.cfg.SchedOverhead
+	tspec := spec.GPUTime + a.profile.Latency(budget) + a.cfg.SchedOverhead
 	if a.lastIterTime > tspec {
 		tspec = a.lastIterTime
 	}
@@ -215,7 +215,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	// monopolizing the budget with low-probability nodes (Algorithm 2). It
 	// tracks twice the fair share so catching-up requests can overdraw,
 	// bounded by the configured cap and floored at d+1 (a full chain).
-	nmax := a.NMax
+	nmax := a.nMax
 	if nmax > 0 {
 		fair := 3 * budget / (2 * n)
 		if fair < d+1 {

@@ -24,13 +24,13 @@ func TestAdaServeConstruction(t *testing.T) {
 	if a.Name() != "AdaServe" {
 		t.Fatalf("name %q", a.Name())
 	}
-	if a.VerifyBudget <= 0 {
+	if a.verifyBudget <= 0 {
 		t.Fatal("no profiled budget")
 	}
-	if a.Profile == nil || a.Profile.Base <= 0 {
+	if a.profile == nil || a.profile.Base <= 0 {
 		t.Fatal("no profile")
 	}
-	if a.Controller.Validate() != nil {
+	if a.controller.Validate() != nil {
 		t.Fatal("invalid controller")
 	}
 }
@@ -42,16 +42,16 @@ func TestAdaServeConstruction(t *testing.T) {
 func TestAdaServeClampSpecEnvelope(t *testing.T) {
 	a := newAdaServe(t, AdaServeOptions{})
 	d0, w0 := a.SpecEnvelope()
-	if d0 != a.Controller.DMax || w0 != a.Controller.WMax {
-		t.Fatalf("envelope (%d,%d) disagrees with controller (%d,%d)", d0, w0, a.Controller.DMax, a.Controller.WMax)
+	if d0 != a.controller.DMax || w0 != a.controller.WMax {
+		t.Fatalf("envelope (%d,%d) disagrees with controller (%d,%d)", d0, w0, a.controller.DMax, a.controller.WMax)
 	}
 	a.ClampSpecEnvelope(d0+5, w0+5)
 	if d, w := a.SpecEnvelope(); d != d0 || w != w0 {
 		t.Fatalf("clamp exceeded the constructed envelope: (%d,%d) vs (%d,%d)", d, w, d0, w0)
 	}
 	a.ClampSpecEnvelope(-3, 0)
-	if d, w := a.SpecEnvelope(); d != a.Controller.DMin || w != 1 {
-		t.Fatalf("clamp broke the floor: (%d,%d), want (%d,1)", d, w, a.Controller.DMin)
+	if d, w := a.SpecEnvelope(); d != a.controller.DMin || w != 1 {
+		t.Fatalf("clamp broke the floor: (%d,%d), want (%d,1)", d, w, a.controller.DMin)
 	}
 	a.ClampSpecEnvelope(d0, w0)
 	if d, w := a.SpecEnvelope(); d != d0 || w != w0 {
@@ -62,7 +62,7 @@ func TestAdaServeClampSpecEnvelope(t *testing.T) {
 func TestAdaServeRequiresDraft(t *testing.T) {
 	cfg := testConfig(t)
 	eng, err := engine.New(engine.Config{
-		Target:     lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02),
+		Target:     lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02),
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		Seed:       3,
 	})
@@ -115,8 +115,8 @@ func TestAdaServeCommitsMoreThanVLLM(t *testing.T) {
 
 func TestAdaServeBudgetScalesUnderLoad(t *testing.T) {
 	a := newAdaServe(t, AdaServeOptions{})
-	a.TokensPerRequest = 4
-	n := a.VerifyBudget // enough requests that n*4 > profiled budget
+	a.tokensPerRequest = 4
+	n := a.verifyBudget // enough requests that n*4 > profiled budget
 	for i := 0; i < n; i++ {
 		enqueue(a, i+1, request.Chat, 0.05, 0, 16, 4)
 	}
@@ -169,8 +169,8 @@ func TestAdaServeSLOCustomization(t *testing.T) {
 	// control): force scarcity by capping the budget near one token per
 	// request, so only the SLO-customized phase differentiates.
 	a := newAdaServe(t, AdaServeOptions{})
-	a.VerifyBudget = 15 // 12 roots + only 3 extra tokens per iteration
-	a.TokensPerRequest = 1
+	a.verifyBudget = 15 // 12 roots + only 3 extra tokens per iteration
+	a.tokensPerRequest = 1
 	var urgent, relaxed []*request.Request
 	for i := 0; i < 6; i++ {
 		urgent = append(urgent, enqueue(a, i, request.Coding, 0.04, 0, 64, 48))

@@ -285,8 +285,8 @@ func TestSarathiIterationTokenBudget(t *testing.T) {
 			prevOut[r.ID] = r.OutputLen()
 			prevPre[r.ID] = r.PrefillDone
 		}
-		if tokens > SarathiTokenBudget {
-			t.Fatalf("iteration processed %d tokens, budget %d", tokens, SarathiTokenBudget)
+		if tokens > sarathiTokenBudget {
+			t.Fatalf("iteration processed %d tokens, budget %d", tokens, sarathiTokenBudget)
 		}
 	})
 }

@@ -23,10 +23,10 @@ import (
 // optimality: the ablation quantifies that trade.
 type AdaServeInterleaved struct {
 	base
-	// Budget is the verification token budget per iteration.
-	Budget int
-	// Profile is the fitted verifier roofline (for t_spec estimation).
-	Profile *gpu.Profile
+	// budget is the verification token budget per iteration.
+	budget int
+	// profile is the fitted verifier roofline (for t_spec estimation).
+	profile *gpu.Profile
 
 	lastIterTime float64
 }
@@ -53,8 +53,8 @@ func NewAdaServeInterleaved(cfg Config) (*AdaServeInterleaved, error) {
 	}
 	return &AdaServeInterleaved{
 		base:    b,
-		Budget:  prof.BudgetFor(1.3 * prof.Base),
-		Profile: prof,
+		budget:  prof.BudgetFor(budgetLatencyFactor * prof.Base),
+		profile: prof,
 	}, nil
 }
 
@@ -169,14 +169,14 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 	}
 	markFirstDecode(decode, now)
 
-	budget := a.Budget
+	budget := a.budget
 	if budget < n {
 		budget = n
 	}
 
 	// Estimate t_spec: the serial draft expansions dominate.
 	draftStep := a.cfg.Engine.DraftStepLatency()
-	tspec := float64(budget-n)*draftStep + a.Profile.Latency(budget)
+	tspec := float64(budget-n)*draftStep + a.profile.Latency(budget)
 	if a.lastIterTime > tspec {
 		tspec = a.lastIterTime
 	}

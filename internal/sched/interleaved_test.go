@@ -14,7 +14,7 @@ func TestInterleavedConstruction(t *testing.T) {
 	if sys.Name() != "AdaServe (interleaved)" {
 		t.Fatalf("name %q", sys.Name())
 	}
-	if sys.Budget <= 0 {
+	if sys.budget <= 0 {
 		t.Fatal("no budget")
 	}
 }

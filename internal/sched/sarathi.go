@@ -13,10 +13,10 @@ type Sarathi struct {
 	base
 }
 
-// SarathiTokenBudget is Sarathi's per-iteration token budget shared by
+// sarathiTokenBudget is Sarathi's per-iteration token budget shared by
 // decode tokens and prefill chunks (its "chunk size"): 256, the paper's
 // Sarathi configuration ballpark for A100-class hardware.
-const SarathiTokenBudget = 256
+const sarathiTokenBudget = 256
 
 // NewSarathi constructs the baseline.
 func NewSarathi(cfg Config) (*Sarathi, error) {
@@ -36,7 +36,7 @@ func (s *Sarathi) Iterate(now float64) IterationStats {
 	s.admitFIFO(now)
 
 	decode := s.pool.DecodingRequests()
-	budget := SarathiTokenBudget - len(decode)
+	budget := sarathiTokenBudget - len(decode)
 	if budget < 0 {
 		budget = 0
 	}

@@ -100,8 +100,8 @@ type Config struct {
 	Mode Mode
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	if c.Engine == nil {
 		return fmt.Errorf("sched: engine required")
 	}
@@ -127,7 +127,7 @@ type base struct {
 }
 
 func newBase(cfg Config) (base, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return base{}, err
 	}
 	return base{cfg: cfg, pool: request.NewPool()}, nil

@@ -14,8 +14,8 @@ import (
 // tests: Llama-70B-on-4xA100 cost model with the calibrated synthetic LM.
 func testConfig(t *testing.T) Config {
 	t.Helper()
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	draft := lm.MustDraftLM("d", target, 0.88, 2)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.88, 2)
 	eng, err := engine.New(engine.Config{
 		Target: target, Draft: draft,
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
@@ -62,32 +62,32 @@ func drain(t *testing.T, sys System, maxIters int) float64 {
 
 func TestConfigValidate(t *testing.T) {
 	good := testConfig(t)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := good
 	bad.Engine = nil
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("nil engine accepted")
 	}
 	bad = good
 	bad.KV = nil
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("nil KV accepted")
 	}
 	bad = good
 	bad.MaxBatch = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero batch accepted")
 	}
 	bad = good
 	bad.MaxPrefillTokens = 0
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("zero prefill tokens accepted")
 	}
 	bad = good
 	bad.SchedOverhead = -1
-	if bad.Validate() == nil {
+	if bad.validate() == nil {
 		t.Error("negative overhead accepted")
 	}
 }
@@ -251,7 +251,7 @@ func TestSarathiTokenBudget(t *testing.T) {
 		before := r.PrefillDone
 		st := sys.Iterate(now)
 		now += st.Elapsed
-		if got := r.PrefillDone - before; got > SarathiTokenBudget {
+		if got := r.PrefillDone - before; got > sarathiTokenBudget {
 			t.Fatalf("chunk of %d exceeds budget", got)
 		}
 		iters++
@@ -259,7 +259,7 @@ func TestSarathiTokenBudget(t *testing.T) {
 			t.Fatal("prefill did not finish")
 		}
 	}
-	if iters < prompt/SarathiTokenBudget {
+	if iters < prompt/sarathiTokenBudget {
 		t.Fatalf("prompt finished in %d iterations, impossible under budget", iters)
 	}
 	drain(t, sys, 200)
@@ -296,10 +296,10 @@ func TestSarathiDefaultBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := enqueue(sys, 1, request.Summarization, 0.15, 0, 3*SarathiTokenBudget, 4)
+	r := enqueue(sys, 1, request.Summarization, 0.15, 0, 3*sarathiTokenBudget, 4)
 	sys.Iterate(0)
-	if r.PrefillDone != SarathiTokenBudget || SarathiTokenBudget != 256 {
-		t.Fatalf("first chunk %d, want the 256-token budget %d", r.PrefillDone, SarathiTokenBudget)
+	if r.PrefillDone != sarathiTokenBudget || sarathiTokenBudget != 256 {
+		t.Fatalf("first chunk %d, want the 256-token budget %d", r.PrefillDone, sarathiTokenBudget)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestVLLMSpecValidation(t *testing.T) {
 	}
 	cfg := testConfig(t)
 	eng, err := engine.New(engine.Config{
-		Target:     lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02),
+		Target:     lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02),
 		TargetCost: gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4),
 		Seed:       3,
 	})

@@ -13,8 +13,8 @@ import (
 // no load adaptation), which the target verifies in one pass.
 type VLLMSpec struct {
 	base
-	// K is the static speculation length.
-	K int
+	// k is the static speculation length.
+	k int
 
 	// Per-iteration scratch reused across Iterate calls.
 	items []engine.VerifyItem
@@ -33,11 +33,11 @@ func NewVLLMSpec(cfg Config, k int) (*VLLMSpec, error) {
 	if cfg.Engine.Draft() == nil {
 		return nil, fmt.Errorf("sched: vLLM-Spec requires a draft model")
 	}
-	return &VLLMSpec{base: b, K: k}, nil
+	return &VLLMSpec{base: b, k: k}, nil
 }
 
 // Name implements System.
-func (v *VLLMSpec) Name() string { return fmt.Sprintf("vLLM-Spec (%d)", v.K) }
+func (v *VLLMSpec) Name() string { return fmt.Sprintf("vLLM-Spec (%d)", v.k) }
 
 // Iterate implements System.
 func (v *VLLMSpec) Iterate(now float64) IterationStats {
@@ -54,7 +54,7 @@ func (v *VLLMSpec) Iterate(now float64) IterationStats {
 	}
 	markFirstDecode(decode, now)
 
-	spec, err := v.cfg.Engine.SpeculateBeams(decode, v.K, 1)
+	spec, err := v.cfg.Engine.SpeculateBeams(decode, v.k, 1)
 	if err != nil {
 		panic(err)
 	}

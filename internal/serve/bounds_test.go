@@ -29,8 +29,8 @@ func newGen(t *testing.T, cfg workload.GeneratorConfig) *workload.Generator {
 func mustRNG() *mathutil.RNG { return mathutil.NewRNG(1) }
 
 // The abort paths — deadlock detection and the shared run bounds — live in
-// the unified driver, so they are tested here once for every run, single
-// system or fleet.
+// the unified driver, so they are tested once for every run, single system
+// or fleet: deadlock here, the run bounds in serve_internal_test.go.
 
 func TestRunDetectsDeadlock(t *testing.T) {
 	// KV too small for the request: admission can never succeed.
@@ -44,34 +44,6 @@ func TestRunDetectsDeadlock(t *testing.T) {
 	}
 	if _, err := srv.Run(src); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
-	}
-}
-
-func TestRunRespectsMaxSimTime(t *testing.T) {
-	srv, err := serve.NewServer(serve.SingleSystem(testSystem(t, 3)), serve.Options{MaxSimTime: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := serve.NewTraceSource(mkReqs(5, 1000.0)) // arrivals span 5000s
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Run(src); err == nil || !strings.Contains(err.Error(), "max simulated time") {
-		t.Fatalf("want max-sim-time error, got %v", err)
-	}
-}
-
-func TestRunRespectsMaxIterations(t *testing.T) {
-	srv, err := serve.NewServer(serve.SingleSystem(testSystem(t, 3)), serve.Options{MaxIterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := serve.NewTraceSource(mkReqs(5, 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Run(src); err == nil || !strings.Contains(err.Error(), "max iterations") {
-		t.Fatalf("want max-iterations error, got %v", err)
 	}
 }
 

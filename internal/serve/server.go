@@ -24,27 +24,21 @@ import (
 	"adaserve/internal/request"
 )
 
-// Run-bound defaults shared by every run (serve.Options resolves zero values
-// to these, and every experiments.RunSpec runs under them — the one place
-// the numbers live).
+// Run bounds shared by every run, and the default snapshot window.
 const (
-	// DefaultMaxSimTime aborts runs whose simulated clock exceeds 24 hours.
-	DefaultMaxSimTime = 24 * 3600.0
-	// DefaultMaxIterations aborts runaway runs at 50 million iterations.
-	DefaultMaxIterations = 50_000_000
+	// defaultMaxSimTime aborts runs when any instance's clock exceeds 24
+	// hours.
+	defaultMaxSimTime = 24 * 3600.0
+	// defaultMaxIterations aborts runaway runs at 50 million iterations,
+	// summed across instances.
+	defaultMaxIterations = 50_000_000
 	// DefaultSnapshotWindow is the rolling-metrics trailing window.
 	DefaultSnapshotWindow = 30.0
 )
 
-// Options bounds and configures a serving run. The zero value is ready to
-// use: generous safety bounds, no snapshots.
+// Options configures a serving run. The zero value is ready to use: no
+// snapshots, no control hooks.
 type Options struct {
-	// MaxSimTime aborts runs when any instance's clock exceeds this
-	// (0: DefaultMaxSimTime).
-	MaxSimTime float64
-	// MaxIterations aborts runaway runs; it counts iterations summed across
-	// instances (0: DefaultMaxIterations).
-	MaxIterations int
 	// SnapshotEvery emits a periodic Snapshot event every so many simulated
 	// seconds, plus a final one at end of run (0: no snapshots). Snapshots
 	// require at least one observer.
@@ -78,12 +72,6 @@ type Options struct {
 
 // fill resolves zero values to the shared defaults.
 func (o *Options) fill() {
-	if o.MaxSimTime == 0 {
-		o.MaxSimTime = DefaultMaxSimTime
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = DefaultMaxIterations
-	}
 	if o.Window == 0 {
 		o.Window = DefaultSnapshotWindow
 	}
@@ -127,12 +115,16 @@ type reqTrack struct {
 // Server drives a Backend over a Source. Like the serving systems it hosts,
 // a Server is single-use: build a fresh one per run.
 type Server struct {
-	backend   Backend
-	insts     []*Instance
-	opts      Options
-	observers []Observer
-	queue     Queue
-	ran       bool
+	backend Backend
+	insts   []*Instance
+	opts    Options
+	// maxSimTime and maxIterations are the run bounds: the shared defaults,
+	// lowered only by this package's tests.
+	maxSimTime    float64
+	maxIterations int
+	observers     []Observer
+	queue         Queue
+	ran           bool
 	// held queues arrivals, in arrival order, until the backend places them:
 	// at once normally, after a whole-fleet outage ends (ErrNoReplica)
 	// otherwise.
@@ -150,7 +142,7 @@ type Server struct {
 	doneSeen []int
 }
 
-// NewServer validates the backend and bounds and builds a driver.
+// NewServer validates the backend and options and builds a driver.
 func NewServer(backend Backend, opts Options) (*Server, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("serve: backend required")
@@ -174,7 +166,8 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: negative rolling window %g", opts.Window)
 	}
 	opts.fill()
-	return &Server{backend: backend, insts: insts, opts: opts}, nil
+	return &Server{backend: backend, insts: insts, opts: opts,
+		maxSimTime: defaultMaxSimTime, maxIterations: defaultMaxIterations}, nil
 }
 
 // Subscribe registers an observer for the run's event stream. Call before
@@ -341,12 +334,12 @@ func (s *Server) Run(src Source) (*Result, error) {
 		s.tickFaults()
 		s.tickAutoscaler()
 		s.tickAdaptive()
-		if busy.clock > s.opts.MaxSimTime {
+		if busy.clock > s.maxSimTime {
 			return nil, fmt.Errorf("serve: instance %d (%s) exceeded max simulated time %.0fs",
-				busy.id, busy.sys.Name(), s.opts.MaxSimTime)
+				busy.id, busy.sys.Name(), s.maxSimTime)
 		}
-		if total > s.opts.MaxIterations {
-			return nil, fmt.Errorf("serve: exceeded max iterations %d", s.opts.MaxIterations)
+		if total > s.maxIterations {
+			return nil, fmt.Errorf("serve: exceeded max iterations %d", s.maxIterations)
 		}
 	}
 

@@ -61,32 +61,30 @@ func (bb *BeamBuilder) Swap(i, j int) { bb.cands[i], bb.cands[j] = bb.cands[j], 
 // Search grows a candidate token tree of depth d and beam width w into t,
 // which must contain only a root (fresh from NewTree, TreePool.Get, or
 // Reset): Algorithm 2's speculation phase for one request. Step 1 expands
-// the root and keeps the w highest-DraftProb children. Each subsequent step
+// the root and keeps the w highest-draftProb children. Each subsequent step
 // expands all beam nodes and keeps the w children with the highest *path*
 // probability (global per request, as in Eagle-2-style beam search), so
 // every non-root level holds at most w nodes. Width 1 is the greedy chain
 // the vLLM-Spec baselines speculate.
 //
 // It returns the number of draft steps executed (fewer than d if the beam
-// empties) and the draft forward positions consumed, for cost accounting:
-// 1 (the root) at step one, then the beam nodes expanded at each later step.
-func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps, draftTokens int, err error) {
+// empties).
+func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps int, err error) {
 	if d < 0 {
-		return 0, 0, fmt.Errorf("toktree: negative beam depth %d", d)
+		return 0, fmt.Errorf("toktree: negative beam depth %d", d)
 	}
 	if w < 1 && d > 0 {
-		return 0, 0, fmt.Errorf("toktree: beam width %d < 1", w)
+		return 0, fmt.Errorf("toktree: beam width %d < 1", w)
 	}
 	if d == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 
-	bb.beam = append(bb.beam[:0], beamEntry{nodeID: 0, ctx: t.Ctx})
+	bb.beam = append(bb.beam[:0], beamEntry{nodeID: 0, ctx: t.ctx})
 
 	for step := 0; step < d; step++ {
 		bb.cands = bb.cands[:0]
 		for _, be := range bb.beam {
-			draftTokens++
 			dist := draft.Dist(be.ctx)
 			parentPath := t.Nodes[be.nodeID].PathProb
 			top := dist.Entries
@@ -116,5 +114,5 @@ func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps, draftTo
 		bb.beam, bb.next = bb.next, bb.beam
 		steps++
 	}
-	return steps, draftTokens, nil
+	return steps, nil
 }

@@ -16,7 +16,7 @@ func (p *TreePool) Get(ctx lm.Context, rootTok lm.Token) *Tree {
 	if n := len(p.free); n > 0 {
 		t := p.free[n-1]
 		p.free = p.free[:n-1]
-		t.Reset(ctx, rootTok)
+		t.reset(ctx, rootTok)
 		return t
 	}
 	return NewTree(ctx, rootTok)

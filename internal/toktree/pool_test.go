@@ -10,19 +10,19 @@ import (
 
 func poolTestDraft(t *testing.T) lm.Model {
 	t.Helper()
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	return lm.MustDraftLM("d", target, 0.85, 2)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	return lm.MustDraftLM(target, 0.85, 2)
 }
 
 // treesEqual compares full tree structure node by node.
 func treesEqual(a, b *Tree) bool {
-	if len(a.Nodes) != len(b.Nodes) || a.Ctx != b.Ctx {
+	if len(a.Nodes) != len(b.Nodes) || a.ctx != b.ctx {
 		return false
 	}
 	for i := range a.Nodes {
 		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.ID != y.ID || x.Token != y.Token || x.Parent != y.Parent ||
-			x.Depth != y.Depth || x.DraftProb != y.DraftProb || x.PathProb != y.PathProb ||
+		if x.id != y.id || x.token != y.token || x.parent != y.parent ||
+			x.depth != y.depth || x.draftProb != y.draftProb || x.PathProb != y.PathProb ||
 			len(x.Children) != len(y.Children) {
 			return false
 		}
@@ -54,7 +54,7 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 			pool.Put(prev)
 		}
 		pooled := pool.Get(ctx, root)
-		if _, _, err := bb.Search(pooled, draft, d, w); err != nil {
+		if _, err := bb.Search(pooled, draft, d, w); err != nil {
 			t.Fatal(err)
 		}
 		prev = pooled
@@ -74,18 +74,18 @@ func TestTreeResetReusesStorage(t *testing.T) {
 	draft := poolTestDraft(t)
 	tr := NewTree(lm.Context{ReqSeed: 1}, 7)
 	var bb BeamBuilder
-	if _, _, err := bb.Search(tr, draft, 6, 4); err != nil {
+	if _, err := bb.Search(tr, draft, 6, 4); err != nil {
 		t.Fatal(err)
 	}
 	grown := cap(tr.Nodes)
-	tr.Reset(lm.Context{ReqSeed: 2}, 9)
-	if tr.Size() != 1 || tr.Nodes[0].Token != 9 || tr.Nodes[0].Parent != -1 {
+	tr.reset(lm.Context{ReqSeed: 2}, 9)
+	if tr.Size() != 1 || tr.Nodes[0].token != 9 || tr.Nodes[0].parent != -1 {
 		t.Fatalf("reset tree malformed: %+v", tr.Nodes[0])
 	}
 	if cap(tr.Nodes) != grown {
 		t.Fatal("Reset dropped node capacity")
 	}
-	if _, _, err := bb.Search(tr, draft, 6, 4); err != nil {
+	if _, err := bb.Search(tr, draft, 6, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
@@ -109,10 +109,10 @@ func TestAddChildInsertionMatchesSort(t *testing.T) {
 		want := append([]int(nil), got...)
 		sort.SliceStable(want, func(i, j int) bool {
 			a, b := &tr.Nodes[want[i]], &tr.Nodes[want[j]]
-			if a.DraftProb != b.DraftProb {
-				return a.DraftProb > b.DraftProb
+			if a.draftProb != b.draftProb {
+				return a.draftProb > b.draftProb
 			}
-			return a.Token < b.Token
+			return a.token < b.token
 		})
 		for i := range want {
 			if got[i] != want[i] {
@@ -125,28 +125,28 @@ func TestAddChildInsertionMatchesSort(t *testing.T) {
 // TestVerifyIntoMatchesVerify runs pooled-scratch verification against a
 // walk with fresh storage over many trees and seeds.
 func TestVerifyIntoMatchesVerify(t *testing.T) {
-	target := lm.MustSyntheticLM("t", 1, 4096, 16, 3.2, 0.02)
-	draft := lm.MustDraftLM("d", target, 0.8, 2)
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.8, 2)
 	var sc VerifyScratch
 	var res VerifyResult
 	for i := 0; i < 100; i++ {
 		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 5, 3)
 		sel := NewSelection(tr)
 		for id := 1; id < tr.Size(); id++ {
-			if sel.Has(tr.Nodes[id].Parent) && id%3 != 0 {
+			if sel.Has(tr.Nodes[id].parent) && id%3 != 0 {
 				sel.Add(id)
 			}
 		}
 		// Identical RNG state for both walks.
-		v1 := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
-		v2 := lm.NewVerifier(target, draft, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
+		v1 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
+		v2 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
 		want := verify(sel, v1)
 		VerifyInto(&res, sel, v2, &sc)
 		if want.Correction != res.Correction || len(want.Accepted) != len(res.Accepted) {
 			t.Fatalf("tree %d: pooled verify diverged: %+v vs %+v", i, want, res)
 		}
 		for k := range want.Accepted {
-			if want.Accepted[k] != res.Accepted[k] || want.AcceptedNodeIDs[k] != res.AcceptedNodeIDs[k] {
+			if want.Accepted[k] != res.Accepted[k] {
 				t.Fatalf("tree %d: accepted prefix differs at %d", i, k)
 			}
 		}

@@ -23,21 +23,21 @@ import (
 
 // Node is one token in a candidate tree.
 type Node struct {
-	// ID indexes Tree.Nodes; the root is always ID 0.
-	ID int
-	// Token is the draft token at this node (for the root: the request's
+	// id indexes Tree.Nodes; the root is always ID 0.
+	id int
+	// token is the draft token at this node (for the root: the request's
 	// last committed token, informational only).
-	Token lm.Token
-	// Parent is the parent node ID, or -1 for the root.
-	Parent int
-	// Depth is 0 for the root.
-	Depth int
-	// DraftProb is q(token | path to parent), 1 for the root.
-	DraftProb float64
-	// PathProb is the product of DraftProb along the root path (the
+	token lm.Token
+	// parent is the parent node ID, or -1 for the root.
+	parent int
+	// depth is 0 for the root.
+	depth int
+	// draftProb is q(token | path to parent), 1 for the root.
+	draftProb float64
+	// PathProb is the product of draftProb along the root path (the
 	// approximated f(v)); 1 for the root.
 	PathProb float64
-	// Children lists child node IDs in descending DraftProb order.
+	// Children lists child node IDs in descending draftProb order.
 	Children []int
 }
 
@@ -46,9 +46,9 @@ type Node struct {
 // subset is the draft token tree T submitted for verification.
 type Tree struct {
 	Nodes []Node
-	// Ctx is the request's decoding context at the root (history includes
+	// ctx is the request's decoding context at the root (history includes
 	// the root token).
-	Ctx lm.Context
+	ctx lm.Context
 
 	// spareChildren stashes child-ID slices recovered by Reset so reused
 	// trees stop allocating once warm.
@@ -59,28 +59,28 @@ type Tree struct {
 // should be the last committed token of the request.
 func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
 	return &Tree{
-		Nodes: []Node{{ID: 0, Token: rootTok, Parent: -1, Depth: 0, DraftProb: 1, PathProb: 1}},
-		Ctx:   ctx,
+		Nodes: []Node{{id: 0, token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1}},
+		ctx:   ctx,
 	}
 }
 
-// Reset re-roots the tree in place for reuse: node storage and the child-ID
+// reset re-roots the tree in place for reuse: node storage and the child-ID
 // slices of the previous occupancy are retained, so a warm tree builds
 // without allocating. Any outstanding references into the old tree
 // (Selections, node pointers) become invalid.
-func (t *Tree) Reset(ctx lm.Context, rootTok lm.Token) {
+func (t *Tree) reset(ctx lm.Context, rootTok lm.Token) {
 	for i := range t.Nodes {
 		if c := t.Nodes[i].Children; cap(c) > 0 {
 			t.spareChildren = append(t.spareChildren, c[:0])
 		}
 	}
 	t.Nodes = t.Nodes[:0]
-	t.Nodes = append(t.Nodes, Node{ID: 0, Token: rootTok, Parent: -1, Depth: 0, DraftProb: 1, PathProb: 1})
-	t.Ctx = ctx
+	t.Nodes = append(t.Nodes, Node{id: 0, token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1})
+	t.ctx = ctx
 }
 
 // AddChild appends a node under parent and returns its ID. Children are kept
-// sorted by descending DraftProb (ties by token) so verification considers
+// sorted by descending draftProb (ties by token) so verification considers
 // likelier branches first.
 func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 	if parent < 0 || parent >= len(t.Nodes) {
@@ -88,8 +88,8 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 	}
 	id := len(t.Nodes)
 	t.Nodes = append(t.Nodes, Node{
-		ID: id, Token: tok, Parent: parent, Depth: t.Nodes[parent].Depth + 1,
-		DraftProb: draftProb, PathProb: t.Nodes[parent].PathProb * draftProb,
+		id: id, token: tok, parent: parent, depth: t.Nodes[parent].depth + 1,
+		draftProb: draftProb, PathProb: t.Nodes[parent].PathProb * draftProb,
 	})
 	// Take the parent pointer only after append: append may reallocate
 	// t.Nodes, and a pointer captured earlier would mutate the stale array.
@@ -107,8 +107,8 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 	ch := p.Children
 	for k := len(ch) - 1; k > 0; k-- {
 		prev, cur := &t.Nodes[ch[k-1]], &t.Nodes[ch[k]]
-		if cur.DraftProb > prev.DraftProb ||
-			(cur.DraftProb == prev.DraftProb && cur.Token < prev.Token) {
+		if cur.draftProb > prev.draftProb ||
+			(cur.draftProb == prev.draftProb && cur.token < prev.token) {
 			ch[k-1], ch[k] = ch[k], ch[k-1]
 			continue
 		}
@@ -128,38 +128,38 @@ func (t *Tree) Validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("toktree: empty tree")
 	}
-	if t.Nodes[0].Parent != -1 || t.Nodes[0].Depth != 0 || t.Nodes[0].PathProb != 1 {
+	if t.Nodes[0].parent != -1 || t.Nodes[0].depth != 0 || t.Nodes[0].PathProb != 1 {
 		return fmt.Errorf("toktree: malformed root %+v", t.Nodes[0])
 	}
 	for i := 1; i < len(t.Nodes); i++ {
 		n := &t.Nodes[i]
-		if n.ID != i {
-			return fmt.Errorf("toktree: node %d has ID %d", i, n.ID)
+		if n.id != i {
+			return fmt.Errorf("toktree: node %d has ID %d", i, n.id)
 		}
-		if n.Parent < 0 || n.Parent >= len(t.Nodes) {
-			return fmt.Errorf("toktree: node %d parent %d out of range", i, n.Parent)
+		if n.parent < 0 || n.parent >= len(t.Nodes) {
+			return fmt.Errorf("toktree: node %d parent %d out of range", i, n.parent)
 		}
-		p := &t.Nodes[n.Parent]
-		if n.Depth != p.Depth+1 {
-			return fmt.Errorf("toktree: node %d depth %d, parent depth %d", i, n.Depth, p.Depth)
+		p := &t.Nodes[n.parent]
+		if n.depth != p.depth+1 {
+			return fmt.Errorf("toktree: node %d depth %d, parent depth %d", i, n.depth, p.depth)
 		}
 		if n.PathProb > p.PathProb+1e-12 {
 			return fmt.Errorf("toktree: node %d path prob %g exceeds parent %g", i, n.PathProb, p.PathProb)
 		}
-		if n.DraftProb < 0 || n.DraftProb > 1+1e-12 {
-			return fmt.Errorf("toktree: node %d draft prob %g out of range", i, n.DraftProb)
+		if n.draftProb < 0 || n.draftProb > 1+1e-12 {
+			return fmt.Errorf("toktree: node %d draft prob %g out of range", i, n.draftProb)
 		}
 	}
 	for i := range t.Nodes {
 		ch := t.Nodes[i].Children
 		for k := 1; k < len(ch); k++ {
-			if t.Nodes[ch[k-1]].DraftProb < t.Nodes[ch[k]].DraftProb {
+			if t.Nodes[ch[k-1]].draftProb < t.Nodes[ch[k]].draftProb {
 				return fmt.Errorf("toktree: node %d children not sorted", i)
 			}
 		}
 		for _, c := range ch {
-			if t.Nodes[c].Parent != i {
-				return fmt.Errorf("toktree: child %d of %d has parent %d", c, i, t.Nodes[c].Parent)
+			if t.Nodes[c].parent != i {
+				return fmt.Errorf("toktree: child %d of %d has parent %d", c, i, t.Nodes[c].parent)
 			}
 		}
 	}
@@ -213,8 +213,8 @@ func (s *Selection) Add(id int) {
 	if s.mask[id] {
 		panic(fmt.Sprintf("toktree: node %d already selected", id))
 	}
-	if !s.mask[s.tree.Nodes[id].Parent] {
-		panic(fmt.Sprintf("toktree: node %d selected before parent %d", id, s.tree.Nodes[id].Parent))
+	if !s.mask[s.tree.Nodes[id].parent] {
+		panic(fmt.Sprintf("toktree: node %d selected before parent %d", id, s.tree.Nodes[id].parent))
 	}
 	s.mask[id] = true
 	s.count++
@@ -226,9 +226,6 @@ func (s *Selection) Has(id int) bool { return id >= 0 && id < len(s.mask) && s.m
 
 // Size returns the number of selected nodes including the root.
 func (s *Selection) Size() int { return s.count }
-
-// Tree returns the underlying candidate tree.
-func (s *Selection) Tree() *Tree { return s.tree }
 
 // Validate checks the connectivity invariant (Appendix B): every selected
 // node's parent is selected. Kept as an invariant check for the toktree and
@@ -244,7 +241,7 @@ func (s *Selection) Validate() error {
 		}
 		n++
 		sum += s.tree.Nodes[i].PathProb
-		if i != 0 && !s.mask[s.tree.Nodes[i].Parent] {
+		if i != 0 && !s.mask[s.tree.Nodes[i].parent] {
 			return fmt.Errorf("toktree: selected node %d has unselected parent", i)
 		}
 	}

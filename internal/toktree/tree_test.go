@@ -29,7 +29,7 @@ func TestNewTreeRoot(t *testing.T) {
 		t.Fatalf("fresh tree size=%d depth=%d", tr.Size(), depth(tr))
 	}
 	root := tr.Nodes[0]
-	if root.Parent != -1 || root.PathProb != 1 || root.Token != 42 {
+	if root.parent != -1 || root.PathProb != 1 || root.token != 42 {
 		t.Fatalf("bad root %+v", root)
 	}
 }
@@ -39,13 +39,13 @@ func TestAddChildPathProbs(t *testing.T) {
 	// Node 3 (token 102) is child of node 1 (0.7): path = 0.42.
 	var found bool
 	for _, n := range tr.Nodes {
-		if n.Token == 102 {
+		if n.token == 102 {
 			found = true
 			if diff := n.PathProb - 0.42; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("path prob %g, want 0.42", n.PathProb)
 			}
-			if n.Depth != 2 {
-				t.Fatalf("depth %d, want 2", n.Depth)
+			if n.depth != 2 {
+				t.Fatalf("depth %d, want 2", n.depth)
 			}
 		}
 	}
@@ -60,7 +60,7 @@ func TestChildrenSortedByDraftProb(t *testing.T) {
 	if len(ch) != 2 {
 		t.Fatalf("root children %v", ch)
 	}
-	if tr.Nodes[ch[0]].DraftProb < tr.Nodes[ch[1]].DraftProb {
+	if tr.Nodes[ch[0]].draftProb < tr.Nodes[ch[1]].draftProb {
 		t.Fatal("children not sorted by descending draft prob")
 	}
 }
@@ -127,8 +127,8 @@ func TestSelectionRejectsOrphanAdd(t *testing.T) {
 	}()
 	// Node with token 105 is at depth 3; its parent is unselected.
 	for _, n := range tr.Nodes {
-		if n.Token == 105 {
-			sel.Add(n.ID)
+		if n.token == 105 {
+			sel.Add(n.id)
 		}
 	}
 }
@@ -149,21 +149,21 @@ func TestSelectionRejectsDoubleAdd(t *testing.T) {
 // number of tokens committed by sample-match verification over a selected
 // tree equals the sum of true path probabilities of selected nodes.
 func TestTheorem31(t *testing.T) {
-	target := lm.MustSyntheticLM("t", 3, 4096, 16, 3.2, 0.02)
-	draft := lm.MustDraftLM("d", target, 1.0, 4) // perfect draft: q = p = f
+	target := lm.MustSyntheticLM(3, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 1.0, 4) // perfect draft: q = p = f
 	ctx := lm.Context{ReqSeed: 77}
 
 	tr := search(t, draft, ctx, 5, 4, 3)
 	sel := NewSelection(tr)
 	for id := 1; id < tr.Size(); id++ {
-		if sel.Has(tr.Nodes[id].Parent) {
+		if sel.Has(tr.Nodes[id].parent) {
 			sel.Add(id)
 		}
 	}
 	want := sel.sumPathProb // Σ f(v) with calibrated f
 
 	rng := mathutil.NewRNG(123)
-	v := lm.NewVerifier(target, draft, lm.RuleSampleMatch, rng)
+	v := lm.NewVerifier(target, lm.RuleSampleMatch, rng)
 	var total int
 	const n = 30000
 	for i := 0; i < n; i++ {
@@ -180,8 +180,8 @@ func TestTheorem31(t *testing.T) {
 // selection built by repeatedly adding the highest-f frontier node is a
 // connected subtree.
 func TestSelectionConnectivityProperty(t *testing.T) {
-	target := lm.MustSyntheticLM("t", 5, 4096, 16, 2.0, 0.02)
-	draft := lm.MustDraftLM("d", target, 0.8, 6)
+	target := lm.MustSyntheticLM(5, 4096, 16, 2.0, 0.02)
+	draft := lm.MustDraftLM(target, 0.8, 6)
 	err := quick.Check(func(seed uint64, budgetRaw uint8) bool {
 		budget := int(budgetRaw%20) + 1
 		tr := search(t, draft, lm.Context{ReqSeed: seed}, 0, 4, 3)
@@ -190,8 +190,8 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 			// Greedy: highest-PathProb unselected node whose parent is in.
 			best, bestP := -1, -1.0
 			for _, n := range tr.Nodes[1:] {
-				if !sel.Has(n.ID) && sel.Has(n.Parent) && n.PathProb > bestP {
-					best, bestP = n.ID, n.PathProb
+				if !sel.Has(n.id) && sel.Has(n.parent) && n.PathProb > bestP {
+					best, bestP = n.id, n.PathProb
 				}
 			}
 			if best < 0 {

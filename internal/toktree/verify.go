@@ -12,8 +12,6 @@ type VerifyResult struct {
 	// prefix: the resampled correction when a branch was rejected, or the
 	// bonus token when the walk ran past the last selected node.
 	Correction lm.Token
-	// AcceptedNodeIDs are the candidate-tree node IDs of Accepted.
-	AcceptedNodeIDs []int
 	// TokensVerified is the number of tree positions the target processed
 	// (== selection size), for cost accounting.
 	TokensVerified int
@@ -37,24 +35,22 @@ type VerifyScratch struct {
 // where the bonus token is drawn from the target distribution at that
 // context.
 //
-// res is reset and refilled in place (its Accepted/AcceptedNodeIDs capacity
-// is reused) and sc provides the walk buffers; the engine pools both across
+// res is reset and refilled in place (its Accepted capacity is reused) and sc provides the walk buffers; the engine pools both across
 // iterations.
 func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScratch) {
-	t := sel.Tree()
+	t := sel.tree
 	res.Accepted = res.Accepted[:0]
-	res.AcceptedNodeIDs = res.AcceptedNodeIDs[:0]
 	res.Correction = 0
 	res.TokensVerified = sel.Size()
 	cur := 0
-	ctx := t.Ctx
+	ctx := t.ctx
 	for {
 		sc.children = sc.children[:0]
 		sc.branches = sc.branches[:0]
 		for _, c := range t.Nodes[cur].Children {
 			if sel.Has(c) {
 				sc.children = append(sc.children, c)
-				sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].Token})
+				sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})
 			}
 		}
 		if len(sc.children) == 0 {
@@ -68,9 +64,8 @@ func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScr
 			return
 		}
 		chosen := sc.children[idx]
-		res.Accepted = append(res.Accepted, t.Nodes[chosen].Token)
-		res.AcceptedNodeIDs = append(res.AcceptedNodeIDs, chosen)
-		ctx = ctx.Extend(t.Nodes[chosen].Token)
+		res.Accepted = append(res.Accepted, t.Nodes[chosen].token)
+		ctx = ctx.Extend(t.Nodes[chosen].token)
 		cur = chosen
 	}
 }

@@ -37,11 +37,11 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 	}
 	seed := opts.Seed
 	if seed == 0 {
-		seed = s.Seed
+		seed = s.seed
 	}
 	duration := opts.Duration
 	if duration == 0 {
-		duration = s.Duration
+		duration = s.duration
 	}
 	if !(duration > 0) || math.IsInf(duration, 1) {
 		return nil, fmt.Errorf("trace: compile: duration %g must be positive and finite", duration)
@@ -58,38 +58,38 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 	}
 	var all []tagged
 	tenantBase, sessionBase := 0, 0
-	for ci := range s.Cohorts {
-		c := &s.Cohorts[ci]
+	for ci := range s.cohorts {
+		c := &s.cohorts[ci]
 		rng := mathutil.NewRNG(mathutil.Hash3(seed, compileSalt, uint64(ci)))
 		ts, err := cohortArrivals(c, rng, duration)
 		if err != nil {
-			return nil, fmt.Errorf("trace: compile: cohort %s: %w", c.Name, err)
+			return nil, fmt.Errorf("trace: compile: cohort %s: %w", c.name, err)
 		}
 		for _, t := range ts {
-			a := Arrival{At: t, Class: int(c.Class), Tenant: -1, Session: -1}
-			a.Prompt = sampleLength(&c.Prompt, rng)
-			a.Output = sampleLength(&c.Output, rng)
+			a := Arrival{at: t, class: int(c.class), tenant: -1, session: -1}
+			a.prompt = sampleLength(&c.prompt, rng)
+			a.output = sampleLength(&c.output, rng)
 			// Clip to the context window the synthetic categories fit.
-			if a.Prompt+a.Output > workload.MaxContext {
-				a.Prompt = workload.MaxContext - a.Output
-				if a.Prompt < 1 {
-					a.Prompt, a.Output = 1, workload.MaxContext-1
+			if a.prompt+a.output > workload.MaxContext {
+				a.prompt = workload.MaxContext - a.output
+				if a.prompt < 1 {
+					a.prompt, a.output = 1, workload.MaxContext-1
 				}
 			}
-			if c.Tenants > 0 {
-				a.Tenant = tenantBase + rng.Intn(c.Tenants)
+			if c.tenants > 0 {
+				a.tenant = tenantBase + rng.Intn(c.tenants)
 			}
-			if c.Sessions > 0 {
-				a.Session = sessionBase + rng.Intn(c.Sessions)
+			if c.sessions > 0 {
+				a.session = sessionBase + rng.Intn(c.sessions)
 			}
 			all = append(all, tagged{a: a, cohort: ci})
 		}
-		tenantBase += c.Tenants
-		sessionBase += c.Sessions
+		tenantBase += c.tenants
+		sessionBase += c.sessions
 	}
 	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].a.At != all[j].a.At {
-			return all[i].a.At < all[j].a.At
+		if all[i].a.at != all[j].a.at {
+			return all[i].a.at < all[j].a.at
 		}
 		return all[i].cohort < all[j].cohort
 	})
@@ -99,7 +99,7 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 		source = "spec:" + s.Name
 	}
 	t := &Trace{Header: Header{
-		Version:  Version,
+		Version:  version,
 		TimeUnit: "s",
 		Seed:     seed,
 		Source:   source,
@@ -109,7 +109,7 @@ func Compile(s *Spec, opts CompileOptions) (*Trace, error) {
 	for i, ta := range all {
 		t.Arrivals[i] = ta.a
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, fmt.Errorf("trace: compile: %w", err)
 	}
 	return t, nil
@@ -121,31 +121,31 @@ func resolveClasses(s *Spec, baseline float64) ([]ClassDef, error) {
 	defaults := workload.DefaultCategories()
 	byID := map[int]ClassDef{}
 	owner := map[int]string{}
-	for i := range s.Cohorts {
-		c := &s.Cohorts[i]
-		id := int(c.Class)
+	for i := range s.cohorts {
+		c := &s.cohorts[i]
+		id := int(c.class)
 		spec := defaults[id]
 		def := ClassDef{
 			ID:   id,
-			Name: c.Class.String(),
+			Name: c.class.String(),
 			TPOT: spec.TPOT(baseline),
 			TTFT: spec.TTFTSLOAbs,
 		}
-		if c.TPOT >= 0 {
-			def.TPOT = c.TPOT
+		if c.tpot >= 0 {
+			def.TPOT = c.tpot
 		}
-		if c.TTFT >= 0 {
-			def.TTFT = c.TTFT
+		if c.ttft >= 0 {
+			def.TTFT = c.ttft
 		}
 		if prev, ok := byID[id]; ok {
 			if prev != def {
 				return nil, fmt.Errorf("trace: compile: cohorts %s and %s disagree on class %s SLOs",
-					owner[id], c.Name, def.Name)
+					owner[id], c.name, def.Name)
 			}
 			continue
 		}
 		byID[id] = def
-		owner[id] = c.Name
+		owner[id] = c.name
 	}
 	ids := make([]int, 0, len(byID))
 	for id := range byID {
@@ -160,19 +160,19 @@ func resolveClasses(s *Spec, baseline float64) ([]ClassDef, error) {
 }
 
 // cohortArrivals samples one cohort's arrival timestamps on [0, duration).
-func cohortArrivals(c *Cohort, rng *mathutil.RNG, duration float64) ([]float64, error) {
+func cohortArrivals(c *cohort, rng *mathutil.RNG, duration float64) ([]float64, error) {
 	mod := modulationFn(c)
-	switch c.Arrival.Kind {
+	switch c.arrival.kind {
 	case "poisson":
-		base, baseMax, err := workload.RateProfile(c.Arrival.Profile, c.Rate, duration)
+		base, baseMax, err := workload.RateProfile(c.arrival.profile, c.rate, duration)
 		if err != nil {
 			return nil, err
 		}
 		rate := func(t float64) float64 { return base(t) * mod(t) }
-		maxRate := baseMax * (1 + c.Diurnal.Amp) * (1 + c.Weekly.Amp)
+		maxRate := baseMax * (1 + c.diurnal.amp) * (1 + c.weekly.amp)
 		return workload.NonHomogeneousPoisson(rng, rate, maxRate, duration), nil
 	case "bursts":
-		interval, size, width := c.Arrival.Interval, c.Arrival.Size, c.Arrival.Width
+		interval, size, width := c.arrival.interval, c.arrival.size, c.arrival.width
 		var out []float64
 		for k := 0; ; k++ {
 			center := (float64(k) + 0.5) * interval
@@ -191,44 +191,44 @@ func cohortArrivals(c *Cohort, rng *mathutil.RNG, duration float64) ([]float64, 
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("unknown arrival kind %q", c.Arrival.Kind)
+	return nil, fmt.Errorf("unknown arrival kind %q", c.arrival.kind)
 }
 
 // modulationFn composes the cohort's diurnal and weekly multipliers.
-func modulationFn(c *Cohort) func(t float64) float64 {
-	d, w := c.Diurnal, c.Weekly
-	if d.Amp == 0 && w.Amp == 0 {
+func modulationFn(c *cohort) func(t float64) float64 {
+	d, w := c.diurnal, c.weekly
+	if d.amp == 0 && w.amp == 0 {
 		return func(float64) float64 { return 1 }
 	}
 	return func(t float64) float64 {
 		v := 1.0
-		if d.Amp > 0 {
-			v *= 1 - d.Amp*math.Cos(2*math.Pi*t/d.Period)
+		if d.amp > 0 {
+			v *= 1 - d.amp*math.Cos(2*math.Pi*t/d.period)
 		}
-		if w.Amp > 0 {
-			v *= 1 - w.Amp*math.Cos(2*math.Pi*t/w.Period)
+		if w.amp > 0 {
+			v *= 1 - w.amp*math.Cos(2*math.Pi*t/w.period)
 		}
 		return v
 	}
 }
 
 // sampleLength draws one token length from a cohort length distribution.
-func sampleLength(l *LengthSpec, rng *mathutil.RNG) int {
-	switch l.Kind {
+func sampleLength(l *lengthSpec, rng *mathutil.RNG) int {
+	switch l.kind {
 	case "lognormal":
-		return workload.LengthDist{Median: l.Median, Sigma: l.Sigma, Min: l.Min, Max: l.Max}.Sample(rng)
+		return workload.LengthDist{Median: l.median, Sigma: l.sigma, Min: l.min, Max: l.max}.Sample(rng)
 	case "pareto":
 		// Inverse-CDF Pareto: X = min / U^(1/alpha) with U in (0,1].
 		u := 1 - rng.Float64()
-		v := float64(l.Min) / math.Pow(u, 1/l.Alpha)
-		if v > float64(l.Max) {
-			return l.Max
+		v := float64(l.min) / math.Pow(u, 1/l.alpha)
+		if v > float64(l.max) {
+			return l.max
 		}
-		return mathutil.ClipInt(int(v+0.5), l.Min, l.Max)
+		return mathutil.ClipInt(int(v+0.5), l.min, l.max)
 	case "uniform":
-		return l.Min + rng.Intn(l.Max-l.Min+1)
+		return l.min + rng.Intn(l.max-l.min+1)
 	case "fixed":
-		return l.Min
+		return l.min
 	}
-	panic(fmt.Sprintf("trace: unknown length distribution %q", l.Kind))
+	panic(fmt.Sprintf("trace: unknown length distribution %q", l.kind))
 }

@@ -75,11 +75,11 @@ func (e *Exporter) OnEvent(ev serve.Event) {
 	}
 	e.seen[cat] = true
 	e.arrivals = append(e.arrivals, Arrival{
-		At:     r.ArrivalTime,
-		Class:  int(cat),
-		Prompt: r.PromptLen,
-		Output: r.MaxNewTokens,
-		Tenant: -1, Session: -1,
+		at:     r.ArrivalTime,
+		class:  int(cat),
+		prompt: r.PromptLen,
+		output: r.MaxNewTokens,
+		tenant: -1, session: -1,
 	})
 }
 
@@ -91,7 +91,7 @@ func (e *Exporter) Trace() (*Trace, error) {
 		return nil, e.err
 	}
 	t := &Trace{Header: Header{
-		Version:  Version,
+		Version:  version,
 		TimeUnit: "s",
 		Seed:     e.opts.Seed,
 		Source:   e.opts.Source,
@@ -116,11 +116,11 @@ func (e *Exporter) Trace() (*Trace, error) {
 	}
 	// The driver admits in arrival order, but be defensive: a future
 	// out-of-order source would otherwise corrupt the export silently.
-	if !sort.SliceIsSorted(e.arrivals, func(i, j int) bool { return e.arrivals[i].At < e.arrivals[j].At }) {
+	if !sort.SliceIsSorted(e.arrivals, func(i, j int) bool { return e.arrivals[i].at < e.arrivals[j].at }) {
 		return nil, fmt.Errorf("trace: export: admissions observed out of arrival order")
 	}
 	t.Arrivals = e.arrivals
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -82,7 +82,7 @@ func TestExporterDegraded(t *testing.T) {
 	if len(tr.Header.Classes) != 1 || tr.Header.Classes[0].Name != "chat" {
 		t.Fatalf("classes = %+v", tr.Header.Classes)
 	}
-	if tr.Arrivals[1].Class != int(request.Chat) || tr.Arrivals[1].Prompt != 70 {
+	if tr.Arrivals[1].class != int(request.Chat) || tr.Arrivals[1].prompt != 70 {
 		t.Fatalf("degraded arrival = %+v", tr.Arrivals[1])
 	}
 	// Its SLOs come from the non-degraded sibling, not the degraded copy.
@@ -112,7 +112,7 @@ func TestExporterDegradedOnlyClass(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Trace with override: %v", err)
 	}
-	if len(tr.Header.Classes) != 1 || tr.Arrivals[0].Class != 0 {
+	if len(tr.Header.Classes) != 1 || tr.Arrivals[0].class != 0 {
 		t.Fatalf("override export: %+v", tr)
 	}
 }

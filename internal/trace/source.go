@@ -38,8 +38,8 @@ func classCategories(h *Header) (map[int]ClassDef, map[int]request.Category, err
 // index in the trace; content seeds derive from the header seed so a
 // replay is fully determined by the file.
 func makeRequest(h *Header, defs map[int]ClassDef, cats map[int]request.Category, id int, a Arrival) *request.Request {
-	c := defs[a.Class]
-	r := request.New(id, cats[a.Class], c.TPOT, a.At, a.Prompt, a.Output,
+	c := defs[a.class]
+	r := request.New(id, cats[a.class], c.TPOT, a.at, a.prompt, a.output,
 		mathutil.Hash2(h.Seed, uint64(id)+seedSalt))
 	r.TTFTSLO = c.TTFT
 	return r
@@ -57,7 +57,7 @@ type Source struct {
 // NewSource builds a replay source for a validated trace. Fails if any
 // class does not name a request category.
 func NewSource(t *Trace) (*Source, error) {
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
 	defs, cats, err := classCategories(&t.Header)
@@ -72,7 +72,7 @@ func (s *Source) Peek() (float64, bool) {
 	if s.next >= len(s.trace.Arrivals) {
 		return 0, false
 	}
-	return s.trace.Arrivals[s.next].At, true
+	return s.trace.Arrivals[s.next].at, true
 }
 
 // Pop consumes and materializes the next arrival.

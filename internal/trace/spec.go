@@ -10,9 +10,9 @@ import (
 	"adaserve/internal/workload"
 )
 
-// SpecVersion is the workload-spec format version this package reads and
+// specVersion is the workload-spec format version this package reads and
 // writes.
-const SpecVersion = 1
+const specVersion = 1
 
 // specMagic is the first token of every spec file.
 const specMagic = "#adaserve-spec"
@@ -39,62 +39,62 @@ const specMagic = "#adaserve-spec"
 // 1−amp·cos(2πt/period) (defaults: 86400s and 604800s periods). tpot/ttft
 // override the class's default SLOs in seconds.
 type Spec struct {
-	Version  int
-	Seed     uint64
-	Duration float64
+	version  int
+	seed     uint64
+	duration float64
 	// Name is an optional slug recorded as trace provenance ("spec:<name>").
 	Name    string
-	Cohorts []Cohort
+	cohorts []cohort
 }
 
-// Cohort is one client population of a spec.
-type Cohort struct {
-	Name  string
-	Class request.Category
-	// Rate is the mean arrival rate in req/s (poisson kinds only).
-	Rate    float64
-	Arrival ArrivalSpec
-	Prompt  LengthSpec
-	Output  LengthSpec
-	// Tenants/Sessions > 0 tag each arrival with a tenant/session drawn
+// cohort is one client population of a spec.
+type cohort struct {
+	name  string
+	class request.Category
+	// rate is the mean arrival rate in req/s (poisson kinds only).
+	rate    float64
+	arrival arrivalSpec
+	prompt  lengthSpec
+	output  lengthSpec
+	// tenants/sessions > 0 tag each arrival with a tenant/session drawn
 	// uniformly from a cohort-private ID range (0: untagged).
-	Tenants  int
-	Sessions int
-	Diurnal  Modulation
-	Weekly   Modulation
+	tenants  int
+	sessions int
+	diurnal  modulation
+	weekly   modulation
 	// TPOT/TTFT override the class's default SLOs (-1: use defaults;
 	// TTFT 0 is expressible and waives the TTFT deadline).
-	TPOT float64
-	TTFT float64
+	tpot float64
+	ttft float64
 }
 
-// ArrivalSpec is a cohort's arrival process.
-type ArrivalSpec struct {
-	// Kind is "poisson" or "bursts".
-	Kind string
-	// Profile shapes a poisson cohort's rate over time (a
+// arrivalSpec is a cohort's arrival process.
+type arrivalSpec struct {
+	// kind is "poisson" or "bursts".
+	kind string
+	// profile shapes a poisson cohort's rate over time (a
 	// workload.RateProfile name; "constant" is the plain-poisson default).
-	Profile string
-	// Interval, Size, Width parameterize bursts: every Interval seconds a
-	// burst of ~Size arrivals lands, spread over Width seconds.
-	Interval, Size, Width float64
+	profile string
+	// interval, size, width parameterize bursts: every interval seconds a
+	// burst of ~size arrivals lands, spread over width seconds.
+	interval, size, width float64
 }
 
-// LengthSpec is a prompt/output token-length distribution.
-type LengthSpec struct {
-	// Kind is "lognormal", "pareto", "uniform" or "fixed".
-	Kind string
-	// Median and Sigma parameterize lognormal.
-	Median, Sigma float64
-	// Alpha is the pareto tail index (smaller: heavier tail).
-	Alpha float64
-	// Min and Max clip every sample (fixed: Min == Max).
-	Min, Max int
+// lengthSpec is a prompt/output token-length distribution.
+type lengthSpec struct {
+	// kind is "lognormal", "pareto", "uniform" or "fixed".
+	kind string
+	// median and Sigma parameterize lognormal.
+	median, sigma float64
+	// alpha is the pareto tail index (smaller: heavier tail).
+	alpha float64
+	// min and Max clip every sample (fixed: Min == Max).
+	min, max int
 }
 
-// Modulation is a sinusoidal rate multiplier 1−Amp·cos(2πt/Period).
-type Modulation struct {
-	Amp, Period float64
+// modulation is a sinusoidal rate multiplier 1−amp·cos(2πt/period).
+type modulation struct {
+	amp, period float64
 }
 
 // Default modulation periods (seconds).
@@ -113,81 +113,81 @@ func specErr(n int, format string, args ...any) error {
 // its format helpers, as FuzzSpecParse's round-trip oracle.
 func (s *Spec) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s v%d\n", specMagic, s.Version)
-	fmt.Fprintf(&b, "#meta seed %d\n", s.Seed)
-	fmt.Fprintf(&b, "#meta duration %s\n", num(s.Duration))
+	fmt.Fprintf(&b, "%s v%d\n", specMagic, s.version)
+	fmt.Fprintf(&b, "#meta seed %d\n", s.seed)
+	fmt.Fprintf(&b, "#meta duration %s\n", num(s.duration))
 	if s.Name != "" {
 		fmt.Fprintf(&b, "#meta name %s\n", s.Name)
 	}
-	for _, c := range s.Cohorts {
+	for _, c := range s.cohorts {
 		b.WriteString(c.format())
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-func (c *Cohort) format() string {
+func (c *cohort) format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "cohort %s class=%s", c.Name, c.Class)
-	if c.Arrival.Kind == "poisson" {
-		fmt.Fprintf(&b, " rate=%s", num(c.Rate))
+	fmt.Fprintf(&b, "cohort %s class=%s", c.name, c.class)
+	if c.arrival.kind == "poisson" {
+		fmt.Fprintf(&b, " rate=%s", num(c.rate))
 	}
 	b.WriteString(" arrival=")
-	b.WriteString(c.Arrival.format())
-	fmt.Fprintf(&b, " prompt=%s output=%s", c.Prompt.format(), c.Output.format())
-	if c.Tenants > 0 {
-		fmt.Fprintf(&b, " tenants=%d", c.Tenants)
+	b.WriteString(c.arrival.format())
+	fmt.Fprintf(&b, " prompt=%s output=%s", c.prompt.format(), c.output.format())
+	if c.tenants > 0 {
+		fmt.Fprintf(&b, " tenants=%d", c.tenants)
 	}
-	if c.Sessions > 0 {
-		fmt.Fprintf(&b, " sessions=%d", c.Sessions)
+	if c.sessions > 0 {
+		fmt.Fprintf(&b, " sessions=%d", c.sessions)
 	}
-	if c.Diurnal.Amp > 0 {
-		fmt.Fprintf(&b, " diurnal=%s:%s", num(c.Diurnal.Amp), num(c.Diurnal.Period))
+	if c.diurnal.amp > 0 {
+		fmt.Fprintf(&b, " diurnal=%s:%s", num(c.diurnal.amp), num(c.diurnal.period))
 	}
-	if c.Weekly.Amp > 0 {
-		fmt.Fprintf(&b, " weekly=%s:%s", num(c.Weekly.Amp), num(c.Weekly.Period))
+	if c.weekly.amp > 0 {
+		fmt.Fprintf(&b, " weekly=%s:%s", num(c.weekly.amp), num(c.weekly.period))
 	}
-	if c.TPOT >= 0 {
-		fmt.Fprintf(&b, " tpot=%s", num(c.TPOT))
+	if c.tpot >= 0 {
+		fmt.Fprintf(&b, " tpot=%s", num(c.tpot))
 	}
-	if c.TTFT >= 0 {
-		fmt.Fprintf(&b, " ttft=%s", num(c.TTFT))
+	if c.ttft >= 0 {
+		fmt.Fprintf(&b, " ttft=%s", num(c.ttft))
 	}
 	return b.String()
 }
 
-func (a *ArrivalSpec) format() string {
-	switch a.Kind {
+func (a *arrivalSpec) format() string {
+	switch a.kind {
 	case "poisson":
-		if a.Profile == "constant" {
+		if a.profile == "constant" {
 			return "poisson"
 		}
-		return "poisson:" + a.Profile
+		return "poisson:" + a.profile
 	case "bursts":
-		return fmt.Sprintf("bursts:%s,%s,%s", num(a.Interval), num(a.Size), num(a.Width))
+		return fmt.Sprintf("bursts:%s,%s,%s", num(a.interval), num(a.size), num(a.width))
 	}
-	return a.Kind
+	return a.kind
 }
 
-func (l *LengthSpec) format() string {
-	switch l.Kind {
+func (l *lengthSpec) format() string {
+	switch l.kind {
 	case "lognormal":
-		return fmt.Sprintf("lognormal:%s,%s,%d,%d", num(l.Median), num(l.Sigma), l.Min, l.Max)
+		return fmt.Sprintf("lognormal:%s,%s,%d,%d", num(l.median), num(l.sigma), l.min, l.max)
 	case "pareto":
-		return fmt.Sprintf("pareto:%d,%s,%d", l.Min, num(l.Alpha), l.Max)
+		return fmt.Sprintf("pareto:%d,%s,%d", l.min, num(l.alpha), l.max)
 	case "uniform":
-		return fmt.Sprintf("uniform:%d,%d", l.Min, l.Max)
+		return fmt.Sprintf("uniform:%d,%d", l.min, l.max)
 	case "fixed":
-		return fmt.Sprintf("fixed:%d", l.Min)
+		return fmt.Sprintf("fixed:%d", l.min)
 	}
-	return l.Kind
+	return l.kind
 }
 
 // ParseSpec reads a workload spec. Like the trace parser it is strict with
 // line-numbered errors, tolerates blank and comment lines, and the result
 // round-trips: ParseSpec(s.Format()) equals s.
 func ParseSpec(data string) (*Spec, error) {
-	s := &Spec{Version: SpecVersion}
+	s := &Spec{version: specVersion}
 	sawVersion, sawDuration := false, false
 	seenMeta := map[string]bool{}
 	names := map[string]bool{}
@@ -206,8 +206,8 @@ func ParseSpec(data string) (*Spec, error) {
 			if err != nil {
 				return nil, specErr(n, "bad version %q (want v<N>)", rest)
 			}
-			if v != SpecVersion {
-				return nil, specErr(n, "unsupported spec format version %d (this build reads v%d)", v, SpecVersion)
+			if v != specVersion {
+				return nil, specErr(n, "unsupported spec format version %d (this build reads v%d)", v, specVersion)
 			}
 			sawVersion = true
 			continue
@@ -231,11 +231,11 @@ func ParseSpec(data string) (*Spec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if names[c.Name] {
-			return nil, specErr(n, "duplicate cohort name %q", c.Name)
+		if names[c.name] {
+			return nil, specErr(n, "duplicate cohort name %q", c.name)
 		}
-		names[c.Name] = true
-		s.Cohorts = append(s.Cohorts, c)
+		names[c.name] = true
+		s.cohorts = append(s.cohorts, c)
 	}
 	if !sawVersion {
 		return nil, fmt.Errorf("spec: empty input (want %q first)", specMagic+" v1")
@@ -243,7 +243,7 @@ func ParseSpec(data string) (*Spec, error) {
 	if !sawDuration {
 		return nil, fmt.Errorf("spec: missing #meta duration")
 	}
-	if len(s.Cohorts) == 0 {
+	if len(s.cohorts) == 0 {
 		return nil, fmt.Errorf("spec: no cohorts")
 	}
 	return s, nil
@@ -260,13 +260,13 @@ func (s *Spec) parseMeta(n int, kv []string, seen map[string]bool) (sawDuration 
 	seen[key] = true
 	switch key {
 	case "seed":
-		s.Seed, err = strconv.ParseUint(val, 10, 64)
+		s.seed, err = strconv.ParseUint(val, 10, 64)
 		if err != nil {
 			return false, specErr(n, "bad seed %q", val)
 		}
 	case "duration":
-		s.Duration, err = strconv.ParseFloat(val, 64)
-		if err != nil || !(s.Duration > 0) || math.IsInf(s.Duration, 0) {
+		s.duration, err = strconv.ParseFloat(val, 64)
+		if err != nil || !(s.duration > 0) || math.IsInf(s.duration, 0) {
 			return false, specErr(n, "bad duration %q (want seconds > 0)", val)
 		}
 		return true, nil
@@ -281,80 +281,80 @@ func (s *Spec) parseMeta(n int, kv []string, seen map[string]bool) (sawDuration 
 	return false, nil
 }
 
-func parseCohort(n int, fields []string) (Cohort, error) {
+func parseCohort(n int, fields []string) (cohort, error) {
 	if len(fields) < 1 {
-		return Cohort{}, specErr(n, "cohort wants a name")
+		return cohort{}, specErr(n, "cohort wants a name")
 	}
-	c := Cohort{Name: fields[0], Class: -1, TPOT: -1, TTFT: -1}
-	if err := validClassName(c.Name); err != nil {
-		return Cohort{}, specErr(n, "bad cohort name %q", c.Name)
+	c := cohort{name: fields[0], class: -1, tpot: -1, ttft: -1}
+	if err := validClassName(c.name); err != nil {
+		return cohort{}, specErr(n, "bad cohort name %q", c.name)
 	}
 	seen := map[string]bool{}
 	for _, opt := range fields[1:] {
 		key, val, ok := strings.Cut(opt, "=")
 		if !ok || val == "" {
-			return Cohort{}, specErr(n, "bad cohort option %q (want key=value)", opt)
+			return cohort{}, specErr(n, "bad cohort option %q (want key=value)", opt)
 		}
 		if seen[key] {
-			return Cohort{}, specErr(n, "duplicate cohort option %q", key)
+			return cohort{}, specErr(n, "duplicate cohort option %q", key)
 		}
 		seen[key] = true
 		if err := c.setOption(n, key, val); err != nil {
-			return Cohort{}, err
+			return cohort{}, err
 		}
 	}
 	return c, c.validate(n)
 }
 
-func (c *Cohort) setOption(n int, key, val string) error {
+func (c *cohort) setOption(n int, key, val string) error {
 	var err error
 	switch key {
 	case "class":
 		for i := 0; i < request.NumCategories; i++ {
 			if request.Category(i).String() == val {
-				c.Class = request.Category(i)
+				c.class = request.Category(i)
 				return nil
 			}
 		}
 		return specErr(n, "unknown class %q", val)
 	case "rate":
-		c.Rate, err = strconv.ParseFloat(val, 64)
-		if err != nil || !(c.Rate > 0) || math.IsInf(c.Rate, 0) {
+		c.rate, err = strconv.ParseFloat(val, 64)
+		if err != nil || !(c.rate > 0) || math.IsInf(c.rate, 0) {
 			return specErr(n, "bad rate %q (want req/s > 0)", val)
 		}
 	case "arrival":
-		c.Arrival, err = parseArrivalSpec(n, val)
+		c.arrival, err = parseArrivalSpec(n, val)
 		return err
 	case "prompt":
-		c.Prompt, err = parseLengthSpec(n, "prompt", val)
+		c.prompt, err = parseLengthSpec(n, "prompt", val)
 		return err
 	case "output":
-		c.Output, err = parseLengthSpec(n, "output", val)
+		c.output, err = parseLengthSpec(n, "output", val)
 		return err
 	case "tenants":
-		c.Tenants, err = strconv.Atoi(val)
-		if err != nil || c.Tenants <= 0 {
+		c.tenants, err = strconv.Atoi(val)
+		if err != nil || c.tenants <= 0 {
 			return specErr(n, "bad tenants %q (want count > 0)", val)
 		}
 	case "sessions":
-		c.Sessions, err = strconv.Atoi(val)
-		if err != nil || c.Sessions <= 0 {
+		c.sessions, err = strconv.Atoi(val)
+		if err != nil || c.sessions <= 0 {
 			return specErr(n, "bad sessions %q (want count > 0)", val)
 		}
 	case "diurnal":
-		c.Diurnal, err = parseModulation(n, key, val, diurnalPeriod)
+		c.diurnal, err = parseModulation(n, key, val, diurnalPeriod)
 		return err
 	case "weekly":
-		c.Weekly, err = parseModulation(n, key, val, weeklyPeriod)
+		c.weekly, err = parseModulation(n, key, val, weeklyPeriod)
 		return err
 	case "tpot":
-		c.TPOT, err = strconv.ParseFloat(val, 64)
-		if err != nil || !(c.TPOT > 0) || math.IsInf(c.TPOT, 0) {
+		c.tpot, err = strconv.ParseFloat(val, 64)
+		if err != nil || !(c.tpot > 0) || math.IsInf(c.tpot, 0) {
 			return specErr(n, "bad tpot %q (want seconds > 0)", val)
 		}
 	case "ttft":
-		c.TTFT, err = strconv.ParseFloat(val, 64)
-		if err != nil || c.TTFT < 0 || math.IsNaN(c.TTFT) || math.IsInf(c.TTFT, 0) {
+		c.ttft, err = strconv.ParseFloat(val, 64)
+		if err != nil || c.ttft < 0 || math.IsNaN(c.ttft) || math.IsInf(c.ttft, 0) {
 			return specErr(n, "bad ttft %q (want seconds >= 0; 0 waives it)", val)
 		}
 	default:
@@ -363,13 +363,13 @@ func (c *Cohort) setOption(n int, key, val string) error {
 	return nil
 }
 
-func parseArrivalSpec(n int, val string) (ArrivalSpec, error) {
+func parseArrivalSpec(n int, val string) (arrivalSpec, error) {
 	kind, args, _ := strings.Cut(val, ":")
 	switch kind {
 	case "poisson":
-		a := ArrivalSpec{Kind: "poisson", Profile: "constant"}
+		a := arrivalSpec{kind: "poisson", profile: "constant"}
 		if args != "" {
-			a.Profile = args
+			a.profile = args
 			ok := false
 			for _, p := range workload.RateProfileNames() {
 				if p == args {
@@ -378,36 +378,36 @@ func parseArrivalSpec(n int, val string) (ArrivalSpec, error) {
 				}
 			}
 			if !ok {
-				return ArrivalSpec{}, specErr(n, "unknown rate profile %q (%s)", args, strings.Join(workload.RateProfileNames(), ", "))
+				return arrivalSpec{}, specErr(n, "unknown rate profile %q (%s)", args, strings.Join(workload.RateProfileNames(), ", "))
 			}
 		}
 		return a, nil
 	case "bursts":
 		parts := strings.Split(args, ",")
 		if len(parts) != 3 {
-			return ArrivalSpec{}, specErr(n, "bursts wants bursts:interval,size,width")
+			return arrivalSpec{}, specErr(n, "bursts wants bursts:interval,size,width")
 		}
 		var v [3]float64
 		for i, p := range parts {
 			f, err := strconv.ParseFloat(p, 64)
 			if err != nil || !(f > 0) || math.IsInf(f, 0) {
-				return ArrivalSpec{}, specErr(n, "bad bursts parameter %q (want > 0)", p)
+				return arrivalSpec{}, specErr(n, "bad bursts parameter %q (want > 0)", p)
 			}
 			v[i] = f
 		}
 		if v[2] > v[0] {
-			return ArrivalSpec{}, specErr(n, "burst width %s exceeds interval %s", num(v[2]), num(v[0]))
+			return arrivalSpec{}, specErr(n, "burst width %s exceeds interval %s", num(v[2]), num(v[0]))
 		}
-		return ArrivalSpec{Kind: "bursts", Interval: v[0], Size: v[1], Width: v[2]}, nil
+		return arrivalSpec{kind: "bursts", interval: v[0], size: v[1], width: v[2]}, nil
 	}
-	return ArrivalSpec{}, specErr(n, "unknown arrival process %q (poisson, poisson:<profile>, bursts:interval,size,width)", kind)
+	return arrivalSpec{}, specErr(n, "unknown arrival process %q (poisson, poisson:<profile>, bursts:interval,size,width)", kind)
 }
 
-func parseLengthSpec(n int, which, val string) (LengthSpec, error) {
+func parseLengthSpec(n int, which, val string) (lengthSpec, error) {
 	kind, args, _ := strings.Cut(val, ":")
 	parts := strings.Split(args, ",")
-	bad := func(format string, a ...any) (LengthSpec, error) {
-		return LengthSpec{}, specErr(n, "%s: %s", which, fmt.Sprintf(format, a...))
+	bad := func(format string, a ...any) (lengthSpec, error) {
+		return lengthSpec{}, specErr(n, "%s: %s", which, fmt.Sprintf(format, a...))
 	}
 	pFloat := func(s string) (float64, error) {
 		f, err := strconv.ParseFloat(s, 64)
@@ -422,18 +422,18 @@ func parseLengthSpec(n int, which, val string) (LengthSpec, error) {
 		if len(parts) != 4 {
 			return bad("lognormal wants lognormal:median,sigma,min,max")
 		}
-		l := LengthSpec{Kind: "lognormal"}
+		l := lengthSpec{kind: "lognormal"}
 		var err error
-		if l.Median, err = pFloat(parts[0]); err != nil || !(l.Median > 0) {
+		if l.median, err = pFloat(parts[0]); err != nil || !(l.median > 0) {
 			return bad("bad median %q", parts[0])
 		}
-		if l.Sigma, err = pFloat(parts[1]); err != nil || l.Sigma < 0 {
+		if l.sigma, err = pFloat(parts[1]); err != nil || l.sigma < 0 {
 			return bad("bad sigma %q", parts[1])
 		}
-		if l.Min, err = pInt(parts[2]); err != nil || l.Min <= 0 {
+		if l.min, err = pInt(parts[2]); err != nil || l.min <= 0 {
 			return bad("bad min %q", parts[2])
 		}
-		if l.Max, err = pInt(parts[3]); err != nil || l.Max < l.Min {
+		if l.max, err = pInt(parts[3]); err != nil || l.max < l.min {
 			return bad("bad max %q (want >= min)", parts[3])
 		}
 		return l, nil
@@ -441,15 +441,15 @@ func parseLengthSpec(n int, which, val string) (LengthSpec, error) {
 		if len(parts) != 3 {
 			return bad("pareto wants pareto:min,alpha,max")
 		}
-		l := LengthSpec{Kind: "pareto"}
+		l := lengthSpec{kind: "pareto"}
 		var err error
-		if l.Min, err = pInt(parts[0]); err != nil || l.Min <= 0 {
+		if l.min, err = pInt(parts[0]); err != nil || l.min <= 0 {
 			return bad("bad min %q", parts[0])
 		}
-		if l.Alpha, err = pFloat(parts[1]); err != nil || !(l.Alpha > 0) {
+		if l.alpha, err = pFloat(parts[1]); err != nil || !(l.alpha > 0) {
 			return bad("bad alpha %q (want > 0)", parts[1])
 		}
-		if l.Max, err = pInt(parts[2]); err != nil || l.Max < l.Min {
+		if l.max, err = pInt(parts[2]); err != nil || l.max < l.min {
 			return bad("bad max %q (want >= min)", parts[2])
 		}
 		return l, nil
@@ -457,12 +457,12 @@ func parseLengthSpec(n int, which, val string) (LengthSpec, error) {
 		if len(parts) != 2 {
 			return bad("uniform wants uniform:min,max")
 		}
-		l := LengthSpec{Kind: "uniform"}
+		l := lengthSpec{kind: "uniform"}
 		var err error
-		if l.Min, err = pInt(parts[0]); err != nil || l.Min <= 0 {
+		if l.min, err = pInt(parts[0]); err != nil || l.min <= 0 {
 			return bad("bad min %q", parts[0])
 		}
-		if l.Max, err = pInt(parts[1]); err != nil || l.Max < l.Min {
+		if l.max, err = pInt(parts[1]); err != nil || l.max < l.min {
 			return bad("bad max %q (want >= min)", parts[1])
 		}
 		return l, nil
@@ -471,54 +471,54 @@ func parseLengthSpec(n int, which, val string) (LengthSpec, error) {
 		if err != nil || v <= 0 {
 			return bad("fixed wants fixed:<tokens > 0>")
 		}
-		return LengthSpec{Kind: "fixed", Min: v, Max: v}, nil
+		return lengthSpec{kind: "fixed", min: v, max: v}, nil
 	}
 	return bad("unknown distribution %q (lognormal, pareto, uniform, fixed)", kind)
 }
 
-func parseModulation(n int, key, val string, defPeriod float64) (Modulation, error) {
+func parseModulation(n int, key, val string, defPeriod float64) (modulation, error) {
 	ampS, periodS, hasPeriod := strings.Cut(val, ":")
-	m := Modulation{Period: defPeriod}
+	m := modulation{period: defPeriod}
 	amp, err := strconv.ParseFloat(ampS, 64)
 	if err != nil || amp < 0 || amp >= 1 || math.IsNaN(amp) {
-		return Modulation{}, specErr(n, "bad %s amplitude %q (want 0 <= amp < 1)", key, ampS)
+		return modulation{}, specErr(n, "bad %s amplitude %q (want 0 <= amp < 1)", key, ampS)
 	}
-	m.Amp = amp
+	m.amp = amp
 	if hasPeriod {
 		p, err := strconv.ParseFloat(periodS, 64)
 		if err != nil || !(p > 0) || math.IsInf(p, 0) {
-			return Modulation{}, specErr(n, "bad %s period %q (want seconds > 0)", key, periodS)
+			return modulation{}, specErr(n, "bad %s period %q (want seconds > 0)", key, periodS)
 		}
-		m.Period = p
+		m.period = p
 	}
-	if m.Amp == 0 {
+	if m.amp == 0 {
 		// Canonical form omits zero-amplitude modulation entirely.
-		return Modulation{}, nil
+		return modulation{}, nil
 	}
 	return m, nil
 }
 
-func (c *Cohort) validate(n int) error {
-	if c.Class < 0 {
-		return specErr(n, "cohort %s: missing class=", c.Name)
+func (c *cohort) validate(n int) error {
+	if c.class < 0 {
+		return specErr(n, "cohort %s: missing class=", c.name)
 	}
-	switch c.Arrival.Kind {
+	switch c.arrival.kind {
 	case "poisson":
-		if c.Rate <= 0 {
-			return specErr(n, "cohort %s: poisson arrival needs rate=", c.Name)
+		if c.rate <= 0 {
+			return specErr(n, "cohort %s: poisson arrival needs rate=", c.name)
 		}
 	case "bursts":
-		if c.Rate != 0 {
-			return specErr(n, "cohort %s: bursts arrival takes no rate= (size/interval set the rate)", c.Name)
+		if c.rate != 0 {
+			return specErr(n, "cohort %s: bursts arrival takes no rate= (size/interval set the rate)", c.name)
 		}
 	case "":
-		return specErr(n, "cohort %s: missing arrival=", c.Name)
+		return specErr(n, "cohort %s: missing arrival=", c.name)
 	}
-	if c.Prompt.Kind == "" {
-		return specErr(n, "cohort %s: missing prompt=", c.Name)
+	if c.prompt.kind == "" {
+		return specErr(n, "cohort %s: missing prompt=", c.name)
 	}
-	if c.Output.Kind == "" {
-		return specErr(n, "cohort %s: missing output=", c.Name)
+	if c.output.kind == "" {
+		return specErr(n, "cohort %s: missing output=", c.name)
 	}
 	return nil
 }

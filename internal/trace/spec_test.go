@@ -22,7 +22,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if s.Seed != 7 || s.Duration != 30 || s.Name != "sample" || len(s.Cohorts) != 3 {
+	if s.seed != 7 || s.duration != 30 || s.Name != "sample" || len(s.cohorts) != 3 {
 		t.Fatalf("bad spec: %+v", s)
 	}
 	if s.Format() != specText {
@@ -35,14 +35,14 @@ func TestSpecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, back) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", s, back)
 	}
-	c := s.Cohorts[1]
-	if c.Arrival.Kind != "bursts" || c.Arrival.Interval != 10 || c.Arrival.Size != 12 || c.Arrival.Width != 2 {
-		t.Fatalf("bursts parse: %+v", c.Arrival)
+	c := s.cohorts[1]
+	if c.arrival.kind != "bursts" || c.arrival.interval != 10 || c.arrival.size != 12 || c.arrival.width != 2 {
+		t.Fatalf("bursts parse: %+v", c.arrival)
 	}
-	if c.Tenants != 3 || c.Sessions != 8 || c.TPOT != -1 || c.TTFT != -1 {
+	if c.tenants != 3 || c.sessions != 8 || c.tpot != -1 || c.ttft != -1 {
 		t.Fatalf("cohort defaults: %+v", c)
 	}
-	if d := s.Cohorts[2].Diurnal; d.Amp != 0.4 || d.Period != 30 {
+	if d := s.cohorts[2].diurnal; d.amp != 0.4 || d.period != 30 {
 		t.Fatalf("diurnal parse: %+v", d)
 	}
 }
@@ -56,15 +56,15 @@ func TestSpecNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	c := s.Cohorts[0]
-	if c.Arrival.Profile != "constant" {
-		t.Fatalf("profile = %q", c.Arrival.Profile)
+	c := s.cohorts[0]
+	if c.arrival.profile != "constant" {
+		t.Fatalf("profile = %q", c.arrival.profile)
 	}
-	if c.Diurnal.Period != diurnalPeriod {
-		t.Fatalf("diurnal period = %g", c.Diurnal.Period)
+	if c.diurnal.period != diurnalPeriod {
+		t.Fatalf("diurnal period = %g", c.diurnal.period)
 	}
-	if c.Weekly != (Modulation{}) {
-		t.Fatalf("zero-amp weekly should normalize away: %+v", c.Weekly)
+	if c.weekly != (modulation{}) {
+		t.Fatalf("zero-amp weekly should normalize away: %+v", c.weekly)
 	}
 	want := "cohort a class=chat rate=1 arrival=poisson prompt=fixed:10 output=fixed:10 diurnal=0.5:86400"
 	if got := c.format(); got != want {
@@ -230,21 +230,21 @@ func TestCompileTagsAndClipping(t *testing.T) {
 	}
 	sawA, sawB := false, false
 	for _, a := range tr.Arrivals {
-		switch a.Class {
+		switch a.class {
 		case 1: // cohort a
 			sawA = true
-			if a.Prompt+a.Output > 8192 {
-				t.Fatalf("context clip failed: %d+%d", a.Prompt, a.Output)
+			if a.prompt+a.output > 8192 {
+				t.Fatalf("context clip failed: %d+%d", a.prompt, a.output)
 			}
-			if a.Tenant < 0 || a.Tenant > 1 || a.Session < 0 || a.Session > 3 {
+			if a.tenant < 0 || a.tenant > 1 || a.session < 0 || a.session > 3 {
 				t.Fatalf("cohort a tags out of range: %+v", a)
 			}
 		case 0: // cohort b: tenant IDs namespaced after cohort a's
 			sawB = true
-			if a.Tenant < 2 || a.Tenant > 4 {
-				t.Fatalf("cohort b tenant %d outside [2,4]", a.Tenant)
+			if a.tenant < 2 || a.tenant > 4 {
+				t.Fatalf("cohort b tenant %d outside [2,4]", a.tenant)
 			}
-			if a.Session != -1 {
+			if a.session != -1 {
 				t.Fatalf("cohort b should be sessionless: %+v", a)
 			}
 		}
@@ -272,14 +272,14 @@ func TestCompileBursts(t *testing.T) {
 		in := false
 		for k := 0; k < 4; k++ {
 			center := 10*float64(k) + 5
-			if a.At >= center-1 && a.At < center+1 {
+			if a.at >= center-1 && a.at < center+1 {
 				hit[k]++
 				in = true
 				break
 			}
 		}
 		if !in {
-			t.Fatalf("arrival %g outside every burst window", a.At)
+			t.Fatalf("arrival %g outside every burst window", a.at)
 		}
 	}
 	for k, n := range hit {

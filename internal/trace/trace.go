@@ -39,8 +39,8 @@ import (
 	"strings"
 )
 
-// Version is the trace format version this package reads and writes.
-const Version = 1
+// version is the trace format version this package reads and writes.
+const version = 1
 
 // magic is the first token of every trace file.
 const magic = "#adaserve-trace"
@@ -79,17 +79,17 @@ type Header struct {
 
 // Arrival is one body row: a single admitted request arrival.
 type Arrival struct {
-	// At is the arrival time in seconds.
-	At float64
-	// Class is the SLO-class ID (must be declared in the header).
-	Class int
-	// Prompt and Output are the token lengths (> 0).
-	Prompt, Output int
-	// Tenant and Session optionally tag the arrival with a client tenant
+	// at is the arrival time in seconds.
+	at float64
+	// class is the SLO-class ID (must be declared in the header).
+	class int
+	// prompt and output are the token lengths (> 0).
+	prompt, output int
+	// tenant and session optionally tag the arrival with a client tenant
 	// and conversation session (-1: untagged). Replay treats them as
 	// metadata: replayed requests do not reconstruct shared prompt
 	// prefixes from them.
-	Tenant, Session int
+	tenant, session int
 }
 
 // Trace is a parsed trace file.
@@ -130,7 +130,7 @@ func (t *Trace) Format() string {
 	b.WriteByte('\n')
 	for _, a := range t.Arrivals {
 		fmt.Fprintf(&b, "%s,%d,%d,%d,%s,%s\n",
-			num(a.At), a.Class, a.Prompt, a.Output, optInt(a.Tenant), optInt(a.Session))
+			num(a.at), a.class, a.prompt, a.output, optInt(a.tenant), optInt(a.session))
 	}
 	return b.String()
 }
@@ -138,8 +138,8 @@ func (t *Trace) Format() string {
 // String implements fmt.Stringer (the canonical form).
 func (t *Trace) String() string { return t.Format() }
 
-// Class returns the class map entry for an ID, or false.
-func (h *Header) Class(id int) (ClassDef, bool) {
+// class returns the class map entry for an ID, or false.
+func (h *Header) class(id int) (ClassDef, bool) {
 	for _, c := range h.Classes {
 		if c.ID == id {
 			return c, true
@@ -148,13 +148,13 @@ func (h *Header) Class(id int) (ClassDef, bool) {
 	return ClassDef{}, false
 }
 
-// Validate checks the whole trace against the format invariants Parse
+// validate checks the whole trace against the format invariants Parse
 // enforces, so programmatically built traces fail here instead of
 // producing files Parse would reject.
-func (t *Trace) Validate() error {
+func (t *Trace) validate() error {
 	h := &t.Header
-	if h.Version != Version {
-		return fmt.Errorf("trace: unsupported format version %d (have v%d)", h.Version, Version)
+	if h.Version != version {
+		return fmt.Errorf("trace: unsupported format version %d (have v%d)", h.Version, version)
 	}
 	if h.TimeUnit != "s" {
 		return fmt.Errorf("trace: unsupported time unit %q (have s)", h.TimeUnit)
@@ -182,23 +182,23 @@ func (t *Trace) Validate() error {
 	}
 	last := 0.0
 	for i, a := range t.Arrivals {
-		if math.IsNaN(a.At) || math.IsInf(a.At, 0) || a.At < 0 {
-			return fmt.Errorf("trace: arrival %d: bad time %g", i, a.At)
+		if math.IsNaN(a.at) || math.IsInf(a.at, 0) || a.at < 0 {
+			return fmt.Errorf("trace: arrival %d: bad time %g", i, a.at)
 		}
-		if a.At < last {
-			return fmt.Errorf("trace: arrival %d: time %s before previous %s", i, num(a.At), num(last))
+		if a.at < last {
+			return fmt.Errorf("trace: arrival %d: time %s before previous %s", i, num(a.at), num(last))
 		}
-		last = a.At
-		if _, ok := h.Class(a.Class); !ok {
-			return fmt.Errorf("trace: arrival %d: undeclared class %d", i, a.Class)
+		last = a.at
+		if _, ok := h.class(a.class); !ok {
+			return fmt.Errorf("trace: arrival %d: undeclared class %d", i, a.class)
 		}
-		if a.Prompt <= 0 {
-			return fmt.Errorf("trace: arrival %d: non-positive prompt length %d", i, a.Prompt)
+		if a.prompt <= 0 {
+			return fmt.Errorf("trace: arrival %d: non-positive prompt length %d", i, a.prompt)
 		}
-		if a.Output <= 0 {
-			return fmt.Errorf("trace: arrival %d: non-positive output length %d", i, a.Output)
+		if a.output <= 0 {
+			return fmt.Errorf("trace: arrival %d: non-positive output length %d", i, a.output)
 		}
-		if a.Tenant < -1 || a.Session < -1 {
+		if a.tenant < -1 || a.session < -1 {
 			return fmt.Errorf("trace: arrival %d: negative tenant/session tag", i)
 		}
 	}
@@ -226,9 +226,9 @@ func lineErr(n int, format string, args ...any) error {
 // fails with its line number — but tolerates blank lines and '#'-comment
 // lines whose first word is not a directive, so hand-annotated traces stay
 // loadable (comments are not preserved; Format renders the canonical
-// form). The returned trace always passes Validate.
+// form). The returned trace always passes validate.
 func Parse(data string) (*Trace, error) {
-	t := &Trace{Header: Header{Version: Version, TimeUnit: "s"}}
+	t := &Trace{Header: Header{Version: version, TimeUnit: "s"}}
 	sawVersion, sawBody := false, false
 	seenMeta := map[string]bool{}
 	lastID := -1
@@ -251,8 +251,8 @@ func Parse(data string) (*Trace, error) {
 			if err != nil {
 				return nil, lineErr(n, "bad version %q (want v<N>)", rest)
 			}
-			if v != Version {
-				return nil, lineErr(n, "unsupported trace format version %d (this build reads v%d)", v, Version)
+			if v != version {
+				return nil, lineErr(n, "unsupported trace format version %d (this build reads v%d)", v, version)
 			}
 			sawVersion = true
 			continue
@@ -302,10 +302,10 @@ func Parse(data string) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a.At < lastAt {
-			return nil, lineErr(n, "arrival time %s before previous %s", num(a.At), num(lastAt))
+		if a.at < lastAt {
+			return nil, lineErr(n, "arrival time %s before previous %s", num(a.at), num(lastAt))
 		}
-		lastAt = a.At
+		lastAt = a.at
 		t.Arrivals = append(t.Arrivals, a)
 	}
 	if !sawVersion {
@@ -314,7 +314,7 @@ func Parse(data string) (*Trace, error) {
 	if !sawBody {
 		return nil, fmt.Errorf("trace: missing CSV header %q", csvHeader)
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -414,14 +414,14 @@ func parseArrival(n int, line string) (Arrival, error) {
 	if err != nil || output <= 0 {
 		return Arrival{}, lineErr(n, "bad output length %q", cols[3])
 	}
-	a := Arrival{At: at, Class: class, Prompt: prompt, Output: output, Tenant: -1, Session: -1}
+	a := Arrival{at: at, class: class, prompt: prompt, output: output, tenant: -1, session: -1}
 	if cols[4] != "" {
-		if a.Tenant, err = strconv.Atoi(cols[4]); err != nil || a.Tenant < 0 {
+		if a.tenant, err = strconv.Atoi(cols[4]); err != nil || a.tenant < 0 {
 			return Arrival{}, lineErr(n, "bad tenant tag %q", cols[4])
 		}
 	}
 	if cols[5] != "" {
-		if a.Session, err = strconv.Atoi(cols[5]); err != nil || a.Session < 0 {
+		if a.session, err = strconv.Atoi(cols[5]); err != nil || a.session < 0 {
 			return Arrival{}, lineErr(n, "bad session tag %q", cols[5])
 		}
 	}
@@ -433,7 +433,7 @@ func (t *Trace) Duration() float64 {
 	if len(t.Arrivals) == 0 {
 		return 0
 	}
-	return t.Arrivals[len(t.Arrivals)-1].At
+	return t.Arrivals[len(t.Arrivals)-1].at
 }
 
 // Stats summarizes a trace for inspection: per-class arrival counts in
@@ -458,11 +458,11 @@ func (t *Trace) Stats() Stats {
 	}
 	var prompt, output float64
 	for _, a := range t.Arrivals {
-		if i, ok := idx[a.Class]; ok {
+		if i, ok := idx[a.class]; ok {
 			st.PerClass[i]++
 		}
-		prompt += float64(a.Prompt)
-		output += float64(a.Output)
+		prompt += float64(a.prompt)
+		output += float64(a.output)
 	}
 	st.MeanPrompt = prompt / float64(st.Arrivals)
 	st.MeanOutput = output / float64(st.Arrivals)

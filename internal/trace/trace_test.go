@@ -14,7 +14,7 @@ import (
 func sampleTrace() *Trace {
 	return &Trace{
 		Header: Header{
-			Version:  Version,
+			Version:  version,
 			TimeUnit: "s",
 			Seed:     7,
 			Source:   "test",
@@ -25,17 +25,17 @@ func sampleTrace() *Trace {
 			},
 		},
 		Arrivals: []Arrival{
-			{At: 0.25, Class: 1, Prompt: 60, Output: 80, Tenant: -1, Session: -1},
-			{At: 0.5, Class: 0, Prompt: 160, Output: 90, Tenant: 0, Session: 3},
-			{At: 1.125, Class: 2, Prompt: 700, Output: 80, Tenant: 1, Session: -1},
-			{At: 2.5, Class: 1, Prompt: 48, Output: 64, Tenant: -1, Session: 2},
+			{at: 0.25, class: 1, prompt: 60, output: 80, tenant: -1, session: -1},
+			{at: 0.5, class: 0, prompt: 160, output: 90, tenant: 0, session: 3},
+			{at: 1.125, class: 2, prompt: 700, output: 80, tenant: 1, session: -1},
+			{at: 2.5, class: 1, prompt: 48, output: 64, tenant: -1, session: 2},
 		},
 	}
 }
 
 func TestParseFormatRoundTrip(t *testing.T) {
 	tr := sampleTrace()
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	text := tr.Format()
@@ -67,7 +67,7 @@ func TestParseTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if tr.Header.Seed != 3 || len(tr.Arrivals) != 1 || tr.Arrivals[0].At != 1 {
+	if tr.Header.Seed != 3 || len(tr.Arrivals) != 1 || tr.Arrivals[0].at != 1 {
 		t.Fatalf("bad parse: %+v", tr)
 	}
 	back, err := Parse(tr.Format())
@@ -142,13 +142,13 @@ func TestValidateErrors(t *testing.T) {
 		{"reserved name", mutate(func(tr *Trace) { tr.Header.Classes[1].Name = "a,b" }), "reserved character"},
 		{"class order", mutate(func(tr *Trace) { tr.Header.Classes[2].ID = 1 }), "strictly increasing"},
 		{"negative ttft", mutate(func(tr *Trace) { tr.Header.Classes[0].TTFT = -1 }), "TTFT"},
-		{"unsorted", mutate(func(tr *Trace) { tr.Arrivals[3].At = 0 }), "before previous"},
-		{"undeclared", mutate(func(tr *Trace) { tr.Arrivals[0].Class = 9 }), "undeclared class"},
-		{"bad tag", mutate(func(tr *Trace) { tr.Arrivals[0].Tenant = -2 }), "negative tenant"},
+		{"unsorted", mutate(func(tr *Trace) { tr.Arrivals[3].at = 0 }), "before previous"},
+		{"undeclared", mutate(func(tr *Trace) { tr.Arrivals[0].class = 9 }), "undeclared class"},
+		{"bad tag", mutate(func(tr *Trace) { tr.Arrivals[0].tenant = -2 }), "negative tenant"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.tr.Validate()
+			err := c.tr.validate()
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Validate = %v, want substring %q", err, c.want)
 			}
@@ -184,15 +184,15 @@ func TestSourceReplay(t *testing.T) {
 	}
 	for i, a := range tr.Arrivals {
 		at, ok := src.Peek()
-		if !ok || at != a.At {
-			t.Fatalf("Peek %d = (%g,%v), want %g", i, at, ok, a.At)
+		if !ok || at != a.at {
+			t.Fatalf("Peek %d = (%g,%v), want %g", i, at, ok, a.at)
 		}
 		r := src.Pop()
-		if r.ID != i || r.ArrivalTime != a.At || int(r.Category) != a.Class ||
-			r.PromptLen != a.Prompt || r.MaxNewTokens != a.Output {
+		if r.ID != i || r.ArrivalTime != a.at || int(r.Category) != a.class ||
+			r.PromptLen != a.prompt || r.MaxNewTokens != a.output {
 			t.Fatalf("Pop %d = %+v, want arrival %+v", i, r, a)
 		}
-		c, _ := tr.Header.Class(a.Class)
+		c, _ := tr.Header.class(a.class)
 		if r.TPOTSLO != c.TPOT || r.TTFTSLO != c.TTFT {
 			t.Fatalf("Pop %d SLOs (%g,%g), want (%g,%g)", i, r.TPOTSLO, r.TTFTSLO, c.TPOT, c.TTFT)
 		}

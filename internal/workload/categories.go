@@ -38,16 +38,16 @@ func logOf(x float64) float64 {
 
 // CategorySpec defines one application category (Table 2).
 type CategorySpec struct {
-	Category request.Category
+	category request.Category
 	// App is the paper's application name.
 	App string
-	// Dataset names the dataset the lengths were matched to.
-	Dataset string
-	// SLOFactor, when > 0, sets TPOT SLO = SLOFactor × baseline decode
+	// dataset names the dataset the lengths were matched to.
+	dataset string
+	// sloFactor, when > 0, sets TPOT SLO = sloFactor × baseline decode
 	// latency (category 1: 1.2× baseline, per MLPerf interactive).
-	SLOFactor float64
-	// SLOAbs, when > 0, sets an absolute TPOT SLO in seconds.
-	SLOAbs float64
+	sloFactor float64
+	// sloAbs, when > 0, sets an absolute TPOT SLO in seconds.
+	sloAbs float64
 	// TTFTSLOAbs, when > 0, sets an absolute time-to-first-token SLO in
 	// seconds (arrival to first committed output token). Zero leaves the
 	// category without a TTFT SLO.
@@ -61,10 +61,10 @@ type CategorySpec struct {
 // TPOT resolves the category's SLO given the model's baseline per-token
 // decode latency.
 func (c CategorySpec) TPOT(baseline float64) float64 {
-	if c.SLOFactor > 0 {
-		return c.SLOFactor * baseline
+	if c.sloFactor > 0 {
+		return c.sloFactor * baseline
 	}
-	return c.SLOAbs
+	return c.sloAbs
 }
 
 // MaxContext is the context window in tokens every request's prompt plus
@@ -91,20 +91,20 @@ const MaxContext = 8192
 func DefaultCategories() []CategorySpec {
 	return []CategorySpec{
 		{
-			Category: request.Coding, App: "coding copilot", Dataset: "HumanEval",
-			SLOFactor: 1.2, TTFTSLOAbs: 1.0,
+			category: request.Coding, App: "coding copilot", dataset: "HumanEval",
+			sloFactor: 1.2, TTFTSLOAbs: 1.0,
 			Prompt: LengthDist{Median: 160, Sigma: 0.45, Min: 32, Max: 1024},
 			Output: LengthDist{Median: 90, Sigma: 0.50, Min: 16, Max: 512},
 		},
 		{
-			Category: request.Chat, App: "chatbot", Dataset: "Alpaca",
-			SLOAbs: 0.050, TTFTSLOAbs: 1.0,
+			category: request.Chat, App: "chatbot", dataset: "Alpaca",
+			sloAbs: 0.050, TTFTSLOAbs: 1.0,
 			Prompt: LengthDist{Median: 60, Sigma: 0.70, Min: 16, Max: 1024},
 			Output: LengthDist{Median: 80, Sigma: 0.60, Min: 16, Max: 512},
 		},
 		{
-			Category: request.Summarization, App: "summarization", Dataset: "CNN/DailyMail",
-			SLOAbs: 0.150, TTFTSLOAbs: 4.0,
+			category: request.Summarization, App: "summarization", dataset: "CNN/DailyMail",
+			sloAbs: 0.150, TTFTSLOAbs: 4.0,
 			Prompt: LengthDist{Median: 700, Sigma: 0.40, Min: 256, Max: 4096},
 			Output: LengthDist{Median: 80, Sigma: 0.35, Min: 32, Max: 512},
 		},
@@ -114,8 +114,8 @@ func DefaultCategories() []CategorySpec {
 // Mix is a probability distribution over the categories.
 type Mix [request.NumCategories]float64
 
-// Validate checks the mix sums to ~1.
-func (m Mix) Validate() error {
+// validate checks the mix sums to ~1.
+func (m Mix) validate() error {
 	var s float64
 	for _, p := range m {
 		if p < 0 {

@@ -33,7 +33,7 @@ type Generator struct {
 
 // NewGenerator validates and builds a generator.
 func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
-	if err := cfg.Mix.Validate(); err != nil {
+	if err := cfg.Mix.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.BaselineLatency <= 0 {
@@ -54,8 +54,8 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 // below the unloaded baseline — only speculation can deliver that).
 func (g *Generator) slo(spec CategorySpec) float64 {
 	t := spec.TPOT(g.cfg.BaselineLatency)
-	if spec.SLOFactor > 0 {
-		t = spec.SLOFactor * g.cfg.SLOScale * g.cfg.BaselineLatency
+	if spec.sloFactor > 0 {
+		t = spec.sloFactor * g.cfg.SLOScale * g.cfg.BaselineLatency
 	}
 	return t
 }
@@ -65,7 +65,7 @@ func (g *Generator) MakeAt(cat request.Category, t float64) *request.Request {
 	var spec CategorySpec
 	found := false
 	for _, s := range g.specs {
-		if s.Category == cat {
+		if s.category == cat {
 			spec = s
 			found = true
 			break
@@ -149,11 +149,10 @@ func (g *Generator) FromCategoryTimestamps(perCat [][]float64) []*request.Reques
 
 // Stats summarizes a generated stream for logging and tests.
 type Stats struct {
-	Requests    int
-	PerCategory [request.NumCategories]int
-	MeanPrompt  float64
-	MeanOutput  float64
-	MeanRPS     float64
+	Requests   int
+	MeanPrompt float64
+	MeanOutput float64
+	MeanRPS    float64
 }
 
 // StreamStats computes Stats for a request stream.
@@ -166,7 +165,6 @@ func StreamStats(reqs []*request.Request) Stats {
 	var prompt, output float64
 	minT, maxT := reqs[0].ArrivalTime, reqs[0].ArrivalTime
 	for _, r := range reqs {
-		st.PerCategory[r.Category]++
 		prompt += float64(r.PromptLen)
 		output += float64(r.MaxNewTokens)
 		if r.ArrivalTime < minT {

@@ -89,7 +89,7 @@ func NewSessions(cfg SessionsConfig) (*Sessions, error) {
 	var spec CategorySpec
 	found := false
 	for _, s := range DefaultCategories() {
-		if s.Category == cfg.Category {
+		if s.category == cfg.Category {
 			spec, found = s, true
 			break
 		}
@@ -106,10 +106,10 @@ func NewSessions(cfg SessionsConfig) (*Sessions, error) {
 
 // slo mirrors Generator.slo without SLO scaling.
 func (ss *Sessions) slo() float64 {
-	if ss.spec.SLOFactor > 0 {
-		return ss.spec.SLOFactor * ss.cfg.BaselineLatency
+	if ss.spec.sloFactor > 0 {
+		return ss.spec.sloFactor * ss.cfg.BaselineLatency
 	}
-	return ss.spec.SLOAbs
+	return ss.spec.sloAbs
 }
 
 // makeTurn materializes a session's next turn arriving at time t: the prompt

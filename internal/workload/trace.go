@@ -39,10 +39,10 @@ func PoissonTrace(rng *mathutil.RNG, rps, duration float64) []float64 {
 	return NonHomogeneousPoisson(rng, func(float64) float64 { return rps }, rps, duration)
 }
 
-// RealTraceShape reproduces the bursty shape of the paper's real-world trace
+// realTraceShape reproduces the bursty shape of the paper's real-world trace
 // (Figure 7): a slowly drifting base load with several sharp bursts, over a
 // 20-minute window, normalized so its mean is 1 (scale by target RPS).
-func RealTraceShape() RateFn {
+func realTraceShape() RateFn {
 	type burst struct{ center, width, height float64 }
 	bursts := []burst{
 		{center: 90, width: 25, height: 2.6},
@@ -77,7 +77,7 @@ func RealTraceShape() RateFn {
 // 20-minute shape is compressed (or stretched) onto the requested duration,
 // as the paper truncates and rescales its trace to different average RPS.
 func RealTrace(rng *mathutil.RNG, meanRPS, duration float64) []float64 {
-	shape := RealTraceShape()
+	shape := realTraceShape()
 	rate := func(t float64) float64 {
 		return meanRPS * shape(1200*t/duration)
 	}

@@ -56,7 +56,7 @@ func TestNonHomogeneousPoissonFollowsRate(t *testing.T) {
 }
 
 func TestRealTraceShapeNormalized(t *testing.T) {
-	shape := RealTraceShape()
+	shape := realTraceShape()
 	var sum float64
 	const steps = 2400
 	for i := 0; i < steps; i++ {
@@ -73,7 +73,7 @@ func TestRealTraceShapeNormalized(t *testing.T) {
 }
 
 func TestRealTraceShapeIsBursty(t *testing.T) {
-	shape := RealTraceShape()
+	shape := realTraceShape()
 	var peak, trough float64 = 0, math.Inf(1)
 	for i := 0; i < 2400; i++ {
 		v := shape(1200 * float64(i) / 2400)

@@ -49,8 +49,8 @@ func TestDefaultCategoriesComplete(t *testing.T) {
 	}
 	seen := map[request.Category]bool{}
 	for _, c := range cats {
-		seen[c.Category] = true
-		if c.SLOFactor <= 0 && c.SLOAbs <= 0 {
+		seen[c.category] = true
+		if c.sloFactor <= 0 && c.sloAbs <= 0 {
 			t.Errorf("%s has no SLO", c.App)
 		}
 	}
@@ -75,13 +75,13 @@ func TestCategoryTPOTResolution(t *testing.T) {
 }
 
 func TestMixValidate(t *testing.T) {
-	if DefaultMix.Validate() != nil {
+	if DefaultMix.validate() != nil {
 		t.Error("default mix invalid")
 	}
-	if (Mix{0.5, 0.2, 0.2}).Validate() == nil {
+	if (Mix{0.5, 0.2, 0.2}).validate() == nil {
 		t.Error("non-normalized mix accepted")
 	}
-	if (Mix{-0.2, 0.6, 0.6}).Validate() == nil {
+	if (Mix{-0.2, 0.6, 0.6}).validate() == nil {
 		t.Error("negative mix accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestUrgentMix(t *testing.T) {
 	if m[0] != 0.7 || math.Abs(m[1]-0.15) > 1e-12 || math.Abs(m[2]-0.15) > 1e-12 {
 		t.Fatalf("urgent mix %v", m)
 	}
-	if m.Validate() != nil {
+	if m.validate() != nil {
 		t.Fatal("urgent mix should validate")
 	}
 }
@@ -130,8 +130,13 @@ func TestGeneratorMixProportions(t *testing.T) {
 		ts[i] = float64(i) * 0.01
 	}
 	reqs := g.FromTimestamps(ts)
-	st := StreamStats(reqs)
-	frac := float64(st.PerCategory[request.Coding]) / float64(st.Requests)
+	coding := 0
+	for _, r := range reqs {
+		if r.Category == request.Coding {
+			coding++
+		}
+	}
+	frac := float64(coding) / float64(len(reqs))
 	if math.Abs(frac-0.6) > 0.02 {
 		t.Fatalf("coding fraction %.3f, want 0.6", frac)
 	}
@@ -162,7 +167,7 @@ func TestGeneratorClipsContext(t *testing.T) {
 	for _, spec := range DefaultCategories() {
 		if spec.Prompt.Max+spec.Output.Max > MaxContext {
 			t.Fatalf("%v: prompt max %d + output max %d exceed the %d-token context",
-				spec.Category, spec.Prompt.Max, spec.Output.Max, MaxContext)
+				spec.category, spec.Prompt.Max, spec.Output.Max, MaxContext)
 		}
 	}
 }
@@ -237,7 +242,7 @@ func TestSampleCategoryDegenerateMixes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.mix.Validate(); err != nil {
+			if err := c.mix.validate(); err != nil {
 				t.Fatalf("test mix does not validate: %v", err)
 			}
 			g := newGenerator(t, GeneratorConfig{Seed: 5, Mix: c.mix, BaselineLatency: 0.033})

@@ -20,13 +20,15 @@ date_stamp=${BENCH_DATE:-$(date +%F)}
 out="bench/BENCH_${date_stamp}.json"
 mkdir -p bench
 
+# The hot-path microbenchmarks live in the root package, the prefix probe
+# and the figure macrobenchmarks in internal/experiments.
 micro='BenchmarkLMDist$|BenchmarkBeamSearch$|BenchmarkSelect$|BenchmarkVerifyTree$|BenchmarkCostModel$|BenchmarkEngineIteration$|BenchmarkPrefixProbe$'
 macro='BenchmarkFigure8and9Llama$|BenchmarkFigureGrid$|BenchmarkAutoscaleGrid$|BenchmarkFaultGrid$|BenchmarkPrefixGrid$|BenchmarkTraceGrid$|BenchmarkObsOverhead$'
 
 {
   go test -run '^$' -bench "$micro" -benchmem \
-    -count "${BENCH_COUNT:-1}" -benchtime "${BENCH_TIME:-1s}" .
-  go test -run '^$' -bench "$macro" -benchtime "${BENCH_MACRO_TIME:-1x}" .
+    -count "${BENCH_COUNT:-1}" -benchtime "${BENCH_TIME:-1s}" . ./internal/experiments
+  go test -run '^$' -bench "$macro" -benchtime "${BENCH_MACRO_TIME:-1x}" ./internal/experiments
 } | tee /dev/stderr | go run ./scripts/benchjson -date "$date_stamp" > "$out"
 
 echo "wrote $out" >&2

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# deadcode.sh — fail on dead code under internal/, in two phases.
+# deadcode.sh — fail on dead code under internal/, in three phases.
 #
 # Phase 1 fails when a function under internal/ is linked into no binary. It
 # builds every main package of the module with inlining off
@@ -11,15 +11,25 @@
 # with the reason it stays.
 #
 # Function names are `<package path under internal/>.<Func>` or
-# `<package path>.<Type>.<Method>`, e.g. `kvcache.Manager.CheckInvariants`.
+# `<package path>.<Type>.<Method>`, e.g. `kvcache.Allocator.checkInvariants`.
 # Generic instantiations (`Table[go.shape.int]`), pointer-receiver forms
 # (`(*Manager)`) and closures (`.func1`) are normalised to those names.
 #
 # Phase 2 (scripts/writeonly) fails when a struct field under internal/ is
 # written but read by no non-test code: delete it, or list it in the allow
 # file as `field <name> <reason>` when something reads it another way
-# (reflection, a map key, an event payload). Each phase reads only its own
-# allow entries and fails on a stale one.
+# (reflection, a map key, an event payload). Writes through an element
+# (`x.f[i] = v`, `x.f[i] op= v`, `x.f[i]++`) and reads that only feed the
+# field back into itself (`x.f = x.f[:n]`, `x.f = append(x.f, …)`) count as
+# writes.
+#
+# Phase 3 (the same binary) fails when an exported identifier under
+# internal/ is used by no other package's non-test code: unexport it, or
+# list it as `export <name> <reason>` when it needs its exported name (a
+# field printed through %+v, an observer payload). Methods that satisfy an
+# interface and types reachable from something another package uses stay
+# exported. Each phase reads only its own allow entries and fails on a
+# stale one.
 #
 # Usage: scripts/deadcode.sh     (exit 0: nothing dead outside the allow list)
 set -euo pipefail
@@ -54,7 +64,7 @@ find internal -name '*.go' ! -name '*_test.go' | sort | while read -r f; do
     grep -vxE 'init|main' | sed "s|^|$dir.|" || true
 done | sort -u > "$work/declared"
 
-awk '!/^[[:space:]]*(#|$)/ && $1 != "field" {print $1}' "$allow" | sort -u > "$work/allowed"
+awk '!/^[[:space:]]*(#|$)/ && $1 != "field" && $1 != "export" {print $1}' "$allow" | sort -u > "$work/allowed"
 
 comm -23 "$work/declared" "$work/linked" | comm -23 - "$work/allowed" > "$work/dead"
 comm -13 "$work/declared" "$work/allowed" > "$work/stale"

@@ -39,3 +39,27 @@ func NewBox[T any](v T) Box[T] {
 	b.Seen = v
 	return b
 }
+
+// Elems holds fields written through their elements or fed back into
+// themselves, which only writes them, and one read through an element.
+type Elems struct {
+	Set    []int          // only element-assigned: write-only
+	Acc    []float64      // only element op=: write-only
+	Bumped map[string]int // only element ++: write-only
+	Grown  []int          // only appended to itself: write-only
+	Cut    []int          // only resliced into itself: write-only
+	Peeked []int          // read as x.f[i] on a right-hand side: kept
+}
+
+// NewElems writes every field of Elems.
+func NewElems() *Elems {
+	e := &Elems{Set: make([]int, 2), Acc: make([]float64, 2), Bumped: map[string]int{}, Peeked: []int{3}}
+	e.Set[0] = 1
+	e.Acc[1] += 0.5
+	e.Bumped["a"]++
+	e.Grown = append(e.Grown, first(e))
+	e.Cut = e.Cut[:0]
+	return e
+}
+
+func first(e *Elems) int { return e.Peeked[0] }

@@ -22,10 +22,11 @@ func benchModels(b *testing.B) (*lm.SyntheticLM, *lm.DraftLM) {
 	return target, draft
 }
 
-// BenchmarkLMDist measures one synthetic next-token distribution: every op
-// asks for a fresh context, as the draft-step and verify calls of a
-// simulation almost always do. A draft call also builds the target's
-// distribution.
+// BenchmarkLMDist measures one synthetic next-token distribution and its
+// argmax: every op asks for a fresh context, as the draft-step and verify
+// calls of a simulation almost always do. A Dist is lazy, so the argmax
+// read generates the candidates up to rank 0 (or up to the swapped rank of
+// a mistaken draft context).
 func BenchmarkLMDist(b *testing.B) {
 	target, draft := benchModels(b)
 	// One counter across every run of every sub-benchmark, so no context
@@ -38,7 +39,7 @@ func BenchmarkLMDist(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				seed++
-				_ = c.model.Dist(lm.Context{ReqSeed: seed})
+				_ = c.model.Dist(lm.Context{ReqSeed: seed}).Argmax()
 			}
 		})
 	}
@@ -54,7 +55,7 @@ func BenchmarkBeamSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := pool.Get(ctx, 5)
-		if _, err := bb.Search(t, draft, 6, 4); err != nil {
+		if err := bb.Search(t, draft, 6, 4); err != nil {
 			b.Fatal(err)
 		}
 		pool.Put(t)
@@ -62,10 +63,10 @@ func BenchmarkBeamSearch(b *testing.B) {
 }
 
 // benchTree grows a fresh d=6, w=4 candidate tree for request seed.
-func benchTree(b *testing.B, draft lm.Model, seed uint64) *toktree.Tree {
+func benchTree(b *testing.B, draft *lm.DraftLM, seed uint64) *toktree.Tree {
 	t := toktree.NewTree(lm.Context{ReqSeed: seed}, 5)
 	var bb toktree.BeamBuilder
-	if _, err := bb.Search(t, draft, 6, 4); err != nil {
+	if err := bb.Search(t, draft, 6, 4); err != nil {
 		b.Fatal(err)
 	}
 	return t

@@ -22,7 +22,7 @@ func TestSelectorMatchesSelect(t *testing.T) {
 		for i := range reqs {
 			tr := toktree.NewTree(lm.Context{ReqSeed: uint64(iter*100 + i)}, 5)
 			var bb toktree.BeamBuilder
-			if _, err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
+			if err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
 				t.Fatal(err)
 			}
 			reqs[i] = SelectRequest{Cand: tr, MinAccept: float64(rng.Intn(8)) / 2}

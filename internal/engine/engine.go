@@ -35,7 +35,7 @@ import (
 // Config assembles an engine.
 type Config struct {
 	Target     lm.Model
-	Draft      lm.Model
+	Draft      *lm.DraftLM
 	TargetCost *gpu.CostModel
 	DraftCost  *gpu.CostModel
 	// Rule selects the verification acceptance rule.
@@ -53,7 +53,7 @@ type Config struct {
 // Engines are not safe for concurrent use; the parallel experiment runner
 // gives every worker its own.
 type Engine struct {
-	draft      lm.Model
+	draft      *lm.DraftLM
 	targetCost *gpu.CostModel
 	draftCost  *gpu.CostModel
 	verifier   *lm.Verifier
@@ -90,7 +90,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Draft returns the draft model (nil when speculation is disabled).
-func (e *Engine) Draft() lm.Model { return e.draft }
+func (e *Engine) Draft() *lm.DraftLM { return e.draft }
 
 // TargetCost returns the target's cost model.
 func (e *Engine) TargetCost() *gpu.CostModel { return e.targetCost }
@@ -223,7 +223,6 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 		}
 		return res, nil
 	}
-	maxSteps := 0
 	totalKV := 0
 	n := 0 // requests actually speculating (NoSpec ones keep root-only trees)
 	for i, r := range reqs {
@@ -235,19 +234,19 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 			// verification unchanged, committing one correction token.
 			continue
 		}
-		steps, err := e.beam.Search(t, e.draft, d, w)
-		if err != nil {
+		if err := e.beam.Search(t, e.draft, d, w); err != nil {
 			return nil, fmt.Errorf("engine: beam search for request %d: %w", r.ID, err)
-		}
-		if steps > maxSteps {
-			maxSteps = steps
 		}
 		totalKV += r.ContextLen()
 		n++
 	}
-	// Cost: step 1 processes n root tokens; steps 2..d process n·w beam
-	// tokens each, batched across the speculating requests.
-	for step := 1; step <= maxSteps; step++ {
+	if n == 0 {
+		return res, nil
+	}
+	// Cost: every search runs all d draft steps. Step 1 processes n root
+	// tokens; steps 2..d process n·w beam tokens each, batched across the
+	// speculating requests.
+	for step := 1; step <= d; step++ {
 		tokens := n
 		if step > 1 {
 			tokens = n * w

@@ -36,11 +36,11 @@ func FuzzDistSample(f *testing.F) {
 		}
 		ctx := ctxOf(seed^0xabcd, []Token{Token(seed % uint64(vocab))})
 		d := m.Dist(ctx)
-		if err := d.validate(); err != nil {
+		if err := validate(d, tail); err != nil {
 			t.Fatal(err)
 		}
 		inCandidates := func(tok Token) bool {
-			for _, e := range d.Entries {
+			for _, e := range entries(d) {
 				if e.Token == tok {
 					return true
 				}
@@ -53,18 +53,18 @@ func FuzzDistSample(f *testing.F) {
 		// would push this above 1.
 		var mass float64
 		for tok := 0; tok < vocab; tok++ {
-			mass += prob(d, Token(tok))
+			mass += prob(d, tail, Token(tok))
 		}
-		if vocab == len(d.Entries) {
+		if vocab == d.Len() {
 			// No tail tokens exist: the tail mass is unreachable by prob.
-			mass += d.tail
+			mass += tail
 		}
 		if mass < 0.999 || mass > 1.001 {
 			t.Fatalf("probability mass over vocab sums to %g", mass)
 		}
 
 		rng := mathutil.NewRNG(mathutil.Hash2(seed, uint64(draws)+1))
-		free := vocab - len(d.Entries)
+		free := vocab - d.Len()
 		for i := 0; i < int(draws)+1; i++ {
 			tok := d.Sample(rng)
 			if tok < 0 || int(tok) >= vocab {

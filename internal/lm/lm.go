@@ -21,20 +21,27 @@
 // Hot-path design: the next-token distribution is a pure function of the
 // 64-bit context hash, and almost every Dist call asks about a context the
 // model has not seen recently (decoding keeps moving on), so nothing is
-// memoized. Each model owns one branch-sized entry buffer, allocated in its
-// constructor, and every Dist call builds its distribution straight into
-// that buffer, so no call allocates. The price is a lifetime contract: a
-// Dist returned by a model is valid until that model's next Dist call (see
-// Dist). Context itself is a small value type carrying only the
-// historyWindow-sized suffix that conditions the distribution, so extending
-// a context allocates nothing. Models are NOT safe for concurrent use: give
-// each goroutine its own engine/models, as the parallel experiment runner
-// does.
+// memoized. A Dist is a lazy view of one context's candidates in rank
+// order: a Dist call only hashes the context, and the candidates are
+// generated from that hash as far as the highest rank read, into a
+// branch-sized token buffer the model allocates in its constructor. The
+// candidate sequence is sequential (a SplitMix64 stream with duplicates
+// skipped), so every generated prefix is exactly the prefix of the full
+// candidate list. The probability at each rank is the model's Zipf weight
+// for that rank, whatever the context, so reading a probability generates
+// nothing. Argmax reads rank 0; Sample walks the ranks until its uniform
+// draw falls below the running sum, and only a draw that lands in the tail
+// builds all branch candidates, because a tail token must avoid them all.
+// No call allocates. The price is a lifetime contract: a Dist returned by a
+// model is valid until that model's next Dist call (see Dist). Context
+// itself is a small value type carrying only the historyWindow-sized suffix
+// that conditions the distribution, so extending a context allocates
+// nothing. Models are NOT safe for concurrent use: give each goroutine its
+// own engine/models, as the parallel experiment runner does.
 package lm
 
 import (
 	"fmt"
-	"sort"
 
 	"adaserve/internal/mathutil"
 )
@@ -42,77 +49,103 @@ import (
 // Token is a vocabulary item. Valid tokens are in [0, VocabSize).
 type Token int32
 
-// TokenProb pairs a token with its probability under some distribution.
-type TokenProb struct {
-	Token Token
-	Prob  float64
-}
-
-// Dist is a truncated next-token distribution: explicit probabilities for a
-// small candidate set plus tail mass smeared uniformly over the rest of the
-// vocabulary. Entries are sorted by descending probability.
+// Dist is a truncated next-token distribution: explicit probabilities for
+// Len() candidate tokens, ranked by descending probability, plus tail mass
+// smeared uniformly over the rest of the vocabulary. Rank r has probability
+// Prob(r), the model's rank weight, in every context; only the token at a
+// rank depends on the context.
 //
-// Lifetime: the Entries of a Dist returned by a model live in the model's
-// own entry buffer and are read-only. They are valid until that model's
-// next Dist call, which rebuilds the buffer in place; a DraftLM's Dist call
-// consults its target, so it counts as a call on the target too. Callers
-// that keep entries longer must copy them (TopK does).
+// Dist is lazy: it generates candidates in the model's token buffer as far
+// as the highest rank read, and a tail draw in Sample generates them all.
+//
+// Lifetime: a Dist reads the buffer of the model that returned it and is
+// valid until that model's next Dist call, which restarts the buffer for
+// another context. A target and its draft own separate buffers, so a call
+// on one never invalidates a Dist of the other.
 type Dist struct {
-	Entries []TokenProb
-	// tail is the probability mass not covered by Entries.
-	tail float64
-	// vocab is the vocabulary size (for tail token sampling).
-	vocab int
+	g *ranks
+	// swap is the rank whose token trades places with rank 0's (a mistaken
+	// draft); 0 leaves every rank in place.
+	swap int
 }
 
-// validate checks that the distribution is normalized and sorted. Kept as an
-// invariant check for the lm tests and FuzzDistSample; no binary links it.
-func (d Dist) validate() error {
-	var s float64
-	prev := 1.1
-	for _, e := range d.Entries {
-		if e.Prob < 0 {
-			return fmt.Errorf("lm: negative probability %g", e.Prob)
-		}
-		if e.Prob > prev+1e-12 {
-			return fmt.Errorf("lm: entries not sorted descending")
-		}
-		prev = e.Prob
-		s += e.Prob
-	}
-	s += d.tail
-	if s < 0.999 || s > 1.001 {
-		return fmt.Errorf("lm: distribution sums to %g", s)
-	}
-	return nil
+// ranks generates one context's candidate tokens in rank order on demand.
+type ranks struct {
+	m *SyntheticLM
+	// x is the SplitMix64 state after the last generated candidate.
+	x uint64
+	// toks holds the candidates generated so far, in rank order; its
+	// capacity is the model's branch.
+	toks []Token
 }
 
-// TopK returns up to k highest-probability entries.
-func (d Dist) TopK(k int) []TokenProb {
-	if k > len(d.Entries) {
-		k = len(d.Entries)
+func newRanks(m *SyntheticLM) ranks {
+	return ranks{m: m, toks: make([]Token, 0, m.branch)}
+}
+
+// restart points the buffer at the context hash h with nothing generated.
+func (g *ranks) restart(h uint64) {
+	g.x = h
+	g.toks = g.toks[:0]
+}
+
+// at returns the candidate at rank r, generating up to it.
+func (g *ranks) at(r int) Token {
+	if r < len(g.toks) {
+		return g.toks[r]
 	}
-	out := make([]TokenProb, k)
-	copy(out, d.Entries[:k])
-	return out
+	return g.grow(r)
+}
+
+// grow generates candidates until rank r exists. Candidate dedup is a
+// linear scan of the earlier ranks (branch is small), not a map, so nothing
+// is allocated.
+func (g *ranks) grow(r int) Token {
+	vocab := uint64(g.m.vocab)
+	for len(g.toks) <= r {
+		g.x = mathutil.SplitMix64(g.x)
+		tok := Token(g.x % vocab)
+		dup := false
+		for _, t := range g.toks {
+			if t == tok {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			g.toks = append(g.toks, tok)
+		}
+	}
+	return g.toks[r]
+}
+
+// Len returns the number of candidate ranks.
+func (d Dist) Len() int { return d.g.m.branch }
+
+// Prob returns the probability at rank r, for r in [0, Len()).
+func (d Dist) Prob(r int) float64 { return d.g.m.weights[r] }
+
+// Token returns the candidate token at rank r, for r in [0, Len()).
+func (d Dist) Token(r int) Token {
+	if r == 0 {
+		r = d.swap
+	} else if r == d.swap {
+		r = 0
+	}
+	return d.g.at(r)
 }
 
 // Argmax returns the most likely token.
-func (d Dist) Argmax() Token {
-	if len(d.Entries) == 0 {
-		return 0
-	}
-	return d.Entries[0].Token
-}
+func (d Dist) Argmax() Token { return d.Token(0) }
 
 // Sample draws a token from d using rng.
 func (d Dist) Sample(rng *mathutil.RNG) Token {
 	u := rng.Float64()
 	var acc float64
-	for _, e := range d.Entries {
-		acc += e.Prob
+	for r, p := range d.g.m.weights {
+		acc += p
 		if u < acc {
-			return e.Token
+			return d.Token(r)
 		}
 	}
 	return d.sampleTail(rng)
@@ -121,30 +154,30 @@ func (d Dist) Sample(rng *mathutil.RNG) Token {
 // sampleTail draws uniformly over the NON-candidate tokens: the tail mass
 // belongs exclusively to tokens outside the candidate set, so a draw that
 // landed in the tail must never return a candidate (returning one would
-// double-count its mass on top of its explicit entry).
+// double-count its mass on top of its explicit entry). It generates every
+// candidate.
 func (d Dist) sampleTail(rng *mathutil.RNG) Token {
-	free := d.vocab - len(d.Entries)
+	m := d.g.m
+	free := m.vocab - m.branch
 	if free <= 0 {
-		// No non-candidate tokens exist (or the distribution is degenerate):
-		// fall back to the least likely candidate.
-		if len(d.Entries) > 0 {
-			return d.Entries[len(d.Entries)-1].Token
-		}
-		return 0
+		// No non-candidate tokens exist: fall back to the least likely
+		// candidate.
+		return d.Token(m.branch - 1)
 	}
-	return nthFree(Token(rng.Intn(free)), d.Entries)
+	d.g.at(m.branch - 1)
+	return nthFree(Token(rng.Intn(free)), d.g.toks)
 }
 
 // nthFree returns the r-th smallest (0-based) token not among the distinct
 // tokens of taken: the least fixpoint of v = r + #(taken tokens <= v).
 // Iterating from r converges in at most len(taken)+1 rounds and needs no
 // sorted order.
-func nthFree(r Token, taken []TokenProb) Token {
+func nthFree(r Token, taken []Token) Token {
 	v := r
 	for {
 		cnt := Token(0)
-		for _, e := range taken {
-			if e.Token <= v {
+		for _, t := range taken {
+			if t <= v {
 				cnt++
 			}
 		}
@@ -217,26 +250,21 @@ type SyntheticLM struct {
 	vocab int
 	// branch is the candidate-set size per context.
 	branch int
-	// weights are the Zipf weights shared by every context (the permutation
-	// of which tokens get them is context-dependent).
+	// weights are the strictly decreasing Zipf weights of the ranks, shared
+	// by every context (which tokens hold the ranks is context-dependent).
+	// The tail mass outside the candidate set is 1 minus their sum.
 	weights []float64
-	// tail is the mass reserved outside the candidate set.
-	tail float64
-	// strictOrder reports that weights are strictly decreasing, which lets
-	// DraftLM rebuild mistaken distributions by swapping token positions
-	// instead of sorting.
-	strictOrder bool
-	// buf is the branch-capacity entry buffer every Dist call builds into.
-	buf []TokenProb
+	// g is the token buffer every Dist call restarts.
+	g ranks
 }
 
 // newSyntheticLM constructs a target model.
 //
 //   - vocab: vocabulary size (e.g. 4096; the serving layer never enumerates it).
 //   - branch: candidate tokens per context (e.g. 16).
-//   - sharpness: Zipf exponent; higher concentrates mass on the top token.
-//     sharpness ≈ 1.6 yields top-1 probability ≈ 0.6, typical of instruct
-//     LLMs under greedy-ish sampling.
+//   - sharpness: Zipf exponent, > 0; higher concentrates mass on the top
+//     token. sharpness ≈ 1.6 yields top-1 probability ≈ 0.6, typical of
+//     instruct LLMs under greedy-ish sampling.
 //   - tail: probability mass outside the candidate set (e.g. 0.02).
 func newSyntheticLM(seed uint64, vocab, branch int, sharpness, tail float64) (*SyntheticLM, error) {
 	if vocab < 2 || branch < 1 || branch > vocab {
@@ -245,22 +273,21 @@ func newSyntheticLM(seed uint64, vocab, branch int, sharpness, tail float64) (*S
 	if tail < 0 || tail >= 1 {
 		return nil, fmt.Errorf("lm: tail %g out of [0,1)", tail)
 	}
+	if !(sharpness > 0) {
+		return nil, fmt.Errorf("lm: sharpness %g must be > 0 for strictly decreasing rank weights", sharpness)
+	}
+	// Adjacent weights must differ by more than float rounding, so that a
+	// parent's path prob times them stays strictly decreasing too.
 	w := mathutil.ZipfWeights(branch, sharpness)
 	for i := range w {
 		w[i] *= 1 - tail
-	}
-	strict := true
-	for i := 1; i < len(w); i++ {
-		if w[i] >= w[i-1] {
-			strict = false
-			break
+		if i > 0 && !(w[i] < w[i-1]*(1-1e-9)) {
+			return nil, fmt.Errorf("lm: sharpness %g gives rank weights that are not strictly decreasing", sharpness)
 		}
 	}
-	return &SyntheticLM{
-		seed: seed, vocab: vocab, branch: branch,
-		weights: w, tail: tail, strictOrder: strict,
-		buf: make([]TokenProb, 0, branch),
-	}, nil
+	m := &SyntheticLM{seed: seed, vocab: vocab, branch: branch, weights: w}
+	m.g = newRanks(m)
+	return m, nil
 }
 
 // MustSyntheticLM panics on construction error; for fixed experiment setups.
@@ -275,33 +302,11 @@ func MustSyntheticLM(seed uint64, vocab, branch int, sharpness, tail float64) *S
 // Dist implements Model: candidate tokens are chosen by hashing the context;
 // Zipf weights are assigned in hash order so the distribution is a
 // deterministic function of (model seed, request seed, history window).
-// The result is built in the model's entry buffer, so no call allocates.
+// The candidates are generated on demand in the model's token buffer, so no
+// call allocates.
 func (m *SyntheticLM) Dist(ctx Context) Dist {
-	return m.computeDist(ctx.hash(m.seed))
-}
-
-// computeDist materializes the distribution for a context hash into the
-// model's entry buffer. Candidate dedup uses a linear scan (branch is
-// small), not a map, so nothing is allocated.
-func (m *SyntheticLM) computeDist(h uint64) Dist {
-	entries := m.buf[:0]
-	x := h
-	for len(entries) < m.branch {
-		x = mathutil.SplitMix64(x)
-		tok := Token(x % uint64(m.vocab))
-		dup := false
-		for i := range entries {
-			if entries[i].Token == tok {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		entries = append(entries, TokenProb{Token: tok, Prob: m.weights[len(entries)]})
-	}
-	return Dist{Entries: entries, tail: m.tail, vocab: m.vocab}
+	m.g.restart(ctx.hash(m.seed))
+	return Dist{g: &m.g}
 }
 
 // DraftLM approximates a target model with tunable alignment, mimicking a
@@ -321,13 +326,17 @@ func (m *SyntheticLM) computeDist(h uint64) Dist {
 //     target's true argmax hides at a lower draft rank — the case where
 //     tree speculation recovers and sequence speculation stalls.
 //
+// Either way rank r carries the target's rank-r weight, so the draft's
+// probability at a rank never depends on the context (see RankProbs).
+//
 // alpha = 1 is a perfect draft; alpha = 0 disagrees everywhere.
 type DraftLM struct {
 	target *SyntheticLM
 	alpha  float64
 	seed   uint64
-	// buf is the branch-capacity entry buffer every Dist call builds into.
-	buf []TokenProb
+	// g is the draft's own token buffer: it generates the target's
+	// candidates, so a draft Dist call leaves the target's buffer alone.
+	g ranks
 }
 
 // newDraftLM builds a draft for target with the given per-context agreement
@@ -336,10 +345,7 @@ func newDraftLM(target *SyntheticLM, alpha float64, seed uint64) (*DraftLM, erro
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("lm: alpha %g out of [0,1]", alpha)
 	}
-	return &DraftLM{
-		target: target, alpha: alpha, seed: seed,
-		buf: make([]TokenProb, 0, target.branch),
-	}, nil
+	return &DraftLM{target: target, alpha: alpha, seed: seed, g: newRanks(target)}, nil
 }
 
 // MustDraftLM panics on construction error.
@@ -351,45 +357,29 @@ func MustDraftLM(target *SyntheticLM, alpha float64, seed uint64) *DraftLM {
 	return d
 }
 
-// Dist implements Model. The result is built in the draft's entry buffer,
-// so no call allocates.
-func (d *DraftLM) Dist(ctx Context) Dist {
-	return d.computeDist(ctx.hash(d.seed), ctx.hash(d.target.seed))
-}
+// RankProbs returns the probability at each rank of every draft Dist, in
+// rank order: the target's strictly decreasing rank weights. The slice is
+// shared and read-only.
+func (d *DraftLM) RankProbs() []float64 { return d.target.weights }
 
-// computeDist materializes the draft distribution for the context hash pair
-// into the draft's entry buffer.
-func (d *DraftLM) computeDist(hd, ht uint64) Dist {
-	p := d.target.computeDist(ht)
-	// Copy even when the draft agrees: p lives in the target's buffer, which
-	// the target's next Dist call rebuilds, while this result must stay
-	// valid until the draft's own next call.
-	entries := append(d.buf[:0], p.Entries...)
+// Dist implements Model. The draft generates the target's candidates for
+// ctx in its own token buffer; a mistaken context only remaps ranks, so no
+// call allocates.
+func (d *DraftLM) Dist(ctx Context) Dist {
+	hd := ctx.hash(d.seed)
+	d.g.restart(ctx.hash(d.target.seed))
 	u := float64(hd>>11) / (1 << 53)
-	if u < d.alpha || len(entries) < 2 {
-		return Dist{Entries: entries, tail: p.tail, vocab: p.vocab}
+	if u < d.alpha || d.target.branch < 2 {
+		return Dist{g: &d.g}
 	}
-	// Mistaken context: swap the top token's probability with that of a
-	// lower-ranked candidate (rank drawn from the context hash, biased
-	// toward nearby ranks — distilled drafts are near-misses far more often
-	// than wildly wrong, which is what makes width-w tree speculation able
-	// to recover where sequence speculation stalls).
-	j := disagreeRank(mathutil.SplitMix64(hd), len(entries)-1)
-	if d.target.strictOrder {
-		// With strictly decreasing weights, swapping the probabilities at
-		// ranks 0 and j and re-sorting is exactly a swap of the two tokens'
-		// positions (probabilities stay the rank-ordered weights).
-		entries[0].Token, entries[j].Token = entries[j].Token, entries[0].Token
-	} else {
-		entries[0].Prob, entries[j].Prob = entries[j].Prob, entries[0].Prob
-		sort.SliceStable(entries, func(a, b int) bool {
-			if entries[a].Prob != entries[b].Prob {
-				return entries[a].Prob > entries[b].Prob
-			}
-			return entries[a].Token < entries[b].Token
-		})
-	}
-	return Dist{Entries: entries, tail: p.tail, vocab: p.vocab}
+	// Mistaken context: swap the top token with a lower-ranked candidate
+	// (rank drawn from the context hash, biased toward nearby ranks —
+	// distilled drafts are near-misses far more often than wildly wrong,
+	// which is what makes width-w tree speculation able to recover where
+	// sequence speculation stalls). The weights are strictly decreasing, so
+	// swapping the probabilities of ranks 0 and j and re-sorting is exactly
+	// a swap of the two tokens' positions.
+	return Dist{g: &d.g, swap: disagreeRank(mathutil.SplitMix64(hd), d.target.branch-1)}
 }
 
 // disagreeRank draws the target rank a mistaken draft confuses with the top:

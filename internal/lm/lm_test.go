@@ -33,7 +33,8 @@ func TestSyntheticLMConstruction(t *testing.T) {
 		{16, 32, 1, 0, false},     // branch > vocab
 		{4096, 16, 1, 1.0, false}, // tail = 1
 		{4096, 16, 1, -0.1, false},
-		{4096, 16, 0, 0, true}, // uniform is allowed
+		{4096, 16, 0, 0, false},  // uniform weights are not strictly decreasing
+		{4096, 16, -1, 0, false}, // nor are increasing ones
 	}
 	for _, c := range cases {
 		_, err := newSyntheticLM(1, c.vocab, c.branch, c.sharpness, c.tail)
@@ -47,7 +48,7 @@ func TestDistNormalized(t *testing.T) {
 	m := newTarget(t)
 	for i := uint64(0); i < 50; i++ {
 		d := m.Dist(Context{ReqSeed: i})
-		if err := d.validate(); err != nil {
+		if err := validate(d, 0.02); err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 	}
@@ -56,13 +57,13 @@ func TestDistNormalized(t *testing.T) {
 func TestDistDeterministic(t *testing.T) {
 	m := newTarget(t)
 	ctx := ctxOf(7, []Token{1, 2, 3})
-	a := cloneDist(m.Dist(ctx))
-	b := m.Dist(ctx)
-	if len(a.Entries) != len(b.Entries) {
+	a := entries(m.Dist(ctx))
+	b := entries(m.Dist(ctx))
+	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
-	for i := range a.Entries {
-		if a.Entries[i] != b.Entries[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("entry %d differs", i)
 		}
 	}
@@ -70,13 +71,13 @@ func TestDistDeterministic(t *testing.T) {
 
 func TestDistDependsOnContext(t *testing.T) {
 	m := newTarget(t)
-	a := cloneDist(m.Dist(ctxOf(7, []Token{1, 2, 3})))
-	b := m.Dist(ctxOf(7, []Token{1, 2, 4}))
-	if a.Argmax() == b.Argmax() {
+	a := entries(m.Dist(ctxOf(7, []Token{1, 2, 3})))
+	b := entries(m.Dist(ctxOf(7, []Token{1, 2, 4})))
+	if a[0].Token == b[0].Token {
 		// Possible by chance; require at least the candidate sets differ.
 		same := true
-		for i := range a.Entries {
-			if a.Entries[i].Token != b.Entries[i].Token {
+		for i := range a {
+			if a[i].Token != b[i].Token {
 				same = false
 				break
 			}
@@ -89,9 +90,9 @@ func TestDistDependsOnContext(t *testing.T) {
 
 func TestDistDependsOnSeed(t *testing.T) {
 	m := newTarget(t)
-	a := cloneDist(m.Dist(Context{ReqSeed: 1}))
-	b := m.Dist(Context{ReqSeed: 2})
-	if a.Argmax() == b.Argmax() && a.Entries[1].Token == b.Entries[1].Token {
+	a := entries(m.Dist(Context{ReqSeed: 1}))
+	b := entries(m.Dist(Context{ReqSeed: 2}))
+	if a[0].Token == b[0].Token && a[1].Token == b[1].Token {
 		t.Fatal("different request seeds produced identical top entries")
 	}
 }
@@ -102,13 +103,13 @@ func TestHistoryWindowLimits(t *testing.T) {
 	for i := range long {
 		long[i] = Token(i)
 	}
-	a := cloneDist(m.Dist(ctxOf(5, long)))
+	a := entries(m.Dist(ctxOf(5, long)))
 	// Changing a token OUTSIDE the window must not change the distribution.
 	long2 := append([]Token(nil), long...)
 	long2[0] = 999
-	b := m.Dist(ctxOf(5, long2))
-	for i := range a.Entries {
-		if a.Entries[i] != b.Entries[i] {
+	b := entries(m.Dist(ctxOf(5, long2)))
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("token outside history window changed the distribution")
 		}
 	}
@@ -116,7 +117,7 @@ func TestHistoryWindowLimits(t *testing.T) {
 	long3 := append([]Token(nil), long...)
 	long3[len(long3)-1] = 999
 	c := m.Dist(ctxOf(5, long3))
-	if a.Argmax() == c.Argmax() && a.Entries[1].Token == c.Entries[1].Token {
+	if a[0].Token == c.Argmax() && a[1].Token == c.Token(1) {
 		t.Fatal("token inside history window did not change the distribution")
 	}
 }
@@ -124,28 +125,29 @@ func TestHistoryWindowLimits(t *testing.T) {
 func TestDistProbAndTopK(t *testing.T) {
 	m := newTarget(t)
 	d := m.Dist(Context{ReqSeed: 3})
-	top := d.TopK(4)
-	if len(top) != 4 {
-		t.Fatalf("TopK(4) returned %d entries", len(top))
+	if d.Len() != 16 {
+		t.Fatalf("Len %d, want the branch 16", d.Len())
 	}
-	if top[0].Token != d.Argmax() {
-		t.Fatal("TopK[0] != Argmax")
+	if d.Token(0) != d.Argmax() {
+		t.Fatal("rank 0 != Argmax")
 	}
-	if got := prob(d, top[0].Token); got != top[0].Prob {
-		t.Fatalf("prob(top) = %g, want %g", got, top[0].Prob)
-	}
-	if d.TopK(100)[0] != top[0] {
-		t.Fatal("oversized TopK should clip")
+	for r := 0; r < 4; r++ {
+		if got := prob(d, 0.02, d.Token(r)); got != d.Prob(r) {
+			t.Fatalf("prob(rank %d) = %g, want %g", r, got, d.Prob(r))
+		}
+		if r > 0 && d.Prob(r) >= d.Prob(r-1) {
+			t.Fatalf("rank %d prob %g not below rank %d's %g", r, d.Prob(r), r-1, d.Prob(r-1))
+		}
 	}
 	// Tail token probability is tiny but nonzero.
 	var missing Token
 	for tok := Token(0); ; tok++ {
-		if prob(d, tok) < 1e-4 {
+		if prob(d, 0.02, tok) < 1e-4 {
 			missing = tok
 			break
 		}
 	}
-	if p := prob(d, missing); p <= 0 || p > 1e-4 {
+	if p := prob(d, 0.02, missing); p <= 0 || p > 1e-4 {
 		t.Fatalf("tail token prob %g", p)
 	}
 }
@@ -159,15 +161,13 @@ func TestDistSampleMatchesProbabilities(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[d.Sample(rng)]++
 	}
-	top := d.Entries[0]
-	got := float64(counts[top.Token]) / n
-	if math.Abs(got-top.Prob) > 0.01 {
-		t.Fatalf("top token sampled %.3f, want %.3f", got, top.Prob)
+	got := float64(counts[d.Token(0)]) / n
+	if math.Abs(got-d.Prob(0)) > 0.01 {
+		t.Fatalf("top token sampled %.3f, want %.3f", got, d.Prob(0))
 	}
-	second := d.Entries[1]
-	got2 := float64(counts[second.Token]) / n
-	if math.Abs(got2-second.Prob) > 0.01 {
-		t.Fatalf("second token sampled %.3f, want %.3f", got2, second.Prob)
+	got2 := float64(counts[d.Token(1)]) / n
+	if math.Abs(got2-d.Prob(1)) > 0.01 {
+		t.Fatalf("second token sampled %.3f, want %.3f", got2, d.Prob(1))
 	}
 }
 
@@ -176,8 +176,8 @@ func TestSharpnessControlsTopProbability(t *testing.T) {
 	sharp := MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 	var softTop, sharpTop float64
 	for i := uint64(0); i < 100; i++ {
-		softTop += soft.Dist(Context{ReqSeed: i}).Entries[0].Prob
-		sharpTop += sharp.Dist(Context{ReqSeed: i}).Entries[0].Prob
+		softTop += soft.Dist(Context{ReqSeed: i}).Prob(0)
+		sharpTop += sharp.Dist(Context{ReqSeed: i}).Prob(0)
 	}
 	if sharpTop <= softTop {
 		t.Fatal("sharper model should concentrate more mass on the argmax")
@@ -238,10 +238,10 @@ func TestDraftPerfectAlignment(t *testing.T) {
 	draft := MustDraftLM(target, 1.0, 2)
 	for i := uint64(0); i < 20; i++ {
 		ctx := Context{ReqSeed: i}
-		p := cloneDist(target.Dist(ctx))
-		q := draft.Dist(ctx)
-		for j := range p.Entries {
-			if p.Entries[j] != q.Entries[j] {
+		p := entries(target.Dist(ctx))
+		q := entries(draft.Dist(ctx))
+		for j := range p {
+			if p[j] != q[j] {
 				t.Fatalf("alpha=1 draft differs from target at seed %d", i)
 			}
 		}
@@ -274,11 +274,11 @@ func TestDraftMistakesAreNearMisses(t *testing.T) {
 	const n = 2000
 	for i := uint64(0); i < n; i++ {
 		ctx := Context{ReqSeed: i}
-		p := cloneDist(target.Dist(ctx))
+		top := target.Dist(ctx).Argmax()
 		q := draft.Dist(ctx)
 		// The target's argmax should usually be within the draft's top 3.
-		for _, e := range q.TopK(3) {
-			if e.Token == p.Argmax() {
+		for r := 0; r < 3; r++ {
+			if q.Token(r) == top {
 				nearMiss++
 				break
 			}
@@ -298,7 +298,7 @@ func TestDraftDistNormalized(t *testing.T) {
 			hist[i] = Token(b)
 		}
 		d := draft.Dist(ctxOf(seed, hist))
-		return d.validate() == nil
+		return validate(d, 0.02) == nil
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -306,16 +306,21 @@ func TestDraftDistNormalized(t *testing.T) {
 }
 
 func TestDistValidateCatchesBadDists(t *testing.T) {
-	bad := Dist{Entries: []TokenProb{{Token: 1, Prob: 0.5}, {Token: 2, Prob: 0.6}}, tail: 0, vocab: 10}
-	if bad.validate() == nil {
-		t.Error("unsorted dist validated")
+	for _, c := range []struct {
+		name string
+		es   []tokenProb
+	}{
+		{"unsorted", []tokenProb{{Token: 1, Prob: 0.4}, {Token: 2, Prob: 0.6}}},
+		{"non-normalized", []tokenProb{{Token: 1, Prob: 0.5}}},
+		{"negative prob", []tokenProb{{Token: 1, Prob: 1.5}, {Token: 2, Prob: -0.5}}},
+		{"duplicate token", []tokenProb{{Token: 1, Prob: 0.6}, {Token: 1, Prob: 0.4}}},
+		{"out of vocabulary", []tokenProb{{Token: 10, Prob: 0.6}, {Token: 1, Prob: 0.4}}},
+	} {
+		if validateEntries(c.es, 0, 10) == nil {
+			t.Errorf("%s dist validated", c.name)
+		}
 	}
-	bad2 := Dist{Entries: []TokenProb{{Token: 1, Prob: 0.5}}, tail: 0, vocab: 10}
-	if bad2.validate() == nil {
-		t.Error("non-normalized dist validated")
-	}
-	bad3 := Dist{Entries: []TokenProb{{Token: 1, Prob: -0.5}, {Token: 2, Prob: 1.5}}, tail: 0, vocab: 10}
-	if bad3.validate() == nil {
-		t.Error("negative prob validated")
+	if err := validateEntries([]tokenProb{{Token: 3, Prob: 0.6}, {Token: 1, Prob: 0.4}}, 0, 10); err != nil {
+		t.Errorf("valid dist rejected: %v", err)
 	}
 }

@@ -47,17 +47,17 @@ func TestSampleMatchAcceptanceIsCalibrated(t *testing.T) {
 	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 9}
 	p := target.Dist(ctx)
-	branch := p.Entries[0]
+	tok, want := p.Token(0), p.Prob(0)
 	accepted := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		if idx, _ := v.AcceptAmong(ctx, []Branch{{Token: branch.Token}}); idx == 0 {
+		if idx, _ := v.AcceptAmong(ctx, []Branch{{Token: tok}}); idx == 0 {
 			accepted++
 		}
 	}
 	got := float64(accepted) / n
-	if math.Abs(got-branch.Prob) > 0.01 {
-		t.Fatalf("acceptance rate %.3f, want p(token) = %.3f", got, branch.Prob)
+	if math.Abs(got-want) > 0.01 {
+		t.Fatalf("acceptance rate %.3f, want p(token) = %.3f", got, want)
 	}
 }
 
@@ -67,9 +67,9 @@ func TestSampleMatchMultiBranchCoverage(t *testing.T) {
 	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 13}
 	p := target.Dist(ctx)
-	branches := make([]Branch, len(p.Entries))
-	for i, e := range p.Entries {
-		branches[i] = Branch{Token: e.Token}
+	branches := make([]Branch, p.Len())
+	for r := range branches {
+		branches[r] = Branch{Token: p.Token(r)}
 	}
 	accepted := 0
 	const n = 20000
@@ -79,7 +79,7 @@ func TestSampleMatchMultiBranchCoverage(t *testing.T) {
 		}
 	}
 	got := float64(accepted) / n
-	want := 1 - p.tail
+	want := 1 - 0.02 // the tail mass newPair's target leaves outside the candidates
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("full-branch acceptance %.3f, want %.3f", got, want)
 	}
@@ -98,20 +98,19 @@ func TestSampleMatchCorrectionDistribution(t *testing.T) {
 		_, corr := v.AcceptAmong(ctx, nil)
 		counts[corr]++
 	}
-	top := p.Entries[0]
-	got := float64(counts[top.Token]) / n
-	if math.Abs(got-top.Prob) > 0.01 {
-		t.Fatalf("correction emitted top token %.3f of the time, want %.3f", got, top.Prob)
+	got := float64(counts[p.Token(0)]) / n
+	if math.Abs(got-p.Prob(0)) > 0.01 {
+		t.Fatalf("correction emitted top token %.3f of the time, want %.3f", got, p.Prob(0))
 	}
 }
 
 // TestVerifierMatchesFreshReference pins the Dist lifetime contract against
 // a reference whose every Dist is freshly allocated. Under each rule, the
 // verifier must decide identically over the raw models and over freshModel
-// wrappers, although between decisions the raw models' buffers are rebuilt
-// by calls on other contexts: the branches come from a draft Dist held
-// across a target call, and a draft call on another context precedes each
-// decision.
+// wrappers, although between decisions the raw models' buffers are
+// restarted by calls on other contexts: the branches come from a draft
+// Dist read lazily after a target call (which leaves the draft's buffer
+// alone), and a draft call on another context precedes each decision.
 func TestVerifierMatchesFreshReference(t *testing.T) {
 	run := func(rule VerifyRule, fresh bool) []int {
 		var target, draft Model = newPair(t, 0.6)
@@ -123,10 +122,9 @@ func TestVerifierMatchesFreshReference(t *testing.T) {
 		walkContexts(200, func(ctx Context) {
 			q := draft.Dist(ctx)
 			_ = target.Dist(ctx.Extend(4094))
-			top := q.TopK(3)
-			branches := make([]Branch, len(top))
-			for i, e := range top {
-				branches[i] = Branch{Token: e.Token}
+			branches := make([]Branch, 3)
+			for r := range branches {
+				branches[r] = Branch{Token: q.Token(r)}
 			}
 			_ = draft.Dist(ctx.Extend(4095))
 			idx, corr := v.AcceptAmong(ctx, branches)

@@ -95,11 +95,12 @@ func (t *lazyDraftTree) Children(id int) []int {
 		dist := t.draft.Dist(n.ctx)
 		parentProb := n.pathProb
 		parentCtx := n.ctx
-		for _, e := range dist.TopK(t.topK) {
+		for r := range min(t.topK, dist.Len()) {
+			tok := dist.Token(r)
 			child := lazyNode{
-				ctx:      parentCtx.Extend(e.Token),
-				tok:      e.Token,
-				pathProb: parentProb * e.Prob,
+				ctx:      parentCtx.Extend(tok),
+				tok:      tok,
+				pathProb: parentProb * dist.Prob(r),
 			}
 			t.nodes = append(t.nodes, child)
 			t.nodes[id].children = append(t.nodes[id].children, len(t.nodes)-1)

@@ -1,118 +1,159 @@
 package toktree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"adaserve/internal/lm"
 )
 
-// beamEntry is one live beam node: its tree ID plus the decoding context
-// under which its children are proposed. lm.Context is a value type, so the
-// beam carries no heap references.
-type beamEntry struct {
-	nodeID int
-	ctx    lm.Context
+// shapeCand is one candidate child while a shape is computed.
+type shapeCand struct {
+	parent, rank int
+	path         float64
 }
 
-// beamCand is one candidate child during a beam step.
-type beamCand struct {
-	parentID  int
-	parentCtx lm.Context
-	tok       lm.Token
-	draftProb float64
-	pathProb  float64
-}
-
-// BeamBuilder runs beam searches with reusable scratch (beam and candidate
-// buffers), so repeated searches — one per request per iteration — allocate
-// nothing once warm. The zero value is ready to use. Not safe for concurrent
-// use; engines own one each.
+// BeamBuilder runs beam searches with reusable scratch, so repeated
+// searches — one per request per iteration — allocate nothing once warm.
+// It computes the shape of each (d, w) on that pair's first Search and
+// keeps it. The zero value is ready to use. Not safe for concurrent use;
+// engines own one each.
 type BeamBuilder struct {
-	beam  []beamEntry
-	next  []beamEntry
-	cands []beamCand
+	// probs are the rank probabilities the shapes were computed from.
+	probs []float64
+	// shapes[d][w] holds the prototype nodes of a depth-d, width-w beam
+	// (see buildShape), nil until that pair's first Search.
+	shapes [][][]Node
+	// ctxs[i] is the decoding context under node i's children.
+	ctxs []lm.Context
 }
-
-// BeamBuilder implements sort.Interface over its candidate buffer so the
-// per-step ranking runs through sort.Sort without the reflection closures
-// (and their allocations) of sort.Slice. The (parentID, tok) pair is unique,
-// so the ordering is total and algorithm-independent.
-
-// Len implements sort.Interface.
-func (bb *BeamBuilder) Len() int { return len(bb.cands) }
-
-// Less implements sort.Interface: descending path probability, ties by
-// (parent node ID, token) ascending.
-func (bb *BeamBuilder) Less(i, j int) bool {
-	a, b := &bb.cands[i], &bb.cands[j]
-	if a.pathProb != b.pathProb {
-		return a.pathProb > b.pathProb
-	}
-	if a.parentID != b.parentID {
-		return a.parentID < b.parentID
-	}
-	return a.tok < b.tok
-}
-
-// Swap implements sort.Interface.
-func (bb *BeamBuilder) Swap(i, j int) { bb.cands[i], bb.cands[j] = bb.cands[j], bb.cands[i] }
 
 // Search grows a candidate token tree of depth d and beam width w into t,
 // which must contain only a root (fresh from NewTree, TreePool.Get, or
-// Reset): Algorithm 2's speculation phase for one request. Step 1 expands
+// reset): Algorithm 2's speculation phase for one request. Step 1 expands
 // the root and keeps the w highest-draftProb children. Each subsequent step
 // expands all beam nodes and keeps the w children with the highest *path*
 // probability (global per request, as in Eagle-2-style beam search), so
 // every non-root level holds at most w nodes. Width 1 is the greedy chain
 // the vLLM-Spec baselines speculate.
 //
-// It returns the number of draft steps executed (fewer than d if the beam
-// empties).
-func (bb *BeamBuilder) Search(t *Tree, draft lm.Model, d, w int) (steps int, err error) {
+// The tree's structure and probabilities come from the (d, w) shape; only
+// the tokens depend on the request, and each parent's Dist is read once,
+// as far as its last child's rank. The nodes share their Children slices
+// with the shape, so they are read-only. Every draft proposes at least one
+// candidate, so a search with d > 0 runs all d draft steps.
+func (bb *BeamBuilder) Search(t *Tree, draft *lm.DraftLM, d, w int) error {
 	if d < 0 {
-		return 0, fmt.Errorf("toktree: negative beam depth %d", d)
+		return fmt.Errorf("toktree: negative beam depth %d", d)
 	}
 	if w < 1 && d > 0 {
-		return 0, fmt.Errorf("toktree: beam width %d < 1", w)
+		return fmt.Errorf("toktree: beam width %d < 1", w)
 	}
 	if d == 0 {
-		return 0, nil
+		return nil
 	}
-
-	bb.beam = append(bb.beam[:0], beamEntry{nodeID: 0, ctx: t.ctx})
-
-	for step := 0; step < d; step++ {
-		bb.cands = bb.cands[:0]
-		for _, be := range bb.beam {
-			dist := draft.Dist(be.ctx)
-			parentPath := t.Nodes[be.nodeID].PathProb
-			top := dist.Entries
-			if len(top) > w {
-				top = top[:w]
-			}
-			for _, e := range top {
-				bb.cands = append(bb.cands, beamCand{
-					parentID: be.nodeID, parentCtx: be.ctx, tok: e.Token,
-					draftProb: e.Prob, pathProb: parentPath * e.Prob,
-				})
-			}
-		}
-		if len(bb.cands) == 0 {
-			break
-		}
-		sort.Sort(bb)
-		cands := bb.cands
-		if len(cands) > w {
-			cands = cands[:w]
-		}
-		bb.next = bb.next[:0]
-		for _, c := range cands {
-			id := t.AddChild(c.parentID, c.tok, c.draftProb)
-			bb.next = append(bb.next, beamEntry{nodeID: id, ctx: c.parentCtx.Extend(c.tok)})
-		}
-		bb.beam, bb.next = bb.next, bb.beam
-		steps++
+	sh := bb.shape(draft.RankProbs(), d, w)
+	t.Nodes = append(t.Nodes[:1], sh[1:]...)
+	t.Nodes[0].Children = sh[0].Children
+	if cap(bb.ctxs) < len(sh) {
+		bb.ctxs = make([]lm.Context, len(sh))
 	}
-	return steps, nil
+	ctxs := bb.ctxs[:len(sh)]
+	ctxs[0] = t.ctx
+	for p := range t.Nodes {
+		ch := t.Nodes[p].Children
+		if len(ch) == 0 {
+			continue
+		}
+		dist := draft.Dist(ctxs[p])
+		for rank, c := range ch {
+			tok := dist.Token(rank)
+			t.Nodes[c].token = tok
+			if len(t.Nodes[c].Children) > 0 {
+				ctxs[c] = ctxs[p].Extend(tok)
+			}
+		}
+	}
+	return nil
+}
+
+// shape returns the prototype nodes of the depth-d, width-w beam over rank
+// probabilities probs, computing them on first use.
+func (bb *BeamBuilder) shape(probs []float64, d, w int) []Node {
+	if len(bb.probs) != len(probs) || &bb.probs[0] != &probs[0] {
+		bb.probs, bb.shapes = probs, nil
+	}
+	for len(bb.shapes) <= d {
+		bb.shapes = append(bb.shapes, nil)
+	}
+	for len(bb.shapes[d]) <= w {
+		bb.shapes[d] = append(bb.shapes[d], nil)
+	}
+	if bb.shapes[d][w] == nil {
+		bb.shapes[d][w] = buildShape(probs, d, w)
+	}
+	return bb.shapes[d][w]
+}
+
+// buildShape returns the token-free skeleton of every depth-d, width-w beam
+// over one draft: node i's parent, depth, draft prob and PathProb, and its
+// children, as prototype Nodes in tree-ID order. It is context-free: a
+// draft Dist has the same probability at each rank in every context, and
+// those rank probabilities are strictly decreasing, so the beam's ranking
+// by (path prob, parent ID, token) never reaches the token. A parent's
+// children are therefore always its ranks 0..k-1, in ID order.
+//
+// It runs the beam search over rank probabilities alone. Each step
+// ranks the beam nodes' top-w ranks by (path prob desc, parent ID asc, rank
+// asc) — within one parent a lower rank has the higher probability, which
+// is how the token-keyed ranking orders them too — and keeps the first w.
+// PathProb is parent × prob, in the order AddChild multiplies them.
+func buildShape(probs []float64, d, w int) []Node {
+	k := min(w, len(probs))
+	nodes := make([]Node, 1, 1+d*w)
+	nodes[0] = Node{id: 0, parent: -1, draftProb: 1, PathProb: 1}
+	beam := append(make([]int, 0, w), 0)
+	cands := make([]shapeCand, 0, w*k)
+	for step := 1; step <= d; step++ {
+		cands = cands[:0]
+		for _, p := range beam {
+			for r := 0; r < k; r++ {
+				cands = append(cands, shapeCand{parent: p, rank: r, path: nodes[p].PathProb * probs[r]})
+			}
+		}
+		slices.SortFunc(cands, func(a, b shapeCand) int {
+			if a.path != b.path {
+				return cmp.Compare(b.path, a.path)
+			}
+			if a.parent != b.parent {
+				return cmp.Compare(a.parent, b.parent)
+			}
+			return cmp.Compare(a.rank, b.rank)
+		})
+		beam = beam[:0]
+		for _, c := range cands[:min(w, len(cands))] {
+			id := len(nodes)
+			nodes = append(nodes, Node{
+				id: id, parent: c.parent, depth: step,
+				draftProb: probs[c.rank], PathProb: nodes[c.parent].PathProb * probs[c.rank],
+			})
+			beam = append(beam, id)
+		}
+	}
+	// Children lists, each capacity-capped so that appending to one (as
+	// AddChild would) copies instead of writing into its neighbour.
+	all := make([]int, 0, len(nodes)-1)
+	for p := range nodes {
+		start := len(all)
+		for c := p + 1; c < len(nodes); c++ {
+			if nodes[c].parent == p {
+				all = append(all, c)
+			}
+		}
+		if len(all) > start {
+			nodes[p].Children = all[start:len(all):len(all)]
+		}
+	}
+	return nodes
 }

@@ -14,11 +14,11 @@ func beamModels(t *testing.T) (*lm.SyntheticLM, *lm.DraftLM) {
 }
 
 // search grows a fresh depth-d, width-w candidate tree rooted at rootTok.
-func search(t testing.TB, draft lm.Model, ctx lm.Context, rootTok lm.Token, d, w int) *Tree {
+func search(t testing.TB, draft *lm.DraftLM, ctx lm.Context, rootTok lm.Token, d, w int) *Tree {
 	t.Helper()
 	tr := NewTree(ctx, rootTok)
 	var bb BeamBuilder
-	if _, err := bb.Search(tr, draft, d, w); err != nil {
+	if err := bb.Search(tr, draft, d, w); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -73,35 +73,36 @@ func TestBeamSearchDepthZero(t *testing.T) {
 	_, draft := beamModels(t)
 	tr := NewTree(lm.Context{ReqSeed: 3}, 7)
 	var bb BeamBuilder
-	steps, err := bb.Search(tr, draft, 0, 4)
-	if err != nil {
+	if err := bb.Search(tr, draft, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 1 || steps != 0 {
-		t.Fatal("depth-0 beam should produce a bare root at no cost")
+	if tr.Size() != 1 {
+		t.Fatal("depth-0 beam should produce a bare root")
 	}
 }
 
 func TestBeamSearchRejectsBadParams(t *testing.T) {
 	_, draft := beamModels(t)
 	var bb BeamBuilder
-	if _, err := bb.Search(NewTree(lm.Context{}, 0), draft, -1, 2); err == nil {
+	if err := bb.Search(NewTree(lm.Context{}, 0), draft, -1, 2); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if _, err := bb.Search(NewTree(lm.Context{}, 0), draft, 2, 0); err == nil {
+	if err := bb.Search(NewTree(lm.Context{}, 0), draft, 2, 0); err == nil {
 		t.Error("zero width accepted")
 	}
 }
 
+// The engine charges every search d draft steps: each step proposes at
+// least one candidate, so the sorted reference runs all d steps and the
+// tree reaches depth d.
 func TestBeamSearchCostAccounting(t *testing.T) {
 	_, draft := beamModels(t)
-	var bb BeamBuilder
-	steps, err := bb.Search(NewTree(lm.Context{ReqSeed: 5}, 7), draft, 4, 3)
-	if err != nil {
-		t.Fatal(err)
+	ctx := lm.Context{ReqSeed: 5}
+	if steps := refSearch(NewTree(ctx, 7), draft, 4, 3); steps != 4 {
+		t.Fatalf("reference ran %d steps, want 4", steps)
 	}
-	if steps != 4 {
-		t.Fatalf("steps %d, want 4", steps)
+	if got := depth(search(t, draft, ctx, 7, 4, 3)); got != 4 {
+		t.Fatalf("depth %d, want 4", got)
 	}
 }
 
@@ -112,7 +113,8 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 17}
 	tr := search(t, draft, ctx, 7, 2, 3)
-	top := draft.Dist(ctx).TopK(3)
+	dist := draft.Dist(ctx)
+	top := []lm.Token{dist.Token(0), dist.Token(1), dist.Token(2)}
 	var level1 []lm.Token
 	for _, n := range tr.Nodes[1:] {
 		if n.depth == 1 {
@@ -122,15 +124,15 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	if len(level1) != 3 {
 		t.Fatalf("level 1 has %d nodes", len(level1))
 	}
-	for _, e := range top {
+	for _, want := range top {
 		found := false
 		for _, tok := range level1 {
-			if tok == e.Token {
+			if tok == want {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("draft top token %d missing from level 1", e.Token)
+			t.Fatalf("draft top token %d missing from level 1", want)
 		}
 	}
 }
@@ -182,11 +184,13 @@ func TestTheorem41(t *testing.T) {
 		selected := []node{{ctx: ctx, f: 1}}
 		frontier := []node{}
 		expand := func(n node) {
-			for _, e := range draft.Dist(n.ctx).TopK(16) {
+			dist := draft.Dist(n.ctx)
+			for r := range dist.Len() {
+				tok := dist.Token(r)
 				frontier = append(frontier, node{
-					ctx:  n.ctx.Extend(e.Token),
-					path: append(append([]lm.Token(nil), n.path...), e.Token),
-					f:    n.f * e.Prob,
+					ctx:  n.ctx.Extend(tok),
+					path: append(append([]lm.Token(nil), n.path...), tok),
+					f:    n.f * dist.Prob(r),
 				})
 			}
 		}

@@ -8,7 +8,7 @@ import (
 	"adaserve/internal/mathutil"
 )
 
-func poolTestDraft(t *testing.T) lm.Model {
+func poolTestDraft(t *testing.T) *lm.DraftLM {
 	t.Helper()
 	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 	return lm.MustDraftLM(target, 0.85, 2)
@@ -54,7 +54,7 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 			pool.Put(prev)
 		}
 		pooled := pool.Get(ctx, root)
-		if _, err := bb.Search(pooled, draft, d, w); err != nil {
+		if err := bb.Search(pooled, draft, d, w); err != nil {
 			t.Fatal(err)
 		}
 		prev = pooled
@@ -74,7 +74,7 @@ func TestTreeResetReusesStorage(t *testing.T) {
 	draft := poolTestDraft(t)
 	tr := NewTree(lm.Context{ReqSeed: 1}, 7)
 	var bb BeamBuilder
-	if _, err := bb.Search(tr, draft, 6, 4); err != nil {
+	if err := bb.Search(tr, draft, 6, 4); err != nil {
 		t.Fatal(err)
 	}
 	grown := cap(tr.Nodes)
@@ -85,7 +85,7 @@ func TestTreeResetReusesStorage(t *testing.T) {
 	if cap(tr.Nodes) != grown {
 		t.Fatal("Reset dropped node capacity")
 	}
-	if _, err := bb.Search(tr, draft, 6, 4); err != nil {
+	if err := bb.Search(tr, draft, 6, 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {

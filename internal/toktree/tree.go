@@ -49,10 +49,6 @@ type Tree struct {
 	// ctx is the request's decoding context at the root (history includes
 	// the root token).
 	ctx lm.Context
-
-	// spareChildren stashes child-ID slices recovered by Reset so reused
-	// trees stop allocating once warm.
-	spareChildren [][]int
 }
 
 // NewTree creates a tree holding only a root for the given context. rootTok
@@ -64,16 +60,11 @@ func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
 	}
 }
 
-// reset re-roots the tree in place for reuse: node storage and the child-ID
-// slices of the previous occupancy are retained, so a warm tree builds
-// without allocating. Any outstanding references into the old tree
+// reset re-roots the tree in place for reuse: node storage is retained, so
+// a warm tree builds without allocating (Search shares its Children slices
+// with the beam shape). Any outstanding references into the old tree
 // (Selections, node pointers) become invalid.
 func (t *Tree) reset(ctx lm.Context, rootTok lm.Token) {
-	for i := range t.Nodes {
-		if c := t.Nodes[i].Children; cap(c) > 0 {
-			t.spareChildren = append(t.spareChildren, c[:0])
-		}
-	}
 	t.Nodes = t.Nodes[:0]
 	t.Nodes = append(t.Nodes, Node{id: 0, token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1})
 	t.ctx = ctx
@@ -94,16 +85,10 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 	// Take the parent pointer only after append: append may reallocate
 	// t.Nodes, and a pointer captured earlier would mutate the stale array.
 	p := &t.Nodes[parent]
-	if p.Children == nil {
-		if n := len(t.spareChildren); n > 0 {
-			p.Children = t.spareChildren[n-1]
-			t.spareChildren = t.spareChildren[:n-1]
-		}
-	}
 	p.Children = append(p.Children, id)
-	// The existing children are already sorted (this is the only insertion
-	// point), so one insertion pass from the tail replaces a full sort; beam
-	// search appends in sorted order, making this a no-op there.
+	// The existing children are already sorted (Search's come from the beam
+	// shape in rank order), so one insertion pass from the tail replaces a
+	// full sort.
 	ch := p.Children
 	for k := len(ch) - 1; k > 0; k-- {
 		prev, cur := &t.Nodes[ch[k-1]], &t.Nodes[ch[k]]

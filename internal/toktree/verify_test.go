@@ -8,44 +8,56 @@ import (
 	"adaserve/internal/mathutil"
 )
 
-// chainLM is a scripted target model for white-box verification tests: its
-// argmax (and essentially all its mass) sits on lastToken+1, so the
-// "correct" continuation of token t is t+1. That makes accepted prefixes
-// fully predictable under the greedy rule. A verification walk only extends
-// its context along accepted tokens, so the model knows every context the
-// walk can reach: chainCtx(root) extended by root+1, root+2, ….
-type chainLM struct{ last map[lm.Context]lm.Token }
+// chain is the fixture of the white-box verification tests: a real target
+// model and its greedy continuation from a root context. Under the greedy
+// rule the target accepts exactly the chain's tokens, so accepted prefixes
+// are fully predictable: tok[0] is the root token and tok[k] is the
+// target's argmax after tok[1..k-1].
+type chain struct {
+	target *lm.SyntheticLM
+	tok    []lm.Token
+	// onChain holds the contexts the chain passes through: the root's and
+	// each one extended by tok[1..k].
+	onChain map[lm.Context]bool
+}
 
 const chainVocab = 256
 
-func newChainLM(root lm.Token) chainLM {
-	m := chainLM{last: map[lm.Context]lm.Token{}}
-	ctx := chainCtx(root)
-	for tok := root; tok <= root+8; tok++ {
-		if tok != root {
-			ctx = ctx.Extend(tok)
-		}
-		m.last[ctx] = tok
+func newChain() chain {
+	c := chain{
+		target:  lm.MustSyntheticLM(3, chainVocab, 16, 3.2, 0.02),
+		tok:     []lm.Token{10},
+		onChain: map[lm.Context]bool{},
 	}
-	return m
+	ctx := chainCtx(10)
+	c.onChain[ctx] = true
+	for k := 1; k <= 6; k++ {
+		next := c.target.Dist(ctx).Argmax()
+		c.tok = append(c.tok, next)
+		ctx = ctx.Extend(next)
+		c.onChain[ctx] = true
+	}
+	return c
 }
 
-func (m chainLM) Dist(ctx lm.Context) lm.Dist {
-	last, ok := m.last[ctx]
-	if !ok {
-		panic("chainLM: context off the correct chain")
+// Dist answers as the target, but only on the chain. A verification walk
+// extends its context along accepted tokens alone, so a query off the chain
+// means the walk went down a rejected sibling.
+func (c chain) Dist(ctx lm.Context) lm.Dist {
+	if !c.onChain[ctx] {
+		panic("chain: context off the correct chain")
 	}
-	next := (last + 1) % chainVocab
-	other := (next + 1) % chainVocab
-	return lm.Dist{
-		Entries: []lm.TokenProb{{Token: next, Prob: 0.9}, {Token: other, Prob: 0.1}},
-	}
+	return c.target.Dist(ctx)
 }
 
-// greedyVerifier builds a verifier over chainLM rooted at token 10 with the
-// deterministic rule.
-func greedyVerifier() *lm.Verifier {
-	return lm.NewVerifier(newChainLM(10), lm.RuleGreedy, mathutil.NewRNG(1))
+// wrong returns the i-th (i >= 1) of the tokens the greedy target rejects
+// at depth k: a token other than tok[k].
+func (c chain) wrong(k, i int) lm.Token { return c.tok[k] ^ lm.Token(i) }
+
+// greedyVerifier builds a verifier over the chain with the deterministic
+// rule.
+func (c chain) greedyVerifier() *lm.Verifier {
+	return lm.NewVerifier(c, lm.RuleGreedy, mathutil.NewRNG(1))
 }
 
 // chainCtx is a context whose history ends in the root token, matching how
@@ -55,16 +67,17 @@ func chainCtx(root lm.Token) lm.Context {
 }
 
 func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
-	// Tree rooted at 10. Chain 11 -> 12 is the "correct" continuation;
-	// siblings 99 (depth 1) and 77 (depth 2) are wrong. Node 13 hangs off
-	// the WRONG sibling 99, so it must never be reached even though its
-	// token would be acceptable elsewhere.
+	// The chain's tok[1] -> tok[2] is the correct continuation; siblings
+	// wrong(1) (depth 1) and wrong(2) (depth 2) are rejected. Node tok[3]
+	// hangs off the WRONG sibling, so it must never be reached even though
+	// its token would be acceptable elsewhere.
+	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
-	n11 := tr.AddChild(0, 11, 0.6)
-	n99 := tr.AddChild(0, 99, 0.3)
-	tr.AddChild(n11, 12, 0.7)
-	tr.AddChild(n11, 77, 0.2)
-	tr.AddChild(n99, 13, 0.5)
+	n1 := tr.AddChild(0, c.tok[1], 0.6)
+	nw := tr.AddChild(0, c.wrong(1, 1), 0.3)
+	tr.AddChild(n1, c.tok[2], 0.7)
+	tr.AddChild(n1, c.wrong(2, 1), 0.2)
+	tr.AddChild(nw, c.tok[3], 0.5)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +85,14 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 	for id := 1; id < tr.Size(); id++ {
 		sel.Add(id)
 	}
-	res := verify(sel, greedyVerifier())
-	if want := []lm.Token{11, 12}; !reflect.DeepEqual(res.Accepted, want) {
+	res := verify(sel, c.greedyVerifier())
+	if want := c.tok[1:3]; !reflect.DeepEqual(res.Accepted, want) {
 		t.Fatalf("accepted %v, want %v", res.Accepted, want)
 	}
 	// Past the last selected node on the accepted path: bonus = argmax
-	// after ...11,12 = 13.
-	if res.Correction != 13 {
-		t.Fatalf("bonus token %d, want 13", res.Correction)
+	// after tok[1], tok[2] = tok[3].
+	if res.Correction != c.tok[3] {
+		t.Fatalf("bonus token %d, want %d", res.Correction, c.tok[3])
 	}
 	if res.TokensVerified != sel.Size() {
 		t.Fatalf("tokens verified %d, want selection size %d", res.TokensVerified, sel.Size())
@@ -87,34 +100,36 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 }
 
 func TestVerifyRejectionEmitsCorrection(t *testing.T) {
-	// No child carries the correct token 11: the walk stops at the root and
-	// the correction is the target argmax there.
+	// No child carries the correct token tok[1]: the walk stops at the
+	// root and the correction is the target argmax there.
+	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
-	tr.AddChild(0, 99, 0.6)
-	tr.AddChild(0, 50, 0.3)
+	tr.AddChild(0, c.wrong(1, 1), 0.6)
+	tr.AddChild(0, c.wrong(1, 2), 0.3)
 	sel := NewSelection(tr)
 	sel.Add(1)
 	sel.Add(2)
-	res := verify(sel, greedyVerifier())
+	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
 		t.Fatalf("accepted %v, want none", res.Accepted)
 	}
-	if res.Correction != 11 {
-		t.Fatalf("correction %d, want target argmax 11", res.Correction)
+	if res.Correction != c.tok[1] {
+		t.Fatalf("correction %d, want target argmax %d", res.Correction, c.tok[1])
 	}
 }
 
 func TestVerifyRespectsSelection(t *testing.T) {
-	// The correct child 11 exists in the candidate tree but is NOT
+	// The correct child tok[1] exists in the candidate tree but is NOT
 	// selected: verification must not see it and must reject the selected
 	// sibling.
+	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
-	tr.AddChild(0, 11, 0.6)
-	n99 := tr.AddChild(0, 99, 0.3)
+	tr.AddChild(0, c.tok[1], 0.6)
+	nw := tr.AddChild(0, c.wrong(1, 1), 0.3)
 	sel := NewSelection(tr)
-	sel.Add(n99)
-	res := verify(sel, greedyVerifier())
-	if len(res.Accepted) != 0 || res.Correction != 11 {
+	sel.Add(nw)
+	res := verify(sel, c.greedyVerifier())
+	if len(res.Accepted) != 0 || res.Correction != c.tok[1] {
 		t.Fatalf("selection leak: accepted %v correction %d", res.Accepted, res.Correction)
 	}
 	if res.TokensVerified != 2 {
@@ -125,14 +140,15 @@ func TestVerifyRespectsSelection(t *testing.T) {
 func TestVerifyRootOnlyTree(t *testing.T) {
 	// Empty tree (root only, nothing speculated): verification degenerates
 	// to plain decoding — no accepted tokens, bonus from the root context.
+	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
 	sel := NewSelection(tr)
-	res := verify(sel, greedyVerifier())
+	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
 		t.Fatalf("root-only tree accepted %v", res.Accepted)
 	}
-	if res.Correction != 11 {
-		t.Fatalf("bonus %d, want 11", res.Correction)
+	if res.Correction != c.tok[1] {
+		t.Fatalf("bonus %d, want %d", res.Correction, c.tok[1])
 	}
 	if res.TokensVerified != 1 {
 		t.Fatalf("tokens verified %d, want 1", res.TokensVerified)
@@ -142,21 +158,22 @@ func TestVerifyRootOnlyTree(t *testing.T) {
 func TestVerifyFullAcceptanceChain(t *testing.T) {
 	// A fully correct selected chain of depth 4: everything accepted plus
 	// the bonus token at the end.
+	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
 	parent := 0
 	for d := 1; d <= 4; d++ {
-		parent = tr.AddChild(parent, lm.Token(10+d), 0.9)
+		parent = tr.AddChild(parent, c.tok[d], 0.9)
 	}
 	sel := NewSelection(tr)
 	for id := 1; id < tr.Size(); id++ {
 		sel.Add(id)
 	}
-	res := verify(sel, greedyVerifier())
-	if want := []lm.Token{11, 12, 13, 14}; !reflect.DeepEqual(res.Accepted, want) {
+	res := verify(sel, c.greedyVerifier())
+	if want := c.tok[1:5]; !reflect.DeepEqual(res.Accepted, want) {
 		t.Fatalf("accepted %v, want %v", res.Accepted, want)
 	}
-	if res.Correction != 15 {
-		t.Fatalf("bonus %d, want 15", res.Correction)
+	if res.Correction != c.tok[5] {
+		t.Fatalf("bonus %d, want %d", res.Correction, c.tok[5])
 	}
 }
 
@@ -169,7 +186,7 @@ func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, *Selection) 
 	draft := lm.MustDraftLM(target, 0.8, seed+1)
 	tr := NewTree(lm.Context{ReqSeed: seed}, lm.Token(seed%256))
 	var bb BeamBuilder
-	if _, err := bb.Search(tr, draft, 4, 3); err != nil {
+	if err := bb.Search(tr, draft, 4, 3); err != nil {
 		t.Fatal(err)
 	}
 	sel := NewSelection(tr)

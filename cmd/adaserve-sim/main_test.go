@@ -10,12 +10,10 @@ import (
 
 	"adaserve/internal/cluster"
 	"adaserve/internal/experiments"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/metrics"
 	"adaserve/internal/obs"
 	"adaserve/internal/request"
 	"adaserve/internal/serve"
-	"adaserve/internal/workload"
 )
 
 // TestResolveFleet is the -replicas/-roles validation table: -roles implies
@@ -187,21 +185,30 @@ func TestResolveAdaptive(t *testing.T) {
 				t.Fatalf("cfg = %+v, want DisableTuning=%v DisableAdmission=%v",
 					cfg, c.wantNoTuning, c.wantNoAdmission)
 			}
-			if cfg.Interval != experiments.AdaptiveInterval(120) || cfg.Window != experiments.AutoscaleWindow(120) {
+			if want, _ := experiments.AdaptiveConfig("adaptive+admission", 120); cfg.Interval != want.Interval || cfg.Window != want.Window {
 				t.Fatalf("cfg timing %+v does not follow the experiment cadence", cfg)
 			}
 		})
 	}
 }
 
-// TestFleetString covers the -live fleet renderer across lifecycle states.
-func TestFleetString(t *testing.T) {
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, experiments.Llama70B(),
-		make([]cluster.Role, 3), "round-robin", &cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
-		experiments.BuildOptions{Seed: 1})
+// idleFleet lowers an AdaServe fleet spec with an empty trace, as main
+// lowers its own, and returns the built fleet.
+func idleFleet(t *testing.T, spec experiments.RunSpec) *cluster.Cluster {
+	t.Helper()
+	spec.Kind, spec.Setup, spec.Seed = experiments.SysAdaServe, experiments.Llama70B(), 1
+	spec.Requests = []*request.Request{}
+	run, err := spec.Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return run.Backend().(*cluster.Cluster)
+}
+
+// TestFleetString covers the -live fleet renderer across lifecycle states.
+func TestFleetString(t *testing.T) {
+	// A 120 s run's replicas take 6 s to provision.
+	cl := idleFleet(t, experiments.RunSpec{Duration: 120, Roles: make([]cluster.Role, 3), Router: "round-robin", InitialActive: 2})
 	if got := fleetString(cl); got != "fleet 2/3" {
 		t.Fatalf("fleetString = %q, want \"fleet 2/3\"", got)
 	}
@@ -272,12 +279,11 @@ func TestResolveFaults(t *testing.T) {
 		name     string
 		spec     string
 		recovery string
-		wantLen  int
 		wantErr  string
 	}{
 		{name: "disabled", spec: "", recovery: "retry"},
-		{name: "crash", spec: "crash@30+10:r0", recovery: "none", wantLen: 1},
-		{name: "full schedule", spec: "crash@30+10:r0; slow@60+20:x4; link@40+30:p0.3", recovery: "retry+hedge", wantLen: 3},
+		{name: "crash", spec: "crash@30+10:r0", recovery: "none"},
+		{name: "full schedule", spec: "crash@30+10:r0; slow@60+20:x4; link@40+30:p0.3", recovery: "retry+hedge"},
 		{name: "missing time", spec: "crash", recovery: "retry", wantErr: "faults:"},
 		{name: "negative time", spec: "crash@-1", recovery: "retry", wantErr: "faults:"},
 		{name: "slow without factor", spec: "slow@1+2", recovery: "retry", wantErr: "faults:"},
@@ -298,8 +304,9 @@ func TestResolveFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(spec.Events) != c.wantLen {
-				t.Fatalf("parsed %d events, want %d", len(spec.Events), c.wantLen)
+			// Every accepted spec here is already in canonical form.
+			if got := spec.String(); got != c.spec {
+				t.Fatalf("parsed %q, want %q", got, c.spec)
 			}
 			if (c.spec == "") != spec.Empty() {
 				t.Fatalf("Empty() = %v for spec %q", spec.Empty(), c.spec)
@@ -358,12 +365,7 @@ func TestLiveEventRendersEveryKind(t *testing.T) {
 // TestFleetStringStates checks the elastic-fleet occupancy tag across
 // lifecycle states, including the failed count a faulted run surfaces.
 func TestFleetStringStates(t *testing.T) {
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, experiments.Llama70B(),
-		make([]cluster.Role, 3), "round-robin", &cluster.ElasticOptions{ColdStart: 1, InitialActive: 2},
-		experiments.BuildOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := idleFleet(t, experiments.RunSpec{Duration: 120, Roles: make([]cluster.Role, 3), Router: "round-robin", InitialActive: 2})
 	if got := fleetString(cl); !strings.Contains(got, "fleet 2/3") {
 		t.Fatalf("fleet tag %q, want active/size occupancy", got)
 	}
@@ -406,10 +408,7 @@ func TestPrefixStatsFn(t *testing.T) {
 	}
 
 	bopts := experiments.BuildOptions{Seed: 1, Prefix: true, PrefixHostBlocks: 64}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, make([]cluster.Role, 2), "least-loaded", nil, bopts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := idleFleet(t, experiments.RunSpec{Build: bopts, Roles: make([]cluster.Role, 2), Router: "least-loaded"})
 	pfx := prefixStatsFn(true, cl, nil)
 	if pfx == nil {
 		t.Fatal("-prefix on returned no poller")
@@ -527,33 +526,15 @@ func TestPrintSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := experiments.BuildCluster(experiments.SysAdaServe, setup, roles, "slo-aware", nil,
-		experiments.BuildOptions{Seed: 1})
+	run, err := experiments.RunSpec{
+		Kind: experiments.SysAdaServe, Setup: setup, Seed: 1, Duration: 3,
+		Roles: roles, Router: "slo-aware",
+		Open: &experiments.OpenLoad{Profile: "constant", RPS: experiments.AdaptiveMeanRPS(setup), Salt: 0xada},
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.NewServer(cl, serve.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := experiments.NewGenerator(setup, workload.DefaultMix, 1.0, mathutil.Hash2(1, 0xada))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dur = 3.0
-	rate, maxRate, err := workload.RateProfile("constant", experiments.AdaptiveMeanRPS(setup), dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := serve.NewOpenLoop(gen, mathutil.NewRNG(mathutil.Hash2(1, 0x7a)), rate, maxRate, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := srv.Run(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := cl.Results(rr, nil)
+	res, rr := run.Fleet, run.Result
 	// Populate the optional sections so the report renders every branch a
 	// fully-featured run would.
 	res.Summary.Autoscale = &metrics.AutoscaleSummary{Policy: "none"}

@@ -146,7 +146,7 @@ func (c *Controller) Tick(now float64) {
 	if c.cfg.DisableTuning {
 		return
 	}
-	classes, _ := c.window.Windowed(now)
+	classes := c.window.Windowed(now).PerClass
 	// Each class with windowed traffic proposes an envelope; the fleet gets
 	// the widest proposal (max is monotone in every class's signals, so the
 	// per-class monotonicity law lifts to the actuated envelope). With no
@@ -179,7 +179,6 @@ func (c *Controller) Tick(now float64) {
 
 // signals assembles the live saturation view for one admission decision.
 func (c *Controller) signals(now float64) signals {
-	_, arrivals := c.window.Windowed(now)
 	queued, backlog := 0, 0
 	for _, in := range c.insts {
 		p := in.System().Pool()
@@ -195,17 +194,9 @@ func (c *Controller) signals(now float64) signals {
 	if c.fleet != nil {
 		active = c.fleet.ActiveServing()
 	}
-	span := c.cfg.Window
-	if now < span {
-		span = now
-	}
-	rate := 0.0
-	if span > 0 {
-		rate = float64(arrivals) / span
-	}
 	return signals{
 		queued: queued, active: active,
-		arrivalRate: rate, serviceRate: c.service.Peak(),
+		arrivalRate: c.window.ArrivalRate(now), serviceRate: c.service.Peak(),
 		prefillBacklog: backlog, prefillRate: c.prefill.Peak(),
 	}
 }

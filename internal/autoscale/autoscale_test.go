@@ -28,7 +28,7 @@ func elasticCluster(t *testing.T, roles []cluster.Role, initial int) *cluster.Cl
 	for i := range systems {
 		systems[i] = newFake()
 	}
-	transfer := gpu.KVTransfer{Model: gpu.Llama1B, Link: gpu.NVLink4}
+	transfer := gpu.KVTransfer{Model: gpu.Llama1B, Link: gpu.RDMA400}
 	cl, err := cluster.NewElastic(systems, roles, cluster.NewRoundRobin(), transfer,
 		cluster.ElasticOptions{ColdStart: 0, InitialActive: initial})
 	if err != nil {
@@ -253,8 +253,8 @@ func TestSharedBudgetPrefillPriority(t *testing.T) {
 		t.Fatalf("decision = %+v, want a prefill then a decode scale-up", acts)
 	}
 	for _, role := range []cluster.Role{cluster.RolePrefill, cluster.RoleDecode} {
-		if pc := cl.CountPool(role); pc.Committed() != 2 {
-			t.Fatalf("%s pool committed %d, want its capacity 2", role, pc.Committed())
+		if pc := cl.CountPool(role); pc.Active+pc.Provisioning != 2 {
+			t.Fatalf("%s pool committed %d, want its capacity 2", role, pc.Active+pc.Provisioning)
 		}
 	}
 	if acts := ctrl.Tick(2.0, &q); len(acts) != 0 || cl.CommittedFleet() != cl.Size() {

@@ -143,17 +143,8 @@ func (c *Controller) Tick(now float64, q *serve.Queue) []serve.ScaleAction {
 
 // decide runs one decision round over every role pool.
 func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
-	st := c.rolling.Snapshot(now, 0, 0)
-	// Offered load over the trailing window (or the elapsed run, when
-	// shorter).
-	span := c.opts.Window
-	if now < span {
-		span = now
-	}
-	arrivalRate := 0.0
-	if span > 0 {
-		arrivalRate = float64(st.WindowArrivals) / span
-	}
+	win := c.rolling.Windowed(now)
+	arrivalRate := c.rolling.ArrivalRate(now)
 	// Calibrate the per-replica service rate over the real elapsed span
 	// since the last decision (decisions can be more than one interval
 	// apart when the cluster idles through grid instants).
@@ -166,9 +157,9 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 			queuedTokens:         c.poolQueuedTokens(ps.role),
 			arrivalRate:          arrivalRate,
 			serviceRate:          c.service.Peak(),
-			windowAttainment:     st.WindowAttainment(),
-			windowTTFTAttainment: st.WindowTTFTAttainment(),
-			windowFinished:       st.WindowFinished,
+			windowAttainment:     win.WindowAttainment(),
+			windowTTFTAttainment: win.WindowTTFTAttainment(),
+			windowFinished:       win.WindowFinished,
 		}
 		desired := c.policy.desired(sig)
 		if desired < minPerPool {
@@ -226,7 +217,7 @@ func (c *Controller) decide(now float64, q *serve.Queue) []serve.ScaleAction {
 					Up: false, Instance: rep.ID(), Role: ps.role.String(),
 					Policy: c.policy.Name(),
 					Reason: fmt.Sprintf("desired %d < committed %d (util %.2f, attain %.0f%%)",
-						desired, committed, sig.utilization(), 100*st.WindowAttainment()),
+						desired, committed, sig.utilization(), 100*win.WindowAttainment()),
 					Fleet: c.cl.CommittedFleet(),
 				})
 			}

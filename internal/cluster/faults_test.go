@@ -36,7 +36,7 @@ func TestFailFreezesReplicaAndHarvest(t *testing.T) {
 		t.Fatalf("committed fleet %d, want 1", got)
 	}
 	pc := cl.CountPool(RoleMixed)
-	if pc.failed != 1 || pc.Active != 1 || pc.Stopped != 0 || pc.Capacity() != 2 {
+	if pc.failed != 1 || pc.Active != 1 || pc.stopped != 0 || pc.Capacity() != 2 {
 		t.Fatalf("pool counts %+v, want 1 failed / 1 active", pc)
 	}
 	if len(cl.routablePrefill) != 1 || cl.routablePrefill[0].ID() != 1 {
@@ -98,7 +98,7 @@ func TestRecoverStaticResumesElasticSpares(t *testing.T) {
 	if ecl.Replicas()[1].State() != stateStopped {
 		t.Fatalf("elastic repair state %v, want stopped (spare)", ecl.Replicas()[1].State())
 	}
-	if pc := ecl.CountPool(RoleMixed); pc.Stopped != 1 || pc.failed != 0 {
+	if pc := ecl.CountPool(RoleMixed); pc.stopped != 1 || pc.failed != 0 {
 		t.Fatalf("elastic pool counts %+v after repair", pc)
 	}
 }

@@ -163,17 +163,17 @@ func (c *Cluster) CommittedFleet() int {
 // PoolCounts reports the lifecycle occupancy of one role pool.
 type PoolCounts struct {
 	Active, Provisioning, draining int
-	Stopped                        int
+	stopped                        int
 	// failed counts crashed replicas: built capacity that is neither billed
 	// nor spare — ScaleUp cannot provision it until recovery returns it.
 	failed int
 }
 
-// Committed is the pool's capacity-consuming replica count.
-func (p PoolCounts) Committed() int { return p.Active + p.Provisioning + p.draining }
+// committed is the pool's capacity-consuming replica count.
+func (p PoolCounts) committed() int { return p.Active + p.Provisioning + p.draining }
 
 // Capacity is the pool's built replica count.
-func (p PoolCounts) Capacity() int { return p.Committed() + p.Stopped + p.failed }
+func (p PoolCounts) Capacity() int { return p.committed() + p.stopped + p.failed }
 
 // CountPool tallies the lifecycle states of the replicas running one role.
 func (c *Cluster) CountPool(role Role) PoolCounts {
@@ -192,7 +192,7 @@ func (c *Cluster) CountPool(role Role) PoolCounts {
 		case StateFailed:
 			pc.failed++
 		default:
-			pc.Stopped++
+			pc.stopped++
 		}
 	}
 	return pc

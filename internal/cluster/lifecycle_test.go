@@ -39,7 +39,7 @@ func TestElasticInitialState(t *testing.T) {
 		t.Fatalf("committed fleet %d, want 2", got)
 	}
 	pc := cl.CountPool(RoleMixed)
-	if pc.Active != 2 || pc.Stopped != 2 || pc.Capacity() != 4 || pc.Committed() != 2 {
+	if pc.Active != 2 || pc.stopped != 2 || pc.Capacity() != 4 || pc.committed() != 2 {
 		t.Fatalf("pool counts wrong: %+v", pc)
 	}
 	if !cl.Elastic() || cl.coldStart != 1 {
@@ -68,6 +68,15 @@ func TestElasticValidation(t *testing.T) {
 	}
 }
 
+// pendingDeliveries counts the migrations in flight to any replica of cl.
+func pendingDeliveries(cl *Cluster) int {
+	n := 0
+	for _, rep := range cl.replicas {
+		n += rep.pendingDeliveries
+	}
+	return n
+}
+
 func TestScaleUpLifecycle(t *testing.T) {
 	cl := elasticFake(t, 3, ElasticOptions{ColdStart: 2, InitialActive: 1}, nil)
 	var q serve.Queue
@@ -79,8 +88,8 @@ func TestScaleUpLifecycle(t *testing.T) {
 	if rep.State() != StateProvisioning {
 		t.Fatalf("state %v, want provisioning", rep.State())
 	}
-	if q.Len() != 1 {
-		t.Fatalf("activation delivery not scheduled: queue len %d", q.Len())
+	if rep.readyAt != 7 {
+		t.Fatalf("activation due at %g, want 5 + 2 s cold start", rep.readyAt)
 	}
 	if got := cl.CommittedFleet(); got != 2 {
 		t.Fatalf("committed fleet %d, want 2 (provisioning bills)", got)
@@ -184,8 +193,8 @@ func TestScaleDownDrainMigratesWaiting(t *testing.T) {
 		// already retired it.
 		t.Fatalf("drained replica state %v, want stopped (pool emptied)", down.State())
 	}
-	if q.Len() != 2 {
-		t.Fatalf("drain scheduled %d deliveries, want 2", q.Len())
+	if n := pendingDeliveries(cl); n != 2 {
+		t.Fatalf("drain scheduled %d deliveries, want 2", n)
 	}
 	if cl.drainMigrations != 2 {
 		t.Fatalf("drain migrations %d, want 2", cl.drainMigrations)
@@ -419,7 +428,7 @@ func TestScaleDownRefusedWithoutMigrationTargets(t *testing.T) {
 	if _, ok := cl.ScaleDown(RoleMixed, 2.0, &q); ok {
 		t.Fatal("drained the last surviving active replica")
 	}
-	if cl.Replicas()[1].State() != StateActive || q.Len() != 0 {
+	if cl.Replicas()[1].State() != StateActive || pendingDeliveries(cl) != 0 {
 		t.Fatal("refused scale-down still mutated the fleet")
 	}
 }

@@ -24,6 +24,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"adaserve/internal/gpu"
 	"adaserve/internal/lm"
@@ -283,11 +284,11 @@ type VerifyBatchResult struct {
 // tokens are NOT committed (the caller commits at the iteration end time).
 func (e *Engine) VerifyTrees(items []VerifyItem, prefill []PrefillItem) *VerifyBatchResult {
 	res := &VerifyBatchResult{Results: make([]*toktree.VerifyResult, len(items))}
-	// Pooled results: valid until the next VerifyTrees call. Growth must
-	// not move already-assigned entries, so the backing array is replaced
-	// wholesale only when too small (stale pointers are dead by contract).
-	if cap(e.vres) < len(items) {
-		e.vres = make([]toktree.VerifyResult, len(items))
+	// Pooled results: valid until the next VerifyTrees call. The backing
+	// array grows only before any entry is assigned (stale pointers are dead
+	// by contract), and the results it had keep their token buffers.
+	if n := len(items) - cap(e.vres); n > 0 {
+		e.vres = slices.Grow(e.vres[:cap(e.vres)], n)
 	}
 	e.vres = e.vres[:len(items)]
 
@@ -310,10 +311,11 @@ func (e *Engine) VerifyTrees(items []VerifyItem, prefill []PrefillItem) *VerifyB
 }
 
 // CommitVerify applies a verification result to a request at time now:
-// the accepted prefix plus the correction/bonus token.
+// the accepted prefix plus the correction/bonus token, in one commit. The
+// correction lands in the slot VerifyInto leaves behind the prefix, so the
+// append allocates nothing.
 func CommitVerify(r *request.Request, vr *toktree.VerifyResult, now float64) int {
-	kept := r.Commit(vr.Accepted, now)
-	kept += r.Commit1(vr.Correction, now)
+	kept := r.Commit(append(vr.Accepted, vr.Correction), now)
 	r.VerifySteps++
 	return kept
 }

@@ -222,8 +222,27 @@ func TestSpeculateBeamsShapesAndCost(t *testing.T) {
 		t.Fatal("one tree per request")
 	}
 	for i, tr := range res.Trees {
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("tree %d: %v", i, err)
+		// Every node hangs off the root exactly once, and no child is more
+		// probable than its parent.
+		seen := make([]bool, tr.Size())
+		var walk func(id int)
+		walk = func(id int) {
+			if seen[id] {
+				t.Fatalf("tree %d: node %d reached twice", i, id)
+			}
+			seen[id] = true
+			for _, c := range tr.Nodes[id].Children {
+				if tr.Nodes[c].PathProb > tr.Nodes[id].PathProb {
+					t.Fatalf("tree %d: node %d path prob %g exceeds its parent's %g", i, c, tr.Nodes[c].PathProb, tr.Nodes[id].PathProb)
+				}
+				walk(c)
+			}
+		}
+		walk(0)
+		for id, ok := range seen {
+			if !ok {
+				t.Fatalf("tree %d: node %d unreachable from the root", i, id)
+			}
 		}
 		var height func(id int) int
 		height = func(id int) int {

@@ -35,10 +35,10 @@ func AdaptiveMeanRPS(setup ModelSetup) float64 {
 	return AdaptiveFleet * ClusterPerReplicaRPS(setup)
 }
 
-// AdaptiveInterval is the controller's retune/calibration cadence: twice the
+// adaptiveInterval is the controller's retune/calibration cadence: twice the
 // autoscaler's decision rate, since retuning a scheduler parameter is free
 // compared to provisioning a replica.
-func AdaptiveInterval(duration float64) float64 { return duration / 60 }
+func adaptiveInterval(duration float64) float64 { return duration / 60 }
 
 // AdaptiveControl runs the flash-crowd experiment: static AdaServe against
 // the closed-loop controller (with and without admission) on an identical
@@ -66,7 +66,7 @@ func AdaptiveControl(setup ModelSetup, opts RunOptions) ([]Cell, error) {
 // adaptive.Config is built, so the CLI and every sweep run identical
 // controllers.
 func AdaptiveConfig(config string, duration float64) (*adaptive.Config, error) {
-	cfg := &adaptive.Config{Interval: AdaptiveInterval(duration), Window: AutoscaleWindow(duration)}
+	cfg := &adaptive.Config{Interval: adaptiveInterval(duration), Window: AutoscaleWindow(duration)}
 	switch config {
 	case "static":
 		return nil, nil

@@ -98,7 +98,7 @@ func TestAdmissionEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, AdaptiveFleet), AdaptiveRouter, nil, BuildOptions{Seed: opts.Seed})
+	cl, err := buildCluster(SysAdaServe, setup, make([]cluster.Role, AdaptiveFleet), AdaptiveRouter, nil, BuildOptions{Seed: opts.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestAdaptiveConfigNames(t *testing.T) {
 			if cfg.DisableTuning != c.noTuning || cfg.DisableAdmission != c.noAdmission {
 				t.Fatalf("cfg = %+v, want DisableTuning=%v DisableAdmission=%v", cfg, c.noTuning, c.noAdmission)
 			}
-			if cfg.Interval != AdaptiveInterval(duration) || cfg.Window != AutoscaleWindow(duration) {
+			if cfg.Interval != adaptiveInterval(duration) || cfg.Window != AutoscaleWindow(duration) {
 				t.Fatalf("cfg timing %+v does not follow the experiment cadence", cfg)
 			}
 		})

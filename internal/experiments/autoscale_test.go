@@ -110,7 +110,7 @@ func TestBuildElasticDisagg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, roles, "least-loaded",
+	cl, err := buildCluster(SysAdaServe, setup, roles, "least-loaded",
 		&cluster.ElasticOptions{ColdStart: 1.0, InitialActive: 1}, BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,8 @@ func TestBuildElasticDisagg(t *testing.T) {
 	}
 	pp := cl.CountPool(cluster.RolePrefill)
 	dp := cl.CountPool(cluster.RoleDecode)
-	if pp.Active != 1 || pp.Stopped != 1 || dp.Active != 1 || dp.Stopped != 1 {
+	// One active replica and one spare per pool: nothing provisions yet.
+	if pp.Active != 1 || pp.Provisioning != 0 || pp.Capacity() != 2 || dp.Active != 1 || dp.Provisioning != 0 || dp.Capacity() != 2 {
 		t.Fatalf("initial pools wrong: prefill %+v decode %+v", pp, dp)
 	}
 }

@@ -176,25 +176,6 @@ func BenchmarkFigure15(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2Workloads reports the per-category request statistics of
-// the Table 2 workload categories (prompt/output lengths and SLOs).
-func BenchmarkTable2Workloads(b *testing.B) {
-	setup := Llama70B()
-	for _, spec := range workload.DefaultCategories() {
-		b.Run(spec.App, func(b *testing.B) {
-			rng := mathutil.NewRNG(7)
-			var prompt, output int
-			for i := 0; i < b.N; i++ {
-				prompt = spec.Prompt.Sample(rng)
-				output = spec.Output.Sample(rng)
-			}
-			b.ReportMetric(float64(prompt), "prompt_tok")
-			b.ReportMetric(float64(output), "output_tok")
-			b.ReportMetric(1e3*spec.TPOT(setup.BaselineLatency()), "slo_ms")
-		})
-	}
-}
-
 // BenchmarkAblations runs the design-choice ablation table.
 func BenchmarkAblations(b *testing.B) {
 	setup := Llama70B()
@@ -229,7 +210,7 @@ func BenchmarkAblations(b *testing.B) {
 // 0 allocs/op.
 func BenchmarkPrefixProbe(b *testing.B) {
 	const fleet, systemPrompt = 8, 2048
-	cl, err := BuildCluster(SysAdaServe, Llama70B(),
+	cl, err := buildCluster(SysAdaServe, Llama70B(),
 		make([]cluster.Role, fleet), "prefix-affinity", nil,
 		BuildOptions{Seed: 1, Prefix: true, PrefixHostBlocks: PrefixHostTier})
 	if err != nil {

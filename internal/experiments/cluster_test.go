@@ -10,13 +10,13 @@ import (
 
 func TestBuildClusterValidates(t *testing.T) {
 	setup := Llama70B()
-	if _, err := BuildCluster(SysAdaServe, setup, nil, "round-robin", nil, BuildOptions{Seed: 1}); err == nil {
+	if _, err := buildCluster(SysAdaServe, setup, nil, "round-robin", nil, BuildOptions{Seed: 1}); err == nil {
 		t.Fatal("zero-replica cluster accepted")
 	}
-	if _, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "random", nil, BuildOptions{Seed: 1}); err == nil {
+	if _, err := buildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "random", nil, BuildOptions{Seed: 1}); err == nil {
 		t.Fatal("unknown router accepted")
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 3), "slo-aware", nil, BuildOptions{Seed: 1})
+	cl, err := buildCluster(SysAdaServe, setup, make([]cluster.Role, 3), "slo-aware", nil, BuildOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

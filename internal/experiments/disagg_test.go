@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaserve/internal/cluster"
+	"adaserve/internal/gpu"
 	"adaserve/internal/metrics"
 	"adaserve/internal/workload"
 )
@@ -41,7 +42,7 @@ func TestDisaggEndToEnd(t *testing.T) {
 	}
 	var promptBytes float64
 	for _, r := range reqs {
-		promptBytes += setup.Target.KVBytesPerToken() * float64(r.PromptLen)
+		promptBytes += gpu.KVTransfer{Model: setup.Target}.Bytes(r.PromptLen)
 	}
 	if res.Summary.Transfer.Bytes != promptBytes {
 		t.Fatalf("transfer bytes %.0f, want %.0f (prompt KV volume)", res.Summary.Transfer.Bytes, promptBytes)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaserve/internal/gpu"
 	"adaserve/internal/mathutil"
 
 	"adaserve/internal/metrics"
@@ -25,8 +26,8 @@ func TestSetupsMatchTable1(t *testing.T) {
 		t.Fatalf("Qwen setup %+v", q)
 	}
 	for _, s := range setups {
-		if s.draft.Params >= s.Target.Params {
-			t.Errorf("%s: draft not smaller than target", s.Name)
+		if gpu.MustCostModel(s.HW, s.draft, 1).BaselineLatency(512) >= s.BaselineLatency() {
+			t.Errorf("%s: a draft step is not cheaper than a target step", s.Name)
 		}
 		if s.alpha <= 0 || s.alpha > 1 {
 			t.Errorf("%s: alpha %g", s.Name, s.alpha)

@@ -19,14 +19,14 @@ import (
 // use it, so a static colocated fleet never does.
 var DisaggLink = gpu.RDMA400
 
-// BuildCluster assembles a fleet of the given system kind behind the named
+// buildCluster assembles a fleet of the given system kind behind the named
 // router: one replica per role (an all-mixed role list is a colocated
 // fleet), each with its own engine, KV cache and pool and an admission mode
 // matching its role. Per-replica engine randomness derives from the base
 // seed and the replica index alone, so a replica's verification outcomes do
 // not depend on the router, the roles around it or whether the fleet is
 // elastic. A non-nil elastic makes the fleet resizable by an autoscaler.
-func BuildCluster(kind SystemKind, setup ModelSetup, roles []cluster.Role, routerName string,
+func buildCluster(kind SystemKind, setup ModelSetup, roles []cluster.Role, routerName string,
 	elastic *cluster.ElasticOptions, opts BuildOptions) (*cluster.Cluster, error) {
 	if len(roles) == 0 {
 		return nil, fmt.Errorf("experiments: no replicas")

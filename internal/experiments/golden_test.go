@@ -135,16 +135,20 @@ func goldenGrid(t *testing.T) []goldenRow {
 	return rows
 }
 
-// compareGolden marshals rows and compares them byte-for-byte against the
-// named fixture (or rewrites it under -update).
+// compareGolden marshals rows and compares them against the named fixture.
 func compareGolden(t *testing.T, name string, rows []goldenRow) {
 	t.Helper()
 	got, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	compareFixture(t, name, append(got, '\n'))
+}
 
+// compareFixture compares got byte-for-byte against the named fixture (or
+// rewrites it under -update).
+func compareFixture(t *testing.T, name string, got []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", "golden", name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -153,7 +157,7 @@ func compareGolden(t *testing.T, name string, rows []goldenRow) {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d rows)", path, len(rows))
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)

@@ -40,12 +40,13 @@ func TestHardwareSensitivity(t *testing.T) {
 }
 
 func TestHardwareSensitivitySkipsUnfitPlatforms(t *testing.T) {
-	// 70B at TP=4 does not fit 4 L4s (24GB each): the row is skipped, and
-	// with only unfit platforms the call errors.
-	if _, err := HardwareSensitivity(Llama70B(), []gpu.Hardware{gpu.L4}); err == nil {
-		t.Fatal("L4-only platform list should error for a 70B model")
+	// A platform the cost model rejects (here one with no memory at all)
+	// is skipped, and with only unfit platforms the call errors.
+	unfit := gpu.Hardware{Name: "unfit"}
+	if _, err := HardwareSensitivity(Llama70B(), []gpu.Hardware{unfit}); err == nil {
+		t.Fatal("an unfit-only platform list should error")
 	}
-	rows, err := HardwareSensitivity(Llama70B(), []gpu.Hardware{gpu.L4, gpu.A100})
+	rows, err := HardwareSensitivity(Llama70B(), []gpu.Hardware{unfit, gpu.A100})
 	if err != nil {
 		t.Fatal(err)
 	}

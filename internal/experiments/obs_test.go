@@ -27,7 +27,7 @@ func spanCell(setup ModelSetup) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := BuildCluster(SysAdaServe, setup, roles, "slo-aware", nil, BuildOptions{Seed: 1})
+	cl, err := buildCluster(SysAdaServe, setup, roles, "slo-aware", nil, BuildOptions{Seed: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +160,7 @@ func TestSpanReplayIdentity(t *testing.T) {
 	const duration = 8
 	runOnce := func(src serve.Source) (*trace.Trace, []byte) {
 		t.Helper()
-		cl, err := BuildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware", nil, BuildOptions{Seed: 1})
+		cl, err := buildCluster(SysAdaServe, setup, make([]cluster.Role, 2), "slo-aware", nil, BuildOptions{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,4 +225,36 @@ func TestSpanReplayIdentity(t *testing.T) {
 	if replayTrace.Format() != exported.Format() {
 		t.Fatal("replay re-export differs from the original trace")
 	}
+}
+
+// TestGoldenMetricsExport pins the metrics exporter's JSON and Prometheus
+// output byte-for-byte over a short seeded fleet run: a snapshot every
+// simulated second over a 3-second trailing window (so finishes age out of
+// the window), then the terminal summary. The snapshot payload and the
+// exporter's rendering of it can change only with a regenerated fixture.
+func TestGoldenMetricsExport(t *testing.T) {
+	setup := Llama70B()
+	mexp := obs.NewMetricsExporter()
+	out, err := RunSpec{
+		Kind: SysAdaServe, Setup: setup, Seed: 1, Duration: 8,
+		Roles: make([]cluster.Role, 2), Router: "slo-aware",
+		Open:          &OpenLoad{Profile: "spike", RPS: AdaptiveMeanRPS(setup), SLOScale: 0.7, Salt: 0xada},
+		Observers:     []serve.Observer{mexp},
+		SnapshotEvery: 1, Window: 3,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mexp.Snapshots()) < 8 {
+		t.Fatalf("%d snapshots, want one per simulated second", len(mexp.Snapshots()))
+	}
+	var js, prom bytes.Buffer
+	if err := mexp.WriteJSON(&js, out.Summary.Aggregate); err != nil {
+		t.Fatal(err)
+	}
+	if err := mexp.WritePrometheus(&prom, out.Summary.Aggregate); err != nil {
+		t.Fatal(err)
+	}
+	compareFixture(t, "export.json", js.Bytes())
+	compareFixture(t, "export.prom", prom.Bytes())
 }

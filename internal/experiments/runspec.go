@@ -151,7 +151,7 @@ func (s RunSpec) Lower() (*Armed, error) {
 		if s.InitialActive > 0 {
 			elastic = &cluster.ElasticOptions{ColdStart: AutoscaleColdStart(s.Duration), InitialActive: s.InitialActive}
 		}
-		if a.cl, err = BuildCluster(s.Kind, s.Setup, s.Roles, s.Router, elastic, build); err != nil {
+		if a.cl, err = buildCluster(s.Kind, s.Setup, s.Roles, s.Router, elastic, build); err != nil {
 			return nil, err
 		}
 		a.backend = a.cl

@@ -3,7 +3,7 @@
 // returning the rows/series the paper reports.
 //
 // Every run is a RunSpec: the system, an optional fleet (built by
-// BuildCluster, one builder for colocated, role-split, static and elastic
+// buildCluster, one builder for colocated, role-split, static and elastic
 // fleets), the mid-run Controls, one workload and the observers. The
 // sweeps — the figures, the ablations and the cluster sweeps (cluster,
 // disagg, autoscale, adaptive, faults, prefix, trace) — are experiments as

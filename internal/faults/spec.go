@@ -77,7 +77,7 @@ type hazard struct {
 // Spec is a parsed fault schedule: explicit events plus an optional hazard
 // process, both bound to concrete replicas by bind.
 type Spec struct {
-	Events []event
+	events []event
 	hazard *hazard
 }
 
@@ -90,7 +90,7 @@ func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 // the identity on parsed values.
 func (s Spec) String() string {
 	var terms []string
-	for _, e := range s.Events {
+	for _, e := range s.events {
 		var b strings.Builder
 		b.WriteString(e.kind.String())
 		b.WriteByte('@')
@@ -240,13 +240,13 @@ func ParseSpec(spec string) (Spec, error) {
 		default:
 			return Spec{}, fmt.Errorf("faults: unknown fault kind %q in %q", kind, term)
 		}
-		s.Events = append(s.Events, ev)
+		s.events = append(s.events, ev)
 	}
 	return s, nil
 }
 
 // Empty reports whether the spec schedules nothing.
-func (s Spec) Empty() bool { return len(s.Events) == 0 && s.hazard == nil }
+func (s Spec) Empty() bool { return len(s.events) == 0 && s.hazard == nil }
 
 // maxHazardCrashes caps the crashes a hazard process may expand into: bind
 // materializes every one, so a runaway rate would exhaust memory before the
@@ -264,7 +264,7 @@ func (s Spec) bind(seed uint64, replicas int, horizon float64) ([]event, error) 
 	if replicas <= 0 {
 		return nil, fmt.Errorf("faults: bind against %d replicas", replicas)
 	}
-	bound := append([]event(nil), s.Events...)
+	bound := append([]event(nil), s.events...)
 	if h := s.hazard; h != nil {
 		if horizon <= 0 {
 			return nil, fmt.Errorf("faults: hazard needs a positive bind horizon")

@@ -12,15 +12,15 @@ func TestParseSpecValid(t *testing.T) {
 		want Spec
 	}{
 		{"", Spec{}},
-		{"crash@5", Spec{Events: []event{{kind: kindCrash, time: 5, replica: -1}}}},
-		{"crash@5+2:r1", Spec{Events: []event{{kind: kindCrash, time: 5, duration: 2, replica: 1}}}},
-		{"slow@1+2:x3", Spec{Events: []event{{kind: kindSlow, time: 1, duration: 2, replica: -1, factor: 3}}}},
-		{"slow@1+2:r0:x1.5", Spec{Events: []event{{kind: kindSlow, time: 1, duration: 2, replica: 0, factor: 1.5}}}},
-		{"link@1+2:p0.5", Spec{Events: []event{{kind: kindLink, time: 1, duration: 2, replica: -1, failProb: 0.5}}}},
-		{"link@1+2:p0:x4", Spec{Events: []event{{kind: kindLink, time: 1, duration: 2, replica: -1, factor: 4}}}},
+		{"crash@5", Spec{events: []event{{kind: kindCrash, time: 5, replica: -1}}}},
+		{"crash@5+2:r1", Spec{events: []event{{kind: kindCrash, time: 5, duration: 2, replica: 1}}}},
+		{"slow@1+2:x3", Spec{events: []event{{kind: kindSlow, time: 1, duration: 2, replica: -1, factor: 3}}}},
+		{"slow@1+2:r0:x1.5", Spec{events: []event{{kind: kindSlow, time: 1, duration: 2, replica: 0, factor: 1.5}}}},
+		{"link@1+2:p0.5", Spec{events: []event{{kind: kindLink, time: 1, duration: 2, replica: -1, failProb: 0.5}}}},
+		{"link@1+2:p0:x4", Spec{events: []event{{kind: kindLink, time: 1, duration: 2, replica: -1, factor: 4}}}},
 		{"hazard@0.1+3", Spec{hazard: &hazard{rate: 0.1, mttr: 3}}},
 		{"hazard@0.1", Spec{hazard: &hazard{rate: 0.1}}},
-		{" crash@5 ; slow@1+2:x3 ", Spec{Events: []event{
+		{" crash@5 ; slow@1+2:x3 ", Spec{events: []event{
 			{kind: kindCrash, time: 5, replica: -1},
 			{kind: kindSlow, time: 1, duration: 2, replica: -1, factor: 3},
 		}}},

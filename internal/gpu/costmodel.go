@@ -80,7 +80,7 @@ func NewCostModel(hw Hardware, model ModelSpec, tp int) (*CostModel, error) {
 		return nil, fmt.Errorf("gpu: model %s (%.0f GB) does not fit on %d x %s",
 			model.name, model.weightBytes()/1e9, tp, hw.Name)
 	}
-	util := math.Sqrt(model.Params / 8e9)
+	util := math.Sqrt(model.params / 8e9)
 	if util > 1 {
 		util = 1
 	}
@@ -127,7 +127,7 @@ func (c *CostModel) computeTime(tokens int) float64 {
 
 // kvReadTime is the time to stream the attended KV cache.
 func (c *CostModel) kvReadTime(kvTokens int) float64 {
-	return c.model.KVBytesPerToken() * float64(kvTokens) / c.bandwidth()
+	return c.model.kvBytesPerToken() * float64(kvTokens) / c.bandwidth()
 }
 
 // launchTime models kernel-launch overhead, optionally amortized by CUDA
@@ -218,5 +218,5 @@ func (c *CostModel) KVCapacityTokens(reserveFrac float64) int {
 	if free <= 0 {
 		return 0
 	}
-	return int(free / c.model.KVBytesPerToken())
+	return int(free / c.model.kvBytesPerToken())
 }

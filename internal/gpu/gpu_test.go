@@ -5,8 +5,19 @@ import (
 	"testing"
 )
 
+// l4 is a small 24 GB inference GPU: too small for the 70B target at the
+// paper's TP=4.
+var l4 = Hardware{
+	Name:                "L4-24GB",
+	memBandwidth:        300e9 * 0.55,
+	flops:               121e12 * 0.50,
+	memCapacity:         24e9,
+	launchOverhead:      8e-6,
+	graphLaunchOverhead: 2e-6,
+}
+
 func TestHardwareValidate(t *testing.T) {
-	for _, hw := range []Hardware{A100, H100, L4} {
+	for _, hw := range []Hardware{A100, H100, l4} {
 		if err := hw.validate(); err != nil {
 			t.Errorf("%s: %v", hw.Name, err)
 		}
@@ -23,7 +34,7 @@ func TestModelSpecDerived(t *testing.T) {
 		t.Errorf("WeightBytes = %g", got)
 	}
 	// 2 (K,V) x 80 layers x 8 heads x 128 dim x 2 bytes = 327,680 B/token.
-	if got := Llama70B.KVBytesPerToken(); got != 327680 {
+	if got := Llama70B.kvBytesPerToken(); got != 327680 {
 		t.Errorf("KVBytesPerToken = %g", got)
 	}
 	if got := Llama70B.flopsPerToken(); got != 2*70.6e9 {
@@ -42,6 +53,9 @@ func TestNewCostModelRejectsOversizedModel(t *testing.T) {
 	}
 	if _, err := NewCostModel(A100, Llama70B, 4); err != nil {
 		t.Fatalf("70B on 4 GPUs should fit: %v", err)
+	}
+	if _, err := NewCostModel(l4, Llama70B, 4); err == nil {
+		t.Fatal("70B on 4 24GB GPUs should not fit")
 	}
 }
 

@@ -77,24 +77,13 @@ var (
 		launchOverhead:      5e-6,
 		graphLaunchOverhead: 1.2e-6,
 	}
-
-	// L4 is a small inference GPU; its much lower knee stresses the budget
-	// solver in the opposite direction.
-	L4 = Hardware{
-		Name:                "L4-24GB",
-		memBandwidth:        300e9 * 0.55,
-		flops:               121e12 * 0.50,
-		memCapacity:         24e9,
-		launchOverhead:      8e-6,
-		graphLaunchOverhead: 2e-6,
-	}
 )
 
 // ModelSpec describes a transformer LLM's cost-relevant dimensions.
 type ModelSpec struct {
 	name string
-	// Params is the total parameter count.
-	Params float64
+	// params is the total parameter count.
+	params float64
 	// layers is the number of transformer blocks.
 	layers int
 	// hidden is the model (embedding) dimension.
@@ -111,24 +100,24 @@ type ModelSpec struct {
 
 // weightBytes returns the total bytes of model weights.
 func (m ModelSpec) weightBytes() float64 {
-	return m.Params * m.bytesPerParam
+	return m.params * m.bytesPerParam
 }
 
-// KVBytesPerToken returns the KV-cache bytes appended per token
+// kvBytesPerToken returns the KV-cache bytes appended per token
 // (K and V, all layers, FP16).
-func (m ModelSpec) KVBytesPerToken() float64 {
+func (m ModelSpec) kvBytesPerToken() float64 {
 	return 2 * float64(m.layers) * float64(m.kvHeads) * float64(m.headDim) * 2
 }
 
 // flopsPerToken returns the dense FLOPs needed to process one token through
 // the model (the standard 2·P approximation).
 func (m ModelSpec) flopsPerToken() float64 {
-	return 2 * m.Params
+	return 2 * m.params
 }
 
 // validate reports whether the model spec is usable by the cost model.
 func (m ModelSpec) validate() error {
-	if m.Params <= 0 {
+	if m.params <= 0 {
 		return fmt.Errorf("gpu: model %s: non-positive parameter count", m.name)
 	}
 	if m.layers <= 0 || m.hidden <= 0 || m.kvHeads <= 0 || m.headDim <= 0 {
@@ -147,19 +136,19 @@ func (m ModelSpec) validate() error {
 // draft models. Architecture dimensions are the published ones.
 var (
 	Llama70B = ModelSpec{
-		name: "Llama-3.1-70B-Instruct", Params: 70.6e9, layers: 80,
+		name: "Llama-3.1-70B-Instruct", params: 70.6e9, layers: 80,
 		hidden: 8192, kvHeads: 8, headDim: 128, bytesPerParam: 2, vocabSize: 128256,
 	}
 	Llama1B = ModelSpec{
-		name: "Llama-3.2-1B-Instruct", Params: 1.24e9, layers: 16,
+		name: "Llama-3.2-1B-Instruct", params: 1.24e9, layers: 16,
 		hidden: 2048, kvHeads: 8, headDim: 64, bytesPerParam: 2, vocabSize: 128256,
 	}
 	Qwen32B = ModelSpec{
-		name: "Qwen2.5-32B-Instruct", Params: 32.8e9, layers: 64,
+		name: "Qwen2.5-32B-Instruct", params: 32.8e9, layers: 64,
 		hidden: 5120, kvHeads: 8, headDim: 128, bytesPerParam: 2, vocabSize: 152064,
 	}
 	Qwen05B = ModelSpec{
-		name: "Qwen2.5-0.5B-Instruct", Params: 0.49e9, layers: 24,
+		name: "Qwen2.5-0.5B-Instruct", params: 0.49e9, layers: 24,
 		hidden: 896, kvHeads: 2, headDim: 64, bytesPerParam: 2, vocabSize: 151936,
 	}
 )

@@ -38,10 +38,6 @@ func (ic Interconnect) transferTime(bytes float64) float64 {
 // Stock interconnect profiles, derated from datasheet peaks the same way the
 // Hardware profiles are (sustained large-message rates, not burst peaks).
 var (
-	// NVLink4 is an intra-node NVLink 4 path (Hopper-class): the
-	// disaggregation-is-nearly-free case.
-	NVLink4 = Interconnect{Name: "NVLink4", Bandwidth: 450e9, Latency: 5e-6}
-
 	// PCIe4 is a 16-lane PCIe 4.0 path through host memory — the cheapest
 	// intra-node fallback and a deliberately punishing link for ablations.
 	PCIe4 = Interconnect{Name: "PCIe4-x16", Bandwidth: 25e9, Latency: 20e-6}
@@ -54,7 +50,7 @@ var (
 
 // KVTransfer prices the prefill-to-decode handoff of a disaggregated
 // deployment: moving a request's prompt KV cache from the prefill instance
-// to the decode instance costs bytes = KVBytesPerToken x prompt length over
+// to the decode instance costs bytes = kvBytesPerToken x prompt length over
 // the interconnect, plus the link's fixed per-migration latency.
 type KVTransfer struct {
 	Model ModelSpec
@@ -74,7 +70,7 @@ func (t KVTransfer) Bytes(promptTokens int) float64 {
 	if promptTokens <= 0 {
 		return 0
 	}
-	return t.Model.KVBytesPerToken() * float64(promptTokens)
+	return t.Model.kvBytesPerToken() * float64(promptTokens)
 }
 
 // Latency returns the modeled wall time of one prefill-to-decode migration

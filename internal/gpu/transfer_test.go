@@ -28,7 +28,7 @@ func TestKVTransferPricesPromptKV(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tr.Bytes(700), Llama70B.KVBytesPerToken()*700; got != want {
+	if got, want := tr.Bytes(700), Llama70B.kvBytesPerToken()*700; got != want {
 		t.Fatalf("bytes %g, want %g", got, want)
 	}
 	if tr.Bytes(0) != 0 || tr.Bytes(-3) != 0 {
@@ -44,10 +44,10 @@ func TestKVTransferPricesPromptKV(t *testing.T) {
 	if lat < 1e-3 || lat > 0.1 {
 		t.Fatalf("implausible migration latency %g s", lat)
 	}
-	// Faster links migrate faster.
-	nv := KVTransfer{Model: Llama70B, Link: NVLink4}
-	if nv.Latency(700) >= lat {
-		t.Fatal("NVLink migration not faster than cross-node RDMA")
+	// Slower links migrate slower.
+	pcie := KVTransfer{Model: Llama70B, Link: PCIe4}
+	if pcie.Latency(700) <= lat {
+		t.Fatal("PCIe migration not slower than cross-node RDMA")
 	}
 	if (KVTransfer{Model: Llama70B, Link: Interconnect{}}).Validate() == nil {
 		t.Fatal("invalid link accepted")

@@ -5,19 +5,13 @@ import (
 	"adaserve/internal/request"
 )
 
-// RollingClass is one SLO class's (request category's) share of a rolling
-// view: cumulative counters over the whole run so far plus counters over the
-// trailing window.
+// RollingClass is one SLO class's (request category's) share of the
+// trailing window: the requests that finished inside it, how many of them
+// attained their SLO, and their verification steps and committed tokens.
 type RollingClass struct {
-	// Finished/Attained/GoodTokens accumulate over every finish so far.
-	Finished, Attained int
-	GoodTokens         int
-	// WindowFinished/WindowAttained/WindowGoodTokens cover requests that
-	// finished inside the trailing window; WindowSteps/WindowAccepted are
-	// their verification steps and committed tokens.
-	WindowFinished, WindowAttained int
-	WindowGoodTokens               int
-	WindowSteps, WindowAccepted    int
+	WindowFinished              int
+	windowAttained              int
+	windowSteps, windowAccepted int
 }
 
 // WindowAttainment returns the class's attainment over the trailing window.
@@ -25,54 +19,66 @@ func (c RollingClass) WindowAttainment() float64 {
 	if c.WindowFinished == 0 {
 		return 0
 	}
-	return float64(c.WindowAttained) / float64(c.WindowFinished)
+	return float64(c.windowAttained) / float64(c.WindowFinished)
 }
 
 // WindowAcceptance returns the class's committed tokens per verification
 // step over the trailing window.
 func (c RollingClass) WindowAcceptance() float64 {
-	if c.WindowSteps == 0 {
+	if c.windowSteps == 0 {
 		return 0
 	}
-	return float64(c.WindowAccepted) / float64(c.WindowSteps)
+	return float64(c.windowAccepted) / float64(c.windowSteps)
+}
+
+// RollingWindow is the trailing window's finishes, overall and per SLO
+// class: what the autoscaler and the adaptive controller read on every
+// decision, without digesting a histogram.
+type RollingWindow struct {
+	// WindowFinished counts requests that finished inside the trailing
+	// window; windowAttained/windowTTFTAttained of them met their TPOT/TTFT
+	// SLO (TTFT is the responsiveness signal SLO-feedback autoscaling
+	// scales prefill capacity on).
+	WindowFinished                     int
+	windowAttained, windowTTFTAttained int
+	// PerClass indexes the per-category split by request.Category.
+	PerClass [request.NumCategories]RollingClass
+}
+
+// WindowAttainment returns the attainment over the trailing window.
+func (w RollingWindow) WindowAttainment() float64 {
+	if w.WindowFinished == 0 {
+		return 0
+	}
+	return float64(w.windowAttained) / float64(w.WindowFinished)
+}
+
+// WindowTTFTAttainment returns the TTFT attainment over the trailing window.
+func (w RollingWindow) WindowTTFTAttainment() float64 {
+	if w.WindowFinished == 0 {
+		return 0
+	}
+	return float64(w.windowTTFTAttained) / float64(w.WindowFinished)
 }
 
 // RollingStats is one point-in-time view of a run in progress: occupancy,
-// cumulative attainment/goodput (converging to the terminal Summary as the
-// run drains), and windowed attainment/goodput over the trailing window —
-// overall and per SLO class. Produced incrementally by Rolling; carried by
-// the serving driver's periodic Snapshot events.
+// cumulative attainment and goodput (converging to the terminal Summary as
+// the run drains), and the trailing window. Produced incrementally by
+// Rolling; carried by the serving driver's periodic Snapshot events.
 type RollingStats struct {
-	// Time is the simulated instant of the snapshot; Window the trailing
-	// window width the Window* fields cover.
-	Time, Window float64
+	// Time is the simulated instant of the snapshot.
+	Time float64
 	// Queued/Running are the instantaneous occupancy across all serving
 	// instances at snapshot time.
 	Queued, Running int
 	// Admitted counts every request that entered the system so far;
-	// Finished/Attained/TTFTAttained those that retired (and met their
-	// TPOT/TTFT SLOs).
-	Admitted, Finished, Attained, TTFTAttained int
-	// GoodTokens/AllTokens are output tokens from attaining / all finished
-	// requests.
-	GoodTokens, AllTokens int
-	// Goodput and Throughput are tokens/second over the span from first
-	// arrival to the latest finish, matching the terminal Summary's
-	// definitions.
-	Goodput, Throughput float64
-	// MeanAcceptedPerStep is committed tokens per verification step over
-	// finished requests.
-	MeanAcceptedPerStep float64
-	// WindowFinished/WindowAttained/WindowGoodput cover requests finishing
-	// inside the trailing window; WindowTTFTAttained of them met their TTFT
-	// SLO (the responsiveness signal SLO-feedback autoscaling scales prefill
-	// capacity on).
-	WindowFinished, WindowAttained int
-	WindowTTFTAttained             int
-	WindowGoodput                  float64
-	// WindowArrivals counts arrivals inside the trailing window (the offered
-	// load the controllers size against).
-	WindowArrivals int
+	// Finished/Attained those that retired (and met their TPOT SLO).
+	Admitted, Finished, Attained int
+	// Goodput is attaining requests' output tokens per second over the span
+	// from first arrival to the latest finish, matching the terminal
+	// Summary's definition; WindowGoodput covers finishes inside the
+	// trailing window.
+	Goodput, WindowGoodput float64
 	// TPOTTail and TTFTTail digest the cumulative per-request TPOT / TTFT
 	// distributions over every finish so far; at the final snapshot they
 	// equal the terminal Summary's TPOTTail/TTFTTail (digests depend only on
@@ -81,8 +87,7 @@ type RollingStats struct {
 	// window; its Min/Max report the cumulative envelope, not the window's
 	// (sliding-window eviction does not re-scan for new extremes).
 	TPOTTail, TTFTTail, WindowTPOTTail hist.Digest
-	// PerClass indexes the per-category split by request.Category.
-	PerClass [request.NumCategories]RollingClass
+	RollingWindow
 }
 
 // Attainment returns the cumulative SLO attainment over finished requests.
@@ -93,22 +98,6 @@ func (s RollingStats) Attainment() float64 {
 		return 0
 	}
 	return float64(s.Attained) / float64(s.Finished)
-}
-
-// WindowAttainment returns the attainment over the trailing window.
-func (s RollingStats) WindowAttainment() float64 {
-	if s.WindowFinished == 0 {
-		return 0
-	}
-	return float64(s.WindowAttained) / float64(s.WindowFinished)
-}
-
-// WindowTTFTAttainment returns the TTFT attainment over the trailing window.
-func (s RollingStats) WindowTTFTAttainment() float64 {
-	if s.WindowFinished == 0 {
-		return 0
-	}
-	return float64(s.WindowTTFTAttained) / float64(s.WindowFinished)
 }
 
 // finishRec is one finished request's contribution, kept until it ages out
@@ -139,27 +128,21 @@ type Rolling struct {
 	haveArrival  bool
 	lastDone     float64
 
-	admitted     int
-	finished     int
-	attained     int
-	ttftAttained int
-	goodTokens   int
-	allTokens    int
-	totalSteps   int
-	totalAccept  int
-	perClass     [request.NumCategories]RollingClass
+	admitted   int
+	finished   int
+	attained   int
+	goodTokens int
 
 	// recent holds the finishes still inside the window, sorted by time in
-	// recent[head:]; window counters are maintained on insert and evict.
-	// Eviction advances head and compaction moves the live window to the
-	// front once the dead prefix dominates, so a long run's backing array
-	// stays proportional to the window population instead of growing with
-	// (and retaining) every finish ever recorded.
+	// recent[head:]; the window counters in win and winGoodTokens are
+	// maintained on insert and evict. Eviction advances head and compaction
+	// moves the live window to the front once the dead prefix dominates, so
+	// a long run's backing array stays proportional to the window
+	// population instead of growing with (and retaining) every finish ever
+	// recorded.
 	recent        []finishRec
 	head          int
-	winFinished   int
-	winAttained   int
-	winTTFT       int
+	win           RollingWindow
 	winGoodTokens int
 
 	// arrivals holds arrival times in recording order; arrivals[arrHead:]
@@ -211,45 +194,38 @@ func (ro *Rolling) Finished(r *request.Request) {
 	if r.DoneTime > ro.lastDone {
 		ro.lastDone = r.DoneTime
 	}
-	attained := r.AttainedSLO()
-	tokens := r.OutputLen()
-	cls := &ro.perClass[r.Category]
-	cls.Finished++
-	ro.allTokens += tokens
-	if attained {
+	rec := finishRec{
+		time: r.DoneTime, cat: r.Category, attained: r.AttainedSLO(), ttft: r.AttainedTTFT(),
+		tokens: r.OutputLen(), steps: r.VerifySteps, accepted: r.AcceptedTokens, tpot: r.AvgTPOT(r.DoneTime),
+	}
+	if rec.attained {
 		ro.attained++
-		ro.goodTokens += tokens
-		cls.Attained++
-		cls.GoodTokens += tokens
+		ro.goodTokens += rec.tokens
 	}
-	ttft := r.AttainedTTFT()
-	if ttft {
-		ro.ttftAttained++
-		ro.winTTFT++
-	}
-	ro.totalSteps += r.VerifySteps
-	ro.totalAccept += r.AcceptedTokens
-	tpot := r.AvgTPOT(r.DoneTime)
-	ro.tpotHist.Observe(tpot)
-	ro.winTPOT.Observe(tpot)
+	ro.tpotHist.Observe(rec.tpot)
+	ro.winTPOT.Observe(rec.tpot)
 	if t := r.TTFT(); t >= 0 {
 		ro.ttftHist.Observe(t)
 	}
-
-	rec := finishRec{
-		time: r.DoneTime, cat: r.Category, attained: attained, ttft: ttft,
-		tokens: tokens, steps: r.VerifySteps, accepted: r.AcceptedTokens, tpot: tpot,
-	}
 	ro.insert(rec)
-	ro.winFinished++
-	cls.WindowFinished++
-	cls.WindowSteps += rec.steps
-	cls.WindowAccepted += rec.accepted
-	if attained {
-		ro.winAttained++
-		ro.winGoodTokens += tokens
-		cls.WindowAttained++
-		cls.WindowGoodTokens += tokens
+	ro.count(rec, 1)
+}
+
+// count adds rec's contribution to the window counters (sign 1) or
+// retracts it (sign -1).
+func (ro *Rolling) count(rec finishRec, sign int) {
+	w, cls := &ro.win, &ro.win.PerClass[rec.cat]
+	w.WindowFinished += sign
+	cls.WindowFinished += sign
+	cls.windowSteps += sign * rec.steps
+	cls.windowAccepted += sign * rec.accepted
+	if rec.ttft {
+		w.windowTTFTAttained += sign
+	}
+	if rec.attained {
+		w.windowAttained += sign
+		cls.windowAttained += sign
+		ro.winGoodTokens += sign * rec.tokens
 	}
 }
 
@@ -289,21 +265,8 @@ func (ro *Rolling) evict(now float64) {
 		rec := ro.recent[ro.head]
 		ro.recent[ro.head] = finishRec{}
 		ro.head++
-		cls := &ro.perClass[rec.cat]
-		ro.winFinished--
 		ro.winTPOT.Remove(rec.tpot)
-		cls.WindowFinished--
-		cls.WindowSteps -= rec.steps
-		cls.WindowAccepted -= rec.accepted
-		if rec.ttft {
-			ro.winTTFT--
-		}
-		if rec.attained {
-			ro.winAttained--
-			ro.winGoodTokens -= rec.tokens
-			cls.WindowAttained--
-			cls.WindowGoodTokens -= rec.tokens
-		}
+		ro.count(rec, -1)
 	}
 	ro.compact()
 	for ro.arrHead < len(ro.arrivals) && ro.arrivals[ro.arrHead] < cutoff {
@@ -315,44 +278,49 @@ func (ro *Rolling) evict(now float64) {
 	}
 }
 
-// Windowed evicts at now and returns the per-class view and the windowed
-// arrival count without digesting the histograms, for callers that read the
-// window on every decision.
-func (ro *Rolling) Windowed(now float64) ([request.NumCategories]RollingClass, int) {
+// Windowed evicts at now and returns the trailing window's finishes
+// without digesting the histograms, for callers that read the window on
+// every decision.
+func (ro *Rolling) Windowed(now float64) RollingWindow {
 	ro.evict(now)
-	return ro.perClass, len(ro.arrivals) - ro.arrHead
+	return ro.win
+}
+
+// ArrivalRate evicts at now and returns the offered load in requests per
+// second: the arrivals inside the trailing window over its width, or over
+// the elapsed run when that is shorter.
+func (ro *Rolling) ArrivalRate(now float64) float64 {
+	ro.evict(now)
+	span := ro.window
+	if now < span {
+		span = now
+	}
+	if span <= 0 {
+		return 0
+	}
+	return float64(len(ro.arrivals)-ro.arrHead) / span
 }
 
 // Snapshot materializes the rolling view at simulated time now. queued and
 // running are the caller's instantaneous occupancy counts (the driver sums
 // them over instance pools).
 func (ro *Rolling) Snapshot(now float64, queued, running int) RollingStats {
-	ro.evict(now)
+	win := ro.Windowed(now)
 	st := RollingStats{
 		Time:   now,
-		Window: ro.window,
 		Queued: queued, Running: running,
-		Admitted: ro.admitted, Finished: ro.finished,
-		Attained: ro.attained, TTFTAttained: ro.ttftAttained,
-		GoodTokens: ro.goodTokens, AllTokens: ro.allTokens,
-		WindowFinished: ro.winFinished, WindowAttained: ro.winAttained,
-		WindowTTFTAttained: ro.winTTFT,
-		WindowArrivals:     len(ro.arrivals) - ro.arrHead,
-		TPOTTail:           ro.tpotHist.Digest(),
-		TTFTTail:           ro.ttftHist.Digest(),
-		WindowTPOTTail:     ro.winTPOT.Digest(),
-		PerClass:           ro.perClass,
+		Admitted: ro.admitted, Finished: ro.finished, Attained: ro.attained,
+		RollingWindow:  win,
+		TPOTTail:       ro.tpotHist.Digest(),
+		TTFTTail:       ro.ttftHist.Digest(),
+		WindowTPOTTail: ro.winTPOT.Digest(),
 	}
 	// Span and division mirror Summarize exactly, so the terminal snapshot's
-	// goodput/throughput are bit-equal to the terminal Summary's.
+	// goodput is bit-equal to the terminal Summary's.
 	if ro.haveArrival {
 		if dur := ro.lastDone - ro.firstArrival; dur > 0 {
 			st.Goodput = float64(ro.goodTokens) / dur
-			st.Throughput = float64(ro.allTokens) / dur
 		}
-	}
-	if ro.totalSteps > 0 {
-		st.MeanAcceptedPerStep = float64(ro.totalAccept) / float64(ro.totalSteps)
 	}
 	if span := ro.window; span > 0 {
 		if ro.haveArrival && now-ro.firstArrival < span {

@@ -12,9 +12,7 @@ func finishedReq(id int, cat request.Category, slo, arrival, firstDecode, done f
 	r := request.New(id, cat, slo, arrival, 16, tokens, uint64(id)+1)
 	r.FirstDecodeTime = firstDecode
 	r.FirstTokenTime = firstDecode
-	for i := 0; i < tokens; i++ {
-		r.Commit1(1, done)
-	}
+	r.CommitCount(tokens, done)
 	if r.Phase != request.Done {
 		panic("fabricated request did not finish")
 	}
@@ -42,8 +40,8 @@ func (m *recount) finish(ro *Rolling, r *request.Request) {
 	m.finishes = append(m.finishes, r)
 }
 
-// read reads ro at now through both Windowed and Snapshot and fails unless
-// the windowed steps, accepted tokens and arrivals equal the recount.
+// read reads ro at now through Windowed, ArrivalRate and Snapshot and fails
+// unless the windowed steps, accepted tokens and arrivals equal the recount.
 func (m *recount) read(t *testing.T, ro *Rolling, now float64) RollingStats {
 	t.Helper()
 	cutoff := now - m.window
@@ -52,22 +50,23 @@ func (m *recount) read(t *testing.T, ro *Rolling, now float64) RollingStats {
 	var want [request.NumCategories]RollingClass
 	for _, r := range m.finishes {
 		want[r.Category].WindowFinished++
-		want[r.Category].WindowSteps += r.VerifySteps
-		want[r.Category].WindowAccepted += r.AcceptedTokens
+		want[r.Category].windowSteps += r.VerifySteps
+		want[r.Category].windowAccepted += r.AcceptedTokens
 	}
-	classes, arrivals := ro.Windowed(now)
+	win := ro.Windowed(now)
+	span := min(m.window, now)
+	if rate := ro.ArrivalRate(now); len(ro.arrivals)-ro.arrHead != len(m.arrivals) || span > 0 && rate != float64(len(m.arrivals))/span {
+		t.Fatalf("t=%g: window arrivals %d at rate %g, recount %d", now, len(ro.arrivals)-ro.arrHead, rate, len(m.arrivals))
+	}
 	st := ro.Snapshot(now, 0, 0)
-	if arrivals != len(m.arrivals) || st.WindowArrivals != len(m.arrivals) {
-		t.Fatalf("t=%g: window arrivals %d/%d, recount %d", now, arrivals, st.WindowArrivals, len(m.arrivals))
-	}
-	if classes != st.PerClass {
-		t.Fatalf("t=%g: Windowed and Snapshot disagree: %+v vs %+v", now, classes, st.PerClass)
+	if win != st.RollingWindow {
+		t.Fatalf("t=%g: Windowed and Snapshot disagree: %+v vs %+v", now, win, st.RollingWindow)
 	}
 	for cat, w := range want {
-		got := classes[cat]
-		if got.WindowFinished != w.WindowFinished || got.WindowSteps != w.WindowSteps || got.WindowAccepted != w.WindowAccepted {
+		got := win.PerClass[cat]
+		if got.WindowFinished != w.WindowFinished || got.windowSteps != w.windowSteps || got.windowAccepted != w.windowAccepted {
 			t.Fatalf("t=%g class %v: finished/steps/accepted %d/%d/%d, recount %d/%d/%d", now, request.Category(cat),
-				got.WindowFinished, got.WindowSteps, got.WindowAccepted, w.WindowFinished, w.WindowSteps, w.WindowAccepted)
+				got.WindowFinished, got.windowSteps, got.windowAccepted, w.WindowFinished, w.windowSteps, w.windowAccepted)
 		}
 	}
 	return st
@@ -79,11 +78,11 @@ func TestRollingZeroValues(t *testing.T) {
 		t.Fatalf("window %g", ro.window)
 	}
 	st := ro.Snapshot(0, 0, 0)
-	if st.Attainment() != 0 || st.TTFTAttained != 0 || st.WindowAttainment() != 0 {
+	if st.Attainment() != 0 || st.WindowTTFTAttainment() != 0 || st.WindowAttainment() != 0 {
 		t.Fatalf("empty snapshot has non-zero rates: %+v", st)
 	}
 	var cls RollingClass
-	if cls.Attained != 0 || cls.WindowAttainment() != 0 || cls.WindowAcceptance() != 0 {
+	if cls.WindowAttainment() != 0 || cls.WindowAcceptance() != 0 {
 		t.Fatalf("empty class has non-zero rates: %+v", cls)
 	}
 	defer func() {
@@ -110,8 +109,8 @@ func TestRollingWindowAttainmentRates(t *testing.T) {
 		t.Fatalf("occupancy %d/%d", st.Queued, st.Running)
 	}
 	cls := st.PerClass[request.Chat]
-	if cls.Finished != 2 || cls.Attained != 1 || cls.WindowAttainment() != 0.5 {
-		t.Fatalf("class %d/%d attained, window %.2f", cls.Attained, cls.Finished, cls.WindowAttainment())
+	if cls.WindowFinished != 2 || cls.windowAttained != 1 || cls.WindowAttainment() != 0.5 {
+		t.Fatalf("class %d/%d attained, window %.2f", cls.windowAttained, cls.WindowFinished, cls.WindowAttainment())
 	}
 }
 
@@ -135,32 +134,31 @@ func TestRollingWindowEviction(t *testing.T) {
 	if st.Finished != 2 || st.Attained != 1 {
 		t.Fatalf("cumulative %d/%d", st.Attained, st.Finished)
 	}
-	if st.WindowFinished != 2 || st.WindowAttained != 1 {
-		t.Fatalf("window before eviction %d/%d", st.WindowAttained, st.WindowFinished)
+	if st.WindowFinished != 2 || st.windowAttained != 1 {
+		t.Fatalf("window before eviction %d/%d", st.windowAttained, st.WindowFinished)
 	}
 
 	// At t=12 the window [2,12] has dropped the t=1 finish and both
 	// arrivals.
 	st = m.read(t, ro, 12)
-	if st.WindowFinished != 1 || st.WindowAttained != 0 {
-		t.Fatalf("window after eviction %d/%d", st.WindowAttained, st.WindowFinished)
+	if st.WindowFinished != 1 || st.windowAttained != 0 {
+		t.Fatalf("window after eviction %d/%d", st.windowAttained, st.WindowFinished)
 	}
 	if st.Finished != 2 || st.Attained != 1 {
 		t.Fatalf("eviction touched cumulative counters: %d/%d", st.Attained, st.Finished)
 	}
-	cls := st.PerClass[request.Chat]
-	if cls.WindowFinished != 1 || cls.Finished != 2 {
-		t.Fatalf("per-class window %d cumulative %d", cls.WindowFinished, cls.Finished)
+	if cls := st.PerClass[request.Chat]; cls.WindowFinished != 1 {
+		t.Fatalf("per-class window %d", cls.WindowFinished)
 	}
 
 	// A read that goes back in time revives nothing.
-	if st = m.read(t, ro, 9); st.WindowFinished != 1 || st.WindowArrivals != 0 {
-		t.Fatalf("backwards read: window finished %d arrivals %d", st.WindowFinished, st.WindowArrivals)
+	if st = m.read(t, ro, 9); st.WindowFinished != 1 || ro.ArrivalRate(9) != 0 {
+		t.Fatalf("backwards read: window finished %d arrival rate %g", st.WindowFinished, ro.ArrivalRate(9))
 	}
 
 	// Far future: the window is empty, cumulative view intact.
 	st = m.read(t, ro, 100)
-	if st.WindowFinished != 0 || st.WindowAttained != 0 || st.WindowGoodput != 0 {
+	if st.WindowFinished != 0 || st.windowAttained != 0 || st.WindowGoodput != 0 {
 		t.Fatalf("stale window %+v", st)
 	}
 }
@@ -220,24 +218,31 @@ func TestRollingMatchesSummarize(t *testing.T) {
 		ro.Finished(r)
 	}
 	sum := Summarize("test", reqs, Breakdown{})
+	// At t=10 every finish is still inside the 30 s window, so the window's
+	// TTFT and per-class counts cover the whole population.
+	win := ro.Windowed(10)
+	if win.windowTTFTAttained != sum.TTFTAttained {
+		t.Fatalf("window ttft attained %d vs %d", win.windowTTFTAttained, sum.TTFTAttained)
+	}
+	for cat, cs := range sum.PerCategory {
+		cls := win.PerClass[cat]
+		if cls.WindowFinished != cs.Requests || cls.windowAttained != cs.attained {
+			t.Fatalf("class %v: %d/%d vs %d/%d", cat, cls.windowAttained, cls.WindowFinished, cs.attained, cs.Requests)
+		}
+	}
 	st := ro.Snapshot(100, 0, 0)
-	if st.Finished != sum.Finished || st.Attained != sum.Attained {
-		t.Fatalf("finished/attained %d/%d vs %d/%d", st.Finished, st.Attained, sum.Finished, sum.Attained)
+	if st.Admitted != sum.Requests || st.Finished != sum.Finished || st.Attained != sum.Attained {
+		t.Fatalf("admitted/finished/attained %d/%d/%d vs %d/%d/%d",
+			st.Admitted, st.Finished, st.Attained, sum.Requests, sum.Finished, sum.Attained)
 	}
 	if st.Attainment() != sum.Attainment() {
 		t.Fatalf("attainment %.9f vs %.9f", st.Attainment(), sum.Attainment())
 	}
-	if st.TTFTAttained != sum.TTFTAttained {
-		t.Fatalf("ttft attained %d vs %d", st.TTFTAttained, sum.TTFTAttained)
+	if st.Goodput != sum.Goodput {
+		t.Fatalf("goodput %.9f vs %.9f", st.Goodput, sum.Goodput)
 	}
-	if st.Goodput != sum.Goodput || st.Throughput != sum.Throughput {
-		t.Fatalf("goodput %.9f/%.9f vs %.9f/%.9f", st.Goodput, st.Throughput, sum.Goodput, sum.Throughput)
-	}
-	for cat, cs := range sum.PerCategory {
-		cls := st.PerClass[cat]
-		if cls.Finished != cs.Requests || cls.Attained != cs.attained {
-			t.Fatalf("class %v: %d/%d vs %d/%d", cat, cls.Attained, cls.Finished, cs.attained, cs.Requests)
-		}
+	if st.TPOTTail != sum.TPOTTail || st.TTFTTail != sum.TTFTTail {
+		t.Fatalf("tails %+v/%+v vs %+v/%+v", st.TPOTTail, st.TTFTTail, sum.TPOTTail, sum.TTFTTail)
 	}
 }
 
@@ -263,8 +268,8 @@ func TestRollingBoundedRetention(t *testing.T) {
 		if n := len(ro.arrivals); n > maxArr {
 			maxArr = n
 		}
-		if ro.winFinished > pop {
-			t.Fatalf("window holds %d finishes, expected at most %d", ro.winFinished, pop)
+		if ro.win.WindowFinished > pop {
+			t.Fatalf("window holds %d finishes, expected at most %d", ro.win.WindowFinished, pop)
 		}
 		if n := len(ro.arrivals) - ro.arrHead; n > pop {
 			t.Fatalf("window holds %d arrivals, expected at most %d", n, pop)

@@ -118,7 +118,7 @@ func TestCloneResetsLifecycle(t *testing.T) {
 			t.Fatal("clone aliases the original")
 		}
 		if cp.ID != 7 || cp.Category != Coding || cp.TPOTSLO != 0.03 || cp.TTFTSLO != 2 ||
-			cp.ArrivalTime != 1.5 || cp.PromptLen != 16 || cp.MaxNewTokens != 8 || cp.Seed != 99 {
+			cp.ArrivalTime != 1.5 || cp.PromptLen != 16 || cp.MaxNewTokens != 8 || cp.seed != 99 {
 			t.Fatalf("trace fields not copied: %+v", cp)
 		}
 		if cp.Phase != Queued || cp.PrefillDone != 0 || cp.OutputLen() != 0 ||

@@ -99,15 +99,15 @@ type Request struct {
 	// MaxNewTokens is the output length (generation stops there; the
 	// synthetic LM has no EOS so traces fix output lengths).
 	MaxNewTokens int
-	// Seed drives this request's synthetic text; two requests never share
+	// seed drives this request's synthetic text; two requests never share
 	// token streams.
-	Seed uint64
+	seed uint64
 	// PromptSegs optionally decomposes the prompt into content segments for
 	// prefix caching: a session turn is [shared system prompt, prior turns...,
 	// new user turn], and two requests share KV-cacheable content exactly
 	// where their segment decompositions agree position by position. Segment
 	// lengths must sum to PromptLen. nil means the whole prompt is one
-	// request-private segment derived from Seed, so requests without session
+	// request-private segment derived from seed, so requests without session
 	// structure never alias each other's cache entries. The segments are the
 	// whole per-request record of prompt content: FillPromptSeeds derives any
 	// window's seeds from them on demand, so no per-token seed slice is ever
@@ -122,8 +122,8 @@ type Request struct {
 	Generated int
 	// Ctx is the decoding context: the window of committed tokens that
 	// conditions speculation and verification. Only speculative systems read
-	// token identity, so only their commits (Commit, Commit1) extend it;
-	// CommitCount advances Generated alone.
+	// token identity, so only their Commit extends it; CommitCount advances
+	// Generated alone.
 	Ctx lm.Context
 
 	// AdmitTime is when the request was first scheduled (prefill start).
@@ -190,7 +190,7 @@ func (r *Request) PromptTokens() int { return r.PromptLen }
 // token identities prefix caching hashes into block fingerprints. Position p
 // inside segment s (at offset o from the segment's start) has seed
 // Hash2(s.Seed, o); with no segments, and past the end of segments that sum
-// short of PromptLen, it has the request-private seed Hash2(Seed, p). Two
+// short of PromptLen, it has the request-private seed Hash2(seed, p). Two
 // requests agree on a position's seed iff their segment decompositions agree
 // up to that position. The window must lie within [0, PromptLen).
 func (r *Request) FillPromptSeeds(start int, dst []uint64) {
@@ -210,7 +210,7 @@ func (r *Request) FillPromptSeeds(start int, dst []uint64) {
 		segStart = segEnd
 	}
 	for i := range dst {
-		dst[i] = mathutil.Hash2(r.Seed, uint64(pos+i))
+		dst[i] = mathutil.Hash2(r.seed, uint64(pos+i))
 	}
 }
 
@@ -219,7 +219,7 @@ func (r *Request) FillPromptSeeds(start int, dst []uint64) {
 func New(id int, cat Category, slo float64, arrival float64, promptLen, maxNew int, seed uint64) *Request {
 	r := &Request{
 		ID: id, Category: cat, TPOTSLO: slo, Priority: int(cat),
-		ArrivalTime: arrival, PromptLen: promptLen, MaxNewTokens: maxNew, Seed: seed,
+		ArrivalTime: arrival, PromptLen: promptLen, MaxNewTokens: maxNew, seed: seed,
 		Phase:           Queued,
 		FirstDecodeTime: -1, FirstTokenTime: -1, DoneTime: -1, AdmitTime: -1,
 	}
@@ -232,7 +232,7 @@ func New(id int, cat Category, slo float64, arrival float64, promptLen, maxNew i
 // same trace can be replayed through multiple configurations without
 // sharing mutable state.
 func (r *Request) Clone() *Request {
-	cp := New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.Seed)
+	cp := New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.seed)
 	cp.TTFTSLO = r.TTFTSLO
 	cp.PromptSegs = r.PromptSegs // immutable once built; safe to share
 	return cp
@@ -271,7 +271,7 @@ func (r *Request) ResetForRetry() {
 	r.Phase = Queued
 	r.PrefillDone = 0
 	r.Generated = 0
-	r.Ctx = lm.Context{ReqSeed: r.Seed}
+	r.Ctx = lm.Context{ReqSeed: r.seed}
 	r.AdmitTime = -1
 	r.FirstDecodeTime = -1
 	r.FirstTokenTime = -1
@@ -316,7 +316,7 @@ func (r *Request) LastToken() lm.Token {
 	if t, ok := r.Ctx.Last(); ok {
 		return t
 	}
-	return lm.Token(r.Seed % 256)
+	return lm.Token(r.seed % 256)
 }
 
 // Commit appends tokens produced by one decode/verify iteration ending at
@@ -332,19 +332,6 @@ func (r *Request) Commit(tokens []lm.Token, now float64) int {
 		r.Generated++
 		r.Ctx = r.Ctx.Extend(t)
 		kept++
-	}
-	r.finishCommit(kept, now)
-	return kept
-}
-
-// Commit1 commits a single token (see Commit) without requiring the caller
-// to build a slice.
-func (r *Request) Commit1(tok lm.Token, now float64) int {
-	kept := 0
-	if r.Generated < r.MaxNewTokens {
-		r.Generated++
-		r.Ctx = r.Ctx.Extend(tok)
-		kept = 1
 	}
 	r.finishCommit(kept, now)
 	return kept

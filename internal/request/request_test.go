@@ -108,18 +108,50 @@ func TestCommitExtendsContext(t *testing.T) {
 	}
 }
 
-func TestCommit1MatchesCommit(t *testing.T) {
-	a := New(1, Chat, 0.05, 0, 16, 3, 7)
-	b := New(1, Chat, 0.05, 0, 16, 3, 7)
-	a.Commit([]lm.Token{5}, 1)
-	b.Commit1(5, 1)
-	a.Commit([]lm.Token{6, 8}, 2) // second call clips at MaxNewTokens
-	b.Commit1(6, 2)
-	b.Commit1(8, 2)
-	if a.Phase != b.Phase || a.DoneTime != b.DoneTime ||
-		a.FirstTokenTime != b.FirstTokenTime || a.AcceptedTokens != b.AcceptedTokens ||
-		a.OutputLen() != b.OutputLen() || a.Ctx != b.Ctx {
-		t.Fatalf("Commit1 state diverged from Commit: %+v vs %+v", a, b)
+// TestCommitPrefixAndCorrection pins the speculative commit: an accepted
+// prefix and its correction token go through one Commit, which keeps and
+// stamps exactly what committing the prefix and then the correction
+// separately would. The budget may run out mid-prefix, exactly at the
+// prefix's end (the correction lands on a done request and is dropped), or
+// on the correction itself.
+func TestCommitPrefixAndCorrection(t *testing.T) {
+	cases := []struct {
+		name     string
+		budget   int
+		prefix   []lm.Token
+		wantKept int
+		wantDone bool
+	}{
+		{"under budget", 5, []lm.Token{5, 6}, 3, false},
+		{"correction completes", 3, []lm.Token{5, 6}, 3, true},
+		{"correction on a done request", 2, []lm.Token{5, 6}, 2, true},
+		{"clip mid-prefix", 2, []lm.Token{5, 6, 7}, 2, true},
+		{"bonus token alone", 1, nil, 1, true},
+	}
+	const correction = lm.Token(9)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			one := New(1, Chat, 0.05, 0, 16, c.budget+1, 7)
+			two := New(1, Chat, 0.05, 0, 16, c.budget+1, 7)
+			one.Commit([]lm.Token{1}, 1)
+			two.Commit([]lm.Token{1}, 1)
+			kept := one.Commit(append(c.prefix[:len(c.prefix):len(c.prefix)], correction), 2)
+			split := two.Commit(c.prefix, 2)
+			split += two.Commit([]lm.Token{correction}, 2)
+			if kept != c.wantKept || split != c.wantKept {
+				t.Fatalf("kept %d in one commit, %d in two; want %d", kept, split, c.wantKept)
+			}
+			if done := one.Phase == Done; done != c.wantDone || one.Phase != two.Phase || one.DoneTime != two.DoneTime {
+				t.Fatalf("phase %s done at %g, split %s done at %g; want done %v", one.Phase, one.DoneTime, two.Phase, two.DoneTime, c.wantDone)
+			}
+			if c.wantDone && one.DoneTime != 2 {
+				t.Fatalf("done at %g, want 2", one.DoneTime)
+			}
+			if one.FirstTokenTime != 1 || two.FirstTokenTime != 1 || one.AcceptedTokens != 1+c.wantKept ||
+				one.AcceptedTokens != two.AcceptedTokens || one.OutputLen() != two.OutputLen() || one.Ctx != two.Ctx {
+				t.Fatalf("one commit diverged from two: %+v vs %+v", one, two)
+			}
+		})
 	}
 }
 
@@ -154,7 +186,6 @@ func TestLateCommitKeepsDoneTime(t *testing.T) {
 	for name, late := range map[string]func(r *Request) int{
 		"CommitCount": func(r *Request) int { return r.CommitCount(1, 3) },
 		"Commit":      func(r *Request) int { return r.Commit([]lm.Token{4, 5}, 3) },
-		"Commit1":     func(r *Request) int { return r.Commit1(4, 3) },
 	} {
 		r := New(1, Chat, 0.05, 0, 16, 3, 7)
 		r.Commit([]lm.Token{1}, 1)
@@ -351,7 +382,7 @@ func TestPromptSeedsSegments(t *testing.T) {
 func referenceSeeds(r *Request) []uint64 {
 	out := make([]uint64, r.PromptLen)
 	for p := range out {
-		out[p] = mathutil.Hash2(r.Seed, uint64(p))
+		out[p] = mathutil.Hash2(r.seed, uint64(p))
 		off := p
 		for _, seg := range r.PromptSegs {
 			if seg.Len <= 0 {

@@ -192,9 +192,6 @@ func (q *Queue) insert(d delivery) {
 	q.items[at] = d
 }
 
-// Len returns the number of pending deliveries.
-func (q *Queue) Len() int { return len(q.items) }
-
 // peek returns the earliest pending delivery without consuming it.
 func (q *Queue) peek() (delivery, bool) {
 	if len(q.items) == 0 {

@@ -157,10 +157,10 @@ func TestQueueOrdersByReadyThenID(t *testing.T) {
 	add(1.0, 3)
 	add(2.0, 0)
 	add(0.5, 5)
-	if q.Len() != 5 {
-		t.Fatalf("len %d", q.Len())
+	if len(q.items) != 5 {
+		t.Fatalf("len %d", len(q.items))
 	}
-	for q.Len() > 0 {
+	for len(q.items) > 0 {
 		q.pop().deliver()
 	}
 	want := []int{5, 3, 9, 0, 1}

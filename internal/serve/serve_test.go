@@ -251,14 +251,14 @@ func TestSnapshotConvergence(t *testing.T) {
 	if st.Attainment() != sum.Attainment() {
 		t.Fatalf("attainment %.9f != %.9f", st.Attainment(), sum.Attainment())
 	}
-	if st.TTFTAttained != sum.TTFTAttained {
-		t.Fatalf("TTFT attained %d != %d", st.TTFTAttained, sum.TTFTAttained)
+	if st.Admitted != sum.Requests || st.Attained != sum.Attained {
+		t.Fatalf("admitted/attained %d/%d != %d/%d", st.Admitted, st.Attained, sum.Requests, sum.Attained)
 	}
-	if st.Goodput != sum.Goodput || st.Throughput != sum.Throughput {
-		t.Fatalf("goodput %.9f/%.9f != %.9f/%.9f", st.Goodput, st.Throughput, sum.Goodput, sum.Throughput)
+	if st.Goodput != sum.Goodput {
+		t.Fatalf("goodput %.9f != %.9f", st.Goodput, sum.Goodput)
 	}
-	if st.MeanAcceptedPerStep != sum.MeanAcceptedPerStep {
-		t.Fatalf("mean accepted %.9f != %.9f", st.MeanAcceptedPerStep, sum.MeanAcceptedPerStep)
+	if st.TPOTTail != sum.TPOTTail || st.TTFTTail != sum.TTFTTail {
+		t.Fatalf("tails %+v/%+v != %+v/%+v", st.TPOTTail, st.TTFTTail, sum.TPOTTail, sum.TTFTTail)
 	}
 	if final.Time != rr.EndTime {
 		t.Fatalf("final snapshot at %.6f, end %.6f", final.Time, rr.EndTime)
@@ -391,7 +391,7 @@ func TestOpenLoopMatchesEagerTrace(t *testing.T) {
 	for i := range lazy {
 		a, b := lazy[i], eager[i]
 		if a.ID != b.ID || a.ArrivalTime != b.ArrivalTime || a.Category != b.Category ||
-			a.PromptLen != b.PromptLen || a.MaxNewTokens != b.MaxNewTokens || a.Seed != b.Seed {
+			a.PromptLen != b.PromptLen || a.MaxNewTokens != b.MaxNewTokens || a.Ctx != b.Ctx {
 			t.Fatalf("request %d diverged: %+v vs %+v", i, a, b)
 		}
 	}

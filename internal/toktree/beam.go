@@ -112,7 +112,7 @@ func (bb *BeamBuilder) shape(probs []float64, d, w int) []Node {
 func buildShape(probs []float64, d, w int) []Node {
 	k := min(w, len(probs))
 	nodes := make([]Node, 1, 1+d*w)
-	nodes[0] = Node{id: 0, parent: -1, draftProb: 1, PathProb: 1}
+	nodes[0] = Node{parent: -1, draftProb: 1, PathProb: 1}
 	beam := append(make([]int, 0, w), 0)
 	cands := make([]shapeCand, 0, w*k)
 	for step := 1; step <= d; step++ {
@@ -135,7 +135,7 @@ func buildShape(probs []float64, d, w int) []Node {
 		for _, c := range cands[:min(w, len(cands))] {
 			id := len(nodes)
 			nodes = append(nodes, Node{
-				id: id, parent: c.parent, depth: step,
+				parent: c.parent, depth: step,
 				draftProb: probs[c.rank], PathProb: nodes[c.parent].PathProb * probs[c.rank],
 			})
 			beam = append(beam, id)

@@ -86,7 +86,7 @@ func diffTrees(got, want *Tree) string {
 	}
 	for i := range want.Nodes {
 		g, w := &got.Nodes[i], &want.Nodes[i]
-		same := g.id == w.id && g.parent == w.parent && g.depth == w.depth && g.token == w.token &&
+		same := g.parent == w.parent && g.depth == w.depth && g.token == w.token &&
 			math.Float64bits(g.draftProb) == math.Float64bits(w.draftProb) &&
 			math.Float64bits(g.PathProb) == math.Float64bits(w.PathProb) &&
 			slices.Equal(g.Children, w.Children)
@@ -181,7 +181,7 @@ func TestAddChildOnSearchTreeKeepsShape(t *testing.T) {
 		}
 		tr.AddChild(id%tr.Size(), 4000, 0.5)
 		tr.AddChild(0, 4001, 0.001)
-		if err := tr.Validate(); err != nil {
+		if err := tr.validate(); err != nil {
 			t.Fatal(err)
 		}
 		pool.Put(tr)

@@ -44,7 +44,7 @@ func TestBeamSearchShape(t *testing.T) {
 	_, draft := beamModels(t)
 	for _, c := range []struct{ d, w int }{{1, 1}, {3, 2}, {5, 4}, {8, 1}} {
 		tr := search(t, draft, lm.Context{ReqSeed: 3}, 7, c.d, c.w)
-		if err := tr.Validate(); err != nil {
+		if err := tr.validate(); err != nil {
 			t.Fatalf("d=%d w=%d: %v", c.d, c.w, err)
 		}
 		if got := depth(tr); got != c.d {
@@ -265,7 +265,7 @@ func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 	tr := search(t, draft, lm.Context{ReqSeed: 33}, 7, 5, 3)
 	sel := NewSelection(tr)
 	for id := 1; id < tr.Size(); id++ {
-		if sel.Has(tr.Nodes[id].parent) {
+		if sel.has(tr.Nodes[id].parent) {
 			sel.Add(id)
 		}
 	}
@@ -277,7 +277,7 @@ func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 		for j, tok := range res.Accepted {
 			next := -1
 			for _, c := range tr.Nodes[prev].Children {
-				if sel.Has(c) && tr.Nodes[c].token == tok {
+				if sel.has(c) && tr.Nodes[c].token == tok {
 					next = c
 				}
 			}
@@ -295,7 +295,7 @@ func TestVerifyGreedyDeterministic(t *testing.T) {
 	tr := search(t, draft, lm.Context{ReqSeed: 35}, 7, 4, 2)
 	sel := NewSelection(tr)
 	for id := 1; id < tr.Size(); id++ {
-		if sel.Has(tr.Nodes[id].parent) {
+		if sel.has(tr.Nodes[id].parent) {
 			sel.Add(id)
 		}
 	}

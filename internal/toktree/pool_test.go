@@ -21,7 +21,7 @@ func treesEqual(a, b *Tree) bool {
 	}
 	for i := range a.Nodes {
 		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.id != y.id || x.token != y.token || x.parent != y.parent ||
+		if x.token != y.token || x.parent != y.parent ||
 			x.depth != y.depth || x.draftProb != y.draftProb || x.PathProb != y.PathProb ||
 			len(x.Children) != len(y.Children) {
 			return false
@@ -62,7 +62,7 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 		if !treesEqual(pooled, search(t, draft, ctx, root, d, w)) {
 			t.Fatalf("iteration %d (d=%d w=%d): pooled tree differs from fresh", i, d, w)
 		}
-		if err := pooled.Validate(); err != nil {
+		if err := pooled.validate(); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestTreeResetReusesStorage(t *testing.T) {
 	if err := bb.Search(tr, draft, 6, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,7 +133,7 @@ func TestVerifyIntoMatchesVerify(t *testing.T) {
 		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 5, 3)
 		sel := NewSelection(tr)
 		for id := 1; id < tr.Size(); id++ {
-			if sel.Has(tr.Nodes[id].parent) && id%3 != 0 {
+			if sel.has(tr.Nodes[id].parent) && id%3 != 0 {
 				sel.Add(id)
 			}
 		}

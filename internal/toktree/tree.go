@@ -21,10 +21,9 @@ import (
 	"adaserve/internal/lm"
 )
 
-// Node is one token in a candidate tree.
+// Node is one token in a candidate tree. Its ID is its index in Tree.Nodes;
+// the root is always ID 0.
 type Node struct {
-	// id indexes Tree.Nodes; the root is always ID 0.
-	id int
 	// token is the draft token at this node (for the root: the request's
 	// last committed token, informational only).
 	token lm.Token
@@ -55,7 +54,7 @@ type Tree struct {
 // should be the last committed token of the request.
 func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
 	return &Tree{
-		Nodes: []Node{{id: 0, token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1}},
+		Nodes: []Node{{token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1}},
 		ctx:   ctx,
 	}
 }
@@ -66,7 +65,7 @@ func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
 // (Selections, node pointers) become invalid.
 func (t *Tree) reset(ctx lm.Context, rootTok lm.Token) {
 	t.Nodes = t.Nodes[:0]
-	t.Nodes = append(t.Nodes, Node{id: 0, token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1})
+	t.Nodes = append(t.Nodes, Node{token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1})
 	t.ctx = ctx
 }
 
@@ -79,7 +78,7 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 	}
 	id := len(t.Nodes)
 	t.Nodes = append(t.Nodes, Node{
-		id: id, token: tok, parent: parent, depth: t.Nodes[parent].depth + 1,
+		token: tok, parent: parent, depth: t.Nodes[parent].depth + 1,
 		draftProb: draftProb, PathProb: t.Nodes[parent].PathProb * draftProb,
 	})
 	// Take the parent pointer only after append: append may reallocate
@@ -104,52 +103,6 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 
 // Size returns the number of nodes including the root.
 func (t *Tree) Size() int { return len(t.Nodes) }
-
-// Validate checks structural invariants: parent links, depths, sorted
-// children, and path-probability monotonicity (child ≤ parent).
-// Kept as an invariant check for the toktree and engine tests; no binary
-// links it.
-func (t *Tree) Validate() error {
-	if len(t.Nodes) == 0 {
-		return fmt.Errorf("toktree: empty tree")
-	}
-	if t.Nodes[0].parent != -1 || t.Nodes[0].depth != 0 || t.Nodes[0].PathProb != 1 {
-		return fmt.Errorf("toktree: malformed root %+v", t.Nodes[0])
-	}
-	for i := 1; i < len(t.Nodes); i++ {
-		n := &t.Nodes[i]
-		if n.id != i {
-			return fmt.Errorf("toktree: node %d has ID %d", i, n.id)
-		}
-		if n.parent < 0 || n.parent >= len(t.Nodes) {
-			return fmt.Errorf("toktree: node %d parent %d out of range", i, n.parent)
-		}
-		p := &t.Nodes[n.parent]
-		if n.depth != p.depth+1 {
-			return fmt.Errorf("toktree: node %d depth %d, parent depth %d", i, n.depth, p.depth)
-		}
-		if n.PathProb > p.PathProb+1e-12 {
-			return fmt.Errorf("toktree: node %d path prob %g exceeds parent %g", i, n.PathProb, p.PathProb)
-		}
-		if n.draftProb < 0 || n.draftProb > 1+1e-12 {
-			return fmt.Errorf("toktree: node %d draft prob %g out of range", i, n.draftProb)
-		}
-	}
-	for i := range t.Nodes {
-		ch := t.Nodes[i].Children
-		for k := 1; k < len(ch); k++ {
-			if t.Nodes[ch[k-1]].draftProb < t.Nodes[ch[k]].draftProb {
-				return fmt.Errorf("toktree: node %d children not sorted", i)
-			}
-		}
-		for _, c := range ch {
-			if t.Nodes[c].parent != i {
-				return fmt.Errorf("toktree: child %d of %d has parent %d", c, i, t.Nodes[c].parent)
-			}
-		}
-	}
-	return nil
-}
 
 // Selection marks which nodes of a candidate tree form the draft token tree
 // submitted for verification. The root is always selected.
@@ -206,8 +159,8 @@ func (s *Selection) Add(id int) {
 	s.sumPathProb += s.tree.Nodes[id].PathProb
 }
 
-// Has reports whether node id is selected.
-func (s *Selection) Has(id int) bool { return id >= 0 && id < len(s.mask) && s.mask[id] }
+// has reports whether node id is selected.
+func (s *Selection) has(id int) bool { return id >= 0 && id < len(s.mask) && s.mask[id] }
 
 // Size returns the number of selected nodes including the root.
 func (s *Selection) Size() int { return s.count }

@@ -1,6 +1,7 @@
 package toktree
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func buildSmallTree(t *testing.T) *Tree {
 	tr.AddChild(a, 103, 0.3)
 	tr.AddChild(b, 104, 0.5)
 	tr.AddChild(c, 105, 0.9)
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -74,7 +75,7 @@ func TestAddChildManyNodesKeepsParentLinks(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		parent = tr.AddChild(parent, lm.Token(i), 0.9)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 	// The chain must be fully connected: 200 nodes of strictly increasing
@@ -92,7 +93,7 @@ func TestAddChildManyNodesKeepsParentLinks(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	tr := buildSmallTree(t)
 	tr.Nodes[2].PathProb = 2.0 // exceeds parent
-	if tr.Validate() == nil {
+	if tr.validate() == nil {
 		t.Fatal("validation missed excessive path prob")
 	}
 }
@@ -100,7 +101,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestSelectionBasics(t *testing.T) {
 	tr := buildSmallTree(t)
 	sel := NewSelection(tr)
-	if !sel.Has(0) || sel.Size() != 1 || sel.sumPathProb != 1 {
+	if !sel.has(0) || sel.Size() != 1 || sel.sumPathProb != 1 {
 		t.Fatal("fresh selection should hold only the root")
 	}
 	sel.Add(1)
@@ -126,9 +127,9 @@ func TestSelectionRejectsOrphanAdd(t *testing.T) {
 		}
 	}()
 	// Node with token 105 is at depth 3; its parent is unselected.
-	for _, n := range tr.Nodes {
+	for id, n := range tr.Nodes {
 		if n.token == 105 {
-			sel.Add(n.id)
+			sel.Add(id)
 		}
 	}
 }
@@ -156,7 +157,7 @@ func TestTheorem31(t *testing.T) {
 	tr := search(t, draft, ctx, 5, 4, 3)
 	sel := NewSelection(tr)
 	for id := 1; id < tr.Size(); id++ {
-		if sel.Has(tr.Nodes[id].parent) {
+		if sel.has(tr.Nodes[id].parent) {
 			sel.Add(id)
 		}
 	}
@@ -189,9 +190,9 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 		for i := 0; i < budget; i++ {
 			// Greedy: highest-PathProb unselected node whose parent is in.
 			best, bestP := -1, -1.0
-			for _, n := range tr.Nodes[1:] {
-				if !sel.Has(n.id) && sel.Has(n.parent) && n.PathProb > bestP {
-					best, bestP = n.id, n.PathProb
+			for id, n := range tr.Nodes {
+				if id > 0 && !sel.has(id) && sel.has(n.parent) && n.PathProb > bestP {
+					best, bestP = id, n.PathProb
 				}
 			}
 			if best < 0 {
@@ -204,4 +205,45 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validate checks structural invariants: parent links, depths, sorted
+// children, and path-probability monotonicity (child ≤ parent).
+func (t *Tree) validate() error {
+	if len(t.Nodes) == 0 {
+		return fmt.Errorf("toktree: empty tree")
+	}
+	if t.Nodes[0].parent != -1 || t.Nodes[0].depth != 0 || t.Nodes[0].PathProb != 1 {
+		return fmt.Errorf("toktree: malformed root %+v", t.Nodes[0])
+	}
+	for i := 1; i < len(t.Nodes); i++ {
+		n := &t.Nodes[i]
+		if n.parent < 0 || n.parent >= len(t.Nodes) {
+			return fmt.Errorf("toktree: node %d parent %d out of range", i, n.parent)
+		}
+		p := &t.Nodes[n.parent]
+		if n.depth != p.depth+1 {
+			return fmt.Errorf("toktree: node %d depth %d, parent depth %d", i, n.depth, p.depth)
+		}
+		if n.PathProb > p.PathProb+1e-12 {
+			return fmt.Errorf("toktree: node %d path prob %g exceeds parent %g", i, n.PathProb, p.PathProb)
+		}
+		if n.draftProb < 0 || n.draftProb > 1+1e-12 {
+			return fmt.Errorf("toktree: node %d draft prob %g out of range", i, n.draftProb)
+		}
+	}
+	for i := range t.Nodes {
+		ch := t.Nodes[i].Children
+		for k := 1; k < len(ch); k++ {
+			if t.Nodes[ch[k-1]].draftProb < t.Nodes[ch[k]].draftProb {
+				return fmt.Errorf("toktree: node %d children not sorted", i)
+			}
+		}
+		for _, c := range ch {
+			if t.Nodes[c].parent != i {
+				return fmt.Errorf("toktree: child %d of %d has parent %d", c, i, t.Nodes[c].parent)
+			}
+		}
+	}
+	return nil
 }

@@ -1,12 +1,16 @@
 package toktree
 
 import (
+	"slices"
+
 	"adaserve/internal/lm"
 )
 
 // VerifyResult reports one tree-verification pass for one request.
 type VerifyResult struct {
-	// Accepted are the accepted draft tokens along the root path, in order.
+	// Accepted are the accepted draft tokens along the root path, in order,
+	// with room behind them for the correction, so a commit can append it
+	// without allocating.
 	Accepted []lm.Token
 	// Correction is the token the target committed after the accepted
 	// prefix: the resampled correction when a branch was rejected, or the
@@ -35,8 +39,9 @@ type VerifyScratch struct {
 // where the bonus token is drawn from the target distribution at that
 // context.
 //
-// res is reset and refilled in place (its Accepted capacity is reused) and sc provides the walk buffers; the engine pools both across
-// iterations.
+// res is reset and refilled in place (its Accepted capacity is reused, and
+// left one token larger than the prefix) and sc provides the walk buffers;
+// the engine pools both across iterations.
 func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScratch) {
 	t := sel.tree
 	res.Accepted = res.Accepted[:0]
@@ -48,7 +53,7 @@ func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScr
 		sc.children = sc.children[:0]
 		sc.branches = sc.branches[:0]
 		for _, c := range t.Nodes[cur].Children {
-			if sel.Has(c) {
+			if sel.has(c) {
 				sc.children = append(sc.children, c)
 				sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})
 			}
@@ -56,18 +61,19 @@ func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScr
 		if len(sc.children) == 0 {
 			// Past the last selected node: commit the bonus token.
 			res.Correction = bonusToken(v, ctx)
-			return
+			break
 		}
 		idx, correction := v.AcceptAmong(ctx, sc.branches)
 		if idx < 0 {
 			res.Correction = correction
-			return
+			break
 		}
 		chosen := sc.children[idx]
 		res.Accepted = append(res.Accepted, t.Nodes[chosen].token)
 		ctx = ctx.Extend(t.Nodes[chosen].token)
 		cur = chosen
 	}
+	res.Accepted = slices.Grow(res.Accepted, 1)
 }
 
 // bonusToken draws the extra token the target emits at the end of a fully

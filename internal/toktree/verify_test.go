@@ -78,7 +78,7 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 	tr.AddChild(n1, c.tok[2], 0.7)
 	tr.AddChild(n1, c.wrong(2, 1), 0.2)
 	tr.AddChild(nw, c.tok[3], 0.5)
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 	sel := NewSelection(tr)
@@ -192,7 +192,7 @@ func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, *Selection) 
 	sel := NewSelection(tr)
 	rng := mathutil.NewRNG(seed ^ 0xbeef)
 	for id := 1; id < tr.Size(); id++ {
-		if sel.Has(tr.Nodes[id].parent) && rng.Float64() < 0.7 {
+		if sel.has(tr.Nodes[id].parent) && rng.Float64() < 0.7 {
 			sel.Add(id)
 		}
 	}

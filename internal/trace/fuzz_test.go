@@ -48,7 +48,7 @@ func FuzzSpecParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rendered := s.Format()
+		rendered := s.format()
 		back, err := ParseSpec(rendered)
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\n%q", err, rendered)
@@ -56,8 +56,8 @@ func FuzzSpecParse(f *testing.F) {
 		if !reflect.DeepEqual(s, back) {
 			t.Fatalf("reparse mismatch:\n%+v\n%+v", s, back)
 		}
-		if back.Format() != rendered {
-			t.Fatalf("Format not a fixed point:\n%q\n%q", rendered, back.Format())
+		if back.format() != rendered {
+			t.Fatalf("format not a fixed point:\n%q\n%q", rendered, back.format())
 		}
 	})
 }

@@ -39,7 +39,6 @@ const specMagic = "#adaserve-spec"
 // 1−amp·cos(2πt/period) (defaults: 86400s and 604800s periods). tpot/ttft
 // override the class's default SLOs in seconds.
 type Spec struct {
-	version  int
 	seed     uint64
 	duration float64
 	// Name is an optional slug recorded as trace provenance ("spec:<name>").
@@ -108,86 +107,11 @@ func specErr(n int, format string, args ...any) error {
 	return fmt.Errorf("spec: line %d: %s", n, fmt.Sprintf(format, args...))
 }
 
-// Format renders the canonical spec form: meta in fixed order, cohorts in
-// file order, options in canonical order with defaults omitted. Kept, with
-// its format helpers, as FuzzSpecParse's round-trip oracle.
-func (s *Spec) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s v%d\n", specMagic, s.version)
-	fmt.Fprintf(&b, "#meta seed %d\n", s.seed)
-	fmt.Fprintf(&b, "#meta duration %s\n", num(s.duration))
-	if s.Name != "" {
-		fmt.Fprintf(&b, "#meta name %s\n", s.Name)
-	}
-	for _, c := range s.cohorts {
-		b.WriteString(c.format())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func (c *cohort) format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cohort %s class=%s", c.name, c.class)
-	if c.arrival.kind == "poisson" {
-		fmt.Fprintf(&b, " rate=%s", num(c.rate))
-	}
-	b.WriteString(" arrival=")
-	b.WriteString(c.arrival.format())
-	fmt.Fprintf(&b, " prompt=%s output=%s", c.prompt.format(), c.output.format())
-	if c.tenants > 0 {
-		fmt.Fprintf(&b, " tenants=%d", c.tenants)
-	}
-	if c.sessions > 0 {
-		fmt.Fprintf(&b, " sessions=%d", c.sessions)
-	}
-	if c.diurnal.amp > 0 {
-		fmt.Fprintf(&b, " diurnal=%s:%s", num(c.diurnal.amp), num(c.diurnal.period))
-	}
-	if c.weekly.amp > 0 {
-		fmt.Fprintf(&b, " weekly=%s:%s", num(c.weekly.amp), num(c.weekly.period))
-	}
-	if c.tpot >= 0 {
-		fmt.Fprintf(&b, " tpot=%s", num(c.tpot))
-	}
-	if c.ttft >= 0 {
-		fmt.Fprintf(&b, " ttft=%s", num(c.ttft))
-	}
-	return b.String()
-}
-
-func (a *arrivalSpec) format() string {
-	switch a.kind {
-	case "poisson":
-		if a.profile == "constant" {
-			return "poisson"
-		}
-		return "poisson:" + a.profile
-	case "bursts":
-		return fmt.Sprintf("bursts:%s,%s,%s", num(a.interval), num(a.size), num(a.width))
-	}
-	return a.kind
-}
-
-func (l *lengthSpec) format() string {
-	switch l.kind {
-	case "lognormal":
-		return fmt.Sprintf("lognormal:%s,%s,%d,%d", num(l.median), num(l.sigma), l.min, l.max)
-	case "pareto":
-		return fmt.Sprintf("pareto:%d,%s,%d", l.min, num(l.alpha), l.max)
-	case "uniform":
-		return fmt.Sprintf("uniform:%d,%d", l.min, l.max)
-	case "fixed":
-		return fmt.Sprintf("fixed:%d", l.min)
-	}
-	return l.kind
-}
-
 // ParseSpec reads a workload spec. Like the trace parser it is strict with
 // line-numbered errors, tolerates blank and comment lines, and the result
-// round-trips: ParseSpec(s.Format()) equals s.
+// round-trips through the canonical form FuzzSpecParse renders.
 func ParseSpec(data string) (*Spec, error) {
-	s := &Spec{version: specVersion}
+	s := &Spec{}
 	sawVersion, sawDuration := false, false
 	seenMeta := map[string]bool{}
 	names := map[string]bool{}

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,10 +27,10 @@ func TestSpecRoundTrip(t *testing.T) {
 	if s.seed != 7 || s.duration != 30 || s.Name != "sample" || len(s.cohorts) != 3 {
 		t.Fatalf("bad spec: %+v", s)
 	}
-	if s.Format() != specText {
-		t.Fatalf("Format != input:\n%s", s.Format())
+	if s.format() != specText {
+		t.Fatalf("Format != input:\n%s", s.format())
 	}
-	back, err := ParseSpec(s.Format())
+	back, err := ParseSpec(s.format())
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -70,7 +72,7 @@ func TestSpecNormalization(t *testing.T) {
 	if got := c.format(); got != want {
 		t.Fatalf("canonical cohort:\n got %q\nwant %q", got, want)
 	}
-	back, err := ParseSpec(s.Format())
+	back, err := ParseSpec(s.format())
 	if err != nil || !reflect.DeepEqual(s, back) {
 		t.Fatalf("canonical reparse mismatch (%v)", err)
 	}
@@ -327,4 +329,103 @@ func TestNewSpecSource(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no arrivals")
 	}
+}
+
+// TestCommittedSpecsCanonical requires every scenario spec the experiments
+// embed to be in canonical form, so a hand-edit that drifts from the
+// grammar fails here rather than at sweep time.
+func TestCommittedSpecsCanonical(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "experiments", "testdata", "specs", "*.spec"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed specs (%v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ParseSpec(string(data))
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if got := s.format(); got != string(data) {
+			t.Errorf("%s: not in canonical form; want:\n%s", path, got)
+		}
+	}
+}
+
+// format renders the canonical spec form: meta in fixed order, cohorts in
+// file order, options in canonical order with defaults omitted. It is
+// FuzzSpecParse's round-trip oracle.
+func (s *Spec) format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s v%d\n", specMagic, specVersion)
+	fmt.Fprintf(&b, "#meta seed %d\n", s.seed)
+	fmt.Fprintf(&b, "#meta duration %s\n", num(s.duration))
+	if s.Name != "" {
+		fmt.Fprintf(&b, "#meta name %s\n", s.Name)
+	}
+	for _, c := range s.cohorts {
+		b.WriteString(c.format())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func (c *cohort) format() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "cohort %s class=%s", c.name, c.class)
+	if c.arrival.kind == "poisson" {
+		fmt.Fprintf(&b, " rate=%s", num(c.rate))
+	}
+	b.WriteString(" arrival=")
+	b.WriteString(c.arrival.format())
+	fmt.Fprintf(&b, " prompt=%s output=%s", c.prompt.format(), c.output.format())
+	if c.tenants > 0 {
+		fmt.Fprintf(&b, " tenants=%d", c.tenants)
+	}
+	if c.sessions > 0 {
+		fmt.Fprintf(&b, " sessions=%d", c.sessions)
+	}
+	if c.diurnal.amp > 0 {
+		fmt.Fprintf(&b, " diurnal=%s:%s", num(c.diurnal.amp), num(c.diurnal.period))
+	}
+	if c.weekly.amp > 0 {
+		fmt.Fprintf(&b, " weekly=%s:%s", num(c.weekly.amp), num(c.weekly.period))
+	}
+	if c.tpot >= 0 {
+		fmt.Fprintf(&b, " tpot=%s", num(c.tpot))
+	}
+	if c.ttft >= 0 {
+		fmt.Fprintf(&b, " ttft=%s", num(c.ttft))
+	}
+	return b.String()
+}
+
+func (a *arrivalSpec) format() string {
+	switch a.kind {
+	case "poisson":
+		if a.profile == "constant" {
+			return "poisson"
+		}
+		return "poisson:" + a.profile
+	case "bursts":
+		return fmt.Sprintf("bursts:%s,%s,%s", num(a.interval), num(a.size), num(a.width))
+	}
+	return a.kind
+}
+
+func (l *lengthSpec) format() string {
+	switch l.kind {
+	case "lognormal":
+		return fmt.Sprintf("lognormal:%s,%s,%d,%d", num(l.median), num(l.sigma), l.min, l.max)
+	case "pareto":
+		return fmt.Sprintf("pareto:%d,%s,%d", l.min, num(l.alpha), l.max)
+	case "uniform":
+		return fmt.Sprintf("uniform:%d,%d", l.min, l.max)
+	case "fixed":
+		return fmt.Sprintf("fixed:%d", l.min)
+	}
+	return l.kind
 }

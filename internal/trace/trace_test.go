@@ -257,7 +257,7 @@ func checkDir(t *testing.T, dir string) {
 				t.Errorf("%s: %v", path, err)
 				return nil
 			}
-			canonical = sp.Format()
+			canonical = sp.format()
 		}
 		if canonical != string(data) {
 			t.Errorf("%s: not in canonical form; want:\n%s", path, canonical)

@@ -39,10 +39,6 @@ func logOf(x float64) float64 {
 // CategorySpec defines one application category (Table 2).
 type CategorySpec struct {
 	category request.Category
-	// App is the paper's application name.
-	App string
-	// dataset names the dataset the lengths were matched to.
-	dataset string
 	// sloFactor, when > 0, sets TPOT SLO = sloFactor × baseline decode
 	// latency (category 1: 1.2× baseline, per MLPerf interactive).
 	sloFactor float64
@@ -52,10 +48,10 @@ type CategorySpec struct {
 	// seconds (arrival to first committed output token). Zero leaves the
 	// category without a TTFT SLO.
 	TTFTSLOAbs float64
-	// Prompt and Output are token-length distributions matched to the
+	// prompt and output are token-length distributions matched to the
 	// dataset's statistics.
-	Prompt LengthDist
-	Output LengthDist
+	prompt LengthDist
+	output LengthDist
 }
 
 // TPOT resolves the category's SLO given the model's baseline per-token
@@ -90,23 +86,20 @@ const MaxContext = 8192
 // an order of magnitude longer).
 func DefaultCategories() []CategorySpec {
 	return []CategorySpec{
-		{
-			category: request.Coding, App: "coding copilot", dataset: "HumanEval",
-			sloFactor: 1.2, TTFTSLOAbs: 1.0,
-			Prompt: LengthDist{Median: 160, Sigma: 0.45, Min: 32, Max: 1024},
-			Output: LengthDist{Median: 90, Sigma: 0.50, Min: 16, Max: 512},
+		{ // coding copilot, HumanEval
+			category: request.Coding, sloFactor: 1.2, TTFTSLOAbs: 1.0,
+			prompt: LengthDist{Median: 160, Sigma: 0.45, Min: 32, Max: 1024},
+			output: LengthDist{Median: 90, Sigma: 0.50, Min: 16, Max: 512},
 		},
-		{
-			category: request.Chat, App: "chatbot", dataset: "Alpaca",
-			sloAbs: 0.050, TTFTSLOAbs: 1.0,
-			Prompt: LengthDist{Median: 60, Sigma: 0.70, Min: 16, Max: 1024},
-			Output: LengthDist{Median: 80, Sigma: 0.60, Min: 16, Max: 512},
+		{ // chatbot, Alpaca
+			category: request.Chat, sloAbs: 0.050, TTFTSLOAbs: 1.0,
+			prompt: LengthDist{Median: 60, Sigma: 0.70, Min: 16, Max: 1024},
+			output: LengthDist{Median: 80, Sigma: 0.60, Min: 16, Max: 512},
 		},
-		{
-			category: request.Summarization, App: "summarization", dataset: "CNN/DailyMail",
-			sloAbs: 0.150, TTFTSLOAbs: 4.0,
-			Prompt: LengthDist{Median: 700, Sigma: 0.40, Min: 256, Max: 4096},
-			Output: LengthDist{Median: 80, Sigma: 0.35, Min: 32, Max: 512},
+		{ // summarization, CNN/DailyMail
+			category: request.Summarization, sloAbs: 0.150, TTFTSLOAbs: 4.0,
+			prompt: LengthDist{Median: 700, Sigma: 0.40, Min: 256, Max: 4096},
+			output: LengthDist{Median: 80, Sigma: 0.35, Min: 32, Max: 512},
 		},
 	}
 }

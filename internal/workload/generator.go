@@ -74,8 +74,8 @@ func (g *Generator) MakeAt(cat request.Category, t float64) *request.Request {
 	if !found {
 		panic(fmt.Sprintf("workload: no spec for category %v", cat))
 	}
-	prompt := spec.Prompt.Sample(g.rng)
-	output := spec.Output.Sample(g.rng)
+	prompt := spec.prompt.Sample(g.rng)
+	output := spec.output.Sample(g.rng)
 	id := g.next
 	g.next++
 	seed := mathutil.Hash2(g.cfg.Seed, uint64(id)+0x5151)

@@ -115,8 +115,8 @@ func (ss *Sessions) slo() float64 {
 // makeTurn materializes a session's next turn arriving at time t: the prompt
 // is the conversation so far plus a freshly sampled user segment.
 func (ss *Sessions) makeTurn(s *session, t float64) *request.Request {
-	userLen := ss.spec.Prompt.Sample(s.rng)
-	output := ss.spec.Output.Sample(s.rng)
+	userLen := ss.spec.prompt.Sample(s.rng)
+	output := ss.spec.output.Sample(s.rng)
 	segs := make([]request.PromptSegment, 0, len(s.segs)+1)
 	segs = append(segs, s.segs...)
 	segs = append(segs, request.PromptSegment{

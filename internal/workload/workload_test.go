@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"adaserve/internal/gpu"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/request"
 )
@@ -51,7 +52,7 @@ func TestDefaultCategoriesComplete(t *testing.T) {
 	for _, c := range cats {
 		seen[c.category] = true
 		if c.sloFactor <= 0 && c.sloAbs <= 0 {
-			t.Errorf("%s has no SLO", c.App)
+			t.Errorf("%s has no SLO", c.category)
 		}
 	}
 	if len(seen) != request.NumCategories {
@@ -117,7 +118,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	a, b := mk(), mk()
 	for i := range a {
 		if a[i].Category != b[i].Category || a[i].PromptLen != b[i].PromptLen ||
-			a[i].MaxNewTokens != b[i].MaxNewTokens || a[i].Seed != b[i].Seed {
+			a[i].MaxNewTokens != b[i].MaxNewTokens || a[i].Ctx != b[i].Ctx {
 			t.Fatalf("request %d differs between identical generators", i)
 		}
 	}
@@ -165,9 +166,9 @@ func TestGeneratorClipsContext(t *testing.T) {
 	// The generator needs no clip: every category's longest prompt plus
 	// longest output fits the context window.
 	for _, spec := range DefaultCategories() {
-		if spec.Prompt.Max+spec.Output.Max > MaxContext {
+		if spec.prompt.Max+spec.output.Max > MaxContext {
 			t.Fatalf("%v: prompt max %d + output max %d exceed the %d-token context",
-				spec.category, spec.Prompt.Max, spec.Output.Max, MaxContext)
+				spec.category, spec.prompt.Max, spec.output.Max, MaxContext)
 		}
 	}
 }
@@ -251,6 +252,26 @@ func TestSampleCategoryDegenerateMixes(t *testing.T) {
 					t.Fatalf("draw %d emitted probability-zero category %v", i, cat)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkTable2Workloads reports the per-category request statistics of
+// the Table 2 workload categories (prompt/output lengths and SLOs), with
+// category 1's SLO taken against the Llama-70B-on-4xA100 baseline.
+func BenchmarkTable2Workloads(b *testing.B) {
+	baseline := gpu.MustCostModel(gpu.A100, gpu.Llama70B, 4).BaselineLatency(512)
+	for _, spec := range DefaultCategories() {
+		b.Run(spec.category.String(), func(b *testing.B) {
+			rng := mathutil.NewRNG(7)
+			var prompt, output int
+			for i := 0; i < b.N; i++ {
+				prompt = spec.prompt.Sample(rng)
+				output = spec.output.Sample(rng)
+			}
+			b.ReportMetric(float64(prompt), "prompt_tok")
+			b.ReportMetric(float64(output), "output_tok")
+			b.ReportMetric(1e3*spec.TPOT(baseline), "slo_ms")
 		})
 	}
 }

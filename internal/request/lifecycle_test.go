@@ -41,8 +41,8 @@ func TestPoolRemove(t *testing.T) {
 			if len(p.Running()) != 0 || p.NumWaiting() != 1 || p.Waiting()[0] != other {
 				t.Fatalf("after Remove: running %v, waiting %v", p.Running(), p.Waiting())
 			}
-			if r.Phase != phase || r.PreemptCount != 0 {
-				t.Fatalf("Remove touched the lifecycle: phase %s, preemptions %d", r.Phase, r.PreemptCount)
+			if r.Phase != phase {
+				t.Fatalf("Remove touched the lifecycle: phase %s", r.Phase)
 			}
 		})
 	}
@@ -165,7 +165,6 @@ func TestDegrade(t *testing.T) {
 func TestResetForRetry(t *testing.T) {
 	r := New(1, Chat, 0.05, 4, 16, 8, 21)
 	r.Degrade(0.2)
-	r.PreemptCount = 2
 	r.Phase = Decoding
 	r.PrefillDone = 16
 	r.Commit([]lm.Token{1, 2, 3}, 6)
@@ -181,7 +180,7 @@ func TestResetForRetry(t *testing.T) {
 		t.Fatalf("computed state survived the reset: %+v", r)
 	}
 	if r.ArrivalTime != 4 || r.Retries != 1 || !r.Degraded || r.DegradedFrom != Chat ||
-		r.Category != Summarization || r.PreemptCount != 2 {
+		r.Category != Summarization {
 		t.Fatalf("identity, arrival or history lost: %+v", r)
 	}
 	r.ResetForRetry()

@@ -141,8 +141,6 @@ type Request struct {
 	// ratio is the paper's "mean accepted tokens per verification step".
 	VerifySteps    int
 	AcceptedTokens int
-	// PreemptCount counts scheduler preemptions (FastServe/priority).
-	PreemptCount int
 
 	// Degraded marks a request an overload admission gate relaxed to
 	// best-effort service (see Degrade); DegradedFrom records the category it

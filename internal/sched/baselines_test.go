@@ -112,13 +112,14 @@ func TestBaselineDeterminismAtFixedSeed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				counted := countPreemptions(sys)
 				reqs := request.CloneAll(trace)
-				replay(t, sys, reqs, 20000, nil)
+				replay(t, counted, reqs, 20000, nil)
 				out := make([]outcome, len(reqs))
 				for i, r := range reqs {
 					out[i] = outcome{
 						firstToken: r.FirstTokenTime, done: r.DoneTime,
-						steps: r.VerifySteps, accepted: r.AcceptedTokens, preempts: r.PreemptCount,
+						steps: r.VerifySteps, accepted: r.AcceptedTokens, preempts: counted.counts[r.ID],
 						output: r.OutputLen(), ctx: r.Ctx,
 					}
 				}
@@ -169,11 +170,11 @@ func TestBaselineAdmissionInvariants(t *testing.T) {
 }
 
 // TestFastServePreemptedRequestsFinish floods FastServe past its decode cap:
-// the MLFQ must preempt at iteration granularity (someone's PreemptCount
-// rises) yet every request must still complete — preemption may never strand
-// work. Admission itself is bounded by MaxBatch, so the decode cap is
-// tightened after everyone is admitted (modeling a capacity reduction), the
-// scenario where iteration-granularity preemption binds.
+// the MLFQ must preempt at iteration granularity (some decoding request sits
+// out an iteration) yet every request must still complete — preemption may
+// never strand work. Admission itself is bounded by MaxBatch, so the decode
+// cap is tightened after everyone is admitted (modeling a capacity
+// reduction), the scenario where iteration-granularity preemption binds.
 func TestFastServePreemptedRequestsFinish(t *testing.T) {
 	sys, err := NewFastServe(testConfig(t))
 	if err != nil {
@@ -189,8 +190,9 @@ func TestFastServePreemptedRequestsFinish(t *testing.T) {
 	st := sys.Iterate(0) // admit + prefill everyone under the default cap
 	sys.cfg.MaxBatch = 2
 	now := st.Elapsed
+	counted := countPreemptions(sys)
 	for iter := 0; ; iter++ {
-		st := sys.Iterate(now)
+		st := counted.Iterate(now)
 		if st.Idle {
 			break
 		}
@@ -199,14 +201,12 @@ func TestFastServePreemptedRequestsFinish(t *testing.T) {
 			t.Fatal("did not drain")
 		}
 	}
-	preempts := 0
 	for _, r := range reqs {
 		if r.Phase != request.Done || r.OutputLen() != r.MaxNewTokens {
 			t.Fatalf("request %d stranded: phase %s, %d/%d tokens", r.ID, r.Phase, r.OutputLen(), r.MaxNewTokens)
 		}
-		preempts += r.PreemptCount
 	}
-	if preempts == 0 {
+	if counted.total() == 0 {
 		t.Fatal("cap of 2 with 6 decoding requests never preempted")
 	}
 }

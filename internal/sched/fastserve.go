@@ -101,9 +101,6 @@ func (f *FastServe) Iterate(now float64) IterationStats {
 	run := ordered
 	if len(run) > f.cfg.MaxBatch {
 		run = run[:f.cfg.MaxBatch]
-		for _, r := range ordered[f.cfg.MaxBatch:] {
-			r.PreemptCount++
-		}
 	}
 	st := f.decodeStep(now, run, nil)
 	end := now + st.Elapsed

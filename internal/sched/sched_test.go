@@ -34,6 +34,53 @@ func testConfig(t *testing.T) Config {
 	}
 }
 
+// preemptionCounter wraps a System and counts, per request ID, the
+// iterations that preempted a request: it was decoding when an Iterate
+// advanced some other decoding request, and came out of that Iterate not done
+// and without a new token.
+type preemptionCounter struct {
+	System
+	counts map[int]int
+}
+
+func countPreemptions(sys System) *preemptionCounter {
+	return &preemptionCounter{System: sys, counts: make(map[int]int)}
+}
+
+// Iterate implements System.
+func (p *preemptionCounter) Iterate(now float64) IterationStats {
+	var decoding []*request.Request
+	var lens []int
+	for _, r := range p.Pool().Running() {
+		if r.Phase == request.Decoding {
+			decoding = append(decoding, r)
+			lens = append(lens, r.OutputLen())
+		}
+	}
+	st := p.System.Iterate(now)
+	advanced := false
+	for i, r := range decoding {
+		advanced = advanced || r.OutputLen() > lens[i]
+	}
+	if advanced {
+		for i, r := range decoding {
+			if r.Phase != request.Done && r.OutputLen() == lens[i] {
+				p.counts[r.ID]++
+			}
+		}
+	}
+	return st
+}
+
+// total is the preemption count summed over requests.
+func (p *preemptionCounter) total() int {
+	n := 0
+	for _, c := range p.counts {
+		n += c
+	}
+	return n
+}
+
 // enqueue creates a request and puts it in the system's pool.
 func enqueue(sys System, id int, cat request.Category, slo float64, arrival float64, prompt, maxNew int) *request.Request {
 	r := request.New(id, cat, slo, arrival, prompt, maxNew, uint64(id)*977+5)
@@ -219,15 +266,17 @@ func TestVLLMPriorityTrimsBatch(t *testing.T) {
 	urgent := enqueue(sys, 1, request.Coding, base*0.95, 0, 32, 6)
 	relaxedA := enqueue(sys, 2, request.Summarization, 0.5, 0, 2048, 6)
 	relaxedB := enqueue(sys, 3, request.Summarization, 0.5, 0, 2048, 6)
+	counted := countPreemptions(sys)
 	for i := 0; i < 400; i++ {
-		st := sys.Iterate(float64(i))
+		st := counted.Iterate(float64(i))
 		if st.Idle {
 			break
 		}
-		_ = st
 	}
-	_ = urgent
-	if relaxedA.PreemptCount+relaxedB.PreemptCount == 0 {
+	if counted.counts[urgent.ID] != 0 {
+		t.Fatalf("the urgent request sat out %d iterations", counted.counts[urgent.ID])
+	}
+	if counted.counts[relaxedA.ID]+counted.counts[relaxedB.ID] == 0 {
 		t.Fatal("priority variant never trimmed the relaxed requests")
 	}
 }
@@ -379,7 +428,6 @@ func TestFastServeServesShallowLevelFirst(t *testing.T) {
 	// FastServe swap, then admit a fresh (level 0) competitor.
 	sys.Pool().Remove(old)
 	old.Phase = request.Preempted
-	old.PreemptCount++
 	sys.Pool().Enqueue(old)
 	fresh := enqueue(sys, 2, request.Chat, 0.05, now, 32, 60)
 	st := sys.Iterate(now) // admits one; fresh arrived later but is level 0
@@ -412,20 +460,15 @@ func TestFastServeBatchCapPreempts(t *testing.T) {
 	st0 := sys.Iterate(0) // admission + prefill
 	sys.cfg.MaxBatch = 4
 	now := st0.Elapsed
-	preempted := false
+	counted := countPreemptions(sys)
 	for i := 0; i < 60; i++ {
-		st := sys.Iterate(now)
+		st := counted.Iterate(now)
 		if st.Idle {
 			break
 		}
 		now += st.Elapsed
 	}
-	for _, r := range append(sys.Pool().Running(), sys.Pool().Done()...) {
-		if r.PreemptCount > 0 {
-			preempted = true
-		}
-	}
-	if !preempted {
+	if counted.total() == 0 {
 		t.Fatal("batch cap never preempted anyone")
 	}
 }

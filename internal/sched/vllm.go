@@ -101,9 +101,6 @@ func (v *VLLM) trimByPriority(decode []*request.Request) []*request.Request {
 	if best < 1 {
 		best = 1
 	}
-	for _, r := range ordered[best:] {
-		r.PreemptCount++
-	}
 	return ordered[:best]
 }
 

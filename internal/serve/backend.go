@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math"
 	"sort"
 
 	"adaserve/internal/metrics"
@@ -13,6 +14,12 @@ import (
 // simulation state (local clock, iteration accounting). Backends create
 // instances with NewInstance; the driver owns clock advancement and
 // iteration accounting.
+//
+// Work — a waiting or running request, or a thaw (SetHalted(false)) of an
+// instance holding one — may be added to an instance only inside
+// Backend.Dispatch, a delivery scheduled on the Queue, or a control hook's
+// Tick: the driver re-keys its next-instance index at exactly those points.
+// Work may drain, and clocks may rise, anywhere.
 type Instance struct {
 	id         int
 	sys        sched.System
@@ -81,10 +88,24 @@ func (in *Instance) hasWork() bool {
 	return p.NumWaiting() > 0 || p.NumRunning() > 0
 }
 
+// key is the instance's key in the driver's next-instance index: its clock
+// while it has work, +Inf otherwise.
+func (in *Instance) key() float64 {
+	if in.hasWork() {
+		return in.clock
+	}
+	return math.Inf(1)
+}
+
 // Backend is the serving substrate behind a Server: a single system or a
 // multi-replica cluster. The driver advances its instances; the backend owns
 // request placement (routing) and any post-iteration movement (e.g.
 // prefill-to-decode migration in a disaggregated cluster).
+//
+// A backend adds work to an instance only inside Dispatch (to the instance
+// it returns), a delivery it scheduled on the Queue, or a control hook's
+// Tick; AfterIterate may only move work off the instance that iterated, onto
+// the Queue. See Instance.
 type Backend interface {
 	// Instances returns the serving instances in ID order; instance i must
 	// report ID i. The slice must be stable for the whole run.

@@ -18,7 +18,10 @@ import (
 	"adaserve/internal/workload"
 )
 
-func testSystemKV(t *testing.T, seed uint64, kvTokens int) sched.System {
+// vllmSystem builds one vLLM system for the driver tests: kvTokens of KV,
+// at most batch running requests, the given admission mode, prefix caching
+// when asked.
+func vllmSystem(t *testing.T, seed uint64, kvTokens, batch int, mode sched.Mode, prefix bool) sched.System {
 	t.Helper()
 	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
 	draft := lm.MustDraftLM(target, 0.88, 2)
@@ -31,15 +34,24 @@ func testSystemKV(t *testing.T, seed uint64, kvTokens int) sched.System {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kv := kvcache.MustNew(kvcache.ConfigForTokens(kvTokens, 16))
+	if prefix {
+		if err := kv.EnablePrefix(kvcache.PrefixConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sys, err := sched.NewVLLM(sched.Config{
-		Engine:   eng,
-		KV:       kvcache.MustNew(kvcache.ConfigForTokens(kvTokens, 16)),
-		MaxBatch: 32, MaxPrefillTokens: 2048, SchedOverhead: 30e-6,
+		Engine: eng, KV: kv, Mode: mode,
+		MaxBatch: batch, MaxPrefillTokens: 2048, SchedOverhead: 30e-6,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+func testSystemKV(t *testing.T, seed uint64, kvTokens int) sched.System {
+	return vllmSystem(t, seed, kvTokens, 32, sched.ModeMixed, false)
 }
 
 func testSystem(t *testing.T, seed uint64) sched.System {

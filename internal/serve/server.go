@@ -19,6 +19,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"adaserve/internal/metrics"
 	"adaserve/internal/request"
@@ -125,6 +126,8 @@ type Server struct {
 	observers     []Observer
 	queue         Queue
 	ran           bool
+	// idx picks the next instance to act (see next).
+	idx *instIndex
 	// held queues arrivals, in arrival order, until the backend places them:
 	// at once normally, after a whole-fleet outage ends (ErrNoReplica)
 	// otherwise.
@@ -183,55 +186,19 @@ func (s *Server) Subscribe(obs Observer) {
 // internal deliveries (e.g. migrations) are interleaved in event-time order,
 // before arrivals only when strictly earlier. The next instance to act is
 // always the busy one with the smallest clock (lowest ID on ties), so runs
-// are deterministic.
+// are deterministic; an index of the instances finds it without a scan of
+// the fleet (see next).
 func (s *Server) Run(src Source) (*Result, error) {
-	if src == nil {
-		return nil, fmt.Errorf("serve: source required")
+	if err := s.start(src); err != nil {
+		return nil, err
 	}
-	if s.ran {
-		return nil, fmt.Errorf("serve: Server is single-use; build a fresh one per run")
-	}
-	s.ran = true
-	if ac := s.opts.Adaptive; ac != nil {
-		s.observers = append([]Observer{ac}, s.observers...)
-	}
-	if as := s.opts.Autoscaler; as != nil {
-		// The autoscaler observes first (then the admission controller):
-		// their windows reflect an event before any user observer can react
-		// to it.
-		s.observers = append([]Observer{as}, s.observers...)
-	}
-	if fi := s.opts.Faults; fi != nil {
-		// The fault injector observes ahead of everything: its failure
-		// suspicion must reflect an event before controllers react to it.
-		s.observers = append([]Observer{fi}, s.observers...)
-	}
-	s.tracking = len(s.observers) > 0
-	if s.tracking {
-		s.track = make(map[int]*reqTrack)
-		s.doneSeen = make([]int, len(s.insts))
-		if s.opts.SnapshotEvery > 0 {
-			s.rolling = metrics.NewRolling(s.opts.Window)
-			s.nextSnap = s.opts.SnapshotEvery
-		}
-	}
-
-	// Let the injector arm its schedule before any work: injections land on
-	// the delivery queue at exact instants, interleaved with arrivals.
-	s.tickFaults()
-
 	total := 0
 	for {
 		// Events — source arrivals and queued internal deliveries — at or
 		// before the next acting instance's clock are processed first, so
 		// every placement decision sees all instances advanced past the
 		// event instant (the boundary-visibility rule).
-		var busy *Instance
-		for _, in := range s.insts {
-			if in.hasWork() && (busy == nil || in.clock < busy.clock) {
-				busy = in
-			}
-		}
+		busy := s.next()
 		evTime := 0.0
 		evInternal := false
 		evReady := false
@@ -245,6 +212,7 @@ func (s *Server) Run(src Source) (*Result, error) {
 			if evInternal {
 				d := s.queue.pop()
 				d.deliver()
+				s.rekeyAll() // a delivery may land work on any instance
 				if d.mig != nil && s.tracking {
 					// Derivation only: the migration already landed; the event
 					// carries its exact in-flight window (Depart → ready).
@@ -292,9 +260,7 @@ func (s *Server) Run(src Source) (*Result, error) {
 			// parks at the next event (which may or may not concern it);
 			// with no events left it can never progress: a genuine deadlock.
 			s.noteIteration(busy)
-			s.tickFaults()
-			s.tickAutoscaler()
-			s.tickAdaptive()
+			s.tickHooks()
 			if !busy.hasWork() {
 				continue
 			}
@@ -331,9 +297,7 @@ func (s *Server) Run(src Source) (*Result, error) {
 			return nil, err
 		}
 		s.noteIteration(busy)
-		s.tickFaults()
-		s.tickAutoscaler()
-		s.tickAdaptive()
+		s.tickHooks()
 		if busy.clock > s.maxSimTime {
 			return nil, fmt.Errorf("serve: instance %d (%s) exceeded max simulated time %.0fs",
 				busy.id, busy.sys.Name(), s.maxSimTime)
@@ -343,6 +307,62 @@ func (s *Server) Run(src Source) (*Result, error) {
 		}
 	}
 
+	// The index saw no work left. Work it was never told of breaks the
+	// Backend contract; fail the run rather than drop that work.
+	for _, in := range s.insts {
+		if in.hasWork() {
+			return nil, fmt.Errorf("serve: instance %d (%s) holds work added outside Dispatch, a delivery or a control-hook tick",
+				in.id, in.sys.Name())
+		}
+	}
+	return s.finish(total), nil
+}
+
+// start checks the run's preconditions and arms it: observer order, event
+// derivation, the fault schedule and the next-instance index.
+func (s *Server) start(src Source) error {
+	if src == nil {
+		return fmt.Errorf("serve: source required")
+	}
+	if s.ran {
+		return fmt.Errorf("serve: Server is single-use; build a fresh one per run")
+	}
+	s.ran = true
+	if ac := s.opts.Adaptive; ac != nil {
+		s.observers = append([]Observer{ac}, s.observers...)
+	}
+	if as := s.opts.Autoscaler; as != nil {
+		// The autoscaler observes first (then the admission controller):
+		// their windows reflect an event before any user observer can react
+		// to it.
+		s.observers = append([]Observer{as}, s.observers...)
+	}
+	if fi := s.opts.Faults; fi != nil {
+		// The fault injector observes ahead of everything: its failure
+		// suspicion must reflect an event before controllers react to it.
+		s.observers = append([]Observer{fi}, s.observers...)
+	}
+	s.tracking = len(s.observers) > 0
+	if s.tracking {
+		s.track = make(map[int]*reqTrack)
+		s.doneSeen = make([]int, len(s.insts))
+		if s.opts.SnapshotEvery > 0 {
+			s.rolling = metrics.NewRolling(s.opts.Window)
+			s.nextSnap = s.opts.SnapshotEvery
+		}
+	}
+
+	// Let the injector arm its schedule before any work: injections land on
+	// the delivery queue at exact instants, interleaved with arrivals.
+	s.tickFaults()
+	s.idx = newInstIndex(len(s.insts))
+	s.rekeyAll()
+	return nil
+}
+
+// finish settles the run's final boundary and reports it; total is the
+// iteration count summed across instances.
+func (s *Server) finish(total int) *Result {
 	if s.opts.Faults != nil && s.tracking {
 		// Actions taken at the run's final boundary (a repair delivered as the
 		// last queue event, a hedge resolved at the winner's final tick) have
@@ -371,7 +391,51 @@ func (s *Server) Run(src Source) (*Result, error) {
 	}
 	res.Events = s.events
 	res.Unplaced = len(s.held)
-	return res, nil
+	return res
+}
+
+// next returns the instance to act: the one with work and the smallest
+// clock, lowest ID on ties, or nil when no instance has work. Every key the
+// index stores is a lower bound of its instance's true key, because work
+// appears only where the driver re-keys: a dispatch (its instance), a
+// delivery or a control-hook tick (every instance). A clock that rises
+// (an iteration, a park) or work that drains (an iteration, a harvest, an
+// eviction) leaves a stale low key behind, so next re-keys the index's
+// minimum until its stored key is its true key. Keys only rise, so that
+// minimum is the exact (clock, ID) argmin a scan of the fleet would pick.
+func (s *Server) next() *Instance {
+	for {
+		i, k := s.idx.min()
+		if math.IsInf(k, 1) {
+			return nil
+		}
+		in := s.insts[i]
+		if t := in.key(); t != k {
+			s.idx.set(i, t)
+			continue
+		}
+		return in
+	}
+}
+
+// rekeyAll stores every instance's true key: O(N), for the events that may
+// add work anywhere.
+func (s *Server) rekeyAll() {
+	for i, in := range s.insts {
+		s.idx.key[i] = in.key()
+	}
+	s.idx.rebuild()
+}
+
+// tickHooks lets every control hook act at an iteration boundary. A tick
+// may add work to any instance, so the index is re-keyed whole after one.
+func (s *Server) tickHooks() {
+	s.tickFaults()
+	s.tickAutoscaler()
+	s.tickAdaptive()
+	if s.opts.Faults != nil || s.opts.Autoscaler != nil || s.opts.Adaptive != nil {
+		s.rekeyAll()
+	}
 }
 
 // dispatchHeld dispatches held arrivals in arrival order at event time at,
@@ -390,6 +454,7 @@ func (s *Server) dispatchHeld(at float64) error {
 			return err
 		}
 		in.BumpClock(at)
+		s.idx.set(in.id, in.key())
 		s.noteAdmitted(r, in, at)
 	}
 	s.held = s.held[:copy(s.held, s.held[n:])]

@@ -87,7 +87,7 @@ fi
 [ "$status" -eq 0 ] && echo "deadcode: $(wc -l < "$work/declared") functions under internal/, none dead outside $allow"
 
 # Ceiling on the names phases 2 and 3 let stay.
-max_kept=39
+max_kept=38
 kept=$(grep -cE '^(field|export) ' "$allow" || true)
 if [ "$kept" -gt "$max_kept" ]; then
   echo "deadcode: $allow has $kept field/export entries, over the ceiling of $max_kept in $0" >&2

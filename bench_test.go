@@ -46,7 +46,10 @@ func BenchmarkLMDist(b *testing.B) {
 }
 
 // BenchmarkBeamSearch measures candidate-tree construction (d=6, w=4) on
-// the pooled path the engine uses: a reused tree and beam builder.
+// the pooled path the engine uses: a reused tree and beam builder. Search
+// copies the cached shape and calls no Dist; the draft's token reads are
+// paid by verification, so compare this benchmark with
+// BenchmarkVerifyTree as their sum.
 func BenchmarkBeamSearch(b *testing.B) {
 	_, draft := benchModels(b)
 	ctx := lm.Context{ReqSeed: 9}
@@ -93,15 +96,13 @@ func BenchmarkSelect(b *testing.B) {
 // verifySink keeps BenchmarkVerifyTree's fresh result on the heap.
 var verifySink *toktree.VerifyResult
 
-// BenchmarkVerifyTree measures one tree verification walk with a fresh
-// result and scratch on every call.
+// BenchmarkVerifyTree measures one tree verification walk over a whole
+// searched tree with a fresh result and scratch on every call, including
+// the draft Dist calls that fill the walked nodes' children's tokens.
 func BenchmarkVerifyTree(b *testing.B) {
 	target, draft := benchModels(b)
 	tree := benchTree(b, draft, 3)
-	sel := toktree.NewSelection(tree)
-	for id := 1; id < tree.Size(); id++ {
-		sel.Add(id)
-	}
+	sel := toktree.Prefix(tree, tree.Size())
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,7 +5,9 @@
 //     Appendices B and C);
 //   - Algorithm 2: SLO-customized speculative decoding's two selection
 //     phases (SLO-customized selection and throughput-optimized selection)
-//     over beam-search candidate trees;
+//     over beam-search candidate trees, as prefix lengths of each tree's
+//     greedy node order (toktree.Tree.Order), which is the order a
+//     frontier heap would pop the nodes;
 //   - the adaptive (d, w) controller of Eq. 8–9.
 //
 // Everything here is pure CPU planning code — the paper measures it as the
@@ -22,6 +24,8 @@ type frontierItem struct {
 }
 
 // frontierHeap is a max-heap on pathProb with deterministic tie-breaking.
+// Algorithm 1 keeps every frontier node in it; Algorithm 2's throughput
+// phase keeps only each request's next node in greedy order.
 // The sift operations are hand-rolled (not container/heap) so pushing and
 // popping never box items through interfaces — the selection phases run
 // allocation-free once the backing arrays are warm. The (req, node) pair is

@@ -34,7 +34,7 @@ type SelectConfig struct {
 type SelectResult struct {
 	// Selections holds the draft token tree for each request, parallel to
 	// the input slice.
-	Selections []*toktree.Selection
+	Selections []toktree.Selection
 	// expectedAccept[i] is Σ f(v) over request i's selection.
 	expectedAccept []float64
 	// BudgetUsed counts nodes selected in total (incl. roots).
@@ -42,18 +42,18 @@ type SelectResult struct {
 }
 
 // Selector runs Algorithm 2's selection phases with pooled scratch: the
-// frontier heaps, ordering slices, selection masks, and the result storage
-// are all reused across calls, so a warm Selector allocates nothing. The
-// zero value is ready to use. The returned SelectResult (and the Selections
-// inside it) stays valid only until the next Select call on the same
-// Selector — the per-iteration lifetime schedulers already observe. Not
-// safe for concurrent use; schedulers own one each.
+// ordering and size slices, the head heap and the result storage are all
+// reused across calls, so a warm Selector allocates nothing. The zero value
+// is ready to use. The returned SelectResult stays valid only until the
+// next Select call on the same Selector — the per-iteration lifetime
+// schedulers already observe. Not safe for concurrent use; schedulers own
+// one each.
 type Selector struct {
-	frontiers []frontierHeap
-	order     []int
-	global    frontierHeap
-	sels      []*toktree.Selection
-	res       SelectResult
+	order []int
+	// sizes[i] is request i's selected prefix length so far.
+	sizes []int
+	heads frontierHeap
+	res   SelectResult
 }
 
 // Select runs Algorithm 2's SLO-customized selection followed by
@@ -65,6 +65,13 @@ type Selector struct {
 // taken from the candidate tree in descending approximated-f(v) order, with
 // parents always preceding children (connectivity, Appendix B). The
 // remaining budget is then spent globally on the highest-f(v) candidates.
+//
+// Both phases only ever take nodes in the tree's greedy order (see
+// toktree.Tree.Order), which is the order a frontier heap pops them, so
+// each request's selection is a prefix of it. The SLO phase walks each
+// prefix; the throughput phase merges the requests' next nodes through a
+// heap of at most one head per request, with the frontier heap's
+// (pathProb, request, node) order.
 func (s *Selector) Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult, error) {
 	n := len(reqs)
 	if cfg.Budget < n {
@@ -73,29 +80,15 @@ func (s *Selector) Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult
 	if cfg.Depth < 0 {
 		return nil, fmt.Errorf("core: negative depth %d", cfg.Depth)
 	}
-	res := s.reset(n)
-	budget := cfg.Budget
-
 	// Initialization: every request's root is selected and costs budget.
-	for i, rq := range reqs {
-		res.Selections[i].Reset(rq.Cand)
-		res.expectedAccept[i] = 1
-		budget--
-		for _, c := range rq.Cand.Nodes[0].Children {
-			pushItem(&s.frontiers[i], frontierItem{
-				req: i, node: c, pathProb: rq.Cand.Nodes[c].PathProb,
-			})
-		}
-	}
+	res := s.reset(n)
+	budget := cfg.Budget - n
 
 	// SLO-customized selection, hardest requests first. The sort is a
 	// stable insertion sort: identical ordering to sort.SliceStable, no
 	// reflection closures on the per-iteration path (batches are small and
 	// nearly sorted in practice).
 	order := s.order
-	for i := range order {
-		order[i] = i
-	}
 	for i := 1; i < n; i++ {
 		for j := i; j > 0 && reqs[order[j]].MinAccept > reqs[order[j-1]].MinAccept; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
@@ -106,59 +99,72 @@ func (s *Selector) Select(reqs []SelectRequest, cfg SelectConfig) (*SelectResult
 		maxPerReq = math.MaxInt
 	}
 	for _, i := range order {
+		cand := reqs[i].Cand
+		ord := cand.Order()
 		cap_ := capThreshold(reqs[i].MinAccept, cfg.Depth)
-		for res.expectedAccept[i] < cap_ &&
-			res.Selections[i].Size() < maxPerReq &&
-			budget > 0 && s.frontiers[i].Len() > 0 {
-			it := popItem(&s.frontiers[i])
-			addNode(res, &s.frontiers[i], reqs[i].Cand, i, it)
+		k := 1
+		for res.expectedAccept[i] < cap_ && k < maxPerReq && budget > 0 && k < len(ord) {
+			res.expectedAccept[i] += cand.Nodes[ord[k]].PathProb
+			k++
 			budget--
+		}
+		s.sizes[i] = k
+	}
+
+	// Throughput-optimized selection: global greedy over every request's
+	// next node in greedy order.
+	for i, rq := range reqs {
+		if ord := rq.Cand.Order(); s.sizes[i] < len(ord) {
+			c := ord[s.sizes[i]]
+			s.heads = append(s.heads, frontierItem{req: i, node: c, pathProb: rq.Cand.Nodes[c].PathProb})
+		}
+	}
+	initHeap(s.heads)
+	for budget > 0 && len(s.heads) > 0 {
+		top := &s.heads[0]
+		i := top.req
+		res.expectedAccept[i] += top.pathProb
+		s.sizes[i]++
+		budget--
+		cand := reqs[i].Cand
+		if ord := cand.Order(); s.sizes[i] < len(ord) {
+			c := ord[s.sizes[i]]
+			*top = frontierItem{req: i, node: c, pathProb: cand.Nodes[c].PathProb}
+			siftDown(s.heads, 0)
+		} else {
+			popItem(&s.heads)
 		}
 	}
 
-	// Throughput-optimized selection: global greedy over all frontiers.
-	s.global = s.global[:0]
-	for i := range s.frontiers {
-		s.global = append(s.global, s.frontiers[i]...)
+	for i, rq := range reqs {
+		res.Selections[i] = toktree.Prefix(rq.Cand, s.sizes[i])
 	}
-	initHeap(s.global)
-	for budget > 0 && s.global.Len() > 0 {
-		it := popItem(&s.global)
-		addNode(res, &s.global, reqs[it.req].Cand, it.req, it)
-		budget--
-	}
-
 	res.BudgetUsed = cfg.Budget - budget
 	return res, nil
 }
 
-// reset sizes the pooled storage for n requests and clears it.
+// reset sizes the pooled storage for n requests and clears it to root-only
+// selections.
 func (s *Selector) reset(n int) *SelectResult {
-	if cap(s.frontiers) < n {
-		s.frontiers = append(s.frontiers[:cap(s.frontiers)], make([]frontierHeap, n-cap(s.frontiers))...)
-	}
-	s.frontiers = s.frontiers[:n]
-	for i := range s.frontiers {
-		s.frontiers[i] = s.frontiers[i][:0]
-	}
 	if cap(s.order) < n {
 		s.order = make([]int, n)
+		s.sizes = make([]int, n)
 	}
-	s.order = s.order[:n]
-	for len(s.sels) < n {
-		s.sels = append(s.sels, &toktree.Selection{})
+	s.order, s.sizes = s.order[:n], s.sizes[:n]
+	for i := range s.order {
+		s.order[i] = i
 	}
+	s.heads = s.heads[:0]
 
 	res := &s.res
 	if cap(res.Selections) < n {
-		res.Selections = make([]*toktree.Selection, n)
+		res.Selections = make([]toktree.Selection, n)
 		res.expectedAccept = make([]float64, n)
 	}
 	res.Selections = res.Selections[:n]
 	res.expectedAccept = res.expectedAccept[:n]
-	for i := 0; i < n; i++ {
-		res.Selections[i] = s.sels[i]
-		res.expectedAccept[i] = 0
+	for i := range res.expectedAccept {
+		res.expectedAccept[i] = 1
 	}
 	res.BudgetUsed = 0
 	return res
@@ -173,13 +179,4 @@ func capThreshold(minAccept float64, depth int) float64 {
 		return limit
 	}
 	return minAccept
-}
-
-// addNode selects the node and pushes its children onto the given frontier.
-func addNode(res *SelectResult, h *frontierHeap, cand *toktree.Tree, req int, it frontierItem) {
-	res.Selections[req].Add(it.node)
-	res.expectedAccept[req] += it.pathProb
-	for _, c := range cand.Nodes[it.node].Children {
-		pushItem(h, frontierItem{req: req, node: c, pathProb: cand.Nodes[c].PathProb})
-	}
 }

@@ -188,10 +188,26 @@ func TestSelectSelectionsAreValidTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A selection is a greedy-order prefix: it must hold every selected
+	// node's parent, and its size must be what the budget paid for.
+	total := 0
 	for i, s := range res.Selections {
-		if err := s.Validate(); err != nil {
-			t.Fatalf("selection %d: %v", i, err)
+		cand := trees[i].Cand
+		in := make([]bool, cand.Size())
+		for _, id := range cand.Order()[:s.Size()] {
+			in[id] = true
 		}
+		for p, n := range cand.Nodes {
+			for _, c := range n.Children {
+				if in[c] && !in[p] {
+					t.Fatalf("selection %d holds node %d without its parent %d", i, c, p)
+				}
+			}
+		}
+		total += s.Size()
+	}
+	if total != res.BudgetUsed {
+		t.Fatalf("selections hold %d nodes, budget used %d", total, res.BudgetUsed)
 	}
 }
 

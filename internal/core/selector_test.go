@@ -49,9 +49,31 @@ func TestSelectorMatchesSelect(t *testing.T) {
 				!reflect.DeepEqual(got.Selections[i], want.Selections[i]) {
 				t.Fatalf("iter %d req %d: pooled selector diverged", iter, i)
 			}
-			if err := got.Selections[i].Validate(); err != nil {
-				t.Fatalf("iter %d req %d: %v", iter, i, err)
-			}
 		}
+	}
+}
+
+// TestSelectorAllocatesNothingWarm pins the Selector's pooling: once warm,
+// Select allocates nothing.
+func TestSelectorAllocatesNothingWarm(t *testing.T) {
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.85, 2)
+	var bb toktree.BeamBuilder
+	reqs := make([]SelectRequest, 12)
+	for i := range reqs {
+		tr := toktree.NewTree(lm.Context{ReqSeed: uint64(i)}, 5)
+		if err := bb.Search(tr, draft, 5, 3); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = SelectRequest{Cand: tr, MinAccept: float64(i%4) / 2}
+	}
+	cfg := SelectConfig{Budget: 96, Depth: 5, PerRequestMax: 10}
+	var sel Selector
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sel.Select(reqs, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm Select allocates %v times", allocs)
 	}
 }

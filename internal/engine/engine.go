@@ -65,12 +65,14 @@ type Engine struct {
 	// parallel key buffer.
 	ord []int
 	ids []int
-	// treePool recycles candidate trees; liveTrees are the ones handed out
-	// by the last SpeculateBeams, reclaimed at the next call.
-	treePool  toktree.TreePool
-	liveTrees []*toktree.Tree
-	beam      toktree.BeamBuilder
-	// vres holds pooled verification results; vscratch the walk buffers.
+	// treePool recycles candidate trees; spec holds the last SpeculateBeams
+	// result, whose trees are reclaimed at the next call.
+	treePool toktree.TreePool
+	beam     toktree.BeamBuilder
+	spec     SpeculateResult
+	// ver is the last VerifyTrees result; vres holds its pooled
+	// verification results and vscratch the walk buffers.
+	ver      VerifyBatchResult
 	vres     []toktree.VerifyResult
 	vscratch toktree.VerifyScratch
 }
@@ -199,36 +201,30 @@ type SpeculateResult struct {
 // tokens per step after the first, the shape regularity CUDA graphs
 // exploit).
 //
-// The returned trees are pooled: they stay valid until the next
-// SpeculateBeams call, when the engine reclaims them.
+// The returned result and its trees are pooled: they stay valid until the
+// next SpeculateBeams call, when the engine reclaims them.
 func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateResult, error) {
 	if e.draft == nil || e.draftCost == nil {
 		return nil, fmt.Errorf("engine: speculation requires a draft model")
 	}
 	// Reclaim the previous iteration's trees; their consumers (selections,
 	// verification results) are done with them by contract.
-	for _, t := range e.liveTrees {
+	res := &e.spec
+	for _, t := range res.Trees {
 		e.treePool.Put(t)
 	}
-	e.liveTrees = e.liveTrees[:0]
-	getTree := func(r *request.Request) *toktree.Tree {
-		t := e.treePool.Get(r.Ctx, r.LastToken())
-		e.liveTrees = append(e.liveTrees, t)
-		return t
+	res.Trees = res.Trees[:0]
+	res.GPUTime = 0
+	for _, r := range reqs {
+		res.Trees = append(res.Trees, e.treePool.Get(r.Ctx, r.LastToken()))
 	}
-
-	res := &SpeculateResult{Trees: make([]*toktree.Tree, len(reqs))}
-	if len(reqs) == 0 || d == 0 {
-		for i, r := range reqs {
-			res.Trees[i] = getTree(r)
-		}
+	if d == 0 {
 		return res, nil
 	}
 	totalKV := 0
 	n := 0 // requests actually speculating (NoSpec ones keep root-only trees)
 	for i, r := range reqs {
-		t := getTree(r)
-		res.Trees[i] = t
+		t := res.Trees[i]
 		if r.NoSpec {
 			// Degraded request: no draft expansion, no share of the batched
 			// draft cost. Its root-only tree flows through selection and
@@ -263,7 +259,7 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 // VerifyItem pairs a request with its selected draft tree.
 type VerifyItem struct {
 	Req *request.Request
-	Sel *toktree.Selection
+	Sel toktree.Selection
 }
 
 // VerifyBatchResult reports one batched tree-verification pass.
@@ -282,15 +278,20 @@ type VerifyBatchResult struct {
 // sharing the weight-load cost, so prompts never stall decode as a
 // monolithic pass would). Prefill progress is applied immediately; verify
 // tokens are NOT committed (the caller commits at the iteration end time).
+//
+// The returned result is pooled: it stays valid until the next VerifyTrees
+// call.
 func (e *Engine) VerifyTrees(items []VerifyItem, prefill []PrefillItem) *VerifyBatchResult {
-	res := &VerifyBatchResult{Results: make([]*toktree.VerifyResult, len(items))}
-	// Pooled results: valid until the next VerifyTrees call. The backing
-	// array grows only before any entry is assigned (stale pointers are dead
-	// by contract), and the results it had keep their token buffers.
+	res := &e.ver
+	res.tokensVerified = 0
+	// The backing array of the results grows only before any entry is
+	// assigned (stale pointers are dead by contract), and the results it
+	// had keep their token buffers.
 	if n := len(items) - cap(e.vres); n > 0 {
 		e.vres = slices.Grow(e.vres[:cap(e.vres)], n)
 	}
 	e.vres = e.vres[:len(items)]
+	res.Results = slices.Grow(res.Results[:0], len(items))[:len(items)]
 
 	e.ids = e.ids[:0]
 	for i := range items {

@@ -173,10 +173,7 @@ func TestPlainDecodeNeverReadsTokens(t *testing.T) {
 			}
 			items := make([]VerifyItem, len(reqs))
 			for i, tr := range spec.Trees {
-				sel := toktree.NewSelection(tr)
-				for id := 1; id < tr.Size(); id++ {
-					sel.Add(id)
-				}
+				sel := toktree.Prefix(tr, tr.Size())
 				items[i] = VerifyItem{Req: reqs[i], Sel: sel}
 			}
 			for i, vr := range e.VerifyTrees(items, nil).Results {
@@ -309,10 +306,7 @@ func TestVerifyTreesCommitsViaHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := toktree.NewSelection(spec.Trees[0])
-	for id := 1; id < spec.Trees[0].Size(); id++ {
-		sel.Add(id)
-	}
+	sel := toktree.Prefix(spec.Trees[0], spec.Trees[0].Size())
 	ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 	if ver.GPUTime <= 0 || ver.tokensVerified != sel.Size() {
 		t.Fatalf("verify result %+v", ver)
@@ -336,7 +330,7 @@ func TestVerifyTreesWithPrefillSharesPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := toktree.NewSelection(spec.Trees[0])
+	sel := toktree.Prefix(spec.Trees[0], 1)
 	combined := e.VerifyTrees(
 		[]VerifyItem{{Req: r, Sel: sel}},
 		[]PrefillItem{{Req: pre, Chunk: 128}},
@@ -353,7 +347,7 @@ func TestVerifyTreesWithPrefillSharesPass(t *testing.T) {
 	pre2 := request.New(2, request.Summarization, 0.15, 0, 500, 20, 9)
 	pre2.Phase = request.Prefilling
 	spec2, _ := e2.SpeculateBeams([]*request.Request{r2}, 2, 2)
-	sel2 := toktree.NewSelection(spec2.Trees[0])
+	sel2 := toktree.Prefix(spec2.Trees[0], 1)
 	sep := e2.VerifyTrees([]VerifyItem{{Req: r2, Sel: sel2}}, nil).GPUTime
 	sep += e2.Pass(nil, []PrefillItem{{Req: pre2, Chunk: 128}})
 	if combined.GPUTime >= sep {
@@ -392,10 +386,7 @@ func TestEngineDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel := toktree.NewSelection(spec.Trees[0])
-			for id := 1; id < spec.Trees[0].Size(); id++ {
-				sel.Add(id)
-			}
+			sel := toktree.Prefix(spec.Trees[0], spec.Trees[0].Size())
 			ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 			before := r.OutputLen()
 			CommitVerify(r, ver.Results[0], 0)
@@ -447,5 +438,31 @@ func TestPrefillChargesReloadStallOnce(t *testing.T) {
 	clean2 := e.Pass(nil, []PrefillItem{{Req: clean, Chunk: 32}})
 	if second != clean2 {
 		t.Fatalf("second pass %g still carries the stall (clean %g)", second, clean2)
+	}
+}
+
+// TestSpeculateVerifyAllocateNothingWarm pins the engine's pooling: once
+// warm, a speculate-verify iteration over the same batch allocates
+// nothing, since the trees, both results and their slices are reused.
+func TestSpeculateVerifyAllocateNothingWarm(t *testing.T) {
+	e := newEngine(t)
+	reqs := make([]*request.Request, 6)
+	for i := range reqs {
+		reqs[i] = decodingReq(i+1, 64+8*i, 50)
+	}
+	items := make([]VerifyItem, len(reqs))
+	step := func() {
+		spec, err := e.SpeculateBeams(reqs, 4, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range spec.Trees {
+			items[i] = VerifyItem{Req: reqs[i], Sel: toktree.Prefix(tr, 1+i%tr.Size())}
+		}
+		e.VerifyTrees(items, nil)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("a warm speculate-verify iteration allocates %v times", allocs)
 	}
 }

@@ -263,10 +263,7 @@ func specItems(t *testing.T, e *Engine, reqs []*request.Request) []VerifyItem {
 	}
 	items := make([]VerifyItem, len(reqs))
 	for i, tr := range spec.Trees {
-		sel := toktree.NewSelection(tr)
-		for id := 1; id < tr.Size(); id++ {
-			sel.Add(id)
-		}
+		sel := toktree.Prefix(tr, tr.Size())
 		items[i] = VerifyItem{Req: reqs[i], Sel: sel}
 	}
 	return items

@@ -21,7 +21,9 @@
 // Hot-path design: the next-token distribution is a pure function of the
 // 64-bit context hash, and almost every Dist call asks about a context the
 // model has not seen recently (decoding keeps moving on), so nothing is
-// memoized. A Dist is a lazy view of one context's candidates in rank
+// memoized. The draft is asked only where verification walks: a beam
+// tree's structure depends on the rank probabilities alone (RankProbs),
+// and a node's draft tokens are read when the walk reaches it. A Dist is a lazy view of one context's candidates in rank
 // order: a Dist call only hashes the context, and the candidates are
 // generated from that hash as far as the highest rank read, into a
 // branch-sized token buffer the model allocates in its constructor. The

@@ -12,6 +12,9 @@ type Pool struct {
 	waiting []*Request
 	running []*Request
 	done    []*Request
+	// decoding and prefilling back the views of the same names.
+	decoding   []*Request
+	prefilling []*Request
 }
 
 // NewPool returns an empty pool.
@@ -149,23 +152,30 @@ func (p *Pool) NumWaiting() int { return len(p.waiting) }
 func (p *Pool) NumRunning() int { return len(p.running) }
 
 // DecodingRequests returns running requests currently in the decode phase.
+// The slice is the pool's own buffer, refilled by the next
+// DecodingRequests call: read it before then, and do not keep it.
 func (p *Pool) DecodingRequests() []*Request {
-	var out []*Request
-	for _, r := range p.running {
-		if r.Phase == Decoding {
-			out = append(out, r)
-		}
-	}
-	return out
+	p.decoding = p.phaseView(p.decoding, Decoding)
+	return p.decoding[:len(p.decoding):len(p.decoding)]
 }
 
-// PrefillingRequests returns running requests still prefilling.
+// PrefillingRequests returns running requests still prefilling. The slice
+// is the pool's own buffer, refilled by the next PrefillingRequests call:
+// read it before then, and do not keep it.
 func (p *Pool) PrefillingRequests() []*Request {
-	var out []*Request
+	p.prefilling = p.phaseView(p.prefilling, Prefilling)
+	return p.prefilling[:len(p.prefilling):len(p.prefilling)]
+}
+
+// phaseView refills buf with the running requests in phase ph. The views
+// return it capacity-capped, so a caller's append copies instead of
+// writing into the buffer.
+func (p *Pool) phaseView(buf []*Request, ph Phase) []*Request {
+	buf = buf[:0]
 	for _, r := range p.running {
-		if r.Phase == Prefilling {
-			out = append(out, r)
+		if r.Phase == ph {
+			buf = append(buf, r)
 		}
 	}
-	return out
+	return buf
 }

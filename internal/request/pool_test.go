@@ -102,3 +102,35 @@ func TestPhaseViews(t *testing.T) {
 		t.Fatal("decoding view wrong")
 	}
 }
+
+// TestPhaseViewsReuseBuffers pins the views' lifetime contract: each fills
+// its own pool-owned buffer, so a warm view allocates nothing, the two
+// views never overwrite each other, and a caller's append copies instead
+// of writing into the buffer.
+func TestPhaseViewsReuseBuffers(t *testing.T) {
+	p := NewPool()
+	var reqs []*Request
+	for id := 0; id < 6; id++ {
+		r := New(id, Chat, 0.05, 0, 16, 8, 1)
+		p.Enqueue(r)
+		p.Admit(r, 0)
+		if id%2 == 1 {
+			r.Phase = Decoding
+		}
+		reqs = append(reqs, r)
+	}
+	dec, pre := p.DecodingRequests(), p.PrefillingRequests()
+	if len(dec) != 3 || len(pre) != 3 || dec[0] != reqs[1] || pre[0] != reqs[0] {
+		t.Fatalf("views %d decoding, %d prefilling", len(dec), len(pre))
+	}
+	grown := append(dec, reqs[0])
+	if again := p.DecodingRequests(); len(again) != 3 || again[0] != reqs[1] || &grown[0] == &again[0] {
+		t.Fatal("an append to the decoding view wrote into the pool's buffer")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.DecodingRequests()
+		p.PrefillingRequests()
+	}); allocs != 0 {
+		t.Fatalf("warm views allocate %v times per call pair", allocs)
+	}
+}

@@ -114,8 +114,8 @@ func (t *lazyDraftTree) Children(id int) []int {
 func (t *lazyDraftTree) PathProb(id int) float64 { return t.nodes[id].pathProb }
 
 // materialize converts a selected node set into a toktree Selection for
-// verification.
-func (t *lazyDraftTree) materialize(ctx lm.Context, rootTok lm.Token, selected []int) *toktree.Selection {
+// verification: a tree of exactly the selected nodes, all of it selected.
+func (t *lazyDraftTree) materialize(ctx lm.Context, rootTok lm.Token, selected []int) toktree.Selection {
 	tree := toktree.NewTree(ctx, rootTok)
 	idMap := map[int]int{0: 0} // lazy ID -> toktree ID
 	// Selected comes in insertion order, which is parent-before-child
@@ -133,13 +133,7 @@ func (t *lazyDraftTree) materialize(ctx lm.Context, rootTok lm.Token, selected [
 		cond := n.pathProb / t.nodes[parentLazy].pathProb
 		idMap[lazyID] = tree.AddChild(parentTok, n.tok, cond)
 	}
-	sel := toktree.NewSelection(tree)
-	for _, lazyID := range selected {
-		if lazyID != 0 {
-			sel.Add(idMap[lazyID])
-		}
-	}
-	return sel
+	return toktree.Prefix(tree, tree.Size())
 }
 
 // parentOf finds a node's parent by scanning children lists (lazy trees are

@@ -18,7 +18,6 @@ type VLLMSpec struct {
 
 	// Per-iteration scratch reused across Iterate calls.
 	items []engine.VerifyItem
-	sels  []*toktree.Selection
 }
 
 // NewVLLMSpec constructs the baseline with speculation length k.
@@ -59,17 +58,10 @@ func (v *VLLMSpec) Iterate(now float64) IterationStats {
 		panic(err)
 	}
 	v.items = v.items[:0]
-	for len(v.sels) < len(decode) {
-		v.sels = append(v.sels, &toktree.Selection{})
-	}
 	for i, r := range decode {
-		sel := v.sels[i]
-		sel.Reset(spec.Trees[i])
 		// Static speculation verifies the whole chain unconditionally.
-		for id := 1; id < spec.Trees[i].Size(); id++ {
-			sel.Add(id)
-		}
-		v.items = append(v.items, engine.VerifyItem{Req: r, Sel: sel})
+		tr := spec.Trees[i]
+		v.items = append(v.items, engine.VerifyItem{Req: r, Sel: toktree.Prefix(tr, tr.Size())})
 	}
 	ver := v.cfg.Engine.VerifyTrees(v.items, nil)
 	st := IterationStats{

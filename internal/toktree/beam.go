@@ -14,6 +14,16 @@ type shapeCand struct {
 	path         float64
 }
 
+// shape is the token-free skeleton of every depth-d, width-w beam over one
+// draft (see buildShape).
+type shape struct {
+	// nodes are the prototype nodes in tree-ID order.
+	nodes []Node
+	// order is the nodes' greedy order. Its capacity is its length, like
+	// the Children lists', so that AddChild's append copies it.
+	order []int
+}
+
 // BeamBuilder runs beam searches with reusable scratch, so repeated
 // searches — one per request per iteration — allocate nothing once warm.
 // It computes the shape of each (d, w) on that pair's first Search and
@@ -22,11 +32,9 @@ type shapeCand struct {
 type BeamBuilder struct {
 	// probs are the rank probabilities the shapes were computed from.
 	probs []float64
-	// shapes[d][w] holds the prototype nodes of a depth-d, width-w beam
-	// (see buildShape), nil until that pair's first Search.
-	shapes [][][]Node
-	// ctxs[i] is the decoding context under node i's children.
-	ctxs []lm.Context
+	// shapes[d][w] is the depth-d, width-w beam's shape, with nil nodes
+	// until that pair's first Search.
+	shapes [][]shape
 }
 
 // Search grows a candidate token tree of depth d and beam width w into t,
@@ -38,11 +46,12 @@ type BeamBuilder struct {
 // every non-root level holds at most w nodes. Width 1 is the greedy chain
 // the vLLM-Spec baselines speculate.
 //
-// The tree's structure and probabilities come from the (d, w) shape; only
-// the tokens depend on the request, and each parent's Dist is read once,
-// as far as its last child's rank. The nodes share their Children slices
-// with the shape, so they are read-only. Every draft proposes at least one
-// candidate, so a search with d > 0 runs all d draft steps.
+// The tree's structure, probabilities and greedy order come from the
+// (d, w) shape, which the tree shares (its Children slices and order are
+// read-only); only the tokens depend on the request. Search records the
+// draft and calls no Dist: verification fills a node's children's tokens
+// from one draft Dist when its walk reaches the node. Every draft proposes
+// at least one candidate, so a search with d > 0 runs all d draft steps.
 func (bb *BeamBuilder) Search(t *Tree, draft *lm.DraftLM, d, w int) error {
 	if d < 0 {
 		return fmt.Errorf("toktree: negative beam depth %d", d)
@@ -54,33 +63,16 @@ func (bb *BeamBuilder) Search(t *Tree, draft *lm.DraftLM, d, w int) error {
 		return nil
 	}
 	sh := bb.shape(draft.RankProbs(), d, w)
-	t.Nodes = append(t.Nodes[:1], sh[1:]...)
-	t.Nodes[0].Children = sh[0].Children
-	if cap(bb.ctxs) < len(sh) {
-		bb.ctxs = make([]lm.Context, len(sh))
-	}
-	ctxs := bb.ctxs[:len(sh)]
-	ctxs[0] = t.ctx
-	for p := range t.Nodes {
-		ch := t.Nodes[p].Children
-		if len(ch) == 0 {
-			continue
-		}
-		dist := draft.Dist(ctxs[p])
-		for rank, c := range ch {
-			tok := dist.Token(rank)
-			t.Nodes[c].token = tok
-			if len(t.Nodes[c].Children) > 0 {
-				ctxs[c] = ctxs[p].Extend(tok)
-			}
-		}
-	}
+	t.Nodes = append(t.Nodes[:1], sh.nodes[1:]...)
+	t.Nodes[0].Children = sh.nodes[0].Children
+	t.order = sh.order
+	t.draft = draft
 	return nil
 }
 
-// shape returns the prototype nodes of the depth-d, width-w beam over rank
-// probabilities probs, computing them on first use.
-func (bb *BeamBuilder) shape(probs []float64, d, w int) []Node {
+// shape returns the depth-d, width-w beam's shape over rank probabilities
+// probs, computing it on first use.
+func (bb *BeamBuilder) shape(probs []float64, d, w int) *shape {
 	if len(bb.probs) != len(probs) || &bb.probs[0] != &probs[0] {
 		bb.probs, bb.shapes = probs, nil
 	}
@@ -88,28 +80,30 @@ func (bb *BeamBuilder) shape(probs []float64, d, w int) []Node {
 		bb.shapes = append(bb.shapes, nil)
 	}
 	for len(bb.shapes[d]) <= w {
-		bb.shapes[d] = append(bb.shapes[d], nil)
+		bb.shapes[d] = append(bb.shapes[d], shape{})
 	}
-	if bb.shapes[d][w] == nil {
-		bb.shapes[d][w] = buildShape(probs, d, w)
+	sh := &bb.shapes[d][w]
+	if sh.nodes == nil {
+		*sh = buildShape(probs, d, w)
 	}
-	return bb.shapes[d][w]
+	return sh
 }
 
 // buildShape returns the token-free skeleton of every depth-d, width-w beam
-// over one draft: node i's parent, depth, draft prob and PathProb, and its
-// children, as prototype Nodes in tree-ID order. It is context-free: a
-// draft Dist has the same probability at each rank in every context, and
-// those rank probabilities are strictly decreasing, so the beam's ranking
-// by (path prob, parent ID, token) never reaches the token. A parent's
-// children are therefore always its ranks 0..k-1, in ID order.
+// over one draft: node i's parent, depth, draft prob, PathProb, greedy rank
+// and children, as prototype Nodes in tree-ID order, plus the greedy order.
+// It is context-free: a draft Dist has the same probability at each rank in
+// every context, and those rank probabilities are strictly decreasing, so
+// the beam's ranking by (path prob, parent ID, token) never reaches the
+// token. A parent's children are therefore always its ranks 0..k-1, in ID
+// order.
 //
 // It runs the beam search over rank probabilities alone. Each step
 // ranks the beam nodes' top-w ranks by (path prob desc, parent ID asc, rank
 // asc) — within one parent a lower rank has the higher probability, which
 // is how the token-keyed ranking orders them too — and keeps the first w.
 // PathProb is parent × prob, in the order AddChild multiplies them.
-func buildShape(probs []float64, d, w int) []Node {
+func buildShape(probs []float64, d, w int) shape {
 	k := min(w, len(probs))
 	nodes := make([]Node, 1, 1+d*w)
 	nodes[0] = Node{parent: -1, draftProb: 1, PathProb: 1}
@@ -155,5 +149,18 @@ func buildShape(probs []float64, d, w int) []Node {
 			nodes[p].Children = all[start:len(all):len(all)]
 		}
 	}
-	return nodes
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if pa, pb := nodes[a].PathProb, nodes[b].PathProb; pa != pb {
+			return cmp.Compare(pb, pa)
+		}
+		return cmp.Compare(a, b)
+	})
+	for r, id := range order {
+		nodes[id].rank = r
+	}
+	return shape{nodes: nodes, order: order}
 }

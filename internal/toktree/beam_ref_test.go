@@ -78,15 +78,18 @@ func refSearch(t *Tree, draft lm.Model, d, w int) int {
 }
 
 // diffTrees describes the first difference between got and the reference
-// want — node count, or a node's ID, parent, depth, token, draft prob or
-// PathProb (bitwise), or its Children order — or returns "".
+// want — node count, greedy order, or a node's ID, parent, depth, token,
+// draft prob or PathProb (bitwise), rank or Children order — or returns "".
 func diffTrees(got, want *Tree) string {
 	if len(got.Nodes) != len(want.Nodes) {
 		return fmt.Sprintf("%d nodes, reference %d", len(got.Nodes), len(want.Nodes))
 	}
+	if !slices.Equal(got.order, want.order) {
+		return fmt.Sprintf("greedy order %v, reference %v", got.order, want.order)
+	}
 	for i := range want.Nodes {
 		g, w := &got.Nodes[i], &want.Nodes[i]
-		same := g.parent == w.parent && g.depth == w.depth && g.token == w.token &&
+		same := g.parent == w.parent && g.depth == w.depth && g.token == w.token && g.rank == w.rank &&
 			math.Float64bits(g.draftProb) == math.Float64bits(w.draftProb) &&
 			math.Float64bits(g.PathProb) == math.Float64bits(w.PathProb) &&
 			slices.Equal(g.Children, w.Children)
@@ -124,7 +127,9 @@ func TestSearchMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// checkSearch compares one pooled Search with the reference.
+// checkSearch compares one pooled Search with the reference. The searched
+// tree's tokens come from materialize, the on-demand fill verification
+// uses, applied at every node.
 func checkSearch(t testing.TB, bb *BeamBuilder, pool *TreePool, draft *lm.DraftLM, ctx lm.Context, d, w int) {
 	t.Helper()
 	want := NewTree(ctx, 3)
@@ -137,6 +142,10 @@ func checkSearch(t testing.TB, bb *BeamBuilder, pool *TreePool, draft *lm.DraftL
 	if err := bb.Search(got, draft, d, w); err != nil {
 		t.Fatal(err)
 	}
+	if err := got.validate(); err != nil {
+		t.Fatalf("ctx %+v d=%d w=%d: %v", ctx, d, w, err)
+	}
+	got.materialize()
 	if diff := diffTrees(got, want); diff != "" {
 		t.Fatalf("ctx %+v d=%d w=%d: %s", ctx, d, w, diff)
 	}
@@ -167,9 +176,11 @@ func FuzzBeamShape(f *testing.F) {
 }
 
 // TestAddChildOnSearchTreeKeepsShape pins the sharing rule: a searched
-// tree's Children slices belong to the builder's shape, so an AddChild on
-// such a tree must copy rather than write into the shape, and the next
-// Search with the same (d, w) still matches the reference.
+// tree's Children slices and greedy order belong to the builder's shape,
+// so an AddChild on such a tree (once its tokens are filled) must copy
+// rather than write into the shape, and the next Search with the same
+// (d, w) still matches the reference. With tokens pending, AddChild
+// panics.
 func TestAddChildOnSearchTreeKeepsShape(t *testing.T) {
 	_, draft := beamModels(t)
 	var bb BeamBuilder
@@ -179,6 +190,15 @@ func TestAddChildOnSearchTreeKeepsShape(t *testing.T) {
 		if err := bb.Search(tr, draft, 3, 2); err != nil {
 			t.Fatal(err)
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("AddChild on a tree with pending tokens did not panic")
+				}
+			}()
+			tr.AddChild(0, 4000, 0.5)
+		}()
+		tr.materialize()
 		tr.AddChild(id%tr.Size(), 4000, 0.5)
 		tr.AddChild(0, 4001, 0.001)
 		if err := tr.validate(); err != nil {

@@ -25,7 +25,7 @@ func search(t testing.TB, draft *lm.DraftLM, ctx lm.Context, rootTok lm.Token, d
 }
 
 // verify runs one verification walk with fresh result and scratch storage.
-func verify(sel *Selection, v *lm.Verifier) *VerifyResult {
+func verify(sel Selection, v *lm.Verifier) *VerifyResult {
 	var res VerifyResult
 	VerifyInto(&res, sel, v, &VerifyScratch{})
 	return &res
@@ -113,6 +113,7 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 17}
 	tr := search(t, draft, ctx, 7, 2, 3)
+	tr.materialize()
 	dist := draft.Dist(ctx)
 	top := []lm.Token{dist.Token(0), dist.Token(1), dist.Token(2)}
 	var level1 []lm.Token
@@ -143,6 +144,7 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 func TestChainSpeculateIsWidthOne(t *testing.T) {
 	_, draft := beamModels(t)
 	tr := search(t, draft, lm.Context{ReqSeed: 5}, 7, 6, 1)
+	tr.materialize()
 	if tr.Size() != 7 {
 		t.Fatalf("chain size %d, want 7", tr.Size())
 	}
@@ -216,6 +218,7 @@ func TestTheorem41(t *testing.T) {
 
 		// Candidate tree: beam search with width = budget, depth = D_opt.
 		cand := search(t, draft, ctx, 0, maxDepth, budget)
+		cand.materialize()
 		// Every optimal node's path must exist in the candidate tree.
 		for _, n := range selected[1:] {
 			if !containsPath(cand, n.path) {
@@ -247,7 +250,7 @@ func containsPath(t *Tree, path []lm.Token) bool {
 func TestVerifyCommitsAtLeastOneToken(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(9))
-	sel := NewSelection(search(t, draft, lm.Context{ReqSeed: 31}, 7, 4, 2))
+	sel := Prefix(search(t, draft, lm.Context{ReqSeed: 31}, 7, 4, 2), 1)
 	for i := 0; i < 200; i++ {
 		res := verify(sel, v)
 		if len(res.Accepted) != 0 {
@@ -263,16 +266,11 @@ func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(9))
 	tr := search(t, draft, lm.Context{ReqSeed: 33}, 7, 5, 3)
-	sel := NewSelection(tr)
-	for id := 1; id < tr.Size(); id++ {
-		if sel.has(tr.Nodes[id].parent) {
-			sel.Add(id)
-		}
-	}
+	sel := Prefix(tr, tr.Size())
 	for i := 0; i < 100; i++ {
 		res := verify(sel, v)
 		// The accepted tokens must spell a root-descending path of
-		// selected nodes.
+		// selected nodes, whose tokens the walk filled.
 		prev := 0
 		for j, tok := range res.Accepted {
 			next := -1
@@ -293,12 +291,7 @@ func TestVerifyGreedyDeterministic(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, lm.RuleGreedy, mathutil.NewRNG(9))
 	tr := search(t, draft, lm.Context{ReqSeed: 35}, 7, 4, 2)
-	sel := NewSelection(tr)
-	for id := 1; id < tr.Size(); id++ {
-		if sel.has(tr.Nodes[id].parent) {
-			sel.Add(id)
-		}
-	}
+	sel := Prefix(tr, tr.Size())
 	a := verify(sel, v)
 	b := verify(sel, v)
 	if len(a.Accepted) != len(b.Accepted) || a.Correction != b.Correction {

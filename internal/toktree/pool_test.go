@@ -1,6 +1,7 @@
 package toktree
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,12 +17,12 @@ func poolTestDraft(t *testing.T) *lm.DraftLM {
 
 // treesEqual compares full tree structure node by node.
 func treesEqual(a, b *Tree) bool {
-	if len(a.Nodes) != len(b.Nodes) || a.ctx != b.ctx {
+	if len(a.Nodes) != len(b.Nodes) || a.ctx != b.ctx || !slices.Equal(a.order, b.order) {
 		return false
 	}
 	for i := range a.Nodes {
 		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.token != y.token || x.parent != y.parent ||
+		if x.token != y.token || x.parent != y.parent || x.rank != y.rank ||
 			x.depth != y.depth || x.draftProb != y.draftProb || x.PathProb != y.PathProb ||
 			len(x.Children) != len(y.Children) {
 			return false
@@ -59,7 +60,10 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 		}
 		prev = pooled
 
-		if !treesEqual(pooled, search(t, draft, ctx, root, d, w)) {
+		fresh := search(t, draft, ctx, root, d, w)
+		pooled.materialize()
+		fresh.materialize()
+		if !treesEqual(pooled, fresh) {
 			t.Fatalf("iteration %d (d=%d w=%d): pooled tree differs from fresh", i, d, w)
 		}
 		if err := pooled.validate(); err != nil {
@@ -131,12 +135,7 @@ func TestVerifyIntoMatchesVerify(t *testing.T) {
 	var res VerifyResult
 	for i := 0; i < 100; i++ {
 		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 5, 3)
-		sel := NewSelection(tr)
-		for id := 1; id < tr.Size(); id++ {
-			if sel.has(tr.Nodes[id].parent) && id%3 != 0 {
-				sel.Add(id)
-			}
-		}
+		sel := Prefix(tr, 1+i%tr.Size())
 		// Identical RNG state for both walks.
 		v1 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
 		v2 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))

@@ -13,6 +13,19 @@
 //     Eq. (7).
 //   - acc(T) = 1 + number of accepted draft tokens = tokens committed by one
 //     verification pass, so E[acc(T)] = Σ_{v∈T} f(v) (Theorem 3.1).
+//
+// Every tree keeps its nodes in greedy order: by path probability
+// descending, ties by ID ascending. A child's path probability never
+// exceeds its parent's and a child's ID is larger, so the order is
+// topological, and it is exactly the order in which a frontier max-heap
+// pops the tree's nodes. Algorithm 2 therefore only ever selects a prefix
+// of it, and a Selection is that prefix's length.
+//
+// A searched tree is its (d, w) beam shape plus the request's context: the
+// structure, probabilities and greedy order come from the shape, and a
+// node's token is written only when verification walks to its parent (one
+// draft Dist at the walk's context), because verification reads one root
+// path and nothing else reads tokens.
 package toktree
 
 import (
@@ -25,7 +38,8 @@ import (
 // the root is always ID 0.
 type Node struct {
 	// token is the draft token at this node (for the root: the request's
-	// last committed token, informational only).
+	// last committed token, informational only). In a searched tree it is
+	// set when verification reaches the parent (see Tree.fill).
 	token lm.Token
 	// parent is the parent node ID, or -1 for the root.
 	parent int
@@ -36,45 +50,69 @@ type Node struct {
 	// PathProb is the product of draftProb along the root path (the
 	// approximated f(v)); 1 for the root.
 	PathProb float64
-	// Children lists child node IDs in descending draftProb order.
+	// rank is the node's position in its tree's greedy order.
+	rank int
+	// Children lists child node IDs in descending draftProb order. In a
+	// searched tree, child j is the draft's rank-j candidate.
 	Children []int
 }
 
+// rootOrder is the greedy order of every root-only tree. Its capacity is
+// its length, so AddChild's append copies it instead of writing into it.
+var rootOrder = []int{0}
+
 // Tree is a candidate token tree for one request, as produced by the
-// speculation phase. Selection marks a subset of its nodes; the marked
-// subset is the draft token tree T submitted for verification.
+// speculation phase. A Selection takes a prefix of its greedy order; that
+// prefix is the draft token tree T submitted for verification.
 type Tree struct {
 	Nodes []Node
+	// order lists the node IDs in greedy order (path prob descending, ID
+	// ascending). A searched tree shares it with its beam shape, so it is
+	// read-only there; it is copied before AddChild writes into it.
+	order []int
 	// ctx is the request's decoding context at the root (history includes
 	// the root token).
 	ctx lm.Context
+	// draft fills a searched tree's tokens on demand; nil when every token
+	// is set.
+	draft *lm.DraftLM
 }
 
 // NewTree creates a tree holding only a root for the given context. rootTok
 // should be the last committed token of the request.
 func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
-	return &Tree{
-		Nodes: []Node{{token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1}},
-		ctx:   ctx,
-	}
+	t := &Tree{}
+	t.reset(ctx, rootTok)
+	return t
 }
 
 // reset re-roots the tree in place for reuse: node storage is retained, so
 // a warm tree builds without allocating (Search shares its Children slices
-// with the beam shape). Any outstanding references into the old tree
-// (Selections, node pointers) become invalid.
+// and greedy order with the beam shape). Any outstanding references into
+// the old tree (Selections, node pointers) become invalid.
 func (t *Tree) reset(ctx lm.Context, rootTok lm.Token) {
 	t.Nodes = t.Nodes[:0]
 	t.Nodes = append(t.Nodes, Node{token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1})
+	t.order = rootOrder
 	t.ctx = ctx
+	t.draft = nil
 }
 
 // AddChild appends a node under parent and returns its ID. Children are kept
 // sorted by descending draftProb (ties by token) so verification considers
-// likelier branches first.
+// likelier branches first, and the node takes its place in the greedy
+// order. draftProb must not exceed 1, which keeps that order topological.
+// It panics on a searched tree whose tokens are still pending: a new child
+// can shift its siblings off the positions that name their draft ranks.
 func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 	if parent < 0 || parent >= len(t.Nodes) {
 		panic(fmt.Sprintf("toktree: AddChild parent %d out of range", parent))
+	}
+	if draftProb > 1 {
+		panic(fmt.Sprintf("toktree: AddChild draft prob %g above 1", draftProb))
+	}
+	if t.draft != nil {
+		panic("toktree: AddChild on a searched tree with pending tokens")
 	}
 	id := len(t.Nodes)
 	t.Nodes = append(t.Nodes, Node{
@@ -98,96 +136,63 @@ func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
 		}
 		break
 	}
+	// The new node has the largest ID, so it goes behind every node of at
+	// least its path probability; the nodes it passes move back one rank.
+	pp := t.Nodes[id].PathProb
+	pos := len(t.order)
+	for pos > 0 && t.Nodes[t.order[pos-1]].PathProb < pp {
+		pos--
+	}
+	t.order = append(t.order, id)
+	copy(t.order[pos+1:], t.order[pos:])
+	t.order[pos] = id
+	for r := pos; r < len(t.order); r++ {
+		t.Nodes[t.order[r]].rank = r
+	}
 	return id
 }
 
 // Size returns the number of nodes including the root.
 func (t *Tree) Size() int { return len(t.Nodes) }
 
-// Selection marks which nodes of a candidate tree form the draft token tree
-// submitted for verification. The root is always selected.
+// Order returns the node IDs in greedy order: path probability descending,
+// ties by ID ascending. Every prefix of it is a connected subtree holding
+// the root. The slice may be shared with the tree's beam shape; callers
+// must not modify it.
+func (t *Tree) Order() []int { return t.order }
+
+// fill writes the tokens of node p's first n children from one draft Dist
+// at p's context ctx. In a searched tree child j is the draft's rank-j
+// candidate, and a selected node's selected children are always its first
+// ones: siblings' path probabilities fall with their rank (the draft's rank
+// weights are strictly decreasing) while their IDs rise.
+func (t *Tree) fill(p int, ctx lm.Context, n int) {
+	dist := t.draft.Dist(ctx)
+	for j, c := range t.Nodes[p].Children[:n] {
+		t.Nodes[c].token = dist.Token(j)
+	}
+}
+
+// Selection is the draft token tree submitted for verification: the first
+// n nodes of its candidate tree's greedy order. Any such prefix holds the
+// root and is connected (Appendix B), so a Selection is valid by
+// construction. It is a value; it stays valid while its tree does.
 type Selection struct {
 	tree *Tree
-	// mask[i] reports whether node i is selected.
-	mask []bool
-	// count is the number of selected nodes (>= 1 for the root).
-	count int
-	// sumPathProb is Σ f(v) over selected nodes (== E[acc(T)]).
-	sumPathProb float64
+	n    int
 }
 
-// NewSelection creates a selection over t containing only the root.
-func NewSelection(t *Tree) *Selection {
-	s := &Selection{}
-	s.Reset(t)
-	return s
-}
-
-// Reset re-targets the selection at tree t with only the root selected,
-// reusing the mask's capacity so pooled selections stop allocating once
-// warm.
-func (s *Selection) Reset(t *Tree) {
-	s.tree = t
-	if cap(s.mask) < len(t.Nodes) {
-		s.mask = make([]bool, len(t.Nodes))
-	} else {
-		s.mask = s.mask[:len(t.Nodes)]
-		for i := range s.mask {
-			s.mask[i] = false
-		}
+// Prefix returns the selection of t's first n nodes in greedy order. It
+// panics unless 1 <= n <= t.Size().
+func Prefix(t *Tree, n int) Selection {
+	if n < 1 || n > len(t.order) {
+		panic(fmt.Sprintf("toktree: prefix of %d nodes of a %d-node tree", n, len(t.order)))
 	}
-	s.mask[0] = true
-	s.count = 1
-	s.sumPathProb = 1
-}
-
-// Add marks node id as selected. It panics if the node's parent is not
-// already selected (selections must be connected subtrees) or if the node is
-// already selected.
-func (s *Selection) Add(id int) {
-	if id <= 0 || id >= len(s.mask) {
-		panic(fmt.Sprintf("toktree: Selection.Add id %d out of range", id))
-	}
-	if s.mask[id] {
-		panic(fmt.Sprintf("toktree: node %d already selected", id))
-	}
-	if !s.mask[s.tree.Nodes[id].parent] {
-		panic(fmt.Sprintf("toktree: node %d selected before parent %d", id, s.tree.Nodes[id].parent))
-	}
-	s.mask[id] = true
-	s.count++
-	s.sumPathProb += s.tree.Nodes[id].PathProb
+	return Selection{tree: t, n: n}
 }
 
 // has reports whether node id is selected.
-func (s *Selection) has(id int) bool { return id >= 0 && id < len(s.mask) && s.mask[id] }
+func (s Selection) has(id int) bool { return s.tree.Nodes[id].rank < s.n }
 
 // Size returns the number of selected nodes including the root.
-func (s *Selection) Size() int { return s.count }
-
-// Validate checks the connectivity invariant (Appendix B): every selected
-// node's parent is selected. Kept as an invariant check for the toktree and
-// core tests; no binary links it.
-func (s *Selection) Validate() error {
-	if !s.mask[0] {
-		return fmt.Errorf("toktree: root not selected")
-	}
-	n, sum := 0, 0.0
-	for i, sel := range s.mask {
-		if !sel {
-			continue
-		}
-		n++
-		sum += s.tree.Nodes[i].PathProb
-		if i != 0 && !s.mask[s.tree.Nodes[i].parent] {
-			return fmt.Errorf("toktree: selected node %d has unselected parent", i)
-		}
-	}
-	if n != s.count {
-		return fmt.Errorf("toktree: count %d != recount %d", s.count, n)
-	}
-	if diff := sum - s.sumPathProb; diff > 1e-9 || diff < -1e-9 {
-		return fmt.Errorf("toktree: sumPathProb %g != recount %g", s.sumPathProb, sum)
-	}
-	return nil
-}
+func (s Selection) Size() int { return s.n }

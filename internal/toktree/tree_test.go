@@ -100,50 +100,63 @@ func TestValidateCatchesCorruption(t *testing.T) {
 
 func TestSelectionBasics(t *testing.T) {
 	tr := buildSmallTree(t)
-	sel := NewSelection(tr)
-	if !sel.has(0) || sel.Size() != 1 || sel.sumPathProb != 1 {
-		t.Fatal("fresh selection should hold only the root")
+	if sel := Prefix(tr, 1); !sel.has(0) || sel.has(1) || sel.Size() != 1 {
+		t.Fatal("a one-node prefix should hold only the root")
 	}
-	sel.Add(1)
-	sel.Add(3)
+	// Greedy order: root 1, a 0.7, c 0.42, c's child 0.378, ... so the
+	// three-node prefix is the root, a and c.
+	sel := Prefix(tr, 3)
 	if sel.Size() != 3 {
 		t.Fatalf("size %d", sel.Size())
 	}
+	for id := range tr.Nodes {
+		if want := id == 0 || id == 1 || id == 3; sel.has(id) != want {
+			t.Fatalf("node %d selected %v, want %v", id, sel.has(id), want)
+		}
+	}
 	wantE := 1 + tr.Nodes[1].PathProb + tr.Nodes[3].PathProb
-	if diff := sel.sumPathProb - wantE; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("E[acc] %g, want %g", sel.sumPathProb, wantE)
-	}
-	if err := sel.Validate(); err != nil {
-		t.Fatal(err)
+	if diff := selectedPathProb(sel) - wantE; diff > 1e-12 || diff < -1e-12 {
+		t.Fatalf("E[acc] %g, want %g", selectedPathProb(sel), wantE)
 	}
 }
 
-func TestSelectionRejectsOrphanAdd(t *testing.T) {
+// TestPrefixRejectsBadLength pins Prefix's guard: a selection holds the
+// root and at most every node.
+func TestPrefixRejectsBadLength(t *testing.T) {
 	tr := buildSmallTree(t)
-	sel := NewSelection(tr)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("adding a node before its parent did not panic")
-		}
-	}()
-	// Node with token 105 is at depth 3; its parent is unselected.
-	for id, n := range tr.Nodes {
-		if n.token == 105 {
-			sel.Add(id)
-		}
+	for _, n := range []int{0, -1, tr.Size() + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Prefix(tree, %d) of a %d-node tree did not panic", n, tr.Size())
+				}
+			}()
+			Prefix(tr, n)
+		}()
 	}
 }
 
-func TestSelectionRejectsDoubleAdd(t *testing.T) {
+// TestAddChildRejectsDraftProbAboveOne pins the bound that keeps the
+// greedy order topological.
+func TestAddChildRejectsDraftProbAboveOne(t *testing.T) {
 	tr := buildSmallTree(t)
-	sel := NewSelection(tr)
-	sel.Add(1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("double add did not panic")
+			t.Fatal("draft prob 1.5 accepted")
 		}
 	}()
-	sel.Add(1)
+	tr.AddChild(1, 7, 1.5)
+}
+
+// selectedPathProb is Σ f(v) over the selected nodes (== E[acc(T)]).
+func selectedPathProb(sel Selection) float64 {
+	sum := 0.0
+	for id := range sel.tree.Nodes {
+		if sel.has(id) {
+			sum += sel.tree.Nodes[id].PathProb
+		}
+	}
+	return sum
 }
 
 // TestTheorem31 verifies E[acc(T)] = Σ f(v) by Monte Carlo: the expected
@@ -155,13 +168,8 @@ func TestTheorem31(t *testing.T) {
 	ctx := lm.Context{ReqSeed: 77}
 
 	tr := search(t, draft, ctx, 5, 4, 3)
-	sel := NewSelection(tr)
-	for id := 1; id < tr.Size(); id++ {
-		if sel.has(tr.Nodes[id].parent) {
-			sel.Add(id)
-		}
-	}
-	want := sel.sumPathProb // Σ f(v) with calibrated f
+	sel := Prefix(tr, tr.Size())
+	want := selectedPathProb(sel) // Σ f(v) with calibrated f
 
 	rng := mathutil.NewRNG(123)
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, rng)
@@ -177,30 +185,41 @@ func TestTheorem31(t *testing.T) {
 	}
 }
 
-// TestSelectionConnectivityProperty is the Appendix B property: any
-// selection built by repeatedly adding the highest-f frontier node is a
-// connected subtree.
+// TestSelectionConnectivityProperty is the Appendix B property: repeatedly
+// adding the highest-f frontier node (ties by lower ID) takes the nodes in
+// the tree's greedy order, so every selection is a prefix of it, and every
+// prefix is a connected subtree.
 func TestSelectionConnectivityProperty(t *testing.T) {
 	target := lm.MustSyntheticLM(5, 4096, 16, 2.0, 0.02)
 	draft := lm.MustDraftLM(target, 0.8, 6)
 	err := quick.Check(func(seed uint64, budgetRaw uint8) bool {
 		budget := int(budgetRaw%20) + 1
 		tr := search(t, draft, lm.Context{ReqSeed: seed}, 0, 4, 3)
-		sel := NewSelection(tr)
-		for i := 0; i < budget; i++ {
+		in := []bool{true}
+		in = append(in, make([]bool, tr.Size()-1)...)
+		for k := 1; k <= budget; k++ {
 			// Greedy: highest-PathProb unselected node whose parent is in.
 			best, bestP := -1, -1.0
 			for id, n := range tr.Nodes {
-				if id > 0 && !sel.has(id) && sel.has(n.parent) && n.PathProb > bestP {
+				if id > 0 && !in[id] && in[n.parent] && n.PathProb > bestP {
 					best, bestP = id, n.PathProb
 				}
 			}
 			if best < 0 {
 				break
 			}
-			sel.Add(best)
+			in[best] = true
+			if tr.Order()[k] != best {
+				return false
+			}
+			sel := Prefix(tr, k+1)
+			for id := range tr.Nodes {
+				if sel.has(id) != in[id] || (sel.has(id) && id > 0 && !sel.has(tr.Nodes[id].parent)) {
+					return false
+				}
+			}
 		}
-		return sel.Validate() == nil
+		return tr.validate() == nil
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -239,11 +258,60 @@ func (t *Tree) validate() error {
 				return fmt.Errorf("toktree: node %d children not sorted", i)
 			}
 		}
-		for _, c := range ch {
+		for k, c := range ch {
 			if t.Nodes[c].parent != i {
 				return fmt.Errorf("toktree: child %d of %d has parent %d", c, i, t.Nodes[c].parent)
 			}
+			// fill's precondition: a searched tree's selected children are
+			// its first ones.
+			if t.draft != nil && k > 0 && t.Nodes[c].rank < t.Nodes[ch[k-1]].rank {
+				return fmt.Errorf("toktree: node %d's children out of greedy order", i)
+			}
+		}
+	}
+	return t.validateOrder()
+}
+
+// validateOrder checks the greedy order: a permutation of the node IDs,
+// sorted by (PathProb desc, ID asc), matching every node's rank, with every
+// parent ahead of its children.
+func (t *Tree) validateOrder() error {
+	if len(t.order) != len(t.Nodes) {
+		return fmt.Errorf("toktree: order holds %d of %d nodes", len(t.order), len(t.Nodes))
+	}
+	for r, id := range t.order {
+		if id < 0 || id >= len(t.Nodes) || t.Nodes[id].rank != r {
+			return fmt.Errorf("toktree: order position %d holds node %d of another rank", r, id)
+		}
+		if r > 0 {
+			a, b := &t.Nodes[t.order[r-1]], &t.Nodes[id]
+			if a.PathProb < b.PathProb || (a.PathProb == b.PathProb && t.order[r-1] > id) {
+				return fmt.Errorf("toktree: order positions %d and %d out of greedy order", r-1, r)
+			}
+		}
+		if id > 0 && t.Nodes[t.Nodes[id].parent].rank >= r {
+			return fmt.Errorf("toktree: node %d ranks ahead of its parent", id)
 		}
 	}
 	return nil
+}
+
+// materialize fills every pending token of a searched tree through fill,
+// the on-demand fill verification uses, parents before children (a
+// child's ID is larger than its parent's), and leaves the tree with every
+// token set.
+func (t *Tree) materialize() {
+	ctxs := make([]lm.Context, len(t.Nodes))
+	ctxs[0] = t.ctx
+	for p := range t.Nodes {
+		ch := t.Nodes[p].Children
+		if len(ch) == 0 {
+			continue
+		}
+		t.fill(p, ctxs[p], len(ch))
+		for _, c := range ch {
+			ctxs[c] = ctxs[p].Extend(t.Nodes[c].token)
+		}
+	}
+	t.draft = nil
 }

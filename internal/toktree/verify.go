@@ -37,12 +37,14 @@ type VerifyScratch struct {
 // descending draft probability). Descent stops at the first rejection — the
 // rule's correction token is committed — or past the last selected node,
 // where the bonus token is drawn from the target distribution at that
-// context.
+// context. In a searched tree the walk first fills the selected children's
+// tokens from one draft Dist at the node's context, so the draft is asked
+// only where the walk goes; the draft draws nothing from the RNG.
 //
 // res is reset and refilled in place (its Accepted capacity is reused, and
 // left one token larger than the prefix) and sc provides the walk buffers;
 // the engine pools both across iterations.
-func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScratch) {
+func VerifyInto(res *VerifyResult, sel Selection, v *lm.Verifier, sc *VerifyScratch) {
 	t := sel.tree
 	res.Accepted = res.Accepted[:0]
 	res.Correction = 0
@@ -51,17 +53,22 @@ func VerifyInto(res *VerifyResult, sel *Selection, v *lm.Verifier, sc *VerifyScr
 	ctx := t.ctx
 	for {
 		sc.children = sc.children[:0]
-		sc.branches = sc.branches[:0]
 		for _, c := range t.Nodes[cur].Children {
 			if sel.has(c) {
 				sc.children = append(sc.children, c)
-				sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})
 			}
 		}
 		if len(sc.children) == 0 {
 			// Past the last selected node: commit the bonus token.
 			res.Correction = bonusToken(v, ctx)
 			break
+		}
+		if t.draft != nil {
+			t.fill(cur, ctx, len(sc.children))
+		}
+		sc.branches = sc.branches[:0]
+		for _, c := range sc.children {
+			sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})
 		}
 		idx, correction := v.AcceptAmong(ctx, sc.branches)
 		if idx < 0 {

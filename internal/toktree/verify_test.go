@@ -81,10 +81,7 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
-	sel := NewSelection(tr)
-	for id := 1; id < tr.Size(); id++ {
-		sel.Add(id)
-	}
+	sel := Prefix(tr, tr.Size())
 	res := verify(sel, c.greedyVerifier())
 	if want := c.tok[1:3]; !reflect.DeepEqual(res.Accepted, want) {
 		t.Fatalf("accepted %v, want %v", res.Accepted, want)
@@ -106,9 +103,7 @@ func TestVerifyRejectionEmitsCorrection(t *testing.T) {
 	tr := NewTree(chainCtx(10), 10)
 	tr.AddChild(0, c.wrong(1, 1), 0.6)
 	tr.AddChild(0, c.wrong(1, 2), 0.3)
-	sel := NewSelection(tr)
-	sel.Add(1)
-	sel.Add(2)
+	sel := Prefix(tr, 3)
 	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
 		t.Fatalf("accepted %v, want none", res.Accepted)
@@ -120,14 +115,17 @@ func TestVerifyRejectionEmitsCorrection(t *testing.T) {
 
 func TestVerifyRespectsSelection(t *testing.T) {
 	// The correct child tok[1] exists in the candidate tree but is NOT
-	// selected: verification must not see it and must reject the selected
+	// selected (it is the less likely sibling, outside the two-node
+	// prefix): verification must not see it and must reject the selected
 	// sibling.
 	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
-	tr.AddChild(0, c.tok[1], 0.6)
-	nw := tr.AddChild(0, c.wrong(1, 1), 0.3)
-	sel := NewSelection(tr)
-	sel.Add(nw)
+	right := tr.AddChild(0, c.tok[1], 0.3)
+	tr.AddChild(0, c.wrong(1, 1), 0.6)
+	sel := Prefix(tr, 2)
+	if sel.has(right) {
+		t.Fatal("the correct child is inside the two-node prefix")
+	}
 	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 || res.Correction != c.tok[1] {
 		t.Fatalf("selection leak: accepted %v correction %d", res.Accepted, res.Correction)
@@ -142,7 +140,7 @@ func TestVerifyRootOnlyTree(t *testing.T) {
 	// to plain decoding — no accepted tokens, bonus from the root context.
 	c := newChain()
 	tr := NewTree(chainCtx(10), 10)
-	sel := NewSelection(tr)
+	sel := Prefix(tr, 1)
 	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
 		t.Fatalf("root-only tree accepted %v", res.Accepted)
@@ -164,10 +162,7 @@ func TestVerifyFullAcceptanceChain(t *testing.T) {
 	for d := 1; d <= 4; d++ {
 		parent = tr.AddChild(parent, c.tok[d], 0.9)
 	}
-	sel := NewSelection(tr)
-	for id := 1; id < tr.Size(); id++ {
-		sel.Add(id)
-	}
+	sel := Prefix(tr, tr.Size())
 	res := verify(sel, c.greedyVerifier())
 	if want := c.tok[1:5]; !reflect.DeepEqual(res.Accepted, want) {
 		t.Fatalf("accepted %v, want %v", res.Accepted, want)
@@ -178,9 +173,9 @@ func TestVerifyFullAcceptanceChain(t *testing.T) {
 }
 
 // buildRandomTreeAndSelection grows a random candidate tree via the real
-// beam builder over a synthetic draft model and selects a random connected
-// subset, so equivalence tests cover realistic shapes.
-func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, *Selection) {
+// beam builder over a synthetic draft model and selects a random prefix,
+// so equivalence tests cover realistic shapes.
+func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, Selection) {
 	t.Helper()
 	target := lm.MustSyntheticLM(seed, 512, 8, 2.5, 0.05)
 	draft := lm.MustDraftLM(target, 0.8, seed+1)
@@ -189,14 +184,8 @@ func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, *Selection) 
 	if err := bb.Search(tr, draft, 4, 3); err != nil {
 		t.Fatal(err)
 	}
-	sel := NewSelection(tr)
 	rng := mathutil.NewRNG(seed ^ 0xbeef)
-	for id := 1; id < tr.Size(); id++ {
-		if sel.has(tr.Nodes[id].parent) && rng.Float64() < 0.7 {
-			sel.Add(id)
-		}
-	}
-	return tr, sel
+	return tr, Prefix(tr, 1+rng.Intn(tr.Size()))
 }
 
 // TestVerifyIntoMatchesFresh is the pooling guarantee: VerifyInto with

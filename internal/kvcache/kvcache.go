@@ -40,16 +40,16 @@ func ConfigForTokens(capacityTokens, blockSize int) Config {
 	return Config{blockSize: blockSize, numBlocks: blocks}
 }
 
-// seq tracks one sequence's allocation. With prefix caching enabled, hashes
-// runs parallel to blocks over the prompt's full blocks: a non-zero entry is
-// the fingerprint of a registry-backed (shared or shareable) block, 0 marks a
-// private block. hashes is always at most as long as blocks and empty when
-// prefix caching is off. published is MarkComputed's watermark: the leading
-// hashes it has already passed (at most len(hashes)).
+// seq tracks one sequence's allocation. With prefix caching enabled, entries
+// runs parallel to blocks over the prompt's full blocks: a non-nil slot is
+// the fingerprint-table entry of a registry-backed (shared or shareable)
+// block, nil marks a private block. entries is always at most as long as
+// blocks and empty when prefix caching is off. published is MarkComputed's
+// watermark: the leading slots it has already passed (at most len(entries)).
 type seq struct {
 	blocks    []int
 	tokens    int
-	hashes    []uint64
+	entries   []*shared
 	published int
 }
 
@@ -127,12 +127,12 @@ func (a *Allocator) Free(seqID int) error {
 	if !ok {
 		return fmt.Errorf("kvcache: sequence %d not allocated", seqID)
 	}
-	if len(s.hashes) == 0 {
+	if len(s.entries) == 0 {
 		a.returned = append(a.returned, s.blocks...)
 	} else {
 		for i, b := range s.blocks {
-			if i < len(s.hashes) && s.hashes[i] != 0 {
-				a.release(s.hashes[i])
+			if i < len(s.entries) && s.entries[i] != nil {
+				a.release(s.entries[i])
 			} else {
 				a.returned = append(a.returned, b)
 			}

@@ -17,6 +17,14 @@
 // costs a reload priced by the configured interconnect latency, charged to
 // the admitted request ahead of its first prefill pass.
 //
+// A fingerprint is a pure function of the prompt's content and the block
+// size, so a prompt may carry a Chain memo of its leading fingerprints: every
+// walk over it (a router's probe of each replica, admission's match and
+// registration) reads the memo and extends it, and a multi-turn session
+// shares one chain across its turns, so each block of a conversation is
+// hashed once. A sequence holds pointers to its fingerprint-table entries,
+// so releasing and publishing its blocks look nothing up.
+//
 // Everything here is deterministic: LRU order is maintained with intrusive
 // lists (never map iteration), fingerprints are pure functions of token
 // content, and matching is strictly leftmost-contiguous over computed blocks.
@@ -132,60 +140,96 @@ type prefixState struct {
 	cold  lruList // refs == 0, GPU-resident, LRU reclaim order
 	host  lruList // offloaded entries, LRU drop order
 	stats PrefixStats
-	// scratch is one block of token seeds: every walk over a prompt fills
-	// it block by block, so matching and registration never materialize a
-	// prompt's seeds.
+	// scratch is one block of token seeds: a walk fills it for each block
+	// it hashes, so matching and registration never materialize a prompt's
+	// seeds.
 	scratch []uint64
+	// matched is AllocateWithPrefix's buffer of matched entries, reused
+	// across calls and cleared after each so it pins no entry.
+	matched []*shared
 }
 
-// Prompt is a prompt as prefix caching reads it: its length in tokens and
-// the content seeds of any window of its positions, filled into a
-// caller-owned buffer. The allocator walks it one block at a time and hashes
-// only the blocks it visits. *request.Request implements it.
+// Prompt is a prompt as prefix caching reads it: its length in tokens, the
+// content seeds of any window of its positions, filled into a caller-owned
+// buffer, and an optional memo of its block fingerprints. The allocator
+// walks it one block at a time and hashes only the blocks it visits and its
+// chain does not already hold. *request.Request implements it.
 type Prompt interface {
 	PromptTokens() int
 	FillPromptSeeds(start int, dst []uint64)
+	// PromptChain returns the prompt's fingerprint memo, or nil when it has
+	// none; walks then hash every block they read.
+	PromptChain() *Chain
+}
+
+// Chain memoizes a prompt's block fingerprints: a block size and the
+// fingerprints of the prompt's leading full blocks at that size, grown by
+// append as walks read further. Every allocator's walks (router probes and
+// admission alike) read and extend it, so a block is hashed once however
+// many replicas probe the prompt; an allocator with a different block size
+// resets it. The zero value is an empty chain.
+//
+// A chain may be shared only by prompts that agree on every block it holds:
+// the memo is trusted, never checked. A session's turns qualify — each
+// turn's prompt extends the previous one, so every full block of one turn is
+// the same block of the next — as long as they run one at a time.
+type Chain struct {
+	blockSize int
+	hashes    []uint64
 }
 
 // prefixChainSeed anchors the block fingerprint chain.
 const prefixChainSeed uint64 = 0x70726566697843 // "prefixC"
 
 // blockChainHash extends the fingerprint chain over one full block of token
-// seeds. It never returns 0: seq.hashes uses 0 as the "private block"
-// sentinel.
+// seeds.
 func blockChainHash(prev uint64, tokens []uint64) uint64 {
 	h := mathutil.Hash2(prev, uint64(len(tokens)))
 	for _, t := range tokens {
 		h = mathutil.Hash2(h, t)
 	}
-	if h == 0 {
-		h = 1
+	return h
+}
+
+// fingerprint returns the fingerprint of prompt's full block b, where prev
+// is block b-1's (prefixChainSeed for block 0) and c is the prompt's chain.
+// Every walk reads its blocks through here, in order from block 0. A block c
+// holds is read from it; any other is hashed over the allocator's scratch
+// buffer and, when it is the next block of c, appended. A chain built at
+// another block size is reset first.
+func (a *Allocator) fingerprint(c *Chain, prompt Prompt, b int, prev uint64) uint64 {
+	if c != nil {
+		if c.blockSize != a.cfg.blockSize {
+			c.blockSize, c.hashes = a.cfg.blockSize, c.hashes[:0]
+		}
+		if b < len(c.hashes) {
+			return c.hashes[b]
+		}
+	}
+	buf := a.prefix.scratch
+	prompt.FillPromptSeeds(b*len(buf), buf)
+	h := blockChainHash(prev, buf)
+	if c != nil && b == len(c.hashes) {
+		c.hashes = append(c.hashes, h)
 	}
 	return h
 }
 
-// blockHash extends the fingerprint chain over block b of prompt, read
-// through the allocator's scratch buffer.
-func (a *Allocator) blockHash(prev uint64, prompt Prompt, b int) uint64 {
-	buf := a.prefix.scratch
-	prompt.FillPromptSeeds(b*len(buf), buf)
-	return blockChainHash(prev, buf)
-}
-
 // walkPrefix matches prompt's full blocks within its first limit tokens
-// against the fingerprint table, hashing one block at a time and stopping at
-// the first block without a computed entry — on a cold cache the walk costs a
-// single block hash. visit, when non-nil, sees each matched entry in position
+// against the fingerprint table, one block at a time, stopping at the first
+// block without a computed entry — on a cold cache the walk reads a single
+// fingerprint. visit, when non-nil, sees each matched entry in position
 // order. It returns the matched block count and the fingerprint of the last
 // matched block (prefixChainSeed when none matched), from which a caller
 // continues the chain.
 func (a *Allocator) walkPrefix(prompt Prompt, limit int, visit func(*shared)) (int, uint64) {
 	bs := a.cfg.blockSize
 	limit = min(limit, prompt.PromptTokens())
+	c := prompt.PromptChain()
 	h := prefixChainSeed
 	b := 0
 	for ; (b+1)*bs <= limit; b++ {
-		next := a.blockHash(h, prompt, b)
+		next := a.fingerprint(c, prompt, b, h)
 		e := a.prefix.table[next]
 		if e == nil || !e.computed {
 			break
@@ -278,18 +322,17 @@ func (a *Allocator) acquire(e *shared) {
 // of a computed block parks it on the cold LRU (still matchable, reclaimed
 // only under pressure); a block whose prefill never completed is worthless
 // as a cache entry and returns straight to the free blocks.
-func (a *Allocator) release(h uint64) {
+func (a *Allocator) release(e *shared) {
 	p := a.prefix
-	e := p.table[h]
-	if e == nil || e.refs <= 0 || e.onHost {
-		panic(fmt.Sprintf("kvcache: release of unowned shared block (hash %#x)", h))
+	if e.refs <= 0 || e.onHost {
+		panic(fmt.Sprintf("kvcache: release of unowned shared block (hash %#x)", e.hash))
 	}
 	e.refs--
 	if e.refs > 0 {
 		return
 	}
 	if !e.computed {
-		delete(p.table, h)
+		delete(p.table, e.hash)
 		a.returned = append(a.returned, e.id)
 		return
 	}
@@ -300,7 +343,8 @@ func (a *Allocator) release(h uint64) {
 // prefix of prompt's first limit tokens, in tokens (a multiple of the block
 // size). Host-resident blocks count: an allocation against them pays a
 // reload. Read-only, it changes no reference count, LRU position or stat,
-// allocates nothing and hashes only up to the first missing block.
+// allocates nothing beyond extending prompt's chain, and hashes only up to
+// the first missing block and only blocks the chain does not hold.
 func (a *Allocator) MatchPrefixTokens(prompt Prompt, limit int) int {
 	if a.prefix == nil {
 		return 0
@@ -317,8 +361,8 @@ func (a *Allocator) MatchPrefixTokens(prompt Prompt, limit int) int {
 // registered as shareable for later arrivals. Capacity is only needed for
 // the unmatched remainder (plus one GPU slot per host-resident match), which
 // is how prefix reuse stretches KV capacity. Both the match and the
-// registration read the prompt one block at a time. With prefix caching
-// disabled it degrades to plain Allocate.
+// registration read the prompt one block at a time, through its chain. With
+// prefix caching disabled it degrades to plain Allocate.
 func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLimit int) (PrefixHit, error) {
 	var hit PrefixHit
 	if a.prefix == nil {
@@ -337,8 +381,9 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 
 	// Match: walk the fingerprint chain over full blocks while computed
 	// entries exist.
-	var matched []*shared
+	matched := p.matched[:0]
 	b, h := a.walkPrefix(prompt, matchLimit, func(e *shared) { matched = append(matched, e) })
+	defer func() { clear(matched); p.matched = matched[:0] }()
 	if matchLimit > 0 {
 		p.stats.Lookups++
 	}
@@ -370,9 +415,9 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 	// off the reclaim list before popAvailable can evict them.
 	s := &seq{tokens: tokens}
 	s.blocks = make([]int, 0, totalBlocks)
-	s.hashes = make([]uint64, 0, min(promptLen, tokens)/bs)
+	s.entries = make([]*shared, 0, min(promptLen, tokens)/bs)
 	for _, e := range matched {
-		s.hashes = append(s.hashes, e.hash)
+		s.entries = append(s.entries, e)
 		if e.onHost {
 			s.blocks = append(s.blocks, -1) // reload slot, filled below
 			continue
@@ -417,14 +462,15 @@ func (a *Allocator) AllocateWithPrefix(seqID, tokens int, prompt Prompt, matchLi
 	// Register the sequence's remaining full prompt blocks as shareable.
 	// The fingerprint chain continues across blocks whose hash is already
 	// claimed (content is content); such blocks simply stay private here.
+	c := prompt.PromptChain()
 	for ; (b+1)*bs <= promptLen && (b+1)*bs <= tokens; b++ {
-		h = a.blockHash(h, prompt, b)
+		h = a.fingerprint(c, prompt, b, h)
+		var e *shared
 		if p.table[h] == nil {
-			p.table[h] = &shared{hash: h, id: s.blocks[b], refs: 1}
-			s.hashes = append(s.hashes, h)
-		} else {
-			s.hashes = append(s.hashes, 0)
+			e = &shared{hash: h, id: s.blocks[b], refs: 1}
+			p.table[h] = e
 		}
+		s.entries = append(s.entries, e)
 	}
 
 	a.seqs[seqID] = s
@@ -454,11 +500,9 @@ func (a *Allocator) MarkComputed(seqID, doneTokens int) {
 	}
 	bs := a.cfg.blockSize
 	i := s.published
-	for ; i < len(s.hashes) && (i+1)*bs <= doneTokens; i++ {
-		if h := s.hashes[i]; h != 0 {
-			if e := a.prefix.table[h]; e != nil {
-				e.computed = true
-			}
+	for ; i < len(s.entries) && (i+1)*bs <= doneTokens; i++ {
+		if e := s.entries[i]; e != nil {
+			e.computed = true
 		}
 	}
 	s.published = i
@@ -503,23 +547,23 @@ func (a *Allocator) checkInvariants() error {
 		if len(s.blocks) != a.blocksFor(s.tokens) {
 			return fmt.Errorf("kvcache: seq %d holds %d blocks for %d tokens", seqID, len(s.blocks), s.tokens)
 		}
-		if len(s.hashes) > len(s.blocks) {
-			return fmt.Errorf("kvcache: seq %d has %d hashes for %d blocks", seqID, len(s.hashes), len(s.blocks))
+		if len(s.entries) > len(s.blocks) {
+			return fmt.Errorf("kvcache: seq %d has %d entry slots for %d blocks", seqID, len(s.entries), len(s.blocks))
 		}
-		if s.published > len(s.hashes) {
-			return fmt.Errorf("kvcache: seq %d published watermark %d past its %d hashes", seqID, s.published, len(s.hashes))
+		if s.published > len(s.entries) {
+			return fmt.Errorf("kvcache: seq %d published watermark %d past its %d entry slots", seqID, s.published, len(s.entries))
 		}
 		for i := 0; i < s.published; i++ {
-			if e := a.prefix.table[s.hashes[i]]; e != nil && !e.computed {
+			if e := s.entries[i]; e != nil && !e.computed {
 				return fmt.Errorf("kvcache: seq %d block %d below the published watermark is uncomputed", seqID, i)
 			}
 		}
 		for i, id := range s.blocks {
-			if i < len(s.hashes) && s.hashes[i] != 0 {
-				h := s.hashes[i]
-				e := a.prefix.table[h]
-				if e == nil {
-					return fmt.Errorf("kvcache: seq %d block %d references unregistered hash %#x", seqID, i, h)
+			if i < len(s.entries) && s.entries[i] != nil {
+				e := s.entries[i]
+				h := e.hash
+				if a.prefix.table[h] != e {
+					return fmt.Errorf("kvcache: seq %d block %d holds an entry for hash %#x that is not the table's", seqID, i, h)
 				}
 				if e.onHost {
 					return fmt.Errorf("kvcache: seq %d block %d references host-resident hash %#x", seqID, i, h)

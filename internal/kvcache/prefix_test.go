@@ -24,6 +24,8 @@ func (s seeds) PromptTokens() int { return len(s) }
 
 func (s seeds) FillPromptSeeds(start int, dst []uint64) { copy(dst, s[start:start+len(dst)]) }
 
+func (s seeds) PromptChain() *Chain { return nil }
+
 // prompt fabricates deterministic token seeds for n tokens of "document" doc.
 func prompt(doc uint64, n int) seeds {
 	out := make(seeds, n)
@@ -383,9 +385,11 @@ func TestPrefixReloadSurvivesHostOverflow(t *testing.T) {
 	}
 }
 
-// countingPrompt counts the blocks a walk reads from its prompt.
+// countingPrompt counts the blocks a walk reads from its prompt; chain, when
+// set, is the prompt's fingerprint memo.
 type countingPrompt struct {
 	seeds
+	chain *Chain
 	fills int
 }
 
@@ -393,6 +397,8 @@ func (c *countingPrompt) FillPromptSeeds(start int, dst []uint64) {
 	c.fills++
 	c.seeds.FillPromptSeeds(start, dst)
 }
+
+func (c *countingPrompt) PromptChain() *Chain { return c.chain }
 
 // TestMatchStopsAtFirstMiss pins the streamed walk's cost: a probe reads one
 // block per matched block plus the first miss, and a cold cache costs one.
@@ -414,6 +420,58 @@ func TestMatchStopsAtFirstMiss(t *testing.T) {
 	probe.fills = 0
 	if n := a.MatchPrefixTokens(probe, 7); n != 4 || probe.fills != 1 {
 		t.Fatalf("limited probe matched %d tokens reading %d blocks, want 4 reading 1", n, probe.fills)
+	}
+}
+
+// TestChainHashesEachBlockOnce is TestMatchStopsAtFirstMiss for a chained
+// prompt: across a router's probes of eight replicas, the admission on one of
+// them, and the next turn's probes of all eight, every block's seeds are
+// filled exactly once, and every answer is the unchained prompt's.
+func TestChainHashesEachBlockOnce(t *testing.T) {
+	const bs = 4
+	doc := prompt(9, 32) // the conversation: turn one's 24 tokens, then turn two's 32
+	replicas := make([]*Allocator, 8)
+	for i := range replicas {
+		// Replica i holds the conversation's first min(i, 6) blocks computed.
+		replicas[i] = newPrefixAlloc(t, bs, 32, PrefixConfig{})
+		if n := min(i, 6) * bs; n > 0 {
+			if _, err := replicas[i].AllocateWithPrefix(100, n, doc[:n], 0); err != nil {
+				t.Fatal(err)
+			}
+			replicas[i].MarkComputed(100, n)
+		}
+	}
+	chain := new(Chain)
+	probeAll := func(turn *countingPrompt, limit int) {
+		t.Helper()
+		for i, a := range replicas {
+			if got, want := a.MatchPrefixTokens(turn, limit), a.MatchPrefixTokens(turn.seeds, limit); got != want {
+				t.Fatalf("replica %d: chained probe matched %d tokens, unchained %d", i, got, want)
+			}
+		}
+	}
+
+	// Turn one reads blocks 0-4 in probes (the limit stops one token
+	// short), then block 5 in registration.
+	one := &countingPrompt{seeds: doc[:24], chain: chain}
+	probeAll(one, 23)
+	if one.fills != 5 {
+		t.Fatalf("eight probes filled %d blocks, want the 5 they read", one.fills)
+	}
+	hit, err := replicas[7].AllocateWithPrefix(1, 32, one, 23)
+	if err != nil || hit.Tokens != 20 {
+		t.Fatalf("admission hit %+v, err %v; want 20 tokens", hit, err)
+	}
+	check(t, replicas[7])
+	if one.fills != 6 || len(chain.hashes) != 6 {
+		t.Fatalf("after admission %d fills, chain of %d; want 6 and 6", one.fills, len(chain.hashes))
+	}
+
+	// Turn two extends turn one: only its new block 6 is filled.
+	two := &countingPrompt{seeds: doc, chain: chain}
+	probeAll(two, 31)
+	if two.fills != 1 || len(chain.hashes) != 7 {
+		t.Fatalf("turn two's probes filled %d blocks, chain of %d; want 1 and 7", two.fills, len(chain.hashes))
 	}
 }
 

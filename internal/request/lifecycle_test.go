@@ -3,7 +3,9 @@ package request
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
+	"adaserve/internal/kvcache"
 	"adaserve/internal/lm"
 )
 
@@ -108,6 +110,7 @@ func TestCloneResetsLifecycle(t *testing.T) {
 	r := New(7, Coding, 0.03, 1.5, 16, 8, 99)
 	r.TTFTSLO = 2
 	r.PromptSegs = segs
+	r.PrefixChain = new(kvcache.Chain)
 	r.Phase = Decoding
 	r.PrefillDone = 16
 	r.Commit([]lm.Token{4, 5}, 3)
@@ -128,6 +131,9 @@ func TestCloneResetsLifecycle(t *testing.T) {
 		}
 		if &cp.PromptSegs[0] != &segs[0] {
 			t.Fatal("clone copied PromptSegs instead of sharing them")
+		}
+		if cp.PrefixChain != nil {
+			t.Fatal("clone shares the original's fingerprint chain")
 		}
 	}
 	if len(CloneAll(nil)) != 0 {
@@ -207,5 +213,16 @@ func TestAttainedTTFT(t *testing.T) {
 		if got := r.AttainedTTFT(); got != tc.wantAttains {
 			t.Errorf("%s: AttainedTTFT = %v, want %v", tc.name, got, tc.wantAttains)
 		}
+	}
+}
+
+// TestRequestFitsItsSizeClass pins Request at 240 bytes, exactly one of the
+// allocator's size classes: one more word moves every request into the
+// 256-byte class, and every workload that keeps its requests (all of them)
+// pays for it in live heap. A new field must fit in existing padding (the
+// bool flags sit together for that reason) or pay for itself.
+func TestRequestFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size > 240 {
+		t.Fatalf("Request is %d bytes, over the 240-byte size class", size)
 	}
 }

@@ -7,6 +7,7 @@ package request
 import (
 	"fmt"
 
+	"adaserve/internal/kvcache"
 	"adaserve/internal/lm"
 	"adaserve/internal/mathutil"
 )
@@ -142,16 +143,23 @@ type Request struct {
 	VerifySteps    int
 	AcceptedTokens int
 
-	// Degraded marks a request an overload admission gate relaxed to
-	// best-effort service (see Degrade); DegradedFrom records the category it
-	// arrived with, so rollups can attribute the degradation to the original
-	// SLO class.
-	Degraded     bool
+	// PrefixChain memoizes the prompt's block fingerprints for prefix
+	// caching (see kvcache.Chain); nil hashes every block on every walk. A
+	// session points each turn at its one chain, valid because each turn's
+	// prompt extends the last, and clears it once the turn finishes.
+	PrefixChain *kvcache.Chain
+	// DegradedFrom records the category a Degraded request arrived with, so
+	// rollups can attribute the degradation to the original SLO class.
 	DegradedFrom Category
 	// Retries counts recovery re-dispatches after replica failures (see
 	// ResetForRetry). TTFT and TPOT keep measuring from the original arrival,
 	// so retried requests pay their lost work against their SLOs.
 	Retries int
+	// Degraded marks a request an overload admission gate relaxed to
+	// best-effort service (see Degrade). It sits with the other flags, and
+	// PrefixChain in the word it freed, so the struct keeps its size class
+	// and the fields before it their offsets.
+	Degraded bool
 	// Recompute marks a request whose prompt KV was lost in a failed
 	// prefill-to-decode transfer: the destination decode replica must admit it
 	// despite remaining prefill work and recompute the prompt in place.
@@ -180,8 +188,12 @@ type PromptSegment struct {
 }
 
 // PromptTokens returns the prompt length in tokens. Together with
-// FillPromptSeeds it is the prompt view prefix caching walks block by block.
+// FillPromptSeeds and PromptChain it is the prompt view prefix caching walks
+// block by block (kvcache.Prompt).
 func (r *Request) PromptTokens() int { return r.PromptLen }
+
+// PromptChain returns the prompt's fingerprint memo, PrefixChain.
+func (r *Request) PromptChain() *kvcache.Chain { return r.PrefixChain }
 
 // FillPromptSeeds writes the content seeds of prompt positions
 // [start, start+len(dst)) into dst without allocating: the position-stable
@@ -228,7 +240,8 @@ func New(id int, cat Category, slo float64, arrival float64, promptLen, maxNew i
 // Clone returns a fresh Queued copy of the request's immutable trace fields
 // (identity, SLO, arrival, lengths, seed) with lifecycle state reset, so the
 // same trace can be replayed through multiple configurations without
-// sharing mutable state.
+// sharing mutable state. The copy has no PrefixChain: a chain is mutable
+// state its walks extend.
 func (r *Request) Clone() *Request {
 	cp := New(r.ID, r.Category, r.TPOTSLO, r.ArrivalTime, r.PromptLen, r.MaxNewTokens, r.seed)
 	cp.TTFTSLO = r.TTFTSLO

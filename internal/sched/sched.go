@@ -251,11 +251,14 @@ func (b *base) KVPrefixStats() (kvcache.PrefixStats, bool) {
 // PrefixCachedTokens probes how many of r's prompt tokens this system's KV
 // cache already holds computed — the signal the cluster's prefix-affinity
 // router steers on, once per replica per arrival. Read-only and
-// allocation-free; 0 when prefix caching is off. The probe hashes r's prompt
-// one block at a time and stops at the first uncached block, so a replica
-// that holds none of the prompt costs one block hash. It uses the same
-// PromptLen-1 cap as allocation, so against an unchanged cache it predicts
-// the admission-time hit exactly.
+// allocation-free apart from extending r's fingerprint chain; 0 when prefix
+// caching is off. The probe reads r's prompt one block at a time and stops
+// at the first uncached block, so a replica that holds none of the prompt
+// costs one block fingerprint. A fingerprint r.PrefixChain already holds —
+// an earlier replica's probe, or the session's earlier turns, computed it —
+// costs no hashing, so across a fleet each block is hashed once. It uses the
+// same PromptLen-1 cap as allocation, so against an unchanged cache it
+// predicts the admission-time hit exactly.
 func (b *base) PrefixCachedTokens(r *request.Request) int {
 	if !b.cfg.KV.PrefixEnabled() || r.PromptLen <= 1 {
 		return 0

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"adaserve/internal/kvcache"
 	"adaserve/internal/mathutil"
 	"adaserve/internal/request"
 )
@@ -37,16 +38,20 @@ type SessionsConfig struct {
 }
 
 // session is one tenant's conversation state: the segments every future turn
-// re-sends (system prompt plus completed turns), the turn counter, and the
+// re-sends (system prompt plus completed turns), the turn counter, the
 // tenant's private length RNG — per-session sampling keeps a tenant's turn
 // sizes identical across runs that finish turns in different global orders
 // (e.g. the same workload behind different routers), so compared cells face
-// equal offered load.
+// equal offered load — and the conversation's fingerprint chain. Every full
+// prompt block of a turn is the same block of the next turn's prompt, and
+// turns run one at a time, so all turns share the chain and prefix caching
+// hashes each block of the conversation once.
 type session struct {
-	seed uint64
-	turn int
-	segs []request.PromptSegment
-	rng  *mathutil.RNG
+	seed  uint64
+	turn  int
+	segs  []request.PromptSegment
+	rng   *mathutil.RNG
+	chain kvcache.Chain
 }
 
 // Sessions synthesizes multi-turn, multi-tenant conversations for closed-loop
@@ -136,6 +141,7 @@ func (ss *Sessions) makeTurn(s *session, t float64) *request.Request {
 		mathutil.Hash2(s.seed, uint64(s.turn)+0x7a31))
 	r.TTFTSLO = ss.spec.TTFTSLOAbs
 	r.PromptSegs = segs
+	r.PrefixChain = &s.chain
 	ss.open[id] = s
 	ss.issued++
 	return r
@@ -166,13 +172,16 @@ func (ss *Sessions) InitialRequests() []*request.Request {
 // budget spent, context window full, or r was not an outstanding session
 // turn). The finished turn's user segment and the assistant's actual reply
 // length extend the conversation, so the next prompt is a strict
-// continuation of everything the KV cache just computed.
+// continuation of everything the KV cache just computed. The finished turn
+// gives up the session's chain, so the requests a run's results keep hold
+// no fingerprints.
 func (ss *Sessions) FollowUp(r *request.Request, now float64) *request.Request {
 	s, ok := ss.open[r.ID]
 	if !ok {
 		return nil
 	}
 	delete(ss.open, r.ID)
+	r.PrefixChain = nil
 	// The conversation absorbs the finished turn: its full prompt (already
 	// seg-aligned in r.PromptSegs) plus the assistant reply.
 	s.segs = s.segs[:0]

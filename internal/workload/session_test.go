@@ -234,3 +234,32 @@ func TestSessionsDeterministicAcrossFinishOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionsShareOneChainPerConversation pins the fingerprint memo's
+// lifetime: every turn of a session points at the session's one chain,
+// different sessions never share one, and a finished turn holds none once
+// FollowUp has consumed it — the requests a run's results keep pin no
+// fingerprints.
+func TestSessionsShareOneChainPerConversation(t *testing.T) {
+	ss := newSessions(t, sessionConfig())
+	initial := ss.InitialRequests()
+	if initial[0].PrefixChain == nil || initial[0].PrefixChain == initial[1].PrefixChain {
+		t.Fatal("each session's turn needs its own chain")
+	}
+	r := initial[0]
+	chain := r.PrefixChain
+	for turn := 1; ; turn++ {
+		finishTurn(r, 5)
+		next := ss.FollowUp(r, float64(turn))
+		if r.PrefixChain != nil {
+			t.Fatalf("turn %d still holds its chain after FollowUp", turn)
+		}
+		if next == nil {
+			break
+		}
+		if next.PrefixChain != chain {
+			t.Fatalf("turn %d got a chain other than its session's", turn+1)
+		}
+		r = next
+	}
+}

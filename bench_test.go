@@ -57,7 +57,7 @@ func BenchmarkBeamSearch(b *testing.B) {
 	var bb toktree.BeamBuilder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := pool.Get(ctx, 5)
+		t := pool.Get(ctx)
 		if err := bb.Search(t, draft, 6, 4); err != nil {
 			b.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func BenchmarkBeamSearch(b *testing.B) {
 
 // benchTree grows a fresh d=6, w=4 candidate tree for request seed.
 func benchTree(b *testing.B, draft *lm.DraftLM, seed uint64) *toktree.Tree {
-	t := toktree.NewTree(lm.Context{ReqSeed: seed}, 5)
+	t := new(toktree.TreePool).Get(lm.Context{ReqSeed: seed})
 	var bb toktree.BeamBuilder
 	if err := bb.Search(t, draft, 6, 4); err != nil {
 		b.Fatal(err)

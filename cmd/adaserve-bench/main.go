@@ -85,16 +85,13 @@ func main() {
 	if err := experiments.CheckPositive("duration", "duration", *duration); err != nil {
 		log.Fatal(err)
 	}
-	var setups []experiments.ModelSetup
-	switch *modelFlag {
-	case "llama":
-		setups = []experiments.ModelSetup{experiments.Llama70B()}
-	case "qwen":
-		setups = []experiments.ModelSetup{experiments.Qwen32B()}
-	case "both":
-		setups = experiments.Setups()
-	default:
-		log.Fatalf("unknown model %q (llama, qwen, both)", *modelFlag)
+	setups := experiments.Setups()
+	if *modelFlag != "both" {
+		setup, err := experiments.ParseModel(*modelFlag)
+		if err != nil {
+			log.Fatalf("unknown model %q (llama, qwen, both)", *modelFlag)
+		}
+		setups = []experiments.ModelSetup{setup}
 	}
 
 	want, err := parseExps(*expFlag)

@@ -192,18 +192,10 @@ func loadReplayTrace(tracePath, specPath string, setup experiments.ModelSetup,
 		}
 		return tr, nil
 	}
-	data, err := os.ReadFile(specPath)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := trace.ParseSpec(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", specPath, err)
-	}
 	if !durationSet {
 		duration = 0 // keep the spec's
 	}
-	return trace.Compile(spec, trace.CompileOptions{
+	return trace.CompileFile(specPath, trace.CompileOptions{
 		BaselineLatency: setup.BaselineLatency(),
 		Duration:        duration,
 		Seed:            seed,
@@ -318,14 +310,9 @@ func main() {
 	if !faultSpec.Empty() && *replicas < 2 && len(roles) == 0 {
 		log.Fatal("-faults needs a cluster: set -replicas > 1 or -roles")
 	}
-	var setup experiments.ModelSetup
-	switch *model {
-	case "llama":
-		setup = experiments.Llama70B()
-	case "qwen":
-		setup = experiments.Qwen32B()
-	default:
-		log.Fatalf("unknown model %q (llama, qwen)", *model)
+	setup, err := experiments.ParseModel(*model)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	// Map the flags onto one run description. The workload is a closed

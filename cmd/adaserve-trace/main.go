@@ -9,23 +9,20 @@
 //	    print a trace's header, per-class arrival counts and length/rate
 //	    summary.
 //
-// Invoked with flags only (no subcommand), it keeps the original shape
-// synthesis: per-bin arrival counts of the Figure 7 real-world shape or
-// the Figure 13 synthetic per-category trace, as CSV for plotting. Invalid
-// invocations — an unknown subcommand, a malformed spec or trace file, a
-// format-version mismatch, or a rate, duration or bin width that is not
-// positive and finite —
+// The Figure 7 real-world and Figure 13 synthetic arrival shapes are
+// rendered by adaserve-bench -exp fig7,fig13. Invalid invocations — no
+// subcommand, an unknown one, a malformed spec or trace file, a
+// format-version mismatch, or a duration that is not positive and finite —
 // exit non-zero with a one-line error.
 //
 // Usage:
 //
 //	adaserve-trace gen -spec internal/experiments/testdata/specs/bursty.spec -o bursty.trace
 //	adaserve-trace stats bursty.trace
-//	adaserve-trace -kind real -rps 4.0 -duration 1200 -bin 30
-//	adaserve-trace -kind synthetic -duration 360
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,54 +31,36 @@ import (
 	"strings"
 
 	"adaserve/internal/experiments"
-	"adaserve/internal/mathutil"
 	"adaserve/internal/trace"
-	"adaserve/internal/workload"
 )
 
 func main() {
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		if err := dispatch(os.Stdout, os.Args[1], os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-		return
+	var cmd string
+	var args []string
+	if len(os.Args) > 1 {
+		cmd, args = os.Args[1], os.Args[2:]
 	}
-
-	kind := flag.String("kind", "real", "trace kind: real (Fig. 7) or synthetic (Fig. 13)")
-	rps := flag.Float64("rps", 4.0, "mean request rate (real) / peak rate (synthetic)")
-	duration := flag.Float64("duration", 1200, "trace duration in seconds")
-	bin := flag.Float64("bin", 30, "histogram bin width in seconds")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
-
-	if err := run(os.Stdout, *kind, *rps, *duration, *bin, *seed, flag.Args()); err != nil {
+	if err := dispatch(os.Stdout, cmd, args); err != nil {
 		log.Fatal(err)
 	}
 }
+
+// errNoSubcommand rejects an invocation that names no subcommand.
+var errNoSubcommand = errors.New("adaserve-trace needs a subcommand: gen or stats (adaserve-bench -exp fig7,fig13 renders the arrival shapes)")
 
 // dispatch routes a subcommand invocation. It is the whole CLI behind
 // argument splitting, so subcommand behavior is testable without spawning
 // a process.
 func dispatch(w io.Writer, cmd string, args []string) error {
-	switch cmd {
-	case "gen":
+	switch {
+	case cmd == "gen":
 		return runGen(w, args)
-	case "stats":
+	case cmd == "stats":
 		return runStats(w, args)
+	case cmd == "" || strings.HasPrefix(cmd, "-"):
+		return errNoSubcommand
 	}
-	return fmt.Errorf("unknown subcommand %q (gen, stats; or flags only for shape synthesis)", cmd)
-}
-
-// resolveModel maps the -model flag to an experiment setup, matching
-// adaserve-sim's naming.
-func resolveModel(name string) (experiments.ModelSetup, error) {
-	switch name {
-	case "llama":
-		return experiments.Llama70B(), nil
-	case "qwen":
-		return experiments.Qwen32B(), nil
-	}
-	return experiments.ModelSetup{}, fmt.Errorf("unknown model %q (llama, qwen)", name)
+	return fmt.Errorf("unknown subcommand %q (gen, stats)", cmd)
 }
 
 // runGen compiles a workload spec into a trace file.
@@ -102,19 +81,11 @@ func runGen(w io.Writer, args []string) error {
 	if *specPath == "" {
 		return fmt.Errorf("gen needs -spec <file>")
 	}
-	setup, err := resolveModel(*model)
+	setup, err := experiments.ParseModel(*model)
 	if err != nil {
 		return err
 	}
-	data, err := os.ReadFile(*specPath)
-	if err != nil {
-		return err
-	}
-	spec, err := trace.ParseSpec(string(data))
-	if err != nil {
-		return fmt.Errorf("%s: %w", *specPath, err)
-	}
-	tr, err := trace.Compile(spec, trace.CompileOptions{
+	tr, err := trace.CompileFile(*specPath, trace.CompileOptions{
 		BaselineLatency: setup.BaselineLatency(),
 		Duration:        *duration,
 		Seed:            *seed,
@@ -160,57 +131,6 @@ func runStats(w io.Writer, args []string) error {
 	for i, c := range h.Classes {
 		fmt.Fprintf(w, "class %d:  %s tpot=%gs ttft=%gs — %d arrivals\n",
 			c.ID, c.Name, c.TPOT, c.TTFT, st.PerClass[i])
-	}
-	return nil
-}
-
-// run validates the legacy flag set and writes the requested shape CSV. It
-// is the flags-only CLI behind flag parsing, so the validation table is
-// testable without spawning a process.
-func run(w io.Writer, kind string, rps, duration, bin float64, seed uint64, args []string) error {
-	if len(args) > 0 {
-		return fmt.Errorf("unexpected argument %q (adaserve-trace takes only flags: -kind, -rps, -duration, -bin, -seed)", args[0])
-	}
-	if err := experiments.CheckPositive("rps", "rate", rps); err != nil {
-		return err
-	}
-	if err := experiments.CheckPositive("duration", "duration", duration); err != nil {
-		return err
-	}
-	if !(bin > 0 && bin <= duration) {
-		return fmt.Errorf("-bin %g: need a bin width in (0, duration]", bin)
-	}
-
-	rng := mathutil.NewRNG(seed)
-	switch kind {
-	case "real":
-		ts := workload.RealTrace(rng, rps, duration)
-		fmt.Fprintf(w, "# real trace: %d arrivals, mean %.2f rps\n",
-			len(ts), float64(len(ts))/duration)
-		fmt.Fprintln(w, "time_s,requests")
-		for i, c := range workload.BinCounts(ts, duration, bin) {
-			fmt.Fprintf(w, "%.0f,%d\n", float64(i)*bin, c)
-		}
-	case "synthetic":
-		perCat := workload.SyntheticCategoryTrace(rng, rps, duration)
-		names := []string{"coding", "chat", "summarization"}
-		fmt.Fprintln(w, "time_s,coding,chat,summarization")
-		bins := make([][]int, len(perCat))
-		for i, ts := range perCat {
-			bins[i] = workload.BinCounts(ts, duration, bin)
-		}
-		for j := range bins[0] {
-			fmt.Fprintf(w, "%.0f", float64(j)*bin)
-			for i := range bins {
-				fmt.Fprintf(w, ",%d", bins[i][j])
-			}
-			fmt.Fprintln(w)
-		}
-		for i, ts := range perCat {
-			fmt.Fprintf(w, "# %s: %d arrivals\n", names[i], len(ts))
-		}
-	default:
-		return fmt.Errorf("unknown trace kind %q (real, synthetic)", kind)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,61 +8,6 @@ import (
 
 	"adaserve/internal/trace"
 )
-
-// TestRunValidation is the CLI validation table: invalid invocations that
-// used to print an empty CSV (or nothing at all) now fail with a one-line
-// error, and valid ones emit the CSV header plus at least one bin row.
-func TestRunValidation(t *testing.T) {
-	cases := []struct {
-		name     string
-		kind     string
-		rps      float64
-		duration float64
-		bin      float64
-		args     []string
-		wantErr  string
-		wantHdr  string
-	}{
-		{name: "real ok", kind: "real", rps: 4, duration: 120, bin: 30, wantHdr: "time_s,requests"},
-		{name: "synthetic ok", kind: "synthetic", rps: 4, duration: 120, bin: 30, wantHdr: "time_s,coding,chat,summarization"},
-		{name: "unknown kind", kind: "bogus", rps: 4, duration: 120, bin: 30, wantErr: "unknown trace kind"},
-		{name: "stray argument", kind: "real", rps: 4, duration: 120, bin: 30, args: []string{"real"}, wantErr: "unexpected argument"},
-		{name: "zero rps", kind: "real", rps: 0, duration: 120, bin: 30, wantErr: "positive rate"},
-		{name: "negative duration", kind: "real", rps: 4, duration: -1, bin: 30, wantErr: "positive duration"},
-		{name: "zero bin", kind: "real", rps: 4, duration: 120, bin: 0, wantErr: "bin width"},
-		{name: "bin wider than trace", kind: "real", rps: 4, duration: 120, bin: 600, wantErr: "bin width"},
-		{name: "NaN rps", kind: "real", rps: math.NaN(), duration: 120, bin: 30, wantErr: "positive rate"},
-		{name: "infinite rps", kind: "synthetic", rps: math.Inf(1), duration: 120, bin: 30, wantErr: "positive rate"},
-		{name: "NaN duration", kind: "real", rps: 4, duration: math.NaN(), bin: 30, wantErr: "positive duration"},
-		{name: "infinite duration", kind: "real", rps: 4, duration: math.Inf(1), bin: 30, wantErr: "positive duration"},
-		{name: "NaN bin", kind: "real", rps: 4, duration: 120, bin: math.NaN(), wantErr: "bin width"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var out strings.Builder
-			err := run(&out, c.kind, c.rps, c.duration, c.bin, 1, c.args)
-			if c.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-					t.Fatalf("error = %v, want one containing %q", err, c.wantErr)
-				}
-				if out.Len() != 0 {
-					t.Fatalf("invalid invocation still wrote output:\n%s", out.String())
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := out.String()
-			if !strings.Contains(got, c.wantHdr) {
-				t.Fatalf("output missing header %q:\n%s", c.wantHdr, got)
-			}
-			if strings.Count(got, "\n") < 3 {
-				t.Fatalf("output has no bin rows:\n%s", got)
-			}
-		})
-	}
-}
 
 // writeFile drops content into a temp file and returns its path.
 func writeFile(t *testing.T, dir, name, content string) string {
@@ -98,6 +42,8 @@ func TestDispatchErrors(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
+		{"no arguments", "", nil, "needs a subcommand: gen or stats"},
+		{"flags only", "-kind", []string{"real", "-rps", "4"}, "needs a subcommand: gen or stats"},
 		{"unknown subcommand", "replay", nil, "unknown subcommand"},
 		{"gen without spec", "gen", nil, "needs -spec"},
 		{"gen missing file", "gen", []string{"-spec", filepath.Join(dir, "nope.spec")}, "no such file"},

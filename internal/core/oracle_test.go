@@ -64,11 +64,13 @@ func bestTotal(best [][]float64, need []float64, budget int) float64 {
 }
 
 // oracleTree is a random small candidate tree: a real beam shape with
-// 1 + d·w <= 12 nodes, or one grown by AddChild with coarse draft
-// probabilities, so path probabilities tie.
+// 1 + d·w <= 12 nodes, or a random rank tree of at most 12 nodes, whose
+// path probabilities tie wherever two paths take the same ranks in another
+// order.
 func oracleTree(rng *mathutil.RNG, bb *toktree.BeamBuilder, draft *lm.DraftLM) *toktree.Tree {
-	tr := toktree.NewTree(lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))}, 0)
+	ctx := lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))}
 	if rng.Intn(2) == 0 {
+		tr := new(toktree.TreePool).Get(ctx)
 		d := 1 + rng.Intn(4)
 		w := 1 + rng.Intn(11/d)
 		if err := bb.Search(tr, draft, d, w); err != nil {
@@ -76,10 +78,15 @@ func oracleTree(rng *mathutil.RNG, bb *toktree.BeamBuilder, draft *lm.DraftLM) *
 		}
 		return tr
 	}
-	for size := 1 + rng.Intn(12); tr.Size() < size; {
-		tr.AddChild(rng.Intn(tr.Size()), lm.Token(rng.Intn(64)), float64(1+rng.Intn(8))/8)
+	kids := []int{0}
+	var spec []toktree.RankNode
+	for size := 1 + rng.Intn(12); len(kids) < size; {
+		p := rng.Intn(len(kids))
+		spec = append(spec, toktree.RankNode{Parent: p, Rank: kids[p]})
+		kids[p]++
+		kids = append(kids, 0)
 	}
-	return tr
+	return toktree.NewRankTree(ctx, draft, spec)
 }
 
 // TestSelectOracle is the exact-allocation oracle for Algorithm 2 on small

@@ -110,7 +110,7 @@ func newSelectCase(t testing.TB, bb *toktree.BeamBuilder, draft *lm.DraftLM, rng
 	t.Helper()
 	c := selectCase{reqs: make([]SelectRequest, n)}
 	for i := range c.reqs {
-		tr := toktree.NewTree(lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))}, lm.Token(rng.Intn(4096)))
+		tr := new(toktree.TreePool).Get(lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))})
 		if rng.Intn(5) != 0 {
 			if err := bb.Search(tr, draft, d, w); err != nil {
 				t.Fatal(err)

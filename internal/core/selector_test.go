@@ -21,7 +21,7 @@ func TestSelectorMatchesSelect(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		reqs := make([]SelectRequest, n)
 		for i := range reqs {
-			tr := toktree.NewTree(lm.Context{ReqSeed: uint64(iter*100 + i)}, 5)
+			tr := new(toktree.TreePool).Get(lm.Context{ReqSeed: uint64(iter*100 + i)})
 			var bb toktree.BeamBuilder
 			if err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
 				t.Fatal(err)
@@ -61,7 +61,7 @@ func TestSelectorAllocatesNothingWarm(t *testing.T) {
 	var bb toktree.BeamBuilder
 	reqs := make([]SelectRequest, 12)
 	for i := range reqs {
-		tr := toktree.NewTree(lm.Context{ReqSeed: uint64(i)}, 5)
+		tr := new(toktree.TreePool).Get(lm.Context{ReqSeed: uint64(i)})
 		if err := bb.Search(tr, draft, 5, 3); err != nil {
 			t.Fatal(err)
 		}

@@ -216,7 +216,7 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 	res.Trees = res.Trees[:0]
 	res.GPUTime = 0
 	for _, r := range reqs {
-		res.Trees = append(res.Trees, e.treePool.Get(r.Ctx, r.LastToken()))
+		res.Trees = append(res.Trees, e.treePool.Get(r.Ctx))
 	}
 	if d == 0 {
 		return res, nil

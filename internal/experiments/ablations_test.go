@@ -57,3 +57,29 @@ func TestInterleavedSystemBuildable(t *testing.T) {
 		t.Fatalf("name %q", sys.Name())
 	}
 }
+
+// TestGoldenAblationsGrid pins every ablation row on a 20 s fixed-seed
+// trace (long enough to load every configuration, still well under a
+// second), so the interleaved Algorithm 1 system and the static-(d, w), no-n_max,
+// no-CUDA-graphs and greedy-verification configurations are each held to
+// exact bytes like the figure grid in bench.json.
+func TestGoldenAblationsGrid(t *testing.T) {
+	cells, err := Ablations(Llama70B(), RunOptions{Seed: 1, Duration: 20, Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []goldenRow
+	for _, c := range cells {
+		s := c.Sum.Aggregate
+		rows = append(rows, goldenRow{
+			Experiment: "ablation", System: string(c.System), Config: c.config,
+			Requests: s.Requests, Finished: s.Finished,
+			Attainment: s.Attainment(), TTFTAttainment: s.TTFTAttainment(),
+			Goodput: s.Goodput, Throughput: s.Throughput,
+			MeanAccepted: s.MeanAcceptedPerStep,
+			P50TPOT:      s.P50TPOT(), P99TPOT: s.P99TPOT(), P999TPOT: s.P999TPOT(),
+			MaxTTFT: s.MaxTTFT,
+		})
+	}
+	compareGolden(t, "ablations.json", rows)
+}

@@ -101,7 +101,7 @@ func BenchmarkFigure8and9Llama(b *testing.B) {
 
 // BenchmarkFigure8and9Qwen is the Qwen2.5-32B column of Figures 8 and 9.
 func BenchmarkFigure8and9Qwen(b *testing.B) {
-	figureSweep(b, Qwen32B(), endToEndSystems())
+	figureSweep(b, qwen32B(), endToEndSystems())
 }
 
 // BenchmarkFigure10 sweeps the urgent-request proportion at RPS 4.0

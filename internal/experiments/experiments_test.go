@@ -41,7 +41,7 @@ func TestBaselineLatencyBands(t *testing.T) {
 	if l < 0.025 || l > 0.045 {
 		t.Fatalf("Llama baseline %.1fms", 1e3*l)
 	}
-	q := Qwen32B().BaselineLatency()
+	q := qwen32B().BaselineLatency()
 	if q < 0.020 || q > 0.040 {
 		t.Fatalf("Qwen baseline %.1fms", 1e3*q)
 	}
@@ -174,7 +174,7 @@ func TestRPSSweeps(t *testing.T) {
 	if l[0] != 2.6 || l[len(l)-1] != 4.8 {
 		t.Fatalf("Llama sweep %v", l)
 	}
-	q := rpsSweepsForSetup(Qwen32B())
+	q := rpsSweepsForSetup(qwen32B())
 	if q[0] != 2.4 || q[len(q)-1] != 4.2 {
 		t.Fatalf("Qwen sweep %v", q)
 	}

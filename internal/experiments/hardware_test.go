@@ -56,11 +56,11 @@ func TestHardwareSensitivitySkipsUnfitPlatforms(t *testing.T) {
 }
 
 func TestRenderHardware(t *testing.T) {
-	rows, err := HardwareSensitivity(Qwen32B(), nil)
+	rows, err := HardwareSensitivity(qwen32B(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderHardware(Qwen32B(), rows)
+	out := RenderHardware(qwen32B(), rows)
 	if !strings.Contains(out, "A100") || !strings.Contains(out, "budget") {
 		t.Fatalf("render:\n%s", out)
 	}

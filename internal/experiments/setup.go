@@ -56,9 +56,9 @@ func Llama70B() ModelSetup {
 	}
 }
 
-// Qwen32B returns the Qwen2.5-32B-Instruct setup: 2-way TP on 2xA100,
+// qwen32B returns the Qwen2.5-32B-Instruct setup: 2-way TP on 2xA100,
 // drafted by Qwen2.5-0.5B (Table 1, row 2).
-func Qwen32B() ModelSetup {
+func qwen32B() ModelSetup {
 	return ModelSetup{
 		Name:   "Qwen2.5-32B-Instruct",
 		Target: gpu.Qwen32B, TargetTP: 2,
@@ -70,7 +70,7 @@ func Qwen32B() ModelSetup {
 }
 
 // Setups returns both Table 1 rows.
-func Setups() []ModelSetup { return []ModelSetup{Llama70B(), Qwen32B()} }
+func Setups() []ModelSetup { return []ModelSetup{Llama70B(), qwen32B()} }
 
 // BaselineLatency returns the setup's unloaded per-token decode latency at a
 // 512-token reference context: the paper's baseline for category-1 SLOs.
@@ -129,6 +129,18 @@ func ParseSystem(name string) (SystemKind, error) {
 		}
 	}
 	return "", fmt.Errorf("experiments: unknown system %q (have %v)", name, knownSystems())
+}
+
+// ParseModel resolves a CLI model name, llama or qwen, to its setup,
+// failing with a one-line error that lists the valid names.
+func ParseModel(name string) (ModelSetup, error) {
+	switch name {
+	case "llama":
+		return Llama70B(), nil
+	case "qwen":
+		return qwen32B(), nil
+	}
+	return ModelSetup{}, fmt.Errorf("unknown model %q (llama, qwen)", name)
 }
 
 // maxBatch is every built system's running-sequence cap.

@@ -8,6 +8,12 @@ import (
 	"adaserve/internal/mathutil"
 )
 
+// Len returns the number of candidate ranks.
+func (d Dist) Len() int { return d.g.m.branch }
+
+// Prob returns the probability at rank r, for r in [0, Len()).
+func (d Dist) Prob(r int) float64 { return d.g.m.weights[r] }
+
 // tokenProb pairs a token with its probability: one materialized rank.
 type tokenProb struct {
 	Token Token

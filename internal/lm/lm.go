@@ -52,10 +52,10 @@ import (
 type Token int32
 
 // Dist is a truncated next-token distribution: explicit probabilities for
-// Len() candidate tokens, ranked by descending probability, plus tail mass
-// smeared uniformly over the rest of the vocabulary. Rank r has probability
-// Prob(r), the model's rank weight, in every context; only the token at a
-// rank depends on the context.
+// the model's branch candidate tokens, ranked by descending probability,
+// plus tail mass smeared uniformly over the rest of the vocabulary. Rank r
+// has the model's rank-r weight (DraftLM.RankProbs) in every context; only
+// the token at a rank depends on the context.
 //
 // Dist is lazy: it generates candidates in the model's token buffer as far
 // as the highest rank read, and a tail draw in Sample generates them all.
@@ -121,13 +121,8 @@ func (g *ranks) grow(r int) Token {
 	return g.toks[r]
 }
 
-// Len returns the number of candidate ranks.
-func (d Dist) Len() int { return d.g.m.branch }
-
-// Prob returns the probability at rank r, for r in [0, Len()).
-func (d Dist) Prob(r int) float64 { return d.g.m.weights[r] }
-
-// Token returns the candidate token at rank r, for r in [0, Len()).
+// Token returns the candidate token at rank r, for r below the model's
+// branch.
 func (d Dist) Token(r int) Token {
 	if r == 0 {
 		r = d.swap
@@ -220,14 +215,6 @@ func (c Context) Extend(tok Token) Context {
 	copy(c.win[:], c.win[1:])
 	c.win[historyWindow-1] = tok
 	return c
-}
-
-// Last returns the newest history token; ok is false for an empty history.
-func (c Context) Last() (tok Token, ok bool) {
-	if c.n == 0 {
-		return 0, false
-	}
-	return c.win[c.n-1], true
 }
 
 // hash folds the request seed and trailing window into one 64-bit value.

@@ -320,16 +320,6 @@ func (r *Request) Validate() error {
 // OutputLen returns the number of committed output tokens (o_i).
 func (r *Request) OutputLen() int { return r.Generated }
 
-// LastToken returns the most recent committed token, or a deterministic
-// pseudo prompt-final token if none has been generated yet. Ctx starts empty
-// and only token commits extend it, so its newest entry is the newest token.
-func (r *Request) LastToken() lm.Token {
-	if t, ok := r.Ctx.Last(); ok {
-		return t
-	}
-	return lm.Token(r.seed % 256)
-}
-
 // Commit appends tokens produced by one decode/verify iteration ending at
 // time now, and marks completion when the output budget is reached. The
 // returned count is the number of tokens actually kept (clipped at

@@ -103,9 +103,6 @@ func TestCommitExtendsContext(t *testing.T) {
 	if r.Ctx != before.Extend(5).Extend(6) {
 		t.Fatalf("context %+v, want the prior context extended by 5, 6", r.Ctx)
 	}
-	if r.LastToken() != 6 {
-		t.Fatal("LastToken should be the newest")
-	}
 }
 
 // TestCommitPrefixAndCorrection pins the speculative commit: an accepted
@@ -170,7 +167,7 @@ func TestCommitCountMatchesCommit(t *testing.T) {
 		a.OutputLen() != b.OutputLen() || a.ContextLen() != b.ContextLen() {
 		t.Fatalf("CommitCount state diverged from Commit: %+v vs %+v", a, b)
 	}
-	if b.Ctx != (lm.Context{ReqSeed: 7}) || b.LastToken() != lm.Token(7) {
+	if b.Ctx != (lm.Context{ReqSeed: 7}) {
 		t.Fatalf("CommitCount extended the context: %+v", b.Ctx)
 	}
 	if b.CommitCount(1, 3) != 0 || b.OutputLen() != 3 || b.AcceptedTokens != 3 {
@@ -200,13 +197,6 @@ func TestLateCommitKeepsDoneTime(t *testing.T) {
 			t.Errorf("%s at t = 3 moved the request: phase %s, done %g, first token %g, output %d",
 				name, r.Phase, r.DoneTime, r.FirstTokenTime, r.OutputLen())
 		}
-	}
-}
-
-func TestLastTokenBeforeOutput(t *testing.T) {
-	r := New(1, Chat, 0.05, 0, 16, 10, 300)
-	if got := r.LastToken(); got != lm.Token(300%256) {
-		t.Fatalf("pre-output LastToken = %d", got)
 	}
 }
 

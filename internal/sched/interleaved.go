@@ -61,10 +61,13 @@ func NewAdaServeInterleaved(cfg Config) (*AdaServeInterleaved, error) {
 // Name implements System.
 func (a *AdaServeInterleaved) Name() string { return "AdaServe (interleaved)" }
 
-// lazyDraftTree implements core.ProbTree by expanding nodes with the draft
-// model on demand. Each expansion models one draft decoding step.
+// lazyDraftTree implements core.ProbTree by expanding nodes on demand. Each
+// expansion models one draft decoding step. A node is its parent's rank-j
+// draft candidate, and the draft's probability at a rank does not depend
+// on the context (lm.DraftLM.RankProbs), so the tree reads no Dist: tokens
+// are left to verification, as in a searched tree.
 type lazyDraftTree struct {
-	draft lm.Model
+	draft *lm.DraftLM
 	topK  int
 	nodes []lazyNode
 	// expansions counts draft decoding steps triggered.
@@ -72,81 +75,57 @@ type lazyDraftTree struct {
 }
 
 type lazyNode struct {
-	ctx      lm.Context
-	tok      lm.Token
+	// at is the node's parent and draft rank (the root's is unused).
+	at       toktree.RankNode
 	pathProb float64
 	children []int
 	expanded bool
 }
 
-func newLazyDraftTree(draft lm.Model, ctx lm.Context, rootTok lm.Token, topK int) *lazyDraftTree {
+func newLazyDraftTree(draft *lm.DraftLM, topK int) *lazyDraftTree {
 	return &lazyDraftTree{
 		draft: draft, topK: topK,
-		nodes: []lazyNode{{ctx: ctx, tok: rootTok, pathProb: 1}},
+		nodes: []lazyNode{{pathProb: 1}},
 	}
 }
 
 // Children implements core.ProbTree, expanding the node if needed.
 func (t *lazyDraftTree) Children(id int) []int {
-	n := &t.nodes[id]
-	if !n.expanded {
-		n.expanded = true
+	if !t.nodes[id].expanded {
+		t.nodes[id].expanded = true
 		t.expansions++
-		dist := t.draft.Dist(n.ctx)
-		parentProb := n.pathProb
-		parentCtx := n.ctx
-		for r := range min(t.topK, dist.Len()) {
-			tok := dist.Token(r)
-			child := lazyNode{
-				ctx:      parentCtx.Extend(tok),
-				tok:      tok,
-				pathProb: parentProb * dist.Prob(r),
-			}
-			t.nodes = append(t.nodes, child)
+		probs := t.draft.RankProbs()
+		parentProb := t.nodes[id].pathProb
+		for r := range min(t.topK, len(probs)) {
+			t.nodes = append(t.nodes, lazyNode{
+				at:       toktree.RankNode{Parent: id, Rank: r},
+				pathProb: parentProb * probs[r],
+			})
 			t.nodes[id].children = append(t.nodes[id].children, len(t.nodes)-1)
 		}
-		n = &t.nodes[id]
 	}
-	return n.children
+	return t.nodes[id].children
 }
 
 // PathProb implements core.ProbTree.
 func (t *lazyDraftTree) PathProb(id int) float64 { return t.nodes[id].pathProb }
 
 // materialize converts a selected node set into a toktree Selection for
-// verification: a tree of exactly the selected nodes, all of it selected.
-func (t *lazyDraftTree) materialize(ctx lm.Context, rootTok lm.Token, selected []int) toktree.Selection {
-	tree := toktree.NewTree(ctx, rootTok)
-	idMap := map[int]int{0: 0} // lazy ID -> toktree ID
-	// Selected comes in insertion order, which is parent-before-child
-	// (Algorithm 1 only selects nodes whose parents were selected).
-	for _, lazyID := range selected {
-		if lazyID == 0 {
-			continue
-		}
-		parentLazy := t.parentOf(lazyID)
-		parentTok, ok := idMap[parentLazy]
-		if !ok {
-			panic("sched: interleaved selection out of order")
-		}
-		n := t.nodes[lazyID]
-		cond := n.pathProb / t.nodes[parentLazy].pathProb
-		idMap[lazyID] = tree.AddChild(parentTok, n.tok, cond)
+// verification: the rank tree of exactly the selected nodes, all of it
+// selected. Selected comes in selection order, which is parent before child
+// (Algorithm 1 only selects nodes whose parents were selected) and, among
+// siblings, rank order (a lower rank has the higher path probability and
+// the lower ID), so its positions are valid rank-tree IDs.
+func (t *lazyDraftTree) materialize(ctx lm.Context, selected []int) toktree.Selection {
+	id := make([]int, len(t.nodes)) // lazy ID -> tree ID
+	spec := make([]toktree.RankNode, len(selected)-1)
+	for k, lazyID := range selected[1:] {
+		at := t.nodes[lazyID].at
+		id[lazyID] = k + 1
+		spec[k] = toktree.RankNode{Parent: id[at.Parent], Rank: at.Rank}
 	}
+	tree := toktree.NewRankTree(ctx, t.draft, spec)
 	return toktree.Prefix(tree, tree.Size())
-}
-
-// parentOf finds a node's parent by scanning children lists (lazy trees are
-// small: at most budget x topK nodes).
-func (t *lazyDraftTree) parentOf(id int) int {
-	for pid := range t.nodes {
-		for _, c := range t.nodes[pid].children {
-			if c == id {
-				return pid
-			}
-		}
-	}
-	panic(fmt.Sprintf("sched: lazy node %d has no parent", id))
 }
 
 // Iterate implements System.
@@ -180,7 +159,7 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 	lazies := make([]*lazyDraftTree, n)
 	thresholds := make([]float64, n)
 	for i, r := range decode {
-		lazies[i] = newLazyDraftTree(a.cfg.Engine.Draft(), r.Ctx, r.LastToken(), interleavedTopK)
+		lazies[i] = newLazyDraftTree(a.cfg.Engine.Draft(), interleavedTopK)
 		trees[i] = lazies[i]
 		A := r.MinAcceptForSLO(now, tspec)
 		if A < 0 {
@@ -216,7 +195,7 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 	for i, r := range decode {
 		items[i] = engine.VerifyItem{
 			Req: r,
-			Sel: lazies[i].materialize(r.Ctx, r.LastToken(), selected[i]),
+			Sel: lazies[i].materialize(r.Ctx, selected[i]),
 		}
 	}
 	ver := a.cfg.Engine.VerifyTrees(items, nil)

@@ -14,13 +14,12 @@ type shapeCand struct {
 	path         float64
 }
 
-// shape is the token-free skeleton of every depth-d, width-w beam over one
-// draft (see buildShape).
+// shape is the token-free skeleton of a rank tree (see rankShape), such as
+// every depth-d, width-w beam over one draft (see buildShape).
 type shape struct {
 	// nodes are the prototype nodes in tree-ID order.
 	nodes []Node
-	// order is the nodes' greedy order. Its capacity is its length, like
-	// the Children lists', so that AddChild's append copies it.
+	// order is the nodes' greedy order.
 	order []int
 }
 
@@ -38,9 +37,9 @@ type BeamBuilder struct {
 }
 
 // Search grows a candidate token tree of depth d and beam width w into t,
-// which must contain only a root (fresh from NewTree, TreePool.Get, or
-// reset): Algorithm 2's speculation phase for one request. Step 1 expands
-// the root and keeps the w highest-draftProb children. Each subsequent step
+// which must contain only a root (fresh from TreePool.Get or reset):
+// Algorithm 2's speculation phase for one request. Step 1 expands the root
+// and keeps the w highest-probability children. Each subsequent step
 // expands all beam nodes and keeps the w children with the highest *path*
 // probability (global per request, as in Eagle-2-style beam search), so
 // every non-root level holds at most w nodes. Width 1 is the greedy chain
@@ -89,9 +88,8 @@ func (bb *BeamBuilder) shape(probs []float64, d, w int) *shape {
 	return sh
 }
 
-// buildShape returns the token-free skeleton of every depth-d, width-w beam
-// over one draft: node i's parent, depth, draft prob, PathProb, greedy rank
-// and children, as prototype Nodes in tree-ID order, plus the greedy order.
+// buildShape returns the skeleton of every depth-d, width-w beam over one
+// draft: the rank tree of the beam's (parent, rank) pairs (see rankShape).
 // It is context-free: a draft Dist has the same probability at each rank in
 // every context, and those rank probabilities are strictly decreasing, so
 // the beam's ranking by (path prob, parent ID, token) never reaches the
@@ -102,18 +100,17 @@ func (bb *BeamBuilder) shape(probs []float64, d, w int) *shape {
 // ranks the beam nodes' top-w ranks by (path prob desc, parent ID asc, rank
 // asc) — within one parent a lower rank has the higher probability, which
 // is how the token-keyed ranking orders them too — and keeps the first w.
-// PathProb is parent × prob, in the order AddChild multiplies them.
 func buildShape(probs []float64, d, w int) shape {
 	k := min(w, len(probs))
-	nodes := make([]Node, 1, 1+d*w)
-	nodes[0] = Node{parent: -1, draftProb: 1, PathProb: 1}
+	spec := make([]RankNode, 0, d*w)
+	path := append(make([]float64, 0, 1+d*w), 1) // PathProb by node ID
 	beam := append(make([]int, 0, w), 0)
 	cands := make([]shapeCand, 0, w*k)
 	for step := 1; step <= d; step++ {
 		cands = cands[:0]
 		for _, p := range beam {
 			for r := 0; r < k; r++ {
-				cands = append(cands, shapeCand{parent: p, rank: r, path: nodes[p].PathProb * probs[r]})
+				cands = append(cands, shapeCand{parent: p, rank: r, path: path[p] * probs[r]})
 			}
 		}
 		slices.SortFunc(cands, func(a, b shapeCand) int {
@@ -127,40 +124,10 @@ func buildShape(probs []float64, d, w int) shape {
 		})
 		beam = beam[:0]
 		for _, c := range cands[:min(w, len(cands))] {
-			id := len(nodes)
-			nodes = append(nodes, Node{
-				parent: c.parent, depth: step,
-				draftProb: probs[c.rank], PathProb: nodes[c.parent].PathProb * probs[c.rank],
-			})
-			beam = append(beam, id)
+			spec = append(spec, RankNode{Parent: c.parent, Rank: c.rank})
+			beam = append(beam, len(path))
+			path = append(path, c.path)
 		}
 	}
-	// Children lists, each capacity-capped so that appending to one (as
-	// AddChild would) copies instead of writing into its neighbour.
-	all := make([]int, 0, len(nodes)-1)
-	for p := range nodes {
-		start := len(all)
-		for c := p + 1; c < len(nodes); c++ {
-			if nodes[c].parent == p {
-				all = append(all, c)
-			}
-		}
-		if len(all) > start {
-			nodes[p].Children = all[start:len(all):len(all)]
-		}
-	}
-	order := make([]int, len(nodes))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if pa, pb := nodes[a].PathProb, nodes[b].PathProb; pa != pb {
-			return cmp.Compare(pb, pa)
-		}
-		return cmp.Compare(a, b)
-	})
-	for r, id := range order {
-		nodes[id].rank = r
-	}
-	return shape{nodes: nodes, order: order}
+	return rankShape(probs, spec)
 }

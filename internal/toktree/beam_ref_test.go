@@ -23,7 +23,7 @@ type refCand struct {
 // refBeam is the sort-based beam search that Search replaced: every step
 // asks the draft for each beam node's top-w candidates, ranks all of them
 // by (path prob desc, parent ID asc, token asc) with sort.Sort and keeps
-// the first w, adding them through AddChild.
+// the first w, adding them through addChild.
 type refBeam struct{ cands []refCand }
 
 func (rb *refBeam) Len() int { return len(rb.cands) }
@@ -41,8 +41,47 @@ func (rb *refBeam) Less(i, j int) bool {
 
 func (rb *refBeam) Swap(i, j int) { rb.cands[i], rb.cands[j] = rb.cands[j], rb.cands[i] }
 
+// addChild is the explicit-token tree builder that rank trees replaced,
+// kept for the references: it appends a node holding token tok under
+// parent and returns its ID. Children stay sorted by descending draft
+// probability (ties by token) — among siblings, by descending PathProb —
+// and the node takes its place in the greedy order.
+func addChild(t *Tree, parent int, tok lm.Token, draftProb float64) int {
+	id := len(t.Nodes)
+	t.Nodes = append(t.Nodes, Node{
+		token: tok, depth: t.Nodes[parent].depth + 1,
+		PathProb: t.Nodes[parent].PathProb * draftProb,
+	})
+	p := &t.Nodes[parent]
+	p.Children = append(p.Children, id)
+	ch := p.Children
+	for k := len(ch) - 1; k > 0; k-- {
+		prev, cur := &t.Nodes[ch[k-1]], &t.Nodes[ch[k]]
+		if cur.PathProb > prev.PathProb ||
+			(cur.PathProb == prev.PathProb && cur.token < prev.token) {
+			ch[k-1], ch[k] = ch[k], ch[k-1]
+			continue
+		}
+		break
+	}
+	// The new node has the largest ID, so it goes behind every node of at
+	// least its path probability; the nodes it passes move back one rank.
+	pp := t.Nodes[id].PathProb
+	pos := len(t.order)
+	for pos > 0 && t.Nodes[t.order[pos-1]].PathProb < pp {
+		pos--
+	}
+	t.order = append(t.order[:len(t.order):len(t.order)], id)
+	copy(t.order[pos+1:], t.order[pos:])
+	t.order[pos] = id
+	for r := pos; r < len(t.order); r++ {
+		t.Nodes[t.order[r]].rank = r
+	}
+	return id
+}
+
 // refSearch is the reference Search over a fresh tree.
-func refSearch(t *Tree, draft lm.Model, d, w int) int {
+func refSearch(t *Tree, draft *lm.DraftLM, d, w int) int {
 	type entry struct {
 		nodeID int
 		ctx    lm.Context
@@ -54,11 +93,12 @@ func refSearch(t *Tree, draft lm.Model, d, w int) int {
 		rb.cands = rb.cands[:0]
 		for _, be := range beam {
 			dist := draft.Dist(be.ctx)
+			probs := draft.RankProbs()
 			parentPath := t.Nodes[be.nodeID].PathProb
-			for r := range min(w, dist.Len()) {
+			for r := range min(w, len(probs)) {
 				rb.cands = append(rb.cands, refCand{
 					parentID: be.nodeID, parentCtx: be.ctx, tok: dist.Token(r),
-					draftProb: dist.Prob(r), pathProb: parentPath * dist.Prob(r),
+					draftProb: probs[r], pathProb: parentPath * probs[r],
 				})
 			}
 		}
@@ -69,7 +109,7 @@ func refSearch(t *Tree, draft lm.Model, d, w int) int {
 		cands := rb.cands[:min(w, len(rb.cands))]
 		beam = beam[:0]
 		for _, c := range cands {
-			id := t.AddChild(c.parentID, c.tok, c.draftProb)
+			id := addChild(t, c.parentID, c.tok, c.draftProb)
 			beam = append(beam, entry{nodeID: id, ctx: c.parentCtx.Extend(c.tok)})
 		}
 		steps++
@@ -78,8 +118,8 @@ func refSearch(t *Tree, draft lm.Model, d, w int) int {
 }
 
 // diffTrees describes the first difference between got and the reference
-// want — node count, greedy order, or a node's ID, parent, depth, token,
-// draft prob or PathProb (bitwise), rank or Children order — or returns "".
+// want — node count, greedy order, or a node's ID, depth, token, PathProb
+// (bitwise), rank or Children order — or returns "".
 func diffTrees(got, want *Tree) string {
 	if len(got.Nodes) != len(want.Nodes) {
 		return fmt.Sprintf("%d nodes, reference %d", len(got.Nodes), len(want.Nodes))
@@ -89,8 +129,7 @@ func diffTrees(got, want *Tree) string {
 	}
 	for i := range want.Nodes {
 		g, w := &got.Nodes[i], &want.Nodes[i]
-		same := g.parent == w.parent && g.depth == w.depth && g.token == w.token && g.rank == w.rank &&
-			math.Float64bits(g.draftProb) == math.Float64bits(w.draftProb) &&
+		same := g.depth == w.depth && g.token == w.token && g.rank == w.rank &&
 			math.Float64bits(g.PathProb) == math.Float64bits(w.PathProb) &&
 			slices.Equal(g.Children, w.Children)
 		if !same {
@@ -132,12 +171,12 @@ func TestSearchMatchesSortedReference(t *testing.T) {
 // uses, applied at every node.
 func checkSearch(t testing.TB, bb *BeamBuilder, pool *TreePool, draft *lm.DraftLM, ctx lm.Context, d, w int) {
 	t.Helper()
-	want := NewTree(ctx, 3)
+	want := newTree(ctx)
 	// The engine charges every search d draft steps.
 	if steps := refSearch(want, draft, d, w); steps != d {
 		t.Fatalf("ctx %+v d=%d w=%d: reference ran %d steps", ctx, d, w, steps)
 	}
-	got := pool.Get(ctx, 3)
+	got := pool.Get(ctx)
 	defer pool.Put(got)
 	if err := bb.Search(got, draft, d, w); err != nil {
 		t.Fatal(err)
@@ -173,38 +212,4 @@ func FuzzBeamShape(f *testing.F) {
 			checkSearch(t, &bb, &pool, draft, lm.Context{ReqSeed: seed + i}.Extend(lm.Token(i)), d, w)
 		}
 	})
-}
-
-// TestAddChildOnSearchTreeKeepsShape pins the sharing rule: a searched
-// tree's Children slices and greedy order belong to the builder's shape,
-// so an AddChild on such a tree (once its tokens are filled) must copy
-// rather than write into the shape, and the next Search with the same
-// (d, w) still matches the reference. With tokens pending, AddChild
-// panics.
-func TestAddChildOnSearchTreeKeepsShape(t *testing.T) {
-	_, draft := beamModels(t)
-	var bb BeamBuilder
-	var pool TreePool
-	for id := 0; id < 6; id++ {
-		tr := pool.Get(lm.Context{ReqSeed: 1}, 3)
-		if err := bb.Search(tr, draft, 3, 2); err != nil {
-			t.Fatal(err)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("AddChild on a tree with pending tokens did not panic")
-				}
-			}()
-			tr.AddChild(0, 4000, 0.5)
-		}()
-		tr.materialize()
-		tr.AddChild(id%tr.Size(), 4000, 0.5)
-		tr.AddChild(0, 4001, 0.001)
-		if err := tr.validate(); err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(tr)
-		checkSearch(t, &bb, &pool, draft, lm.Context{ReqSeed: 2}, 3, 2)
-	}
 }

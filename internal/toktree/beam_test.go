@@ -13,10 +13,10 @@ func beamModels(t *testing.T) (*lm.SyntheticLM, *lm.DraftLM) {
 	return target, lm.MustDraftLM(target, 0.85, 12)
 }
 
-// search grows a fresh depth-d, width-w candidate tree rooted at rootTok.
-func search(t testing.TB, draft *lm.DraftLM, ctx lm.Context, rootTok lm.Token, d, w int) *Tree {
+// search grows a fresh depth-d, width-w candidate tree at ctx.
+func search(t testing.TB, draft *lm.DraftLM, ctx lm.Context, d, w int) *Tree {
 	t.Helper()
-	tr := NewTree(ctx, rootTok)
+	tr := newTree(ctx)
 	var bb BeamBuilder
 	if err := bb.Search(tr, draft, d, w); err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func depth(tr *Tree) int {
 func TestBeamSearchShape(t *testing.T) {
 	_, draft := beamModels(t)
 	for _, c := range []struct{ d, w int }{{1, 1}, {3, 2}, {5, 4}, {8, 1}} {
-		tr := search(t, draft, lm.Context{ReqSeed: 3}, 7, c.d, c.w)
+		tr := search(t, draft, lm.Context{ReqSeed: 3}, c.d, c.w)
 		if err := tr.validate(); err != nil {
 			t.Fatalf("d=%d w=%d: %v", c.d, c.w, err)
 		}
@@ -71,7 +71,7 @@ func TestBeamSearchShape(t *testing.T) {
 
 func TestBeamSearchDepthZero(t *testing.T) {
 	_, draft := beamModels(t)
-	tr := NewTree(lm.Context{ReqSeed: 3}, 7)
+	tr := newTree(lm.Context{ReqSeed: 3})
 	var bb BeamBuilder
 	if err := bb.Search(tr, draft, 0, 4); err != nil {
 		t.Fatal(err)
@@ -84,10 +84,10 @@ func TestBeamSearchDepthZero(t *testing.T) {
 func TestBeamSearchRejectsBadParams(t *testing.T) {
 	_, draft := beamModels(t)
 	var bb BeamBuilder
-	if err := bb.Search(NewTree(lm.Context{}, 0), draft, -1, 2); err == nil {
+	if err := bb.Search(newTree(lm.Context{}), draft, -1, 2); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if err := bb.Search(NewTree(lm.Context{}, 0), draft, 2, 0); err == nil {
+	if err := bb.Search(newTree(lm.Context{}), draft, 2, 0); err == nil {
 		t.Error("zero width accepted")
 	}
 }
@@ -98,10 +98,10 @@ func TestBeamSearchRejectsBadParams(t *testing.T) {
 func TestBeamSearchCostAccounting(t *testing.T) {
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 5}
-	if steps := refSearch(NewTree(ctx, 7), draft, 4, 3); steps != 4 {
+	if steps := refSearch(newTree(ctx), draft, 4, 3); steps != 4 {
 		t.Fatalf("reference ran %d steps, want 4", steps)
 	}
-	if got := depth(search(t, draft, ctx, 7, 4, 3)); got != 4 {
+	if got := depth(search(t, draft, ctx, 4, 3)); got != 4 {
 		t.Fatalf("depth %d, want 4", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	// spot-check: the level-1 nodes are exactly the draft's top-w.
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 17}
-	tr := search(t, draft, ctx, 7, 2, 3)
+	tr := search(t, draft, ctx, 2, 3)
 	tr.materialize()
 	dist := draft.Dist(ctx)
 	top := []lm.Token{dist.Token(0), dist.Token(1), dist.Token(2)}
@@ -143,7 +143,7 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 // argmax at every step.
 func TestChainSpeculateIsWidthOne(t *testing.T) {
 	_, draft := beamModels(t)
-	tr := search(t, draft, lm.Context{ReqSeed: 5}, 7, 6, 1)
+	tr := search(t, draft, lm.Context{ReqSeed: 5}, 6, 1)
 	tr.materialize()
 	if tr.Size() != 7 {
 		t.Fatalf("chain size %d, want 7", tr.Size())
@@ -187,12 +187,13 @@ func TestTheorem41(t *testing.T) {
 		frontier := []node{}
 		expand := func(n node) {
 			dist := draft.Dist(n.ctx)
-			for r := range dist.Len() {
+			probs := draft.RankProbs()
+			for r := range len(probs) {
 				tok := dist.Token(r)
 				frontier = append(frontier, node{
 					ctx:  n.ctx.Extend(tok),
 					path: append(append([]lm.Token(nil), n.path...), tok),
-					f:    n.f * dist.Prob(r),
+					f:    n.f * probs[r],
 				})
 			}
 		}
@@ -217,7 +218,7 @@ func TestTheorem41(t *testing.T) {
 		}
 
 		// Candidate tree: beam search with width = budget, depth = D_opt.
-		cand := search(t, draft, ctx, 0, maxDepth, budget)
+		cand := search(t, draft, ctx, maxDepth, budget)
 		cand.materialize()
 		// Every optimal node's path must exist in the candidate tree.
 		for _, n := range selected[1:] {
@@ -250,7 +251,7 @@ func containsPath(t *Tree, path []lm.Token) bool {
 func TestVerifyCommitsAtLeastOneToken(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(9))
-	sel := Prefix(search(t, draft, lm.Context{ReqSeed: 31}, 7, 4, 2), 1)
+	sel := Prefix(search(t, draft, lm.Context{ReqSeed: 31}, 4, 2), 1)
 	for i := 0; i < 200; i++ {
 		res := verify(sel, v)
 		if len(res.Accepted) != 0 {
@@ -265,7 +266,7 @@ func TestVerifyCommitsAtLeastOneToken(t *testing.T) {
 func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(9))
-	tr := search(t, draft, lm.Context{ReqSeed: 33}, 7, 5, 3)
+	tr := search(t, draft, lm.Context{ReqSeed: 33}, 5, 3)
 	sel := Prefix(tr, tr.Size())
 	for i := 0; i < 100; i++ {
 		res := verify(sel, v)
@@ -290,7 +291,7 @@ func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 func TestVerifyGreedyDeterministic(t *testing.T) {
 	target, draft := beamModels(t)
 	v := lm.NewVerifier(target, lm.RuleGreedy, mathutil.NewRNG(9))
-	tr := search(t, draft, lm.Context{ReqSeed: 35}, 7, 4, 2)
+	tr := search(t, draft, lm.Context{ReqSeed: 35}, 4, 2)
 	sel := Prefix(tr, tr.Size())
 	a := verify(sel, v)
 	b := verify(sel, v)

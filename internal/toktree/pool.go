@@ -12,14 +12,14 @@ type TreePool struct {
 }
 
 // Get returns a rooted tree, reusing a recycled one when available.
-func (p *TreePool) Get(ctx lm.Context, rootTok lm.Token) *Tree {
+func (p *TreePool) Get(ctx lm.Context) *Tree {
 	if n := len(p.free); n > 0 {
 		t := p.free[n-1]
 		p.free = p.free[:n-1]
-		t.reset(ctx, rootTok)
+		t.reset(ctx)
 		return t
 	}
-	return NewTree(ctx, rootTok)
+	return newTree(ctx)
 }
 
 // Put returns a tree to the pool. The caller must hold no live references

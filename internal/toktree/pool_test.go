@@ -2,7 +2,6 @@ package toktree
 
 import (
 	"slices"
-	"sort"
 	"testing"
 
 	"adaserve/internal/lm"
@@ -22,8 +21,8 @@ func treesEqual(a, b *Tree) bool {
 	}
 	for i := range a.Nodes {
 		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.token != y.token || x.parent != y.parent || x.rank != y.rank ||
-			x.depth != y.depth || x.draftProb != y.draftProb || x.PathProb != y.PathProb ||
+		if x.token != y.token || x.rank != y.rank ||
+			x.depth != y.depth || x.PathProb != y.PathProb ||
 			len(x.Children) != len(y.Children) {
 			return false
 		}
@@ -48,19 +47,18 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 	var prev *Tree
 	for i := 0; i < 200; i++ {
 		ctx := lm.Context{ReqSeed: uint64(i % 13)}.Extend(lm.Token(rng.Intn(64)))
-		root := lm.Token(rng.Intn(256))
 		d, w := 1+rng.Intn(7), 1+rng.Intn(4)
 
 		if prev != nil {
 			pool.Put(prev)
 		}
-		pooled := pool.Get(ctx, root)
+		pooled := pool.Get(ctx)
 		if err := bb.Search(pooled, draft, d, w); err != nil {
 			t.Fatal(err)
 		}
 		prev = pooled
 
-		fresh := search(t, draft, ctx, root, d, w)
+		fresh := search(t, draft, ctx, d, w)
 		pooled.materialize()
 		fresh.materialize()
 		if !treesEqual(pooled, fresh) {
@@ -76,14 +74,14 @@ func TestPooledBeamMatchesFresh(t *testing.T) {
 // warm rebuilds do not grow node storage.
 func TestTreeResetReusesStorage(t *testing.T) {
 	draft := poolTestDraft(t)
-	tr := NewTree(lm.Context{ReqSeed: 1}, 7)
+	tr := newTree(lm.Context{ReqSeed: 1})
 	var bb BeamBuilder
 	if err := bb.Search(tr, draft, 6, 4); err != nil {
 		t.Fatal(err)
 	}
 	grown := cap(tr.Nodes)
-	tr.reset(lm.Context{ReqSeed: 2}, 9)
-	if tr.Size() != 1 || tr.Nodes[0].token != 9 || tr.Nodes[0].parent != -1 {
+	tr.reset(lm.Context{ReqSeed: 2})
+	if tr.Size() != 1 || len(tr.Nodes[0].Children) != 0 || tr.ctx != (lm.Context{ReqSeed: 2}) || tr.draft != nil {
 		t.Fatalf("reset tree malformed: %+v", tr.Nodes[0])
 	}
 	if cap(tr.Nodes) != grown {
@@ -97,35 +95,6 @@ func TestTreeResetReusesStorage(t *testing.T) {
 	}
 }
 
-// TestAddChildInsertionMatchesSort fuzzes AddChild's insertion step against
-// a reference stable sort over random child orders.
-func TestAddChildInsertionMatchesSort(t *testing.T) {
-	rng := mathutil.NewRNG(7)
-	for trial := 0; trial < 200; trial++ {
-		tr := NewTree(lm.Context{ReqSeed: uint64(trial)}, 0)
-		n := 2 + rng.Intn(8)
-		for i := 0; i < n; i++ {
-			// Coarse probabilities force ties; tokens may repeat across
-			// children to exercise the secondary key.
-			tr.AddChild(0, lm.Token(rng.Intn(4)), float64(rng.Intn(3))/4)
-		}
-		got := append([]int(nil), tr.Nodes[0].Children...)
-		want := append([]int(nil), got...)
-		sort.SliceStable(want, func(i, j int) bool {
-			a, b := &tr.Nodes[want[i]], &tr.Nodes[want[j]]
-			if a.draftProb != b.draftProb {
-				return a.draftProb > b.draftProb
-			}
-			return a.token < b.token
-		})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: children %v, want %v", trial, got, want)
-			}
-		}
-	}
-}
-
 // TestVerifyIntoMatchesVerify runs pooled-scratch verification against a
 // walk with fresh storage over many trees and seeds.
 func TestVerifyIntoMatchesVerify(t *testing.T) {
@@ -134,7 +103,7 @@ func TestVerifyIntoMatchesVerify(t *testing.T) {
 	var sc VerifyScratch
 	var res VerifyResult
 	for i := 0; i < 100; i++ {
-		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 5, 3)
+		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 3)
 		sel := Prefix(tr, 1+i%tr.Size())
 		// Identical RNG state for both walks.
 		v1 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))

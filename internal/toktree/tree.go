@@ -4,8 +4,8 @@
 //
 // Conventions (following the paper, §3):
 //
-//   - Every tree is rooted at the request's last generated token. The root
-//     has path probability f(root) = 1: verification always commits at least
+//   - Every tree is rooted at the request's decoding context. The root has
+//     path probability f(root) = 1: verification always commits at least
 //     one new token (the bonus/correction token), so the root counts toward
 //     acc(T) and toward the token budget.
 //   - A node's path probability is the product of conditional draft
@@ -14,22 +14,29 @@
 //   - acc(T) = 1 + number of accepted draft tokens = tokens committed by one
 //     verification pass, so E[acc(T)] = Σ_{v∈T} f(v) (Theorem 3.1).
 //
+// Every tree is a rank tree: each non-root node is its parent's rank-j
+// draft candidate, and a parent's children hold ranks 0, 1, … in ID order.
+// The draft's probability at a rank does not depend on the context
+// (lm.DraftLM.RankProbs), so a tree's structure, probabilities and greedy
+// order follow from its (parent, rank) pairs alone. Search builds the
+// (d, w) beam's pairs once per shape; NewRankTree takes any other set, such
+// as the interleaved Algorithm 1 ablation's selection. A node's token is
+// written only when verification walks to its parent (one draft Dist at
+// the walk's context), because verification reads one root path and
+// nothing else reads tokens.
+//
 // Every tree keeps its nodes in greedy order: by path probability
 // descending, ties by ID ascending. A child's path probability never
 // exceeds its parent's and a child's ID is larger, so the order is
 // topological, and it is exactly the order in which a frontier max-heap
 // pops the tree's nodes. Algorithm 2 therefore only ever selects a prefix
 // of it, and a Selection is that prefix's length.
-//
-// A searched tree is its (d, w) beam shape plus the request's context: the
-// structure, probabilities and greedy order come from the shape, and a
-// node's token is written only when verification walks to its parent (one
-// draft Dist at the walk's context), because verification reads one root
-// path and nothing else reads tokens.
 package toktree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adaserve/internal/lm"
 )
@@ -37,28 +44,23 @@ import (
 // Node is one token in a candidate tree. Its ID is its index in Tree.Nodes;
 // the root is always ID 0.
 type Node struct {
-	// token is the draft token at this node (for the root: the request's
-	// last committed token, informational only). In a searched tree it is
-	// set when verification reaches the parent (see Tree.fill).
+	// token is the draft token at this node, set when verification reaches
+	// the parent (see Tree.fill); 0 until then and at the root.
 	token lm.Token
-	// parent is the parent node ID, or -1 for the root.
-	parent int
 	// depth is 0 for the root.
 	depth int
-	// draftProb is q(token | path to parent), 1 for the root.
-	draftProb float64
-	// PathProb is the product of draftProb along the root path (the
-	// approximated f(v)); 1 for the root.
+	// PathProb is the product of the draft's rank probabilities
+	// q(token | path to parent) along the root path (the approximated
+	// f(v)); 1 for the root.
 	PathProb float64
 	// rank is the node's position in its tree's greedy order.
 	rank int
-	// Children lists child node IDs in descending draftProb order. In a
-	// searched tree, child j is the draft's rank-j candidate.
+	// Children lists child node IDs in rank order, which is descending
+	// draft probability order: child j is the draft's rank-j candidate.
 	Children []int
 }
 
-// rootOrder is the greedy order of every root-only tree. Its capacity is
-// its length, so AddChild's append copies it instead of writing into it.
+// rootOrder is the greedy order of every root-only tree.
 var rootOrder = []int{0}
 
 // Tree is a candidate token tree for one request, as produced by the
@@ -68,21 +70,19 @@ type Tree struct {
 	Nodes []Node
 	// order lists the node IDs in greedy order (path prob descending, ID
 	// ascending). A searched tree shares it with its beam shape, so it is
-	// read-only there; it is copied before AddChild writes into it.
+	// read-only.
 	order []int
-	// ctx is the request's decoding context at the root (history includes
-	// the root token).
+	// ctx is the request's decoding context at the root.
 	ctx lm.Context
-	// draft fills a searched tree's tokens on demand; nil when every token
-	// is set.
+	// draft fills the tree's tokens on demand; a root-only tree may have
+	// none.
 	draft *lm.DraftLM
 }
 
-// NewTree creates a tree holding only a root for the given context. rootTok
-// should be the last committed token of the request.
-func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
+// newTree creates a tree holding only a root for the given context.
+func newTree(ctx lm.Context) *Tree {
 	t := &Tree{}
-	t.reset(ctx, rootTok)
+	t.reset(ctx)
 	return t
 }
 
@@ -90,66 +90,70 @@ func NewTree(ctx lm.Context, rootTok lm.Token) *Tree {
 // a warm tree builds without allocating (Search shares its Children slices
 // and greedy order with the beam shape). Any outstanding references into
 // the old tree (Selections, node pointers) become invalid.
-func (t *Tree) reset(ctx lm.Context, rootTok lm.Token) {
+func (t *Tree) reset(ctx lm.Context) {
 	t.Nodes = t.Nodes[:0]
-	t.Nodes = append(t.Nodes, Node{token: rootTok, parent: -1, depth: 0, draftProb: 1, PathProb: 1})
+	t.Nodes = append(t.Nodes, Node{PathProb: 1})
 	t.order = rootOrder
 	t.ctx = ctx
 	t.draft = nil
 }
 
-// AddChild appends a node under parent and returns its ID. Children are kept
-// sorted by descending draftProb (ties by token) so verification considers
-// likelier branches first, and the node takes its place in the greedy
-// order. draftProb must not exceed 1, which keeps that order topological.
-// It panics on a searched tree whose tokens are still pending: a new child
-// can shift its siblings off the positions that name their draft ranks.
-func (t *Tree) AddChild(parent int, tok lm.Token, draftProb float64) int {
-	if parent < 0 || parent >= len(t.Nodes) {
-		panic(fmt.Sprintf("toktree: AddChild parent %d out of range", parent))
-	}
-	if draftProb > 1 {
-		panic(fmt.Sprintf("toktree: AddChild draft prob %g above 1", draftProb))
-	}
-	if t.draft != nil {
-		panic("toktree: AddChild on a searched tree with pending tokens")
-	}
-	id := len(t.Nodes)
-	t.Nodes = append(t.Nodes, Node{
-		token: tok, parent: parent, depth: t.Nodes[parent].depth + 1,
-		draftProb: draftProb, PathProb: t.Nodes[parent].PathProb * draftProb,
-	})
-	// Take the parent pointer only after append: append may reallocate
-	// t.Nodes, and a pointer captured earlier would mutate the stale array.
-	p := &t.Nodes[parent]
-	p.Children = append(p.Children, id)
-	// The existing children are already sorted (Search's come from the beam
-	// shape in rank order), so one insertion pass from the tail replaces a
-	// full sort.
-	ch := p.Children
-	for k := len(ch) - 1; k > 0; k-- {
-		prev, cur := &t.Nodes[ch[k-1]], &t.Nodes[ch[k]]
-		if cur.draftProb > prev.draftProb ||
-			(cur.draftProb == prev.draftProb && cur.token < prev.token) {
-			ch[k-1], ch[k] = ch[k], ch[k-1]
-			continue
+// RankNode is one non-root node of a rank tree: its parent's ID and its
+// draft rank among the parent's children.
+type RankNode struct{ Parent, Rank int }
+
+// NewRankTree builds the rank tree over draft at context ctx whose node
+// i+1 is spec[i]: the draft's rank-spec[i].Rank candidate under node
+// spec[i].Parent. Every parent must precede its children, and each
+// parent's children must take ranks 0, 1, … in ID order (it panics
+// otherwise). Verification fills the tokens, as in a searched tree.
+func NewRankTree(ctx lm.Context, draft *lm.DraftLM, spec []RankNode) *Tree {
+	sh := rankShape(draft.RankProbs(), spec)
+	return &Tree{Nodes: sh.nodes, order: sh.order, ctx: ctx, draft: draft}
+}
+
+// rankShape returns the nodes and greedy order of the rank tree spec (see
+// NewRankTree) over rank probabilities probs: each node's depth, PathProb
+// (parent × probs[rank]) and greedy rank, and each parent's Children in
+// rank order.
+func rankShape(probs []float64, spec []RankNode) shape {
+	nodes := make([]Node, 1+len(spec))
+	nodes[0] = Node{PathProb: 1}
+	kids := make([]int, len(nodes))
+	for i, s := range spec {
+		id := i + 1
+		if s.Parent < 0 || s.Parent >= id || s.Rank != kids[s.Parent] || s.Rank >= len(probs) {
+			panic(fmt.Sprintf("toktree: node %d as rank %d under node %d is not its parent's next draft rank", id, s.Rank, s.Parent))
 		}
-		break
+		kids[s.Parent]++
+		p := &nodes[s.Parent]
+		nodes[id] = Node{depth: p.depth + 1, PathProb: p.PathProb * probs[s.Rank]}
 	}
-	// The new node has the largest ID, so it goes behind every node of at
-	// least its path probability; the nodes it passes move back one rank.
-	pp := t.Nodes[id].PathProb
-	pos := len(t.order)
-	for pos > 0 && t.Nodes[t.order[pos-1]].PathProb < pp {
-		pos--
+	all := make([]int, len(spec))
+	off := 0
+	for p, n := range kids {
+		if n > 0 {
+			nodes[p].Children = all[off : off+n]
+			off += n
+		}
 	}
-	t.order = append(t.order, id)
-	copy(t.order[pos+1:], t.order[pos:])
-	t.order[pos] = id
-	for r := pos; r < len(t.order); r++ {
-		t.Nodes[t.order[r]].rank = r
+	for i, s := range spec {
+		nodes[s.Parent].Children[s.Rank] = i + 1
 	}
-	return id
+	order := make([]int, len(nodes))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if pa, pb := nodes[a].PathProb, nodes[b].PathProb; pa != pb {
+			return cmp.Compare(pb, pa)
+		}
+		return cmp.Compare(a, b)
+	})
+	for r, id := range order {
+		nodes[id].rank = r
+	}
+	return shape{nodes: nodes, order: order}
 }
 
 // Size returns the number of nodes including the root.
@@ -162,10 +166,10 @@ func (t *Tree) Size() int { return len(t.Nodes) }
 func (t *Tree) Order() []int { return t.order }
 
 // fill writes the tokens of node p's first n children from one draft Dist
-// at p's context ctx. In a searched tree child j is the draft's rank-j
-// candidate, and a selected node's selected children are always its first
-// ones: siblings' path probabilities fall with their rank (the draft's rank
-// weights are strictly decreasing) while their IDs rise.
+// at p's context ctx. Child j is the draft's rank-j candidate, and a
+// selected node's selected children are always its first ones: siblings'
+// path probabilities fall with their rank (the draft's rank weights are
+// strictly decreasing) while their IDs rise.
 func (t *Tree) fill(p int, ctx lm.Context, n int) {
 	dist := t.draft.Dist(ctx)
 	for j, c := range t.Nodes[p].Children[:n] {

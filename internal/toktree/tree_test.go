@@ -2,6 +2,8 @@ package toktree
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,15 +11,15 @@ import (
 	"adaserve/internal/mathutil"
 )
 
+// smallSpec is a two-level rank tree with a third-level leaf: the root's
+// ranks 0 and 1 (nodes 1, 2), node 1's ranks 0 and 1 (nodes 3, 4), node 2's
+// rank 0 (node 5) and node 3's rank 0 (node 6).
+var smallSpec = []RankNode{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {3, 0}}
+
 func buildSmallTree(t *testing.T) *Tree {
 	t.Helper()
-	tr := NewTree(lm.Context{ReqSeed: 1}, 42)
-	a := tr.AddChild(0, 100, 0.7)
-	b := tr.AddChild(0, 101, 0.2)
-	c := tr.AddChild(a, 102, 0.6)
-	tr.AddChild(a, 103, 0.3)
-	tr.AddChild(b, 104, 0.5)
-	tr.AddChild(c, 105, 0.9)
+	_, draft := beamModels(t)
+	tr := NewRankTree(lm.Context{ReqSeed: 1}, draft, smallSpec)
 	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -25,66 +27,73 @@ func buildSmallTree(t *testing.T) *Tree {
 }
 
 func TestNewTreeRoot(t *testing.T) {
-	tr := NewTree(lm.Context{ReqSeed: 1}, 42)
+	tr := newTree(lm.Context{ReqSeed: 1})
 	if tr.Size() != 1 || depth(tr) != 0 {
 		t.Fatalf("fresh tree size=%d depth=%d", tr.Size(), depth(tr))
 	}
 	root := tr.Nodes[0]
-	if root.parent != -1 || root.PathProb != 1 || root.token != 42 {
+	if len(root.Children) != 0 || root.PathProb != 1 || tr.ctx != (lm.Context{ReqSeed: 1}) {
 		t.Fatalf("bad root %+v", root)
 	}
 }
 
-func TestAddChildPathProbs(t *testing.T) {
+// TestRankTreePathProbs pins NewRankTree's node fields: each node is its
+// spec's rank under its spec's parent, one level deeper, with the product
+// of the draft's rank probabilities along its root path.
+func TestRankTreePathProbs(t *testing.T) {
 	tr := buildSmallTree(t)
-	// Node 3 (token 102) is child of node 1 (0.7): path = 0.42.
-	var found bool
-	for _, n := range tr.Nodes {
-		if n.token == 102 {
-			found = true
-			if diff := n.PathProb - 0.42; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("path prob %g, want 0.42", n.PathProb)
-			}
-			if n.depth != 2 {
-				t.Fatalf("depth %d, want 2", n.depth)
+	probs := tr.draft.RankProbs()
+	if tr.Size() != 1+len(smallSpec) {
+		t.Fatalf("size %d, want %d", tr.Size(), 1+len(smallSpec))
+	}
+	for i, s := range smallSpec {
+		n, p := &tr.Nodes[i+1], &tr.Nodes[s.Parent]
+		if n.depth != p.depth+1 || p.Children[s.Rank] != i+1 {
+			t.Fatalf("node %d is %+v, want rank %d under node %d", i+1, *n, s.Rank, s.Parent)
+		}
+		if n.PathProb != p.PathProb*probs[s.Rank] {
+			t.Fatalf("node %d: path prob %g, want %g", i+1, n.PathProb, p.PathProb*probs[s.Rank])
+		}
+	}
+	// Node 6 is rank 0 three levels down.
+	if want := probs[0] * probs[0] * probs[0]; tr.Nodes[6].PathProb != want || tr.Nodes[6].depth != 3 {
+		t.Fatalf("node 6: path prob %g depth %d, want %g at depth 3", tr.Nodes[6].PathProb, tr.Nodes[6].depth, want)
+	}
+}
+
+// TestChildrenSortedByDraftProb checks that children come in descending
+// draft probability order, read as siblings' path probabilities.
+func TestChildrenSortedByDraftProb(t *testing.T) {
+	tr := buildSmallTree(t)
+	for id, n := range tr.Nodes {
+		for k := 1; k < len(n.Children); k++ {
+			if tr.Nodes[n.Children[k-1]].PathProb <= tr.Nodes[n.Children[k]].PathProb {
+				t.Fatalf("node %d: children %v not in descending draft prob order", id, n.Children)
 			}
 		}
 	}
-	if !found {
-		t.Fatal("node 102 missing")
+	if len(tr.Nodes[0].Children) != 2 {
+		t.Fatalf("root children %v", tr.Nodes[0].Children)
 	}
 }
 
-func TestChildrenSortedByDraftProb(t *testing.T) {
-	tr := buildSmallTree(t)
-	ch := tr.Nodes[0].Children
-	if len(ch) != 2 {
-		t.Fatalf("root children %v", ch)
+// TestRankTreeDeepChainKeepsParentLinks builds a 200-deep rank-0 chain:
+// every node must be the sole child of its parent, one level deeper.
+func TestRankTreeDeepChainKeepsParentLinks(t *testing.T) {
+	_, draft := beamModels(t)
+	spec := make([]RankNode, 200)
+	for i := range spec {
+		spec[i] = RankNode{Parent: i}
 	}
-	if tr.Nodes[ch[0]].draftProb < tr.Nodes[ch[1]].draftProb {
-		t.Fatal("children not sorted by descending draft prob")
-	}
-}
-
-func TestAddChildManyNodesKeepsParentLinks(t *testing.T) {
-	// Regression test for the slice-reallocation aliasing bug: adding many
-	// nodes must keep every child list reachable from its (possibly moved)
-	// parent.
-	tr := NewTree(lm.Context{ReqSeed: 2}, 0)
-	parent := 0
-	for i := 0; i < 200; i++ {
-		parent = tr.AddChild(parent, lm.Token(i), 0.9)
-	}
+	tr := NewRankTree(lm.Context{ReqSeed: 2}, draft, spec)
 	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The chain must be fully connected: 200 nodes of strictly increasing
-	// depth, each the sole child of its parent.
 	cur := 0
 	for depth := 0; depth < 200; depth++ {
 		ch := tr.Nodes[cur].Children
-		if len(ch) != 1 {
-			t.Fatalf("node %d at depth %d has %d children", cur, depth, len(ch))
+		if len(ch) != 1 || tr.Nodes[ch[0]].depth != depth+1 {
+			t.Fatalf("node %d at depth %d has children %v", cur, depth, ch)
 		}
 		cur = ch[0]
 	}
@@ -103,18 +112,22 @@ func TestSelectionBasics(t *testing.T) {
 	if sel := Prefix(tr, 1); !sel.has(0) || sel.has(1) || sel.Size() != 1 {
 		t.Fatal("a one-node prefix should hold only the root")
 	}
-	// Greedy order: root 1, a 0.7, c 0.42, c's child 0.378, ... so the
-	// three-node prefix is the root, a and c.
+	// The three-node prefix is the root, node 1 (rank 0) and the likelier
+	// of node 2 (rank 1) and node 3 (rank 0 under node 1).
+	third := 2
+	if tr.Nodes[3].PathProb > tr.Nodes[2].PathProb {
+		third = 3
+	}
 	sel := Prefix(tr, 3)
 	if sel.Size() != 3 {
 		t.Fatalf("size %d", sel.Size())
 	}
 	for id := range tr.Nodes {
-		if want := id == 0 || id == 1 || id == 3; sel.has(id) != want {
+		if want := id == 0 || id == 1 || id == third; sel.has(id) != want {
 			t.Fatalf("node %d selected %v, want %v", id, sel.has(id), want)
 		}
 	}
-	wantE := 1 + tr.Nodes[1].PathProb + tr.Nodes[3].PathProb
+	wantE := 1 + tr.Nodes[1].PathProb + tr.Nodes[third].PathProb
 	if diff := selectedPathProb(sel) - wantE; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("E[acc] %g, want %g", selectedPathProb(sel), wantE)
 	}
@@ -136,16 +149,106 @@ func TestPrefixRejectsBadLength(t *testing.T) {
 	}
 }
 
-// TestAddChildRejectsDraftProbAboveOne pins the bound that keeps the
-// greedy order topological.
-func TestAddChildRejectsDraftProbAboveOne(t *testing.T) {
-	tr := buildSmallTree(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("draft prob 1.5 accepted")
+// TestRankTreeRejectsBadSpec pins NewRankTree's guard: a parent must
+// precede its children, and siblings take the draft's ranks 0, 1, … in ID
+// order, within the draft's candidate count.
+func TestRankTreeRejectsBadSpec(t *testing.T) {
+	_, draft := beamModels(t)
+	branch := len(draft.RankProbs())
+	chain := make([]RankNode, branch+1)
+	for i := range chain {
+		chain[i] = RankNode{Parent: 0, Rank: i}
+	}
+	for name, spec := range map[string][]RankNode{
+		"parent after child": {{Parent: 1, Rank: 0}},
+		"negative parent":    {{Parent: -1, Rank: 0}},
+		"skipped rank":       {{Parent: 0, Rank: 1}},
+		"repeated rank":      {{Parent: 0, Rank: 0}, {Parent: 0, Rank: 0}},
+		"ranks out of order": {{Parent: 0, Rank: 1}, {Parent: 0, Rank: 0}},
+		"past the last rank": chain,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: spec %v accepted", name, spec)
+				}
+			}()
+			NewRankTree(lm.Context{}, draft, spec)
+		}()
+	}
+}
+
+// FuzzRankTree decodes random rank trees: each input byte picks the next
+// node's parent among the nodes with a draft rank left, and the node takes
+// that parent's next rank. The tree must pass validate (its greedy order
+// is topological and sorted), hold the greedy order, children and path
+// probabilities (bitwise) that the explicit-token builder addChild gives
+// the same nodes added in ID order, and make every Prefix connected.
+func FuzzRankTree(f *testing.F) {
+	f.Add(uint64(1), uint8(15), []byte{0, 0, 1, 1, 2, 3})
+	f.Add(uint64(2), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint64(3), uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint64(4), uint8(0), []byte{7, 7, 7})
+	f.Fuzz(func(t *testing.T, seed uint64, branchRaw uint8, data []byte) {
+		branch := 1 + int(branchRaw%16)
+		target := lm.MustSyntheticLM(seed, 512, branch, 0.05+float64(seed%500)/100, 0.05)
+		draft := lm.MustDraftLM(target, 0.5, seed^0x5eed)
+		probs := draft.RankProbs()
+		if len(data) > 64 {
+			data = data[:64]
 		}
-	}()
-	tr.AddChild(1, 7, 1.5)
+		kids := []int{0}
+		var spec []RankNode
+		var open []int
+		for _, b := range data {
+			open = open[:0]
+			for p, n := range kids {
+				if n < branch {
+					open = append(open, p)
+				}
+			}
+			p := open[int(b)%len(open)]
+			spec = append(spec, RankNode{Parent: p, Rank: kids[p]})
+			kids[p]++
+			kids = append(kids, 0)
+		}
+		ctx := lm.Context{ReqSeed: seed}
+		tr := NewRankTree(ctx, draft, spec)
+		if err := tr.validate(); err != nil {
+			t.Fatal(err)
+		}
+		ref := newTree(ctx)
+		for i, s := range spec {
+			addChild(ref, s.Parent, lm.Token(i+1), probs[s.Rank])
+		}
+		if !slices.Equal(tr.order, ref.order) {
+			t.Fatalf("greedy order %v, addChild's %v", tr.order, ref.order)
+		}
+		for id := range ref.Nodes {
+			g, w := &tr.Nodes[id], &ref.Nodes[id]
+			if !slices.Equal(g.Children, w.Children) || g.rank != w.rank ||
+				math.Float64bits(g.PathProb) != math.Float64bits(w.PathProb) {
+				t.Fatalf("node %d is %+v, addChild's %+v", id, *g, *w)
+			}
+		}
+		parents := tr.parents()
+		for n := 1; n <= tr.Size(); n++ {
+			sel := Prefix(tr, n)
+			held := 0
+			for id := range tr.Nodes {
+				if !sel.has(id) {
+					continue
+				}
+				held++
+				if id > 0 && !sel.has(parents[id]) {
+					t.Fatalf("prefix %d holds node %d but not its parent %d", n, id, parents[id])
+				}
+			}
+			if held != n || !sel.has(0) {
+				t.Fatalf("prefix %d holds %d nodes", n, held)
+			}
+		}
+	})
 }
 
 // selectedPathProb is Σ f(v) over the selected nodes (== E[acc(T)]).
@@ -167,7 +270,7 @@ func TestTheorem31(t *testing.T) {
 	draft := lm.MustDraftLM(target, 1.0, 4) // perfect draft: q = p = f
 	ctx := lm.Context{ReqSeed: 77}
 
-	tr := search(t, draft, ctx, 5, 4, 3)
+	tr := search(t, draft, ctx, 4, 3)
 	sel := Prefix(tr, tr.Size())
 	want := selectedPathProb(sel) // Σ f(v) with calibrated f
 
@@ -194,14 +297,15 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 	draft := lm.MustDraftLM(target, 0.8, 6)
 	err := quick.Check(func(seed uint64, budgetRaw uint8) bool {
 		budget := int(budgetRaw%20) + 1
-		tr := search(t, draft, lm.Context{ReqSeed: seed}, 0, 4, 3)
+		tr := search(t, draft, lm.Context{ReqSeed: seed}, 4, 3)
+		parents := tr.parents()
 		in := []bool{true}
 		in = append(in, make([]bool, tr.Size()-1)...)
 		for k := 1; k <= budget; k++ {
 			// Greedy: highest-PathProb unselected node whose parent is in.
 			best, bestP := -1, -1.0
 			for id, n := range tr.Nodes {
-				if id > 0 && !in[id] && in[n.parent] && n.PathProb > bestP {
+				if id > 0 && !in[id] && in[parents[id]] && n.PathProb > bestP {
 					best, bestP = id, n.PathProb
 				}
 			}
@@ -214,7 +318,7 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 			}
 			sel := Prefix(tr, k+1)
 			for id := range tr.Nodes {
-				if sel.has(id) != in[id] || (sel.has(id) && id > 0 && !sel.has(tr.Nodes[id].parent)) {
+				if sel.has(id) != in[id] || (sel.has(id) && id > 0 && !sel.has(parents[id])) {
 					return false
 				}
 			}
@@ -226,50 +330,63 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 	}
 }
 
-// validate checks structural invariants: parent links, depths, sorted
-// children, and path-probability monotonicity (child ≤ parent).
+// validate checks structural invariants: every non-root node held by
+// exactly one Children list, under a smaller ID and one level deeper,
+// children sorted by draft probability (their path probabilities) and in
+// greedy order, and path-probability monotonicity (child ≤ parent).
 func (t *Tree) validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("toktree: empty tree")
 	}
-	if t.Nodes[0].parent != -1 || t.Nodes[0].depth != 0 || t.Nodes[0].PathProb != 1 {
+	if t.Nodes[0].depth != 0 || t.Nodes[0].PathProb != 1 {
 		return fmt.Errorf("toktree: malformed root %+v", t.Nodes[0])
 	}
-	for i := 1; i < len(t.Nodes); i++ {
-		n := &t.Nodes[i]
-		if n.parent < 0 || n.parent >= len(t.Nodes) {
-			return fmt.Errorf("toktree: node %d parent %d out of range", i, n.parent)
-		}
-		p := &t.Nodes[n.parent]
-		if n.depth != p.depth+1 {
-			return fmt.Errorf("toktree: node %d depth %d, parent depth %d", i, n.depth, p.depth)
-		}
-		if n.PathProb > p.PathProb+1e-12 {
-			return fmt.Errorf("toktree: node %d path prob %g exceeds parent %g", i, n.PathProb, p.PathProb)
-		}
-		if n.draftProb < 0 || n.draftProb > 1+1e-12 {
-			return fmt.Errorf("toktree: node %d draft prob %g out of range", i, n.draftProb)
-		}
-	}
+	held := make([]int, len(t.Nodes))
 	for i := range t.Nodes {
-		ch := t.Nodes[i].Children
-		for k := 1; k < len(ch); k++ {
-			if t.Nodes[ch[k-1]].draftProb < t.Nodes[ch[k]].draftProb {
+		p := &t.Nodes[i]
+		for k, c := range p.Children {
+			if c <= i || c >= len(t.Nodes) {
+				return fmt.Errorf("toktree: node %d holds child %d", i, c)
+			}
+			held[c]++
+			n := &t.Nodes[c]
+			if n.depth != p.depth+1 {
+				return fmt.Errorf("toktree: node %d depth %d, parent depth %d", c, n.depth, p.depth)
+			}
+			if n.PathProb > p.PathProb+1e-12 {
+				return fmt.Errorf("toktree: node %d path prob %g exceeds parent %g", c, n.PathProb, p.PathProb)
+			}
+			if k == 0 {
+				continue
+			}
+			if prev := &t.Nodes[p.Children[k-1]]; prev.PathProb < n.PathProb {
 				return fmt.Errorf("toktree: node %d children not sorted", i)
-			}
-		}
-		for k, c := range ch {
-			if t.Nodes[c].parent != i {
-				return fmt.Errorf("toktree: child %d of %d has parent %d", c, i, t.Nodes[c].parent)
-			}
-			// fill's precondition: a searched tree's selected children are
-			// its first ones.
-			if t.draft != nil && k > 0 && t.Nodes[c].rank < t.Nodes[ch[k-1]].rank {
+			} else if prev.rank > n.rank {
+				// fill's precondition: a node's selected children are its
+				// first ones.
 				return fmt.Errorf("toktree: node %d's children out of greedy order", i)
 			}
 		}
 	}
+	for id := 1; id < len(held); id++ {
+		if held[id] != 1 {
+			return fmt.Errorf("toktree: node %d is held by %d children lists", id, held[id])
+		}
+	}
 	return t.validateOrder()
+}
+
+// parents returns each node's parent ID, read from the Children lists (-1
+// for the root).
+func (t *Tree) parents() []int {
+	ps := make([]int, len(t.Nodes))
+	ps[0] = -1
+	for p, n := range t.Nodes {
+		for _, c := range n.Children {
+			ps[c] = p
+		}
+	}
+	return ps
 }
 
 // validateOrder checks the greedy order: a permutation of the node IDs,
@@ -279,6 +396,7 @@ func (t *Tree) validateOrder() error {
 	if len(t.order) != len(t.Nodes) {
 		return fmt.Errorf("toktree: order holds %d of %d nodes", len(t.order), len(t.Nodes))
 	}
+	parents := t.parents()
 	for r, id := range t.order {
 		if id < 0 || id >= len(t.Nodes) || t.Nodes[id].rank != r {
 			return fmt.Errorf("toktree: order position %d holds node %d of another rank", r, id)
@@ -289,17 +407,17 @@ func (t *Tree) validateOrder() error {
 				return fmt.Errorf("toktree: order positions %d and %d out of greedy order", r-1, r)
 			}
 		}
-		if id > 0 && t.Nodes[t.Nodes[id].parent].rank >= r {
+		if id > 0 && t.Nodes[parents[id]].rank >= r {
 			return fmt.Errorf("toktree: node %d ranks ahead of its parent", id)
 		}
 	}
 	return nil
 }
 
-// materialize fills every pending token of a searched tree through fill,
+// materialize fills every pending token of a tree through fill,
 // the on-demand fill verification uses, parents before children (a
 // child's ID is larger than its parent's), and leaves the tree with every
-// token set.
+// token set. Verification refills the same tokens.
 func (t *Tree) materialize() {
 	ctxs := make([]lm.Context, len(t.Nodes))
 	ctxs[0] = t.ctx
@@ -313,5 +431,4 @@ func (t *Tree) materialize() {
 			ctxs[c] = ctxs[p].Extend(t.Nodes[c].token)
 		}
 	}
-	t.draft = nil
 }

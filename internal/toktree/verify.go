@@ -37,9 +37,9 @@ type VerifyScratch struct {
 // descending draft probability). Descent stops at the first rejection — the
 // rule's correction token is committed — or past the last selected node,
 // where the bonus token is drawn from the target distribution at that
-// context. In a searched tree the walk first fills the selected children's
-// tokens from one draft Dist at the node's context, so the draft is asked
-// only where the walk goes; the draft draws nothing from the RNG.
+// context. At each node the walk first fills the selected children's tokens
+// from one draft Dist at the node's context, so the draft is asked only
+// where the walk goes; the draft draws nothing from the RNG.
 //
 // res is reset and refilled in place (its Accepted capacity is reused, and
 // left one token larger than the prefix) and sc provides the walk buffers;
@@ -63,9 +63,7 @@ func VerifyInto(res *VerifyResult, sel Selection, v *lm.Verifier, sc *VerifyScra
 			res.Correction = bonusToken(v, ctx)
 			break
 		}
-		if t.draft != nil {
-			t.fill(cur, ctx, len(sc.children))
-		}
+		t.fill(cur, ctx, len(sc.children))
 		sc.branches = sc.branches[:0]
 		for _, c := range sc.children {
 			sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})

@@ -101,9 +101,9 @@ func TestLazyVerifyMatchesEager(t *testing.T) {
 					for w := 1; w <= 4; w++ {
 						for i := 0; i < 4; i++ {
 							ctx := lm.Context{ReqSeed: uint64(ctxRNG.Intn(1 << 30))}.Extend(lm.Token(ctxRNG.Intn(4096)))
-							eager := NewTree(ctx, 3)
+							eager := newTree(ctx)
 							eagerSearch(&eagerBB, eager, draft, d, w)
-							lazy := pool.Get(ctx, 3)
+							lazy := pool.Get(ctx)
 							if err := lazyBB.Search(lazy, draft, d, w); err != nil {
 								t.Fatal(err)
 							}

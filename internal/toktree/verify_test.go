@@ -12,10 +12,14 @@ import (
 // model and its greedy continuation from a root context. Under the greedy
 // rule the target accepts exactly the chain's tokens, so accepted prefixes
 // are fully predictable: tok[0] is the root token and tok[k] is the
-// target's argmax after tok[1..k-1].
+// target's argmax after tok[1..k-1]. An aligned draft's rank-0 candidate is
+// always the chain's token and its other ranks are wrong ones; a mistaken
+// draft's rank 0 is always wrong, and the chain's token hides at a lower
+// rank.
 type chain struct {
-	target *lm.SyntheticLM
-	tok    []lm.Token
+	target            *lm.SyntheticLM
+	aligned, mistaken *lm.DraftLM
+	tok               []lm.Token
 	// onChain holds the contexts the chain passes through: the root's and
 	// each one extended by tok[1..k].
 	onChain map[lm.Context]bool
@@ -24,10 +28,13 @@ type chain struct {
 const chainVocab = 256
 
 func newChain() chain {
+	target := lm.MustSyntheticLM(3, chainVocab, 16, 3.2, 0.02)
 	c := chain{
-		target:  lm.MustSyntheticLM(3, chainVocab, 16, 3.2, 0.02),
-		tok:     []lm.Token{10},
-		onChain: map[lm.Context]bool{},
+		target:   target,
+		aligned:  lm.MustDraftLM(target, 1, 4),
+		mistaken: lm.MustDraftLM(target, 0, 5),
+		tok:      []lm.Token{10},
+		onChain:  map[lm.Context]bool{},
 	}
 	ctx := chainCtx(10)
 	c.onChain[ctx] = true
@@ -50,34 +57,41 @@ func (c chain) Dist(ctx lm.Context) lm.Dist {
 	return c.target.Dist(ctx)
 }
 
-// wrong returns the i-th (i >= 1) of the tokens the greedy target rejects
-// at depth k: a token other than tok[k].
-func (c chain) wrong(k, i int) lm.Token { return c.tok[k] ^ lm.Token(i) }
-
 // greedyVerifier builds a verifier over the chain with the deterministic
 // rule.
 func (c chain) greedyVerifier() *lm.Verifier {
 	return lm.NewVerifier(c, lm.RuleGreedy, mathutil.NewRNG(1))
 }
 
-// chainCtx is a context whose history ends in the root token, matching how
-// the engine roots trees at the request's last committed token.
+// rootRank returns the mistaken draft's rank of tok[1] at the root: at
+// least 1, since its rank 0 is wrong.
+func (c chain) rootRank(t *testing.T) int {
+	t.Helper()
+	dist := c.mistaken.Dist(chainCtx(10))
+	for r := range len(c.mistaken.RankProbs()) {
+		if dist.Token(r) == c.tok[1] {
+			if r == 0 {
+				t.Fatal("the mistaken draft's rank 0 is the target's argmax")
+			}
+			return r
+		}
+	}
+	t.Fatal("the target's argmax is no draft candidate")
+	return 0
+}
+
+// chainCtx is a context whose history ends in the root token.
 func chainCtx(root lm.Token) lm.Context {
 	return lm.Context{ReqSeed: 7}.Extend(root)
 }
 
 func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
-	// The chain's tok[1] -> tok[2] is the correct continuation; siblings
-	// wrong(1) (depth 1) and wrong(2) (depth 2) are rejected. Node tok[3]
-	// hangs off the WRONG sibling, so it must never be reached even though
-	// its token would be acceptable elsewhere.
+	// Under the aligned draft, node 1 (rank 0) -> node 3 (rank 0) is the
+	// correct continuation tok[1], tok[2]; siblings node 2 (depth 1) and
+	// node 4 (depth 2) are rejected. Node 5 hangs off the WRONG sibling,
+	// so it must never be reached, and its token is never filled.
 	c := newChain()
-	tr := NewTree(chainCtx(10), 10)
-	n1 := tr.AddChild(0, c.tok[1], 0.6)
-	nw := tr.AddChild(0, c.wrong(1, 1), 0.3)
-	tr.AddChild(n1, c.tok[2], 0.7)
-	tr.AddChild(n1, c.wrong(2, 1), 0.2)
-	tr.AddChild(nw, c.tok[3], 0.5)
+	tr := NewRankTree(chainCtx(10), c.aligned, []RankNode{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}})
 	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +108,25 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 	if res.TokensVerified != sel.Size() {
 		t.Fatalf("tokens verified %d, want selection size %d", res.TokensVerified, sel.Size())
 	}
+	if tok := tr.Nodes[2].token; tok == 0 || tok == c.tok[1] {
+		t.Fatalf("rejected sibling holds token %d", tok)
+	}
+	if tok := tr.Nodes[5].token; tok != 0 {
+		t.Fatalf("node under the rejected sibling was filled with %d", tok)
+	}
 }
 
 func TestVerifyRejectionEmitsCorrection(t *testing.T) {
-	// No child carries the correct token tok[1]: the walk stops at the
-	// root and the correction is the target argmax there.
+	// The mistaken draft's ranks above tok[1]'s are all wrong: with only
+	// those children the walk stops at the root and the correction is the
+	// target argmax there.
 	c := newChain()
-	tr := NewTree(chainCtx(10), 10)
-	tr.AddChild(0, c.wrong(1, 1), 0.6)
-	tr.AddChild(0, c.wrong(1, 2), 0.3)
-	sel := Prefix(tr, 3)
+	spec := make([]RankNode, c.rootRank(t))
+	for r := range spec {
+		spec[r] = RankNode{Parent: 0, Rank: r}
+	}
+	tr := NewRankTree(chainCtx(10), c.mistaken, spec)
+	sel := Prefix(tr, tr.Size())
 	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
 		t.Fatalf("accepted %v, want none", res.Accepted)
@@ -115,15 +138,18 @@ func TestVerifyRejectionEmitsCorrection(t *testing.T) {
 
 func TestVerifyRespectsSelection(t *testing.T) {
 	// The correct child tok[1] exists in the candidate tree but is NOT
-	// selected (it is the less likely sibling, outside the two-node
-	// prefix): verification must not see it and must reject the selected
-	// sibling.
+	// selected (it is a less likely sibling of the mistaken draft's rank
+	// 0, outside the two-node prefix): verification must not see it and
+	// must reject the selected sibling.
 	c := newChain()
-	tr := NewTree(chainCtx(10), 10)
-	right := tr.AddChild(0, c.tok[1], 0.3)
-	tr.AddChild(0, c.wrong(1, 1), 0.6)
+	right := c.rootRank(t)
+	spec := make([]RankNode, right+1)
+	for r := range spec {
+		spec[r] = RankNode{Parent: 0, Rank: r}
+	}
+	tr := NewRankTree(chainCtx(10), c.mistaken, spec)
 	sel := Prefix(tr, 2)
-	if sel.has(right) {
+	if sel.has(1 + right) {
 		t.Fatal("the correct child is inside the two-node prefix")
 	}
 	res := verify(sel, c.greedyVerifier())
@@ -139,7 +165,7 @@ func TestVerifyRootOnlyTree(t *testing.T) {
 	// Empty tree (root only, nothing speculated): verification degenerates
 	// to plain decoding — no accepted tokens, bonus from the root context.
 	c := newChain()
-	tr := NewTree(chainCtx(10), 10)
+	tr := newTree(chainCtx(10))
 	sel := Prefix(tr, 1)
 	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
@@ -154,14 +180,14 @@ func TestVerifyRootOnlyTree(t *testing.T) {
 }
 
 func TestVerifyFullAcceptanceChain(t *testing.T) {
-	// A fully correct selected chain of depth 4: everything accepted plus
-	// the bonus token at the end.
+	// A selected rank-0 chain of depth 4 under the aligned draft is fully
+	// correct: everything accepted plus the bonus token at the end.
 	c := newChain()
-	tr := NewTree(chainCtx(10), 10)
-	parent := 0
-	for d := 1; d <= 4; d++ {
-		parent = tr.AddChild(parent, c.tok[d], 0.9)
+	spec := make([]RankNode, 4)
+	for d := range spec {
+		spec[d] = RankNode{Parent: d}
 	}
+	tr := NewRankTree(chainCtx(10), c.aligned, spec)
 	sel := Prefix(tr, tr.Size())
 	res := verify(sel, c.greedyVerifier())
 	if want := c.tok[1:5]; !reflect.DeepEqual(res.Accepted, want) {
@@ -179,7 +205,7 @@ func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, Selection) {
 	t.Helper()
 	target := lm.MustSyntheticLM(seed, 512, 8, 2.5, 0.05)
 	draft := lm.MustDraftLM(target, 0.8, seed+1)
-	tr := NewTree(lm.Context{ReqSeed: seed}, lm.Token(seed%256))
+	tr := newTree(lm.Context{ReqSeed: seed})
 	var bb BeamBuilder
 	if err := bb.Search(tr, draft, 4, 3); err != nil {
 		t.Fatal(err)

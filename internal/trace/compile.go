@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"os"
 	"sort"
 
 	"adaserve/internal/mathutil"
@@ -23,6 +24,20 @@ type CompileOptions struct {
 	// Seed overrides the spec's seed (0: use the spec's). The same spec
 	// and seed always compile to the same trace.
 	Seed uint64
+}
+
+// CompileFile reads the spec file at path, parses it and compiles it (see
+// Compile). A parse error names the file.
+func CompileFile(path string, opts CompileOptions) (*Trace, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := ParseSpec(string(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return Compile(spec, opts)
 }
 
 // Compile turns a spec into a trace, deterministically per seed: each

@@ -46,33 +46,31 @@ func BenchmarkLMDist(b *testing.B) {
 }
 
 // BenchmarkBeamSearch measures candidate-tree construction (d=6, w=4) on
-// the pooled path the engine uses: a reused tree and beam builder. Search
-// copies the cached shape and calls no Dist; the draft's token reads are
-// paid by verification, so compare this benchmark with
+// the path the engine uses: a root-only tree and a reused beam builder.
+// Search shares the cached shape and calls no Dist; the draft's token reads
+// are paid by verification, so compare this benchmark with
 // BenchmarkVerifyTree as their sum.
 func BenchmarkBeamSearch(b *testing.B) {
 	_, draft := benchModels(b)
 	ctx := lm.Context{ReqSeed: 9}
-	var pool toktree.TreePool
 	var bb toktree.BeamBuilder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := pool.Get(ctx)
-		if err := bb.Search(t, draft, 6, 4); err != nil {
+		t := toktree.Root(ctx)
+		if err := bb.Search(&t, draft, 6, 4); err != nil {
 			b.Fatal(err)
 		}
-		pool.Put(t)
 	}
 }
 
 // benchTree grows a fresh d=6, w=4 candidate tree for request seed.
 func benchTree(b *testing.B, draft *lm.DraftLM, seed uint64) *toktree.Tree {
-	t := new(toktree.TreePool).Get(lm.Context{ReqSeed: seed})
+	t := toktree.Root(lm.Context{ReqSeed: seed})
 	var bb toktree.BeamBuilder
-	if err := bb.Search(t, draft, 6, 4); err != nil {
+	if err := bb.Search(&t, draft, 6, 4); err != nil {
 		b.Fatal(err)
 	}
-	return t
+	return &t
 }
 
 // BenchmarkSelect measures Algorithm 2's selection phases over 16 candidate
@@ -154,7 +152,7 @@ func BenchmarkEngineIteration(b *testing.B) {
 			b.Fatal(err)
 		}
 		for j := range reqs {
-			selReqs[j] = core.SelectRequest{Cand: spec.Trees[j], MinAccept: 1.5}
+			selReqs[j] = core.SelectRequest{Cand: &spec.Trees[j], MinAccept: 1.5}
 		}
 		selRes, err := sel.Select(selReqs, core.SelectConfig{Budget: 96, Depth: 4, PerRequestMax: 10})
 		if err != nil {
@@ -165,7 +163,7 @@ func BenchmarkEngineIteration(b *testing.B) {
 		}
 		ver := eng.VerifyTrees(items, nil)
 		for j, r := range reqs {
-			engine.CommitVerify(r, ver.Results[j], 0)
+			engine.CommitVerify(r, &ver.Results[j], 0)
 		}
 	}
 }

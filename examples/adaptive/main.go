@@ -32,11 +32,10 @@ func main() {
 	// 1. The control law itself: profile the verifier, derive the budget,
 	//    and print (d, w) across load levels.
 	cm := gpu.MustCostModel(setup.HW, setup.Target, setup.TargetTP)
-	prof, err := gpu.ProfileCostModel(cm, 4096, 512)
+	prof, budget, err := sched.VerifyBudget(cm)
 	if err != nil {
 		log.Fatal(err)
 	}
-	budget := prof.BudgetFor(1.3 * prof.Base)
 	ctrl := core.DefaultController(budget)
 	fmt.Printf("profiled verifier: base %.1f ms, knee %d tokens, budget B=%d\n\n",
 		1e3*prof.Base, prof.Knee, budget)

@@ -70,13 +70,13 @@ func bestTotal(best [][]float64, need []float64, budget int) float64 {
 func oracleTree(rng *mathutil.RNG, bb *toktree.BeamBuilder, draft *lm.DraftLM) *toktree.Tree {
 	ctx := lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))}
 	if rng.Intn(2) == 0 {
-		tr := new(toktree.TreePool).Get(ctx)
+		tr := toktree.Root(ctx)
 		d := 1 + rng.Intn(4)
 		w := 1 + rng.Intn(11/d)
-		if err := bb.Search(tr, draft, d, w); err != nil {
+		if err := bb.Search(&tr, draft, d, w); err != nil {
 			panic(err)
 		}
-		return tr
+		return &tr
 	}
 	kids := []int{0}
 	var spec []toktree.RankNode

@@ -110,9 +110,9 @@ func newSelectCase(t testing.TB, bb *toktree.BeamBuilder, draft *lm.DraftLM, rng
 	t.Helper()
 	c := selectCase{reqs: make([]SelectRequest, n)}
 	for i := range c.reqs {
-		tr := new(toktree.TreePool).Get(lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))})
+		tr := toktree.Root(lm.Context{ReqSeed: uint64(rng.Intn(1 << 30))})
 		if rng.Intn(5) != 0 {
-			if err := bb.Search(tr, draft, d, w); err != nil {
+			if err := bb.Search(&tr, draft, d, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,7 +123,7 @@ func newSelectCase(t testing.TB, bb *toktree.BeamBuilder, draft *lm.DraftLM, rng
 		case 2:
 			a = float64(d+1) + 1 + rng.Float64()*4
 		}
-		c.reqs[i] = SelectRequest{Cand: tr, MinAccept: a}
+		c.reqs[i] = SelectRequest{Cand: &tr, MinAccept: a}
 	}
 	c.cfg = SelectConfig{Budget: n + rng.Intn(n*d*w+1), Depth: d}
 	if rng.Intn(2) == 0 {

@@ -21,12 +21,12 @@ func TestSelectorMatchesSelect(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		reqs := make([]SelectRequest, n)
 		for i := range reqs {
-			tr := new(toktree.TreePool).Get(lm.Context{ReqSeed: uint64(iter*100 + i)})
+			tr := toktree.Root(lm.Context{ReqSeed: uint64(iter*100 + i)})
 			var bb toktree.BeamBuilder
-			if err := bb.Search(tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
+			if err := bb.Search(&tr, draft, 1+rng.Intn(6), 1+rng.Intn(4)); err != nil {
 				t.Fatal(err)
 			}
-			reqs[i] = SelectRequest{Cand: tr, MinAccept: float64(rng.Intn(8)) / 2}
+			reqs[i] = SelectRequest{Cand: &tr, MinAccept: float64(rng.Intn(8)) / 2}
 		}
 		cfg := SelectConfig{
 			Budget:        n + rng.Intn(64),
@@ -61,11 +61,11 @@ func TestSelectorAllocatesNothingWarm(t *testing.T) {
 	var bb toktree.BeamBuilder
 	reqs := make([]SelectRequest, 12)
 	for i := range reqs {
-		tr := new(toktree.TreePool).Get(lm.Context{ReqSeed: uint64(i)})
-		if err := bb.Search(tr, draft, 5, 3); err != nil {
+		tr := toktree.Root(lm.Context{ReqSeed: uint64(i)})
+		if err := bb.Search(&tr, draft, 5, 3); err != nil {
 			t.Fatal(err)
 		}
-		reqs[i] = SelectRequest{Cand: tr, MinAccept: float64(i%4) / 2}
+		reqs[i] = SelectRequest{Cand: &tr, MinAccept: float64(i%4) / 2}
 	}
 	cfg := SelectConfig{Budget: 96, Depth: 5, PerRequestMax: 10}
 	var sel Selector

@@ -23,6 +23,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -48,7 +49,7 @@ type Config struct {
 // Engine executes forward passes for one serving instance.
 //
 // Per-iteration scratch (candidate trees, verification results, ordering
-// buffers) is pooled across iterations: the objects returned by
+// buffers) is reused across iterations: the objects returned by
 // SpeculateBeams and VerifyTrees stay valid until the NEXT call of the same
 // method, which matches how schedulers consume them (within one iteration).
 // Engines are not safe for concurrent use; the parallel experiment runner
@@ -61,19 +62,13 @@ type Engine struct {
 	rng        *mathutil.RNG
 
 	// ord is the reusable index permutation that orders a verification
-	// batch by request ID for deterministic RNG consumption; ids is its
-	// parallel key buffer.
-	ord []int
-	ids []int
-	// treePool recycles candidate trees; spec holds the last SpeculateBeams
-	// result, whose trees are reclaimed at the next call.
-	treePool toktree.TreePool
-	beam     toktree.BeamBuilder
+	// batch by request ID for deterministic RNG consumption.
+	ord  []int
+	beam toktree.BeamBuilder
+	// spec and ver are the last SpeculateBeams and VerifyTrees results,
+	// reused in place by the next call; vscratch holds the walk buffer.
 	spec     SpeculateResult
-	// ver is the last VerifyTrees result; vres holds its pooled
-	// verification results and vscratch the walk buffers.
 	ver      VerifyBatchResult
-	vres     []toktree.VerifyResult
 	vscratch toktree.VerifyScratch
 }
 
@@ -168,30 +163,10 @@ func (e *Engine) Pass(decode []*request.Request, prefill []PrefillItem) float64 
 	return e.forward(len(decode), len(decode), kv, prefill)
 }
 
-// orderByKeys fills e.ord with a permutation of [0, len(e.ids)) sorted by
-// the request IDs the caller staged in e.ids: the deterministic
-// RNG-consumption order of a verification pass, independent of the caller's
-// batch order. Insertion sort: IDs are unique and batches arrive nearly
-// sorted (pool order), so this is linear in practice and free of
-// sort.Slice's reflection allocations.
-func (e *Engine) orderByKeys() []int {
-	e.ord = e.ord[:0]
-	for i := range e.ids {
-		e.ord = append(e.ord, i)
-	}
-	ord, ids := e.ord, e.ids
-	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && ids[ord[j]] < ids[ord[j-1]]; j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
-		}
-	}
-	return ord
-}
-
 // SpeculateResult reports the speculation phase for a batch.
 type SpeculateResult struct {
 	// Trees[i] is the candidate tree for reqs[i].
-	Trees []*toktree.Tree
+	Trees []toktree.Tree
 	// GPUTime is the modeled draft-model time for all beam steps.
 	GPUTime float64
 }
@@ -201,22 +176,17 @@ type SpeculateResult struct {
 // tokens per step after the first, the shape regularity CUDA graphs
 // exploit).
 //
-// The returned result and its trees are pooled: they stay valid until the
-// next SpeculateBeams call, when the engine reclaims them.
+// The returned result and its trees are reused in place: they stay valid
+// until the next SpeculateBeams call.
 func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateResult, error) {
 	if e.draft == nil || e.draftCost == nil {
 		return nil, fmt.Errorf("engine: speculation requires a draft model")
 	}
-	// Reclaim the previous iteration's trees; their consumers (selections,
-	// verification results) are done with them by contract.
 	res := &e.spec
-	for _, t := range res.Trees {
-		e.treePool.Put(t)
-	}
 	res.Trees = res.Trees[:0]
 	res.GPUTime = 0
 	for _, r := range reqs {
-		res.Trees = append(res.Trees, e.treePool.Get(r.Ctx))
+		res.Trees = append(res.Trees, toktree.Root(r.Ctx))
 	}
 	if d == 0 {
 		return res, nil
@@ -224,14 +194,13 @@ func (e *Engine) SpeculateBeams(reqs []*request.Request, d, w int) (*SpeculateRe
 	totalKV := 0
 	n := 0 // requests actually speculating (NoSpec ones keep root-only trees)
 	for i, r := range reqs {
-		t := res.Trees[i]
 		if r.NoSpec {
 			// Degraded request: no draft expansion, no share of the batched
 			// draft cost. Its root-only tree flows through selection and
 			// verification unchanged, committing one correction token.
 			continue
 		}
-		if err := e.beam.Search(t, e.draft, d, w); err != nil {
+		if err := e.beam.Search(&res.Trees[i], e.draft, d, w); err != nil {
 			return nil, fmt.Errorf("engine: beam search for request %d: %w", r.ID, err)
 		}
 		totalKV += r.ContextLen()
@@ -265,7 +234,7 @@ type VerifyItem struct {
 // VerifyBatchResult reports one batched tree-verification pass.
 type VerifyBatchResult struct {
 	// Results[i] corresponds to items[i].
-	Results []*toktree.VerifyResult
+	Results []toktree.VerifyResult
 	// GPUTime is the modeled verification pass latency.
 	GPUTime float64
 	// tokensVerified is the total tree positions processed.
@@ -279,30 +248,29 @@ type VerifyBatchResult struct {
 // monolithic pass would). Prefill progress is applied immediately; verify
 // tokens are NOT committed (the caller commits at the iteration end time).
 //
-// The returned result is pooled: it stays valid until the next VerifyTrees
-// call.
+// The returned result is reused in place: it stays valid until the next
+// VerifyTrees call.
 func (e *Engine) VerifyTrees(items []VerifyItem, prefill []PrefillItem) *VerifyBatchResult {
 	res := &e.ver
 	res.tokensVerified = 0
-	// The backing array of the results grows only before any entry is
-	// assigned (stale pointers are dead by contract), and the results it
-	// had keep their token buffers.
-	if n := len(items) - cap(e.vres); n > 0 {
-		e.vres = slices.Grow(e.vres[:cap(e.vres)], n)
+	// The results' backing array grows only by extension, so the results
+	// it had keep their token buffers.
+	if n := len(items) - cap(res.Results); n > 0 {
+		res.Results = slices.Grow(res.Results[:cap(res.Results)], n)
 	}
-	e.vres = e.vres[:len(items)]
-	res.Results = slices.Grow(res.Results[:0], len(items))[:len(items)]
+	res.Results = res.Results[:len(items)]
 
-	e.ids = e.ids[:0]
+	e.ord = e.ord[:0]
 	for i := range items {
-		e.ids = append(e.ids, items[i].Req.ID)
+		e.ord = append(e.ord, i)
 	}
+	// IDs are unique, so the order is the same under any sort.
+	slices.SortFunc(e.ord, func(a, b int) int { return cmp.Compare(items[a].Req.ID, items[b].Req.ID) })
 	kv := 0
-	for _, idx := range e.orderByKeys() {
+	for _, idx := range e.ord {
 		it := items[idx]
-		vr := &e.vres[idx]
+		vr := &res.Results[idx]
 		toktree.VerifyInto(vr, it.Sel, e.verifier, &e.vscratch)
-		res.Results[idx] = vr
 		res.tokensVerified += vr.TokensVerified
 		// Every tree token attends over the request context plus its depth.
 		kv += it.Sel.Size() * (it.Req.ContextLen() + 1)

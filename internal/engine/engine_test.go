@@ -172,11 +172,13 @@ func TestPlainDecodeNeverReadsTokens(t *testing.T) {
 				t.Fatal(err)
 			}
 			items := make([]VerifyItem, len(reqs))
-			for i, tr := range spec.Trees {
-				sel := toktree.Prefix(tr, tr.Size())
-				items[i] = VerifyItem{Req: reqs[i], Sel: sel}
+			for i := range spec.Trees {
+				tr := &spec.Trees[i]
+				items[i] = VerifyItem{Req: reqs[i], Sel: toktree.Prefix(tr, tr.Size())}
 			}
-			for i, vr := range e.VerifyTrees(items, nil).Results {
+			ver := e.VerifyTrees(items, nil)
+			for i := range ver.Results {
+				vr := &ver.Results[i]
 				cp := *vr
 				cp.Accepted = append([]lm.Token(nil), vr.Accepted...)
 				out = append(out, cp)
@@ -306,12 +308,12 @@ func TestVerifyTreesCommitsViaHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := toktree.Prefix(spec.Trees[0], spec.Trees[0].Size())
+	sel := toktree.Prefix(&spec.Trees[0], spec.Trees[0].Size())
 	ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 	if ver.GPUTime <= 0 || ver.tokensVerified != sel.Size() {
 		t.Fatalf("verify result %+v", ver)
 	}
-	kept := CommitVerify(r, ver.Results[0], 1.0)
+	kept := CommitVerify(r, &ver.Results[0], 1.0)
 	if kept < 1 {
 		t.Fatal("verification must commit at least one token")
 	}
@@ -330,7 +332,7 @@ func TestVerifyTreesWithPrefillSharesPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := toktree.Prefix(spec.Trees[0], 1)
+	sel := toktree.Prefix(&spec.Trees[0], 1)
 	combined := e.VerifyTrees(
 		[]VerifyItem{{Req: r, Sel: sel}},
 		[]PrefillItem{{Req: pre, Chunk: 128}},
@@ -347,7 +349,7 @@ func TestVerifyTreesWithPrefillSharesPass(t *testing.T) {
 	pre2 := request.New(2, request.Summarization, 0.15, 0, 500, 20, 9)
 	pre2.Phase = request.Prefilling
 	spec2, _ := e2.SpeculateBeams([]*request.Request{r2}, 2, 2)
-	sel2 := toktree.Prefix(spec2.Trees[0], 1)
+	sel2 := toktree.Prefix(&spec2.Trees[0], 1)
 	sep := e2.VerifyTrees([]VerifyItem{{Req: r2, Sel: sel2}}, nil).GPUTime
 	sep += e2.Pass(nil, []PrefillItem{{Req: pre2, Chunk: 128}})
 	if combined.GPUTime >= sep {
@@ -386,10 +388,10 @@ func TestEngineDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel := toktree.Prefix(spec.Trees[0], spec.Trees[0].Size())
+			sel := toktree.Prefix(&spec.Trees[0], spec.Trees[0].Size())
 			ver := e.VerifyTrees([]VerifyItem{{Req: r, Sel: sel}}, nil)
 			before := r.OutputLen()
-			CommitVerify(r, ver.Results[0], 0)
+			CommitVerify(r, &ver.Results[0], 0)
 			committed := append(append([]lm.Token(nil), ver.Results[0].Accepted...), ver.Results[0].Correction)
 			out = append(out, committed[:r.OutputLen()-before]...)
 		}
@@ -456,7 +458,8 @@ func TestSpeculateVerifyAllocateNothingWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, tr := range spec.Trees {
+		for i := range spec.Trees {
+			tr := &spec.Trees[i]
 			items[i] = VerifyItem{Req: reqs[i], Sel: toktree.Prefix(tr, 1+i%tr.Size())}
 		}
 		e.VerifyTrees(items, nil)

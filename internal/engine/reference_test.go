@@ -87,26 +87,35 @@ func refMixed(e *Engine, decode []*request.Request, prefill []PrefillItem) float
 	return lat
 }
 
+// refOrderByID is the engine's former verification order: an insertion
+// sort of the batch indices by the request IDs in ids.
+func refOrderByID(ids []int) []int {
+	ord := make([]int, len(ids))
+	for i := range ord {
+		ord[i] = i
+	}
+	for i := 1; i < len(ord); i++ {
+		for j := i; j > 0 && ids[ord[j]] < ids[ord[j-1]]; j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
+	return ord
+}
+
 func refVerifyTreesWithPrefill(e *Engine, items []VerifyItem, prefill []PrefillItem) *VerifyBatchResult {
-	res := &VerifyBatchResult{Results: make([]*toktree.VerifyResult, len(items))}
+	res := &VerifyBatchResult{Results: make([]toktree.VerifyResult, len(items))}
 	if len(items) == 0 && len(prefill) == 0 {
 		return res
 	}
-	if cap(e.vres) < len(items) {
-		e.vres = make([]toktree.VerifyResult, len(items))
-	}
-	e.vres = e.vres[:len(items)]
-
-	e.ids = e.ids[:0]
+	ids := make([]int, len(items))
 	for i := range items {
-		e.ids = append(e.ids, items[i].Req.ID)
+		ids[i] = items[i].Req.ID
 	}
 	kv := 0
-	for _, idx := range e.orderByKeys() {
+	for _, idx := range refOrderByID(ids) {
 		it := items[idx]
-		vr := &e.vres[idx]
+		vr := &res.Results[idx]
 		toktree.VerifyInto(vr, it.Sel, e.verifier, &e.vscratch)
-		res.Results[idx] = vr
 		res.tokensVerified += vr.TokensVerified
 		kv += it.Sel.Size() * (it.Req.ContextLen() + 1)
 	}
@@ -243,8 +252,8 @@ func TestVerifyTreesMatchesReference(t *testing.T) {
 					seed, i, res.GPUTime, res.tokensVerified, want.GPUTime, want.tokensVerified)
 			}
 			for j := range res.Results {
-				if !reflect.DeepEqual(*res.Results[j], *want.Results[j]) {
-					t.Fatalf("seed %d pass %d item %d: result %+v, reference %+v", seed, i, j, *res.Results[j], *want.Results[j])
+				if !reflect.DeepEqual(res.Results[j], want.Results[j]) {
+					t.Fatalf("seed %d pass %d item %d: result %+v, reference %+v", seed, i, j, res.Results[j], want.Results[j])
 				}
 			}
 			if a, b := prefillStates(pa), prefillStates(pb); !reflect.DeepEqual(a, b) {
@@ -262,9 +271,9 @@ func specItems(t *testing.T, e *Engine, reqs []*request.Request) []VerifyItem {
 		t.Fatal(err)
 	}
 	items := make([]VerifyItem, len(reqs))
-	for i, tr := range spec.Trees {
-		sel := toktree.Prefix(tr, tr.Size())
-		items[i] = VerifyItem{Req: reqs[i], Sel: sel}
+	for i := range spec.Trees {
+		tr := &spec.Trees[i]
+		items[i] = VerifyItem{Req: reqs[i], Sel: toktree.Prefix(tr, tr.Size())}
 	}
 	return items
 }

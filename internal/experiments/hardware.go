@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"adaserve/internal/gpu"
+	"adaserve/internal/sched"
 )
 
 // HardwareRow reports how AdaServe's profiling-derived parameters move
@@ -16,7 +17,7 @@ type HardwareRow struct {
 	baseline float64
 	// knee is the profiled roofline knee in tokens.
 	knee int
-	// budget is BudgetFor(1.3 x base): the verification token budget.
+	// budget is the verification token budget (sched.VerifyBudget).
 	budget int
 	// draftStep is the draft model's per-step latency (seconds).
 	draftStep float64
@@ -35,9 +36,9 @@ func HardwareSensitivity(setup ModelSetup, platforms []gpu.Hardware) ([]Hardware
 		if err != nil {
 			continue // model does not fit this platform at this TP
 		}
-		prof, err := gpu.ProfileCostModel(cm, 4096, 512)
+		_, budget, err := sched.VerifyBudget(cm)
 		if err != nil {
-			return nil, fmt.Errorf("profiling %s on %s: %w", setup.Name, hw.Name, err)
+			return nil, fmt.Errorf("%s on %s: %w", setup.Name, hw.Name, err)
 		}
 		dc, err := gpu.NewCostModel(hw, setup.draft, 1)
 		if err != nil {
@@ -47,7 +48,7 @@ func HardwareSensitivity(setup ModelSetup, platforms []gpu.Hardware) ([]Hardware
 			hardware:  hw.Name,
 			baseline:  cm.BaselineLatency(512),
 			knee:      cm.RooflineKnee(),
-			budget:    prof.BudgetFor(1.3 * prof.Base),
+			budget:    budget,
 			draftStep: dc.BaselineLatency(512),
 		})
 	}

@@ -456,16 +456,12 @@ func (inj *Injector) maybeHedge(now float64) {
 	}
 	reps := inj.cl.Replicas()
 	fleetNow := -1.0
-	activeOthers := make([]int, len(reps))
-	for i, rep := range reps {
+	active := 0
+	for _, rep := range reps {
 		if rep.State() != cluster.StateActive {
 			continue
 		}
-		for j := range reps {
-			if j != i {
-				activeOthers[j]++
-			}
-		}
+		active++
 		pool := rep.System().Pool()
 		if rep.Instance().Halted() || pool.NumWaiting()+pool.NumRunning() == 0 {
 			continue
@@ -478,7 +474,11 @@ func (inj *Injector) maybeHedge(now float64) {
 		fleetNow = now
 	}
 	for i, rep := range reps {
-		if activeOthers[i] == 0 {
+		others := active
+		if rep.State() == cluster.StateActive {
+			others--
+		}
+		if others == 0 {
 			continue // nowhere to race a duplicate
 		}
 		pool := rep.System().Pool()

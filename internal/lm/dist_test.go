@@ -206,13 +206,13 @@ func (d eagerDist) sampleTail(rng *mathutil.RNG) Token {
 }
 
 // acceptAmong is Verifier.AcceptAmong over an eager distribution.
-func (d eagerDist) acceptAmong(rule VerifyRule, rng *mathutil.RNG, branches []Branch) (int, Token) {
+func (d eagerDist) acceptAmong(rule VerifyRule, rng *mathutil.RNG, branches []Token) (int, Token) {
 	y := d.entries[0].Token
 	if rule == RuleSampleMatch {
 		y = d.sample(rng)
 	}
 	for i, b := range branches {
-		if b.Token == y {
+		if b == y {
 			return i, 0
 		}
 	}
@@ -306,12 +306,12 @@ func checkLazyDist(t *testing.T, name string, ctx Context, model Model, want eag
 	}
 	// Branches: the eager argmax, runner-up and last candidate, and one
 	// token outside the candidate set, in a probe-chosen count.
-	branches := []Branch{{Token: want.entries[branch-1].Token}, {Token: want.entries[0].Token}}
+	branches := []Token{want.entries[branch-1].Token, want.entries[0].Token}
 	if branch > 1 {
-		branches = append(branches, Branch{Token: want.entries[1].Token})
+		branches = append(branches, want.entries[1].Token)
 	}
 	if tok, ok := outside(want); ok {
-		branches = append(branches, Branch{Token: tok})
+		branches = append(branches, tok)
 	}
 	for _, rule := range []VerifyRule{RuleGreedy, RuleSampleMatch} {
 		bs := branches[:probe.Intn(len(branches)+1)]

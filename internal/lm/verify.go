@@ -53,23 +53,18 @@ func NewVerifier(target Model, rule VerifyRule, rng *mathutil.RNG) *Verifier {
 	return &Verifier{Target: target, Rule: rule, RNG: rng}
 }
 
-// Branch is one candidate child during verification, in draft-tree order.
-type Branch struct {
-	Token Token
-}
-
-// AcceptAmong decides which (if any) of the candidate branches the target
-// accepts at context ctx.
+// AcceptAmong decides which (if any) of the candidate branch tokens, in
+// draft-tree order, the target accepts at context ctx.
 //
 // It returns the index of the accepted branch, or -1 and a correction token
 // drawn per the active rule when all branches are rejected.
-func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
+func (v *Verifier) AcceptAmong(ctx Context, branches []Token) (int, Token) {
 	p := v.Target.Dist(ctx)
 	switch v.Rule {
 	case RuleGreedy:
 		top := p.Argmax()
 		for i, b := range branches {
-			if b.Token == top {
+			if b == top {
 				return i, 0
 			}
 		}
@@ -77,7 +72,7 @@ func (v *Verifier) AcceptAmong(ctx Context, branches []Branch) (int, Token) {
 	case RuleSampleMatch:
 		y := p.Sample(v.RNG)
 		for i, b := range branches {
-			if b.Token == y {
+			if b == y {
 				return i, 0
 			}
 		}

@@ -29,11 +29,11 @@ func TestGreedyRuleAcceptsArgmax(t *testing.T) {
 	v := NewVerifier(target, RuleGreedy, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 5}
 	top := target.Dist(ctx).Argmax()
-	idx, _ := v.AcceptAmong(ctx, []Branch{{Token: top}})
+	idx, _ := v.AcceptAmong(ctx, []Token{top})
 	if idx != 0 {
 		t.Fatal("greedy rule rejected the argmax")
 	}
-	idx, corr := v.AcceptAmong(ctx, []Branch{{Token: top + 1}})
+	idx, corr := v.AcceptAmong(ctx, []Token{top + 1})
 	if idx != -1 || corr != top {
 		t.Fatalf("greedy rule should reject non-argmax and correct to argmax; got idx=%d corr=%d", idx, corr)
 	}
@@ -51,7 +51,7 @@ func TestSampleMatchAcceptanceIsCalibrated(t *testing.T) {
 	accepted := 0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		if idx, _ := v.AcceptAmong(ctx, []Branch{{Token: tok}}); idx == 0 {
+		if idx, _ := v.AcceptAmong(ctx, []Token{tok}); idx == 0 {
 			accepted++
 		}
 	}
@@ -67,9 +67,9 @@ func TestSampleMatchMultiBranchCoverage(t *testing.T) {
 	v := NewVerifier(target, RuleSampleMatch, mathutil.NewRNG(1))
 	ctx := Context{ReqSeed: 13}
 	p := target.Dist(ctx)
-	branches := make([]Branch, p.Len())
+	branches := make([]Token, p.Len())
 	for r := range branches {
-		branches[r] = Branch{Token: p.Token(r)}
+		branches[r] = p.Token(r)
 	}
 	accepted := 0
 	const n = 20000
@@ -122,9 +122,9 @@ func TestVerifierMatchesFreshReference(t *testing.T) {
 		walkContexts(200, func(ctx Context) {
 			q := draft.Dist(ctx)
 			_ = target.Dist(ctx.Extend(4094))
-			branches := make([]Branch, 3)
+			branches := make([]Token, 3)
 			for r := range branches {
-				branches[r] = Branch{Token: q.Token(r)}
+				branches[r] = q.Token(r)
 			}
 			_ = draft.Dist(ctx.Extend(4095))
 			idx, corr := v.AcceptAmong(ctx, branches)
@@ -155,7 +155,7 @@ func TestVerifierDeterministicGivenSeed(t *testing.T) {
 		for i := uint64(0); i < 100; i++ {
 			ctx := Context{ReqSeed: i}
 			top := draft.Dist(ctx).Argmax()
-			idx, _ := v.AcceptAmong(ctx, []Branch{{Token: top}})
+			idx, _ := v.AcceptAmong(ctx, []Token{top})
 			out = append(out, idx)
 		}
 		return out
@@ -181,7 +181,7 @@ func TestChainAcceptanceBand(t *testing.T) {
 		accepted := 0
 		for depth := 0; depth < 6; depth++ {
 			tok := draft.Dist(cur).Argmax()
-			idx, _ := v.AcceptAmong(cur, []Branch{{Token: tok}})
+			idx, _ := v.AcceptAmong(cur, []Token{tok})
 			if idx < 0 {
 				break
 			}

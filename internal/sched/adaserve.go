@@ -72,6 +72,18 @@ type AdaServeDebug struct {
 // SLOs are set against.
 const budgetLatencyFactor = 1.3
 
+// VerifyBudget profiles the target cost model cm and returns the profile
+// with AdaServe's verification token budget B: the largest token count
+// whose predicted verification latency stays within budgetLatencyFactor ×
+// the profiled flat-region latency.
+func VerifyBudget(cm *gpu.CostModel) (*gpu.Profile, int, error) {
+	prof, err := gpu.ProfileCostModel(cm, 4096, 512)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sched: profiling target: %w", err)
+	}
+	return prof, prof.BudgetFor(budgetLatencyFactor * prof.Base), nil
+}
+
 // selectCPUPerNode models the CPU cost of the selection phases per
 // candidate node (heap operations), in seconds.
 const selectCPUPerNode = 150e-9
@@ -102,11 +114,10 @@ func NewAdaServe(cfg Config, opts AdaServeOptions) (*AdaServe, error) {
 	if cfg.Engine.Draft() == nil {
 		return nil, fmt.Errorf("sched: AdaServe requires a draft model")
 	}
-	prof, err := gpu.ProfileCostModel(cfg.Engine.TargetCost(), 4096, 512)
+	prof, budget, err := VerifyBudget(cfg.Engine.TargetCost())
 	if err != nil {
-		return nil, fmt.Errorf("sched: profiling target: %w", err)
+		return nil, err
 	}
-	budget := prof.BudgetFor(budgetLatencyFactor * prof.Base)
 	var ctrl core.Controller
 	if opts.Controller != nil {
 		ctrl = *opts.Controller
@@ -208,7 +219,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 		if minAcc < 0 {
 			minAcc = 0
 		}
-		a.selReqs = append(a.selReqs, core.SelectRequest{Cand: spec.Trees[i], MinAccept: minAcc})
+		a.selReqs = append(a.selReqs, core.SelectRequest{Cand: &spec.Trees[i], MinAccept: minAcc})
 		candNodes += spec.Trees[i].Size()
 	}
 	// n_max prevents requests that are far behind their SLO from
@@ -265,7 +276,7 @@ func (a *AdaServe) Iterate(now float64) IterationStats {
 	}
 	end := now + st.Elapsed
 	for i, r := range decode {
-		st.TokensCommitted += engine.CommitVerify(r, ver.Results[i], end)
+		st.TokensCommitted += engine.CommitVerify(r, &ver.Results[i], end)
 	}
 	a.lastIterTime = st.Elapsed
 

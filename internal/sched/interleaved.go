@@ -47,13 +47,13 @@ func NewAdaServeInterleaved(cfg Config) (*AdaServeInterleaved, error) {
 	if cfg.Engine.Draft() == nil {
 		return nil, fmt.Errorf("sched: interleaved scheduling requires a draft model")
 	}
-	prof, err := gpu.ProfileCostModel(cfg.Engine.TargetCost(), 4096, 512)
+	prof, budget, err := VerifyBudget(cfg.Engine.TargetCost())
 	if err != nil {
 		return nil, err
 	}
 	return &AdaServeInterleaved{
 		base:    b,
-		budget:  prof.BudgetFor(budgetLatencyFactor * prof.Base),
+		budget:  budget,
 		profile: prof,
 	}, nil
 }
@@ -207,7 +207,7 @@ func (a *AdaServeInterleaved) Iterate(now float64) IterationStats {
 	}
 	end := now + st.Elapsed
 	for i, r := range decode {
-		st.TokensCommitted += engine.CommitVerify(r, ver.Results[i], end)
+		st.TokensCommitted += engine.CommitVerify(r, &ver.Results[i], end)
 	}
 	a.lastIterTime = st.Elapsed
 	return st

@@ -114,9 +114,9 @@ func refVerify(nodes []refNode, ctx lm.Context, v *lm.Verifier) (accepted []lm.T
 			}
 			return accepted, dist.Sample(v.RNG)
 		}
-		branches := make([]lm.Branch, len(ch))
+		branches := make([]lm.Token, len(ch))
 		for k, c := range ch {
-			branches[k] = lm.Branch{Token: nodes[c].tok}
+			branches[k] = nodes[c].tok
 		}
 		idx, corr := v.AcceptAmong(ctx, branches)
 		if idx < 0 {

@@ -60,7 +60,7 @@ func (v *VLLMSpec) Iterate(now float64) IterationStats {
 	v.items = v.items[:0]
 	for i, r := range decode {
 		// Static speculation verifies the whole chain unconditionally.
-		tr := spec.Trees[i]
+		tr := &spec.Trees[i]
 		v.items = append(v.items, engine.VerifyItem{Req: r, Sel: toktree.Prefix(tr, tr.Size())})
 	}
 	ver := v.cfg.Engine.VerifyTrees(v.items, nil)
@@ -72,7 +72,7 @@ func (v *VLLMSpec) Iterate(now float64) IterationStats {
 	}
 	end := now + st.Elapsed
 	for i, r := range decode {
-		st.TokensCommitted += engine.CommitVerify(r, ver.Results[i], end)
+		st.TokensCommitted += engine.CommitVerify(r, &ver.Results[i], end)
 	}
 	return st
 }

@@ -17,16 +17,15 @@ type shapeCand struct {
 // shape is the token-free skeleton of a rank tree (see rankShape), such as
 // every depth-d, width-w beam over one draft (see buildShape).
 type shape struct {
-	// nodes are the prototype nodes in tree-ID order.
+	// nodes are the shape's nodes in tree-ID order.
 	nodes []Node
 	// order is the nodes' greedy order.
 	order []int
 }
 
-// BeamBuilder runs beam searches with reusable scratch, so repeated
-// searches — one per request per iteration — allocate nothing once warm.
-// It computes the shape of each (d, w) on that pair's first Search and
-// keeps it. The zero value is ready to use. Not safe for concurrent use;
+// BeamBuilder runs beam searches, one per request per iteration, which
+// allocate nothing once warm: it computes the shape of each (d, w) on that
+// pair's first Search and keeps it. The zero value is ready to use. Not safe for concurrent use;
 // engines own one each.
 type BeamBuilder struct {
 	// probs are the rank probabilities the shapes were computed from.
@@ -36,21 +35,21 @@ type BeamBuilder struct {
 	shapes [][]shape
 }
 
-// Search grows a candidate token tree of depth d and beam width w into t,
-// which must contain only a root (fresh from TreePool.Get or reset):
-// Algorithm 2's speculation phase for one request. Step 1 expands the root
-// and keeps the w highest-probability children. Each subsequent step
-// expands all beam nodes and keeps the w children with the highest *path*
-// probability (global per request, as in Eagle-2-style beam search), so
-// every non-root level holds at most w nodes. Width 1 is the greedy chain
-// the vLLM-Spec baselines speculate.
+// Search makes t, a root-only tree (see Root), the candidate token tree of
+// depth d and beam width w at its context: Algorithm 2's speculation phase
+// for one request. Step 1 expands the root and keeps the w
+// highest-probability children. Each subsequent step expands all beam nodes
+// and keeps the w children with the highest *path* probability (global per
+// request, as in Eagle-2-style beam search), so every non-root level holds
+// at most w nodes. Width 1 is the greedy chain the vLLM-Spec baselines
+// speculate.
 //
-// The tree's structure, probabilities and greedy order come from the
-// (d, w) shape, which the tree shares (its Children slices and order are
-// read-only); only the tokens depend on the request. Search records the
-// draft and calls no Dist: verification fills a node's children's tokens
-// from one draft Dist when its walk reaches the node. Every draft proposes
-// at least one candidate, so a search with d > 0 runs all d draft steps.
+// The tree's structure, probabilities and greedy order are the (d, w)
+// shape's, which t shares rather than copies (its Nodes and order are
+// read-only); only the context and the draft depend on the request. Search
+// calls no Dist: verification reads a node's children's tokens from one
+// draft Dist when its walk reaches the node. Every draft proposes at least
+// one candidate, so a search with d > 0 runs all d draft steps.
 func (bb *BeamBuilder) Search(t *Tree, draft *lm.DraftLM, d, w int) error {
 	if d < 0 {
 		return fmt.Errorf("toktree: negative beam depth %d", d)
@@ -62,10 +61,7 @@ func (bb *BeamBuilder) Search(t *Tree, draft *lm.DraftLM, d, w int) error {
 		return nil
 	}
 	sh := bb.shape(draft.RankProbs(), d, w)
-	t.Nodes = append(t.Nodes[:1], sh.nodes[1:]...)
-	t.Nodes[0].Children = sh.nodes[0].Children
-	t.order = sh.order
-	t.draft = draft
+	t.Nodes, t.order, t.draft = sh.nodes, sh.order, draft
 	return nil
 }
 

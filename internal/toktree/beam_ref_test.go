@@ -41,24 +41,35 @@ func (rb *refBeam) Less(i, j int) bool {
 
 func (rb *refBeam) Swap(i, j int) { rb.cands[i], rb.cands[j] = rb.cands[j], rb.cands[i] }
 
+// refTree is an explicit-token tree, the form trees had before they became
+// shared rank shapes: a Tree with its own node storage and every node's
+// token held beside it, by node ID (0 at the root).
+type refTree struct {
+	Tree
+	tok []lm.Token
+}
+
+// newRefTree returns a root-only explicit-token tree at ctx.
+func newRefTree(ctx lm.Context) *refTree {
+	return &refTree{Tree: Tree{Nodes: []Node{{PathProb: 1}}, order: []int{0}, ctx: ctx}, tok: []lm.Token{0}}
+}
+
 // addChild is the explicit-token tree builder that rank trees replaced,
 // kept for the references: it appends a node holding token tok under
 // parent and returns its ID. Children stay sorted by descending draft
 // probability (ties by token) — among siblings, by descending PathProb —
 // and the node takes its place in the greedy order.
-func addChild(t *Tree, parent int, tok lm.Token, draftProb float64) int {
+func addChild(t *refTree, parent int, tok lm.Token, draftProb float64) int {
 	id := len(t.Nodes)
-	t.Nodes = append(t.Nodes, Node{
-		token: tok, depth: t.Nodes[parent].depth + 1,
-		PathProb: t.Nodes[parent].PathProb * draftProb,
-	})
+	t.Nodes = append(t.Nodes, Node{PathProb: t.Nodes[parent].PathProb * draftProb})
+	t.tok = append(t.tok, tok)
 	p := &t.Nodes[parent]
 	p.Children = append(p.Children, id)
 	ch := p.Children
 	for k := len(ch) - 1; k > 0; k-- {
 		prev, cur := &t.Nodes[ch[k-1]], &t.Nodes[ch[k]]
 		if cur.PathProb > prev.PathProb ||
-			(cur.PathProb == prev.PathProb && cur.token < prev.token) {
+			(cur.PathProb == prev.PathProb && t.tok[ch[k]] < t.tok[ch[k-1]]) {
 			ch[k-1], ch[k] = ch[k], ch[k-1]
 			continue
 		}
@@ -80,8 +91,8 @@ func addChild(t *Tree, parent int, tok lm.Token, draftProb float64) int {
 	return id
 }
 
-// refSearch is the reference Search over a fresh tree.
-func refSearch(t *Tree, draft *lm.DraftLM, d, w int) int {
+// refSearch is the reference Search over a fresh explicit-token tree.
+func refSearch(t *refTree, draft *lm.DraftLM, d, w int) int {
 	type entry struct {
 		nodeID int
 		ctx    lm.Context
@@ -119,21 +130,25 @@ func refSearch(t *Tree, draft *lm.DraftLM, d, w int) int {
 
 // diffTrees describes the first difference between got and the reference
 // want — node count, greedy order, or a node's ID, depth, token, PathProb
-// (bitwise), rank or Children order — or returns "".
-func diffTrees(got, want *Tree) string {
+// (bitwise), rank or Children order — or returns "". got's tokens are the
+// ones verification reads (see materialize) and both trees' depths are
+// derived from Children.
+func diffTrees(got *Tree, want *refTree) string {
 	if len(got.Nodes) != len(want.Nodes) {
 		return fmt.Sprintf("%d nodes, reference %d", len(got.Nodes), len(want.Nodes))
 	}
 	if !slices.Equal(got.order, want.order) {
 		return fmt.Sprintf("greedy order %v, reference %v", got.order, want.order)
 	}
+	gotTok, gotDepth, wantDepth := materialize(got), depths(got), depths(&want.Tree)
 	for i := range want.Nodes {
 		g, w := &got.Nodes[i], &want.Nodes[i]
-		same := g.depth == w.depth && g.token == w.token && g.rank == w.rank &&
+		same := gotDepth[i] == wantDepth[i] && gotTok[i] == want.tok[i] && g.rank == w.rank &&
 			math.Float64bits(g.PathProb) == math.Float64bits(w.PathProb) &&
 			slices.Equal(g.Children, w.Children)
 		if !same {
-			return fmt.Sprintf("node %d is %+v, reference %+v", i, *g, *w)
+			return fmt.Sprintf("node %d is %+v (depth %d, token %d), reference %+v (depth %d, token %d)",
+				i, *g, gotDepth[i], gotTok[i], *w, wantDepth[i], want.tok[i])
 		}
 	}
 	return ""
@@ -141,8 +156,8 @@ func diffTrees(got, want *Tree) string {
 
 // TestSearchMatchesSortedReference pins the shape-based Search to the sort
 // it replaced, node for node, for both model setups and every d in [1, 8]
-// and w in [1, 4], on the engine's path: one reused builder (so each
-// (d, w) shape is computed once and then reused) and pooled trees.
+// and w in [1, 4], on the engine's path: one reused builder, so each
+// (d, w) shape is computed once and then shared.
 func TestSearchMatchesSortedReference(t *testing.T) {
 	for _, s := range []struct {
 		name             string
@@ -152,13 +167,12 @@ func TestSearchMatchesSortedReference(t *testing.T) {
 			target := lm.MustSyntheticLM(21, 4096, 16, s.sharpness, 0.02)
 			draft := lm.MustDraftLM(target, s.alpha, 22)
 			var bb BeamBuilder
-			var pool TreePool
 			rng := mathutil.NewRNG(5)
 			for i := 0; i < 40; i++ {
 				ctx := lm.Context{ReqSeed: uint64(i)}.Extend(lm.Token(rng.Intn(4096)))
 				for d := 1; d <= 8; d++ {
 					for w := 1; w <= 4; w++ {
-						checkSearch(t, &bb, &pool, draft, ctx, d, w)
+						checkSearch(t, &bb, draft, ctx, d, w)
 					}
 				}
 			}
@@ -166,26 +180,22 @@ func TestSearchMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// checkSearch compares one pooled Search with the reference. The searched
-// tree's tokens come from materialize, the on-demand fill verification
-// uses, applied at every node.
-func checkSearch(t testing.TB, bb *BeamBuilder, pool *TreePool, draft *lm.DraftLM, ctx lm.Context, d, w int) {
+// checkSearch compares one Search with the reference.
+func checkSearch(t testing.TB, bb *BeamBuilder, draft *lm.DraftLM, ctx lm.Context, d, w int) {
 	t.Helper()
-	want := newTree(ctx)
+	want := newRefTree(ctx)
 	// The engine charges every search d draft steps.
 	if steps := refSearch(want, draft, d, w); steps != d {
 		t.Fatalf("ctx %+v d=%d w=%d: reference ran %d steps", ctx, d, w, steps)
 	}
-	got := pool.Get(ctx)
-	defer pool.Put(got)
-	if err := bb.Search(got, draft, d, w); err != nil {
+	got := Root(ctx)
+	if err := bb.Search(&got, draft, d, w); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.validate(); err != nil {
 		t.Fatalf("ctx %+v d=%d w=%d: %v", ctx, d, w, err)
 	}
-	got.materialize()
-	if diff := diffTrees(got, want); diff != "" {
+	if diff := diffTrees(&got, want); diff != "" {
 		t.Fatalf("ctx %+v d=%d w=%d: %s", ctx, d, w, diff)
 	}
 }
@@ -207,9 +217,8 @@ func FuzzBeamShape(f *testing.F) {
 		target := lm.MustSyntheticLM(seed, 512, branch, sharpness, 0.05)
 		draft := lm.MustDraftLM(target, alpha, seed^0x5eed)
 		var bb BeamBuilder
-		var pool TreePool
 		for i := uint64(0); i < 4; i++ {
-			checkSearch(t, &bb, &pool, draft, lm.Context{ReqSeed: seed + i}.Extend(lm.Token(i)), d, w)
+			checkSearch(t, &bb, draft, lm.Context{ReqSeed: seed + i}.Extend(lm.Token(i)), d, w)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package toktree
 
 import (
+	"slices"
 	"testing"
 
 	"adaserve/internal/lm"
@@ -16,12 +17,12 @@ func beamModels(t *testing.T) (*lm.SyntheticLM, *lm.DraftLM) {
 // search grows a fresh depth-d, width-w candidate tree at ctx.
 func search(t testing.TB, draft *lm.DraftLM, ctx lm.Context, d, w int) *Tree {
 	t.Helper()
-	tr := newTree(ctx)
+	tr := Root(ctx)
 	var bb BeamBuilder
-	if err := bb.Search(tr, draft, d, w); err != nil {
+	if err := bb.Search(&tr, draft, d, w); err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return &tr
 }
 
 // verify runs one verification walk with fresh result and scratch storage.
@@ -33,11 +34,7 @@ func verify(sel Selection, v *lm.Verifier) *VerifyResult {
 
 // depth returns the deepest node's depth.
 func depth(tr *Tree) int {
-	d := 0
-	for _, n := range tr.Nodes {
-		d = max(d, n.depth)
-	}
-	return d
+	return slices.Max(depths(tr))
 }
 
 func TestBeamSearchShape(t *testing.T) {
@@ -52,8 +49,8 @@ func TestBeamSearchShape(t *testing.T) {
 		}
 		// Level sizes: level 1..d hold at most w nodes; total ≤ 1 + d*w.
 		perLevel := make(map[int]int)
-		for _, n := range tr.Nodes[1:] {
-			perLevel[n.depth]++
+		for _, d := range depths(tr)[1:] {
+			perLevel[d]++
 		}
 		for lvl := 1; lvl <= c.d; lvl++ {
 			if perLevel[lvl] > c.w {
@@ -71,9 +68,9 @@ func TestBeamSearchShape(t *testing.T) {
 
 func TestBeamSearchDepthZero(t *testing.T) {
 	_, draft := beamModels(t)
-	tr := newTree(lm.Context{ReqSeed: 3})
+	tr := Root(lm.Context{ReqSeed: 3})
 	var bb BeamBuilder
-	if err := bb.Search(tr, draft, 0, 4); err != nil {
+	if err := bb.Search(&tr, draft, 0, 4); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Size() != 1 {
@@ -84,10 +81,11 @@ func TestBeamSearchDepthZero(t *testing.T) {
 func TestBeamSearchRejectsBadParams(t *testing.T) {
 	_, draft := beamModels(t)
 	var bb BeamBuilder
-	if err := bb.Search(newTree(lm.Context{}), draft, -1, 2); err == nil {
+	tr := Root(lm.Context{})
+	if err := bb.Search(&tr, draft, -1, 2); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if err := bb.Search(newTree(lm.Context{}), draft, 2, 0); err == nil {
+	if err := bb.Search(&tr, draft, 2, 0); err == nil {
 		t.Error("zero width accepted")
 	}
 }
@@ -98,7 +96,7 @@ func TestBeamSearchRejectsBadParams(t *testing.T) {
 func TestBeamSearchCostAccounting(t *testing.T) {
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 5}
-	if steps := refSearch(newTree(ctx), draft, 4, 3); steps != 4 {
+	if steps := refSearch(newRefTree(ctx), draft, 4, 3); steps != 4 {
 		t.Fatalf("reference ran %d steps, want 4", steps)
 	}
 	if got := depth(search(t, draft, ctx, 4, 3)); got != 4 {
@@ -113,13 +111,13 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 	_, draft := beamModels(t)
 	ctx := lm.Context{ReqSeed: 17}
 	tr := search(t, draft, ctx, 2, 3)
-	tr.materialize()
+	toks, ds := materialize(tr), depths(tr)
 	dist := draft.Dist(ctx)
 	top := []lm.Token{dist.Token(0), dist.Token(1), dist.Token(2)}
 	var level1 []lm.Token
-	for _, n := range tr.Nodes[1:] {
-		if n.depth == 1 {
-			level1 = append(level1, n.token)
+	for id := 1; id < tr.Size(); id++ {
+		if ds[id] == 1 {
+			level1 = append(level1, toks[id])
 		}
 	}
 	if len(level1) != 3 {
@@ -144,7 +142,7 @@ func TestBeamSearchKeepsHighestPathProbs(t *testing.T) {
 func TestChainSpeculateIsWidthOne(t *testing.T) {
 	_, draft := beamModels(t)
 	tr := search(t, draft, lm.Context{ReqSeed: 5}, 6, 1)
-	tr.materialize()
+	toks := materialize(tr)
 	if tr.Size() != 7 {
 		t.Fatalf("chain size %d, want 7", tr.Size())
 	}
@@ -159,7 +157,7 @@ func TestChainSpeculateIsWidthOne(t *testing.T) {
 	for depth := 0; depth < 6; depth++ {
 		want := draft.Dist(ctx).Argmax()
 		child := tr.Nodes[cur].Children[0]
-		if got := tr.Nodes[child].token; got != want {
+		if got := toks[child]; got != want {
 			t.Fatalf("depth %d: chain token %d, draft argmax %d", depth, got, want)
 		}
 		ctx = ctx.Extend(want)
@@ -219,10 +217,10 @@ func TestTheorem41(t *testing.T) {
 
 		// Candidate tree: beam search with width = budget, depth = D_opt.
 		cand := search(t, draft, ctx, maxDepth, budget)
-		cand.materialize()
+		toks := materialize(cand)
 		// Every optimal node's path must exist in the candidate tree.
 		for _, n := range selected[1:] {
-			if !containsPath(cand, n.path) {
+			if !containsPath(cand, toks, n.path) {
 				t.Fatalf("seed %d: optimal path %v missing from beam(%d, %d) candidate tree",
 					seed, n.path, maxDepth, budget)
 			}
@@ -230,12 +228,14 @@ func TestTheorem41(t *testing.T) {
 	}
 }
 
-func containsPath(t *Tree, path []lm.Token) bool {
+// containsPath reports whether path spells a root-descending path of t,
+// whose node tokens are toks.
+func containsPath(t *Tree, toks, path []lm.Token) bool {
 	cur := 0
 	for _, tok := range path {
 		next := -1
 		for _, c := range t.Nodes[cur].Children {
-			if t.Nodes[c].token == tok {
+			if toks[c] == tok {
 				next = c
 				break
 			}
@@ -268,15 +268,16 @@ func TestVerifyAcceptedPathIsTreePath(t *testing.T) {
 	v := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(9))
 	tr := search(t, draft, lm.Context{ReqSeed: 33}, 5, 3)
 	sel := Prefix(tr, tr.Size())
+	toks := materialize(tr)
 	for i := 0; i < 100; i++ {
 		res := verify(sel, v)
 		// The accepted tokens must spell a root-descending path of
-		// selected nodes, whose tokens the walk filled.
+		// selected nodes.
 		prev := 0
 		for j, tok := range res.Accepted {
 			next := -1
 			for _, c := range tr.Nodes[prev].Children {
-				if sel.has(c) && tr.Nodes[c].token == tok {
+				if sel.has(c) && toks[c] == tok {
 					next = c
 				}
 			}
@@ -297,5 +298,32 @@ func TestVerifyGreedyDeterministic(t *testing.T) {
 	b := verify(sel, v)
 	if len(a.Accepted) != len(b.Accepted) || a.Correction != b.Correction {
 		t.Fatal("greedy verification should be deterministic")
+	}
+}
+
+// TestReusedBeamMatchesFresh drives one reused BeamBuilder through many
+// searches over random depths and widths and checks every tree equals one
+// grown by a fresh builder from the same inputs, node for node and token
+// for token: the shapes a builder keeps must not depend on the searches
+// before, which the engine relies on.
+func TestReusedBeamMatchesFresh(t *testing.T) {
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.85, 2)
+	var bb BeamBuilder
+	rng := mathutil.NewRNG(42)
+	for i := 0; i < 200; i++ {
+		ctx := lm.Context{ReqSeed: uint64(i % 13)}.Extend(lm.Token(rng.Intn(64)))
+		d, w := 1+rng.Intn(7), 1+rng.Intn(4)
+		reused := Root(ctx)
+		if err := bb.Search(&reused, draft, d, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.validate(); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		fresh := search(t, draft, ctx, d, w)
+		if diff := diffTrees(&reused, &refTree{Tree: *fresh, tok: materialize(fresh)}); diff != "" {
+			t.Fatalf("iteration %d (d=%d w=%d): %s", i, d, w, diff)
+		}
 	}
 }

@@ -19,11 +19,12 @@
 // The draft's probability at a rank does not depend on the context
 // (lm.DraftLM.RankProbs), so a tree's structure, probabilities and greedy
 // order follow from its (parent, rank) pairs alone. Search builds the
-// (d, w) beam's pairs once per shape; NewRankTree takes any other set, such
-// as the interleaved Algorithm 1 ablation's selection. A node's token is
-// written only when verification walks to its parent (one draft Dist at
-// the walk's context), because verification reads one root path and
-// nothing else reads tokens.
+// (d, w) beam's pairs once per shape and every searched tree shares that
+// shape's nodes and order; NewRankTree takes any other set, such as the
+// interleaved Algorithm 1 ablation's selection. No tree stores a token:
+// verification reads a walked node's children's tokens from one draft Dist
+// at the walk's context, because it reads one root path and nothing else
+// reads tokens.
 //
 // Every tree keeps its nodes in greedy order: by path probability
 // descending, ties by ID ascending. A child's path probability never
@@ -44,11 +45,6 @@ import (
 // Node is one token in a candidate tree. Its ID is its index in Tree.Nodes;
 // the root is always ID 0.
 type Node struct {
-	// token is the draft token at this node, set when verification reaches
-	// the parent (see Tree.fill); 0 until then and at the root.
-	token lm.Token
-	// depth is 0 for the root.
-	depth int
 	// PathProb is the product of the draft's rank probabilities
 	// q(token | path to parent) along the root path (the approximated
 	// f(v)); 1 for the root.
@@ -60,42 +56,35 @@ type Node struct {
 	Children []int
 }
 
-// rootOrder is the greedy order of every root-only tree.
-var rootOrder = []int{0}
+// rootNodes and rootOrder are the shape of every root-only tree.
+var (
+	rootNodes = []Node{{PathProb: 1}}
+	rootOrder = []int{0}
+)
 
 // Tree is a candidate token tree for one request, as produced by the
-// speculation phase. A Selection takes a prefix of its greedy order; that
-// prefix is the draft token tree T submitted for verification.
+// speculation phase: a shape (nodes and greedy order) at the request's
+// context. A Selection takes a prefix of its greedy order; that prefix is
+// the draft token tree T submitted for verification.
 type Tree struct {
+	// Nodes are the tree's nodes in ID order. A root-only or searched tree
+	// shares them with every tree of its shape, so they are read-only.
 	Nodes []Node
 	// order lists the node IDs in greedy order (path prob descending, ID
-	// ascending). A searched tree shares it with its beam shape, so it is
-	// read-only.
+	// ascending), shared like Nodes.
 	order []int
 	// ctx is the request's decoding context at the root.
 	ctx lm.Context
-	// draft fills the tree's tokens on demand; a root-only tree may have
+	// draft names the tree's tokens: child j of a node is the draft's
+	// rank-j candidate at the node's context. A root-only tree may have
 	// none.
 	draft *lm.DraftLM
 }
 
-// newTree creates a tree holding only a root for the given context.
-func newTree(ctx lm.Context) *Tree {
-	t := &Tree{}
-	t.reset(ctx)
-	return t
-}
-
-// reset re-roots the tree in place for reuse: node storage is retained, so
-// a warm tree builds without allocating (Search shares its Children slices
-// and greedy order with the beam shape). Any outstanding references into
-// the old tree (Selections, node pointers) become invalid.
-func (t *Tree) reset(ctx lm.Context) {
-	t.Nodes = t.Nodes[:0]
-	t.Nodes = append(t.Nodes, Node{PathProb: 1})
-	t.order = rootOrder
-	t.ctx = ctx
-	t.draft = nil
+// Root returns the root-only tree at ctx: a request with nothing
+// speculated, or one that Search has yet to grow.
+func Root(ctx lm.Context) Tree {
+	return Tree{Nodes: rootNodes, order: rootOrder, ctx: ctx}
 }
 
 // RankNode is one non-root node of a rank tree: its parent's ID and its
@@ -106,14 +95,14 @@ type RankNode struct{ Parent, Rank int }
 // i+1 is spec[i]: the draft's rank-spec[i].Rank candidate under node
 // spec[i].Parent. Every parent must precede its children, and each
 // parent's children must take ranks 0, 1, … in ID order (it panics
-// otherwise). Verification fills the tokens, as in a searched tree.
+// otherwise). Verification reads the tokens, as in a searched tree.
 func NewRankTree(ctx lm.Context, draft *lm.DraftLM, spec []RankNode) *Tree {
 	sh := rankShape(draft.RankProbs(), spec)
 	return &Tree{Nodes: sh.nodes, order: sh.order, ctx: ctx, draft: draft}
 }
 
 // rankShape returns the nodes and greedy order of the rank tree spec (see
-// NewRankTree) over rank probabilities probs: each node's depth, PathProb
+// NewRankTree) over rank probabilities probs: each node's PathProb
 // (parent × probs[rank]) and greedy rank, and each parent's Children in
 // rank order.
 func rankShape(probs []float64, spec []RankNode) shape {
@@ -126,8 +115,7 @@ func rankShape(probs []float64, spec []RankNode) shape {
 			panic(fmt.Sprintf("toktree: node %d as rank %d under node %d is not its parent's next draft rank", id, s.Rank, s.Parent))
 		}
 		kids[s.Parent]++
-		p := &nodes[s.Parent]
-		nodes[id] = Node{depth: p.depth + 1, PathProb: p.PathProb * probs[s.Rank]}
+		nodes[id] = Node{PathProb: nodes[s.Parent].PathProb * probs[s.Rank]}
 	}
 	all := make([]int, len(spec))
 	off := 0
@@ -161,21 +149,9 @@ func (t *Tree) Size() int { return len(t.Nodes) }
 
 // Order returns the node IDs in greedy order: path probability descending,
 // ties by ID ascending. Every prefix of it is a connected subtree holding
-// the root. The slice may be shared with the tree's beam shape; callers
+// the root. The slice is shared with every tree of the same shape; callers
 // must not modify it.
 func (t *Tree) Order() []int { return t.order }
-
-// fill writes the tokens of node p's first n children from one draft Dist
-// at p's context ctx. Child j is the draft's rank-j candidate, and a
-// selected node's selected children are always its first ones: siblings'
-// path probabilities fall with their rank (the draft's rank weights are
-// strictly decreasing) while their IDs rise.
-func (t *Tree) fill(p int, ctx lm.Context, n int) {
-	dist := t.draft.Dist(ctx)
-	for j, c := range t.Nodes[p].Children[:n] {
-		t.Nodes[c].token = dist.Token(j)
-	}
-}
 
 // Selection is the draft token tree submitted for verification: the first
 // n nodes of its candidate tree's greedy order. Any such prefix holds the

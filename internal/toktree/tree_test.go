@@ -27,9 +27,12 @@ func buildSmallTree(t *testing.T) *Tree {
 }
 
 func TestNewTreeRoot(t *testing.T) {
-	tr := newTree(lm.Context{ReqSeed: 1})
-	if tr.Size() != 1 || depth(tr) != 0 {
-		t.Fatalf("fresh tree size=%d depth=%d", tr.Size(), depth(tr))
+	tr := Root(lm.Context{ReqSeed: 1})
+	if err := tr.validate(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Size() != 1 || depth(&tr) != 0 {
+		t.Fatalf("fresh tree size=%d depth=%d", tr.Size(), depth(&tr))
 	}
 	root := tr.Nodes[0]
 	if len(root.Children) != 0 || root.PathProb != 1 || tr.ctx != (lm.Context{ReqSeed: 1}) {
@@ -46,9 +49,10 @@ func TestRankTreePathProbs(t *testing.T) {
 	if tr.Size() != 1+len(smallSpec) {
 		t.Fatalf("size %d, want %d", tr.Size(), 1+len(smallSpec))
 	}
+	ds := depths(tr)
 	for i, s := range smallSpec {
 		n, p := &tr.Nodes[i+1], &tr.Nodes[s.Parent]
-		if n.depth != p.depth+1 || p.Children[s.Rank] != i+1 {
+		if ds[i+1] != ds[s.Parent]+1 || p.Children[s.Rank] != i+1 {
 			t.Fatalf("node %d is %+v, want rank %d under node %d", i+1, *n, s.Rank, s.Parent)
 		}
 		if n.PathProb != p.PathProb*probs[s.Rank] {
@@ -56,8 +60,8 @@ func TestRankTreePathProbs(t *testing.T) {
 		}
 	}
 	// Node 6 is rank 0 three levels down.
-	if want := probs[0] * probs[0] * probs[0]; tr.Nodes[6].PathProb != want || tr.Nodes[6].depth != 3 {
-		t.Fatalf("node 6: path prob %g depth %d, want %g at depth 3", tr.Nodes[6].PathProb, tr.Nodes[6].depth, want)
+	if want := probs[0] * probs[0] * probs[0]; tr.Nodes[6].PathProb != want || ds[6] != 3 {
+		t.Fatalf("node 6: path prob %g depth %d, want %g at depth 3", tr.Nodes[6].PathProb, ds[6], want)
 	}
 }
 
@@ -89,10 +93,11 @@ func TestRankTreeDeepChainKeepsParentLinks(t *testing.T) {
 	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
+	ds := depths(tr)
 	cur := 0
 	for depth := 0; depth < 200; depth++ {
 		ch := tr.Nodes[cur].Children
-		if len(ch) != 1 || tr.Nodes[ch[0]].depth != depth+1 {
+		if len(ch) != 1 || ds[ch[0]] != depth+1 {
 			t.Fatalf("node %d at depth %d has children %v", cur, depth, ch)
 		}
 		cur = ch[0]
@@ -183,12 +188,15 @@ func TestRankTreeRejectsBadSpec(t *testing.T) {
 // that parent's next rank. The tree must pass validate (its greedy order
 // is topological and sorted), hold the greedy order, children and path
 // probabilities (bitwise) that the explicit-token builder addChild gives
-// the same nodes added in ID order, and make every Prefix connected.
+// the same nodes added in ID order, and make every Prefix connected. One
+// prefix, picked by the input, must verify as the eager-token walk does.
 func FuzzRankTree(f *testing.F) {
 	f.Add(uint64(1), uint8(15), []byte{0, 0, 1, 1, 2, 3})
 	f.Add(uint64(2), uint8(1), []byte{0, 0, 0, 0, 0, 0, 0})
 	f.Add(uint64(3), uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint64(4), uint8(0), []byte{7, 7, 7})
+	// A wide root whose greedy walk accepts a non-first branch.
+	f.Add(uint64(11), uint8(15), []byte{0, 0, 0, 0, 0, 0, 0, 0, 1, 2})
 	f.Fuzz(func(t *testing.T, seed uint64, branchRaw uint8, data []byte) {
 		branch := 1 + int(branchRaw%16)
 		target := lm.MustSyntheticLM(seed, 512, branch, 0.05+float64(seed%500)/100, 0.05)
@@ -217,7 +225,7 @@ func FuzzRankTree(f *testing.F) {
 		if err := tr.validate(); err != nil {
 			t.Fatal(err)
 		}
-		ref := newTree(ctx)
+		ref := newRefTree(ctx)
 		for i, s := range spec {
 			addChild(ref, s.Parent, lm.Token(i+1), probs[s.Rank])
 		}
@@ -247,6 +255,12 @@ func FuzzRankTree(f *testing.F) {
 			if held != n || !sel.has(0) {
 				t.Fatalf("prefix %d holds %d nodes", n, held)
 			}
+		}
+		eager := &refTree{Tree: *tr, tok: materialize(tr)}
+		rule := lm.VerifyRule(seed % 2)
+		n := tr.Size() - int(seed%uint64(tr.Size()))
+		if diff := lazyVerifyDiff(&VerifyResult{}, &VerifyScratch{}, Prefix(tr, n), eager, target, rule, seed); diff != "" {
+			t.Fatalf("%s prefix %d: %s", rule, n, diff)
 		}
 	})
 }
@@ -331,14 +345,14 @@ func TestSelectionConnectivityProperty(t *testing.T) {
 }
 
 // validate checks structural invariants: every non-root node held by
-// exactly one Children list, under a smaller ID and one level deeper,
+// exactly one Children list, under a smaller ID,
 // children sorted by draft probability (their path probabilities) and in
 // greedy order, and path-probability monotonicity (child ≤ parent).
 func (t *Tree) validate() error {
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("toktree: empty tree")
 	}
-	if t.Nodes[0].depth != 0 || t.Nodes[0].PathProb != 1 {
+	if t.Nodes[0].PathProb != 1 {
 		return fmt.Errorf("toktree: malformed root %+v", t.Nodes[0])
 	}
 	held := make([]int, len(t.Nodes))
@@ -350,9 +364,6 @@ func (t *Tree) validate() error {
 			}
 			held[c]++
 			n := &t.Nodes[c]
-			if n.depth != p.depth+1 {
-				return fmt.Errorf("toktree: node %d depth %d, parent depth %d", c, n.depth, p.depth)
-			}
 			if n.PathProb > p.PathProb+1e-12 {
 				return fmt.Errorf("toktree: node %d path prob %g exceeds parent %g", c, n.PathProb, p.PathProb)
 			}
@@ -362,8 +373,8 @@ func (t *Tree) validate() error {
 			if prev := &t.Nodes[p.Children[k-1]]; prev.PathProb < n.PathProb {
 				return fmt.Errorf("toktree: node %d children not sorted", i)
 			} else if prev.rank > n.rank {
-				// fill's precondition: a node's selected children are its
-				// first ones.
+				// VerifyInto's precondition: a node's selected children are
+				// its first ones.
 				return fmt.Errorf("toktree: node %d's children out of greedy order", i)
 			}
 		}
@@ -414,21 +425,34 @@ func (t *Tree) validateOrder() error {
 	return nil
 }
 
-// materialize fills every pending token of a tree through fill,
-// the on-demand fill verification uses, parents before children (a
-// child's ID is larger than its parent's), and leaves the tree with every
-// token set. Verification refills the same tokens.
-func (t *Tree) materialize() {
-	ctxs := make([]lm.Context, len(t.Nodes))
-	ctxs[0] = t.ctx
-	for p := range t.Nodes {
-		ch := t.Nodes[p].Children
-		if len(ch) == 0 {
-			continue
-		}
-		t.fill(p, ctxs[p], len(ch))
-		for _, c := range ch {
-			ctxs[c] = ctxs[p].Extend(t.Nodes[c].token)
+// depths returns each node's depth, derived from the Children lists
+// (parents before children: a child's ID is larger than its parent's).
+func depths(t *Tree) []int {
+	ds := make([]int, len(t.Nodes))
+	for p, n := range t.Nodes {
+		for _, c := range n.Children {
+			ds[c] = ds[p] + 1
 		}
 	}
+	return ds
+}
+
+// materialize returns every node's token by ID (0 at the root), read as
+// verification reads them: node p's child j is the draft's rank-j
+// candidate in one draft Dist at p's context, parents before children.
+func materialize(t *Tree) []lm.Token {
+	toks := make([]lm.Token, len(t.Nodes))
+	ctxs := make([]lm.Context, len(t.Nodes))
+	ctxs[0] = t.ctx
+	for p, n := range t.Nodes {
+		if len(n.Children) == 0 {
+			continue
+		}
+		dist := t.draft.Dist(ctxs[p])
+		for j, c := range n.Children {
+			toks[c] = dist.Token(j)
+			ctxs[c] = ctxs[p].Extend(toks[c])
+		}
+	}
+	return toks
 }

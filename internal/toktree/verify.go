@@ -21,12 +21,11 @@ type VerifyResult struct {
 	TokensVerified int
 }
 
-// VerifyScratch holds the per-level buffers of a verification walk so
-// repeated verifies — one per request per iteration — allocate nothing once
-// warm. The zero value is ready to use. Not safe for concurrent use.
+// VerifyScratch holds the branch buffer of a verification walk so repeated
+// verifies — one per request per iteration — allocate nothing once warm.
+// The zero value is ready to use. Not safe for concurrent use.
 type VerifyScratch struct {
-	children []int
-	branches []lm.Branch
+	branches []lm.Token
 }
 
 // VerifyInto runs tree-based parallel verification of the selected subtree.
@@ -37,13 +36,16 @@ type VerifyScratch struct {
 // descending draft probability). Descent stops at the first rejection — the
 // rule's correction token is committed — or past the last selected node,
 // where the bonus token is drawn from the target distribution at that
-// context. At each node the walk first fills the selected children's tokens
-// from one draft Dist at the node's context, so the draft is asked only
-// where the walk goes; the draft draws nothing from the RNG.
+// context. At each node the walk reads the selected children's tokens from
+// one draft Dist at the node's context, so the draft is asked only where
+// the walk goes; the draft draws nothing from the RNG. Child j is the
+// draft's rank-j candidate, and a node's selected children are always its
+// first ones: siblings' path probabilities fall with their rank (the
+// draft's rank weights are strictly decreasing) while their IDs rise.
 //
 // res is reset and refilled in place (its Accepted capacity is reused, and
-// left one token larger than the prefix) and sc provides the walk buffers;
-// the engine pools both across iterations.
+// left one token larger than the prefix) and sc provides the branch
+// buffer; the engine pools both across iterations.
 func VerifyInto(res *VerifyResult, sel Selection, v *lm.Verifier, sc *VerifyScratch) {
 	t := sel.tree
 	res.Accepted = res.Accepted[:0]
@@ -52,31 +54,30 @@ func VerifyInto(res *VerifyResult, sel Selection, v *lm.Verifier, sc *VerifyScra
 	cur := 0
 	ctx := t.ctx
 	for {
-		sc.children = sc.children[:0]
-		for _, c := range t.Nodes[cur].Children {
-			if sel.has(c) {
-				sc.children = append(sc.children, c)
-			}
+		kids := t.Nodes[cur].Children
+		n := 0
+		for n < len(kids) && sel.has(kids[n]) {
+			n++
 		}
-		if len(sc.children) == 0 {
+		if n == 0 {
 			// Past the last selected node: commit the bonus token.
 			res.Correction = bonusToken(v, ctx)
 			break
 		}
-		t.fill(cur, ctx, len(sc.children))
+		dist := t.draft.Dist(ctx)
 		sc.branches = sc.branches[:0]
-		for _, c := range sc.children {
-			sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})
+		for j := range n {
+			sc.branches = append(sc.branches, dist.Token(j))
 		}
 		idx, correction := v.AcceptAmong(ctx, sc.branches)
 		if idx < 0 {
 			res.Correction = correction
 			break
 		}
-		chosen := sc.children[idx]
-		res.Accepted = append(res.Accepted, t.Nodes[chosen].token)
-		ctx = ctx.Extend(t.Nodes[chosen].token)
-		cur = chosen
+		tok := sc.branches[idx]
+		res.Accepted = append(res.Accepted, tok)
+		ctx = ctx.Extend(tok)
+		cur = kids[idx]
 	}
 	res.Accepted = slices.Grow(res.Accepted, 1)
 }

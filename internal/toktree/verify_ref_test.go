@@ -9,17 +9,19 @@ import (
 	"adaserve/internal/mathutil"
 )
 
-// eagerSearch is Search as it was before tokens were filled on demand: it
-// copies the (d, w) shape and reads one draft Dist per parent with
-// children, writing every token. The tree it leaves holds every token.
-func eagerSearch(bb *BeamBuilder, t *Tree, draft *lm.DraftLM, d, w int) {
+// eagerSearch is Search as it was before tokens were read on demand: it
+// copies the (d, w) shape into a tree of its own and reads one draft Dist
+// per parent with children, storing every token.
+func eagerSearch(bb *BeamBuilder, ctx lm.Context, draft *lm.DraftLM, d, w int) *refTree {
+	t := newRefTree(ctx)
 	if d == 0 {
-		return
+		return t
 	}
 	sh := bb.shape(draft.RankProbs(), d, w)
 	t.Nodes = append(t.Nodes[:1], sh.nodes[1:]...)
 	t.Nodes[0].Children = sh.nodes[0].Children
 	t.order = sh.order
+	t.tok = make([]lm.Token, len(t.Nodes))
 	ctxs := make([]lm.Context, len(sh.nodes))
 	ctxs[0] = t.ctx
 	for p := range t.Nodes {
@@ -30,17 +32,21 @@ func eagerSearch(bb *BeamBuilder, t *Tree, draft *lm.DraftLM, d, w int) {
 		dist := draft.Dist(ctxs[p])
 		for rank, c := range ch {
 			tok := dist.Token(rank)
-			t.Nodes[c].token = tok
+			t.tok[c] = tok
 			if len(t.Nodes[c].Children) > 0 {
 				ctxs[c] = ctxs[p].Extend(tok)
 			}
 		}
 	}
+	return t
 }
 
 // maskVerifyInto is VerifyInto as it was over a mask selection of a tree
-// whose tokens are all set, kept verbatim apart from the mask.
-func maskVerifyInto(res *VerifyResult, t *Tree, mask []bool, v *lm.Verifier, sc *VerifyScratch) {
+// whose tokens are all stored, kept verbatim apart from the mask and the
+// walk buffers, which are its own.
+func maskVerifyInto(res *VerifyResult, t *refTree, mask []bool, v *lm.Verifier) {
+	var children []int
+	var branches []lm.Token
 	res.Accepted = res.Accepted[:0]
 	res.Correction = 0
 	res.TokensVerified = 0
@@ -52,37 +58,63 @@ func maskVerifyInto(res *VerifyResult, t *Tree, mask []bool, v *lm.Verifier, sc 
 	cur := 0
 	ctx := t.ctx
 	for {
-		sc.children = sc.children[:0]
-		sc.branches = sc.branches[:0]
+		children = children[:0]
+		branches = branches[:0]
 		for _, c := range t.Nodes[cur].Children {
 			if mask[c] {
-				sc.children = append(sc.children, c)
-				sc.branches = append(sc.branches, lm.Branch{Token: t.Nodes[c].token})
+				children = append(children, c)
+				branches = append(branches, t.tok[c])
 			}
 		}
-		if len(sc.children) == 0 {
+		if len(children) == 0 {
 			res.Correction = bonusToken(v, ctx)
 			break
 		}
-		idx, correction := v.AcceptAmong(ctx, sc.branches)
+		idx, correction := v.AcceptAmong(ctx, branches)
 		if idx < 0 {
 			res.Correction = correction
 			break
 		}
-		chosen := sc.children[idx]
-		res.Accepted = append(res.Accepted, t.Nodes[chosen].token)
-		ctx = ctx.Extend(t.Nodes[chosen].token)
+		chosen := children[idx]
+		res.Accepted = append(res.Accepted, t.tok[chosen])
+		ctx = ctx.Extend(t.tok[chosen])
 		cur = chosen
 	}
 	res.Accepted = slices.Grow(res.Accepted, 1)
 }
 
-// TestLazyVerifyMatchesEager pins verification with tokens filled on
-// demand to the eager-token search and mask verification it replaced: for
-// both model setups, both rules, every d in [0, 8] and w in [1, 4] and
-// every prefix of the tree, the pooled lazy walk must return the same
-// result and leave the verifier's RNG in the same state, and every token
-// it filled must be the eager one.
+// lazyVerifyDiff verifies the selection sel of a lazy tree, into the
+// reused lazyRes and sc, and the same nodes of the eager tree with
+// verifiers of equal seeds. Both walks must return the same result and
+// leave the RNG in the same state; it describes the first difference or
+// returns "".
+func lazyVerifyDiff(lazyRes *VerifyResult, sc *VerifyScratch, sel Selection, eager *refTree, target lm.Model, rule lm.VerifyRule, seed uint64) string {
+	mask := make([]bool, eager.Size())
+	for id := range mask {
+		mask[id] = sel.has(id)
+	}
+	vLazy := lm.NewVerifier(target, rule, mathutil.NewRNG(seed))
+	vEager := lm.NewVerifier(target, rule, mathutil.NewRNG(seed))
+	var eagerRes VerifyResult
+	VerifyInto(lazyRes, sel, vLazy, sc)
+	maskVerifyInto(&eagerRes, eager, mask, vEager)
+	if !slices.Equal(lazyRes.Accepted, eagerRes.Accepted) ||
+		lazyRes.Correction != eagerRes.Correction ||
+		lazyRes.TokensVerified != eagerRes.TokensVerified {
+		return fmt.Sprintf("lazy %+v, eager %+v", *lazyRes, eagerRes)
+	}
+	if *vLazy.RNG != *vEager.RNG {
+		return "RNG state differs after the walk"
+	}
+	return ""
+}
+
+// TestLazyVerifyMatchesEager pins verification with tokens read on demand
+// to the eager-token search and mask verification it replaced: for both
+// model setups, both rules, every d in [0, 8] and w in [1, 4] and every
+// prefix of the tree, the lazy walk, with its result and scratch reused,
+// must return the same result and leave the verifier's RNG in the same
+// state.
 func TestLazyVerifyMatchesEager(t *testing.T) {
 	for _, s := range []struct {
 		name             string
@@ -93,46 +125,24 @@ func TestLazyVerifyMatchesEager(t *testing.T) {
 				target := lm.MustSyntheticLM(41, 4096, 16, s.sharpness, 0.02)
 				draft := lm.MustDraftLM(target, s.alpha, 42)
 				var lazyBB, eagerBB BeamBuilder
-				var pool TreePool
-				var lazyRes, eagerRes VerifyResult
-				var lazySc, eagerSc VerifyScratch
+				var lazyRes VerifyResult
+				var sc VerifyScratch
 				ctxRNG := mathutil.NewRNG(43)
 				for d := 0; d <= 8; d++ {
 					for w := 1; w <= 4; w++ {
 						for i := 0; i < 4; i++ {
 							ctx := lm.Context{ReqSeed: uint64(ctxRNG.Intn(1 << 30))}.Extend(lm.Token(ctxRNG.Intn(4096)))
-							eager := newTree(ctx)
-							eagerSearch(&eagerBB, eager, draft, d, w)
-							lazy := pool.Get(ctx)
-							if err := lazyBB.Search(lazy, draft, d, w); err != nil {
+							eager := eagerSearch(&eagerBB, ctx, draft, d, w)
+							lazy := Root(ctx)
+							if err := lazyBB.Search(&lazy, draft, d, w); err != nil {
 								t.Fatal(err)
 							}
 							for n := 1; n <= lazy.Size(); n++ {
-								sel := Prefix(lazy, n)
-								mask := make([]bool, lazy.Size())
-								for id := range mask {
-									mask[id] = sel.has(id)
-								}
 								seed := uint64(d*1000 + w*100 + i*10 + n)
-								vLazy := lm.NewVerifier(target, rule, mathutil.NewRNG(seed))
-								vEager := lm.NewVerifier(target, rule, mathutil.NewRNG(seed))
-								VerifyInto(&lazyRes, sel, vLazy, &lazySc)
-								maskVerifyInto(&eagerRes, eager, mask, vEager, &eagerSc)
-								if !slices.Equal(lazyRes.Accepted, eagerRes.Accepted) ||
-									lazyRes.Correction != eagerRes.Correction ||
-									lazyRes.TokensVerified != eagerRes.TokensVerified {
-									t.Fatalf("d=%d w=%d prefix %d: lazy %+v, eager %+v", d, w, n, lazyRes, eagerRes)
-								}
-								if *vLazy.RNG != *vEager.RNG {
-									t.Fatalf("d=%d w=%d prefix %d: RNG state differs after the walk", d, w, n)
-								}
-								for id := range lazy.Nodes {
-									if tok := lazy.Nodes[id].token; tok != 0 && tok != eager.Nodes[id].token {
-										t.Fatalf("d=%d w=%d prefix %d: node %d filled with %d, eager %d", d, w, n, id, tok, eager.Nodes[id].token)
-									}
+								if diff := lazyVerifyDiff(&lazyRes, &sc, Prefix(&lazy, n), eager, target, rule, seed); diff != "" {
+									t.Fatalf("d=%d w=%d prefix %d: %s", d, w, n, diff)
 								}
 							}
-							pool.Put(lazy)
 						}
 					}
 				}

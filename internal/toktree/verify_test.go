@@ -89,7 +89,7 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 	// Under the aligned draft, node 1 (rank 0) -> node 3 (rank 0) is the
 	// correct continuation tok[1], tok[2]; siblings node 2 (depth 1) and
 	// node 4 (depth 2) are rejected. Node 5 hangs off the WRONG sibling,
-	// so it must never be reached, and its token is never filled.
+	// so it must never be reached: the chain target panics off the chain.
 	c := newChain()
 	tr := NewRankTree(chainCtx(10), c.aligned, []RankNode{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}})
 	if err := tr.validate(); err != nil {
@@ -108,11 +108,8 @@ func TestVerifyAcceptsLongestCorrectPrefix(t *testing.T) {
 	if res.TokensVerified != sel.Size() {
 		t.Fatalf("tokens verified %d, want selection size %d", res.TokensVerified, sel.Size())
 	}
-	if tok := tr.Nodes[2].token; tok == 0 || tok == c.tok[1] {
-		t.Fatalf("rejected sibling holds token %d", tok)
-	}
-	if tok := tr.Nodes[5].token; tok != 0 {
-		t.Fatalf("node under the rejected sibling was filled with %d", tok)
+	if tok := materialize(tr)[2]; tok == c.tok[1] {
+		t.Fatalf("rejected sibling holds the chain's token %d", tok)
 	}
 }
 
@@ -165,8 +162,8 @@ func TestVerifyRootOnlyTree(t *testing.T) {
 	// Empty tree (root only, nothing speculated): verification degenerates
 	// to plain decoding — no accepted tokens, bonus from the root context.
 	c := newChain()
-	tr := newTree(chainCtx(10))
-	sel := Prefix(tr, 1)
+	tr := Root(chainCtx(10))
+	sel := Prefix(&tr, 1)
 	res := verify(sel, c.greedyVerifier())
 	if len(res.Accepted) != 0 {
 		t.Fatalf("root-only tree accepted %v", res.Accepted)
@@ -205,13 +202,13 @@ func buildRandomTreeAndSelection(t *testing.T, seed uint64) (*Tree, Selection) {
 	t.Helper()
 	target := lm.MustSyntheticLM(seed, 512, 8, 2.5, 0.05)
 	draft := lm.MustDraftLM(target, 0.8, seed+1)
-	tr := newTree(lm.Context{ReqSeed: seed})
+	tr := Root(lm.Context{ReqSeed: seed})
 	var bb BeamBuilder
-	if err := bb.Search(tr, draft, 4, 3); err != nil {
+	if err := bb.Search(&tr, draft, 4, 3); err != nil {
 		t.Fatal(err)
 	}
 	rng := mathutil.NewRNG(seed ^ 0xbeef)
-	return tr, Prefix(tr, 1+rng.Intn(tr.Size()))
+	return &tr, Prefix(&tr, 1+rng.Intn(tr.Size()))
 }
 
 // TestVerifyIntoMatchesFresh is the pooling guarantee: VerifyInto with
@@ -244,5 +241,34 @@ func TestVerifyIntoMatchesFresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVerifyIntoMatchesVerify runs pooled-scratch verification against a
+// walk with fresh storage over many trees and seeds.
+func TestVerifyIntoMatchesVerify(t *testing.T) {
+	target := lm.MustSyntheticLM(1, 4096, 16, 3.2, 0.02)
+	draft := lm.MustDraftLM(target, 0.8, 2)
+	var sc VerifyScratch
+	var res VerifyResult
+	for i := 0; i < 100; i++ {
+		tr := search(t, draft, lm.Context{ReqSeed: uint64(i)}, 5, 3)
+		sel := Prefix(tr, 1+i%tr.Size())
+		// Identical RNG state for both walks.
+		v1 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
+		v2 := lm.NewVerifier(target, lm.RuleSampleMatch, mathutil.NewRNG(uint64(i)))
+		want := verify(sel, v1)
+		VerifyInto(&res, sel, v2, &sc)
+		if want.Correction != res.Correction || len(want.Accepted) != len(res.Accepted) {
+			t.Fatalf("tree %d: pooled verify diverged: %+v vs %+v", i, want, res)
+		}
+		for k := range want.Accepted {
+			if want.Accepted[k] != res.Accepted[k] {
+				t.Fatalf("tree %d: accepted prefix differs at %d", i, k)
+			}
+		}
+		if want.TokensVerified != res.TokensVerified {
+			t.Fatalf("tree %d: TokensVerified %d vs %d", i, want.TokensVerified, res.TokensVerified)
+		}
 	}
 }
